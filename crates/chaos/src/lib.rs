@@ -23,8 +23,7 @@
 //!   [`LinkFaultScript`](homonym_sim::adversary::LinkFaultScript)
 //!   consulted by **both** the event-driven and the lock-step engine at
 //!   copy-routing time, deterministically and without perturbing any
-//!   existing RNG stream, so the `legacy_hot_path` trace-equality
-//!   guarantee extends to every scenario run;
+//!   existing RNG stream;
 //! * [`generators`] — seeded random scenario **families** (below);
 //! * [`sweep`] — the [`falsification_sweep`]: thousands of generated
 //!   scenarios against a detector/consensus stack, asserting safety

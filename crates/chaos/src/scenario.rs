@@ -6,7 +6,7 @@
 //! crash-recovery-style churn, and crashes — plus an adversarial
 //! [`GstPlacement`]. It is the *replayable* form of an adversarial run:
 //! `Display` prints the full script, and the same scenario installed with
-//! the same seed reproduces the same trace on both engine hot paths.
+//! the same seed reproduces the same trace.
 
 use core::fmt;
 

@@ -16,8 +16,7 @@
 //! 2. **pick a goal** — [`Goal::FirstDecision`] (the classic one-shot),
 //!    [`Goal::HeightsCommitted`] (the log service's "k entries on every
 //!    correct replica"), or [`Goal::TickHorizon`] (fixed-horizon runs,
-//!    the only goal whose event counts are comparable across the two
-//!    engine hot paths — see [`Session::run`]);
+//!    the comparison surface of the reference-interpreter differentials);
 //! 3. **choose the stack** — a terminal constructor ([`SessionBuilder::fig8`],
 //!    [`SessionBuilder::byz_tolerant`], [`SessionBuilder::rsm`], …)
 //!    consumes the builder and returns a typed [`Session`].
@@ -79,10 +78,11 @@ pub enum Goal {
     /// (one decision *is* one committed height).
     HeightsCommitted(u64),
     /// Run to the deadline unconditionally. The only goal whose event
-    /// counts are comparable across the legacy and batched hot paths:
-    /// conditional goals are checked per-event on the legacy path but
-    /// per-batch on the batched path, so they may stop at slightly
-    /// different instants.
+    /// counts are comparable with a
+    /// [`ReferenceEngine`](homonym_sim::reference::ReferenceEngine) run:
+    /// conditional goals are checked per batch by the engine but per
+    /// event by the interpreter, so they may stop at slightly different
+    /// instants.
     TickHorizon,
 }
 
@@ -144,7 +144,6 @@ pub struct SessionBuilder {
     scenario: Option<Scenario>,
     network: NetworkModel,
     schedule: Option<FailureSchedule>,
-    legacy_hot_path: bool,
     recorder_cap: Option<usize>,
     trace_cap: Option<usize>,
     proposals: Option<Vec<u64>>,
@@ -166,7 +165,6 @@ impl SessionBuilder {
             scenario: None,
             network: hps_base(),
             schedule: None,
-            legacy_hot_path: false,
             recorder_cap: None,
             trace_cap: None,
             proposals: None,
@@ -204,14 +202,6 @@ impl SessionBuilder {
     #[must_use]
     pub fn with_schedule(mut self, schedule: FailureSchedule) -> Self {
         self.schedule = Some(schedule);
-        self
-    }
-
-    /// Selects the legacy per-event hot path instead of the batched one
-    /// (they produce byte-identical `(time, seq)` schedules).
-    #[must_use]
-    pub fn with_legacy_hot_path(mut self, legacy: bool) -> Self {
-        self.legacy_hot_path = legacy;
         self
     }
 
@@ -300,9 +290,8 @@ impl SessionBuilder {
             .schedule
             .clone()
             .unwrap_or_else(|| FailureSchedule::none(self.n));
-        let cfg = SimConfig::new(self.assignment(), sched, self.network.clone())
-            .with_seed(self.seed)
-            .with_legacy_hot_path(self.legacy_hot_path);
+        let cfg =
+            SimConfig::new(self.assignment(), sched, self.network.clone()).with_seed(self.seed);
         match &self.scenario {
             Some(s) => s.install(cfg).expect("scenario must validate"),
             None => cfg,
@@ -352,10 +341,6 @@ impl SessionBuilder {
         }
     }
 
-    fn finish<P: Process>(self, factory: impl FnMut(usize, Identity) -> P) -> Session<P> {
-        self.build(factory)
-    }
-
     // ---- terminal constructors: event engine --------------------------
 
     /// Figure 8 stack: `◇HP`/`HΩ` detector mirrored into majority
@@ -365,7 +350,7 @@ impl SessionBuilder {
         let n = self.n;
         let t = (n - 1) / 2;
         let props: Vec<u64> = (0..n).map(|p| self.proposal(p)).collect();
-        self.finish(move |p, _| fig8_node(props[p], n, t))
+        self.build(move |p, _| fig8_node(props[p], n, t))
     }
 
     /// Byzantine-tolerant stack: detector over quorum-certificate
@@ -374,14 +359,14 @@ impl SessionBuilder {
     pub fn byz_tolerant(self) -> Session<ByzTolerantNode> {
         let assign = self.assignment();
         let props: Vec<u64> = (0..self.n).map(|p| self.proposal(p)).collect();
-        self.finish(move |p, _| byz_tolerant_node(props[p], &assign))
+        self.build(move |p, _| byz_tolerant_node(props[p], &assign))
     }
 
     /// Detector-only stack (no decisions — pair with
     /// [`Goal::TickHorizon`]).
     #[must_use]
     pub fn detector(self) -> Session<EvtHpProcess> {
-        self.finish(|_, _| EvtHpProcess::new())
+        self.build(|_, _| EvtHpProcess::new())
     }
 
     /// Figure 9 stack over precomputed `HΩ`/`HΣ` oracles that stabilize
@@ -392,7 +377,7 @@ impl SessionBuilder {
         let cfg = self.sim_config();
         let world = OracleWorld::new(cfg.sched.clone(), cfg.assign.clone(), stability);
         let props: Vec<u64> = (0..self.n).map(|p| self.proposal(p)).collect();
-        self.finish(move |p, _| {
+        self.build(move |p, _| {
             QuorumConsensus::new(
                 props[p],
                 world.h_omega_for(p, PreStability::Chaotic),
@@ -407,7 +392,7 @@ impl SessionBuilder {
     pub fn rsm(self, workload: &WorkloadConfig) -> Session<RsmNode> {
         let assign = self.assignment();
         let queues = workload.queues(self.n);
-        let mut session = self.finish(move |p, _| rsm_node(&assign, queues[p].clone()));
+        let mut session = self.build(move |p, _| rsm_node(&assign, queues[p].clone()));
         session.log_view = Some(|node: &RsmNode| node.upper().log());
         session
     }
@@ -418,7 +403,7 @@ impl SessionBuilder {
     pub fn rsm_fig8(self, workload: &WorkloadConfig) -> Session<RsmFig8Node> {
         let assign = self.assignment();
         let queues = workload.queues(self.n);
-        let mut session = self.finish(move |p, _| rsm_fig8_node(&assign, queues[p].clone()));
+        let mut session = self.build(move |p, _| rsm_fig8_node(&assign, queues[p].clone()));
         session.log_view = Some(|node: &RsmFig8Node| node.upper().log());
         session
     }
@@ -437,9 +422,7 @@ impl SessionBuilder {
             .schedule
             .clone()
             .unwrap_or_else(|| FailureSchedule::none(self.n));
-        let cfg = SyncConfig::new(self.assignment(), sched)
-            .with_seed(self.seed)
-            .with_legacy_hot_path(self.legacy_hot_path);
+        let cfg = SyncConfig::new(self.assignment(), sched).with_seed(self.seed);
         let cfg = match &self.scenario {
             Some(s) => s.install_sync(cfg).expect("scenario must validate"),
             None => cfg,
@@ -486,10 +469,8 @@ pub struct Session<P: Process> {
 impl<P: Process> Session<P> {
     /// Runs toward the goal; returns why the engine stopped.
     ///
-    /// [`Goal::TickHorizon`] runs condition-free, so its event counts
-    /// are byte-comparable across the legacy and batched hot paths;
-    /// conditional goals may stop at slightly different instants per
-    /// path (per-event vs. per-batch condition checks).
+    /// Conditional goals are checked after every dispatched batch (see
+    /// [`Engine::run_with`]); [`Goal::TickHorizon`] runs condition-free.
     pub fn run(&mut self) -> StopReason {
         match self.goal {
             Goal::TickHorizon => self.engine.run_until(self.deadline),
@@ -642,6 +623,7 @@ impl<P: SyncProcess> SyncSession<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use homonym_sim::reference::ReferenceEngine;
 
     #[test]
     fn first_decision_goal_matches_direct_run() {
@@ -681,24 +663,29 @@ mod tests {
     }
 
     #[test]
-    fn tick_horizon_event_counts_match_across_hot_paths() {
-        let run = |legacy: bool| {
-            let mut session = SessionBuilder::new(4, 2)
-                .with_seed(3)
-                .with_legacy_hot_path(legacy)
-                .with_goal(Goal::TickHorizon)
-                .with_deadline_ticks(3_000)
-                .rsm(&WorkloadConfig::default());
-            session.run();
-            let logs: Vec<Vec<u64>> = (0..4)
-                .map(|p| session.log_of(p).unwrap_or_default().to_vec())
-                .collect();
-            (session.stats().events, logs)
-        };
-        let (batched_events, batched_logs) = run(false);
-        let (legacy_events, legacy_logs) = run(true);
-        assert_eq!(batched_events, legacy_events, "hot paths must agree");
-        assert_eq!(batched_logs, legacy_logs, "logs must be identical");
+    fn tick_horizon_event_counts_match_the_reference_interpreter() {
+        let builder = SessionBuilder::new(4, 2)
+            .with_seed(3)
+            .with_goal(Goal::TickHorizon)
+            .with_deadline_ticks(3_000);
+        let workload = WorkloadConfig::default();
+        let mut session = builder.clone().rsm(&workload);
+        session.run();
+
+        let (assign, queues) = (builder.assignment(), workload.queues(4));
+        let mut reference = ReferenceEngine::new(builder.sim_config(), |p, _| {
+            rsm_node(&assign, queues[p].clone())
+        });
+        reference.run_until(session.deadline());
+
+        assert_eq!(session.stats().events, reference.metrics().events);
+        for p in 0..4 {
+            assert_eq!(
+                session.log_of(p).unwrap_or_default(),
+                reference.process(p).upper().log(),
+                "replica {p}"
+            );
+        }
     }
 
     #[test]

@@ -881,7 +881,7 @@ pub fn fig8_node(proposal: u64, n: usize, t: usize) -> Fig8Node {
 
 /// The Byzantine-tolerant stack: the Figure 6 `◇HP`/`HΩ` detector
 /// stacked over the `HΣ`-style quorum-certificate consensus — same
-/// two-layer shape as [`Fig8Node`], so the batched hot path, the
+/// two-layer shape as [`Fig8Node`], so batched dispatch, the
 /// snapshot/fork layer and the [`PrefixSweeper`] drive it unchanged.
 pub type ByzTolerantNode = Stacked<EvtHpProcess, ByzQuorumConsensus>;
 

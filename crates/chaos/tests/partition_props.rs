@@ -9,6 +9,7 @@ use homonym_core::time::{Span, Time};
 use homonym_sim::engine::{Engine, SimConfig};
 use homonym_sim::network::NetworkModel;
 use homonym_sim::process::{ActionSink, Process, TimerTag};
+use homonym_sim::reference::ReferenceEngine;
 use homonym_sim::sync_engine::{SyncConfig, SyncEngine, SyncProcess, SyncSink};
 use proptest::prelude::*;
 
@@ -78,7 +79,8 @@ proptest! {
     /// Event engine: a healed queue-mode partition loses nothing — every
     /// cross-group copy is delivered at exactly the heal instant, in
     /// `(time, seq)` order (ascending sender index, since starts are
-    /// enqueued in index order), identically on both hot paths.
+    /// enqueued in index order), identically on the engine and the
+    /// reference interpreter.
     #[test]
     fn healed_partition_releases_queued_copies_in_order_event_engine(
         n in 2usize..6,
@@ -93,31 +95,25 @@ proptest! {
             heal_at: Time::from_ticks(heal),
             mode: PartitionMode::QueueUntilHeal,
         });
-        let run = |legacy: bool| {
-            let cfg = SimConfig::new(
-                IdentityAssignment::unique(n),
-                FailureSchedule::none(n),
-                NetworkModel::reliable(Span::TICK),
-            )
-            .with_seed(seed)
-            .with_legacy_hot_path(legacy);
-            let cfg = scenario.install(cfg).expect("valid");
-            let mut engine = Engine::new(cfg, |p, _| Beacon { me: p as u64 });
-            engine.enable_trace(10_000);
-            engine.run_until(Time::from_ticks(heal + 10));
-            (
-                engine.histories().to_vec(),
-                engine.metrics().clone(),
-                engine.trace().expect("enabled").clone(),
-            )
-        };
-        let (histories, metrics, trace) = run(false);
-        let (histories_legacy, metrics_legacy, trace_legacy) = run(true);
+        let cfg = SimConfig::new(
+            IdentityAssignment::unique(n),
+            FailureSchedule::none(n),
+            NetworkModel::reliable(Span::TICK),
+        )
+        .with_seed(seed);
+        let cfg = scenario.install(cfg).expect("valid");
+        let mut engine = Engine::new(cfg.clone(), |p, _| Beacon { me: p as u64 });
+        engine.enable_trace(10_000);
+        engine.run_until(Time::from_ticks(heal + 10));
+        let mut reference = ReferenceEngine::new(cfg, |p, _| Beacon { me: p as u64 });
+        reference.enable_trace(10_000);
+        reference.run_until(Time::from_ticks(heal + 10));
+        let (histories, metrics) = (engine.histories(), engine.metrics());
 
-        // Byte-identical on both hot paths under the scenario.
-        prop_assert_eq!(&histories, &histories_legacy);
-        prop_assert_eq!(&metrics, &metrics_legacy);
-        prop_assert_eq!(trace, trace_legacy);
+        // Byte-identical to the reference interpreter under the scenario.
+        prop_assert_eq!(histories, reference.histories());
+        prop_assert_eq!(metrics, reference.metrics());
+        prop_assert_eq!(engine.trace(), reference.trace());
 
         // Nothing lost: every copy of every broadcast arrives.
         prop_assert_eq!(metrics.copies_delivered, (n * n) as u64);

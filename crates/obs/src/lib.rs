@@ -14,8 +14,8 @@
 //! is a single predictable branch — dispatch, RNG draws, traces and
 //! metrics stay byte-identical with or without instrumentation. The
 //! `obs_props` proptests in the root crate pin this down under active
-//! Byzantine scripts, and the `obs_overhead` row in `BENCH_sim.json`
-//! prices the attached case.
+//! Byzantine scripts, and the benchmark's `obs.recorder.overhead_ratio`
+//! ledger row prices the attached case.
 //!
 //! Recorder state snapshots and restores with the engines
 //! (`EngineSnapshot` / `SyncSnapshot`), so a forked prefix-sweep run

@@ -17,21 +17,19 @@
 //!
 //! # Determinism contract
 //!
-//! Both adversaries preserve the engine's two standing guarantees:
+//! Both adversaries preserve the engines' two standing guarantees:
 //!
 //! * **`(time, seq)` dispatch order** — clauses never reorder copies;
 //!   they only drop a copy, move its delivery time forward, or rewrite
 //!   its payload in place, and the rewritten copy re-enters the queue
 //!   with its original insertion sequence, so ties still break by send
 //!   order.
-//! * **Legacy hot-path trace equality** — the scripts are evaluated in
-//!   [`Engine::do_broadcast`](crate::engine::Engine) code shared by the
-//!   calendar-queue and `legacy_hot_path` configurations, and each draws
-//!   from a dedicated RNG stream (seeded from the run seed and the
-//!   script's [`salt`](LinkFaultScript::salt)), so installing a script
-//!   perturbs neither the network nor the per-process streams. A run
-//!   with no script — or an empty / never-activating one — is
-//!   byte-identical to a run of an engine that never had the hook.
+//! * **Stream isolation** — each script draws from a dedicated RNG
+//!   stream (seeded from the run seed and the script's
+//!   [`salt`](LinkFaultScript::salt)), so installing a script perturbs
+//!   neither the network nor the per-process streams. A run with no
+//!   script — or an empty / never-activating one — is byte-identical to
+//!   a run of an engine that never had the hook.
 //!
 //! [`LinkClause`]s are evaluated **in order** and compose: deferrals and
 //! delays accumulate, and a drop is terminal. [`ByzClause`]s do not
@@ -388,9 +386,8 @@ pub enum ByzDirective {
 /// **per routed copy** ([`ByzantineScript::directive`], draw-free), right
 /// next to the [`LinkFaultScript`] routing-fate consultation. An empty
 /// script — or one whose clauses never match — performs no draws and no
-/// payload work, which is what keeps `(time, seq)` dispatch order and
-/// `legacy_hot_path` trace equality byte-identical to an engine without
-/// the hook.
+/// payload work, which is what keeps `(time, seq)` dispatch order
+/// byte-identical to an engine without the hook.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ByzantineScript {
     clauses: Vec<ByzClause>,

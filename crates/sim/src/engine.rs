@@ -7,24 +7,17 @@
 //! everything the property checkers and experiments need: per-process
 //! output histories, decisions, and message metrics.
 //!
-//! ## Hot paths
+//! ## Dispatch
 //!
-//! The engine runs in one of two configurations, which dispatch the
-//! **byte-identical** `(time, seq)` event sequence for a given config and
-//! seed (asserted by `tests/trace_determinism.rs` and the batched-path
-//! proptests):
-//!
-//! * the **batched** path (default): the queue drains a whole tick per
-//!   call (see `queue.rs`), maximal same-`(time, dest)` runs of message
-//!   deliveries are handed to the process through the slice-based
-//!   [`Process::on_messages`] API (one slot lookup, one crash check and
-//!   one action-sink per run), and broadcasts sample all per-copy
-//!   latencies through [`NetworkModel::route_each`] (the model match,
-//!   GST comparison and sampler setup hoisted out of the copy loop);
-//! * the **legacy** path ([`SimConfig::legacy_hot_path`]): the per-event
-//!   pop / per-copy sampling shape this engine had before the batching
-//!   overhaul, kept as the benchmark baseline and as the differential
-//!   oracle the determinism tests compare against.
+//! The queue drains a whole tick per call (see `queue.rs`), maximal
+//! same-`(time, dest)` runs of message deliveries are handed to the
+//! process through the slice-based [`Process::on_messages`] API (one slot
+//! lookup, one crash check and one action-sink per run), and broadcasts
+//! sample all per-copy latencies through [`NetworkModel::route_each`]
+//! (the model match, GST comparison and sampler setup hoisted out of the
+//! copy loop). None of this is observable: the dispatched `(time, seq)`
+//! sequence is the one the naive per-event interpreter in
+//! [`crate::reference`] produces, which the differential proptests assert.
 //!
 //! ## Crash semantics
 //!
@@ -34,8 +27,8 @@
 //! performed at the process's **final step** (`now == ct - 1`) delivers
 //! each copy independently with probability ½ when
 //! [`SimConfig::partial_broadcast_on_crash`] is set. Final-step broadcasts
-//! interleave the mask draws with the routing draws per copy, so both hot
-//! paths take the per-copy sampling route there.
+//! interleave the mask draws with the routing draws per copy, so they
+//! sample copy by copy instead of through `route_each`.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -125,18 +118,10 @@ pub struct SimConfig {
     /// Safety valve: maximum callbacks before the run stops with
     /// [`StopReason::EventLimit`].
     pub max_events: u64,
-    /// Run on the pre-batching hot path: per-event queue pops, one
-    /// network-model match and RNG route per copy, one callback + action
-    /// sink per delivered message. Dispatch order and RNG streams are
-    /// identical to the batched default — this switch exists so the
-    /// throughput benchmark can measure the batching speedup and the
-    /// determinism tests can assert trace equality between the two
-    /// implementations.
-    pub legacy_hot_path: bool,
     /// Adversarial link faults consulted per copy after the network
     /// routes it (see [`crate::adversary`]). `None` leaves every RNG
     /// stream and the dispatch order byte-identical to an engine without
-    /// the hook; the same script yields the same run on both hot paths.
+    /// the hook.
     pub adversary: Option<Arc<LinkFaultScript>>,
     /// Byzantine payload-mutation script consulted per broadcast (one
     /// plan, at most one RNG draw from its dedicated stream) and per
@@ -164,7 +149,6 @@ impl SimConfig {
             seed: 0,
             partial_broadcast_on_crash: true,
             max_events: 50_000_000,
-            legacy_hot_path: false,
             adversary: None,
             byzantine: None,
         }
@@ -174,14 +158,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Selects the pre-batching hot path (builder style); see
-    /// [`SimConfig::legacy_hot_path`].
-    #[must_use]
-    pub fn with_legacy_hot_path(mut self, legacy: bool) -> Self {
-        self.legacy_hot_path = legacy;
         self
     }
 
@@ -296,7 +272,7 @@ fn byz_directive<M>(ctx: &Option<ByzCtx<M>>, dst: usize) -> ByzDirective {
 
 /// Applies the process's payload-mutation hook, failing loudly when the
 /// program under attack defines no corruption semantics.
-fn forge<P: Process>(original: &P::Msg, entropy: u64) -> P::Msg {
+pub(crate) fn forge<P: Process>(original: &P::Msg, entropy: u64) -> P::Msg {
     P::mutate_payload(original, entropy).unwrap_or_else(|| {
         panic!(
             "a Byzantine clause matched a broadcast of {}, but its process does \
@@ -305,6 +281,39 @@ fn forge<P: Process>(original: &P::Msg, entropy: u64) -> P::Msg {
             std::any::type_name::<P::Msg>()
         )
     })
+}
+
+/// The engine-level RNG streams of a run, derived from the configuration
+/// alone. Defined once so [`Engine`] and the
+/// [`ReferenceEngine`](crate::reference::ReferenceEngine) cannot drift
+/// apart on seeding.
+pub(crate) struct RunStreams {
+    /// Network sampling and dying-sender broadcast masks.
+    pub(crate) net: StdRng,
+    /// Link-fault draws, salted per script so installing one perturbs
+    /// neither the network nor the per-process streams.
+    pub(crate) adv: StdRng,
+    /// Byzantine draws (one per attacked broadcast), decorrelated from
+    /// every other stream for the same reason.
+    pub(crate) byz: StdRng,
+}
+
+impl RunStreams {
+    pub(crate) fn new(config: &SimConfig) -> Self {
+        let adv_salt = config.adversary.as_ref().map_or(0, |s| s.salt());
+        let byz_salt = config.byzantine.as_ref().map_or(0, |s| s.salt());
+        RunStreams {
+            net: StdRng::seed_from_u64(config.seed),
+            adv: StdRng::seed_from_u64(config.seed ^ adv_salt ^ 0xD1B5_4A32_D192_ED03_u64),
+            byz: StdRng::seed_from_u64(config.seed ^ byz_salt ^ 0xA076_1D64_78BD_642F_u64),
+        }
+    }
+
+    /// The private stream of process `p`, decorrelated from the engine
+    /// streams.
+    pub(crate) fn process(seed: u64, p: usize) -> StdRng {
+        StdRng::seed_from_u64(seed ^ (0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(p as u64 + 1)))
+    }
 }
 
 pub(crate) struct ProcSlot<P: Process> {
@@ -408,11 +417,10 @@ pub struct Engine<P: Process> {
     scratch_actions: Vec<Action<P::Msg, P::Output>>,
     /// Reused copy of a batch's action cut points (see `flush_batch`).
     scratch_cuts: Vec<(usize, &'static str, Option<u64>)>,
-    /// The current tick's events (batched path only): the earliest
-    /// bucket's storage, swapped out of the queue wholesale and consumed
-    /// front-to-back through `tick_pos`. Cleared, it becomes the
-    /// replacement storage for the next tick, so bucket capacities
-    /// circulate instead of reallocating.
+    /// The current tick's events: the earliest bucket's storage, swapped
+    /// out of the queue wholesale and consumed front-to-back through
+    /// `tick_pos`. Cleared, it becomes the replacement storage for the
+    /// next tick, so bucket capacities circulate instead of reallocating.
     tick_batch: Vec<(u64, Option<Event<P::Msg>>)>,
     /// Index of the next unconsumed `tick_batch` slot.
     tick_pos: usize,
@@ -460,26 +468,19 @@ impl<P: Process> Engine<P> {
         for p in 0..n {
             procs.push(ProcSlot {
                 proc: factory(p, config.assign.id_of(p)),
-                // Decorrelate per-process streams from the engine stream.
-                rng: StdRng::seed_from_u64(
-                    config.seed ^ (0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(p as u64 + 1)),
-                ),
+                rng: RunStreams::process(config.seed, p),
                 id: config.assign.id_of(p),
             });
         }
         dead_from.clear();
         dead_from
             .extend((0..n).map(|p| config.sched.crash_time(p).map_or(u64::MAX, |c| c.ticks())));
-        let net_rng = StdRng::seed_from_u64(config.seed);
-        let adv_salt = config.adversary.as_ref().map_or(0, |s| s.salt());
-        let adv_rng = StdRng::seed_from_u64(config.seed ^ adv_salt ^ 0xD1B5_4A32_D192_ED03_u64);
-        let byz_salt = config.byzantine.as_ref().map_or(0, |s| s.salt());
-        let byz_rng = StdRng::seed_from_u64(config.seed ^ byz_salt ^ 0xA076_1D64_78BD_642F_u64);
+        let streams = RunStreams::new(&config);
         byz_replay.clear();
         byz_replay.resize_with(n, || None);
         queue.reset();
         for p in 0..n {
-            queue.push(Time::ZERO, p as u64, Event::Start { dst: p });
+            queue.push_in_order(Time::ZERO, p as u64, Event::Start { dst: p });
         }
         // Recycle history/decision rows, keeping their capacities.
         for h in &mut histories {
@@ -493,9 +494,9 @@ impl<P: Process> Engine<P> {
             seq: n as u64,
             now: Time::ZERO,
             dead_from,
-            net_rng,
-            adv_rng,
-            byz_rng,
+            net_rng: streams.net,
+            adv_rng: streams.adv,
+            byz_rng: streams.byz,
             byz_replay,
             metrics: Metrics::default(),
             histories,
@@ -679,10 +680,11 @@ impl<P: Process> Engine<P> {
     /// Runs until `cond(self)` holds, the deadline passes, or the system
     /// goes quiescent.
     ///
-    /// The condition is evaluated after every dispatched callback on the
-    /// legacy path and after every dispatched *batch* on the batched path
-    /// (a batch spans one same-`(time, dest)` run). The two paths can
-    /// only be told apart by a condition that becomes true mid-batch
+    /// The queue is drained a tick at a time, and maximal
+    /// same-destination runs of deliveries dispatch as one batch. The
+    /// condition is evaluated after every dispatched *batch* (a batch
+    /// spans one same-`(time, dest)` run), so it can only be told apart
+    /// from a per-event check by a condition that becomes true mid-batch
     /// while the receiving process keeps consuming — the in-tree
     /// consumers all halt when they decide, which ends the batch at the
     /// same message either way.
@@ -690,62 +692,6 @@ impl<P: Process> Engine<P> {
         if cond(self) {
             return StopReason::ConditionMet;
         }
-        if self.config.legacy_hot_path {
-            self.run_with_legacy(deadline, cond)
-        } else {
-            self.run_with_batched(deadline, cond)
-        }
-    }
-
-    /// The pre-batching run loop: one queue pop, one callback, one
-    /// condition check per event.
-    fn run_with_legacy(
-        &mut self,
-        deadline: Time,
-        mut cond: impl FnMut(&Self) -> bool,
-    ) -> StopReason {
-        loop {
-            if self.metrics.events >= self.config.max_events {
-                // Quiescence and the deadline take precedence over the
-                // valve, matching the pre-fusion check order.
-                match self.queue.peek_time() {
-                    None => {
-                        self.now = self.now.max(deadline);
-                        return StopReason::Quiescent;
-                    }
-                    Some(t) if t > deadline => {
-                        self.now = deadline;
-                        return StopReason::Deadline;
-                    }
-                    Some(_) => return StopReason::EventLimit,
-                }
-            }
-            let Some((t, _, ev)) = self.queue.pop_at_or_before(deadline) else {
-                if self.queue.peek_time().is_some() {
-                    // Deadline: the next event lies beyond the window.
-                    self.now = deadline;
-                    return StopReason::Deadline;
-                }
-                // Quiescent: clock jumps to the deadline so final history
-                // timestamps reflect the full observation window.
-                self.now = self.now.max(deadline);
-                return StopReason::Quiescent;
-            };
-            self.now = t;
-            self.dispatch(ev);
-            if cond(self) {
-                return StopReason::ConditionMet;
-            }
-        }
-    }
-
-    /// The batched run loop: the queue is drained a tick at a time, and
-    /// maximal same-destination runs of deliveries dispatch as one batch.
-    fn run_with_batched(
-        &mut self,
-        deadline: Time,
-        mut cond: impl FnMut(&Self) -> bool,
-    ) -> StopReason {
         // A caller may shrink the deadline below a tick buffered by a
         // previous call; within one call `now` is constant per tick, so
         // this needs checking only here and at refills. Guard on
@@ -760,6 +706,8 @@ impl<P: Process> Engine<P> {
                 // the bucket handoff is an O(1) storage swap.
                 self.tick_batch.clear();
                 if self.metrics.events >= self.config.max_events {
+                    // Quiescence and the deadline take precedence over
+                    // the valve.
                     match self.queue.peek_time() {
                         None => {
                             self.now = self.now.max(deadline);
@@ -772,15 +720,19 @@ impl<P: Process> Engine<P> {
                         Some(_) => return StopReason::EventLimit,
                     }
                 }
-                let Some((t, head)) = self.queue.take_tick(deadline, &mut self.tick_batch) else {
+                let Some(t) = self.queue.take_tick(deadline, &mut self.tick_batch) else {
                     if self.queue.peek_time().is_some() {
+                        // The next event lies beyond the window.
                         self.now = deadline;
                         return StopReason::Deadline;
                     }
+                    // Quiescent: the clock jumps to the deadline so final
+                    // history timestamps reflect the full observation
+                    // window.
                     self.now = self.now.max(deadline);
                     return StopReason::Quiescent;
                 };
-                self.tick_pos = head;
+                self.tick_pos = 0;
                 self.now = t;
             } else if self.metrics.events >= self.config.max_events {
                 // Buffered events are at `now <= deadline`: valve trips.
@@ -793,7 +745,7 @@ impl<P: Process> Engine<P> {
             self.tick_pos += 1;
             // A maximal same-destination run of deliveries dispatches as
             // one batch, capped so the event valve can still trip between
-            // messages exactly where the per-event path would stop.
+            // messages exactly where a per-event loop would stop.
             // Singleton runs (the common case in broadcast meshes, where
             // a tick interleaves destinations) skip the batch plumbing
             // entirely and dispatch like any other event.
@@ -958,46 +910,32 @@ impl<P: Process> Engine<P> {
         self.scratch_cuts = cuts;
     }
 
-    /// Dispatches one event (start, timer, or a single message on the
-    /// legacy path).
+    /// Dispatches one start or timer event (messages go through
+    /// `dispatch_message_single` / `dispatch_message_batch`).
     fn dispatch(&mut self, ev: Event<P::Msg>) {
-        let dst = match &ev {
-            Event::Start { dst }
-            | Event::Deliver { dst, .. }
-            | Event::DeliverShared { dst, .. }
-            | Event::Timer { dst, .. } => *dst,
+        let (dst, timer) = match ev {
+            Event::Start { dst } => (dst, None),
+            Event::Timer { dst, tag } => (dst, Some(tag)),
+            Event::Deliver { .. } | Event::DeliverShared { .. } => {
+                unreachable!("the run loop dispatches deliveries itself")
+            }
         };
         if self.skips_step(dst) {
             return;
         }
         self.metrics.events += 1;
-        if self.trace.is_some() {
-            let tev = match &ev {
-                Event::Start { .. } => TraceEvent::Started {
+        if let Some(trace) = self.trace.as_mut() {
+            trace.record(match timer {
+                None => TraceEvent::Started {
                     at: self.now,
                     process: dst,
                 },
-                Event::Deliver { msg, .. } => TraceEvent::Delivered {
+                Some(tag) => TraceEvent::TimerFired {
                     at: self.now,
                     process: dst,
-                    class: self.class_of(msg),
-                    round: self.round_of(msg),
+                    tag,
                 },
-                Event::DeliverShared { msg, .. } => TraceEvent::Delivered {
-                    at: self.now,
-                    process: dst,
-                    class: self.class_of(msg),
-                    round: self.round_of(msg),
-                },
-                Event::Timer { tag, .. } => TraceEvent::TimerFired {
-                    at: self.now,
-                    process: dst,
-                    tag: *tag,
-                },
-            };
-            if let Some(trace) = self.trace.as_mut() {
-                trace.record(tev);
-            }
+            });
         }
         let mut actions = std::mem::take(&mut self.scratch_actions);
         debug_assert!(actions.is_empty());
@@ -1006,13 +944,9 @@ impl<P: Process> Engine<P> {
             let slot = &mut self.procs[dst];
             let mut sink = ActionSink::new(slot.id, self.now, &mut slot.rng, &mut actions)
                 .with_observing(observing);
-            match ev {
-                Event::Start { .. } => slot.proc.on_start(&mut sink),
-                Event::Deliver { .. } | Event::DeliverShared { .. } => {
-                    self.metrics.copies_delivered += 1;
-                    slot.proc.on_message(ev.into_msg(), &mut sink);
-                }
-                Event::Timer { tag, .. } => {
+            match timer {
+                None => slot.proc.on_start(&mut sink),
+                Some(tag) => {
                     self.metrics.timers_fired += 1;
                     slot.proc.on_timer(tag, &mut sink);
                 }
@@ -1089,8 +1023,8 @@ impl<P: Process> Engine<P> {
         }
         // Byzantine consultation: one plan — and at most one draw from
         // the dedicated stream — per broadcast, resolved before routing
-        // so both hot paths and both payload representations see the
-        // same attack. The replay cache updates on every broadcast of a
+        // so both payload representations see the same attack. The
+        // replay cache updates on every broadcast of a
         // replay-listed sender until its last window closes (`replace`
         // hands back the previous payload, which is what an active
         // replay clause substitutes), so the first in-window broadcast
@@ -1114,29 +1048,23 @@ impl<P: Process> Engine<P> {
         };
         // A broadcast at the sender's final step reaches an arbitrary
         // subset of the processes; its mask draws interleave with the
-        // routing draws per copy, so it must take the per-copy path on
-        // both configurations to keep the network stream identical.
+        // routing draws per copy, so it cannot go through `route_each`.
         let dying = self.config.partial_broadcast_on_crash
             && self.dead_from[src] == self.now.next().ticks();
-        if self.config.legacy_hot_path || dying {
-            self.broadcast_per_copy(src, msg, dying, byz);
+        if dying {
+            self.broadcast_per_copy(src, msg, byz);
         } else {
             self.broadcast_batched(src, msg, byz);
         }
     }
 
-    /// The pre-batching broadcast: one network-model match and route per
-    /// copy, interleaved with the dying-sender mask draws.
-    fn broadcast_per_copy(
-        &mut self,
-        src: usize,
-        msg: P::Msg,
-        dying: bool,
-        byz: Option<ByzCtx<P::Msg>>,
-    ) {
+    /// The dying sender's final-step broadcast: each copy is dropped
+    /// with probability ½, the mask draw interleaved with that copy's
+    /// network route on the same stream.
+    fn broadcast_per_copy(&mut self, src: usize, msg: P::Msg, byz: Option<ByzCtx<P::Msg>>) {
         if plain_payload::<P::Msg>() {
             for dst in 0..self.n() {
-                if dying && self.net_rng.gen_bool(0.5) {
+                if self.net_rng.gen_bool(0.5) {
                     continue;
                 }
                 self.metrics.copies_sent += 1;
@@ -1156,7 +1084,7 @@ impl<P: Process> Engine<P> {
             // per destination.
             let shared = Arc::new(msg);
             for dst in 0..self.n() {
-                if dying && self.net_rng.gen_bool(0.5) {
+                if self.net_rng.gen_bool(0.5) {
                     continue;
                 }
                 self.metrics.copies_sent += 1;
@@ -1238,11 +1166,11 @@ impl<P: Process> Engine<P> {
 
     /// Applies a non-[`ByzDirective::Original`] directive to one routed
     /// copy. Forging and suppression are **accounted at routing time**
-    /// on both hot paths (they are the corrupt sender's act, not a
-    /// delivery property), while queue insertion follows the caller's
-    /// dead-destination policy (`elide_dead`: the batched broadcast
-    /// elides copies to dead destinations, the per-copy paths queue
-    /// them — exactly the policies applied to honest copies). Forged
+    /// (they are the corrupt sender's act, not a delivery property),
+    /// while queue insertion follows the caller's dead-destination policy
+    /// (`elide_dead`: the batched broadcast elides copies to dead
+    /// destinations, the dying-sender broadcast queues them — exactly
+    /// the policies applied to honest copies). Forged
     /// payloads always enqueue as owned [`Event::Deliver`] copies: they
     /// are distinct values, so there is nothing to `Arc`-share.
     fn push_byz_copy(
@@ -1292,9 +1220,7 @@ impl<P: Process> Engine<P> {
 
     /// The fate of one copy: the network routes it, then the adversary
     /// (when installed) may defer, delay or drop it. Shared by both
-    /// payload branches of the per-copy broadcast and therefore by both
-    /// hot paths, which is what keeps the legacy-vs-batched trace
-    /// equality intact under any script.
+    /// payload branches of the dying-sender broadcast.
     fn route_copy(&mut self, src: usize, dst: usize) -> Option<Time> {
         let base = match self.config.network.route(self.now, &mut self.net_rng) {
             Some(at) => at,
@@ -1346,14 +1272,7 @@ impl<P: Process> Engine<P> {
     }
 
     fn push(&mut self, at: Time, ev: Event<P::Msg>) {
-        // Engine pushes are always seq-monotone; the batched path takes
-        // the append-only insert, the legacy path keeps the PR 1 shape
-        // (guarded insert).
-        if self.config.legacy_hot_path {
-            self.queue.push(at, self.seq, ev);
-        } else {
-            self.queue.push_in_order(at, self.seq, ev);
-        }
+        self.queue.push_in_order(at, self.seq, ev);
         self.seq += 1;
     }
 
@@ -1399,8 +1318,7 @@ impl<P: Process> Engine<P> {
     /// false once `dst` is halted (permanent) or its crash time is at or
     /// before the delivery instant. The batched broadcast elides queuing
     /// such copies — dispatch would skip them without a trace event, a
-    /// metric or a callback, so eliding them changes nothing observable
-    /// (the per-event legacy path queues them, as PR 1 did).
+    /// metric or a callback, so eliding them changes nothing observable.
     #[inline]
     fn deliverable(&self, dst: usize, at: Time) -> bool {
         at.ticks() < self.dead_from[dst]
@@ -1599,6 +1517,7 @@ impl<P: ForkProcess> Engine<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::ReferenceEngine;
     use homonym_core::Identity;
 
     /// Echo process: broadcasts a counter at start, re-broadcasts any value
@@ -1715,9 +1634,22 @@ mod tests {
         assert_ne!(run(7).1, run(8).1, "different seeds should reorder");
     }
 
+    /// The observable state the reference-interpreter contract covers;
+    /// a macro so it reads both engine types.
+    macro_rules! observed {
+        ($e:expr) => {
+            (
+                $e.metrics().clone(),
+                $e.histories().to_vec(),
+                $e.trace().expect("enabled").clone(),
+                $e.now(),
+            )
+        };
+    }
+
     #[test]
-    fn batched_and_legacy_paths_agree_end_to_end() {
-        let run = |seed: u64, legacy: bool| {
+    fn engine_and_reference_agree_end_to_end() {
+        for seed in 0..6 {
             let mut cfg = small_config(5);
             cfg.network =
                 NetworkModel::Asynchronous(crate::network::LatencyDistribution::Uniform {
@@ -1726,18 +1658,13 @@ mod tests {
                 });
             cfg.sched = FailureSchedule::none(5).with_crash(1, Time::from_ticks(7));
             cfg.seed = seed;
-            cfg.legacy_hot_path = legacy;
-            let mut e = Engine::new(cfg, |_, _| Echo { cap: 6 });
+            let mut e = Engine::new(cfg.clone(), |_, _| Echo { cap: 6 });
             e.enable_trace(1_000_000);
             e.run_until(Time::from_ticks(400));
-            (
-                e.metrics().clone(),
-                e.histories().to_vec(),
-                e.trace().expect("enabled").clone(),
-            )
-        };
-        for seed in 0..6 {
-            assert_eq!(run(seed, false), run(seed, true), "seed {seed} diverged");
+            let mut r = ReferenceEngine::new(cfg, |_, _| Echo { cap: 6 });
+            r.enable_trace(1_000_000);
+            r.run_until(Time::from_ticks(400));
+            assert_eq!(observed!(e), observed!(r), "seed {seed} diverged");
         }
     }
 
@@ -1764,7 +1691,7 @@ mod tests {
 
     #[test]
     fn snapshot_restore_continues_byte_identically() {
-        let mk = |legacy: bool| {
+        let mk = || {
             let mut cfg = small_config(5);
             cfg.network =
                 NetworkModel::Asynchronous(crate::network::LatencyDistribution::Uniform {
@@ -1773,51 +1700,28 @@ mod tests {
                 });
             cfg.sched = FailureSchedule::none(5).with_crash(3, Time::from_ticks(60));
             cfg.seed = 11;
-            cfg.legacy_hot_path = legacy;
             let mut e = Engine::new(cfg, |_, _| Echo { cap: 9 });
             e.enable_trace(1_000_000);
             e
         };
-        let state = |e: &Engine<Echo>| {
-            (
-                e.metrics().clone(),
-                e.histories().to_vec(),
-                e.trace().expect("enabled").clone(),
-            )
-        };
-        for legacy in [false, true] {
-            let mut baseline = mk(legacy);
-            baseline.run_until(Time::from_ticks(400));
-            let expected = state(&baseline);
+        let mut baseline = mk();
+        baseline.run_until(Time::from_ticks(400));
+        let expected = observed!(baseline);
 
-            // Snapshot mid-run, keep running, then rewind and re-run.
-            let mut e = mk(legacy);
-            e.run_until(Time::from_ticks(150));
-            let snap = e.snapshot();
-            e.run_until(Time::from_ticks(400));
-            assert_eq!(
-                state(&e),
-                expected,
-                "pre-restore run diverged (legacy={legacy})"
-            );
-            e.restore_from(&snap);
-            e.run_until(Time::from_ticks(400));
-            assert_eq!(
-                state(&e),
-                expected,
-                "restored run diverged (legacy={legacy})"
-            );
+        // Snapshot mid-run, keep running, then rewind and re-run.
+        let mut e = mk();
+        e.run_until(Time::from_ticks(150));
+        let snap = e.snapshot();
+        e.run_until(Time::from_ticks(400));
+        assert_eq!(observed!(e), expected, "pre-restore run diverged");
+        e.restore_from(&snap);
+        e.run_until(Time::from_ticks(400));
+        assert_eq!(observed!(e), expected, "restored run diverged");
 
-            // Resume into a fresh arena-backed engine.
-            let mut resumed =
-                Engine::resume_in(mk(legacy).config().clone(), &snap, EngineArena::new());
-            resumed.run_until(Time::from_ticks(400));
-            assert_eq!(
-                state(&resumed),
-                expected,
-                "resumed run diverged (legacy={legacy})"
-            );
-        }
+        // Resume into a fresh arena-backed engine.
+        let mut resumed = Engine::resume_in(mk().config().clone(), &snap, EngineArena::new());
+        resumed.run_until(Time::from_ticks(400));
+        assert_eq!(observed!(resumed), expected, "resumed run diverged");
     }
 
     #[test]
@@ -1900,15 +1804,16 @@ mod tests {
         }
         // n = 1 with two broadcasts at t0: both copies arrive at t1 as one
         // same-(time, dest) batch, so this also pins the mid-batch halt
-        // semantics (the second message is dropped unseen on both paths).
-        for legacy in [false, true] {
-            let mut cfg = small_config(1);
-            cfg.legacy_hot_path = legacy;
-            let mut e = Engine::new(cfg, |_, _| OneShot { heard: 0 });
-            e.run_until(Time::from_ticks(100));
-            assert_eq!(e.process(0).heard, 1, "legacy={legacy}");
-            assert_eq!(e.metrics().copies_delivered, 1, "legacy={legacy}");
-        }
+        // semantics (the second message is dropped unseen, as it is when
+        // the reference interpreter delivers them one by one).
+        let mut e = Engine::new(small_config(1), |_, _| OneShot { heard: 0 });
+        e.run_until(Time::from_ticks(100));
+        let mut r = ReferenceEngine::new(small_config(1), |_, _| OneShot { heard: 0 });
+        r.run_until(Time::from_ticks(100));
+        assert_eq!(e.process(0).heard, 1);
+        assert_eq!(r.process(0).heard, 1);
+        assert_eq!(e.metrics().copies_delivered, 1);
+        assert_eq!(e.metrics(), r.metrics());
     }
 
     #[test]
@@ -1925,14 +1830,16 @@ mod tests {
             }
             fn on_timer(&mut self, _t: TimerTag, _ctx: &mut ActionSink<'_, (), ()>) {}
         }
-        for legacy in [false, true] {
-            let mut cfg = small_config(2);
-            cfg.max_events = 100;
-            cfg.legacy_hot_path = legacy;
-            let mut e = Engine::new(cfg, |_, _| Storm);
-            assert_eq!(e.run_until(Time::MAX), StopReason::EventLimit);
-            assert_eq!(e.metrics().events, 100, "legacy={legacy}");
-        }
+        let mut cfg = small_config(2);
+        cfg.max_events = 100;
+        let mut e = Engine::new(cfg.clone(), |_, _| Storm);
+        assert_eq!(e.run_until(Time::MAX), StopReason::EventLimit);
+        assert_eq!(e.metrics().events, 100);
+        // The valve trips between the same two messages of a batch as
+        // between two events of the per-event interpreter.
+        let mut r = ReferenceEngine::new(cfg, |_, _| Storm);
+        assert_eq!(r.run_until(Time::MAX), StopReason::EventLimit);
+        assert_eq!((e.metrics(), e.now()), (r.metrics(), r.now()));
     }
 
     #[test]

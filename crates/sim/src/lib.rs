@@ -58,6 +58,7 @@ pub mod engine;
 pub mod network;
 pub mod process;
 mod queue;
+pub mod reference;
 pub mod snapshot;
 pub mod stack;
 pub mod store;

@@ -53,14 +53,12 @@ pub trait Process: Send + 'static {
 
     /// Batched delivery: called once for a maximal run of messages that
     /// arrive at this process at the same instant with consecutive
-    /// insertion sequences (the engine's batched hot path; see
-    /// `SimConfig::legacy_hot_path` for the per-message baseline).
-    /// Messages are pulled in delivery order through
+    /// insertion sequences. Messages are pulled in delivery order through
     /// [`ActionSink::next_message`].
     ///
     /// The default implementation replays the messages one by one through
-    /// [`Process::on_message`], which is **exactly** equivalent to the
-    /// per-message dispatch path: the engine stamps the action stream at
+    /// [`Process::on_message`], which is **exactly** equivalent to
+    /// per-message dispatch: the engine stamps the action stream at
     /// every pull, so effects are attributed (and applied) per message in
     /// the original order. Overriding implementations must preserve that
     /// equivalence — process each pulled message fully before pulling the

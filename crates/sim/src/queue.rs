@@ -8,15 +8,11 @@
 //! push/pop pattern — deliveries a small bounded latency ahead of `now` —
 //! into O(1) array operations instead of `BTreeMap` node traffic.
 //!
-//! Two dequeue shapes are offered: the per-event
-//! [`CalendarQueue::pop_at_or_before`] (the pre-batching hot path, kept
-//! for the `SimConfig::legacy_hot_path` baseline), and the batched
-//! [`CalendarQueue::take_tick`], which hands over **every** event of the
-//! earliest tick in one bucket-storage swap so the engine pays the window-advance,
-//! overflow-migration and occupancy-scan costs once per tick instead of
-//! once per event. Both dequeue in exactly the same `(time, seq)` order;
-//! the queue tests prove them equivalent against a `BTreeMap` reference
-//! model.
+//! Dequeuing is batched: [`CalendarQueue::take_tick`] hands over **every**
+//! event of the earliest tick in one bucket-storage swap, so the engine
+//! pays the window-advance, overflow-migration and occupancy-scan costs
+//! once per tick instead of once per event. The queue tests prove the
+//! resulting `(time, seq)` order against a `BTreeMap` reference model.
 //!
 //! # Design
 //!
@@ -24,7 +20,8 @@
 //!   covers the sliding window `[window, window + WHEEL_TICKS)`. Network
 //!   latencies and timer delays are small bounded spans, so almost every
 //!   event lands here. Each bucket is a `Vec` kept in insertion-sequence
-//!   order (a binary search protects the rare out-of-order migration).
+//!   order (a binary search protects the rare out-of-order migration),
+//!   and always holds a whole tick: dequeuing takes all of it or none.
 //! * An occupancy bitmap (one bit per bucket) finds the next nonempty
 //!   tick with word-level scans instead of walking empty buckets.
 //! * Events beyond the window go to a `BinaryHeap` keyed by
@@ -66,40 +63,11 @@ impl<E> Ord for FarEvent<E> {
     }
 }
 
-/// A ring bucket: `(seq, event)` entries sorted by `seq`, popped from
-/// `head` so dequeuing is O(1) without shifting. Popped slots hold
-/// `None`; the bucket is cleared once fully drained.
-struct Bucket<E> {
-    head: usize,
-    items: Vec<(u64, Option<E>)>,
-}
-
-impl<E: Clone> Clone for Bucket<E> {
-    fn clone(&self) -> Self {
-        Bucket {
-            head: self.head,
-            items: self.items.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.head = source.head;
-        self.items.clone_from(&source.items);
-    }
-}
-
-impl<E> Bucket<E> {
-    const fn new() -> Self {
-        Bucket {
-            head: 0,
-            items: Vec::new(),
-        }
-    }
-
-    fn is_drained(&self) -> bool {
-        self.head >= self.items.len()
-    }
-}
+/// A ring bucket: the `(seq, event)` entries of one tick, sorted by `seq`.
+/// The `Option` is always `Some` while queued; it is the slot shape the
+/// engine consumes from after [`CalendarQueue::take_tick`] swaps the
+/// storage out.
+type Bucket<E> = Vec<(u64, Option<E>)>;
 
 /// Calendar queue dispatching in exact `(time, seq)` order.
 pub(crate) struct CalendarQueue<E> {
@@ -109,16 +77,15 @@ pub(crate) struct CalendarQueue<E> {
     ring_len: usize,
     /// Lowest tick the ring can currently hold; advances monotonically.
     window: u64,
-    /// Memoized next-event tick, so the engine's peek-then-pop pattern
-    /// scans the occupancy bitmap once per event instead of twice.
+    /// Memoized next-event tick, so the engine's peek-then-take pattern
+    /// scans the occupancy bitmap once per tick instead of twice.
     next_tick: Option<u64>,
     overflow: BinaryHeap<Reverse<FarEvent<E>>>,
 }
 
 /// Snapshot support: the queue clones bucket by bucket, preserving its
-/// exact internal state (window position, partially drained buckets,
-/// overflow heap), so a restored engine replays the identical `(time,
-/// seq)` dequeue sequence. `clone_from` reuses the destination's bucket
+/// exact internal state (window position, overflow heap), so a restored
+/// engine replays the identical `(time, seq)` dequeue sequence. `clone_from` reuses the destination's bucket
 /// allocations — the snapshot/restore hot path of the prefix-sharing
 /// sweep executor goes through it so repeated snapshots recycle one set
 /// of buffers instead of reallocating 1024 buckets per fork.
@@ -177,8 +144,10 @@ impl<E> CalendarQueue<E> {
         self.occupied[idx / 64] &= !(1 << (idx % 64));
     }
 
-    /// Inserts an event; `at` must be `>= window` (the engine only
-    /// schedules at or after the current time, which the window trails).
+    /// Guarded insert: tolerates any `seq` order within a tick (a binary
+    /// search places stragglers), for callers whose order comes from
+    /// outside the engine — rebuilding a queue from decoded snapshot
+    /// bytes. `at` must be `>= window`.
     #[inline]
     pub(crate) fn push(&mut self, at: Time, seq: u64, event: E) {
         let at = at.ticks();
@@ -188,15 +157,12 @@ impl<E> CalendarQueue<E> {
             let bucket = &mut self.buckets[idx];
             // In-order fast path: sequences are handed out monotonically,
             // so appends keep the bucket sorted by seq.
-            match bucket.items.last() {
+            match bucket.last() {
                 Some(&(last_seq, _)) if last_seq > seq => {
-                    let pos = bucket
-                        .items
-                        .partition_point(|(s, _)| *s < seq)
-                        .max(bucket.head);
-                    bucket.items.insert(pos, (seq, Some(event)));
+                    let pos = bucket.partition_point(|(s, _)| *s < seq);
+                    bucket.insert(pos, (seq, Some(event)));
                 }
-                _ => bucket.items.push((seq, Some(event))),
+                _ => bucket.push((seq, Some(event))),
             }
             self.set_occupied(idx);
             self.ring_len += 1;
@@ -216,8 +182,7 @@ impl<E> CalendarQueue<E> {
     /// monotonically and a bucket never holds two ticks at once, so the
     /// out-of-order guard in [`CalendarQueue::push`] can never fire).
     /// Skips the tail-sequence load and compare on the hottest store of
-    /// the simulator; the batched engine path uses this, the legacy path
-    /// keeps the guarded [`CalendarQueue::push`] shape.
+    /// the simulator.
     #[inline]
     pub(crate) fn push_in_order(&mut self, at: Time, seq: u64, event: E) {
         let at = at.ticks();
@@ -226,10 +191,10 @@ impl<E> CalendarQueue<E> {
             let idx = (at % WHEEL_TICKS) as usize;
             let bucket = &mut self.buckets[idx];
             debug_assert!(
-                bucket.items.last().is_none_or(|&(last, _)| last < seq),
+                bucket.last().is_none_or(|&(last, _)| last < seq),
                 "push_in_order caller violated seq monotonicity"
             );
-            bucket.items.push((seq, Some(event)));
+            bucket.push((seq, Some(event)));
             self.set_occupied(idx);
             self.ring_len += 1;
             if self.next_tick.is_some_and(|next| at < next) {
@@ -250,11 +215,8 @@ impl<E> CalendarQueue<E> {
             // Ring pushes bypass `push` to avoid re-checking the window.
             let idx = (far.at % WHEEL_TICKS) as usize;
             let bucket = &mut self.buckets[idx];
-            let pos = bucket
-                .items
-                .partition_point(|(s, _)| *s < far.seq)
-                .max(bucket.head);
-            bucket.items.insert(pos, (far.seq, Some(far.event)));
+            let pos = bucket.partition_point(|(s, _)| *s < far.seq);
+            bucket.insert(pos, (far.seq, Some(far.event)));
             self.set_occupied(idx);
             self.ring_len += 1;
         }
@@ -304,71 +266,28 @@ impl<E> CalendarQueue<E> {
         self.next_tick.map(Time::from_ticks)
     }
 
-    /// Removes and returns the earliest event as `(time, seq, event)`.
-    #[inline]
-    pub(crate) fn pop(&mut self) -> Option<(Time, u64, E)> {
-        let at = self.peek_time()?.ticks();
-        if self.window < at {
-            self.window = at;
-            // Advancing the window may have pulled more overflow events
-            // into range at this same tick.
-            self.migrate_overflow();
-        }
-        let idx = (at % WHEEL_TICKS) as usize;
-        let bucket = &mut self.buckets[idx];
-        debug_assert!(!bucket.is_drained(), "occupancy bit without items");
-        let head = bucket.head;
-        bucket.head += 1;
-        let slot = &mut bucket.items[head];
-        let seq = slot.0;
-        let event = slot.1.take().expect("slot popped twice");
-        if bucket.is_drained() {
-            bucket.items.clear();
-            bucket.head = 0;
-            self.clear_occupied(idx);
-            self.next_tick = None;
-        }
-        self.ring_len -= 1;
-        Some((Time::from_ticks(at), seq, event))
-    }
-
-    /// Pops the earliest event only when it is at or before `deadline` —
-    /// the per-event run-loop pattern, fused so the queue resolves its
-    /// memoized next tick once per event. This is the
-    /// `SimConfig::legacy_hot_path` dequeue shape.
-    #[inline]
-    pub(crate) fn pop_at_or_before(&mut self, deadline: Time) -> Option<(Time, u64, E)> {
-        if self.peek_time()? > deadline {
-            return None;
-        }
-        self.pop()
-    }
-
     /// Takes **every** event of the earliest tick at or before `deadline`
     /// by swapping the tick's bucket storage into `out` (entries in
-    /// `(seq)` order; popped slots are `None`), and returns that tick's
-    /// time; `None` when the queue is empty or the earliest event lies
-    /// beyond the deadline (`out` is untouched then).
+    /// `(seq)` order, every slot `Some`), and returns that tick's time;
+    /// `None` when the queue is empty or the earliest event lies beyond
+    /// the deadline (`out` is untouched then).
     ///
     /// `out` must arrive empty: it becomes the bucket's replacement
     /// storage, so the caller hands its (cleared) buffer back on the next
     /// call and bucket capacities circulate between the queue and the
     /// caller without reallocation.
     ///
-    /// This is the batched dequeue: window advance, overflow migration
-    /// and the occupancy-bitmap scan happen once per *tick*, the handoff
-    /// is an O(1) pointer swap, and each event is moved exactly once (by
-    /// the caller, out of the swapped buffer). No event can be scheduled
-    /// *at* the tick being drained (the engine only schedules strictly
-    /// after `now`), so the drain can never miss a same-tick straggler.
-    ///
-    /// Returns the index of the first live slot (`> 0` only if per-event
-    /// pops already consumed a prefix of the tick) along with the time.
+    /// Window advance, overflow migration and the occupancy-bitmap scan
+    /// happen once per *tick*, the handoff is an O(1) pointer swap, and
+    /// each event is moved exactly once (by the caller, out of the
+    /// swapped buffer). No event can be scheduled *at* the tick being
+    /// drained (the engine only schedules strictly after `now`), so the
+    /// drain can never miss a same-tick straggler.
     pub(crate) fn take_tick(
         &mut self,
         deadline: Time,
         out: &mut Vec<(u64, Option<E>)>,
-    ) -> Option<(Time, usize)> {
+    ) -> Option<Time> {
         debug_assert!(out.is_empty());
         let at = self.peek_time()?;
         if at > deadline {
@@ -383,15 +302,12 @@ impl<E> CalendarQueue<E> {
         }
         let idx = (at % WHEEL_TICKS) as usize;
         let bucket = &mut self.buckets[idx];
-        debug_assert!(!bucket.is_drained(), "occupancy bit without items");
-        let live = bucket.items.len() - bucket.head;
-        std::mem::swap(&mut bucket.items, out);
-        let head = bucket.head;
-        bucket.head = 0;
+        debug_assert!(!bucket.is_empty(), "occupancy bit without items");
+        self.ring_len -= bucket.len();
+        std::mem::swap(bucket, out);
         self.clear_occupied(idx);
         self.next_tick = None;
-        self.ring_len -= live;
-        Some((Time::from_ticks(at), head))
+        Some(Time::from_ticks(at))
     }
 
     /// Every queued event as `(tick, seq, event)` in dispatch order —
@@ -410,8 +326,8 @@ impl<E> CalendarQueue<E> {
             // window: the tick ≡ idx (mod WHEEL_TICKS) in
             // [window, window + WHEEL_TICKS).
             let tick = self.window + (idx as u64 + WHEEL_TICKS - base) % WHEEL_TICKS;
-            for (seq, slot) in &bucket.items[bucket.head..] {
-                let event = slot.as_ref().expect("live slot past head");
+            for (seq, slot) in bucket {
+                let event = slot.as_ref().expect("queued slots are live");
                 out.push((tick, *seq, event));
             }
         }
@@ -437,8 +353,7 @@ impl<E> CalendarQueue<E> {
     /// runs (see `EngineArena`).
     pub(crate) fn reset(&mut self) {
         for bucket in &mut self.buckets {
-            bucket.items.clear();
-            bucket.head = 0;
+            bucket.clear();
         }
         self.occupied = [0; WHEEL_WORDS];
         self.ring_len = 0;
@@ -451,169 +366,198 @@ impl<E> CalendarQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
+
+    /// Per-event view over [`CalendarQueue::take_tick`]: consumes each
+    /// swapped-out tick front to back and hands the cleared buffer back
+    /// on the next refill, the way the engine's run loop does.
+    struct Drain<E> {
+        q: CalendarQueue<E>,
+        tick: Vec<(u64, Option<E>)>,
+        pos: usize,
+        at: Time,
+    }
+
+    impl<E> Drain<E> {
+        fn new() -> Self {
+            Drain {
+                q: CalendarQueue::new(),
+                tick: Vec::new(),
+                pos: 0,
+                at: Time::ZERO,
+            }
+        }
+
+        fn pop(&mut self) -> Option<(Time, u64, E)> {
+            if self.pos >= self.tick.len() {
+                self.tick.clear();
+                self.pos = 0;
+                self.at = self.q.take_tick(Time::MAX, &mut self.tick)?;
+            }
+            let (seq, slot) = &mut self.tick[self.pos];
+            self.pos += 1;
+            Some((self.at, *seq, slot.take().expect("slot consumed twice")))
+        }
+
+        /// Events not yet handed out: queued plus buffered.
+        fn len(&self) -> usize {
+            self.q.len() + self.tick.len() - self.pos
+        }
+    }
 
     #[test]
     fn pops_in_time_then_seq_order() {
-        let mut q = CalendarQueue::new();
-        q.push(Time::from_ticks(5), 2, "b");
-        q.push(Time::from_ticks(5), 1, "a");
-        q.push(Time::from_ticks(3), 3, "c");
-        assert_eq!(q.peek_time(), Some(Time::from_ticks(3)));
-        assert_eq!(q.pop(), Some((Time::from_ticks(3), 3, "c")));
-        assert_eq!(q.pop(), Some((Time::from_ticks(5), 1, "a")));
-        assert_eq!(q.pop(), Some((Time::from_ticks(5), 2, "b")));
-        assert_eq!(q.pop(), None);
-        assert!(q.is_empty());
+        let mut d = Drain::new();
+        d.q.push(Time::from_ticks(5), 2, "b");
+        d.q.push(Time::from_ticks(5), 1, "a");
+        d.q.push(Time::from_ticks(3), 3, "c");
+        assert_eq!(d.q.peek_time(), Some(Time::from_ticks(3)));
+        assert_eq!(d.pop(), Some((Time::from_ticks(3), 3, "c")));
+        assert_eq!(d.pop(), Some((Time::from_ticks(5), 1, "a")));
+        assert_eq!(d.pop(), Some((Time::from_ticks(5), 2, "b")));
+        assert_eq!(d.pop(), None);
+        assert!(d.q.is_empty());
     }
 
     #[test]
     fn overflow_events_merge_in_order() {
-        let mut q = CalendarQueue::new();
+        let mut d = Drain::new();
         // Far event first (small seq), near event later (large seq).
-        q.push(Time::from_ticks(WHEEL_TICKS * 3), 1, "far");
-        q.push(Time::from_ticks(2), 2, "near");
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some((Time::from_ticks(2), 2, "near")));
-        assert_eq!(q.pop(), Some((Time::from_ticks(WHEEL_TICKS * 3), 1, "far")));
-        assert!(q.is_empty());
+        d.q.push_in_order(Time::from_ticks(WHEEL_TICKS * 3), 1, "far");
+        d.q.push_in_order(Time::from_ticks(2), 2, "near");
+        assert_eq!(d.q.len(), 2);
+        assert_eq!(d.pop(), Some((Time::from_ticks(2), 2, "near")));
+        assert_eq!(d.pop(), Some((Time::from_ticks(WHEEL_TICKS * 3), 1, "far")));
+        assert!(d.q.is_empty());
     }
 
     #[test]
     fn same_tick_across_ring_and_overflow_respects_seq() {
-        let mut q = CalendarQueue::new();
+        let mut d = Drain::new();
         let t = WHEEL_TICKS + 7;
         // Goes to overflow (beyond the initial window)...
-        q.push(Time::from_ticks(t), 1, "overflowed");
+        d.q.push_in_order(Time::from_ticks(t), 1, "overflowed");
         // ...advance the window by draining an early event...
-        q.push(Time::from_ticks(WHEEL_TICKS - 1), 2, "early");
-        assert_eq!(q.pop().unwrap().2, "early");
-        // ...now the same tick is in the window: ring insert, larger seq.
-        q.push(Time::from_ticks(t), 3, "ringed");
-        assert_eq!(q.pop(), Some((Time::from_ticks(t), 1, "overflowed")));
-        assert_eq!(q.pop(), Some((Time::from_ticks(t), 3, "ringed")));
+        d.q.push_in_order(Time::from_ticks(WHEEL_TICKS - 1), 2, "early");
+        assert_eq!(d.pop().unwrap().2, "early");
+        // ...now the same tick is in the window: ring insert, larger seq,
+        // and the migration slots the overflowed event in front of it.
+        d.q.push_in_order(Time::from_ticks(t), 3, "ringed");
+        assert_eq!(d.pop(), Some((Time::from_ticks(t), 1, "overflowed")));
+        assert_eq!(d.pop(), Some((Time::from_ticks(t), 3, "ringed")));
     }
 
     #[test]
     fn window_jumps_over_long_gaps() {
-        let mut q = CalendarQueue::new();
-        q.push(Time::from_ticks(10), 1, 'x');
-        assert_eq!(q.pop(), Some((Time::from_ticks(10), 1, 'x')));
-        q.push(Time::from_ticks(500_000), 2, 'y');
-        assert_eq!(q.peek_time(), Some(Time::from_ticks(500_000)));
-        assert_eq!(q.pop(), Some((Time::from_ticks(500_000), 2, 'y')));
+        let mut d = Drain::new();
+        d.q.push_in_order(Time::from_ticks(10), 1, 'x');
+        assert_eq!(d.pop(), Some((Time::from_ticks(10), 1, 'x')));
+        d.q.push_in_order(Time::from_ticks(500_000), 2, 'y');
+        assert_eq!(d.q.peek_time(), Some(Time::from_ticks(500_000)));
+        assert_eq!(d.pop(), Some((Time::from_ticks(500_000), 2, 'y')));
     }
 
     #[test]
     fn wraparound_keeps_ordering() {
-        let mut q = CalendarQueue::new();
+        let mut d = Drain::new();
         let mut seq = 0;
+        let mut popped = 0;
         // Drive the window through several full wheel revolutions.
-        let mut expected = Vec::new();
         for round in 0..5u64 {
             for offset in [1u64, 13, 700, 1023] {
                 let t = round * WHEEL_TICKS + offset;
-                q.push(Time::from_ticks(t), seq, (t, seq));
-                expected.push((t, seq));
+                d.q.push_in_order(Time::from_ticks(t), seq, (t, seq));
                 seq += 1;
             }
             // Drain this round before scheduling the next (mirrors the
             // engine, whose pushes never precede `now`).
-            while q
+            while d
+                .q
                 .peek_time()
                 .is_some_and(|t| t.ticks() <= (round + 1) * WHEEL_TICKS)
             {
-                let (t, s, payload) = q.pop().unwrap();
+                let (t, s, payload) = d.pop().unwrap();
                 assert_eq!(payload, (t.ticks(), s));
+                assert_eq!(s, popped, "dequeued out of push order");
+                popped += 1;
             }
         }
-        while let Some((t, s, payload)) = q.pop() {
-            assert_eq!(payload, (t.ticks(), s));
-        }
-        assert!(q.is_empty());
+        assert_eq!(popped, seq);
+        assert!(d.q.is_empty());
     }
 
     #[test]
-    fn drop_with_partially_drained_bucket_is_sound() {
-        let mut q = CalendarQueue::new();
-        q.push(Time::from_ticks(1), 0, String::from("a"));
-        q.push(Time::from_ticks(1), 1, String::from("b"));
-        q.push(Time::from_ticks(9), 2, String::from("c"));
-        assert_eq!(q.pop().unwrap().2, "a");
-        drop(q); // must not double-drop "a"
+    fn drop_with_partially_consumed_tick_is_sound() {
+        let mut d = Drain::new();
+        d.q.push_in_order(Time::from_ticks(1), 0, String::from("a"));
+        d.q.push_in_order(Time::from_ticks(1), 1, String::from("b"));
+        d.q.push_in_order(Time::from_ticks(9), 2, String::from("c"));
+        assert_eq!(d.pop().unwrap().2, "a");
+        assert_eq!(d.len(), 2);
+        drop(d); // must not double-drop "a"
     }
 
+    /// `take_tick` + `push_in_order` against the `BTreeMap` model, one
+    /// event at a time: pushes land while a tick is only partially
+    /// consumed, near (ring) and ≥ `WHEEL_TICKS` ahead (overflow heap,
+    /// migrating in as the window reaches them).
     #[test]
     fn reference_model_and_calendar_agree_on_random_workloads() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        use std::collections::BTreeMap;
-
         for seed in 0..20 {
             let mut rng = StdRng::seed_from_u64(seed);
+            let mut cal = Drain::new();
+            let mut reference: BTreeMap<(Time, u64), u64> = BTreeMap::new();
+            let mut seq = 0u64;
+            let mut now = 0u64;
+            for op in 0..2_000 {
+                if rng.gen_bool(0.6) || reference.is_empty() {
+                    // The engine schedules strictly after `now`.
+                    let horizon: u64 = if rng.gen_bool(0.9) {
+                        rng.gen_range(1..64)
+                    } else {
+                        rng.gen_range(1..WHEEL_TICKS * 4)
+                    };
+                    let at = Time::from_ticks(now + horizon);
+                    cal.q.push_in_order(at, seq, seq);
+                    reference.insert((at, seq), seq);
+                    seq += 1;
+                } else {
+                    let a = cal.pop();
+                    let b = reference.pop_first().map(|((t, s), e)| (t, s, e));
+                    assert_eq!(a, b, "diverged at op {op} of seed {seed}");
+                    now = a.expect("model was non-empty").0.ticks();
+                }
+                assert_eq!(cal.len(), reference.len());
+            }
+            while let Some(((t, s), e)) = reference.pop_first() {
+                assert_eq!(cal.pop(), Some((t, s, e)));
+            }
+            assert_eq!(cal.pop(), None);
+            assert!(cal.q.is_empty());
+        }
+    }
+
+    /// Whole-tick drains against the `BTreeMap` model under deadlines
+    /// that move freely between calls — including **below** the previous
+    /// call's: a refused drain must leave queue and buffer untouched, and
+    /// a granted one must hand over exactly the earliest tick, whole.
+    #[test]
+    fn take_tick_matches_reference_model_under_moving_deadlines() {
+        for seed in 0..20 {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xBA7C);
             let mut cal = CalendarQueue::new();
             let mut reference: BTreeMap<(Time, u64), u64> = BTreeMap::new();
             let mut seq = 0u64;
             let mut now = 0u64;
-            let mut ops = 0;
-            while ops < 2_000 {
-                ops += 1;
-                // Mixed pushes near and far, interleaved with pops.
-                if rng.gen_bool(0.6) || cal.is_empty() {
-                    let horizon: u64 = if rng.gen_bool(0.9) {
-                        rng.gen_range(0..64)
-                    } else {
-                        rng.gen_range(0..WHEEL_TICKS * 4)
-                    };
-                    let at = Time::from_ticks(now + horizon);
-                    cal.push(at, seq, seq);
-                    reference.insert((at, seq), seq);
-                    seq += 1;
-                } else {
-                    assert_eq!(
-                        cal.peek_time(),
-                        reference.first_key_value().map(|(&(t, _), _)| t)
-                    );
-                    let a = cal.pop();
-                    let b = reference.pop_first().map(|((t, s), e)| (t, s, e));
-                    assert_eq!(a, b, "diverged at op {ops} of seed {seed}");
-                    if let Some((t, _, _)) = a {
-                        now = t.ticks();
-                    }
-                }
-            }
-            while !reference.is_empty() {
-                assert_eq!(
-                    cal.pop(),
-                    reference.pop_first().map(|((t, s), e)| (t, s, e))
-                );
-            }
-            assert!(cal.is_empty());
-        }
-    }
-
-    /// The batched tick drain must hand back exactly what repeated
-    /// per-event pops would, in the same order, across random workloads
-    /// that exercise the ring, the overflow heap and window jumps.
-    #[test]
-    fn pop_tick_into_matches_per_event_pops() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
-        for seed in 0..20 {
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xBA7C);
-            let mut batched = CalendarQueue::new();
-            let mut single = CalendarQueue::new();
-            let mut seq = 0u64;
-            let mut now = 0u64;
             let mut buf: Vec<(u64, Option<u64>)> = Vec::new();
+            let mut granted = 0;
             for _ in 0..400 {
-                // Respect the engine contract (never schedule before the
-                // window): peeking may jump the window to the overflow
-                // head, so follow it before pushing relative to `now`.
-                if let Some(t) = batched.peek_time() {
-                    assert_eq!(single.peek_time(), Some(t));
-                    now = now.max(t.ticks());
-                }
+                // Respect the push contract (never schedule before the
+                // window): a peek with only far events left jumps the
+                // window to the overflow head, so pushes follow it.
+                let base = now.max(cal.peek_time().map_or(0, Time::ticks));
                 // A burst of pushes at assorted horizons...
                 for _ in 0..rng.gen_range(1..8u32) {
                     let horizon: u64 = if rng.gen_bool(0.85) {
@@ -621,50 +565,85 @@ mod tests {
                     } else {
                         rng.gen_range(1..WHEEL_TICKS * 3)
                     };
-                    let at = Time::from_ticks(now + horizon);
-                    batched.push(at, seq, seq);
-                    single.push(at, seq, seq);
+                    let at = Time::from_ticks(base + horizon);
+                    cal.push_in_order(at, seq, seq);
+                    reference.insert((at, seq), seq);
                     seq += 1;
                 }
-                // ...then drain one tick both ways and compare.
-                let deadline = Time::from_ticks(now + rng.gen_range(0..64));
-                buf.clear();
-                let tick = batched.take_tick(deadline, &mut buf);
-                match tick {
-                    None => {
-                        assert!(single.pop_at_or_before(deadline).is_none());
+                // ...then drain tick by tick up to a deadline counted
+                // from the last drained tick — so it may sit below the
+                // previous round's — until the queue refuses.
+                let reach = if rng.gen_bool(0.8) {
+                    rng.gen_range(0..64)
+                } else {
+                    rng.gen_range(0..WHEEL_TICKS * 4)
+                };
+                let deadline = Time::from_ticks(now + reach);
+                loop {
+                    let earliest = reference.first_key_value().map(|(&(t, _), _)| t);
+                    assert_eq!(cal.peek_time(), earliest);
+                    buf.clear();
+                    let Some(t) = cal.take_tick(deadline, &mut buf) else {
+                        assert!(earliest.is_none_or(|t| t > deadline));
+                        assert!(buf.is_empty(), "a refused drain touched the buffer");
+                        break;
+                    };
+                    granted += 1;
+                    assert_eq!(Some(t), earliest);
+                    assert!(t <= deadline);
+                    for (s, e) in buf.drain(..).map(|(s, e)| (s, e.expect("live slot"))) {
+                        assert_eq!(reference.pop_first(), Some(((t, s), e)));
                     }
-                    Some((t, head)) => {
-                        assert_eq!(head, 0, "no per-event pops interleaved");
-                        for (s, e) in buf.drain(..).map(|(s, e)| (s, e.expect("live slot"))) {
-                            assert_eq!(single.pop_at_or_before(deadline), Some((t, s, e)));
-                        }
-                        // The single-pop side must agree the tick is done.
-                        assert_ne!(
-                            single.peek_time(),
-                            Some(t),
-                            "batched drain missed a same-tick event (seed {seed})"
-                        );
-                        now = t.ticks();
-                    }
+                    assert_ne!(
+                        reference.first_key_value().map(|(&(next, _), _)| next),
+                        Some(t),
+                        "drain missed a same-tick event (seed {seed})"
+                    );
+                    now = t.ticks();
+                    assert_eq!(cal.len(), reference.len());
                 }
-                assert_eq!(batched.len(), single.len());
             }
+            assert!(granted > 400, "seed {seed} hardly ever reached a tick");
         }
     }
 
     #[test]
-    fn reset_recycles_to_empty_state() {
+    fn shrinking_deadline_refuses_then_resumes() {
         let mut q = CalendarQueue::new();
-        q.push(Time::from_ticks(3), 0, "a");
-        q.push(Time::from_ticks(WHEEL_TICKS * 5), 1, "far");
-        assert_eq!(q.pop().map(|(_, _, e)| e), Some("a"));
-        q.reset();
+        q.push_in_order(Time::from_ticks(5), 0, "a");
+        q.push_in_order(Time::from_ticks(9), 1, "b");
+        let mut buf = Vec::new();
+        assert_eq!(
+            q.take_tick(Time::from_ticks(7), &mut buf),
+            Some(Time::from_ticks(5))
+        );
+        buf.clear();
+        // The deadline shrinks below the next tick, then below the tick
+        // just drained: both refusals leave everything in place.
+        assert_eq!(q.take_tick(Time::from_ticks(7), &mut buf), None);
+        assert_eq!(q.take_tick(Time::from_ticks(3), &mut buf), None);
+        assert!(buf.is_empty());
+        assert_eq!(q.len(), 1);
+        assert_eq!(
+            q.take_tick(Time::from_ticks(9), &mut buf),
+            Some(Time::from_ticks(9))
+        );
+        assert_eq!(buf, vec![(1, Some("b"))]);
         assert!(q.is_empty());
-        assert_eq!(q.len(), 0);
-        assert_eq!(q.peek_time(), None);
+    }
+
+    #[test]
+    fn reset_recycles_to_empty_state() {
+        let mut d = Drain::new();
+        d.q.push_in_order(Time::from_ticks(3), 0, "a");
+        d.q.push_in_order(Time::from_ticks(WHEEL_TICKS * 5), 1, "far");
+        assert_eq!(d.pop().map(|(_, _, e)| e), Some("a"));
+        d.q.reset();
+        assert!(d.q.is_empty());
+        assert_eq!(d.q.len(), 0);
+        assert_eq!(d.q.peek_time(), None);
         // Usable from scratch after the reset.
-        q.push(Time::from_ticks(2), 7, "b");
-        assert_eq!(q.pop(), Some((Time::from_ticks(2), 7, "b")));
+        d.q.push_in_order(Time::from_ticks(2), 7, "b");
+        assert_eq!(d.pop(), Some((Time::from_ticks(2), 7, "b")));
     }
 }

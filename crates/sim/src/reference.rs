@@ -1,0 +1,350 @@
+//! The **reference interpreter**: the execution semantics of
+//! [`Engine`](crate::engine::Engine), written the slow, obvious way.
+//!
+//! The paper fixes one semantics per model — deliver in `(time, insertion
+//! sequence)` order, route every copy of a broadcast independently, let a
+//! broadcast interrupted by a crash reach an arbitrary subset.
+//! [`ReferenceEngine`] is that specification as code; `Engine` is the
+//! implementation checked against it.
+//!
+//! **Contract.** Built from the same `(SimConfig, factory)` pair and run
+//! to the same deadline, the two agree **byte for byte** on trace,
+//! recorder contents, [`Metrics`], histories, decisions and final clock,
+//! under every network model, link-fault script and Byzantine script; the
+//! differential proptests in `tests/` assert it. (A stop *condition* is
+//! checked per event here, per same-`(time, dest)` batch there; they agree
+//! when the receiver halts as it makes the condition true, as the in-tree
+//! consensus processes do.)
+//!
+//! **Deliberately naive.** A `BTreeMap<(Time, u64), _>` queue; one
+//! `NetworkModel::route`, one `LinkFaultScript::fate` and one
+//! `ByzantineScript::directive` per copy, in destination order; one
+//! callback and one fresh action `Vec` per event; every queued copy an
+//! owned clone. No arena, no [`Process::on_messages`], no dead-destination
+//! elision, no snapshots. Only the seed derivation (`RunStreams`) is
+//! shared with `Engine`, so all four RNG streams start equal.
+
+use std::collections::BTreeMap;
+
+use homonym_core::identity::Identity;
+use homonym_core::properties::History;
+use homonym_core::time::{Span, Time};
+use homonym_obs::{ObsKind, Recorder};
+use rand::{rngs::StdRng, Rng};
+
+use crate::adversary::ByzDirective;
+use crate::engine::{forge, Metrics, RoundExtractor, RunStreams, SimConfig, StopReason};
+use crate::process::{Action, ActionSink, Process, TimerTag};
+use crate::trace::{Trace, TraceEvent};
+
+type Key = (Time, u64); // dispatch order: time, then insertion sequence
+
+enum Event<M> {
+    Start,
+    Deliver(M),
+    Timer(TimerTag),
+}
+
+/// The naive discrete-event interpreter; see the module docs.
+pub struct ReferenceEngine<P: Process> {
+    config: SimConfig,
+    procs: Vec<P>,
+    rngs: Vec<StdRng>,
+    halted: Vec<bool>,
+    /// Each entry is `(destination, event)`; `pop_first` dispatches.
+    queue: BTreeMap<Key, (usize, Event<P::Msg>)>,
+    seq: u64,
+    now: Time,
+    streams: RunStreams,
+    /// The last payload each replay-listed sender broadcast.
+    byz_replay: Vec<Option<P::Msg>>,
+    metrics: Metrics,
+    histories: Vec<History<P::Output>>,
+    decisions: Vec<Option<(Time, u64)>>,
+    classifier: Option<fn(&P::Msg) -> &'static str>,
+    rounder: Option<RoundExtractor<P::Msg>>,
+    trace: Option<Trace>,
+    recorder: Option<Recorder>,
+}
+
+impl<P: Process> ReferenceEngine<P> {
+    /// Like [`Engine::new`](crate::engine::Engine::new): `factory(p, id(p))` builds process `p`.
+    pub fn new(config: SimConfig, mut factory: impl FnMut(usize, Identity) -> P) -> Self {
+        let n = config.assign.n();
+        ReferenceEngine {
+            procs: (0..n).map(|p| factory(p, config.assign.id_of(p))).collect(),
+            rngs: (0..n)
+                .map(|p| RunStreams::process(config.seed, p))
+                .collect(),
+            halted: vec![false; n],
+            queue: (0..n)
+                .map(|p| ((Time::ZERO, p as u64), (p, Event::Start)))
+                .collect(),
+            seq: n as u64,
+            now: Time::ZERO,
+            streams: RunStreams::new(&config),
+            byz_replay: (0..n).map(|_| None).collect(),
+            metrics: Metrics::default(),
+            histories: (0..n).map(|_| Vec::new()).collect(),
+            decisions: vec![None; n],
+            classifier: None,
+            rounder: None,
+            trace: None,
+            recorder: None,
+            config,
+        }
+    }
+
+    /// See [`Engine::set_classifier`](crate::engine::Engine::set_classifier).
+    pub fn set_classifier(&mut self, f: fn(&P::Msg) -> &'static str) {
+        self.classifier = Some(f);
+    }
+
+    /// See [`Engine::set_round_extractor`](crate::engine::Engine::set_round_extractor).
+    pub fn set_round_extractor(&mut self, f: RoundExtractor<P::Msg>) {
+        self.rounder = Some(f);
+    }
+
+    /// Starts recording a [`Trace`] keeping at most `capacity` events.
+    pub fn enable_trace(&mut self, capacity: usize) {
+        self.trace = Some(Trace::with_capacity(capacity));
+    }
+
+    /// Attaches a [`Recorder`] keeping at most `capacity` events.
+    pub fn enable_recorder(&mut self, capacity: usize) {
+        self.recorder = Some(Recorder::new(capacity));
+    }
+
+    /// The recorded trace, if tracing was enabled.
+    pub fn trace(&self) -> Option<&Trace> {
+        self.trace.as_ref()
+    }
+
+    /// The attached recorder, if one was enabled.
+    pub fn recorder(&self) -> Option<&Recorder> {
+        self.recorder.as_ref()
+    }
+
+    /// The run's metrics so far.
+    pub fn metrics(&self) -> &Metrics {
+        &self.metrics
+    }
+
+    /// Recorded output histories, indexed by process.
+    pub fn histories(&self) -> &[History<P::Output>] {
+        &self.histories
+    }
+
+    /// Recorded decisions, indexed by process.
+    pub fn decisions(&self) -> &[Option<(Time, u64)>] {
+        &self.decisions
+    }
+
+    /// Current virtual time.
+    pub fn now(&self) -> Time {
+        self.now
+    }
+
+    /// Read access to a process's state.
+    pub fn process(&self, p: usize) -> &P {
+        &self.procs[p]
+    }
+
+    /// Whether every correct process has decided.
+    pub fn all_correct_decided(&self) -> bool {
+        (0..self.decisions.len())
+            .all(|p| !self.config.sched.is_correct(p) || self.decisions[p].is_some())
+    }
+
+    /// Runs until the deadline (inclusive) or quiescence.
+    pub fn run_until(&mut self, deadline: Time) -> StopReason {
+        self.run_with(deadline, |_| false)
+    }
+
+    /// Runs until `cond(self)` holds (checked after every event), the
+    /// deadline passes, nothing is queued, or the event valve trips.
+    pub fn run_with(&mut self, deadline: Time, mut cond: impl FnMut(&Self) -> bool) -> StopReason {
+        if cond(self) {
+            return StopReason::ConditionMet;
+        }
+        loop {
+            let Some((&(at, _), _)) = self.queue.first_key_value() else {
+                self.now = self.now.max(deadline);
+                return StopReason::Quiescent;
+            };
+            if at > deadline {
+                self.now = deadline;
+                return StopReason::Deadline;
+            }
+            if self.metrics.events >= self.config.max_events {
+                return StopReason::EventLimit;
+            }
+            let (_, (dst, ev)) = self.queue.pop_first().expect("peeked");
+            self.now = at;
+            self.dispatch(dst, ev);
+            if cond(self) {
+                return StopReason::ConditionMet;
+            }
+        }
+    }
+
+    fn push(&mut self, at: Time, dst: usize, ev: Event<P::Msg>) {
+        self.queue.insert((at, self.seq), (dst, ev));
+        self.seq += 1;
+    }
+
+    fn trace_event(&mut self, ev: TraceEvent) {
+        if let Some(trace) = self.trace.as_mut() {
+            trace.record(ev);
+        }
+    }
+
+    fn observe(&mut self, process: usize, kind: ObsKind) {
+        if let Some(rec) = self.recorder.as_mut() {
+            rec.record(self.now, process, kind);
+        }
+    }
+
+    fn labels(&self, msg: &P::Msg) -> (&'static str, Option<u64>) {
+        let class = self.classifier.map_or("msg", |f| f(msg));
+        (class, self.rounder.and_then(|f| f(msg)))
+    }
+
+    /// One step of `dst`: a crashed or halted process takes none.
+    fn dispatch(&mut self, dst: usize, ev: Event<P::Msg>) {
+        if self.halted[dst] || !self.config.sched.is_alive(dst, self.now) {
+            return;
+        }
+        let (at, process) = (self.now, dst);
+        self.metrics.events += 1;
+        let traced = match &ev {
+            Event::Start => TraceEvent::Started { at, process },
+            Event::Deliver(msg) => {
+                self.metrics.copies_delivered += 1;
+                let (class, round) = self.labels(msg);
+                TraceEvent::Delivered {
+                    at,
+                    process,
+                    class,
+                    round,
+                }
+            }
+            &Event::Timer(tag) => {
+                self.metrics.timers_fired += 1;
+                TraceEvent::TimerFired { at, process, tag }
+            }
+        };
+        self.trace_event(traced);
+        let mut actions = Vec::new();
+        let id = self.config.assign.id_of(dst);
+        let mut sink = ActionSink::new(id, at, &mut self.rngs[dst], &mut actions)
+            .with_observing(self.recorder.is_some());
+        match ev {
+            Event::Start => self.procs[dst].on_start(&mut sink),
+            Event::Deliver(msg) => self.procs[dst].on_message(msg, &mut sink),
+            Event::Timer(tag) => self.procs[dst].on_timer(tag, &mut sink),
+        }
+        actions.into_iter().for_each(|a| self.apply(dst, a));
+    }
+
+    fn apply(&mut self, src: usize, action: Action<P::Msg, P::Output>) {
+        let (at, process) = (self.now, src);
+        match action {
+            Action::Broadcast(msg) => self.broadcast(src, &msg),
+            Action::SetTimer(delay, tag) => {
+                let fire = at + Span::from_ticks(delay.ticks().max(1));
+                self.push(fire, src, Event::Timer(tag));
+            }
+            Action::Publish(output) => self.histories[src].push((at, output)),
+            Action::Decide(value) if self.decisions[src].is_none() => {
+                self.decisions[src] = Some((at, value));
+                self.trace_event(TraceEvent::Decided { at, process, value });
+                self.observe(src, ObsKind::Decided { value });
+            }
+            Action::Decide(_) => {} // only the first decision counts
+            Action::Halt => {
+                self.halted[src] = true;
+                self.trace_event(TraceEvent::Halted { at, process });
+            }
+            Action::Observe(kind) => self.observe(src, kind),
+            Action::Discard => self.metrics.copies_discarded += 1,
+        }
+    }
+
+    /// `broadcast(m)`: one independently routed copy per process, self included.
+    fn broadcast(&mut self, src: usize, msg: &P::Msg) {
+        let now = self.now;
+        self.metrics.broadcasts += 1;
+        if let Some(f) = self.classifier {
+            *self.metrics.by_class.entry(f(msg)).or_insert(0) += 1;
+        }
+        let (class, round) = self.labels(msg);
+        self.trace_event(TraceEvent::Broadcast {
+            at: now,
+            process: src,
+            class,
+            round,
+        });
+        // One Byzantine plan per broadcast; `replace` yields the previous payload.
+        let byz = self.config.byzantine.clone().filter(|s| !s.is_empty());
+        let plan = byz
+            .as_ref()
+            .and_then(|s| s.plan(now, src, &mut self.streams.byz));
+        let replayed = match &byz {
+            Some(s) if s.records_replay_at(now, src) => self.byz_replay[src].replace(msg.clone()),
+            _ => None,
+        };
+        // The sender's final step before its crash reaches an arbitrary
+        // subset (unless it halted earlier in this very step).
+        let dying = self.config.partial_broadcast_on_crash
+            && !self.halted[src]
+            && self.config.sched.crash_time(src) == Some(now.next());
+        for dst in 0..self.procs.len() {
+            if dying && self.streams.net.gen_bool(0.5) {
+                continue;
+            }
+            self.metrics.copies_sent += 1;
+            let Some(base) = self.config.network.route(now, &mut self.streams.net) else {
+                self.metrics.copies_lost += 1;
+                continue;
+            };
+            let fate = match &self.config.adversary {
+                Some(script) => script.fate(now, src, dst, base, &mut self.streams.adv),
+                None => Some(base),
+            };
+            let Some(at) = fate else {
+                self.metrics.copies_blocked += 1;
+                let from = u32::try_from(src).unwrap_or(u32::MAX);
+                self.observe(dst, ObsKind::CopyBlocked { from });
+                continue;
+            };
+            let directive = match (&byz, &plan) {
+                (Some(script), Some(plan)) => script.directive(plan, dst),
+                _ => ByzDirective::Original,
+            };
+            // The attack on this copy: name and forged payload (`None` = suppressed).
+            let attack = match directive {
+                ByzDirective::Original => None,
+                ByzDirective::Suppress => Some(("suppress", None)),
+                ByzDirective::Equivocate(e) => Some(("equivocate", Some(forge::<P>(msg, e)))),
+                ByzDirective::Corrupt(e) => Some(("corrupt", Some(forge::<P>(msg, e)))),
+                // Nothing cached yet: the replay degenerates to honesty.
+                ByzDirective::Replay => replayed.clone().map(|old| ("replay", Some(old))),
+            };
+            let payload = match attack {
+                None => msg.clone(),
+                Some((kind, forged)) => {
+                    let victim = u32::try_from(dst).unwrap_or(u32::MAX);
+                    self.observe(dst, ObsKind::AttackFired { kind, victim });
+                    let Some(forged) = forged else {
+                        self.metrics.copies_suppressed += 1;
+                        continue;
+                    };
+                    self.metrics.copies_forged += 1;
+                    forged
+                }
+            };
+            self.push(at, dst, Event::Deliver(payload));
+        }
+    }
+}

@@ -84,7 +84,7 @@ pub fn parallel_seed_sweep_with<C, R: Send>(
 /// The bound is sound, not tight: each ingredient contributes its
 /// earliest possible observable difference —
 ///
-/// * different seeds, topologies, hot paths or event valves: zero;
+/// * different seeds, topologies or event valves: zero;
 /// * crash schedules: one tick before the earliest differing crash (the
 ///   dying sender's partial-broadcast mask draws interleave there);
 /// * `HPS` networks differing in GST or `δ`: the earlier GST (pre-GST
@@ -108,7 +108,6 @@ pub fn config_divergence(a: &SimConfig, b: &SimConfig) -> Time {
         seed,
         partial_broadcast_on_crash,
         max_events,
-        legacy_hot_path,
         adversary,
         byzantine,
     } = a;
@@ -116,7 +115,6 @@ pub fn config_divergence(a: &SimConfig, b: &SimConfig) -> Time {
         || *seed != b.seed
         || *partial_broadcast_on_crash != b.partial_broadcast_on_crash
         || *max_events != b.max_events
-        || *legacy_hot_path != b.legacy_hot_path
     {
         return Time::ZERO;
     }

@@ -12,9 +12,8 @@
 //! explicit, instead of hiding it in a blocking `wait`. Both phases speak
 //! buffers the engine owns and recycles: `send` appends into a reused
 //! outbox and `receive` drains a reused inbox, so a steady-state step
-//! allocates nothing. [`SyncConfig::legacy_hot_path`] switches back to
-//! the pre-batching shape (fresh buffers every step) — behaviour is
-//! byte-identical either way, which the batched-path proptests assert.
+//! allocates nothing; every step opens by asserting (in debug builds)
+//! that the previous one left those buffers clean.
 
 use core::fmt;
 use std::collections::BTreeMap;
@@ -101,6 +100,16 @@ impl<O> SyncSink<O> {
         }
     }
 
+    /// Whether the sink carries nothing over from an earlier use.
+    fn is_reset(&self) -> bool {
+        self.outputs.is_empty()
+            && self.decision.is_none()
+            && !self.halt
+            && self.obs.is_empty()
+            && !self.obs_on
+            && self.discards == 0
+    }
+
     /// Clears the sink for reuse, keeping the output buffer's capacity.
     fn reset(&mut self) {
         self.outputs.clear();
@@ -164,11 +173,6 @@ pub struct SyncConfig {
     pub seed: u64,
     /// Deliver a random subset of a dying process's final-step broadcast.
     pub partial_broadcast_on_crash: bool,
-    /// Run with the pre-batching per-step buffer discipline (fresh inbox
-    /// and sink allocations every step) instead of the recycled-buffer
-    /// default. Byte-identical behaviour; exists so the batched-path
-    /// tests can differentially check the buffer recycling.
-    pub legacy_hot_path: bool,
     /// Adversarial link faults (see [`crate::adversary`]). Times in the
     /// script are **step numbers**. A copy a clause defers is held and
     /// injected into its destination's inbox at the deferred step, in
@@ -198,7 +202,6 @@ impl SyncConfig {
             sched,
             seed: 0,
             partial_broadcast_on_crash: true,
-            legacy_hot_path: false,
             adversary: None,
             byzantine: None,
         }
@@ -208,14 +211,6 @@ impl SyncConfig {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Selects the pre-batching buffer discipline (builder style); see
-    /// [`SyncConfig::legacy_hot_path`].
-    #[must_use]
-    pub fn with_legacy_hot_path(mut self, legacy: bool) -> Self {
-        self.legacy_hot_path = legacy;
         self
     }
 
@@ -296,11 +291,11 @@ pub struct SyncEngine<P: SyncProcess> {
     /// [`SyncEngine::enable_recorder`]); `None` keeps every `observe`
     /// hook a dead branch.
     recorder: Option<Recorder>,
-    /// Recycled per-destination inboxes (batched path).
+    /// Recycled per-destination inboxes.
     inboxes: Vec<Vec<P::Msg>>,
-    /// Recycled send-phase outbox (batched path).
+    /// Recycled send-phase outbox.
     outbox: Vec<P::Msg>,
-    /// Recycled receive-phase sink (batched path).
+    /// Recycled receive-phase sink.
     sink: SyncSink<P::Output>,
     /// Recycled recipient list.
     recipients: Vec<usize>,
@@ -433,18 +428,13 @@ impl<P: SyncProcess> SyncEngine<P> {
         let s = self.step;
         let now = Time::from_ticks(s);
         let n = self.n();
-        let legacy = self.config.legacy_hot_path;
 
-        // The step's inboxes: fresh buffers on the legacy path (the
-        // pre-batching shape), the engine's recycled buffers otherwise.
-        let mut inboxes: Vec<Vec<P::Msg>> = if legacy {
-            vec![Vec::new(); n]
-        } else {
-            let mut b = std::mem::take(&mut self.inboxes);
-            debug_assert!(b.iter().all(Vec::is_empty));
-            b.resize_with(n, Vec::new);
-            b
-        };
+        // Buffer hygiene: nothing a previous step (or a restore) left in
+        // the recycled buffers may leak into this one.
+        debug_assert!(self.inboxes.iter().all(Vec::is_empty), "stale inbox");
+        debug_assert!(self.sink.is_reset(), "stale sink");
+        let mut inboxes = std::mem::take(&mut self.inboxes);
+        inboxes.resize_with(n, Vec::new);
 
         // Copies a clause deferred to this step (a healed partition
         // releasing its queued traffic) are injected first, in the order
@@ -598,29 +588,17 @@ impl<P: SyncProcess> SyncEngine<P> {
                 continue;
             }
             inboxes[p].shuffle(&mut self.rng);
-            // Legacy path: a fresh sink per process, as before batching.
-            let mut fresh_sink;
-            let sink = if legacy {
-                fresh_sink = SyncSink::new();
-                fresh_sink.obs_on = observing;
-                &mut fresh_sink
-            } else {
-                self.sink.reset();
-                self.sink.obs_on = observing;
-                &mut self.sink
-            };
+            let sink = &mut self.sink;
+            sink.obs_on = observing;
             self.procs[p].receive(s, &mut inboxes[p], sink);
             inboxes[p].clear();
             // Discards count unconditionally; staged events drain into
             // the recorder only when one is attached.
             self.metrics.copies_discarded += sink.discards;
-            sink.discards = 0;
             if let Some(rec) = self.recorder.as_mut() {
                 for k in sink.obs.drain(..) {
                     rec.record(now, p, k);
                 }
-            } else {
-                sink.obs.clear();
             }
             for o in sink.outputs.drain(..) {
                 self.histories[p].push((now, o));
@@ -636,10 +614,9 @@ impl<P: SyncProcess> SyncEngine<P> {
             if sink.halt {
                 self.halted[p] = true;
             }
+            sink.reset();
         }
-        if !legacy {
-            self.inboxes = inboxes;
-        }
+        self.inboxes = inboxes;
 
         self.metrics.steps += 1;
         self.step += 1;
@@ -838,23 +815,5 @@ mod tests {
             e.histories().to_vec()
         };
         assert_eq!(run(3), run(3));
-    }
-
-    #[test]
-    fn recycled_buffers_match_legacy_buffers() {
-        let run = |legacy: bool| {
-            let sched = FailureSchedule::none(5)
-                .with_crash(1, Time::from_ticks(2))
-                .with_crash(3, Time::from_ticks(5));
-            let cfg = SyncConfig::new(IdentityAssignment::round_robin(5, 2), sched)
-                .with_seed(11)
-                .with_legacy_hot_path(legacy);
-            let mut e = SyncEngine::new(cfg, |_, _| Counter {
-                seen_per_step: Vec::new(),
-            });
-            e.run_steps(8);
-            (e.histories().to_vec(), e.metrics().clone())
-        };
-        assert_eq!(run(false), run(true));
     }
 }

@@ -49,10 +49,9 @@
 //!   bounded-latency deliveries that dominate traffic, bitmap scans for
 //!   the next tick, a binary-heap overflow for far-future timers)
 //!   instead of a `BTreeMap`. Dispatch order is the byte-identical
-//!   `(time, insertion-seq)` order of the original queue;
-//!   `tests/trace_determinism.rs` proves it against the retained legacy
-//!   implementation (`SimConfig::legacy_hot_path`) across all three
-//!   network models, so figure outputs are unchanged.
+//!   `(time, insertion-seq)` order of the naive `BTreeMap` interpreter
+//!   in `homonym_sim::reference`; `tests/trace_determinism.rs` proves it
+//!   across all network models, so figure outputs are unchanged.
 //! * **Zero-copy broadcasts** — a broadcast enqueues one `Arc`-shared
 //!   payload instead of one deep clone per destination; the owned copy a
 //!   process receives is cloned lazily at dispatch (the last copy is
@@ -68,8 +67,8 @@
 //!   `IdentityAssignment`/`FailureSchedule` clone in O(1) (`Arc`-backed
 //!   tables), so per-run setup no longer scales with `n`.
 //!
-//! `BENCHMARKS.md` explains how to regenerate the `BENCH_sim.json`
-//! throughput report that tracks these numbers across PRs.
+//! `benchmark/README.md` documents the end-to-end benchmark that tracks
+//! these numbers across PRs.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -1,16 +1,18 @@
-//! Property tests for the batched hot path: across random seeds, network
-//! models, adversarial link-fault scripts and Byzantine payload-mutation
-//! scripts, the batched configuration (tick-drained queue,
+//! Differential property tests for the event engine's batched dispatch:
+//! across random seeds, network models, adversarial link-fault scripts
+//! and Byzantine payload-mutation scripts, `Engine` (tick-drained queue,
 //! same-`(time, dest)` delivery batches through `Process::on_messages`,
 //! fused per-broadcast RNG sampling) must be **byte-identical** to the
-//! per-event `legacy_hot_path` configuration on both engines — same
-//! traces, same histories, same metrics, same decisions. An empty or
-//! never-activating `ByzantineScript` must additionally be byte-identical
-//! to a run with **no** script installed at all.
+//! naive per-event `ReferenceEngine` built from the same configuration
+//! and factory — same traces, same histories, same metrics, same
+//! decisions, same final clock. An empty or never-activating
+//! `ByzantineScript` must additionally be byte-identical to a run with
+//! **no** script installed at all, on both engines of the workspace.
 
 use homonym::chaos::sweep::{byz_tolerant_node, fig8_node};
 use homonym::chaos::{FaultClause, PartitionMode, Scenario};
 use homonym::prelude::*;
+use homonym::sim::reference::ReferenceEngine;
 use homonym::sim::sync_engine::{SyncConfig, SyncEngine, SyncProcess, SyncSink};
 use proptest::prelude::*;
 
@@ -38,7 +40,7 @@ impl Process for Echo {
     fn on_timer(&mut self, _t: TimerTag, _ctx: &mut ActionSink<'_, u64, u64>) {}
 }
 
-/// Lock-step counter used for the sync-engine comparison.
+/// Lock-step counter used for the sync-engine transparency check.
 struct StepCounter;
 
 impl SyncProcess for StepCounter {
@@ -135,11 +137,51 @@ fn byz_clause(n: usize, kind: u8, victims: usize) -> FaultClause {
     }
 }
 
+/// Everything the reference-interpreter contract covers, read off either
+/// engine type (a macro because the two share accessors, not a trait).
+macro_rules! observed {
+    ($e:expr) => {
+        (
+            $e.trace().expect("enabled").clone(),
+            $e.histories().to_vec(),
+            $e.decisions().to_vec(),
+            $e.metrics().clone(),
+            $e.now(),
+        )
+    };
+}
+
+/// Runs `Engine` and `ReferenceEngine`, built from the same configuration
+/// and factory and both tracing, to the same fixed horizon.
+fn run_both<P: Process>(
+    cfg: SimConfig,
+    node: impl Fn(usize, Identity) -> P,
+    horizon: u64,
+) -> (Engine<P>, ReferenceEngine<P>) {
+    let mut engine = Engine::new(cfg.clone(), &node);
+    engine.enable_trace(500_000);
+    engine.run_until(Time::from_ticks(horizon));
+    let mut reference = ReferenceEngine::new(cfg, &node);
+    reference.enable_trace(500_000);
+    reference.run_until(Time::from_ticks(horizon));
+    (engine, reference)
+}
+
+/// An `Echo` system over `n` processes whose last one optionally crashes.
+fn echo_config(seed: u64, kind: u8, n: usize, crash: Option<u64>) -> SimConfig {
+    let mut sched = FailureSchedule::none(n);
+    if let Some(c) = crash {
+        sched = sched.with_crash(n - 1, Time::from_ticks(c));
+    }
+    SimConfig::new(IdentityAssignment::round_robin(n, 2), sched, model(kind)).with_seed(seed)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, .. ProptestConfig::default() })]
 
-    /// Event engine, plain process: batched and legacy paths agree byte
-    /// for byte under random models, seeds, crash times and scripts.
+    /// Event engine, plain process: `Engine` and the reference
+    /// interpreter agree byte for byte under random models, seeds, crash
+    /// times and scripts.
     #[test]
     fn batched_equals_legacy_event_engine(
         seed in any::<u64>(),
@@ -150,32 +192,18 @@ proptest! {
         lose in 0u8..60,
         crash in proptest::option::weighted(0.4, 0u64..20),
     ) {
-        let scenario = scenario(n, split, heal, lose);
-        let run = |legacy: bool| {
-            let mut sched = FailureSchedule::none(n);
-            if let Some(c) = crash {
-                sched = sched.with_crash(n - 1, Time::from_ticks(c));
-            }
-            let cfg = SimConfig::new(IdentityAssignment::round_robin(n, 2), sched, model(kind))
-                .with_seed(seed)
-                .with_legacy_hot_path(legacy);
-            let cfg = scenario.install(cfg).expect("valid scenario");
-            let mut engine = Engine::new(cfg, |_, _| Echo { cap: 4 });
-            engine.enable_trace(200_000);
-            engine.run_until(Time::from_ticks(400));
-            (
-                engine.trace().expect("enabled").clone(),
-                engine.histories().to_vec(),
-                engine.metrics().clone(),
-                engine.now(),
-            )
-        };
-        prop_assert_eq!(run(false), run(true));
+        let cfg = scenario(n, split, heal, lose)
+            .install(echo_config(seed, kind, n, crash))
+            .expect("valid scenario");
+        let (engine, reference) = run_both(cfg, |_, _| Echo { cap: 4 }, 400);
+        prop_assert_eq!(observed!(engine), observed!(reference));
     }
 
     /// Event engine, full Figure 6 + Figure 8 stack (the shape the chaos
-    /// sweeps drive): batched and legacy paths agree byte for byte, with
-    /// decisions included.
+    /// sweeps drive): `Engine` and the reference interpreter agree byte
+    /// for byte, with decisions included. Figure 8 processes halt as
+    /// they decide, so the all-correct-decided stop condition ends both
+    /// runs at the same event.
     #[test]
     fn batched_equals_legacy_consensus_stack(
         seed in any::<u64>(),
@@ -184,39 +212,35 @@ proptest! {
         lose in 0u8..50,
     ) {
         let n = 4;
-        let scenario = scenario(n, 2, heal, lose);
-        let run = |legacy: bool| {
-            let cfg = SimConfig::new(
-                IdentityAssignment::round_robin(n, 2),
-                FailureSchedule::none(n),
-                model(kind),
-            )
-            .with_seed(seed)
-            .with_legacy_hot_path(legacy);
-            let cfg = scenario.install(cfg).expect("valid scenario");
-            let mut engine = Engine::new(cfg, |p, _| fig8_node(100 + p as u64, n, 1));
-            engine.enable_trace(500_000);
-            engine.run_until_all_correct_decided(Time::from_ticks(5_000));
-            (
-                engine.trace().expect("enabled").clone(),
-                engine.decisions().to_vec(),
-                engine.metrics().clone(),
-            )
-        };
-        prop_assert_eq!(run(false), run(true));
+        let cfg = SimConfig::new(
+            IdentityAssignment::round_robin(n, 2),
+            FailureSchedule::none(n),
+            model(kind),
+        )
+        .with_seed(seed);
+        let cfg = scenario(n, 2, heal, lose).install(cfg).expect("valid scenario");
+        let deadline = Time::from_ticks(5_000);
+        let mut engine = Engine::new(cfg.clone(), |p, _| fig8_node(100 + p as u64, n, 1));
+        engine.enable_trace(500_000);
+        engine.run_until_all_correct_decided(deadline);
+        let mut reference = ReferenceEngine::new(cfg, |p, _| fig8_node(100 + p as u64, n, 1));
+        reference.enable_trace(500_000);
+        reference.run_with(deadline, ReferenceEngine::all_correct_decided);
+        prop_assert_eq!(observed!(engine), observed!(reference));
     }
 
     /// Event engine, Byzantine-tolerant quorum-certificate stack under
     /// an **active** Byzantine script (all four clause kinds on top of
-    /// the link faults): batched and legacy paths agree byte for byte,
-    /// decisions included — the tolerant stack's certificate bookkeeping
-    /// (admission ledgers, echo certificates, detect-and-discard) rides
-    /// the same deterministic hot-path contract as the crash stacks.
-    /// The comparison runs to a **fixed horizon**: tolerant processes
-    /// never halt on decision (decide echoes keep flowing), and the
-    /// all-correct-decided stop condition is checked per batch on one
-    /// path and per event on the other, so only a time-based goal pins
-    /// the same final instant on both.
+    /// the link faults): `Engine` and the reference interpreter agree
+    /// byte for byte, decisions included — the tolerant stack's
+    /// certificate bookkeeping (admission ledgers, echo certificates,
+    /// detect-and-discard) rides the same deterministic dispatch
+    /// contract as the crash stacks. The comparison runs to a **fixed
+    /// horizon**: tolerant processes never halt on decision (decide
+    /// echoes keep flowing), and the all-correct-decided stop condition
+    /// is checked per batch by the engine and per event by the
+    /// interpreter, so only a time-based goal pins the same final
+    /// instant on both.
     #[test]
     fn batched_equals_legacy_tolerant_stack_under_attack(
         seed in any::<u64>(),
@@ -227,30 +251,23 @@ proptest! {
     ) {
         let n = 5;
         let assign = IdentityAssignment::round_robin(n, 2);
-        let scenario = scenario(n, 2, heal, 0).with_clause(byz_clause(n, byz_kind, victims));
-        let run = |legacy: bool| {
-            let cfg = SimConfig::new(assign.clone(), FailureSchedule::none(n), model(kind))
-                .with_seed(seed)
-                .with_legacy_hot_path(legacy);
-            let cfg = scenario.install(cfg).expect("valid scenario");
-            let mut engine = Engine::new(cfg, |p, _| byz_tolerant_node(100 + p as u64, &assign));
-            engine.enable_trace(500_000);
-            engine.run_until(Time::from_ticks(800));
-            (
-                engine.trace().expect("enabled").clone(),
-                engine.decisions().to_vec(),
-                engine.metrics().clone(),
-            )
-        };
-        prop_assert_eq!(run(false), run(true));
+        let cfg = SimConfig::new(assign.clone(), FailureSchedule::none(n), model(kind))
+            .with_seed(seed);
+        let cfg = scenario(n, 2, heal, 0)
+            .with_clause(byz_clause(n, byz_kind, victims))
+            .install(cfg)
+            .expect("valid scenario");
+        let node = |p: usize, _| byz_tolerant_node(100 + p as u64, &assign);
+        let (engine, reference) = run_both(cfg, node, 800);
+        prop_assert_eq!(observed!(engine), observed!(reference));
     }
 
     /// An **empty or never-activating** `ByzantineScript` is fully
     /// transparent: installing it leaves traces, histories, metrics and
     /// final clocks byte-identical to a run with no script at all — on
-    /// both hot paths of the event engine, under every network model,
-    /// and on the lock-step engine. This is the determinism half of the
-    /// payload-mutation hook's contract.
+    /// the event engine and the reference interpreter, under every
+    /// network model, and on the lock-step engine. This is the
+    /// determinism half of the payload-mutation hook's contract.
     #[test]
     fn inactive_byzantine_script_is_transparent(
         seed in any::<u64>(),
@@ -267,37 +284,25 @@ proptest! {
             src: ProcSet::all(n),
             effect: ByzEffect::Equivocate { victims: ProcSet::all(n) },
         });
-        let run = |byz: Option<&ByzantineScript>, legacy: bool| {
-            let mut sched = FailureSchedule::none(n);
-            if let Some(c) = crash {
-                sched = sched.with_crash(n - 1, Time::from_ticks(c));
+        let config = |byz: Option<&ByzantineScript>| {
+            let cfg = echo_config(seed, kind, n, crash);
+            match byz {
+                Some(b) => cfg.with_byzantine(b.clone()),
+                None => cfg,
             }
-            let mut cfg = SimConfig::new(IdentityAssignment::round_robin(n, 2), sched, model(kind))
-                .with_seed(seed)
-                .with_legacy_hot_path(legacy);
-            if let Some(b) = byz {
-                cfg = cfg.with_byzantine(b.clone());
-            }
-            let mut engine = Engine::new(cfg, |_, _| Echo { cap: 4 });
-            engine.enable_trace(200_000);
-            engine.run_until(Time::from_ticks(400));
-            (
-                engine.trace().expect("enabled").clone(),
-                engine.histories().to_vec(),
-                engine.metrics().clone(),
-                engine.now(),
-            )
         };
-        for legacy in [false, true] {
-            let base = run(None, legacy);
-            prop_assert_eq!(&run(Some(&empty), legacy), &base, "empty script, legacy={}", legacy);
-            prop_assert_eq!(&run(Some(&dormant), legacy), &base, "dormant script, legacy={}", legacy);
-        }
+        let run = |byz: Option<&ByzantineScript>| {
+            let (engine, reference) = run_both(config(byz), |_, _| Echo { cap: 4 }, 400);
+            (observed!(engine), observed!(reference))
+        };
+        let (base, base_reference) = run(None);
+        prop_assert_eq!(&base_reference, &base, "reference, no script");
+        prop_assert_eq!(run(Some(&empty)), (base.clone(), base.clone()), "empty script");
+        prop_assert_eq!(run(Some(&dormant)), (base.clone(), base), "dormant script");
         // Lock-step engine: same contract.
-        let sync_run = |byz: Option<&ByzantineScript>, legacy: bool| {
+        let sync_run = |byz: Option<&ByzantineScript>| {
             let mut cfg = SyncConfig::new(IdentityAssignment::anonymous(n), FailureSchedule::none(n))
-                .with_seed(seed)
-                .with_legacy_hot_path(legacy);
+                .with_seed(seed);
             if let Some(b) = byz {
                 cfg = cfg.with_byzantine(b.clone());
             }
@@ -305,17 +310,18 @@ proptest! {
             engine.run_steps(12);
             (engine.histories().to_vec(), engine.metrics().clone())
         };
-        for legacy in [false, true] {
-            let base = sync_run(None, legacy);
-            prop_assert_eq!(&sync_run(Some(&empty), legacy), &base);
-            prop_assert_eq!(&sync_run(Some(&dormant), legacy), &base);
-        }
+        let base = sync_run(None);
+        prop_assert_eq!(&sync_run(Some(&empty)), &base);
+        prop_assert_eq!(&sync_run(Some(&dormant)), &base);
     }
 
     /// Event engine under an **active** Byzantine attack (all four clause
-    /// kinds, on top of the link faults): the batched and legacy paths
+    /// kinds, on top of the link faults), with an optional crash of the
+    /// **corrupt sender itself**: `Engine` and the reference interpreter
     /// still agree byte for byte — forging and suppression are accounted
-    /// at routing time on both.
+    /// at routing time by both, including on the dying sender's
+    /// final-step partial broadcast, whose mask draws interleave with
+    /// the routing draws per copy.
     #[test]
     fn batched_equals_legacy_under_byzantine_attack(
         seed in any::<u64>(),
@@ -324,88 +330,33 @@ proptest! {
         n in 3usize..6,
         victims in 1usize..4,
         heal in 1u64..20,
+        crash in proptest::option::weighted(0.4, 2u64..20),
     ) {
-        let scenario = scenario(n, 2, heal, 0).with_clause(byz_clause(n, byz_kind, victims));
-        let run = |legacy: bool| {
-            let cfg = SimConfig::new(
-                IdentityAssignment::round_robin(n, 2),
-                FailureSchedule::none(n),
-                model(kind),
-            )
-            .with_seed(seed)
-            .with_legacy_hot_path(legacy);
-            let cfg = scenario.install(cfg).expect("valid scenario");
-            let mut engine = Engine::new(cfg, |_, _| Echo { cap: 4 });
-            engine.enable_trace(200_000);
-            engine.run_until(Time::from_ticks(400));
-            (
-                engine.trace().expect("enabled").clone(),
-                engine.histories().to_vec(),
-                engine.metrics().clone(),
-            )
-        };
-        let (trace, histories, metrics) = run(false);
-        prop_assert_eq!(&(trace, histories, metrics.clone()), &run(true));
+        // `byz_clause` makes process 0 the corrupt sender from tick 1 on.
+        let mut sched = FailureSchedule::none(n);
+        if let Some(c) = crash {
+            sched = sched.with_crash(0, Time::from_ticks(c));
+        }
+        let cfg = SimConfig::new(IdentityAssignment::round_robin(n, 2), sched, model(kind))
+            .with_seed(seed);
+        let cfg = scenario(n, 2, heal, 0)
+            .with_clause(byz_clause(n, byz_kind, victims))
+            .install(cfg)
+            .expect("valid scenario");
+        let (engine, reference) = run_both(cfg, |_, _| Echo { cap: 4 }, 400);
+        prop_assert_eq!(observed!(engine), observed!(reference));
         // The attack must actually have touched copies for most kinds
         // (replay degenerates to pass-through before the first cached
-        // broadcast, so only suppression/forging kinds are asserted).
-        if byz_kind % 4 != 2 {
+        // broadcast, and a sender crashing early may never broadcast
+        // inside the window, so only crash-free suppression/forging
+        // runs are asserted).
+        let metrics = engine.metrics();
+        if byz_kind % 4 != 2 && crash.is_none() {
             prop_assert!(
                 metrics.copies_forged + metrics.copies_suppressed > 0,
                 "an active clause never fired: {:?}",
                 metrics
             );
         }
-    }
-
-    /// Lock-step engine under an active Byzantine attack: recycled and
-    /// legacy buffer disciplines agree, and the hook's metrics match.
-    #[test]
-    fn sync_engine_agrees_under_byzantine_attack(
-        seed in any::<u64>(),
-        byz_kind in 0u8..4,
-        n in 3usize..6,
-        victims in 1usize..4,
-        heal in 2u64..10,
-    ) {
-        let scenario = scenario(n, 2, heal, 0).with_clause(byz_clause(n, byz_kind, victims));
-        let run = |legacy: bool| {
-            let cfg = SyncConfig::new(IdentityAssignment::anonymous(n), FailureSchedule::none(n))
-                .with_seed(seed)
-                .with_legacy_hot_path(legacy);
-            let cfg = scenario.install_sync(cfg).expect("valid scenario");
-            let mut engine = SyncEngine::new(cfg, |_, _| StepCounter);
-            engine.run_steps(heal + 6);
-            (engine.histories().to_vec(), engine.metrics().clone())
-        };
-        prop_assert_eq!(run(false), run(true));
-    }
-
-    /// Lock-step engine: the recycled-buffer discipline matches the
-    /// fresh-buffer legacy discipline byte for byte under scripts.
-    #[test]
-    fn batched_equals_legacy_sync_engine(
-        seed in any::<u64>(),
-        n in 2usize..6,
-        split in 1usize..5,
-        heal in 2u64..12,
-        lose in 0u8..60,
-        crash in proptest::option::weighted(0.4, 0u64..8),
-    ) {
-        let scenario = scenario(n, split, heal, lose);
-        let run = |legacy: bool| {
-            let mut sched = FailureSchedule::none(n);
-            if let Some(c) = crash {
-                sched = sched.with_crash(0, Time::from_ticks(c));
-            }
-            let cfg = SyncConfig::new(IdentityAssignment::anonymous(n), sched)
-                .with_seed(seed)
-                .with_legacy_hot_path(legacy);
-            let cfg = scenario.install_sync(cfg).expect("valid scenario");
-            let mut engine = SyncEngine::new(cfg, |_, _| StepCounter);
-            engine.run_steps(heal + 6);
-            (engine.histories().to_vec(), engine.metrics().clone())
-        };
-        prop_assert_eq!(run(false), run(true));
     }
 }

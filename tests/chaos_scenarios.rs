@@ -4,13 +4,14 @@
 
 use homonym::chaos::session::SessionBuilder;
 use homonym::chaos::sweep::{
-    falsification_sweep, falsification_sweep_forked, replay_byzantine_counterexample, StackKind,
-    SweepConfig,
+    falsification_sweep, falsification_sweep_forked, fig8_node, replay_byzantine_counterexample,
+    StackKind, SweepConfig,
 };
 use homonym::chaos::{FaultClause, GstPlacement, PartitionMode, Scenario};
 use homonym::consensus::{classify_fig8, Fig8Msg};
 use homonym::detectors::evt_hp::EvtHpMsg;
 use homonym::prelude::*;
+use homonym::sim::reference::ReferenceEngine;
 
 fn classify(msg: &Either<EvtHpMsg, Fig8Msg>) -> &'static str {
     match msg {
@@ -35,34 +36,49 @@ fn even_split(n: usize, heal: u64) -> Scenario {
         })
 }
 
-fn run_stack(
-    scenario: &Scenario,
-    n: usize,
-    seed: u64,
-    deadline: Time,
-    legacy: bool,
-) -> (Trace, Vec<Option<(Time, u64)>>, FailureSchedule) {
-    let mut session = SessionBuilder::new(n, 3)
+fn stack_builder(scenario: &Scenario, n: usize, seed: u64, deadline: Time) -> SessionBuilder {
+    SessionBuilder::new(n, 3)
         .with_seed(seed)
         .with_scenario(scenario.clone())
-        .with_legacy_hot_path(legacy)
         .with_trace(500_000)
         .with_deadline(deadline)
-        .fig8();
+}
+
+type StackRun = (Trace, Vec<Option<(Time, u64)>>, Metrics);
+
+fn run_stack(scenario: &Scenario, n: usize, seed: u64, deadline: Time) -> StackRun {
+    let mut session = stack_builder(scenario, n, seed, deadline).fig8();
     session.engine_mut().set_classifier(classify);
     session.run();
     let engine = session.engine();
     (
         engine.trace().expect("enabled").clone(),
         engine.decisions().to_vec(),
-        engine.config().sched.clone(),
+        engine.metrics().clone(),
     )
 }
 
-/// The hot-path trace-equality guarantee extends to adversarial runs:
-/// same seed + same scenario script ⇒ byte-identical trace on the
-/// calendar-queue and legacy paths, across scenario shapes (queued
-/// partition, drop partition + crash, churn + overlay).
+/// The same Figure 6 + Figure 8 run on the naive reference interpreter
+/// (Figure 8 processes halt as they decide, so the first-decision goal
+/// stops both at the same event).
+fn run_stack_reference(scenario: &Scenario, n: usize, seed: u64, deadline: Time) -> StackRun {
+    let cfg = stack_builder(scenario, n, seed, deadline).sim_config();
+    let t = (n - 1) / 2;
+    let mut reference = ReferenceEngine::new(cfg, |p, _| fig8_node(100 + p as u64, n, t));
+    reference.set_classifier(classify);
+    reference.enable_trace(500_000);
+    reference.run_with(deadline, ReferenceEngine::all_correct_decided);
+    (
+        reference.trace().expect("enabled").clone(),
+        reference.decisions().to_vec(),
+        reference.metrics().clone(),
+    )
+}
+
+/// The reference-interpreter equality extends to adversarial runs: same
+/// seed + same scenario script ⇒ byte-identical trace, decisions and
+/// metrics on the engine and the interpreter, across scenario shapes
+/// (queued partition, drop partition + crash, churn + overlay).
 #[test]
 fn scenario_runs_dispatch_identically_on_both_hot_paths() {
     let n = 8;
@@ -101,17 +117,19 @@ fn scenario_runs_dispatch_identically_on_both_hot_paths() {
     for scenario in &scenarios {
         for seed in [3u64, 19] {
             let deadline = Time::from_ticks(40_000);
-            let (trace_new, decisions_new, _) = run_stack(scenario, n, seed, deadline, false);
-            let (trace_legacy, decisions_legacy, _) = run_stack(scenario, n, seed, deadline, true);
+            let (trace, decisions, metrics) = run_stack(scenario, n, seed, deadline);
+            let (trace_ref, decisions_ref, metrics_ref) =
+                run_stack_reference(scenario, n, seed, deadline);
             assert_eq!(
-                decisions_new, decisions_legacy,
+                decisions, decisions_ref,
                 "decisions diverged for seed {seed} under {scenario}"
             );
             assert_eq!(
-                trace_new, trace_legacy,
+                trace, trace_ref,
                 "dispatch order diverged for seed {seed} under {scenario}"
             );
-            assert!(!trace_new.events().is_empty());
+            assert_eq!(metrics, metrics_ref, "seed {seed} under {scenario}");
+            assert!(!trace.events().is_empty());
         }
     }
 }
@@ -127,7 +145,8 @@ fn liveness_fails_pre_heal_and_holds_post_heal() {
     let proposals: Vec<u64> = (0..n as u64).map(|i| 100 + i).collect();
 
     // Truncated run: cut just before the heal.
-    let (_, decisions_pre, sched) = run_stack(&scenario, n, 5, Time::from_ticks(heal - 1), false);
+    let sched = FailureSchedule::none(n); // `even_split` crashes no one
+    let (_, decisions_pre, _) = run_stack(&scenario, n, 5, Time::from_ticks(heal - 1));
     let pre = check_consensus(
         &ConsensusOutcome {
             proposals: proposals.clone(),
@@ -144,7 +163,7 @@ fn liveness_fails_pre_heal_and_holds_post_heal() {
     }
 
     // Full run: generous post-heal window.
-    let (_, decisions_full, sched) = run_stack(&scenario, n, 5, Time::from_ticks(40_000), false);
+    let (_, decisions_full, _) = run_stack(&scenario, n, 5, Time::from_ticks(40_000));
     let full = check_consensus(
         &ConsensusOutcome {
             proposals,
@@ -239,11 +258,12 @@ fn single_variant_sweeps_match_on_both_executors() {
     assert_eq!(flat, falsification_sweep_forked(&cfg));
 }
 
-/// The hot-path trace-equality guarantee extends to **Byzantine** runs:
+/// The reference-interpreter equality extends to **Byzantine** runs:
 /// same seed + same scenario (equivocation plus a crash plus a selective
-/// suppressor) ⇒ byte-identical trace and decisions on both paths of
-/// the full Figure 6 + Figure 8 stack, with the attack demonstrably
-/// active (forged or suppressed copies in the metrics).
+/// suppressor) ⇒ byte-identical trace, decisions and metrics on the
+/// engine and the interpreter for the full Figure 6 + Figure 8 stack,
+/// with the attack demonstrably active (forged or suppressed copies in
+/// the metrics).
 #[test]
 fn byzantine_runs_dispatch_identically_on_both_hot_paths() {
     let n = 8;
@@ -267,28 +287,11 @@ fn byzantine_runs_dispatch_identically_on_both_hot_paths() {
         .with_gst(GstPlacement::At(Time::from_ticks(60)));
     for seed in [2u64, 23] {
         let deadline = Time::from_ticks(20_000);
-        let run = |legacy: bool| {
-            let mut session = SessionBuilder::new(n, 3)
-                .with_seed(seed)
-                .with_scenario(scenario.clone())
-                .with_legacy_hot_path(legacy)
-                .with_trace(500_000)
-                .with_deadline(deadline)
-                .fig8();
-            session.engine_mut().set_classifier(classify);
-            session.run();
-            let engine = session.engine();
-            (
-                engine.trace().expect("enabled").clone(),
-                engine.decisions().to_vec(),
-                engine.metrics().clone(),
-            )
-        };
-        let (trace, decisions, metrics) = run(false);
+        let (trace, decisions, metrics) = run_stack(&scenario, n, seed, deadline);
         assert_eq!(
             (trace, decisions, metrics.clone()),
-            run(true),
-            "hot paths diverged under Byzantine attack, seed {seed}"
+            run_stack_reference(&scenario, n, seed, deadline),
+            "engine and interpreter diverged under Byzantine attack, seed {seed}"
         );
         assert!(
             metrics.copies_forged > 0,

@@ -2,17 +2,20 @@
 //! across random seeds, network models, link-fault scripts and active
 //! `ByzantineScript`s, attaching the `homonym-obs` recorder must not
 //! change a single dispatched byte — same traces, same histories, same
-//! metrics, same decisions — on both engines and both hot paths; and the
+//! metrics, same decisions — on both engines, and the event engine's
+//! recorder contents must equal the reference interpreter's; and the
 //! recorder's own state must round-trip through `EngineSnapshot` /
 //! `SyncSnapshot` at random cut points (a restored run re-records
 //! exactly the events the uninterrupted run recorded).
 
 use homonym::chaos::session::{Goal, SessionBuilder};
+use homonym::chaos::sweep::byz_tolerant_node;
 use homonym::chaos::{
     classify_byz_stack, round_of_byz_stack, FaultClause, PartitionMode, Scenario,
 };
 use homonym::detectors::h_sigma_sync::HSigmaSyncProcess;
 use homonym::prelude::*;
+use homonym::sim::reference::ReferenceEngine;
 use homonym::sim::sync_engine::SyncEngine;
 use proptest::prelude::*;
 
@@ -97,9 +100,11 @@ proptest! {
     /// Event engine, Byzantine-tolerant detector + consensus stack under
     /// an active attack: the run with the recorder attached dispatches
     /// the **byte-identical** schedule of the run without — same trace,
-    /// same decisions, same metrics — on both hot paths, and the
-    /// attached recorder actually captures events (the zero-cost claim
-    /// is about dispatch, not about recording nothing).
+    /// same decisions, same metrics — and the attached recorder actually
+    /// captures events (the zero-cost claim is about dispatch, not about
+    /// recording nothing). The reference interpreter, recorder on or
+    /// off, agrees with both — recorder contents included, so the
+    /// observe channel rides the dispatch-equality contract too.
     #[test]
     fn recorder_attached_is_byte_identical_event_engine(
         seed in any::<u64>(),
@@ -110,16 +115,15 @@ proptest! {
         lose in 0u8..40,
     ) {
         let n = 5;
-        let scenario = scenario(n, heal, lose, byz_kind, victims);
-        let run = |legacy: bool, record: bool| {
-            let mut builder = SessionBuilder::new(n, 2)
-                .with_seed(seed)
-                .with_network(model(kind))
-                .with_scenario(scenario.clone())
-                .with_legacy_hot_path(legacy)
-                .with_trace(500_000)
-                .with_goal(Goal::TickHorizon)
-                .with_deadline_ticks(500);
+        let builder = SessionBuilder::new(n, 2)
+            .with_seed(seed)
+            .with_network(model(kind))
+            .with_scenario(scenario(n, heal, lose, byz_kind, victims))
+            .with_trace(500_000)
+            .with_goal(Goal::TickHorizon)
+            .with_deadline_ticks(500);
+        let run = |record: bool| {
+            let mut builder = builder.clone();
             if record {
                 builder = builder.with_recorder(500_000);
             }
@@ -127,36 +131,51 @@ proptest! {
             session.engine_mut().set_classifier(classify_byz_stack);
             session.engine_mut().set_round_extractor(round_of_byz_stack);
             session.run();
-            let engine = session.engine_mut();
-            let recorded = engine.take_recorder().map(|r| r.events().len());
+            let engine = session.engine();
             (
                 engine.trace().expect("enabled").clone(),
                 engine.decisions().to_vec(),
                 engine.metrics().clone(),
-                recorded,
+                engine.recorder().map(|r| r.events().to_vec()),
             )
         };
-        for legacy in [false, true] {
-            let (trace, decisions, metrics, none) = run(legacy, false);
-            let (trace_r, decisions_r, metrics_r, recorded) = run(legacy, true);
-            prop_assert_eq!(none, None);
-            prop_assert_eq!(&trace, &trace_r, "trace diverged, legacy={}", legacy);
-            prop_assert_eq!(&decisions, &decisions_r);
-            prop_assert_eq!(&metrics, &metrics_r);
-            prop_assert!(
-                recorded.expect("recorder was enabled") > 0,
-                "the instrumented stack recorded nothing, legacy={}", legacy
-            );
-        }
-        // Batched vs legacy with the recorder **on**: the observe
-        // channel rides the hot-path equality contract too.
-        prop_assert_eq!(run(false, true), run(true, true));
+        let run_reference = |record: bool| {
+            let assign = builder.assignment();
+            let mut reference = ReferenceEngine::new(builder.sim_config(), |p, _| {
+                byz_tolerant_node(100 + p as u64, &assign)
+            });
+            reference.set_classifier(classify_byz_stack);
+            reference.set_round_extractor(round_of_byz_stack);
+            reference.enable_trace(500_000);
+            if record {
+                reference.enable_recorder(500_000);
+            }
+            reference.run_until(Time::from_ticks(500));
+            (
+                reference.trace().expect("enabled").clone(),
+                reference.decisions().to_vec(),
+                reference.metrics().clone(),
+                reference.recorder().map(|r| r.events().to_vec()),
+            )
+        };
+        let (trace, decisions, metrics, none) = run(false);
+        let (trace_r, decisions_r, metrics_r, recorded) = run(true);
+        prop_assert_eq!(&none, &None);
+        prop_assert_eq!(&trace, &trace_r, "trace diverged with the recorder attached");
+        prop_assert_eq!(&decisions, &decisions_r);
+        prop_assert_eq!(&metrics, &metrics_r);
+        prop_assert!(
+            !recorded.as_ref().expect("recorder was enabled").is_empty(),
+            "the instrumented stack recorded nothing"
+        );
+        prop_assert_eq!(run_reference(false), (trace, decisions, metrics, none));
+        prop_assert_eq!(run_reference(true), (trace_r, decisions_r, metrics_r, recorded));
     }
 
     /// Lock-step engine, Figure 7 `HΣ` process under an active attack:
     /// histories and metrics are byte-identical with and without the
-    /// recorder, on both buffer disciplines, and the recorder captures
-    /// the per-step detector-epoch events.
+    /// recorder, and the recorder captures the per-step detector-epoch
+    /// events.
     #[test]
     fn recorder_attached_is_byte_identical_sync_engine(
         seed in any::<u64>(),
@@ -167,11 +186,10 @@ proptest! {
         steps in 6u64..16,
     ) {
         let scenario = scenario(n, heal, 0, byz_kind, victims);
-        let run = |legacy: bool, record: bool| {
+        let run = |record: bool| {
             let mut builder = SessionBuilder::new(n, 2)
                 .with_seed(seed)
                 .with_scenario(scenario.clone())
-                .with_legacy_hot_path(legacy)
                 .with_deadline_ticks(steps);
             if record {
                 builder = builder.with_recorder(100_000);
@@ -182,19 +200,16 @@ proptest! {
             let recorded = engine.take_recorder().map(|r| r.events().len());
             (engine.histories().to_vec(), engine.metrics().clone(), recorded)
         };
-        for legacy in [false, true] {
-            let (hist, metrics, none) = run(legacy, false);
-            let (hist_r, metrics_r, recorded) = run(legacy, true);
-            prop_assert_eq!(none, None);
-            prop_assert_eq!(&hist, &hist_r, "histories diverged, legacy={}", legacy);
-            prop_assert_eq!(&metrics, &metrics_r);
-            // Every alive process observes one DetectorEpoch per step.
-            prop_assert!(
-                recorded.expect("recorder was enabled") >= n,
-                "the sync recorder captured too little, legacy={}", legacy
-            );
-        }
-        prop_assert_eq!(run(false, true), run(true, true));
+        let (hist, metrics, none) = run(false);
+        let (hist_r, metrics_r, recorded) = run(true);
+        prop_assert_eq!(none, None);
+        prop_assert_eq!(&hist, &hist_r, "histories diverged with the recorder attached");
+        prop_assert_eq!(&metrics, &metrics_r);
+        // Every alive process observes one DetectorEpoch per step.
+        prop_assert!(
+            recorded.expect("recorder was enabled") >= n,
+            "the sync recorder captured too little"
+        );
     }
 
     /// Recorder state round-trips through `EngineSnapshot`: a run cut at
@@ -211,13 +226,11 @@ proptest! {
     ) {
         let n = 5;
         let scenario = scenario(n, heal, 0, byz_kind, 2);
-        let legacy = seed % 2 == 0;
         let mk = || {
             let mut session = SessionBuilder::new(n, 2)
                 .with_seed(seed)
                 .with_network(model(kind))
                 .with_scenario(scenario.clone())
-                .with_legacy_hot_path(legacy)
                 .with_trace(500_000)
                 .with_recorder(500_000)
                 .byz_tolerant();
@@ -262,12 +275,10 @@ proptest! {
         steps in 10u64..18,
     ) {
         let scenario = scenario(n, heal, 0, byz_kind, 2);
-        let legacy = seed % 2 == 0;
         let mk = || {
             SessionBuilder::new(n, 2)
                 .with_seed(seed)
                 .with_scenario(scenario.clone())
-                .with_legacy_hot_path(legacy)
                 .with_recorder(100_000)
                 .sync_hsigma()
                 .into_engine()

@@ -3,18 +3,20 @@
 //!
 //! * the acceptance bar — ≥100 heights committed under leader churn
 //!   with agreement on every log prefix across correct homonyms;
-//! * hot-path equivalence — fixed-horizon runs dispatch identical event
-//!   counts and produce identical logs on the batched and legacy paths;
+//! * reference equivalence — a fixed-horizon run under leader churn is
+//!   byte-identical (trace, metrics, recorder contents, logs) to the
+//!   naive reference interpreter's;
 //! * snapshot/fork properties — forks taken mid-height **and exactly at
 //!   a height boundary** continue byte-identically, the resumed log
-//!   matches flat execution on both hot paths, and [`PrefixSweeper`]
-//!   forks over log-service items agree with their flat baselines.
+//!   matches flat execution, and [`PrefixSweeper`] forks over
+//!   log-service items agree with their flat baselines.
 
 use homonym::chaos::generators::leader_churn_across_heights;
-use homonym::chaos::session::{Goal, RsmNode, SessionBuilder};
+use homonym::chaos::session::{rsm_node, Goal, RsmNode, SessionBuilder};
 use homonym::chaos::sweep::hps_base;
 use homonym::consensus::rsm::LogEntry;
 use homonym::prelude::*;
+use homonym::sim::reference::ReferenceEngine;
 use homonym::sim::workload::{ArrivalModel, KeySkew, WorkloadConfig};
 use homonym::sim::Engine;
 use proptest::prelude::*;
@@ -92,29 +94,46 @@ fn fig8_log_service_survives_flapping_partitions() {
     assert!(session.prefix_violation().is_none());
 }
 
-/// Fixed-horizon runs are the hot-path comparison surface: identical
-/// event counts and identical logs on the batched and legacy paths,
-/// including under an active churn scenario.
+/// Fixed-horizon runs are the reference-interpreter comparison surface:
+/// under an active churn scenario the engine's full dispatch trace, its
+/// metrics, its recorder contents and every replica's log equal the
+/// naive interpreter's.
 #[test]
 fn hot_paths_agree_on_events_and_logs_under_churn() {
-    let run = |legacy: bool| {
-        let mut session = churn_builder(4, 2, 3)
-            .with_legacy_hot_path(legacy)
-            .with_goal(Goal::TickHorizon)
-            .with_deadline_ticks(6_000)
-            .rsm(&workload());
-        session.run();
-        let logs: Vec<Vec<u64>> = (0..4)
-            .map(|p| session.log_of(p).unwrap_or_default().to_vec())
-            .collect();
-        (session.stats().events, logs)
-    };
-    let (batched_events, batched_logs) = run(false);
-    let (legacy_events, legacy_logs) = run(true);
-    assert_eq!(batched_events, legacy_events, "event counts diverged");
-    assert_eq!(batched_logs, legacy_logs, "logs diverged");
+    let builder = churn_builder(4, 2, 3)
+        .with_goal(Goal::TickHorizon)
+        .with_deadline_ticks(6_000)
+        .with_trace(2_000_000)
+        .with_recorder(2_000_000);
+    let mut session = builder.clone().rsm(&workload());
+    session.run();
+    let engine = session.engine();
+
+    let (assign, queues) = (builder.assignment(), workload().queues(4));
+    let mut reference = ReferenceEngine::new(builder.sim_config(), |p, _| {
+        rsm_node(&assign, queues[p].clone())
+    });
+    reference.enable_trace(2_000_000);
+    reference.enable_recorder(2_000_000);
+    reference.run_until(session.deadline());
+
+    let trace = engine.trace().expect("enabled");
+    assert_eq!(trace.dropped(), 0, "trace capacity too small to compare");
+    assert_eq!(trace, reference.trace().expect("enabled"), "trace diverged");
+    assert_eq!(engine.metrics(), reference.metrics(), "metrics diverged");
+    let recorded = engine.recorder().expect("enabled");
+    assert_eq!(recorded.dropped(), 0, "recorder capacity too small");
+    assert_eq!(
+        recorded.events(),
+        reference.recorder().expect("enabled").events(),
+        "recorder contents diverged"
+    );
+    for p in 0..4 {
+        let log = session.log_of(p).unwrap_or_default();
+        assert_eq!(log, reference.process(p).upper().log(), "replica {p}");
+    }
     assert!(
-        batched_logs.iter().any(|log| !log.is_empty()),
+        (0..4).any(|p| !session.log_of(p).unwrap_or_default().is_empty()),
         "horizon run committed nothing"
     );
 }
@@ -142,13 +161,12 @@ fn rsm_state(engine: &Engine<RsmNode>) -> RsmState {
     )
 }
 
-fn mk_engine(seed: u64, legacy: bool, scenario_seed: u64) -> Engine<RsmNode> {
+fn mk_engine(seed: u64, scenario_seed: u64) -> Engine<RsmNode> {
     churn_builder(4, 2, seed)
         .with_scenario(leader_churn_across_heights(
             &IdentityAssignment::round_robin(4, 2),
             scenario_seed,
         ))
-        .with_legacy_hot_path(legacy)
         .rsm(&workload())
         .into_engine()
 }
@@ -158,21 +176,20 @@ proptest! {
 
     /// A snapshot taken at a random mid-run instant — almost always
     /// mid-height — restored and continued is byte-identical to the
-    /// uninterrupted run, on both hot paths: same logs, same state
-    /// hashes, same metrics, same decisions.
+    /// uninterrupted run: same logs, same state hashes, same metrics,
+    /// same decisions.
     #[test]
     fn rsm_snapshot_restore_is_byte_identical(
         seed in any::<u64>(),
         scenario_seed in 0u64..500,
         cut in 20u64..2_000,
     ) {
-        let legacy = seed % 2 == 0;
         let horizon = Time::from_ticks(4_000);
-        let mut baseline = mk_engine(seed, legacy, scenario_seed);
+        let mut baseline = mk_engine(seed, scenario_seed);
         baseline.run_until(horizon);
         let expected = rsm_state(&baseline);
 
-        let mut engine = mk_engine(seed, legacy, scenario_seed);
+        let mut engine = mk_engine(seed, scenario_seed);
         engine.run_until(Time::from_ticks(cut));
         let snap = engine.snapshot();
         engine.run_until(horizon);
@@ -191,7 +208,7 @@ proptest! {
 
     /// A fork taken **exactly at a height boundary** — the instant some
     /// replica's log first reaches `k` entries — continues
-    /// byte-identically on both hot paths. Height turnover (engine
+    /// byte-identically. Height turnover (engine
     /// replacement, buffered-future drain, timer-stride bump) is the
     /// riskiest instant for fork soundness, so it gets its own cut
     /// placement.
@@ -201,13 +218,12 @@ proptest! {
         scenario_seed in 0u64..500,
         k in 1u64..12,
     ) {
-        let legacy = seed % 2 == 0;
         let horizon = Time::from_ticks(4_000);
-        let mut baseline = mk_engine(seed, legacy, scenario_seed);
+        let mut baseline = mk_engine(seed, scenario_seed);
         baseline.run_until(horizon);
         let expected = rsm_state(&baseline);
 
-        let mut engine = mk_engine(seed, legacy, scenario_seed);
+        let mut engine = mk_engine(seed, scenario_seed);
         // Stop at the first instant replica 0's log holds k entries: a
         // height boundary (or the horizon, if k heights never happen).
         engine.run_with(horizon, |e| e.process(0).upper().log().len() as u64 >= k);
@@ -249,7 +265,7 @@ proptest! {
             let assign = assign.clone();
             let queues = queues.clone();
             move |_item: usize, p: usize, _id: Identity| {
-                homonym::chaos::session::rsm_node(&assign, queues[p].clone())
+                rsm_node(&assign, queues[p].clone())
             }
         };
         let extract = |engine: &mut Engine<RsmNode>, _i: usize| rsm_state(engine);

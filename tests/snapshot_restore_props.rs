@@ -149,8 +149,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 20, .. ProptestConfig::default() })]
 
     /// Event engine, plain process: snapshot at a random mid-run tick
-    /// (both hot paths, all network models, random crash + fault
-    /// scripts), restore, continue — byte-identical to the run that was
+    /// (all network models, random crash + fault scripts), restore, continue — byte-identical to the run that was
     /// never interrupted. Includes the fork-of-a-fork case: the restored
     /// run is snapshotted again later and that snapshot restored into a
     /// fresh arena-backed engine.
@@ -165,7 +164,6 @@ proptest! {
         cut in 1u64..120,
     ) {
         // Derived knobs, to stay within the tuple-strategy arity.
-        let legacy = seed % 2 == 0;
         let second_cut = 1 + seed % 97;
         let split = 1 + (seed % (n as u64 - 1).max(1)) as usize;
         let scenario = scenario(n, split, heal, lose);
@@ -175,8 +173,7 @@ proptest! {
                 sched = sched.with_crash(n - 1, Time::from_ticks(c));
             }
             let cfg = SimConfig::new(IdentityAssignment::round_robin(n, 2), sched, model(kind))
-                .with_seed(seed)
-                .with_legacy_hot_path(legacy);
+                .with_seed(seed);
             let cfg = scenario.install(cfg).expect("valid scenario");
             let mut engine = Engine::new(cfg, |_, _| Echo { cap: 5 });
             engine.enable_trace(200_000);

@@ -5,6 +5,7 @@
 use homonym::consensus::{classify_fig8, Fig8Msg, HOmegaPolicy, MajorityConsensus};
 use homonym::detectors::evt_hp::{EvtHpMsg, EvtHpProcess};
 use homonym::prelude::*;
+use homonym::sim::reference::ReferenceEngine;
 
 type Node = Stacked<EvtHpProcess, MajorityConsensus<HOmegaPolicy<SharedCell<HOmegaOutput>>>>;
 
@@ -22,47 +23,56 @@ fn run(seed: u64) -> (Trace, Vec<Option<(Time, u64)>>) {
             min: Span::TICK,
             max: Span::from_ticks(5),
         }),
-        false,
     )
 }
 
-fn run_on(
-    seed: u64,
-    network: NetworkModel,
-    legacy_hot_path: bool,
-) -> (Trace, Vec<Option<(Time, u64)>>) {
-    let n = 4;
-    let t = 1;
-    let assign = IdentityAssignment::round_robin(n, 2);
-    let sched = FailureSchedule::none(n).with_crash(3, Time::from_ticks(30));
-    let proposals: Vec<u64> = vec![9, 5, 7, 3];
-    let cfg = SimConfig::new(assign, sched, network)
-        .with_seed(seed)
-        .with_legacy_hot_path(legacy_hot_path);
-    let mut engine: Engine<Node> = Engine::new(cfg, |p, _| {
-        let cell: SharedCell<HOmegaOutput> =
-            SharedCell::new(HOmegaOutput::new(Identity::BOTTOM, 1));
-        let detector = EvtHpProcess::new().with_h_omega_mirror(cell.clone());
-        let consensus = MajorityConsensus::new(proposals[p], 4, t, HOmegaPolicy(cell))
-            .with_tick(Span::from_ticks(2));
-        Stacked::new(detector, consensus)
-    });
+const DEADLINE: Time = Time::from_ticks(100_000);
+
+fn config(seed: u64, network: NetworkModel) -> SimConfig {
+    let assign = IdentityAssignment::round_robin(4, 2);
+    let sched = FailureSchedule::none(4).with_crash(3, Time::from_ticks(30));
+    SimConfig::new(assign, sched, network).with_seed(seed)
+}
+
+fn node(p: usize, _id: Identity) -> Node {
+    let proposals: [u64; 4] = [9, 5, 7, 3];
+    let cell: SharedCell<HOmegaOutput> = SharedCell::new(HOmegaOutput::new(Identity::BOTTOM, 1));
+    let detector = EvtHpProcess::new().with_h_omega_mirror(cell.clone());
+    let consensus = MajorityConsensus::new(proposals[p], 4, 1, HOmegaPolicy(cell))
+        .with_tick(Span::from_ticks(2));
+    Stacked::new(detector, consensus)
+}
+
+fn run_on(seed: u64, network: NetworkModel) -> (Trace, Vec<Option<(Time, u64)>>) {
+    let mut engine: Engine<Node> = Engine::new(config(seed, network), node);
     engine.set_classifier(classify);
     engine.enable_trace(500_000);
-    engine.run_until_all_correct_decided(Time::from_ticks(100_000));
+    engine.run_until_all_correct_decided(DEADLINE);
     (
         engine.trace().expect("enabled").clone(),
         engine.decisions().to_vec(),
     )
 }
 
-/// The batched hot path (tick-drained queue, same-`(time, dest)`
-/// delivery batches, fused per-broadcast RNG sampling) must dispatch the
-/// exact event sequence of the per-event legacy path: same trace, byte
-/// for byte, for fixed seeds across all network models — including the
-/// lossy pre-GST `HPS` flavor, whose per-copy loss draws exercise the
-/// batched sampler's stream contract. This is the guarantee that the
-/// batching overhaul changed no figure output.
+/// The same run on the naive reference interpreter.
+fn run_reference(seed: u64, network: NetworkModel) -> (Trace, Vec<Option<(Time, u64)>>) {
+    let mut reference: ReferenceEngine<Node> = ReferenceEngine::new(config(seed, network), node);
+    reference.set_classifier(classify);
+    reference.enable_trace(500_000);
+    reference.run_with(DEADLINE, ReferenceEngine::all_correct_decided);
+    (
+        reference.trace().expect("enabled").clone(),
+        reference.decisions().to_vec(),
+    )
+}
+
+/// The engine (tick-drained queue, same-`(time, dest)` delivery
+/// batches, fused per-broadcast RNG sampling) must dispatch the exact
+/// event sequence of the per-event reference interpreter: same trace,
+/// byte for byte, for fixed seeds across all network models — including
+/// the lossy pre-GST `HPS` flavor, whose per-copy loss draws exercise
+/// the batched sampler's stream contract. This is the guarantee that
+/// batching changes no figure output.
 #[test]
 fn batched_path_matches_legacy_dispatch_order() {
     let models: [NetworkModel; 4] = [
@@ -89,18 +99,18 @@ fn batched_path_matches_legacy_dispatch_order() {
     ];
     for model in models {
         for seed in [1u64, 33, 77] {
-            let (trace_new, decisions_new) = run_on(seed, model.clone(), false);
-            let (trace_legacy, decisions_legacy) = run_on(seed, model.clone(), true);
+            let (trace, decisions) = run_on(seed, model.clone());
+            let (trace_ref, decisions_ref) = run_reference(seed, model.clone());
             assert_eq!(
-                decisions_new, decisions_legacy,
+                decisions, decisions_ref,
                 "decisions diverged for seed {seed} on {model:?}"
             );
             assert_eq!(
-                trace_new, trace_legacy,
+                trace, trace_ref,
                 "dispatch order diverged for seed {seed} on {model:?}"
             );
             assert!(
-                !trace_new.events().is_empty(),
+                !trace.events().is_empty(),
                 "degenerate run for seed {seed} on {model:?}"
             );
         }
@@ -108,7 +118,7 @@ fn batched_path_matches_legacy_dispatch_order() {
 }
 
 /// The skewed-tail distribution (with its clamped straggler boundary)
-/// also dispatches identically on both hot paths.
+/// also dispatches identically on the engine and the interpreter.
 #[test]
 fn batched_path_matches_legacy_on_skewed_tail() {
     let model = NetworkModel::Asynchronous(LatencyDistribution::SkewedTail {
@@ -118,8 +128,8 @@ fn batched_path_matches_legacy_on_skewed_tail() {
     });
     for seed in [5u64, 6] {
         assert_eq!(
-            run_on(seed, model.clone(), false),
-            run_on(seed, model.clone(), true)
+            run_on(seed, model.clone()),
+            run_reference(seed, model.clone())
         );
     }
 }
