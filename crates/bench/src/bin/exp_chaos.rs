@@ -39,22 +39,20 @@
 //! tolerant stack, which must survive every variation.
 //!
 //! Usage: `cargo run --release -p homonym-bench --bin exp_chaos -- [flags]`
-//! Flags (each with an environment equivalent for CI):
-//! * `--checkpoint-dir <dir>` / `CHAOS_CHECKPOINT_DIR=<dir>` — run the
-//!   **kill-tolerant** sweep driver: per-stack progress is checkpointed
-//!   under `<dir>/<stack>/` (atomic, checksummed segment files), so a
-//!   SIGKILL at any instant loses at most the in-flight scenario
-//!   groups;
-//! * `--resume` / `CHAOS_RESUME=1` — reuse verified segments already in
-//!   the checkpoint directory instead of starting fresh (without it the
-//!   directory is cleared first). A directory written by a different
-//!   configuration or binary fails with a clear error and exit code 2,
-//!   never a panic;
-//! * `--spill-budget <bytes>` / `CHAOS_SPILL_BUDGET=<bytes>` — also
-//!   spill cold prefix-tree snapshots to disk past this RAM budget;
-//! * `--verify-resume` / `CHAOS_VERIFY_RESUME=1` — after the
-//!   checkpointed sweep, re-run uninterrupted in RAM and assert the two
-//!   reports are identical (prints a greppable verdict).
+//! Flags:
+//! * `--checkpoint-dir <dir>` — run the **kill-tolerant** sweep driver:
+//!   per-stack progress is checkpointed under `<dir>/<stack>/` (atomic,
+//!   checksummed segment files), so a SIGKILL at any instant loses at
+//!   most the in-flight scenario groups;
+//! * `--resume` — reuse verified segments already in the checkpoint
+//!   directory instead of starting fresh (without it the directory is
+//!   cleared first). A directory written by a different configuration or
+//!   binary fails with a clear error and exit code 2, never a panic;
+//! * `--spill-budget <bytes>` — also spill cold prefix-tree snapshots to
+//!   disk past this RAM budget;
+//! * `--verify-resume` — after the checkpointed sweep, re-run
+//!   uninterrupted in RAM and assert the two reports are identical
+//!   (prints a greppable verdict).
 //!
 //! Environment:
 //! * `CHAOS_SWEEP_SCENARIOS=<k>` — scenarios **per stack** (default 400,
@@ -104,8 +102,8 @@ fn report_row(stack: StackKind, report: &SweepReport) -> Row {
     }
 }
 
-/// Checkpointing knobs, merged from flags and their CI env equivalents
-/// (a flag wins over its variable).
+/// Checkpointing knobs.
+#[derive(Default)]
 struct CheckpointArgs {
     dir: Option<PathBuf>,
     resume: bool,
@@ -114,18 +112,7 @@ struct CheckpointArgs {
 }
 
 fn parse_args() -> CheckpointArgs {
-    let env_flag = |name: &str| std::env::var(name).is_ok_and(|v| v != "0" && !v.is_empty());
-    let mut out = CheckpointArgs {
-        dir: std::env::var("CHAOS_CHECKPOINT_DIR")
-            .ok()
-            .filter(|v| !v.is_empty())
-            .map(PathBuf::from),
-        resume: env_flag("CHAOS_RESUME"),
-        spill_budget: std::env::var("CHAOS_SPILL_BUDGET")
-            .ok()
-            .and_then(|v| v.parse().ok()),
-        verify_resume: env_flag("CHAOS_VERIFY_RESUME"),
-    };
+    let mut out = CheckpointArgs::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| {
@@ -169,16 +156,10 @@ fn main() {
     );
     println!("|---|---|---|---|---|---|---|---|---|---|");
 
-    let stacks = [
-        StackKind::Fig8EvtHp,
-        StackKind::Fig9OracleQuorum,
-        StackKind::EvtHpDetector,
-        StackKind::ByzTolerant,
-    ];
     let mut rows = Vec::new();
     let mut falsified = false;
     let mut fig8_report: Option<SweepReport> = None;
-    for stack in stacks {
+    for stack in StackKind::ALL {
         let cfg = if byzantine {
             SweepConfig::byzantine(stack, per_stack)
         } else {
@@ -256,12 +237,7 @@ fn main() {
                 cex.script
             );
         }
-        if matches!(
-            stack,
-            StackKind::Fig8EvtHp | StackKind::Fig9OracleQuorum | StackKind::ByzTolerant
-        ) && report.probes > 0
-            && report.probe_demonstrations == 0
-        {
+        if stack.runs_probes() && report.probes > 0 && report.probe_demonstrations == 0 {
             falsified = true;
             eprintln!(
                 "\n{}: no pre-heal/post-heal liveness demonstration in {} probes",
@@ -271,7 +247,7 @@ fn main() {
         }
         if byzantine && report.byzantine_demonstrated.is_empty() {
             falsified = true;
-            if stack == StackKind::ByzTolerant {
+            if stack.claims_byzantine_tolerance() {
                 eprintln!(
                     "\n{}: the over-threshold family failed to fell the tolerant stack — \
                      `f >= n/3` coalitions must demonstrate the bound is tight",
@@ -285,7 +261,7 @@ fn main() {
                 );
             }
         }
-        if byzantine && stack == StackKind::ByzTolerant {
+        if byzantine && stack.claims_byzantine_tolerance() {
             // The tolerance claim, both halves: survivals under active
             // corruption inside the envelope, demonstrated falls only
             // past it. Claim-gating in the sweep already turns any

@@ -7,7 +7,7 @@
 //!
 //! Every run in a sweep is a pure function of `(SweepConfig, seed)`:
 //! the engines are deterministic, the scenario generators are pure, and
-//! [`plan_runs`](crate::sweep) expands the run list deterministically.
+//! the sweep's plan expands the run list deterministically.
 //! The unit of checkpointing is therefore the **scenario group** — one
 //! base scenario plus its shared-prefix variants, exactly the unit the
 //! forked executor fans out — and a checkpoint needs to record nothing
@@ -40,16 +40,11 @@
 //! different sweeps into one report.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-use homonym_core::identity::IdentityAssignment;
 use homonym_core::wire;
-use homonym_sim::sweep::parallel_seed_sweep_with;
 use homonym_sim::{read_verified, write_atomic, SpoolStats, StoreError};
 
-use crate::sweep::{
-    aggregate, plan_runs, run_family_forked, ForkedWorkers, RunOutcome, SweepConfig, SweepReport,
-};
+use crate::sweep::{aggregate, run_groups, RunOutcome, SweepConfig, SweepReport};
 
 /// Payload schema of `manifest.ck`. Bump when the manifest layout or
 /// the meaning of a segment changes.
@@ -185,12 +180,9 @@ pub fn checkpointed_falsification_sweep(
     cfg: &SweepConfig,
     ck: &CheckpointConfig,
 ) -> Result<(SweepReport, ResumeStats), StoreError> {
-    assert!(!cfg.families.is_empty(), "sweep needs at least one family");
     std::fs::create_dir_all(&ck.dir)?;
     check_manifest(cfg, &ck.dir)?;
 
-    let assign = IdentityAssignment::round_robin(cfg.n, cfg.l);
-    let runs = plan_runs(cfg, &assign);
     let variants = cfg.variants.max(1);
     let mut stats = ResumeStats {
         groups_total: cfg.scenarios as u64,
@@ -245,40 +237,19 @@ pub fn checkpointed_falsification_sweep(
         .filter(|&g| outcomes[g].is_none())
         .collect();
     stats.groups_executed = pending.len() as u64;
-    let worker_seq = AtomicU64::new(0);
-    let spill_corrupt = AtomicU64::new(0);
-    let executed: Vec<Result<(usize, Vec<RunOutcome>), StoreError>> = parallel_seed_sweep_with(
-        pending.len(),
-        || {
-            let mut workers = ForkedWorkers::new();
-            if let Some(budget) = ck.spill_budget {
-                let w = worker_seq.fetch_add(1, Ordering::Relaxed);
-                workers.enable_spill(&ck.dir.join("spill").join(format!("w{w}")), budget);
-            }
-            workers
-        },
-        |workers, i| {
-            let g = pending[i as usize];
-            let group = &runs[g * variants..(g + 1) * variants];
-            let before = workers.spool_stats().corrupt;
-            let seg = run_family_forked(cfg, &assign, workers, group);
-            write_atomic(
-                &segment_path(&ck.dir, g),
-                SEGMENT_SCHEMA,
-                &wire::to_bytes(&seg),
-            )?;
-            spill_corrupt.fetch_add(
-                workers.spool_stats().corrupt.saturating_sub(before),
-                Ordering::Relaxed,
-            );
-            Ok((g, seg))
-        },
-    );
-    // Spool stats live in worker-local state rayon already dropped;
-    // surface at least the corruption count observed mid-run. (The
-    // spill benchmarks exercise full stats through `PrefixSweeper`
-    // directly.)
-    stats.spill.corrupt = spill_corrupt.load(Ordering::Relaxed);
+    let spill_dir = ck.dir.join("spill");
+    let spill = ck.spill_budget.map(|budget| (spill_dir.as_path(), budget));
+    let (executed, spill_corrupt) = run_groups(cfg, &pending, spill, |g, seg| {
+        write_atomic(
+            &segment_path(&ck.dir, g),
+            SEGMENT_SCHEMA,
+            &wire::to_bytes(&seg),
+        )?;
+        Ok::<_, StoreError>((g, seg))
+    });
+    // Spool stats live in worker-local state already dropped; the
+    // corruption count observed mid-run is what survives.
+    stats.spill.corrupt = spill_corrupt;
     for result in executed {
         let (g, seg) = result?;
         outcomes[g] = Some(seg);
@@ -286,9 +257,8 @@ pub fn checkpointed_falsification_sweep(
 
     // Fold in group order — the same order the one-shot executors use,
     // so the report is identical run for run.
-    let all: Vec<RunOutcome> = outcomes
+    let all = outcomes
         .into_iter()
-        .flat_map(|seg| seg.expect("every group resumed or executed"))
-        .collect();
+        .flat_map(|seg| seg.expect("every group resumed or executed"));
     Ok((aggregate(all), stats))
 }

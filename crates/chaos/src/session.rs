@@ -21,10 +21,11 @@
 //!    [`SessionBuilder::byz_tolerant`], [`SessionBuilder::rsm`], …)
 //!    consumes the builder and returns a typed [`Session`].
 //!
-//! The same surface covers the lock-step engine
-//! ([`SessionBuilder::sync_hsigma`] → [`SyncSession`]), so the
-//! `StackKind` → constructor plumbing lives here exactly once for both
-//! engines.
+//! The terminal constructors of the sweep's four stacks build their
+//! nodes from the sweep's own stack descriptions (`crate::sweep`), so a
+//! session and a sweep run of one stack cannot drift apart. The same
+//! surface covers the lock-step engine ([`SessionBuilder::sync_hsigma`]
+//! → [`SyncSession`]).
 //!
 //! ```
 //! use homonym_chaos::session::{Goal, SessionBuilder};
@@ -53,7 +54,7 @@ use homonym_core::time::{Span, Time};
 use homonym_core::FailureSchedule;
 use homonym_detectors::evt_hp::EvtHpProcess;
 use homonym_detectors::h_sigma_sync::HSigmaSyncProcess;
-use homonym_detectors::oracle::{HOmegaOracle, HSigmaOracle, OracleWorld, PreStability};
+use homonym_detectors::oracle::{HOmegaOracle, HSigmaOracle};
 use homonym_sim::engine::{Engine, SimConfig, StopReason};
 use homonym_sim::network::NetworkModel;
 use homonym_sim::process::Process;
@@ -63,7 +64,8 @@ use homonym_sim::workload::{CommandQueue, WorkloadConfig};
 
 use crate::scenario::Scenario;
 use crate::sweep::{
-    byz_tolerant_node, clean_instant, fig8_node, hps_base, ByzTolerantNode, Fig8Node,
+    clean_instant, default_proposals, hps_base, ByzStack, ByzTolerantNode, DetectorStack, Fig8Node,
+    Fig8Stack, Fig9Stack, Stack,
 };
 
 /// What a [`Session`] runs *toward*.
@@ -273,12 +275,6 @@ impl SessionBuilder {
             .unwrap_or_else(|| IdentityAssignment::round_robin(self.n, self.l))
     }
 
-    fn proposal(&self, p: usize) -> u64 {
-        self.proposals
-            .as_ref()
-            .map_or(100 + p as u64, |props| props[p])
-    }
-
     /// Lowers the builder into an installed event-engine configuration.
     ///
     /// # Panics
@@ -302,9 +298,12 @@ impl SessionBuilder {
     /// vs. GST) — the reference point liveness margins count from.
     #[must_use]
     pub fn stability_instant(&self) -> Time {
-        let cfg = self.sim_config();
+        self.stability_of(&self.sim_config())
+    }
+
+    fn stability_of(&self, cfg: &SimConfig) -> Time {
         match &self.scenario {
-            Some(s) => clean_instant(&cfg, s),
+            Some(s) => clean_instant(cfg, s),
             None => match cfg.network {
                 NetworkModel::PartialSync { gst, .. } => gst,
                 _ => Time::ZERO,
@@ -326,6 +325,14 @@ impl SessionBuilder {
     #[must_use]
     pub fn build<P: Process>(self, factory: impl FnMut(usize, Identity) -> P) -> Session<P> {
         let cfg = self.sim_config();
+        self.build_on(cfg, factory)
+    }
+
+    fn build_on<P: Process>(
+        self,
+        cfg: SimConfig,
+        factory: impl FnMut(usize, Identity) -> P,
+    ) -> Session<P> {
         let mut engine = Engine::new(cfg, factory);
         if let Some(cap) = self.recorder_cap {
             engine.enable_recorder(cap);
@@ -341,49 +348,43 @@ impl SessionBuilder {
         }
     }
 
+    /// A session over one of the sweep's stacks, nodes built by its
+    /// description.
+    fn stack<S: Stack>(mut self) -> Session<S::Node> {
+        let cfg = self.sim_config();
+        let world = S::world(&cfg, self.stability_of(&cfg));
+        let proposals = (self.proposals.take()).unwrap_or_else(|| default_proposals(self.n));
+        self.build_on(cfg, move |p, _| S::node(&world, proposals[p], p))
+    }
+
     // ---- terminal constructors: event engine --------------------------
 
     /// Figure 8 stack: `◇HP`/`HΩ` detector mirrored into majority
     /// consensus (`t = ⌊(n−1)/2⌋`).
     #[must_use]
     pub fn fig8(self) -> Session<Fig8Node> {
-        let n = self.n;
-        let t = (n - 1) / 2;
-        let props: Vec<u64> = (0..n).map(|p| self.proposal(p)).collect();
-        self.build(move |p, _| fig8_node(props[p], n, t))
+        self.stack::<Fig8Stack>()
     }
 
     /// Byzantine-tolerant stack: detector over quorum-certificate
     /// consensus (`n > 3f`).
     #[must_use]
     pub fn byz_tolerant(self) -> Session<ByzTolerantNode> {
-        let assign = self.assignment();
-        let props: Vec<u64> = (0..self.n).map(|p| self.proposal(p)).collect();
-        self.build(move |p, _| byz_tolerant_node(props[p], &assign))
+        self.stack::<ByzStack>()
     }
 
     /// Detector-only stack (no decisions — pair with
     /// [`Goal::TickHorizon`]).
     #[must_use]
     pub fn detector(self) -> Session<EvtHpProcess> {
-        self.build(|_, _| EvtHpProcess::new())
+        self.stack::<DetectorStack>()
     }
 
     /// Figure 9 stack over precomputed `HΩ`/`HΣ` oracles that stabilize
     /// at the builder's [`stability instant`](SessionBuilder::stability_instant).
     #[must_use]
     pub fn fig9_oracle(self) -> Session<QuorumConsensus<HOmegaOracle, HSigmaOracle>> {
-        let stability = self.stability_instant();
-        let cfg = self.sim_config();
-        let world = OracleWorld::new(cfg.sched.clone(), cfg.assign.clone(), stability);
-        let props: Vec<u64> = (0..self.n).map(|p| self.proposal(p)).collect();
-        self.build(move |p, _| {
-            QuorumConsensus::new(
-                props[p],
-                world.h_omega_for(p, PreStability::Chaotic),
-                world.h_sigma_for(p, PreStability::Truthful),
-            )
-        })
+        self.stack::<Fig9Stack>()
     }
 
     /// The replicated log service over the Byzantine-tolerant engine

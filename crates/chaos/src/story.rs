@@ -18,12 +18,11 @@
 //! (asserted by the `obs_props` property suite).
 
 use homonym_consensus::{classify_byz, round_of_byz, ByzMsg};
-use homonym_core::failure::FailureSchedule;
 use homonym_core::identity::IdentityAssignment;
-use homonym_core::properties::check_byzantine_consensus;
+use homonym_core::time::Time;
 use homonym_detectors::{classify_evt_hp, round_of_evt_hp, EvtHpMsg};
 use homonym_obs::{render_ascii_timeline, render_mermaid_timeline, Recorder, RunStats};
-use homonym_sim::engine::{Engine, SimConfig};
+use homonym_sim::engine::Engine;
 use homonym_sim::stack::Either;
 
 #[cfg(doc)]
@@ -31,7 +30,7 @@ use crate::scenario::Scenario;
 #[cfg(doc)]
 use crate::sweep::ByzTolerantNode;
 use crate::sweep::{
-    byz_tolerant_node, clean_instant, hps_base, locate_counterexample_scenario, Counterexample,
+    installed_run, locate_counterexample_scenario, ByzStack, Counterexample, RunCtx, Stack,
     SweepConfig,
 };
 
@@ -92,9 +91,9 @@ pub struct ByzantineStory {
 /// [`locate_counterexample_scenario`]) runs flat on the
 /// [`ByzTolerantNode`] stack with classifier, round extractor and
 /// [`Recorder`] attached, and the recorded events are rendered as an
-/// ASCII and a Mermaid per-process timeline. The run recipe (network,
-/// seed, proposals, deadline) is the sweep's own, so the story shows
-/// the same execution the sweep judged.
+/// ASCII and a Mermaid per-process timeline. Network, seed, proposals,
+/// deadline, nodes and property check are the sweep's own description of
+/// the stack, so the story shows the same execution the sweep judged.
 ///
 /// # Panics
 ///
@@ -106,22 +105,15 @@ pub fn byzantine_story(cfg: &SweepConfig, cex: &Counterexample) -> ByzantineStor
     let n = cfg.n;
     let assign = IdentityAssignment::round_robin(n, cfg.l);
     let scenario = locate_counterexample_scenario(cfg, cex);
-    let proposals: Vec<u64> = (0..n as u64).map(|i| 100 + i).collect();
-    let sim =
-        SimConfig::new(assign.clone(), FailureSchedule::none(n), hps_base()).with_seed(cex.seed);
-    let sim = scenario.install(sim).expect("located scenarios validate");
-    let sched = sim.sched.clone();
-    let clean = clean_instant(&sim, &scenario);
-    let deadline = clean + cfg.decision_margin;
-    let props = proposals.clone();
-    let mut engine = Engine::new(sim, |p, _| byz_tolerant_node(props[p], &assign));
+    let run = installed_run::<ByzStack>(cfg, &assign, &scenario, cex.seed);
+    let ctx = RunCtx::<ByzStack>::new(cfg, &run);
+    let mut engine = Engine::new(run.config, |p, _| ctx.node(p));
     engine.set_classifier(classify_byz_stack);
     engine.set_round_extractor(round_of_byz_stack);
     engine.enable_trace(1 << 20);
     engine.enable_recorder(1 << 20);
-    engine.run_until_all_correct_decided(deadline);
-    let corrupt = scenario.corrupt_count();
-    let violated = check_byzantine_consensus(&engine.outcome(proposals), &sched, corrupt).is_err();
+    run.goal.run(&mut engine, Time::MAX);
+    let violated = ByzStack::check(&engine, &ctx.proposals, scenario.corrupt_count()).is_err();
     let recorder = engine.take_recorder().expect("recorder was enabled");
     let stats = RunStats::from_recorder(&recorder);
     let title = format!("{} seed {}", cex.family, cex.seed);

@@ -9,7 +9,7 @@
 //! `(stack, topology, family, seed)`, so the sweep parallelizes freely
 //! and every counterexample is replayable from its report line alone —
 //! the [`Counterexample`] carries the seed and the full scenario script.
-//! Each worker threads reusable [`EngineArena`]s through its block of
+//! Each worker threads one reusable [`EngineArena`] through its block of
 //! scenarios, so the thousandth run reuses the first run's queue ring,
 //! history tables and scratch buffers instead of rebuilding a world.
 //!
@@ -24,13 +24,16 @@
 //!   different heal times / GST margins), the family's shared prefix is
 //!   run **once**, snapshotted at the computed divergence point, and
 //!   restored per variant ([`PrefixSweeper`]). The verdict sets of the
-//!   two executors are **identical** — `tests/chaos_scenarios.rs` and
-//!   the `chaos_sweep_forked` bench row assert report equality and
-//!   per-run event-count equality. Stacks whose process construction
-//!   embeds per-variant parameters (the oracle-backed Figure 9 stack:
-//!   its `OracleWorld` stabilization instant differs per variant) take
-//!   the flat path inside the forked executor — the documented worst
-//!   case, no shared prefix.
+//!   two executors are **identical** — `tests/chaos_scenarios.rs`
+//!   asserts report equality on every stack.
+//!
+//! Both executors are generic over one description per [`StackKind`]
+//! (network, goal, node construction, property check, verdict policy):
+//! the sweep's stack is picked once per sweep, where the public entry
+//! point is entered, and the run recipe below that point is written
+//! once. A flat-versus-forked comparison therefore cannot see a wrong
+//! recipe; `sweep_recipes_are_pinned_per_stack` in
+//! `tests/chaos_scenarios.rs` pins each stack's report as constants.
 //!
 //! # What counts as a counterexample
 //!
@@ -47,6 +50,9 @@
 //! and the pre-heal probes double as the demonstration that liveness
 //! *correctly* fails while a partition is up and holds once it heals.
 
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use homonym_consensus::{ByzQuorumConsensus, HOmegaPolicy, MajorityConsensus, QuorumConsensus};
 use homonym_core::classes::HOmegaOutput;
 use homonym_core::failure::FailureSchedule;
@@ -61,12 +67,14 @@ use homonym_core::wire::Persist;
 use homonym_detectors::evt_hp::{split_snapshots, EvtHpProcess};
 use homonym_detectors::oracle::{HOmegaOracle, HSigmaOracle, OracleWorld, PreStability};
 use homonym_sim::engine::{Engine, EngineArena, SimConfig};
-use homonym_sim::network::{NetworkModel, PreGstBehavior};
+use homonym_sim::network::{LatencyDistribution, NetworkModel, PreGstBehavior};
+use homonym_sim::process::Process;
+use homonym_sim::snapshot::{EngineSnapshot, ForkProcess};
 use homonym_sim::stack::Stacked;
+use homonym_sim::SnapshotSpool;
 
 // The shared sweep plumbing lives in `homonym_sim::sweep`; re-exported
-// here so the chaos crate presents one import surface (and so the bench
-// harness can keep importing everything from one place).
+// here so the chaos crate presents one import surface.
 pub use homonym_sim::sweep::{
     config_divergence, item_divergence, parallel_seed_sweep, parallel_seed_sweep_with, ForkStats,
     PrefixItem, PrefixSweeper, PrefixTree, RunGoal,
@@ -203,6 +211,14 @@ pub enum StackKind {
 }
 
 impl StackKind {
+    /// Every stack, in report order.
+    pub const ALL: [StackKind; 4] = [
+        StackKind::Fig8EvtHp,
+        StackKind::Fig9OracleQuorum,
+        StackKind::EvtHpDetector,
+        StackKind::ByzTolerant,
+    ];
+
     /// The stack's report name.
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -211,6 +227,32 @@ impl StackKind {
             StackKind::Fig9OracleQuorum => "fig9-oracle-quorum",
             StackKind::EvtHpDetector => "evt-hp-detector",
             StackKind::ByzTolerant => "byz-tolerant-quorum",
+        }
+    }
+
+    /// Whether sweeps of this stack run the pre-heal probes of
+    /// [`SweepConfig::probe_every`] (the stack decides, so "blocked
+    /// before the heal" is observable).
+    #[must_use]
+    pub fn runs_probes(self) -> bool {
+        match self {
+            StackKind::Fig8EvtHp => Fig8Stack::DECIDES,
+            StackKind::Fig9OracleQuorum => Fig9Stack::DECIDES,
+            StackKind::EvtHpDetector => DetectorStack::DECIDES,
+            StackKind::ByzTolerant => ByzStack::DECIDES,
+        }
+    }
+
+    /// Whether the stack claims its safety properties under corruption
+    /// (inside its `3f < n` envelope) instead of having them voided by
+    /// it.
+    #[must_use]
+    pub fn claims_byzantine_tolerance(self) -> bool {
+        match self {
+            StackKind::Fig8EvtHp => Fig8Stack::CLAIMS_TOLERANCE,
+            StackKind::Fig9OracleQuorum => Fig9Stack::CLAIMS_TOLERANCE,
+            StackKind::EvtHpDetector => DetectorStack::CLAIMS_TOLERANCE,
+            StackKind::ByzTolerant => ByzStack::CLAIMS_TOLERANCE,
         }
     }
 }
@@ -387,479 +429,181 @@ impl SweepReport {
     }
 }
 
-/// Per-worker recycled engine allocations for the flat executor, one
-/// arena per stack shape the sweep can drive (see [`EngineArena`]).
-/// Arenas change allocation traffic only — every run remains a pure
-/// function of its config and seed (the engine's
-/// `arena_reuse_reproduces_fresh_runs` test pins the mechanism;
-/// `sweep_report_is_deterministic` in `tests/chaos_scenarios.rs` pins it
-/// at sweep scale).
-struct WorkerArenas {
-    fig8: EngineArena<Fig8Node>,
-    fig9: EngineArena<QuorumConsensus<HOmegaOracle, HSigmaOracle>>,
-    detector: EngineArena<EvtHpProcess>,
-    byz: EngineArena<ByzTolerantNode>,
-}
+// ---------------------------------------------------------------------------
+// Stack descriptions
+// ---------------------------------------------------------------------------
 
-impl WorkerArenas {
-    fn new() -> Self {
-        WorkerArenas {
-            fig8: EngineArena::new(),
-            fig9: EngineArena::new(),
-            detector: EngineArena::new(),
-            byz: EngineArena::new(),
-        }
-    }
-}
-
-/// Per-worker state of the forked executor: prefix sweepers for the
-/// stacks whose process construction is variant-invariant, plus flat
-/// arenas for probes and the oracle-backed fallback.
-pub(crate) struct ForkedWorkers {
-    fig8: PrefixSweeper<Fig8Node>,
-    detector: PrefixSweeper<EvtHpProcess>,
-    byz: PrefixSweeper<ByzTolerantNode>,
-    flat: WorkerArenas,
-}
-
-impl ForkedWorkers {
-    pub(crate) fn new() -> Self {
-        ForkedWorkers {
-            fig8: PrefixSweeper::new(),
-            detector: PrefixSweeper::new(),
-            byz: PrefixSweeper::new(),
-            flat: WorkerArenas::new(),
-        }
-    }
-
-    /// Enables the disk spill on every prefix sweeper this worker owns:
-    /// branch-point snapshots past `budget_bytes` of RAM move to spool
-    /// files under `dir`. Spool creation failures (read-only disk)
-    /// degrade to the all-in-RAM behaviour rather than failing the
-    /// sweep.
-    pub(crate) fn enable_spill(&mut self, dir: &std::path::Path, budget_bytes: u64) {
-        if let Ok(spool) = homonym_sim::SnapshotSpool::new(dir.join("fig8"), budget_bytes) {
-            self.fig8.enable_spill(spool);
-        }
-        if let Ok(spool) = homonym_sim::SnapshotSpool::new(dir.join("detector"), budget_bytes) {
-            self.detector.enable_spill(spool);
-        }
-        if let Ok(spool) = homonym_sim::SnapshotSpool::new(dir.join("byz"), budget_bytes) {
-            self.byz.enable_spill(spool);
-        }
-    }
-
-    /// Accumulated spill activity across this worker's sweepers.
-    pub(crate) fn spool_stats(&self) -> homonym_sim::SpoolStats {
-        let mut total = homonym_sim::SpoolStats::default();
-        for stats in [
-            self.fig8.spool_stats(),
-            self.detector.spool_stats(),
-            self.byz.spool_stats(),
-        ]
-        .into_iter()
-        .flatten()
-        {
-            total.spilled += stats.spilled;
-            total.reloaded += stats.reloaded;
-            total.corrupt += stats.corrupt;
-            total.bytes_on_disk += stats.bytes_on_disk;
-        }
-        total
-    }
-}
-
-/// One scenario run's contribution to the report.
-pub(crate) struct RunOutcome {
-    pub(crate) family: &'static str,
-    pub(crate) seed: u64,
-    pub(crate) script: String,
-    pub(crate) verdict: RunVerdict<()>,
-    /// Number of corrupt processes in the run (splits Byzantine passes
-    /// from crash-only passes in the aggregate).
-    pub(crate) corrupt: usize,
-    /// `Some(blocked)` when a pre-heal probe ran: `true` if the probe
-    /// failed to terminate before the heal (the expected outcome).
-    pub(crate) probe_blocked: Option<bool>,
-}
-
-// Outcomes are what sweep checkpoints persist: one segment file holds
-// the outcomes of one scenario group (`&'static str` round-trips
-// through the wire interner).
-homonym_core::persist_fields!(RunOutcome {
-    family,
-    seed,
-    script,
-    verdict,
-    corrupt,
-    probe_blocked
-});
-
-/// One planned scenario run: the expanded (family, seed, variant)
-/// coordinates both executors consume, so flat and forked sweeps run the
-/// byte-identical scenario list.
-pub(crate) struct PlannedRun {
-    family: &'static str,
-    seed: u64,
-    scenario: Scenario,
-    /// Whether this run also executes the truncated pre-heal probe.
-    probe: bool,
-}
-
-/// Expands the sweep configuration into its full run list: base
-/// scenarios in rotation order, each followed by its shared-prefix
-/// variants (variant 0 *is* the base).
-pub(crate) fn plan_runs(cfg: &SweepConfig, assign: &IdentityAssignment) -> Vec<PlannedRun> {
-    let variants = cfg.variants.max(1);
-    let mut runs = Vec::with_capacity(cfg.scenarios * variants);
-    for i in 0..cfg.scenarios as u64 {
-        let seed = cfg.base_seed + i;
-        let family = cfg.families[i as usize % cfg.families.len()];
-        let base = family.generate(assign, seed);
-        let probe_base = cfg.probe_every > 0 && i.is_multiple_of(cfg.probe_every as u64);
-        for (v, scenario) in fault_window_variants(&base, seed, variants)
-            .into_iter()
-            .enumerate()
-        {
-            runs.push(PlannedRun {
-                family: family.name(),
-                seed,
-                scenario,
-                probe: probe_base && v == 0,
-            });
-        }
-    }
-    runs
-}
-
-/// Folds per-run outcomes into the aggregate report (shared by both
-/// executors and the checkpointed driver, so report equality reduces to
-/// outcome equality).
-pub(crate) fn aggregate(outcomes: Vec<RunOutcome>) -> SweepReport {
-    let mut report = SweepReport {
-        runs: outcomes.len(),
-        ..SweepReport::default()
-    };
-    for o in outcomes {
-        let cex = |v: &PropertyViolation| Counterexample {
-            seed: o.seed,
-            family: o.family,
-            script: o.script.clone(),
-            violation: v.clone(),
-        };
-        match &o.verdict {
-            RunVerdict::Pass(()) if o.corrupt > 0 => report.byzantine_survived += 1,
-            RunVerdict::Pass(()) => report.liveness_held += 1,
-            RunVerdict::SafetyViolated(v) => report.safety_counterexamples.push(cex(v)),
-            RunVerdict::LivenessViolated(v) => report.liveness_counterexamples.push(cex(v)),
-            RunVerdict::LivenessExcused(_) => report.liveness_excused += 1,
-            RunVerdict::ByzantineExpected(v) => report.byzantine_demonstrated.push(cex(v)),
-        }
-        if let Some(blocked) = o.probe_blocked {
-            report.probes += 1;
-            if blocked {
-                if matches!(o.verdict, RunVerdict::Pass(())) {
-                    report.probe_demonstrations += 1;
-                }
-            } else {
-                report.probe_decided_early += 1;
-            }
-        }
-    }
-    report
-}
-
-/// Runs the falsification sweep on the **flat** executor: every run
-/// re-executes its full history from tick 0 (the differential baseline
-/// of [`falsification_sweep_forked`]).
+/// What a [`StackKind`] means: the paper's (system model, detector
+/// class, algorithm + property set) triple as one description. The
+/// sweep executors, [`SessionBuilder`](crate::session::SessionBuilder)'s
+/// terminal constructors and [`byzantine_story`](crate::byzantine_story)
+/// are generic over it; a `StackKind` value is turned into a description
+/// type once per public entry point, never per run. The provided items
+/// describe a crash-model consensus algorithm in `HPS`; a description
+/// states its nodes and where it departs from that.
 ///
-/// # Panics
-///
-/// Panics if the config names no families or a generated scenario fails
-/// to validate (a generator bug, not a property violation).
-#[must_use]
-pub fn falsification_sweep(cfg: &SweepConfig) -> SweepReport {
-    assert!(!cfg.families.is_empty(), "sweep needs at least one family");
-    let assign = IdentityAssignment::round_robin(cfg.n, cfg.l);
-    let runs = plan_runs(cfg, &assign);
-    let outcomes = parallel_seed_sweep_with(runs.len(), WorkerArenas::new, |arenas, i| {
-        run_flat(cfg, &assign, arenas, &runs[i as usize])
-    });
-    aggregate(outcomes)
-}
+/// A description may enter the **forked** executor only if its nodes
+/// fork (`Node: ForkProcess`), their snapshots have a wire codec (the
+/// disk spill) and — the part the compiler cannot check — construction
+/// is **prefix-invariant**: [`Stack::world`] must return the same world
+/// for every variant of one family, because a variant restored from a
+/// sibling's snapshot keeps the sibling's processes. The oracle-backed
+/// Figure 9 stack fails all three (its `OracleWorld` stabilizes at the
+/// variant's own clean instant), so under the forked entry points it
+/// runs flat — the documented worst case, no shared prefix.
+pub(crate) trait Stack {
+    /// One node of the stack.
+    type Node: Process;
+    /// What node construction depends on besides the proposal.
+    type World;
 
-/// Runs the falsification sweep on the **prefix-sharing** executor:
-/// each base scenario's variant family is planned through the divergence
-/// computation and executed with snapshot-at-branch-point +
-/// restore-per-child, on worker-local arenas. Produces the identical
-/// report to [`falsification_sweep`]; with `variants == 1` (or a stack
-/// that cannot share) every family is a single fresh run and the two
-/// executors coincide exactly.
-///
-/// # Panics
-///
-/// Panics if the config names no families or a generated scenario fails
-/// to validate.
-#[must_use]
-pub fn falsification_sweep_forked(cfg: &SweepConfig) -> SweepReport {
-    assert!(!cfg.families.is_empty(), "sweep needs at least one family");
-    let assign = IdentityAssignment::round_robin(cfg.n, cfg.l);
-    let runs = plan_runs(cfg, &assign);
-    let variants = cfg.variants.max(1);
-    let per_family = parallel_seed_sweep_with(cfg.scenarios, ForkedWorkers::new, |workers, g| {
-        let group = &runs[g as usize * variants..(g as usize + 1) * variants];
-        run_family_forked(cfg, &assign, workers, group)
-    });
-    aggregate(per_family.into_iter().flatten().collect())
-}
+    /// Whether this is a consensus stack rather than a bare detector. A
+    /// consensus stack runs until every correct process decided, at most
+    /// [`SweepConfig::decision_margin`] past the clean instant; pre-heal
+    /// probes apply to it; and its algorithm is written for reliable
+    /// links, so a scenario that permanently loses copies leaves its
+    /// model and liveness is excused. A detector is observed for
+    /// [`SweepConfig::detector_margin`] and owes liveness on every
+    /// scenario: `◇HP` lives in `HPS`, which tolerates arbitrary pre-GST
+    /// behaviour, loss included (all generated network faults end
+    /// before GST).
+    const DECIDES: bool = true;
+    /// Whether safety is claimed under corruption while `3f < n`;
+    /// otherwise any corrupt process voids every obligation and
+    /// violations are demonstrations
+    /// ([`RunVerdict::ByzantineExpected`]).
+    const CLAIMS_TOLERANCE: bool = false;
 
-fn run_flat(
-    cfg: &SweepConfig,
-    assign: &IdentityAssignment,
-    arenas: &mut WorkerArenas,
-    run: &PlannedRun,
-) -> RunOutcome {
-    let (verdict, probe_blocked) = match cfg.stack {
-        StackKind::Fig8EvtHp => run_fig8(
-            cfg,
-            assign,
-            &mut arenas.fig8,
-            &run.scenario,
-            run.seed,
-            run.probe.then(|| first_heal(&run.scenario)).flatten(),
-        ),
-        StackKind::Fig9OracleQuorum => run_fig9(
-            cfg,
-            assign,
-            &mut arenas.fig9,
-            &run.scenario,
-            run.seed,
-            run.probe.then(|| first_heal(&run.scenario)).flatten(),
-        ),
-        StackKind::EvtHpDetector => (
-            run_detector(cfg, assign, &mut arenas.detector, &run.scenario, run.seed),
-            None,
-        ),
-        StackKind::ByzTolerant => run_byz(
-            cfg,
-            assign,
-            &mut arenas.byz,
-            &run.scenario,
-            run.seed,
-            run.probe.then(|| first_heal(&run.scenario)).flatten(),
-        ),
-    };
-    RunOutcome {
-        family: run.family,
-        seed: run.seed,
-        script: run.scenario.to_string(),
-        verdict,
-        corrupt: run.scenario.corrupt_count(),
-        probe_blocked,
+    /// The base network scenarios are installed over.
+    fn network() -> NetworkModel {
+        hps_base()
+    }
+
+    /// Everything node construction needs from an installed run.
+    fn world(sim: &SimConfig, clean: Time) -> Self::World;
+
+    /// Builds process `p`.
+    fn node(world: &Self::World, proposal: u64, p: usize) -> Self::Node;
+
+    /// The stack's property set, checked on a finished run of `corrupt`
+    /// corrupt processes; by default crash-model consensus (validity,
+    /// agreement, termination).
+    fn check(engine: &Engine<Self::Node>, proposals: &[u64], _corrupt: usize) -> Checked {
+        check_consensus(&engine.outcome(proposals.to_vec()), &engine.config().sched).map(|_| ())
     }
 }
 
-/// Executes one variant family on the prefix-sharing executor. Probes
-/// and the oracle-backed Figure 9 stack run flat (the former are
-/// truncated separate runs by definition, the latter builds per-variant
-/// oracle worlds — construction is not prefix-invariant, the documented
-/// no-sharing worst case).
-pub(crate) fn run_family_forked(
-    cfg: &SweepConfig,
-    assign: &IdentityAssignment,
-    workers: &mut ForkedWorkers,
-    group: &[PlannedRun],
-) -> Vec<RunOutcome> {
-    match cfg.stack {
-        StackKind::Fig9OracleQuorum => group
-            .iter()
-            .map(|run| run_flat(cfg, assign, &mut workers.flat, run))
-            .collect(),
-        StackKind::Fig8EvtHp => run_fig8_family_forked(cfg, assign, workers, group),
-        StackKind::EvtHpDetector => run_detector_family_forked(cfg, assign, workers, group),
-        StackKind::ByzTolerant => run_byz_family_forked(cfg, assign, workers, group),
+/// A property check's result.
+type Checked = Result<(), PropertyViolation>;
+
+/// [`StackKind::Fig8EvtHp`].
+pub(crate) struct Fig8Stack;
+
+impl Stack for Fig8Stack {
+    type Node = Fig8Node;
+    type World = usize;
+
+    fn world(sim: &SimConfig, _clean: Time) -> usize {
+        sim.assign.n()
+    }
+
+    fn node(&n: &usize, proposal: u64, _p: usize) -> Fig8Node {
+        fig8_node(proposal, n, (n - 1) / 2)
     }
 }
 
-fn run_fig8_family_forked(
-    cfg: &SweepConfig,
-    assign: &IdentityAssignment,
-    workers: &mut ForkedWorkers,
-    group: &[PlannedRun],
-) -> Vec<RunOutcome> {
-    let n = cfg.n;
-    let t = (n - 1) / 2;
-    let proposals: Vec<u64> = (0..n as u64).map(|i| 100 + i).collect();
-    let mut cleans = Vec::with_capacity(group.len());
-    let items: Vec<PrefixItem<()>> = group
-        .iter()
-        .map(|run| {
-            let sim = SimConfig::new(assign.clone(), FailureSchedule::none(n), hps_base())
-                .with_seed(run.seed);
-            let sim = run
-                .scenario
-                .install(sim)
-                .expect("generated scenarios validate");
-            let clean = clean_instant(&sim, &run.scenario);
-            cleans.push(clean);
-            PrefixItem {
-                goal: RunGoal::UntilAllCorrectDecided(clean + cfg.decision_margin),
-                config: sim,
-                tag: (),
-            }
+/// [`StackKind::Fig9OracleQuorum`], in `HAS`.
+pub(crate) struct Fig9Stack;
+
+impl Stack for Fig9Stack {
+    type Node = QuorumConsensus<HOmegaOracle, HSigmaOracle>;
+    type World = OracleWorld;
+
+    fn network() -> NetworkModel {
+        NetworkModel::Asynchronous(LatencyDistribution::Uniform {
+            min: Span::TICK,
+            max: Span::from_ticks(5),
         })
-        .collect();
-    let props = proposals.clone();
-    let verdicts = workers.fig8.run_family(
-        &items,
-        |_, p, _| fig8_node(props[p], n, t),
-        |engine, j| {
-            let sched = engine.config().sched.clone();
-            let result = check_consensus(&engine.outcome(proposals.clone()), &sched).map(|_| ());
-            let condition = if group[j].scenario.is_lossy() {
-                RunCondition::never_clean()
-            } else {
-                RunCondition::clean_from(cleans[j])
-            };
-            classify_run(
-                condition.with_corrupt(group[j].scenario.corrupt_count()),
-                result,
-            )
-        },
-    );
-    group
-        .iter()
-        .zip(verdicts)
-        .enumerate()
-        .map(|(j, (run, verdict))| {
-            let probe_blocked = run
-                .probe
-                .then(|| first_heal(&run.scenario))
-                .flatten()
-                .map(|cut| {
-                    let props = proposals.clone();
-                    let sched = items[j].config.sched.clone();
-                    let mut probe = Engine::new_in(
-                        items[j].config.clone(),
-                        |p, _| fig8_node(props[p], n, t),
-                        std::mem::take(&mut workers.flat.fig8),
-                    );
-                    probe.run_until_all_correct_decided(cut);
-                    let blocked =
-                        check_consensus(&probe.outcome(proposals.clone()), &sched).is_err();
-                    workers.flat.fig8 = probe.into_arena();
-                    blocked
-                });
-            RunOutcome {
-                family: run.family,
-                seed: run.seed,
-                script: run.scenario.to_string(),
-                verdict,
-                corrupt: run.scenario.corrupt_count(),
-                probe_blocked,
-            }
-        })
-        .collect()
+    }
+
+    /// Oracle detectors stabilize once the environment is clean; before
+    /// that they may churn arbitrarily (`PreStability::Chaotic` for `HΩ`).
+    fn world(sim: &SimConfig, clean: Time) -> OracleWorld {
+        OracleWorld::new(sim.sched.clone(), sim.assign.clone(), clean)
+    }
+
+    fn node(world: &OracleWorld, proposal: u64, p: usize) -> Self::Node {
+        QuorumConsensus::new(
+            proposal,
+            world.h_omega_for(p, PreStability::Chaotic),
+            world.h_sigma_for(p, PreStability::Truthful),
+        )
+    }
 }
 
-fn run_detector_family_forked(
-    cfg: &SweepConfig,
-    assign: &IdentityAssignment,
-    workers: &mut ForkedWorkers,
-    group: &[PlannedRun],
-) -> Vec<RunOutcome> {
-    let n = cfg.n;
-    let mut cleans = Vec::with_capacity(group.len());
-    let items: Vec<PrefixItem<()>> = group
-        .iter()
-        .map(|run| {
-            let sim = SimConfig::new(assign.clone(), FailureSchedule::none(n), hps_base())
-                .with_seed(run.seed);
-            let sim = run
-                .scenario
-                .install(sim)
-                .expect("generated scenarios validate");
-            let clean = clean_instant(&sim, &run.scenario);
-            cleans.push(clean);
-            PrefixItem {
-                goal: RunGoal::Until(clean + cfg.detector_margin),
-                config: sim,
-                tag: (),
-            }
-        })
-        .collect();
-    let verdicts = workers.detector.run_family(
-        &items,
-        |_, _, _| EvtHpProcess::new(),
-        |engine, j| {
-            let sched = engine.config().sched.clone();
-            let mut evt = Vec::with_capacity(n);
-            let mut omg = Vec::with_capacity(n);
-            for hist in engine.histories() {
-                let (e, o) = split_snapshots(hist);
-                evt.push(e);
-                omg.push(o);
-            }
-            let result = check_evt_hp(&evt, &sched, assign)
-                .map(|_| ())
-                .and_then(|()| check_h_omega(&omg, &sched, assign).map(|_| ()));
-            classify_run(
-                RunCondition::clean_from(cleans[j]).with_corrupt(group[j].scenario.corrupt_count()),
-                result,
-            )
-        },
-    );
-    group
-        .iter()
-        .zip(verdicts)
-        .map(|(run, verdict)| RunOutcome {
-            family: run.family,
-            seed: run.seed,
-            script: run.scenario.to_string(),
-            verdict,
-            corrupt: run.scenario.corrupt_count(),
-            probe_blocked: None,
-        })
-        .collect()
+/// [`StackKind::EvtHpDetector`].
+pub(crate) struct DetectorStack;
+
+impl Stack for DetectorStack {
+    type Node = EvtHpProcess;
+    type World = ();
+    const DECIDES: bool = false;
+
+    fn world(_sim: &SimConfig, _clean: Time) {}
+
+    fn node(_world: &(), _proposal: u64, _p: usize) -> EvtHpProcess {
+        EvtHpProcess::new()
+    }
+
+    fn check(engine: &Engine<EvtHpProcess>, _proposals: &[u64], _corrupt: usize) -> Checked {
+        let (sched, assign) = (&engine.config().sched, &engine.config().assign);
+        let (evt, omg): (Vec<_>, Vec<_>) = engine.histories().iter().map(split_snapshots).unzip();
+        check_evt_hp(&evt, sched, assign)?;
+        check_h_omega(&omg, sched, assign)?;
+        Ok(())
+    }
 }
 
-/// The instant just before the earliest network fault ends — the
-/// pre-heal probe's deadline. `None` when the scenario has no network
-/// fault (nothing to heal) or it ends at the very first tick.
-fn first_heal(scenario: &Scenario) -> Option<Time> {
-    scenario
-        .clauses()
-        .iter()
-        .filter_map(|c| match c {
-            FaultClause::Partition { heal_at, .. } => Some(*heal_at),
-            FaultClause::LinkOverlay { end, .. } => Some(*end),
-            FaultClause::Churn { up, .. } => Some(*up),
-            // Crashes never heal; a Byzantine window's end is process
-            // redemption, not a network heal, and the demonstration
-            // sweeps have nothing to probe there.
-            FaultClause::Crash { .. }
-            | FaultClause::ByzantineEquivocate { .. }
-            | FaultClause::ByzantineCorrupt { .. }
-            | FaultClause::ByzantineReplay { .. }
-            | FaultClause::ByzantineSelectiveSend { .. } => None,
-        })
-        .min()
-        .filter(|t| t.ticks() > 1)
-        .map(|t| Time::from_ticks(t.ticks() - 1))
+/// [`StackKind::ByzTolerant`].
+pub(crate) struct ByzStack;
+
+impl Stack for ByzStack {
+    type Node = ByzTolerantNode;
+    type World = IdentityAssignment;
+    const CLAIMS_TOLERANCE: bool = true;
+
+    fn world(sim: &SimConfig, _clean: Time) -> IdentityAssignment {
+        sim.assign.clone()
+    }
+
+    fn node(assign: &IdentityAssignment, proposal: u64, _p: usize) -> ByzTolerantNode {
+        byz_tolerant_node(proposal, assign)
+    }
+
+    fn check(engine: &Engine<ByzTolerantNode>, proposals: &[u64], corrupt: usize) -> Checked {
+        let outcome = engine.outcome(proposals.to_vec());
+        check_byzantine_consensus(&outcome, &engine.config().sched, corrupt).map(|_| ())
+    }
 }
 
-/// The instant from which an installed config's environment is clean:
-/// every fault over and (for `HPS`) GST passed. Exported because every
-/// consumer of the sweep's verdict semantics (the bench harness's
-/// forked rows, the atlas example) must anchor deadlines to the same
-/// definition.
-#[must_use]
-pub fn clean_instant(cfg: &SimConfig, scenario: &Scenario) -> Time {
-    let gst = match cfg.network {
-        NetworkModel::PartialSync { gst, .. } => gst,
-        _ => Time::ZERO,
-    };
-    scenario.last_fault_end().max(gst)
+/// The verdict policy: which environment the stack's liveness is owed
+/// in, and whether corruption voids its obligations or — inside the
+/// `n > 3f` envelope of a tolerant stack — leaves violations *real*
+/// counterexamples. Past the bound the claim is withdrawn and violations
+/// are the demonstrated fall the threshold theory predicts.
+fn run_condition<S: Stack>(cfg: &SweepConfig, scenario: &Scenario, clean: Time) -> RunCondition {
+    let corrupt = scenario.corrupt_count();
+    let condition = if S::DECIDES && scenario.is_lossy() {
+        RunCondition::never_clean()
+    } else {
+        RunCondition::clean_from(clean)
+    }
+    .with_corrupt(corrupt);
+    if S::CLAIMS_TOLERANCE && 3 * corrupt < cfg.n {
+        condition.claiming_byzantine_tolerance(cfg.n)
+    } else {
+        condition
+    }
 }
 
 /// The canonical full stack: the Figure 6 `◇HP`/`HΩ` detector mirrored
@@ -897,26 +641,6 @@ pub fn byz_tolerant_node(proposal: u64, assign: &IdentityAssignment) -> ByzToler
     )
 }
 
-/// The run condition of a tolerant-stack run: the tolerance claim is
-/// asserted exactly when the scenario's corruption stays inside the
-/// stack's `n > 3f` envelope — within it, violations are *real*
-/// counterexamples (never `ByzantineExpected`); past it the claim is
-/// withdrawn and violations are the demonstrated fall past the bound.
-fn byz_condition(cfg: &SweepConfig, scenario: &Scenario, clean: Time) -> RunCondition {
-    let corrupt = scenario.corrupt_count();
-    let condition = if scenario.is_lossy() {
-        RunCondition::never_clean()
-    } else {
-        RunCondition::clean_from(clean)
-    };
-    let condition = condition.with_corrupt(corrupt);
-    if 3 * corrupt < cfg.n {
-        condition.claiming_byzantine_tolerance(cfg.n)
-    } else {
-        condition
-    }
-}
-
 /// Base `HPS` network for scenario runs: pre-GST copies delayed but
 /// never lost by the *network* (loss, if any, is the scenario's move),
 /// so reliability is exactly what the scenario says it is. The GST here
@@ -933,279 +657,450 @@ pub fn hps_base() -> NetworkModel {
     }
 }
 
-fn run_fig8(
-    cfg: &SweepConfig,
-    assign: &IdentityAssignment,
-    arena: &mut EngineArena<Fig8Node>,
-    scenario: &Scenario,
-    seed: u64,
-    probe_at: Option<Time>,
-) -> (RunVerdict<()>, Option<bool>) {
-    let n = cfg.n;
-    let t = (n - 1) / 2;
-    let proposals: Vec<u64> = (0..n as u64).map(|i| 100 + i).collect();
-    let build = || {
-        let sim =
-            SimConfig::new(assign.clone(), FailureSchedule::none(n), hps_base()).with_seed(seed);
-        scenario.install(sim).expect("generated scenarios validate")
-    };
-    let sim = build();
-    let sched = sim.sched.clone();
-    let clean = clean_instant(&sim, scenario);
-    let deadline = clean + cfg.decision_margin;
-    let props = proposals.clone();
-    let mut engine = Engine::new_in(sim, |p, _| fig8_node(props[p], n, t), std::mem::take(arena));
-    engine.run_until_all_correct_decided(deadline);
-    let result = check_consensus(&engine.outcome(proposals.clone()), &sched).map(|_| ());
-    *arena = engine.into_arena();
-    // Figure 8 is written for reliable links (`HAS`-style): a scenario
-    // that permanently loses copies leaves its model, so termination is
-    // only required of loss-free scenarios. Corrupt processes void every
-    // obligation of the crash-only stack — violations under them are
-    // demonstrations, not falsifications (`RunVerdict::ByzantineExpected`).
-    let condition = if scenario.is_lossy() {
-        RunCondition::never_clean()
-    } else {
-        RunCondition::clean_from(clean)
-    };
-    let verdict = classify_run(condition.with_corrupt(scenario.corrupt_count()), result);
+// ---------------------------------------------------------------------------
+// Run plan and report
+// ---------------------------------------------------------------------------
 
-    let probe_blocked = probe_at.map(|cut| {
-        let props = proposals.clone();
-        let mut probe = Engine::new_in(
-            build(),
-            |p, _| fig8_node(props[p], n, t),
-            std::mem::take(arena),
-        );
-        probe.run_until_all_correct_decided(cut);
-        let blocked = check_consensus(&probe.outcome(proposals.clone()), &sched).is_err();
-        *arena = probe.into_arena();
-        blocked
-    });
-    (verdict, probe_blocked)
+/// One scenario run's contribution to the report.
+pub(crate) struct RunOutcome {
+    pub(crate) family: &'static str,
+    pub(crate) seed: u64,
+    pub(crate) script: String,
+    pub(crate) verdict: RunVerdict<()>,
+    /// Number of corrupt processes in the run (splits Byzantine passes
+    /// from crash-only passes in the aggregate).
+    pub(crate) corrupt: usize,
+    /// `Some(blocked)` when a pre-heal probe ran: `true` if the probe
+    /// failed to terminate before the heal (the expected outcome).
+    pub(crate) probe_blocked: Option<bool>,
 }
 
-fn run_byz(
-    cfg: &SweepConfig,
-    assign: &IdentityAssignment,
-    arena: &mut EngineArena<ByzTolerantNode>,
-    scenario: &Scenario,
-    seed: u64,
-    probe_at: Option<Time>,
-) -> (RunVerdict<()>, Option<bool>) {
-    let n = cfg.n;
-    let corrupt = scenario.corrupt_count();
-    let proposals: Vec<u64> = (0..n as u64).map(|i| 100 + i).collect();
-    let build = || {
-        let sim =
-            SimConfig::new(assign.clone(), FailureSchedule::none(n), hps_base()).with_seed(seed);
-        scenario.install(sim).expect("generated scenarios validate")
-    };
-    let sim = build();
-    let sched = sim.sched.clone();
-    let clean = clean_instant(&sim, scenario);
-    let deadline = clean + cfg.decision_margin;
-    let props = proposals.clone();
-    let mut engine = Engine::new_in(
-        sim,
-        |p, _| byz_tolerant_node(props[p], assign),
-        std::mem::take(arena),
-    );
-    engine.run_until_all_correct_decided(deadline);
-    let result =
-        check_byzantine_consensus(&engine.outcome(proposals.clone()), &sched, corrupt).map(|_| ());
-    *arena = engine.into_arena();
-    let verdict = classify_run(byz_condition(cfg, scenario, clean), result);
+// Outcomes are what sweep checkpoints persist: one segment file holds
+// the outcomes of one scenario group (`&'static str` round-trips
+// through the wire interner).
+homonym_core::persist_fields!(RunOutcome {
+    family,
+    seed,
+    script,
+    verdict,
+    corrupt,
+    probe_blocked
+});
 
-    let probe_blocked = probe_at.map(|cut| {
-        let props = proposals.clone();
-        let mut probe = Engine::new_in(
-            build(),
-            |p, _| byz_tolerant_node(props[p], assign),
-            std::mem::take(arena),
-        );
-        probe.run_until_all_correct_decided(cut);
-        let blocked =
-            check_byzantine_consensus(&probe.outcome(proposals.clone()), &sched, corrupt).is_err();
-        *arena = probe.into_arena();
-        blocked
-    });
-    (verdict, probe_blocked)
+/// One planned scenario run: the expanded (family, seed, variant)
+/// coordinates both executors consume, so flat and forked sweeps run the
+/// byte-identical scenario list.
+struct PlannedRun {
+    family: &'static str,
+    seed: u64,
+    scenario: Scenario,
+    /// Whether this run also executes the truncated pre-heal probe.
+    probe: bool,
 }
 
-fn run_byz_family_forked(
-    cfg: &SweepConfig,
-    assign: &IdentityAssignment,
-    workers: &mut ForkedWorkers,
-    group: &[PlannedRun],
-) -> Vec<RunOutcome> {
-    let n = cfg.n;
-    let proposals: Vec<u64> = (0..n as u64).map(|i| 100 + i).collect();
-    let mut cleans = Vec::with_capacity(group.len());
-    let items: Vec<PrefixItem<()>> = group
-        .iter()
-        .map(|run| {
-            let sim = SimConfig::new(assign.clone(), FailureSchedule::none(n), hps_base())
-                .with_seed(run.seed);
-            let sim = run
-                .scenario
-                .install(sim)
-                .expect("generated scenarios validate");
-            let clean = clean_instant(&sim, &run.scenario);
-            cleans.push(clean);
-            PrefixItem {
-                goal: RunGoal::UntilAllCorrectDecided(clean + cfg.decision_margin),
-                config: sim,
-                tag: (),
-            }
-        })
-        .collect();
-    let props = proposals.clone();
-    let verdicts = workers.byz.run_family(
-        &items,
-        |_, p, _| byz_tolerant_node(props[p], assign),
-        |engine, j| {
-            let sched = engine.config().sched.clone();
-            let corrupt = group[j].scenario.corrupt_count();
-            let result =
-                check_byzantine_consensus(&engine.outcome(proposals.clone()), &sched, corrupt)
-                    .map(|_| ());
-            classify_run(byz_condition(cfg, &group[j].scenario, cleans[j]), result)
-        },
-    );
-    group
-        .iter()
-        .zip(verdicts)
-        .enumerate()
-        .map(|(j, (run, verdict))| {
-            let probe_blocked = run
-                .probe
-                .then(|| first_heal(&run.scenario))
-                .flatten()
-                .map(|cut| {
-                    let props = proposals.clone();
-                    let sched = items[j].config.sched.clone();
-                    let corrupt = run.scenario.corrupt_count();
-                    let mut probe = Engine::new_in(
-                        items[j].config.clone(),
-                        |p, _| byz_tolerant_node(props[p], assign),
-                        std::mem::take(&mut workers.flat.byz),
-                    );
-                    probe.run_until_all_correct_decided(cut);
-                    let blocked = check_byzantine_consensus(
-                        &probe.outcome(proposals.clone()),
-                        &sched,
-                        corrupt,
-                    )
-                    .is_err();
-                    workers.flat.byz = probe.into_arena();
-                    blocked
+/// The sweep configuration expanded into its full run list: base
+/// scenarios in rotation order, each followed by its shared-prefix
+/// variants (variant 0 *is* the base). One base scenario plus its
+/// variants is a **group** — the unit the executors fan out and the
+/// checkpointed driver persists.
+struct Plan<'a> {
+    cfg: &'a SweepConfig,
+    assign: IdentityAssignment,
+    runs: Vec<PlannedRun>,
+}
+
+impl<'a> Plan<'a> {
+    fn new(cfg: &'a SweepConfig) -> Self {
+        assert!(!cfg.families.is_empty(), "sweep needs at least one family");
+        let assign = IdentityAssignment::round_robin(cfg.n, cfg.l);
+        let variants = cfg.variants.max(1);
+        let mut runs = Vec::with_capacity(cfg.scenarios * variants);
+        for i in 0..cfg.scenarios as u64 {
+            let seed = cfg.base_seed + i;
+            let family = cfg.families[i as usize % cfg.families.len()];
+            let base = family.generate(&assign, seed);
+            let probe_base = cfg.probe_every > 0 && i.is_multiple_of(cfg.probe_every as u64);
+            for (v, scenario) in fault_window_variants(&base, seed, variants)
+                .into_iter()
+                .enumerate()
+            {
+                runs.push(PlannedRun {
+                    family: family.name(),
+                    seed,
+                    scenario,
+                    probe: probe_base && v == 0,
                 });
-            RunOutcome {
-                family: run.family,
-                seed: run.seed,
-                script: run.scenario.to_string(),
-                verdict,
-                corrupt: run.scenario.corrupt_count(),
-                probe_blocked,
             }
+        }
+        Plan { cfg, assign, runs }
+    }
+
+    fn group(&self, g: usize) -> &[PlannedRun] {
+        let variants = self.cfg.variants.max(1);
+        &self.runs[g * variants..(g + 1) * variants]
+    }
+}
+
+/// Folds per-run outcomes into the aggregate report (shared by both
+/// executors and the checkpointed driver, so report equality reduces to
+/// outcome equality).
+pub(crate) fn aggregate(outcomes: impl Iterator<Item = RunOutcome>) -> SweepReport {
+    let mut report = SweepReport::default();
+    for o in outcomes {
+        report.runs += 1;
+        let cex = |v: &PropertyViolation| Counterexample {
+            seed: o.seed,
+            family: o.family,
+            script: o.script.clone(),
+            violation: v.clone(),
+        };
+        match &o.verdict {
+            RunVerdict::Pass(()) if o.corrupt > 0 => report.byzantine_survived += 1,
+            RunVerdict::Pass(()) => report.liveness_held += 1,
+            RunVerdict::SafetyViolated(v) => report.safety_counterexamples.push(cex(v)),
+            RunVerdict::LivenessViolated(v) => report.liveness_counterexamples.push(cex(v)),
+            RunVerdict::LivenessExcused(_) => report.liveness_excused += 1,
+            RunVerdict::ByzantineExpected(v) => report.byzantine_demonstrated.push(cex(v)),
+        }
+        if let Some(blocked) = o.probe_blocked {
+            report.probes += 1;
+            if blocked {
+                if matches!(o.verdict, RunVerdict::Pass(())) {
+                    report.probe_demonstrations += 1;
+                }
+            } else {
+                report.probe_decided_early += 1;
+            }
+        }
+    }
+    report
+}
+
+// ---------------------------------------------------------------------------
+// The run recipe
+// ---------------------------------------------------------------------------
+
+/// The installed run of `scenario` under `seed`: configuration, goal
+/// and — as the tag — the instant its environment is clean.
+pub(crate) fn installed_run<S: Stack>(
+    cfg: &SweepConfig,
+    assign: &IdentityAssignment,
+    scenario: &Scenario,
+    seed: u64,
+) -> PrefixItem<Time> {
+    let sched = FailureSchedule::none(assign.n());
+    let config = SimConfig::new(assign.clone(), sched, S::network()).with_seed(seed);
+    let config = (scenario.install(config)).expect("generated scenarios validate");
+    let clean = clean_instant(&config, scenario);
+    let goal = if S::DECIDES {
+        RunGoal::UntilAllCorrectDecided(clean + cfg.decision_margin)
+    } else {
+        RunGoal::Until(clean + cfg.detector_margin)
+    };
+    PrefixItem {
+        config,
+        goal,
+        tag: clean,
+    }
+}
+
+/// The sweep's proposal convention: process `p` proposes `100 + p`.
+pub(crate) fn default_proposals(n: usize) -> Vec<u64> {
+    (0..n as u64).map(|p| 100 + p).collect()
+}
+
+/// The instant just before the earliest network fault ends — the
+/// pre-heal probe's deadline. `None` when the scenario has no network
+/// fault (nothing to heal) or it ends at the very first tick.
+fn first_heal(scenario: &Scenario) -> Option<Time> {
+    scenario
+        .clauses()
+        .iter()
+        .filter_map(|c| match c {
+            FaultClause::Partition { heal_at, .. } => Some(*heal_at),
+            FaultClause::LinkOverlay { end, .. } => Some(*end),
+            FaultClause::Churn { up, .. } => Some(*up),
+            // Crashes never heal; a Byzantine window's end is process
+            // redemption, not a network heal, and the demonstration
+            // sweeps have nothing to probe there.
+            FaultClause::Crash { .. }
+            | FaultClause::ByzantineEquivocate { .. }
+            | FaultClause::ByzantineCorrupt { .. }
+            | FaultClause::ByzantineReplay { .. }
+            | FaultClause::ByzantineSelectiveSend { .. } => None,
+        })
+        .min()
+        .filter(|t| t.ticks() > 1)
+        .map(|t| Time::from_ticks(t.ticks() - 1))
+}
+
+/// The instant from which an installed config's environment is clean:
+/// every fault over and (for `HPS`) GST passed. Exported because every
+/// consumer of the sweep's verdict semantics (the atlas example, the
+/// benchmark's probes) must anchor deadlines to the same definition.
+#[must_use]
+pub fn clean_instant(cfg: &SimConfig, scenario: &Scenario) -> Time {
+    let gst = match cfg.network {
+        NetworkModel::PartialSync { gst, .. } => gst,
+        _ => Time::ZERO,
+    };
+    scenario.last_fault_end().max(gst)
+}
+
+/// What the runs of one scenario group share on top of the sweep
+/// configuration: the proposals and whatever node construction needs.
+pub(crate) struct RunCtx<'a, S: Stack> {
+    cfg: &'a SweepConfig,
+    pub(crate) proposals: Vec<u64>,
+    world: S::World,
+}
+
+impl<'a, S: Stack> RunCtx<'a, S> {
+    pub(crate) fn new(cfg: &'a SweepConfig, first: &PrefixItem<Time>) -> Self {
+        RunCtx {
+            cfg,
+            proposals: default_proposals(cfg.n),
+            world: S::world(&first.config, first.tag),
+        }
+    }
+
+    pub(crate) fn node(&self, p: usize) -> S::Node {
+        S::node(&self.world, self.proposals[p], p)
+    }
+
+    /// Runs `run`, installed as `sim`, from tick 0 to `goal` inside
+    /// `arena` and checks the stack's properties.
+    fn execute(
+        &self,
+        run: &PlannedRun,
+        sim: SimConfig,
+        goal: RunGoal,
+        arena: &mut EngineArena<S::Node>,
+    ) -> Checked {
+        let mut engine = Engine::new_in(sim, |p, _| self.node(p), std::mem::take(arena));
+        goal.run(&mut engine, Time::MAX);
+        let result = S::check(&engine, &self.proposals, run.scenario.corrupt_count());
+        *arena = engine.into_arena();
+        result
+    }
+
+    /// The pre-heal probe of `run`, when it has one: the same run cut
+    /// off just before the first heal; `true` if it was blocked there.
+    fn probe(
+        &self,
+        run: &PlannedRun,
+        sim: &SimConfig,
+        arena: &mut EngineArena<S::Node>,
+    ) -> Option<bool> {
+        let cut = (S::DECIDES && run.probe).then(|| first_heal(&run.scenario))??;
+        let goal = RunGoal::UntilAllCorrectDecided(cut);
+        Some(self.execute(run, sim.clone(), goal, arena).is_err())
+    }
+
+    fn outcome(
+        &self,
+        run: &PlannedRun,
+        clean: Time,
+        result: Checked,
+        probe_blocked: Option<bool>,
+    ) -> RunOutcome {
+        RunOutcome {
+            family: run.family,
+            seed: run.seed,
+            script: run.scenario.to_string(),
+            verdict: classify_run(run_condition::<S>(self.cfg, &run.scenario, clean), result),
+            corrupt: run.scenario.corrupt_count(),
+            probe_blocked,
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The two runners
+// ---------------------------------------------------------------------------
+
+/// The **flat** runner: one run, and its probe, from tick 0.
+fn run_flat<S: Stack>(
+    cfg: &SweepConfig,
+    assign: &IdentityAssignment,
+    arena: &mut EngineArena<S::Node>,
+    run: &PlannedRun,
+) -> RunOutcome {
+    let item = installed_run::<S>(cfg, assign, &run.scenario, run.seed);
+    let ctx = RunCtx::<S>::new(cfg, &item);
+    let probe_blocked = ctx.probe(run, &item.config, arena);
+    let result = ctx.execute(run, item.config, item.goal, arena);
+    ctx.outcome(run, item.tag, result, probe_blocked)
+}
+
+/// Per-worker state of the forked executor: the stack's prefix sweeper
+/// and one flat arena for the probes (truncated separate runs by
+/// definition).
+struct ForkedWorker<P: ForkProcess> {
+    sweeper: PrefixSweeper<P>,
+    arena: EngineArena<P>,
+}
+
+impl<P: ForkProcess> ForkedWorker<P> {
+    fn new() -> Self {
+        ForkedWorker {
+            sweeper: PrefixSweeper::new(),
+            arena: EngineArena::new(),
+        }
+    }
+}
+
+/// The **forked** runner: one variant family through the prefix-sharing
+/// executor. The first variant's world serves every variant — the
+/// prefix-invariance half of the [`Stack`] contract.
+fn run_family_forked<S: Stack>(
+    cfg: &SweepConfig,
+    assign: &IdentityAssignment,
+    worker: &mut ForkedWorker<S::Node>,
+    group: &[PlannedRun],
+) -> Vec<RunOutcome>
+where
+    S::Node: ForkProcess,
+{
+    let items: Vec<PrefixItem<Time>> = group
+        .iter()
+        .map(|run| installed_run::<S>(cfg, assign, &run.scenario, run.seed))
+        .collect();
+    let ctx = RunCtx::<S>::new(cfg, &items[0]);
+    let results = worker.sweeper.run_family(
+        &items,
+        |_, p, _| ctx.node(p),
+        |engine, j| S::check(engine, &ctx.proposals, group[j].scenario.corrupt_count()),
+    );
+    (group.iter().zip(&items).zip(results))
+        .map(|((run, item), result)| {
+            let probe_blocked = ctx.probe(run, &item.config, &mut worker.arena);
+            ctx.outcome(run, item.tag, result, probe_blocked)
         })
         .collect()
 }
 
-fn run_fig9(
-    cfg: &SweepConfig,
-    assign: &IdentityAssignment,
-    arena: &mut EngineArena<QuorumConsensus<HOmegaOracle, HSigmaOracle>>,
-    scenario: &Scenario,
-    seed: u64,
-    probe_at: Option<Time>,
-) -> (RunVerdict<()>, Option<bool>) {
-    let n = cfg.n;
-    let proposals: Vec<u64> = (0..n as u64).map(|i| 100 + i).collect();
-    let network = NetworkModel::Asynchronous(homonym_sim::network::LatencyDistribution::Uniform {
-        min: Span::TICK,
-        max: Span::from_ticks(5),
-    });
-    let sim = SimConfig::new(assign.clone(), FailureSchedule::none(n), network).with_seed(seed);
-    let sim = scenario.install(sim).expect("generated scenarios validate");
-    let sched = sim.sched.clone();
-    let clean = clean_instant(&sim, scenario);
-    let deadline = clean + cfg.decision_margin;
-    // Oracle detectors stabilize once the environment is clean; before
-    // that they may churn arbitrarily (PreStability::Chaotic for HΩ).
-    let world = OracleWorld::new(sched.clone(), assign.clone(), clean);
-    let build_engine =
-        |sim: SimConfig, arena: EngineArena<QuorumConsensus<HOmegaOracle, HSigmaOracle>>| {
-            let props = proposals.clone();
-            let w = &world;
-            Engine::new_in(
-                sim,
-                move |p, _| {
-                    QuorumConsensus::new(
-                        props[p],
-                        w.h_omega_for(p, PreStability::Chaotic),
-                        w.h_sigma_for(p, PreStability::Truthful),
-                    )
-                },
-                arena,
-            )
-        };
-    let mut engine = build_engine(sim.clone(), std::mem::take(arena));
-    engine.run_until_all_correct_decided(deadline);
-    let result = check_consensus(&engine.outcome(proposals.clone()), &sched).map(|_| ());
-    *arena = engine.into_arena();
-    let condition = if scenario.is_lossy() {
-        RunCondition::never_clean()
-    } else {
-        RunCondition::clean_from(clean)
-    };
-    let verdict = classify_run(condition.with_corrupt(scenario.corrupt_count()), result);
+// ---------------------------------------------------------------------------
+// Sweep drivers
+// ---------------------------------------------------------------------------
 
-    let probe_blocked = probe_at.map(|cut| {
-        let mut probe = build_engine(sim.clone(), std::mem::take(arena));
-        probe.run_until_all_correct_decided(cut);
-        let blocked = check_consensus(&probe.outcome(proposals.clone()), &sched).is_err();
-        *arena = probe.into_arena();
-        blocked
-    });
-    (verdict, probe_blocked)
+/// Runs the groups `pending` flat, one recycled arena per worker;
+/// `sink(g, outcomes)` runs on the worker the moment group `g` finishes.
+fn flat_groups<S: Stack, R: Send>(
+    plan: &Plan<'_>,
+    pending: &[usize],
+    sink: impl Fn(usize, Vec<RunOutcome>) -> R + Sync,
+) -> Vec<R> {
+    parallel_seed_sweep_with(pending.len(), EngineArena::<S::Node>::new, |arena, i| {
+        let g = pending[i as usize];
+        let runs = plan.group(g).iter();
+        let outcomes = runs.map(|run| run_flat::<S>(plan.cfg, &plan.assign, arena, run));
+        sink(g, outcomes.collect())
+    })
 }
 
-fn run_detector(
+/// Like [`flat_groups`] on the prefix-sharing executor. With `spill =
+/// (dir, budget)` each worker's branch-point snapshots past `budget`
+/// bytes of RAM move to spool files under `dir/w<k>`; a spool that
+/// cannot be created (read-only disk) degrades to all-in-RAM rather
+/// than failing the sweep. Also returns how many spilled snapshots
+/// failed verification on reload (the other spool counters die with
+/// their workers).
+fn forked_groups<S: Stack, R: Send>(
+    plan: &Plan<'_>,
+    pending: &[usize],
+    spill: Option<(&Path, u64)>,
+    sink: impl Fn(usize, Vec<RunOutcome>) -> R + Sync,
+) -> (Vec<R>, u64)
+where
+    S::Node: ForkProcess,
+    EngineSnapshot<S::Node>: Persist,
+{
+    let worker_seq = AtomicU64::new(0);
+    let spill_corrupt = AtomicU64::new(0);
+    let corrupt_so_far =
+        |w: &ForkedWorker<S::Node>| w.sweeper.spool_stats().map_or(0, |stats| stats.corrupt);
+    let out = parallel_seed_sweep_with(
+        pending.len(),
+        || {
+            let mut worker = ForkedWorker::new();
+            if let Some((dir, budget)) = spill {
+                let w = worker_seq.fetch_add(1, Ordering::Relaxed);
+                if let Ok(spool) = SnapshotSpool::new(dir.join(format!("w{w}")), budget) {
+                    worker.sweeper.enable_spill(spool);
+                }
+            }
+            worker
+        },
+        |worker, i| {
+            let g = pending[i as usize];
+            let before = corrupt_so_far(worker);
+            let seg = run_family_forked::<S>(plan.cfg, &plan.assign, worker, plan.group(g));
+            spill_corrupt.fetch_add(corrupt_so_far(worker) - before, Ordering::Relaxed);
+            sink(g, seg)
+        },
+    );
+    (out, spill_corrupt.into_inner())
+}
+
+/// Executes the scenario groups `pending` of `cfg`'s sweep the way
+/// [`falsification_sweep_forked`] does — forked, except Figure 9 (see
+/// [`Stack`]) — for it and for the checkpointed driver. Arguments and
+/// results as [`forked_groups`].
+pub(crate) fn run_groups<R: Send>(
     cfg: &SweepConfig,
-    assign: &IdentityAssignment,
-    arena: &mut EngineArena<EvtHpProcess>,
-    scenario: &Scenario,
-    seed: u64,
-) -> RunVerdict<()> {
-    let n = cfg.n;
-    let sim = SimConfig::new(assign.clone(), FailureSchedule::none(n), hps_base()).with_seed(seed);
-    let sim = scenario.install(sim).expect("generated scenarios validate");
-    let sched = sim.sched.clone();
-    let clean = clean_instant(&sim, scenario);
-    let horizon = clean + cfg.detector_margin;
-    let mut engine = Engine::new_in(sim, |_, _| EvtHpProcess::new(), std::mem::take(arena));
-    engine.run_until(horizon);
-    let mut evt = Vec::with_capacity(n);
-    let mut omg = Vec::with_capacity(n);
-    for hist in engine.histories() {
-        let (e, o) = split_snapshots(hist);
-        evt.push(e);
-        omg.push(o);
+    pending: &[usize],
+    spill: Option<(&Path, u64)>,
+    sink: impl Fn(usize, Vec<RunOutcome>) -> R + Sync,
+) -> (Vec<R>, u64) {
+    let plan = Plan::new(cfg);
+    match cfg.stack {
+        StackKind::Fig8EvtHp => forked_groups::<Fig8Stack, R>(&plan, pending, spill, sink),
+        StackKind::Fig9OracleQuorum => (flat_groups::<Fig9Stack, R>(&plan, pending, sink), 0),
+        StackKind::EvtHpDetector => forked_groups::<DetectorStack, R>(&plan, pending, spill, sink),
+        StackKind::ByzTolerant => forked_groups::<ByzStack, R>(&plan, pending, spill, sink),
     }
-    let result = check_evt_hp(&evt, &sched, assign)
-        .map(|_| ())
-        .and_then(|()| check_h_omega(&omg, &sched, assign).map(|_| ()));
-    *arena = engine.into_arena();
-    // `◇HP` lives in `HPS`, which tolerates arbitrary pre-GST behaviour
-    // — lossy scenarios included — so liveness is required of every
-    // scenario the generators produce (all network faults end before
-    // GST); corrupt processes again turn violations into demonstrations.
-    classify_run(
-        RunCondition::clean_from(clean).with_corrupt(scenario.corrupt_count()),
-        result,
-    )
+}
+
+/// Runs the falsification sweep on the **flat** executor: every run
+/// re-executes its full history from tick 0 (the differential baseline
+/// of [`falsification_sweep_forked`]).
+///
+/// # Panics
+///
+/// Panics if the config names no families or a generated scenario fails
+/// to validate (a generator bug, not a property violation).
+#[must_use]
+pub fn falsification_sweep(cfg: &SweepConfig) -> SweepReport {
+    let plan = Plan::new(cfg);
+    let all: Vec<usize> = (0..cfg.scenarios).collect();
+    let keep = |_, seg| seg;
+    let per_group = match cfg.stack {
+        StackKind::Fig8EvtHp => flat_groups::<Fig8Stack, _>(&plan, &all, keep),
+        StackKind::Fig9OracleQuorum => flat_groups::<Fig9Stack, _>(&plan, &all, keep),
+        StackKind::EvtHpDetector => flat_groups::<DetectorStack, _>(&plan, &all, keep),
+        StackKind::ByzTolerant => flat_groups::<ByzStack, _>(&plan, &all, keep),
+    };
+    aggregate(per_group.into_iter().flatten())
+}
+
+/// Runs the falsification sweep on the **prefix-sharing** executor:
+/// each base scenario's variant family is planned through the divergence
+/// computation and executed with snapshot-at-branch-point +
+/// restore-per-child, on worker-local arenas. Produces the identical
+/// report to [`falsification_sweep`]; with `variants == 1` (or a stack
+/// that cannot share) every family is a single fresh run and the two
+/// executors coincide exactly.
+///
+/// # Panics
+///
+/// Panics if the config names no families or a generated scenario fails
+/// to validate.
+#[must_use]
+pub fn falsification_sweep_forked(cfg: &SweepConfig) -> SweepReport {
+    let all: Vec<usize> = (0..cfg.scenarios).collect();
+    let (per_group, _) = run_groups(cfg, &all, None, |_, seg| seg);
+    aggregate(per_group.into_iter().flatten())
 }
 
 // ---------------------------------------------------------------------------
@@ -1297,9 +1192,9 @@ pub fn locate_counterexample_scenario(cfg: &SweepConfig, cex: &Counterexample) -
 /// re-executed flat from tick 0; [`ByzantineReplay::verdicts_match`]
 /// must hold (asserted by `exp_chaos` and the chaos integration tests).
 ///
-/// The oracle-backed Figure 9 stack takes its documented flat fallback
-/// inside the forked executor (per-variant oracle worlds are not
-/// prefix-invariant), so its [`ForkStats`] report no sharing.
+/// On the oracle-backed Figure 9 stack the forked execution *is* the
+/// flat one (its construction is not prefix-invariant), so its
+/// [`ForkStats`] report no sharing.
 ///
 /// # Panics
 ///
@@ -1323,29 +1218,46 @@ pub fn replay_byzantine_counterexample(
             probe: false,
         })
         .collect();
-    let mut workers = ForkedWorkers::new();
-    let forked = run_family_forked(cfg, &assign, &mut workers, &group);
-    let mut flat_arenas = WorkerArenas::new();
-    let flat: Vec<RunOutcome> = group
-        .iter()
-        .map(|run| run_flat(cfg, &assign, &mut flat_arenas, run))
-        .collect();
-    let stats = ForkStats {
-        runs: workers.fig8.stats.runs + workers.detector.stats.runs + workers.byz.stats.runs,
-        forked: workers.fig8.stats.forked
-            + workers.detector.stats.forked
-            + workers.byz.stats.forked,
-        snapshots: workers.fig8.stats.snapshots
-            + workers.detector.stats.snapshots
-            + workers.byz.stats.snapshots,
-        shared_ticks: workers.fig8.stats.shared_ticks
-            + workers.detector.stats.shared_ticks
-            + workers.byz.stats.shared_ticks,
+    let (forked, flat, stats) = match cfg.stack {
+        StackKind::Fig8EvtHp => replay_group::<Fig8Stack>(cfg, &assign, &group),
+        StackKind::Fig9OracleQuorum => {
+            let flat = flat_verdicts::<Fig9Stack>(cfg, &assign, &group);
+            (flat.clone(), flat, ForkStats::default())
+        }
+        StackKind::EvtHpDetector => replay_group::<DetectorStack>(cfg, &assign, &group),
+        StackKind::ByzTolerant => replay_group::<ByzStack>(cfg, &assign, &group),
     };
     ByzantineReplay {
         scripts: group.iter().map(|r| r.scenario.to_string()).collect(),
-        forked: forked.into_iter().map(|o| o.verdict).collect(),
-        flat: flat.into_iter().map(|o| o.verdict).collect(),
+        forked,
+        flat,
         stats,
     }
+}
+
+fn flat_verdicts<S: Stack>(
+    cfg: &SweepConfig,
+    assign: &IdentityAssignment,
+    group: &[PlannedRun],
+) -> Vec<RunVerdict<()>> {
+    let mut arena = EngineArena::new();
+    let runs = group.iter();
+    runs.map(|run| run_flat::<S>(cfg, assign, &mut arena, run).verdict)
+        .collect()
+}
+
+/// `group` on the forked runner, then flat, plus the fork accounting.
+fn replay_group<S: Stack>(
+    cfg: &SweepConfig,
+    assign: &IdentityAssignment,
+    group: &[PlannedRun],
+) -> (Vec<RunVerdict<()>>, Vec<RunVerdict<()>>, ForkStats)
+where
+    S::Node: ForkProcess,
+{
+    let mut worker = ForkedWorker::new();
+    let forked = run_family_forked::<S>(cfg, assign, &mut worker, group);
+    let forked = forked.into_iter().map(|o| o.verdict).collect();
+    let flat = flat_verdicts::<S>(cfg, assign, group);
+    (forked, flat, worker.sweeper.stats)
 }

@@ -618,14 +618,6 @@ impl<P: Process> Engine<P> {
         &self.metrics
     }
 
-    /// Number of events currently waiting (queued plus the undispatched
-    /// remainder of the current tick batch; diagnostics and load
-    /// instrumentation, not part of the model).
-    #[must_use]
-    pub fn pending_events(&self) -> usize {
-        self.queue.len() + (self.tick_batch.len() - self.tick_pos)
-    }
-
     /// Recorded output histories, indexed by process.
     #[must_use]
     pub fn histories(&self) -> &[History<P::Output>] {

@@ -1,7 +1,7 @@
 //! Multi-seed sweep plumbing shared by the experiment harness and the
 //! chaos falsification harness — **the single implementation module**;
-//! `homonym_chaos::sweep` and the bench harness re-export from here
-//! rather than growing drifting copies.
+//! `homonym_chaos::sweep` re-exports from here rather than growing a
+//! drifting copy.
 //!
 //! Two executors live here:
 //!
@@ -42,6 +42,7 @@ use homonym_core::wire::{self, Persist, WireError};
 use crate::adversary::{ByzClause, ByzantineScript, LinkClause, LinkEffect, LinkFaultScript};
 use crate::engine::{Engine, EngineArena, SimConfig, StopReason};
 use crate::network::NetworkModel;
+use crate::process::Process;
 use crate::snapshot::{EngineSnapshot, ForkProcess};
 use crate::store::{SnapshotSpool, SpoolStats};
 
@@ -306,8 +307,9 @@ impl RunGoal {
     }
 
     /// Drives `engine` toward this goal, but no further than `cap` (the
-    /// branch-point deadline of a shared prefix).
-    fn run<P: ForkProcess>(self, engine: &mut Engine<P>, cap: Time) -> StopReason {
+    /// branch-point deadline of a shared prefix; [`Time::MAX`] for the
+    /// whole run).
+    pub fn run<P: Process>(self, engine: &mut Engine<P>, cap: Time) -> StopReason {
         match self {
             RunGoal::Until(t) => engine.run_until(t.min(cap)),
             RunGoal::UntilAllCorrectDecided(t) => engine.run_until_all_correct_decided(t.min(cap)),

@@ -246,6 +246,75 @@ fn forked_and_flat_executors_produce_identical_reports() {
     }
 }
 
+/// Flat and forked sweeps share one run recipe per stack, so their
+/// equality cannot see a recipe that is wrong on both sides (margin,
+/// network, lossy excusal, claim gating, probe policy). These reports
+/// and fingerprints were recorded before the per-stack runners were
+/// unified and must never move: `(runs, liveness held, excused, safety
+/// cex, liveness cex, byzantine demonstrated, byzantine survived,
+/// probes, probe demonstrations, probes decided early)` of a 12-scenario
+/// crash sweep with 2 variants and a probe every 3rd scenario, and of
+/// the default 12-scenario Byzantine sweep.
+#[test]
+fn sweep_recipes_are_pinned_per_stack() {
+    type Counts = [usize; 10];
+    const PINNED: [(StackKind, u64, Counts, u64, Counts); 4] = [
+        (
+            StackKind::Fig8EvtHp,
+            0xd9b9_c8e6_6d45_569b,
+            [24, 21, 3, 0, 0, 0, 0, 4, 3, 0],
+            0xdc6e_72f6_7f87_5c04,
+            [12, 5, 1, 0, 0, 2, 4, 0, 0, 0],
+        ),
+        (
+            StackKind::Fig9OracleQuorum,
+            0xbc08_be2c_b5c3_f9f5,
+            [24, 18, 6, 0, 0, 0, 0, 4, 3, 0],
+            0x4532_8a79_cf2c_2acc,
+            [12, 5, 1, 0, 0, 5, 1, 0, 0, 0],
+        ),
+        (
+            StackKind::EvtHpDetector,
+            0xf43b_2beb_dc86_84b7,
+            [24, 24, 0, 0, 0, 0, 0, 0, 0, 0],
+            0xec71_29d8_5cbe_450c,
+            [12, 6, 0, 0, 0, 5, 1, 0, 0, 0],
+        ),
+        (
+            StackKind::ByzTolerant,
+            0xa143_85bf_76e8_c963,
+            [24, 21, 3, 0, 0, 0, 0, 4, 4, 0],
+            0xff08_c379_d32f_f334,
+            [12, 5, 1, 0, 0, 0, 6, 0, 0, 0],
+        ),
+    ];
+    for (stack, crash_fingerprint, crash_counts, byz_fingerprint, byz_counts) in PINNED {
+        let mut crash = SweepConfig::new(stack, 12).with_variants(2);
+        crash.probe_every = 3;
+        let byzantine = SweepConfig::byzantine(stack, 12);
+        for (cfg, fingerprint, counts) in [
+            (&crash, crash_fingerprint, crash_counts),
+            (&byzantine, byz_fingerprint, byz_counts),
+        ] {
+            assert_eq!(cfg.fingerprint(), fingerprint, "{}", stack.name());
+            let r = falsification_sweep_forked(cfg);
+            let got = [
+                r.runs,
+                r.liveness_held,
+                r.liveness_excused,
+                r.safety_counterexamples.len(),
+                r.liveness_counterexamples.len(),
+                r.byzantine_demonstrated.len(),
+                r.byzantine_survived,
+                r.probes,
+                r.probe_demonstrations,
+                r.probe_decided_early,
+            ];
+            assert_eq!(got, counts, "{} {:?}", stack.name(), cfg.families);
+        }
+    }
+}
+
 /// Variant expansion preserves the flat executor's semantics: with
 /// `variants == 1` the planned run list (and therefore the report) is
 /// exactly the historical single-scenario sweep, on both executors.
