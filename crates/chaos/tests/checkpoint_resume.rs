@@ -256,6 +256,10 @@ where
 
     let mut e = mk();
     e.run_until(Time::from_ticks(cut));
+    assert!(
+        e.decisions().iter().all(Option::is_none),
+        "the cut must come before the first decision ({tag})"
+    );
     let snap = e.snapshot();
     let dir = unique_dir(tag);
     let _ = std::fs::remove_dir_all(&dir);
@@ -302,7 +306,8 @@ fn byz_quorum_stack_survives_a_disk_round_trip_mid_run() {
     let assign = IdentityAssignment::round_robin(n, 2);
     let props: Vec<u64> = (0..n as u64).map(|i| 100 + i).collect();
     let a = assign.clone();
-    assert_engine_disk_round_trip::<ByzTolerantNode>("byz-rt", 10, 30_000, move || {
+    // Three message delays of at most 3 ticks decide this run by tick 9.
+    assert_engine_disk_round_trip::<ByzTolerantNode>("byz-rt", 4, 30_000, move || {
         let sim = SimConfig::new(a.clone(), FailureSchedule::none(n), hps_base()).with_seed(13);
         Engine::new(sim, |p, _| byz_tolerant_node(props[p], &a))
     });

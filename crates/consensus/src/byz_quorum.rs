@@ -29,20 +29,56 @@
 //! tolerates any `f' ≤ ⌊(n−1)/3⌋`", and the over-threshold family
 //! demonstrates the bound is tight.
 //!
-//! ## The certificate structure
+//! ## The round: coordinate → vote → commit
 //!
-//! Rounds alternate two phases. In the **vote** phase everyone broadcasts
-//! `VOTE(id, r, est, locked)`; a value backed by `quorum` admitted copies
-//! becomes the process's *commit candidate* and is **locked** (see
-//! below). In the **commit** phase everyone broadcasts its candidate
-//! (possibly `⊥`); `quorum` matching non-⊥ commits decide the value,
-//! `affirm` matching commits are an adoption certificate (≥ 1 honest
-//! process saw a vote quorum), and failing both the process falls back to
-//! the round's *coordinator label* (rotating over the distinct labels,
-//! the homonymous stand-in for a rotating proposer — a whole label class
-//! coordinates, exactly as in the paper's Leaders' Coordination phase,
-//! but without trusting any failure detector output, which a Byzantine
-//! scenario could corrupt).
+//! A round opens with a **coordination step**, the paper's Leaders'
+//! Coordination Phase (Figure 8) without its failure detector: the
+//! carriers of the round's *coordinator label* (rotating over the
+//! distinct labels, the homonymous stand-in for a rotating proposer — a
+//! whole label class coordinates, and no detector output is trusted,
+//! which a Byzantine scenario could corrupt) broadcast
+//! `COORD(id, r, est, locked)`. An unlocked process withholds its vote
+//! until it has admitted as many `COORD` copies as the label has
+//! carriers, or `phase_grace` has passed, and then adopts the smallest
+//! locked estimate among them, else the smallest estimate (its own if it
+//! admitted none). A locked process — every decided one is — votes at
+//! once: its estimate is not up for adoption. In a clean round every
+//! process therefore votes one value and the round decides in three
+//! message delays.
+//!
+//! In the **vote** phase everyone broadcasts `VOTE(id, r, est, locked)`;
+//! a value backed by `quorum` admitted copies becomes the process's
+//! *commit candidate* and is **locked** (see below). In the **commit**
+//! phase everyone broadcasts its candidate (possibly `⊥`); `quorum`
+//! matching non-⊥ commits decide the value, `affirm` matching commits
+//! are an adoption certificate (≥ 1 honest process saw a vote quorum),
+//! and failing both an unlocked process falls back to what the
+//! coordinator label *voted* in the round — the same pick, read off the
+//! vote window, for the round whose `COORD`s were lost or late.
+//!
+//! **Why coordination cannot hurt agreement.** It only changes what an
+//! *unlocked* process votes, and nothing ever constrained that: a
+//! process without a lock may vote any value. The agreement argument
+//! rests on locks and on `2·quorum > n + f` (below), and the step
+//! touches neither. **What a faulty coordinator costs.** A crashed or
+//! silent carrier leaves the label one `COORD` short, so unlocked
+//! processes vote one `phase_grace` later, with whatever they admitted.
+//! An equivocating carrier can split the estimates the unlocked
+//! processes adopt; the round then runs exactly as an uncoordinated one
+//! (no vote quorum, `⊥` commits, next label's turn). Either way the
+//! price is bounded by one grace per round, and a `COORD` under any
+//! other label, or beyond the label's multiplicity, is shed like every
+//! other super-cap copy.
+//!
+//! **Round skip.** No process here retransmits, so one that lost copies
+//! of a round — a dropped `VOTE` below `wait`, say — would sit in that
+//! round forever while the rest move on, and with enough of them
+//! stranded in different rounds no phase anywhere reaches `wait` again.
+//! Tendermint's rule closes this: `affirm` admitted `VOTE` or `COMMIT`
+//! copies of a later round prove an honest process is already there, and
+//! the receiver enters that round directly (the latest such one). Locks
+//! travel with it unchanged, so the skip is as safe as finishing the
+//! round empty-handed.
 //!
 //! Every window admits payloads through the
 //! [`WindowLedger`] half of the crate-wide
@@ -75,7 +111,10 @@
 //! `affirm` matching copies — hence at least one from an honest process
 //! that genuinely decided — form a decision certificate. A process that
 //! decides (either way) broadcasts its own `DECIDE` echo, so certificates
-//! amplify Bracha-style, and then **keeps participating in rounds**
+//! amplify Bracha-style — it records the decision *first*, so that a
+//! host with no use for the echo (the log service, whose `Commit` is the
+//! same certificate) can drop everything past the decision — and then
+//! **keeps participating in rounds**
 //! instead of halting: halting would shrink the live population below
 //! `wait` and strand any straggler whose certificate copies were dropped,
 //! while the sweep's run goal already ends the simulation once every
@@ -110,6 +149,20 @@ const TICK: TimerTag = TimerTag(0);
 /// Protocol messages of the Byzantine-tolerant quorum stack.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ByzMsg {
+    /// `COORD(id, r, est, locked)` — a carrier of round `r`'s
+    /// coordinator label announcing the estimate it enters the round
+    /// with (the Leaders' Coordination step).
+    Coord {
+        /// Sender's identifier (admitted only under the round's
+        /// coordinator label, capped at its multiplicity).
+        id: Identity,
+        /// Sender's round.
+        round: u64,
+        /// Sender's estimate on entering the round.
+        est: u64,
+        /// Whether the sender is locked on `est` (a claim, as on votes).
+        locked: bool,
+    },
     /// `VOTE(id, r, est, locked)` — the sender's round-`r` estimate,
     /// flagged when the sender holds a lock on it.
     Vote {
@@ -147,18 +200,22 @@ pub enum ByzMsg {
 #[must_use]
 pub fn classify_byz(msg: &ByzMsg) -> &'static str {
     match msg {
+        ByzMsg::Coord { .. } => "COORD",
         ByzMsg::Vote { .. } => "VOTE",
         ByzMsg::Commit { .. } => "COMMIT",
         ByzMsg::Decide { .. } => "DECIDE",
     }
 }
 
-/// Round extractor for trace annotation: the round a vote or commit
-/// belongs to (`DECIDE` echoes are round-free certificates).
+/// Round extractor for trace annotation: the round a coordination,
+/// vote or commit message belongs to (`DECIDE` echoes are round-free
+/// certificates).
 #[must_use]
 pub fn round_of_byz(msg: &ByzMsg) -> Option<u64> {
     match msg {
-        ByzMsg::Vote { round, .. } | ByzMsg::Commit { round, .. } => Some(*round),
+        ByzMsg::Coord { round, .. } | ByzMsg::Vote { round, .. } | ByzMsg::Commit { round, .. } => {
+            Some(*round)
+        }
         ByzMsg::Decide { .. } => None,
     }
 }
@@ -169,13 +226,20 @@ pub fn round_of_byz(msg: &ByzMsg) -> Option<u64> {
 /// entropy-derived delta while identifiers and round numbers stay intact
 /// (the forgery hides among the sender's honest homonyms); a `⊥` commit
 /// is forged into a phantom certificate claim, and the `locked` flag is
-/// re-rolled so forged votes can also claim (or disclaim) locks. The
+/// re-rolled so forged votes and coordinator proposals can also claim
+/// (or disclaim) locks. The
 /// tolerant stack must shed all of this through its certificates — the
 /// mutation is deliberately *not* weakened to make its job easier.
 #[must_use]
 pub fn mutate_byz_msg(msg: &ByzMsg, entropy: u64) -> ByzMsg {
     let delta = 1 + entropy % 7;
     match *msg {
+        ByzMsg::Coord { id, round, est, .. } => ByzMsg::Coord {
+            id,
+            round,
+            est: est.wrapping_add(delta),
+            locked: entropy.is_multiple_of(2),
+        },
         ByzMsg::Vote { id, round, est, .. } => ByzMsg::Vote {
             id,
             round,
@@ -197,6 +261,12 @@ pub fn mutate_byz_msg(msg: &ByzMsg, entropy: u64) -> ByzMsg {
 /// One round's label-capped message windows.
 #[derive(Debug, Default, Clone)]
 struct ByzWindow {
+    /// Coordination-step admission ledger: only the round's coordinator
+    /// label is ever admitted, up to its multiplicity.
+    coord_ledger: WindowLedger,
+    /// Admitted `COORD` proposals, `(est, locked)` in arrival order (read
+    /// through [`coordinator_pick`] only).
+    coords: Vec<(u64, bool)>,
     /// Vote-phase admission ledger.
     vote_ledger: WindowLedger,
     /// Admitted vote estimates.
@@ -204,8 +274,8 @@ struct ByzWindow {
     /// Admitted vote estimates whose sender claimed a lock.
     locked_votes: ValueCounts,
     /// Admitted votes carried under this round's coordinator label:
-    /// `(est, locked)` in arrival order (only order-independent
-    /// aggregates are read off it).
+    /// `(est, locked)` in arrival order (read through
+    /// [`coordinator_pick`] only).
     coord_votes: Vec<(u64, bool)>,
     /// Commit-phase admission ledger.
     commit_ledger: WindowLedger,
@@ -217,6 +287,8 @@ struct ByzWindow {
 
 impl Window for ByzWindow {
     fn reset(&mut self) {
+        self.coord_ledger.reset();
+        self.coords.clear();
         self.vote_ledger.reset();
         self.votes.clear();
         self.locked_votes.clear();
@@ -246,9 +318,23 @@ fn count_of(counts: &ValueCounts, v: u64) -> u32 {
         .map_or(0, |&(_, c)| u32::try_from(c).unwrap_or(u32::MAX))
 }
 
-/// The two phases of a round.
+/// What a coordinator label's `(est, locked)` claims tell an unlocked
+/// process to adopt: the smallest locked estimate, else the smallest
+/// estimate. Locked claims take priority (they break the standoff where
+/// a lock camp's value never surfaces as a coordinator minimum); among
+/// equals the minimum wins, as in the paper's Leaders' Coordination
+/// phase. Both aggregates are order-independent, so processes holding
+/// the same claims pick the same value.
+fn coordinator_pick(claims: &[(u64, bool)]) -> Option<u64> {
+    let locked_min = claims.iter().filter(|&&(_, l)| l).map(|&(v, _)| v).min();
+    locked_min.or_else(|| claims.iter().map(|&(v, _)| v).min())
+}
+
+/// The three phases of a round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
+    /// Collecting the coordinator label's `COORD`s before voting.
+    Coord,
     /// Collecting `VOTE`s, hunting a vote quorum.
     Vote,
     /// Collecting `COMMIT`s, hunting a decision certificate.
@@ -289,7 +375,8 @@ pub struct ByzQuorumConsensus {
     tick: Span,
     /// Extra dwell time per phase after the `wait` threshold, so
     /// post-GST processes evaluate near-identical windows instead of
-    /// racing ahead on the first `wait` arrivals.
+    /// racing ahead on the first `wait` arrivals; also how long an
+    /// unlocked process waits for the coordinator label before voting.
     phase_grace: Span,
 }
 
@@ -316,7 +403,7 @@ impl ByzQuorumConsensus {
             est: proposal,
             lock: None,
             round: 0,
-            phase: Phase::Vote,
+            phase: Phase::Coord,
             phase_entered: Time::ZERO,
             rounds: RoundRing::new(),
             decide_ledger: WindowLedger::default(),
@@ -400,31 +487,53 @@ impl ByzQuorumConsensus {
             .map(|&(v, _)| v)
     }
 
-    fn broadcast_vote(&mut self, ctx: &mut ActionSink<'_, ByzMsg, u64>) {
-        ctx.broadcast(ByzMsg::Vote {
-            id: ctx.my_id(),
-            round: self.round,
-            est: self.est,
-            locked: self.lock.is_some(),
-        });
-    }
-
+    /// Enters `self.round`: the coordinator label's carriers announce
+    /// their estimates; voting follows from [`Self::eval`]'s `Coord` arm.
     fn enter_round(&mut self, ctx: &mut ActionSink<'_, ByzMsg, u64>) {
         self.rounds.advance_to(self.round);
-        self.phase = Phase::Vote;
+        self.phase = Phase::Coord;
         self.phase_entered = ctx.local_now();
         let r = self.round;
         ctx.observe(|| ObsKind::PhaseEnter {
             round: r,
-            phase: "VOTE",
+            phase: "COORD",
         });
-        ctx.publish(self.round);
-        self.broadcast_vote(ctx);
+        ctx.publish(r);
+        if ctx.my_id() == self.coord_label(r) {
+            ctx.broadcast(ByzMsg::Coord {
+                id: ctx.my_id(),
+                round: r,
+                est: self.est,
+                locked: self.lock.is_some(),
+            });
+        }
     }
 
-    /// Delivers a certified decision: decide once, echo the certificate,
-    /// pin the value, and *keep participating* (see the module docs for
-    /// why halting here would strand stragglers).
+    /// Counts one copy shed by the detect-and-discard admission policy.
+    fn shed(&mut self, round: u64, class: &'static str, ctx: &mut ActionSink<'_, ByzMsg, u64>) {
+        self.discarded += 1;
+        ctx.note_discard();
+        ctx.observe(|| ObsKind::LedgerDiscard { round, class });
+    }
+
+    /// The latest round after the current one that `affirm` admitted
+    /// `VOTE` or `COMMIT` copies show at least one honest process to be
+    /// in already (the round-skip rule; see the module docs).
+    fn round_to_skip_to(&self) -> Option<u64> {
+        let a = self.affirm();
+        let ahead = self.rounds.resident() as u64;
+        (self.round + 1..self.round + ahead).rev().find(|&r| {
+            self.rounds
+                .get(r)
+                .is_some_and(|w| w.vote_ledger.admitted() >= a || w.commit_ledger.admitted() >= a)
+        })
+    }
+
+    /// Delivers a certified decision: decide once, *then* echo the
+    /// certificate (a host that sheds what follows the decision — the log
+    /// service — thereby sheds the echo too), pin the value, and *keep
+    /// participating* (see the module docs for why halting here would
+    /// strand stragglers).
     fn deliver_decision(&mut self, v: u64, ctx: &mut ActionSink<'_, ByzMsg, u64>) {
         if self.decided.is_some() {
             return;
@@ -434,11 +543,11 @@ impl ByzQuorumConsensus {
         self.lock = Some((v, self.round));
         let r = self.round;
         ctx.observe(|| ObsKind::LockAcquired { round: r, value: v });
+        ctx.decide(v);
         ctx.broadcast(ByzMsg::Decide {
             id: ctx.my_id(),
             value: v,
         });
-        ctx.decide(v);
     }
 
     /// Phase-threshold guard: a quorum ends the dwell immediately (it is
@@ -468,8 +577,44 @@ impl ByzQuorumConsensus {
                 return true;
             }
         }
+        if let Some(later) = self.round_to_skip_to() {
+            self.round = later;
+            self.enter_round(ctx);
+            return true;
+        }
         let r = self.round;
         match self.phase {
+            Phase::Coord => {
+                // A lock pins the estimate (and a decision pins a lock),
+                // so only an unlocked process has anything to learn from
+                // the coordinators — and only it waits for them.
+                if self.lock.is_none() {
+                    let expected = self.caps.multiplicity(&self.coord_label(r));
+                    let w = self.rounds.get(r);
+                    let heard = w.map_or(0, |w| w.coord_ledger.admitted());
+                    if heard < expected && now < self.phase_entered + self.phase_grace {
+                        return false;
+                    }
+                    if let Some(v) = w.and_then(|w| coordinator_pick(&w.coords)) {
+                        self.est = v;
+                    }
+                }
+                // No exit event for the coordination step: entering the
+                // vote phase of the same round closes it for every reader.
+                ctx.observe(|| ObsKind::PhaseEnter {
+                    round: r,
+                    phase: "VOTE",
+                });
+                self.phase = Phase::Vote;
+                self.phase_entered = now;
+                ctx.broadcast(ByzMsg::Vote {
+                    id: ctx.my_id(),
+                    round: r,
+                    est: self.est,
+                    locked: self.lock.is_some(),
+                });
+                true
+            }
             Phase::Vote => {
                 let Some(w) = self.rounds.get(r) else {
                     return false;
@@ -586,20 +731,11 @@ impl ByzQuorumConsensus {
             self.est = x;
             return;
         }
-        // Unlocked: follow the round's coordinator label. Locked claims
-        // take priority (they break the standoff where a lock camp's
-        // value never surfaces as a coordinator minimum); among equals
-        // the minimum wins, as in the paper's Leaders' Coordination
-        // phase. Both aggregates are order-independent, and in a clean
-        // round every honest process computes them identically.
-        let locked_min = w
-            .coord_votes
-            .iter()
-            .filter(|&&(_, l)| l)
-            .map(|&(v, _)| v)
-            .min();
-        let any_min = w.coord_votes.iter().map(|&(v, _)| v).min();
-        if let Some(v) = locked_min.or(any_min) {
+        // Unlocked: follow what the round's coordinator label voted. In
+        // a clean round the coordination step already made everyone vote
+        // this value; the fallback matters after a round whose `COORD`s
+        // were lost or late.
+        if let Some(v) = coordinator_pick(&w.coord_votes) {
             self.est = v;
         }
     }
@@ -634,6 +770,22 @@ impl Process for ByzQuorumConsensus {
 
     fn on_message(&mut self, msg: ByzMsg, ctx: &mut ActionSink<'_, ByzMsg, u64>) {
         match msg {
+            ByzMsg::Coord {
+                id,
+                round,
+                est,
+                locked,
+            } => {
+                if round >= self.round {
+                    let coord = self.coord_label(round);
+                    let w = self.rounds.get_mut(round);
+                    if id == coord && w.coord_ledger.admit(id, &self.caps) {
+                        w.coords.push((est, locked));
+                    } else {
+                        self.shed(round, "COORD", ctx);
+                    }
+                }
+            }
             ByzMsg::Vote {
                 id,
                 round,
@@ -652,12 +804,7 @@ impl Process for ByzQuorumConsensus {
                             w.coord_votes.push((est, locked));
                         }
                     } else {
-                        self.discarded += 1;
-                        ctx.note_discard();
-                        ctx.observe(|| ObsKind::LedgerDiscard {
-                            round,
-                            class: "VOTE",
-                        });
+                        self.shed(round, "VOTE", ctx);
                     }
                 }
             }
@@ -670,12 +817,7 @@ impl Process for ByzQuorumConsensus {
                             None => w.commit_bottoms += 1,
                         }
                     } else {
-                        self.discarded += 1;
-                        ctx.note_discard();
-                        ctx.observe(|| ObsKind::LedgerDiscard {
-                            round,
-                            class: "COMMIT",
-                        });
+                        self.shed(round, "COMMIT", ctx);
                     }
                 }
             }
@@ -683,13 +825,7 @@ impl Process for ByzQuorumConsensus {
                 if self.decide_ledger.admit(id, &self.caps) {
                     self.decide_votes.add(value);
                 } else {
-                    self.discarded += 1;
-                    ctx.note_discard();
-                    let r = self.round;
-                    ctx.observe(|| ObsKind::LedgerDiscard {
-                        round: r,
-                        class: "DECIDE",
-                    });
+                    self.shed(self.round, "DECIDE", ctx);
                 }
             }
         }
@@ -713,6 +849,18 @@ impl Persist for ByzMsg {
                 locked,
             } => {
                 s.u8(0);
+                id.save(s);
+                round.save(s);
+                est.save(s);
+                locked.save(s);
+            }
+            ByzMsg::Coord {
+                id,
+                round,
+                est,
+                locked,
+            } => {
+                s.u8(3);
                 id.save(s);
                 round.save(s);
                 est.save(s);
@@ -748,6 +896,12 @@ impl Persist for ByzMsg {
                 id: Persist::load(l)?,
                 value: Persist::load(l)?,
             },
+            3 => ByzMsg::Coord {
+                id: Persist::load(l)?,
+                round: Persist::load(l)?,
+                est: Persist::load(l)?,
+                locked: Persist::load(l)?,
+            },
             tag => {
                 return Err(WireError::BadTag {
                     what: "ByzMsg",
@@ -758,9 +912,15 @@ impl Persist for ByzMsg {
     }
 }
 
-homonym_core::persist_unit_enum!(Phase { Vote = 0, Commit = 1 });
+homonym_core::persist_unit_enum!(Phase {
+    Vote = 0,
+    Commit = 1,
+    Coord = 2
+});
 
 homonym_core::persist_fields!(ByzWindow {
+    coord_ledger,
+    coords,
     vote_ledger,
     votes,
     locked_votes,
@@ -794,6 +954,8 @@ mod tests {
     use super::*;
     use homonym_core::prelude::*;
     use homonym_sim::prelude::*;
+    use homonym_sim::process::Action;
+    use rand::rngs::StdRng;
 
     fn assign8() -> IdentityAssignment {
         IdentityAssignment::round_robin(8, 3)
@@ -903,6 +1065,98 @@ mod tests {
         assert!(
             outcome.decisions.iter().all(Option::is_none),
             "no decision certificate can form past the bound"
+        );
+    }
+
+    /// Drives `c` by hand as a carrier of `me`: `on_start` at tick 0 when
+    /// `msgs` is empty, else each message at tick 1. Returns the actions
+    /// emitted.
+    fn drive(
+        c: &mut ByzQuorumConsensus,
+        me: Identity,
+        msgs: Vec<ByzMsg>,
+    ) -> Vec<Action<ByzMsg, u64>> {
+        let mut actions = Vec::new();
+        let mut rng = <StdRng as rand::SeedableRng>::seed_from_u64(1);
+        if msgs.is_empty() {
+            c.on_start(&mut ActionSink::new(me, Time::ZERO, &mut rng, &mut actions));
+        }
+        for m in msgs {
+            let mut sink = ActionSink::new(me, Time::from_ticks(1), &mut rng, &mut actions);
+            c.on_message(m, &mut sink);
+        }
+        actions
+    }
+
+    #[test]
+    fn affirm_votes_of_a_later_round_pull_the_process_into_it() {
+        let mut c = ByzQuorumConsensus::new(7, &assign8());
+        let me = Identity::new(0); // rounds 0 and 3 are label 0's
+        let vote = ByzMsg::Vote {
+            id: Identity::new(1),
+            round: 3,
+            est: 9,
+            locked: false,
+        };
+        let short = vec![vote.clone(); c.affirm() - 1];
+        drive(&mut c, me, vec![]);
+        drive(&mut c, me, short);
+        assert_eq!(c.round, 0, "f copies may all be forged");
+        let actions = drive(&mut c, me, vec![vote]);
+        assert_eq!((c.round, c.phase), (3, Phase::Coord));
+        assert!(
+            actions.iter().any(|a| matches!(
+                a,
+                Action::Broadcast(ByzMsg::Coord {
+                    round: 3,
+                    est: 7,
+                    ..
+                })
+            )),
+            "a coordinator carrier opens the round it skipped to: {actions:?}"
+        );
+    }
+
+    #[test]
+    fn coord_is_admitted_from_the_coordinator_label_up_to_its_cap_only() {
+        let mut c = ByzQuorumConsensus::new(7, &assign8());
+        let me = Identity::new(2);
+        let coord = |id, est| ByzMsg::Coord {
+            id: Identity::new(id),
+            round: 0,
+            est,
+            locked: false,
+        };
+        drive(&mut c, me, vec![]);
+        // Round 0 is label 0's, carried thrice: label 1's copy is shed,
+        // and so is label 0's fourth.
+        let msgs = vec![
+            coord(1, 1),
+            coord(0, 30),
+            coord(0, 20),
+            coord(0, 25),
+            coord(0, 5),
+        ];
+        let actions = drive(&mut c, me, msgs);
+        assert_eq!(c.discarded(), 2);
+        let noted = actions
+            .iter()
+            .filter(|a| matches!(a, Action::Discard))
+            .count();
+        assert_eq!(noted, 2, "each shed copy is noted to the engine");
+        // With all three carriers heard the vote goes out at once, on
+        // their minimum — not on the shed 1 or 5.
+        assert!(
+            actions.iter().any(|a| matches!(
+                a,
+                Action::Broadcast(ByzMsg::Vote {
+                    round: 0,
+                    est: 20,
+                    locked: false,
+                    ..
+                })
+            )),
+            "{actions:?}"
         );
     }
 

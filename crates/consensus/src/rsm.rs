@@ -48,8 +48,33 @@
 //! most `k` copies, so `commit_quorum = f + 1` matching copies imply at
 //! least one correct witness. In the crash model a quorum of 1 is sound
 //! (correct processes only report decided values).
+//!
+//! # A decided height stops talking
+//!
+//! `Commit { h, v }` *is* the decision certificate of height `h`: `f + 1`
+//! matching copies under the label caps, exactly what the Byzantine
+//! engine's own `DECIDE` echo ledger demands. So the moment the height's
+//! engine decides, the log broadcasts its `Commit` and drops whatever
+//! else the engine emitted in that callback after the decision — the
+//! echo, the next round's opening messages, timer re-arms, observations
+//! of a round nobody will run. The cut is by position in the action
+//! stream; the log never looks inside an engine message.
+//!
+//! That commit broadcast also counts as the first *answer* about `h`:
+//! the tail of height-`h` copies still in flight when a replica commits
+//! would otherwise each look like a laggard asking, and earn a second
+//! n-copy `Commit`. A replica that is genuinely stuck keeps sending,
+//! outlasts [`RsmOptions::answer_interval`], and is answered as before.
+//! The throttle keeps one instant per height for the last
+//! [`RsmOptions::max_commit_ahead`] heights and a single shared instant
+//! for everything older, so it is bounded and a replica far behind is
+//! still answered at most once per interval.
+//!
+//! Which command wins a height is untouched by any of this: with the
+//! default engine it is the smallest proposal of the round-0 coordinator
+//! label.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use homonym_core::fork::{ForkSpace, ForkState};
 use homonym_core::identity::{Identity, IdentityAssignment};
@@ -324,8 +349,12 @@ pub struct ReplicatedLog<C: HeightEngine> {
     buffered: usize,
     /// `Commit` tallies for heights ≥ the local height.
     tallies: BTreeMap<u64, CommitTally>,
-    /// Last time we answered a laggard about each past height.
-    last_answer: BTreeMap<u64, Time>,
+    /// When each of the last `max_commit_ahead` heights was last
+    /// answered (its own commit broadcast counts), oldest first; the
+    /// back is height `height − 1`.
+    recent_answers: VecDeque<Time>,
+    /// When any height older than those was last answered.
+    stale_answer: Time,
 }
 
 /// Mixes one `(height, value)` commit into the running log fingerprint
@@ -372,7 +401,8 @@ impl<C: HeightEngine> ReplicatedLog<C> {
             future: BTreeMap::new(),
             buffered: 0,
             tallies: BTreeMap::new(),
-            last_answer: BTreeMap::new(),
+            recent_answers: VecDeque::new(),
+            stale_answer: Time::ZERO,
         }
     }
 
@@ -408,9 +438,10 @@ impl<C: HeightEngine> ReplicatedLog<C> {
     }
 
     /// Runs `f` against the live engine through a sub-sink, lifting its
-    /// actions into height-tagged envelopes. An inner `Decide` commits;
-    /// an inner `Halt` is swallowed — a height finishing is not the
-    /// service stopping.
+    /// actions into height-tagged envelopes. An inner `Decide` commits
+    /// and ends the relay (see "A decided height stops talking" in the
+    /// module docs); an inner `Halt` is swallowed — a height finishing is
+    /// not the service stopping.
     fn relay_inner(
         &mut self,
         ctx: &mut Sink<'_, C>,
@@ -436,7 +467,15 @@ impl<C: HeightEngine> ReplicatedLog<C> {
                 // Inner engines publish round estimates; the log service's
                 // history is the committed log, so those stay internal.
                 Action::Publish(_) => {}
-                Action::Decide(v) => decided = Some(v),
+                // The height is over: whatever the callback emitted
+                // after this (a decision echo, the next round's opening
+                // messages, a timer re-arm, observations of a round
+                // nobody will run) is shed, by position — the log's own
+                // `Commit` is the certificate laggards get.
+                Action::Decide(v) => {
+                    decided = Some(v);
+                    break;
+                }
                 Action::Halt => {}
                 Action::Observe(k) => ctx.observe(|| k),
                 Action::Discard => ctx.note_discard(),
@@ -477,9 +516,12 @@ impl<C: HeightEngine> ReplicatedLog<C> {
 
         self.height += 1;
         self.tallies = self.tallies.split_off(&self.height);
-        // Past-height answer throttles below the new height are dead
-        // weight only if laggards stop asking; keep them — the map is at
-        // most log-sized and answers stay rate-limited.
+        // The broadcast above is the first answer about `height`: the
+        // tail of its copies still in flight asks nothing new.
+        self.recent_answers.push_back(ctx.local_now());
+        if self.recent_answers.len() as u64 > self.opts.max_commit_ahead {
+            self.recent_answers.pop_front();
+        }
 
         let proposal = self.client.proposal(ctx.local_now());
         self.inner = C::spawn(&self.seed, proposal);
@@ -546,17 +588,21 @@ impl<C: HeightEngine> ReplicatedLog<C> {
     }
 
     /// Answers a laggard's height-`height` traffic with the committed
-    /// entry, at most once per [`RsmOptions::answer_interval`].
+    /// entry, at most once per [`RsmOptions::answer_interval`] — counted
+    /// from the commit broadcast for the last
+    /// [`RsmOptions::max_commit_ahead`] heights, and through one slot
+    /// shared by everything older.
     fn answer_past(&mut self, height: u64, ctx: &mut Sink<'_, C>) {
         let now = ctx.local_now();
-        let due = match self.last_answer.get(&height) {
-            Some(&t) => t + self.opts.answer_interval <= now,
-            None => true,
+        let oldest_recent = self.height - self.recent_answers.len() as u64;
+        let last = match height.checked_sub(oldest_recent) {
+            Some(i) => &mut self.recent_answers[i as usize],
+            None => &mut self.stale_answer,
         };
-        if !due {
+        if now < *last + self.opts.answer_interval {
             return;
         }
-        self.last_answer.insert(height, now);
+        *last = now;
         let Ok(idx) = usize::try_from(height) else {
             return;
         };
@@ -660,7 +706,8 @@ where
             future: self.future.clone(),
             buffered: self.buffered,
             tallies: self.tallies.clone(),
-            last_answer: self.last_answer.clone(),
+            recent_answers: self.recent_answers.clone(),
+            stale_answer: self.stale_answer,
         }
     }
 }
@@ -785,6 +832,54 @@ mod tests {
         node.tally_commit(0, 42, other, &mut sink);
         node.drain_certified(&mut sink);
         assert_eq!(node.log(), &[42]);
+    }
+
+    type ByzLog = ReplicatedLog<ByzQuorumConsensus>;
+
+    /// `Commit` broadcasts among what `step` emits, run at tick `at`.
+    fn commits_sent(
+        node: &mut ByzLog,
+        at: u64,
+        step: impl FnOnce(&mut ByzLog, &mut Sink<'_, ByzQuorumConsensus>),
+    ) -> usize {
+        let mut actions = Vec::new();
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
+        let label = Identity::new(0);
+        let mut sink = ActionSink::new(label, Time::from_ticks(at), &mut rng, &mut actions);
+        step(node, &mut sink);
+        let is_commit = |a: &&Action<_, _>| matches!(a, Action::Broadcast(RsmMsg::Commit { .. }));
+        actions.iter().filter(is_commit).count()
+    }
+
+    /// The answer throttle stays `max_commit_ahead` entries long however
+    /// many heights commit: a commit counts as the first answer about
+    /// its height, and all older heights share one slot.
+    #[test]
+    fn answer_throttle_is_bounded_and_starts_at_the_commit() {
+        let assign = IdentityAssignment::round_robin(4, 2);
+        let queues = WorkloadConfig::default().queues(4);
+        let mut node = byz_rsm_node(&assign, queues[0].clone());
+        let cap = node.opts.max_commit_ahead;
+        let interval = node.opts.answer_interval.ticks();
+        for h in 0..3 * cap {
+            assert_eq!(commits_sent(&mut node, 100, |n, s| n.commit(h, s)), 1);
+        }
+        assert_eq!(node.recent_answers.len() as u64, cap);
+
+        let answers = |node: &mut ByzLog, at, h| commits_sent(node, at, |n, s| n.answer_past(h, s));
+        let (recent, late) = (3 * cap - 1, 100 + interval);
+        assert_eq!(
+            answers(&mut node, late - 1, recent),
+            0,
+            "the commit answered"
+        );
+        assert_eq!(answers(&mut node, late, recent), 1);
+        assert_eq!(answers(&mut node, late, recent), 0);
+        // Heights below the window share one slot.
+        assert_eq!(answers(&mut node, late, 3), 1);
+        assert_eq!(answers(&mut node, late, 5), 0);
+        assert_eq!(answers(&mut node, late + interval, 5), 1);
+        assert_eq!(node.recent_answers.len() as u64, cap);
     }
 
     #[test]

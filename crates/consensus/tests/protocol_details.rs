@@ -2,8 +2,9 @@
 //! accessors, and buffer hygiene of the consensus processes.
 
 use homonym_consensus::{
-    classify_fig8, classify_fig9, classify_flood, Fig8Msg, Fig9Msg, FloodMsg, HOmegaPolicy,
-    MajorityConsensus, QuorumConsensus, QuorumMsg,
+    classify_byz, classify_fig8, classify_fig9, classify_flood, mutate_byz_msg, round_of_byz,
+    ByzMsg, ByzQuorumConsensus, Fig8Msg, Fig9Msg, FloodMsg, HOmegaPolicy, MajorityConsensus,
+    QuorumConsensus, QuorumMsg,
 };
 use homonym_core::prelude::*;
 use homonym_detectors::oracle::{OracleWorld, PreStability};
@@ -226,4 +227,85 @@ fn buffers_stay_bounded_across_rounds() {
     }
     engine.run_until_all_correct_decided(Time::from_ticks(500_000));
     check_consensus(&engine.outcome(proposals), &sched).expect("consensus holds");
+}
+
+/// Every link delay of the coordination tests below, in ticks.
+const DELAY: u64 = 2;
+/// `ByzQuorumConsensus`'s wait for a silent coordinator carrier.
+const PHASE_GRACE: u64 = 10;
+
+/// Runs the tolerant stack over eight processes proposing
+/// [`PROPOSALS`] under `l` labels, on links of exactly [`DELAY`] ticks;
+/// returns each process's `(tick, value)`.
+fn byz_decisions(l: usize, sched: FailureSchedule) -> Vec<Option<(Time, u64)>> {
+    let assign = IdentityAssignment::round_robin(8, l);
+    let a = assign.clone();
+    let cfg = SimConfig::new(
+        assign,
+        sched,
+        NetworkModel::reliable(Span::from_ticks(DELAY)),
+    );
+    let mut e = Engine::new(cfg, move |p, _| ByzQuorumConsensus::new(PROPOSALS[p], &a));
+    e.run_until_all_correct_decided(Time::from_ticks(1_000));
+    e.decisions().to_vec()
+}
+
+/// Round 0 belongs to label 0. With ℓ = 4 its carriers are p0 and p4,
+/// with ℓ = 2 they are p0, p2, p4 and p6; neither set holds the globally
+/// smallest proposal, so the decided value shows who coordinated.
+const PROPOSALS: [u64; 8] = [50, 3, 45, 5, 40, 6, 60, 8];
+
+#[test]
+fn a_clean_round_decides_the_coordinators_minimum_in_three_delays() {
+    for (l, want) in [(4, 40), (2, 40)] {
+        let decisions = byz_decisions(l, FailureSchedule::none(8));
+        // COORD, VOTE, COMMIT: round 0 cannot be left undecided before
+        // the grace, so a decision at three delays is a round-0 one.
+        let at = Time::from_ticks(3 * DELAY);
+        assert_eq!(decisions, vec![Some((at, want)); 8], "l = {l}");
+    }
+}
+
+#[test]
+fn a_crashed_coordinator_carrier_costs_one_grace() {
+    // p4 never speaks: the other carriers' minimum wins, one grace (the
+    // wait for p4's COORD) plus VOTE and COMMIT after the start.
+    for (l, want) in [(4, 50), (2, 45)] {
+        let sched = FailureSchedule::none(8).with_crash(4, Time::ZERO);
+        let decisions = byz_decisions(l, sched);
+        let at = Time::from_ticks(PHASE_GRACE + 2 * DELAY);
+        for (p, d) in decisions.iter().enumerate() {
+            let expected = (p != 4).then_some((at, want));
+            assert_eq!(*d, expected, "l = {l}, process {p}");
+        }
+    }
+}
+
+#[test]
+fn byz_coord_classifies_round_trips_and_mutates_like_a_vote() {
+    let msg = ByzMsg::Coord {
+        id: Identity::new(3),
+        round: 7,
+        est: 41,
+        locked: true,
+    };
+    assert_eq!(classify_byz(&msg), "COORD");
+    assert_eq!(round_of_byz(&msg), Some(7));
+    let bytes = homonym_core::wire::to_bytes(&msg);
+    let back: ByzMsg = homonym_core::wire::from_bytes(&bytes).expect("decodes");
+    assert_eq!(back, msg);
+    for entropy in 0..16 {
+        let ByzMsg::Coord {
+            id,
+            round,
+            est,
+            locked,
+        } = mutate_byz_msg(&msg, entropy)
+        else {
+            panic!("a forged COORD is still a COORD");
+        };
+        assert_eq!((id, round), (Identity::new(3), 7), "the forgery hides");
+        assert_ne!(est, 41, "the estimate is what gets forged");
+        assert_eq!(locked, entropy % 2 == 0, "and the lock claim re-rolled");
+    }
 }

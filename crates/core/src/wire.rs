@@ -385,6 +385,16 @@ impl Persist for u8 {
     }
 }
 
+/// Travels as a `u32`: the codec has no 16-bit primitive.
+impl Persist for u16 {
+    fn save(&self, s: &mut Saver) {
+        s.u32(u32::from(*self));
+    }
+    fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
+        u16::try_from(l.u32()?).map_err(|_| WireError::BadValue { what: "u16" })
+    }
+}
+
 impl Persist for u32 {
     fn save(&self, s: &mut Saver) {
         s.u32(*self);

@@ -36,6 +36,7 @@ use homonym_core::wire::{Loader, Persist, Saver, WireError};
 use homonym_sim::process::{ActionSink, Process, TimerTag};
 use homonym_sim::snapshot::ForkProcess;
 use homonym_sim::ObsKind;
+use std::sync::Arc;
 
 /// Protocol messages of Figure 6.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,8 +117,9 @@ pub fn mutate_evt_hp_msg(msg: &EvtHpMsg, entropy: u64) -> EvtHpMsg {
 /// with the `HΩ` view extracted from it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvtHpSnapshot {
-    /// The `◇HP` variable `h_trusted_p`.
-    pub evt_hp: EvtHPOutput,
+    /// The `◇HP` variable `h_trusted_p`, shared with every other
+    /// snapshot published since the bag last changed.
+    pub evt_hp: Arc<EvtHPOutput>,
     /// The Corollary 2 extraction `(h_leader_p, h_multiplicity_p)`.
     pub h_omega: HOmegaOutput,
     /// The round that just ended (diagnostic, not part of the class).
@@ -134,7 +136,10 @@ pub fn split_snapshots(
     homonym_core::properties::History<EvtHPOutput>,
     homonym_core::properties::History<HOmegaOutput>,
 ) {
-    let evt = hist.iter().map(|(t, s)| (*t, s.evt_hp.clone())).collect();
+    let evt = hist
+        .iter()
+        .map(|(t, s)| (*t, EvtHPOutput::clone(&s.evt_hp)))
+        .collect();
     let omg = hist.iter().map(|(t, s)| (*t, s.h_omega)).collect();
     (evt, omg)
 }
@@ -170,9 +175,9 @@ pub struct EvtHpProcess {
     /// detector (same membership every round) does no bag work at all.
     prev_gather: Vec<Identity>,
     /// Cached `◇HP` output snapshot, rebuilt only when the membership
-    /// actually changes; publishing clones this instead of re-wrapping
-    /// the bag every round.
-    snapshot: EvtHPOutput,
+    /// actually changes; publishing shares this instead of re-wrapping
+    /// (or copying) the bag every round.
+    snapshot: Arc<EvtHPOutput>,
     evt_mirror: Option<SharedCell<EvtHPOutput>>,
     omega_mirror: Option<SharedCell<HOmegaOutput>>,
     /// Whether the mirror cells may lag the local state (set at start,
@@ -199,7 +204,7 @@ impl EvtHpProcess {
             pending: Vec::new(),
             gather: Vec::new(),
             prev_gather: Vec::new(),
-            snapshot: EvtHPOutput::default(),
+            snapshot: Arc::default(),
             evt_mirror: None,
             omega_mirror: None,
             mirrors_dirty: true,
@@ -283,8 +288,7 @@ impl EvtHpProcess {
         // Incremental update: once the detector has converged every round
         // gathers the same membership, so the common case skips the bag
         // rebuild, the HΩ extraction, the mirror stores and the snapshot
-        // re-wrap entirely — the round then allocates nothing but the
-        // published clone.
+        // re-wrap entirely — the round then allocates nothing.
         let changed = gather != self.prev_gather;
         if changed {
             self.h_trusted.clear();
@@ -308,7 +312,7 @@ impl EvtHpProcess {
                 }
                 self.h_omega = next;
             }
-            self.snapshot = EvtHPOutput::new(self.h_trusted.clone());
+            self.snapshot = Arc::new(EvtHPOutput::new(self.h_trusted.clone()));
             std::mem::swap(&mut self.prev_gather, &mut gather);
         }
         let trusted = self.h_trusted.len();
@@ -323,7 +327,7 @@ impl EvtHpProcess {
         // change).
         if changed || self.mirrors_dirty {
             if let Some(cell) = &self.evt_mirror {
-                cell.set(self.snapshot.clone());
+                cell.set(EvtHPOutput::clone(&self.snapshot));
             }
             if let Some(cell) = &self.omega_mirror {
                 cell.set(self.h_omega);
@@ -332,7 +336,7 @@ impl EvtHpProcess {
         }
         self.gather = gather;
         ctx.publish(EvtHpSnapshot {
-            evt_hp: self.snapshot.clone(),
+            evt_hp: Arc::clone(&self.snapshot),
             h_omega: self.h_omega,
             round: r,
             timeout: self.timeout,

@@ -27,6 +27,7 @@
 //! numbers start at 1, so no real command encodes to 0).
 
 use homonym_core::time::Time;
+use homonym_core::wire::{Loader, Persist, Saver, WireError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -188,22 +189,33 @@ pub fn is_noop(cmd: u64) -> bool {
     cmd == NOOP
 }
 
-/// One process's generated command stream plus its issuing cursor — the
-/// client state a `ReplicatedLog` process carries across heights.
+/// One process's command stream plus its issuing cursor — the client
+/// state a `ReplicatedLog` process carries across heights.
+///
+/// The stream is *drawn as it is consumed*: the queue holds the
+/// generator (RNG, arrival clock, issued count) and only the head
+/// command, and draws the next one when the head commits. The draws and
+/// their order are those of generating the whole stream up front, so a
+/// stream is a pure function of its [`WorkloadConfig`] and process index
+/// however far a run consumes it — and a service that commits a few
+/// thousand of a quarter-million commands never pays for the rest.
 ///
 /// All mutable state is plain data: cloning is forking (no shared
 /// cells), which keeps the log process trivially snapshot/fork-safe.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommandQueue {
     proc_idx: usize,
-    /// Encoded commands, in issue order.
-    cmds: Vec<u64>,
-    /// Arrival instants (ticks), parallel to `cmds`; for closed-loop
-    /// workloads every entry is 0 (the next command "arrives" the
-    /// moment its predecessor commits).
-    arrivals: Vec<u64>,
-    /// Index of the first not-yet-committed own command.
-    done: usize,
+    cfg: WorkloadConfig,
+    rng: StdRng,
+    /// Arrival instant (ticks) of the last command drawn; stays 0 for
+    /// closed-loop workloads (the next command "arrives" the moment its
+    /// predecessor commits).
+    clock: u64,
+    /// Commands drawn so far, the head included.
+    issued: usize,
+    /// The first not-yet-committed own command and its arrival instant;
+    /// `None` once the stream is drained.
+    head: Option<(u64, u64)>,
 }
 
 impl CommandQueue {
@@ -211,31 +223,34 @@ impl CommandQueue {
         // Per-process stream decorrelation mirrors the scenario
         // generators' pattern: one seed, salted per consumer.
         let salt = (proc_idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ salt);
-        let mut cmds = Vec::with_capacity(cfg.commands_per_proc);
-        let mut arrivals = Vec::with_capacity(cfg.commands_per_proc);
-        let mut clock = 0u64;
-        for i in 0..cfg.commands_per_proc {
-            let seq = u32::try_from(i + 1).expect("command streams fit in 24 bits");
-            let write = rng.gen_range(0..100u8) < cfg.write_percent;
-            let key = cfg.skew.key_of(rng.gen::<u64>(), cfg.keys);
-            let val = (rng.gen::<u32>() & 0x0fff) as u16;
-            cmds.push(encode(proc_idx, seq, write, key, val));
-            match cfg.arrival {
-                ArrivalModel::Open { mean_gap_ticks } => {
-                    let gap = mean_gap_ticks.max(1);
-                    clock += rng.gen_range(1..=2 * gap - 1);
-                    arrivals.push(clock);
-                }
-                ArrivalModel::Closed => arrivals.push(0),
-            }
-        }
-        CommandQueue {
+        let mut queue = CommandQueue {
             proc_idx,
-            cmds,
-            arrivals,
-            done: 0,
+            cfg: *cfg,
+            rng: StdRng::seed_from_u64(cfg.seed ^ salt),
+            clock: 0,
+            issued: 0,
+            head: None,
+        };
+        queue.draw();
+        queue
+    }
+
+    /// Draws the stream's next command into `head` (`None` past the end).
+    fn draw(&mut self) {
+        if self.issued == self.cfg.commands_per_proc {
+            self.head = None;
+            return;
         }
+        self.issued += 1;
+        let seq = u32::try_from(self.issued).expect("command streams fit in 24 bits");
+        let write = self.rng.gen_range(0..100u8) < self.cfg.write_percent;
+        let key = self.cfg.skew.key_of(self.rng.gen::<u64>(), self.cfg.keys);
+        let val = (self.rng.gen::<u32>() & 0x0fff) as u16;
+        if let ArrivalModel::Open { mean_gap_ticks } = self.cfg.arrival {
+            let gap = mean_gap_ticks.max(1);
+            self.clock += self.rng.gen_range(1..=2 * gap - 1);
+        }
+        self.head = Some((encode(self.proc_idx, seq, write, key, val), self.clock));
     }
 
     /// The command this client wants decided next: its oldest
@@ -244,8 +259,8 @@ impl CommandQueue {
     /// still waiting for the next arrival).
     #[must_use]
     pub fn proposal(&self, now: Time) -> u64 {
-        match self.cmds.get(self.done) {
-            Some(&cmd) if self.arrivals[self.done] <= now.ticks() => cmd,
+        match self.head {
+            Some((cmd, arrival)) if arrival <= now.ticks() => cmd,
             _ => NOOP,
         }
     }
@@ -254,30 +269,27 @@ impl CommandQueue {
     /// command is retired when (and only when) that exact command
     /// commits; other proposers' commits are not this client's business.
     pub fn on_commit(&mut self, value: u64) {
-        if !is_noop(value)
-            && proposer_of(value) == self.proc_idx
-            && self.cmds.get(self.done) == Some(&value)
-        {
-            self.done += 1;
+        if !is_noop(value) && self.head.is_some_and(|(cmd, _)| cmd == value) {
+            self.draw();
         }
     }
 
     /// Commands of this client retired by a commit so far.
     #[must_use]
     pub fn completed(&self) -> usize {
-        self.done
+        self.issued - usize::from(self.head.is_some())
     }
 
     /// Total commands in the stream.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.cmds.len()
+        self.cfg.commands_per_proc
     }
 
     /// Whether the stream was generated empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.cmds.is_empty()
+        self.cfg.commands_per_proc == 0
     }
 
     /// The generating process index baked into every command.
@@ -287,16 +299,81 @@ impl CommandQueue {
     }
 }
 
-homonym_core::persist_fields!(CommandQueue {
-    proc_idx,
-    cmds,
-    arrivals,
-    done
+homonym_core::persist_unit_enum!(KeySkew {
+    Uniform = 0,
+    Squared = 1,
+    Cubed = 2
 });
+
+/// `Closed` is `None`, `Open` its mean gap.
+impl Persist for ArrivalModel {
+    fn save(&self, s: &mut Saver) {
+        match *self {
+            ArrivalModel::Closed => None,
+            ArrivalModel::Open { mean_gap_ticks } => Some(mean_gap_ticks),
+        }
+        .save(s);
+    }
+    fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
+        Ok(match Persist::load(l)? {
+            None => ArrivalModel::Closed,
+            Some(mean_gap_ticks) => ArrivalModel::Open { mean_gap_ticks },
+        })
+    }
+}
+
+homonym_core::persist_fields!(WorkloadConfig {
+    commands_per_proc,
+    arrival,
+    keys,
+    skew,
+    write_percent,
+    seed
+});
+
+/// The generator persists as its state words, so a decoded queue
+/// continues the identical stream.
+impl Persist for CommandQueue {
+    fn save(&self, s: &mut Saver) {
+        self.proc_idx.save(s);
+        self.cfg.save(s);
+        self.rng.state().save(s);
+        self.clock.save(s);
+        self.issued.save(s);
+        self.head.save(s);
+    }
+    fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
+        Ok(CommandQueue {
+            proc_idx: Persist::load(l)?,
+            cfg: Persist::load(l)?,
+            rng: StdRng::from_state(Persist::load(l)?),
+            clock: Persist::load(l)?,
+            issued: Persist::load(l)?,
+            head: Persist::load(l)?,
+        })
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The whole stream of `q` as `(command, arrival)` pairs, drawn off
+    /// a clone.
+    fn stream(q: &CommandQueue) -> Vec<(u64, u64)> {
+        let mut q = q.clone();
+        let mut out = Vec::new();
+        while let Some(head) = q.head {
+            out.push(head);
+            q.on_commit(head.0);
+        }
+        out
+    }
+
+    /// Payload bits of a command (everything but proposer and sequence).
+    fn payloads(q: &CommandQueue) -> Vec<u64> {
+        stream(q).iter().map(|&(c, _)| c & 0xffff_ffff).collect()
+    }
 
     #[test]
     fn generation_is_deterministic_and_decorrelated() {
@@ -304,9 +381,48 @@ mod tests {
         let a = cfg.queues(4);
         let b = cfg.queues(4);
         assert_eq!(a, b);
-        assert_ne!(a[0].cmds, a[1].cmds, "per-process streams decorrelate");
+        assert_eq!(stream(&a[0]), stream(&b[0]));
+        assert_ne!(
+            payloads(&a[0]),
+            payloads(&a[1]),
+            "per-process streams decorrelate"
+        );
         let other = WorkloadConfig { seed: 2, ..cfg };
-        assert_ne!(other.queues(4)[0].cmds, a[0].cmds);
+        assert_ne!(stream(&other.queues(4)[0]), stream(&a[0]));
+    }
+
+    /// The streamed generator draws exactly what generating the whole
+    /// stream up front drew: commands, then (open loop) the arrival gap,
+    /// one command at a time from one RNG.
+    #[test]
+    fn streaming_draws_the_up_front_stream() {
+        for arrival in [
+            ArrivalModel::Closed,
+            ArrivalModel::Open { mean_gap_ticks: 50 },
+        ] {
+            let cfg = WorkloadConfig {
+                commands_per_proc: 40,
+                arrival,
+                ..WorkloadConfig::default()
+            };
+            let p = 3usize;
+            let salt = (p as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut rng = StdRng::seed_from_u64(cfg.seed ^ salt);
+            let mut clock = 0u64;
+            let mut want = Vec::new();
+            for i in 0..cfg.commands_per_proc {
+                let write = rng.gen_range(0..100u8) < cfg.write_percent;
+                let key = cfg.skew.key_of(rng.gen::<u64>(), cfg.keys);
+                let val = (rng.gen::<u32>() & 0x0fff) as u16;
+                if let ArrivalModel::Open { mean_gap_ticks } = arrival {
+                    clock += rng.gen_range(1..=2 * mean_gap_ticks - 1);
+                }
+                want.push((encode(p, i as u32 + 1, write, key, val), clock));
+            }
+            let q = cfg.queues(4).remove(p);
+            assert_eq!(q.len(), 40);
+            assert_eq!(stream(&q), want);
+        }
     }
 
     #[test]
@@ -356,12 +472,13 @@ mod tests {
         };
         let q = cfg.queues(1).remove(0);
         assert!(is_noop(q.proposal(Time::ZERO)), "nothing arrives at t0");
-        let last = *q.arrivals.last().expect("nonempty");
+        let arrivals: Vec<u64> = stream(&q).iter().map(|&(_, t)| t).collect();
+        let last = *arrivals.last().expect("nonempty");
         let ready = q.proposal(Time::from_ticks(last));
         assert!(!is_noop(ready));
         assert_eq!(seq_of(ready), 1, "arrivals issue in order");
         // Arrival instants strictly increase.
-        assert!(q.arrivals.windows(2).all(|w| w[0] < w[1]));
+        assert!(arrivals.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
@@ -373,8 +490,8 @@ mod tests {
                 write_percent: 100,
                 ..WorkloadConfig::default()
             };
-            let q = cfg.queues(1).remove(0);
-            q.cmds.iter().map(|&c| u64::from(key_of(c))).sum::<u64>() / q.cmds.len() as u64
+            let cmds = stream(&cfg.queues(1).remove(0));
+            cmds.iter().map(|&(c, _)| u64::from(key_of(c))).sum::<u64>() / cmds.len() as u64
         };
         let uniform = draw_mean(KeySkew::Uniform);
         let squared = draw_mean(KeySkew::Squared);
@@ -385,7 +502,6 @@ mod tests {
 
     #[test]
     fn persist_round_trips() {
-        use homonym_core::wire::{Loader, Persist, Saver};
         let cfg = WorkloadConfig::default();
         let mut q = cfg.queues(2).remove(1);
         q.on_commit(q.proposal(Time::ZERO));
@@ -394,5 +510,6 @@ mod tests {
         let bytes = s.finish();
         let got = CommandQueue::load(&mut Loader::new(&bytes)).expect("round-trips");
         assert_eq!(got, q);
+        assert_eq!(stream(&got), stream(&q), "the decoded generator continues");
     }
 }

@@ -255,6 +255,14 @@ fn forked_and_flat_executors_produce_identical_reports() {
 /// probes, probe demonstrations, probes decided early)` of a 12-scenario
 /// crash sweep with 2 variants and a probe every 3rd scenario, and of
 /// the default 12-scenario Byzantine sweep.
+///
+/// One row has moved since, because the algorithm did and not the
+/// recipe: `ByzQuorumConsensus` gained its coordination step and the
+/// round-skip rule, and the three crash-sweep runs of the tolerant stack
+/// that used to be excused (undecided at the deadline under a lossy
+/// schedule) now decide — liveness held 21 → 24, excused 3 → 0. Its
+/// Byzantine row, every fingerprint and the other stacks' rows are the
+/// original recording.
 #[test]
 fn sweep_recipes_are_pinned_per_stack() {
     type Counts = [usize; 10];
@@ -283,7 +291,7 @@ fn sweep_recipes_are_pinned_per_stack() {
         (
             StackKind::ByzTolerant,
             0xa143_85bf_76e8_c963,
-            [24, 21, 3, 0, 0, 0, 0, 4, 4, 0],
+            [24, 24, 0, 0, 0, 0, 0, 4, 4, 0],
             0xff08_c379_d32f_f334,
             [12, 5, 1, 0, 0, 0, 6, 0, 0, 0],
         ),

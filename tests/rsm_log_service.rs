@@ -6,6 +6,9 @@
 //! * reference equivalence — a fixed-horizon run under leader churn is
 //!   byte-identical (trace, metrics, recorder contents, logs) to the
 //!   naive reference interpreter's;
+//! * what a decided height costs — no `DECIDE` echo and one `Commit`
+//!   broadcast per replica per height on a clean run — and that a
+//!   replica cut off for 300 ticks still catches up;
 //! * snapshot/fork properties — forks taken mid-height **and exactly at
 //!   a height boundary** continue byte-identically, the resumed log
 //!   matches flat execution, and [`PrefixSweeper`] forks over
@@ -14,7 +17,10 @@
 use homonym::chaos::generators::leader_churn_across_heights;
 use homonym::chaos::session::{rsm_node, Goal, RsmNode, SessionBuilder};
 use homonym::chaos::sweep::hps_base;
-use homonym::consensus::rsm::LogEntry;
+use homonym::chaos::{FaultClause, GstPlacement, PartitionMode, Scenario};
+use homonym::consensus::rsm::{LogEntry, RsmMsg};
+use homonym::consensus::{classify_byz, ByzMsg};
+use homonym::detectors::evt_hp::{classify_evt_hp, EvtHpMsg};
 use homonym::prelude::*;
 use homonym::sim::reference::ReferenceEngine;
 use homonym::sim::workload::{ArrivalModel, KeySkew, WorkloadConfig};
@@ -92,6 +98,68 @@ fn fig8_log_service_survives_flapping_partitions() {
         session.stats()
     );
     assert!(session.prefix_violation().is_none());
+}
+
+fn classify(msg: &Either<EvtHpMsg, RsmMsg<ByzMsg>>) -> &'static str {
+    match msg {
+        Either::L(m) => classify_evt_hp(m),
+        Either::R(RsmMsg::Inner { msg, .. }) => classify_byz(msg),
+        Either::R(RsmMsg::Commit { .. }) => "RSM_COMMIT",
+    }
+}
+
+/// A height is over for the log the moment its engine decides: on a
+/// clean closed-loop run no `DECIDE` echo is ever broadcast, and every
+/// replica broadcasts `Commit` exactly once per height it commits — the
+/// tail of a height's copies reaching a replica that already committed
+/// it earns no second answer.
+#[test]
+fn a_clean_run_broadcasts_no_decide_and_one_commit_per_replica_per_height() {
+    let n = 8;
+    let mut session = SessionBuilder::new(n, 4)
+        .with_goal(Goal::TickHorizon)
+        .with_deadline_ticks(4_000)
+        .rsm(&workload());
+    session.engine_mut().set_classifier(classify);
+    session.run();
+    let by_class = &session.engine().metrics().by_class;
+    let committed: u64 = (0..n)
+        .map(|p| session.log_of(p).unwrap_or_default().len() as u64)
+        .sum();
+    assert!(committed >= 400 * n as u64, "only {committed} commits");
+    assert_eq!(by_class.get("DECIDE").copied().unwrap_or(0), 0);
+    assert_eq!(by_class.get("RSM_COMMIT").copied(), Some(committed));
+}
+
+/// A replica cut off for 300 ticks (its traffic queued until the heal)
+/// is some forty heights behind when the partition lifts; the `Commit`s
+/// queued for it certify every one of them and it rejoins at the tip.
+#[test]
+fn a_replica_partitioned_for_300_ticks_catches_up() {
+    let n = 8;
+    let cut_off = 7;
+    let scenario = Scenario::new("cut-off-replica", n)
+        .with_gst(GstPlacement::Keep)
+        .with_clause(FaultClause::Partition {
+            groups: vec![vec![cut_off], (0..cut_off).collect()],
+            start: Time::from_ticks(1_000),
+            heal_at: Time::from_ticks(1_300),
+            mode: PartitionMode::QueueUntilHeal,
+        });
+    let builder = SessionBuilder::new(n, 4)
+        .with_scenario(scenario)
+        .with_goal(Goal::TickHorizon);
+    let height_at = |ticks| {
+        let mut session = builder.clone().with_deadline_ticks(ticks).rsm(&workload());
+        session.run();
+        assert!(session.prefix_violation().is_none(), "at tick {ticks}");
+        let len = |p| session.log_of(p).unwrap_or_default().len();
+        (len(cut_off), len(0))
+    };
+    let (behind, tip) = height_at(1_299);
+    assert!(tip >= behind + 30, "the rest moved on: {behind} vs {tip}");
+    let (caught_up, tip) = height_at(1_400);
+    assert!(caught_up + 2 >= tip, "still behind: {caught_up} vs {tip}");
 }
 
 /// Fixed-horizon runs are the reference-interpreter comparison surface:
