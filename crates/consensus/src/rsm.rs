@@ -14,7 +14,8 @@
 //!   never cross-talk,
 //! * appends the decided command to an ordered log and immediately
 //!   restarts the round machinery at `h + 1` with the next client
-//!   command from its [`CommandQueue`], and
+//!   command from its [`CommandQueue`] — or, when its own client has
+//!   none, one another replica announced (see "Who gets proposed"), and
 //! * catches lagging homonyms up: height-tagged messages *from the
 //!   future* are buffered until the local log reaches them, messages
 //!   *from the past* are answered with the committed entry, and
@@ -70,9 +71,48 @@
 //! for everything older, so it is bounded and a replica far behind is
 //! still answered at most once per interval.
 //!
-//! Which command wins a height is untouched by any of this: with the
-//! default engine it is the smallest proposal of the round-0 coordinator
-//! label.
+//! # Who gets proposed
+//!
+//! The default engine decides the smallest estimate the round's
+//! coordinator label brings in, so a command is served only once a
+//! coordinator carrier proposes it. The log carries it there on traffic
+//! that exists anyway: every `Commit` has a field `next`, the sender's own
+//! client's head command if it is due, else [`NOOP`]. Every replica keeps
+//! one slot per proposer index, filled from every `Commit` it receives,
+//! and proposes at each new height
+//!
+//! 1. its own client's command if one is due — so in a closed loop, where
+//!    the coordinator's client always has one, nothing changes, and
+//!    fairness there is deliberately still 1/k: serving k clients in turn
+//!    multiplies every client's commit latency by k, so closed-loop
+//!    fairness waits for a block per height;
+//! 2. else the held command with the smallest `(seq, cmd)`;
+//! 3. else [`NOOP`]
+//!
+//! — coordinator or not, since a failed round hands coordination to the
+//! next label.
+//!
+//! **The successor rule.** A slot accepts `next` only if it is that
+//! proposer's *successor* command: `seq_of(next)` equals the highest
+//! sequence number committed for the proposer plus one. A client proposes
+//! one command at a time and commits arrive in log order, so every honest
+//! head is exactly that; the slot is cleared when its command commits.
+//! This is the double-commit guard: an announcement that sat in a
+//! partition's queue for 300 ticks names a command that has committed
+//! since, fails the rule and is never proposed again.
+//!
+//! **Mid-height arrivals.** A command that becomes due in the middle of a
+//! height must not wait for its replica's next commit — the coordinators
+//! start the next height in the same ticks and would miss it by a whole
+//! height. The log arms one timer per drawn head for its arrival instant
+//! and, when it fires, repeats its last `Commit { h − 1, log[h − 1] }`
+//! with the new `next`: a truthful catch-up answer to a laggard, old news
+//! to everyone else.
+//!
+//! **Byzantine caveat.** A forged `next` can make an honest idle
+//! coordinator propose a forged command — which a forged `COORD` could
+//! already do. BFT validity is unchanged in kind, and a crash-model run
+//! cannot commit anything no client issued.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -82,7 +122,7 @@ use homonym_core::query::{HOmegaSource, HSigmaSource, SigmaSource};
 use homonym_core::time::{Span, Time};
 use homonym_sim::process::{Action, ActionSink, Process, TimerTag};
 use homonym_sim::snapshot::ForkProcess;
-use homonym_sim::workload::CommandQueue;
+use homonym_sim::workload::{proposer_of, seq_of, CommandQueue, NOOP};
 use homonym_sim::ObsKind;
 
 use crate::byz_quorum::ByzQuorumConsensus;
@@ -95,6 +135,10 @@ use crate::flooding::PFloodingConsensus;
 /// Per-height engines must keep their private tags below the stride
 /// (every in-tree engine uses tag 0).
 const TAG_STRIDE: u64 = 16;
+
+/// The log's own timer: fires at the arrival instant of the client's
+/// head command (see "Who gets proposed" in the module docs).
+const ARRIVAL_TAG: TimerTag = TimerTag(0);
 
 /// A consensus engine that [`ReplicatedLog`] can instantiate once per
 /// height.
@@ -255,6 +299,9 @@ pub enum RsmMsg<M> {
         /// The **claimed** sender label; tallies cap each label at its
         /// multiplicity so Byzantine homonyms cannot stuff the count.
         id: Identity,
+        /// The sender's own client's head command if it is due, else
+        /// [`NOOP`] — what it wants some coordinator to propose.
+        next: u64,
     },
 }
 
@@ -355,6 +402,15 @@ pub struct ReplicatedLog<C: HeightEngine> {
     recent_answers: VecDeque<Time>,
     /// When any height older than those was last answered.
     stale_answer: Time,
+    /// Per proposer index: the command its replica announced as pending
+    /// ([`NOOP`] when none is held).
+    wanted: Vec<u64>,
+    /// Per proposer index: the highest sequence number committed.
+    done_seq: Vec<u32>,
+    /// The last own command sent out as a `Commit`'s `next`.
+    announced: u64,
+    /// Reused buffer for the actions of one engine callback.
+    scratch: Vec<Action<C::Msg, u64>>,
 }
 
 /// Mixes one `(height, value)` commit into the running log fingerprint
@@ -403,6 +459,10 @@ impl<C: HeightEngine> ReplicatedLog<C> {
             tallies: BTreeMap::new(),
             recent_answers: VecDeque::new(),
             stale_answer: Time::ZERO,
+            wanted: vec![NOOP; assign.n()],
+            done_seq: vec![0; assign.n()],
+            announced: NOOP,
+            scratch: Vec::new(),
         }
     }
 
@@ -448,7 +508,7 @@ impl<C: HeightEngine> ReplicatedLog<C> {
         f: impl FnOnce(&mut C, &mut ActionSink<'_, C::Msg, u64>),
     ) {
         let h = self.height;
-        let mut actions: Vec<Action<C::Msg, u64>> = Vec::new();
+        let mut actions = std::mem::take(&mut self.scratch);
         {
             let observing = ctx.observing();
             let mut sub =
@@ -457,7 +517,7 @@ impl<C: HeightEngine> ReplicatedLog<C> {
             f(&mut self.inner, &mut sub);
         }
         let mut decided = None;
-        for action in actions {
+        for action in actions.drain(..) {
             match action {
                 Action::Broadcast(m) => ctx.broadcast(RsmMsg::Inner { height: h, msg: m }),
                 Action::SetTimer(d, tag) => {
@@ -481,6 +541,9 @@ impl<C: HeightEngine> ReplicatedLog<C> {
                 Action::Discard => ctx.note_discard(),
             }
         }
+        // The drain took what the `Decide` cut off with it; the buffer is
+        // back in place before `commit` re-enters this function.
+        self.scratch = actions;
         if let Some(v) = decided {
             // Guard against a stale decide surfacing after a catch-up
             // commit already advanced the height mid-callback.
@@ -497,7 +560,9 @@ impl<C: HeightEngine> ReplicatedLog<C> {
         let height = self.height;
         self.log.push(value);
         self.state_hash = mix(self.state_hash, height, value);
+        let completed = self.client.completed();
         self.client.on_commit(value);
+        self.retire(value);
         ctx.publish(LogEntry { height, value });
         if height == 0 {
             // First commit doubles as the one-shot "decision" so
@@ -508,11 +573,12 @@ impl<C: HeightEngine> ReplicatedLog<C> {
             round: height + 1,
             phase: "HEIGHT",
         });
-        ctx.broadcast(RsmMsg::Commit {
-            height,
-            value,
-            id: ctx.my_id(),
-        });
+        self.broadcast_commit(height, value, ctx);
+        if self.client.completed() != completed {
+            // A new head was drawn; if it is due already it just rode out
+            // as `next`.
+            self.arm_arrival(ctx);
+        }
 
         self.height += 1;
         self.tallies = self.tallies.split_off(&self.height);
@@ -523,8 +589,7 @@ impl<C: HeightEngine> ReplicatedLog<C> {
             self.recent_answers.pop_front();
         }
 
-        let proposal = self.client.proposal(ctx.local_now());
-        self.inner = C::spawn(&self.seed, proposal);
+        self.inner = C::spawn(&self.seed, self.proposal(ctx.local_now()));
         self.relay_inner(ctx, |c, sub| c.on_start(sub));
 
         let target = self.height;
@@ -607,11 +672,86 @@ impl<C: HeightEngine> ReplicatedLog<C> {
             return;
         };
         if let Some(&value) = self.log.get(idx) {
-            ctx.broadcast(RsmMsg::Commit {
-                height,
-                value,
-                id: ctx.my_id(),
-            });
+            self.broadcast_commit(height, value, ctx);
+        }
+    }
+
+    /// Broadcasts `Commit { height, value }` with the own client's due
+    /// command, if any, riding along as `next`.
+    fn broadcast_commit(&mut self, height: u64, value: u64, ctx: &mut Sink<'_, C>) {
+        let next = self.client.proposal(ctx.local_now());
+        if next != NOOP {
+            self.announced = next;
+        }
+        ctx.broadcast(RsmMsg::Commit {
+            height,
+            value,
+            id: ctx.my_id(),
+            next,
+        });
+    }
+
+    /// Arms the arrival timer if the client's head command is still in
+    /// the future. Called once per drawn head.
+    fn arm_arrival(&self, ctx: &mut Sink<'_, C>) {
+        let now = ctx.local_now();
+        if let Some(at) = self.client.next_arrival().filter(|&at| at > now) {
+            ctx.set_timer(at - now, ARRIVAL_TAG);
+        }
+    }
+
+    /// The head command just became due: unless a `Commit` of this very
+    /// tick already carried it, repeat the last commit to announce it.
+    /// Before the first commit there is nothing to repeat, and the first
+    /// commit will carry it.
+    fn announce_arrival(&mut self, ctx: &mut Sink<'_, C>) {
+        let next = self.client.proposal(ctx.local_now());
+        if next == NOOP || next == self.announced {
+            return;
+        }
+        if let Some(&value) = self.log.last() {
+            self.broadcast_commit(self.height - 1, value, ctx);
+        }
+    }
+
+    /// What to propose at a new height: the own client's due command,
+    /// else the held announcement with the smallest `(seq, cmd)`, else
+    /// [`NOOP`].
+    fn proposal(&self, now: Time) -> u64 {
+        let own = self.client.proposal(now);
+        if own != NOOP {
+            return own;
+        }
+        let held = self.wanted.iter().copied().filter(|&cmd| cmd != NOOP);
+        held.min_by_key(|&cmd| (seq_of(cmd), cmd)).unwrap_or(NOOP)
+    }
+
+    /// Holds `next` for its proposer if it is that proposer's successor
+    /// command (see "Who gets proposed" in the module docs).
+    fn note_wanted(&mut self, next: u64) {
+        let p = proposer_of(next);
+        let Some(slot) = self.wanted.get_mut(p) else {
+            return;
+        };
+        // The usual case, a command already held, ends at the first
+        // compare. `NOOP` needs no case of its own: its `seq` is 0, which
+        // is nobody's successor.
+        if *slot != next && seq_of(next) == self.done_seq[p] + 1 {
+            *slot = next;
+        }
+    }
+
+    /// Records a committed command in the per-proposer tables: its
+    /// sequence number is done and a held announcement no newer than it
+    /// is dropped.
+    fn retire(&mut self, value: u64) {
+        let p = proposer_of(value);
+        if value == NOOP || p >= self.wanted.len() {
+            return;
+        }
+        self.done_seq[p] = self.done_seq[p].max(seq_of(value));
+        if seq_of(self.wanted[p]) <= self.done_seq[p] {
+            self.wanted[p] = NOOP;
         }
     }
 
@@ -642,15 +782,22 @@ impl<C: HeightEngine> Process for ReplicatedLog<C> {
                     msg: m,
                 })
             }
-            RsmMsg::Commit { height, value, id } => Some(RsmMsg::Commit {
+            RsmMsg::Commit {
+                height,
+                value,
+                id,
+                next,
+            } => Some(RsmMsg::Commit {
                 height: *height,
                 value: value.wrapping_add(entropy | 1),
                 id: *id,
+                next: *next,
             }),
         }
     }
 
     fn on_start(&mut self, ctx: &mut ActionSink<'_, Self::Msg, Self::Output>) {
+        self.arm_arrival(ctx);
         self.relay_inner(ctx, |c, sub| c.on_start(sub));
         self.drain_certified(ctx);
     }
@@ -666,7 +813,13 @@ impl<C: HeightEngine> Process for ReplicatedLog<C> {
                     self.answer_past(height, ctx);
                 }
             }
-            RsmMsg::Commit { height, value, id } => {
+            RsmMsg::Commit {
+                height,
+                value,
+                id,
+                next,
+            } => {
+                self.note_wanted(next);
                 self.tally_commit(height, value, id, ctx);
             }
         }
@@ -675,7 +828,11 @@ impl<C: HeightEngine> Process for ReplicatedLog<C> {
 
     fn on_timer(&mut self, timer: TimerTag, ctx: &mut ActionSink<'_, Self::Msg, Self::Output>) {
         if timer.0 < TAG_STRIDE {
-            return; // reserved, currently unused
+            // Reserved for the log itself.
+            if timer == ARRIVAL_TAG {
+                self.announce_arrival(ctx);
+            }
+            return;
         }
         let height = timer.0 / TAG_STRIDE - 1;
         if height == self.height {
@@ -708,6 +865,10 @@ where
             tallies: self.tallies.clone(),
             recent_answers: self.recent_answers.clone(),
             stale_answer: self.stale_answer,
+            wanted: self.wanted.clone(),
+            done_seq: self.done_seq.clone(),
+            announced: self.announced,
+            scratch: Vec::new(),
         }
     }
 }
@@ -836,19 +997,186 @@ mod tests {
 
     type ByzLog = ReplicatedLog<ByzQuorumConsensus>;
 
+    type ByzAction = Action<RsmMsg<<ByzQuorumConsensus as Process>::Msg>, LogEntry>;
+
+    /// What `step` emits, run at tick `at`.
+    fn actions_of(
+        node: &mut ByzLog,
+        at: u64,
+        step: impl FnOnce(&mut ByzLog, &mut Sink<'_, ByzQuorumConsensus>),
+    ) -> Vec<ByzAction> {
+        let mut actions = Vec::new();
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
+        let label = Identity::new(0);
+        let mut sink = ActionSink::new(label, Time::from_ticks(at), &mut rng, &mut actions);
+        step(node, &mut sink);
+        actions
+    }
+
+    /// The `(height, value, next)` of every `Commit` broadcast in `actions`.
+    fn commits_in(actions: &[ByzAction]) -> Vec<(u64, u64, u64)> {
+        let commit = |a: &ByzAction| match *a {
+            Action::Broadcast(RsmMsg::Commit {
+                height,
+                value,
+                next,
+                ..
+            }) => Some((height, value, next)),
+            _ => None,
+        };
+        actions.iter().filter_map(commit).collect()
+    }
+
+    /// The delays of the log's own arrival timers armed in `actions`.
+    fn arrival_timers_in(actions: &[ByzAction]) -> Vec<u64> {
+        let delay = |a: &ByzAction| match *a {
+            Action::SetTimer(d, ARRIVAL_TAG) => Some(d.ticks()),
+            _ => None,
+        };
+        actions.iter().filter_map(delay).collect()
+    }
+
     /// `Commit` broadcasts among what `step` emits, run at tick `at`.
     fn commits_sent(
         node: &mut ByzLog,
         at: u64,
         step: impl FnOnce(&mut ByzLog, &mut Sink<'_, ByzQuorumConsensus>),
     ) -> usize {
-        let mut actions = Vec::new();
-        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
-        let label = Identity::new(0);
-        let mut sink = ActionSink::new(label, Time::from_ticks(at), &mut rng, &mut actions);
-        step(node, &mut sink);
-        let is_commit = |a: &&Action<_, _>| matches!(a, Action::Broadcast(RsmMsg::Commit { .. }));
-        actions.iter().filter(is_commit).count()
+        commits_in(&actions_of(node, at, step)).len()
+    }
+
+    fn open_queues(n: usize, commands_per_proc: usize) -> Vec<CommandQueue> {
+        WorkloadConfig {
+            commands_per_proc,
+            arrival: homonym_sim::workload::ArrivalModel::Open { mean_gap_ticks: 50 },
+            ..WorkloadConfig::default()
+        }
+        .queues(n)
+    }
+
+    /// The head command of `queue` and its arrival tick.
+    fn head_of(queue: &CommandQueue) -> (u64, u64) {
+        let at = queue.next_arrival().expect("not drained");
+        (queue.proposal(at), at.ticks())
+    }
+
+    /// A `Commit` about height 0 carrying `next`, as process 1's label
+    /// would send it.
+    fn commit_carrying(assign: &IdentityAssignment, next: u64) -> <ByzLog as Process>::Msg {
+        RsmMsg::Commit {
+            height: 0,
+            value: NOOP,
+            id: assign.id_of(1),
+            next,
+        }
+    }
+
+    /// A due command leaves on the commit broadcast as `next`, and a
+    /// replica with nothing of its own proposes it from the next height
+    /// on — until it commits.
+    #[test]
+    fn a_due_command_rides_on_the_commit_and_an_idle_replica_proposes_it() {
+        let assign = IdentityAssignment::round_robin(4, 2);
+        let client = open_queues(4, 4).remove(1);
+        let (head, due) = head_of(&client);
+        let mut sender = byz_rsm_node(&assign, client);
+        let early = actions_of(&mut sender, 0, |n, s| n.commit(NOOP, s));
+        assert_eq!(commits_in(&early), [(0, NOOP, NOOP)], "not due yet");
+        let late = actions_of(&mut sender, due, |n, s| n.commit(NOOP, s));
+        assert_eq!(commits_in(&late), [(1, NOOP, head)]);
+
+        let mut idle = byz_rsm_node(&assign, open_queues(4, 0).remove(0));
+        assert_eq!(idle.proposal(Time::from_ticks(due)), NOOP);
+        let carrying = commit_carrying(&assign, head);
+        actions_of(&mut idle, due, |n, s| n.on_message(carrying.clone(), s));
+        assert_eq!(idle.proposal(Time::from_ticks(due)), head);
+        // Another command's height does not make it forget.
+        actions_of(&mut idle, due, |n, s| n.commit(NOOP, s));
+        assert_eq!(idle.proposal(Time::from_ticks(due)), head);
+        // Its own commit does, and the same announcement arriving again
+        // (say out of a healed partition's queue) is not believed.
+        actions_of(&mut idle, due, |n, s| n.commit(head, s));
+        assert_eq!(idle.proposal(Time::from_ticks(due)), NOOP);
+        actions_of(&mut idle, due, |n, s| n.on_message(carrying, s));
+        assert_eq!(idle.proposal(Time::from_ticks(due)), NOOP);
+        assert_eq!(idle.log(), &[NOOP, head]);
+    }
+
+    /// A replica's own due command goes before anything it holds for
+    /// others, and among those the smallest `(seq, cmd)` goes first.
+    #[test]
+    fn own_command_goes_first_then_the_smallest_held() {
+        let assign = IdentityAssignment::round_robin(4, 2);
+        let queues = open_queues(4, 4);
+        let (own, due) = head_of(&queues[0]);
+        let (first_of_1, _) = head_of(&queues[1]);
+        let mut rest_of_1 = queues[1].clone();
+        rest_of_1.on_commit(first_of_1);
+        let (second_of_1, _) = head_of(&rest_of_1);
+        let (first_of_2, _) = head_of(&queues[2]);
+        let mut node = byz_rsm_node(&assign, queues[0].clone());
+        actions_of(&mut node, 0, |n, s| n.commit(first_of_1, s));
+        for next in [second_of_1, first_of_2] {
+            actions_of(&mut node, 0, |n, s| {
+                n.on_message(commit_carrying(&assign, next), s);
+            });
+        }
+        assert_eq!(node.proposal(Time::from_ticks(due - 1)), first_of_2);
+        assert_eq!(node.proposal(Time::from_ticks(due)), own);
+    }
+
+    /// Only a proposer's successor command is held: not one further
+    /// ahead, not one whose proposer index is outside the system.
+    #[test]
+    fn announcements_off_the_successor_rule_are_ignored() {
+        let assign = IdentityAssignment::round_robin(4, 2);
+        let queues = open_queues(8, 4);
+        let mut node = byz_rsm_node(&assign, open_queues(4, 0).remove(0));
+        let mut ahead = queues[1].clone();
+        ahead.on_commit(head_of(&queues[1]).0);
+        for next in [head_of(&ahead).0, head_of(&queues[6]).0] {
+            actions_of(&mut node, 0, |n, s| {
+                n.on_message(commit_carrying(&assign, next), s);
+            });
+            assert_eq!(node.proposal(Time::ZERO), NOOP);
+        }
+        // A commit from outside the system touches no table either.
+        actions_of(&mut node, 0, |n, s| n.commit(head_of(&queues[6]).0, s));
+        assert_eq!(node.proposal(Time::ZERO), NOOP);
+    }
+
+    /// One arrival timer per drawn head, none per commit while the head
+    /// is still in the future; when it fires the last commit is repeated
+    /// with the new `next` — unless a commit of that tick carried it, or
+    /// there is no commit yet to repeat.
+    #[test]
+    fn the_arrival_timer_is_armed_once_per_head_and_announces_once() {
+        let assign = IdentityAssignment::round_robin(4, 2);
+        let client = open_queues(4, 4).remove(1);
+        let (head, due) = head_of(&client);
+        let mut node = byz_rsm_node(&assign, client);
+        let started = actions_of(&mut node, 0, |n, s| n.on_start(s));
+        assert_eq!(arrival_timers_in(&started), [due]);
+        let fired = actions_of(&mut node, due, |n, s| n.on_timer(ARRIVAL_TAG, s));
+        assert!(commits_in(&fired).is_empty(), "nothing committed to repeat");
+
+        let committed = actions_of(&mut node, 0, |n, s| n.commit(7, s));
+        assert!(arrival_timers_in(&committed).is_empty(), "same head");
+        let fired = actions_of(&mut node, due, |n, s| n.on_timer(ARRIVAL_TAG, s));
+        assert_eq!(commits_in(&fired), [(0, 7, head)]);
+        let again = actions_of(&mut node, due, |n, s| n.on_timer(ARRIVAL_TAG, s));
+        assert!(commits_in(&again).is_empty(), "already announced");
+
+        // Its commit draws the next head, due later: one new timer.
+        let committed = actions_of(&mut node, due, |n, s| n.commit(head, s));
+        let (second, second_due) = head_of(node.client());
+        assert_eq!(commits_in(&committed), [(1, head, NOOP)]);
+        assert_eq!(arrival_timers_in(&committed), [second_due - due]);
+        // A commit at the arrival tick carries it; the timer adds nothing.
+        let committed = actions_of(&mut node, second_due, |n, s| n.commit(NOOP, s));
+        assert_eq!(commits_in(&committed), [(2, NOOP, second)]);
+        let fired = actions_of(&mut node, second_due, |n, s| n.on_timer(ARRIVAL_TAG, s));
+        assert!(commits_in(&fired).is_empty());
     }
 
     /// The answer throttle stays `max_commit_ahead` entries long however

@@ -38,6 +38,16 @@
 //! attack at a time). Whether a clause applies is judged at **send
 //! time** (the model routes each copy when it is broadcast), so a window
 //! `[from, until)` affects copies *sent* inside it.
+//!
+//! A copy's fate is therefore judged against the clauses **active at its
+//! send time** only: [`LinkFaultScript::active_at`] names them, with the
+//! interval of send times over which the set stays the same, and
+//! [`LinkFaultScript::fate_among`] is the one loop that applies them.
+//! [`LinkFaultScript::fate`] does both per copy, which is what the
+//! stateless reference interpreter and the lock-step engine call; the
+//! event engine alone keeps the active set between copies and asks for a
+//! new one only when its clock leaves the interval — twice per window
+//! instead of a scan of every clause per copy.
 
 use homonym_core::time::{Span, Time};
 use rand::rngs::StdRng;
@@ -145,11 +155,8 @@ pub struct LinkClause {
 }
 
 impl LinkClause {
-    fn matches(&self, sent_at: Time, src: usize, dst: usize) -> bool {
-        self.from <= sent_at
-            && sent_at < self.until
-            && self.src.contains(src)
-            && self.dst.contains(dst)
+    fn links(&self, src: usize, dst: usize) -> bool {
+        self.src.contains(src) && self.dst.contains(dst)
     }
 }
 
@@ -219,6 +226,27 @@ impl LinkFaultScript {
         Some(end)
     }
 
+    /// Writes into `active` the indices, in evaluation order, of the
+    /// clauses whose window contains `t`, and returns the half-open
+    /// interval `[from, until)` of send times around `t` over which that
+    /// set cannot change (no window opens or closes inside it).
+    pub fn active_at(&self, t: Time, active: &mut Vec<u32>) -> (Time, Time) {
+        active.clear();
+        let (mut from, mut until) = (Time::ZERO, Time::MAX);
+        for (i, clause) in self.clauses.iter().enumerate() {
+            if clause.from <= t && t < clause.until {
+                active.push(u32::try_from(i).expect("clause count fits u32"));
+                from = from.max(clause.from);
+                until = until.min(clause.until);
+            } else if t < clause.from {
+                until = until.min(clause.from);
+            } else {
+                from = from.max(clause.until);
+            }
+        }
+        (from, until)
+    }
+
     /// The fate of one copy sent at `sent_at` from `src` to `dst` that
     /// the network already routed to arrive at `base`: the (possibly
     /// deferred) delivery time, or `None` when a clause drops the copy.
@@ -234,9 +262,25 @@ impl LinkFaultScript {
         base: Time,
         rng: &mut StdRng,
     ) -> Option<Time> {
+        let mut active = Vec::new();
+        self.active_at(sent_at, &mut active);
+        self.fate_among(&active, src, dst, base, rng)
+    }
+
+    /// [`LinkFaultScript::fate`] of a copy sent at an instant whose
+    /// active clauses are `active` (from [`LinkFaultScript::active_at`]).
+    pub fn fate_among(
+        &self,
+        active: &[u32],
+        src: usize,
+        dst: usize,
+        base: Time,
+        rng: &mut StdRng,
+    ) -> Option<Time> {
         let mut at = base;
-        for clause in &self.clauses {
-            if !clause.matches(sent_at, src, dst) {
+        for &i in active {
+            let clause = &self.clauses[i as usize];
+            if !clause.links(src, dst) {
                 continue;
             }
             match clause.effect {
@@ -671,6 +715,90 @@ mod tests {
             assert!(always
                 .fate(Time::ZERO, 0, 1, Time::from_ticks(1), &mut r)
                 .is_none());
+        }
+    }
+
+    /// The plain rule: every clause in order, judged at `sent_at`.
+    fn scan(
+        script: &LinkFaultScript,
+        sent_at: Time,
+        (src, dst): (usize, usize),
+        base: Time,
+        rng: &mut StdRng,
+    ) -> Option<Time> {
+        let mut at = base;
+        for c in script.clauses() {
+            if !(c.from <= sent_at && sent_at < c.until && c.links(src, dst)) {
+                continue;
+            }
+            match c.effect {
+                LinkEffect::Drop => return None,
+                LinkEffect::DeferUntil(t) => at = at.max(t),
+                LinkEffect::Delay(d) => at += d,
+                LinkEffect::Lose(percent) => {
+                    if percent_roll(rng, percent) {
+                        return None;
+                    }
+                }
+            }
+        }
+        Some(at)
+    }
+
+    proptest::proptest! {
+        /// The active set computed at `t` gives every copy sent anywhere
+        /// in the returned interval — its two ends included — the fate
+        /// the plain scan gives it, with the same draws: over
+        /// overlapping, nested, empty and never-ending windows, at random
+        /// instants and at every window boundary.
+        #[test]
+        fn fate_among_the_active_clauses_equals_the_plain_scan(
+            spec in proptest::collection::vec(
+                (0u64..40, 0u64..32, 1u8..16, 1u8..16, 0u8..4, 0u64..51),
+                0..8usize,
+            ),
+            instants in proptest::collection::vec(0u64..90, 1..6usize),
+            seed in proptest::any::<u64>(),
+        ) {
+            let bits = |mask: u8| (0..4).filter(move |b| mask >> b & 1 == 1);
+            let mut script = LinkFaultScript::new(seed);
+            let mut instants = instants;
+            for &(from, len, src, dst, kind, arg) in &spec {
+                // `len` 0 is an empty window, 31 one that never ends.
+                let until = if len == 31 { u64::MAX } else { from + len };
+                instants.extend([from.saturating_sub(1), from, until.saturating_sub(1), until]);
+                script.push_clause(LinkClause {
+                    from: Time::from_ticks(from),
+                    until: Time::from_ticks(until),
+                    src: ProcSet::from_indices(4, bits(src)),
+                    dst: ProcSet::from_indices(4, bits(dst)),
+                    effect: match kind {
+                        0 => LinkEffect::Drop,
+                        1 => LinkEffect::DeferUntil(Time::from_ticks(2 * arg)),
+                        2 => LinkEffect::Delay(Span::from_ticks(arg)),
+                        _ => LinkEffect::Lose(2 * arg as u8),
+                    },
+                });
+            }
+            let (mut plain, mut routed) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let mut active = Vec::new();
+            for &t in &instants {
+                let t = Time::from_ticks(t);
+                let (from, until) = script.active_at(t, &mut active);
+                proptest::prop_assert!(from <= t && (t < until || t == Time::MAX));
+                let last = Time::from_ticks(until.ticks().saturating_sub(1)).max(from);
+                for sent_at in [from, t, last] {
+                    for link in (0..4).flat_map(|s| (0..4).map(move |d| (s, d))) {
+                        let base = sent_at + Span::TICK;
+                        proptest::prop_assert_eq!(
+                            script.fate_among(&active, link.0, link.1, base, &mut routed),
+                            scan(&script, sent_at, link, base, &mut plain),
+                            "sent at {} over {:?}, set of {}", sent_at, link, t
+                        );
+                    }
+                }
+            }
+            proptest::prop_assert_eq!(routed.gen::<u64>(), plain.gen::<u64>());
         }
     }
 

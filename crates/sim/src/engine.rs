@@ -371,6 +371,10 @@ impl<P: Process> Default for EngineArena<P> {
     }
 }
 
+/// The empty interval: no instant lies in it, so the first copy routed
+/// computes the active clause set.
+const NO_SPAN: (Time, Time) = (Time::ZERO, Time::ZERO);
+
 /// Fn-pointer round extractor installed with
 /// [`Engine::set_round_extractor`]: maps a protocol message to its
 /// originating round, or `None` for round-less traffic.
@@ -393,6 +397,18 @@ pub struct Engine<P: Process> {
     /// Dedicated stream for adversary draws so installing a script does
     /// not perturb the network or per-process streams.
     adv_rng: StdRng,
+    /// The adversary clauses active at `now`, from
+    /// [`LinkFaultScript::active_at`]: every copy of a broadcast, and of
+    /// every broadcast until a window opens or closes, is judged against
+    /// these instead of the whole script.
+    active_clauses: Vec<u32>,
+    /// The instants `[from, until)` for which `active_clauses` holds;
+    /// it is recomputed when `now` lies outside. Both are a function of
+    /// this engine's own script and clock, so they are no part of a
+    /// snapshot: restoring one moves `now`, which this interval checks,
+    /// and an engine adopting another configuration starts from
+    /// [`NO_SPAN`].
+    active_span: (Time, Time),
     /// Dedicated stream for Byzantine draws (one per attacked broadcast),
     /// decorrelated from every other stream for the same reason.
     byz_rng: StdRng,
@@ -496,6 +512,8 @@ impl<P: Process> Engine<P> {
             dead_from,
             net_rng: streams.net,
             adv_rng: streams.adv,
+            active_clauses: Vec::new(),
+            active_span: NO_SPAN,
             byz_rng: streams.byz,
             byz_replay,
             metrics: Metrics::default(),
@@ -1230,7 +1248,11 @@ impl<P: Process> Engine<P> {
         let Some(script) = &self.config.adversary else {
             return Some(base);
         };
-        match script.fate(self.now, src, dst, base, &mut self.adv_rng) {
+        let (from, until) = self.active_span;
+        if self.now < from || until <= self.now {
+            self.active_span = script.active_at(self.now, &mut self.active_clauses);
+        }
+        match script.fate_among(&self.active_clauses, src, dst, base, &mut self.adv_rng) {
             Some(at) => Some(at),
             None => {
                 self.metrics.copies_blocked += 1;
@@ -1482,6 +1504,8 @@ impl<P: ForkProcess> Engine<P> {
             dead_from,
             net_rng: StdRng::seed_from_u64(0),
             adv_rng: StdRng::seed_from_u64(0),
+            active_clauses: Vec::new(),
+            active_span: NO_SPAN,
             byz_rng: StdRng::seed_from_u64(0),
             byz_replay,
             metrics: Metrics::default(),

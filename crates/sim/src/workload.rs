@@ -265,6 +265,13 @@ impl CommandQueue {
         }
     }
 
+    /// The instant the head command arrives — past, present or future —
+    /// or `None` once the stream is drained.
+    #[must_use]
+    pub fn next_arrival(&self) -> Option<Time> {
+        self.head.map(|(_, arrival)| Time::from_ticks(arrival))
+    }
+
     /// Notifies the client of a committed log entry. Its own in-flight
     /// command is retired when (and only when) that exact command
     /// commits; other proposers' commits are not this client's business.

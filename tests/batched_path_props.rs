@@ -8,6 +8,9 @@
 //! decisions, same final clock. An empty or never-activating
 //! `ByzantineScript` must additionally be byte-identical to a run with
 //! **no** script installed at all, on both engines of the workspace.
+//! One fixed long run holds the engine's cached active-clause set to the
+//! same contract: fifty partition windows, then a snapshot taken inside
+//! one and resumed under a script that differs after it.
 
 use homonym::chaos::sweep::{byz_tolerant_node, fig8_node};
 use homonym::chaos::{FaultClause, PartitionMode, Scenario};
@@ -165,6 +168,97 @@ fn run_both<P: Process>(
     reference.enable_trace(500_000);
     reference.run_until(Time::from_ticks(horizon));
     (engine, reference)
+}
+
+/// Keeps talking for the whole run: a broadcast every three ticks.
+struct Ticker {
+    sent: u64,
+}
+
+impl Process for Ticker {
+    type Msg = u64;
+    type Output = u64;
+    fn on_start(&mut self, ctx: &mut ActionSink<'_, u64, u64>) {
+        ctx.broadcast(0);
+        ctx.set_timer(Span::from_ticks(3), TimerTag(0));
+    }
+    fn on_message(&mut self, m: u64, ctx: &mut ActionSink<'_, u64, u64>) {
+        ctx.publish(m);
+    }
+    fn on_timer(&mut self, t: TimerTag, ctx: &mut ActionSink<'_, u64, u64>) {
+        self.sent += 1;
+        ctx.broadcast(self.sent);
+        ctx.set_timer(Span::from_ticks(3), t);
+    }
+}
+
+impl ForkProcess for Ticker {
+    fn fork_in(&self, _space: &mut ForkSpace) -> Self {
+        Ticker { sent: self.sent }
+    }
+}
+
+/// `windows` queue-until-heal partitions, 30 ticks of every 100, cutting
+/// off a rotating pair — a single process from window `turn` on — under
+/// a 10 % loss overlay that spans them all.
+fn rotating_partitions(n: usize, windows: usize, turn: usize) -> Scenario {
+    let mut scenario =
+        Scenario::new("rotating-partitions", n).with_clause(FaultClause::LinkOverlay {
+            from: (0..n).collect(),
+            to: (0..n).collect(),
+            start: Time::ZERO,
+            end: Time::from_ticks(100 * (windows as u64 + 1)),
+            loss_percent: 10,
+            extra_delay: Span::ZERO,
+        });
+    for w in 0..windows {
+        let cut_off: Vec<usize> = (0..if w < turn { 2 } else { 1 })
+            .map(|i| (2 * w + i) % n)
+            .collect();
+        let rest = (0..n).filter(|p| !cut_off.contains(p)).collect();
+        let start = 100 * (w as u64 + 1);
+        scenario = scenario.with_clause(FaultClause::Partition {
+            groups: vec![cut_off, rest],
+            start: Time::from_ticks(start),
+            heal_at: Time::from_ticks(start + 30),
+            mode: PartitionMode::QueueUntilHeal,
+        });
+    }
+    scenario
+}
+
+/// The engine judges each copy against the clauses active at its send
+/// time, which it keeps between copies: over fifty windows that is the
+/// reference interpreter's run, byte for byte, and a snapshot taken
+/// inside window 20 continues as a run under a script that agrees up to
+/// that window and differs after it — in a fresh engine, and in one that
+/// already ran to the horizon.
+#[test]
+fn fifty_partition_windows_match_the_reference_and_resume_under_another_script() {
+    let (n, windows, horizon) = (6, 50, 5_200);
+    let cfg = |turn| {
+        rotating_partitions(n, windows, turn)
+            .install(echo_config(9, 0, n, None))
+            .expect("valid scenario")
+    };
+    let node = |_, _| Ticker { sent: 0 };
+    let (engine, reference) = run_both(cfg(windows), node, horizon);
+    assert_eq!(observed!(engine), observed!(reference));
+    assert!(engine.metrics().copies_blocked > 1_000, "losses were drawn");
+
+    let mut cut = Engine::new(cfg(windows), node);
+    cut.enable_trace(500_000);
+    cut.run_until(Time::from_ticks(100 * 21 + 15));
+    let snap = cut.snapshot();
+    let (mut other, _) = run_both(cfg(21), node, horizon);
+    let expected = observed!(other);
+    assert_ne!(expected, observed!(engine), "the scripts differ");
+    let mut resumed = Engine::resume_in(cfg(21), &snap, EngineArena::new());
+    resumed.run_until(Time::from_ticks(horizon));
+    assert_eq!(observed!(resumed), expected);
+    other.restore_from(&snap);
+    other.run_until(Time::from_ticks(horizon));
+    assert_eq!(observed!(other), expected);
 }
 
 /// An `Echo` system over `n` processes whose last one optionally crashes.

@@ -9,6 +9,10 @@
 //! * what a decided height costs — no `DECIDE` echo and one `Commit`
 //!   broadcast per replica per height on a clean run — and that a
 //!   replica cut off for 300 ticks still catches up;
+//! * who gets proposed — an open-loop run serves every client, each
+//!   command once and in issue order, with or without a dead
+//!   coordinator carrier, and the closed-loop log is pinned to the one
+//!   recorded before forwarding existed;
 //! * snapshot/fork properties — forks taken mid-height **and exactly at
 //!   a height boundary** continue byte-identically, the resumed log
 //!   matches flat execution, and [`PrefixSweeper`] forks over
@@ -23,7 +27,9 @@ use homonym::consensus::{classify_byz, ByzMsg};
 use homonym::detectors::evt_hp::{classify_evt_hp, EvtHpMsg};
 use homonym::prelude::*;
 use homonym::sim::reference::ReferenceEngine;
-use homonym::sim::workload::{ArrivalModel, KeySkew, WorkloadConfig};
+use homonym::sim::workload::{
+    is_noop, proposer_of, seq_of, ArrivalModel, CommandQueue, KeySkew, WorkloadConfig,
+};
 use homonym::sim::Engine;
 use proptest::prelude::*;
 
@@ -160,6 +166,104 @@ fn a_replica_partitioned_for_300_ticks_catches_up() {
     assert!(tip >= behind + 30, "the rest moved on: {behind} vs {tip}");
     let (caught_up, tip) = height_at(1_400);
     assert!(caught_up + 2 >= tip, "still behind: {caught_up} vs {tip}");
+}
+
+/// An open-loop n = 8, ℓ = 4 run of 20 000 ticks (a command per client
+/// every 400 ticks on average) with `crashed` down from tick 0: the log
+/// and, per process, its client's commands as `(command, due tick)`.
+fn open_loop_run(crashed: &[usize]) -> (Vec<u64>, Vec<Vec<(u64, u64)>>) {
+    let n = 8;
+    let clients = WorkloadConfig {
+        commands_per_proc: 64,
+        arrival: ArrivalModel::Open {
+            mean_gap_ticks: 400,
+        },
+        ..workload()
+    };
+    let mut schedule = FailureSchedule::none(n);
+    for &p in crashed {
+        schedule = schedule.with_crash(p, Time::ZERO);
+    }
+    let mut session = SessionBuilder::new(n, 4)
+        .with_schedule(schedule)
+        .with_goal(Goal::TickHorizon)
+        .with_deadline_ticks(20_000)
+        .rsm(&clients);
+    session.run();
+    assert!(session.prefix_violation().is_none());
+    let witness = (0..n).find(|p| !crashed.contains(p)).expect("someone");
+    let log = session.log_of(witness).unwrap_or_default().to_vec();
+    let issued = |mut q: CommandQueue| {
+        let mut out = Vec::new();
+        while let Some(due) = q.next_arrival() {
+            let cmd = q.proposal(due);
+            out.push((cmd, due.ticks()));
+            q.on_commit(cmd);
+        }
+        out
+    };
+    (log, clients.queues(n).into_iter().map(issued).collect())
+}
+
+/// Every command of a live client due 2 000 ticks before the horizon is
+/// in the log, every logged command is some client's, exactly once and
+/// in its client's issue order, and every live client is served.
+fn assert_all_served(log: &[u64], issued: &[Vec<(u64, u64)>], crashed: &[usize]) {
+    let mut served = vec![0usize; issued.len()];
+    for &cmd in log.iter().filter(|&&cmd| !is_noop(cmd)) {
+        let p = proposer_of(cmd);
+        let expected = issued[p].get(served[p]).map(|&(cmd, _)| cmd);
+        assert_eq!(Some(cmd), expected, "client {p}, seq {}", seq_of(cmd));
+        served[p] += 1;
+    }
+    for (p, stream) in issued.iter().enumerate() {
+        if crashed.contains(&p) {
+            assert_eq!(served[p], 0, "client {p} never spoke");
+            continue;
+        }
+        let due = stream.iter().filter(|&&(_, t)| t + 2_000 <= 20_000).count();
+        assert!(due >= 30, "client {p}: only {due} commands due");
+        assert!(served[p] >= due, "client {p}: {} of {due}", served[p]);
+    }
+}
+
+/// A client attached to any replica is served: its due command reaches
+/// the round's coordinators on the `Commit` broadcast.
+#[test]
+fn an_open_loop_run_serves_every_client_once_and_in_order() {
+    let (log, issued) = open_loop_run(&[]);
+    assert_all_served(&log, &issued, &[]);
+}
+
+/// The same with process 0 — one of the two carriers of the round-0
+/// coordinator label — dead from the start: the seven live clients are
+/// served through the other carrier or the next round's coordinators.
+#[test]
+fn an_open_loop_run_serves_every_client_past_a_dead_coordinator_carrier() {
+    let (log, issued) = open_loop_run(&[0]);
+    assert_all_served(&log, &issued, &[0]);
+}
+
+/// The closed-loop log is the one recorded on the commit before commands
+/// were forwarded (length and FNV-1a fingerprint after 10 000 ticks): a
+/// replica whose own client always has a command proposes exactly what
+/// it proposed then.
+#[test]
+fn the_closed_loop_log_is_pinned() {
+    let clients = WorkloadConfig {
+        commands_per_proc: 4_096, // the winner must not drain
+        ..workload()
+    };
+    let mut session = SessionBuilder::new(8, 4)
+        .with_goal(Goal::TickHorizon)
+        .with_deadline_ticks(10_000)
+        .rsm(&clients);
+    session.run();
+    let log = session.log_of(0).unwrap_or_default();
+    let fingerprint = log.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &v| {
+        (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!((log.len(), fingerprint), (1_316, 0x2802_dd2e_12ff_8ad8));
 }
 
 /// Fixed-horizon runs are the reference-interpreter comparison surface:
