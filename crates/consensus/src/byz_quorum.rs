@@ -422,6 +422,25 @@ impl ByzQuorumConsensus {
         self
     }
 
+    /// Re-arms the process for another instance proposing `proposal`:
+    /// from here on it behaves exactly as
+    /// [`ByzQuorumConsensus::new`]`(proposal, assign)` with this one's
+    /// assignment and tick would, but keeps what does not depend on the
+    /// instance — the admission caps, the label rotation — and the round
+    /// windows' storage, recycled into the ring's spare pool.
+    pub fn restart(&mut self, proposal: u64) {
+        self.est = proposal;
+        self.lock = None;
+        self.round = 0;
+        self.phase = Phase::Coord;
+        self.phase_entered = Time::ZERO;
+        self.rounds.restart();
+        self.decide_ledger.reset();
+        self.decide_votes.clear();
+        self.decided = None;
+        self.discarded = 0;
+    }
+
     /// The design tolerance `⌊(n−1)/3⌋`.
     #[must_use]
     pub fn tolerance(&self) -> usize {
@@ -1158,6 +1177,118 @@ mod tests {
             )),
             "{actions:?}"
         );
+    }
+
+    /// One step of a hand-driven engine: a message, or the guard timer
+    /// after the clock moved on.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Msg(ByzMsg),
+        Tick(u64),
+    }
+
+    /// Decodes a generated tuple into a step. Labels run one past the
+    /// assignment's three (an unknown label is shed), rounds up to four
+    /// ahead, values over a handful so that quorums and conflicts both
+    /// form.
+    fn step_of((kind, label, round, value, flag): (u8, u64, u64, u64, bool)) -> Step {
+        let id = Identity::new(label);
+        Step::Msg(match kind {
+            0 | 1 => ByzMsg::Vote {
+                id,
+                round,
+                est: value,
+                locked: flag,
+            },
+            2 | 3 => ByzMsg::Commit {
+                id,
+                round,
+                val: flag.then_some(value),
+            },
+            4 => ByzMsg::Coord {
+                id,
+                round,
+                est: value,
+                locked: flag,
+            },
+            5 => ByzMsg::Decide { id, value },
+            _ => return Step::Tick(1 + value * 4),
+        })
+    }
+
+    /// Up to 60 random steps.
+    fn steps() -> impl proptest::prelude::Strategy<Value = Vec<Step>> {
+        use proptest::prelude::*;
+        let step = (0u8..7, 0u64..4, 0u64..5, 0u64..4, any::<bool>());
+        proptest::collection::vec(step, 0..60usize)
+            .prop_map(|raw| raw.into_iter().map(step_of).collect())
+    }
+
+    /// Feeds `steps` to `c` as a carrier of label 0 with observation on,
+    /// the clock starting at `*now`, and renders every action emitted.
+    fn drive_steps(c: &mut ByzQuorumConsensus, now: &mut u64, steps: &[Step]) -> Vec<String> {
+        let mut actions = Vec::new();
+        let mut rng = <StdRng as rand::SeedableRng>::seed_from_u64(1);
+        for step in steps {
+            if let Step::Tick(later) = step {
+                *now += later;
+            }
+            let at = Time::from_ticks(*now);
+            let mut sink =
+                ActionSink::new(Identity::new(0), at, &mut rng, &mut actions).with_observing(true);
+            match step {
+                Step::Msg(m) => c.on_message(m.clone(), &mut sink),
+                Step::Tick(_) => c.on_timer(TICK, &mut sink),
+            }
+        }
+        actions.iter().map(|a| format!("{a:?}")).collect()
+    }
+
+    proptest::proptest! {
+        /// `restart(p)` is `new(p, assign).with_tick(t)`: after any past —
+        /// here always one with a certified decision, shed copies and
+        /// windows of rounds ahead, then random traffic on top — the
+        /// restarted engine encodes to the same bytes as a fresh one and
+        /// answers any future with the same actions.
+        #[test]
+        fn a_restarted_engine_is_a_fresh_one(
+            past in steps(),
+            future in steps(),
+            proposal in 0u64..4,
+        ) {
+            let assign = assign8();
+            let mut used = ByzQuorumConsensus::new(7, &assign).with_tick(3);
+            let mut now = 0;
+            drive(&mut used, Identity::new(0), vec![]);
+            let decide = |label| Step::Msg(ByzMsg::Decide { id: Identity::new(label), value: 2 });
+            let mut opening = vec![decide(0), decide(0), decide(9), decide(1), step_of((0, 1, 4, 1, true))];
+            opening.extend(past);
+            drive_steps(&mut used, &mut now, &opening);
+            proptest::prop_assert_eq!(used.decision(), Some(2));
+            proptest::prop_assert!(used.discarded() > 0);
+            proptest::prop_assert!(used.rounds.resident() > 0);
+
+            used.restart(proposal);
+            let mut fresh = ByzQuorumConsensus::new(proposal, &assign).with_tick(3);
+            proptest::prop_assert_eq!(used.discarded(), 0);
+            proptest::prop_assert_eq!(used.decision(), None);
+            proptest::prop_assert_eq!(
+                homonym_core::wire::to_bytes(&used),
+                homonym_core::wire::to_bytes(&fresh)
+            );
+            let started = drive(&mut used, Identity::new(0), vec![]);
+            let expected = drive(&mut fresh, Identity::new(0), vec![]);
+            proptest::prop_assert_eq!(format!("{started:?}"), format!("{expected:?}"));
+            let (mut t_used, mut t_fresh) = (now, now);
+            proptest::prop_assert_eq!(
+                drive_steps(&mut used, &mut t_used, &future),
+                drive_steps(&mut fresh, &mut t_fresh, &future)
+            );
+            proptest::prop_assert_eq!(
+                homonym_core::wire::to_bytes(&used),
+                homonym_core::wire::to_bytes(&fresh)
+            );
+        }
     }
 
     #[test]

@@ -99,6 +99,16 @@ impl<W: Window> RoundRing<W> {
         self.base = round;
     }
 
+    /// Returns the ring to round 0 with no live window, recycling every
+    /// live one: what a fresh ring holds, with this one's allocations.
+    pub(crate) fn restart(&mut self) {
+        for mut w in self.live.drain(..) {
+            w.reset();
+            self.spare.push(w);
+        }
+        self.base = 0;
+    }
+
     /// Number of rounds currently holding live buffered state. Bounded
     /// by the process's maximal lookahead (how far ahead of it any
     /// sender ever got), not by run length.
@@ -200,6 +210,24 @@ mod tests {
         let w = r.get_mut(2);
         assert!(w.0.is_empty());
         assert!(w.0.capacity() >= cap_before.min(1));
+    }
+
+    #[test]
+    fn restart_recycles_live_windows_and_returns_to_round_zero() {
+        let mut r: RoundRing<Buf> = RoundRing::new();
+        r.advance_to(7);
+        r.get_mut(7).0.extend([1, 2, 3]);
+        r.get_mut(9).0.push(4);
+        let cap_before = r.get(7).unwrap().0.capacity();
+        r.restart();
+        assert_eq!(r.resident(), 0);
+        assert_eq!(r.spare.len(), 3);
+        // Round 0 is addressable again, in a window that kept its buffer.
+        assert!(r.get(0).is_none());
+        assert!(r.spare.iter().all(|w| w.0.is_empty()));
+        assert!(r.spare.iter().any(|w| w.0.capacity() >= cap_before));
+        r.get_mut(0).0.push(5);
+        assert_eq!((r.resident(), r.spare.len()), (1, 2));
     }
 
     #[test]

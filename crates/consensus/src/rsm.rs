@@ -7,9 +7,10 @@
 //! replicated state machine needs an unbounded sequence of them. This
 //! module provides [`ReplicatedLog`], a [`Process`] that
 //!
-//! * instantiates a fresh per-height engine (any [`HeightEngine`]: the
+//! * runs a fresh per-height engine (any [`HeightEngine`]: the
 //!   Byzantine-tolerant quorum stack by default, Figure 8 / Figure 9 /
-//!   flooding selectable) for each height `h`,
+//!   flooding selectable) for each height `h` — spawned for height 0 and
+//!   [re-armed](HeightEngine::respawn) for every height after it,
 //! * wraps the engine's traffic in height-tagged envelopes so instances
 //!   never cross-talk,
 //! * appends the decided command to an ordered log and immediately
@@ -154,6 +155,18 @@ pub trait HeightEngine: Process<Output = u64> + Sized {
     /// Builds the engine for one height, proposing `proposal`.
     fn spawn(seed: &Self::Seed, proposal: u64) -> Self;
 
+    /// Turns the engine of a finished height into the next height's,
+    /// proposing `proposal`. `self` was spawned from `seed`, and
+    /// afterwards must behave exactly as `Self::spawn(seed, proposal)`
+    /// would — which is what the default does. An engine whose
+    /// construction is worth saving (tables derived from the seed,
+    /// buffers sized by the last height) overrides it to reset its
+    /// per-height state in place instead: the log spawns height 0's
+    /// engine and calls this at every height after it.
+    fn respawn(&mut self, seed: &Self::Seed, proposal: u64) {
+        *self = Self::spawn(seed, proposal);
+    }
+
     /// Forks the seed for snapshot/fork support, re-seating any shared
     /// detector wiring through `space` (see
     /// [`ForkProcess`]).
@@ -175,6 +188,10 @@ impl HeightEngine for ByzQuorumConsensus {
 
     fn spawn(seed: &Self::Seed, proposal: u64) -> Self {
         ByzQuorumConsensus::new(proposal, &seed.assign).with_tick(seed.tick)
+    }
+
+    fn respawn(&mut self, _seed: &Self::Seed, proposal: u64) {
+        self.restart(proposal);
     }
 
     fn fork_seed(seed: &Self::Seed, _space: &mut ForkSpace) -> Self::Seed {
@@ -589,7 +606,8 @@ impl<C: HeightEngine> ReplicatedLog<C> {
             self.recent_answers.pop_front();
         }
 
-        self.inner = C::spawn(&self.seed, self.proposal(ctx.local_now()));
+        let proposal = self.proposal(ctx.local_now());
+        self.inner.respawn(&self.seed, proposal);
         self.relay_inner(ctx, |c, sub| c.on_start(sub));
 
         let target = self.height;
@@ -965,6 +983,87 @@ mod tests {
             assert!(
                 engine.process(p).log().len() >= 10,
                 "correct process {p} stalled after the crash"
+            );
+        }
+    }
+
+    /// [`ByzQuorumConsensus`] behind a newtype that forwards everything
+    /// but keeps [`HeightEngine::respawn`]'s default: rebuilt from its
+    /// seed at every height.
+    struct Rebuilt(ByzQuorumConsensus);
+
+    impl Process for Rebuilt {
+        type Msg = <ByzQuorumConsensus as Process>::Msg;
+        type Output = u64;
+
+        fn on_start(&mut self, ctx: &mut ActionSink<'_, Self::Msg, u64>) {
+            self.0.on_start(ctx);
+        }
+        fn on_message(&mut self, msg: Self::Msg, ctx: &mut ActionSink<'_, Self::Msg, u64>) {
+            self.0.on_message(msg, ctx);
+        }
+        fn on_timer(&mut self, timer: TimerTag, ctx: &mut ActionSink<'_, Self::Msg, u64>) {
+            self.0.on_timer(timer, ctx);
+        }
+    }
+
+    impl HeightEngine for Rebuilt {
+        type Seed = ByzHeightSeed;
+
+        fn spawn(seed: &Self::Seed, proposal: u64) -> Self {
+            Rebuilt(ByzQuorumConsensus::spawn(seed, proposal))
+        }
+        fn fork_seed(seed: &Self::Seed, _space: &mut ForkSpace) -> Self::Seed {
+            seed.clone()
+        }
+    }
+
+    /// Re-arming the engine in place and rebuilding it from the seed are
+    /// the same log service: same logs, fingerprints, engine metrics and
+    /// final engine state on every replica — over jittery links and past
+    /// a crashed coordinator carrier, whose label's rounds wait out the
+    /// grace.
+    #[test]
+    fn respawn_override_matches_the_default_rebuild() {
+        fn run<C: HeightEngine<Seed = ByzHeightSeed>>() -> Engine<ReplicatedLog<C>> {
+            let n = 8;
+            let assign = IdentityAssignment::round_robin(n, 4);
+            let queues = WorkloadConfig::default().queues(n);
+            let cfg = SimConfig::new(
+                assign.clone(),
+                FailureSchedule::none(n).with_crash(0, Time::from_ticks(700)),
+                NetworkModel::Asynchronous(LatencyDistribution::Uniform {
+                    min: Span::TICK,
+                    max: Span::from_ticks(4),
+                }),
+            )
+            .with_seed(5);
+            let mut engine = Engine::new(cfg, |p, _| {
+                let seed = ByzHeightSeed {
+                    assign: assign.clone(),
+                    tick: 2,
+                };
+                let opts = RsmOptions::byzantine(&assign);
+                ReplicatedLog::<C>::new(seed, queues[p].clone(), &assign, opts)
+            });
+            engine.run_until(Time::from_ticks(5_000));
+            engine
+        }
+        fn logs<C: HeightEngine>(engine: &Engine<ReplicatedLog<C>>) -> Vec<(&[u64], u64)> {
+            let replicas = (0..engine.n()).map(|p| engine.process(p));
+            replicas.map(|r| (r.log(), r.state_hash())).collect()
+        }
+        let rearmed = run::<ByzQuorumConsensus>();
+        let rebuilt = run::<Rebuilt>();
+        let heights = rearmed.process(1).log().len();
+        assert!(heights > 200, "only {heights} heights");
+        assert_eq!(rearmed.metrics(), rebuilt.metrics());
+        assert_eq!(logs(&rearmed), logs(&rebuilt));
+        for p in 0..8 {
+            assert_eq!(
+                homonym_core::wire::to_bytes(rearmed.process(p).engine()),
+                homonym_core::wire::to_bytes(&rebuilt.process(p).engine().0),
+                "p{p}'s live engine differs"
             );
         }
     }

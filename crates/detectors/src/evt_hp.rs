@@ -25,6 +25,35 @@
 //! (`r ≤ r_p ≤ r'`): a reply generated for exactly the current round
 //! must count, otherwise no reply would ever match during lock-step
 //! executions.
+//!
+//! # Homonyms drift
+//!
+//! Two carriers of one label adapt different `timeout_p` — each counts
+//! its *own* late replies — so their round counters drift apart. Every
+//! reply the faster carrier's polls draw is addressed to the shared
+//! identifier, and the slower carrier has to hold each of them: they
+//! cover rounds it has not reached. Its own polls draw nothing (the
+//! repliers' `latest_r` for the label is already past them), and it
+//! never catches up. Held one entry per reply, that list grew linearly
+//! with the run: on the `log_steady` benchmark stack (n = 8, ℓ = 4,
+//! workload seed 1), 100 000 ticks in, the faster carrier of each of the
+//! four labels held 8 replies and the slower one 1 339, 4 368, 1 720 and
+//! 7 296, all of them scanned at every round end and written into every
+//! snapshot — a detector whose state grows with the run, where
+//! failure-detector executions are defined over infinite ones.
+//!
+//! The held list therefore coalesces on arrival: a reply `[from, to]`
+//! that starts where a held reply of the same sender ends extends that
+//! entry instead of adding one. Figure 6 lets a *sender* cover a whole
+//! round interval with one `P_REPLY` so that one message serves every
+//! homonymous poller; merging adjacent intervals is the receiver-side
+//! dual — one entry serves every round the replier answered in a row.
+//! The two intervals are adjacent and disjoint, so the multiset of
+//! senders covering any round (all a round end ever reads) is the same
+//! as with separate entries, the timeout adaptation is evaluated before
+//! the reply is held, and the list stays at one run per replier however
+//! far the rounds drift (8 on every process of that run, at every
+//! probe). `tests/detector_state_bounds.rs` pins the bound.
 
 use homonym_core::classes::{EvtHPOutput, HOmegaOutput};
 use homonym_core::fork::{ForkSpace, ForkState};
@@ -263,6 +292,36 @@ impl EvtHpProcess {
         self.timeout
     }
 
+    /// Entries in the held-reply list — a diagnostic for the boundedness
+    /// tests: one run per replier, however far a homonym's rounds have
+    /// drifted (see "Homonyms drift" in the module docs).
+    #[must_use]
+    pub fn pending_len(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Holds a reply that may still cover a round to come. One that
+    /// starts where a held reply of the same sender ends extends that
+    /// entry: the two intervals are adjacent and disjoint, so every round
+    /// is covered by the same multiset of senders either way. A malformed
+    /// interval (`from > to`) takes no part in a merge on either side —
+    /// extending it, or a real one by it, would change what is covered —
+    /// and is held as it came, covering nothing.
+    fn hold(&mut self, from: u64, to: u64, sender: Identity) {
+        if from <= to {
+            // A new reply continues its replier's newest run, and newer
+            // runs sit further back (older ones expire at the front).
+            let run = self.pending.iter_mut().rev().find(|held| {
+                held.2 == sender && held.0 <= held.1 && held.1.checked_add(1) == Some(from)
+            });
+            if let Some(held) = run {
+                held.1 = to;
+                return;
+            }
+        }
+        self.pending.push((from, to, sender));
+    }
+
     fn poll(&self, ctx: &mut ActionSink<'_, EvtHpMsg, EvtHpSnapshot>) {
         ctx.broadcast(EvtHpMsg::Polling {
             round: self.round,
@@ -439,7 +498,7 @@ impl Process for EvtHpProcess {
                     self.timeout += 1;
                 }
                 if to >= self.round {
-                    self.pending.push((from, to, sender));
+                    self.hold(from, to, sender);
                 }
             }
         }
@@ -668,6 +727,97 @@ mod tests {
             m["P_REPLY"] * 10 >= m["POLLING"] * 15,
             "replies unexpectedly scarce: {m:?}"
         );
+    }
+
+    /// The list `pending` replaces: one entry per reply, as Figure 6
+    /// states it, with the same round-end reading.
+    struct NaiveReplies {
+        held: Vec<(u64, u64, Identity)>,
+        round: u64,
+        timeout: u64,
+    }
+
+    impl NaiveReplies {
+        fn reply(&mut self, from: u64, to: u64, sender: Identity) {
+            if from < self.round {
+                self.timeout += 1;
+            }
+            if to >= self.round {
+                self.held.push((from, to, sender));
+            }
+        }
+
+        /// Ends the round: the sorted senders covering it.
+        fn end_round(&mut self) -> Vec<Identity> {
+            let r = self.round;
+            let covers = |&&(from, to, _): &&(u64, u64, Identity)| from <= r && r <= to;
+            let mut gather: Vec<Identity> = self.held.iter().filter(covers).map(|h| h.2).collect();
+            gather.sort_unstable();
+            self.held.retain(|&(_, to, _)| to > r);
+            self.round += 1;
+            gather
+        }
+    }
+
+    proptest::proptest! {
+        /// Coalescing on arrival is invisible: under random reply streams
+        /// — runs that continue where the same sender's (or, to tempt a
+        /// merge that ignores the sender, another's) last reply ended,
+        /// the same interval twice as two homonymous repliers send it,
+        /// late replies, gaps, overlaps, malformed intervals — the
+        /// process gathers the naive list's multiset at every round end
+        /// and adapts the same timeout.
+        #[test]
+        fn coalesced_replies_gather_what_the_naive_list_gathers(
+            steps in proptest::collection::vec((0u8..12, 0u64..3, 0u64..6, 0u64..5), 1..120usize),
+        ) {
+            let me = Identity::new(7);
+            let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
+            let mut actions = Vec::new();
+            let mut proc = EvtHpProcess::new();
+            let mut model = NaiveReplies { held: Vec::new(), round: 1, timeout: 1 };
+            // Where each sender's latest well-formed reply ended.
+            let mut last_to = [0u64; 3];
+            let mut last = (1, 1, Identity::new(0));
+            for (kind, s, a, b) in steps {
+                let sender = Identity::new(s);
+                let s = s as usize;
+                let (from, to, sender) = match kind {
+                    0..=2 => {
+                        let mut sink = ActionSink::new(me, Time::ZERO, &mut rng, &mut actions);
+                        proc.on_timer(ROUND, &mut sink);
+                        actions.clear();
+                        let gathered = model.end_round();
+                        proptest::prop_assert_eq!(&proc.prev_gather, &gathered);
+                        proptest::prop_assert_eq!(proc.h_trusted().len(), gathered.len());
+                        proptest::prop_assert_eq!(proc.round(), model.round);
+                        continue;
+                    }
+                    // The sender's run continues.
+                    3..=6 => (last_to[s] + 1, last_to[s] + 1 + b, sender),
+                    // Starts where a *different* sender's run ended.
+                    7 => (last_to[(s + 1) % 3] + 1, last_to[(s + 1) % 3] + 1 + b, sender),
+                    // A homonymous replier sends the same interval.
+                    8 => last,
+                    // Anywhere around the current round: late, overlapping, gapped.
+                    9 | 10 => {
+                        let from = (model.round + a).saturating_sub(3);
+                        (from, from + b, sender)
+                    }
+                    // Malformed, and adjacent to the sender's run.
+                    _ => (last_to[s] + 1, (last_to[s] + 1).saturating_sub(1 + a), sender),
+                };
+                if from <= to {
+                    last_to[sender.raw() as usize] = to;
+                    last = (from, to, sender);
+                }
+                let mut sink = ActionSink::new(me, Time::ZERO, &mut rng, &mut actions);
+                proc.on_message(EvtHpMsg::PReply { from, to, target: me, sender }, &mut sink);
+                model.reply(from, to, sender);
+                proptest::prop_assert_eq!(proc.timeout(), model.timeout);
+                proptest::prop_assert!(proc.pending_len() <= model.held.len());
+            }
+        }
     }
 
     #[test]

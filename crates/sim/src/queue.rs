@@ -9,10 +9,10 @@
 //! into O(1) array operations instead of `BTreeMap` node traffic.
 //!
 //! Dequeuing is batched: [`CalendarQueue::take_tick`] hands over **every**
-//! event of the earliest tick in one bucket-storage swap, so the engine
-//! pays the window-advance, overflow-migration and occupancy-scan costs
-//! once per tick instead of once per event. The queue tests prove the
-//! resulting `(time, seq)` order against a `BTreeMap` reference model.
+//! event of the earliest tick by moving the bucket's storage out, so the
+//! engine pays the window-advance, overflow-migration and occupancy-scan
+//! costs once per tick instead of once per event. The queue tests prove
+//! the resulting `(time, seq)` order against a `BTreeMap` reference model.
 //!
 //! # Design
 //!
@@ -22,6 +22,16 @@
 //!   event lands here. Each bucket is a `Vec` kept in insertion-sequence
 //!   order (a binary search protects the rare out-of-order migration),
 //!   and always holds a whole tick: dequeuing takes all of it or none.
+//! * Bucket storage is pooled, most recently used first. A drained
+//!   bucket is left without storage; the buffer the caller is done with
+//!   goes onto a LIFO `spare` stack, and the next bucket to receive its
+//!   first event — a tick or three ahead of `now` — takes the top of it.
+//!   The vectors in circulation are therefore as many as there are live
+//!   ticks, and every store and load hits memory that was touched a few
+//!   ticks ago. (Leaving the storage with the bucket it was drained from
+//!   would park it until the wheel comes round, [`WHEEL_TICKS`] ticks
+//!   later: every bucket would end up owning a peak tick's capacity and
+//!   every access would go to memory last used a thousand ticks before.)
 //! * An occupancy bitmap (one bit per bucket) finds the next nonempty
 //!   tick with word-level scans instead of walking empty buckets.
 //! * Events beyond the window go to a `BinaryHeap` keyed by
@@ -65,13 +75,17 @@ impl<E> Ord for FarEvent<E> {
 
 /// A ring bucket: the `(seq, event)` entries of one tick, sorted by `seq`.
 /// The `Option` is always `Some` while queued; it is the slot shape the
-/// engine consumes from after [`CalendarQueue::take_tick`] swaps the
+/// engine consumes from after [`CalendarQueue::take_tick`] moves the
 /// storage out.
 type Bucket<E> = Vec<(u64, Option<E>)>;
 
 /// Calendar queue dispatching in exact `(time, seq)` order.
 pub(crate) struct CalendarQueue<E> {
     buckets: Vec<Bucket<E>>,
+    /// Empty bucket storage awaiting reuse, most recently drained last
+    /// (see the module's Design section). An allocation cache: no part
+    /// of the queue's content.
+    spare: Vec<Bucket<E>>,
     occupied: [u64; WHEEL_WORDS],
     /// Events currently stored in the ring.
     ring_len: usize,
@@ -85,14 +99,17 @@ pub(crate) struct CalendarQueue<E> {
 
 /// Snapshot support: the queue clones bucket by bucket, preserving its
 /// exact internal state (window position, overflow heap), so a restored
-/// engine replays the identical `(time, seq)` dequeue sequence. `clone_from` reuses the destination's bucket
-/// allocations — the snapshot/restore hot path of the prefix-sharing
-/// sweep executor goes through it so repeated snapshots recycle one set
-/// of buffers instead of reallocating 1024 buckets per fork.
+/// engine replays the identical `(time, seq)` dequeue sequence. The
+/// storage pool is a cache and is not copied: a clone starts with an
+/// empty one. `clone_from` reuses the destination's allocations — its
+/// buckets' and its pool's — since the snapshot/restore hot path of the
+/// prefix-sharing sweep executor goes through it, and repeated snapshots
+/// then recycle one set of buffers instead of reallocating per fork.
 impl<E: Clone> Clone for CalendarQueue<E> {
     fn clone(&self) -> Self {
         CalendarQueue {
             buckets: self.buckets.clone(),
+            spare: Vec::new(),
             occupied: self.occupied,
             ring_len: self.ring_len,
             window: self.window,
@@ -103,7 +120,12 @@ impl<E: Clone> Clone for CalendarQueue<E> {
 
     fn clone_from(&mut self, source: &Self) {
         for (dst, src) in self.buckets.iter_mut().zip(&source.buckets) {
-            dst.clone_from(src);
+            if src.is_empty() {
+                Self::release(&mut self.spare, dst);
+            } else {
+                Self::provision(&mut self.spare, dst);
+                dst.clone_from(src);
+            }
         }
         self.occupied = source.occupied;
         self.ring_len = source.ring_len;
@@ -117,6 +139,7 @@ impl<E> CalendarQueue<E> {
     pub(crate) fn new() -> Self {
         CalendarQueue {
             buckets: (0..WHEEL_TICKS).map(|_| Bucket::new()).collect(),
+            spare: Vec::new(),
             occupied: [0; WHEEL_WORDS],
             ring_len: 0,
             window: 0,
@@ -134,6 +157,26 @@ impl<E> CalendarQueue<E> {
 
     pub(crate) fn len(&self) -> usize {
         self.ring_len + self.overflow.len()
+    }
+
+    /// Gives a bucket about to receive its first event the most recently
+    /// drained storage, if it has none of its own.
+    #[inline]
+    fn provision(spare: &mut Vec<Bucket<E>>, bucket: &mut Bucket<E>) {
+        if bucket.capacity() == 0 {
+            if let Some(storage) = spare.pop() {
+                *bucket = storage;
+            }
+        }
+    }
+
+    /// Empties `bucket` and moves its storage, if it has any, to the top
+    /// of the pool.
+    fn release(spare: &mut Vec<Bucket<E>>, bucket: &mut Bucket<E>) {
+        bucket.clear();
+        if bucket.capacity() != 0 {
+            spare.push(std::mem::take(bucket));
+        }
     }
 
     fn set_occupied(&mut self, idx: usize) {
@@ -155,6 +198,7 @@ impl<E> CalendarQueue<E> {
         if at - self.window < WHEEL_TICKS {
             let idx = (at % WHEEL_TICKS) as usize;
             let bucket = &mut self.buckets[idx];
+            Self::provision(&mut self.spare, bucket);
             // In-order fast path: sequences are handed out monotonically,
             // so appends keep the bucket sorted by seq.
             match bucket.last() {
@@ -194,6 +238,7 @@ impl<E> CalendarQueue<E> {
                 bucket.last().is_none_or(|&(last, _)| last < seq),
                 "push_in_order caller violated seq monotonicity"
             );
+            Self::provision(&mut self.spare, bucket);
             bucket.push((seq, Some(event)));
             self.set_occupied(idx);
             self.ring_len += 1;
@@ -215,6 +260,7 @@ impl<E> CalendarQueue<E> {
             // Ring pushes bypass `push` to avoid re-checking the window.
             let idx = (far.at % WHEEL_TICKS) as usize;
             let bucket = &mut self.buckets[idx];
+            Self::provision(&mut self.spare, bucket);
             let pos = bucket.partition_point(|(s, _)| *s < far.seq);
             bucket.insert(pos, (far.seq, Some(far.event)));
             self.set_occupied(idx);
@@ -267,22 +313,24 @@ impl<E> CalendarQueue<E> {
     }
 
     /// Takes **every** event of the earliest tick at or before `deadline`
-    /// by swapping the tick's bucket storage into `out` (entries in
+    /// by moving the tick's bucket storage into `out` (entries in
     /// `(seq)` order, every slot `Some`), and returns that tick's time;
     /// `None` when the queue is empty or the earliest event lies beyond
     /// the deadline (`out` is untouched then).
     ///
-    /// `out` must arrive empty: it becomes the bucket's replacement
-    /// storage, so the caller hands its (cleared) buffer back on the next
-    /// call and bucket capacities circulate between the queue and the
-    /// caller without reallocation.
+    /// `out` must arrive empty. The storage it arrives with — the tick
+    /// the caller has just finished with — goes to the top of the pool,
+    /// from where the next bucket to receive a first event takes it; the
+    /// drained bucket keeps none. So the caller hands its (cleared)
+    /// buffer back on the next call, and storage circulates between the
+    /// caller and the few buckets in use without reallocation.
     ///
     /// Window advance, overflow migration and the occupancy-bitmap scan
-    /// happen once per *tick*, the handoff is an O(1) pointer swap, and
+    /// happen once per *tick*, the handoff is two O(1) pointer moves, and
     /// each event is moved exactly once (by the caller, out of the
-    /// swapped buffer). No event can be scheduled *at* the tick being
-    /// drained (the engine only schedules strictly after `now`), so the
-    /// drain can never miss a same-tick straggler.
+    /// buffer). No event can be scheduled *at* the tick being drained
+    /// (the engine only schedules strictly after `now`), so the drain can
+    /// never miss a same-tick straggler.
     pub(crate) fn take_tick(
         &mut self,
         deadline: Time,
@@ -304,7 +352,10 @@ impl<E> CalendarQueue<E> {
         let bucket = &mut self.buckets[idx];
         debug_assert!(!bucket.is_empty(), "occupancy bit without items");
         self.ring_len -= bucket.len();
-        std::mem::swap(bucket, out);
+        let done = std::mem::replace(out, std::mem::take(bucket));
+        if done.capacity() != 0 {
+            self.spare.push(done);
+        }
         self.clear_occupied(idx);
         self.next_tick = None;
         Some(Time::from_ticks(at))
@@ -349,11 +400,11 @@ impl<E> CalendarQueue<E> {
     }
 
     /// Returns the queue to its freshly-constructed state while keeping
-    /// every bucket's allocation, so a sweep can reuse one queue across
-    /// runs (see `EngineArena`).
+    /// every allocation — the live buckets' storage joins the pool — so a
+    /// sweep can reuse one queue across runs (see `EngineArena`).
     pub(crate) fn reset(&mut self) {
         for bucket in &mut self.buckets {
-            bucket.clear();
+            Self::release(&mut self.spare, bucket);
         }
         self.occupied = [0; WHEEL_WORDS];
         self.ring_len = 0;
@@ -630,6 +681,86 @@ mod tests {
         );
         assert_eq!(buf, vec![(1, Some("b"))]);
         assert!(q.is_empty());
+    }
+
+    /// Vectors owning an allocation, in buckets and pool together.
+    fn storage_in_circulation<E>(q: &CalendarQueue<E>) -> usize {
+        let owning = |v: &&Bucket<E>| v.capacity() != 0;
+        q.buckets.iter().filter(owning).count() + q.spare.iter().filter(owning).count()
+    }
+
+    /// Drains `q` to the end, the way the engine does.
+    fn drain_all<E>(q: CalendarQueue<E>) -> Vec<(Time, u64, E)> {
+        let mut d = Drain { q, ..Drain::new() };
+        std::iter::from_fn(|| d.pop()).collect()
+    }
+
+    #[test]
+    fn bucket_storage_is_recycled_most_recent_first() {
+        const LOOKAHEAD: u64 = 3;
+        let mut q = CalendarQueue::new();
+        let mut buf = Vec::new();
+        let mut seq = 0u64;
+        q.push_in_order(Time::from_ticks(1), seq, seq);
+        for now in 1..10_000u64 {
+            buf.clear();
+            assert_eq!(
+                q.take_tick(Time::MAX, &mut buf),
+                Some(Time::from_ticks(now))
+            );
+            for ahead in 1..=LOOKAHEAD {
+                seq += 1;
+                q.push_in_order(Time::from_ticks(now + ahead), seq, seq);
+            }
+            // The live ticks and whatever waits in the pool — not one
+            // vector per bucket the window has swept over.
+            assert!(storage_in_circulation(&q) <= LOOKAHEAD as usize + 2);
+        }
+        // The storage a drain frees is what the next first event gets.
+        buf.clear();
+        q.take_tick(Time::MAX, &mut buf);
+        let freed = buf.as_ptr();
+        buf.clear();
+        q.take_tick(Time::MAX, &mut buf);
+        q.push_in_order(Time::from_ticks(10_003), seq + 1, 0);
+        assert_eq!(q.buckets[10_003 % WHEEL_TICKS as usize].as_ptr(), freed);
+    }
+
+    #[test]
+    fn the_pool_survives_reset_and_clone_from_but_is_not_cloned() {
+        let mut q = CalendarQueue::new();
+        for (seq, at) in [3u64, 3, 5, 9, WHEEL_TICKS * 2].into_iter().enumerate() {
+            q.push_in_order(Time::from_ticks(at), seq as u64, seq);
+        }
+        let mut buf = Vec::new();
+        q.take_tick(Time::MAX, &mut buf);
+        buf.clear();
+        q.take_tick(Time::MAX, &mut buf);
+        assert_eq!(q.spare.len(), 1);
+
+        // A clone copies content, not the cache, and dequeues the same.
+        let copy = q.clone();
+        assert!(copy.spare.is_empty());
+        let expected = drain_all(q.clone());
+        assert_eq!(expected.len(), 2);
+        assert_eq!(drain_all(copy), expected);
+
+        // `clone_from` keeps what the destination owns: storage of
+        // buckets the source has empty moves to the destination's pool.
+        let mut dst = CalendarQueue::new();
+        for seq in 0..4u64 {
+            dst.push_in_order(Time::from_ticks(1 + seq), seq, 0usize);
+        }
+        dst.clone_from(&q);
+        assert_eq!(storage_in_circulation(&dst), 4);
+        assert_eq!(dst.spare.len(), 3);
+        assert_eq!(drain_all(dst), expected);
+
+        // `reset` empties the queue into the pool.
+        let before = storage_in_circulation(&q);
+        q.reset();
+        assert!(q.is_empty());
+        assert_eq!(q.spare.len(), before);
     }
 
     #[test]

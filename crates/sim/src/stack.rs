@@ -44,6 +44,11 @@ impl<L: fmt::Display, R: fmt::Display> fmt::Display for Either<L, R> {
 pub struct Stacked<A: Process, B: Process> {
     a: A,
     b: B,
+    /// Reused buffers for the actions of one callback of either half:
+    /// empty between callbacks, so a fork or a decoded stack starts with
+    /// fresh ones.
+    a_actions: Vec<Action<A::Msg, A::Output>>,
+    b_actions: Vec<Action<B::Msg, B::Output>>,
 }
 
 /// The action sink a [`Stacked`] process receives from its engine.
@@ -56,7 +61,12 @@ type StackSink<'a, A, B> = ActionSink<
 impl<A: Process, B: Process> Stacked<A, B> {
     /// Stacks `a` under `b`.
     pub fn new(a: A, b: B) -> Self {
-        Stacked { a, b }
+        Stacked {
+            a,
+            b,
+            a_actions: Vec::new(),
+            b_actions: Vec::new(),
+        }
     }
 
     /// The detector half.
@@ -71,23 +81,23 @@ impl<A: Process, B: Process> Stacked<A, B> {
 
     fn relay<M0, O0>(
         ctx: &mut StackSink<'_, A, B>,
+        actions: &mut Vec<Action<M0, O0>>,
         run: impl FnOnce(&mut ActionSink<'_, M0, O0>),
         mut lift_msg: impl FnMut(M0) -> Either<A::Msg, B::Msg>,
         mut lift_out: impl FnMut(O0) -> Either<A::Output, B::Output>,
         mut lift_tag: impl FnMut(TimerTag) -> TimerTag,
     ) {
-        let mut actions: Vec<Action<M0, O0>> = Vec::new();
+        debug_assert!(actions.is_empty());
         {
             // The sub-sink inherits the outer sink's observing flag, so a
             // stacked half's `observe` hooks stay dead branches exactly
             // when the engine has no recorder attached.
             let observing = ctx.observing();
-            let mut sub =
-                ActionSink::new(ctx.my_id(), ctx.local_now(), ctx.raw_rng(), &mut actions)
-                    .with_observing(observing);
+            let mut sub = ActionSink::new(ctx.my_id(), ctx.local_now(), ctx.raw_rng(), actions)
+                .with_observing(observing);
             run(&mut sub);
         }
-        for action in actions {
+        for action in actions.drain(..) {
             match action {
                 Action::Broadcast(m) => ctx.broadcast(lift_msg(m)),
                 Action::SetTimer(d, tag) => ctx.set_timer(d, lift_tag(tag)),
@@ -108,6 +118,7 @@ impl<A: Process, B: Process> Stacked<A, B> {
         let a = &mut self.a;
         Self::relay(
             ctx,
+            &mut self.a_actions,
             |sub| f(a, sub),
             Either::L,
             Either::L,
@@ -123,6 +134,7 @@ impl<A: Process, B: Process> Stacked<A, B> {
         let b = &mut self.b;
         Self::relay(
             ctx,
+            &mut self.b_actions,
             |sub| f(b, sub),
             Either::R,
             Either::R,
@@ -177,10 +189,7 @@ impl<A: Process, B: Process> Process for Stacked<A, B> {
 /// its internal wiring but shares no mutable state with the original.
 impl<A: ForkProcess, B: ForkProcess> ForkProcess for Stacked<A, B> {
     fn fork_in(&self, space: &mut ForkSpace) -> Self {
-        Stacked {
-            a: self.a.fork_in(space),
-            b: self.b.fork_in(space),
-        }
+        Stacked::new(self.a.fork_in(space), self.b.fork_in(space))
     }
 }
 
@@ -307,10 +316,7 @@ where
         self.b.save(s);
     }
     fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
-        Ok(Stacked {
-            a: A::load(l)?,
-            b: B::load(l)?,
-        })
+        Ok(Stacked::new(A::load(l)?, B::load(l)?))
     }
 }
 
