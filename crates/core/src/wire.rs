@@ -3,31 +3,79 @@
 //! The workspace's vendored `serde` can serialize but its `Deserialize`
 //! is a marker-only trait (no `Deserializer` machinery is vendored), so
 //! the durable checkpoint layer cannot round-trip through it. This
-//! module is the replacement: a small, deterministic, little-endian
-//! binary codec with exactly the features snapshots need and nothing
-//! more.
+//! module is the replacement: one small, deterministic binary codec
+//! with exactly the features snapshots need and nothing more.
+//!
+//! # Primitives
+//!
+//! * **Integers are varints.** Every `u16`/`u32`/`u64`/`usize` — and so
+//!   every `Time`, `Span`, `Identity`, length prefix, enum payload and
+//!   back-reference index — is a canonical LEB128 varint
+//!   ([`Saver::u64`]): seven value bits a byte, low group first, high
+//!   bit set on all but the last byte. A value costs its magnitude
+//!   (one byte below 128, ten for `u64::MAX`), which is what makes a
+//!   snapshot cost what the state costs: most of what a run persists
+//!   is rounds, clocks and single-digit counts. The
+//!   decoder accepts exactly one encoding per value — overlong forms
+//!   (a trailing zero group), an eleventh byte and bits past the 64th
+//!   are [`WireError::BadValue`] — so equal values still mean equal
+//!   bytes.
+//! * **High-entropy words are fixed-width.** RNG state words
+//!   (`[u64; 4]`) go through [`Saver::fixed64`], eight little-endian
+//!   bytes: a varint would spend ten on them.
+//! * Tags, `bool`s and `u8`s are one raw byte; strings are a length and
+//!   their UTF-8; `()` is no bytes at all.
+//! * A container is its element count, then its elements. The decoder
+//!   bounds every count by the bytes that remain before it allocates
+//!   anything ([`Loader::len`], [`Loader::seq`]).
 //!
 //! # The aliasing contract
 //!
-//! Process state may contain [`SharedCell`]
-//! handles that alias one shared allocation (a detector half wired to a
-//! consensus half inside one simulated process — see [`crate::fork`]).
-//! A naive per-field encoding would tear that wiring apart: each handle
-//! would decode into its own private cell and the halves would stop
-//! observing each other. [`Saver`] and [`Loader`] therefore carry an
-//! alias table, the serialization analogue of
-//! [`ForkSpace`](crate::fork::ForkSpace): the first handle to a cell
-//! encodes its value and claims an index, every later handle encodes
-//! only the index, and decoding re-seats all of them onto one rebuilt
-//! cell. A round-tripped process keeps its internal wiring.
+//! Two kinds of handle can alias one allocation, and both go through
+//! one alias table ([`Saver::shared`] / [`Loader::shared`]), the
+//! serialization analogue of [`ForkSpace`](crate::fork::ForkSpace):
+//!
+//! * [`SharedCell`] handles (a detector half wired to a consensus half
+//!   inside one simulated process — see [`crate::fork`]). Here aliasing
+//!   is *behaviour*: decode each handle into a private cell and the
+//!   halves stop observing each other.
+//! * [`Arc`] handles to immutable payloads (the `◇HP` bag every history
+//!   entry shares since it last changed; the one payload behind the
+//!   copies of a broadcast still in flight). Here aliasing is *cost*:
+//!   re-encode the payload per handle and a long history is almost
+//!   entirely copies of values already written, and a resumed engine
+//!   holds one allocation per handle where the live one holds one per
+//!   value.
+//!
+//! The first handle to an allocation encodes its value and claims the
+//! next index, every later handle encodes only the index, and decoding
+//! re-seats all of them onto one rebuilt allocation. Cells and `Arc`s
+//! number themselves in one index space, in traversal order; a
+//! back-reference naming a slot of the other kind, a slot still being
+//! decoded (its own definition) or one past the table is
+//! [`WireError::BadCellIndex`].
 //!
 //! # Determinism
 //!
 //! Encoding is a pure function of the traversal order, which is a pure
-//! function of the value — no maps with nondeterministic iteration
-//! order, no pointers, no timestamps. Encoding the same snapshot twice
-//! yields identical bytes, which is what lets the checkpoint layer
-//! fingerprint and checksum its files.
+//! function of the value *and its sharing* — no maps with
+//! nondeterministic iteration order, no addresses, no timestamps.
+//! Encoding the same snapshot twice yields identical bytes, and so does
+//! encoding what those bytes decode to (`to_bytes ∘ from_bytes` is the
+//! identity on encodings), which is what lets the checkpoint layer
+//! fingerprint and checksum its files. A value rebuilt some other way
+//! — a fork that deep-copies a payload the original shared — is equal
+//! and behaves identically, but need not encode to the same bytes.
+//!
+//! # Hostile input
+//!
+//! Every primitive and container here turns any byte string into a
+//! typed [`WireError`] or a value — never a panic, and never a
+//! reservation larger than the input that is left — and a [`Persist`]
+//! impl built from them inherits that as long as its own `load` only
+//! rejects, never asserts. `tests/wire_contract.rs` holds the engine
+//! snapshot, the detector's messages and the command queue to it with
+//! arbitrary, truncated and mutated inputs.
 
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
@@ -66,8 +114,8 @@ pub enum WireError {
         /// The type being decoded.
         what: &'static str,
     },
-    /// A shared-cell back-reference pointed outside the alias table or
-    /// at a cell of a different type.
+    /// An alias-table back-reference pointed outside the table, at a
+    /// slot still being decoded, or at a handle of a different type.
     BadCellIndex {
         /// The offending index.
         index: u32,
@@ -94,7 +142,7 @@ impl fmt::Display for WireError {
             WireError::BadCellIndex { index } => {
                 write!(
                     f,
-                    "shared-cell back-reference {index} out of range or wrong type"
+                    "alias-table back-reference {index} out of range, unfilled or wrong type"
                 )
             }
             WireError::TrailingBytes { left } => {
@@ -124,10 +172,13 @@ pub trait Persist: Sized {
     fn load(l: &mut Loader<'_>) -> Result<Self, WireError>;
 }
 
-/// Encoding state: the output buffer plus the shared-cell alias table.
+/// Encoding state: the output buffer plus the alias table.
 #[derive(Default)]
 pub struct Saver {
     buf: Vec<u8>,
+    /// Alias-table index by allocation address. Addresses identify
+    /// allocations because the value being saved is borrowed — every
+    /// allocation it reaches stays alive — for the whole pass.
     cells: HashMap<usize, u32>,
 }
 
@@ -149,19 +200,31 @@ impl Saver {
         self.buf.push(v);
     }
 
-    /// Appends a little-endian `u32`.
+    /// Appends a `u32` as a varint.
     pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.u64(u64::from(v));
     }
 
-    /// Appends a little-endian `u64`.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    /// Appends a `u64` as a canonical LEB128 varint: seven bits a byte,
+    /// low group first, one to ten bytes.
+    pub fn u64(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
     }
 
-    /// Appends a `usize` as a `u64` (lengths, indices).
+    /// Appends a `usize` as a varint (lengths, indices).
     pub fn len(&mut self, v: usize) {
         self.u64(v as u64);
+    }
+
+    /// Appends a `u64` as eight little-endian bytes: the primitive for
+    /// words with no small-magnitude bias (RNG state), which a varint
+    /// would lengthen.
+    pub fn fixed64(&mut self, v: u64) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends raw bytes (no length prefix).
@@ -169,19 +232,22 @@ impl Saver {
         self.buf.extend_from_slice(v);
     }
 
-    /// The alias-table index of a cell already encoded this pass, if any.
-    #[must_use]
-    pub fn cell_ref(&self, alias_key: usize) -> Option<u32> {
-        self.cells.get(&alias_key).copied()
-    }
-
-    /// Claims the next alias-table index for a cell about to be encoded.
-    /// Must be called **before** encoding the cell's value so nested
-    /// cells number themselves in the same order the loader rebuilds.
-    pub fn cell_define(&mut self, alias_key: usize) -> u32 {
-        let idx = self.cells.len() as u32;
-        self.cells.insert(alias_key, idx);
-        idx
+    /// Encodes one handle to the shared allocation at address
+    /// `alias_key`: the first handle of a pass writes tag 0, claims the
+    /// next alias-table index and encodes the value through `value`;
+    /// every later one writes tag 1 and that index. The index is
+    /// claimed **before** the value is encoded so nested handles number
+    /// themselves in the order the loader rebuilds them.
+    pub fn shared(&mut self, alias_key: usize, value: impl FnOnce(&mut Saver)) {
+        if let Some(&idx) = self.cells.get(&alias_key) {
+            self.u8(1);
+            self.u32(idx);
+        } else {
+            self.u8(0);
+            let idx = self.cells.len() as u32;
+            self.cells.insert(alias_key, idx);
+            value(self);
+        }
     }
 }
 
@@ -189,6 +255,8 @@ impl Saver {
 pub struct Loader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// One slot per shared allocation defined so far, holding a handle
+    /// to it (`None` while its value is still being decoded).
     cells: Vec<Option<Box<dyn Any>>>,
 }
 
@@ -203,13 +271,18 @@ impl<'a> Loader<'a> {
         }
     }
 
+    /// Bytes not yet consumed.
+    fn left(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     /// Takes `n` raw bytes.
     ///
     /// # Errors
     ///
     /// [`WireError::Eof`] when fewer than `n` bytes remain.
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let left = self.buf.len() - self.pos;
+        let left = self.left();
         if left < n {
             return Err(WireError::Eof { wanted: n, left });
         }
@@ -227,46 +300,100 @@ impl<'a> Loader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// Reads a little-endian `u32`.
+    /// Reads a varint that must fit a `u32`.
     ///
     /// # Errors
     ///
-    /// [`WireError::Eof`] when fewer than 4 bytes remain.
+    /// As [`Loader::u64`], and [`WireError::BadValue`] past `u32::MAX`.
     pub fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
+        u32::try_from(self.u64()?).map_err(|_| WireError::BadValue { what: "u32" })
     }
 
-    /// Reads a little-endian `u64`.
+    /// Reads a canonical LEB128 varint (see [`Saver::u64`]).
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Eof`] when the input ends inside it;
+    /// [`WireError::BadValue`] on an encoding [`Saver::u64`] never
+    /// writes — overlong (a zero last group), an eleventh byte, or bits
+    /// past the 64th.
+    pub fn u64(&mut self) -> Result<u64, WireError> {
+        // Most of what a snapshot holds is below 128: one byte, no loop.
+        let first = self.u8()?;
+        if first < 0x80 {
+            return Ok(u64::from(first));
+        }
+        const BAD: WireError = WireError::BadValue { what: "varint" };
+        let mut v = u64::from(first & 0x7f);
+        for shift in (7..63).step_by(7) {
+            let b = self.u8()?;
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                // A zero last group is a shorter value written long.
+                return if b == 0 { Err(BAD) } else { Ok(v) };
+            }
+        }
+        // The tenth byte has room for bit 63 alone, and ends the varint.
+        match self.u8()? {
+            1 => Ok(v | 1 << 63),
+            _ => Err(BAD),
+        }
+    }
+
+    /// Reads eight little-endian bytes (see [`Saver::fixed64`]).
     ///
     /// # Errors
     ///
     /// [`WireError::Eof`] when fewer than 8 bytes remain.
-    pub fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
+    pub fn fixed64(&mut self) -> Result<u64, WireError> {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(self.take(8)?);
+        Ok(u64::from_le_bytes(word))
     }
 
-    /// Reads a length (`u64`) and checks it fits `usize` and the
-    /// remaining input can plausibly hold that many elements (each at
-    /// least one byte — rejects absurd lengths from corrupt input
-    /// before any allocation).
+    /// Reads the element count of a container whose every element
+    /// encodes to at least one byte — true of every [`Persist`] type but
+    /// the zero-sized ones — and rejects a count the remaining input
+    /// cannot hold, before anything is allocated for it.
     ///
     /// # Errors
     ///
-    /// [`WireError::BadValue`] on an implausible length.
+    /// [`WireError::BadValue`] on a count past the bytes that remain.
     // Not a container: `len` consumes a length *prefix* from the
     // stream, so an `is_empty` counterpart would be meaningless.
     #[allow(clippy::len_without_is_empty)]
     pub fn len(&mut self) -> Result<usize, WireError> {
-        let v = self.u64()?;
-        let v = usize::try_from(v).map_err(|_| WireError::BadValue { what: "length" })?;
-        if v > self.buf.len().saturating_sub(self.pos).saturating_add(1) * 8 {
-            return Err(WireError::BadValue { what: "length" });
+        match usize::try_from(self.u64()?) {
+            Ok(n) if n <= self.left() => Ok(n),
+            _ => Err(WireError::BadValue { what: "length" }),
         }
-        Ok(v)
+    }
+
+    /// Reads the element count of a sequence of `T` and returns it with
+    /// the empty vector to push the elements into. The reservation is
+    /// capped at the *memory* the remaining input could pay for (a
+    /// decoded element may be many times its encoding), so a corrupt
+    /// count costs at most what the input itself costs before the first
+    /// element fails to decode; a longer honest sequence grows as it
+    /// fills.
+    ///
+    /// Zero-sized elements (`()`) encode to no bytes, so no count of
+    /// them can be checked against the input: a sequence of them does
+    /// not compile.
+    ///
+    /// # Errors
+    ///
+    /// As [`Loader::len`].
+    pub fn seq<T>(&mut self) -> Result<(usize, Vec<T>), WireError> {
+        const {
+            assert!(
+                std::mem::size_of::<T>() != 0,
+                "a sequence of zero-byte elements has no checkable length"
+            );
+        }
+        let n = self.len()?;
+        let reserve = n.min(self.left() / std::mem::size_of::<T>());
+        Ok((n, Vec::with_capacity(reserve)))
     }
 
     /// Asserts the whole input was consumed.
@@ -275,39 +402,48 @@ impl<'a> Loader<'a> {
     ///
     /// [`WireError::TrailingBytes`] when bytes remain.
     pub fn expect_end(&self) -> Result<(), WireError> {
-        let left = self.buf.len() - self.pos;
+        let left = self.left();
         if left != 0 {
             return Err(WireError::TrailingBytes { left });
         }
         Ok(())
     }
 
-    /// Reserves the next alias-table slot (mirroring
-    /// [`Saver::cell_define`]) and returns its index; fill it with
-    /// [`Loader::cell_fill`] once the cell exists.
-    pub fn cell_reserve(&mut self) -> u32 {
-        self.cells.push(None);
-        (self.cells.len() - 1) as u32
-    }
-
-    /// Seats the rebuilt cell into its reserved slot.
-    pub fn cell_fill(&mut self, idx: u32, cell: Box<dyn Any>) {
-        self.cells[idx as usize] = Some(cell);
-    }
-
-    /// An aliasing handle to the cell at `idx`.
+    /// Decodes one handle (`H`: a [`SharedCell`] or an [`Arc`]) to a
+    /// shared allocation, mirroring [`Saver::shared`]: tag 0 reserves
+    /// the next alias-table slot, builds the allocation through `build`
+    /// and seats a handle in the slot; tag 1 clones the handle seated
+    /// at the index that follows.
     ///
     /// # Errors
     ///
-    /// [`WireError::BadCellIndex`] when the slot is absent, unfilled, or
-    /// holds a cell of a different type.
-    pub fn cell_ref<T: Clone + 'static>(&self, idx: u32) -> Result<T, WireError> {
-        self.cells
-            .get(idx as usize)
-            .and_then(|slot| slot.as_ref())
-            .and_then(|boxed| boxed.downcast_ref::<T>())
-            .cloned()
-            .ok_or(WireError::BadCellIndex { index: idx })
+    /// [`WireError::BadCellIndex`] on a back-reference to a slot that is
+    /// absent, still being decoded, or holds a handle of another type;
+    /// [`WireError::BadTag`] on any other tag; whatever `build` returns.
+    pub fn shared<H: Clone + 'static>(
+        &mut self,
+        what: &'static str,
+        build: impl FnOnce(&mut Self) -> Result<H, WireError>,
+    ) -> Result<H, WireError> {
+        match self.u8()? {
+            0 => {
+                let slot = self.cells.len();
+                self.cells.push(None);
+                let handle = build(self)?;
+                self.cells[slot] = Some(Box::new(handle.clone()));
+                Ok(handle)
+            }
+            1 => {
+                let index = self.u32()?;
+                self.cells
+                    .get(index as usize)
+                    .and_then(|slot| slot.as_ref())
+                    .and_then(|boxed| boxed.downcast_ref::<H>())
+                    .cloned()
+                    .ok_or(WireError::BadCellIndex { index })
+            }
+            tag => Err(WireError::BadTag { what, tag }),
+        }
     }
 }
 
@@ -385,7 +521,7 @@ impl Persist for u8 {
     }
 }
 
-/// Travels as a `u32`: the codec has no 16-bit primitive.
+/// Travels as a varint like its wider siblings, range-checked on load.
 impl Persist for u16 {
     fn save(&self, s: &mut Saver) {
         s.u32(u32::from(*self));
@@ -418,8 +554,7 @@ impl Persist for usize {
         s.len(*self);
     }
     fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
-        let v = l.u64()?;
-        usize::try_from(v).map_err(|_| WireError::BadValue { what: "usize" })
+        usize::try_from(l.u64()?).map_err(|_| WireError::BadValue { what: "usize" })
     }
 }
 
@@ -443,14 +578,16 @@ impl Persist for () {
     }
 }
 
+/// RNG state words: fixed-width, the one place the codec expects no
+/// small values.
 impl Persist for [u64; 4] {
     fn save(&self, s: &mut Saver) {
         for w in self {
-            s.u64(*w);
+            s.fixed64(*w);
         }
     }
     fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
-        Ok([l.u64()?, l.u64()?, l.u64()?, l.u64()?])
+        Ok([l.fixed64()?, l.fixed64()?, l.fixed64()?, l.fixed64()?])
     }
 }
 
@@ -511,8 +648,7 @@ impl<T: Persist> Persist for Vec<T> {
         }
     }
     fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
-        let n = l.len()?;
-        let mut out = Vec::with_capacity(n);
+        let (n, mut out) = l.seq()?;
         for _ in 0..n {
             out.push(T::load(l)?);
         }
@@ -528,12 +664,7 @@ impl<T: Persist> Persist for VecDeque<T> {
         }
     }
     fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
-        let n = l.len()?;
-        let mut out = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            out.push_back(T::load(l)?);
-        }
-        Ok(out)
+        Ok(Vec::load(l)?.into())
     }
 }
 
@@ -595,16 +726,21 @@ impl<A: Persist, B: Persist, C: Persist> Persist for (A, B, C) {
     }
 }
 
-/// `Arc` payloads are encoded by value; decoding allocates a fresh
-/// `Arc`. Cross-handle sharing of *immutable* payloads is a cost
-/// optimization, not observable state, so losing it across a round
-/// trip cannot change behaviour.
-impl<T: Persist> Persist for Arc<T> {
+/// `Arc` payloads encode through the alias table (see the module
+/// docs): the first handle to an allocation carries the value, every
+/// later one an index, and decoding seats them all on one rebuilt
+/// `Arc` — handles that were `Arc::ptr_eq` before a round trip are
+/// after it. The payload is immutable, so the sharing is not behaviour;
+/// it is what the value costs, in bytes on disk and in memory after a
+/// resume, and the encoding is a function of it: two handles to equal
+/// payloads in *separate* allocations encode the value twice, and
+/// decode to separate allocations again.
+impl<T: Persist + 'static> Persist for Arc<T> {
     fn save(&self, s: &mut Saver) {
-        T::save(self, s);
+        s.shared(Arc::as_ptr(self) as usize, |s| T::save(self, s));
     }
     fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
-        Ok(Arc::new(T::load(l)?))
+        l.shared("Arc", |l| Ok(Arc::new(T::load(l)?)))
     }
 }
 
@@ -656,6 +792,11 @@ impl<T: Persist + Ord> Persist for Multiset<T> {
         for _ in 0..distinct {
             let x = T::load(l)?;
             let n = usize::load(l)?;
+            // Multiplicities are counts, not allocations, but their sum
+            // is the set's length and must exist.
+            if out.len().checked_add(n).is_none() {
+                return Err(WireError::BadValue { what: "Multiset" });
+            }
             out.insert_n(x, n);
         }
         Ok(out)
@@ -752,33 +893,10 @@ impl<R: Persist> Persist for RunVerdict<R> {
 /// rebuilt cell, so aliasing survives the round trip.
 impl<T: Persist + Clone + Send + 'static> Persist for SharedCell<T> {
     fn save(&self, s: &mut Saver) {
-        if let Some(idx) = s.cell_ref(self.alias_key()) {
-            s.u8(1);
-            s.u32(idx);
-        } else {
-            s.u8(0);
-            s.cell_define(self.alias_key());
-            self.get().save(s);
-        }
+        s.shared(self.alias_key(), |s| self.get().save(s));
     }
     fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
-        match l.u8()? {
-            0 => {
-                let idx = l.cell_reserve();
-                let value = T::load(l)?;
-                let cell = SharedCell::new(value);
-                l.cell_fill(idx, Box::new(cell.clone()));
-                Ok(cell)
-            }
-            1 => {
-                let idx = l.u32()?;
-                l.cell_ref::<SharedCell<T>>(idx)
-            }
-            tag => Err(WireError::BadTag {
-                what: "SharedCell",
-                tag,
-            }),
-        }
+        l.shared("SharedCell", |l| Ok(SharedCell::new(T::load(l)?)))
     }
 }
 
@@ -848,6 +966,19 @@ mod tests {
     }
 
     #[test]
+    fn multiplicities_that_overflow_the_length_are_a_bad_value() {
+        let mut bytes = varint(2);
+        for id in [1u64, 2] {
+            bytes.extend(varint(id));
+            bytes.extend(varint(u64::MAX));
+        }
+        assert_eq!(
+            from_bytes::<Multiset<Identity>>(&bytes),
+            Err(WireError::BadValue { what: "Multiset" })
+        );
+    }
+
+    #[test]
     fn shared_cell_aliasing_survives() {
         let cell = SharedCell::new(HOmegaOutput::new(Identity::new(3), 2));
         let pair = (cell.clone(), cell.clone());
@@ -898,5 +1029,171 @@ mod tests {
         assert_eq!(roundtrip(&v), v);
         let p: RunVerdict<()> = RunVerdict::Pass(());
         assert_eq!(roundtrip(&p), p);
+    }
+
+    /// Bytes [`Saver::u64`] writes for `v`.
+    fn varint(v: u64) -> Vec<u8> {
+        to_bytes(&v)
+    }
+
+    #[test]
+    fn varints_are_minimal_at_every_group_boundary() {
+        assert_eq!(varint(0), [0]);
+        for k in 1..=9u32 {
+            let below = (1u64 << (7 * k)) - 1;
+            assert_eq!(varint(below).len(), k as usize, "2^{} - 1", 7 * k);
+            assert_eq!(varint(below + 1).len(), k as usize + 1, "2^{}", 7 * k);
+            assert_eq!(roundtrip(&below), below);
+            assert_eq!(roundtrip(&(below + 1)), below + 1);
+        }
+        assert_eq!(varint(u64::MAX).len(), 10);
+        assert_eq!(roundtrip(&u64::MAX), u64::MAX);
+    }
+
+    proptest::proptest! {
+        /// Every magnitude of `u64` (the shift spreads the draws over
+        /// all ten lengths) round-trips, costs its magnitude, and cut
+        /// short is an `Eof`, never a shorter value.
+        #[test]
+        fn varints_round_trip_over_all_of_u64(raw in proptest::any::<u64>(), shift in 0u32..64) {
+            let v = raw >> shift;
+            let bytes = varint(v);
+            let bits = (64 - v.leading_zeros()).max(1) as usize;
+            proptest::prop_assert_eq!(bytes.len(), bits.div_ceil(7));
+            proptest::prop_assert_eq!(from_bytes::<u64>(&bytes), Ok(v));
+            for cut in 0..bytes.len() {
+                proptest::prop_assert!(matches!(
+                    from_bytes::<u64>(&bytes[..cut]),
+                    Err(WireError::Eof { .. })
+                ));
+            }
+        }
+    }
+
+    #[test]
+    fn encodings_the_saver_never_writes_are_bad_values() {
+        let bad = Err(WireError::BadValue { what: "varint" });
+        // Overlong: a zero last group.
+        assert_eq!(from_bytes::<u64>(&[0x80, 0x00]), bad);
+        assert_eq!(from_bytes::<u64>(&[0xff, 0x80, 0x00]), bad);
+        // Bits past the 64th in the tenth byte.
+        let mut wide = vec![0xff; 9];
+        wide.push(0x02);
+        assert_eq!(from_bytes::<u64>(&wide), bad);
+        // An eleventh byte.
+        let mut long = vec![0x80; 10];
+        long.push(0x01);
+        assert_eq!(from_bytes::<u64>(&long), bad);
+    }
+
+    #[test]
+    fn narrower_integers_reject_what_does_not_fit() {
+        assert_eq!(roundtrip(&u16::MAX), u16::MAX);
+        assert_eq!(roundtrip(&u32::MAX), u32::MAX);
+        assert_eq!(
+            from_bytes::<u16>(&varint(u64::from(u16::MAX) + 1)),
+            Err(WireError::BadValue { what: "u16" })
+        );
+        assert_eq!(
+            from_bytes::<u32>(&varint(u64::from(u32::MAX) + 1)),
+            Err(WireError::BadValue { what: "u32" })
+        );
+    }
+
+    #[test]
+    fn rng_words_are_fixed_width() {
+        let words = [0, 1, u64::MAX, 0x0123_4567_89ab_cdef];
+        assert_eq!(to_bytes(&words).len(), 32);
+        assert_eq!(roundtrip(&words), words);
+    }
+
+    #[test]
+    fn arc_sharing_survives_and_the_payload_is_written_once() {
+        let shared = Arc::new(vec![300u64, 301, 302]);
+        let equal_but_separate = Arc::new(Vec::clone(&shared));
+        let handles = vec![shared.clone(), shared.clone(), equal_but_separate, shared];
+        let bytes = to_bytes(&handles);
+        let once = 1 + to_bytes(&*handles[0]).len();
+        // Count, two definitions, two (tag, index) back-references.
+        assert_eq!(bytes.len(), 1 + 2 * once + 2 * 2);
+        let back: Vec<Arc<Vec<u64>>> = from_bytes(&bytes).unwrap();
+        assert_eq!(back, handles);
+        assert!(Arc::ptr_eq(&back[0], &back[1]));
+        assert!(Arc::ptr_eq(&back[0], &back[3]));
+        assert!(!Arc::ptr_eq(&back[0], &back[2]));
+        assert!(!Arc::ptr_eq(&back[0], &handles[0]));
+        // The bytes are a function of the value and its sharing: what
+        // they decode to encodes to them again.
+        assert_eq!(to_bytes(&back), bytes);
+    }
+
+    #[test]
+    fn cells_and_arcs_number_themselves_in_one_index_space() {
+        let cell = SharedCell::new(7u64);
+        let arc = Arc::new(9u64);
+        let value = ((cell.clone(), arc.clone()), (cell.clone(), arc.clone()));
+        let bytes = to_bytes(&value);
+        assert_eq!(bytes, [0, 7, 0, 9, 1, 0, 1, 1]);
+        type Pair = (SharedCell<u64>, Arc<u64>);
+        let ((c0, a0), (c1, a1)): (Pair, Pair) = from_bytes(&bytes).unwrap();
+        c0.set(8);
+        assert_eq!(c1.get(), 8);
+        assert!(Arc::ptr_eq(&a0, &a1));
+    }
+
+    #[test]
+    fn bad_back_references_are_typed_errors() {
+        let bad = |index| Err(WireError::BadCellIndex { index });
+        // Past the table.
+        assert_eq!(from_bytes::<Arc<u64>>(&[1, 5]).map(|_| ()), bad(5));
+        assert_eq!(from_bytes::<SharedCell<u64>>(&[1, 0]).map(|_| ()), bad(0));
+        // To its own definition: slot 0 is reserved but not yet seated
+        // while the value that holds the back-reference is decoded.
+        assert_eq!(from_bytes::<Arc<Arc<u64>>>(&[0, 1, 0]).map(|_| ()), bad(0));
+        // Across kinds, both ways, and across payload types.
+        let crossed = [0, 7, 1, 0];
+        assert_eq!(
+            from_bytes::<(SharedCell<u64>, Arc<u64>)>(&crossed).map(|_| ()),
+            bad(0)
+        );
+        assert_eq!(
+            from_bytes::<(Arc<u64>, SharedCell<u64>)>(&crossed).map(|_| ()),
+            bad(0)
+        );
+        assert_eq!(
+            from_bytes::<(Arc<u64>, Arc<u32>)>(&crossed).map(|_| ()),
+            bad(0)
+        );
+        // Neither a definition nor a reference.
+        assert_eq!(
+            from_bytes::<Arc<u64>>(&[2, 0]).map(|_| ()),
+            Err(WireError::BadTag {
+                what: "Arc",
+                tag: 2
+            })
+        );
+    }
+
+    #[test]
+    fn a_count_is_bounded_by_the_input_before_anything_is_reserved() {
+        // A count the input cannot hold.
+        let mut bytes = varint(1 << 40);
+        bytes.extend_from_slice(&[1, 2, 3]);
+        assert_eq!(
+            from_bytes::<Vec<u64>>(&bytes),
+            Err(WireError::BadValue { what: "length" })
+        );
+        assert_eq!(
+            from_bytes::<VecDeque<u64>>(&bytes),
+            Err(WireError::BadValue { what: "length" })
+        );
+        // A count it could hold reserves no more memory than is left,
+        // and the honest sequence still decodes.
+        let honest = to_bytes(&vec![5u64; 1_000]);
+        let mut l = Loader::new(&honest);
+        let (n, out) = l.seq::<u64>().unwrap();
+        assert_eq!(n, 1_000);
+        assert!(out.capacity() * std::mem::size_of::<u64>() <= honest.len());
+        assert_eq!(from_bytes::<Vec<u64>>(&honest).unwrap(), vec![5u64; 1_000]);
     }
 }

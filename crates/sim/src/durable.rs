@@ -21,8 +21,10 @@
 //! * recycled scratch buffers (tick batches already drained, arena
 //!   spares) are **not** state and decode empty.
 //!
-//! `Arc`-shared broadcast payloads decode into per-copy allocations:
-//! sharing is a cost optimization, not observable state.
+//! `Arc`-shared payloads — the copies of a broadcast still in flight,
+//! the detector bag a run of history entries shares — go through the
+//! codec's alias table: written once, and decoded onto one allocation,
+//! so a resumed engine has the footprint of the one that was saved.
 
 use homonym_core::wire::{Loader, Persist, Saver, WireError};
 use rand::rngs::StdRng;
@@ -54,7 +56,7 @@ fn load_rng(l: &mut Loader<'_>) -> Result<StdRng, WireError> {
     Ok(StdRng::from_state(<[u64; 4]>::load(l)?))
 }
 
-impl<M: Persist> Persist for Event<M> {
+impl<M: Persist + 'static> Persist for Event<M> {
     fn save(&self, s: &mut Saver) {
         match self {
             Event::Start { dst } => {
@@ -150,8 +152,7 @@ impl<E: Persist> Persist for CalendarQueue<E> {
         }
     }
     fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
-        let n = l.len()?;
-        let mut entries = Vec::with_capacity(n);
+        let (n, mut entries) = l.seq()?;
         for _ in 0..n {
             let at = l.u64()?;
             let seq = l.u64()?;
@@ -251,5 +252,98 @@ where
             decisions: Persist::load(l)?,
             recorder: Persist::load(l)?,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use homonym_core::failure::FailureSchedule;
+    use homonym_core::fork::ForkSpace;
+    use homonym_core::identity::IdentityAssignment;
+    use homonym_core::time::Time;
+    use homonym_core::wire::{from_bytes, to_bytes};
+
+    use super::*;
+    use crate::engine::{Engine, SimConfig};
+    use crate::network::NetworkModel;
+    use crate::process::ActionSink;
+    use crate::snapshot::ForkProcess;
+
+    /// Broadcasts one heap-owning payload at start — the kind the
+    /// engine queues as `Arc`-shared copies rather than inline.
+    #[derive(Clone)]
+    struct Shout {
+        me: u64,
+    }
+
+    impl Process for Shout {
+        type Msg = Vec<u64>;
+        type Output = ();
+        fn on_start(&mut self, ctx: &mut ActionSink<'_, Vec<u64>, ()>) {
+            ctx.broadcast(vec![self.me; 3]);
+        }
+        fn on_message(&mut self, _msg: Vec<u64>, _ctx: &mut ActionSink<'_, Vec<u64>, ()>) {}
+        fn on_timer(&mut self, _timer: TimerTag, _ctx: &mut ActionSink<'_, Vec<u64>, ()>) {}
+    }
+
+    impl ForkProcess for Shout {
+        fn fork_in(&self, _space: &mut ForkSpace) -> Self {
+            self.clone()
+        }
+    }
+
+    homonym_core::persist_fields!(Shout { me });
+
+    /// For every queued shared delivery, in dispatch order, the position
+    /// of the first one holding the same allocation.
+    fn sharing(snap: &EngineSnapshot<Shout>) -> Vec<usize> {
+        let payloads: Vec<&Arc<Vec<u64>>> = snap
+            .queue
+            .persist_entries()
+            .into_iter()
+            .filter_map(|(_, _, event)| match event {
+                Event::DeliverShared { msg, .. } => Some(msg),
+                _ => None,
+            })
+            .collect();
+        payloads
+            .iter()
+            .map(|p| {
+                payloads
+                    .iter()
+                    .position(|q| Arc::ptr_eq(p, q))
+                    .expect("finds itself")
+            })
+            .collect()
+    }
+
+    #[test]
+    fn queued_copies_of_one_broadcast_share_their_payload_after_a_round_trip() {
+        let n = 4;
+        let config = SimConfig::new(
+            IdentityAssignment::round_robin(n, 2),
+            FailureSchedule::none(n),
+            NetworkModel::Synchronous,
+        );
+        let mut e = Engine::new(config, |p, _| Shout { me: p as u64 });
+        // Every process has broadcast; no copy has arrived.
+        e.run_until(Time::from_ticks(0));
+        let snap = e.snapshot();
+        let before = sharing(&snap);
+        assert_eq!(before.len(), n * n, "every copy is queued, and shared");
+        let distinct = |groups: &[usize]| {
+            let mut firsts = groups.to_vec();
+            firsts.sort_unstable();
+            firsts.dedup();
+            firsts.len()
+        };
+        assert_eq!(distinct(&before), n, "one allocation a broadcast");
+
+        let bytes = to_bytes(&snap);
+        let back: EngineSnapshot<Shout> = from_bytes(&bytes).expect("decodes");
+        assert_eq!(sharing(&back), before);
+        assert_eq!(to_bytes(&back), bytes);
     }
 }

@@ -7,7 +7,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  b"HSNP"
-//! 4       4     format version (u32 LE) — the container layout itself
+//! 4       4     format version (u32 LE) — this header and the wire codec
 //! 8       4     schema version (u32 LE) — the payload's logical schema
 //! 12      8     payload length (u64 LE)
 //! 20      8     FNV-1a 64 checksum of the payload (u64 LE)
@@ -39,8 +39,14 @@ use std::path::{Path, PathBuf};
 
 use homonym_core::wire::WireError;
 
-/// Container layout version (bump on any header change).
-pub const FORMAT_VERSION: u32 = 1;
+/// Version of the container: this header's layout and the primitive
+/// encodings of the `homonym_core::wire` codec every payload is written
+/// in (bump on any change to either). 1 was fixed-width integers and
+/// `Arc` payloads by value; 2 is varints and `Arc`s through the alias
+/// table. No reader for an older version is kept — checkpoints are a
+/// sweep's scratch state — so an older file is refused as
+/// [`StoreError::FormatVersion`], never misread as corruption.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// The magic leading every checkpoint file.
 pub const MAGIC: [u8; 4] = *b"HSNP";
@@ -452,6 +458,39 @@ mod tests {
         let last = flipped.len() - 1;
         flipped[last] ^= 1;
         assert!(decode_container(&flipped, 1).unwrap_err().is_corruption());
+    }
+
+    /// A file the previous container version wrote — fixed-width
+    /// integers, `Arc`s by value — is well-formed in every other
+    /// respect: it must be refused for its version, loudly, and never
+    /// taken for corruption (which a sweep answers by silently
+    /// re-executing) or handed to the decoder.
+    #[test]
+    fn a_version_1_container_is_refused_as_a_version_mismatch() {
+        let payload = 7u64.to_le_bytes();
+        let mut v1 = Vec::new();
+        v1.extend_from_slice(&MAGIC);
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&9u32.to_le_bytes());
+        v1.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        v1.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+        v1.extend_from_slice(&payload);
+        let dir = tmpdir("v1");
+        let path = dir.join("old.ck");
+        fs::write(&path, &v1).unwrap();
+        let err = read_verified(&path, 9).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                StoreError::FormatVersion {
+                    found: 1,
+                    expected: FORMAT_VERSION
+                }
+            ),
+            "{err}"
+        );
+        assert!(!err.is_corruption());
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
