@@ -63,15 +63,14 @@
 
 use std::path::PathBuf;
 
+use homonym_bench::json::{JsonObject, JsonRow};
 use homonym_bench::maybe_dump;
 use homonym_chaos::{
     byzantine_story, checkpointed_falsification_sweep, falsification_sweep,
     falsification_sweep_forked, replay_byzantine_counterexample, CheckpointConfig, StackKind,
     SweepConfig, SweepReport,
 };
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Row {
     stack: &'static str,
     scenarios: usize,
@@ -84,6 +83,23 @@ struct Row {
     probes: usize,
     probe_demonstrations: usize,
     probe_decided_early: usize,
+}
+
+impl JsonRow for Row {
+    fn write_fields(&self, object: &mut JsonObject) {
+        object
+            .string("stack", self.stack)
+            .raw("scenarios", self.scenarios)
+            .raw("liveness_held", self.liveness_held)
+            .raw("liveness_excused", self.liveness_excused)
+            .raw("safety_violations", self.safety_violations)
+            .raw("liveness_violations", self.liveness_violations)
+            .raw("byzantine_demonstrated", self.byzantine_demonstrated)
+            .raw("byzantine_survived", self.byzantine_survived)
+            .raw("probes", self.probes)
+            .raw("probe_demonstrations", self.probe_demonstrations)
+            .raw("probe_decided_early", self.probe_decided_early);
+    }
 }
 
 fn report_row(stack: StackKind, report: &SweepReport) -> Row {

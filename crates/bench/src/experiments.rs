@@ -21,6 +21,9 @@ use homonym_reductions::{
     SigmaToHSigmaProcess,
 };
 use homonym_sim::prelude::*;
+
+use crate::json::{JsonObject, JsonRow};
+
 // The shared scaffolding of every multi-seed sweep now lives in
 // `homonym_sim::sweep` (the chaos falsification harness builds on it
 // too); re-exported here so existing callers keep working.
@@ -79,7 +82,7 @@ pub fn staggered_crashes(n: usize, crashes: usize, by: u64) -> FailureSchedule {
 // ---------------------------------------------------------------------------
 
 /// Result row for the Σ → HΣ transformations.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct SigmaToHSigmaResult {
     /// Number of processes.
     pub n: usize,
@@ -146,7 +149,7 @@ pub fn fig12_sigma_to_hsigma(
 // ---------------------------------------------------------------------------
 
 /// Result row for the class-`E` implementation.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct EListResult {
     /// Number of processes.
     pub n: usize,
@@ -184,7 +187,7 @@ pub fn fig3_e_list(n: usize, crashes: usize, seed: u64) -> EListResult {
 // ---------------------------------------------------------------------------
 
 /// Result row for the HΣ → Σ transformation.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct HSigmaToSigmaResult {
     /// Number of processes.
     pub n: usize,
@@ -237,7 +240,7 @@ pub fn fig4_hsigma_to_sigma(n: usize, crashes: usize, seed: u64) -> HSigmaToSigm
 // ---------------------------------------------------------------------------
 
 /// One validated arrow of the Figure 5 diagram.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct RelationArrow {
     /// Source and target classes, e.g. `"AP → ◇HP"`.
     pub arrow: &'static str,
@@ -401,7 +404,7 @@ pub fn fig5_relations(seed: u64) -> Vec<RelationArrow> {
 // ---------------------------------------------------------------------------
 
 /// Result row for the Figure 6 detector.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig6Result {
     /// Number of processes.
     pub n: usize,
@@ -422,6 +425,21 @@ pub struct Fig6Result {
     pub polling: u64,
     /// `P_REPLY` broadcasts.
     pub replies: u64,
+}
+
+impl JsonRow for Fig6Result {
+    fn write_fields(&self, object: &mut JsonObject) {
+        object
+            .raw("n", self.n)
+            .raw("l", self.l)
+            .raw("gst", self.gst)
+            .raw("delta", self.delta)
+            .raw("evt_hp_stabilization", self.evt_hp_stabilization)
+            .raw("h_omega_stabilization", self.h_omega_stabilization)
+            .raw("final_timeout", self.final_timeout)
+            .raw("polling", self.polling)
+            .raw("replies", self.replies);
+    }
 }
 
 /// Runs Figure 6 in `HPS` with `crashes` staggered crashes before GST.
@@ -488,7 +506,7 @@ pub fn fig6_evt_hp(
 // ---------------------------------------------------------------------------
 
 /// Result row for the Figure 7 detector.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig7Result {
     /// Number of processes.
     pub n: usize,
@@ -543,7 +561,7 @@ pub fn fig7_h_sigma(n: usize, l: usize, crashes: usize, steps: u64, seed: u64) -
 // ---------------------------------------------------------------------------
 
 /// Which algorithm variant a consensus run used.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConsensusVariant {
     /// Figure 8 with `HΩ` (homonymous).
     Fig8HOmega,
@@ -554,7 +572,7 @@ pub enum ConsensusVariant {
 }
 
 /// Result row for a consensus run.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct ConsensusResult {
     /// Variant executed.
     pub variant: ConsensusVariant,
@@ -574,6 +592,21 @@ pub struct ConsensusResult {
     pub rounds: u64,
     /// Total broadcasts.
     pub broadcasts: u64,
+}
+
+impl JsonRow for ConsensusResult {
+    fn write_fields(&self, object: &mut JsonObject) {
+        object
+            .string("variant", &format!("{:?}", self.variant))
+            .raw("n", self.n)
+            .raw("l", self.l)
+            .raw("crashes", self.crashes)
+            .raw("stabilize", self.stabilize)
+            .raw("decided", self.decided)
+            .raw("last_decision", self.last_decision)
+            .raw("rounds", self.rounds)
+            .raw("broadcasts", self.broadcasts);
+    }
 }
 
 /// Runs one consensus configuration.
@@ -885,7 +918,7 @@ pub fn fig8_blocks_beyond_majority(n: usize, crashes: usize, seed: u64) -> Conse
 // ---------------------------------------------------------------------------
 
 /// Result row for the stacked end-to-end experiment.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct E2eResult {
     /// Network GST.
     pub gst: u64,
@@ -931,7 +964,7 @@ pub fn e2e_partial_synchrony(n: usize, l: usize, gst: u64, seed: u64) -> E2eResu
 // ---------------------------------------------------------------------------
 
 /// Result row for the flooding baselines.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct FloodingResult {
     /// Tolerated crashes `t` (with `n = 2t + 1`).
     pub t: usize,
@@ -998,7 +1031,7 @@ pub fn price_of_anonymity(t: usize, f: usize, seed: u64) -> FloodingResult {
 // ---------------------------------------------------------------------------
 
 /// Result row for the Leaders' Coordination Phase ablation.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct CoordinationAblationRow {
     /// Homonymy degree.
     pub l: usize,
@@ -1108,7 +1141,7 @@ fn engine_outcome<P: homonym_sim::process::Process>(
 }
 
 /// Result row for the timeout-adaptation ablation.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct TimeoutAblationRow {
     /// Post-GST delivery bound.
     pub delta: u64,
@@ -1159,7 +1192,7 @@ pub fn ablate_timeout_adaptation(delta: u64, seed: u64) -> TimeoutAblationRow {
 // ---------------------------------------------------------------------------
 
 /// Result row for the `AP` realism experiment.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct ApRealismRow {
     /// Which network the estimator ran under.
     pub network: &'static str,

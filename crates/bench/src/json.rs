@@ -1,13 +1,62 @@
 //! Optional JSON export of experiment rows.
 //!
 //! Every `exp_*` binary prints human-readable markdown tables; setting
-//! `HOMONYM_EXP_JSON=<dir>` additionally dumps the raw result rows as a
-//! JSON array to `<dir>/<experiment>.json`, for downstream plotting.
+//! `HOMONYM_EXP_JSON=<dir>` additionally dumps the raw result rows of
+//! the binaries that call [`maybe_dump`] as a JSON array to
+//! `<dir>/<experiment>.json`, for downstream plotting. A row type names
+//! its own fields through [`JsonRow`]; nothing is derived.
 
+use std::fmt::{Display, Write as _};
 use std::fs;
 use std::path::PathBuf;
 
-use serde::Serialize;
+/// One JSON object being written, field by field.
+#[derive(Debug)]
+pub struct JsonObject {
+    /// The opening brace and the fields so far.
+    out: String,
+}
+
+impl JsonObject {
+    fn key(&mut self, key: &str) {
+        if self.out.len() > 1 {
+            self.out.push(',');
+        }
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\":");
+    }
+
+    /// Appends `"key":value`, the value exactly as `{}` prints it: for
+    /// numbers, booleans and `null`.
+    pub fn raw(&mut self, key: &str, value: impl Display) -> &mut Self {
+        self.key(key);
+        write!(self.out, "{value}").expect("writing to a String");
+        self
+    }
+
+    /// Appends `"key":"value"`, the value quoted and escaped.
+    pub fn string(&mut self, key: &str, value: &str) -> &mut Self {
+        self.key(key);
+        self.out.push('"');
+        for c in value.chars() {
+            match c {
+                '"' => self.out.push_str("\\\""),
+                '\\' => self.out.push_str("\\\\"),
+                '\n' => self.out.push_str("\\n"),
+                c => self.out.push(c),
+            }
+        }
+        self.out.push('"');
+        self
+    }
+}
+
+/// A result row that can be exported: one JSON object per row.
+pub trait JsonRow {
+    /// Writes the row's fields, in output order.
+    fn write_fields(&self, object: &mut JsonObject);
+}
 
 /// Writes `rows` to `$HOMONYM_EXP_JSON/<name>.json` when the environment
 /// variable is set; silently does nothing otherwise.
@@ -17,7 +66,7 @@ use serde::Serialize;
 /// Panics if the directory cannot be created or the file cannot be
 /// written — experiment binaries should fail loudly rather than silently
 /// drop requested output.
-pub fn maybe_dump<T: Serialize>(name: &str, rows: &[T]) {
+pub fn maybe_dump<T: JsonRow>(name: &str, rows: &[T]) {
     let Ok(dir) = std::env::var("HOMONYM_EXP_JSON") else {
         return;
     };
@@ -29,295 +78,28 @@ pub fn maybe_dump<T: Serialize>(name: &str, rows: &[T]) {
     eprintln!("wrote {}", path.display());
 }
 
-/// Minimal JSON array serializer built on `serde_json`-free plumbing:
-/// since the approved dependency set includes `serde` but not
-/// `serde_json`, rows are serialized through a tiny purpose-built
-/// serializer that covers the shapes experiment rows use (structs of
-/// scalars, strings, options and enums).
-fn to_json_array<T: Serialize>(rows: &[T]) -> String {
+/// The rows as a JSON array, one object per line.
+fn to_json_array<T: JsonRow>(rows: &[T]) -> String {
     let mut out = String::from("[\n");
     for (i, row) in rows.iter().enumerate() {
         if i > 0 {
             out.push_str(",\n");
         }
-        let mut ser = MiniSer::default();
-        row.serialize(&mut ser).expect("row serializes");
-        out.push_str(&ser.out);
+        let mut object = JsonObject {
+            out: String::from("{"),
+        };
+        row.write_fields(&mut object);
+        out.push_str(&object.out);
+        out.push('}');
     }
     out.push_str("\n]\n");
     out
 }
 
-/// The subset of JSON serialization the experiment rows need.
-#[derive(Default)]
-struct MiniSer {
-    out: String,
-}
-
-#[derive(Debug)]
-struct MiniErr(String);
-
-impl std::fmt::Display for MiniErr {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-impl std::error::Error for MiniErr {}
-impl serde::ser::Error for MiniErr {
-    fn custom<T: std::fmt::Display>(msg: T) -> Self {
-        MiniErr(msg.to_string())
-    }
-}
-
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
-impl serde::Serializer for &mut MiniSer {
-    type Ok = ();
-    type Error = MiniErr;
-    type SerializeSeq = Self;
-    type SerializeTuple = Self;
-    type SerializeTupleStruct = Self;
-    type SerializeTupleVariant = Self;
-    type SerializeMap = Self;
-    type SerializeStruct = Self;
-    type SerializeStructVariant = Self;
-
-    fn serialize_bool(self, v: bool) -> Result<(), MiniErr> {
-        self.out.push_str(if v { "true" } else { "false" });
-        Ok(())
-    }
-    fn serialize_i8(self, v: i8) -> Result<(), MiniErr> {
-        self.out.push_str(&v.to_string());
-        Ok(())
-    }
-    fn serialize_i16(self, v: i16) -> Result<(), MiniErr> {
-        self.out.push_str(&v.to_string());
-        Ok(())
-    }
-    fn serialize_i32(self, v: i32) -> Result<(), MiniErr> {
-        self.out.push_str(&v.to_string());
-        Ok(())
-    }
-    fn serialize_i64(self, v: i64) -> Result<(), MiniErr> {
-        self.out.push_str(&v.to_string());
-        Ok(())
-    }
-    fn serialize_u8(self, v: u8) -> Result<(), MiniErr> {
-        self.out.push_str(&v.to_string());
-        Ok(())
-    }
-    fn serialize_u16(self, v: u16) -> Result<(), MiniErr> {
-        self.out.push_str(&v.to_string());
-        Ok(())
-    }
-    fn serialize_u32(self, v: u32) -> Result<(), MiniErr> {
-        self.out.push_str(&v.to_string());
-        Ok(())
-    }
-    fn serialize_u64(self, v: u64) -> Result<(), MiniErr> {
-        self.out.push_str(&v.to_string());
-        Ok(())
-    }
-    fn serialize_f32(self, v: f32) -> Result<(), MiniErr> {
-        self.out.push_str(&v.to_string());
-        Ok(())
-    }
-    fn serialize_f64(self, v: f64) -> Result<(), MiniErr> {
-        self.out.push_str(&v.to_string());
-        Ok(())
-    }
-    fn serialize_char(self, v: char) -> Result<(), MiniErr> {
-        self.serialize_str(&v.to_string())
-    }
-    fn serialize_str(self, v: &str) -> Result<(), MiniErr> {
-        self.out.push('"');
-        self.out.push_str(&escape(v));
-        self.out.push('"');
-        Ok(())
-    }
-    fn serialize_bytes(self, _v: &[u8]) -> Result<(), MiniErr> {
-        Err(serde::ser::Error::custom("bytes unsupported"))
-    }
-    fn serialize_none(self) -> Result<(), MiniErr> {
-        self.out.push_str("null");
-        Ok(())
-    }
-    fn serialize_some<T: Serialize + ?Sized>(self, value: &T) -> Result<(), MiniErr> {
-        value.serialize(self)
-    }
-    fn serialize_unit(self) -> Result<(), MiniErr> {
-        self.out.push_str("null");
-        Ok(())
-    }
-    fn serialize_unit_struct(self, _name: &'static str) -> Result<(), MiniErr> {
-        self.serialize_unit()
-    }
-    fn serialize_unit_variant(
-        self,
-        _name: &'static str,
-        _idx: u32,
-        variant: &'static str,
-    ) -> Result<(), MiniErr> {
-        self.serialize_str(variant)
-    }
-    fn serialize_newtype_struct<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        value: &T,
-    ) -> Result<(), MiniErr> {
-        value.serialize(self)
-    }
-    fn serialize_newtype_variant<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        _idx: u32,
-        variant: &'static str,
-        value: &T,
-    ) -> Result<(), MiniErr> {
-        self.out.push_str("{\"");
-        self.out.push_str(variant);
-        self.out.push_str("\":");
-        value.serialize(&mut *self)?;
-        self.out.push('}');
-        Ok(())
-    }
-    fn serialize_seq(self, _len: Option<usize>) -> Result<Self, MiniErr> {
-        self.out.push('[');
-        Ok(self)
-    }
-    fn serialize_tuple(self, len: usize) -> Result<Self, MiniErr> {
-        self.serialize_seq(Some(len))
-    }
-    fn serialize_tuple_struct(self, _n: &'static str, len: usize) -> Result<Self, MiniErr> {
-        self.serialize_seq(Some(len))
-    }
-    fn serialize_tuple_variant(
-        self,
-        _n: &'static str,
-        _i: u32,
-        _v: &'static str,
-        len: usize,
-    ) -> Result<Self, MiniErr> {
-        self.serialize_seq(Some(len))
-    }
-    fn serialize_map(self, _len: Option<usize>) -> Result<Self, MiniErr> {
-        self.out.push('{');
-        Ok(self)
-    }
-    fn serialize_struct(self, _name: &'static str, len: usize) -> Result<Self, MiniErr> {
-        self.serialize_map(Some(len))
-    }
-    fn serialize_struct_variant(
-        self,
-        _n: &'static str,
-        _i: u32,
-        _v: &'static str,
-        len: usize,
-    ) -> Result<Self, MiniErr> {
-        self.serialize_map(Some(len))
-    }
-}
-
-macro_rules! seqlike {
-    ($trait_:path, $fn_:ident) => {
-        impl $trait_ for &mut MiniSer {
-            type Ok = ();
-            type Error = MiniErr;
-            fn $fn_<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), MiniErr> {
-                if !self.out.ends_with('[') {
-                    self.out.push(',');
-                }
-                value.serialize(&mut **self)
-            }
-            fn end(self) -> Result<(), MiniErr> {
-                self.out.push(']');
-                Ok(())
-            }
-        }
-    };
-}
-
-seqlike!(serde::ser::SerializeSeq, serialize_element);
-seqlike!(serde::ser::SerializeTuple, serialize_element);
-seqlike!(serde::ser::SerializeTupleStruct, serialize_field);
-
-impl serde::ser::SerializeTupleVariant for &mut MiniSer {
-    type Ok = ();
-    type Error = MiniErr;
-    fn serialize_field<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), MiniErr> {
-        if !self.out.ends_with('[') {
-            self.out.push(',');
-        }
-        value.serialize(&mut **self)
-    }
-    fn end(self) -> Result<(), MiniErr> {
-        self.out.push(']');
-        Ok(())
-    }
-}
-
-impl serde::ser::SerializeMap for &mut MiniSer {
-    type Ok = ();
-    type Error = MiniErr;
-    fn serialize_key<T: Serialize + ?Sized>(&mut self, key: &T) -> Result<(), MiniErr> {
-        if !self.out.ends_with('{') {
-            self.out.push(',');
-        }
-        key.serialize(&mut **self)
-    }
-    fn serialize_value<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), MiniErr> {
-        self.out.push(':');
-        value.serialize(&mut **self)
-    }
-    fn end(self) -> Result<(), MiniErr> {
-        self.out.push('}');
-        Ok(())
-    }
-}
-
-macro_rules! structlike {
-    ($trait_:path) => {
-        impl $trait_ for &mut MiniSer {
-            type Ok = ();
-            type Error = MiniErr;
-            fn serialize_field<T: Serialize + ?Sized>(
-                &mut self,
-                key: &'static str,
-                value: &T,
-            ) -> Result<(), MiniErr> {
-                if !self.out.ends_with('{') {
-                    self.out.push(',');
-                }
-                self.out.push('"');
-                self.out.push_str(key);
-                self.out.push_str("\":");
-                value.serialize(&mut **self)
-            }
-            fn end(self) -> Result<(), MiniErr> {
-                self.out.push('}');
-                Ok(())
-            }
-        }
-    };
-}
-
-structlike!(serde::ser::SerializeStruct);
-structlike!(serde::ser::SerializeStructVariant);
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[derive(Serialize)]
     struct Row {
         n: usize,
         label: String,
@@ -326,23 +108,35 @@ mod tests {
         ratio: f64,
     }
 
+    impl JsonRow for Row {
+        fn write_fields(&self, object: &mut JsonObject) {
+            object
+                .raw("n", self.n)
+                .string("label", &self.label)
+                .raw("decided", self.decided);
+            match self.time {
+                Some(t) => object.raw("time", t),
+                None => object.raw("time", "null"),
+            }
+            .raw("ratio", self.ratio);
+        }
+    }
+
+    fn row(n: usize, label: &str, decided: bool, time: Option<u64>, ratio: f64) -> Row {
+        Row {
+            n,
+            label: label.into(),
+            decided,
+            time,
+            ratio,
+        }
+    }
+
     #[test]
     fn serializes_struct_rows() {
         let rows = vec![
-            Row {
-                n: 3,
-                label: "a \"quoted\" one".into(),
-                decided: true,
-                time: Some(42),
-                ratio: 1.5,
-            },
-            Row {
-                n: 4,
-                label: "plain".into(),
-                decided: false,
-                time: None,
-                ratio: 2.0,
-            },
+            row(3, "a \"quoted\" one", true, Some(42), 1.5),
+            row(4, "plain", false, None, 2.0),
         ];
         let json = to_json_array(&rows);
         assert!(json.starts_with("[\n"));
@@ -355,18 +149,21 @@ mod tests {
 
     #[test]
     fn serializes_real_experiment_rows() {
-        let rows = vec![crate::experiments::fig3_e_list(3, 1, 1)];
+        let rows = vec![crate::experiments::fig6_evt_hp(5, 2, 30, 3, 1, 35)];
         let json = to_json_array(&rows);
-        assert!(json.contains("\"stabilization\""));
+        assert!(json.contains("\"evt_hp_stabilization\""));
     }
 
     #[test]
     fn dump_respects_env_var() {
         let dir = std::env::temp_dir().join("homonym_json_test");
         std::env::set_var("HOMONYM_EXP_JSON", &dir);
-        maybe_dump("unit", &[1u64, 2, 3]);
+        maybe_dump(
+            "unit",
+            &[row(1, "a", true, None, 0.5), row(3, "b", false, None, 0.5)],
+        );
         std::env::remove_var("HOMONYM_EXP_JSON");
         let body = std::fs::read_to_string(dir.join("unit.json")).expect("written");
-        assert!(body.contains('1') && body.contains('3'));
+        assert!(body.contains("\"n\":1") && body.contains("\"n\":3"));
     }
 }

@@ -43,7 +43,6 @@ use crate::multiset::Multiset;
 /// assert_ne!(x, y);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Label {
     /// A set of identifiers (Figures 1 and 2).
     IdSet(BTreeSet<Identity>),
@@ -103,7 +102,6 @@ impl fmt::Display for Label {
 
 /// Output of class `◇HP`: eventually the multiset `I(Correct)` forever.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EvtHPOutput {
     /// The `h_trusted_p` variable.
     pub h_trusted: Multiset<Identity>,
@@ -127,7 +125,6 @@ impl fmt::Display for EvtHPOutput {
 /// identifier `ℓ` of a correct process together with the number of correct
 /// processes carrying `ℓ`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HOmegaOutput {
     /// The `h_leader_p` variable.
     pub h_leader: Identity,
@@ -157,7 +154,6 @@ impl fmt::Display for HOmegaOutput {
 /// `h_quora` maps each label to its quorum multiset — the map keying makes
 /// the **Validity** property ("no two pairs with the same label") structural.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HSigmaOutput {
     /// The `h_quora_p` variable: pairs `(x, m)`.
     pub h_quora: BTreeMap<Label, Multiset<Identity>>,
@@ -211,7 +207,6 @@ impl fmt::Display for HSigmaOutput {
 /// multiset (footnote 6 of the paper); with unique identifiers it
 /// degenerates to a set.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SigmaOutput {
     /// The `trusted_p` variable.
     pub trusted: Multiset<Identity>,
@@ -233,7 +228,6 @@ impl fmt::Display for SigmaOutput {
 
 /// Output of class `Ω` (eventual leader election, classical systems).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OmegaOutput {
     /// The `leader_p` variable.
     pub leader: Identity,
@@ -256,7 +250,6 @@ impl fmt::Display for OmegaOutput {
 /// Output of class `AΩ` (anonymous eventual leader): a boolean flag that is
 /// eventually `true` at exactly one correct process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AOmegaOutput {
     /// The `a_leader_p` Boolean variable.
     pub a_leader: bool,
@@ -279,7 +272,6 @@ impl fmt::Display for AOmegaOutput {
 /// Output of class `AP` (anonymous perfect detector): an upper bound on the
 /// current number of alive processes that eventually equals `|Correct|`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct APOutput {
     /// The `anap_p` variable.
     pub anap: usize,
@@ -302,7 +294,6 @@ impl fmt::Display for APOutput {
 /// Output of class `AΣ` (anonymous quorum detector): pairs `(x, y)` where
 /// `y` processes knowing label `x` form a quorum.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ASigmaOutput {
     /// The `a_sigma_p` variable: label → quorum size (map keying makes the
     /// Validity property structural).
@@ -339,7 +330,6 @@ impl fmt::Display for ASigmaOutput {
 /// identifiers such that eventually the correct identifiers occupy the
 /// prefix permanently. Only defined for systems with **unique** identifiers.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EListOutput {
     /// The `alive_p` sequence, most-recently-heard-from first.
     pub alive: Vec<Identity>,

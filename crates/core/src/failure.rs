@@ -31,7 +31,6 @@ use crate::Identity;
 /// copy-on-write mutation, so the per-run `sched.clone()` churn in the
 /// experiment sweeps costs a refcount bump instead of a table copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FailureSchedule {
     crash_at: Arc<Vec<Option<Time>>>,
 }

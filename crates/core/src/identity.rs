@@ -33,7 +33,6 @@ use crate::multiset::Multiset;
 /// assert_eq!(Identity::new(26).to_string(), "AA");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Identity(u64);
 
 impl Identity {
@@ -107,7 +106,6 @@ impl From<u64> for Identity {
 /// assignment without copying the table (there are no mutators, so the
 /// sharing is never observable).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IdentityAssignment {
     ids: Arc<Vec<Identity>>,
 }

@@ -483,24 +483,6 @@ impl<T: Ord> Ord for Multiset<T> {
     }
 }
 
-#[cfg(feature = "serde")]
-impl<T: Ord + serde::Serialize> serde::Serialize for Multiset<T> {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeSeq;
-        let mut seq = serializer.serialize_seq(Some(self.distinct_len()))?;
-        for (x, c) in self.counted() {
-            seq.serialize_element(&(x, c))?;
-        }
-        seq.end()
-    }
-}
-
-/// Marker impl matching the offline serde stand-in (which carries no
-/// deserializer machinery); present so `#[derive(serde::Deserialize)]`
-/// on types containing bags compiles under the `serde` feature.
-#[cfg(feature = "serde")]
-impl<'de, T: Ord> serde::Deserialize<'de> for Multiset<T> {}
-
 impl<T: Ord + fmt::Debug> fmt::Debug for Multiset<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;

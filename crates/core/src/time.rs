@@ -22,7 +22,6 @@ use core::ops::{Add, AddAssign, Sub};
 /// assert!(t > Time::ZERO);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Time(u64);
 
 /// A length of (discrete) time: the difference between two [`Time`] values.
@@ -37,7 +36,6 @@ pub struct Time(u64);
 /// assert_eq!(b - a, Span::from_ticks(7));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Span(u64);
 
 impl Time {

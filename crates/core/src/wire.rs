@@ -1,9 +1,8 @@
 //! Hand-rolled binary persistence for durable snapshots.
 //!
-//! The workspace's vendored `serde` can serialize but its `Deserialize`
-//! is a marker-only trait (no `Deserializer` machinery is vendored), so
-//! the durable checkpoint layer cannot round-trip through it. This
-//! module is the replacement: one small, deterministic binary codec
+//! The durable checkpoint layer has to write a run's state and read it
+//! back byte-exactly, offline and without a derive macro. This module is
+//! the workspace's one serializer: a small, deterministic binary codec
 //! with exactly the features snapshots need and nothing more.
 //!
 //! # Primitives

@@ -48,8 +48,17 @@
 //! event engine alone keeps the active set between copies and asks for a
 //! new one only when its clock leaves the interval — twice per window
 //! instead of a scan of every clause per copy.
+//!
+//! What a matched [`ByzClause`] does to a broadcast — the plan, the
+//! replay cache, and each copy left honest, forged or suppressed, with
+//! its count and its `AttackFired` event — is the crate-private
+//! `ByzBroadcast`, which the event engine and the lock-step engine both
+//! run; the reference interpreter spells the same rule out on its own.
+
+use std::sync::Arc;
 
 use homonym_core::time::{Span, Time};
+use homonym_obs::{ObsKind, Recorder};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -584,6 +593,124 @@ impl ByzantineScript {
             }
             ByzEffect::Replay { .. } => ByzDirective::Replay,
             ByzEffect::SelectiveSend { .. } => ByzDirective::Suppress,
+        }
+    }
+}
+
+/// A process's payload-mutation hook — `Process::mutate_payload` or
+/// `SyncProcess::mutate_payload`.
+pub(crate) type MutateHook<M> = fn(&M, u64) -> Option<M>;
+
+/// Applies a payload-mutation hook, failing loudly when the program under
+/// attack defines no corruption semantics.
+pub(crate) fn forge<M>(mutate: MutateHook<M>, original: &M, entropy: u64) -> M {
+    mutate(original, entropy).unwrap_or_else(|| {
+        panic!(
+            "a Byzantine clause matched a broadcast of {}, but its process does \
+             not override mutate_payload; implement the hook for the program \
+             under attack",
+            std::any::type_name::<M>()
+        )
+    })
+}
+
+/// The Byzantine side of one attacked broadcast, as the event engine and
+/// the lock-step engine both run it: the script, the plan it resolved to,
+/// and the stale payload a replay clause substitutes. Opened once per
+/// broadcast, consulted once per routed copy.
+pub(crate) struct ByzBroadcast<M> {
+    script: Arc<ByzantineScript>,
+    plan: ByzPlan,
+    replayed: Option<M>,
+}
+
+/// What a copy of an attacked broadcast becomes.
+pub(crate) enum ByzCopy<M> {
+    /// The sender's own payload: the destination is no victim, or a
+    /// replay found nothing cached.
+    Honest,
+    /// This payload in place of the sender's.
+    Forged(M),
+    /// Nothing: the copy is never sent.
+    Suppressed,
+}
+
+/// Where a rewritten copy is accounted: the engine's clock, its two
+/// counters and its recorder.
+pub(crate) struct ByzLedger<'a> {
+    pub(crate) now: Time,
+    pub(crate) forged: &'a mut u64,
+    pub(crate) suppressed: &'a mut u64,
+    pub(crate) recorder: Option<&'a mut Recorder>,
+}
+
+impl<M: Clone> ByzBroadcast<M> {
+    /// Consults `script` about the broadcast of `msg` by `src` at `now`:
+    /// one plan and at most one draw from `rng`, whatever the number of
+    /// copies. `None` — no script, an empty one, or no clause naming
+    /// `src` now — is an honest broadcast. `replay_cache` holds the last
+    /// payload of every replay-listed sender and is updated on each of
+    /// their broadcasts until their last window closes, attacked or not:
+    /// `replace` hands back the previous payload, which is what an active
+    /// replay clause substitutes, so the first in-window broadcast
+    /// replays the last honest one.
+    pub(crate) fn open(
+        script: Option<&Arc<ByzantineScript>>,
+        now: Time,
+        src: usize,
+        msg: &M,
+        rng: &mut StdRng,
+        replay_cache: &mut [Option<M>],
+    ) -> Option<Self> {
+        let script = script.filter(|s| !s.is_empty())?;
+        let plan = script.plan(now, src, rng);
+        let replayed = if script.records_replay_at(now, src) {
+            replay_cache[src].replace(msg.clone())
+        } else {
+            None
+        };
+        Some(ByzBroadcast {
+            script: Arc::clone(script),
+            plan: plan?,
+            replayed,
+        })
+    }
+
+    /// The copy `dst` gets in place of `original`. A forged or suppressed
+    /// copy is counted and reported to `ledger` here, when it is routed:
+    /// it is the corrupt sender's act, whatever becomes of the copy.
+    pub(crate) fn rewrite(
+        &self,
+        dst: usize,
+        original: &M,
+        mutate: MutateHook<M>,
+        ledger: ByzLedger<'_>,
+    ) -> ByzCopy<M> {
+        let (kind, forged) = match self.script.directive(&self.plan, dst) {
+            ByzDirective::Original => return ByzCopy::Honest,
+            ByzDirective::Suppress => ("suppress", None),
+            ByzDirective::Equivocate(e) => ("equivocate", Some(forge(mutate, original, e))),
+            ByzDirective::Corrupt(e) => ("corrupt", Some(forge(mutate, original, e))),
+            ByzDirective::Replay => match &self.replayed {
+                Some(old) => ("replay", Some(old.clone())),
+                // Nothing broadcast before the clause activated: the
+                // replayed copy degenerates to the honest one.
+                None => return ByzCopy::Honest,
+            },
+        };
+        if let Some(rec) = ledger.recorder {
+            let victim = u32::try_from(dst).unwrap_or(u32::MAX);
+            rec.record(ledger.now, dst, ObsKind::AttackFired { kind, victim });
+        }
+        match forged {
+            Some(msg) => {
+                *ledger.forged += 1;
+                ByzCopy::Forged(msg)
+            }
+            None => {
+                *ledger.suppressed += 1;
+                ByzCopy::Suppressed
+            }
         }
     }
 }

@@ -9,15 +9,20 @@
 //!
 //! ## Dispatch
 //!
-//! The queue drains a whole tick per call (see `queue.rs`), maximal
-//! same-`(time, dest)` runs of message deliveries are handed to the
-//! process through the slice-based [`Process::on_messages`] API (one slot
-//! lookup, one crash check and one action-sink per run), and broadcasts
-//! sample all per-copy latencies through [`NetworkModel::route_each`]
-//! (the model match, GST comparison and sampler setup hoisted out of the
-//! copy loop). None of this is observable: the dispatched `(time, seq)`
-//! sequence is the one the naive per-event interpreter in
-//! [`crate::reference`] produces, which the differential proptests assert.
+//! There is one way in and one way out. **In:** the queue hands over a
+//! whole tick at a time (see `queue.rs`) and every event of it — start,
+//! timer or delivery — goes through the one `step`: liveness check, event
+//! count, trace line, callback, then the actions the callback recorded.
+//! The stop condition of [`Engine::run_with`] is evaluated after every
+//! step. **Out:** every copy of every broadcast goes through the one
+//! `send_copy`: lost by the network, judged by the link-fault script,
+//! rewritten by the Byzantine script, queued. A broadcast samples all its
+//! copies' latencies through [`NetworkModel::route_each`] (the model
+//! match, GST comparison and sampler setup hoisted out of the copy loop).
+//! None of the tick draining, latency hoisting or payload sharing is
+//! observable: the dispatched `(time, seq)` sequence is the one the naive
+//! per-event interpreter in [`crate::reference`] produces, which the
+//! differential proptests assert.
 //!
 //! ## Crash semantics
 //!
@@ -42,9 +47,9 @@ use homonym_obs::{ObsKind, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::adversary::{ByzDirective, ByzPlan, ByzantineScript, LinkFaultScript};
+use crate::adversary::{ByzBroadcast, ByzCopy, ByzLedger, ByzantineScript, LinkFaultScript};
 use crate::network::NetworkModel;
-use crate::process::{Action, ActionSink, BatchFeed, Process, TimerTag};
+use crate::process::{Action, ActionSink, Process, TimerTag};
 use crate::queue::CalendarQueue;
 use crate::snapshot::{EngineSnapshot, ForkProcess};
 use crate::trace::{Trace, TraceEvent};
@@ -208,42 +213,6 @@ pub(crate) enum Event<M> {
     },
 }
 
-impl<M> Event<M> {
-    /// The destination of a *message* event (`None` for start/timer).
-    fn message_dst(&self) -> Option<usize> {
-        match self {
-            Event::Deliver { dst, .. } | Event::DeliverShared { dst, .. } => Some(*dst),
-            _ => None,
-        }
-    }
-
-    /// Takes the message payload out of a delivery event.
-    fn into_msg(self) -> M
-    where
-        M: Clone,
-    {
-        match self {
-            Event::Deliver { msg, .. } => msg,
-            Event::DeliverShared { msg, .. } => {
-                // Last copy standing is moved out; earlier copies clone.
-                Arc::try_unwrap(msg).unwrap_or_else(|shared| (*shared).clone())
-            }
-            _ => unreachable!("into_msg on a non-message event"),
-        }
-    }
-}
-
-/// Whether the event at `pos` of the current tick is a message delivery
-/// to `dst` (the same-destination run continuation test of the batched
-/// run loop).
-#[inline]
-fn run_continues<M>(batch: &[(u64, Option<Event<M>>)], pos: usize, dst: usize) -> bool {
-    batch
-        .get(pos)
-        .and_then(|(_, e)| e.as_ref())
-        .is_some_and(|e| e.message_dst() == Some(dst))
-}
-
 /// Whether `M` is delivered by inline copy rather than `Arc` sharing:
 /// true for payloads that own no heap state (nothing to drop) and are at
 /// most a cache line wide. Resolves to a compile-time constant per
@@ -252,35 +221,43 @@ fn plain_payload<M>() -> bool {
     !std::mem::needs_drop::<M>() && std::mem::size_of::<M>() <= 64
 }
 
-/// The resolved Byzantine context of one broadcast: the script, the
-/// matched plan, and the cached payload a replay directive substitutes.
-/// Built once per attacked broadcast in `do_broadcast`, consumed per
-/// routed copy.
-struct ByzCtx<M> {
-    script: Arc<ByzantineScript>,
-    plan: ByzPlan,
-    replayed: Option<M>,
+/// The payload of one broadcast while its copies are queued: held inline
+/// and cloned per copy, or moved to the heap once and shared by every
+/// copy. [`plain_payload`] chooses, once per broadcast.
+enum Payload<M> {
+    Plain(M),
+    Shared(Arc<M>),
 }
 
-/// The Byzantine directive for one routed copy ([`ByzDirective::Original`]
-/// when no plan matched this broadcast — the zero-cost common case).
-#[inline]
-fn byz_directive<M>(ctx: &Option<ByzCtx<M>>, dst: usize) -> ByzDirective {
-    ctx.as_ref()
-        .map_or(ByzDirective::Original, |c| c.script.directive(&c.plan, dst))
-}
+impl<M: Clone> Payload<M> {
+    fn new(msg: M) -> Self {
+        if plain_payload::<M>() {
+            Payload::Plain(msg)
+        } else {
+            Payload::Shared(Arc::new(msg))
+        }
+    }
 
-/// Applies the process's payload-mutation hook, failing loudly when the
-/// program under attack defines no corruption semantics.
-pub(crate) fn forge<P: Process>(original: &P::Msg, entropy: u64) -> P::Msg {
-    P::mutate_payload(original, entropy).unwrap_or_else(|| {
-        panic!(
-            "a Byzantine clause matched a broadcast of {}, but its process does \
-             not override Process::mutate_payload; implement the hook for the \
-             program under attack",
-            std::any::type_name::<P::Msg>()
-        )
-    })
+    fn get(&self) -> &M {
+        match self {
+            Payload::Plain(msg) => msg,
+            Payload::Shared(msg) => msg,
+        }
+    }
+
+    /// The honest copy addressed to `dst`.
+    fn copy_for(&self, dst: usize) -> Event<M> {
+        match self {
+            Payload::Plain(msg) => Event::Deliver {
+                dst,
+                msg: msg.clone(),
+            },
+            Payload::Shared(msg) => Event::DeliverShared {
+                dst,
+                msg: Arc::clone(msg),
+            },
+        }
+    }
 }
 
 /// The engine-level RNG streams of a run, derived from the configuration
@@ -341,8 +318,6 @@ pub struct EngineArena<P: Process> {
     decisions: Vec<Option<(Time, u64)>>,
     tick_batch: Vec<(u64, Option<Event<P::Msg>>)>,
     scratch_actions: Vec<Action<P::Msg, P::Output>>,
-    scratch_cuts: Vec<(usize, &'static str, Option<u64>)>,
-    feed: BatchFeed<P::Msg>,
     byz_replay: Vec<Option<P::Msg>>,
 }
 
@@ -358,8 +333,6 @@ impl<P: Process> EngineArena<P> {
             decisions: Vec::new(),
             tick_batch: Vec::new(),
             scratch_actions: Vec::new(),
-            scratch_cuts: Vec::new(),
-            feed: BatchFeed::new(),
             byz_replay: Vec::new(),
         }
     }
@@ -431,8 +404,6 @@ pub struct Engine<P: Process> {
     /// Reused per-callback action buffer: one allocation per engine, not
     /// one per dispatched event.
     scratch_actions: Vec<Action<P::Msg, P::Output>>,
-    /// Reused copy of a batch's action cut points (see `flush_batch`).
-    scratch_cuts: Vec<(usize, &'static str, Option<u64>)>,
     /// The current tick's events: the earliest bucket's storage, swapped
     /// out of the queue wholesale and consumed front-to-back through
     /// `tick_pos`. Cleared, it becomes the replacement storage for the
@@ -440,8 +411,6 @@ pub struct Engine<P: Process> {
     tick_batch: Vec<(u64, Option<Event<P::Msg>>)>,
     /// Index of the next unconsumed `tick_batch` slot.
     tick_pos: usize,
-    /// Reused message-batch feed handed to [`Process::on_messages`].
-    feed: BatchFeed<P::Msg>,
     /// Correct processes that have not decided yet, kept incrementally so
     /// `all_correct_decided` — polled after every event by the consensus
     /// run loops — is O(1) instead of an allocation plus an O(n) scan.
@@ -474,8 +443,6 @@ impl<P: Process> Engine<P> {
             mut decisions,
             mut tick_batch,
             scratch_actions,
-            scratch_cuts,
-            feed,
             mut byz_replay,
         } = arena;
         let n = config.assign.n();
@@ -524,10 +491,8 @@ impl<P: Process> Engine<P> {
             trace: None,
             recorder: None,
             scratch_actions,
-            scratch_cuts,
             tick_batch,
             tick_pos: 0,
-            feed,
             undecided_correct: config.sched.num_correct(),
             config,
             procs,
@@ -544,8 +509,6 @@ impl<P: Process> Engine<P> {
         self.queue.reset();
         self.tick_batch.clear();
         self.scratch_actions.clear();
-        self.scratch_cuts.clear();
-        self.feed.recycle();
         self.byz_replay.clear();
         EngineArena {
             queue: self.queue,
@@ -555,8 +518,6 @@ impl<P: Process> Engine<P> {
             decisions: self.decisions,
             tick_batch: self.tick_batch,
             scratch_actions: self.scratch_actions,
-            scratch_cuts: self.scratch_cuts,
-            feed: self.feed,
             byz_replay: self.byz_replay,
         }
     }
@@ -690,14 +651,10 @@ impl<P: Process> Engine<P> {
     /// Runs until `cond(self)` holds, the deadline passes, or the system
     /// goes quiescent.
     ///
-    /// The queue is drained a tick at a time, and maximal
-    /// same-destination runs of deliveries dispatch as one batch. The
-    /// condition is evaluated after every dispatched *batch* (a batch
-    /// spans one same-`(time, dest)` run), so it can only be told apart
-    /// from a per-event check by a condition that becomes true mid-batch
-    /// while the receiving process keeps consuming — the in-tree
-    /// consumers all halt when they decide, which ends the batch at the
-    /// same message either way.
+    /// The queue is drained a tick at a time, but the tick's events are
+    /// dispatched one by one and the condition is evaluated after every
+    /// one of them — the run stops at the event that makes it true, with
+    /// the rest of the tick still queued.
     pub fn run_with(&mut self, deadline: Time, mut cond: impl FnMut(&Self) -> bool) -> StopReason {
         if cond(self) {
             return StopReason::ConditionMet;
@@ -753,219 +710,128 @@ impl<P: Process> Engine<P> {
                 .take()
                 .expect("slot consumed twice");
             self.tick_pos += 1;
-            // A maximal same-destination run of deliveries dispatches as
-            // one batch, capped so the event valve can still trip between
-            // messages exactly where a per-event loop would stop.
-            // Singleton runs (the common case in broadcast meshes, where
-            // a tick interleaves destinations) skip the batch plumbing
-            // entirely and dispatch like any other event.
-            match ev.message_dst() {
-                Some(dst) if run_continues(&self.tick_batch, self.tick_pos, dst) => {
-                    let headroom = (self.config.max_events - self.metrics.events).max(1);
-                    if headroom > 1 {
-                        let tracing = self.trace.is_some();
-                        let msgs = self.feed.load(
-                            if tracing {
-                                Some(self.classifier.unwrap_or(|_| "msg"))
-                            } else {
-                                None
-                            },
-                            if tracing { self.rounder } else { None },
-                        );
-                        msgs.push(ev.into_msg());
-                        while (msgs.len() as u64) < headroom
-                            && run_continues(&self.tick_batch, self.tick_pos, dst)
-                        {
-                            let next = self.tick_batch[self.tick_pos]
-                                .1
-                                .take()
-                                .expect("slot consumed twice");
-                            self.tick_pos += 1;
-                            msgs.push(next.into_msg());
-                        }
-                        // The feed pops from the back: reverse into
-                        // delivery order.
-                        msgs.reverse();
-                        self.dispatch_message_batch(dst);
-                    } else {
-                        self.dispatch_message_single(dst, ev.into_msg());
-                    }
-                }
-                Some(dst) => self.dispatch_message_single(dst, ev.into_msg()),
-                None => self.dispatch(ev),
-            }
+            self.step(ev);
             if cond(self) {
                 return StopReason::ConditionMet;
             }
         }
     }
 
-    /// Dispatches one message whose destination the run loop already
-    /// extracted — the singleton-run fast path (no batch feed, no event
-    /// re-match), with a zero-action short-circuit: most deliveries in
-    /// polling-style protocols buffer or discard without acting, so the
-    /// action-buffer take/drain/restore cycle is skipped entirely unless
-    /// the callback actually recorded something.
-    fn dispatch_message_single(&mut self, dst: usize, msg: P::Msg) {
-        if self.skips_step(dst) {
+    /// One step of the process `ev` is addressed to: what differs per
+    /// kind of event — how it is counted and traced, and which callback
+    /// takes it — is stated here; the step itself is [`Engine::step_with`].
+    fn step(&mut self, ev: Event<P::Msg>) {
+        match ev {
+            Event::Start { dst } => self.step_with(
+                dst,
+                (),
+                |engine, ()| engine.trace_line(|at| TraceEvent::Started { at, process: dst }),
+                |process, (), sink| process.on_start(sink),
+            ),
+            Event::Timer { dst, tag } => self.step_with(
+                dst,
+                tag,
+                |engine, &tag| {
+                    engine.metrics.timers_fired += 1;
+                    engine.trace_line(|at| TraceEvent::TimerFired {
+                        at,
+                        process: dst,
+                        tag,
+                    });
+                },
+                |process, tag, sink| process.on_timer(tag, sink),
+            ),
+            Event::Deliver { dst, msg } => self.step_with(
+                dst,
+                msg,
+                |engine, msg| engine.delivered(dst, msg),
+                |process, msg, sink| process.on_message(msg, sink),
+            ),
+            Event::DeliverShared { dst, msg } => self.step_with(
+                dst,
+                msg,
+                |engine, msg| engine.delivered(dst, msg),
+                |process, msg, sink| {
+                    // Last copy standing is moved out; earlier copies clone.
+                    let msg = Arc::try_unwrap(msg).unwrap_or_else(|shared| (*shared).clone());
+                    process.on_message(msg, sink);
+                },
+            ),
+        }
+    }
+
+    /// The step `dst` takes on `input`, and everything it asks for. A
+    /// process at or past its liveness horizon takes none: the event is
+    /// dropped without a count, a trace line or a callback.
+    ///
+    /// Generic over the kind of event instead of matching on it again:
+    /// a payload then reaches `on_message` as the by-value argument it
+    /// left the queue as, moved and never copied out of a wrapper —
+    /// a tenth of the cost of an event on the n = 32 detector.
+    fn step_with<I>(
+        &mut self,
+        dst: usize,
+        input: I,
+        account: impl FnOnce(&mut Self, &I),
+        callback: impl FnOnce(&mut P, I, &mut ActionSink<'_, P::Msg, P::Output>),
+    ) {
+        if self.now.ticks() >= self.dead_from[dst] {
             return;
         }
         self.metrics.events += 1;
-        self.metrics.copies_delivered += 1;
-        if self.trace.is_some() {
-            let class = self.class_of(&msg);
-            let round = self.round_of(&msg);
-            if let Some(trace) = self.trace.as_mut() {
-                trace.record(TraceEvent::Delivered {
-                    at: self.now,
-                    process: dst,
-                    class,
-                    round,
-                });
-            }
-        }
+        account(self, &input);
         debug_assert!(self.scratch_actions.is_empty());
         let observing = self.recorder.is_some();
         {
             // `procs` and `scratch_actions` are disjoint fields, so the
-            // callback can write straight into the engine's buffer.
+            // callback writes straight into the engine's buffer.
             let slot = &mut self.procs[dst];
             let mut sink =
                 ActionSink::new(slot.id, self.now, &mut slot.rng, &mut self.scratch_actions)
                     .with_observing(observing);
-            slot.proc.on_message(msg, &mut sink);
+            callback(&mut slot.proc, input, &mut sink);
         }
+        // Most deliveries in polling-style protocols buffer or discard
+        // without acting: the buffer changes hands only when the callback
+        // recorded something.
         if !self.scratch_actions.is_empty() {
             let mut actions = std::mem::take(&mut self.scratch_actions);
             for action in actions.drain(..) {
                 self.apply_one(dst, action);
             }
-            actions.clear();
             self.scratch_actions = actions;
         }
     }
 
-    /// Whether `dst` takes no step at the current instant.
-    #[inline]
-    fn skips_step(&self, dst: usize) -> bool {
-        self.now.ticks() >= self.dead_from[dst]
-    }
-
-    /// Dispatches one loaded message batch to `dst` through
-    /// [`Process::on_messages`], then replays the recorded action stream
-    /// message by message so traces, metrics and side effects are
-    /// byte-identical to per-message dispatch.
-    fn dispatch_message_batch(&mut self, dst: usize) {
-        if self.skips_step(dst) {
-            self.feed.recycle();
-            return;
-        }
-        let mut actions = std::mem::take(&mut self.scratch_actions);
-        debug_assert!(actions.is_empty());
-        let observing = self.recorder.is_some();
-        {
-            let slot = &mut self.procs[dst];
-            let mut sink = ActionSink::with_feed(
-                slot.id,
-                self.now,
-                &mut slot.rng,
-                &mut actions,
-                &mut self.feed,
-            )
-            .with_observing(observing);
-            slot.proc.on_messages(&mut sink);
-        }
-        self.flush_batch(dst, &mut actions);
-        actions.clear();
-        self.scratch_actions = actions;
-    }
-
-    /// Replays a batch: for every consumed message, the `Delivered` trace
-    /// event, the metrics, then that message's actions — the exact order
-    /// the per-message path produces.
-    fn flush_batch(&mut self, dst: usize, actions: &mut Vec<Action<P::Msg, P::Output>>) {
-        let mut cuts = std::mem::take(&mut self.scratch_cuts);
-        cuts.extend_from_slice(self.feed.cuts());
-        self.feed.recycle();
-        let total = actions.len();
-        let mut drained = actions.drain(..);
-        // Actions recorded before the first pull (a custom `on_messages`
-        // acting before consuming — a contract violation, but one whose
-        // effects must not be silently dropped) apply ahead of any
-        // delivery; when nothing was pulled at all, that is every action.
-        let first = cuts.first().map_or(total, |&(f, _, _)| f);
-        debug_assert_eq!(first, 0, "on_messages acted before pulling a message");
-        for action in drained.by_ref().take(first) {
-            self.apply_one(dst, action);
-        }
-        for i in 0..cuts.len() {
-            let (start, class, round) = cuts[i];
-            self.metrics.events += 1;
-            self.metrics.copies_delivered += 1;
-            if let Some(trace) = self.trace.as_mut() {
-                trace.record(TraceEvent::Delivered {
-                    at: self.now,
-                    process: dst,
-                    class,
-                    round,
-                });
-            }
-            let end = cuts.get(i + 1).map_or(total, |&(e, _, _)| e);
-            for action in drained.by_ref().take(end - start) {
-                self.apply_one(dst, action);
-            }
-        }
-        drop(drained);
-        cuts.clear();
-        self.scratch_cuts = cuts;
-    }
-
-    /// Dispatches one start or timer event (messages go through
-    /// `dispatch_message_single` / `dispatch_message_batch`).
-    fn dispatch(&mut self, ev: Event<P::Msg>) {
-        let (dst, timer) = match ev {
-            Event::Start { dst } => (dst, None),
-            Event::Timer { dst, tag } => (dst, Some(tag)),
-            Event::Deliver { .. } | Event::DeliverShared { .. } => {
-                unreachable!("the run loop dispatches deliveries itself")
-            }
-        };
-        if self.skips_step(dst) {
-            return;
-        }
-        self.metrics.events += 1;
+    /// Records `line(now)` while a trace records.
+    fn trace_line(&mut self, line: impl FnOnce(Time) -> TraceEvent) {
         if let Some(trace) = self.trace.as_mut() {
-            trace.record(match timer {
-                None => TraceEvent::Started {
-                    at: self.now,
-                    process: dst,
-                },
-                Some(tag) => TraceEvent::TimerFired {
-                    at: self.now,
-                    process: dst,
-                    tag,
-                },
-            });
+            trace.record(line(self.now));
         }
-        let mut actions = std::mem::take(&mut self.scratch_actions);
-        debug_assert!(actions.is_empty());
-        let observing = self.recorder.is_some();
-        {
-            let slot = &mut self.procs[dst];
-            let mut sink = ActionSink::new(slot.id, self.now, &mut slot.rng, &mut actions)
-                .with_observing(observing);
-            match timer {
-                None => slot.proc.on_start(&mut sink),
-                Some(tag) => {
-                    self.metrics.timers_fired += 1;
-                    slot.proc.on_timer(tag, &mut sink);
-                }
-            }
+    }
+
+    /// Records the line built from `msg`'s class and round labels while
+    /// a trace records; the labels are computed only then.
+    fn trace_message(
+        &mut self,
+        msg: &P::Msg,
+        line: impl FnOnce(Time, &'static str, Option<u64>) -> TraceEvent,
+    ) {
+        if self.trace.is_some() {
+            let (class, round) = (self.class_of(msg), self.round_of(msg));
+            self.trace_line(|at| line(at, class, round));
         }
-        for action in actions.drain(..) {
-            self.apply_one(dst, action);
-        }
-        self.scratch_actions = actions;
+    }
+
+    /// Counts and traces one delivered copy.
+    fn delivered(&mut self, process: usize, msg: &P::Msg) {
+        self.metrics.copies_delivered += 1;
+        self.trace_message(msg, |at, class, round| TraceEvent::Delivered {
+            at,
+            process,
+            class,
+            round,
+        });
     }
 
     fn apply_one(&mut self, src: usize, action: Action<P::Msg, P::Output>) {
@@ -984,13 +850,11 @@ impl<P: Process> Engine<P> {
                     if self.config.sched.is_correct(src) {
                         self.undecided_correct -= 1;
                     }
-                    if let Some(trace) = self.trace.as_mut() {
-                        trace.record(TraceEvent::Decided {
-                            at: self.now,
-                            process: src,
-                            value: v,
-                        });
-                    }
+                    self.trace_line(|at| TraceEvent::Decided {
+                        at,
+                        process: src,
+                        value: v,
+                    });
                     if let Some(rec) = self.recorder.as_mut() {
                         rec.record(self.now, src, ObsKind::Decided { value: v });
                     }
@@ -998,12 +862,7 @@ impl<P: Process> Engine<P> {
             }
             Action::Halt => {
                 self.dead_from[src] = 0;
-                if let Some(trace) = self.trace.as_mut() {
-                    trace.record(TraceEvent::Halted {
-                        at: self.now,
-                        process: src,
-                    });
-                }
+                self.trace_line(|at| TraceEvent::Halted { at, process: src });
             }
             Action::Observe(kind) => {
                 if let Some(rec) = self.recorder.as_mut() {
@@ -1019,227 +878,108 @@ impl<P: Process> Engine<P> {
         if let Some(f) = self.classifier {
             *self.metrics.by_class.entry(f(&msg)).or_insert(0) += 1;
         }
-        if self.trace.is_some() {
-            let class = self.class_of(&msg);
-            let round = self.round_of(&msg);
-            if let Some(trace) = self.trace.as_mut() {
-                trace.record(TraceEvent::Broadcast {
-                    at: self.now,
-                    process: src,
-                    class,
-                    round,
-                });
-            }
-        }
-        // Byzantine consultation: one plan — and at most one draw from
-        // the dedicated stream — per broadcast, resolved before routing
-        // so both payload representations see the same attack. The
-        // replay cache updates on every broadcast of a
-        // replay-listed sender until its last window closes (`replace`
-        // hands back the previous payload, which is what an active
-        // replay clause substitutes), so the first in-window broadcast
-        // replays the last honest one.
-        let byz = match &self.config.byzantine {
-            Some(s) if !s.is_empty() => {
-                let script = Arc::clone(s);
-                let plan = script.plan(self.now, src, &mut self.byz_rng);
-                let replayed = if script.records_replay_at(self.now, src) {
-                    self.byz_replay[src].replace(msg.clone())
-                } else {
-                    None
-                };
-                plan.map(|plan| ByzCtx {
-                    script,
-                    plan,
-                    replayed,
-                })
-            }
-            _ => None,
-        };
-        // A broadcast at the sender's final step reaches an arbitrary
-        // subset of the processes; its mask draws interleave with the
-        // routing draws per copy, so it cannot go through `route_each`.
+        self.trace_message(&msg, |at, class, round| TraceEvent::Broadcast {
+            at,
+            process: src,
+            class,
+            round,
+        });
+        // One Byzantine plan per broadcast, resolved before routing so
+        // every copy sees the same attack.
+        let byz = ByzBroadcast::open(
+            self.config.byzantine.as_ref(),
+            self.now,
+            src,
+            &msg,
+            &mut self.byz_rng,
+            &mut self.byz_replay,
+        );
+        let payload = Payload::new(msg);
+        let n = self.n();
         let dying = self.config.partial_broadcast_on_crash
             && self.dead_from[src] == self.now.next().ticks();
         if dying {
-            self.broadcast_per_copy(src, msg, byz);
-        } else {
-            self.broadcast_batched(src, msg, byz);
-        }
-    }
-
-    /// The dying sender's final-step broadcast: each copy is dropped
-    /// with probability ½, the mask draw interleaved with that copy's
-    /// network route on the same stream.
-    fn broadcast_per_copy(&mut self, src: usize, msg: P::Msg, byz: Option<ByzCtx<P::Msg>>) {
-        if plain_payload::<P::Msg>() {
-            for dst in 0..self.n() {
+            // A broadcast at the sender's final step reaches an arbitrary
+            // subset of the processes: each copy is dropped with
+            // probability ½, the mask draw interleaved with that copy's
+            // network route on the same stream — so it cannot go through
+            // `route_each`. Copies to dead destinations are queued.
+            for dst in 0..n {
                 if self.net_rng.gen_bool(0.5) {
                     continue;
                 }
                 self.metrics.copies_sent += 1;
-                if let Some(at) = self.route_copy(src, dst) {
-                    match byz_directive(&byz, dst) {
-                        ByzDirective::Original => {
-                            let msg = msg.clone();
-                            self.push(at, Event::Deliver { dst, msg });
-                        }
-                        d => self.push_byz_copy(dst, at, d, &msg, &byz, false),
-                    }
-                }
+                let base = self.config.network.route(self.now, &mut self.net_rng);
+                self.send_copy(src, dst, base, &payload, &byz, false);
             }
         } else {
-            // Zero-copy: every queued copy shares one heap payload, so a
-            // broadcast costs one allocation instead of one deep clone
-            // per destination.
-            let shared = Arc::new(msg);
-            for dst in 0..self.n() {
-                if self.net_rng.gen_bool(0.5) {
-                    continue;
-                }
-                self.metrics.copies_sent += 1;
-                if let Some(at) = self.route_copy(src, dst) {
-                    match byz_directive(&byz, dst) {
-                        ByzDirective::Original => {
-                            let msg = Arc::clone(&shared);
-                            self.push(at, Event::DeliverShared { dst, msg });
-                        }
-                        d => self.push_byz_copy(dst, at, d, &*shared, &byz, false),
-                    }
-                }
-            }
+            // All `n` copies' fates stream out of `route_each` (identical
+            // draws in identical order) straight into `send_copy`: one
+            // fused pass, no intermediate fate buffer. The network stream
+            // is drawn inside the closure while the engine is mutably
+            // borrowed, so the RNG steps out for the loop (a 32-byte swap
+            // per broadcast).
+            let network = self.config.network.clone();
+            let mut rng = std::mem::replace(&mut self.net_rng, StdRng::seed_from_u64(0));
+            self.metrics.copies_sent += n as u64;
+            network.route_each(self.now, n, &mut rng, |dst, base| {
+                self.send_copy(src, dst, base, &payload, &byz, true);
+            });
+            self.net_rng = rng;
         }
     }
 
-    /// The batched broadcast: all `n` copies' fates stream out of
-    /// [`NetworkModel::route_each`] (identical draws in identical order;
-    /// the per-copy model match, GST compare and sampler setup are
-    /// hoisted per broadcast) straight into adversary consultation and
-    /// queue insertion — one fused pass, no intermediate fate buffer.
-    fn broadcast_batched(&mut self, src: usize, msg: P::Msg, byz: Option<ByzCtx<P::Msg>>) {
-        let n = self.n();
-        let now = self.now;
-        // The network stream is drawn inside the fused closure while the
-        // engine is mutably borrowed, so the RNG steps out for the loop
-        // (a 32-byte swap per broadcast).
-        let network = self.config.network.clone();
-        let mut rng = std::mem::replace(&mut self.net_rng, StdRng::seed_from_u64(0));
-        self.metrics.copies_sent += n as u64;
-        if plain_payload::<P::Msg>() {
-            network.route_each(now, n, &mut rng, |dst, fate| match fate {
-                None => self.metrics.copies_lost += 1,
-                Some(base) => {
-                    if let Some(at) = self.adversary_fate(src, dst, base) {
-                        match byz_directive(&byz, dst) {
-                            ByzDirective::Original => {
-                                if self.deliverable(dst, at) {
-                                    let msg = msg.clone();
-                                    self.queue.push_in_order(
-                                        at,
-                                        self.seq,
-                                        Event::Deliver { dst, msg },
-                                    );
-                                    self.seq += 1;
-                                }
-                            }
-                            d => self.push_byz_copy(dst, at, d, &msg, &byz, true),
-                        }
-                    }
-                }
-            });
-        } else {
-            let shared = Arc::new(msg);
-            network.route_each(now, n, &mut rng, |dst, fate| match fate {
-                None => self.metrics.copies_lost += 1,
-                Some(base) => {
-                    if let Some(at) = self.adversary_fate(src, dst, base) {
-                        match byz_directive(&byz, dst) {
-                            ByzDirective::Original => {
-                                if self.deliverable(dst, at) {
-                                    let msg = Arc::clone(&shared);
-                                    self.queue.push_in_order(
-                                        at,
-                                        self.seq,
-                                        Event::DeliverShared { dst, msg },
-                                    );
-                                    self.seq += 1;
-                                }
-                            }
-                            d => self.push_byz_copy(dst, at, d, &*shared, &byz, true),
-                        }
-                    }
-                }
-            });
-        }
-        self.net_rng = rng;
-    }
-
-    /// Applies a non-[`ByzDirective::Original`] directive to one routed
-    /// copy. Forging and suppression are **accounted at routing time**
-    /// (they are the corrupt sender's act, not a delivery property),
-    /// while queue insertion follows the caller's dead-destination policy
-    /// (`elide_dead`: the batched broadcast elides copies to dead
-    /// destinations, the dying-sender broadcast queues them — exactly
-    /// the policies applied to honest copies). Forged
-    /// payloads always enqueue as owned [`Event::Deliver`] copies: they
-    /// are distinct values, so there is nothing to `Arc`-share.
-    fn push_byz_copy(
+    /// The one way out: what becomes of the copy of `payload` that `src`
+    /// sends to `dst`, given the network's verdict `base` on it. A copy
+    /// the network lost is counted; one it routed is judged by the
+    /// link-fault script, then rewritten or suppressed by the Byzantine
+    /// plan of its broadcast, then queued. Forging and suppression are
+    /// accounted here, at routing time (they are the corrupt sender's
+    /// act, not a delivery property), so `elide_dead` — skip queueing a
+    /// copy its destination can never observe — applies to honest and
+    /// forged copies alike, after the accounting. Forged payloads are
+    /// distinct values and queue as owned [`Event::Deliver`] copies.
+    #[inline]
+    fn send_copy(
         &mut self,
+        src: usize,
         dst: usize,
-        at: Time,
-        directive: ByzDirective,
-        original: &P::Msg,
-        byz: &Option<ByzCtx<P::Msg>>,
+        base: Option<Time>,
+        payload: &Payload<P::Msg>,
+        byz: &Option<ByzBroadcast<P::Msg>>,
         elide_dead: bool,
     ) {
-        let forged = match directive {
-            ByzDirective::Original => unreachable!("callers handle pass-through copies inline"),
-            ByzDirective::Suppress => {
-                self.metrics.copies_suppressed += 1;
-                self.record_attack("suppress", dst);
-                return;
-            }
-            ByzDirective::Equivocate(entropy) => {
-                self.metrics.copies_forged += 1;
-                self.record_attack("equivocate", dst);
-                Some(forge::<P>(original, entropy))
-            }
-            ByzDirective::Corrupt(entropy) => {
-                self.metrics.copies_forged += 1;
-                self.record_attack("corrupt", dst);
-                Some(forge::<P>(original, entropy))
-            }
-            ByzDirective::Replay => {
-                match byz.as_ref().and_then(|c| c.replayed.as_ref()) {
-                    Some(old) => {
-                        self.metrics.copies_forged += 1;
-                        self.record_attack("replay", dst);
-                        Some(old.clone())
-                    }
-                    // Nothing broadcast before the clause activated: the
-                    // replayed copy degenerates to the honest one.
-                    None => None,
+        let Some(base) = base else {
+            self.metrics.copies_lost += 1;
+            return;
+        };
+        let Some(at) = self.adversary_fate(src, dst, base) else {
+            return;
+        };
+        let forged = match byz {
+            None => None,
+            Some(byz) => {
+                let ledger = ByzLedger {
+                    now: self.now,
+                    forged: &mut self.metrics.copies_forged,
+                    suppressed: &mut self.metrics.copies_suppressed,
+                    recorder: self.recorder.as_mut(),
+                };
+                match byz.rewrite(dst, payload.get(), P::mutate_payload, ledger) {
+                    ByzCopy::Honest => None,
+                    ByzCopy::Forged(msg) => Some(msg),
+                    ByzCopy::Suppressed => return,
                 }
             }
         };
-        let msg = forged.unwrap_or_else(|| original.clone());
-        if !elide_dead || self.deliverable(dst, at) {
-            self.push(at, Event::Deliver { dst, msg });
+        if elide_dead && !self.deliverable(dst, at) {
+            return;
         }
-    }
-
-    /// The fate of one copy: the network routes it, then the adversary
-    /// (when installed) may defer, delay or drop it. Shared by both
-    /// payload branches of the dying-sender broadcast.
-    fn route_copy(&mut self, src: usize, dst: usize) -> Option<Time> {
-        let base = match self.config.network.route(self.now, &mut self.net_rng) {
-            Some(at) => at,
-            None => {
-                self.metrics.copies_lost += 1;
-                return None;
-            }
+        let ev = match forged {
+            None => payload.copy_for(dst),
+            Some(msg) => Event::Deliver { dst, msg },
         };
-        self.adversary_fate(src, dst, base)
+        self.push(at, ev);
     }
 
     /// The adversary's verdict on an already-routed copy (transparent
@@ -1267,21 +1007,6 @@ impl<P: Process> Engine<P> {
                 }
                 None
             }
-        }
-    }
-
-    /// Records a Byzantine attack firing against `victim` (no-op when no
-    /// recorder is attached).
-    fn record_attack(&mut self, kind: &'static str, victim: usize) {
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.record(
-                self.now,
-                victim,
-                ObsKind::AttackFired {
-                    kind,
-                    victim: u32::try_from(victim).unwrap_or(u32::MAX),
-                },
-            );
         }
     }
 
@@ -1330,8 +1055,8 @@ impl<P: Process> Engine<P> {
 
     /// Whether a copy arriving at `at` could ever be observed by `dst`:
     /// false once `dst` is halted (permanent) or its crash time is at or
-    /// before the delivery instant. The batched broadcast elides queuing
-    /// such copies — dispatch would skip them without a trace event, a
+    /// before the delivery instant. A broadcast elides queuing such
+    /// copies — dispatch would skip them without a trace event, a
     /// metric or a callback, so eliding them changes nothing observable.
     #[inline]
     fn deliverable(&self, dst: usize, at: Time) -> bool {
@@ -1352,34 +1077,9 @@ impl<P: ForkProcess> Engine<P> {
     /// Must be called between run calls, never from inside a callback.
     #[must_use]
     pub fn snapshot(&self) -> EngineSnapshot<P> {
-        debug_assert!(self.scratch_actions.is_empty() && self.scratch_cuts.is_empty());
-        let mut space = ForkSpace::new();
-        EngineSnapshot {
-            procs: self
-                .procs
-                .iter()
-                .map(|s| ProcSlot {
-                    proc: s.proc.fork_in(&mut space),
-                    rng: s.rng.clone(),
-                    id: s.id,
-                })
-                .collect(),
-            halted: (0..self.n()).map(|p| self.halted_flag(p)).collect(),
-            queue: self.queue.clone(),
-            seq: self.seq,
-            now: self.now,
-            net_rng: self.net_rng.clone(),
-            adv_rng: self.adv_rng.clone(),
-            byz_rng: self.byz_rng.clone(),
-            byz_replay: self.byz_replay.clone(),
-            metrics: self.metrics.clone(),
-            histories: self.histories.clone(),
-            decisions: self.decisions.clone(),
-            trace: self.trace.clone(),
-            recorder: self.recorder.clone(),
-            tick_batch: self.tick_batch.clone(),
-            tick_pos: self.tick_pos,
-        }
+        let mut snap = EngineSnapshot::empty();
+        self.snapshot_into(&mut snap);
+        snap
     }
 
     /// Like [`Engine::snapshot`], but refills an existing snapshot
@@ -1388,7 +1088,7 @@ impl<P: ForkProcess> Engine<P> {
     /// which snapshots at every branch point and would otherwise pay a
     /// full queue allocation per fork.
     pub fn snapshot_into(&self, snap: &mut EngineSnapshot<P>) {
-        debug_assert!(self.scratch_actions.is_empty() && self.scratch_cuts.is_empty());
+        debug_assert!(self.scratch_actions.is_empty());
         let mut space = ForkSpace::new();
         snap.procs.clear();
         snap.procs.extend(self.procs.iter().map(|s| ProcSlot {
@@ -1450,8 +1150,6 @@ impl<P: ForkProcess> Engine<P> {
         self.tick_batch.clone_from(&snap.tick_batch);
         self.tick_pos = snap.tick_pos;
         self.scratch_actions.clear();
-        self.scratch_cuts.clear();
-        self.feed.recycle();
         self.rebuild_schedule_state(&snap.halted);
     }
 
@@ -1476,8 +1174,6 @@ impl<P: ForkProcess> Engine<P> {
             mut decisions,
             mut tick_batch,
             mut scratch_actions,
-            mut scratch_cuts,
-            mut feed,
             mut byz_replay,
         } = arena;
         assert_eq!(
@@ -1494,8 +1190,6 @@ impl<P: ForkProcess> Engine<P> {
         }
         tick_batch.clear();
         scratch_actions.clear();
-        scratch_cuts.clear();
-        feed.recycle();
         decisions.clear();
         byz_replay.clear();
         let mut engine = Engine {
@@ -1516,10 +1210,8 @@ impl<P: ForkProcess> Engine<P> {
             trace: None,
             recorder: None,
             scratch_actions,
-            scratch_cuts,
             tick_batch,
             tick_pos: 0,
-            feed,
             undecided_correct: 0,
             config,
             procs,
@@ -1818,10 +1510,10 @@ mod tests {
             }
             fn on_timer(&mut self, _t: TimerTag, _ctx: &mut ActionSink<'_, u64, u64>) {}
         }
-        // n = 1 with two broadcasts at t0: both copies arrive at t1 as one
-        // same-(time, dest) batch, so this also pins the mid-batch halt
-        // semantics (the second message is dropped unseen, as it is when
-        // the reference interpreter delivers them one by one).
+        // n = 1 with two broadcasts at t0: both copies arrive at t1, so
+        // this also pins a halt between two events of one tick (the
+        // second message is dropped unseen, as it is by the reference
+        // interpreter).
         let mut e = Engine::new(small_config(1), |_, _| OneShot { heard: 0 });
         e.run_until(Time::from_ticks(100));
         let mut r = ReferenceEngine::new(small_config(1), |_, _| OneShot { heard: 0 });
@@ -1851,8 +1543,8 @@ mod tests {
         let mut e = Engine::new(cfg.clone(), |_, _| Storm);
         assert_eq!(e.run_until(Time::MAX), StopReason::EventLimit);
         assert_eq!(e.metrics().events, 100);
-        // The valve trips between the same two messages of a batch as
-        // between two events of the per-event interpreter.
+        // The valve trips between the same two events of a tick as in
+        // the per-event interpreter.
         let mut r = ReferenceEngine::new(cfg, |_, _| Storm);
         assert_eq!(r.run_until(Time::MAX), StopReason::EventLimit);
         assert_eq!((e.metrics(), e.now()), (r.metrics(), r.now()));

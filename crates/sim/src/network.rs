@@ -186,30 +186,15 @@ impl NetworkModel {
     }
 
     /// Routes all `copies` copies of one broadcast sent at `sent_at`,
-    /// appending each copy's fate to `out` in destination order — the
-    /// buffer-filling form of [`NetworkModel::route_each`], sharing its
-    /// implementation (and therefore its stream contract: draw-for-draw
-    /// identical to `copies` successive [`NetworkModel::route`] calls,
-    /// asserted by `route_batch_matches_per_copy_route`).
-    pub fn route_batch(
-        &self,
-        sent_at: Time,
-        copies: usize,
-        rng: &mut StdRng,
-        out: &mut Vec<Option<Time>>,
-    ) {
-        out.reserve(copies);
-        self.route_each(sent_at, copies, rng, |_, fate| out.push(fate));
-    }
-
-    /// Streaming form of [`NetworkModel::route_batch`]: routes `copies`
-    /// copies with the same hoisted per-broadcast setup, but hands each
-    /// copy's fate to `sink(dst, fate)` as it is drawn instead of filling
-    /// a buffer — the engine's broadcast loop fuses routing, adversary
-    /// consultation and queue insertion into one pass this way.
+    /// handing each copy's fate to `sink(dst, fate)` in destination order
+    /// as it is drawn — the engine's broadcast loop fuses routing,
+    /// adversary consultation and queue insertion into one pass this way.
+    /// The model match, GST comparison and sampler setup are hoisted out
+    /// of the copy loop.
     ///
-    /// Same stream contract as `route_batch`: draw-for-draw identical to
-    /// `copies` successive [`NetworkModel::route`] calls.
+    /// Stream contract: draw-for-draw identical to `copies` successive
+    /// [`NetworkModel::route`] calls (asserted by
+    /// `route_batch_matches_per_copy_route`).
     #[inline]
     pub fn route_each(
         &self,
@@ -472,7 +457,10 @@ mod tests {
                 for &sent in &[0u64, 49, 50, 51, 200] {
                     let sent = Time::from_ticks(sent);
                     batched.clear();
-                    model.route_batch(sent, 16, &mut a, &mut batched);
+                    model.route_each(sent, 16, &mut a, |dst, fate| {
+                        assert_eq!(dst, batched.len(), "destination order");
+                        batched.push(fate);
+                    });
                     let per_copy: Vec<Option<Time>> =
                         (0..16).map(|_| model.route(sent, &mut b)).collect();
                     assert_eq!(batched, per_copy, "diverged on {model:?} seed {seed}");

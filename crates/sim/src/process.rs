@@ -51,25 +51,6 @@ pub trait Process: Send + 'static {
     /// The sender and the link are unobservable, per the model.
     fn on_message(&mut self, msg: Self::Msg, ctx: &mut ActionSink<'_, Self::Msg, Self::Output>);
 
-    /// Batched delivery: called once for a maximal run of messages that
-    /// arrive at this process at the same instant with consecutive
-    /// insertion sequences. Messages are pulled in delivery order through
-    /// [`ActionSink::next_message`].
-    ///
-    /// The default implementation replays the messages one by one through
-    /// [`Process::on_message`], which is **exactly** equivalent to
-    /// per-message dispatch: the engine stamps the action stream at
-    /// every pull, so effects are attributed (and applied) per message in
-    /// the original order. Overriding implementations must preserve that
-    /// equivalence — process each pulled message fully before pulling the
-    /// next, and stop pulling once [`ActionSink::halted`] (the sink
-    /// enforces the latter by returning `None` after a halt).
-    fn on_messages(&mut self, ctx: &mut ActionSink<'_, Self::Msg, Self::Output>) {
-        while let Some(msg) = ctx.next_message() {
-            self.on_message(msg, ctx);
-        }
-    }
-
     /// Called when a timer armed through [`ActionSink::set_timer`] fires.
     fn on_timer(&mut self, timer: TimerTag, ctx: &mut ActionSink<'_, Self::Msg, Self::Output>);
 
@@ -94,63 +75,6 @@ pub trait Process: Send + 'static {
     {
         let _ = (msg, entropy);
         None
-    }
-}
-
-/// Engine-side state backing one batched same-`(time, dest)` delivery:
-/// the pending messages plus, per consumed message, the cut point in the
-/// action buffer (so the engine can attribute actions to the message that
-/// produced them) and the message's class label for the trace.
-#[derive(Debug)]
-pub(crate) struct BatchFeed<M> {
-    /// Pending messages in **reverse** delivery order, so consuming the
-    /// next message is an O(1) pop from the back.
-    msgs: Vec<M>,
-    /// `(actions.len() at hand-out, class, round)` per consumed message.
-    cuts: Vec<(usize, &'static str, Option<u64>)>,
-    /// Classifier for trace labels; `None` skips classification (no
-    /// trace is being recorded).
-    classifier: Option<fn(&M) -> &'static str>,
-    /// Round extractor for trace labels; `None` skips extraction.
-    rounder: Option<fn(&M) -> Option<u64>>,
-}
-
-impl<M> BatchFeed<M> {
-    pub(crate) fn new() -> Self {
-        BatchFeed {
-            msgs: Vec::new(),
-            cuts: Vec::new(),
-            classifier: None,
-            rounder: None,
-        }
-    }
-
-    /// Prepares the feed for one batch: `msgs` must already be in reverse
-    /// delivery order. `classifier`/`rounder` are `Some` only when trace
-    /// labels are needed.
-    pub(crate) fn load(
-        &mut self,
-        classifier: Option<fn(&M) -> &'static str>,
-        rounder: Option<fn(&M) -> Option<u64>>,
-    ) -> &mut Vec<M> {
-        debug_assert!(self.msgs.is_empty() && self.cuts.is_empty());
-        self.classifier = classifier;
-        self.rounder = rounder;
-        &mut self.msgs
-    }
-
-    /// The per-consumed-message cut points recorded during the callback.
-    pub(crate) fn cuts(&self) -> &[(usize, &'static str, Option<u64>)] {
-        &self.cuts
-    }
-
-    /// Clears the feed for reuse; unconsumed messages (a mid-batch halt)
-    /// are dropped, exactly as the per-message path would skip them.
-    pub(crate) fn recycle(&mut self) {
-        self.msgs.clear();
-        self.cuts.clear();
-        self.classifier = None;
-        self.rounder = None;
     }
 }
 
@@ -190,13 +114,9 @@ pub struct ActionSink<'a, M, O> {
     now: Time,
     rng: &'a mut StdRng,
     actions: &'a mut Vec<Action<M, O>>,
-    halted: bool,
     /// Whether an observability recorder is attached to the engine: the
     /// gate of [`ActionSink::observe`].
     obs_on: bool,
-    /// Pending batched delivery, when the engine dispatched a message
-    /// batch (see [`Process::on_messages`]).
-    feed: Option<&'a mut BatchFeed<M>>,
 }
 
 impl<'a, M, O> ActionSink<'a, M, O> {
@@ -213,9 +133,7 @@ impl<'a, M, O> ActionSink<'a, M, O> {
             now,
             rng,
             actions,
-            halted: false,
             obs_on: false,
-            feed: None,
         }
     }
 
@@ -226,47 +144,6 @@ impl<'a, M, O> ActionSink<'a, M, O> {
     pub fn with_observing(mut self, on: bool) -> Self {
         self.obs_on = on;
         self
-    }
-
-    /// Creates a sink for a batched delivery, feeding messages out of
-    /// `feed` (engine-internal).
-    pub(crate) fn with_feed(
-        my_id: Identity,
-        now: Time,
-        rng: &'a mut StdRng,
-        actions: &'a mut Vec<Action<M, O>>,
-        feed: &'a mut BatchFeed<M>,
-    ) -> Self {
-        ActionSink {
-            my_id,
-            now,
-            rng,
-            actions,
-            halted: false,
-            obs_on: false,
-            feed: Some(feed),
-        }
-    }
-
-    /// Pulls the next message of the current delivery batch, or `None`
-    /// when the batch is exhausted, this callback is not a batched
-    /// delivery, or the process has already requested a halt (a halted
-    /// process receives nothing more, matching the per-message path's
-    /// skip of events addressed to a halted process).
-    ///
-    /// Each pull stamps the action stream, which is how the engine
-    /// attributes actions — and orders trace events — per message even
-    /// though the whole batch runs inside one callback.
-    pub fn next_message(&mut self) -> Option<M> {
-        if self.halted {
-            return None;
-        }
-        let feed = self.feed.as_deref_mut()?;
-        let msg = feed.msgs.pop()?;
-        let class = feed.classifier.map_or("msg", |f| f(&msg));
-        let round = feed.rounder.and_then(|f| f(&msg));
-        feed.cuts.push((self.actions.len(), class, round));
-        Some(msg)
     }
 
     /// The identifier `id(p)` of this process. Homonyms observe the same
@@ -311,14 +188,7 @@ impl<'a, M, O> ActionSink<'a, M, O> {
 
     /// Stops the process: no further callbacks are delivered.
     pub fn halt(&mut self) {
-        self.halted = true;
         self.actions.push(Action::Halt);
-    }
-
-    /// Whether this callback already requested a halt.
-    #[must_use]
-    pub fn halted(&self) -> bool {
-        self.halted
     }
 
     /// Whether an observability recorder is attached (the gate of
@@ -388,9 +258,7 @@ mod tests {
         sink.broadcast(7);
         sink.set_timer(Span::from_ticks(3), TimerTag(1));
         sink.decide(9);
-        assert!(!sink.halted());
         sink.halt();
-        assert!(sink.halted());
         assert_eq!(actions.len(), 4);
         assert!(matches!(actions[0], Action::Broadcast(7)));
         assert!(matches!(actions[1], Action::SetTimer(d, TimerTag(1)) if d == Span::from_ticks(3)));

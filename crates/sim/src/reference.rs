@@ -11,18 +11,17 @@
 //! to the same deadline, the two agree **byte for byte** on trace,
 //! recorder contents, [`Metrics`], histories, decisions and final clock,
 //! under every network model, link-fault script and Byzantine script; the
-//! differential proptests in `tests/` assert it. (A stop *condition* is
-//! checked per event here, per same-`(time, dest)` batch there; they agree
-//! when the receiver halts as it makes the condition true, as the in-tree
-//! consensus processes do.)
+//! differential proptests in `tests/` assert it. A stop *condition* is
+//! checked after every event by both, so they also stop at the same one.
 //!
 //! **Deliberately naive.** A `BTreeMap<(Time, u64), _>` queue; one
 //! `NetworkModel::route`, one `LinkFaultScript::fate` and one
 //! `ByzantineScript::directive` per copy, in destination order; one
 //! callback and one fresh action `Vec` per event; every queued copy an
-//! owned clone. No arena, no [`Process::on_messages`], no dead-destination
-//! elision, no snapshots. Only the seed derivation (`RunStreams`) is
-//! shared with `Engine`, so all four RNG streams start equal.
+//! owned clone. No arena, no dead-destination elision, no snapshots. Only
+//! the seed derivation (`RunStreams`) and the loud failure of a missing
+//! mutation hook (`forge`) are shared with `Engine`, so all four RNG
+//! streams start equal.
 
 use std::collections::BTreeMap;
 
@@ -32,8 +31,8 @@ use homonym_core::time::{Span, Time};
 use homonym_obs::{ObsKind, Recorder};
 use rand::{rngs::StdRng, Rng};
 
-use crate::adversary::ByzDirective;
-use crate::engine::{forge, Metrics, RoundExtractor, RunStreams, SimConfig, StopReason};
+use crate::adversary::{forge, ByzDirective};
+use crate::engine::{Metrics, RoundExtractor, RunStreams, SimConfig, StopReason};
 use crate::process::{Action, ActionSink, Process, TimerTag};
 use crate::trace::{Trace, TraceEvent};
 
@@ -326,8 +325,12 @@ impl<P: Process> ReferenceEngine<P> {
             let attack = match directive {
                 ByzDirective::Original => None,
                 ByzDirective::Suppress => Some(("suppress", None)),
-                ByzDirective::Equivocate(e) => Some(("equivocate", Some(forge::<P>(msg, e)))),
-                ByzDirective::Corrupt(e) => Some(("corrupt", Some(forge::<P>(msg, e)))),
+                ByzDirective::Equivocate(e) => {
+                    Some(("equivocate", Some(forge(P::mutate_payload, msg, e))))
+                }
+                ByzDirective::Corrupt(e) => {
+                    Some(("corrupt", Some(forge(P::mutate_payload, msg, e))))
+                }
                 // Nothing cached yet: the replay degenerates to honesty.
                 ByzDirective::Replay => replayed.clone().map(|old| ("replay", Some(old))),
             };

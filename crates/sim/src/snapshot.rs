@@ -53,6 +53,7 @@ use homonym_core::fork::ForkSpace;
 use homonym_core::properties::History;
 use homonym_core::time::Time;
 use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 use homonym_obs::Recorder;
 
@@ -118,6 +119,31 @@ pub struct EngineSnapshot<P: Process> {
 }
 
 impl<P: Process> EngineSnapshot<P> {
+    /// A snapshot of nothing, for
+    /// [`Engine::snapshot_into`](crate::engine::Engine::snapshot_into) to
+    /// fill.
+    pub(crate) fn empty() -> Self {
+        let rng = StdRng::seed_from_u64(0);
+        EngineSnapshot {
+            procs: Vec::new(),
+            halted: Vec::new(),
+            queue: crate::queue::CalendarQueue::new(),
+            seq: 0,
+            now: Time::ZERO,
+            net_rng: rng.clone(),
+            adv_rng: rng.clone(),
+            byz_rng: rng,
+            byz_replay: Vec::new(),
+            metrics: Metrics::default(),
+            histories: Vec::new(),
+            decisions: Vec::new(),
+            trace: None,
+            recorder: None,
+            tick_batch: Vec::new(),
+            tick_pos: 0,
+        }
+    }
+
     /// The virtual time at which the snapshot was taken.
     #[must_use]
     pub fn now(&self) -> Time {

@@ -30,7 +30,7 @@ use rand::{Rng, SeedableRng};
 
 use homonym_core::fork::ForkSpace;
 
-use crate::adversary::{ByzDirective, ByzantineScript, LinkFaultScript};
+use crate::adversary::{ByzBroadcast, ByzCopy, ByzLedger, ByzantineScript, LinkFaultScript};
 use crate::process::Message;
 use crate::snapshot::{ForkSyncProcess, SyncSnapshot};
 
@@ -255,18 +255,6 @@ pub struct SyncMetrics {
     pub steps: u64,
 }
 
-/// Applies the process's payload-mutation hook, failing loudly when the
-/// program under attack defines no corruption semantics.
-fn forge_sync<P: SyncProcess>(original: &P::Msg, entropy: u64) -> P::Msg {
-    P::mutate_payload(original, entropy).unwrap_or_else(|| {
-        panic!(
-            "a Byzantine clause matched a broadcast of {}, but its process does \
-             not override SyncProcess::mutate_payload",
-            std::any::type_name::<P::Msg>()
-        )
-    })
-}
-
 /// The lock-step engine.
 pub struct SyncEngine<P: SyncProcess> {
     config: SyncConfig,
@@ -450,7 +438,6 @@ impl<P: SyncProcess> SyncEngine<P> {
             }
         }
         let script = self.config.adversary.clone();
-        let byz_script = self.config.byzantine.clone().filter(|s| !s.is_empty());
 
         // Send phase: alive processes send fully; a process crashing at
         // exactly this step gets a partial final broadcast.
@@ -477,22 +464,16 @@ impl<P: SyncProcess> SyncEngine<P> {
             self.procs[p].send(s, &mut outbox);
             for m in outbox.drain(..) {
                 self.metrics.broadcasts += 1;
-                // Byzantine plan + replay-cache update, one per broadcast
-                // (mirrors the event engine's `do_broadcast`: the cache
-                // records every broadcast of a replay-listed sender, and
-                // `replace` hands back the previous payload an active
-                // replay clause substitutes).
-                let plan = byz_script
-                    .as_ref()
-                    .and_then(|b| b.plan(now, p, &mut self.byz_rng));
-                let replayed = if byz_script
-                    .as_ref()
-                    .is_some_and(|b| b.records_replay_at(now, p))
-                {
-                    self.byz_replay[p].replace(m.clone())
-                } else {
-                    None
-                };
+                // One Byzantine plan per broadcast, as in the event
+                // engine's `do_broadcast`.
+                let byz = ByzBroadcast::open(
+                    self.config.byzantine.as_ref(),
+                    now,
+                    p,
+                    &m,
+                    &mut self.byz_rng,
+                    &mut self.byz_replay,
+                );
                 recipients.clear();
                 for dst in 0..n {
                     if dying && self.config.partial_broadcast_on_crash && self.rng.gen_bool(0.5) {
@@ -503,7 +484,7 @@ impl<P: SyncProcess> SyncEngine<P> {
                     }
                     recipients.push(dst);
                 }
-                if script.is_some() || plan.is_some() {
+                if script.is_some() || byz.is_some() {
                     // Adversary path: each copy's fate individually — the
                     // link script first (a deferred copy is held for the
                     // step the clause names; times in the scripts are
@@ -528,34 +509,21 @@ impl<P: SyncProcess> SyncEngine<P> {
                             }
                             continue;
                         };
-                        let payload = match (&byz_script, &plan) {
-                            (Some(b), Some(plan)) => match b.directive(plan, dst) {
-                                ByzDirective::Original => m.clone(),
-                                ByzDirective::Suppress => {
-                                    self.metrics.copies_suppressed += 1;
-                                    self.record_attack(now, "suppress", dst);
-                                    continue;
+                        let payload = match &byz {
+                            None => m.clone(),
+                            Some(byz) => {
+                                let ledger = ByzLedger {
+                                    now,
+                                    forged: &mut self.metrics.copies_forged,
+                                    suppressed: &mut self.metrics.copies_suppressed,
+                                    recorder: self.recorder.as_mut(),
+                                };
+                                match byz.rewrite(dst, &m, P::mutate_payload, ledger) {
+                                    ByzCopy::Honest => m.clone(),
+                                    ByzCopy::Forged(forged) => forged,
+                                    ByzCopy::Suppressed => continue,
                                 }
-                                ByzDirective::Equivocate(e) => {
-                                    self.metrics.copies_forged += 1;
-                                    self.record_attack(now, "equivocate", dst);
-                                    forge_sync::<P>(&m, e)
-                                }
-                                ByzDirective::Corrupt(e) => {
-                                    self.metrics.copies_forged += 1;
-                                    self.record_attack(now, "corrupt", dst);
-                                    forge_sync::<P>(&m, e)
-                                }
-                                ByzDirective::Replay => match &replayed {
-                                    Some(old) => {
-                                        self.metrics.copies_forged += 1;
-                                        self.record_attack(now, "replay", dst);
-                                        old.clone()
-                                    }
-                                    None => m.clone(),
-                                },
-                            },
-                            _ => m.clone(),
+                            }
                         };
                         if at <= now {
                             self.metrics.copies_delivered += 1;
@@ -620,21 +588,6 @@ impl<P: SyncProcess> SyncEngine<P> {
 
         self.metrics.steps += 1;
         self.step += 1;
-    }
-
-    /// Records a Byzantine attack firing against `victim` (no-op when no
-    /// recorder is attached).
-    fn record_attack(&mut self, now: Time, kind: &'static str, victim: usize) {
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.record(
-                now,
-                victim,
-                ObsKind::AttackFired {
-                    kind,
-                    victim: u32::try_from(victim).unwrap_or(u32::MAX),
-                },
-            );
-        }
     }
 }
 

@@ -1,16 +1,17 @@
-//! Differential property tests for the event engine's batched dispatch:
-//! across random seeds, network models, adversarial link-fault scripts
-//! and Byzantine payload-mutation scripts, `Engine` (tick-drained queue,
-//! same-`(time, dest)` delivery batches through `Process::on_messages`,
-//! fused per-broadcast RNG sampling) must be **byte-identical** to the
-//! naive per-event `ReferenceEngine` built from the same configuration
-//! and factory — same traces, same histories, same metrics, same
-//! decisions, same final clock. An empty or never-activating
-//! `ByzantineScript` must additionally be byte-identical to a run with
-//! **no** script installed at all, on both engines of the workspace.
-//! One fixed long run holds the engine's cached active-clause set to the
-//! same contract: fifty partition windows, then a snapshot taken inside
-//! one and resumed under a script that differs after it.
+//! Differential property tests for the event engine: across random
+//! seeds, network models, adversarial link-fault scripts and Byzantine
+//! payload-mutation scripts, `Engine` (tick-drained queue, one `step` per
+//! event, fused per-broadcast RNG sampling, shared payloads, elided
+//! copies to dead destinations) must be **byte-identical** to the naive
+//! per-event `ReferenceEngine` built from the same configuration and
+//! factory — same traces, same histories, same metrics, same decisions,
+//! same final clock, and the same stopping event under a stop condition.
+//! An empty or never-activating `ByzantineScript` must additionally be
+//! byte-identical to a run with **no** script installed at all, on both
+//! engines of the workspace. One fixed long run holds the engine's
+//! cached active-clause set to the same contract: fifty partition
+//! windows, then a snapshot taken inside one and resumed under a script
+//! that differs after it.
 
 use homonym::chaos::sweep::{byz_tolerant_node, fig8_node};
 use homonym::chaos::{FaultClause, PartitionMode, Scenario};
@@ -19,8 +20,8 @@ use homonym::sim::reference::ReferenceEngine;
 use homonym::sim::sync_engine::{SyncConfig, SyncEngine, SyncProcess, SyncSink};
 use proptest::prelude::*;
 
-/// Chatty process: broadcasts at start and echoes every value once,
-/// so same-`(time, dest)` runs with actions occur.
+/// Chatty process: broadcasts at start and echoes every value once, so
+/// one tick hands a process several deliveries it acts on.
 struct Echo {
     cap: u64,
 }
@@ -261,6 +262,53 @@ fn fifty_partition_windows_match_the_reference_and_resume_under_another_script()
     assert_eq!(observed!(other), expected);
 }
 
+/// Decides on the first message it is handed and keeps running.
+struct DecidesAndStays;
+
+impl Process for DecidesAndStays {
+    type Msg = u64;
+    type Output = u64;
+    fn on_start(&mut self, ctx: &mut ActionSink<'_, u64, u64>) {
+        ctx.broadcast(1);
+        ctx.broadcast(2);
+    }
+    fn on_message(&mut self, m: u64, ctx: &mut ActionSink<'_, u64, u64>) {
+        ctx.publish(m);
+        ctx.decide(m);
+    }
+    fn on_timer(&mut self, _t: TimerTag, _ctx: &mut ActionSink<'_, u64, u64>) {}
+}
+
+/// A stop condition is checked after every event, not after every run of
+/// same-`(time, dest)` deliveries: one process, two copies landing on it
+/// at tick 1 with consecutive sequence numbers, the first of which makes
+/// `all_correct_decided` true while the process stays alive. Both engines
+/// stop there — start plus one delivery, the second copy still queued.
+#[test]
+fn a_stop_condition_met_mid_tick_stops_both_engines_at_the_same_event() {
+    let cfg = SimConfig::new(
+        IdentityAssignment::unique(1),
+        FailureSchedule::none(1),
+        NetworkModel::Synchronous,
+    );
+    let deadline = Time::from_ticks(100);
+    let mut engine = Engine::new(cfg.clone(), |_, _| DecidesAndStays);
+    engine.enable_trace(100);
+    let stopped = engine.run_until_all_correct_decided(deadline);
+    let mut reference = ReferenceEngine::new(cfg, |_, _| DecidesAndStays);
+    reference.enable_trace(100);
+    let reference_stopped = reference.run_with(deadline, ReferenceEngine::all_correct_decided);
+    assert_eq!(stopped, StopReason::ConditionMet);
+    assert_eq!(stopped, reference_stopped);
+    assert_eq!(engine.metrics().events, 2);
+    assert_eq!(observed!(engine), observed!(reference));
+    // The copy left in the tick is still there for the next call.
+    assert_eq!(engine.run_until(deadline), StopReason::Quiescent);
+    assert_eq!(reference.run_until(deadline), StopReason::Quiescent);
+    assert_eq!(engine.metrics().events, 3);
+    assert_eq!(observed!(engine), observed!(reference));
+}
+
 /// An `Echo` system over `n` processes whose last one optionally crashes.
 fn echo_config(seed: u64, kind: u8, n: usize, crash: Option<u64>) -> SimConfig {
     let mut sched = FailureSchedule::none(n);
@@ -295,9 +343,8 @@ proptest! {
 
     /// Event engine, full Figure 6 + Figure 8 stack (the shape the chaos
     /// sweeps drive): `Engine` and the reference interpreter agree byte
-    /// for byte, with decisions included. Figure 8 processes halt as
-    /// they decide, so the all-correct-decided stop condition ends both
-    /// runs at the same event.
+    /// for byte, with decisions included, and the all-correct-decided
+    /// stop condition ends both runs at the same event.
     #[test]
     fn batched_equals_legacy_consensus_stack(
         seed in any::<u64>(),
@@ -329,12 +376,9 @@ proptest! {
     /// byte for byte, decisions included — the tolerant stack's
     /// certificate bookkeeping (admission ledgers, echo certificates,
     /// detect-and-discard) rides the same deterministic dispatch
-    /// contract as the crash stacks. The comparison runs to a **fixed
-    /// horizon**: tolerant processes never halt on decision (decide
-    /// echoes keep flowing), and the all-correct-decided stop condition
-    /// is checked per batch by the engine and per event by the
-    /// interpreter, so only a time-based goal pins the same final
-    /// instant on both.
+    /// contract as the crash stacks. The comparison runs to a fixed
+    /// horizon: tolerant processes never halt on decision (decide echoes
+    /// keep flowing), so the traffic after the decisions is compared too.
     #[test]
     fn batched_equals_legacy_tolerant_stack_under_attack(
         seed in any::<u64>(),

@@ -66,13 +66,12 @@ fn run_reference(seed: u64, network: NetworkModel) -> (Trace, Vec<Option<(Time, 
     )
 }
 
-/// The engine (tick-drained queue, same-`(time, dest)` delivery
-/// batches, fused per-broadcast RNG sampling) must dispatch the exact
-/// event sequence of the per-event reference interpreter: same trace,
-/// byte for byte, for fixed seeds across all network models — including
-/// the lossy pre-GST `HPS` flavor, whose per-copy loss draws exercise
-/// the batched sampler's stream contract. This is the guarantee that
-/// batching changes no figure output.
+/// The engine (tick-drained queue, fused per-broadcast RNG sampling)
+/// must dispatch the exact event sequence of the per-event reference
+/// interpreter: same trace, byte for byte, for fixed seeds across all
+/// network models — including the lossy pre-GST `HPS` flavor, whose
+/// per-copy loss draws exercise the fused sampler's stream contract.
+/// This is the guarantee that neither changes a figure output.
 #[test]
 fn batched_path_matches_legacy_dispatch_order() {
     let models: [NetworkModel; 4] = [
