@@ -105,7 +105,6 @@ pub type RsmFig8Node =
 pub fn rsm_node(assign: &IdentityAssignment, client: CommandQueue) -> RsmNode {
     let seed = ByzHeightSeed {
         assign: assign.clone(),
-        tick: 2,
     };
     let opts = RsmOptions::byzantine(assign);
     Stacked::new(

@@ -631,13 +631,13 @@ pub type ByzTolerantNode = Stacked<EvtHpProcess, ByzQuorumConsensus>;
 
 /// Builds one [`ByzTolerantNode`] — the exact stack the Byzantine sweep
 /// drives, exported so tests, benches and examples exercise the same
-/// shape (same consensus tick, same design tolerance `f = ⌊(n−1)/3⌋`
+/// shape (same design tolerance `f = ⌊(n−1)/3⌋`
 /// fixed from the topology) instead of hand-rolling a drifting copy.
 #[must_use]
 pub fn byz_tolerant_node(proposal: u64, assign: &IdentityAssignment) -> ByzTolerantNode {
     Stacked::new(
         EvtHpProcess::new(),
-        ByzQuorumConsensus::new(proposal, assign).with_tick(2),
+        ByzQuorumConsensus::new(proposal, assign),
     )
 }
 

@@ -87,6 +87,23 @@
 //! equivocating homonym therefore contributes at most its own carrier
 //! slot — it can lie, but it cannot *multiply*.
 //!
+//! ## Timed waits: a deadline, not a period
+//!
+//! Every guard of a round is a function of the admitted copies and of
+//! one clock reading — whether the current phase's `phase_grace` has run
+//! out — and is re-evaluated on every delivery. So the process never
+//! polls. Only two waits can end with no message arriving: an unlocked
+//! process's wait for the coordinator label (fewer `COORD`s than
+//! carriers), and a vote or commit window holding `wait` copies but no
+//! quorum. Where a guard is found blocked by nothing but that clock, the
+//! process arms one one-shot timer for the remainder of the grace — at
+//! most once per `(round, phase)` — and the timer's firing is one more
+//! evaluation, nothing else. A clean round arms exactly one (the
+//! coordinators' grace, which their `COORD`s then cut short); a wait
+//! short of `wait` copies arms none, since only a message can end it. A
+//! timer whose wait messages ended early still fires, finds its guard
+//! long passed and does nothing.
+//!
 //! ## Locking and lock release
 //!
 //! Observing a vote quorum for `v` locks `v`. A decision for `v` implies
@@ -143,8 +160,9 @@ use homonym_sim::ObsKind;
 use crate::conflict::WindowLedger;
 use crate::round_window::{RoundRing, ValueCounts, Window};
 
-/// The periodic guard-re-evaluation timer.
-const TICK: TimerTag = TimerTag(0);
+/// The guard deadline timer: armed once per timed wait (see "Timed
+/// waits" in the module docs), never periodically.
+const DEADLINE: TimerTag = TimerTag(0);
 
 /// Protocol messages of the Byzantine-tolerant quorum stack.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -372,12 +390,14 @@ pub struct ByzQuorumConsensus {
     decided: Option<u64>,
     /// Total copies shed by the detect-and-discard policy.
     discarded: u64,
-    tick: Span,
     /// Extra dwell time per phase after the `wait` threshold, so
     /// post-GST processes evaluate near-identical windows instead of
     /// racing ahead on the first `wait` arrivals; also how long an
     /// unlocked process waits for the coordinator label before voting.
     phase_grace: Span,
+    /// The `(round, phase)` whose grace deadline has a timer armed: a
+    /// timed wait arms one, however often its guard is re-evaluated.
+    armed: Option<(u64, Phase)>,
 }
 
 impl ByzQuorumConsensus {
@@ -410,24 +430,20 @@ impl ByzQuorumConsensus {
             decide_votes: ValueCounts::default(),
             decided: None,
             discarded: 0,
-            tick: Span::from_ticks(2),
             phase_grace: Span::from_ticks(10),
+            armed: None,
         }
-    }
-
-    /// Overrides the guard re-evaluation period.
-    #[must_use]
-    pub fn with_tick(mut self, ticks: u64) -> Self {
-        self.tick = Span::from_ticks(ticks);
-        self
     }
 
     /// Re-arms the process for another instance proposing `proposal`:
     /// from here on it behaves exactly as
     /// [`ByzQuorumConsensus::new`]`(proposal, assign)` with this one's
-    /// assignment and tick would, but keeps what does not depend on the
+    /// assignment would, but keeps what does not depend on the
     /// instance — the admission caps, the label rotation — and the round
-    /// windows' storage, recycled into the ring's spare pool.
+    /// windows' storage, recycled into the ring's spare pool. A deadline
+    /// timer of the finished instance may still be in flight; the host
+    /// must not deliver it to the new one (the log service tags timers
+    /// by height).
     pub fn restart(&mut self, proposal: u64) {
         self.est = proposal;
         self.lock = None;
@@ -439,6 +455,7 @@ impl ByzQuorumConsensus {
         self.decide_votes.clear();
         self.decided = None;
         self.discarded = 0;
+        self.armed = None;
     }
 
     /// The design tolerance `⌊(n−1)/3⌋`.
@@ -569,11 +586,22 @@ impl ByzQuorumConsensus {
         });
     }
 
-    /// Phase-threshold guard: a quorum ends the dwell immediately (it is
-    /// decisive evidence no grace can improve); otherwise the phase needs
-    /// `wait` admitted copies *and* the convergence grace to elapse.
-    fn threshold_met(&self, seen: usize, decisive: bool, now: Time) -> bool {
-        decisive || (seen >= self.wait() && now >= self.phase_entered + self.phase_grace)
+    /// Whether the current phase's grace is still running at `now` — and
+    /// if so, makes sure a timer fires when it ends. Called where a guard
+    /// is blocked by nothing but the clock: no message need arrive before
+    /// the deadline, so the timer is what re-evaluates the guard then.
+    /// One timer per `(round, phase)`, however often the guard is asked.
+    fn in_grace(&mut self, now: Time, ctx: &mut ActionSink<'_, ByzMsg, u64>) -> bool {
+        let deadline = self.phase_entered + self.phase_grace;
+        if now >= deadline {
+            return false;
+        }
+        let wait = (self.round, self.phase);
+        if self.armed != Some(wait) {
+            self.armed = Some(wait);
+            ctx.set_timer(deadline - now, DEADLINE);
+        }
+        true
     }
 
     /// Re-evaluates the current phase guard; returns whether the process
@@ -609,11 +637,11 @@ impl ByzQuorumConsensus {
                 // the coordinators — and only it waits for them.
                 if self.lock.is_none() {
                     let expected = self.caps.multiplicity(&self.coord_label(r));
-                    let w = self.rounds.get(r);
-                    let heard = w.map_or(0, |w| w.coord_ledger.admitted());
-                    if heard < expected && now < self.phase_entered + self.phase_grace {
+                    let heard = (self.rounds.get(r)).map_or(0, |w| w.coord_ledger.admitted());
+                    if heard < expected && self.in_grace(now, ctx) {
                         return false;
                     }
+                    let w = self.rounds.get(r);
                     if let Some(v) = w.and_then(|w| coordinator_pick(&w.coords)) {
                         self.est = v;
                     }
@@ -638,10 +666,11 @@ impl ByzQuorumConsensus {
                 let Some(w) = self.rounds.get(r) else {
                     return false;
                 };
+                // A quorum ends the dwell at once (decisive evidence no
+                // grace can improve); otherwise the phase needs `wait`
+                // admitted copies — short of them only a message can
+                // help — *and* the convergence grace to elapse.
                 let certified = self.quorum_value(&w.votes);
-                if !self.threshold_met(w.votes.total(), certified.is_some(), now) {
-                    return false;
-                }
                 if let Some(v) = certified {
                     let size = count_of(&w.votes, v);
                     let ledger = &w.vote_ledger;
@@ -651,6 +680,8 @@ impl ByzQuorumConsensus {
                         size,
                         labels: cert_labels(ledger),
                     });
+                } else if w.votes.total() < self.wait() || self.in_grace(now, ctx) {
+                    return false;
                 }
                 if self.decided.is_none() {
                     if let Some(v) = certified {
@@ -680,12 +711,8 @@ impl ByzQuorumConsensus {
                 let Some(w) = self.rounds.get(r) else {
                     return false;
                 };
-                let certified = self.quorum_value(&w.commits);
-                let seen = w.commits.total() + w.commit_bottoms;
-                if !self.threshold_met(seen, certified.is_some(), now) {
-                    return false;
-                }
-                if let Some(v) = certified {
+                // The vote phase's guard, on the commit window.
+                if let Some(v) = self.quorum_value(&w.commits) {
                     let size = count_of(&w.commits, v);
                     let ledger = &w.commit_ledger;
                     ctx.observe(|| ObsKind::CertificateFormed {
@@ -695,6 +722,10 @@ impl ByzQuorumConsensus {
                         labels: cert_labels(ledger),
                     });
                     self.deliver_decision(v, ctx);
+                } else if w.commits.total() + w.commit_bottoms < self.wait()
+                    || self.in_grace(now, ctx)
+                {
+                    return false;
                 }
                 if self.decided.is_none() {
                     self.adopt_for_next_round(r, ctx);
@@ -783,7 +814,6 @@ impl Process for ByzQuorumConsensus {
 
     fn on_start(&mut self, ctx: &mut ActionSink<'_, ByzMsg, u64>) {
         self.enter_round(ctx);
-        ctx.set_timer(self.tick, TICK);
         self.try_advance(ctx);
     }
 
@@ -851,10 +881,12 @@ impl Process for ByzQuorumConsensus {
         self.try_advance(ctx);
     }
 
+    /// A grace deadline passed — this phase's, or an earlier one's that
+    /// messages have since overtaken: either way the guards are asked
+    /// once more, and nothing is re-armed here.
     fn on_timer(&mut self, timer: TimerTag, ctx: &mut ActionSink<'_, ByzMsg, u64>) {
-        debug_assert_eq!(timer, TICK);
+        debug_assert_eq!(timer, DEADLINE);
         self.try_advance(ctx);
-        ctx.set_timer(self.tick, TICK);
     }
 }
 
@@ -964,8 +996,8 @@ homonym_core::persist_fields!(ByzQuorumConsensus {
     decide_votes,
     decided,
     discarded,
-    tick,
-    phase_grace
+    phase_grace,
+    armed
 });
 
 #[cfg(test)]
@@ -1179,7 +1211,147 @@ mod tests {
         );
     }
 
-    /// One step of a hand-driven engine: a message, or the guard timer
+    /// What `step` makes `c` emit as a carrier of `me` at tick `at`.
+    fn emitted(
+        c: &mut ByzQuorumConsensus,
+        me: Identity,
+        at: u64,
+        step: impl FnOnce(&mut ByzQuorumConsensus, &mut ActionSink<'_, ByzMsg, u64>),
+    ) -> Vec<Action<ByzMsg, u64>> {
+        let mut actions = Vec::new();
+        let mut rng = <StdRng as rand::SeedableRng>::seed_from_u64(1);
+        step(
+            c,
+            &mut ActionSink::new(me, Time::from_ticks(at), &mut rng, &mut actions),
+        );
+        actions
+    }
+
+    /// Delivers `msgs` at tick `at`; returns the delays of the deadline
+    /// timers armed meanwhile.
+    fn deadlines_armed(
+        c: &mut ByzQuorumConsensus,
+        me: Identity,
+        at: u64,
+        msgs: Vec<ByzMsg>,
+    ) -> Vec<u64> {
+        let actions = emitted(c, me, at, |c, sink| {
+            for m in msgs {
+                c.on_message(m, sink);
+            }
+        });
+        deadlines_in(&actions)
+    }
+
+    fn deadlines_in(actions: &[Action<ByzMsg, u64>]) -> Vec<u64> {
+        let delay = |a: &Action<ByzMsg, u64>| match *a {
+            Action::SetTimer(d, DEADLINE) => Some(d.ticks()),
+            _ => None,
+        };
+        actions.iter().filter_map(delay).collect()
+    }
+
+    /// `count` round-`round` votes for `est`, spread over the labels (at
+    /// most three of one, which every label of [`assign8`] but the last
+    /// carries).
+    fn votes(round: u64, est: u64, count: usize) -> Vec<ByzMsg> {
+        let vote = |i| ByzMsg::Vote {
+            id: Identity::new(i as u64 / 3),
+            round,
+            est,
+            locked: false,
+        };
+        (0..count).map(vote).collect()
+    }
+
+    /// As [`votes`], for commit candidates.
+    fn commits(round: u64, val: Option<u64>, count: usize) -> Vec<ByzMsg> {
+        let commit = |i| ByzMsg::Commit {
+            id: Identity::new(i as u64 / 3),
+            round,
+            val,
+        };
+        (0..count).map(commit).collect()
+    }
+
+    /// Round `round`'s three `COORD`s, all proposing `est`.
+    fn coords(round: u64, est: u64) -> Vec<ByzMsg> {
+        let coord = ByzMsg::Coord {
+            id: Identity::new(round % 3),
+            round,
+            est,
+            locked: false,
+        };
+        vec![coord; 3]
+    }
+
+    /// The only wait of a clean round that depends on the clock is the
+    /// unlocked process's wait for the coordinators: it arms the round's
+    /// one timer. Every wait a message ends — the `COORD`s arriving, a
+    /// vote quorum, a commit quorum — arms none, and neither does the
+    /// decided (hence locked) process entering the next round.
+    #[test]
+    fn a_clean_round_arms_one_deadline_timer() {
+        let mut c = ByzQuorumConsensus::new(7, &assign8());
+        let me = Identity::new(2);
+        let started = emitted(&mut c, me, 0, |c, sink| c.on_start(sink));
+        assert_eq!(deadlines_in(&started), [10], "the coordinators' grace");
+        assert_eq!(deadlines_armed(&mut c, me, 1, coords(0, 20)), []);
+        assert_eq!(c.phase, Phase::Vote);
+        let q = c.quorum();
+        assert_eq!(deadlines_armed(&mut c, me, 2, votes(0, 20, q)), []);
+        assert_eq!(c.phase, Phase::Commit);
+        assert_eq!(deadlines_armed(&mut c, me, 3, commits(0, Some(20), q)), []);
+        assert_eq!(c.decision(), Some(20));
+        assert_eq!((c.round, c.phase), (1, Phase::Vote), "locked: no wait");
+        // The timer of the wait the `COORD`s ended still fires: it finds
+        // nothing to do and arms nothing.
+        let fired = emitted(&mut c, me, 10, |c, sink| c.on_timer(DEADLINE, sink));
+        assert!(fired.is_empty(), "{fired:?}");
+    }
+
+    /// A vote or commit window holding `wait` copies and no quorum is
+    /// blocked by the clock alone: one timer for the rest of the grace,
+    /// however many more copies arrive, and the phase ends when it fires.
+    #[test]
+    fn a_wait_without_quorum_arms_one_timer_for_the_remainder() {
+        let mut c = ByzQuorumConsensus::new(7, &assign8());
+        let me = Identity::new(2);
+        emitted(&mut c, me, 0, |c, sink| c.on_start(sink));
+        deadlines_armed(&mut c, me, 1, coords(0, 20));
+        // Short of `wait` copies only a message can help: no timer.
+        let vote = |label, est| ByzMsg::Vote {
+            id: Identity::new(label),
+            round: 0,
+            est,
+            locked: false,
+        };
+        let mut split = votes(0, 20, 3);
+        split.extend([vote(1, 21), vote(1, 21)]);
+        assert_eq!(deadlines_armed(&mut c, me, 4, split), []);
+        // The sixth copy makes it `wait` without a quorum: the vote phase
+        // was entered at tick 1, so 7 of its 10 ticks of grace remain.
+        assert_eq!(deadlines_armed(&mut c, me, 4, vec![vote(1, 21)]), [7]);
+        assert_eq!(deadlines_armed(&mut c, me, 5, vec![vote(2, 21)]), []);
+        assert_eq!(c.phase, Phase::Vote);
+        let fired = emitted(&mut c, me, 11, |c, sink| c.on_timer(DEADLINE, sink));
+        let bottom = |a: &Action<ByzMsg, u64>| {
+            matches!(a, Action::Broadcast(ByzMsg::Commit { val: None, .. }))
+        };
+        assert!(fired.iter().any(bottom), "{fired:?}");
+        assert_eq!(c.phase, Phase::Commit);
+
+        // The same in the commit phase, entered at tick 11.
+        let w = c.wait();
+        assert_eq!(deadlines_armed(&mut c, me, 14, commits(0, None, w)), [7]);
+        let fired = emitted(&mut c, me, 21, |c, sink| c.on_timer(DEADLINE, sink));
+        // Round 1 opens with the unlocked wait for its coordinators.
+        assert_eq!((c.round, c.phase), (1, Phase::Coord));
+        assert_eq!(deadlines_in(&fired), [10]);
+        assert_eq!(c.armed, Some((1, Phase::Coord)));
+    }
+
+    /// One step of a hand-driven engine: a message, or a deadline timer
     /// after the clock moved on.
     #[derive(Debug, Clone)]
     enum Step {
@@ -1238,18 +1410,19 @@ mod tests {
                 ActionSink::new(Identity::new(0), at, &mut rng, &mut actions).with_observing(true);
             match step {
                 Step::Msg(m) => c.on_message(m.clone(), &mut sink),
-                Step::Tick(_) => c.on_timer(TICK, &mut sink),
+                Step::Tick(_) => c.on_timer(DEADLINE, &mut sink),
             }
         }
         actions.iter().map(|a| format!("{a:?}")).collect()
     }
 
     proptest::proptest! {
-        /// `restart(p)` is `new(p, assign).with_tick(t)`: after any past —
-        /// here always one with a certified decision, shed copies and
-        /// windows of rounds ahead, then random traffic on top — the
-        /// restarted engine encodes to the same bytes as a fresh one and
-        /// answers any future with the same actions.
+        /// `restart(p)` is `new(p, assign)`: after any past — here always
+        /// one with a deadline timer armed, a certified decision, shed
+        /// copies and windows of rounds ahead, then random traffic on
+        /// top — the restarted engine encodes to the same bytes as a
+        /// fresh one (so the deadline marker is cleared too) and answers
+        /// any future with the same actions.
         #[test]
         fn a_restarted_engine_is_a_fresh_one(
             past in steps(),
@@ -1257,7 +1430,7 @@ mod tests {
             proposal in 0u64..4,
         ) {
             let assign = assign8();
-            let mut used = ByzQuorumConsensus::new(7, &assign).with_tick(3);
+            let mut used = ByzQuorumConsensus::new(7, &assign);
             let mut now = 0;
             drive(&mut used, Identity::new(0), vec![]);
             let decide = |label| Step::Msg(ByzMsg::Decide { id: Identity::new(label), value: 2 });
@@ -1267,9 +1440,10 @@ mod tests {
             proptest::prop_assert_eq!(used.decision(), Some(2));
             proptest::prop_assert!(used.discarded() > 0);
             proptest::prop_assert!(used.rounds.resident() > 0);
+            proptest::prop_assert!(used.armed.is_some());
 
             used.restart(proposal);
-            let mut fresh = ByzQuorumConsensus::new(proposal, &assign).with_tick(3);
+            let mut fresh = ByzQuorumConsensus::new(proposal, &assign);
             proptest::prop_assert_eq!(used.discarded(), 0);
             proptest::prop_assert_eq!(used.decision(), None);
             proptest::prop_assert_eq!(

@@ -179,15 +179,13 @@ pub trait HeightEngine: Process<Output = u64> + Sized {
 pub struct ByzHeightSeed {
     /// The system's identity assignment (`n > 3f` required).
     pub assign: IdentityAssignment,
-    /// Guard re-evaluation period in ticks.
-    pub tick: u64,
 }
 
 impl HeightEngine for ByzQuorumConsensus {
     type Seed = ByzHeightSeed;
 
     fn spawn(seed: &Self::Seed, proposal: u64) -> Self {
-        ByzQuorumConsensus::new(proposal, &seed.assign).with_tick(seed.tick)
+        ByzQuorumConsensus::new(proposal, &seed.assign)
     }
 
     fn respawn(&mut self, _seed: &Self::Seed, proposal: u64) {
@@ -905,7 +903,6 @@ mod tests {
         ReplicatedLog::new(
             ByzHeightSeed {
                 assign: assign.clone(),
-                tick: 2,
             },
             client,
             assign,
@@ -1041,7 +1038,6 @@ mod tests {
             let mut engine = Engine::new(cfg, |p, _| {
                 let seed = ByzHeightSeed {
                     assign: assign.clone(),
-                    tick: 2,
                 };
                 let opts = RsmOptions::byzantine(&assign);
                 ReplicatedLog::<C>::new(seed, queues[p].clone(), &assign, opts)

@@ -324,7 +324,11 @@ impl SpillHandle {
 
 /// Schema tag for spilled snapshot payloads (independent of the sweep
 /// segment schema: a spool file is never read by a different binary).
-pub const SPOOL_SCHEMA: u32 = 1;
+/// Bump whenever a process the sweeps spill changes its persisted
+/// layout; no reader for an older schema is kept. 2: the tolerant
+/// consensus engine lost its polling period and gained its
+/// deadline-timer marker.
+pub const SPOOL_SCHEMA: u32 = 2;
 
 impl SnapshotSpool {
     /// A spool rooted at `dir` (created if absent) keeping at most

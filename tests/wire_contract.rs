@@ -3,9 +3,10 @@
 //!
 //! * **fixed point** — what a snapshot's bytes decode to encodes to the
 //!   same bytes, for the n = 32 `◇HP` detector the `durable_cycle`
-//!   workload checkpoints and for the Figure 8 stack, whose
+//!   workload checkpoints, for the Figure 8 stack, whose
 //!   `SharedCell` mirrors and `Arc` payloads number themselves in one
-//!   index space;
+//!   index space, and for the tolerant stack with a grace-deadline
+//!   timer armed;
 //! * **sharing survives** — history entries that shared one `◇HP` bag
 //!   before a round trip share one after it;
 //! * **a snapshot costs what the state costs** — a byte budget per
@@ -19,7 +20,7 @@
 
 use std::sync::Arc;
 
-use homonym::chaos::{fig8_node, hps_base, Fig8Node};
+use homonym::chaos::{byz_tolerant_node, fig8_node, hps_base, ByzTolerantNode, Fig8Node};
 use homonym::core::failure::FailureSchedule;
 use homonym::core::identity::IdentityAssignment;
 use homonym::core::properties::History;
@@ -94,6 +95,33 @@ fn a_detector_snapshot_is_a_fixed_point_of_the_round_trip() {
 fn a_figure_8_stack_snapshot_is_a_fixed_point_of_the_round_trip() {
     for ticks in [3, 10, 400] {
         assert_fixed_point(&fig8_at(ticks), &format!("Figure 8 at {ticks}"));
+    }
+}
+
+/// The tolerant stack's engine keeps one marker per armed deadline
+/// timer. Cuts: at tick 1 every process has just armed its wait for the
+/// round-0 coordinators (`on_start` does, and no `COORD` can have
+/// arrived), at 12 that deadline has passed with later phases' waits
+/// open, at 400 the decision is long made. A snapshot that dropped the
+/// marker would re-arm on resume and fire a timer the flat run does not.
+#[test]
+fn a_tolerant_stack_snapshot_with_a_deadline_timer_armed_is_a_fixed_point() {
+    let n = 4;
+    let assign = IdentityAssignment::round_robin(n, 2);
+    let config = SimConfig::new(assign.clone(), FailureSchedule::none(n), hps_base()).with_seed(11);
+    let node = |p: usize| byz_tolerant_node(100 + p as u64, &assign);
+    let mut flat: Engine<ByzTolerantNode> = Engine::new(config.clone(), |p, _| node(p));
+    flat.run_until(Time::from_ticks(400));
+    for ticks in [1, 12, 400] {
+        let mut e: Engine<ByzTolerantNode> = Engine::new(config.clone(), |p, _| node(p));
+        e.run_until(Time::from_ticks(ticks));
+        assert_fixed_point(&e, &format!("tolerant stack at {ticks}"));
+        let decoded: EngineSnapshot<ByzTolerantNode> =
+            wire::from_bytes(&wire::to_bytes(&e.snapshot())).expect("decodes");
+        let mut resumed = Engine::resume_in(config.clone(), &decoded, EngineArena::new());
+        resumed.run_until(Time::from_ticks(400));
+        assert_eq!(resumed.metrics(), flat.metrics(), "resumed from {ticks}");
+        assert_eq!(resumed.decisions(), flat.decisions());
     }
 }
 
