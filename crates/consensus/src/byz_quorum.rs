@@ -637,7 +637,7 @@ impl ByzQuorumConsensus {
                 // the coordinators — and only it waits for them.
                 if self.lock.is_none() {
                     let expected = self.caps.multiplicity(&self.coord_label(r));
-                    let heard = (self.rounds.get(r)).map_or(0, |w| w.coord_ledger.admitted());
+                    let heard = self.rounds.get(r).map_or(0, |w| w.coord_ledger.admitted());
                     if heard < expected && self.in_grace(now, ctx) {
                         return false;
                     }
@@ -1119,6 +1119,22 @@ mod tests {
         );
     }
 
+    /// What `step` makes `c` emit as a carrier of `me` at tick `at`.
+    fn emitted(
+        c: &mut ByzQuorumConsensus,
+        me: Identity,
+        at: u64,
+        step: impl FnOnce(&mut ByzQuorumConsensus, &mut ActionSink<'_, ByzMsg, u64>),
+    ) -> Vec<Action<ByzMsg, u64>> {
+        let mut actions = Vec::new();
+        let mut rng = <StdRng as rand::SeedableRng>::seed_from_u64(1);
+        step(
+            c,
+            &mut ActionSink::new(me, Time::from_ticks(at), &mut rng, &mut actions),
+        );
+        actions
+    }
+
     /// Drives `c` by hand as a carrier of `me`: `on_start` at tick 0 when
     /// `msgs` is empty, else each message at tick 1. Returns the actions
     /// emitted.
@@ -1127,16 +1143,14 @@ mod tests {
         me: Identity,
         msgs: Vec<ByzMsg>,
     ) -> Vec<Action<ByzMsg, u64>> {
-        let mut actions = Vec::new();
-        let mut rng = <StdRng as rand::SeedableRng>::seed_from_u64(1);
         if msgs.is_empty() {
-            c.on_start(&mut ActionSink::new(me, Time::ZERO, &mut rng, &mut actions));
+            return emitted(c, me, 0, |c, sink| c.on_start(sink));
         }
-        for m in msgs {
-            let mut sink = ActionSink::new(me, Time::from_ticks(1), &mut rng, &mut actions);
-            c.on_message(m, &mut sink);
-        }
-        actions
+        emitted(c, me, 1, |c, sink| {
+            for m in msgs {
+                c.on_message(m, sink);
+            }
+        })
     }
 
     #[test]
@@ -1209,22 +1223,6 @@ mod tests {
             )),
             "{actions:?}"
         );
-    }
-
-    /// What `step` makes `c` emit as a carrier of `me` at tick `at`.
-    fn emitted(
-        c: &mut ByzQuorumConsensus,
-        me: Identity,
-        at: u64,
-        step: impl FnOnce(&mut ByzQuorumConsensus, &mut ActionSink<'_, ByzMsg, u64>),
-    ) -> Vec<Action<ByzMsg, u64>> {
-        let mut actions = Vec::new();
-        let mut rng = <StdRng as rand::SeedableRng>::seed_from_u64(1);
-        step(
-            c,
-            &mut ActionSink::new(me, Time::from_ticks(at), &mut rng, &mut actions),
-        );
-        actions
     }
 
     /// Delivers `msgs` at tick `at`; returns the delays of the deadline

@@ -19,10 +19,11 @@
 //!   none, one another replica announced (see "Who gets proposed"), and
 //! * catches lagging homonyms up: height-tagged messages *from the
 //!   future* are buffered until the local log reaches them, messages
-//!   *from the past* are answered with the committed entry, and
-//!   committed entries carry enough certification (`f + 1` matching
-//!   copies under per-label admission caps) that even a Byzantine
-//!   minority cannot forge a catch-up.
+//!   *from the past* — and the status of a replica that has stopped
+//!   moving — are answered with the committed entry, and committed
+//!   entries carry enough certification (`f + 1` matching copies under
+//!   per-label admission caps) that even a Byzantine minority cannot
+//!   forge a catch-up.
 //!
 //! The detector layer is **not** restarted per height. The intended
 //! composition is `Stacked<Detector, ReplicatedLog<C>>` (see
@@ -51,22 +52,72 @@
 //! least one correct witness. In the crash model a quorum of 1 is sound
 //! (correct processes only report decided values).
 //!
+//! # Pull what you missed
+//!
+//! The third case above only fires on the laggard's own traffic, and a
+//! laggard whose engine sits in a phase sends none — the engines never
+//! retransmit, because a second copy is indistinguishable from a
+//! namesake's. Nor can it learn from others' commits in passing, since a
+//! commit is only broadcast when it carries news (next section). So a
+//! replica that may be behind **asks**, with the one truthful thing it
+//! can say: its last commit.
+//!
+//! * **Status.** One log-level timer chain runs per replica, with period
+//!   [`RsmOptions::answer_interval`]. A firing that finds the replica at
+//!   the height the previous one found it at — so it has sat there for
+//!   at least one period — repeats `Commit { h − 1, log[h − 1], next }`
+//!   and doubles the gap to the next firing, up to
+//!   `answer_interval × max_commit_ahead`; a firing that finds it moved
+//!   sends nothing and returns to the base period. A healthy service
+//!   whose heights take less than a period never sends one; a whole
+//!   system stalled behind a partition backs off instead of flooding the
+//!   partition's queue.
+//! * **Answer.** A replica at height `h` that receives
+//!   `Commit { h', … }` with `h' + 1 < h` (checked: a forged height near
+//!   `u64::MAX` has no successor) treats it as it treats a height-`h' + 1`
+//!   engine message from the past: `answer_past(h' + 1)`, under the same
+//!   throttle. `f + 1` such answers certify the entry for the asker.
+//! * **Chain.** A replica that adopts an entry from a certificate
+//!   broadcasts its `Commit` whether or not it has news — it is behind
+//!   and has just moved, so its peers answer with the next entry at once,
+//!   one round trip per entry, without waiting for the timer.
+//!
+//! A status is a truthful commit like any other copy: it adds to the
+//! tally of whoever is still at `h − 1` (which is also what rescues a
+//! replica stalled at height 0, which has nothing to repeat: its peers,
+//! stalled at height 1 without it or simply slow before GST, repeat
+//! `Commit { 0, … }`, `f + 1` of which certify height 0). Entries are
+//! still adopted only on `commit_quorum` matching copies under the label
+//! caps, so a Byzantine sender of stale statuses buys at most one answer
+//! per height per `answer_interval` from each correct replica, and
+//! nothing else. The price of asking lazily: after a long stall the
+//! chain's next firing is up to `answer_interval × max_commit_ahead`
+//! away, and a replica stranded again before it waits that long before
+//! its first status.
+//!
 //! # A decided height stops talking
 //!
 //! `Commit { h, v }` *is* the decision certificate of height `h`: `f + 1`
 //! matching copies under the label caps, exactly what the Byzantine
 //! engine's own `DECIDE` echo ledger demands. So the moment the height's
-//! engine decides, the log broadcasts its `Commit` and drops whatever
-//! else the engine emitted in that callback after the decision — the
-//! echo, the next round's opening messages, timer re-arms, observations
-//! of a round nobody will run. The cut is by position in the action
-//! stream; the log never looks inside an engine message.
+//! engine decides, the log drops whatever else the engine emitted in
+//! that callback after the decision — the echo, the next round's opening
+//! messages, timers, observations of a round nobody will run. The cut is
+//! by position in the action stream; the log never looks inside an
+//! engine message.
 //!
-//! That commit broadcast also counts as the first *answer* about `h`:
-//! the tail of height-`h` copies still in flight when a replica commits
-//! would otherwise each look like a laggard asking, and earn a second
-//! n-copy `Commit`. A replica that is genuinely stuck keeps sending,
-//! outlasts [`RsmOptions::answer_interval`], and is answered as before.
+//! The `Commit` itself is broadcast **only when it carries news**: a
+//! `next` not announced before (see "Who gets proposed"), or an entry
+//! adopted from a certificate (see above). Every replica decides a clean
+//! height by its own quorum, so a `Commit` that says "same `next` as
+//! last height" tells nobody anything — seven of the eight a height used
+//! to broadcast at n = 8 — and whoever did miss the height asks.
+//!
+//! Broadcast or not, the commit instant opens the height's *answer*
+//! throttle: the tail of height-`h` copies still in flight when a
+//! replica commits would otherwise each look like a laggard asking, and
+//! earn an n-copy `Commit`. A replica that is genuinely stuck asks past
+//! [`RsmOptions::answer_interval`] and is answered.
 //! The throttle keeps one instant per height for the last
 //! [`RsmOptions::max_commit_ahead`] heights and a single shared instant
 //! for everything older, so it is bounded and a replica far behind is
@@ -77,10 +128,12 @@
 //! The default engine decides the smallest estimate the round's
 //! coordinator label brings in, so a command is served only once a
 //! coordinator carrier proposes it. The log carries it there on traffic
-//! that exists anyway: every `Commit` has a field `next`, the sender's own
-//! client's head command if it is due, else [`NOOP`]. Every replica keeps
-//! one slot per proposer index, filled from every `Commit` it receives,
-//! and proposes at each new height
+//! that exists anyway: every `Commit` that is sent has a field `next`, the
+//! sender's own client's head command if it is due, else [`NOOP`] — and a
+//! `Commit` is sent whenever `next` is new, so a due command is announced
+//! by the first commit after it becomes due and not again. Every replica
+//! keeps one slot per proposer index, filled from every `Commit` it
+//! receives, and proposes at each new height
 //!
 //! 1. its own client's command if one is due — so in a closed loop, where
 //!    the coordinator's client always has one, nothing changes, and
@@ -140,6 +193,10 @@ const TAG_STRIDE: u64 = 16;
 /// The log's own timer: fires at the arrival instant of the client's
 /// head command (see "Who gets proposed" in the module docs).
 const ARRIVAL_TAG: TimerTag = TimerTag(0);
+
+/// The log's other timer: the status chain of "Pull what you missed" in
+/// the module docs. Exactly one is outstanding at any time.
+const STATUS_TAG: TimerTag = TimerTag(1);
 
 /// A consensus engine that [`ReplicatedLog`] can instantiate once per
 /// height.
@@ -304,8 +361,9 @@ pub enum RsmMsg<M> {
         /// The wrapped engine message.
         msg: M,
     },
-    /// "Height `height` committed `value`" — broadcast once on every
-    /// local commit and replayed (rate-limited) to laggards.
+    /// "Height `height` committed `value`" — broadcast on a local commit
+    /// that carries news, repeated as a status by a replica that has
+    /// stopped moving, and replayed (rate-limited) to laggards.
     Commit {
         /// The committed height.
         height: u64,
@@ -412,8 +470,8 @@ pub struct ReplicatedLog<C: HeightEngine> {
     /// `Commit` tallies for heights ≥ the local height.
     tallies: BTreeMap<u64, CommitTally>,
     /// When each of the last `max_commit_ahead` heights was last
-    /// answered (its own commit broadcast counts), oldest first; the
-    /// back is height `height − 1`.
+    /// answered (its own commit counts, broadcast or not), oldest
+    /// first; the back is height `height − 1`.
     recent_answers: VecDeque<Time>,
     /// When any height older than those was last answered.
     stale_answer: Time,
@@ -424,6 +482,12 @@ pub struct ReplicatedLog<C: HeightEngine> {
     done_seq: Vec<u32>,
     /// The last own command sent out as a `Commit`'s `next`.
     announced: u64,
+    /// The height the last status timer found the replica at.
+    status_height: u64,
+    /// The delay of the outstanding status timer:
+    /// [`RsmOptions::answer_interval`] while heights commit, doubling
+    /// with every status sent from one height.
+    status_gap: Span,
     /// Reused buffer for the actions of one engine callback.
     scratch: Vec<Action<C::Msg, u64>>,
 }
@@ -460,6 +524,7 @@ impl<C: HeightEngine> ReplicatedLog<C> {
             *label_caps.entry(assign.id_of(p)).or_insert(0) += 1;
         }
         let inner = C::spawn(&seed, client.proposal(Time::ZERO));
+        let status_gap = opts.answer_interval;
         ReplicatedLog {
             seed,
             client,
@@ -477,6 +542,8 @@ impl<C: HeightEngine> ReplicatedLog<C> {
             wanted: vec![NOOP; assign.n()],
             done_seq: vec![0; assign.n()],
             announced: NOOP,
+            status_height: 0,
+            status_gap,
             scratch: Vec::new(),
         }
     }
@@ -563,15 +630,17 @@ impl<C: HeightEngine> ReplicatedLog<C> {
             // Guard against a stale decide surfacing after a catch-up
             // commit already advanced the height mid-callback.
             if self.height == h {
-                self.commit(v, ctx);
+                self.commit(v, false, ctx);
             }
         }
     }
 
-    /// Appends `value` at the current height, announces the commit, and
-    /// boots the next height's engine (draining any buffered traffic for
-    /// it).
-    fn commit(&mut self, value: u64, ctx: &mut Sink<'_, C>) {
+    /// Appends `value` at the current height, announces the commit if it
+    /// carries news — a due command of the own client not yet announced,
+    /// or that this replica `adopted` the entry from a certificate and is
+    /// therefore behind — and boots the next height's engine (draining
+    /// any buffered traffic for it).
+    fn commit(&mut self, value: u64, adopted: bool, ctx: &mut Sink<'_, C>) {
         let height = self.height;
         self.log.push(value);
         self.state_hash = mix(self.state_hash, height, value);
@@ -588,7 +657,9 @@ impl<C: HeightEngine> ReplicatedLog<C> {
             round: height + 1,
             phase: "HEIGHT",
         });
-        self.broadcast_commit(height, value, ctx);
+        if adopted || self.has_news(ctx.local_now()) {
+            self.broadcast_commit(height, value, ctx);
+        }
         if self.client.completed() != completed {
             // A new head was drawn; if it is due already it just rode out
             // as `next`.
@@ -597,8 +668,8 @@ impl<C: HeightEngine> ReplicatedLog<C> {
 
         self.height += 1;
         self.tallies = self.tallies.split_off(&self.height);
-        // The broadcast above is the first answer about `height`: the
-        // tail of its copies still in flight asks nothing new.
+        // Said or not, the commit opens `height`'s answer throttle: the
+        // tail of its copies still in flight asks nothing.
         self.recent_answers.push_back(ctx.local_now());
         if self.recent_answers.len() as u64 > self.opts.max_commit_ahead {
             self.recent_answers.pop_front();
@@ -634,7 +705,7 @@ impl<C: HeightEngine> ReplicatedLog<C> {
             else {
                 return;
             };
-            self.commit(value, ctx);
+            self.commit(value, true, ctx);
         }
     }
 
@@ -643,7 +714,7 @@ impl<C: HeightEngine> ReplicatedLog<C> {
         if height < self.height {
             return; // old news
         }
-        if height >= self.height + self.opts.max_commit_ahead {
+        if height - self.height >= self.opts.max_commit_ahead {
             ctx.note_discard();
             return;
         }
@@ -670,10 +741,12 @@ impl<C: HeightEngine> ReplicatedLog<C> {
 
     /// Answers a laggard's height-`height` traffic with the committed
     /// entry, at most once per [`RsmOptions::answer_interval`] — counted
-    /// from the commit broadcast for the last
+    /// from the commit instant for the last
     /// [`RsmOptions::max_commit_ahead`] heights, and through one slot
-    /// shared by everything older.
+    /// shared by everything older. `height` must be below the local one
+    /// (both callers compare first).
     fn answer_past(&mut self, height: u64, ctx: &mut Sink<'_, C>) {
+        debug_assert!(height < self.height, "only a committed height is past");
         let now = ctx.local_now();
         let oldest_recent = self.height - self.recent_answers.len() as u64;
         let last = match height.checked_sub(oldest_recent) {
@@ -716,18 +789,54 @@ impl<C: HeightEngine> ReplicatedLog<C> {
         }
     }
 
+    /// Whether the own client's head command is due and no `Commit` has
+    /// carried it yet.
+    fn has_news(&self, now: Time) -> bool {
+        let next = self.client.proposal(now);
+        next != NOOP && next != self.announced
+    }
+
+    /// Repeats the last commit, `Commit { h − 1, log[h − 1] }`, with the
+    /// current `next`: a truthful certificate copy whatever it is sent
+    /// for. Before the first commit there is nothing to repeat; returns
+    /// whether there was.
+    fn repeat_last_commit(&mut self, ctx: &mut Sink<'_, C>) -> bool {
+        let Some(&value) = self.log.last() else {
+            return false;
+        };
+        self.broadcast_commit(self.height - 1, value, ctx);
+        true
+    }
+
     /// The head command just became due: unless a `Commit` of this very
-    /// tick already carried it, repeat the last commit to announce it.
-    /// Before the first commit there is nothing to repeat, and the first
-    /// commit will carry it.
+    /// tick already carried it, repeat the last commit to announce it
+    /// (the first commit will carry it if there is none yet).
     fn announce_arrival(&mut self, ctx: &mut Sink<'_, C>) {
-        let next = self.client.proposal(ctx.local_now());
-        if next == NOOP || next == self.announced {
-            return;
+        if self.has_news(ctx.local_now()) {
+            let _ = self.repeat_last_commit(ctx);
         }
-        if let Some(&value) = self.log.last() {
-            self.broadcast_commit(self.height - 1, value, ctx);
+    }
+
+    /// The status timer fired. If the replica left its height since the
+    /// last firing, all is well and the chain returns to its base period.
+    /// If not, it has sat there for at least
+    /// [`RsmOptions::answer_interval`]: it repeats its last commit as a
+    /// status — whoever is ahead answers with the entry it is missing,
+    /// and whoever is a height behind gets a certificate copy — and backs
+    /// off, doubling the gap up to `answer_interval × max_commit_ahead`.
+    /// At height 0 there is nothing to repeat and so nothing to back off
+    /// from: the chain keeps its base period, so that the first commit
+    /// finds it ready.
+    fn status_tick(&mut self, ctx: &mut Sink<'_, C>) {
+        let base = self.opts.answer_interval;
+        if self.height != self.status_height {
+            self.status_height = self.height;
+            self.status_gap = base;
+        } else if self.repeat_last_commit(ctx) {
+            let cap = base.saturating_mul(self.opts.max_commit_ahead);
+            self.status_gap = self.status_gap.saturating_mul(2).min(cap);
         }
+        ctx.set_timer(self.status_gap, STATUS_TAG);
     }
 
     /// What to propose at a new height: the own client's due command,
@@ -814,6 +923,7 @@ impl<C: HeightEngine> Process for ReplicatedLog<C> {
 
     fn on_start(&mut self, ctx: &mut ActionSink<'_, Self::Msg, Self::Output>) {
         self.arm_arrival(ctx);
+        ctx.set_timer(self.status_gap, STATUS_TAG);
         self.relay_inner(ctx, |c, sub| c.on_start(sub));
         self.drain_certified(ctx);
     }
@@ -836,7 +946,15 @@ impl<C: HeightEngine> Process for ReplicatedLog<C> {
                 next,
             } => {
                 self.note_wanted(next);
-                self.tally_commit(height, value, id, ctx);
+                // A sender whose last commit is two or more heights back
+                // is missing the entry after it: to this replica that is
+                // what a past-height engine message says, and it gets the
+                // same throttled answer. (A forged height near `u64::MAX`
+                // has no successor and falls to the tally's range check.)
+                match height.checked_add(1) {
+                    Some(missing) if missing < self.height => self.answer_past(missing, ctx),
+                    _ => self.tally_commit(height, value, id, ctx),
+                }
             }
         }
         self.drain_certified(ctx);
@@ -845,8 +963,10 @@ impl<C: HeightEngine> Process for ReplicatedLog<C> {
     fn on_timer(&mut self, timer: TimerTag, ctx: &mut ActionSink<'_, Self::Msg, Self::Output>) {
         if timer.0 < TAG_STRIDE {
             // Reserved for the log itself.
-            if timer == ARRIVAL_TAG {
-                self.announce_arrival(ctx);
+            match timer {
+                ARRIVAL_TAG => self.announce_arrival(ctx),
+                STATUS_TAG => self.status_tick(ctx),
+                _ => {}
             }
             return;
         }
@@ -884,6 +1004,8 @@ where
             wanted: self.wanted.clone(),
             done_seq: self.done_seq.clone(),
             announced: self.announced,
+            status_height: self.status_height,
+            status_gap: self.status_gap,
             scratch: Vec::new(),
         }
     }
@@ -1122,10 +1244,10 @@ mod tests {
         actions.iter().filter_map(commit).collect()
     }
 
-    /// The delays of the log's own arrival timers armed in `actions`.
-    fn arrival_timers_in(actions: &[ByzAction]) -> Vec<u64> {
+    /// The delays of the log's own `tag` timers armed in `actions`.
+    fn timers_in(actions: &[ByzAction], tag: TimerTag) -> Vec<u64> {
         let delay = |a: &ByzAction| match *a {
-            Action::SetTimer(d, ARRIVAL_TAG) => Some(d.ticks()),
+            Action::SetTimer(d, t) if t == tag => Some(d.ticks()),
             _ => None,
         };
         actions.iter().filter_map(delay).collect()
@@ -1166,19 +1288,27 @@ mod tests {
         }
     }
 
-    /// A due command leaves on the commit broadcast as `next`, and a
-    /// replica with nothing of its own proposes it from the next height
-    /// on — until it commits.
+    /// A commit is broadcast when it carries news: a due command leaves
+    /// on it as `next`, once, and a commit with nothing new to say —
+    /// no command due, or the due one announced already — sends nothing,
+    /// unless the entry was adopted from a certificate. A replica with
+    /// nothing of its own proposes an announced command from the next
+    /// height on — until it commits.
     #[test]
     fn a_due_command_rides_on_the_commit_and_an_idle_replica_proposes_it() {
         let assign = IdentityAssignment::round_robin(4, 2);
         let client = open_queues(4, 4).remove(1);
         let (head, due) = head_of(&client);
         let mut sender = byz_rsm_node(&assign, client);
-        let early = actions_of(&mut sender, 0, |n, s| n.commit(NOOP, s));
-        assert_eq!(commits_in(&early), [(0, NOOP, NOOP)], "not due yet");
-        let late = actions_of(&mut sender, due, |n, s| n.commit(NOOP, s));
+        let early = actions_of(&mut sender, 0, |n, s| n.commit(NOOP, false, s));
+        assert_eq!(commits_in(&early), [], "not due yet: no news");
+        let late = actions_of(&mut sender, due, |n, s| n.commit(NOOP, false, s));
         assert_eq!(commits_in(&late), [(1, NOOP, head)]);
+        let again = actions_of(&mut sender, due, |n, s| n.commit(NOOP, false, s));
+        assert_eq!(commits_in(&again), [], "announced already: no news");
+        // A replica moving up on a certificate says so, news or not.
+        let adopted = actions_of(&mut sender, due, |n, s| n.commit(NOOP, true, s));
+        assert_eq!(commits_in(&adopted), [(3, NOOP, head)]);
 
         let mut idle = byz_rsm_node(&assign, open_queues(4, 0).remove(0));
         assert_eq!(idle.proposal(Time::from_ticks(due)), NOOP);
@@ -1186,11 +1316,11 @@ mod tests {
         actions_of(&mut idle, due, |n, s| n.on_message(carrying.clone(), s));
         assert_eq!(idle.proposal(Time::from_ticks(due)), head);
         // Another command's height does not make it forget.
-        actions_of(&mut idle, due, |n, s| n.commit(NOOP, s));
+        actions_of(&mut idle, due, |n, s| n.commit(NOOP, false, s));
         assert_eq!(idle.proposal(Time::from_ticks(due)), head);
         // Its own commit does, and the same announcement arriving again
         // (say out of a healed partition's queue) is not believed.
-        actions_of(&mut idle, due, |n, s| n.commit(head, s));
+        actions_of(&mut idle, due, |n, s| n.commit(head, false, s));
         assert_eq!(idle.proposal(Time::from_ticks(due)), NOOP);
         actions_of(&mut idle, due, |n, s| n.on_message(carrying, s));
         assert_eq!(idle.proposal(Time::from_ticks(due)), NOOP);
@@ -1210,7 +1340,7 @@ mod tests {
         let (second_of_1, _) = head_of(&rest_of_1);
         let (first_of_2, _) = head_of(&queues[2]);
         let mut node = byz_rsm_node(&assign, queues[0].clone());
-        actions_of(&mut node, 0, |n, s| n.commit(first_of_1, s));
+        actions_of(&mut node, 0, |n, s| n.commit(first_of_1, false, s));
         for next in [second_of_1, first_of_2] {
             actions_of(&mut node, 0, |n, s| {
                 n.on_message(commit_carrying(&assign, next), s);
@@ -1236,14 +1366,17 @@ mod tests {
             assert_eq!(node.proposal(Time::ZERO), NOOP);
         }
         // A commit from outside the system touches no table either.
-        actions_of(&mut node, 0, |n, s| n.commit(head_of(&queues[6]).0, s));
+        actions_of(&mut node, 0, |n, s| {
+            n.commit(head_of(&queues[6]).0, false, s)
+        });
         assert_eq!(node.proposal(Time::ZERO), NOOP);
     }
 
     /// One arrival timer per drawn head, none per commit while the head
     /// is still in the future; when it fires the last commit is repeated
     /// with the new `next` — unless a commit of that tick carried it, or
-    /// there is no commit yet to repeat.
+    /// there is no commit yet to repeat. The commits around it have no
+    /// news of their own and send nothing.
     #[test]
     fn the_arrival_timer_is_armed_once_per_head_and_announces_once() {
         let assign = IdentityAssignment::round_robin(4, 2);
@@ -1251,32 +1384,35 @@ mod tests {
         let (head, due) = head_of(&client);
         let mut node = byz_rsm_node(&assign, client);
         let started = actions_of(&mut node, 0, |n, s| n.on_start(s));
-        assert_eq!(arrival_timers_in(&started), [due]);
+        assert_eq!(timers_in(&started, ARRIVAL_TAG), [due]);
         let fired = actions_of(&mut node, due, |n, s| n.on_timer(ARRIVAL_TAG, s));
         assert!(commits_in(&fired).is_empty(), "nothing committed to repeat");
 
-        let committed = actions_of(&mut node, 0, |n, s| n.commit(7, s));
-        assert!(arrival_timers_in(&committed).is_empty(), "same head");
+        let committed = actions_of(&mut node, 0, |n, s| n.commit(7, false, s));
+        assert!(timers_in(&committed, ARRIVAL_TAG).is_empty(), "same head");
+        assert!(commits_in(&committed).is_empty(), "and not due: no news");
         let fired = actions_of(&mut node, due, |n, s| n.on_timer(ARRIVAL_TAG, s));
         assert_eq!(commits_in(&fired), [(0, 7, head)]);
         let again = actions_of(&mut node, due, |n, s| n.on_timer(ARRIVAL_TAG, s));
         assert!(commits_in(&again).is_empty(), "already announced");
 
-        // Its commit draws the next head, due later: one new timer.
-        let committed = actions_of(&mut node, due, |n, s| n.commit(head, s));
+        // Its commit draws the next head, due later: one new timer, and
+        // nothing to say until it fires.
+        let committed = actions_of(&mut node, due, |n, s| n.commit(head, false, s));
         let (second, second_due) = head_of(node.client());
-        assert_eq!(commits_in(&committed), [(1, head, NOOP)]);
-        assert_eq!(arrival_timers_in(&committed), [second_due - due]);
+        assert!(commits_in(&committed).is_empty());
+        assert_eq!(timers_in(&committed, ARRIVAL_TAG), [second_due - due]);
         // A commit at the arrival tick carries it; the timer adds nothing.
-        let committed = actions_of(&mut node, second_due, |n, s| n.commit(NOOP, s));
+        let committed = actions_of(&mut node, second_due, |n, s| n.commit(NOOP, false, s));
         assert_eq!(commits_in(&committed), [(2, NOOP, second)]);
         let fired = actions_of(&mut node, second_due, |n, s| n.on_timer(ARRIVAL_TAG, s));
         assert!(commits_in(&fired).is_empty());
     }
 
     /// The answer throttle stays `max_commit_ahead` entries long however
-    /// many heights commit: a commit counts as the first answer about
-    /// its height, and all older heights share one slot.
+    /// many heights commit: a commit opens its height's throttle whether
+    /// it was broadcast (the first here carries the client's head, the
+    /// rest have no news) or not, and all older heights share one slot.
     #[test]
     fn answer_throttle_is_bounded_and_starts_at_the_commit() {
         let assign = IdentityAssignment::round_robin(4, 2);
@@ -1285,7 +1421,8 @@ mod tests {
         let cap = node.opts.max_commit_ahead;
         let interval = node.opts.answer_interval.ticks();
         for h in 0..3 * cap {
-            assert_eq!(commits_sent(&mut node, 100, |n, s| n.commit(h, s)), 1);
+            let sent = commits_sent(&mut node, 100, |n, s| n.commit(h, false, s));
+            assert_eq!(sent, usize::from(h == 0), "height {h}");
         }
         assert_eq!(node.recent_answers.len() as u64, cap);
 
@@ -1294,7 +1431,7 @@ mod tests {
         assert_eq!(
             answers(&mut node, late - 1, recent),
             0,
-            "the commit answered"
+            "the silent commit answered"
         );
         assert_eq!(answers(&mut node, late, recent), 1);
         assert_eq!(answers(&mut node, late, recent), 0);
@@ -1303,6 +1440,225 @@ mod tests {
         assert_eq!(answers(&mut node, late, 5), 0);
         assert_eq!(answers(&mut node, late + interval, 5), 1);
         assert_eq!(node.recent_answers.len() as u64, cap);
+    }
+
+    /// A replica that stays at one height repeats its last commit from
+    /// the status timer: first once a whole period has passed at that
+    /// height, then at doubling gaps up to `answer_interval ×
+    /// max_commit_ahead`; a commit takes the chain back to its base
+    /// period. At height 0 there is nothing to repeat and the chain does
+    /// not back off.
+    #[test]
+    fn a_stalled_replica_repeats_its_last_commit_on_a_doubling_schedule() {
+        let assign = IdentityAssignment::round_robin(4, 2);
+        let mut node = byz_rsm_node(&assign, open_queues(4, 0).remove(0));
+        let base = node.opts.answer_interval.ticks();
+        let cap = base * node.opts.max_commit_ahead;
+        let started = actions_of(&mut node, 0, |n, s| n.on_start(s));
+        assert_eq!(timers_in(&started, STATUS_TAG), [base]);
+        // What the status timer sends and the gap it re-arms with.
+        let fire = |node: &mut ByzLog, at| {
+            let fired = actions_of(node, at, |n, s| n.on_timer(STATUS_TAG, s));
+            (commits_in(&fired), timers_in(&fired, STATUS_TAG))
+        };
+        for at in [base, 2 * base] {
+            assert_eq!(fire(&mut node, at), (vec![], vec![base]), "height 0");
+        }
+        actions_of(&mut node, 2 * base + 1, |n, s| n.commit(7, false, s));
+        let mut at = 3 * base;
+        assert_eq!(fire(&mut node, at), (vec![], vec![base]), "it moved");
+        let mut gap = base;
+        while gap < cap {
+            at += gap;
+            gap *= 2;
+            assert_eq!(fire(&mut node, at), (vec![(0, 7, NOOP)], vec![gap]));
+        }
+        assert_eq!(fire(&mut node, at + cap), (vec![(0, 7, NOOP)], vec![cap]));
+        actions_of(&mut node, at + cap + 1, |n, s| n.commit(8, false, s));
+        assert_eq!(fire(&mut node, at + 2 * cap), (vec![], vec![base]));
+        assert_eq!(
+            fire(&mut node, at + 2 * cap + base),
+            (vec![(1, 8, NOOP)], vec![2 * base])
+        );
+    }
+
+    /// A `Commit` whose sender is two or more heights back asks for the
+    /// entry after it and draws exactly one answer per
+    /// `answer_interval`; one from a replica at this height asks nothing,
+    /// and a forged height with no successor panics nobody.
+    #[test]
+    fn a_commit_from_behind_draws_one_throttled_answer() {
+        let assign = IdentityAssignment::round_robin(4, 2);
+        let mut node = byz_rsm_node(&assign, open_queues(4, 0).remove(0));
+        let interval = node.opts.answer_interval.ticks();
+        for h in 0..4 {
+            actions_of(&mut node, 0, |n, s| n.commit(10 + h, false, s));
+        }
+        let status = |height| RsmMsg::Commit {
+            height,
+            value: height.wrapping_add(10),
+            id: assign.id_of(1),
+            next: NOOP,
+        };
+        let answers = |node: &mut ByzLog, at, height| {
+            commits_in(&actions_of(node, at, |n, s| {
+                n.on_message(status(height), s)
+            }))
+        };
+        assert_eq!(answers(&mut node, interval, 1), [(2, 12, NOOP)]);
+        assert_eq!(answers(&mut node, interval, 1), [], "throttled");
+        assert_eq!(answers(&mut node, 2 * interval - 1, 1), []);
+        assert_eq!(answers(&mut node, 2 * interval, 1), [(2, 12, NOOP)]);
+        assert_eq!(answers(&mut node, interval, 2), [(3, 13, NOOP)]);
+        assert_eq!(answers(&mut node, interval, 3), [], "same height");
+        assert_eq!(answers(&mut node, interval, 4), [], "ahead: tallied");
+        assert_eq!(answers(&mut node, interval, u64::MAX), []);
+        assert_eq!(answers(&mut node, interval, u64::MAX - 1), []);
+        assert_eq!(node.log(), &[10, 11, 12, 13]);
+    }
+
+    /// A replica stalled at height 0 has no commit to repeat and cannot
+    /// ask for itself. What rescues it is its peers' own stall: replicas
+    /// that committed height 0 and then sit at height 1 for a status
+    /// period repeat `Commit { 0, … }`, `commit_quorum` of which certify
+    /// height 0 for it — after which it says so at once and, should it
+    /// stall again, has something to repeat.
+    #[test]
+    fn a_replica_stalled_at_height_0_is_rescued_by_its_peers_statuses() {
+        let assign = IdentityAssignment::round_robin(4, 2);
+        let idle = || byz_rsm_node(&assign, open_queues(4, 0).remove(0));
+        let base = idle().opts.answer_interval.ticks();
+        let mut straggler = idle();
+        actions_of(&mut straggler, 0, |n, s| n.on_start(s));
+        for at in [base, 2 * base] {
+            let fired = actions_of(&mut straggler, at, |n, s| n.on_timer(STATUS_TAG, s));
+            assert!(commits_in(&fired).is_empty(), "nothing to repeat");
+        }
+        // Two peers commit height 0 silently (no news) and stall.
+        let mut statuses = Vec::new();
+        for _ in 0..idle().opts.commit_quorum {
+            let mut peer = idle();
+            actions_of(&mut peer, 0, |n, s| n.on_start(s));
+            let committed = actions_of(&mut peer, 3, |n, s| n.commit(7, false, s));
+            assert!(commits_in(&committed).is_empty());
+            let moved = actions_of(&mut peer, base, |n, s| n.on_timer(STATUS_TAG, s));
+            assert!(commits_in(&moved).is_empty(), "it left height 0");
+            statuses.extend(actions_of(&mut peer, 2 * base, |n, s| {
+                n.on_timer(STATUS_TAG, s);
+            }));
+        }
+        assert_eq!(commits_in(&statuses), [(0, 7, NOOP); 2]);
+        let mut said = Vec::new();
+        for status in statuses {
+            if let Action::Broadcast(msg) = status {
+                said.extend(actions_of(&mut straggler, 2 * base + 1, |n, s| {
+                    n.on_message(msg, s);
+                }));
+            }
+        }
+        assert_eq!(straggler.log(), &[7]);
+        assert_eq!(commits_in(&said), [(0, 7, NOOP)], "adopted: it says so");
+        // From here on it can ask for itself.
+        let fire =
+            |n: &mut ByzLog, at| commits_in(&actions_of(n, at, |n, s| n.on_timer(STATUS_TAG, s)));
+        assert_eq!(fire(&mut straggler, 3 * base), [], "it moved");
+        assert_eq!(fire(&mut straggler, 4 * base), [(0, 7, NOOP)]);
+    }
+
+    /// What fresh engines say when they start — the round-0
+    /// coordinators' opening — as sent and as a corrupt homonym would
+    /// forge it. None of it can make a height decide (that takes votes),
+    /// so whatever a replica fed these commits, it adopted from
+    /// `Commit`s.
+    fn engine_openings(assign: &IdentityAssignment) -> Vec<<ByzQuorumConsensus as Process>::Msg> {
+        let mut pool = Vec::new();
+        for p in 0..assign.n() {
+            let mut engine = ByzQuorumConsensus::new(p as u64, assign);
+            let mut actions = Vec::new();
+            let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
+            engine.on_start(&mut ActionSink::new(
+                assign.id_of(p),
+                Time::ZERO,
+                &mut rng,
+                &mut actions,
+            ));
+            for action in actions {
+                if let Action::Broadcast(msg) = action {
+                    pool.extend(ByzQuorumConsensus::mutate_payload(&msg, p as u64));
+                    pool.push(msg);
+                }
+            }
+        }
+        assert!(!pool.is_empty());
+        pool
+    }
+
+    proptest::proptest! {
+        /// Whatever `Commit`s and height-tagged engine envelopes reach a
+        /// replica — heights at, around and absurdly far from its own,
+        /// labels nobody carries, any `next` — it never panics, it
+        /// commits a value only once `commit_quorum` copies of it under
+        /// the label caps were delivered, and it broadcasts a `Commit`
+        /// about any one height at most once per `answer_interval`: the
+        /// amplification a sender of stale statuses can buy.
+        #[test]
+        fn hostile_heights_neither_panic_nor_certify_nor_amplify(
+            steps in proptest::collection::vec(
+                (proptest::prelude::any::<bool>(), 0u8..10, 0u64..3, 0u64..6,
+                 proptest::prelude::any::<u64>(), 0u64..4),
+                0..300usize,
+            ),
+        ) {
+            // Two carriers per label, three copies to certify: one label
+            // alone must never do.
+            let assign = IdentityAssignment::round_robin(8, 4);
+            let pool = engine_openings(&assign);
+            let mut node = byz_rsm_node(&assign, open_queues(8, 0).remove(0));
+            let (quorum, ahead) = (node.opts.commit_quorum, node.opts.max_commit_ahead);
+            let interval = node.opts.answer_interval.ticks();
+            actions_of(&mut node, 0, |n, s| n.on_start(s));
+            // (height, value) → label → copies delivered, capped.
+            let mut delivered: BTreeMap<(u64, u64), BTreeMap<Identity, usize>> = BTreeMap::new();
+            // height → tick of the last `Commit` broadcast about it.
+            let mut said: BTreeMap<u64, u64> = BTreeMap::new();
+            let mut now = 0;
+            for (commit, pick, value, label, next, dt) in steps {
+                now += dt;
+                let at = node.height();
+                let height = match pick {
+                    0..=3 => u64::from(pick),
+                    4 => at,
+                    5 => at + 1,
+                    6 => at.saturating_sub(2),
+                    7 => at + ahead,
+                    8 => u64::MAX - 1,
+                    _ => u64::MAX,
+                };
+                let id = Identity::new(label);
+                let msg = if commit {
+                    let cap = assign.multiplicity(id);
+                    let copies = delivered.entry((height, value)).or_default().entry(id).or_insert(0);
+                    *copies = (*copies + 1).min(cap);
+                    RsmMsg::Commit { height, value, id, next }
+                } else {
+                    let msg = pool[(next % pool.len() as u64) as usize].clone();
+                    RsmMsg::Inner { height, msg }
+                };
+                let before = node.log().len();
+                let actions = actions_of(&mut node, now, |n, s| n.on_message(msg, s));
+                for (h, &v) in node.log().iter().enumerate().skip(before) {
+                    let copies: usize = delivered
+                        .get(&(h as u64, v))
+                        .map_or(0, |labels| labels.values().sum());
+                    proptest::prop_assert!(copies >= quorum, "height {h} on {copies} copies");
+                }
+                for (h, ..) in commits_in(&actions) {
+                    if let Some(last) = said.insert(h, now) {
+                        proptest::prop_assert!(now >= last + interval, "height {h}: {last}, {now}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! * reference equivalence — a fixed-horizon run under leader churn is
 //!   byte-identical (trace, metrics, recorder contents, logs) to the
 //!   naive reference interpreter's;
-//! * what a decided height costs — no `DECIDE` echo and one `Commit`
-//!   broadcast per replica per height on a clean run — and that a
-//!   replica cut off for 300 ticks still catches up;
+//! * what a decided height costs — no `DECIDE` echo, and a `Commit`
+//!   broadcast only from the replica with news, on a clean run — and
+//!   that a replica cut off for 300 ticks still catches up;
+//! * nobody is left behind — over 60 seeds of the churn family no
+//!   replica is stranded while the others move on;
 //! * who gets proposed — an open-loop run serves every client, each
 //!   command once and in issue order, with or without a dead
 //!   coordinator carrier, and the closed-loop log is pinned to the one
@@ -76,6 +78,56 @@ fn commits_100_heights_under_leader_churn_with_prefix_agreement() {
     );
 }
 
+/// Runs `churn_builder(n, l, seed)` toward 100 heights on every replica
+/// within 20 000 ticks; returns whether it got there and the longest
+/// log. Prefix agreement is asserted either way.
+fn churn_run(n: usize, l: usize, seed: u64) -> (bool, u64) {
+    let mut session = churn_builder(n, l, seed)
+        .with_goal(Goal::HeightsCommitted(100))
+        .with_deadline_ticks(20_000)
+        .rsm(&workload());
+    let reason = session.run();
+    assert!(
+        session.prefix_violation().is_none(),
+        "n = {n}, seed {seed}: correct replicas diverged"
+    );
+    let stats = session.stats();
+    (
+        reason == StopReason::ConditionMet,
+        stats.max_log.unwrap_or(0),
+    )
+}
+
+/// Churn drops copies, and the height engines never retransmit, so a
+/// replica can lose the copies that would have taken it through a height
+/// while the others move on without it. It must not stay there: a
+/// replica that sits at one height repeats its last `Commit` and is
+/// answered with the entry it misses (and one at height 0, with nothing
+/// to repeat, is certified by its stalled peers' repeats). At n = 8,
+/// ℓ = 4 every one of 60 seeds reaches 100 heights on every replica
+/// (36 left a replica at height ≤ 3 for ever before). At n = 4, ℓ = 2
+/// a quorum is 3 of 4, so one lost copy can stop the *whole* system at
+/// one height — the engine's no-retransmission price, which pulling
+/// entries cannot pay — and such a run is excused; a run where somebody
+/// reached 100 heights and somebody else did not is not (7 of 60
+/// before, with 29 whole-system stalls; 18 stalls measured now).
+#[test]
+fn no_replica_is_stranded_under_leader_churn() {
+    for seed in 1..=60 {
+        let (met, max_log) = churn_run(8, 4, seed);
+        assert!(met, "n = 8, seed {seed}: longest log {max_log}");
+    }
+    let failing: Vec<(u64, u64)> = (1..=60)
+        .map(|seed| (seed, churn_run(4, 2, seed)))
+        .filter(|&(_, (met, _))| !met)
+        .map(|(seed, (_, max_log))| (seed, max_log))
+        .collect();
+    for &(seed, max_log) in &failing {
+        assert!(max_log < 100, "n = 4, seed {seed}: a replica is stranded");
+    }
+    assert!(failing.len() <= 29, "whole-system stalls: {failing:?}");
+}
+
 /// The Figure 8 variant of the log service chains heights across
 /// repeated queue-mode partitions (crash-model catch-up quorum of one).
 ///
@@ -115,12 +167,15 @@ fn classify(msg: &Either<EvtHpMsg, RsmMsg<ByzMsg>>) -> &'static str {
 }
 
 /// A height is over for the log the moment its engine decides: on a
-/// clean closed-loop run no `DECIDE` echo is ever broadcast, and every
-/// replica broadcasts `Commit` exactly once per height it commits — the
-/// tail of a height's copies reaching a replica that already committed
-/// it earns no second answer.
+/// clean closed-loop run no `DECIDE` echo is ever broadcast, and a
+/// `Commit` is broadcast only by a replica with news — the one whose
+/// client's command just committed and whose next one is due, once per
+/// height, plus every replica's first announcement and the odd status —
+/// where every replica used to push one per height (8 per height; 1.12
+/// measured now). The tail of a height's copies reaching a replica that
+/// already committed it still earns no answer.
 #[test]
-fn a_clean_run_broadcasts_no_decide_and_one_commit_per_replica_per_height() {
+fn a_clean_run_broadcasts_no_decide_and_commit_only_on_news() {
     let n = 8;
     let mut session = SessionBuilder::new(n, 4)
         .with_goal(Goal::TickHorizon)
@@ -129,12 +184,14 @@ fn a_clean_run_broadcasts_no_decide_and_one_commit_per_replica_per_height() {
     session.engine_mut().set_classifier(classify);
     session.run();
     let by_class = &session.engine().metrics().by_class;
-    let committed: u64 = (0..n)
-        .map(|p| session.log_of(p).unwrap_or_default().len() as u64)
-        .sum();
-    assert!(committed >= 400 * n as u64, "only {committed} commits");
+    let heights = session.stats().max_log.unwrap_or(0);
+    assert!(heights >= 400, "only {heights} heights");
     assert_eq!(by_class.get("DECIDE").copied().unwrap_or(0), 0);
-    assert_eq!(by_class.get("RSM_COMMIT").copied(), Some(committed));
+    let commits = by_class.get("RSM_COMMIT").copied().unwrap_or(0);
+    assert!(
+        (heights..=2 * heights).contains(&commits),
+        "{commits} Commit broadcasts over {heights} heights"
+    );
 }
 
 /// A replica cut off for 300 ticks (its traffic queued until the heal)
@@ -244,10 +301,17 @@ fn an_open_loop_run_serves_every_client_past_a_dead_coordinator_carrier() {
     assert_all_served(&log, &issued, &[0]);
 }
 
-/// The closed-loop log is the one recorded on the commit before commands
-/// were forwarded (length and FNV-1a fingerprint after 10 000 ticks): a
-/// replica whose own client always has a command proposes exactly what
-/// it proposed then.
+/// The closed-loop log, pinned by length and FNV-1a fingerprint after
+/// 10 000 ticks: a replica whose own client always has a command
+/// proposes it, whatever else it holds. Re-pinned once (from 1 316
+/// entries, `0x2802_dd2e_12ff_8ad8`) when replicas stopped pushing a
+/// `Commit` at every height: the one time in this run a replica adopted
+/// a height from three pushed copies before its own engine decided, it
+/// now commits on that decision, and the seven broadcasts a height no
+/// longer sends no longer draw from the network's delay stream, so
+/// later delays — and with them which client's command a height picks
+/// — differ. The engine's deadline timers alone left the old pin
+/// standing.
 #[test]
 fn the_closed_loop_log_is_pinned() {
     let clients = WorkloadConfig {
@@ -263,7 +327,7 @@ fn the_closed_loop_log_is_pinned() {
     let fingerprint = log.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &v| {
         (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
     });
-    assert_eq!((log.len(), fingerprint), (1_316, 0x2802_dd2e_12ff_8ad8));
+    assert_eq!((log.len(), fingerprint), (1_321, 0x2e3f_e001_a412_d4b5));
 }
 
 /// Fixed-horizon runs are the reference-interpreter comparison surface:
