@@ -17,6 +17,15 @@
 //!   `timeout_p`, adapting to the unknown post-GST latency `δ` and process
 //!   speeds (Lemma 5).
 //!
+//! Task T2's reply is **addressed**: it names the polled identifier, and a
+//! process carrying another one drops it at the first line of its handler.
+//! [`Process::addressee`] says so to the engine, which then delivers a
+//! `P_REPLY` to the carriers of `id(q)` only — homonymous pollers are all
+//! served because they all carry it, and the other `(ℓ − 1)/ℓ` of the
+//! system is spared an event that did nothing. A `POLLING` names its
+//! *sender*, not a reader: everyone answers it, so it is addressed to no
+//! one. The detector says what it said, to fewer listeners.
+//!
 //! `HΩ` is extracted without extra communication (Corollary 2): after each
 //! round, `h_leader_p ← min(h_trusted_p)` and `h_multiplicity_p ←
 //! mult(h_leader_p)`.
@@ -445,6 +454,15 @@ impl Process for EvtHpProcess {
         Some(mutate_evt_hp_msg(msg, entropy))
     }
 
+    /// A `P_REPLY` is read at the polled identifier alone (the first line
+    /// of its arm in `on_message`); a `POLLING` is answered by everyone.
+    fn addressee(msg: &EvtHpMsg) -> Option<Identity> {
+        match *msg {
+            EvtHpMsg::Polling { .. } => None,
+            EvtHpMsg::PReply { target, .. } => Some(target),
+        }
+    }
+
     fn on_start(&mut self, ctx: &mut ActionSink<'_, EvtHpMsg, EvtHpSnapshot>) {
         self.started = true;
         self.h_omega = HOmegaOutput::new(ctx.my_id(), 1);
@@ -816,6 +834,55 @@ mod tests {
                 model.reply(from, to, sender);
                 proptest::prop_assert_eq!(proc.timeout(), model.timeout);
                 proptest::prop_assert!(proc.pending_len() <= model.held.len());
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The [`Process::addressee`] contract, on whatever state the
+        /// process is in: a message addressed to another label emits no
+        /// action, draws nothing and leaves every persisted byte as it
+        /// was. Judged through `addressee` itself, so it fails the day
+        /// that is widened to a message that *is* read elsewhere — a
+        /// `POLLING`, say, which everyone answers.
+        #[test]
+        fn a_message_addressed_elsewhere_is_a_no_op(
+            steps in proptest::collection::vec((0u8..3, 0u64..4, 0u64..8, 0u64..8), 0..60usize),
+            last in (0u8..2, 0u64..4, 0u64..40, 0u64..40, 0u64..4),
+        ) {
+            let me = Identity::new(1);
+            let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
+            let mut actions = Vec::new();
+            let mut proc = EvtHpProcess::new();
+            proc.on_start(&mut ActionSink::new(me, Time::ZERO, &mut rng, &mut actions));
+            for (kind, label, a, b) in steps {
+                let mut sink = ActionSink::new(me, Time::ZERO, &mut rng, &mut actions);
+                let label = Identity::new(label);
+                match kind {
+                    0 => proc.on_timer(ROUND, &mut sink),
+                    1 => proc.on_message(EvtHpMsg::Polling { round: a + b, id: label }, &mut sink),
+                    _ => proc.on_message(
+                        EvtHpMsg::PReply { from: a, to: a + b, target: label, sender: Identity::new(b % 4) },
+                        &mut sink,
+                    ),
+                }
+            }
+            actions.clear();
+            let (kind, label, from, to, sender) = last;
+            let msg = match kind {
+                0 => EvtHpMsg::Polling { round: to, id: Identity::new(label) },
+                _ => EvtHpMsg::PReply {
+                    from,
+                    to,
+                    target: Identity::new(label),
+                    sender: Identity::new(sender),
+                },
+            };
+            if EvtHpProcess::addressee(&msg).is_some_and(|label| label != me) {
+                let before = (homonym_core::wire::to_bytes(&proc), rng.state());
+                proc.on_message(msg, &mut ActionSink::new(me, Time::ZERO, &mut rng, &mut actions));
+                proptest::prop_assert!(actions.is_empty());
+                proptest::prop_assert_eq!((homonym_core::wire::to_bytes(&proc), rng.state()), before);
             }
         }
     }

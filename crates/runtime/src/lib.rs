@@ -17,6 +17,12 @@
 //! * crashes stop a process's thread at its scheduled wall time (the
 //!   "arbitrary subset" mid-broadcast semantics of the simulator is not
 //!   reproduced here — copies already handed to the router are delivered);
+//! * the router delivers **every** copy, addressed or not: a message that
+//!   names its reader ([`Process::addressee`]) is filtered by the
+//!   receiver's own compare, as the contract of that method says it
+//!   may be. The simulator drops such copies at routing time to save the
+//!   event; here there is no event count to save and no copy metric to
+//!   keep equal, so there is no third caller of the rule;
 //! * runs are **not** deterministic (that is the point); property checks
 //!   on runtime histories therefore use generous convergence windows.
 

@@ -125,6 +125,7 @@ homonym_core::persist_fields!(Metrics {
     copies_blocked,
     copies_forged,
     copies_suppressed,
+    copies_unaddressed,
     copies_discarded,
     timers_fired,
     events,

@@ -16,13 +16,14 @@
 //! The stop condition of [`Engine::run_with`] is evaluated after every
 //! step. **Out:** every copy of every broadcast goes through the one
 //! `send_copy`: lost by the network, judged by the link-fault script,
-//! rewritten by the Byzantine script, queued. A broadcast samples all its
-//! copies' latencies through [`NetworkModel::route_each`] (the model
-//! match, GST comparison and sampler setup hoisted out of the copy loop).
-//! None of the tick draining, latency hoisting or payload sharing is
-//! observable: the dispatched `(time, seq)` sequence is the one the naive
-//! per-event interpreter in [`crate::reference`] produces, which the
-//! differential proptests assert.
+//! rewritten by the Byzantine script, dropped if its payload names a label
+//! the destination does not carry ([`Process::addressee`]), queued. A
+//! broadcast samples all its copies' latencies through
+//! [`NetworkModel::route_each`] (the model match, GST comparison and
+//! sampler setup hoisted out of the copy loop). None of the tick draining,
+//! latency hoisting or payload sharing is observable: the dispatched
+//! `(time, seq)` sequence is the one the naive per-event interpreter in
+//! [`crate::reference`] produces, which the differential proptests assert.
 //!
 //! ## Crash semantics
 //!
@@ -40,7 +41,7 @@ use std::sync::Arc;
 
 use homonym_core::failure::FailureSchedule;
 use homonym_core::fork::ForkSpace;
-use homonym_core::identity::IdentityAssignment;
+use homonym_core::identity::{Identity, IdentityAssignment};
 use homonym_core::properties::{ConsensusOutcome, History};
 use homonym_core::time::{Span, Time};
 use homonym_obs::{ObsKind, Recorder};
@@ -49,7 +50,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::adversary::{ByzBroadcast, ByzCopy, ByzLedger, ByzantineScript, LinkFaultScript};
 use crate::network::NetworkModel;
-use crate::process::{Action, ActionSink, Process, TimerTag};
+use crate::process::{reads, Action, ActionSink, Process, TimerTag};
 use crate::queue::CalendarQueue;
 use crate::snapshot::{EngineSnapshot, ForkProcess};
 use crate::trace::{Trace, TraceEvent};
@@ -88,6 +89,13 @@ pub struct Metrics {
     /// Copies an installed [`ByzantineScript`] suppressed (selective
     /// sending). Zero without a script.
     pub copies_suppressed: u64,
+    /// Copies not delivered because their payload is addressed (see
+    /// [`Process::addressee`]) to a label the destination does not carry.
+    /// Counted after the dead-destination check, so a copy to a crashed
+    /// or halted process is never counted here: `copies_sent −
+    /// copies_delivered` is what was lost, blocked, suppressed,
+    /// unaddressed, sent to the dead, or is still in flight.
+    pub copies_unaddressed: u64,
     /// Copies a process's admission window (e.g. a consensus
     /// `WindowLedger`) detected as over-cap and discarded, reported
     /// through [`ActionSink::note_discard`]. Zero when the running
@@ -258,6 +266,16 @@ impl<M: Clone> Payload<M> {
             },
         }
     }
+}
+
+/// What every copy of one broadcast has in common.
+struct Outbound<M> {
+    payload: Payload<M>,
+    /// Whom the honest payload names ([`Process::addressee`]), resolved
+    /// once; a forged copy names its own.
+    to: Option<Identity>,
+    /// The Byzantine plan, if the broadcast is under attack.
+    byz: Option<ByzBroadcast<M>>,
 }
 
 /// The engine-level RNG streams of a run, derived from the configuration
@@ -884,17 +902,20 @@ impl<P: Process> Engine<P> {
             class,
             round,
         });
-        // One Byzantine plan per broadcast, resolved before routing so
-        // every copy sees the same attack.
-        let byz = ByzBroadcast::open(
-            self.config.byzantine.as_ref(),
-            self.now,
-            src,
-            &msg,
-            &mut self.byz_rng,
-            &mut self.byz_replay,
-        );
-        let payload = Payload::new(msg);
+        let out = Outbound {
+            // One Byzantine plan per broadcast, resolved before routing
+            // so every copy sees the same attack.
+            byz: ByzBroadcast::open(
+                self.config.byzantine.as_ref(),
+                self.now,
+                src,
+                &msg,
+                &mut self.byz_rng,
+                &mut self.byz_replay,
+            ),
+            to: P::addressee(&msg),
+            payload: Payload::new(msg),
+        };
         let n = self.n();
         let dying = self.config.partial_broadcast_on_crash
             && self.dead_from[src] == self.now.next().ticks();
@@ -910,7 +931,7 @@ impl<P: Process> Engine<P> {
                 }
                 self.metrics.copies_sent += 1;
                 let base = self.config.network.route(self.now, &mut self.net_rng);
-                self.send_copy(src, dst, base, &payload, &byz, false);
+                self.send_copy(src, dst, base, &out, false);
             }
         } else {
             // All `n` copies' fates stream out of `route_each` (identical
@@ -923,30 +944,45 @@ impl<P: Process> Engine<P> {
             let mut rng = std::mem::replace(&mut self.net_rng, StdRng::seed_from_u64(0));
             self.metrics.copies_sent += n as u64;
             network.route_each(self.now, n, &mut rng, |dst, base| {
-                self.send_copy(src, dst, base, &payload, &byz, true);
+                self.send_copy(src, dst, base, &out, true);
             });
             self.net_rng = rng;
         }
     }
 
-    /// The one way out: what becomes of the copy of `payload` that `src`
-    /// sends to `dst`, given the network's verdict `base` on it. A copy
-    /// the network lost is counted; one it routed is judged by the
-    /// link-fault script, then rewritten or suppressed by the Byzantine
-    /// plan of its broadcast, then queued. Forging and suppression are
-    /// accounted here, at routing time (they are the corrupt sender's
-    /// act, not a delivery property), so `elide_dead` — skip queueing a
-    /// copy its destination can never observe — applies to honest and
-    /// forged copies alike, after the accounting. Forged payloads are
-    /// distinct values and queue as owned [`Event::Deliver`] copies.
+    /// The one way out: what becomes of the copy of the broadcast `out`
+    /// that `src` sends to `dst`, given the network's verdict `base` on it.
+    /// Five verdicts, in this order:
+    ///
+    /// 1. **lost** by the network (counted);
+    /// 2. **blocked** or delayed by the link-fault script (one `adv_rng`
+    ///    draw per lossy clause, `CopyBlocked` recorded);
+    /// 3. **forged** or **suppressed** by the Byzantine plan of its
+    ///    broadcast — accounted here, at routing time: they are the
+    ///    corrupt sender's act, not a delivery property;
+    /// 4. **dead**: with `elide_dead`, a copy its destination can never
+    ///    observe is not queued — honest and forged alike, after the
+    ///    accounting;
+    /// 5. **unaddressed**: the payload this copy would deliver — the
+    ///    forged one, if forged — is read at a label `dst` does not carry
+    ///    ([`reads`]), so the copy is counted and dropped.
+    ///
+    /// The address comes last because it is the only verdict that is
+    /// *about the payload*, and the payload is not known before the
+    /// rewrite; and because every earlier verdict draws from a stream or
+    /// writes a counter or a recorder line that a run without addressed
+    /// messages also draws and writes — dropping the copy any earlier
+    /// would move them. What is left, a copy nobody would have acted on,
+    /// costs no queue push, no `Arc` clone and no dispatch. Forged
+    /// payloads are distinct values and queue as owned [`Event::Deliver`]
+    /// copies.
     #[inline]
     fn send_copy(
         &mut self,
         src: usize,
         dst: usize,
         base: Option<Time>,
-        payload: &Payload<P::Msg>,
-        byz: &Option<ByzBroadcast<P::Msg>>,
+        out: &Outbound<P::Msg>,
         elide_dead: bool,
     ) {
         let Some(base) = base else {
@@ -956,7 +992,7 @@ impl<P: Process> Engine<P> {
         let Some(at) = self.adversary_fate(src, dst, base) else {
             return;
         };
-        let forged = match byz {
+        let forged = match &out.byz {
             None => None,
             Some(byz) => {
                 let ledger = ByzLedger {
@@ -965,18 +1001,32 @@ impl<P: Process> Engine<P> {
                     suppressed: &mut self.metrics.copies_suppressed,
                     recorder: self.recorder.as_mut(),
                 };
-                match byz.rewrite(dst, payload.get(), P::mutate_payload, ledger) {
+                match byz.rewrite(dst, out.payload.get(), P::mutate_payload, ledger) {
                     ByzCopy::Honest => None,
                     ByzCopy::Forged(msg) => Some(msg),
                     ByzCopy::Suppressed => return,
                 }
             }
         };
-        if elide_dead && !self.deliverable(dst, at) {
-            return;
+        // Dead before unread: a copy to a process that is gone is nobody's
+        // to read, whatever it names.
+        if !self.deliverable(dst, at) {
+            if elide_dead {
+                return;
+            }
+        } else {
+            // `dst`'s label is looked up only for a copy that names one.
+            let read = match &forged {
+                None => out.to.is_none_or(|label| label == self.procs[dst].id),
+                Some(msg) => reads::<P>(self.procs[dst].id, msg),
+            };
+            if !read {
+                self.metrics.copies_unaddressed += 1;
+                return;
+            }
         }
         let ev = match forged {
-            None => payload.copy_for(dst),
+            None => out.payload.copy_for(dst),
             Some(msg) => Event::Deliver { dst, msg },
         };
         self.push(at, ev);
@@ -1557,6 +1607,79 @@ mod tests {
         e.run_until(Time::from_ticks(100));
         assert_eq!(e.metrics().by_class["first"], 2);
         assert_eq!(e.metrics().by_class["rest"], 4);
+    }
+
+    #[test]
+    fn a_forged_copy_is_routed_by_the_address_it_delivers() {
+        use crate::adversary::{ByzClause, ByzEffect, ProcSet};
+
+        /// Whoever reads a note publishes whom it was for; a corrupt
+        /// sender readdresses its note to label 1.
+        struct Postbox {
+            posts: bool,
+        }
+
+        #[derive(Clone, Debug)]
+        struct Note {
+            to: Identity,
+        }
+
+        impl Process for Postbox {
+            type Msg = Note;
+            type Output = Identity;
+
+            fn mutate_payload(_msg: &Note, _entropy: u64) -> Option<Note> {
+                Some(Note {
+                    to: Identity::new(1),
+                })
+            }
+            fn addressee(msg: &Note) -> Option<Identity> {
+                Some(msg.to)
+            }
+            fn on_start(&mut self, ctx: &mut ActionSink<'_, Note, Identity>) {
+                if self.posts {
+                    ctx.broadcast(Note { to: ctx.my_id() });
+                }
+            }
+            fn on_message(&mut self, msg: Note, ctx: &mut ActionSink<'_, Note, Identity>) {
+                ctx.publish(msg.to);
+            }
+            fn on_timer(&mut self, _t: TimerTag, _ctx: &mut ActionSink<'_, Note, Identity>) {}
+        }
+
+        // p0 posts one note to its own label, 0. Its copies to p2 and p3
+        // are forged; p4 never takes a step.
+        let labels = [0, 1, 0, 1, 1].map(Identity::new);
+        let mut cfg = small_config(5);
+        cfg.assign = IdentityAssignment::custom(labels.to_vec());
+        cfg.sched = FailureSchedule::none(5).with_crash(4, Time::ZERO);
+        let cfg = cfg.with_byzantine(ByzantineScript::new(7).with_clause(ByzClause {
+            from: Time::ZERO,
+            until: Time::MAX,
+            src: ProcSet::from_indices(5, [0]),
+            effect: ByzEffect::Equivocate {
+                victims: ProcSet::from_indices(5, [2, 3]),
+            },
+        }));
+        let mut e = Engine::new(cfg.clone(), |p, _| Postbox { posts: p == 0 });
+        e.run_until(Time::from_ticks(10));
+        let mut r = ReferenceEngine::new(cfg, |p, _| Postbox { posts: p == 0 });
+        r.run_until(Time::from_ticks(10));
+
+        let at = Time::from_ticks(1);
+        let read = |p: usize| vec![(at, labels[p])];
+        // Honest copies go by the honest address: p0 reads, p1 does not.
+        // Forged ones go by the forged address: p2 would have read the
+        // honest note and gets none, p3 would not have and reads the
+        // forgery. p4 is dead before it is unaddressed.
+        assert_eq!(
+            e.histories(),
+            [read(0), vec![], vec![], read(3), vec![]].as_slice()
+        );
+        let m = e.metrics();
+        assert_eq!((m.copies_sent, m.copies_forged), (5, 2));
+        assert_eq!((m.copies_delivered, m.copies_unaddressed), (2, 2));
+        assert_eq!((m, e.histories()), (r.metrics(), r.histories()));
     }
 
     #[test]

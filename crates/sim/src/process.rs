@@ -7,9 +7,32 @@
 //!
 //! * its own identifier (`ctx.my_id()`),
 //! * the payloads of messages delivered to it (never the sender or link),
-//! * its own timers.
+//! * its own timers,
+//!
+//! and a message may name the one label that reads it — the only address a
+//! homonymous system has.
 //!
 //! It cannot read the global clock, the membership, or the failure pattern.
+//!
+//! ## Addressed messages
+//!
+//! `broadcast` stays the only primitive, and a sender cannot pick out a
+//! process. What it can do is put an identifier in the payload and have
+//! every process that does not carry it drop the copy on sight — Figure 6's
+//! `P_REPLY(…, id(q), id(p))` does. [`Process::addressee`] declares that to
+//! the engine, under a three-part contract: at a process whose identifier
+//! differs from `addressee(msg)`, `on_message(msg)`
+//!
+//! 1. emits no action,
+//! 2. draws nothing from its random stream, and
+//! 3. leaves the state as it was.
+//!
+//! The engine then routes such a copy only to the carriers of that label
+//! ([`reads`] is the one test, shared by both interpreters) and counts the
+//! rest in `Metrics::copies_unaddressed`. That is all it enforces: the
+//! contract itself is the implementor's to keep — and to test, since a
+//! message that *is* read at other labels would silently lose those
+//! readers.
 
 use core::fmt;
 
@@ -76,6 +99,27 @@ pub trait Process: Send + 'static {
         let _ = (msg, entropy);
         None
     }
+
+    /// The one label that reads `msg`, if it names one; `None` (the
+    /// default) means every process does. An implementor returning
+    /// `Some(id)` promises that at a process whose identifier differs from
+    /// `id`, `on_message(msg)` emits no action, draws nothing from its
+    /// random stream and leaves the state as it was — the engine relies on
+    /// it to not deliver those copies at all (see the module docs).
+    fn addressee(msg: &Self::Msg) -> Option<Identity>
+    where
+        Self: Sized,
+    {
+        let _ = msg;
+        None
+    }
+}
+
+/// Whether a process carrying `id` reads `msg`: the routing rule both
+/// interpreters apply to the payload a copy would deliver.
+#[must_use]
+pub fn reads<P: Process>(id: Identity, msg: &P::Msg) -> bool {
+    P::addressee(msg).is_none_or(|label| label == id)
 }
 
 /// Effects a process can request during a callback.

@@ -33,7 +33,7 @@ use rand::{rngs::StdRng, Rng};
 
 use crate::adversary::{forge, ByzDirective};
 use crate::engine::{Metrics, RoundExtractor, RunStreams, SimConfig, StopReason};
-use crate::process::{Action, ActionSink, Process, TimerTag};
+use crate::process::{reads, Action, ActionSink, Process, TimerTag};
 use crate::trace::{Trace, TraceEvent};
 
 type Key = (Time, u64); // dispatch order: time, then insertion sequence
@@ -347,6 +347,13 @@ impl<P: Process> ReferenceEngine<P> {
                     forged
                 }
             };
+            // Dead first, then unread: only a copy its destination could
+            // still take a step on is judged by whom it names.
+            let dead = self.halted[dst] || !self.config.sched.is_alive(dst, at);
+            if !dead && !reads::<P>(self.config.assign.id_of(dst), &payload) {
+                self.metrics.copies_unaddressed += 1;
+                continue;
+            }
             self.push(at, dst, Event::Deliver(payload));
         }
     }

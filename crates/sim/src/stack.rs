@@ -12,6 +12,7 @@
 use core::fmt;
 
 use homonym_core::fork::ForkSpace;
+use homonym_core::identity::Identity;
 use homonym_core::time::Span;
 use homonym_core::wire::{Loader, Persist, Saver, WireError};
 
@@ -156,6 +157,15 @@ impl<A: Process, B: Process> Process for Stacked<A, B> {
         match msg {
             Either::L(m) => A::mutate_payload(m, entropy).map(Either::L),
             Either::R(m) => B::mutate_payload(m, entropy).map(Either::R),
+        }
+    }
+
+    /// A half's message is read by whoever that half says reads it: the
+    /// relay adds no state, action or draw of its own to a delivery.
+    fn addressee(msg: &Self::Msg) -> Option<Identity> {
+        match msg {
+            Either::L(m) => A::addressee(m),
+            Either::R(m) => B::addressee(m),
         }
     }
 

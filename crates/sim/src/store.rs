@@ -327,8 +327,9 @@ impl SpillHandle {
 /// Bump whenever a process the sweeps spill changes its persisted
 /// layout; no reader for an older schema is kept. 2: the tolerant
 /// consensus engine lost its polling period and gained its
-/// deadline-timer marker.
-pub const SPOOL_SCHEMA: u32 = 2;
+/// deadline-timer marker. 3: the engine's `Metrics` gained
+/// `copies_unaddressed`.
+pub const SPOOL_SCHEMA: u32 = 3;
 
 impl SnapshotSpool {
     /// A spool rooted at `dir` (created if absent) keeping at most

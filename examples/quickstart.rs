@@ -67,8 +67,9 @@ fn main() {
         report.value, report.first_decision, report.last_decision
     );
     println!(
-        "messages: {} broadcasts, {} copies delivered",
+        "messages: {} broadcasts, {} copies delivered, {} addressed to another label",
         engine.metrics().broadcasts,
-        engine.metrics().copies_delivered
+        engine.metrics().copies_delivered,
+        engine.metrics().copies_unaddressed
     );
 }

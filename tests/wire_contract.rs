@@ -104,6 +104,8 @@ fn a_figure_8_stack_snapshot_is_a_fixed_point_of_the_round_trip() {
 /// arrived), at 12 that deadline has passed with later phases' waits
 /// open, at 400 the decision is long made. A snapshot that dropped the
 /// marker would re-arm on resume and fire a timer the flat run does not.
+/// The two later cuts also carry a non-zero `copies_unaddressed` (the
+/// detector half's `P_REPLY`s), which the resumed run has to end on.
 #[test]
 fn a_tolerant_stack_snapshot_with_a_deadline_timer_armed_is_a_fixed_point() {
     let n = 4;
@@ -119,6 +121,8 @@ fn a_tolerant_stack_snapshot_with_a_deadline_timer_armed_is_a_fixed_point() {
         let decoded: EngineSnapshot<ByzTolerantNode> =
             wire::from_bytes(&wire::to_bytes(&e.snapshot())).expect("decodes");
         let mut resumed = Engine::resume_in(config.clone(), &decoded, EngineArena::new());
+        assert_eq!(resumed.metrics(), e.metrics(), "decoded at {ticks}");
+        assert!(ticks == 1 || e.metrics().copies_unaddressed > 0);
         resumed.run_until(Time::from_ticks(400));
         assert_eq!(resumed.metrics(), flat.metrics(), "resumed from {ticks}");
         assert_eq!(resumed.decisions(), flat.decisions());
