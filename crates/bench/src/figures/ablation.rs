@@ -7,9 +7,9 @@
 //!   `timeout_p` below the unknown round trip prevents `◇HP` from ever
 //!   converging.
 
-use homonym_bench::{ablate_coordination_phase, ablate_timeout_adaptation};
+use crate::{ablate_coordination_phase, ablate_timeout_adaptation};
 
-fn main() {
+pub fn main() {
     println!("## Ablation A — Leaders' Coordination Phase (Figure 8, Lemma 7)\n");
     println!("n=6, failure-free, divergent proposals, 12 seeds, deadline t4000\n");
     println!("| ℓ | with LC: decided | rounds (mean) | without LC: decided | rounds (mean) |");

@@ -38,7 +38,7 @@
 //! within-tolerance counterexample is then replayed against the
 //! tolerant stack, which must survive every variation.
 //!
-//! Usage: `cargo run --release -p homonym-bench --bin exp_chaos -- [flags]`
+//! Usage: `cargo run --release -p homonym-bench --bin exp -- chaos [flags]`
 //! Flags:
 //! * `--checkpoint-dir <dir>` — run the **kill-tolerant** sweep driver:
 //!   per-stack progress is checkpointed under `<dir>/<stack>/` (atomic,
@@ -63,8 +63,8 @@
 
 use std::path::PathBuf;
 
-use homonym_bench::json::{JsonObject, JsonRow};
-use homonym_bench::maybe_dump;
+use crate::json::{JsonObject, JsonRow};
+use crate::maybe_dump;
 use homonym_chaos::{
     byzantine_story, checkpointed_falsification_sweep, falsification_sweep,
     falsification_sweep_forked, replay_byzantine_counterexample, CheckpointConfig, StackKind,
@@ -129,7 +129,8 @@ struct CheckpointArgs {
 
 fn parse_args() -> CheckpointArgs {
     let mut out = CheckpointArgs::default();
-    let mut args = std::env::args().skip(1);
+    // Past the binary's name and the figure's.
+    let mut args = std::env::args().skip(2);
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| {
             args.next().unwrap_or_else(|| {
@@ -157,7 +158,7 @@ fn parse_args() -> CheckpointArgs {
     out
 }
 
-fn main() {
+pub fn main() {
     let per_stack: usize = std::env::var("CHAOS_SWEEP_SCENARIOS")
         .ok()
         .and_then(|v| v.parse().ok())

@@ -11,9 +11,9 @@
 //!   solve consensus in synchronous homonymous systems with **any**
 //!   number of crashes, without knowing `t` or the membership.
 
-use homonym_bench::{ap_realism, combined_synchronous};
+use crate::{ap_realism, combined_synchronous};
 
-fn main() {
+pub fn main() {
     println!("## E12 — AP implementability boundary\n");
     println!("windowed-count AP estimator, n=5 anonymous, 1 crash, 12 seeds\n");
     println!("| network | class-valid | safety violations |");

@@ -5,9 +5,9 @@
 //! Claim reproduced: decision latency tracks GST — consensus completes
 //! shortly after the network stabilizes, at every homonymy degree.
 
-use homonym_bench::e2e_partial_synchrony;
+use crate::e2e_partial_synchrony;
 
-fn main() {
+pub fn main() {
     println!("## E10 — end-to-end: Fig 6 detector + Fig 8 consensus in HPS\n");
     println!("### GST sweep (n=5, ℓ=2, δ=4, 1 crash)\n");
     println!("| GST | all decided by | broadcasts |");

@@ -4,9 +4,9 @@
 //! does so with **zero** communication, Figure 2 pays `IDENT` traffic to
 //! learn the membership; label universes match `2^(n-1)` per process.
 
-use homonym_bench::fig12_sigma_to_hsigma;
+use crate::fig12_sigma_to_hsigma;
 
-fn main() {
+pub fn main() {
     println!("## E1/E2 — Σ → HΣ (Figures 1-2, Theorem 1)\n");
     println!("| n | crashes | membership | liveness by | labels | IDENT msgs |");
     println!("|---|---------|------------|-------------|--------|------------|");

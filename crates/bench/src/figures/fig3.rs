@@ -4,9 +4,9 @@
 //! the prefix of `alive_p` permanently; stabilization trails the last
 //! crash and grows mildly with `n`.
 
-use homonym_bench::fig3_e_list;
+use crate::fig3_e_list;
 
-fn main() {
+pub fn main() {
     println!("## E3 — class E implementation (Figure 3, Lemma 1)\n");
     println!("| n | crashes | stabilization | ALIVE msgs |");
     println!("|---|---------|---------------|------------|");

@@ -4,9 +4,9 @@
 //! converge into `I(Correct)`; convergence trails the `HΣ` oracle's
 //! stabilization and the `LABELS` exchange.
 
-use homonym_bench::fig4_hsigma_to_sigma;
+use crate::fig4_hsigma_to_sigma;
 
-fn main() {
+pub fn main() {
     println!("## E4 — HΣ → Σ via class E (Figure 4, Theorem 2)\n");
     println!("| n | crashes | Σ liveness by | LABELS msgs |");
     println!("|---|---------|---------------|-------------|");

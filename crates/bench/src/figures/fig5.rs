@@ -3,9 +3,9 @@
 //! Claim reproduced: every arrow of the diagram is a working reduction
 //! whose output passes the target class's property checkers.
 
-use homonym_bench::fig5_relations;
+use crate::fig5_relations;
 
-fn main() {
+pub fn main() {
     println!("## E5 — relations between classes (Figure 5)\n");
     println!("| arrow | stated in | class-valid | note |");
     println!("|-------|-----------|-------------|------|");

@@ -7,9 +7,9 @@
 //! * replies are deduplicated per *identifier*, so `P_REPLY ≈ ℓ × POLLING`
 //!   instead of `n × POLLING`.
 
-use homonym_bench::{fig6_evt_hp, maybe_dump};
+use crate::{fig6_evt_hp, maybe_dump};
 
-fn main() {
+pub fn main() {
     println!("## E6 — ◇HP / HΩ in HPS (Figure 6)\n");
     println!("### GST sweep (n=5, ℓ=2, δ=3, 1 crash)\n");
     println!("| GST | ◇HP stab | HΩ stab | final timeout | POLLING | P_REPLY |");

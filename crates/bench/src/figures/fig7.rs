@@ -5,9 +5,9 @@
 //! (plus partial-delivery variants in crash steps); safety holds across
 //! all of them.
 
-use homonym_bench::fig7_h_sigma;
+use crate::fig7_h_sigma;
 
-fn main() {
+pub fn main() {
     println!("## E7 — HΣ in HSS (Figure 7)\n");
     println!("| n | ℓ | crashes | steps | liveness by step | labels | IDENT msgs |");
     println!("|---|---|---------|-------|------------------|--------|------------|");

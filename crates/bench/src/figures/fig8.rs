@@ -8,9 +8,9 @@
 //! * the homonymous coordination phase costs extra COORD traffic that
 //!   grows with n but keeps decision latency in the same band.
 
-use homonym_bench::{fig8_consensus, fig8_tracks_stabilization, maybe_dump, ConsensusVariant};
+use crate::{fig8_consensus, fig8_tracks_stabilization, maybe_dump, ConsensusVariant};
 
-fn main() {
+pub fn main() {
     println!("## E8 — consensus with HΩ and a majority (Figure 8)\n");
     println!("### homonymy sweep (n=6, 2 crashes, detector stabilizes at t=60)\n");
     println!("| ℓ | decided | last decision | rounds | broadcasts |");

@@ -6,9 +6,9 @@
 //! * neither `n` nor `t` is supplied to the processes;
 //! * every decision is checker-verified.
 
-use homonym_bench::{fig8_blocks_beyond_majority, fig9_consensus};
+use crate::{fig8_blocks_beyond_majority, fig9_consensus};
 
-fn main() {
+pub fn main() {
     println!("## E9 — consensus with (HΩ, HΣ), any t (Figure 9)\n");
     println!("### crash sweep at n=6, ℓ=2 (stabilize t=40)\n");
     println!("| crashes | Fig 9 decided | Fig 9 last decision | Fig 9 rounds | Fig 8 decided |");

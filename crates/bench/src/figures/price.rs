@@ -5,9 +5,9 @@
 //! rounds; anonymous flooding with `AP` needs `2t + 1` — a 2× gap that
 //! both variants' checkers confirm is not paid in correctness.
 
-use homonym_bench::price_of_anonymity;
+use crate::price_of_anonymity;
 
-fn main() {
+pub fn main() {
     println!("## E11 — price of anonymity: P (t+1) vs AP (2t+1)\n");
     println!("| t | n | P rounds | AP rounds | P msgs | AP msgs |");
     println!("|---|---|----------|-----------|--------|---------|");

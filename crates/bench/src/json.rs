@@ -1,8 +1,8 @@
 //! Optional JSON export of experiment rows.
 //!
-//! Every `exp_*` binary prints human-readable markdown tables; setting
+//! Every figure of `exp` prints human-readable markdown tables; setting
 //! `HOMONYM_EXP_JSON=<dir>` additionally dumps the raw result rows of
-//! the binaries that call [`maybe_dump`] as a JSON array to
+//! the figures that call [`maybe_dump`] as a JSON array to
 //! `<dir>/<experiment>.json`, for downstream plotting. A row type names
 //! its own fields through [`JsonRow`]; nothing is derived.
 

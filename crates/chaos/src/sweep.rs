@@ -1190,7 +1190,7 @@ pub fn locate_counterexample_scenario(cfg: &SweepConfig, cex: &Counterexample) -
 /// [`PrefixSweeper`]/divergence machinery the falsification sweep uses,
 /// never re-executing the honest prefix. The same variations are also
 /// re-executed flat from tick 0; [`ByzantineReplay::verdicts_match`]
-/// must hold (asserted by `exp_chaos` and the chaos integration tests).
+/// must hold (asserted by `exp chaos` and the chaos integration tests).
 ///
 /// On the oracle-backed Figure 9 stack the forked execution *is* the
 /// flat one (its construction is not prefix-invariant), so its

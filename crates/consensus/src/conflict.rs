@@ -77,20 +77,17 @@ impl WindowLedger {
     /// already at its carrier cap (or is not in the assignment at all).
     pub fn admit(&mut self, label: Identity, caps: &Multiset<Identity>) -> bool {
         let cap = caps.multiplicity(&label);
-        let i = match self.used.binary_search_by_key(&label, |&(l, _)| l) {
-            Ok(i) => i,
-            Err(i) => {
-                self.used.insert(i, (label, 0));
-                i
+        match self.used.binary_search_by_key(&label, |&(l, _)| l) {
+            Ok(i) if self.used[i].1 < cap => self.used[i].1 += 1,
+            // A label nobody carries is forged and gets no entry: a
+            // Byzantine homonym can invent labels without end.
+            Err(i) if cap > 0 => self.used.insert(i, (label, 1)),
+            _ => {
+                self.discarded += 1;
+                return false;
             }
-        };
-        if self.used[i].1 < cap {
-            self.used[i].1 += 1;
-            true
-        } else {
-            self.discarded += 1;
-            false
         }
+        true
     }
 
     /// Copies rejected by the cap so far.
@@ -154,10 +151,17 @@ mod tests {
 
     #[test]
     fn unknown_labels_are_discarded_outright() {
-        let caps = Multiset::new();
+        let mut caps = Multiset::new();
+        caps.insert(id(1));
         let mut w = WindowLedger::default();
-        assert!(!w.admit(id(9), &caps));
-        assert_eq!(w.discarded(), 1);
+        // A thousand distinct forged labels leave nothing behind.
+        for forged in 2..1_002 {
+            assert!(!w.admit(id(forged), &caps));
+        }
+        assert!(w.occupancy().is_empty());
+        assert_eq!(w.discarded(), 1_000);
+        assert!(w.admit(id(1), &caps));
+        assert_eq!(w.occupancy(), &[(id(1), 1)]);
     }
 
     #[test]

@@ -175,7 +175,7 @@ impl<D: HOmegaSource + Send + 'static> LeaderPolicy for HOmegaPolicy<D> {
 /// Phase — what Figure 8 would be if it were a naive port of the
 /// anonymous algorithm of \[4\]. Homonymous co-leaders then push their own
 /// (possibly different) estimates in Phase 0 and the run may livelock;
-/// safety is unaffected. Used by the `exp_ablation` experiment to show
+/// safety is unaffected. Used by the `exp ablation` experiment to show
 /// the coordination phase is load-bearing (Lemma 7).
 #[derive(Debug, Clone)]
 pub struct UncoordinatedHOmegaPolicy<D>(pub D);

@@ -172,14 +172,17 @@ use std::collections::{BTreeMap, VecDeque};
 
 use homonym_core::fork::{ForkSpace, ForkState};
 use homonym_core::identity::{Identity, IdentityAssignment};
+use homonym_core::multiset::Multiset;
 use homonym_core::query::{HOmegaSource, HSigmaSource, SigmaSource};
 use homonym_core::time::{Span, Time};
+use homonym_core::wire::{Loader, Persist, Saver, WireError};
 use homonym_sim::process::{Action, ActionSink, Process, TimerTag};
 use homonym_sim::snapshot::ForkProcess;
 use homonym_sim::workload::{proposer_of, seq_of, CommandQueue, NOOP};
 use homonym_sim::ObsKind;
 
 use crate::byz_quorum::ByzQuorumConsensus;
+use crate::conflict::WindowLedger;
 use crate::fig8::{HOmegaPolicy, LeaderPolicy, MajorityConsensus};
 use crate::fig9::QuorumConsensus;
 use crate::flooding::PFloodingConsensus;
@@ -378,6 +381,50 @@ pub enum RsmMsg<M> {
     },
 }
 
+impl<M: Persist> Persist for RsmMsg<M> {
+    fn save(&self, s: &mut Saver) {
+        match self {
+            RsmMsg::Inner { height, msg } => {
+                s.u8(0);
+                height.save(s);
+                msg.save(s);
+            }
+            RsmMsg::Commit {
+                height,
+                value,
+                id,
+                next,
+            } => {
+                s.u8(1);
+                height.save(s);
+                value.save(s);
+                id.save(s);
+                next.save(s);
+            }
+        }
+    }
+    fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
+        Ok(match l.u8()? {
+            0 => RsmMsg::Inner {
+                height: Persist::load(l)?,
+                msg: Persist::load(l)?,
+            },
+            1 => RsmMsg::Commit {
+                height: Persist::load(l)?,
+                value: Persist::load(l)?,
+                id: Persist::load(l)?,
+                next: Persist::load(l)?,
+            },
+            tag => {
+                return Err(WireError::BadTag {
+                    what: "RsmMsg",
+                    tag,
+                })
+            }
+        })
+    }
+}
+
 /// One committed log entry, published on every commit — the log
 /// service's [`Process::Output`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -443,9 +490,9 @@ impl RsmOptions {
     }
 }
 
-/// Per-height `Commit` tallies: value → claimed label → admitted copies
-/// (capped at the label's multiplicity).
-type CommitTally = BTreeMap<u64, BTreeMap<Identity, usize>>;
+/// Per-height `Commit` tallies: value → the copies admitted for it, each
+/// claimed label capped at its multiplicity.
+type CommitTally = BTreeMap<u64, WindowLedger>;
 
 /// The multi-height replicated log process; see the module docs.
 ///
@@ -457,9 +504,9 @@ pub struct ReplicatedLog<C: HeightEngine> {
     seed: C::Seed,
     client: CommandQueue,
     opts: RsmOptions,
-    /// Label → multiplicity in the assignment: the admission cap for
-    /// `Commit` tallies.
-    label_caps: BTreeMap<Identity, usize>,
+    /// The assignment's labels with their multiplicities: the admission
+    /// caps for `Commit` tallies.
+    caps: Multiset<Identity>,
     inner: C,
     height: u64,
     log: Vec<u64>,
@@ -519,17 +566,13 @@ impl<C: HeightEngine> ReplicatedLog<C> {
         opts: RsmOptions,
     ) -> Self {
         assert!(opts.commit_quorum >= 1, "commit quorum must be positive");
-        let mut label_caps: BTreeMap<Identity, usize> = BTreeMap::new();
-        for p in 0..assign.n() {
-            *label_caps.entry(assign.id_of(p)).or_insert(0) += 1;
-        }
         let inner = C::spawn(&seed, client.proposal(Time::ZERO));
         let status_gap = opts.answer_interval;
         ReplicatedLog {
             seed,
             client,
             opts,
-            label_caps,
+            caps: assign.multiset(),
             inner,
             height: 0,
             log: Vec::new(),
@@ -701,7 +744,7 @@ impl<C: HeightEngine> ReplicatedLog<C> {
             let quorum = self.opts.commit_quorum;
             let Some((&value, _)) = per_value
                 .iter()
-                .find(|(_, labels)| labels.values().sum::<usize>() >= quorum)
+                .find(|(_, copies)| copies.admitted() >= quorum)
             else {
                 return;
             };
@@ -718,23 +761,13 @@ impl<C: HeightEngine> ReplicatedLog<C> {
             ctx.note_discard();
             return;
         }
-        let cap = self.label_caps.get(&id).copied().unwrap_or(0);
-        if cap == 0 {
-            // A label nobody carries: necessarily forged.
-            ctx.note_discard();
-            return;
-        }
-        let admitted = self
+        let copies = self
             .tallies
             .entry(height)
             .or_default()
             .entry(value)
-            .or_default()
-            .entry(id)
-            .or_insert(0);
-        if *admitted < cap {
-            *admitted += 1;
-        } else {
+            .or_default();
+        if !copies.admit(id, &self.caps) {
             ctx.note_discard();
         }
     }
@@ -991,7 +1024,7 @@ where
             seed: C::fork_seed(&self.seed, space),
             client: self.client.clone(),
             opts: self.opts.clone(),
-            label_caps: self.label_caps.clone(),
+            caps: self.caps.clone(),
             inner: self.inner.fork_in(space),
             height: self.height,
             log: self.log.clone(),

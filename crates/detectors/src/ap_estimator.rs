@@ -11,7 +11,7 @@
 //! every `period` ticks broadcast `ALIVE`, and output as `anap` the number
 //! of `ALIVE` messages received in the last window. Under the synchronous
 //! model (latency 1 < period) this is a correct `AP` implementation; under
-//! `HPS` the `exp_ap_realism` experiment shows the safety checker
+//! `HPS` the `exp combined` experiment shows the safety checker
 //! catching real violations — reproducing the implementability boundary
 //! the paper draws, and motivating why `HΩ` (implementable in `HPS`,
 //! Figure 6) is the right detector for partial synchrony.

@@ -254,7 +254,7 @@ impl EvtHpProcess {
     /// **Ablation**: freezes `timeout_p` at `ticks` and disables the
     /// lines 33-34 adaptation. With a timeout below the (unknown) round
     /// trip the detector provably never converges — the experiment
-    /// `exp_ablation` uses this to show the adaptation is load-bearing
+    /// `exp ablation` uses this to show the adaptation is load-bearing
     /// (Lemma 5).
     #[must_use]
     pub fn with_fixed_timeout(mut self, ticks: u64) -> Self {

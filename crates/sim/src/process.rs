@@ -124,9 +124,9 @@ pub fn reads<P: Process>(id: Identity, msg: &P::Msg) -> bool {
 
 /// Effects a process can request during a callback.
 ///
-/// Public so that alternative engines (e.g. the thread-based
-/// `homonym-runtime`) can drain and apply them; algorithm code never
-/// constructs these directly.
+/// Public so that engines and wrapping processes (`ReferenceEngine`,
+/// `Stacked`, the replicated log's height envelope) can drain and apply
+/// them; algorithm code never constructs these directly.
 #[derive(Debug)]
 pub enum Action<M, O> {
     /// Send `m` to every process, self included.

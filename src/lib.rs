@@ -31,9 +31,7 @@
 //!   recorder both engines feed (round phases, quorum certificates,
 //!   detector epochs, attack firings), derived metrics (decision-time
 //!   and certificate-size distributions, detector quality curves), and
-//!   ASCII/Mermaid timeline renderers;
-//! * [`runtime`] — a thread-based engine running the same process code in
-//!   real time.
+//!   ASCII/Mermaid timeline renderers.
 //!
 //! See `README.md` for a tour, `DESIGN.md` for the system inventory and
 //! `EXPERIMENTS.md` for the per-figure reproduction results.
@@ -79,7 +77,6 @@ pub use homonym_core as core;
 pub use homonym_detectors as detectors;
 pub use homonym_obs as obs;
 pub use homonym_reductions as reductions;
-pub use homonym_runtime as runtime;
 pub use homonym_sim as sim;
 
 /// One-stop import for examples and integration tests.

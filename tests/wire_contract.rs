@@ -12,8 +12,10 @@
 //! * **a snapshot costs what the state costs** — a byte budget per
 //!   history entry and for everything else;
 //! * **hostile bytes** — arbitrary strings, truncations and single-byte
-//!   mutations of valid encodings yield a typed error or a value, never
-//!   a panic, and a corrupt count never sizes an allocation.
+//!   mutations of valid encodings (a snapshot, a command queue, every
+//!   variant of every message the stacks send) yield a typed error or a
+//!   value that encodes to a decodable string, never a panic, and a
+//!   corrupt count never sizes an allocation.
 //!
 //! The primitives themselves (varint boundaries, canonical forms, bad
 //! back-references) are pinned by the codec's unit tests.
@@ -21,14 +23,15 @@
 use std::sync::Arc;
 
 use homonym::chaos::{byz_tolerant_node, fig8_node, hps_base, ByzTolerantNode, Fig8Node};
+use homonym::consensus::{ByzMsg, RsmMsg};
 use homonym::core::failure::FailureSchedule;
-use homonym::core::identity::IdentityAssignment;
+use homonym::core::identity::{Identity, IdentityAssignment};
 use homonym::core::properties::History;
 use homonym::core::time::Time;
 use homonym::core::wire::{self, Loader, Persist, WireError};
 use homonym::detectors::{EvtHpMsg, EvtHpProcess, EvtHpSnapshot};
 use homonym::sim::{
-    decode_container, encode_container, read_verified, CommandQueue, Engine, EngineArena,
+    decode_container, encode_container, read_verified, CommandQueue, Either, Engine, EngineArena,
     EngineSnapshot, ForkProcess, SimConfig, WorkloadConfig,
 };
 use proptest::prelude::*;
@@ -228,20 +231,76 @@ fn small_snapshot_bytes() -> Vec<u8> {
     wire::to_bytes(&detector_at(4, 2, 150).snapshot())
 }
 
-fn message_bytes() -> [Vec<u8>; 2] {
-    use homonym::core::identity::Identity;
-    [
-        wire::to_bytes(&EvtHpMsg::Polling {
-            round: 300,
-            id: Identity::new(3),
-        }),
-        wire::to_bytes(&EvtHpMsg::PReply {
+/// What the log service puts on the wire, alone and under the detector.
+type LogMsg = RsmMsg<ByzMsg>;
+type StackMsg = Either<EvtHpMsg, LogMsg>;
+
+/// A valid encoding and the decoder that has to survive what is made of
+/// it.
+type Case = (Vec<u8>, fn(&[u8]) -> bool);
+
+fn cases<T: Persist>(values: &[T]) -> Vec<Case> {
+    let decoder = survives::<T> as fn(&[u8]) -> bool;
+    values
+        .iter()
+        .map(|v| (wire::to_bytes(v), decoder))
+        .collect()
+}
+
+/// Every message type a stack sends, variant by variant.
+fn message_cases() -> Vec<Case> {
+    let id = Identity::new(3);
+    let detector = [
+        EvtHpMsg::Polling { round: 300, id },
+        EvtHpMsg::PReply {
             from: 7,
             to: 1_000_000,
             target: Identity::new(1),
             sender: Identity::new(2),
-        }),
-    ]
+        },
+    ];
+    let (round, est, locked, val) = (70_000, u64::MAX, true, Some(5));
+    let engine = [
+        ByzMsg::Coord {
+            id,
+            round,
+            est,
+            locked,
+        },
+        ByzMsg::Vote {
+            id,
+            round,
+            est,
+            locked,
+        },
+        ByzMsg::Commit { id, round, val },
+        ByzMsg::Commit {
+            id,
+            round,
+            val: None,
+        },
+        ByzMsg::Decide { id, value: 9 },
+    ];
+    let height = 1 << 40;
+    let mut log: Vec<LogMsg> = engine
+        .iter()
+        .map(|msg| RsmMsg::Inner {
+            height,
+            msg: msg.clone(),
+        })
+        .collect();
+    log.push(RsmMsg::Commit {
+        height,
+        value: 5,
+        id,
+        next: u64::MAX,
+    });
+    let stack: Vec<StackMsg> = detector
+        .iter()
+        .map(|m| Either::L(m.clone()))
+        .chain(log.iter().map(|m| Either::R(m.clone())))
+        .collect();
+    [cases(&detector), cases(&engine), cases(&log), cases(&stack)].concat()
 }
 
 fn queue_bytes() -> Vec<u8> {
@@ -249,11 +308,12 @@ fn queue_bytes() -> Vec<u8> {
 }
 
 /// Decodes `bytes` as `T`: the call returning at all is the property;
-/// a value that does come out must encode again.
+/// a value that does come out must encode to a string that decodes.
 fn survives<T: Persist>(bytes: &[u8]) -> bool {
     match wire::from_bytes::<T>(bytes) {
         Ok(value) => {
-            let _ = wire::to_bytes(&value);
+            let again = wire::to_bytes(&value);
+            assert!(wire::from_bytes::<T>(&again).is_ok());
             true
         }
         Err(_) => false,
@@ -267,10 +327,10 @@ fn every_truncation_of_a_valid_encoding_is_an_error() {
     for cut in 0..snapshot.len() {
         assert!(!survives::<DetectorSnapshot>(&snapshot[..cut]), "cut {cut}");
     }
-    for message in message_bytes() {
-        assert!(survives::<EvtHpMsg>(&message));
+    for (message, decodes) in message_cases() {
+        assert!(decodes(&message));
         for cut in 0..message.len() {
-            assert!(!survives::<EvtHpMsg>(&message[..cut]), "cut {cut}");
+            assert!(!decodes(&message[..cut]), "cut {cut} of {message:?}");
         }
     }
     let queue = queue_bytes();
@@ -300,6 +360,9 @@ proptest! {
     ) {
         survives::<DetectorSnapshot>(&bytes);
         survives::<EvtHpMsg>(&bytes);
+        survives::<ByzMsg>(&bytes);
+        survives::<LogMsg>(&bytes);
+        survives::<StackMsg>(&bytes);
         survives::<CommandQueue>(&bytes);
         let _ = decode_container(&bytes, 7);
         // Behind a well-formed header too, so the length and checksum
@@ -332,9 +395,9 @@ proptest! {
         each_mutant(&small_snapshot_bytes(), flip, |b| {
             survives::<DetectorSnapshot>(b);
         });
-        for message in message_bytes() {
+        for (message, decodes) in message_cases() {
             each_mutant(&message, flip, |b| {
-                survives::<EvtHpMsg>(b);
+                decodes(b);
             });
         }
         each_mutant(&queue_bytes(), flip, |b| {
