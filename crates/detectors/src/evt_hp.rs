@@ -63,6 +63,34 @@
 //! the reply is held, and the list stays at one run per replier however
 //! far the rounds drift (8 on every process of that run, at every
 //! probe). `tests/detector_state_bounds.rs` pins the bound.
+//!
+//! # What a history holds
+//!
+//! A round end publishes an [`EvtHpSnapshot`] only when it has news: it
+//! is the process's first, the gathered bag differs from the previous
+//! round's, or the `HΩ` pair or `timeout_p` differs from the snapshot
+//! last published. A history is therefore the list of *change points* of
+//! the output, not one entry per round, and it stops growing when the
+//! detector stabilises (three or four entries a process on a fault-free
+//! run, however long).
+//!
+//! Nothing is lost. `◇HP` and `HΩ` constrain what `h_trusted_p` and
+//! `(h_leader_p, h_multiplicity_p)` do *eventually*, and
+//! `homonym_core::properties` reads a history as the step function of the
+//! variable: the value at time `t` is the last entry at or before `t`, a
+//! history converges where its last change is. Dropping an entry that
+//! repeats the one before it leaves that function as it was — failure
+//! detector classes are closed under such sampling (Lynch & Sastry's
+//! asynchronous failure detectors take it as part of the definition) —
+//! and this crate's `tests/detector_props.rs` checks it against the
+//! variables themselves, tick by tick.
+//!
+//! On an entry, `round` is the round whose end produced the output and
+//! `timeout` the `timeout_p` that round ended with; both stay
+//! diagnostics. A round end that published nothing left the bag, the
+//! pair and the timeout as the last entry has them. Whoever wants the
+//! rounds themselves reads the recorder: a `DetectorEpoch` observation
+//! is still emitted at every round end, changed or not.
 
 use homonym_core::classes::{EvtHPOutput, HOmegaOutput};
 use homonym_core::fork::{ForkSpace, ForkState};
@@ -151,8 +179,9 @@ pub fn mutate_evt_hp_msg(msg: &EvtHpMsg, entropy: u64) -> EvtHpMsg {
     }
 }
 
-/// Snapshot published at the end of every round: the `◇HP` output together
-/// with the `HΩ` view extracted from it.
+/// Snapshot published at a round end that has news ("What a history
+/// holds" in the module docs): the `◇HP` output together with the `HΩ`
+/// view extracted from it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvtHpSnapshot {
     /// The `◇HP` variable `h_trusted_p`, shared with every other
@@ -160,7 +189,8 @@ pub struct EvtHpSnapshot {
     pub evt_hp: Arc<EvtHPOutput>,
     /// The Corollary 2 extraction `(h_leader_p, h_multiplicity_p)`.
     pub h_omega: HOmegaOutput,
-    /// The round that just ended (diagnostic, not part of the class).
+    /// The round whose end produced this output (diagnostic, not part of
+    /// the class).
     pub round: u64,
     /// The adaptive timeout at the end of that round (diagnostic).
     pub timeout: u64,
@@ -218,9 +248,9 @@ pub struct EvtHpProcess {
     snapshot: Arc<EvtHPOutput>,
     evt_mirror: Option<SharedCell<EvtHPOutput>>,
     omega_mirror: Option<SharedCell<HOmegaOutput>>,
-    /// Whether the mirror cells may lag the local state (set at start,
-    /// cleared by the first mirror store).
-    mirrors_dirty: bool,
+    /// The `HΩ` pair and `timeout_p` of the snapshot last published
+    /// (its bag is `prev_gather`'s); `None` until the first round ends.
+    published: Option<(HOmegaOutput, u64)>,
     adaptive: bool,
     started: bool,
 }
@@ -245,7 +275,7 @@ impl EvtHpProcess {
             snapshot: Arc::default(),
             evt_mirror: None,
             omega_mirror: None,
-            mirrors_dirty: true,
+            published: None,
             adaptive: true,
             started: false,
         }
@@ -390,25 +420,29 @@ impl EvtHpProcess {
             changed,
         });
         // Mirrors are skipped only when they provably already hold the
-        // current values (`mirrors_dirty` covers the start-step HΩ
-        // re-initialization, which changes `h_omega` without a gather
-        // change).
-        if changed || self.mirrors_dirty {
+        // current values: past the first round end (which stores the
+        // start-step `HΩ` re-initialization) the bag and the pair move
+        // only with the gather.
+        if changed || self.published.is_none() {
             if let Some(cell) = &self.evt_mirror {
                 cell.set(EvtHPOutput::clone(&self.snapshot));
             }
             if let Some(cell) = &self.omega_mirror {
                 cell.set(self.h_omega);
             }
-            self.mirrors_dirty = false;
         }
         self.gather = gather;
-        ctx.publish(EvtHpSnapshot {
-            evt_hp: Arc::clone(&self.snapshot),
-            h_omega: self.h_omega,
-            round: r,
-            timeout: self.timeout,
-        });
+        // A history records changes, not rounds ("What a history holds").
+        let said = Some((self.h_omega, self.timeout));
+        if changed || self.published != said {
+            ctx.publish(EvtHpSnapshot {
+                evt_hp: Arc::clone(&self.snapshot),
+                h_omega: self.h_omega,
+                round: r,
+                timeout: self.timeout,
+            });
+            self.published = said;
+        }
         self.round += 1;
         self.poll(ctx);
     }
@@ -439,7 +473,7 @@ impl ForkProcess for EvtHpProcess {
             snapshot: self.snapshot.clone(),
             evt_mirror: self.evt_mirror.as_ref().map(|c| c.fork_in(space)),
             omega_mirror: self.omega_mirror.as_ref().map(|c| c.fork_in(space)),
-            mirrors_dirty: self.mirrors_dirty,
+            published: self.published,
             adaptive: self.adaptive,
             started: self.started,
         }
@@ -466,7 +500,6 @@ impl Process for EvtHpProcess {
     fn on_start(&mut self, ctx: &mut ActionSink<'_, EvtHpMsg, EvtHpSnapshot>) {
         self.started = true;
         self.h_omega = HOmegaOutput::new(ctx.my_id(), 1);
-        self.mirrors_dirty = true;
         self.poll(ctx);
     }
 
@@ -595,7 +628,7 @@ homonym_core::persist_fields!(EvtHpProcess {
     snapshot,
     evt_mirror,
     omega_mirror,
-    mirrors_dirty,
+    published,
     adaptive,
     started
 });

@@ -218,7 +218,8 @@ impl<'a, M, O> ActionSink<'a, M, O> {
         self.actions.push(Action::SetTimer(delay, tag));
     }
 
-    /// Publishes a detector-output snapshot for history recording.
+    /// Appends `output` to this process's history, which is read as the
+    /// step function of its output: publish when the output changes.
     pub fn publish(&mut self, output: O) {
         self.actions.push(Action::Publish(output));
     }

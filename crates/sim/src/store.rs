@@ -236,12 +236,23 @@ pub fn decode_container(bytes: &[u8], schema: u32) -> Result<&[u8], StoreError> 
 ///
 /// # Errors
 ///
-/// [`StoreError::Io`] on any filesystem failure.
+/// [`StoreError::Io`] on any filesystem failure, the last step's
+/// included: a rename whose directory entry was not made durable may not
+/// survive a crash, so a parent directory that cannot be opened or
+/// `fsync`ed fails the write. (No test provokes that failure — there is
+/// no portable way to make a directory that accepts a rename refuse an
+/// `fsync`.)
 pub fn write_atomic(path: &Path, schema: u32, payload: &[u8]) -> Result<(), StoreError> {
     let framed = encode_container(schema, payload);
     let dir = path
         .parent()
         .ok_or_else(|| StoreError::Io(std::io::Error::other("checkpoint path has no parent")))?;
+    // A bare file name's parent is the empty path: the working directory.
+    let dir = if dir.as_os_str().is_empty() {
+        Path::new(".")
+    } else {
+        dir
+    };
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
@@ -253,9 +264,7 @@ pub fn write_atomic(path: &Path, schema: u32, payload: &[u8]) -> Result<(), Stor
     fs::rename(&tmp, path)?;
     // Persist the rename itself; without this a crash can resurrect
     // the old directory entry.
-    if let Ok(d) = fs::File::open(dir) {
-        let _ = d.sync_all();
-    }
+    fs::File::open(dir)?.sync_all()?;
     Ok(())
 }
 
@@ -328,8 +337,9 @@ impl SpillHandle {
 /// layout; no reader for an older schema is kept. 2: the tolerant
 /// consensus engine lost its polling period and gained its
 /// deadline-timer marker. 3: the engine's `Metrics` gained
-/// `copies_unaddressed`.
-pub const SPOOL_SCHEMA: u32 = 3;
+/// `copies_unaddressed`. 4: the `◇HP` detector keeps what it last
+/// published in place of its mirrors-lag flag.
+pub const SPOOL_SCHEMA: u32 = 4;
 
 impl SnapshotSpool {
     /// A spool rooted at `dir` (created if absent) keeping at most

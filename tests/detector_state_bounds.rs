@@ -1,5 +1,6 @@
-//! Regression guard for the `◇HP` held-reply list: what a Figure 6
-//! process keeps must not grow with the run.
+//! Regression guard for the `◇HP` detector's state: what a Figure 6
+//! process keeps, and what the engine keeps of it, must not grow with
+//! the run.
 //!
 //! Two carriers of one label adapt different timeouts, their round
 //! counters drift apart, and the slower one receives — and must hold —
@@ -9,20 +10,36 @@
 //! it is one run per replier. These runs pin that: n repliers, so never
 //! more than n entries, on every process, at every probe of a long run —
 //! while the rounds really do drift, or the test would guard nothing.
+//!
+//! The other structure that grew was the record: a history entry per
+//! round end. A history holds the output's change points ("What a
+//! history holds", same module), so once these fault-free runs have
+//! stabilised no history gains an entry and the encoded snapshot stays
+//! inside a fixed budget — what is left to breathe with the instant of
+//! the cut is the queue and the held replies: 1.5–2.1 KB at n = 8,
+//! 8.7–12.4 KB at n = 32 on most probes and 18.2–19.9 KB on the one in
+//! thirteen that cuts a burst of replies in flight (a queued copy costs
+//! more than a held one), against 143.5 KB and climbing at 30 000 ticks
+//! with an entry per round.
 
 use homonym::chaos::sweep::hps_base;
+use homonym::core::wire;
 use homonym::detectors::evt_hp::EvtHpProcess;
 use homonym::prelude::*;
 
 const HORIZON: u64 = 100_000;
 const PROBE_EVERY: u64 = 1_000;
+/// Every process of both runs has said its last word by this tick.
+const STABLE_BY: u64 = 5_000;
 
-/// Runs the bare detector on the sweep's base network and probes every
-/// process's held-reply list as the run goes.
-fn held_replies_stay_bounded(n: usize, l: usize) {
+/// Runs the bare detector on the sweep's base network and probes, as the
+/// run goes, every process's held-reply list, every history's length and
+/// the size of the encoded snapshot against `snapshot_budget` bytes.
+fn detector_state_stays_bounded(n: usize, l: usize, snapshot_budget: usize) {
     let assign = IdentityAssignment::round_robin(n, l);
     let config = SimConfig::new(assign.clone(), FailureSchedule::none(n), hps_base());
     let mut engine = Engine::new(config, |_, _| EvtHpProcess::new());
+    let mut stable_lens = Vec::new();
     for probe in (PROBE_EVERY..=HORIZON).step_by(PROBE_EVERY as usize) {
         engine.run_until(Time::from_ticks(probe));
         for p in 0..n {
@@ -32,6 +49,21 @@ fn held_replies_stay_bounded(n: usize, l: usize) {
                 "p{p} holds {held} replies at tick {probe} (n = {n})"
             );
         }
+        if probe < STABLE_BY {
+            continue;
+        }
+        let lens: Vec<usize> = engine.histories().iter().map(Vec::len).collect();
+        if probe == STABLE_BY {
+            assert!(lens.iter().all(|&len| len > 0), "someone never published");
+            stable_lens = lens;
+        } else {
+            assert_eq!(lens, stable_lens, "a history grew by tick {probe}");
+        }
+        let bytes = wire::to_bytes(&engine.snapshot()).len();
+        assert!(
+            bytes <= snapshot_budget,
+            "{bytes}-byte snapshot at tick {probe} (n = {n})"
+        );
     }
     // The scenario is the one the bound is about: some label's carriers
     // are rounds apart by now, and everyone still trusts everyone.
@@ -50,10 +82,10 @@ fn held_replies_stay_bounded(n: usize, l: usize) {
 
 #[test]
 fn eight_processes_four_labels() {
-    held_replies_stay_bounded(8, 4);
+    detector_state_stays_bounded(8, 4, 3_000);
 }
 
 #[test]
 fn thirty_two_processes_four_labels() {
-    held_replies_stay_bounded(32, 4);
+    detector_state_stays_bounded(32, 4, 24_000);
 }

@@ -9,30 +9,37 @@
 //!   timer armed;
 //! * **sharing survives** — history entries that shared one `◇HP` bag
 //!   before a round trip share one after it;
-//! * **a snapshot costs what the state costs** — a byte budget per
-//!   history entry and for everything else;
+//! * **a snapshot costs what the state costs** — a stabilised detector's
+//!   histories gain no entry and its snapshot keeps inside a byte budget,
+//!   however long the run;
 //! * **hostile bytes** — arbitrary strings, truncations and single-byte
 //!   mutations of valid encodings (a snapshot, a command queue, every
 //!   variant of every message the stacks send) yield a typed error or a
 //!   value that encodes to a decodable string, never a panic, and a
-//!   corrupt count never sizes an allocation.
+//!   corrupt count never sizes an allocation; and the forgeries a
+//!   Byzantine sender puts on the wire (`Process::mutate_payload`) are
+//!   total over every variant and field value.
 //!
 //! The primitives themselves (varint boundaries, canonical forms, bad
 //! back-references) are pinned by the codec's unit tests.
 
 use std::sync::Arc;
 
-use homonym::chaos::{byz_tolerant_node, fig8_node, hps_base, ByzTolerantNode, Fig8Node};
-use homonym::consensus::{ByzMsg, RsmMsg};
+use homonym::chaos::{byz_tolerant_node, fig8_node, hps_base, ByzTolerantNode, Fig8Node, RsmNode};
+use homonym::consensus::{
+    ByzMsg, ByzQuorumConsensus, Fig8Msg, HOmegaPolicy, MajorityConsensus, ReplicatedLog, RsmMsg,
+};
+use homonym::core::classes::HOmegaOutput;
 use homonym::core::failure::FailureSchedule;
 use homonym::core::identity::{Identity, IdentityAssignment};
 use homonym::core::properties::History;
+use homonym::core::query::SharedCell;
 use homonym::core::time::Time;
 use homonym::core::wire::{self, Loader, Persist, WireError};
 use homonym::detectors::{EvtHpMsg, EvtHpProcess, EvtHpSnapshot};
 use homonym::sim::{
     decode_container, encode_container, read_verified, CommandQueue, Either, Engine, EngineArena,
-    EngineSnapshot, ForkProcess, SimConfig, WorkloadConfig,
+    EngineSnapshot, ForkProcess, Process, SimConfig, WorkloadConfig,
 };
 use proptest::prelude::*;
 
@@ -145,6 +152,10 @@ fn sharing(histories: &[History<EvtHpSnapshot>]) -> Vec<Vec<bool>> {
         .collect()
 }
 
+/// A history holds change points, so two consecutive entries share a
+/// bag only where the timeout or the `HΩ` pair moved under an unchanged
+/// one. The run at seed 0 (`SimConfig`'s default) cut at tick 3 000 has
+/// both kinds: 33 shared, 36 fresh.
 #[test]
 fn history_entries_that_shared_a_bag_share_one_after_a_round_trip() {
     let e = detector_at(32, 4, 3_000);
@@ -152,8 +163,8 @@ fn history_entries_that_shared_a_bag_share_one_after_a_round_trip() {
     let shared = before.iter().flatten().filter(|&&s| s).count();
     let fresh = before.iter().flatten().filter(|&&s| !s).count();
     assert!(
-        shared > 10 * fresh && fresh > 0,
-        "the run must both change its bag and then keep it: {shared} shared, {fresh} fresh"
+        shared > 0 && fresh > 0,
+        "the run must both change its bag and keep one: {shared} shared, {fresh} fresh"
     );
     let decoded: DetectorSnapshot =
         wire::from_bytes(&wire::to_bytes(&e.snapshot())).expect("decodes");
@@ -162,25 +173,26 @@ fn history_entries_that_shared_a_bag_share_one_after_a_round_trip() {
     assert_eq!(sharing(resumed.histories()), before);
 }
 
-/// What `durable_cycle` pays for: at n = 32 a history entry past the
-/// first of its bag is a back-reference and a handful of small varints
-/// (9.4 bytes measured; re-encoding the bag by value alone would be 72),
-/// and everything that is not history — 32 processes, their RNG
-/// streams, the queue, the metrics — fits 20 KB (3.9 KB measured).
+/// What `durable_cycle` pays for: a snapshot of a stabilised n = 32
+/// detector does not grow. The histories hold the output's change points
+/// — 101 entries in all, at most 4 a process, the same at 10 000 ticks
+/// and at 20 000 — and the whole snapshot fits 16 KB at both (10 663 and
+/// 10 698 bytes measured; what breathes with the instant of the cut is
+/// the queue and the held replies, not the record).
 #[test]
 fn a_snapshot_costs_what_the_state_costs() {
     let measure = |e: &Detector| {
-        let entries: usize = e.histories().iter().map(Vec::len).sum();
-        (wire::to_bytes(&e.snapshot()).len() as f64, entries as f64)
+        let entries: Vec<usize> = e.histories().iter().map(Vec::len).collect();
+        (wire::to_bytes(&e.snapshot()).len(), entries)
     };
     let mut e = detector_at(32, 4, 10_000);
     let (bytes_10k, entries_10k) = measure(&e);
     e.run_until(Time::from_ticks(20_000));
     let (bytes_20k, entries_20k) = measure(&e);
-    let per_entry = (bytes_20k - bytes_10k) / (entries_20k - entries_10k);
-    let fixed = bytes_10k - per_entry * entries_10k;
-    assert!(per_entry <= 16.0, "{per_entry:.1} bytes per history entry");
-    assert!(fixed <= 20_000.0, "{fixed:.0} bytes of fixed part");
+    assert_eq!(entries_10k, entries_20k, "a stabilised history grew");
+    assert!(entries_10k.iter().all(|len| (1..=4).contains(len)));
+    assert!(bytes_10k <= 16_000, "{bytes_10k} bytes at 10 000 ticks");
+    assert!(bytes_20k <= 16_000, "{bytes_20k} bytes at 20 000 ticks");
 }
 
 /// A count prefix is the one field of a file that sizes an allocation:
@@ -409,6 +421,186 @@ proptest! {
             undetected += usize::from(decode_container(b, 7).is_ok());
         });
         prop_assert_eq!(undetected, 0);
+    }
+}
+
+/// A field value: on an edge of its range as often as not, so rounds and
+/// heights reach `u64::MAX` and identifiers `Identity::BOTTOM`.
+fn edgy() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        Just(0),
+        Just(1),
+        Just(u64::MAX - 1),
+        Just(u64::MAX),
+        any::<u64>()
+    ]
+}
+
+fn label() -> impl Strategy<Value = Identity> {
+    edgy().prop_map(Identity::new)
+}
+
+fn bottom_or() -> impl Strategy<Value = Option<u64>> {
+    prop::option::weighted(0.5, edgy())
+}
+
+fn evt_hp_msg() -> impl Strategy<Value = EvtHpMsg> {
+    prop_oneof![
+        (edgy(), label()).prop_map(|(round, id)| EvtHpMsg::Polling { round, id }),
+        (edgy(), edgy(), label(), label()).prop_map(|(from, to, target, sender)| {
+            EvtHpMsg::PReply {
+                from,
+                to,
+                target,
+                sender,
+            }
+        }),
+    ]
+}
+
+fn fig8_msg() -> impl Strategy<Value = Fig8Msg> {
+    prop_oneof![
+        (label(), edgy(), edgy()).prop_map(|(id, round, est)| Fig8Msg::Coord { id, round, est }),
+        (edgy(), edgy()).prop_map(|(round, est)| Fig8Msg::Ph0 { round, est }),
+        (edgy(), edgy()).prop_map(|(round, est)| Fig8Msg::Ph1 { round, est }),
+        (edgy(), bottom_or()).prop_map(|(round, est2)| Fig8Msg::Ph2 { round, est2 }),
+        edgy().prop_map(|value| Fig8Msg::Decide { value }),
+    ]
+}
+
+fn byz_msg() -> impl Strategy<Value = ByzMsg> {
+    prop_oneof![
+        (label(), edgy(), edgy(), any::<bool>()).prop_map(|(id, round, est, locked)| {
+            ByzMsg::Coord {
+                id,
+                round,
+                est,
+                locked,
+            }
+        }),
+        (label(), edgy(), edgy(), any::<bool>()).prop_map(|(id, round, est, locked)| {
+            ByzMsg::Vote {
+                id,
+                round,
+                est,
+                locked,
+            }
+        }),
+        (label(), edgy(), bottom_or()).prop_map(|(id, round, val)| ByzMsg::Commit {
+            id,
+            round,
+            val
+        }),
+        (label(), edgy()).prop_map(|(id, value)| ByzMsg::Decide { id, value }),
+    ]
+}
+
+fn log_msg() -> impl Strategy<Value = LogMsg> {
+    prop_oneof![
+        (edgy(), byz_msg()).prop_map(|(height, msg)| RsmMsg::Inner { height, msg }),
+        (edgy(), edgy(), label(), edgy()).prop_map(|(height, value, id, next)| RsmMsg::Commit {
+            height,
+            value,
+            id,
+            next,
+        }),
+    ]
+}
+
+fn stack_msg() -> impl Strategy<Value = StackMsg> {
+    prop_oneof![
+        evt_hp_msg().prop_map(Either::L),
+        log_msg().prop_map(Either::R)
+    ]
+}
+
+// What each mutation's doc promises to leave alone: the variant first,
+// then the fields a receiver admits the copy on.
+
+fn kept_evt_hp(msg: &EvtHpMsg) -> Vec<u64> {
+    match *msg {
+        EvtHpMsg::Polling { round, .. } => vec![0, round],
+        EvtHpMsg::PReply {
+            from, to, target, ..
+        } => vec![1, from, to, target.raw()],
+    }
+}
+
+fn kept_fig8(msg: &Fig8Msg) -> Vec<u64> {
+    match *msg {
+        Fig8Msg::Coord { id, round, .. } => vec![0, id.raw(), round],
+        Fig8Msg::Ph0 { round, .. } => vec![1, round],
+        Fig8Msg::Ph1 { round, .. } => vec![2, round],
+        Fig8Msg::Ph2 { round, .. } => vec![3, round],
+        Fig8Msg::Decide { .. } => vec![4],
+    }
+}
+
+fn kept_byz(msg: &ByzMsg) -> Vec<u64> {
+    match *msg {
+        ByzMsg::Coord { id, round, .. } => vec![0, id.raw(), round],
+        ByzMsg::Vote { id, round, .. } => vec![1, id.raw(), round],
+        ByzMsg::Commit { id, round, .. } => vec![2, id.raw(), round],
+        ByzMsg::Decide { id, .. } => vec![3, id.raw()],
+    }
+}
+
+fn kept_log(msg: &LogMsg) -> Vec<u64> {
+    match msg {
+        RsmMsg::Inner { height, msg } => [vec![0, *height], kept_byz(msg)].concat(),
+        RsmMsg::Commit {
+            height, id, next, ..
+        } => vec![1, *height, id.raw(), *next],
+    }
+}
+
+fn kept_stack(msg: &StackMsg) -> Vec<u64> {
+    match msg {
+        Either::L(msg) => [vec![0], kept_evt_hp(msg)].concat(),
+        Either::R(msg) => [vec![1], kept_log(msg)].concat(),
+    }
+}
+
+/// `P`'s forgery of `msg` comes out, is another message of the same
+/// variant with the promised fields intact, and survives the wire.
+fn forgery_is_total<P: Process>(
+    msg: &P::Msg,
+    entropy: u64,
+    kept: fn(&P::Msg) -> Vec<u64>,
+) -> Result<(), TestCaseError>
+where
+    P::Msg: Persist + PartialEq + std::fmt::Debug,
+{
+    let Some(forged) = P::mutate_payload(msg, entropy) else {
+        return Err(TestCaseError::fail(format!("no forgery of {msg:?}")));
+    };
+    prop_assert_eq!(kept(&forged), kept(msg));
+    prop_assert_ne!(&forged, msg);
+    let decoded = wire::from_bytes::<P::Msg>(&wire::to_bytes(&forged));
+    prop_assert_eq!(decoded, Ok(forged));
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// Every `mutate_payload` a sweep can reach, over every variant with
+    /// arbitrary field values and arbitrary entropy.
+    #[test]
+    fn forgeries_are_total(
+        evt_hp in evt_hp_msg(),
+        fig8 in fig8_msg(),
+        byz in byz_msg(),
+        log in log_msg(),
+        stack in stack_msg(),
+        entropy in edgy(),
+    ) {
+        type Fig8 = MajorityConsensus<HOmegaPolicy<SharedCell<HOmegaOutput>>>;
+        forgery_is_total::<EvtHpProcess>(&evt_hp, entropy, kept_evt_hp)?;
+        forgery_is_total::<Fig8>(&fig8, entropy, kept_fig8)?;
+        forgery_is_total::<ByzQuorumConsensus>(&byz, entropy, kept_byz)?;
+        forgery_is_total::<ReplicatedLog<ByzQuorumConsensus>>(&log, entropy, kept_log)?;
+        forgery_is_total::<RsmNode>(&stack, entropy, kept_stack)?;
     }
 }
 
