@@ -35,34 +35,50 @@
 //! must count, otherwise no reply would ever match during lock-step
 //! executions.
 //!
-//! # Homonyms drift
+//! # What a process holds
 //!
-//! Two carriers of one label adapt different `timeout_p` — each counts
-//! its *own* late replies — so their round counters drift apart. Every
-//! reply the faster carrier's polls draw is addressed to the shared
-//! identifier, and the slower carrier has to hold each of them: they
-//! cover rounds it has not reached. Its own polls draw nothing (the
-//! repliers' `latest_r` for the label is already past them), and it
-//! never catches up. Held one entry per reply, that list grew linearly
-//! with the run: on the `log_steady` benchmark stack (n = 8, ℓ = 4,
-//! workload seed 1), 100 000 ticks in, the faster carrier of each of the
-//! four labels held 8 replies and the slower one 1 339, 4 368, 1 720 and
-//! 7 296, all of them scanned at every round end and written into every
-//! snapshot — a detector whose state grows with the run, where
-//! failure-detector executions are defined over infinite ones.
+//! A round end (lines 12-17) reads one thing from the replies a process
+//! holds: the multiset of sender identifiers whose interval covers
+//! `r_p`. The process keeps exactly that, as a count and where it moves:
 //!
-//! The held list therefore coalesces on arrival: a reply `[from, to]`
-//! that starts where a held reply of the same sender ends extends that
-//! entry instead of adding one. Figure 6 lets a *sender* cover a whole
-//! round interval with one `P_REPLY` so that one message serves every
-//! homonymous poller; merging adjacent intervals is the receiver-side
-//! dual — one entry serves every round the replier answered in a row.
-//! The two intervals are adjacent and disjoint, so the multiset of
-//! senders covering any round (all a round end ever reads) is the same
-//! as with separate entries, the timeout adaptation is evaluated before
-//! the reply is held, and the list stays at one run per replier however
-//! far the rounds drift (8 on every process of that run, at every
-//! probe). `tests/detector_state_bounds.rs` pins the bound.
+//! * per label with replies covering `r_p`, how many, and how many of
+//!   those end with it (`to = r_p`);
+//! * the change points `(round, label, (starts, ends))` after `r_p`: a
+//!   reply `[from, to]` starts at `from` and ends at `to + 1`.
+//!
+//! A reply that already covers `r_p` is one more on the count; one that
+//! starts at `r_p + 1` where a reply of the same label ends with `r_p`
+//! continues it; any other starts at `from`. A start and an end of one
+//! label at one round cancel, so replies in a row from one replier are
+//! one run whichever order they arrive in — Figure 6 lets a *sender*
+//! cover a whole round interval with one `P_REPLY` so that one message
+//! serves every homonymous poller, and this is the receiver-side dual. A
+//! round end reads the bag off the count (rebuilding `h_trusted` only
+//! when they differ), drops what ended with the round, applies the
+//! change points of the next one and drains them.
+//!
+//! This is exact. The count a label has at round `r` is the number of
+//! its held intervals covering `r`; a difference array stores that
+//! function, and merging adjacent runs leaves it as it was. Rounds only
+//! grow, so nothing before `r_p` is ever read again. The timeout
+//! adaptation (lines 33-34) is evaluated before the reply is held and is
+//! untouched.
+//!
+//! It stays bounded, which a list of replies did not. Two carriers of
+//! one label adapt different `timeout_p` — each counts its *own* late
+//! replies — so their round counters drift apart. Every reply the faster
+//! carrier's polls draw is addressed to the shared identifier, and the
+//! slower carrier has to hold each of them: they cover rounds it has not
+//! reached. Its own polls draw nothing (the repliers' `latest_r` for the
+//! label is already past them), and it never catches up. Held one entry
+//! per reply, that list grew linearly with the run: on the `log_steady`
+//! benchmark stack (n = 8, ℓ = 4, workload seed 1), 100 000 ticks in,
+//! the faster carrier of each of the four labels held 8 replies and the
+//! slower one 1 339, 4 368, 1 720 and 7 296. Held as a count, a
+//! replier's run is one start and one end that moves with each
+//! continuation, however far the rounds drift: at most n runs, on every
+//! process of the runs `tests/detector_state_bounds.rs` pins, at every
+//! probe.
 //!
 //! # What a history holds
 //!
@@ -233,15 +249,13 @@ pub struct EvtHpProcess {
     /// `identifier -> latest_r` fallback for large/`⊥` identifiers: a
     /// sorted, binary-searched vector (still cheaper than a tree).
     mship: Vec<(Identity, u64)>,
-    /// Replies addressed to my identifier, kept while they may still cover
-    /// a future round: `(from, to, sender)`.
-    pending: Vec<(u64, u64, Identity)>,
-    /// Scratch: this round's covering senders, sorted (reused each round).
-    gather: Vec<Identity>,
-    /// The previous round's sorted covering senders: `end_round` diffs
-    /// against it instead of rebuilding `h_trusted`, so a stabilized
-    /// detector (same membership every round) does no bag work at all.
-    prev_gather: Vec<Identity>,
+    /// The held replies as the round end reads them ("What a process
+    /// holds"): per label, in label order, how many held replies cover
+    /// `r_p` (never zero) and how many of those end with it (`to = r_p`).
+    covering: Vec<(Identity, u32, u32)>,
+    /// Where a label's count moves after `r_p`: `(round, label, (starts,
+    /// ends))` in `(round, label)` order, never both counts nonzero.
+    changes: Vec<(u64, Identity, (u32, u32))>,
     /// Cached `◇HP` output snapshot, rebuilt only when the membership
     /// actually changes; publishing shares this instead of re-wrapping
     /// (or copying) the bag every round.
@@ -249,7 +263,7 @@ pub struct EvtHpProcess {
     evt_mirror: Option<SharedCell<EvtHPOutput>>,
     omega_mirror: Option<SharedCell<HOmegaOutput>>,
     /// The `HΩ` pair and `timeout_p` of the snapshot last published
-    /// (its bag is `prev_gather`'s); `None` until the first round ends.
+    /// (its bag is `h_trusted`); `None` until the first round ends.
     published: Option<(HOmegaOutput, u64)>,
     adaptive: bool,
     started: bool,
@@ -269,9 +283,8 @@ impl EvtHpProcess {
             timeout: 1,
             mship_dense: Vec::new(),
             mship: Vec::new(),
-            pending: Vec::new(),
-            gather: Vec::new(),
-            prev_gather: Vec::new(),
+            covering: Vec::new(),
+            changes: Vec::new(),
             snapshot: Arc::default(),
             evt_mirror: None,
             omega_mirror: None,
@@ -293,14 +306,16 @@ impl EvtHpProcess {
         self
     }
 
-    /// Mirrors `h_trusted` into `cell` after every round.
+    /// Mirrors `h_trusted` into `cell` at the first round end and at
+    /// every round end that changes the bag.
     #[must_use]
     pub fn with_evt_hp_mirror(mut self, cell: SharedCell<EvtHPOutput>) -> Self {
         self.evt_mirror = Some(cell);
         self
     }
 
-    /// Mirrors the `HΩ` extraction into `cell` after every round.
+    /// Mirrors the `HΩ` extraction into `cell` at the first round end and
+    /// at every round end that changes the bag.
     #[must_use]
     pub fn with_h_omega_mirror(mut self, cell: SharedCell<HOmegaOutput>) -> Self {
         self.omega_mirror = Some(cell);
@@ -331,34 +346,83 @@ impl EvtHpProcess {
         self.timeout
     }
 
-    /// Entries in the held-reply list — a diagnostic for the boundedness
-    /// tests: one run per replier, however far a homonym's rounds have
-    /// drifted (see "Homonyms drift" in the module docs).
+    /// Runs of held replies — those covering `r_p` plus those starting
+    /// later — a diagnostic for the boundedness tests: replies in a row
+    /// from one replier are one run, however far a homonym's rounds have
+    /// drifted (see "What a process holds" in the module docs).
     #[must_use]
     pub fn pending_len(&self) -> usize {
-        self.pending.len()
+        let covering: usize = self
+            .covering
+            .iter()
+            .map(|&(_, count, _)| count as usize)
+            .sum();
+        let starts: usize = self
+            .changes
+            .iter()
+            .map(|&(_, _, (starts, _))| starts as usize)
+            .sum();
+        covering + starts
     }
 
-    /// Holds a reply that may still cover a round to come. One that
-    /// starts where a held reply of the same sender ends extends that
-    /// entry: the two intervals are adjacent and disjoint, so every round
-    /// is covered by the same multiset of senders either way. A malformed
-    /// interval (`from > to`) takes no part in a merge on either side —
-    /// extending it, or a real one by it, would change what is covered —
-    /// and is held as it came, covering nothing.
+    /// Holds a reply `[from, to]` with `to ≥ r_p`: one more for `sender`
+    /// over those rounds, as a count now and change points later. A
+    /// malformed interval (`from > to`) covers nothing and is not held.
     fn hold(&mut self, from: u64, to: u64, sender: Identity) {
-        if from <= to {
-            // A new reply continues its replier's newest run, and newer
-            // runs sit further back (older ones expire at the front).
-            let run = self.pending.iter_mut().rev().find(|held| {
-                held.2 == sender && held.0 <= held.1 && held.1.checked_add(1) == Some(from)
+        if from > to {
+            return;
+        }
+        let r = self.round;
+        let at = self.covering.binary_search_by_key(&sender, |c| c.0);
+        if from <= r {
+            let i = at.unwrap_or_else(|i| {
+                self.covering.insert(i, (sender, 0, 0));
+                i
             });
-            if let Some(held) = run {
-                held.1 = to;
+            self.covering[i].1 += 1;
+            if to == r {
+                self.covering[i].2 += 1;
                 return;
             }
+        } else {
+            match at {
+                // It continues a reply that ends with this round.
+                Ok(i) if from == r + 1 && self.covering[i].2 > 0 => self.covering[i].2 -= 1,
+                _ => self.change(from, sender, true),
+            }
         }
-        self.pending.push((from, to, sender));
+        if let Some(end) = to.checked_add(1) {
+            self.change(end, sender, false);
+        }
+    }
+
+    /// One more start (or end) of `label`'s count at `round`, cancelling
+    /// an end (or start) already there.
+    fn change(&mut self, round: u64, label: Identity, start: bool) {
+        match self
+            .changes
+            .binary_search_by(|c| (c.0, c.1).cmp(&(round, label)))
+        {
+            Ok(i) => {
+                let (starts, ends) = &mut self.changes[i].2;
+                let (more, fewer) = if start {
+                    (starts, ends)
+                } else {
+                    (ends, starts)
+                };
+                if *fewer == 0 {
+                    *more += 1;
+                } else if *fewer > 1 {
+                    *fewer -= 1;
+                } else {
+                    self.changes.remove(i);
+                }
+            }
+            Err(i) => {
+                let moves = if start { (1, 0) } else { (0, 1) };
+                self.changes.insert(i, (round, label, moves));
+            }
+        }
     }
 
     fn poll(&self, ctx: &mut ActionSink<'_, EvtHpMsg, EvtHpSnapshot>) {
@@ -370,32 +434,22 @@ impl EvtHpProcess {
     }
 
     fn end_round(&mut self, ctx: &mut ActionSink<'_, EvtHpMsg, EvtHpSnapshot>) {
-        // Lines 12-17: gather one identifier instance per covering reply,
-        // and drop replies that cannot cover any later round, in one pass
-        // over the pending list.
+        // Lines 12-17: the gathered bag — one identifier instance per
+        // covering reply — is the count itself. Once the detector has
+        // converged every round gathers the same membership, so the
+        // common case skips the bag rebuild, the HΩ extraction, the
+        // mirror stores and the snapshot re-wrap entirely — the round
+        // then allocates nothing.
         let r = self.round;
-        let mut gather = std::mem::take(&mut self.gather);
-        gather.clear();
-        self.pending.retain(|&(from, to, sender)| {
-            if from <= r && r <= to {
-                gather.push(sender);
-            }
-            to > r
-        });
-        gather.sort_unstable();
-        // Incremental update: once the detector has converged every round
-        // gathers the same membership, so the common case skips the bag
-        // rebuild, the HΩ extraction, the mirror stores and the snapshot
-        // re-wrap entirely — the round then allocates nothing.
-        let changed = gather != self.prev_gather;
+        let gathered = self
+            .covering
+            .iter()
+            .map(|(label, count, _)| (label, *count as usize));
+        let changed = !self.h_trusted.counted().eq(gathered);
         if changed {
             self.h_trusted.clear();
-            let mut i = 0;
-            while i < gather.len() {
-                let id = gather[i];
-                let run = gather[i..].iter().take_while(|&&x| x == id).count();
-                self.h_trusted.insert_n(id, run);
-                i += run;
+            for &(label, count, _) in &self.covering {
+                self.h_trusted.insert_n(label, count as usize);
             }
             // Corollary 2: HΩ extraction, no communication.
             if let Some(&leader) = self.h_trusted.min_elem() {
@@ -411,7 +465,6 @@ impl EvtHpProcess {
                 self.h_omega = next;
             }
             self.snapshot = Arc::new(EvtHPOutput::new(self.h_trusted.clone()));
-            std::mem::swap(&mut self.prev_gather, &mut gather);
         }
         let trusted = self.h_trusted.len();
         ctx.observe(|| ObsKind::DetectorEpoch {
@@ -431,7 +484,6 @@ impl EvtHpProcess {
                 cell.set(self.h_omega);
             }
         }
-        self.gather = gather;
         // A history records changes, not rounds ("What a history holds").
         let said = Some((self.h_omega, self.timeout));
         if changed || self.published != said {
@@ -443,6 +495,21 @@ impl EvtHpProcess {
             });
             self.published = said;
         }
+        // Move the count to round r + 1: what ended with r leaves, the
+        // change points at r + 1 apply (none lie earlier: each was placed
+        // after the round it was held in).
+        let due = self.changes.partition_point(|c| c.0 <= r + 1);
+        for &(_, label, (starts, ends)) in &self.changes[..due] {
+            match self.covering.binary_search_by_key(&label, |c| c.0) {
+                Ok(i) => self.covering[i].1 = self.covering[i].1 + starts - ends,
+                Err(i) => self.covering.insert(i, (label, starts, 0)),
+            }
+        }
+        self.changes.drain(..due);
+        self.covering.retain_mut(|c| {
+            c.1 -= std::mem::take(&mut c.2);
+            c.1 > 0
+        });
         self.round += 1;
         self.poll(ctx);
     }
@@ -467,9 +534,8 @@ impl ForkProcess for EvtHpProcess {
             timeout: self.timeout,
             mship_dense: self.mship_dense.clone(),
             mship: self.mship.clone(),
-            pending: self.pending.clone(),
-            gather: self.gather.clone(),
-            prev_gather: self.prev_gather.clone(),
+            covering: self.covering.clone(),
+            changes: self.changes.clone(),
             snapshot: self.snapshot.clone(),
             evt_mirror: self.evt_mirror.as_ref().map(|c| c.fork_in(space)),
             omega_mirror: self.omega_mirror.as_ref().map(|c| c.fork_in(space)),
@@ -622,9 +688,8 @@ homonym_core::persist_fields!(EvtHpProcess {
     timeout,
     mship_dense,
     mship,
-    pending,
-    gather,
-    prev_gather,
+    covering,
+    changes,
     snapshot,
     evt_mirror,
     omega_mirror,
@@ -780,7 +845,39 @@ mod tests {
         );
     }
 
-    /// The list `pending` replaces: one entry per reply, as Figure 6
+    /// A continuation that arrives before its predecessor still
+    /// coalesces: `[r, r]`, `[r + 2, r + 2]`, then `[r + 1, r + 1]` from
+    /// one replier are one run, covering each of the three rounds once.
+    #[test]
+    fn a_run_completed_out_of_order_is_one_run() {
+        let (me, sender) = (Identity::new(1), Identity::new(2));
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
+        let mut actions = Vec::new();
+        let mut proc = EvtHpProcess::new();
+        let r = proc.round();
+        for (from, to) in [(r, r), (r + 2, r + 2), (r + 1, r + 1)] {
+            let mut sink = ActionSink::new(me, Time::ZERO, &mut rng, &mut actions);
+            proc.on_message(
+                EvtHpMsg::PReply {
+                    from,
+                    to,
+                    target: me,
+                    sender,
+                },
+                &mut sink,
+            );
+        }
+        assert_eq!(proc.pending_len(), 1);
+        for trusted in [1, 1, 1, 0] {
+            proc.on_timer(
+                ROUND,
+                &mut ActionSink::new(me, Time::ZERO, &mut rng, &mut actions),
+            );
+            assert_eq!(proc.h_trusted().multiplicity(&sender), trusted);
+        }
+    }
+
+    /// What the held replies replace: one entry per reply, as Figure 6
     /// states it, with the same round-end reading.
     struct NaiveReplies {
         held: Vec<(u64, u64, Identity)>,
@@ -815,13 +912,16 @@ mod tests {
         /// — runs that continue where the same sender's (or, to tempt a
         /// merge that ignores the sender, another's) last reply ended,
         /// the same interval twice as two homonymous repliers send it,
-        /// late replies, gaps, overlaps, malformed intervals — the
-        /// process gathers the naive list's multiset at every round end
-        /// and adapts the same timeout.
+        /// continuations that arrive after their successor, late
+        /// replies, gaps, overlaps, malformed intervals, intervals from
+        /// round 0 and to `u64::MAX` — the process gathers the naive
+        /// list's multiset at every round end and adapts the same
+        /// timeout.
         #[test]
         fn coalesced_replies_gather_what_the_naive_list_gathers(
-            steps in proptest::collection::vec((0u8..12, 0u64..3, 0u64..6, 0u64..5), 1..120usize),
+            steps in proptest::collection::vec((0u8..16, 0u64..3, 0u64..6, 0u64..5), 1..120usize),
         ) {
+            const FILL: u8 = 13;
             let me = Identity::new(7);
             let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
             let mut actions = Vec::new();
@@ -829,6 +929,8 @@ mod tests {
             let mut model = NaiveReplies { held: Vec::new(), round: 1, timeout: 1 };
             // Where each sender's latest well-formed reply ended.
             let mut last_to = [0u64; 3];
+            // The rounds each sender's last skip ahead left out.
+            let mut gap = [None::<(u64, u64)>; 3];
             let mut last = (1, 1, Identity::new(0));
             for (kind, s, a, b) in steps {
                 let sender = Identity::new(s);
@@ -839,7 +941,8 @@ mod tests {
                         proc.on_timer(ROUND, &mut sink);
                         actions.clear();
                         let gathered = model.end_round();
-                        proptest::prop_assert_eq!(&proc.prev_gather, &gathered);
+                        let trusted: Vec<Identity> = proc.h_trusted().iter().copied().collect();
+                        proptest::prop_assert_eq!(&trusted, &gathered);
                         proptest::prop_assert_eq!(proc.h_trusted().len(), gathered.len());
                         proptest::prop_assert_eq!(proc.round(), model.round);
                         continue;
@@ -856,10 +959,29 @@ mod tests {
                         (from, from + b, sender)
                     }
                     // Malformed, and adjacent to the sender's run.
-                    _ => (last_to[s] + 1, (last_to[s] + 1).saturating_sub(1 + a), sender),
+                    11 => (last_to[s] + 1, (last_to[s] + 1).saturating_sub(1 + a), sender),
+                    // The sender's run skips ahead, leaving a gap.
+                    12 => {
+                        let from = last_to[s] + 2 + a;
+                        gap[s] = Some((last_to[s] + 1, from - 1));
+                        (from, from + b, sender)
+                    }
+                    // The gap's reply arrives after its successor.
+                    FILL => match gap[s].take() {
+                        Some((from, to)) => (from, to, sender),
+                        None => (last_to[s] + 1, last_to[s] + 1 + b, sender),
+                    },
+                    // From round 0: late unless it also covers this one.
+                    14 => (0, (model.round + b).saturating_sub(2), sender),
+                    // Never ends.
+                    _ => ((model.round + a).saturating_sub(3), u64::MAX, sender),
                 };
                 if from <= to {
-                    last_to[sender.raw() as usize] = to;
+                    // A filled gap lies behind its sender's run, and no
+                    // reply continues one that never ends.
+                    if kind != FILL && to < u64::MAX {
+                        last_to[sender.raw() as usize] = to;
+                    }
                     last = (from, to, sender);
                 }
                 let mut sink = ActionSink::new(me, Time::ZERO, &mut rng, &mut actions);

@@ -338,8 +338,9 @@ impl SpillHandle {
 /// consensus engine lost its polling period and gained its
 /// deadline-timer marker. 3: the engine's `Metrics` gained
 /// `copies_unaddressed`. 4: the `◇HP` detector keeps what it last
-/// published in place of its mirrors-lag flag.
-pub const SPOOL_SCHEMA: u32 = 4;
+/// published in place of its mirrors-lag flag. 5: the `◇HP` detector
+/// keeps its held replies as a count and change points, not a list.
+pub const SPOOL_SCHEMA: u32 = 5;
 
 impl SnapshotSpool {
     /// A spool rooted at `dir` (created if absent) keeping at most

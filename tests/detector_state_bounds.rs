@@ -4,21 +4,25 @@
 //!
 //! Two carriers of one label adapt different timeouts, their round
 //! counters drift apart, and the slower one receives — and must hold —
-//! every reply the faster one's polls draw (see "Homonyms drift" in
-//! `homonym_detectors::evt_hp`). Held one entry per reply the list grew
-//! linearly, into the thousands over 100 000 ticks; coalesced on arrival
-//! it is one run per replier. These runs pin that: n repliers, so never
-//! more than n entries, on every process, at every probe of a long run —
-//! while the rounds really do drift, or the test would guard nothing.
+//! every reply the faster one's polls draw (see "What a process holds"
+//! in `homonym_detectors::evt_hp`). Held one entry per reply the list
+//! grew linearly, into the thousands over 100 000 ticks. A process now
+//! holds a count per label and the rounds where it moves, and replies
+//! in a row from one replier are one run — whichever order they arrive
+//! in. These runs pin that: n repliers, so never more than n runs
+//! (`pending_len`: the held replies covering the round plus those
+//! starting later; the peak is n in both runs), on every process, at
+//! every probe of a long run — while the rounds really do drift, or the
+//! test would guard nothing.
 //!
 //! The other structure that grew was the record: a history entry per
 //! round end. A history holds the output's change points ("What a
 //! history holds", same module), so once these fault-free runs have
 //! stabilised no history gains an entry and the encoded snapshot stays
 //! inside a fixed budget — what is left to breathe with the instant of
-//! the cut is the queue and the held replies: 1.5–2.1 KB at n = 8,
-//! 8.7–12.4 KB at n = 32 on most probes and 18.2–19.9 KB on the one in
-//! thirteen that cuts a burst of replies in flight (a queued copy costs
+//! the cut is the queue and the held counts: 1.24–1.93 KB at n = 8,
+//! 4.3–6.3 KB at n = 32 on most probes and 13.4–15.2 KB on the one in
+//! fourteen that cuts a burst of replies in flight (a queued copy costs
 //! more than a held one), against 143.5 KB and climbing at 30 000 ticks
 //! with an entry per round.
 
@@ -33,8 +37,8 @@ const PROBE_EVERY: u64 = 1_000;
 const STABLE_BY: u64 = 5_000;
 
 /// Runs the bare detector on the sweep's base network and probes, as the
-/// run goes, every process's held-reply list, every history's length and
-/// the size of the encoded snapshot against `snapshot_budget` bytes.
+/// run goes, every process's held runs, every history's length and the
+/// size of the encoded snapshot against `snapshot_budget` bytes.
 fn detector_state_stays_bounded(n: usize, l: usize, snapshot_budget: usize) {
     let assign = IdentityAssignment::round_robin(n, l);
     let config = SimConfig::new(assign.clone(), FailureSchedule::none(n), hps_base());
@@ -46,7 +50,7 @@ fn detector_state_stays_bounded(n: usize, l: usize, snapshot_budget: usize) {
             let held = engine.process(p).pending_len();
             assert!(
                 held <= n,
-                "p{p} holds {held} replies at tick {probe} (n = {n})"
+                "p{p} holds {held} runs of replies at tick {probe} (n = {n})"
             );
         }
         if probe < STABLE_BY {
@@ -82,10 +86,10 @@ fn detector_state_stays_bounded(n: usize, l: usize, snapshot_budget: usize) {
 
 #[test]
 fn eight_processes_four_labels() {
-    detector_state_stays_bounded(8, 4, 3_000);
+    detector_state_stays_bounded(8, 4, 2_500);
 }
 
 #[test]
 fn thirty_two_processes_four_labels() {
-    detector_state_stays_bounded(32, 4, 24_000);
+    detector_state_stays_bounded(32, 4, 16_000);
 }

@@ -176,9 +176,10 @@ fn history_entries_that_shared_a_bag_share_one_after_a_round_trip() {
 /// What `durable_cycle` pays for: a snapshot of a stabilised n = 32
 /// detector does not grow. The histories hold the output's change points
 /// — 101 entries in all, at most 4 a process, the same at 10 000 ticks
-/// and at 20 000 — and the whole snapshot fits 16 KB at both (10 663 and
-/// 10 698 bytes measured; what breathes with the instant of the cut is
-/// the queue and the held replies, not the record).
+/// and at 20 000 — and the whole snapshot fits 16 KB at both (4 488 and
+/// 4 538 bytes measured, 10 663 and 10 698 while held replies were a
+/// list; what breathes with the instant of the cut is the queue and the
+/// held counts, not the record).
 #[test]
 fn a_snapshot_costs_what_the_state_costs() {
     let measure = |e: &Detector| {
