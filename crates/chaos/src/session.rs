@@ -46,19 +46,19 @@
 use homonym_consensus::byz_quorum::ByzQuorumConsensus;
 use homonym_consensus::fig8::{HOmegaPolicy, MajorityConsensus};
 use homonym_consensus::fig9::QuorumConsensus;
-use homonym_consensus::rsm::{ByzHeightSeed, Fig8HeightSeed, ReplicatedLog, RsmOptions};
+use homonym_consensus::rsm::{ByzHeightSeed, Fig8HeightSeed, LogEntry, ReplicatedLog, RsmOptions};
 use homonym_core::classes::HOmegaOutput;
 use homonym_core::identity::{Identity, IdentityAssignment};
 use homonym_core::query::SharedCell;
 use homonym_core::time::{Span, Time};
 use homonym_core::FailureSchedule;
-use homonym_detectors::evt_hp::EvtHpProcess;
+use homonym_detectors::evt_hp::{EvtHpProcess, EvtHpSnapshot};
 use homonym_detectors::h_sigma_sync::HSigmaSyncProcess;
 use homonym_detectors::oracle::{HOmegaOracle, HSigmaOracle};
 use homonym_sim::engine::{Engine, SimConfig, StopReason};
 use homonym_sim::network::NetworkModel;
 use homonym_sim::process::Process;
-use homonym_sim::stack::Stacked;
+use homonym_sim::stack::{Either, Stacked};
 use homonym_sim::sync_engine::{SyncConfig, SyncEngine, SyncProcess};
 use homonym_sim::workload::{CommandQueue, WorkloadConfig};
 
@@ -393,7 +393,7 @@ impl SessionBuilder {
         let assign = self.assignment();
         let queues = workload.queues(self.n);
         let mut session = self.build(move |p, _| rsm_node(&assign, queues[p].clone()));
-        session.log_view = Some(|node: &RsmNode| node.upper().log());
+        session.log_view = Some((|node: &RsmNode| node.upper().height(), log_entry));
         session
     }
 
@@ -404,7 +404,7 @@ impl SessionBuilder {
         let assign = self.assignment();
         let queues = workload.queues(self.n);
         let mut session = self.build(move |p, _| rsm_fig8_node(&assign, queues[p].clone()));
-        session.log_view = Some(|node: &RsmFig8Node| node.upper().log());
+        session.log_view = Some((|node: &RsmFig8Node| node.upper().height(), log_entry));
         session
     }
 
@@ -454,6 +454,23 @@ pub struct SessionStats {
     pub max_log: Option<u64>,
 }
 
+/// How a session reads the committed log of a stack that has one: a
+/// replica's height (its count of committed entries), and the entry a
+/// published output records, if it records one. The replica keeps only
+/// the last few values; its history is the record.
+type LogView<P> = (
+    fn(&P) -> u64,
+    fn(&<P as Process>::Output) -> Option<LogEntry>,
+);
+
+/// The log entry an RSM stack's output records.
+fn log_entry(output: &Either<EvtHpSnapshot, LogEntry>) -> Option<LogEntry> {
+    match output {
+        Either::R(entry) => Some(*entry),
+        Either::L(_) => None,
+    }
+}
+
 /// A built stack bound to a goal: step it with [`Session::run`], then
 /// inspect decisions, logs and stats. Obtain one from a
 /// [`SessionBuilder`] terminal constructor.
@@ -461,9 +478,9 @@ pub struct Session<P: Process> {
     engine: Engine<P>,
     goal: Goal,
     deadline: Time,
-    /// How to read the committed log out of a process, on stacks that
-    /// have one (set by the RSM constructors).
-    log_view: Option<fn(&P) -> &[u64]>,
+    /// How to read the committed log, on stacks that have one (set by
+    /// the RSM constructors).
+    log_view: Option<LogView<P>>,
 }
 
 impl<P: Process> Session<P> {
@@ -476,11 +493,11 @@ impl<P: Process> Session<P> {
             Goal::TickHorizon => self.engine.run_until(self.deadline),
             Goal::FirstDecision => self.engine.run_until_all_correct_decided(self.deadline),
             Goal::HeightsCommitted(k) => match self.log_view {
-                Some(view) => self.engine.run_with(self.deadline, move |e| {
+                Some((height, _)) => self.engine.run_with(self.deadline, move |e| {
                     let sched = &e.config().sched;
                     (0..e.n())
                         .filter(|&p| sched.is_correct(p))
-                        .all(|p| view(e.process(p)).len() as u64 >= k)
+                        .all(|p| height(e.process(p)) >= k)
                 }),
                 None => self.engine.run_until_all_correct_decided(self.deadline),
             },
@@ -522,28 +539,61 @@ impl<P: Process> Session<P> {
         self.engine.decisions()
     }
 
-    /// The committed log of process `p`, on stacks that have one.
-    #[must_use]
-    pub fn log_of(&self, p: usize) -> Option<&[u64]> {
-        self.log_view.map(|view| view(self.engine.process(p)))
+    /// What process `p` published of its log, by height, up to its
+    /// height: `None` at the heights it passed through a state transfer
+    /// without ever holding their values.
+    fn published(&self, p: usize, (height, entry): LogView<P>) -> Vec<Option<u64>> {
+        let mut log = vec![None; height(self.engine.process(p)) as usize];
+        for (_, output) in &self.engine.histories()[p] {
+            if let Some(e) = entry(output) {
+                if let Some(slot) = log.get_mut(e.height as usize) {
+                    *slot = Some(e.value);
+                }
+            }
+        }
+        log
     }
 
-    /// A pair of correct processes whose committed logs disagree on a
-    /// shared prefix — `None` is the log service's safety invariant.
+    /// The committed log of process `p`, on stacks that have one: one
+    /// value per height it committed, rebuilt from its published
+    /// history. A height it passed through a state transfer without
+    /// holding the value reads what the other processes published there
+    /// (the transfer was certified against theirs); the log ends before
+    /// a height nobody published, which no run has.
+    #[must_use]
+    pub fn log_of(&self, p: usize) -> Option<Vec<u64>> {
+        let view = self.log_view?;
+        let (_, entry) = view;
+        let mut log = self.published(p, view);
+        if log.contains(&None) {
+            let others = (0..self.engine.n()).filter(|&q| q != p);
+            for (_, output) in others.flat_map(|q| &self.engine.histories()[q]) {
+                if let Some(e) = entry(output) {
+                    if let Some(slot @ None) = log.get_mut(e.height as usize) {
+                        *slot = Some(e.value);
+                    }
+                }
+            }
+        }
+        Some(log.into_iter().map_while(|value| value).collect())
+    }
+
+    /// A pair of correct processes whose published logs disagree at some
+    /// height both published — `None` is the log service's safety
+    /// invariant.
     #[must_use]
     pub fn prefix_violation(&self) -> Option<(usize, usize)> {
         let view = self.log_view?;
         let sched = &self.engine.config().sched;
-        let correct: Vec<usize> = (0..self.engine.n())
+        let logs: Vec<(usize, Vec<Option<u64>>)> = (0..self.engine.n())
             .filter(|&p| sched.is_correct(p))
+            .map(|p| (p, self.published(p, view)))
             .collect();
-        for (i, &a) in correct.iter().enumerate() {
-            for &b in &correct[i + 1..] {
-                let la = view(self.engine.process(a));
-                let lb = view(self.engine.process(b));
-                let k = la.len().min(lb.len());
-                if la[..k] != lb[..k] {
-                    return Some((a, b));
+        let disagree = |(x, y): (&Option<u64>, &Option<u64>)| x.is_some() && y.is_some() && x != y;
+        for (i, (a, la)) in logs.iter().enumerate() {
+            for (b, lb) in &logs[i + 1..] {
+                if la.iter().zip(lb).any(disagree) {
+                    return Some((*a, *b));
                 }
             }
         }
@@ -561,14 +611,14 @@ impl<P: Process> Session<P> {
             .count();
         let (min_correct_log, max_log) = match self.log_view {
             None => (None, None),
-            Some(view) => {
+            Some((height, _)) => {
                 let sched = &self.engine.config().sched;
                 let min = (0..self.engine.n())
                     .filter(|&p| sched.is_correct(p))
-                    .map(|p| view(self.engine.process(p)).len() as u64)
+                    .map(|p| height(self.engine.process(p)))
                     .min();
                 let max = (0..self.engine.n())
-                    .map(|p| view(self.engine.process(p)).len() as u64)
+                    .map(|p| height(self.engine.process(p)))
                     .max();
                 (min, max)
             }
@@ -680,9 +730,13 @@ mod tests {
 
         assert_eq!(session.stats().events, reference.metrics().events);
         for p in 0..4 {
+            let reference_log: Vec<u64> = reference.histories()[p]
+                .iter()
+                .filter_map(|(_, output)| log_entry(output).map(|e| e.value))
+                .collect();
             assert_eq!(
                 session.log_of(p).unwrap_or_default(),
-                reference.process(p).upper().log(),
+                reference_log,
                 "replica {p}"
             );
         }

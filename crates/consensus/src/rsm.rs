@@ -13,17 +13,23 @@
 //!   [re-armed](HeightEngine::respawn) for every height after it,
 //! * wraps the engine's traffic in height-tagged envelopes so instances
 //!   never cross-talk,
-//! * appends the decided command to an ordered log and immediately
-//!   restarts the round machinery at `h + 1` with the next client
-//!   command from its [`CommandQueue`] — or, when its own client has
-//!   none, one another replica announced (see "Who gets proposed"), and
+//! * publishes the decided command as the next entry of an ordered log
+//!   and immediately restarts the round machinery at `h + 1` with the
+//!   next client command from its [`CommandQueue`] — or, when its own
+//!   client has none, one another replica announced (see "Who gets
+//!   proposed"),
+//! * keeps of that log only what a run that never ends can afford: the
+//!   last [`RsmOptions::max_commit_ahead`] values (its *ring*), a
+//!   fingerprint of everything committed, and the per-proposer table of
+//!   the last command committed — the published history is the record,
+//!   and
 //! * catches lagging homonyms up: height-tagged messages *from the
 //!   future* are buffered until the local log reaches them, messages
 //!   *from the past* — and the status of a replica that has stopped
-//!   moving — are answered with the committed entry, and committed
-//!   entries carry enough certification (`f + 1` matching copies under
-//!   per-label admission caps) that even a Byzantine minority cannot
-//!   forge a catch-up.
+//!   moving — are answered with the committed entry, or with the whole
+//!   state when the entry has left the ring, and answers carry enough
+//!   certification (`f + 1` matching copies under per-label admission
+//!   caps) that even a Byzantine minority cannot forge a catch-up.
 //!
 //! The detector layer is **not** restarted per height. The intended
 //! composition is `Stacked<Detector, ReplicatedLog<C>>` (see
@@ -43,14 +49,28 @@
 //! * `h' = h` — unwrap and deliver to the live engine.
 //! * `h' > h` — buffer (bounded; overflow is counted as a discard) and
 //!   replay once the local log reaches `h'`.
-//! * `h' < h` — the sender lags: answer (rate-limited per height) with
-//!   `Commit { h', log[h'] }` so it can skip its stalled instance.
+//! * `h' < h` — the sender lags, and is answered:
+//!   * **inside the ring** (`h' ≥ h − max_commit_ahead`), rate-limited per
+//!     height, with `Commit { h', log[h'] }` so it can skip its stalled
+//!     instance;
+//!   * **below it**, through one throttle slot shared by every older
+//!     height, with a *state transfer*: `Commit { h − 1, log[h − 1] }`
+//!     carrying a [`LogState`] — the fingerprint through `h − 1`, the
+//!     per-proposer table, and the rest of the ring as its tail.
 //!
-//! `Commit` messages tally under the same per-label caps the Byzantine
-//! quorum stack uses: a label carried by `k` processes contributes at
-//! most `k` copies, so `commit_quorum = f + 1` matching copies imply at
-//! least one correct witness. In the crash model a quorum of 1 is sound
-//! (correct processes only report decided values).
+//! Both tally under the same per-label caps the Byzantine quorum stack
+//! uses: a label carried by `k` processes contributes at most `k` copies,
+//! so `commit_quorum = f + 1` matching copies imply at least one correct
+//! witness. In the crash model a quorum of 1 is sound (correct processes
+//! only report decided values). A state is adopted whole, on that many
+//! copies of the same height, value, fingerprint, table and tail: the
+//! laggard moves to the sender's height, publishes the heights of the
+//! tail it did not have — the heights below the tail it passes without
+//! ever holding their values — and retires its own client's commands
+//! that the table says committed. Peers at one height send the same
+//! state; a peer that moved on sends another, so a replica holds at most
+//! one claim per process of the system and drops them all whenever its
+//! status chain (next section) finds it where it was.
 //!
 //! # Pull what you missed
 //!
@@ -76,11 +96,16 @@
 //!   `Commit { h', … }` with `h' + 1 < h` (checked: a forged height near
 //!   `u64::MAX` has no successor) treats it as it treats a height-`h' + 1`
 //!   engine message from the past: `answer_past(h' + 1)`, under the same
-//!   throttle. `f + 1` such answers certify the entry for the asker.
-//! * **Chain.** A replica that adopts an entry from a certificate
-//!   broadcasts its `Commit` whether or not it has news — it is behind
-//!   and has just moved, so its peers answer with the next entry at once,
-//!   one round trip per entry, without waiting for the timer.
+//!   throttle — the entry if `h' + 1` is inside its ring, its state if
+//!   not. `f + 1` such answers certify the entry, or the state, for the
+//!   asker.
+//! * **Chain.** A replica that adopts an entry or a state from a
+//!   certificate broadcasts its `Commit` whether or not it has news — it
+//!   is behind and has just moved, so its peers answer with the next
+//!   entry at once, one round trip per entry inside their rings, without
+//!   waiting for the timer. A replica more than a ring behind pays one
+//!   round trip for the state, then one per entry its peers committed in
+//!   the meantime.
 //!
 //! A status is a truthful commit like any other copy: it adds to the
 //! tally of whoever is still at `h − 1` (which is also what rescues a
@@ -89,8 +114,8 @@
 //! `Commit { 0, … }`, `f + 1` of which certify height 0). Entries are
 //! still adopted only on `commit_quorum` matching copies under the label
 //! caps, so a Byzantine sender of stale statuses buys at most one answer
-//! per height per `answer_interval` from each correct replica, and
-//! nothing else. The price of asking lazily: after a long stall the
+//! per ring height, and one state, per `answer_interval` from each
+//! correct replica, and nothing else. The price of asking lazily: after a long stall the
 //! chain's next firing is up to `answer_interval × max_commit_ahead`
 //! away, and a replica stranded again before it waits that long before
 //! its first status.
@@ -118,10 +143,9 @@
 //! replica commits would otherwise each look like a laggard asking, and
 //! earn an n-copy `Commit`. A replica that is genuinely stuck asks past
 //! [`RsmOptions::answer_interval`] and is answered.
-//! The throttle keeps one instant per height for the last
-//! [`RsmOptions::max_commit_ahead`] heights and a single shared instant
-//! for everything older, so it is bounded and a replica far behind is
-//! still answered at most once per interval.
+//! The throttle keeps one instant per ring entry and a single shared
+//! instant for everything older, so it is bounded and a replica far
+//! behind is still answered at most once per interval.
 //!
 //! # Who gets proposed
 //!
@@ -366,7 +390,9 @@ pub enum RsmMsg<M> {
     },
     /// "Height `height` committed `value`" — broadcast on a local commit
     /// that carries news, repeated as a status by a replica that has
-    /// stopped moving, and replayed (rate-limited) to laggards.
+    /// stopped moving, and replayed (rate-limited) to laggards. With a
+    /// `state` it is a state transfer: the sender's whole log through
+    /// `height` (see "Pull what you missed" in the module docs).
     Commit {
         /// The committed height.
         height: u64,
@@ -378,10 +404,39 @@ pub enum RsmMsg<M> {
         /// The sender's own client's head command if it is due, else
         /// [`NOOP`] — what it wants some coordinator to propose.
         next: u64,
+        /// `None` on a plain commit. On the answer to a replica below the
+        /// sender's ring, what the sender keeps of the heights before
+        /// `height`. (A state rides on `Commit` rather than in a variant
+        /// of its own because code outside this crate matches `RsmMsg`
+        /// exhaustively.)
+        state: Option<Box<LogState>>,
     },
 }
 
+/// A replica's log through some height `h` without its values: what a
+/// state transfer carries besides the commit of `h` itself.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LogState {
+    /// The fingerprint of heights `0..=h`
+    /// ([`ReplicatedLog::state_hash`] at height `h + 1`).
+    pub state_hash: u64,
+    /// Per proposer index, the highest sequence number committed in
+    /// `0..=h`.
+    pub done_seq: Vec<u32>,
+    /// The values committed at the heights right before `h`, oldest
+    /// first: the rest of the sender's ring.
+    pub tail: Vec<u64>,
+}
+
+homonym_core::persist_fields!(LogState {
+    state_hash,
+    done_seq,
+    tail
+});
+
 impl<M: Persist> Persist for RsmMsg<M> {
+    /// A plain `Commit` is tag 1 and a state transfer tag 2, so a plain
+    /// commit costs no byte for the state it does not carry.
     fn save(&self, s: &mut Saver) {
         match self {
             RsmMsg::Inner { height, msg } => {
@@ -394,12 +449,16 @@ impl<M: Persist> Persist for RsmMsg<M> {
                 value,
                 id,
                 next,
+                state,
             } => {
-                s.u8(1);
+                s.u8(if state.is_some() { 2 } else { 1 });
                 height.save(s);
                 value.save(s);
                 id.save(s);
                 next.save(s);
+                if let Some(state) = state {
+                    LogState::save(state, s);
+                }
             }
         }
     }
@@ -409,11 +468,15 @@ impl<M: Persist> Persist for RsmMsg<M> {
                 height: Persist::load(l)?,
                 msg: Persist::load(l)?,
             },
-            1 => RsmMsg::Commit {
+            tag @ (1 | 2) => RsmMsg::Commit {
                 height: Persist::load(l)?,
                 value: Persist::load(l)?,
                 id: Persist::load(l)?,
                 next: Persist::load(l)?,
+                state: match tag {
+                    2 => Some(Box::new(LogState::load(l)?)),
+                    _ => None,
+                },
             },
             tag => {
                 return Err(WireError::BadTag {
@@ -456,7 +519,9 @@ pub struct RsmOptions {
     pub max_buffered: usize,
     /// How far above the local height a `Commit` may tally; farther
     /// claims are discarded (bounds tally memory against a flooding
-    /// adversary).
+    /// adversary). Also how many committed values a replica keeps: its
+    /// ring, answered entry by entry, and the tail of a state transfer.
+    /// At least 1.
     pub max_commit_ahead: u64,
 }
 
@@ -494,12 +559,25 @@ impl RsmOptions {
 /// claimed label capped at its multiplicity.
 type CommitTally = BTreeMap<u64, WindowLedger>;
 
+/// One state transfer claim being tallied: `height` committed `value`,
+/// with `state` below it, and the copies admitted for exactly that.
+#[derive(Debug, Clone)]
+struct StateTally {
+    height: u64,
+    value: u64,
+    state: Box<LogState>,
+    copies: WindowLedger,
+}
+
 /// The multi-height replicated log process; see the module docs.
 ///
 /// `Output = `[`LogEntry`]: every commit is published, so the engine's
-/// histories carry each process's view of the log in commit order.
-/// The *first* commit additionally registers as the process's decision,
-/// so one-shot goals (`run_until_all_correct_decided`) remain meaningful.
+/// histories carry each process's view of the log in commit order — the
+/// record of the log, which the process itself does not keep: it holds
+/// the last [`RsmOptions::max_commit_ahead`] values and a fingerprint of
+/// the rest. The *first* commit additionally registers as the process's
+/// decision, so one-shot goals (`run_until_all_correct_decided`) remain
+/// meaningful.
 pub struct ReplicatedLog<C: HeightEngine> {
     seed: C::Seed,
     client: CommandQueue,
@@ -509,18 +587,21 @@ pub struct ReplicatedLog<C: HeightEngine> {
     caps: Multiset<Identity>,
     inner: C,
     height: u64,
-    log: Vec<u64>,
+    /// The last `max_commit_ahead` committed heights, oldest first (the
+    /// back is height `height − 1`): each one's value and when it was
+    /// last answered (its own commit counts, broadcast or not).
+    ring: VecDeque<(u64, Time)>,
     state_hash: u64,
     /// Engine messages for heights we have not reached, keyed by height.
     future: BTreeMap<u64, Vec<C::Msg>>,
     buffered: usize,
     /// `Commit` tallies for heights ≥ the local height.
     tallies: BTreeMap<u64, CommitTally>,
-    /// When each of the last `max_commit_ahead` heights was last
-    /// answered (its own commit counts, broadcast or not), oldest
-    /// first; the back is height `height − 1`.
-    recent_answers: VecDeque<Time>,
-    /// When any height older than those was last answered.
+    /// State transfer claims about heights ≥ the local height, at most
+    /// one per process of the system, emptied whenever this replica
+    /// asks again.
+    states: Vec<StateTally>,
+    /// When any height older than the ring was last answered.
     stale_answer: Time,
     /// Per proposer index: the command its replica announced as pending
     /// ([`NOOP`] when none is held).
@@ -566,6 +647,7 @@ impl<C: HeightEngine> ReplicatedLog<C> {
         opts: RsmOptions,
     ) -> Self {
         assert!(opts.commit_quorum >= 1, "commit quorum must be positive");
+        assert!(opts.max_commit_ahead >= 1, "the ring holds the last commit");
         let inner = C::spawn(&seed, client.proposal(Time::ZERO));
         let status_gap = opts.answer_interval;
         ReplicatedLog {
@@ -575,12 +657,12 @@ impl<C: HeightEngine> ReplicatedLog<C> {
             caps: assign.multiset(),
             inner,
             height: 0,
-            log: Vec::new(),
+            ring: VecDeque::new(),
             state_hash: 0,
             future: BTreeMap::new(),
             buffered: 0,
             tallies: BTreeMap::new(),
-            recent_answers: VecDeque::new(),
+            states: Vec::new(),
             stale_answer: Time::ZERO,
             wanted: vec![NOOP; assign.n()],
             done_seq: vec![0; assign.n()],
@@ -591,16 +673,12 @@ impl<C: HeightEngine> ReplicatedLog<C> {
         }
     }
 
-    /// The height currently being decided (= committed entries).
+    /// The height currently being decided (= committed entries). The
+    /// entries themselves are the process's published [`LogEntry`]
+    /// history.
     #[must_use]
     pub fn height(&self) -> u64 {
         self.height
-    }
-
-    /// The committed log, in height order.
-    #[must_use]
-    pub fn log(&self) -> &[u64] {
-        &self.log
     }
 
     /// Running fingerprint of the committed log — equal fingerprints at
@@ -608,6 +686,15 @@ impl<C: HeightEngine> ReplicatedLog<C> {
     #[must_use]
     pub fn state_hash(&self) -> u64 {
         self.state_hash
+    }
+
+    /// What the replica keeps that a run could grow — ring entries,
+    /// buffered future-height messages, tallied heights and state
+    /// claims — a diagnostic for the boundedness tests: at most
+    /// `2 × max_commit_ahead + max_buffered + n`, however long the log.
+    #[must_use]
+    pub fn retained(&self) -> usize {
+        self.ring.len() + self.buffered + self.tallies.len() + self.states.len()
     }
 
     /// This process's client queue (arrival state, completed count).
@@ -685,11 +772,23 @@ impl<C: HeightEngine> ReplicatedLog<C> {
     /// any buffered traffic for it).
     fn commit(&mut self, value: u64, adopted: bool, ctx: &mut Sink<'_, C>) {
         let height = self.height;
-        self.log.push(value);
         self.state_hash = mix(self.state_hash, height, value);
         let completed = self.client.completed();
         self.client.on_commit(value);
         self.retire(value);
+        self.record(height, value, ctx);
+        self.enter(height + 1, adopted, completed, ctx);
+    }
+
+    /// Keeps `value` as committed at `height` — in the ring, its oldest
+    /// entry out — and publishes it. Said or not, the commit opens the
+    /// height's answer throttle: the tail of its copies still in flight
+    /// asks nothing.
+    fn record(&mut self, height: u64, value: u64, ctx: &mut Sink<'_, C>) {
+        if self.ring.len() as u64 >= self.opts.max_commit_ahead {
+            self.ring.pop_front();
+        }
+        self.ring.push_back((value, ctx.local_now()));
         ctx.publish(LogEntry { height, value });
         if height == 0 {
             // First commit doubles as the one-shot "decision" so
@@ -700,8 +799,19 @@ impl<C: HeightEngine> ReplicatedLog<C> {
             round: height + 1,
             phase: "HEIGHT",
         });
+    }
+
+    /// Moves to height `to`, whose predecessor is the ring's last entry:
+    /// says so if that carries news or was `adopted` from a certificate,
+    /// arms the arrival timer if the client drew a new head (it had
+    /// retired `completed` commands before), drops what was kept for the
+    /// heights passed, and boots the next height's engine, draining any
+    /// buffered traffic for it.
+    fn enter(&mut self, to: u64, adopted: bool, completed: usize, ctx: &mut Sink<'_, C>) {
         if adopted || self.has_news(ctx.local_now()) {
-            self.broadcast_commit(height, value, ctx);
+            if let Some(&(value, _)) = self.ring.back() {
+                self.broadcast_commit(to - 1, value, None, ctx);
+            }
         }
         if self.client.completed() != completed {
             // A new head was drawn; if it is due already it just rode out
@@ -709,46 +819,104 @@ impl<C: HeightEngine> ReplicatedLog<C> {
             self.arm_arrival(ctx);
         }
 
-        self.height += 1;
-        self.tallies = self.tallies.split_off(&self.height);
-        // Said or not, the commit opens `height`'s answer throttle: the
-        // tail of its copies still in flight asks nothing.
-        self.recent_answers.push_back(ctx.local_now());
-        if self.recent_answers.len() as u64 > self.opts.max_commit_ahead {
-            self.recent_answers.pop_front();
+        self.height = to;
+        while let Some(decided) = self.tallies.first_entry() {
+            if *decided.key() >= to {
+                break;
+            }
+            decided.remove();
         }
+        // Only a state transfer skips heights with traffic buffered.
+        while let Some(skipped) = self.future.first_entry() {
+            if *skipped.key() >= to {
+                break;
+            }
+            self.buffered -= skipped.remove().len();
+        }
+        self.states.retain(|claim| claim.height >= to);
 
         let proposal = self.proposal(ctx.local_now());
         self.inner.respawn(&self.seed, proposal);
         self.relay_inner(ctx, |c, sub| c.on_start(sub));
 
-        let target = self.height;
-        if let Some(msgs) = self.future.remove(&target) {
+        if let Some(msgs) = self.future.remove(&to) {
             self.buffered -= msgs.len();
             for m in msgs {
                 // A commit mid-drain can advance the height again; the
                 // remaining messages then belong to a decided height.
-                if self.height == target {
+                if self.height == to {
                     self.relay_inner(ctx, |c, sub| c.on_message(m, sub));
                 }
             }
         }
     }
 
-    /// Commits as long as the current height holds a certified tally.
+    /// Moves to `height + 1` on a certified state transfer (see "Pull
+    /// what you missed" in the module docs): publishes the heights of the
+    /// tail it did not have, takes the fingerprint and the per-proposer
+    /// table as they are, and retires its own client's commands the
+    /// skipped heights committed. Below the tail it never holds a value.
+    /// If that skips height 0, the replica registers no decision.
+    fn adopt(&mut self, claim: StateTally, ctx: &mut Sink<'_, C>) {
+        let StateTally {
+            height,
+            value,
+            state,
+            ..
+        } = claim;
+        let LogState {
+            state_hash,
+            done_seq,
+            tail,
+        } = *state;
+        let completed = self.client.completed();
+        let first = height - tail.len() as u64;
+        self.ring.clear();
+        for (h, v) in (first..=height).zip(tail.into_iter().chain([value])) {
+            if h >= self.height {
+                self.record(h, v, ctx);
+            } else {
+                self.ring.push_back((v, ctx.local_now()));
+            }
+        }
+        self.state_hash = state_hash;
+        self.done_seq = done_seq;
+        for (slot, &done) in self.wanted.iter_mut().zip(&self.done_seq) {
+            if seq_of(*slot) <= done {
+                *slot = NOOP;
+            }
+        }
+        let own = self.done_seq.get(self.client.proc_idx());
+        let done = own.copied().unwrap_or(0);
+        while let Some(due) = self.client.next_arrival() {
+            let head = self.client.proposal(due);
+            if seq_of(head) > done {
+                break;
+            }
+            self.client.on_commit(head);
+        }
+        self.enter(height + 1, true, completed, ctx);
+    }
+
+    /// Commits as long as the current height holds a certified tally,
+    /// and adopts a certified state transfer.
     fn drain_certified(&mut self, ctx: &mut Sink<'_, C>) {
+        let quorum = self.opts.commit_quorum;
         loop {
-            let Some(per_value) = self.tallies.get(&self.height) else {
+            let entry = self.tallies.get(&self.height).and_then(|per_value| {
+                let mut values = per_value.iter();
+                values.find_map(|(&value, copies)| (copies.admitted() >= quorum).then_some(value))
+            });
+            if let Some(value) = entry {
+                self.commit(value, true, ctx);
+                continue;
+            }
+            let certified = |claim: &StateTally| claim.copies.admitted() >= quorum;
+            let Some(i) = self.states.iter().position(certified) else {
                 return;
             };
-            let quorum = self.opts.commit_quorum;
-            let Some((&value, _)) = per_value
-                .iter()
-                .find(|(_, copies)| copies.admitted() >= quorum)
-            else {
-                return;
-            };
-            self.commit(value, true, ctx);
+            let claim = self.states.swap_remove(i);
+            self.adopt(claim, ctx);
         }
     }
 
@@ -772,35 +940,105 @@ impl<C: HeightEngine> ReplicatedLog<C> {
         }
     }
 
-    /// Answers a laggard's height-`height` traffic with the committed
-    /// entry, at most once per [`RsmOptions::answer_interval`] — counted
-    /// from the commit instant for the last
-    /// [`RsmOptions::max_commit_ahead`] heights, and through one slot
-    /// shared by everything older. `height` must be below the local one
-    /// (both callers compare first).
-    fn answer_past(&mut self, height: u64, ctx: &mut Sink<'_, C>) {
-        debug_assert!(height < self.height, "only a committed height is past");
-        let now = ctx.local_now();
-        let oldest_recent = self.height - self.recent_answers.len() as u64;
-        let last = match height.checked_sub(oldest_recent) {
-            Some(i) => &mut self.recent_answers[i as usize],
-            None => &mut self.stale_answer,
-        };
-        if now < *last + self.opts.answer_interval {
+    /// Tallies one state transfer claim under the per-label caps. A claim
+    /// that cannot be a replica's state — a table of another size, more
+    /// tail than a ring holds or than there are heights, a height with no
+    /// successor — is discarded, and so is a new claim once every process
+    /// of the system could have sent one.
+    fn tally_state(
+        &mut self,
+        height: u64,
+        value: u64,
+        state: Box<LogState>,
+        id: Identity,
+        ctx: &mut Sink<'_, C>,
+    ) {
+        if height < self.height {
+            return; // old news
+        }
+        let tail = state.tail.len() as u64;
+        if state.done_seq.len() != self.done_seq.len()
+            || tail >= self.opts.max_commit_ahead
+            || tail > height
+            || height == u64::MAX
+        {
+            ctx.note_discard();
             return;
         }
-        *last = now;
-        let Ok(idx) = usize::try_from(height) else {
-            return;
+        let same = |claim: &&mut StateTally| {
+            (claim.height, claim.value, &claim.state) == (height, value, &state)
         };
-        if let Some(&value) = self.log.get(idx) {
-            self.broadcast_commit(height, value, ctx);
+        let full = self.states.len() >= self.caps.len();
+        let admitted = match self.states.iter_mut().find(same) {
+            Some(claim) => claim.copies.admit(id, &self.caps),
+            None if full => false,
+            None => {
+                let mut copies = WindowLedger::default();
+                let admitted = copies.admit(id, &self.caps);
+                if admitted {
+                    self.states.push(StateTally {
+                        height,
+                        value,
+                        state,
+                        copies,
+                    });
+                }
+                admitted
+            }
+        };
+        if !admitted {
+            ctx.note_discard();
         }
     }
 
-    /// Broadcasts `Commit { height, value }` with the own client's due
-    /// command, if any, riding along as `next`.
-    fn broadcast_commit(&mut self, height: u64, value: u64, ctx: &mut Sink<'_, C>) {
+    /// Answers a laggard's height-`height` traffic, at most once per
+    /// [`RsmOptions::answer_interval`]: inside the ring with the committed
+    /// entry, throttled per height from its commit instant; below it with
+    /// a state transfer, through one slot shared by every older height.
+    /// `height` must be below the local one (both callers compare first).
+    fn answer_past(&mut self, height: u64, ctx: &mut Sink<'_, C>) {
+        debug_assert!(height < self.height, "only a committed height is past");
+        let now = ctx.local_now();
+        let interval = self.opts.answer_interval;
+        let oldest = self.height - self.ring.len() as u64;
+        match height.checked_sub(oldest) {
+            Some(i) => {
+                let (value, last) = &mut self.ring[i as usize];
+                if now < *last + interval {
+                    return;
+                }
+                *last = now;
+                let value = *value;
+                self.broadcast_commit(height, value, None, ctx);
+            }
+            None => {
+                if now < self.stale_answer + interval {
+                    return;
+                }
+                self.stale_answer = now;
+                let mut tail: Vec<u64> = self.ring.iter().map(|&(value, _)| value).collect();
+                let Some(value) = tail.pop() else {
+                    return;
+                };
+                let state = LogState {
+                    state_hash: self.state_hash,
+                    done_seq: self.done_seq.clone(),
+                    tail,
+                };
+                self.broadcast_commit(self.height - 1, value, Some(Box::new(state)), ctx);
+            }
+        }
+    }
+
+    /// Broadcasts `Commit { height, value, state }` with the own client's
+    /// due command, if any, riding along as `next`.
+    fn broadcast_commit(
+        &mut self,
+        height: u64,
+        value: u64,
+        state: Option<Box<LogState>>,
+        ctx: &mut Sink<'_, C>,
+    ) {
         let next = self.client.proposal(ctx.local_now());
         if next != NOOP {
             self.announced = next;
@@ -810,6 +1048,7 @@ impl<C: HeightEngine> ReplicatedLog<C> {
             value,
             id: ctx.my_id(),
             next,
+            state,
         });
     }
 
@@ -834,10 +1073,10 @@ impl<C: HeightEngine> ReplicatedLog<C> {
     /// for. Before the first commit there is nothing to repeat; returns
     /// whether there was.
     fn repeat_last_commit(&mut self, ctx: &mut Sink<'_, C>) -> bool {
-        let Some(&value) = self.log.last() else {
+        let Some(&(value, _)) = self.ring.back() else {
             return false;
         };
-        self.broadcast_commit(self.height - 1, value, ctx);
+        self.broadcast_commit(self.height - 1, value, None, ctx);
         true
     }
 
@@ -859,15 +1098,20 @@ impl<C: HeightEngine> ReplicatedLog<C> {
     /// off, doubling the gap up to `answer_interval × max_commit_ahead`.
     /// At height 0 there is nothing to repeat and so nothing to back off
     /// from: the chain keeps its base period, so that the first commit
-    /// finds it ready.
+    /// finds it ready. A firing that finds the replica where it was also
+    /// drops the state transfer claims it holds: they answered an earlier
+    /// ask, from peers that have moved on since.
     fn status_tick(&mut self, ctx: &mut Sink<'_, C>) {
         let base = self.opts.answer_interval;
         if self.height != self.status_height {
             self.status_height = self.height;
             self.status_gap = base;
-        } else if self.repeat_last_commit(ctx) {
-            let cap = base.saturating_mul(self.opts.max_commit_ahead);
-            self.status_gap = self.status_gap.saturating_mul(2).min(cap);
+        } else {
+            self.states.clear();
+            if self.repeat_last_commit(ctx) {
+                let cap = base.saturating_mul(self.opts.max_commit_ahead);
+                self.status_gap = self.status_gap.saturating_mul(2).min(cap);
+            }
         }
         ctx.set_timer(self.status_gap, STATUS_TAG);
     }
@@ -929,9 +1173,9 @@ impl<C: HeightEngine> Process for ReplicatedLog<C> {
     type Output = LogEntry;
 
     /// A corrupt log-service node forges engine traffic via the engine's
-    /// own mutation semantics and forges catch-up certificates by
-    /// shifting the committed value — which is exactly what the
-    /// per-label capped `f + 1` tally is there to absorb.
+    /// own mutation semantics and forges catch-up certificates — a state
+    /// transfer's among them — by shifting the committed value, which is
+    /// exactly what the per-label capped `f + 1` tally is there to absorb.
     fn mutate_payload(msg: &Self::Msg, entropy: u64) -> Option<Self::Msg> {
         match msg {
             RsmMsg::Inner { height, msg } => {
@@ -945,12 +1189,24 @@ impl<C: HeightEngine> Process for ReplicatedLog<C> {
                 value,
                 id,
                 next,
+                state,
             } => Some(RsmMsg::Commit {
                 height: *height,
                 value: value.wrapping_add(entropy | 1),
                 id: *id,
                 next: *next,
+                state: state.clone(),
             }),
+        }
+    }
+
+    /// A state transfer holds its body on the heap; every other message
+    /// of the log holds what its engine's message does, so a plain
+    /// commit or an engine envelope is still queued as inline copies.
+    fn holds_heap(msg: &Self::Msg) -> bool {
+        match msg {
+            RsmMsg::Inner { msg, .. } => C::holds_heap(msg),
+            RsmMsg::Commit { state, .. } => state.is_some(),
         }
     }
 
@@ -977,6 +1233,7 @@ impl<C: HeightEngine> Process for ReplicatedLog<C> {
                 value,
                 id,
                 next,
+                state,
             } => {
                 self.note_wanted(next);
                 // A sender whose last commit is two or more heights back
@@ -984,9 +1241,10 @@ impl<C: HeightEngine> Process for ReplicatedLog<C> {
                 // what a past-height engine message says, and it gets the
                 // same throttled answer. (A forged height near `u64::MAX`
                 // has no successor and falls to the tally's range check.)
-                match height.checked_add(1) {
-                    Some(missing) if missing < self.height => self.answer_past(missing, ctx),
-                    _ => self.tally_commit(height, value, id, ctx),
+                match (height.checked_add(1), state) {
+                    (Some(missing), _) if missing < self.height => self.answer_past(missing, ctx),
+                    (_, None) => self.tally_commit(height, value, id, ctx),
+                    (_, Some(state)) => self.tally_state(height, value, state, id, ctx),
                 }
             }
         }
@@ -1027,12 +1285,12 @@ where
             caps: self.caps.clone(),
             inner: self.inner.fork_in(space),
             height: self.height,
-            log: self.log.clone(),
+            ring: self.ring.clone(),
             state_hash: self.state_hash,
             future: self.future.clone(),
             buffered: self.buffered,
             tallies: self.tallies.clone(),
-            recent_answers: self.recent_answers.clone(),
+            states: self.states.clone(),
             stale_answer: self.stale_answer,
             wanted: self.wanted.clone(),
             done_seq: self.done_seq.clone(),
@@ -1076,7 +1334,19 @@ mod tests {
         .with_seed(seed);
         let mut engine = Engine::new(cfg, |p, _| byz_rsm_node(&assign, queues[p].clone()));
         engine.run_until(Time::from_ticks(horizon));
-        (0..n).map(|p| engine.process(p).log().to_vec()).collect()
+        published_logs(&engine)
+    }
+
+    /// Each replica's log as its published history records it.
+    fn published_logs<C: HeightEngine>(engine: &Engine<ReplicatedLog<C>>) -> Vec<Vec<u64>> {
+        let values = |history: &History<LogEntry>| history.iter().map(|(_, e)| e.value).collect();
+        engine.histories().iter().map(values).collect()
+    }
+
+    /// The whole log of a replica young enough for its ring to hold it.
+    fn short_log(node: &ByzLog) -> Vec<u64> {
+        assert_eq!(node.ring.len() as u64, node.height, "the ring holds it all");
+        node.ring.iter().map(|&(value, _)| value).collect()
     }
 
     #[test]
@@ -1104,15 +1374,16 @@ mod tests {
         );
         let mut engine = Engine::new(cfg, |p, _| byz_rsm_node(&assign, queues[p].clone()));
         engine.run_until(Time::from_ticks(2_000));
+        let logs = published_logs(&engine);
         let reference = engine.process(0);
         let mut h = 0u64;
-        for (height, &value) in reference.log().iter().enumerate() {
+        for (height, &value) in logs[0].iter().enumerate() {
             h = mix(h, height as u64, value);
         }
         assert_eq!(h, reference.state_hash());
         for p in 1..4 {
             let other = engine.process(p);
-            if other.log().len() == reference.log().len() {
+            if logs[p].len() == logs[0].len() {
                 assert_eq!(other.state_hash(), reference.state_hash());
             }
         }
@@ -1133,7 +1404,7 @@ mod tests {
         engine.run_until(Time::from_ticks(4_000));
         for p in 0..3 {
             assert!(
-                engine.process(p).log().len() >= 10,
+                engine.process(p).height() >= 10,
                 "correct process {p} stalled after the crash"
             );
         }
@@ -1200,13 +1471,13 @@ mod tests {
             engine.run_until(Time::from_ticks(5_000));
             engine
         }
-        fn logs<C: HeightEngine>(engine: &Engine<ReplicatedLog<C>>) -> Vec<(&[u64], u64)> {
-            let replicas = (0..engine.n()).map(|p| engine.process(p));
-            replicas.map(|r| (r.log(), r.state_hash())).collect()
+        fn logs<C: HeightEngine>(engine: &Engine<ReplicatedLog<C>>) -> Vec<(Vec<u64>, u64)> {
+            let hashes = (0..engine.n()).map(|p| engine.process(p).state_hash());
+            published_logs(engine).into_iter().zip(hashes).collect()
         }
         let rearmed = run::<ByzQuorumConsensus>();
         let rebuilt = run::<Rebuilt>();
-        let heights = rearmed.process(1).log().len();
+        let heights = rearmed.process(1).height();
         assert!(heights > 200, "only {heights} heights");
         assert_eq!(rearmed.metrics(), rebuilt.metrics());
         assert_eq!(logs(&rearmed), logs(&rebuilt));
@@ -1235,14 +1506,14 @@ mod tests {
         for _ in 0..5 {
             node.tally_commit(0, 42, label, &mut sink);
         }
-        assert_eq!(node.log().len(), 0);
+        assert_eq!(node.height(), 0);
         node.drain_certified(&mut sink);
-        assert_eq!(node.log().len(), 0, "capped tally must not certify");
+        assert_eq!(node.height(), 0, "capped tally must not certify");
         // A second label closes the quorum.
         let other = assign.id_of(1);
         node.tally_commit(0, 42, other, &mut sink);
         node.drain_certified(&mut sink);
-        assert_eq!(node.log(), &[42]);
+        assert_eq!(short_log(&node), [42]);
     }
 
     type ByzLog = ReplicatedLog<ByzQuorumConsensus>;
@@ -1255,15 +1526,25 @@ mod tests {
         at: u64,
         step: impl FnOnce(&mut ByzLog, &mut Sink<'_, ByzQuorumConsensus>),
     ) -> Vec<ByzAction> {
+        actions_as(Identity::new(0), node, at, step)
+    }
+
+    /// What `step` emits, run at tick `at` by a carrier of `label`.
+    fn actions_as(
+        label: Identity,
+        node: &mut ByzLog,
+        at: u64,
+        step: impl FnOnce(&mut ByzLog, &mut Sink<'_, ByzQuorumConsensus>),
+    ) -> Vec<ByzAction> {
         let mut actions = Vec::new();
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
-        let label = Identity::new(0);
         let mut sink = ActionSink::new(label, Time::from_ticks(at), &mut rng, &mut actions);
         step(node, &mut sink);
         actions
     }
 
-    /// The `(height, value, next)` of every `Commit` broadcast in `actions`.
+    /// The `(height, value, next)` of every `Commit` broadcast in
+    /// `actions`, state transfers included.
     fn commits_in(actions: &[ByzAction]) -> Vec<(u64, u64, u64)> {
         let commit = |a: &ByzAction| match *a {
             Action::Broadcast(RsmMsg::Commit {
@@ -1275,6 +1556,24 @@ mod tests {
             _ => None,
         };
         actions.iter().filter_map(commit).collect()
+    }
+
+    /// Every state transfer broadcast in `actions`.
+    fn states_in(actions: &[ByzAction]) -> Vec<<ByzLog as Process>::Msg> {
+        let state = |a: &ByzAction| match a {
+            Action::Broadcast(msg @ RsmMsg::Commit { state: Some(_), .. }) => Some(msg.clone()),
+            _ => None,
+        };
+        actions.iter().filter_map(state).collect()
+    }
+
+    /// The entries published in `actions`.
+    fn published_in(actions: &[ByzAction]) -> Vec<LogEntry> {
+        let entry = |a: &ByzAction| match *a {
+            Action::Publish(entry) => Some(entry),
+            _ => None,
+        };
+        actions.iter().filter_map(entry).collect()
     }
 
     /// The delays of the log's own `tag` timers armed in `actions`.
@@ -1318,6 +1617,7 @@ mod tests {
             value: NOOP,
             id: assign.id_of(1),
             next,
+            state: None,
         }
     }
 
@@ -1357,7 +1657,7 @@ mod tests {
         assert_eq!(idle.proposal(Time::from_ticks(due)), NOOP);
         actions_of(&mut idle, due, |n, s| n.on_message(carrying, s));
         assert_eq!(idle.proposal(Time::from_ticks(due)), NOOP);
-        assert_eq!(idle.log(), &[NOOP, head]);
+        assert_eq!(short_log(&idle), [NOOP, head]);
     }
 
     /// A replica's own due command goes before anything it holds for
@@ -1442,10 +1742,12 @@ mod tests {
         assert!(commits_in(&fired).is_empty());
     }
 
-    /// The answer throttle stays `max_commit_ahead` entries long however
-    /// many heights commit: a commit opens its height's throttle whether
-    /// it was broadcast (the first here carries the client's head, the
-    /// rest have no news) or not, and all older heights share one slot.
+    /// The ring, and with it the answer throttle, stays
+    /// `max_commit_ahead` entries long however many heights commit: a
+    /// commit opens its height's throttle whether it was broadcast (the
+    /// first here carries the client's head, the rest have no news) or
+    /// not, and all older heights share one slot, answered with a state
+    /// transfer.
     #[test]
     fn answer_throttle_is_bounded_and_starts_at_the_commit() {
         let assign = IdentityAssignment::round_robin(4, 2);
@@ -1457,7 +1759,7 @@ mod tests {
             let sent = commits_sent(&mut node, 100, |n, s| n.commit(h, false, s));
             assert_eq!(sent, usize::from(h == 0), "height {h}");
         }
-        assert_eq!(node.recent_answers.len() as u64, cap);
+        assert_eq!(node.ring.len() as u64, cap);
 
         let answers = |node: &mut ByzLog, at, h| commits_sent(node, at, |n, s| n.answer_past(h, s));
         let (recent, late) = (3 * cap - 1, 100 + interval);
@@ -1468,11 +1770,12 @@ mod tests {
         );
         assert_eq!(answers(&mut node, late, recent), 1);
         assert_eq!(answers(&mut node, late, recent), 0);
-        // Heights below the window share one slot.
-        assert_eq!(answers(&mut node, late, 3), 1);
+        // Heights below the ring share one slot.
+        let state = actions_of(&mut node, late, |n, s| n.answer_past(3, s));
+        assert_eq!(states_in(&state).len(), 1);
         assert_eq!(answers(&mut node, late, 5), 0);
         assert_eq!(answers(&mut node, late + interval, 5), 1);
-        assert_eq!(node.recent_answers.len() as u64, cap);
+        assert_eq!(node.ring.len() as u64, cap);
     }
 
     /// A replica that stays at one height repeats its last commit from
@@ -1532,6 +1835,7 @@ mod tests {
             value: height.wrapping_add(10),
             id: assign.id_of(1),
             next: NOOP,
+            state: None,
         };
         let answers = |node: &mut ByzLog, at, height| {
             commits_in(&actions_of(node, at, |n, s| {
@@ -1547,7 +1851,7 @@ mod tests {
         assert_eq!(answers(&mut node, interval, 4), [], "ahead: tallied");
         assert_eq!(answers(&mut node, interval, u64::MAX), []);
         assert_eq!(answers(&mut node, interval, u64::MAX - 1), []);
-        assert_eq!(node.log(), &[10, 11, 12, 13]);
+        assert_eq!(short_log(&node), [10, 11, 12, 13]);
     }
 
     /// A replica stalled at height 0 has no commit to repeat and cannot
@@ -1589,13 +1893,112 @@ mod tests {
                 }));
             }
         }
-        assert_eq!(straggler.log(), &[7]);
+        assert_eq!(short_log(&straggler), [7]);
         assert_eq!(commits_in(&said), [(0, 7, NOOP)], "adopted: it says so");
         // From here on it can ask for itself.
         let fire =
             |n: &mut ByzLog, at| commits_in(&actions_of(n, at, |n, s| n.on_timer(STATUS_TAG, s)));
         assert_eq!(fire(&mut straggler, 3 * base), [], "it moved");
         assert_eq!(fire(&mut straggler, 4 * base), [(0, 7, NOOP)]);
+    }
+
+    /// A replica that fell further behind than the ring asks as always
+    /// and is answered with a state transfer. It catches up through one
+    /// adopted state — `commit_quorum` matching copies under the label
+    /// caps: it moves to the senders' height, publishes the heights of
+    /// the tail it did not have and no others, takes their fingerprint,
+    /// and retires the commands of its own client the skipped heights
+    /// committed. A forged minority state is not adopted, and neither is
+    /// one below its height or one with no successor height.
+    #[test]
+    fn a_replica_below_the_ring_catches_up_through_one_state() {
+        let assign = IdentityAssignment::round_robin(4, 2);
+        let client = WorkloadConfig::default().queues(4).remove(2);
+        let idle = || byz_rsm_node(&assign, open_queues(4, 0).remove(0));
+        let (cap, base) = (idle().opts.max_commit_ahead, idle().opts.answer_interval);
+        // Three rings' worth of heights: the laggard's client's commands
+        // at every tenth, no-ops between.
+        let mut issued = client.clone();
+        let log: Vec<u64> = (0..3 * cap)
+            .map(|h| match h % 10 {
+                3 => {
+                    let cmd = issued.proposal(Time::ZERO);
+                    issued.on_commit(cmd);
+                    cmd
+                }
+                _ => NOOP,
+            })
+            .collect();
+        let ahead = || {
+            let mut node = idle();
+            for &value in &log {
+                actions_of(&mut node, 0, |n, s| n.commit(value, false, s));
+            }
+            node
+        };
+
+        // It committed five heights, then heard nothing; its status chain
+        // asks at the second firing.
+        let mut laggard = byz_rsm_node(&assign, client);
+        actions_of(&mut laggard, 0, |n, s| n.on_start(s));
+        for &value in &log[..5] {
+            actions_of(&mut laggard, 0, |n, s| n.commit(value, false, s));
+        }
+        let t = base.ticks();
+        actions_of(&mut laggard, t, |n, s| n.on_timer(STATUS_TAG, s));
+        let asked = actions_of(&mut laggard, 2 * t, |n, s| n.on_timer(STATUS_TAG, s));
+        let [Action::Broadcast(status)] = &asked[..1] else {
+            panic!("no status: {asked:?}");
+        };
+        // Carriers of both labels are three rings ahead: each answers
+        // height 5 with its state.
+        let mut states = Vec::new();
+        for label in [assign.id_of(0), assign.id_of(1)] {
+            let answer = actions_as(label, &mut ahead(), 2 * t, |n, s| {
+                n.on_message(status.clone(), s);
+            });
+            states.extend(states_in(&answer));
+        }
+        assert_eq!(states.len(), 2, "one state per answerer");
+
+        let mut feed = |msg| actions_of(&mut laggard, 2 * t + 1, |n, s| n.on_message(msg, s));
+        let forged = ByzLog::mutate_payload(&states[0], 7).expect("a commit is forgeable");
+        assert_eq!(published_in(&feed(forged)), [], "a forged state");
+        assert_eq!(
+            published_in(&feed(states[0].clone())),
+            [],
+            "one copy of two"
+        );
+        let adopted = feed(states[1].clone());
+        let tail = (2 * cap..3 * cap).map(|h| LogEntry {
+            height: h,
+            value: log[h as usize],
+        });
+        assert_eq!(published_in(&adopted), tail.collect::<Vec<_>>());
+        assert_eq!(
+            commits_in(&adopted)[..1],
+            [(3 * cap - 1, NOOP, issued.proposal(Time::ZERO))]
+        );
+        assert_eq!(published_in(&feed(states[1].clone())), [], "old news now");
+        // A height with no successor is nobody's state, whoever sends it.
+        for label in [assign.id_of(0), assign.id_of(1)] {
+            let absurd = RsmMsg::Commit {
+                height: u64::MAX,
+                value: 1,
+                id: label,
+                next: NOOP,
+                state: Some(Box::new(LogState {
+                    state_hash: 0,
+                    done_seq: vec![0; 4],
+                    tail: Vec::new(),
+                })),
+            };
+            assert_eq!(published_in(&feed(absurd)), []);
+        }
+        assert_eq!(laggard.height(), 3 * cap);
+        assert_eq!(laggard.state_hash(), ahead().state_hash());
+        assert_eq!(laggard.client(), &issued, "its own commands retired");
+        assert_eq!(laggard.retained(), cap as usize);
     }
 
     /// What fresh engines say when they start — the round-0
@@ -1632,8 +2035,9 @@ mod tests {
         /// labels nobody carries, any `next` — it never panics, it
         /// commits a value only once `commit_quorum` copies of it under
         /// the label caps were delivered, and it broadcasts a `Commit`
-        /// about any one height at most once per `answer_interval`: the
-        /// amplification a sender of stale statuses can buy.
+        /// about any one height — and a state transfer — at most once per
+        /// `answer_interval`: the amplification a sender of stale
+        /// statuses can buy.
         #[test]
         fn hostile_heights_neither_panic_nor_certify_nor_amplify(
             steps in proptest::collection::vec(
@@ -1652,8 +2056,9 @@ mod tests {
             actions_of(&mut node, 0, |n, s| n.on_start(s));
             // (height, value) → label → copies delivered, capped.
             let mut delivered: BTreeMap<(u64, u64), BTreeMap<Identity, usize>> = BTreeMap::new();
-            // height → tick of the last `Commit` broadcast about it.
-            let mut said: BTreeMap<u64, u64> = BTreeMap::new();
+            // height → tick of the last plain `Commit` broadcast about it
+            // (`None`: of the last state transfer).
+            let mut said: BTreeMap<Option<u64>, u64> = BTreeMap::new();
             let mut now = 0;
             for (commit, pick, value, label, next, dt) in steps {
                 now += dt;
@@ -1672,22 +2077,24 @@ mod tests {
                     let cap = assign.multiplicity(id);
                     let copies = delivered.entry((height, value)).or_default().entry(id).or_insert(0);
                     *copies = (*copies + 1).min(cap);
-                    RsmMsg::Commit { height, value, id, next }
+                    RsmMsg::Commit { height, value, id, next, state: None }
                 } else {
                     let msg = pool[(next % pool.len() as u64) as usize].clone();
                     RsmMsg::Inner { height, msg }
                 };
-                let before = node.log().len();
                 let actions = actions_of(&mut node, now, |n, s| n.on_message(msg, s));
-                for (h, &v) in node.log().iter().enumerate().skip(before) {
+                for LogEntry { height: h, value: v } in published_in(&actions) {
                     let copies: usize = delivered
-                        .get(&(h as u64, v))
+                        .get(&(h, v))
                         .map_or(0, |labels| labels.values().sum());
                     proptest::prop_assert!(copies >= quorum, "height {h} on {copies} copies");
                 }
-                for (h, ..) in commits_in(&actions) {
-                    if let Some(last) = said.insert(h, now) {
-                        proptest::prop_assert!(now >= last + interval, "height {h}: {last}, {now}");
+                for action in &actions {
+                    if let Action::Broadcast(RsmMsg::Commit { height: h, state, .. }) = action {
+                        let slot = state.is_none().then_some(*h);
+                        if let Some(last) = said.insert(slot, now) {
+                            proptest::prop_assert!(now >= last + interval, "{slot:?}: {last}, {now}");
+                        }
                     }
                 }
             }
@@ -1706,6 +2113,6 @@ mod tests {
         let mut sink = ActionSink::new(forged, Time::ZERO, &mut rng, &mut actions);
         node.tally_commit(0, 13, forged, &mut sink);
         node.drain_certified(&mut sink);
-        assert_eq!(node.log().len(), 0, "forged label must not certify");
+        assert_eq!(node.height(), 0, "forged label must not certify");
     }
 }

@@ -198,8 +198,19 @@ pub fn mutate_evt_hp_msg(msg: &EvtHpMsg, entropy: u64) -> EvtHpMsg {
 /// Snapshot published at a round end that has news ("What a history
 /// holds" in the module docs): the `◇HP` output together with the `HΩ`
 /// view extracted from it.
+///
+/// One pointer wide: the fields live behind an `Arc` and are read
+/// through `Deref` (`snap.h_omega`), so a history entry of a stack with
+/// this detector underneath costs what the other half's output costs —
+/// 32 bytes with a log entry beside it, not 48. A snapshot is allocated
+/// once per published change point (three or four a process on a quiet
+/// run). On the wire it is its fields, not a shared reference.
+#[derive(Clone, PartialEq, Eq)]
+pub struct EvtHpSnapshot(Arc<EvtHpReading>);
+
+/// The fields of an [`EvtHpSnapshot`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EvtHpSnapshot {
+pub struct EvtHpReading {
     /// The `◇HP` variable `h_trusted_p`, shared with every other
     /// snapshot published since the bag last changed.
     pub evt_hp: Arc<EvtHPOutput>,
@@ -210,6 +221,28 @@ pub struct EvtHpSnapshot {
     pub round: u64,
     /// The adaptive timeout at the end of that round (diagnostic).
     pub timeout: u64,
+}
+
+impl EvtHpSnapshot {
+    /// Wraps one round end's reading.
+    #[must_use]
+    pub fn new(reading: EvtHpReading) -> Self {
+        EvtHpSnapshot(Arc::new(reading))
+    }
+}
+
+impl std::ops::Deref for EvtHpSnapshot {
+    type Target = EvtHpReading;
+
+    fn deref(&self) -> &EvtHpReading {
+        &self.0
+    }
+}
+
+impl std::fmt::Debug for EvtHpSnapshot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.fmt(f)
+    }
 }
 
 /// Splits a recorded snapshot history into the two class histories.
@@ -487,12 +520,12 @@ impl EvtHpProcess {
         // A history records changes, not rounds ("What a history holds").
         let said = Some((self.h_omega, self.timeout));
         if changed || self.published != said {
-            ctx.publish(EvtHpSnapshot {
+            ctx.publish(EvtHpSnapshot::new(EvtHpReading {
                 evt_hp: Arc::clone(&self.snapshot),
                 h_omega: self.h_omega,
                 round: r,
                 timeout: self.timeout,
-            });
+            }));
             self.published = said;
         }
         // Move the count to round r + 1: what ended with r leaves, the
@@ -671,12 +704,23 @@ impl Persist for EvtHpMsg {
     }
 }
 
-homonym_core::persist_fields!(EvtHpSnapshot {
+homonym_core::persist_fields!(EvtHpReading {
     evt_hp,
     h_omega,
     round,
     timeout
 });
+
+/// A snapshot is saved as its fields: through the `Arc` it would take an
+/// alias-table tag per history entry, and no two entries share one.
+impl Persist for EvtHpSnapshot {
+    fn save(&self, s: &mut Saver) {
+        EvtHpReading::save(self, s);
+    }
+    fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
+        EvtHpReading::load(l).map(EvtHpSnapshot::new)
+    }
+}
 
 // The mirror cells persist through the saver's alias table, so the
 // consensus half decoded from the same byte stream comes out re-seated

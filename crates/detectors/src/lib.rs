@@ -61,7 +61,7 @@ pub use ap_estimator::{AliveMsg, ApEstimatorProcess};
 pub use e_list::{classify_e_list, EListMsg, EListProcess};
 pub use evt_hp::{
     classify_evt_hp, mutate_evt_hp_msg, round_of_evt_hp, split_snapshots, EvtHpMsg, EvtHpProcess,
-    EvtHpSnapshot,
+    EvtHpReading, EvtHpSnapshot,
 };
 pub use h_sigma_step::{HSigmaStepProcess, StepIdentMsg};
 pub use h_sigma_sync::{HSigmaSyncProcess, IdentMsg};

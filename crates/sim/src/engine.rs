@@ -199,7 +199,7 @@ pub(crate) enum Event<M> {
     Start {
         dst: usize,
     },
-    /// Delivery of a payload stored inline: taken for payloads that own
+    /// Delivery of a payload stored inline: taken for payloads that hold
     /// no heap state and fit a cache line (see [`plain_payload`]), which
     /// are cheaper to copy per destination than to share.
     Deliver {
@@ -221,12 +221,11 @@ pub(crate) enum Event<M> {
     },
 }
 
-/// Whether `M` is delivered by inline copy rather than `Arc` sharing:
-/// true for payloads that own no heap state (nothing to drop) and are at
-/// most a cache line wide. Resolves to a compile-time constant per
-/// message type.
-fn plain_payload<M>() -> bool {
-    !std::mem::needs_drop::<M>() && std::mem::size_of::<M>() <= 64
+/// Whether `msg` is delivered by inline copy rather than `Arc` sharing:
+/// true for payloads that hold no heap state ([`Process::holds_heap`])
+/// and are at most a cache line wide.
+fn plain_payload<P: Process>(msg: &P::Msg) -> bool {
+    std::mem::size_of::<P::Msg>() <= 64 && !P::holds_heap(msg)
 }
 
 /// The payload of one broadcast while its copies are queued: held inline
@@ -238,8 +237,8 @@ enum Payload<M> {
 }
 
 impl<M: Clone> Payload<M> {
-    fn new(msg: M) -> Self {
-        if plain_payload::<M>() {
+    fn new(msg: M, plain: bool) -> Self {
+        if plain {
             Payload::Plain(msg)
         } else {
             Payload::Shared(Arc::new(msg))
@@ -902,6 +901,7 @@ impl<P: Process> Engine<P> {
             class,
             round,
         });
+        let plain = plain_payload::<P>(&msg);
         let out = Outbound {
             // One Byzantine plan per broadcast, resolved before routing
             // so every copy sees the same attack.
@@ -914,7 +914,7 @@ impl<P: Process> Engine<P> {
                 &mut self.byz_replay,
             ),
             to: P::addressee(&msg),
-            payload: Payload::new(msg),
+            payload: Payload::new(msg, plain),
         };
         let n = self.n();
         let dying = self.config.partial_broadcast_on_crash
@@ -939,9 +939,10 @@ impl<P: Process> Engine<P> {
             // fused pass, no intermediate fate buffer. The network stream
             // is drawn inside the closure while the engine is mutably
             // borrowed, so the RNG steps out for the loop (a 32-byte swap
-            // per broadcast).
+            // per broadcast; the placeholder is a constant state, not a
+            // seeding, and is never drawn from).
             let network = self.config.network.clone();
-            let mut rng = std::mem::replace(&mut self.net_rng, StdRng::seed_from_u64(0));
+            let mut rng = std::mem::replace(&mut self.net_rng, StdRng::from_state([0; 4]));
             self.metrics.copies_sent += n as u64;
             network.route_each(self.now, n, &mut rng, |dst, base| {
                 self.send_copy(src, dst, base, &out, true);

@@ -8,7 +8,8 @@
 //!   naive reference interpreter's;
 //! * what a decided height costs — no `DECIDE` echo, and a `Commit`
 //!   broadcast only from the replica with news, on a clean run — and
-//!   that a replica cut off for 300 ticks still catches up;
+//!   that a replica cut off for 300 ticks still catches up, and one cut
+//!   off for longer than its peers keep values through a state transfer;
 //! * nobody is left behind — over 60 seeds of the churn family no
 //!   replica is stranded while the others move on;
 //! * who gets proposed — an open-loop run serves every client, each
@@ -21,12 +22,12 @@
 //!   log-service items agree with their flat baselines.
 
 use homonym::chaos::generators::leader_churn_across_heights;
-use homonym::chaos::session::{rsm_node, Goal, RsmNode, SessionBuilder};
+use homonym::chaos::session::{rsm_node, Goal, RsmNode, Session, SessionBuilder};
 use homonym::chaos::sweep::hps_base;
 use homonym::chaos::{FaultClause, GstPlacement, PartitionMode, Scenario};
 use homonym::consensus::rsm::{LogEntry, RsmMsg};
 use homonym::consensus::{classify_byz, ByzMsg};
-use homonym::detectors::evt_hp::{classify_evt_hp, EvtHpMsg};
+use homonym::detectors::evt_hp::{classify_evt_hp, EvtHpMsg, EvtHpSnapshot};
 use homonym::prelude::*;
 use homonym::sim::reference::ReferenceEngine;
 use homonym::sim::workload::{
@@ -162,6 +163,7 @@ fn classify(msg: &Either<EvtHpMsg, RsmMsg<ByzMsg>>) -> &'static str {
     match msg {
         Either::L(m) => classify_evt_hp(m),
         Either::R(RsmMsg::Inner { msg, .. }) => classify_byz(msg),
+        Either::R(RsmMsg::Commit { state: Some(_), .. }) => "RSM_STATE",
         Either::R(RsmMsg::Commit { .. }) => "RSM_COMMIT",
     }
 }
@@ -223,6 +225,51 @@ fn a_replica_partitioned_for_300_ticks_catches_up() {
     assert!(tip >= behind + 30, "the rest moved on: {behind} vs {tip}");
     let (caught_up, tip) = height_at(1_400);
     assert!(caught_up + 2 >= tip, "still behind: {caught_up} vs {tip}");
+}
+
+/// A replica whose traffic is dropped for 1 500 ticks — 183 heights,
+/// nearly three times the 64 its peers keep — has nothing queued when
+/// the partition lifts, and asks for a height its peers no longer hold.
+/// They answer with their state, and one certified state takes it to
+/// their height: it publishes the tail it did not have and never the
+/// heights below it, and the session still reads its whole log.
+#[test]
+fn a_replica_cut_off_past_the_ring_catches_up_through_a_state_transfer() {
+    let n = 8;
+    let cut_off = 7;
+    let scenario = Scenario::new("dropped-replica", n)
+        .with_gst(GstPlacement::Keep)
+        .with_clause(FaultClause::Partition {
+            groups: vec![vec![cut_off], (0..cut_off).collect()],
+            start: Time::from_ticks(1_000),
+            heal_at: Time::from_ticks(2_500),
+            mode: PartitionMode::DropWhilePartitioned,
+        });
+    let builder = SessionBuilder::new(n, 4)
+        .with_scenario(scenario)
+        .with_goal(Goal::TickHorizon);
+    let run_to = |ticks| {
+        let mut session = builder.clone().with_deadline_ticks(ticks).rsm(&workload());
+        session.engine_mut().set_classifier(classify);
+        session.run();
+        assert!(session.prefix_violation().is_none(), "at tick {ticks}");
+        session
+    };
+    let height =
+        |session: &Session<RsmNode>, p: usize| session.engine().process(p).upper().height();
+    let cut = run_to(2_499);
+    assert!(height(&cut, 0) > height(&cut, cut_off) + 2 * 64);
+    let healed = run_to(3_500);
+    let (caught_up, tip) = (height(&healed, cut_off), height(&healed, 0));
+    assert!(caught_up + 2 >= tip, "still behind: {caught_up} vs {tip}");
+    let by_class = &healed.engine().metrics().by_class;
+    assert!(by_class.get("RSM_STATE").is_some_and(|&states| states > 0));
+    let own = published(&healed.engine().histories()[cut_off]);
+    assert!(own.len() < healed.log_of(cut_off).unwrap_or_default().len());
+    assert_eq!(
+        healed.log_of(cut_off).unwrap_or_default().len() as u64,
+        caught_up
+    );
 }
 
 /// An open-loop n = 8, ℓ = 4 run of 20 000 ticks (a command per client
@@ -366,12 +413,22 @@ fn hot_paths_agree_on_events_and_logs_under_churn() {
     );
     for p in 0..4 {
         let log = session.log_of(p).unwrap_or_default();
-        assert_eq!(log, reference.process(p).upper().log(), "replica {p}");
+        assert_eq!(log, published(&reference.histories()[p]), "replica {p}");
+        assert_eq!(log.len() as u64, reference.process(p).upper().height());
     }
     assert!(
         (0..4).any(|p| !session.log_of(p).unwrap_or_default().is_empty()),
         "horizon run committed nothing"
     );
+}
+
+/// The log values a replica's history records, in commit order.
+fn published(history: &[(Time, Either<EvtHpSnapshot, LogEntry>)]) -> Vec<u64> {
+    let entry = |(_, output): &(Time, Either<EvtHpSnapshot, LogEntry>)| match output {
+        Either::R(entry) => Some(entry.value),
+        Either::L(_) => None,
+    };
+    history.iter().filter_map(entry).collect()
 }
 
 type RsmState = (
@@ -385,9 +442,7 @@ type RsmState = (
 fn rsm_state(engine: &Engine<RsmNode>) -> RsmState {
     let n = engine.n();
     (
-        (0..n)
-            .map(|p| engine.process(p).upper().log().to_vec())
-            .collect(),
+        engine.histories().iter().map(|h| published(h)).collect(),
         (0..n)
             .map(|p| engine.process(p).upper().state_hash())
             .collect(),
@@ -462,7 +517,7 @@ proptest! {
         let mut engine = mk_engine(seed, scenario_seed);
         // Stop at the first instant replica 0's log holds k entries: a
         // height boundary (or the horizon, if k heights never happen).
-        engine.run_with(horizon, |e| e.process(0).upper().log().len() as u64 >= k);
+        engine.run_with(horizon, |e| e.process(0).upper().height() >= k);
         let snap = engine.snapshot();
         engine.run_until(horizon);
         prop_assert_eq!(&rsm_state(&engine), &expected);
@@ -519,8 +574,8 @@ proptest! {
 }
 
 /// The published history is the committed log: every `LogEntry` output
-/// of a correct replica appears in height order and matches its final
-/// log verbatim.
+/// of a correct replica appears in height order, one per height it
+/// committed, and matches the log the session reads verbatim.
 #[test]
 fn published_entries_reconstruct_the_log() {
     let mut session = SessionBuilder::new(4, 2)
@@ -531,7 +586,9 @@ fn published_entries_reconstruct_the_log() {
     session.run();
     let engine = session.engine();
     for p in 0..4 {
-        let log = engine.process(p).upper().log();
+        let log = session.log_of(p).unwrap_or_default();
+        let replica = engine.process(p).upper();
+        assert_eq!(log.len() as u64, replica.height(), "replica {p}");
         let published: Vec<LogEntry> = engine.histories()[p]
             .iter()
             .filter_map(|(_, out)| match out {
@@ -540,7 +597,7 @@ fn published_entries_reconstruct_the_log() {
             })
             .collect();
         assert_eq!(published.len(), log.len(), "replica {p}");
-        for (h, (entry, &value)) in published.iter().zip(log).enumerate() {
+        for (h, (entry, &value)) in published.iter().zip(&log).enumerate() {
             assert_eq!(entry.height, h as u64, "replica {p}");
             assert_eq!(entry.value, value, "replica {p}");
         }

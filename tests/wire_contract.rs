@@ -27,7 +27,8 @@ use std::sync::Arc;
 
 use homonym::chaos::{byz_tolerant_node, fig8_node, hps_base, ByzTolerantNode, Fig8Node, RsmNode};
 use homonym::consensus::{
-    ByzMsg, ByzQuorumConsensus, Fig8Msg, HOmegaPolicy, MajorityConsensus, ReplicatedLog, RsmMsg,
+    ByzMsg, ByzQuorumConsensus, Fig8Msg, HOmegaPolicy, LogState, MajorityConsensus, ReplicatedLog,
+    RsmMsg,
 };
 use homonym::core::classes::HOmegaOutput;
 use homonym::core::failure::FailureSchedule;
@@ -307,6 +308,19 @@ fn message_cases() -> Vec<Case> {
         value: 5,
         id,
         next: u64::MAX,
+        state: None,
+    });
+    // A state transfer: the same commit with the sender's log below it.
+    log.push(RsmMsg::Commit {
+        height,
+        value: 5,
+        id,
+        next: u64::MAX,
+        state: Some(Box::new(LogState {
+            state_hash: u64::MAX - 3,
+            done_seq: vec![0, 1, u32::MAX],
+            tail: vec![0, 7, u64::MAX],
+        })),
     });
     let stack: Vec<StackMsg> = detector
         .iter()
@@ -496,6 +510,19 @@ fn byz_msg() -> impl Strategy<Value = ByzMsg> {
     ]
 }
 
+fn log_state() -> impl Strategy<Value = LogState> {
+    (
+        edgy(),
+        prop::collection::vec(any::<u32>(), 0..9),
+        prop::collection::vec(edgy(), 0..9),
+    )
+        .prop_map(|(state_hash, done_seq, tail)| LogState {
+            state_hash,
+            done_seq,
+            tail,
+        })
+}
+
 fn log_msg() -> impl Strategy<Value = LogMsg> {
     prop_oneof![
         (edgy(), byz_msg()).prop_map(|(height, msg)| RsmMsg::Inner { height, msg }),
@@ -504,7 +531,17 @@ fn log_msg() -> impl Strategy<Value = LogMsg> {
             value,
             id,
             next,
+            state: None,
         }),
+        (edgy(), edgy(), label(), edgy(), log_state()).prop_map(
+            |(height, value, id, next, state)| RsmMsg::Commit {
+                height,
+                value,
+                id,
+                next,
+                state: Some(Box::new(state)),
+            }
+        ),
     ]
 }
 
@@ -550,8 +587,21 @@ fn kept_log(msg: &LogMsg) -> Vec<u64> {
     match msg {
         RsmMsg::Inner { height, msg } => [vec![0, *height], kept_byz(msg)].concat(),
         RsmMsg::Commit {
-            height, id, next, ..
-        } => vec![1, *height, id.raw(), *next],
+            height,
+            id,
+            next,
+            state,
+            ..
+        } => {
+            let state = state
+                .as_deref()
+                .map(|s| [s.state_hash, s.tail.len() as u64]);
+            [
+                vec![1, *height, id.raw(), *next],
+                state.into_iter().flatten().collect(),
+            ]
+            .concat()
+        }
     }
 }
 
