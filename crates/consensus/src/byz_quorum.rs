@@ -165,7 +165,7 @@ use crate::round_window::{RoundRing, ValueCounts, Window};
 const DEADLINE: TimerTag = TimerTag(0);
 
 /// Protocol messages of the Byzantine-tolerant quorum stack.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ByzMsg {
     /// `COORD(id, r, est, locked)` — a carrier of round `r`'s
     /// coordinator label announcing the estimate it enters the round
@@ -1163,7 +1163,7 @@ mod tests {
             est: 9,
             locked: false,
         };
-        let short = vec![vote.clone(); c.affirm() - 1];
+        let short = vec![vote; c.affirm() - 1];
         drive(&mut c, me, vec![]);
         drive(&mut c, me, short);
         assert_eq!(c.round, 0, "f copies may all be forged");
@@ -1407,7 +1407,7 @@ mod tests {
             let mut sink =
                 ActionSink::new(Identity::new(0), at, &mut rng, &mut actions).with_observing(true);
             match step {
-                Step::Msg(m) => c.on_message(m.clone(), &mut sink),
+                Step::Msg(m) => c.on_message(*m, &mut sink),
                 Step::Tick(_) => c.on_timer(DEADLINE, &mut sink),
             }
         }

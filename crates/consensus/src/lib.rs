@@ -72,5 +72,5 @@ pub use fig9::{
 pub use flooding::{classify_flood, AnonFloodingConsensus, FloodMsg, PFloodingConsensus};
 pub use rsm::{
     ByzHeightSeed, Fig8HeightSeed, Fig9HeightSeed, FloodHeightSeed, HeightEngine, LogEntry,
-    LogState, ReplicatedLog, RsmMsg, RsmOptions,
+    ReplicatedLog, RsmMsg, RsmOptions, StatePart,
 };

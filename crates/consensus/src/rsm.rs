@@ -54,23 +54,36 @@
 //!     height, with `Commit { h', log[h'] }` so it can skip its stalled
 //!     instance;
 //!   * **below it**, through one throttle slot shared by every older
-//!     height, with a *state transfer*: `Commit { h − 1, log[h − 1] }`
-//!     carrying a [`LogState`] — the fingerprint through `h − 1`, the
-//!     per-proposer table, and the rest of the ring as its tail.
+//!     height, with a *state transfer*: its state through `h − 1` as a
+//!     run of `count` commits `Commit { h − 1, word_i }`, each marked
+//!     with its [`StatePart`] `{ index: i, count }`. The words are
+//!     `log[h − 1]`, the fingerprint through `h − 1`, the per-proposer
+//!     table two `u32`s to a word, and the rest of the ring — the tail —
+//!     oldest first.
 //!
 //! Both tally under the same per-label caps the Byzantine quorum stack
 //! uses: a label carried by `k` processes contributes at most `k` copies,
 //! so `commit_quorum = f + 1` matching copies imply at least one correct
 //! witness. In the crash model a quorum of 1 is sound (correct processes
-//! only report decided values). A state is adopted whole, on that many
-//! copies of the same height, value, fingerprint, table and tail: the
-//! laggard moves to the sender's height, publishes the heights of the
-//! tail it did not have — the heights below the tail it passes without
-//! ever holding their values — and retires its own client's commands
-//! that the table says committed. Peers at one height send the same
-//! state; a peer that moved on sends another, so a replica holds at most
-//! one claim per process of the system and drops them all whenever its
-//! status chain (next section) finds it where it was.
+//! only report decided values). A state's parts tally one word at a time,
+//! per `(height, count, index, word)`, and the state is adopted once
+//! every index `0..count` has a word with that many copies. Correct peers
+//! at one height send identical words, so this certifies exactly what
+//! matching whole states would. The laggard then moves to the senders'
+//! height, publishes the heights of the tail it did not have — the heights
+//! below the tail it passes without ever holding their values — and
+//! retires its own client's commands that the table says committed. A
+//! peer that moved on sends another state, so a replica holds at most one
+//! claim per process of the system, at most that many candidate words per
+//! index, and drops them all whenever its status chain (next section)
+//! finds it where it was. A part that cannot belong to a replica's state
+//! — an index past its count, a count that leaves no room for the table
+//! or more tail than a ring holds or than there are heights, a height
+//! with no successor — is discarded.
+//!
+//! No message of the log holds heap memory, and so neither does a stack
+//! of it over a detector whose messages hold none: the engine copies
+//! every broadcast inline, and nothing is dropped or unwound around one.
 //!
 //! # Pull what you missed
 //!
@@ -104,8 +117,9 @@
 //!   is behind and has just moved, so its peers answer with the next
 //!   entry at once, one round trip per entry inside their rings, without
 //!   waiting for the timer. A replica more than a ring behind pays one
-//!   round trip for the state, then one per entry its peers committed in
-//!   the meantime.
+//!   round trip for the state — `count` broadcasts from each peer, which
+//!   certify together — then one per entry its peers committed in the
+//!   meantime.
 //!
 //! A status is a truthful commit like any other copy: it adds to the
 //! tally of whoever is still at `h − 1` (which is also what rescues a
@@ -114,8 +128,9 @@
 //! `Commit { 0, … }`, `f + 1` of which certify height 0). Entries are
 //! still adopted only on `commit_quorum` matching copies under the label
 //! caps, so a Byzantine sender of stale statuses buys at most one answer
-//! per ring height, and one state, per `answer_interval` from each
-//! correct replica, and nothing else. The price of asking lazily: after a long stall the
+//! per ring height, and one state (its `count` parts), per
+//! `answer_interval` from each correct replica, and nothing else. The
+//! price of asking lazily: after a long stall the
 //! chain's next firing is up to `answer_interval × max_commit_ahead`
 //! away, and a replica stranded again before it waits that long before
 //! its first status.
@@ -378,8 +393,10 @@ where
 }
 
 /// A height-tagged envelope around the per-height engine's messages,
-/// plus the catch-up certificate.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// plus the catch-up certificate. Plain data whenever `M` is: a state
+/// transfer travels as fixed-size parts, so no value of the type holds
+/// heap memory of its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RsmMsg<M> {
     /// A height-`height` engine message.
     Inner {
@@ -391,12 +408,14 @@ pub enum RsmMsg<M> {
     /// "Height `height` committed `value`" — broadcast on a local commit
     /// that carries news, repeated as a status by a replica that has
     /// stopped moving, and replayed (rate-limited) to laggards. With a
-    /// `state` it is a state transfer: the sender's whole log through
-    /// `height` (see "Pull what you missed" in the module docs).
+    /// `state` it is one part of a state transfer: one word of the
+    /// sender's log through `height` (see "Catch-up rule" in the module
+    /// docs).
     Commit {
         /// The committed height.
         height: u64,
-        /// The committed command.
+        /// The committed command; in a state transfer, word
+        /// `state.index` of the state.
         value: u64,
         /// The **claimed** sender label; tallies cap each label at its
         /// multiplicity so Byzantine homonyms cannot stuff the count.
@@ -405,38 +424,55 @@ pub enum RsmMsg<M> {
         /// [`NOOP`] — what it wants some coordinator to propose.
         next: u64,
         /// `None` on a plain commit. On the answer to a replica below the
-        /// sender's ring, what the sender keeps of the heights before
-        /// `height`. (A state rides on `Commit` rather than in a variant
-        /// of its own because code outside this crate matches `RsmMsg`
+        /// sender's ring, which part of the sender's state this commit
+        /// is. (A state rides on `Commit` rather than in a variant of its
+        /// own because code outside this crate matches `RsmMsg`
         /// exhaustively.)
-        state: Option<Box<LogState>>,
+        state: Option<StatePart>,
     },
 }
 
-/// A replica's log through some height `h` without its values: what a
-/// state transfer carries besides the commit of `h` itself.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogState {
-    /// The fingerprint of heights `0..=h`
-    /// ([`ReplicatedLog::state_hash`] at height `h + 1`).
-    pub state_hash: u64,
-    /// Per proposer index, the highest sequence number committed in
-    /// `0..=h`.
-    pub done_seq: Vec<u32>,
-    /// The values committed at the heights right before `h`, oldest
-    /// first: the rest of the sender's ring.
-    pub tail: Vec<u64>,
+// The log's own messages hold no heap memory, so the engine queues every
+// broadcast of the log as inline copies; a body that needs more than a
+// word travels as parts (see `StatePart`).
+const _: () = assert!(!std::mem::needs_drop::<
+    RsmMsg<<ByzQuorumConsensus as Process>::Msg>,
+>());
+
+/// Which part of a state transfer a `Commit` is: word `index` of the
+/// `count` words of the sender's state through the commit's height `h`,
+/// carried in the commit's `value`. The words, in order:
+///
+/// 1. the value committed at `h`;
+/// 2. the fingerprint of heights `0..=h` ([`ReplicatedLog::state_hash`]
+///    at height `h + 1`);
+/// 3. the per-proposer table — per proposer index, the highest sequence
+///    number committed in `0..=h` — two `u32`s to a word, the lower
+///    index in the low half;
+/// 4. the tail: the values committed at the heights right before `h`,
+///    oldest first — the rest of the sender's ring.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StatePart {
+    /// Which word of the state this part carries.
+    pub index: u16,
+    /// How many words, and so parts, the state has.
+    pub count: u16,
 }
 
-homonym_core::persist_fields!(LogState {
-    state_hash,
-    done_seq,
-    tail
-});
+homonym_core::persist_fields!(StatePart { index, count });
+
+/// Words of a state before the table: the value at its height and the
+/// fingerprint.
+const STATE_HEAD: usize = 2;
+
+/// Words of a state that hold the per-proposer table of `n` processes.
+fn table_words(n: usize) -> usize {
+    n.div_ceil(2)
+}
 
 impl<M: Persist> Persist for RsmMsg<M> {
-    /// A plain `Commit` is tag 1 and a state transfer tag 2, so a plain
-    /// commit costs no byte for the state it does not carry.
+    /// A plain `Commit` is tag 1 and a part of a state transfer tag 2, so
+    /// a plain commit costs no byte for the part it is not.
     fn save(&self, s: &mut Saver) {
         match self {
             RsmMsg::Inner { height, msg } => {
@@ -456,8 +492,8 @@ impl<M: Persist> Persist for RsmMsg<M> {
                 value.save(s);
                 id.save(s);
                 next.save(s);
-                if let Some(state) = state {
-                    LogState::save(state, s);
+                if let Some(part) = state {
+                    part.save(s);
                 }
             }
         }
@@ -474,7 +510,7 @@ impl<M: Persist> Persist for RsmMsg<M> {
                 id: Persist::load(l)?,
                 next: Persist::load(l)?,
                 state: match tag {
-                    2 => Some(Box::new(LogState::load(l)?)),
+                    2 => Some(StatePart::load(l)?),
                     _ => None,
                 },
             },
@@ -521,7 +557,9 @@ pub struct RsmOptions {
     /// claims are discarded (bounds tally memory against a flooding
     /// adversary). Also how many committed values a replica keeps: its
     /// ring, answered entry by entry, and the tail of a state transfer.
-    /// At least 1.
+    /// At least 1, and small enough that a state — this many words plus
+    /// one for the fingerprint and one per two processes — fits
+    /// `u16::MAX` parts.
     pub max_commit_ahead: u64,
 }
 
@@ -559,14 +597,24 @@ impl RsmOptions {
 /// claimed label capped at its multiplicity.
 type CommitTally = BTreeMap<u64, WindowLedger>;
 
-/// One state transfer claim being tallied: `height` committed `value`,
-/// with `state` below it, and the copies admitted for exactly that.
+/// One state transfer claim being tallied: the parts of a state of
+/// `words.len()` words through `height`, and per index the words received
+/// for it, each with the copies admitted for exactly that word.
 #[derive(Debug, Clone)]
 struct StateTally {
     height: u64,
-    value: u64,
-    state: Box<LogState>,
-    copies: WindowLedger,
+    words: Vec<Vec<(u64, WindowLedger)>>,
+}
+
+impl StateTally {
+    /// The state's words, once every index has one with `quorum` copies.
+    fn certified(&self, quorum: usize) -> Option<Vec<u64>> {
+        let word = |candidates: &Vec<(u64, WindowLedger)>| {
+            let certified = candidates.iter().find(|(_, c)| c.admitted() >= quorum);
+            certified.map(|&(word, _)| word)
+        };
+        self.words.iter().map(word).collect()
+    }
 }
 
 /// The multi-height replicated log process; see the module docs.
@@ -633,6 +681,24 @@ fn mix(h: u64, height: u64, value: u64) -> u64 {
     x
 }
 
+/// The entry of `entries` that `is` picks — appended by `new` if there is
+/// none and `entries` holds fewer than `most`.
+fn find_or_push<T>(
+    entries: &mut Vec<T>,
+    most: usize,
+    is: impl Fn(&T) -> bool,
+    new: impl FnOnce() -> T,
+) -> Option<&mut T> {
+    match entries.iter().position(is) {
+        Some(i) => Some(&mut entries[i]),
+        None if entries.len() >= most => None,
+        None => {
+            entries.push(new());
+            entries.last_mut()
+        }
+    }
+}
+
 type Sink<'a, C> = ActionSink<'a, RsmMsg<<C as Process>::Msg>, LogEntry>;
 
 impl<C: HeightEngine> ReplicatedLog<C> {
@@ -648,6 +714,12 @@ impl<C: HeightEngine> ReplicatedLog<C> {
     ) -> Self {
         assert!(opts.commit_quorum >= 1, "commit quorum must be positive");
         assert!(opts.max_commit_ahead >= 1, "the ring holds the last commit");
+        let head = (STATE_HEAD + table_words(assign.n())) as u64;
+        let words = (opts.max_commit_ahead - 1).saturating_add(head);
+        assert!(
+            words <= u64::from(u16::MAX),
+            "a state fits its parts' count"
+        );
         let inner = C::spawn(&seed, client.proposal(Time::ZERO));
         let status_gap = opts.answer_interval;
         ReplicatedLog {
@@ -851,36 +923,30 @@ impl<C: HeightEngine> ReplicatedLog<C> {
         }
     }
 
-    /// Moves to `height + 1` on a certified state transfer (see "Pull
-    /// what you missed" in the module docs): publishes the heights of the
-    /// tail it did not have, takes the fingerprint and the per-proposer
-    /// table as they are, and retires its own client's commands the
-    /// skipped heights committed. Below the tail it never holds a value.
-    /// If that skips height 0, the replica registers no decision.
-    fn adopt(&mut self, claim: StateTally, ctx: &mut Sink<'_, C>) {
-        let StateTally {
-            height,
-            value,
-            state,
-            ..
-        } = claim;
-        let LogState {
-            state_hash,
-            done_seq,
-            tail,
-        } = *state;
+    /// Moves to `height + 1` on a certified state transfer, `words` laid
+    /// out as [`StatePart`] says and checked by [`Self::tally_part`]:
+    /// publishes the heights of the tail it did not have, takes the
+    /// fingerprint and the per-proposer table as they are, and retires its
+    /// own client's commands the skipped heights committed. Below the tail
+    /// it never holds a value. If that skips height 0, the replica
+    /// registers no decision.
+    fn adopt(&mut self, height: u64, words: &[u64], ctx: &mut Sink<'_, C>) {
+        let (head, tail) = words.split_at(STATE_HEAD + table_words(self.done_seq.len()));
         let completed = self.client.completed();
         let first = height - tail.len() as u64;
         self.ring.clear();
-        for (h, v) in (first..=height).zip(tail.into_iter().chain([value])) {
+        for (h, &v) in (first..=height).zip(tail.iter().chain(&head[..1])) {
             if h >= self.height {
                 self.record(h, v, ctx);
             } else {
                 self.ring.push_back((v, ctx.local_now()));
             }
         }
-        self.state_hash = state_hash;
-        self.done_seq = done_seq;
+        self.state_hash = head[1];
+        let table = &head[STATE_HEAD..];
+        for (p, done) in self.done_seq.iter_mut().enumerate() {
+            *done = (table[p / 2] >> (32 * (p % 2))) as u32;
+        }
         for (slot, &done) in self.wanted.iter_mut().zip(&self.done_seq) {
             if seq_of(*slot) <= done {
                 *slot = NOOP;
@@ -911,21 +977,25 @@ impl<C: HeightEngine> ReplicatedLog<C> {
                 self.commit(value, true, ctx);
                 continue;
             }
-            let certified = |claim: &StateTally| claim.copies.admitted() >= quorum;
-            let Some(i) = self.states.iter().position(certified) else {
+            let mut claims = self.states.iter().enumerate();
+            let Some((i, words)) =
+                claims.find_map(|(i, claim)| Some((i, claim.certified(quorum)?)))
+            else {
                 return;
             };
-            let claim = self.states.swap_remove(i);
-            self.adopt(claim, ctx);
+            let height = self.states.swap_remove(i).height;
+            self.adopt(height, &words, ctx);
         }
     }
 
-    /// Tallies one `Commit` claim under the per-label caps.
+    /// Tallies one `Commit` claim under the per-label caps. A label
+    /// nobody carries leaves no entry behind: a Byzantine homonym can
+    /// invent labels, heights and values without end.
     fn tally_commit(&mut self, height: u64, value: u64, id: Identity, ctx: &mut Sink<'_, C>) {
         if height < self.height {
             return; // old news
         }
-        if height - self.height >= self.opts.max_commit_ahead {
+        if height - self.height >= self.opts.max_commit_ahead || !self.caps.contains(&id) {
             ctx.note_discard();
             return;
         }
@@ -940,53 +1010,55 @@ impl<C: HeightEngine> ReplicatedLog<C> {
         }
     }
 
-    /// Tallies one state transfer claim under the per-label caps. A claim
-    /// that cannot be a replica's state — a table of another size, more
-    /// tail than a ring holds or than there are heights, a height with no
-    /// successor — is discarded, and so is a new claim once every process
-    /// of the system could have sent one.
-    fn tally_state(
+    /// Tallies one part of a state transfer, `word` at `part.index` of a
+    /// state through `height`, under the per-label caps. A part that
+    /// cannot belong to a replica's state — an index past its count, a
+    /// count that leaves no room for the table or more tail than a ring
+    /// holds or than there are heights, a height with no successor — is
+    /// discarded, and so is one under a label nobody carries. So is a new
+    /// claim once every process of the system could have sent one, and a
+    /// new word for an index once every process could have sent one.
+    fn tally_part(
         &mut self,
         height: u64,
-        value: u64,
-        state: Box<LogState>,
+        word: u64,
+        part: StatePart,
         id: Identity,
         ctx: &mut Sink<'_, C>,
     ) {
         if height < self.height {
             return; // old news
         }
-        let tail = state.tail.len() as u64;
-        if state.done_seq.len() != self.done_seq.len()
-            || tail >= self.opts.max_commit_ahead
-            || tail > height
-            || height == u64::MAX
-        {
+        let StatePart { index, count } = part;
+        let head = (STATE_HEAD + table_words(self.done_seq.len())) as u64;
+        let tail = u64::from(count).checked_sub(head);
+        let fits = tail.is_some_and(|tail| tail < self.opts.max_commit_ahead && tail <= height);
+        if index >= count || !fits || height == u64::MAX || !self.caps.contains(&id) {
             ctx.note_discard();
             return;
         }
-        let same = |claim: &&mut StateTally| {
-            (claim.height, claim.value, &claim.state) == (height, value, &state)
+        let most = self.caps.len();
+        let count = usize::from(count);
+        let Some(claim) = find_or_push(
+            &mut self.states,
+            most,
+            |claim| (claim.height, claim.words.len()) == (height, count),
+            || StateTally {
+                height,
+                words: vec![Vec::new(); count],
+            },
+        ) else {
+            ctx.note_discard();
+            return;
         };
-        let full = self.states.len() >= self.caps.len();
-        let admitted = match self.states.iter_mut().find(same) {
-            Some(claim) => claim.copies.admit(id, &self.caps),
-            None if full => false,
-            None => {
-                let mut copies = WindowLedger::default();
-                let admitted = copies.admit(id, &self.caps);
-                if admitted {
-                    self.states.push(StateTally {
-                        height,
-                        value,
-                        state,
-                        copies,
-                    });
-                }
-                admitted
-            }
-        };
-        if !admitted {
+        let candidates = &mut claim.words[usize::from(index)];
+        let copies = find_or_push(
+            candidates,
+            most,
+            |&(w, _)| w == word,
+            || (word, WindowLedger::default()),
+        );
+        if !copies.is_some_and(|(_, copies)| copies.admit(id, &self.caps)) {
             ctx.note_discard();
         }
     }
@@ -1016,17 +1088,33 @@ impl<C: HeightEngine> ReplicatedLog<C> {
                     return;
                 }
                 self.stale_answer = now;
-                let mut tail: Vec<u64> = self.ring.iter().map(|&(value, _)| value).collect();
-                let Some(value) = tail.pop() else {
-                    return;
-                };
-                let state = LogState {
-                    state_hash: self.state_hash,
-                    done_seq: self.done_seq.clone(),
-                    tail,
-                };
-                self.broadcast_commit(self.height - 1, value, Some(Box::new(state)), ctx);
+                self.send_state(ctx);
             }
+        }
+    }
+
+    /// Broadcasts this replica's state through its last commit, one
+    /// [`StatePart`] at a time.
+    fn send_state(&mut self, ctx: &mut Sink<'_, C>) {
+        let Some(tail) = self.ring.len().checked_sub(1) else {
+            return;
+        };
+        let table = table_words(self.done_seq.len());
+        // `new` checked that a full ring's state fits.
+        let count = (STATE_HEAD + table + tail) as u16;
+        for index in 0..count {
+            let word = match usize::from(index) {
+                0 => self.ring[tail].0,
+                1 => self.state_hash,
+                i if i < STATE_HEAD + table => {
+                    let pair = &self.done_seq[2 * (i - STATE_HEAD)..];
+                    let high = pair.get(1).map_or(0, |&seq| u64::from(seq) << 32);
+                    u64::from(pair[0]) | high
+                }
+                i => self.ring[i - STATE_HEAD - table].0,
+            };
+            let part = StatePart { index, count };
+            self.broadcast_commit(self.height - 1, word, Some(part), ctx);
         }
     }
 
@@ -1036,7 +1124,7 @@ impl<C: HeightEngine> ReplicatedLog<C> {
         &mut self,
         height: u64,
         value: u64,
-        state: Option<Box<LogState>>,
+        state: Option<StatePart>,
         ctx: &mut Sink<'_, C>,
     ) {
         let next = self.client.proposal(ctx.local_now());
@@ -1173,9 +1261,10 @@ impl<C: HeightEngine> Process for ReplicatedLog<C> {
     type Output = LogEntry;
 
     /// A corrupt log-service node forges engine traffic via the engine's
-    /// own mutation semantics and forges catch-up certificates — a state
-    /// transfer's among them — by shifting the committed value, which is
-    /// exactly what the per-label capped `f + 1` tally is there to absorb.
+    /// own mutation semantics and forges catch-up certificates by shifting
+    /// the committed value — or, on a part of a state transfer, the word
+    /// it carries — which is exactly what the per-label capped `f + 1`
+    /// tally is there to absorb.
     fn mutate_payload(msg: &Self::Msg, entropy: u64) -> Option<Self::Msg> {
         match msg {
             RsmMsg::Inner { height, msg } => {
@@ -1195,18 +1284,8 @@ impl<C: HeightEngine> Process for ReplicatedLog<C> {
                 value: value.wrapping_add(entropy | 1),
                 id: *id,
                 next: *next,
-                state: state.clone(),
+                state: *state,
             }),
-        }
-    }
-
-    /// A state transfer holds its body on the heap; every other message
-    /// of the log holds what its engine's message does, so a plain
-    /// commit or an engine envelope is still queued as inline copies.
-    fn holds_heap(msg: &Self::Msg) -> bool {
-        match msg {
-            RsmMsg::Inner { msg, .. } => C::holds_heap(msg),
-            RsmMsg::Commit { state, .. } => state.is_some(),
         }
     }
 
@@ -1244,7 +1323,7 @@ impl<C: HeightEngine> Process for ReplicatedLog<C> {
                 match (height.checked_add(1), state) {
                     (Some(missing), _) if missing < self.height => self.answer_past(missing, ctx),
                     (_, None) => self.tally_commit(height, value, id, ctx),
-                    (_, Some(state)) => self.tally_state(height, value, state, id, ctx),
+                    (_, Some(part)) => self.tally_part(height, value, part, id, ctx),
                 }
             }
         }
@@ -1544,7 +1623,7 @@ mod tests {
     }
 
     /// The `(height, value, next)` of every `Commit` broadcast in
-    /// `actions`, state transfers included.
+    /// `actions`, parts of state transfers included.
     fn commits_in(actions: &[ByzAction]) -> Vec<(u64, u64, u64)> {
         let commit = |a: &ByzAction| match *a {
             Action::Broadcast(RsmMsg::Commit {
@@ -1558,13 +1637,19 @@ mod tests {
         actions.iter().filter_map(commit).collect()
     }
 
-    /// Every state transfer broadcast in `actions`.
-    fn states_in(actions: &[ByzAction]) -> Vec<<ByzLog as Process>::Msg> {
-        let state = |a: &ByzAction| match a {
-            Action::Broadcast(msg @ RsmMsg::Commit { state: Some(_), .. }) => Some(msg.clone()),
+    /// Every part of a state transfer broadcast in `actions`.
+    fn parts_in(actions: &[ByzAction]) -> Vec<<ByzLog as Process>::Msg> {
+        let part = |a: &ByzAction| match *a {
+            Action::Broadcast(msg @ RsmMsg::Commit { state: Some(_), .. }) => Some(msg),
             _ => None,
         };
-        actions.iter().filter_map(state).collect()
+        actions.iter().filter_map(part).collect()
+    }
+
+    /// How many parts a state of `n` processes with `tail` values below
+    /// its height travels as.
+    fn parts_of(n: usize, tail: u64) -> usize {
+        STATE_HEAD + table_words(n) + tail as usize
     }
 
     /// The entries published in `actions`.
@@ -1646,7 +1731,7 @@ mod tests {
         let mut idle = byz_rsm_node(&assign, open_queues(4, 0).remove(0));
         assert_eq!(idle.proposal(Time::from_ticks(due)), NOOP);
         let carrying = commit_carrying(&assign, head);
-        actions_of(&mut idle, due, |n, s| n.on_message(carrying.clone(), s));
+        actions_of(&mut idle, due, |n, s| n.on_message(carrying, s));
         assert_eq!(idle.proposal(Time::from_ticks(due)), head);
         // Another command's height does not make it forget.
         actions_of(&mut idle, due, |n, s| n.commit(NOOP, false, s));
@@ -1747,7 +1832,7 @@ mod tests {
     /// commit opens its height's throttle whether it was broadcast (the
     /// first here carries the client's head, the rest have no news) or
     /// not, and all older heights share one slot, answered with a state
-    /// transfer.
+    /// transfer: the whole state in parts, or nothing.
     #[test]
     fn answer_throttle_is_bounded_and_starts_at_the_commit() {
         let assign = IdentityAssignment::round_robin(4, 2);
@@ -1771,10 +1856,22 @@ mod tests {
         assert_eq!(answers(&mut node, late, recent), 1);
         assert_eq!(answers(&mut node, late, recent), 0);
         // Heights below the ring share one slot.
-        let state = actions_of(&mut node, late, |n, s| n.answer_past(3, s));
-        assert_eq!(states_in(&state).len(), 1);
+        let parts = parts_of(4, cap - 1);
+        let state =
+            |node: &mut ByzLog, at, h| parts_in(&actions_of(node, at, |n, s| n.answer_past(h, s)));
+        let marks: Vec<_> = (state(&mut node, late, 3).iter())
+            .map(|msg| match *msg {
+                RsmMsg::Commit { state, .. } => state,
+                RsmMsg::Inner { .. } => None,
+            })
+            .collect();
+        let count = parts as u16;
+        let whole: Vec<_> = (0..count)
+            .map(|index| Some(StatePart { index, count }))
+            .collect();
+        assert_eq!(marks, whole, "every part once, in order");
         assert_eq!(answers(&mut node, late, 5), 0);
-        assert_eq!(answers(&mut node, late + interval, 5), 1);
+        assert_eq!(state(&mut node, late + interval, 5).len(), parts);
         assert_eq!(node.ring.len() as u64, cap);
     }
 
@@ -1904,12 +2001,13 @@ mod tests {
 
     /// A replica that fell further behind than the ring asks as always
     /// and is answered with a state transfer. It catches up through one
-    /// adopted state — `commit_quorum` matching copies under the label
-    /// caps: it moves to the senders' height, publishes the heights of
-    /// the tail it did not have and no others, takes their fingerprint,
-    /// and retires the commands of its own client the skipped heights
-    /// committed. A forged minority state is not adopted, and neither is
-    /// one below its height or one with no successor height.
+    /// adopted state — `commit_quorum` matching copies of every part under
+    /// the label caps, adopted on the last part in: it moves to the
+    /// senders' height, publishes the heights of the tail it did not have
+    /// and no others, takes their fingerprint, and retires the commands of
+    /// its own client the skipped heights committed. A forged minority
+    /// state is not adopted, and neither is a state one part short, one
+    /// below its height or one with no successor height.
     #[test]
     fn a_replica_below_the_ring_catches_up_through_one_state() {
         let assign = IdentityAssignment::round_robin(4, 2);
@@ -1951,25 +2049,31 @@ mod tests {
             panic!("no status: {asked:?}");
         };
         // Carriers of both labels are three rings ahead: each answers
-        // height 5 with its state.
-        let mut states = Vec::new();
-        for label in [assign.id_of(0), assign.id_of(1)] {
-            let answer = actions_as(label, &mut ahead(), 2 * t, |n, s| {
-                n.on_message(status.clone(), s);
-            });
-            states.extend(states_in(&answer));
-        }
-        assert_eq!(states.len(), 2, "one state per answerer");
+        // height 5 with its state, in parts.
+        let states: Vec<_> = [assign.id_of(0), assign.id_of(1)]
+            .into_iter()
+            .map(|label| {
+                parts_in(&actions_as(label, &mut ahead(), 2 * t, |n, s| {
+                    n.on_message(*status, s);
+                }))
+            })
+            .collect();
+        let parts = parts_of(4, cap - 1);
+        let lens: Vec<_> = states.iter().map(Vec::len).collect();
+        assert_eq!(lens, [parts, parts], "one state per answerer");
 
-        let mut feed = |msg| actions_of(&mut laggard, 2 * t + 1, |n, s| n.on_message(msg, s));
-        let forged = ByzLog::mutate_payload(&states[0], 7).expect("a commit is forgeable");
-        assert_eq!(published_in(&feed(forged)), [], "a forged state");
-        assert_eq!(
-            published_in(&feed(states[0].clone())),
-            [],
-            "one copy of two"
-        );
-        let adopted = feed(states[1].clone());
+        let mut feed = |msgs: &[_]| {
+            let each = |&msg| actions_of(&mut laggard, 2 * t + 1, |n, s| n.on_message(msg, s));
+            msgs.iter().flat_map(each).collect::<Vec<_>>()
+        };
+        let forged: Vec<_> = (states[0].iter())
+            .map(|part| ByzLog::mutate_payload(part, 7).expect("a part is forgeable"))
+            .collect();
+        assert_eq!(published_in(&feed(&forged)), [], "a forged state");
+        assert_eq!(published_in(&feed(&states[0])), [], "one copy of two");
+        let short = feed(&states[1][..parts - 1]);
+        assert_eq!(published_in(&short), [], "one part short");
+        let adopted = feed(&states[1][parts - 1..]);
         let tail = (2 * cap..3 * cap).map(|h| LogEntry {
             height: h,
             value: log[h as usize],
@@ -1979,21 +2083,21 @@ mod tests {
             commits_in(&adopted)[..1],
             [(3 * cap - 1, NOOP, issued.proposal(Time::ZERO))]
         );
-        assert_eq!(published_in(&feed(states[1].clone())), [], "old news now");
-        // A height with no successor is nobody's state, whoever sends it.
+        assert_eq!(published_in(&feed(&states[1])), [], "old news now");
+        // A height with no successor is nobody's state, whoever sends
+        // every part of it.
+        let count = parts_of(4, 0) as u16;
         for label in [assign.id_of(0), assign.id_of(1)] {
-            let absurd = RsmMsg::Commit {
-                height: u64::MAX,
-                value: 1,
-                id: label,
-                next: NOOP,
-                state: Some(Box::new(LogState {
-                    state_hash: 0,
-                    done_seq: vec![0; 4],
-                    tail: Vec::new(),
-                })),
-            };
-            assert_eq!(published_in(&feed(absurd)), []);
+            let absurd: Vec<_> = (0..count)
+                .map(|index| RsmMsg::Commit {
+                    height: u64::MAX,
+                    value: u64::from(index),
+                    id: label,
+                    next: NOOP,
+                    state: Some(StatePart { index, count }),
+                })
+                .collect();
+            assert_eq!(published_in(&feed(&absurd)), []);
         }
         assert_eq!(laggard.height(), 3 * cap);
         assert_eq!(laggard.state_hash(), ahead().state_hash());
@@ -2029,21 +2133,79 @@ mod tests {
         pool
     }
 
+    /// Copies delivered per label, capped at the label's multiplicity.
+    type Delivered<K> = BTreeMap<K, BTreeMap<Identity, usize>>;
+
+    /// `(index, count, word)` of a part of one of three states of n = 8
+    /// with one value of tail — seven words, word `i` of state `state`
+    /// being `10 × state + i` — as sent, or forged as `how` picks: an
+    /// index past the count, a count no state of n = 8 and a `ring`-long
+    /// ring has (no room for the table, a tail as long as the ring, the
+    /// largest), or the word of the next index.
+    fn hostile_part(state: u64, how: u64, ring: u64) -> (u16, u16, u64) {
+        let count = parts_of(8, 1) as u16;
+        let word = |i: u16| 10 * state + u64::from(i);
+        let index = (how / 4 % u64::from(count)) as u16;
+        match how % 4 {
+            0 => (index, count, word(index)),
+            1 => (index + count, count, word(index)),
+            2 => {
+                let wrong = [count - 2, parts_of(8, ring) as u16, u16::MAX];
+                (index, wrong[(how / 32 % 3) as usize], word(index))
+            }
+            _ => (index, count, word(index + 1)),
+        }
+    }
+
+    /// Whether `parts` delivered `quorum` copies of every word of a state
+    /// of n = 8 that a `ring`-long ring can send and that puts `value` at
+    /// `height`.
+    fn certified_by_parts(
+        parts: &Delivered<(u64, u16, u16, u64)>,
+        (quorum, ring): (usize, u64),
+        (height, value): (u64, u64),
+    ) -> bool {
+        let head = parts_of(8, 0);
+        let claims: std::collections::BTreeSet<_> =
+            parts.keys().map(|&(at, count, ..)| (at, count)).collect();
+        claims.into_iter().any(|(at, count)| {
+            let tail = usize::from(count).saturating_sub(head) as u64;
+            if usize::from(count) < head || tail >= ring || tail > at || at == u64::MAX {
+                return false;
+            }
+            let word = |i| {
+                let copies = parts.range((at, count, i, 0)..=(at, count, i, u64::MAX));
+                let mut quorate =
+                    copies.filter(|(_, labels)| labels.values().sum::<usize>() >= quorum);
+                quorate.next().map(|(&(.., word), _)| word)
+            };
+            let Some(words) = (0..count).map(word).collect::<Option<Vec<_>>>() else {
+                return false;
+            };
+            let values = words[head..].iter().chain(&words[..1]);
+            (at - tail..=at)
+                .zip(values)
+                .any(|(h, &v)| (h, v) == (height, value))
+        })
+    }
+
     proptest::proptest! {
-        /// Whatever `Commit`s and height-tagged engine envelopes reach a
-        /// replica — heights at, around and absurdly far from its own,
-        /// labels nobody carries, any `next` — it never panics, it
-        /// commits a value only once `commit_quorum` copies of it under
-        /// the label caps were delivered, and it broadcasts a `Commit`
-        /// about any one height — and a state transfer — at most once per
-        /// `answer_interval`: the amplification a sender of stale
-        /// statuses can buy.
+        /// Whatever `Commit`s, parts of state transfers and height-tagged
+        /// engine envelopes reach a replica — heights at, around and
+        /// absurdly far from its own, labels nobody carries, any `next`,
+        /// parts past their count, under a count no state has, or carrying
+        /// another index's word — it never panics, it commits a value only
+        /// once `commit_quorum` copies of it, or of every part of a state
+        /// that holds it, under the label caps were delivered, and it
+        /// broadcasts a `Commit` about any one height — and a state
+        /// transfer, all its parts — at most once per `answer_interval`:
+        /// the amplification a sender of stale statuses can buy.
         #[test]
         fn hostile_heights_neither_panic_nor_certify_nor_amplify(
             steps in proptest::collection::vec(
-                (proptest::prelude::any::<bool>(), 0u8..10, 0u64..3, 0u64..6,
+                (0u8..3, 0u8..10, 0u64..3, 0u64..6,
                  proptest::prelude::any::<u64>(), 0u64..4),
-                0..300usize,
+                0..600usize,
             ),
         ) {
             // Two carriers per label, three copies to certify: one label
@@ -2055,15 +2217,20 @@ mod tests {
             let interval = node.opts.answer_interval.ticks();
             actions_of(&mut node, 0, |n, s| n.on_start(s));
             // (height, value) → label → copies delivered, capped.
-            let mut delivered: BTreeMap<(u64, u64), BTreeMap<Identity, usize>> = BTreeMap::new();
+            let mut delivered: Delivered<(u64, u64)> = BTreeMap::new();
+            // The same for parts: (height, count, index, word).
+            let mut parts: Delivered<(u64, u16, u16, u64)> = BTreeMap::new();
             // height → tick of the last plain `Commit` broadcast about it
             // (`None`: of the last state transfer).
             let mut said: BTreeMap<Option<u64>, u64> = BTreeMap::new();
             let mut now = 0;
-            for (commit, pick, value, label, next, dt) in steps {
+            for (kind, pick, value, label, next, dt) in steps {
                 now += dt;
                 let at = node.height();
                 let height = match pick {
+                    // Parts aim where a state can certify: just above
+                    // the replica.
+                    0..=3 if kind == 2 => at + 1,
                     0..=3 => u64::from(pick),
                     4 => at,
                     5 => at + 1,
@@ -2073,24 +2240,41 @@ mod tests {
                     _ => u64::MAX,
                 };
                 let id = Identity::new(label);
-                let msg = if commit {
-                    let cap = assign.multiplicity(id);
-                    let copies = delivered.entry((height, value)).or_default().entry(id).or_insert(0);
+                let cap = assign.multiplicity(id);
+                let deliver = |labels: &mut BTreeMap<Identity, usize>| {
+                    let copies = labels.entry(id).or_insert(0);
                     *copies = (*copies + 1).min(cap);
-                    RsmMsg::Commit { height, value, id, next, state: None }
-                } else {
-                    let msg = pool[(next % pool.len() as u64) as usize].clone();
-                    RsmMsg::Inner { height, msg }
+                };
+                let msg = match kind {
+                    0 => {
+                        let msg = pool[(next % pool.len() as u64) as usize];
+                        RsmMsg::Inner { height, msg }
+                    }
+                    1 => {
+                        deliver(delivered.entry((height, value)).or_default());
+                        RsmMsg::Commit { height, value, id, next, state: None }
+                    }
+                    _ => {
+                        let (index, count, word) = hostile_part(value, next, ahead);
+                        deliver(parts.entry((height, count, index, word)).or_default());
+                        let state = Some(StatePart { index, count });
+                        RsmMsg::Commit { height, value: word, id, next, state }
+                    }
                 };
                 let actions = actions_of(&mut node, now, |n, s| n.on_message(msg, s));
                 for LogEntry { height: h, value: v } in published_in(&actions) {
                     let copies: usize = delivered
                         .get(&(h, v))
                         .map_or(0, |labels| labels.values().sum());
-                    proptest::prop_assert!(copies >= quorum, "height {h} on {copies} copies");
+                    let by_parts = certified_by_parts(&parts, (quorum, ahead), (h, v));
+                    proptest::prop_assert!(copies >= quorum || by_parts, "height {h} on {copies} copies");
                 }
                 for action in &actions {
                     if let Action::Broadcast(RsmMsg::Commit { height: h, state, .. }) = action {
+                        // The parts of one state are one answer.
+                        if state.is_some_and(|part| part.index > 0) {
+                            continue;
+                        }
                         let slot = state.is_none().then_some(*h);
                         if let Some(last) = said.insert(slot, now) {
                             proptest::prop_assert!(now >= last + interval, "{slot:?}: {last}, {now}");
@@ -2101,6 +2285,9 @@ mod tests {
         }
     }
 
+    /// A label nobody carries certifies nothing and leaves nothing
+    /// behind: not a tally per forged `(height, value)` in the window
+    /// above the replica, not a claim or a word per forged part.
     #[test]
     fn unknown_labels_are_rejected() {
         let assign = IdentityAssignment::round_robin(4, 2);
@@ -2111,8 +2298,20 @@ mod tests {
         let mut actions = Vec::new();
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
         let mut sink = ActionSink::new(forged, Time::ZERO, &mut rng, &mut actions);
-        node.tally_commit(0, 13, forged, &mut sink);
+        let kept = node.retained();
+        let count = parts_of(4, 1) as u16;
+        for height in 0..node.opts.max_commit_ahead {
+            for value in [13, height, u64::MAX - height] {
+                node.tally_commit(height, value, forged, &mut sink);
+                let part = StatePart {
+                    index: (value % u64::from(count)) as u16,
+                    count,
+                };
+                node.tally_part(height + 1, value, part, forged, &mut sink);
+            }
+        }
         node.drain_certified(&mut sink);
         assert_eq!(node.height(), 0, "forged label must not certify");
+        assert_eq!(node.retained(), kept, "forged label left an entry");
     }
 }

@@ -221,24 +221,25 @@ pub(crate) enum Event<M> {
     },
 }
 
-/// Whether `msg` is delivered by inline copy rather than `Arc` sharing:
-/// true for payloads that hold no heap state ([`Process::holds_heap`])
-/// and are at most a cache line wide.
-fn plain_payload<P: Process>(msg: &P::Msg) -> bool {
-    std::mem::size_of::<P::Msg>() <= 64 && !P::holds_heap(msg)
+/// Whether `M` is delivered by inline copy rather than `Arc` sharing:
+/// true for payloads that hold no heap state (nothing to drop) and are at
+/// most a cache line wide. Resolves to a compile-time constant per
+/// message type.
+fn plain_payload<M>() -> bool {
+    !std::mem::needs_drop::<M>() && std::mem::size_of::<M>() <= 64
 }
 
 /// The payload of one broadcast while its copies are queued: held inline
 /// and cloned per copy, or moved to the heap once and shared by every
-/// copy. [`plain_payload`] chooses, once per broadcast.
+/// copy. [`plain_payload`] chooses, once per message type.
 enum Payload<M> {
     Plain(M),
     Shared(Arc<M>),
 }
 
 impl<M: Clone> Payload<M> {
-    fn new(msg: M, plain: bool) -> Self {
-        if plain {
+    fn new(msg: M) -> Self {
+        if plain_payload::<M>() {
             Payload::Plain(msg)
         } else {
             Payload::Shared(Arc::new(msg))
@@ -901,7 +902,6 @@ impl<P: Process> Engine<P> {
             class,
             round,
         });
-        let plain = plain_payload::<P>(&msg);
         let out = Outbound {
             // One Byzantine plan per broadcast, resolved before routing
             // so every copy sees the same attack.
@@ -914,7 +914,7 @@ impl<P: Process> Engine<P> {
                 &mut self.byz_replay,
             ),
             to: P::addressee(&msg),
-            payload: Payload::new(msg, plain),
+            payload: Payload::new(msg),
         };
         let n = self.n();
         let dying = self.config.partial_broadcast_on_crash

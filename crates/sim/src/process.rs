@@ -113,21 +113,6 @@ pub trait Process: Send + 'static {
         let _ = msg;
         None
     }
-
-    /// Whether `msg` holds heap state, so that queueing one copy of it
-    /// per destination would clone that state: the engine then queues a
-    /// broadcast of it as one shared `Arc` instead. The default answers
-    /// for the whole type (`needs_drop`); a message type that holds heap
-    /// state in some values only answers per value, and its other
-    /// broadcasts keep the cheaper inline copies. Decides how a payload
-    /// is stored, never what is delivered.
-    fn holds_heap(msg: &Self::Msg) -> bool
-    where
-        Self: Sized,
-    {
-        let _ = msg;
-        std::mem::needs_drop::<Self::Msg>()
-    }
 }
 
 /// Whether a process carrying `id` reads `msg`: the routing rule both

@@ -169,14 +169,6 @@ impl<A: Process, B: Process> Process for Stacked<A, B> {
         }
     }
 
-    /// A half's message holds what that half says it holds.
-    fn holds_heap(msg: &Self::Msg) -> bool {
-        match msg {
-            Either::L(m) => A::holds_heap(m),
-            Either::R(m) => B::holds_heap(m),
-        }
-    }
-
     fn on_start(&mut self, ctx: &mut ActionSink<'_, Self::Msg, Self::Output>) {
         self.run_a(ctx, |a, sub| a.on_start(sub));
         self.run_b(ctx, |b, sub| b.on_start(sub));

@@ -28,15 +28,16 @@
 //!
 //! The log service above the detector runs for ever too, and its twin
 //! runs below: a replica keeps a ring of the last values, not the log
-//! (`ReplicatedLog::retained`), and the engine's record of it costs 32
-//! bytes a height.
+//! (`ReplicatedLog::retained`), the engine's record of it costs 32
+//! bytes a height, and a message of the stack holds no heap memory.
 
 use homonym::chaos::generators::leader_churn_across_heights;
 use homonym::chaos::session::{rsm_node, RsmNode, SessionBuilder};
 use homonym::chaos::sweep::hps_base;
-use homonym::consensus::rsm::LogEntry;
+use homonym::consensus::rsm::{LogEntry, RsmMsg};
+use homonym::consensus::ByzMsg;
 use homonym::core::wire;
-use homonym::detectors::evt_hp::{EvtHpProcess, EvtHpSnapshot};
+use homonym::detectors::evt_hp::{EvtHpMsg, EvtHpProcess, EvtHpSnapshot};
 use homonym::prelude::*;
 use homonym::sim::workload::WorkloadConfig;
 
@@ -176,6 +177,19 @@ fn a_log_replica_keeps_a_ring_not_the_log() {
 fn a_log_stack_history_entry_costs_32_bytes() {
     let entry = std::mem::size_of::<(Time, Either<EvtHpSnapshot, LogEntry>)>();
     assert_eq!(entry, 32);
+}
+
+/// What a message costs: the log stack's message holds no heap memory —
+/// a state transfer travels as fixed-size parts — so the engine queues
+/// every broadcast of the stack as inline copies and nothing is dropped
+/// around one, and it is 48 bytes, as it was while a state travelled
+/// boxed. A body that needs more than a word (block bodies, say) must
+/// keep both.
+#[test]
+fn a_log_stack_message_holds_no_heap() {
+    type Msg = Either<EvtHpMsg, RsmMsg<ByzMsg>>;
+    assert!(!std::mem::needs_drop::<Msg>());
+    assert_eq!(std::mem::size_of::<Msg>(), 48);
 }
 
 /// A million heights under leader churn, and the replicas retain as

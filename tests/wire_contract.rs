@@ -27,8 +27,8 @@ use std::sync::Arc;
 
 use homonym::chaos::{byz_tolerant_node, fig8_node, hps_base, ByzTolerantNode, Fig8Node, RsmNode};
 use homonym::consensus::{
-    ByzMsg, ByzQuorumConsensus, Fig8Msg, HOmegaPolicy, LogState, MajorityConsensus, ReplicatedLog,
-    RsmMsg,
+    ByzMsg, ByzQuorumConsensus, Fig8Msg, HOmegaPolicy, MajorityConsensus, ReplicatedLog, RsmMsg,
+    StatePart,
 };
 use homonym::core::classes::HOmegaOutput;
 use homonym::core::failure::FailureSchedule;
@@ -298,10 +298,7 @@ fn message_cases() -> Vec<Case> {
     let height = 1 << 40;
     let mut log: Vec<LogMsg> = engine
         .iter()
-        .map(|msg| RsmMsg::Inner {
-            height,
-            msg: msg.clone(),
-        })
+        .map(|&msg| RsmMsg::Inner { height, msg })
         .collect();
     log.push(RsmMsg::Commit {
         height,
@@ -310,22 +307,20 @@ fn message_cases() -> Vec<Case> {
         next: u64::MAX,
         state: None,
     });
-    // A state transfer: the same commit with the sender's log below it.
-    log.push(RsmMsg::Commit {
-        height,
-        value: 5,
-        id,
-        next: u64::MAX,
-        state: Some(Box::new(LogState {
-            state_hash: u64::MAX - 3,
-            done_seq: vec![0, 1, u32::MAX],
-            tail: vec![0, 7, u64::MAX],
-        })),
-    });
+    // Parts of a state transfer: words of the sender's log below it.
+    for (index, count) in [(0, 1), (68, 69), (u16::MAX - 1, u16::MAX)] {
+        log.push(RsmMsg::Commit {
+            height,
+            value: u64::MAX - 3,
+            id,
+            next: u64::MAX,
+            state: Some(StatePart { index, count }),
+        });
+    }
     let stack: Vec<StackMsg> = detector
         .iter()
         .map(|m| Either::L(m.clone()))
-        .chain(log.iter().map(|m| Either::R(m.clone())))
+        .chain(log.iter().map(|&m| Either::R(m)))
         .collect();
     [cases(&detector), cases(&engine), cases(&log), cases(&stack)].concat()
 }
@@ -510,17 +505,11 @@ fn byz_msg() -> impl Strategy<Value = ByzMsg> {
     ]
 }
 
-fn log_state() -> impl Strategy<Value = LogState> {
-    (
-        edgy(),
-        prop::collection::vec(any::<u32>(), 0..9),
-        prop::collection::vec(edgy(), 0..9),
-    )
-        .prop_map(|(state_hash, done_seq, tail)| LogState {
-            state_hash,
-            done_seq,
-            tail,
-        })
+/// A part, in range or not: an index past its count is the receiver's
+/// to refuse, not the codec's.
+fn state_part() -> impl Strategy<Value = StatePart> {
+    let word = || prop_oneof![Just(0), Just(1), Just(u16::MAX), any::<u16>()];
+    (word(), word()).prop_map(|(index, count)| StatePart { index, count })
 }
 
 fn log_msg() -> impl Strategy<Value = LogMsg> {
@@ -533,13 +522,13 @@ fn log_msg() -> impl Strategy<Value = LogMsg> {
             next,
             state: None,
         }),
-        (edgy(), edgy(), label(), edgy(), log_state()).prop_map(
-            |(height, value, id, next, state)| RsmMsg::Commit {
+        (edgy(), edgy(), label(), edgy(), state_part()).prop_map(
+            |(height, value, id, next, part)| RsmMsg::Commit {
                 height,
                 value,
                 id,
                 next,
-                state: Some(Box::new(state)),
+                state: Some(part),
             }
         ),
     ]
@@ -593,12 +582,10 @@ fn kept_log(msg: &LogMsg) -> Vec<u64> {
             state,
             ..
         } => {
-            let state = state
-                .as_deref()
-                .map(|s| [s.state_hash, s.tail.len() as u64]);
+            let part = state.map(|p| [p.index.into(), p.count.into()]);
             [
                 vec![1, *height, id.raw(), *next],
-                state.into_iter().flatten().collect(),
+                part.into_iter().flatten().collect(),
             ]
             .concat()
         }
