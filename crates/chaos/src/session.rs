@@ -174,8 +174,8 @@ impl SessionBuilder {
         }
     }
 
-    /// Sets the run seed (network, adversary and per-process RNG streams
-    /// all derive from it).
+    /// Sets the run seed (the engine's network, adversary and Byzantine
+    /// streams all derive from it; processes draw none).
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -580,20 +580,30 @@ impl<P: Process> Session<P> {
 
     /// A pair of correct processes whose published logs disagree at some
     /// height both published — `None` is the log service's safety
-    /// invariant.
+    /// invariant. Every correct process's entries fold into one table of
+    /// the first value published at each height and who published it, so
+    /// the check holds one log, not n; the pair returned is that first
+    /// publisher and the first process found disagreeing with it. Where
+    /// several pairs disagree, any of them is as good an answer.
     #[must_use]
     pub fn prefix_violation(&self) -> Option<(usize, usize)> {
-        let view = self.log_view?;
+        let (height, entry) = self.log_view?;
         let sched = &self.engine.config().sched;
-        let logs: Vec<(usize, Vec<Option<u64>>)> = (0..self.engine.n())
-            .filter(|&p| sched.is_correct(p))
-            .map(|p| (p, self.published(p, view)))
-            .collect();
-        let disagree = |(x, y): (&Option<u64>, &Option<u64>)| x.is_some() && y.is_some() && x != y;
-        for (i, (a, la)) in logs.iter().enumerate() {
-            for (b, lb) in &logs[i + 1..] {
-                if la.iter().zip(lb).any(disagree) {
-                    return Some((*a, *b));
+        let mut first: Vec<Option<(u64, usize)>> = Vec::new();
+        for p in (0..self.engine.n()).filter(|&p| sched.is_correct(p)) {
+            let top = height(self.engine.process(p));
+            let entries = self.engine.histories()[p]
+                .iter()
+                .filter_map(|(_, o)| entry(o));
+            for e in entries.filter(|e| e.height < top) {
+                let h = e.height as usize;
+                if first.len() <= h {
+                    first.resize(h + 1, None);
+                }
+                match first[h] {
+                    None => first[h] = Some((e.value, p)),
+                    Some((value, q)) if q != p && value != e.value => return Some((q, p)),
+                    Some(_) => {}
                 }
             }
         }
@@ -710,6 +720,38 @@ mod tests {
         let reason = session.run();
         assert_eq!(reason, StopReason::ConditionMet);
         assert!(session.prefix_violation().is_none());
+    }
+
+    /// The safety check can say no. A hidden equivocator splits the
+    /// crash-model log over Figure 8 engines, which trust every copy
+    /// they count; the tolerant stack's certificates keep the same
+    /// scenario's logs agreeing.
+    #[test]
+    fn a_hidden_equivocator_forks_the_crash_model_log_but_not_the_tolerant_one() {
+        let builder = SessionBuilder::new(8, 4)
+            .with_goal(Goal::TickHorizon)
+            .with_deadline_ticks(3_000);
+        let scenario = crate::sweep::Family::HiddenEquivocator.generate(&builder.assignment(), 1);
+        let builder = builder.with_scenario(scenario);
+        let workload = WorkloadConfig::default();
+
+        let mut fig8 = builder.clone().rsm_fig8(&workload);
+        fig8.run();
+        let (a, b) = fig8
+            .prefix_violation()
+            .expect("an equivocator forks the Figure 8 log");
+        let view = fig8.log_view.expect("a log stack");
+        let (la, lb) = (fig8.published(a, view), fig8.published(b, view));
+        assert!(
+            la.iter()
+                .zip(&lb)
+                .any(|(x, y)| x.is_some() && y.is_some() && x != y),
+            "p{a} and p{b} are named but agree"
+        );
+
+        let mut tolerant = builder.rsm(&workload);
+        tolerant.run();
+        assert_eq!(tolerant.prefix_violation(), None);
     }
 
     #[test]

@@ -1006,7 +1006,6 @@ mod tests {
     use homonym_core::prelude::*;
     use homonym_sim::prelude::*;
     use homonym_sim::process::Action;
-    use rand::rngs::StdRng;
 
     fn assign8() -> IdentityAssignment {
         IdentityAssignment::round_robin(8, 3)
@@ -1127,10 +1126,9 @@ mod tests {
         step: impl FnOnce(&mut ByzQuorumConsensus, &mut ActionSink<'_, ByzMsg, u64>),
     ) -> Vec<Action<ByzMsg, u64>> {
         let mut actions = Vec::new();
-        let mut rng = <StdRng as rand::SeedableRng>::seed_from_u64(1);
         step(
             c,
-            &mut ActionSink::new(me, Time::from_ticks(at), &mut rng, &mut actions),
+            &mut ActionSink::new(me, Time::from_ticks(at), &mut actions),
         );
         actions
     }
@@ -1398,14 +1396,12 @@ mod tests {
     /// the clock starting at `*now`, and renders every action emitted.
     fn drive_steps(c: &mut ByzQuorumConsensus, now: &mut u64, steps: &[Step]) -> Vec<String> {
         let mut actions = Vec::new();
-        let mut rng = <StdRng as rand::SeedableRng>::seed_from_u64(1);
         for step in steps {
             if let Step::Tick(later) = step {
                 *now += later;
             }
             let at = Time::from_ticks(*now);
-            let mut sink =
-                ActionSink::new(Identity::new(0), at, &mut rng, &mut actions).with_observing(true);
+            let mut sink = ActionSink::new(Identity::new(0), at, &mut actions).with_observing(true);
             match step {
                 Step::Msg(m) => c.on_message(*m, &mut sink),
                 Step::Tick(_) => c.on_timer(DEADLINE, &mut sink),

@@ -795,9 +795,8 @@ impl<C: HeightEngine> ReplicatedLog<C> {
         let mut actions = std::mem::take(&mut self.scratch);
         {
             let observing = ctx.observing();
-            let mut sub =
-                ActionSink::new(ctx.my_id(), ctx.local_now(), ctx.raw_rng(), &mut actions)
-                    .with_observing(observing);
+            let mut sub = ActionSink::new(ctx.my_id(), ctx.local_now(), &mut actions)
+                .with_observing(observing);
             f(&mut self.inner, &mut sub);
         }
         let mut decided = None;
@@ -1580,8 +1579,7 @@ mod tests {
         node.opts.commit_quorum = 3;
         let label = assign.id_of(0);
         let mut actions = Vec::new();
-        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
-        let mut sink = ActionSink::new(label, Time::ZERO, &mut rng, &mut actions);
+        let mut sink = ActionSink::new(label, Time::ZERO, &mut actions);
         for _ in 0..5 {
             node.tally_commit(0, 42, label, &mut sink);
         }
@@ -1616,8 +1614,7 @@ mod tests {
         step: impl FnOnce(&mut ByzLog, &mut Sink<'_, ByzQuorumConsensus>),
     ) -> Vec<ByzAction> {
         let mut actions = Vec::new();
-        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
-        let mut sink = ActionSink::new(label, Time::from_ticks(at), &mut rng, &mut actions);
+        let mut sink = ActionSink::new(label, Time::from_ticks(at), &mut actions);
         step(node, &mut sink);
         actions
     }
@@ -2115,11 +2112,9 @@ mod tests {
         for p in 0..assign.n() {
             let mut engine = ByzQuorumConsensus::new(p as u64, assign);
             let mut actions = Vec::new();
-            let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
             engine.on_start(&mut ActionSink::new(
                 assign.id_of(p),
                 Time::ZERO,
-                &mut rng,
                 &mut actions,
             ));
             for action in actions {
@@ -2296,8 +2291,7 @@ mod tests {
         node.opts.commit_quorum = 1;
         let forged = Identity::new(9_999);
         let mut actions = Vec::new();
-        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
-        let mut sink = ActionSink::new(forged, Time::ZERO, &mut rng, &mut actions);
+        let mut sink = ActionSink::new(forged, Time::ZERO, &mut actions);
         let kept = node.retained();
         let count = parts_of(4, 1) as u16;
         for height in 0..node.opts.max_commit_ahead {

@@ -53,7 +53,7 @@
 //! one run whichever order they arrive in — Figure 6 lets a *sender*
 //! cover a whole round interval with one `P_REPLY` so that one message
 //! serves every homonymous poller, and this is the receiver-side dual. A
-//! round end reads the bag off the count (rebuilding `h_trusted` only
+//! round end reads the bag off the count (rebuilding `h_trusted_p` only
 //! when they differ), drops what ended with the round, applies the
 //! change points of the next one and drains them.
 //!
@@ -269,7 +269,6 @@ const MSHIP_DENSE: u64 = 256;
 /// The Figure 6 process.
 #[derive(Debug)]
 pub struct EvtHpProcess {
-    h_trusted: Multiset<Identity>,
     h_omega: HOmegaOutput,
     round: u64,
     timeout: u64,
@@ -289,14 +288,14 @@ pub struct EvtHpProcess {
     /// Where a label's count moves after `r_p`: `(round, label, (starts,
     /// ends))` in `(round, label)` order, never both counts nonzero.
     changes: Vec<(u64, Identity, (u32, u32))>,
-    /// Cached `◇HP` output snapshot, rebuilt only when the membership
-    /// actually changes; publishing shares this instead of re-wrapping
-    /// (or copying) the bag every round.
+    /// The `◇HP` variable `h_trusted_p`, held once: rebuilt only when the
+    /// membership actually changes, and shared by every snapshot
+    /// published since instead of re-wrapped (or copied) each round.
     snapshot: Arc<EvtHPOutput>,
     evt_mirror: Option<SharedCell<EvtHPOutput>>,
     omega_mirror: Option<SharedCell<HOmegaOutput>>,
     /// The `HΩ` pair and `timeout_p` of the snapshot last published
-    /// (its bag is `h_trusted`); `None` until the first round ends.
+    /// (its bag is `snapshot`); `None` until the first round ends.
     published: Option<(HOmegaOutput, u64)>,
     adaptive: bool,
     started: bool,
@@ -308,7 +307,6 @@ impl EvtHpProcess {
     #[must_use]
     pub fn new() -> Self {
         EvtHpProcess {
-            h_trusted: Multiset::new(),
             // Arbitrary initial HΩ view; the class only constrains the
             // eventual output. Set at start to (id(p), 1).
             h_omega: HOmegaOutput::new(Identity::BOTTOM, 1),
@@ -358,7 +356,7 @@ impl EvtHpProcess {
     /// Current `h_trusted_p`.
     #[must_use]
     pub fn h_trusted(&self) -> &Multiset<Identity> {
-        &self.h_trusted
+        &self.snapshot.h_trusted
     }
 
     /// Current `HΩ` extraction.
@@ -478,17 +476,17 @@ impl EvtHpProcess {
             .covering
             .iter()
             .map(|(label, count, _)| (label, *count as usize));
-        let changed = !self.h_trusted.counted().eq(gathered);
+        let changed = !self.h_trusted().counted().eq(gathered);
         if changed {
-            self.h_trusted.clear();
+            let mut bag = Multiset::new();
             for &(label, count, _) in &self.covering {
-                self.h_trusted.insert_n(label, count as usize);
+                bag.insert_n(label, count as usize);
             }
             // Corollary 2: HΩ extraction, no communication.
-            if let Some(&leader) = self.h_trusted.min_elem() {
-                let next = HOmegaOutput::new(leader, self.h_trusted.multiplicity(&leader));
+            if let Some(&leader) = bag.min_elem() {
+                let mult = bag.multiplicity(&leader);
+                let next = HOmegaOutput::new(leader, mult);
                 if next != self.h_omega {
-                    let mult = self.h_trusted.multiplicity(&leader);
                     ctx.observe(|| ObsKind::LeaderFlip {
                         round: r,
                         leader,
@@ -497,9 +495,9 @@ impl EvtHpProcess {
                 }
                 self.h_omega = next;
             }
-            self.snapshot = Arc::new(EvtHPOutput::new(self.h_trusted.clone()));
+            self.snapshot = Arc::new(EvtHPOutput::new(bag));
         }
-        let trusted = self.h_trusted.len();
+        let trusted = self.h_trusted().len();
         ctx.observe(|| ObsKind::DetectorEpoch {
             round: r,
             trusted: u32::try_from(trusted).unwrap_or(u32::MAX),
@@ -561,7 +559,6 @@ impl Default for EvtHpProcess {
 impl ForkProcess for EvtHpProcess {
     fn fork_in(&self, space: &mut ForkSpace) -> Self {
         EvtHpProcess {
-            h_trusted: self.h_trusted.clone(),
             h_omega: self.h_omega,
             round: self.round,
             timeout: self.timeout,
@@ -726,7 +723,6 @@ impl Persist for EvtHpSnapshot {
 // consensus half decoded from the same byte stream comes out re-seated
 // onto the identical rebuilt cells (see `homonym_core::wire`).
 homonym_core::persist_fields!(EvtHpProcess {
-    h_trusted,
     h_omega,
     round,
     timeout,
@@ -895,12 +891,11 @@ mod tests {
     #[test]
     fn a_run_completed_out_of_order_is_one_run() {
         let (me, sender) = (Identity::new(1), Identity::new(2));
-        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
         let mut actions = Vec::new();
         let mut proc = EvtHpProcess::new();
         let r = proc.round();
         for (from, to) in [(r, r), (r + 2, r + 2), (r + 1, r + 1)] {
-            let mut sink = ActionSink::new(me, Time::ZERO, &mut rng, &mut actions);
+            let mut sink = ActionSink::new(me, Time::ZERO, &mut actions);
             proc.on_message(
                 EvtHpMsg::PReply {
                     from,
@@ -913,10 +908,7 @@ mod tests {
         }
         assert_eq!(proc.pending_len(), 1);
         for trusted in [1, 1, 1, 0] {
-            proc.on_timer(
-                ROUND,
-                &mut ActionSink::new(me, Time::ZERO, &mut rng, &mut actions),
-            );
+            proc.on_timer(ROUND, &mut ActionSink::new(me, Time::ZERO, &mut actions));
             assert_eq!(proc.h_trusted().multiplicity(&sender), trusted);
         }
     }
@@ -967,7 +959,6 @@ mod tests {
         ) {
             const FILL: u8 = 13;
             let me = Identity::new(7);
-            let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
             let mut actions = Vec::new();
             let mut proc = EvtHpProcess::new();
             let mut model = NaiveReplies { held: Vec::new(), round: 1, timeout: 1 };
@@ -981,7 +972,7 @@ mod tests {
                 let s = s as usize;
                 let (from, to, sender) = match kind {
                     0..=2 => {
-                        let mut sink = ActionSink::new(me, Time::ZERO, &mut rng, &mut actions);
+                        let mut sink = ActionSink::new(me, Time::ZERO, &mut actions);
                         proc.on_timer(ROUND, &mut sink);
                         actions.clear();
                         let gathered = model.end_round();
@@ -1028,7 +1019,7 @@ mod tests {
                     }
                     last = (from, to, sender);
                 }
-                let mut sink = ActionSink::new(me, Time::ZERO, &mut rng, &mut actions);
+                let mut sink = ActionSink::new(me, Time::ZERO, &mut actions);
                 proc.on_message(EvtHpMsg::PReply { from, to, target: me, sender }, &mut sink);
                 model.reply(from, to, sender);
                 proptest::prop_assert_eq!(proc.timeout(), model.timeout);
@@ -1040,22 +1031,21 @@ mod tests {
     proptest::proptest! {
         /// The [`Process::addressee`] contract, on whatever state the
         /// process is in: a message addressed to another label emits no
-        /// action, draws nothing and leaves every persisted byte as it
-        /// was. Judged through `addressee` itself, so it fails the day
-        /// that is widened to a message that *is* read elsewhere — a
-        /// `POLLING`, say, which everyone answers.
+        /// action and leaves every persisted byte as it was. Judged
+        /// through `addressee` itself, so it fails the day that is
+        /// widened to a message that *is* read elsewhere — a `POLLING`,
+        /// say, which everyone answers.
         #[test]
         fn a_message_addressed_elsewhere_is_a_no_op(
             steps in proptest::collection::vec((0u8..3, 0u64..4, 0u64..8, 0u64..8), 0..60usize),
             last in (0u8..2, 0u64..4, 0u64..40, 0u64..40, 0u64..4),
         ) {
             let me = Identity::new(1);
-            let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
             let mut actions = Vec::new();
             let mut proc = EvtHpProcess::new();
-            proc.on_start(&mut ActionSink::new(me, Time::ZERO, &mut rng, &mut actions));
+            proc.on_start(&mut ActionSink::new(me, Time::ZERO, &mut actions));
             for (kind, label, a, b) in steps {
-                let mut sink = ActionSink::new(me, Time::ZERO, &mut rng, &mut actions);
+                let mut sink = ActionSink::new(me, Time::ZERO, &mut actions);
                 let label = Identity::new(label);
                 match kind {
                     0 => proc.on_timer(ROUND, &mut sink),
@@ -1078,10 +1068,10 @@ mod tests {
                 },
             };
             if EvtHpProcess::addressee(&msg).is_some_and(|label| label != me) {
-                let before = (homonym_core::wire::to_bytes(&proc), rng.state());
-                proc.on_message(msg, &mut ActionSink::new(me, Time::ZERO, &mut rng, &mut actions));
+                let before = homonym_core::wire::to_bytes(&proc);
+                proc.on_message(msg, &mut ActionSink::new(me, Time::ZERO, &mut actions));
                 proptest::prop_assert!(actions.is_empty());
-                proptest::prop_assert_eq!((homonym_core::wire::to_bytes(&proc), rng.state()), before);
+                proptest::prop_assert_eq!(homonym_core::wire::to_bytes(&proc), before);
             }
         }
     }

@@ -26,8 +26,8 @@
 //!   order.
 //! * **Stream isolation** — each script draws from a dedicated RNG
 //!   stream (seeded from the run seed and the script's
-//!   [`salt`](LinkFaultScript::salt)), so installing a script perturbs
-//!   neither the network nor the per-process streams. A run with no
+//!   [`salt`](LinkFaultScript::salt)), so installing a script does not
+//!   perturb the network stream (processes draw none). A run with no
 //!   script — or an empty / never-activating one — is byte-identical to
 //!   a run of an engine that never had the hook.
 //!

@@ -13,11 +13,17 @@
 //! The codec persists *observable* state only:
 //!
 //! * the calendar queue round-trips as its `(tick, seq, event)` content
-//!   in dispatch order — window position and ring/overflow split are
-//!   rebuilt (only dispatch order is observable, a property the queue's
-//!   reference-model tests pin);
-//! * RNG streams round-trip as their exact xoshiro256** state words, so
-//!   every post-restore draw continues the stream mid-sequence;
+//!   in dispatch order, written as deltas from the entry before: the
+//!   tick as a varint of its (never negative) step, the sequence number
+//!   zigzagged, since a timer armed early lands after copies sent later.
+//!   Window position and ring/overflow split are rebuilt (only dispatch
+//!   order is observable, a property the queue's reference-model tests
+//!   pin);
+//! * the engine's three RNG streams (network, adversary, Byzantine)
+//!   round-trip as their exact xoshiro256** state words, so every
+//!   post-restore draw continues the stream mid-sequence. A process has
+//!   no stream: the algorithms are deterministic, so a process slot is
+//!   its automaton's state and its identifier;
 //! * recycled scratch buffers (tick batches already drained, arena
 //!   spares) are **not** state and decode empty.
 //!
@@ -105,13 +111,11 @@ impl<M: Persist + 'static> Persist for Event<M> {
 impl<P: Process + Persist> Persist for ProcSlot<P> {
     fn save(&self, s: &mut Saver) {
         self.proc.save(s);
-        save_rng(&self.rng, s);
         self.id.save(s);
     }
     fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
         Ok(ProcSlot {
             proc: P::load(l)?,
-            rng: load_rng(l)?,
             id: Persist::load(l)?,
         })
     }
@@ -142,25 +146,43 @@ homonym_core::persist_fields!(SyncMetrics {
     steps
 });
 
+/// Entries in dispatch order, each as `(at − previous at, zigzag(seq −
+/// previous seq))` from `(0, 0)`: a byte or two where absolute values
+/// are three or four (see the module docs).
 impl<E: Persist> Persist for CalendarQueue<E> {
     fn save(&self, s: &mut Saver) {
         let entries = self.persist_entries();
         s.len(entries.len());
+        let (mut at0, mut seq0) = (0, 0);
         for (at, seq, event) in entries {
-            s.u64(at);
-            s.u64(seq);
+            s.u64(at - at0);
+            s.u64(zigzag(seq.wrapping_sub(seq0)));
+            (at0, seq0) = (at, seq);
             event.save(s);
         }
     }
     fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
         let (n, mut entries) = l.seq()?;
+        let (mut at, mut seq) = (0u64, 0u64);
         for _ in 0..n {
-            let at = l.u64()?;
-            let seq = l.u64()?;
+            at = at
+                .checked_add(l.u64()?)
+                .ok_or(WireError::BadValue { what: "queue tick" })?;
+            seq = seq.wrapping_add(unzigzag(l.u64()?));
             entries.push((at, seq, E::load(l)?));
         }
         Ok(CalendarQueue::from_persist_entries(entries))
     }
+}
+
+/// A two's-complement step as a small varint either way: 0, −1, 1, −2…
+/// map to 0, 1, 2, 3…
+fn zigzag(step: u64) -> u64 {
+    (step << 1) ^ ((step as i64 >> 63) as u64)
+}
+
+fn unzigzag(v: u64) -> u64 {
+    (v >> 1) ^ (v & 1).wrapping_neg()
 }
 
 /// The event-driven engine's full durable state. Field order is the
@@ -318,6 +340,17 @@ mod tests {
                     .expect("finds itself")
             })
             .collect()
+    }
+
+    /// Small steps either way are small codes, and every `u64` step —
+    /// a wrap-around included — comes back as it went.
+    #[test]
+    fn zigzag_is_a_bijection_that_keeps_small_steps_small() {
+        let back = 0u64.wrapping_sub(1);
+        assert_eq!([0, back, 1, back - 1, 2].map(zigzag), [0, 1, 2, 3, 4]);
+        for step in [0, 1, back, 1 << 63, (1 << 63) - 1, u64::MAX / 3] {
+            assert_eq!(unzigzag(zigzag(step)), step);
+        }
     }
 
     #[test]

@@ -122,8 +122,9 @@ pub struct SimConfig {
     pub sched: FailureSchedule,
     /// Timing model.
     pub network: NetworkModel,
-    /// Seed for all engine randomness (network sampling, per-process RNGs,
-    /// crash-broadcast masks). Same config + same seed ⇒ identical run.
+    /// Seed for all engine randomness (network sampling, crash-broadcast
+    /// masks, and the adversary's and Byzantine streams). Processes draw
+    /// none. Same config + same seed ⇒ identical run.
     pub seed: u64,
     /// Deliver a random subset of the copies of a broadcast performed at
     /// the sender's final step before crashing.
@@ -285,8 +286,8 @@ struct Outbound<M> {
 pub(crate) struct RunStreams {
     /// Network sampling and dying-sender broadcast masks.
     pub(crate) net: StdRng,
-    /// Link-fault draws, salted per script so installing one perturbs
-    /// neither the network nor the per-process streams.
+    /// Link-fault draws, salted per script so installing one does not
+    /// perturb the network stream.
     pub(crate) adv: StdRng,
     /// Byzantine draws (one per attacked broadcast), decorrelated from
     /// every other stream for the same reason.
@@ -303,17 +304,10 @@ impl RunStreams {
             byz: StdRng::seed_from_u64(config.seed ^ byz_salt ^ 0xA076_1D64_78BD_642F_u64),
         }
     }
-
-    /// The private stream of process `p`, decorrelated from the engine
-    /// streams.
-    pub(crate) fn process(seed: u64, p: usize) -> StdRng {
-        StdRng::seed_from_u64(seed ^ (0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(p as u64 + 1)))
-    }
 }
 
 pub(crate) struct ProcSlot<P: Process> {
     pub(crate) proc: P,
-    pub(crate) rng: StdRng,
     /// Cached `id(p)` — avoids an assignment-table chase per callback.
     pub(crate) id: homonym_core::Identity,
 }
@@ -386,7 +380,7 @@ pub struct Engine<P: Process> {
     now: Time,
     net_rng: StdRng,
     /// Dedicated stream for adversary draws so installing a script does
-    /// not perturb the network or per-process streams.
+    /// not perturb the network stream.
     adv_rng: StdRng,
     /// The adversary clauses active at `now`, from
     /// [`LinkFaultScript::active_at`]: every copy of a broadcast, and of
@@ -469,7 +463,6 @@ impl<P: Process> Engine<P> {
         for p in 0..n {
             procs.push(ProcSlot {
                 proc: factory(p, config.assign.id_of(p)),
-                rng: RunStreams::process(config.seed, p),
                 id: config.assign.id_of(p),
             });
         }
@@ -804,9 +797,8 @@ impl<P: Process> Engine<P> {
             // `procs` and `scratch_actions` are disjoint fields, so the
             // callback writes straight into the engine's buffer.
             let slot = &mut self.procs[dst];
-            let mut sink =
-                ActionSink::new(slot.id, self.now, &mut slot.rng, &mut self.scratch_actions)
-                    .with_observing(observing);
+            let mut sink = ActionSink::new(slot.id, self.now, &mut self.scratch_actions)
+                .with_observing(observing);
             callback(&mut slot.proc, input, &mut sink);
         }
         // Most deliveries in polling-style protocols buffer or discard
@@ -1118,7 +1110,7 @@ impl<P: Process> Engine<P> {
 impl<P: ForkProcess> Engine<P> {
     /// Captures the engine's complete deterministic state — queue
     /// contents (including a partially consumed tick batch), process
-    /// states and RNG streams, network/adversary streams, metrics,
+    /// states, the network/adversary/Byzantine streams, metrics,
     /// histories, decisions and the trace — as an independent
     /// [`EngineSnapshot`]. Restoring it (into this engine or a fresh one
     /// with an agreeing configuration) reproduces the byte-identical
@@ -1144,7 +1136,6 @@ impl<P: ForkProcess> Engine<P> {
         snap.procs.clear();
         snap.procs.extend(self.procs.iter().map(|s| ProcSlot {
             proc: s.proc.fork_in(&mut space),
-            rng: s.rng.clone(),
             id: s.id,
         }));
         snap.halted.clear();
@@ -1183,7 +1174,6 @@ impl<P: ForkProcess> Engine<P> {
         self.procs.clear();
         self.procs.extend(snap.procs.iter().map(|s| ProcSlot {
             proc: s.proc.fork_in(&mut space),
-            rng: s.rng.clone(),
             id: s.id,
         }));
         self.queue.clone_from(&snap.queue);

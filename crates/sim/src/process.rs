@@ -12,7 +12,9 @@
 //! and a message may name the one label that reads it — the only address a
 //! homonymous system has.
 //!
-//! It cannot read the global clock, the membership, or the failure pattern.
+//! It cannot read the global clock, the membership, or the failure pattern,
+//! and it has no random stream: the paper's algorithms are deterministic,
+//! so a step depends only on the state and the message or timer it takes.
 //!
 //! ## Addressed messages
 //!
@@ -20,12 +22,11 @@
 //! process. What it can do is put an identifier in the payload and have
 //! every process that does not carry it drop the copy on sight — Figure 6's
 //! `P_REPLY(…, id(q), id(p))` does. [`Process::addressee`] declares that to
-//! the engine, under a three-part contract: at a process whose identifier
+//! the engine, under a two-part contract: at a process whose identifier
 //! differs from `addressee(msg)`, `on_message(msg)`
 //!
-//! 1. emits no action,
-//! 2. draws nothing from its random stream, and
-//! 3. leaves the state as it was.
+//! 1. emits no action, and
+//! 2. leaves the state as it was.
 //!
 //! The engine then routes such a copy only to the carriers of that label
 //! ([`reads`] is the one test, shared by both interpreters) and counts the
@@ -39,8 +40,6 @@ use core::fmt;
 use homonym_core::identity::Identity;
 use homonym_core::time::{Span, Time};
 use homonym_obs::ObsKind;
-use rand::rngs::StdRng;
-use rand::Rng;
 
 /// Payload constraints for protocol messages.
 pub trait Message: Clone + fmt::Debug + Send + 'static {}
@@ -103,9 +102,10 @@ pub trait Process: Send + 'static {
     /// The one label that reads `msg`, if it names one; `None` (the
     /// default) means every process does. An implementor returning
     /// `Some(id)` promises that at a process whose identifier differs from
-    /// `id`, `on_message(msg)` emits no action, draws nothing from its
-    /// random stream and leaves the state as it was — the engine relies on
-    /// it to not deliver those copies at all (see the module docs).
+    /// `id`, `on_message(msg)` emits no action and leaves the state as it
+    /// was (a process has no random stream, so that is all a step can
+    /// touch) — the engine relies on it to not deliver those copies at
+    /// all (see the module docs).
     fn addressee(msg: &Self::Msg) -> Option<Identity>
     where
         Self: Sized,
@@ -152,11 +152,12 @@ pub enum Action<M, O> {
 ///
 /// The sink records requested effects; the engine applies them when the
 /// callback returns (a crash scheduled mid-broadcast can then deliver the
-/// message to an arbitrary subset, as the model prescribes).
+/// message to an arbitrary subset, as the model prescribes). It offers no
+/// randomness: a process is a deterministic automaton, and every random
+/// draw of a run is the engine's (network, adversary, Byzantine streams).
 pub struct ActionSink<'a, M, O> {
     my_id: Identity,
     now: Time,
-    rng: &'a mut StdRng,
     actions: &'a mut Vec<Action<M, O>>,
     /// Whether an observability recorder is attached to the engine: the
     /// gate of [`ActionSink::observe`].
@@ -166,16 +167,10 @@ pub struct ActionSink<'a, M, O> {
 impl<'a, M, O> ActionSink<'a, M, O> {
     /// Creates a sink collecting into `actions`. For engine implementors;
     /// algorithm code receives sinks from its engine.
-    pub fn new(
-        my_id: Identity,
-        now: Time,
-        rng: &'a mut StdRng,
-        actions: &'a mut Vec<Action<M, O>>,
-    ) -> Self {
+    pub fn new(my_id: Identity, now: Time, actions: &'a mut Vec<Action<M, O>>) -> Self {
         ActionSink {
             my_id,
             now,
-            rng,
             actions,
             obs_on: false,
         }
@@ -262,23 +257,6 @@ impl<'a, M, O> ActionSink<'a, M, O> {
     pub fn note_discard(&mut self) {
         self.actions.push(Action::Discard);
     }
-
-    /// Process-local deterministic randomness (seeded per process by the
-    /// engine). Algorithms in this repository only use it where the paper
-    /// allows non-determinism (e.g. random proposal tie-breaks in
-    /// workloads), never for correctness.
-    pub fn rng(&mut self) -> &mut impl Rng {
-        &mut *self.rng
-    }
-
-    /// Access to the concrete RNG stream, for **stacking relays** that
-    /// hand the same stream to a sub-sink built with [`ActionSink::new`]
-    /// (see [`crate::stack::Stacked`] and the multi-height replicated
-    /// log's height relay). Algorithm code should use
-    /// [`ActionSink::rng`] instead.
-    pub fn raw_rng(&mut self) -> &mut StdRng {
-        self.rng
-    }
 }
 
 impl<M, O> fmt::Debug for ActionSink<'_, M, O> {
@@ -293,13 +271,11 @@ impl<M, O> fmt::Debug for ActionSink<'_, M, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn sink_records_actions_in_order() {
-        let mut rng = StdRng::seed_from_u64(1);
         let mut actions: Vec<Action<u32, ()>> = Vec::new();
-        let mut sink = ActionSink::new(Identity::new(0), Time::ZERO, &mut rng, &mut actions);
+        let mut sink = ActionSink::new(Identity::new(0), Time::ZERO, &mut actions);
         sink.broadcast(7);
         sink.set_timer(Span::from_ticks(3), TimerTag(1));
         sink.decide(9);
@@ -313,9 +289,8 @@ mod tests {
 
     #[test]
     fn observe_is_gated_but_note_discard_is_not() {
-        let mut rng = StdRng::seed_from_u64(1);
         let mut actions: Vec<Action<u32, ()>> = Vec::new();
-        let mut off = ActionSink::new(Identity::new(0), Time::ZERO, &mut rng, &mut actions);
+        let mut off = ActionSink::new(Identity::new(0), Time::ZERO, &mut actions);
         assert!(!off.observing());
         off.observe(|| unreachable!("closure must not run without a recorder"));
         off.note_discard();
@@ -323,8 +298,8 @@ mod tests {
         assert!(matches!(actions[0], Action::Discard));
 
         let mut actions: Vec<Action<u32, ()>> = Vec::new();
-        let mut on = ActionSink::new(Identity::new(0), Time::ZERO, &mut rng, &mut actions)
-            .with_observing(true);
+        let mut on =
+            ActionSink::new(Identity::new(0), Time::ZERO, &mut actions).with_observing(true);
         assert!(on.observing());
         on.observe(|| ObsKind::LockReleased { round: 3 });
         assert_eq!(actions.len(), 1);
@@ -336,14 +311,8 @@ mod tests {
 
     #[test]
     fn sink_exposes_identity_and_time() {
-        let mut rng = StdRng::seed_from_u64(1);
         let mut actions: Vec<Action<u32, ()>> = Vec::new();
-        let sink = ActionSink::new(
-            Identity::new(5),
-            Time::from_ticks(9),
-            &mut rng,
-            &mut actions,
-        );
+        let sink = ActionSink::new(Identity::new(5), Time::from_ticks(9), &mut actions);
         assert_eq!(sink.my_id(), Identity::new(5));
         assert_eq!(sink.local_now(), Time::from_ticks(9));
     }

@@ -20,7 +20,7 @@
 //! callback and one fresh action `Vec` per event; every queued copy an
 //! owned clone. No arena, no dead-destination elision, no snapshots. Only
 //! the seed derivation (`RunStreams`) and the loud failure of a missing
-//! mutation hook (`forge`) are shared with `Engine`, so all four RNG
+//! mutation hook (`forge`) are shared with `Engine`, so all three RNG
 //! streams start equal.
 
 use std::collections::BTreeMap;
@@ -29,7 +29,7 @@ use homonym_core::identity::Identity;
 use homonym_core::properties::History;
 use homonym_core::time::{Span, Time};
 use homonym_obs::{ObsKind, Recorder};
-use rand::{rngs::StdRng, Rng};
+use rand::Rng;
 
 use crate::adversary::{forge, ByzDirective};
 use crate::engine::{Metrics, RoundExtractor, RunStreams, SimConfig, StopReason};
@@ -48,7 +48,6 @@ enum Event<M> {
 pub struct ReferenceEngine<P: Process> {
     config: SimConfig,
     procs: Vec<P>,
-    rngs: Vec<StdRng>,
     halted: Vec<bool>,
     /// Each entry is `(destination, event)`; `pop_first` dispatches.
     queue: BTreeMap<Key, (usize, Event<P::Msg>)>,
@@ -72,9 +71,6 @@ impl<P: Process> ReferenceEngine<P> {
         let n = config.assign.n();
         ReferenceEngine {
             procs: (0..n).map(|p| factory(p, config.assign.id_of(p))).collect(),
-            rngs: (0..n)
-                .map(|p| RunStreams::process(config.seed, p))
-                .collect(),
             halted: vec![false; n],
             queue: (0..n)
                 .map(|p| ((Time::ZERO, p as u64), (p, Event::Start)))
@@ -236,8 +232,8 @@ impl<P: Process> ReferenceEngine<P> {
         self.trace_event(traced);
         let mut actions = Vec::new();
         let id = self.config.assign.id_of(dst);
-        let mut sink = ActionSink::new(id, at, &mut self.rngs[dst], &mut actions)
-            .with_observing(self.recorder.is_some());
+        let mut sink =
+            ActionSink::new(id, at, &mut actions).with_observing(self.recorder.is_some());
         match ev {
             Event::Start => self.procs[dst].on_start(&mut sink),
             Event::Deliver(msg) => self.procs[dst].on_message(msg, &mut sink),

@@ -6,8 +6,8 @@
 //!
 //! A snapshot captures **everything** a run's future depends on: the
 //! calendar queue's contents (including a partially consumed tick batch),
-//! every process's algorithm state and private RNG stream, the network
-//! and adversary RNG streams, the insertion-sequence counter, metrics,
+//! every process's algorithm state, the network, adversary and Byzantine
+//! RNG streams, the insertion-sequence counter, metrics,
 //! histories, decisions and the trace cursor. Restoring it into an
 //! engine with the same configuration therefore produces the
 //! **byte-identical `(time, seq)` event sequence** an uninterrupted run

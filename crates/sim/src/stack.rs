@@ -94,8 +94,8 @@ impl<A: Process, B: Process> Stacked<A, B> {
             // stacked half's `observe` hooks stay dead branches exactly
             // when the engine has no recorder attached.
             let observing = ctx.observing();
-            let mut sub = ActionSink::new(ctx.my_id(), ctx.local_now(), ctx.raw_rng(), actions)
-                .with_observing(observing);
+            let mut sub =
+                ActionSink::new(ctx.my_id(), ctx.local_now(), actions).with_observing(observing);
             run(&mut sub);
         }
         for action in actions.drain(..) {

@@ -339,8 +339,10 @@ impl SpillHandle {
 /// deadline-timer marker. 3: the engine's `Metrics` gained
 /// `copies_unaddressed`. 4: the `◇HP` detector keeps what it last
 /// published in place of its mirrors-lag flag. 5: the `◇HP` detector
-/// keeps its held replies as a count and change points, not a list.
-pub const SPOOL_SCHEMA: u32 = 5;
+/// keeps its held replies as a count and change points, not a list. 6: a
+/// process slot carries no random stream, the `◇HP` detector its bag
+/// once, and the queue its ticks and sequence numbers as deltas.
+pub const SPOOL_SCHEMA: u32 = 6;
 
 impl SnapshotSpool {
     /// A spool rooted at `dir` (created if absent) keeping at most

@@ -12,6 +12,9 @@
 //! * **a snapshot costs what the state costs** — a stabilised detector's
 //!   histories gain no entry and its snapshot keeps inside a byte budget,
 //!   however long the run;
+//! * **the queue travels as deltas** — a timer armed before a copy that
+//!   lands first steps the sequence number back and round-trips, and a
+//!   tick step past `u64::MAX` is a typed error;
 //! * **hostile bytes** — arbitrary strings, truncations and single-byte
 //!   mutations of valid encodings (a snapshot, a command queue, every
 //!   variant of every message the stacks send) yield a typed error or a
@@ -32,15 +35,17 @@ use homonym::consensus::{
 };
 use homonym::core::classes::HOmegaOutput;
 use homonym::core::failure::FailureSchedule;
+use homonym::core::fork::ForkSpace;
 use homonym::core::identity::{Identity, IdentityAssignment};
 use homonym::core::properties::History;
 use homonym::core::query::SharedCell;
-use homonym::core::time::Time;
+use homonym::core::time::{Span, Time};
 use homonym::core::wire::{self, Loader, Persist, WireError};
 use homonym::detectors::{EvtHpMsg, EvtHpProcess, EvtHpSnapshot};
 use homonym::sim::{
-    decode_container, encode_container, read_verified, CommandQueue, Either, Engine, EngineArena,
-    EngineSnapshot, ForkProcess, Process, SimConfig, WorkloadConfig,
+    decode_container, encode_container, read_verified, ActionSink, CommandQueue, Either, Engine,
+    EngineArena, EngineSnapshot, ForkProcess, NetworkModel, Process, SimConfig, TimerTag,
+    WorkloadConfig,
 };
 use proptest::prelude::*;
 
@@ -177,10 +182,12 @@ fn history_entries_that_shared_a_bag_share_one_after_a_round_trip() {
 /// What `durable_cycle` pays for: a snapshot of a stabilised n = 32
 /// detector does not grow. The histories hold the output's change points
 /// — 101 entries in all, at most 4 a process, the same at 10 000 ticks
-/// and at 20 000 — and the whole snapshot fits 16 KB at both (4 488 and
-/// 4 538 bytes measured, 10 663 and 10 698 while held replies were a
-/// list; what breathes with the instant of the cut is the queue and the
-/// held counts, not the record).
+/// and at 20 000 — and the whole snapshot fits 3.5 KB at both (3 090 and
+/// 3 108 bytes measured; 4 488 and 4 538 while every process persisted
+/// a random stream, the detector its bag twice and the queue absolute
+/// ticks; 10 663 and 10 698 while held replies were a list). What
+/// breathes with the instant of the cut is the queue and the held
+/// counts, not the record.
 #[test]
 fn a_snapshot_costs_what_the_state_costs() {
     let measure = |e: &Detector| {
@@ -193,8 +200,107 @@ fn a_snapshot_costs_what_the_state_costs() {
     let (bytes_20k, entries_20k) = measure(&e);
     assert_eq!(entries_10k, entries_20k, "a stabilised history grew");
     assert!(entries_10k.iter().all(|len| (1..=4).contains(len)));
-    assert!(bytes_10k <= 16_000, "{bytes_10k} bytes at 10 000 ticks");
-    assert!(bytes_20k <= 16_000, "{bytes_20k} bytes at 20 000 ticks");
+    assert!(bytes_10k <= 3_500, "{bytes_10k} bytes at 10 000 ticks");
+    assert!(bytes_20k <= 3_500, "{bytes_20k} bytes at 20 000 ticks");
+}
+
+// ---------------------------------------------------------------------
+// The queue's deltas.
+// ---------------------------------------------------------------------
+
+/// One process that arms a timer for each of its delays at start, tagged
+/// by position, and does nothing else: a queue whose every entry the
+/// test placed.
+#[derive(Clone)]
+struct Alarms {
+    delays: Vec<u64>,
+}
+
+impl Process for Alarms {
+    type Msg = ();
+    type Output = ();
+    fn on_start(&mut self, ctx: &mut ActionSink<'_, (), ()>) {
+        for (tag, &delay) in (0..).zip(&self.delays) {
+            ctx.set_timer(Span::from_ticks(delay), TimerTag(tag));
+        }
+    }
+    fn on_message(&mut self, _msg: (), _ctx: &mut ActionSink<'_, (), ()>) {}
+    fn on_timer(&mut self, _timer: TimerTag, _ctx: &mut ActionSink<'_, (), ()>) {}
+}
+
+impl ForkProcess for Alarms {
+    fn fork_in(&self, _space: &mut ForkSpace) -> Self {
+        self.clone()
+    }
+}
+
+homonym::core::persist_fields!(Alarms { delays });
+
+/// A one-process engine that has armed `delays`, run to `ticks`.
+fn alarms_at(delays: &[u64], ticks: u64) -> Engine<Alarms> {
+    let config = SimConfig::new(
+        IdentityAssignment::round_robin(1, 1),
+        FailureSchedule::none(1),
+        NetworkModel::Synchronous,
+    );
+    let delays = delays.to_vec();
+    let mut e = Engine::new(config, move |_, _| Alarms {
+        delays: delays.clone(),
+    });
+    e.enable_trace(64);
+    e.run_until(Time::from_ticks(ticks));
+    e
+}
+
+/// Where `needle` starts in `bytes`; it must occur exactly once.
+fn find_once(bytes: &[u8], needle: &[u8]) -> usize {
+    let at: Vec<usize> = (0..bytes.len().saturating_sub(needle.len() - 1))
+        .filter(|&i| bytes[i..].starts_with(needle))
+        .collect();
+    assert_eq!(at.len(), 1, "{needle:?} in {bytes:?}");
+    at[0]
+}
+
+/// Sequence numbers are handed out as actions are taken, so the timer
+/// armed first (tag 0, for tick 10, seq 1) is dispatched after the one
+/// armed second (tag 1, for tick 5, seq 2): in dispatch order the
+/// sequence number steps back, and zigzag(−1) = 1 encodes the step. The
+/// queue's bytes are the two entries `(tick step, zigzag(seq step),
+/// event)` after their count, and the run resumed from them fires the
+/// two timers in the order the uninterrupted one does.
+#[test]
+fn a_queue_whose_sequence_numbers_step_back_is_a_fixed_point() {
+    let e = alarms_at(&[10, 5], 0);
+    let bytes = wire::to_bytes(&e.snapshot());
+    // Count 2; (5, +2, timer 1 at p0); (5, −1, timer 0 at p0).
+    find_once(&bytes, &[2, 5, 4, 3, 0, 1, 5, 1, 3, 0, 0]);
+    assert_fixed_point(&e, "a queue with its sequence numbers inverted");
+
+    let mut flat = alarms_at(&[10, 5], 0);
+    flat.run_until(Time::from_ticks(20));
+    let decoded: EngineSnapshot<Alarms> = wire::from_bytes(&bytes).expect("decodes");
+    let mut resumed = Engine::resume_in(e.config().clone(), &decoded, EngineArena::new());
+    resumed.run_until(Time::from_ticks(20));
+    assert_eq!(resumed.trace(), flat.trace());
+    assert_eq!(resumed.metrics().timers_fired, 2);
+}
+
+/// The ticks of a queue's entries are a running sum, checked: a step
+/// that carries it past `u64::MAX` is a typed error, not a wrapped tick.
+#[test]
+fn a_queue_whose_tick_steps_overflow_is_a_wire_error() {
+    const FAR: u64 = 1 << 62;
+    let bytes = wire::to_bytes(&alarms_at(&[FAR, FAR + 1], 0).snapshot());
+    let first = [wire::to_bytes(&FAR), vec![2, 3, 0, 0]].concat();
+    // The second entry's tick step, 1, follows the first entry.
+    let step = find_once(&bytes, &[first.as_slice(), &[1, 2, 3, 0, 1]].concat()) + first.len();
+    let with_step =
+        |ticks: u64| [&bytes[..step], &wire::to_bytes(&ticks), &bytes[step + 1..]].concat();
+    assert!(wire::from_bytes::<EngineSnapshot<Alarms>>(&with_step(1)).is_ok());
+    assert_eq!(
+        wire::from_bytes::<EngineSnapshot<Alarms>>(&with_step(u64::MAX - FAR + 1)).err(),
+        Some(WireError::BadValue { what: "queue tick" })
+    );
 }
 
 /// A count prefix is the one field of a file that sizes an allocation:
