@@ -247,6 +247,10 @@ const STATUS_TAG: TimerTag = TimerTag(1);
 /// *except* the proposal: identity assignment, thresholds, tick period,
 /// and the detector handle — the part that must stay **shared across
 /// heights** so detector state survives instance turnover.
+///
+/// A log of the engine is [`Persist`] — its snapshots can be written to
+/// disk — when the engine, its seed and its message are; the tolerant
+/// default's [`ByzHeightSeed`] is.
 pub trait HeightEngine: Process<Output = u64> + Sized {
     /// Height-independent construction state.
     type Seed: Clone + Send + 'static;
@@ -295,6 +299,8 @@ impl HeightEngine for ByzQuorumConsensus {
         seed.clone()
     }
 }
+
+homonym_core::persist_fields!(ByzHeightSeed { assign });
 
 /// Seed for the Figure 8 majority engine over any `HΩ` source `D`
 /// (typically a [`SharedCell`](homonym_core::query::SharedCell) mirror
@@ -540,6 +546,8 @@ impl core::fmt::Display for LogEntry {
     }
 }
 
+homonym_core::persist_fields!(LogEntry { height, value });
+
 /// Tuning knobs for the log service's catch-up machinery.
 #[derive(Debug, Clone)]
 pub struct RsmOptions {
@@ -591,7 +599,30 @@ impl RsmOptions {
             ..RsmOptions::default()
         }
     }
+
+    /// What makes these options unfit for a replica of `n` processes, if
+    /// anything: a quorum of none, a ring of none, or a state that does
+    /// not fit `u16::MAX` parts.
+    fn flaw(&self, n: usize) -> Option<&'static str> {
+        let head = (STATE_HEAD + table_words(n)) as u64;
+        if self.commit_quorum == 0 {
+            Some("commit quorum must be positive")
+        } else if self.max_commit_ahead == 0 {
+            Some("the ring holds the last commit")
+        } else if (self.max_commit_ahead - 1).saturating_add(head) > u64::from(u16::MAX) {
+            Some("a state fits its parts' count")
+        } else {
+            None
+        }
+    }
 }
+
+homonym_core::persist_fields!(RsmOptions {
+    commit_quorum,
+    answer_interval,
+    max_buffered,
+    max_commit_ahead
+});
 
 /// Per-height `Commit` tallies: value → the copies admitted for it, each
 /// claimed label capped at its multiplicity.
@@ -605,6 +636,8 @@ struct StateTally {
     height: u64,
     words: Vec<Vec<(u64, WindowLedger)>>,
 }
+
+homonym_core::persist_fields!(StateTally { height, words });
 
 impl StateTally {
     /// The state's words, once every index has one with `quorum` copies.
@@ -712,14 +745,9 @@ impl<C: HeightEngine> ReplicatedLog<C> {
         assign: &IdentityAssignment,
         opts: RsmOptions,
     ) -> Self {
-        assert!(opts.commit_quorum >= 1, "commit quorum must be positive");
-        assert!(opts.max_commit_ahead >= 1, "the ring holds the last commit");
-        let head = (STATE_HEAD + table_words(assign.n())) as u64;
-        let words = (opts.max_commit_ahead - 1).saturating_add(head);
-        assert!(
-            words <= u64::from(u16::MAX),
-            "a state fits its parts' count"
-        );
+        if let Some(flaw) = opts.flaw(assign.n()) {
+            panic!("{flaw}");
+        }
         let inner = C::spawn(&seed, client.proposal(Time::ZERO));
         let status_gap = opts.answer_interval;
         ReplicatedLog {
@@ -1377,6 +1405,78 @@ where
             status_gap: self.status_gap,
             scratch: Vec::new(),
         }
+    }
+}
+
+/// A replica is its fields in declaration order, but for the action
+/// buffer, which is empty between callbacks and decodes empty. `load`
+/// rejects what `new` would assert on, and counts the replica's
+/// arithmetic relies on: one table slot and one cap per process, a ring
+/// no longer than the height or the options allow, and `buffered` the
+/// number of messages buffered.
+impl<C> Persist for ReplicatedLog<C>
+where
+    C: HeightEngine + Persist,
+    C::Seed: Persist,
+    C::Msg: Persist,
+{
+    fn save(&self, s: &mut Saver) {
+        self.seed.save(s);
+        self.client.save(s);
+        self.opts.save(s);
+        self.caps.save(s);
+        self.inner.save(s);
+        self.height.save(s);
+        self.ring.save(s);
+        self.state_hash.save(s);
+        self.future.save(s);
+        self.buffered.save(s);
+        self.tallies.save(s);
+        self.states.save(s);
+        self.stale_answer.save(s);
+        self.wanted.save(s);
+        self.done_seq.save(s);
+        self.announced.save(s);
+        self.status_height.save(s);
+        self.status_gap.save(s);
+    }
+
+    fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
+        let log = ReplicatedLog {
+            seed: Persist::load(l)?,
+            client: Persist::load(l)?,
+            opts: Persist::load(l)?,
+            caps: Persist::load(l)?,
+            inner: Persist::load(l)?,
+            height: Persist::load(l)?,
+            ring: Persist::load(l)?,
+            state_hash: Persist::load(l)?,
+            future: Persist::load(l)?,
+            buffered: Persist::load(l)?,
+            tallies: Persist::load(l)?,
+            states: Persist::load(l)?,
+            stale_answer: Persist::load(l)?,
+            wanted: Persist::load(l)?,
+            done_seq: Persist::load(l)?,
+            announced: Persist::load(l)?,
+            status_height: Persist::load(l)?,
+            status_gap: Persist::load(l)?,
+            scratch: Vec::new(),
+        };
+        let n = log.done_seq.len();
+        let ring = log.ring.len() as u64;
+        let buffered: usize = log.future.values().map(Vec::len).sum();
+        if log.opts.flaw(n).is_some()
+            || log.wanted.len() != n
+            || log.caps.len() != n
+            || ring > log.height.min(log.opts.max_commit_ahead)
+            || log.buffered != buffered
+        {
+            return Err(WireError::BadValue {
+                what: "ReplicatedLog",
+            });
+        }
+        Ok(log)
     }
 }
 

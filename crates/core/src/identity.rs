@@ -107,7 +107,7 @@ impl From<u64> for Identity {
 /// sharing is never observable).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct IdentityAssignment {
-    ids: Arc<Vec<Identity>>,
+    pub(crate) ids: Arc<Vec<Identity>>,
 }
 
 impl IdentityAssignment {

@@ -73,8 +73,9 @@
 //! reservation larger than the input that is left — and a [`Persist`]
 //! impl built from them inherits that as long as its own `load` only
 //! rejects, never asserts. `tests/wire_contract.rs` holds the engine
-//! snapshot, the detector's messages and the command queue to it with
-//! arbitrary, truncated and mutated inputs.
+//! snapshots of the detector and of the log stack, every message of the
+//! stacks and the command queue to it with arbitrary, truncated and
+//! mutated inputs.
 
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
@@ -82,7 +83,7 @@ use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::classes::{EvtHPOutput, HOmegaOutput, HSigmaOutput, Label};
-use crate::identity::Identity;
+use crate::identity::{Identity, IdentityAssignment};
 use crate::multiset::Multiset;
 use crate::properties::{PropertyViolation, RunVerdict};
 use crate::query::SharedCell;
@@ -753,6 +754,24 @@ impl Persist for Identity {
     }
     fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
         Ok(Identity::new(l.u64()?))
+    }
+}
+
+/// An assignment is its identifiers in process order, through the alias
+/// table: the processes of a run share one table, and so do the ones
+/// decoded from it.
+impl Persist for IdentityAssignment {
+    fn save(&self, s: &mut Saver) {
+        self.ids.save(s);
+    }
+    fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
+        let ids: Arc<Vec<Identity>> = Persist::load(l)?;
+        if ids.is_empty() {
+            return Err(WireError::BadValue {
+                what: "IdentityAssignment",
+            });
+        }
+        Ok(IdentityAssignment { ids })
     }
 }
 

@@ -215,8 +215,16 @@ where
         self.tick_pos.save(s);
     }
 
+    /// Rejects, besides what the fields' own codecs reject, a snapshot
+    /// whose shape the engine restoring it would index past: a per-process
+    /// table (halt flags, replay cache, histories, decisions) without one
+    /// entry per process, an event addressed past the last process, and a
+    /// tick batch whose consumed slots are not exactly those before the
+    /// cursor, or whose cursor lies past it. (A batch the engine drained
+    /// is emptied at its next refill and keeps its cursor until then, so
+    /// an empty batch takes any cursor.)
     fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
-        Ok(EngineSnapshot {
+        let snap = EngineSnapshot {
             procs: Persist::load(l)?,
             halted: Persist::load(l)?,
             queue: Persist::load(l)?,
@@ -233,7 +241,29 @@ where
             recorder: Persist::load(l)?,
             tick_batch: Persist::load(l)?,
             tick_pos: Persist::load(l)?,
-        })
+        };
+        let n = snap.procs.len();
+        let tables = [
+            snap.halted.len(),
+            snap.byz_replay.len(),
+            snap.histories.len(),
+            snap.decisions.len(),
+        ];
+        let queued = snap.queue.persist_entries().into_iter().map(|(_, _, e)| e);
+        let batched = snap.tick_batch.iter().filter_map(|(_, e)| e.as_ref());
+        let consumed = snap.tick_batch.iter().map(|(_, e)| e.is_none());
+        if tables != [n; 4]
+            || queued.chain(batched).any(|e| e.dst() >= n)
+            || (snap.tick_pos > snap.tick_batch.len() && !snap.tick_batch.is_empty())
+            || !consumed
+                .enumerate()
+                .all(|(i, none)| none == (i < snap.tick_pos))
+        {
+            return Err(WireError::BadValue {
+                what: "EngineSnapshot",
+            });
+        }
+        Ok(snap)
     }
 }
 
@@ -260,8 +290,11 @@ where
         self.recorder.save(s);
     }
 
+    /// Rejects per-process tables without one entry per process and
+    /// deferred copies addressed past the last process, as the
+    /// event-driven snapshot does.
     fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
-        Ok(SyncSnapshot {
+        let snap = SyncSnapshot {
             procs: Persist::load(l)?,
             halted: Persist::load(l)?,
             step: Persist::load(l)?,
@@ -274,7 +307,21 @@ where
             histories: Persist::load(l)?,
             decisions: Persist::load(l)?,
             recorder: Persist::load(l)?,
-        })
+        };
+        let n = snap.procs.len();
+        let tables = [
+            snap.halted.len(),
+            snap.byz_replay.len(),
+            snap.histories.len(),
+            snap.decisions.len(),
+        ];
+        let mut deferred = snap.deferred.values().flatten();
+        if tables != [n; 4] || deferred.any(|&(dst, _)| dst >= n) {
+            return Err(WireError::BadValue {
+                what: "SyncSnapshot",
+            });
+        }
+        Ok(snap)
     }
 }
 
@@ -292,7 +339,8 @@ mod tests {
     use crate::engine::{Engine, SimConfig};
     use crate::network::NetworkModel;
     use crate::process::ActionSink;
-    use crate::snapshot::ForkProcess;
+    use crate::snapshot::{ForkProcess, ForkSyncProcess};
+    use crate::sync_engine::{SyncConfig, SyncEngine, SyncSink};
 
     /// Broadcasts one heap-owning payload at start — the kind the
     /// engine queues as `Arc`-shared copies rather than inline.
@@ -379,5 +427,135 @@ mod tests {
         let back: EngineSnapshot<Shout> = from_bytes(&bytes).expect("decodes");
         assert_eq!(sharing(&back), before);
         assert_eq!(to_bytes(&back), bytes);
+    }
+
+    /// Four `Shout`s stopped after two of tick 0's four starts: a tick
+    /// batch of two consumed and two live slots, and the copies of the
+    /// first two broadcasts queued.
+    fn mid_tick() -> EngineSnapshot<Shout> {
+        let config = SimConfig::new(
+            IdentityAssignment::round_robin(4, 2),
+            FailureSchedule::none(4),
+            NetworkModel::Synchronous,
+        );
+        let mut e = Engine::new(config, |p, _| Shout { me: p as u64 });
+        e.run_with(Time::from_ticks(0), |e| e.metrics().events == 2);
+        let snap = e.snapshot();
+        assert_eq!(snap.tick_pos, 2);
+        assert_eq!(snap.tick_batch.len(), 4);
+        snap
+    }
+
+    /// Decodes the encoding of `mid_tick()` after `edit`.
+    fn decode_edited(
+        edit: impl FnOnce(&mut EngineSnapshot<Shout>),
+    ) -> Result<EngineSnapshot<Shout>, WireError> {
+        let mut snap = mid_tick();
+        edit(&mut snap);
+        from_bytes(&to_bytes(&snap))
+    }
+
+    const BAD_SHAPE: WireError = WireError::BadValue {
+        what: "EngineSnapshot",
+    };
+
+    #[test]
+    fn a_per_process_table_short_of_a_process_is_a_bad_value() {
+        assert!(decode_edited(|_| {}).is_ok());
+        let short = [
+            decode_edited(|s| s.halted.truncate(3)),
+            decode_edited(|s| s.byz_replay.truncate(3)),
+            decode_edited(|s| s.histories.truncate(3)),
+            decode_edited(|s| s.decisions.truncate(3)),
+        ];
+        for decoded in short {
+            assert_eq!(decoded.err(), Some(BAD_SHAPE));
+        }
+    }
+
+    #[test]
+    fn a_cursor_past_the_tick_batch_is_a_bad_value() {
+        let decoded = decode_edited(|s| {
+            s.tick_batch.iter_mut().for_each(|slot| slot.1 = None);
+            s.tick_pos = 5;
+        });
+        assert_eq!(decoded.err(), Some(BAD_SHAPE));
+    }
+
+    /// A consumed slot at or after the cursor is one dispatch would take
+    /// twice; a live slot before it, one it would never take.
+    #[test]
+    fn consumed_slots_other_than_those_before_the_cursor_are_a_bad_value() {
+        for tick_pos in [1, 3] {
+            let decoded = decode_edited(|s| s.tick_pos = tick_pos);
+            assert_eq!(decoded.err(), Some(BAD_SHAPE), "cursor at {tick_pos}");
+        }
+    }
+
+    #[test]
+    fn an_event_addressed_past_the_last_process_is_a_bad_value() {
+        let far = Event::Timer {
+            dst: 4,
+            tag: TimerTag(0),
+        };
+        let batched = decode_edited(|s| s.tick_batch[3].1 = Some(far.clone()));
+        assert_eq!(batched.err(), Some(BAD_SHAPE));
+        let queued = decode_edited(|s| {
+            let mut entries: Vec<_> = (s.queue.persist_entries().into_iter())
+                .map(|(at, seq, e)| (at, seq, e.clone()))
+                .collect();
+            entries[0].2 = far;
+            s.queue = CalendarQueue::from_persist_entries(entries);
+        });
+        assert_eq!(queued.err(), Some(BAD_SHAPE));
+    }
+
+    /// Counts what it receives.
+    struct Tally {
+        heard: u64,
+    }
+
+    impl SyncProcess for Tally {
+        type Msg = u64;
+        type Output = u64;
+        fn send(&mut self, step: u64, out: &mut Vec<u64>) {
+            out.push(step);
+        }
+        fn receive(&mut self, _step: u64, received: &mut Vec<u64>, sink: &mut SyncSink<u64>) {
+            self.heard += received.len() as u64;
+            sink.publish(self.heard);
+        }
+    }
+
+    impl ForkSyncProcess for Tally {
+        fn fork_in(&self, _space: &mut ForkSpace) -> Self {
+            Tally { heard: self.heard }
+        }
+    }
+
+    homonym_core::persist_fields!(Tally { heard });
+
+    #[test]
+    fn a_lock_step_snapshot_of_the_wrong_shape_is_a_bad_value() {
+        let config = SyncConfig::new(IdentityAssignment::anonymous(3), FailureSchedule::none(3));
+        let mut e = SyncEngine::new(config, |_, _| Tally { heard: 0 });
+        e.run_steps(2);
+        let decode = |edit: fn(&mut SyncSnapshot<Tally>)| {
+            let mut snap = e.snapshot();
+            edit(&mut snap);
+            from_bytes::<SyncSnapshot<Tally>>(&to_bytes(&snap)).err()
+        };
+        assert_eq!(decode(|_| {}), None);
+        let bad = Some(WireError::BadValue {
+            what: "SyncSnapshot",
+        });
+        assert_eq!(decode(|s| s.halted.truncate(2)), bad);
+        assert_eq!(decode(|s| s.byz_replay.truncate(2)), bad);
+        assert_eq!(decode(|s| s.histories.truncate(2)), bad);
+        assert_eq!(decode(|s| s.decisions.truncate(2)), bad);
+        let far = |s: &mut SyncSnapshot<Tally>| {
+            s.deferred.insert(5, vec![(3, 7)]);
+        };
+        assert_eq!(decode(far), bad);
     }
 }

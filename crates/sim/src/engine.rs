@@ -222,6 +222,18 @@ pub(crate) enum Event<M> {
     },
 }
 
+impl<M> Event<M> {
+    /// The process the event is addressed to.
+    pub(crate) fn dst(&self) -> usize {
+        match *self {
+            Event::Start { dst }
+            | Event::Deliver { dst, .. }
+            | Event::DeliverShared { dst, .. }
+            | Event::Timer { dst, .. } => dst,
+        }
+    }
+}
+
 /// Whether `M` is delivered by inline copy rather than `Arc` sharing:
 /// true for payloads that hold no heap state (nothing to drop) and are at
 /// most a cache line wide. Resolves to a compile-time constant per

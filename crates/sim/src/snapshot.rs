@@ -35,6 +35,17 @@
 //! (precomputed oracle tables, frozen topology) stay `Arc`-shared —
 //! snapshots are cheap because only mutable state is copied.
 //!
+//! The wire codec re-seats the same cells through its alias table, so
+//! a fork *could* be an encode and a decode of the processes and
+//! histories, and a process would need [`Persist`] alone. It costs more
+//! than it saves: the decode builds a fresh allocation for every `Arc`
+//! the clone would share (each detector history entry, each `◇HP` bag)
+//! and parses every varint, so an n = 8 stack copies 2–4× slower, and the
+//! prefix-sharing sweep, which forks about once a run, ran ≈ 5 % slower
+//! (ROADMAP item 6 has the runs).
+//!
+//! [`Persist`]: homonym_core::wire::Persist
+//!
 //! # Allocation discipline
 //!
 //! Snapshots participate in the sweep arenas:

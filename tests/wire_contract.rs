@@ -5,8 +5,8 @@
 //!   same bytes, for the n = 32 `◇HP` detector the `durable_cycle`
 //!   workload checkpoints, for the Figure 8 stack, whose
 //!   `SharedCell` mirrors and `Arc` payloads number themselves in one
-//!   index space, and for the tolerant stack with a grace-deadline
-//!   timer armed;
+//!   index space, for the tolerant stack with a grace-deadline timer
+//!   armed, and for the log service over it, cut mid-height;
 //! * **sharing survives** — history entries that shared one `◇HP` bag
 //!   before a round trip share one after it;
 //! * **a snapshot costs what the state costs** — a stabilised detector's
@@ -16,7 +16,8 @@
 //!   lands first steps the sequence number back and round-trips, and a
 //!   tick step past `u64::MAX` is a typed error;
 //! * **hostile bytes** — arbitrary strings, truncations and single-byte
-//!   mutations of valid encodings (a snapshot, a command queue, every
+//!   mutations of valid encodings (a detector snapshot, a log-stack
+//!   snapshot, a command queue, every
 //!   variant of every message the stacks send) yield a typed error or a
 //!   value that encodes to a decodable string, never a panic, and a
 //!   corrupt count never sizes an allocation; and the forgeries a
@@ -28,7 +29,11 @@
 
 use std::sync::Arc;
 
-use homonym::chaos::{byz_tolerant_node, fig8_node, hps_base, ByzTolerantNode, Fig8Node, RsmNode};
+use homonym::chaos::generators::leader_churn_across_heights;
+use homonym::chaos::{
+    byz_tolerant_node, fig8_node, hps_base, rsm_node, ByzTolerantNode, Fig8Node, RsmNode,
+    SessionBuilder,
+};
 use homonym::consensus::{
     ByzMsg, ByzQuorumConsensus, Fig8Msg, HOmegaPolicy, MajorityConsensus, ReplicatedLog, RsmMsg,
     StatePart,
@@ -51,6 +56,7 @@ use proptest::prelude::*;
 
 type Detector = Engine<EvtHpProcess>;
 type DetectorSnapshot = EngineSnapshot<EvtHpProcess>;
+type LogSnapshot = EngineSnapshot<RsmNode>;
 
 /// The engine `durable_cycle` checkpoints, at any size, run to `ticks`.
 fn detector_at(n: usize, l: usize, ticks: u64) -> Detector {
@@ -74,6 +80,22 @@ fn fig8_at(ticks: u64) -> Engine<Fig8Node> {
     .with_seed(11);
     let mut e = Engine::new(config, |p, _| fig8_node(100 + p as u64, n, t));
     e.run_until(Time::from_ticks(ticks));
+    e
+}
+
+/// The log service over the detector at n = 4, ℓ = 2 under leader
+/// churn, cut two ticks into its third height: a live height engine,
+/// commit tallies and both halves' traffic in flight.
+fn log_at() -> Engine<RsmNode> {
+    let assign = IdentityAssignment::round_robin(4, 2);
+    let builder = SessionBuilder::new(4, 2).with_scenario(leader_churn_across_heights(&assign, 1));
+    let queues = WorkloadConfig::default().queues(4);
+    let mut e = Engine::new(builder.sim_config(), |p, _| {
+        rsm_node(&assign, queues[p].clone())
+    });
+    e.run_with(Time::MAX, |e| e.process(0).upper().height() == 2);
+    e.run_until(e.now() + Span::from_ticks(2));
+    assert_eq!(e.process(0).upper().height(), 2, "the cut is mid-height");
     e
 }
 
@@ -143,6 +165,8 @@ fn a_tolerant_stack_snapshot_with_a_deadline_timer_armed_is_a_fixed_point() {
         assert_eq!(resumed.metrics(), flat.metrics(), "resumed from {ticks}");
         assert_eq!(resumed.decisions(), flat.decisions());
     }
+    // The log service runs this engine once a height, under the detector.
+    assert_fixed_point(&log_at(), "the log stack mid-height");
 }
 
 /// For every entry of every history, whether it holds the same `◇HP`
@@ -351,6 +375,10 @@ fn small_snapshot_bytes() -> Vec<u8> {
     wire::to_bytes(&detector_at(4, 2, 150).snapshot())
 }
 
+fn log_snapshot_bytes() -> Vec<u8> {
+    wire::to_bytes(&log_at().snapshot())
+}
+
 /// What the log service puts on the wire, alone and under the detector.
 type LogMsg = RsmMsg<ByzMsg>;
 type StackMsg = Either<EvtHpMsg, LogMsg>;
@@ -455,6 +483,14 @@ fn every_truncation_of_a_valid_encoding_is_an_error() {
     for cut in 0..snapshot.len() {
         assert!(!survives::<DetectorSnapshot>(&snapshot[..cut]), "cut {cut}");
     }
+    let log = log_snapshot_bytes();
+    assert!(survives::<LogSnapshot>(&log));
+    for cut in 0..log.len() {
+        assert!(
+            !survives::<LogSnapshot>(&log[..cut]),
+            "cut {cut} of the log"
+        );
+    }
     for (message, decodes) in message_cases() {
         assert!(decodes(&message));
         for cut in 0..message.len() {
@@ -487,6 +523,7 @@ proptest! {
         bytes in prop::collection::vec(any::<u8>(), 0..200),
     ) {
         survives::<DetectorSnapshot>(&bytes);
+        survives::<LogSnapshot>(&bytes);
         survives::<EvtHpMsg>(&bytes);
         survives::<ByzMsg>(&bytes);
         survives::<LogMsg>(&bytes);
@@ -522,6 +559,9 @@ proptest! {
         }
         each_mutant(&small_snapshot_bytes(), flip, |b| {
             survives::<DetectorSnapshot>(b);
+        });
+        each_mutant(&log_snapshot_bytes(), flip, |b| {
+            survives::<LogSnapshot>(b);
         });
         for (message, decodes) in message_cases() {
             each_mutant(&message, flip, |b| {
