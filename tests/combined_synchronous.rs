@@ -88,6 +88,31 @@ fn failure_free_run_decides_quickly() {
     );
 }
 
+/// The failure-free triple stack, pinned: the decided value, the instant
+/// of the last decision and the broadcasts it took. Both detectors feed
+/// the consensus half, so a reading that reaches it late (or never)
+/// moves one of the three.
+#[test]
+fn the_failure_free_triple_stack_is_pinned() {
+    let n = 5;
+    let sched = FailureSchedule::none(n);
+    let proposals = vec![50, 10, 40, 20, 30];
+    let props = proposals.clone();
+    let cfg = SimConfig::new(
+        IdentityAssignment::round_robin(n, 2),
+        sched.clone(),
+        NetworkModel::Synchronous,
+    )
+    .with_seed(5);
+    let mut engine: Engine<Node> = Engine::new(cfg, |p, _| node(props[p]));
+    engine.run_until_all_correct_decided(Time::from_ticks(300_000));
+    let rep = check_consensus(&engine.outcome(proposals), &sched).expect("consensus holds");
+    assert_eq!(
+        (rep.value, rep.last_decision, engine.metrics().broadcasts),
+        (50, Time::from_ticks(11), 160)
+    );
+}
+
 #[test]
 fn many_seeds_stay_correct() {
     for seed in 0..6 {

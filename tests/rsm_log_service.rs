@@ -377,6 +377,28 @@ fn the_closed_loop_log_is_pinned() {
     assert_eq!((log.len(), fingerprint), (1_321, 0x2e3f_e001_a412_d4b5));
 }
 
+/// The Figure 8 log, pinned the same way after 10 000 ticks at n = 4,
+/// ℓ = 2: every height's engine starts from the `HΩ` reading the replica
+/// holds when the height opens, so a height engine spawned from a stale
+/// reading moves the log.
+#[test]
+fn the_fig8_log_is_pinned() {
+    let clients = WorkloadConfig {
+        commands_per_proc: 4_096, // the winner must not drain
+        ..workload()
+    };
+    let mut session = SessionBuilder::new(4, 2)
+        .with_goal(Goal::TickHorizon)
+        .with_deadline_ticks(10_000)
+        .rsm_fig8(&clients);
+    session.run();
+    let log = session.log_of(0).unwrap_or_default();
+    let fingerprint = log.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &v| {
+        (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!((log.len(), fingerprint), (1_253, 0x743c_c358_1a5e_5c6a));
+}
+
 /// Fixed-horizon runs are the reference-interpreter comparison surface:
 /// under an active churn scenario the engine's full dispatch trace, its
 /// metrics, its recorder contents and every replica's log equal the
