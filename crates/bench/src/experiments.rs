@@ -943,12 +943,10 @@ pub fn e2e_partial_synchrony(n: usize, l: usize, gst: u64, seed: u64) -> E2eResu
     let props = proposals.clone();
     let cfg = SimConfig::new(assign, sched.clone(), hps_delay_only(gst, 4)).with_seed(seed);
     let mut engine = Engine::new(cfg, |p, _| {
-        let cell: SharedCell<HOmegaOutput> =
-            SharedCell::new(HOmegaOutput::new(Identity::BOTTOM, 1));
-        let detector = EvtHpProcess::new().with_h_omega_mirror(cell.clone());
-        let consensus = MajorityConsensus::new(props[p], n, t, HOmegaPolicy(cell))
+        let reading = HOmegaOutput::new(Identity::BOTTOM, 1);
+        let consensus = MajorityConsensus::new(props[p], n, t, HOmegaPolicy(reading))
             .with_tick(Span::from_ticks(2));
-        Stacked::new(detector, consensus)
+        Stacked::new(EvtHpProcess::new(), consensus)
     });
     engine.run_until_all_correct_decided(Time::from_ticks(200 * gst.max(10) + 100_000));
     let rep = check_consensus(&engine.outcome(proposals), &sched).expect("consensus holds");
@@ -1275,14 +1273,11 @@ pub fn combined_synchronous(n: usize, l: usize, crashes: usize, seed: u64) -> Co
     let props = proposals.clone();
     let cfg = SimConfig::new(assign, sched.clone(), NetworkModel::Synchronous).with_seed(seed);
     let mut engine = Engine::new(cfg, |p, _| {
-        let sigma_cell: SharedCell<HSigmaOutput> = SharedCell::new(HSigmaOutput::new());
-        let omega_cell: SharedCell<HOmegaOutput> =
-            SharedCell::new(HOmegaOutput::new(Identity::BOTTOM, 1));
-        let h_sigma = HSigmaStepProcess::new(Span::from_ticks(2)).with_mirror(sigma_cell.clone());
-        let h_omega = EvtHpProcess::new().with_h_omega_mirror(omega_cell.clone());
-        let consensus =
-            QuorumConsensus::new(props[p], omega_cell, sigma_cell).with_tick(Span::from_ticks(2));
-        Stacked::new(h_sigma, Stacked::new(h_omega, consensus))
+        let omega = HOmegaOutput::new(Identity::BOTTOM, 1);
+        let consensus = QuorumConsensus::new(props[p], omega, HSigmaOutput::new())
+            .with_tick(Span::from_ticks(2));
+        let h_sigma = HSigmaStepProcess::new(Span::from_ticks(2));
+        Stacked::new(h_sigma, Stacked::new(EvtHpProcess::new(), consensus))
     });
     engine.run_until_all_correct_decided(Time::from_ticks(300_000));
     let broadcasts = engine.metrics().broadcasts;

@@ -49,7 +49,6 @@ use homonym_consensus::fig9::QuorumConsensus;
 use homonym_consensus::rsm::{ByzHeightSeed, Fig8HeightSeed, LogEntry, ReplicatedLog, RsmOptions};
 use homonym_core::classes::HOmegaOutput;
 use homonym_core::identity::{Identity, IdentityAssignment};
-use homonym_core::query::SharedCell;
 use homonym_core::time::{Span, Time};
 use homonym_core::FailureSchedule;
 use homonym_detectors::evt_hp::{EvtHpProcess, EvtHpSnapshot};
@@ -94,10 +93,10 @@ pub enum Goal {
 pub type RsmNode = Stacked<EvtHpProcess, ReplicatedLog<ByzQuorumConsensus>>;
 
 /// The multi-height replicated log over Figure 8 majority consensus;
-/// each height's engine reads the *same* detector mirror cell, so
-/// detector state stays warm across instance turnover.
+/// each height's engine starts from the `HΩ` reading the log was last
+/// handed, so detector state stays warm across instance turnover.
 pub type RsmFig8Node =
-    Stacked<EvtHpProcess, ReplicatedLog<MajorityConsensus<HOmegaPolicy<SharedCell<HOmegaOutput>>>>>;
+    Stacked<EvtHpProcess, ReplicatedLog<MajorityConsensus<HOmegaPolicy<HOmegaOutput>>>>;
 
 /// Builds one [`RsmNode`] — the canonical Byzantine-tolerant log-service
 /// replica (detector continuity + `f + 1` catch-up certificates).
@@ -114,21 +113,19 @@ pub fn rsm_node(assign: &IdentityAssignment, client: CommandQueue) -> RsmNode {
 }
 
 /// Builds one [`RsmFig8Node`] — the crash-model log-service replica:
-/// Figure 8 majority engines chained over one shared `HΩ` mirror.
+/// Figure 8 majority engines chained over the detector's `HΩ` output.
 #[must_use]
 pub fn rsm_fig8_node(assign: &IdentityAssignment, client: CommandQueue) -> RsmFig8Node {
     let n = assign.n();
     let t = (n - 1) / 2;
-    let cell: SharedCell<HOmegaOutput> = SharedCell::new(HOmegaOutput::new(Identity::BOTTOM, 1));
-    let detector = EvtHpProcess::new().with_h_omega_mirror(cell.clone());
     let seed = Fig8HeightSeed {
         n,
         t,
-        source: cell,
+        source: HOmegaOutput::new(Identity::BOTTOM, 1),
         tick: Span::from_ticks(2),
     };
     Stacked::new(
-        detector,
+        EvtHpProcess::new(),
         ReplicatedLog::new(seed, client, assign, RsmOptions::crash()),
     )
 }
@@ -358,7 +355,7 @@ impl SessionBuilder {
 
     // ---- terminal constructors: event engine --------------------------
 
-    /// Figure 8 stack: `◇HP`/`HΩ` detector mirrored into majority
+    /// Figure 8 stack: `◇HP`/`HΩ` detector handing `HΩ` to majority
     /// consensus (`t = ⌊(n−1)/2⌋`).
     #[must_use]
     pub fn fig8(self) -> Session<Fig8Node> {

@@ -61,7 +61,6 @@ use homonym_core::properties::{
     check_byzantine_consensus, check_consensus, check_evt_hp, check_h_omega, classify_run,
     PropertyViolation, RunCondition, RunVerdict,
 };
-use homonym_core::query::SharedCell;
 use homonym_core::time::{Span, Time};
 use homonym_core::wire::Persist;
 use homonym_detectors::evt_hp::{split_snapshots, EvtHpProcess};
@@ -69,7 +68,7 @@ use homonym_detectors::oracle::{HOmegaOracle, HSigmaOracle, OracleWorld, PreStab
 use homonym_sim::engine::{Engine, EngineArena, SimConfig};
 use homonym_sim::network::{LatencyDistribution, NetworkModel, PreGstBehavior};
 use homonym_sim::process::Process;
-use homonym_sim::snapshot::{EngineSnapshot, ForkProcess};
+use homonym_sim::snapshot::EngineSnapshot;
 use homonym_sim::stack::Stacked;
 use homonym_sim::SnapshotSpool;
 
@@ -185,7 +184,7 @@ impl Family {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StackKind {
     /// The full Figure 6 + Figure 8 stack: a real message-passing `◇HP`
-    /// detector mirrored into `HΩ` under Figure 8 majority consensus, in
+    /// detector handing `HΩ` to Figure 8 majority consensus, in
     /// `HPS`. Safety = consensus validity + agreement; liveness =
     /// termination.
     Fig8EvtHp,
@@ -443,14 +442,15 @@ impl SweepReport {
 /// states its nodes and where it departs from that.
 ///
 /// A description may enter the **forked** executor only if its nodes
-/// fork (`Node: ForkProcess`), their snapshots have a wire codec (the
-/// disk spill) and — the part the compiler cannot check — construction
-/// is **prefix-invariant**: [`Stack::world`] must return the same world
-/// for every variant of one family, because a variant restored from a
-/// sibling's snapshot keeps the sibling's processes. The oracle-backed
-/// Figure 9 stack fails all three (its `OracleWorld` stabilizes at the
-/// variant's own clean instant), so under the forked entry points it
-/// runs flat — the documented worst case, no shared prefix.
+/// clone (`Node: Clone`; every process does), their snapshots have a
+/// wire codec (the disk spill) and — the part the compiler cannot check
+/// — construction is **prefix-invariant**: [`Stack::world`] must return
+/// the same world for every variant of one family, because a variant
+/// restored from a sibling's snapshot keeps the sibling's processes. The
+/// oracle-backed Figure 9 stack fails the last two (it has no codec, and
+/// its `OracleWorld` stabilizes at the variant's own clean instant), so
+/// under the forked entry points it runs flat — the documented worst
+/// case, no shared prefix.
 pub(crate) trait Stack {
     /// One node of the stack.
     type Node: Process;
@@ -606,21 +606,19 @@ fn run_condition<S: Stack>(cfg: &SweepConfig, scenario: &Scenario, clean: Time) 
     }
 }
 
-/// The canonical full stack: the Figure 6 `◇HP`/`HΩ` detector mirrored
-/// into Figure 8 majority consensus through a shared cell.
-pub type Fig8Node =
-    Stacked<EvtHpProcess, MajorityConsensus<HOmegaPolicy<SharedCell<HOmegaOutput>>>>;
+/// The canonical full stack: the Figure 6 `◇HP`/`HΩ` detector handing
+/// its `HΩ` output to Figure 8 majority consensus.
+pub type Fig8Node = Stacked<EvtHpProcess, MajorityConsensus<HOmegaPolicy<HOmegaOutput>>>;
 
 /// Builds one [`Fig8Node`] — the exact stack the falsification sweep
 /// drives, exported so tests and examples exercise the same shape (same
 /// consensus tick, same wiring) instead of hand-rolling a drifting copy.
 #[must_use]
 pub fn fig8_node(proposal: u64, n: usize, t: usize) -> Fig8Node {
-    let cell: SharedCell<HOmegaOutput> = SharedCell::new(HOmegaOutput::new(Identity::BOTTOM, 1));
-    let detector = EvtHpProcess::new().with_h_omega_mirror(cell.clone());
-    let consensus =
-        MajorityConsensus::new(proposal, n, t, HOmegaPolicy(cell)).with_tick(Span::from_ticks(2));
-    Stacked::new(detector, consensus)
+    let reading = HOmegaOutput::new(Identity::BOTTOM, 1);
+    let consensus = MajorityConsensus::new(proposal, n, t, HOmegaPolicy(reading))
+        .with_tick(Span::from_ticks(2));
+    Stacked::new(EvtHpProcess::new(), consensus)
 }
 
 /// The Byzantine-tolerant stack: the Figure 6 `◇HP`/`HΩ` detector
@@ -936,12 +934,12 @@ fn run_flat<S: Stack>(
 /// Per-worker state of the forked executor: the stack's prefix sweeper
 /// and one flat arena for the probes (truncated separate runs by
 /// definition).
-struct ForkedWorker<P: ForkProcess> {
+struct ForkedWorker<P: Process + Clone> {
     sweeper: PrefixSweeper<P>,
     arena: EngineArena<P>,
 }
 
-impl<P: ForkProcess> ForkedWorker<P> {
+impl<P: Process + Clone> ForkedWorker<P> {
     fn new() -> Self {
         ForkedWorker {
             sweeper: PrefixSweeper::new(),
@@ -960,7 +958,7 @@ fn run_family_forked<S: Stack>(
     group: &[PlannedRun],
 ) -> Vec<RunOutcome>
 where
-    S::Node: ForkProcess,
+    S::Node: Clone,
 {
     let items: Vec<PrefixItem<Time>> = group
         .iter()
@@ -1013,7 +1011,7 @@ fn forked_groups<S: Stack, R: Send>(
     sink: impl Fn(usize, Vec<RunOutcome>) -> R + Sync,
 ) -> (Vec<R>, u64)
 where
-    S::Node: ForkProcess,
+    S::Node: Clone,
     EngineSnapshot<S::Node>: Persist,
 {
     let worker_seq = AtomicU64::new(0);
@@ -1253,7 +1251,7 @@ fn replay_group<S: Stack>(
     group: &[PlannedRun],
 ) -> (Vec<RunVerdict<()>>, Vec<RunVerdict<()>>, ForkStats)
 where
-    S::Node: ForkProcess,
+    S::Node: Clone,
 {
     let mut worker = ForkedWorker::new();
     let forked = run_family_forked::<S>(cfg, assign, &mut worker, group);

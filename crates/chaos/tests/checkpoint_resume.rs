@@ -242,7 +242,7 @@ fn spilling_under_a_zero_budget_leaves_the_report_unchanged() {
 /// clocks.
 fn assert_engine_disk_round_trip<P>(tag: &str, cut: u64, deadline: u64, mk: impl Fn() -> Engine<P>)
 where
-    P: homonym_sim::ForkProcess,
+    P: homonym_sim::Process + Clone,
     EngineSnapshot<P>: homonym_core::wire::Persist,
 {
     let deadline = Time::from_ticks(deadline);

@@ -148,13 +148,12 @@
 //! property layer checks this stack against BFT validity rather than
 //! crash validity.
 
-use homonym_core::fork::ForkSpace;
 use homonym_core::identity::{Identity, IdentityAssignment};
 use homonym_core::multiset::Multiset;
+use homonym_core::query::Consumes;
 use homonym_core::time::{Span, Time};
 use homonym_core::wire::{Loader, Persist, Saver, WireError};
 use homonym_sim::process::{ActionSink, Process, TimerTag};
-use homonym_sim::snapshot::ForkProcess;
 use homonym_sim::ObsKind;
 
 use crate::conflict::WindowLedger;
@@ -795,14 +794,9 @@ impl ByzQuorumConsensus {
     }
 }
 
-/// Snapshot support: the state is self-contained (no shared detector
-/// cells), so a fork is a deep copy; the recycling ring's spare pool is
-/// dropped by its own `Clone`.
-impl ForkProcess for ByzQuorumConsensus {
-    fn fork_in(&self, _space: &mut ForkSpace) -> Self {
-        self.clone()
-    }
-}
+/// The tolerant engine reads no detector: it ignores what a stack hands
+/// it.
+impl<O> Consumes<O> for ByzQuorumConsensus {}
 
 impl Process for ByzQuorumConsensus {
     type Msg = ByzMsg;

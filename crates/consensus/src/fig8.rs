@@ -27,13 +27,11 @@
 //! `AΩ` the Leaders' Coordination Phase is removed and the Phase 0 guard
 //! queries the respective detector.
 
-use homonym_core::fork::{ForkSpace, ForkState};
 use homonym_core::identity::Identity;
-use homonym_core::query::{AOmegaSource, HOmegaSource, OmegaSource};
+use homonym_core::query::{AOmegaSource, Consumes, HOmegaSource, OmegaSource};
 use homonym_core::time::{Span, Time};
 use homonym_core::wire::{Loader, Persist, Saver, WireError};
 use homonym_sim::process::{ActionSink, Process, TimerTag};
-use homonym_sim::snapshot::ForkProcess;
 
 use crate::conflict::crash_model_pick;
 use crate::round_window::{RoundRing, ValueCounts, Window};
@@ -220,19 +218,18 @@ impl<D: AOmegaSource + Send + 'static> LeaderPolicy for AOmegaPolicy<D> {
     }
 }
 
-/// Snapshot support for the leader policies: the wrapped detector
-/// forks, preserving shared-cell wiring within the owning stack.
-macro_rules! impl_fork_state_for_policy {
+/// A leader policy hands what it is given to the detector it reads.
+macro_rules! impl_consumes_for_policy {
     ($($policy:ident),+ $(,)?) => {
-        $(impl<D: ForkState> ForkState for $policy<D> {
-            fn fork_in(&self, space: &mut ForkSpace) -> Self {
-                $policy(self.0.fork_in(space))
+        $(impl<O, D: Consumes<O>> Consumes<O> for $policy<D> {
+            fn consume(&mut self, output: &O) {
+                self.0.consume(output);
             }
         })+
     };
 }
 
-impl_fork_state_for_policy!(
+impl_consumes_for_policy!(
     HOmegaPolicy,
     UncoordinatedHOmegaPolicy,
     OmegaPolicy,
@@ -291,7 +288,7 @@ impl Window for Fig8Window {
 ///
 /// Requires `n` known and a majority of correct processes (`t < n/2`);
 /// waits use the `n − t` threshold of the paper.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MajorityConsensus<L> {
     policy: L,
     n: usize,
@@ -520,24 +517,11 @@ impl<L: LeaderPolicy> MajorityConsensus<L> {
     }
 }
 
-/// Snapshot support: estimates, phase, and the live round windows are
-/// duplicated; the policy's detector forks through the [`ForkSpace`], so
-/// a policy backed by the owning stack's shared cell is re-seated onto
-/// the forked stack's duplicate.
-impl<L: LeaderPolicy + ForkState> ForkProcess for MajorityConsensus<L> {
-    fn fork_in(&self, space: &mut ForkSpace) -> Self {
-        MajorityConsensus {
-            policy: self.policy.fork_in(space),
-            n: self.n,
-            t: self.t,
-            est1: self.est1,
-            est2: self.est2,
-            round: self.round,
-            phase: self.phase,
-            rounds: self.rounds.clone(),
-            decided: self.decided,
-            tick: self.tick,
-        }
+/// The consensus half reads its detector through the policy, and hands
+/// the policy what the stack hands it.
+impl<O, L: Consumes<O>> Consumes<O> for MajorityConsensus<L> {
+    fn consume(&mut self, output: &O) {
+        self.policy.consume(output);
     }
 }
 

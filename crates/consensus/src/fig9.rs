@@ -27,13 +27,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use homonym_core::classes::Label;
-use homonym_core::fork::{ForkSpace, ForkState};
 use homonym_core::identity::Identity;
 use homonym_core::multiset::Multiset;
-use homonym_core::query::{HOmegaSource, HSigmaSource};
+use homonym_core::query::{Consumes, HOmegaSource, HSigmaSource};
 use homonym_core::time::Span;
 use homonym_sim::process::{ActionSink, Process, TimerTag};
-use homonym_sim::snapshot::ForkProcess;
 
 use crate::conflict::crash_model_pick;
 use crate::round_window::{RoundRing, Window};
@@ -185,7 +183,7 @@ impl Window for Fig9Window {
 
 /// The Figure 9 consensus process, generic over its detectors
 /// `D1 ∈ HΩ` and `D2 ∈ HΣ`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct QuorumConsensus<D1, D2> {
     d1: D1,
     d2: D2,
@@ -487,29 +485,12 @@ impl<D1: HOmegaSource, D2: HSigmaSource> QuorumConsensus<D1, D2> {
     }
 }
 
-/// Snapshot support: round/sub-round state and the live windows are
-/// duplicated; both detectors fork through the [`ForkSpace`] (oracle
-/// detectors `Arc`-share their precomputed tables, cell-backed ones are
-/// re-seated onto the owning stack's duplicates).
-impl<D1, D2> ForkProcess for QuorumConsensus<D1, D2>
-where
-    D1: HOmegaSource + ForkState + Send + 'static,
-    D2: HSigmaSource + ForkState + Send + 'static,
-{
-    fn fork_in(&self, space: &mut ForkSpace) -> Self {
-        QuorumConsensus {
-            d1: self.d1.fork_in(space),
-            d2: self.d2.fork_in(space),
-            est1: self.est1,
-            est2: self.est2,
-            round: self.round,
-            sr: self.sr,
-            current_labels: self.current_labels.clone(),
-            phase: self.phase,
-            rounds: self.rounds.clone(),
-            decided: self.decided,
-            tick: self.tick,
-        }
+/// Figure 9 reads both detectors, so it hands each of them whatever the
+/// stack hands it; each keeps the readings of its own class.
+impl<O, D1: Consumes<O>, D2: Consumes<O>> Consumes<O> for QuorumConsensus<D1, D2> {
+    fn consume(&mut self, output: &O) {
+        self.d1.consume(output);
+        self.d2.consume(output);
     }
 }
 

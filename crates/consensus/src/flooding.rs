@@ -21,12 +21,10 @@
 
 use std::collections::BTreeMap;
 
-use homonym_core::fork::{ForkSpace, ForkState};
 use homonym_core::identity::Identity;
-use homonym_core::query::{APSource, SigmaSource};
+use homonym_core::query::{APSource, Consumes, SigmaSource};
 use homonym_core::time::Span;
 use homonym_sim::process::{ActionSink, Process, TimerTag};
-use homonym_sim::snapshot::ForkProcess;
 
 /// Flooding protocol message: round, sender identifier (absent in the
 /// anonymous variant), estimate.
@@ -54,7 +52,7 @@ const TICK: TimerTag = TimerTag(0);
 /// The detector is consumed through [`SigmaSource`]; instantiate it with
 /// an exact view (e.g. `OracleWorld::sigma(Span::ZERO)`) to model `P`
 /// (complete and strongly accurate).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PFloodingConsensus<D> {
     detector: D,
     t: usize,
@@ -126,18 +124,10 @@ impl<D: SigmaSource> PFloodingConsensus<D> {
     }
 }
 
-/// Snapshot support (see `homonym_sim::snapshot`).
-impl<D: SigmaSource + ForkState + Send + 'static> ForkProcess for PFloodingConsensus<D> {
-    fn fork_in(&self, space: &mut ForkSpace) -> Self {
-        PFloodingConsensus {
-            detector: self.detector.fork_in(space),
-            t: self.t,
-            est: self.est,
-            round: self.round,
-            inbox: self.inbox.clone(),
-            decided: self.decided,
-            tick: self.tick,
-        }
+/// The process hands what the stack gives it to its detector.
+impl<O, D: Consumes<O>> Consumes<O> for PFloodingConsensus<D> {
+    fn consume(&mut self, output: &O) {
+        self.detector.consume(output);
     }
 }
 
@@ -173,7 +163,7 @@ impl<D: SigmaSource + Send + 'static> Process for PFloodingConsensus<D> {
 }
 
 /// Anonymous flooding consensus with `AP`: decides in `2t + 1` rounds.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct AnonFloodingConsensus<D> {
     detector: D,
     t: usize,
@@ -242,18 +232,10 @@ impl<D: APSource> AnonFloodingConsensus<D> {
     }
 }
 
-/// Snapshot support (see `homonym_sim::snapshot`).
-impl<D: APSource + ForkState + Send + 'static> ForkProcess for AnonFloodingConsensus<D> {
-    fn fork_in(&self, space: &mut ForkSpace) -> Self {
-        AnonFloodingConsensus {
-            detector: self.detector.fork_in(space),
-            t: self.t,
-            est: self.est,
-            round: self.round,
-            inbox: self.inbox.clone(),
-            decided: self.decided,
-            tick: self.tick,
-        }
+/// The process hands what the stack gives it to its detector.
+impl<O, D: Consumes<O>> Consumes<O> for AnonFloodingConsensus<D> {
+    fn consume(&mut self, output: &O) {
+        self.detector.consume(output);
     }
 }
 

@@ -36,11 +36,12 @@
 //! [`Stacked`](homonym_sim::Stacked)): the detector half runs
 //! continuously — as Lynch-style failure-detector executions are defined
 //! over infinite runs — while the consensus half above it is replaced
-//! every height. Per-height engines reading the detector through a
-//! [`SharedCell`](homonym_core::query::SharedCell) mirror (Figure 8) or
-//! an oracle handle (Figure 9, flooding) therefore see *warm* detector
-//! state at every height, which is what makes post-GST heights decide in
-//! a handful of ticks.
+//! every height. The stack hands every output of the detector to the log
+//! ([`Consumes`]), and the log hands it to the live engine and to the
+//! seed the next height's engine is spawned from, so per-height engines
+//! reading the detector's last output (Figure 8) or an oracle handle
+//! (Figure 9, flooding) see *warm* detector state at every height, which
+//! is what makes post-GST heights decide in a handful of ticks.
 //!
 //! # Catch-up rule
 //!
@@ -209,14 +210,12 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use homonym_core::fork::{ForkSpace, ForkState};
 use homonym_core::identity::{Identity, IdentityAssignment};
 use homonym_core::multiset::Multiset;
-use homonym_core::query::{HOmegaSource, HSigmaSource, SigmaSource};
+use homonym_core::query::{Consumes, HOmegaSource, HSigmaSource, SigmaSource};
 use homonym_core::time::{Span, Time};
 use homonym_core::wire::{Loader, Persist, Saver, WireError};
 use homonym_sim::process::{Action, ActionSink, Process, TimerTag};
-use homonym_sim::snapshot::ForkProcess;
 use homonym_sim::workload::{proposer_of, seq_of, CommandQueue, NOOP};
 use homonym_sim::ObsKind;
 
@@ -245,8 +244,11 @@ const STATUS_TAG: TimerTag = TimerTag(1);
 ///
 /// The `Seed` captures everything needed to spawn a fresh instance
 /// *except* the proposal: identity assignment, thresholds, tick period,
-/// and the detector handle — the part that must stay **shared across
-/// heights** so detector state survives instance turnover.
+/// and the detector — an oracle handle, or the last output a stacked
+/// detector handed over. [`ReplicatedLog`] hands every such output to
+/// the seed as well as to the live engine, so an engine spawned at the
+/// next height starts from the current reading: detector state survives
+/// instance turnover.
 ///
 /// A log of the engine is [`Persist`] — its snapshots can be written to
 /// disk — when the engine, its seed and its message are; the tolerant
@@ -269,11 +271,6 @@ pub trait HeightEngine: Process<Output = u64> + Sized {
     fn respawn(&mut self, seed: &Self::Seed, proposal: u64) {
         *self = Self::spawn(seed, proposal);
     }
-
-    /// Forks the seed for snapshot/fork support, re-seating any shared
-    /// detector wiring through `space` (see
-    /// [`ForkProcess`]).
-    fn fork_seed(seed: &Self::Seed, space: &mut ForkSpace) -> Self::Seed;
 }
 
 /// Seed for the Byzantine-tolerant default engine
@@ -294,17 +291,16 @@ impl HeightEngine for ByzQuorumConsensus {
     fn respawn(&mut self, _seed: &Self::Seed, proposal: u64) {
         self.restart(proposal);
     }
-
-    fn fork_seed(seed: &Self::Seed, _space: &mut ForkSpace) -> Self::Seed {
-        seed.clone()
-    }
 }
+
+/// The tolerant engine reads no detector.
+impl<O> Consumes<O> for ByzHeightSeed {}
 
 homonym_core::persist_fields!(ByzHeightSeed { assign });
 
 /// Seed for the Figure 8 majority engine over any `HΩ` source `D`
-/// (typically a [`SharedCell`](homonym_core::query::SharedCell) mirror
-/// fed by a stacked detector half).
+/// (typically the `HOmegaOutput` a stacked detector half last handed
+/// over).
 #[derive(Debug, Clone)]
 pub struct Fig8HeightSeed<D> {
     /// System size.
@@ -319,8 +315,8 @@ pub struct Fig8HeightSeed<D> {
 
 impl<D> HeightEngine for MajorityConsensus<HOmegaPolicy<D>>
 where
-    D: HOmegaSource + ForkState + Clone + Send + 'static,
-    HOmegaPolicy<D>: LeaderPolicy + ForkState,
+    D: HOmegaSource + Clone + Send + 'static,
+    HOmegaPolicy<D>: LeaderPolicy,
 {
     type Seed = Fig8HeightSeed<D>;
 
@@ -328,14 +324,11 @@ where
         MajorityConsensus::new(proposal, seed.n, seed.t, HOmegaPolicy(seed.source.clone()))
             .with_tick(seed.tick)
     }
+}
 
-    fn fork_seed(seed: &Self::Seed, space: &mut ForkSpace) -> Self::Seed {
-        Fig8HeightSeed {
-            n: seed.n,
-            t: seed.t,
-            source: seed.source.fork_in(space),
-            tick: seed.tick,
-        }
+impl<O, D: Consumes<O>> Consumes<O> for Fig8HeightSeed<D> {
+    fn consume(&mut self, output: &O) {
+        self.source.consume(output);
     }
 }
 
@@ -352,21 +345,20 @@ pub struct Fig9HeightSeed<D1, D2> {
 
 impl<D1, D2> HeightEngine for QuorumConsensus<D1, D2>
 where
-    D1: HOmegaSource + ForkState + Clone + Send + 'static,
-    D2: HSigmaSource + ForkState + Clone + Send + 'static,
+    D1: HOmegaSource + Clone + Send + 'static,
+    D2: HSigmaSource + Clone + Send + 'static,
 {
     type Seed = Fig9HeightSeed<D1, D2>;
 
     fn spawn(seed: &Self::Seed, proposal: u64) -> Self {
         QuorumConsensus::new(proposal, seed.omega.clone(), seed.sigma.clone()).with_tick(seed.tick)
     }
+}
 
-    fn fork_seed(seed: &Self::Seed, space: &mut ForkSpace) -> Self::Seed {
-        Fig9HeightSeed {
-            omega: seed.omega.fork_in(space),
-            sigma: seed.sigma.fork_in(space),
-            tick: seed.tick,
-        }
+impl<O, D1: Consumes<O>, D2: Consumes<O>> Consumes<O> for Fig9HeightSeed<D1, D2> {
+    fn consume(&mut self, output: &O) {
+        self.omega.consume(output);
+        self.sigma.consume(output);
     }
 }
 
@@ -382,19 +374,18 @@ pub struct FloodHeightSeed<D> {
 
 impl<D> HeightEngine for PFloodingConsensus<D>
 where
-    D: SigmaSource + ForkState + Clone + Send + 'static,
+    D: SigmaSource + Clone + Send + 'static,
 {
     type Seed = FloodHeightSeed<D>;
 
     fn spawn(seed: &Self::Seed, proposal: u64) -> Self {
         PFloodingConsensus::new(proposal, seed.t, seed.detector.clone())
     }
+}
 
-    fn fork_seed(seed: &Self::Seed, space: &mut ForkSpace) -> Self::Seed {
-        FloodHeightSeed {
-            t: seed.t,
-            detector: seed.detector.fork_in(space),
-        }
+impl<O, D: Consumes<O>> Consumes<O> for FloodHeightSeed<D> {
+    fn consume(&mut self, output: &O) {
+        self.detector.consume(output);
     }
 }
 
@@ -659,6 +650,7 @@ impl StateTally {
 /// the rest. The *first* commit additionally registers as the process's
 /// decision, so one-shot goals (`run_until_all_correct_decided`) remain
 /// meaningful.
+#[derive(Clone)]
 pub struct ReplicatedLog<C: HeightEngine> {
     seed: C::Seed,
     client: CommandQueue,
@@ -1378,33 +1370,16 @@ impl<C: HeightEngine> Process for ReplicatedLog<C> {
     }
 }
 
-impl<C> ForkProcess for ReplicatedLog<C>
+/// The log hands what the stack gives it to the live engine and to the
+/// seed, so the next height's engine starts from the same reading.
+impl<O, C> Consumes<O> for ReplicatedLog<C>
 where
-    C: HeightEngine + ForkProcess,
-    C::Msg: Clone,
+    C: HeightEngine + Consumes<O>,
+    C::Seed: Consumes<O>,
 {
-    fn fork_in(&self, space: &mut ForkSpace) -> Self {
-        ReplicatedLog {
-            seed: C::fork_seed(&self.seed, space),
-            client: self.client.clone(),
-            opts: self.opts.clone(),
-            caps: self.caps.clone(),
-            inner: self.inner.fork_in(space),
-            height: self.height,
-            ring: self.ring.clone(),
-            state_hash: self.state_hash,
-            future: self.future.clone(),
-            buffered: self.buffered,
-            tallies: self.tallies.clone(),
-            states: self.states.clone(),
-            stale_answer: self.stale_answer,
-            wanted: self.wanted.clone(),
-            done_seq: self.done_seq.clone(),
-            announced: self.announced,
-            status_height: self.status_height,
-            status_gap: self.status_gap,
-            scratch: Vec::new(),
-        }
+    fn consume(&mut self, output: &O) {
+        self.seed.consume(output);
+        self.inner.consume(output);
     }
 }
 
@@ -1613,9 +1588,6 @@ mod tests {
 
         fn spawn(seed: &Self::Seed, proposal: u64) -> Self {
             Rebuilt(ByzQuorumConsensus::spawn(seed, proposal))
-        }
-        fn fork_seed(seed: &Self::Seed, _space: &mut ForkSpace) -> Self::Seed {
-            seed.clone()
         }
     }
 

@@ -21,7 +21,8 @@
 //! * [`classes`] — output shapes of every failure-detector class in the
 //!   paper (`◇HP`, `HΩ`, `HΣ`, `Σ`, `Ω`, `E`, `AP`, `AΩ`, `AΣ`);
 //! * [`query`] — the traits algorithms use to read a detector, independent
-//!   of whether it is an oracle or a real message-passing implementation;
+//!   of whether it is an oracle or a real message-passing implementation,
+//!   and the one through which a stacked detector hands its output over;
 //! * [`properties`] — post-hoc checkers for each class's properties and for
 //!   consensus (validity / agreement / termination).
 //!
@@ -45,7 +46,6 @@
 
 pub mod classes;
 pub mod failure;
-pub mod fork;
 pub mod identity;
 pub mod multiset;
 pub mod properties;
@@ -58,7 +58,6 @@ pub use classes::{
     Label, OmegaOutput, SigmaOutput,
 };
 pub use failure::FailureSchedule;
-pub use fork::{ForkSpace, ForkState};
 pub use identity::{Identity, IdentityAssignment};
 pub use multiset::Multiset;
 pub use time::{Span, Time};
@@ -70,7 +69,6 @@ pub mod prelude {
         Label, OmegaOutput, SigmaOutput,
     };
     pub use crate::failure::FailureSchedule;
-    pub use crate::fork::{ForkSpace, ForkState};
     pub use crate::identity::{Identity, IdentityAssignment};
     pub use crate::multiset::Multiset;
     pub use crate::properties::{
@@ -79,8 +77,8 @@ pub mod prelude {
         classify_run, ConsensusOutcome, History, PropertyViolation, RunCondition, RunVerdict,
     };
     pub use crate::query::{
-        AOmegaSource, APSource, ASigmaSource, EListSource, EvtHPSource, HOmegaSource, HSigmaSource,
-        OmegaSource, SharedCell, SigmaSource,
+        AOmegaSource, APSource, ASigmaSource, Consumes, EListSource, EvtHPSource, HOmegaSource,
+        HSigmaSource, OmegaSource, SigmaSource,
     };
     pub use crate::time::{Span, Time};
 }

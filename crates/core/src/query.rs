@@ -6,14 +6,26 @@
 //! contract. An implementor may be:
 //!
 //! * an **oracle** computed from the ground-truth failure schedule
-//!   (see `homonym_detectors::oracle`), or
-//! * a **real message-passing implementation** (Figures 3, 6, 7) exposing
-//!   its current variables through a [`SharedCell`].
+//!   (see `homonym_detectors::oracle`),
+//! * a closure of the time, or
+//! * an **output value** itself (`HOmegaOutput`, `HSigmaOutput`, …), which
+//!   reads as the last output a real message-passing implementation
+//!   (Figures 3, 6, 7) handed it through [`Consumes`].
 //!
 //! Queries take the current global [`Time`]; implementations backed by a
-//! process-local variable simply ignore it.
-
-use std::sync::{Arc, Mutex};
+//! process-local value simply ignore it.
+//!
+//! # Handing an output over
+//!
+//! A real detector runs as the lower half of a `homonym_sim::Stacked`
+//! process, and the stack hands every output the detector publishes to the
+//! upper half through [`Consumes::consume`], before the upper half's next
+//! callback runs. That is Lynch & Sastry's view of a failure detector: its
+//! outputs are output actions delivered to the process, not a variable the
+//! two share. So no process holds shared mutable state, and a process copies
+//! with `Clone`. A consensus algorithm forwards the reading to its detector
+//! parameter; a value stores the reading of its own class; an oracle, and
+//! any half that reads nothing, takes the empty default.
 
 use crate::classes::{
     AOmegaOutput, APOutput, ASigmaOutput, EListOutput, EvtHPOutput, HOmegaOutput, HSigmaOutput,
@@ -75,105 +87,59 @@ pub trait EListSource {
     fn e_list(&self, now: Time) -> EListOutput;
 }
 
-/// A shared, mutable detector-output cell.
-///
-/// Real detector implementations run as one half of a stacked process and
-/// publish their current variables here; the consumer half (e.g. a
-/// consensus algorithm) reads them through the matching `*Source` trait.
+/// What a process half does with an output its stacked lower half
+/// publishes (see "Handing an output over" in the module docs).
 ///
 /// # Examples
 ///
 /// ```
-/// use homonym_core::query::{HOmegaSource, SharedCell};
+/// use homonym_core::query::{Consumes, HOmegaSource};
 /// use homonym_core::classes::HOmegaOutput;
 /// use homonym_core::identity::Identity;
 /// use homonym_core::time::Time;
 ///
-/// let cell = SharedCell::new(HOmegaOutput::new(Identity::new(0), 1));
-/// let reader = cell.clone();
-/// cell.set(HOmegaOutput::new(Identity::new(2), 3));
-/// assert_eq!(reader.h_omega(Time::ZERO).h_leader, Identity::new(2));
+/// let mut reading = HOmegaOutput::new(Identity::BOTTOM, 1);
+/// reading.consume(&HOmegaOutput::new(Identity::new(2), 3));
+/// assert_eq!(reading.h_omega(Time::ZERO).h_leader, Identity::new(2));
 /// ```
-#[derive(Debug, Default)]
-pub struct SharedCell<T> {
-    inner: Arc<Mutex<T>>,
-}
-
-impl<T> Clone for SharedCell<T> {
-    fn clone(&self) -> Self {
-        SharedCell {
-            inner: Arc::clone(&self.inner),
-        }
+pub trait Consumes<O> {
+    /// Takes one output of the lower half. The default ignores it.
+    fn consume(&mut self, output: &O) {
+        let _ = output;
     }
 }
 
-impl<T: Clone> SharedCell<T> {
-    /// Creates a cell holding `value`.
-    #[must_use]
-    pub fn new(value: T) -> Self {
-        SharedCell {
-            inner: Arc::new(Mutex::new(value)),
-        }
-    }
-
-    /// Returns a clone of the current value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a previous holder of the lock panicked.
-    #[must_use]
-    pub fn get(&self) -> T {
-        self.inner.lock().expect("cell poisoned").clone()
-    }
-
-    /// Replaces the current value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a previous holder of the lock panicked.
-    pub fn set(&self, value: T) {
-        *self.inner.lock().expect("cell poisoned") = value;
-    }
-
-    /// Mutates the current value in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a previous holder of the lock panicked.
-    pub fn update<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        f(&mut self.inner.lock().expect("cell poisoned"))
-    }
-}
-
-impl<T> SharedCell<T> {
-    /// The identity of the underlying shared allocation: equal exactly
-    /// for handles that alias the same cell. Used by the fork layer
-    /// ([`crate::fork`]) to re-seat aliasing handles onto one duplicate.
-    #[must_use]
-    pub fn alias_key(&self) -> usize {
-        Arc::as_ptr(&self.inner).cast::<()>() as usize
-    }
-}
-
-macro_rules! impl_source_for_cell {
+/// An output value reads as itself and stores what it is handed of its
+/// own class.
+macro_rules! impl_source_for_value {
     ($trait_:ident, $method:ident, $out:ty) => {
-        impl $trait_ for SharedCell<$out> {
+        impl $trait_ for $out {
             fn $method(&self, _now: Time) -> $out {
-                self.get()
+                self.clone()
+            }
+        }
+
+        impl Consumes<$out> for $out {
+            fn consume(&mut self, output: &$out) {
+                self.clone_from(output);
             }
         }
     };
 }
 
-impl_source_for_cell!(EvtHPSource, evt_hp, EvtHPOutput);
-impl_source_for_cell!(HOmegaSource, h_omega, HOmegaOutput);
-impl_source_for_cell!(HSigmaSource, h_sigma, HSigmaOutput);
-impl_source_for_cell!(SigmaSource, sigma, SigmaOutput);
-impl_source_for_cell!(OmegaSource, omega, OmegaOutput);
-impl_source_for_cell!(AOmegaSource, a_omega, AOmegaOutput);
-impl_source_for_cell!(APSource, ap, APOutput);
-impl_source_for_cell!(ASigmaSource, a_sigma, ASigmaOutput);
-impl_source_for_cell!(EListSource, e_list, EListOutput);
+impl_source_for_value!(EvtHPSource, evt_hp, EvtHPOutput);
+impl_source_for_value!(HOmegaSource, h_omega, HOmegaOutput);
+impl_source_for_value!(HSigmaSource, h_sigma, HSigmaOutput);
+impl_source_for_value!(SigmaSource, sigma, SigmaOutput);
+impl_source_for_value!(OmegaSource, omega, OmegaOutput);
+impl_source_for_value!(AOmegaSource, a_omega, AOmegaOutput);
+impl_source_for_value!(APSource, ap, APOutput);
+impl_source_for_value!(ASigmaSource, a_sigma, ASigmaOutput);
+impl_source_for_value!(EListSource, e_list, EListOutput);
+
+/// Figure 9 reads `HΩ` and `HΣ` from one process, so each of its two
+/// values is handed the other's outputs too, and ignores them.
+impl Consumes<HSigmaOutput> for HOmegaOutput {}
 
 macro_rules! impl_source_for_fn {
     ($trait_:ident, $method:ident, $out:ty) => {
@@ -195,26 +161,6 @@ impl_source_for_fn!(APSource, ap, APOutput);
 impl_source_for_fn!(ASigmaSource, a_sigma, ASigmaOutput);
 impl_source_for_fn!(EListSource, e_list, EListOutput);
 
-macro_rules! impl_source_for_box {
-    ($trait_:ident, $method:ident, $out:ty) => {
-        impl $trait_ for Box<dyn $trait_ + Send> {
-            fn $method(&self, now: Time) -> $out {
-                (**self).$method(now)
-            }
-        }
-    };
-}
-
-impl_source_for_box!(EvtHPSource, evt_hp, EvtHPOutput);
-impl_source_for_box!(HOmegaSource, h_omega, HOmegaOutput);
-impl_source_for_box!(HSigmaSource, h_sigma, HSigmaOutput);
-impl_source_for_box!(SigmaSource, sigma, SigmaOutput);
-impl_source_for_box!(OmegaSource, omega, OmegaOutput);
-impl_source_for_box!(AOmegaSource, a_omega, AOmegaOutput);
-impl_source_for_box!(APSource, ap, APOutput);
-impl_source_for_box!(ASigmaSource, a_sigma, ASigmaOutput);
-impl_source_for_box!(EListSource, e_list, EListOutput);
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,17 +173,9 @@ mod tests {
     }
 
     #[test]
-    fn cell_updates_are_visible_to_clones() {
-        let cell = SharedCell::new(APOutput::new(5));
-        let reader = cell.clone();
-        cell.update(|o| o.anap = 3);
-        assert_eq!(reader.ap(Time::ZERO).anap, 3);
-    }
-
-    #[test]
-    fn boxed_source_dispatches() {
-        let boxed: Box<dyn OmegaSource + Send> =
-            Box::new(|_: Time| OmegaOutput::new(Identity::new(7)));
-        assert_eq!(boxed.omega(Time::ZERO).leader, Identity::new(7));
+    fn a_value_reads_the_last_output_of_its_class() {
+        let mut value = APOutput::new(5);
+        value.consume(&APOutput::new(3));
+        assert_eq!(value.ap(Time::ZERO).anap, 3);
     }
 }

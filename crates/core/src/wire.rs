@@ -30,28 +30,25 @@
 //!
 //! # The aliasing contract
 //!
-//! Two kinds of handle can alias one allocation, and both go through
-//! one alias table ([`Saver::shared`] / [`Loader::shared`]), the
-//! serialization analogue of [`ForkSpace`](crate::fork::ForkSpace):
-//!
-//! * [`SharedCell`] handles (a detector half wired to a consensus half
-//!   inside one simulated process — see [`crate::fork`]). Here aliasing
-//!   is *behaviour*: decode each handle into a private cell and the
-//!   halves stop observing each other.
-//! * [`Arc`] handles to immutable payloads (the `◇HP` bag every history
-//!   entry shares since it last changed; the one payload behind the
-//!   copies of a broadcast still in flight). Here aliasing is *cost*:
-//!   re-encode the payload per handle and a long history is almost
-//!   entirely copies of values already written, and a resumed engine
-//!   holds one allocation per handle where the live one holds one per
-//!   value.
+//! An [`Arc`] handle to an immutable payload can alias others — the
+//! `◇HP` bag every history entry shares since it last changed; the one
+//! payload behind the copies of a broadcast still in flight — and all
+//! of them go through one alias table ([`Saver::shared`] /
+//! [`Loader::shared`]). Aliasing here is *cost*, not behaviour: the
+//! payloads are immutable, so a handle decoded into a private copy
+//! behaves the same, but re-encoding the payload per handle would make a
+//! long history almost entirely copies of values already written, and a
+//! resumed engine would hold one allocation per handle where the live
+//! one holds one per value. No process holds shared *mutable* state
+//! (a stacked detector hands its output to its consumer, see
+//! `homonym_sim::stack`), so nothing else needs the table.
 //!
 //! The first handle to an allocation encodes its value and claims the
 //! next index, every later handle encodes only the index, and decoding
-//! re-seats all of them onto one rebuilt allocation. Cells and `Arc`s
-//! number themselves in one index space, in traversal order; a
-//! back-reference naming a slot of the other kind, a slot still being
-//! decoded (its own definition) or one past the table is
+//! re-seats all of them onto one rebuilt allocation. Handles number
+//! themselves in one index space, in traversal order; a back-reference
+//! naming a slot of another payload type, a slot still being decoded
+//! (its own definition) or one past the table is
 //! [`WireError::BadCellIndex`].
 //!
 //! # Determinism
@@ -86,7 +83,6 @@ use crate::classes::{EvtHPOutput, HOmegaOutput, HSigmaOutput, Label};
 use crate::identity::{Identity, IdentityAssignment};
 use crate::multiset::Multiset;
 use crate::properties::{PropertyViolation, RunVerdict};
-use crate::query::SharedCell;
 use crate::time::{Span, Time};
 
 /// Why a decode failed. Carried up into the store layer's corruption
@@ -156,9 +152,8 @@ impl std::error::Error for WireError {}
 
 /// A value that round-trips through the durable binary codec.
 ///
-/// The contract mirrors [`ForkState`](crate::fork::ForkState): `load`
-/// must rebuild a value whose *future behaviour* is byte-identical to
-/// the saved one's. Representation may differ (a
+/// `load` must rebuild a value whose *future behaviour* is
+/// byte-identical to the saved one's — what a `clone` gives. Representation may differ (a
 /// [`Multiset`]'s spill threshold, a recycling ring's spare pool) as
 /// long as no observable behaviour can tell.
 pub trait Persist: Sized {
@@ -233,19 +228,19 @@ impl Saver {
     }
 
     /// Encodes one handle to the shared allocation at address
-    /// `alias_key`: the first handle of a pass writes tag 0, claims the
+    /// `addr`: the first handle of a pass writes tag 0, claims the
     /// next alias-table index and encodes the value through `value`;
     /// every later one writes tag 1 and that index. The index is
     /// claimed **before** the value is encoded so nested handles number
     /// themselves in the order the loader rebuilds them.
-    pub fn shared(&mut self, alias_key: usize, value: impl FnOnce(&mut Saver)) {
-        if let Some(&idx) = self.cells.get(&alias_key) {
+    pub fn shared(&mut self, addr: usize, value: impl FnOnce(&mut Saver)) {
+        if let Some(&idx) = self.cells.get(&addr) {
             self.u8(1);
             self.u32(idx);
         } else {
             self.u8(0);
             let idx = self.cells.len() as u32;
-            self.cells.insert(alias_key, idx);
+            self.cells.insert(addr, idx);
             value(self);
         }
     }
@@ -409,7 +404,7 @@ impl<'a> Loader<'a> {
         Ok(())
     }
 
-    /// Decodes one handle (`H`: a [`SharedCell`] or an [`Arc`]) to a
+    /// Decodes one handle (`H`: an [`Arc`]) to a
     /// shared allocation, mirroring [`Saver::shared`]: tag 0 reserves
     /// the next alias-table slot, builds the allocation through `build`
     /// and seats a handle in the slot; tag 1 clones the handle seated
@@ -905,19 +900,6 @@ impl<R: Persist> Persist for RunVerdict<R> {
     }
 }
 
-/// Shared cells encode through the alias table (see the module docs):
-/// tag 0 carries the value and claims the next index, tag 1 is a
-/// back-reference. Decoding re-seats every back-reference onto the one
-/// rebuilt cell, so aliasing survives the round trip.
-impl<T: Persist + Clone + Send + 'static> Persist for SharedCell<T> {
-    fn save(&self, s: &mut Saver) {
-        s.shared(self.alias_key(), |s| self.get().save(s));
-    }
-    fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
-        l.shared("SharedCell", |l| Ok(SharedCell::new(T::load(l)?)))
-    }
-}
-
 /// Encodes a value into a standalone byte vector.
 #[must_use]
 pub fn to_bytes<T: Persist>(value: &T) -> Vec<u8> {
@@ -994,30 +976,6 @@ mod tests {
             from_bytes::<Multiset<Identity>>(&bytes),
             Err(WireError::BadValue { what: "Multiset" })
         );
-    }
-
-    #[test]
-    fn shared_cell_aliasing_survives() {
-        let cell = SharedCell::new(HOmegaOutput::new(Identity::new(3), 2));
-        let pair = (cell.clone(), cell.clone());
-        let bytes = to_bytes(&pair);
-        let (a, b): (SharedCell<HOmegaOutput>, SharedCell<HOmegaOutput>) =
-            from_bytes(&bytes).unwrap();
-        // Same rebuilt allocation: a write through one is seen by the other.
-        a.set(HOmegaOutput::new(Identity::new(9), 1));
-        assert_eq!(b.get().h_leader, Identity::new(9));
-        // But fully detached from the original.
-        assert_eq!(cell.get().h_leader, Identity::new(3));
-    }
-
-    #[test]
-    fn distinct_cells_stay_distinct() {
-        let a = SharedCell::new(1u64);
-        let b = SharedCell::new(1u64);
-        let (ra, rb): (SharedCell<u64>, SharedCell<u64>) =
-            from_bytes(&to_bytes(&(a.clone(), b.clone()))).unwrap();
-        ra.set(5);
-        assert_eq!(rb.get(), 1);
     }
 
     #[test]
@@ -1146,38 +1104,15 @@ mod tests {
     }
 
     #[test]
-    fn cells_and_arcs_number_themselves_in_one_index_space() {
-        let cell = SharedCell::new(7u64);
-        let arc = Arc::new(9u64);
-        let value = ((cell.clone(), arc.clone()), (cell.clone(), arc.clone()));
-        let bytes = to_bytes(&value);
-        assert_eq!(bytes, [0, 7, 0, 9, 1, 0, 1, 1]);
-        type Pair = (SharedCell<u64>, Arc<u64>);
-        let ((c0, a0), (c1, a1)): (Pair, Pair) = from_bytes(&bytes).unwrap();
-        c0.set(8);
-        assert_eq!(c1.get(), 8);
-        assert!(Arc::ptr_eq(&a0, &a1));
-    }
-
-    #[test]
     fn bad_back_references_are_typed_errors() {
         let bad = |index| Err(WireError::BadCellIndex { index });
         // Past the table.
         assert_eq!(from_bytes::<Arc<u64>>(&[1, 5]).map(|_| ()), bad(5));
-        assert_eq!(from_bytes::<SharedCell<u64>>(&[1, 0]).map(|_| ()), bad(0));
         // To its own definition: slot 0 is reserved but not yet seated
         // while the value that holds the back-reference is decoded.
         assert_eq!(from_bytes::<Arc<Arc<u64>>>(&[0, 1, 0]).map(|_| ()), bad(0));
-        // Across kinds, both ways, and across payload types.
+        // Across payload types.
         let crossed = [0, 7, 1, 0];
-        assert_eq!(
-            from_bytes::<(SharedCell<u64>, Arc<u64>)>(&crossed).map(|_| ()),
-            bad(0)
-        );
-        assert_eq!(
-            from_bytes::<(Arc<u64>, SharedCell<u64>)>(&crossed).map(|_| ()),
-            bad(0)
-        );
         assert_eq!(
             from_bytes::<(Arc<u64>, Arc<u32>)>(&crossed).map(|_| ()),
             bad(0)

@@ -17,7 +17,6 @@
 //! Figure 6) is the right detector for partial synchrony.
 
 use homonym_core::classes::APOutput;
-use homonym_core::query::SharedCell;
 use homonym_core::time::Span;
 use homonym_sim::process::{ActionSink, Process, TimerTag};
 
@@ -28,12 +27,11 @@ pub struct AliveMsg;
 const STEP: TimerTag = TimerTag(0);
 
 /// Windowed-count `AP` estimator (sound only under synchrony).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ApEstimatorProcess {
     period: Span,
     window_count: usize,
     anap: usize,
-    mirror: Option<SharedCell<APOutput>>,
 }
 
 impl ApEstimatorProcess {
@@ -45,15 +43,7 @@ impl ApEstimatorProcess {
             period,
             window_count: 0,
             anap: usize::MAX, // "no information yet": a safe over-estimate
-            mirror: None,
         }
-    }
-
-    /// Mirrors `anap` into `cell` after every window.
-    #[must_use]
-    pub fn with_mirror(mut self, cell: SharedCell<APOutput>) -> Self {
-        self.mirror = Some(cell);
-        self
     }
 
     /// Current estimate.
@@ -80,9 +70,6 @@ impl Process for ApEstimatorProcess {
         debug_assert_eq!(timer, STEP);
         self.anap = self.window_count;
         self.window_count = 0;
-        if let Some(cell) = &self.mirror {
-            cell.set(APOutput::new(self.anap));
-        }
         ctx.publish(APOutput::new(self.anap));
         ctx.broadcast(AliveMsg);
         ctx.set_timer(self.period, STEP);

@@ -16,7 +16,6 @@
 
 use homonym_core::classes::EListOutput;
 use homonym_core::identity::Identity;
-use homonym_core::query::SharedCell;
 use homonym_core::time::Span;
 use homonym_sim::process::{ActionSink, Process, TimerTag};
 
@@ -38,11 +37,10 @@ pub fn classify_e_list(msg: &EListMsg) -> &'static str {
 const HEARTBEAT: TimerTag = TimerTag(0);
 
 /// The Figure 3 process.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct EListProcess {
     output: EListOutput,
     period: Span,
-    mirror: Option<SharedCell<EListOutput>>,
 }
 
 impl EListProcess {
@@ -52,15 +50,7 @@ impl EListProcess {
         EListProcess {
             output: EListOutput::new(),
             period,
-            mirror: None,
         }
-    }
-
-    /// Also mirrors every update into `cell` (for stacked consumers).
-    #[must_use]
-    pub fn with_mirror(mut self, cell: SharedCell<EListOutput>) -> Self {
-        self.mirror = Some(cell);
-        self
     }
 
     /// The current `alive_p` list.
@@ -83,9 +73,6 @@ impl Process for EListProcess {
     fn on_message(&mut self, msg: EListMsg, ctx: &mut ActionSink<'_, EListMsg, EListOutput>) {
         let EListMsg::Alive(i) = msg;
         self.output.move_to_front(i);
-        if let Some(cell) = &self.mirror {
-            cell.set(self.output.clone());
-        }
         ctx.publish(self.output.clone());
     }
 
@@ -154,28 +141,5 @@ mod tests {
             let (hist, sched, assign) = run(3, sched, 200, seed);
             check_e_list(&hist, &sched, &assign).expect("class valid");
         }
-    }
-
-    #[test]
-    fn mirror_cell_tracks_output() {
-        let cell: SharedCell<EListOutput> = SharedCell::new(EListOutput::new());
-        let assign = IdentityAssignment::unique(2);
-        let cfg = SimConfig::new(
-            assign,
-            FailureSchedule::none(2),
-            NetworkModel::reliable(Span::TICK),
-        );
-        let mirror = cell.clone();
-        let mut engine = Engine::new(cfg, move |p, _| {
-            let proc_ = EListProcess::new(Span::from_ticks(2));
-            if p == 0 {
-                proc_.with_mirror(mirror.clone())
-            } else {
-                proc_
-            }
-        });
-        engine.run_until(Time::from_ticks(50));
-        assert_eq!(&cell.get(), engine.process(0).output());
-        assert_eq!(cell.get().alive.len(), 2);
     }
 }

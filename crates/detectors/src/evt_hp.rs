@@ -108,15 +108,13 @@
 //! rounds themselves reads the recorder: a `DetectorEpoch` observation
 //! is still emitted at every round end, changed or not.
 
-use homonym_core::classes::{EvtHPOutput, HOmegaOutput};
-use homonym_core::fork::{ForkSpace, ForkState};
+use homonym_core::classes::{EvtHPOutput, HOmegaOutput, HSigmaOutput};
 use homonym_core::identity::Identity;
 use homonym_core::multiset::Multiset;
-use homonym_core::query::SharedCell;
+use homonym_core::query::Consumes;
 use homonym_core::time::Span;
 use homonym_core::wire::{Loader, Persist, Saver, WireError};
 use homonym_sim::process::{ActionSink, Process, TimerTag};
-use homonym_sim::snapshot::ForkProcess;
 use homonym_sim::ObsKind;
 use std::sync::Arc;
 
@@ -261,13 +259,26 @@ pub fn split_snapshots(
     (evt, omg)
 }
 
+/// A consumer stacked on the detector reads `HΩ` from every published
+/// snapshot: its reading then equals the process's `h_omega` from the
+/// first round end on (the pair moves only with a published bag).
+impl Consumes<EvtHpSnapshot> for HOmegaOutput {
+    fn consume(&mut self, output: &EvtHpSnapshot) {
+        *self = output.h_omega;
+    }
+}
+
+/// An `HΣ` reading has nothing to take from `◇HP` (Figure 9 reads both
+/// detectors in one process).
+impl Consumes<EvtHpSnapshot> for HSigmaOutput {}
+
 const ROUND: TimerTag = TimerTag(0);
 
 /// Identifiers below this use the direct-indexed membership table.
 const MSHIP_DENSE: u64 = 256;
 
 /// The Figure 6 process.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct EvtHpProcess {
     h_omega: HOmegaOutput,
     round: u64,
@@ -292,8 +303,6 @@ pub struct EvtHpProcess {
     /// membership actually changes, and shared by every snapshot
     /// published since instead of re-wrapped (or copied) each round.
     snapshot: Arc<EvtHPOutput>,
-    evt_mirror: Option<SharedCell<EvtHPOutput>>,
-    omega_mirror: Option<SharedCell<HOmegaOutput>>,
     /// The `HΩ` pair and `timeout_p` of the snapshot last published
     /// (its bag is `snapshot`); `None` until the first round ends.
     published: Option<(HOmegaOutput, u64)>,
@@ -317,8 +326,6 @@ impl EvtHpProcess {
             covering: Vec::new(),
             changes: Vec::new(),
             snapshot: Arc::default(),
-            evt_mirror: None,
-            omega_mirror: None,
             published: None,
             adaptive: true,
             started: false,
@@ -334,22 +341,6 @@ impl EvtHpProcess {
     pub fn with_fixed_timeout(mut self, ticks: u64) -> Self {
         self.timeout = ticks.max(1);
         self.adaptive = false;
-        self
-    }
-
-    /// Mirrors `h_trusted` into `cell` at the first round end and at
-    /// every round end that changes the bag.
-    #[must_use]
-    pub fn with_evt_hp_mirror(mut self, cell: SharedCell<EvtHPOutput>) -> Self {
-        self.evt_mirror = Some(cell);
-        self
-    }
-
-    /// Mirrors the `HΩ` extraction into `cell` at the first round end and
-    /// at every round end that changes the bag.
-    #[must_use]
-    pub fn with_h_omega_mirror(mut self, cell: SharedCell<HOmegaOutput>) -> Self {
-        self.omega_mirror = Some(cell);
         self
     }
 
@@ -468,9 +459,8 @@ impl EvtHpProcess {
         // Lines 12-17: the gathered bag — one identifier instance per
         // covering reply — is the count itself. Once the detector has
         // converged every round gathers the same membership, so the
-        // common case skips the bag rebuild, the HΩ extraction, the
-        // mirror stores and the snapshot re-wrap entirely — the round
-        // then allocates nothing.
+        // common case skips the bag rebuild, the HΩ extraction and the
+        // snapshot re-wrap entirely — the round then allocates nothing.
         let r = self.round;
         let gathered = self
             .covering
@@ -503,18 +493,6 @@ impl EvtHpProcess {
             trusted: u32::try_from(trusted).unwrap_or(u32::MAX),
             changed,
         });
-        // Mirrors are skipped only when they provably already hold the
-        // current values: past the first round end (which stores the
-        // start-step `HΩ` re-initialization) the bag and the pair move
-        // only with the gather.
-        if changed || self.published.is_none() {
-            if let Some(cell) = &self.evt_mirror {
-                cell.set(EvtHPOutput::clone(&self.snapshot));
-            }
-            if let Some(cell) = &self.omega_mirror {
-                cell.set(self.h_omega);
-            }
-        }
         // A history records changes, not rounds ("What a history holds").
         let said = Some((self.h_omega, self.timeout));
         if changed || self.published != said {
@@ -549,30 +527,6 @@ impl EvtHpProcess {
 impl Default for EvtHpProcess {
     fn default() -> Self {
         EvtHpProcess::new()
-    }
-}
-
-/// Snapshot support: all round/membership/timeout state is duplicated,
-/// while the mirror cells are re-seated through the [`ForkSpace`] so a
-/// forked detector publishes into its *own* stack's cells (shared with
-/// the forked consensus half, never with the original run).
-impl ForkProcess for EvtHpProcess {
-    fn fork_in(&self, space: &mut ForkSpace) -> Self {
-        EvtHpProcess {
-            h_omega: self.h_omega,
-            round: self.round,
-            timeout: self.timeout,
-            mship_dense: self.mship_dense.clone(),
-            mship: self.mship.clone(),
-            covering: self.covering.clone(),
-            changes: self.changes.clone(),
-            snapshot: self.snapshot.clone(),
-            evt_mirror: self.evt_mirror.as_ref().map(|c| c.fork_in(space)),
-            omega_mirror: self.omega_mirror.as_ref().map(|c| c.fork_in(space)),
-            published: self.published,
-            adaptive: self.adaptive,
-            started: self.started,
-        }
     }
 }
 
@@ -719,9 +673,6 @@ impl Persist for EvtHpSnapshot {
     }
 }
 
-// The mirror cells persist through the saver's alias table, so the
-// consensus half decoded from the same byte stream comes out re-seated
-// onto the identical rebuilt cells (see `homonym_core::wire`).
 homonym_core::persist_fields!(EvtHpProcess {
     h_omega,
     round,
@@ -731,8 +682,6 @@ homonym_core::persist_fields!(EvtHpProcess {
     covering,
     changes,
     snapshot,
-    evt_mirror,
-    omega_mirror,
     published,
     adaptive,
     started

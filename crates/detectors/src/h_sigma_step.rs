@@ -19,7 +19,6 @@
 use homonym_core::classes::{HSigmaOutput, Label};
 use homonym_core::identity::Identity;
 use homonym_core::multiset::Multiset;
-use homonym_core::query::SharedCell;
 use homonym_core::time::Span;
 use homonym_sim::process::{ActionSink, Process, TimerTag};
 
@@ -30,12 +29,11 @@ pub struct StepIdentMsg(pub Identity);
 const STEP: TimerTag = TimerTag(0);
 
 /// Timer-paced Figure 7 for the event engine.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct HSigmaStepProcess {
     period: Span,
     window: Vec<Identity>,
     output: HSigmaOutput,
-    mirror: Option<SharedCell<HSigmaOutput>>,
 }
 
 impl HSigmaStepProcess {
@@ -49,15 +47,7 @@ impl HSigmaStepProcess {
             period,
             window: Vec::new(),
             output: HSigmaOutput::new(),
-            mirror: None,
         }
-    }
-
-    /// Mirrors the output into `cell` after every step.
-    #[must_use]
-    pub fn with_mirror(mut self, cell: SharedCell<HSigmaOutput>) -> Self {
-        self.mirror = Some(cell);
-        self
     }
 
     /// Current `(h_quora, h_labels)`.
@@ -91,9 +81,6 @@ impl Process for HSigmaStepProcess {
             let label = Label::id_multiset(mset.clone());
             self.output.insert_quorum(label.clone(), mset);
             self.output.insert_label(label);
-            if let Some(cell) = &self.mirror {
-                cell.set(self.output.clone());
-            }
             ctx.publish(self.output.clone());
         }
         ctx.broadcast(StepIdentMsg(ctx.my_id()));

@@ -15,7 +15,6 @@
 use homonym_core::classes::{HSigmaOutput, Label};
 use homonym_core::identity::Identity;
 use homonym_core::multiset::Multiset;
-use homonym_core::query::SharedCell;
 use homonym_core::wire::{Loader, Persist, Saver, WireError};
 use homonym_sim::sync_engine::{SyncProcess, SyncSink};
 
@@ -24,11 +23,10 @@ use homonym_sim::sync_engine::{SyncProcess, SyncSink};
 pub struct IdentMsg(pub Identity);
 
 /// The Figure 7 process (lock-step).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct HSigmaSyncProcess {
     my_id: Identity,
     output: HSigmaOutput,
-    mirror: Option<SharedCell<HSigmaOutput>>,
 }
 
 impl HSigmaSyncProcess {
@@ -39,34 +37,13 @@ impl HSigmaSyncProcess {
         HSigmaSyncProcess {
             my_id,
             output: HSigmaOutput::new(),
-            mirror: None,
         }
-    }
-
-    /// Mirrors the output into `cell` after every step.
-    #[must_use]
-    pub fn with_mirror(mut self, cell: SharedCell<HSigmaOutput>) -> Self {
-        self.mirror = Some(cell);
-        self
     }
 
     /// Current `(h_quora, h_labels)`.
     #[must_use]
     pub fn output(&self) -> &HSigmaOutput {
         &self.output
-    }
-}
-
-/// Snapshot support: the output state is duplicated and the mirror cell
-/// re-seated through the fork space (see `homonym_sim::snapshot`).
-impl homonym_sim::snapshot::ForkSyncProcess for HSigmaSyncProcess {
-    fn fork_in(&self, space: &mut homonym_core::fork::ForkSpace) -> Self {
-        use homonym_core::fork::ForkState;
-        HSigmaSyncProcess {
-            my_id: self.my_id,
-            output: self.output.clone(),
-            mirror: self.mirror.as_ref().map(|c| c.fork_in(space)),
-        }
     }
 }
 
@@ -106,9 +83,6 @@ impl SyncProcess for HSigmaSyncProcess {
             trusted: u32::try_from(trusted).unwrap_or(u32::MAX),
             changed,
         });
-        if let Some(cell) = &self.mirror {
-            cell.set(self.output.clone());
-        }
         sink.publish(self.output.clone());
     }
 }
@@ -122,11 +96,7 @@ impl Persist for IdentMsg {
     }
 }
 
-homonym_core::persist_fields!(HSigmaSyncProcess {
-    my_id,
-    output,
-    mirror
-});
+homonym_core::persist_fields!(HSigmaSyncProcess { my_id, output });
 
 #[cfg(test)]
 mod tests {

@@ -23,8 +23,8 @@ use homonym_core::failure::FailureSchedule;
 use homonym_core::identity::{Identity, IdentityAssignment};
 use homonym_core::multiset::Multiset;
 use homonym_core::query::{
-    AOmegaSource, APSource, ASigmaSource, EListSource, EvtHPSource, HOmegaSource, HSigmaSource,
-    OmegaSource, SigmaSource,
+    AOmegaSource, APSource, ASigmaSource, Consumes, EListSource, EvtHPSource, HOmegaSource,
+    HSigmaSource, OmegaSource, SigmaSource,
 };
 use homonym_core::time::{Span, Time};
 
@@ -556,21 +556,18 @@ impl EListSource for EListOracle {
     }
 }
 
-// Snapshot support: an oracle is a pure function of `(time, salt, pre)`
-// over the world's precomputed tables, so a fork is a plain clone — the
-// tables stay `Arc`-shared (never deep-copied per fork) and there is no
-// mutable state to duplicate.
-macro_rules! impl_fork_state_by_clone {
+// An oracle reads the failure schedule, not a stacked detector: it takes
+// every output handed to it and keeps nothing (see
+// `homonym_core::query::Consumes`). It is a pure function of `(time,
+// salt, pre)` over the world's precomputed tables, so a clone shares the
+// tables and copies nothing else.
+macro_rules! impl_consumes_nothing {
     ($($oracle:ident),+ $(,)?) => {
-        $(impl homonym_core::fork::ForkState for $oracle {
-            fn fork_in(&self, _space: &mut homonym_core::fork::ForkSpace) -> Self {
-                self.clone()
-            }
-        })+
+        $(impl<O> Consumes<O> for $oracle {})+
     };
 }
 
-impl_fork_state_by_clone!(
+impl_consumes_nothing!(
     EvtHPOracle,
     HOmegaOracle,
     HSigmaOracle,

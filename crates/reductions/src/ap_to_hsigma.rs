@@ -15,19 +15,18 @@
 use homonym_core::classes::{HSigmaOutput, Label};
 use homonym_core::identity::Identity;
 use homonym_core::multiset::Multiset;
-use homonym_core::query::{APSource, SharedCell};
+use homonym_core::query::APSource;
 use homonym_core::time::Span;
 use homonym_sim::process::{ActionSink, Process, TimerTag};
 
 const SAMPLE: TimerTag = TimerTag(0);
 
 /// The Lemma 3 transformation process.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct APToHSigmaProcess<S> {
     ap: S,
     output: HSigmaOutput,
     period: Span,
-    mirror: Option<SharedCell<HSigmaOutput>>,
 }
 
 impl<S: APSource> APToHSigmaProcess<S> {
@@ -38,15 +37,7 @@ impl<S: APSource> APToHSigmaProcess<S> {
             ap,
             output: HSigmaOutput::new(),
             period,
-            mirror: None,
         }
-    }
-
-    /// Mirrors the output into `cell` after every sample.
-    #[must_use]
-    pub fn with_mirror(mut self, cell: SharedCell<HSigmaOutput>) -> Self {
-        self.mirror = Some(cell);
-        self
     }
 
     /// Current `(h_quora, h_labels)`.
@@ -61,9 +52,6 @@ impl<S: APSource> APToHSigmaProcess<S> {
         let bot_y: Multiset<Identity> = [(Identity::BOTTOM, y)].into_iter().collect();
         self.output.insert_label(label.clone());
         self.output.insert_quorum(label, bot_y);
-        if let Some(cell) = &self.mirror {
-            cell.set(self.output.clone());
-        }
         ctx.publish(self.output.clone());
     }
 }

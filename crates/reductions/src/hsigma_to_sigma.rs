@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use homonym_core::classes::{Label, SigmaOutput};
 use homonym_core::identity::Identity;
 use homonym_core::multiset::Multiset;
-use homonym_core::query::{EListSource, HSigmaSource, SharedCell};
+use homonym_core::query::{Consumes, EListSource, HSigmaSource};
 use homonym_core::time::Span;
 use homonym_sim::process::{ActionSink, Process, TimerTag};
 
@@ -45,14 +45,13 @@ const SAMPLE: TimerTag = TimerTag(0);
 
 /// The Figure 4 process, generic over its `HΣ` detector `D` and its class-
 /// `E` detector `X`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct HSigmaToSigmaProcess<D, X> {
     h_sigma: D,
     e_list: X,
     idents: BTreeMap<Label, BTreeSet<Identity>>,
     trusted: Option<Multiset<Identity>>,
     period: Span,
-    mirror: Option<SharedCell<SigmaOutput>>,
 }
 
 impl<D: HSigmaSource, X: EListSource> HSigmaToSigmaProcess<D, X> {
@@ -65,15 +64,7 @@ impl<D: HSigmaSource, X: EListSource> HSigmaToSigmaProcess<D, X> {
             idents: BTreeMap::new(),
             trusted: None,
             period,
-            mirror: None,
         }
-    }
-
-    /// Mirrors `trusted_p` into `cell` whenever it is assigned.
-    #[must_use]
-    pub fn with_mirror(mut self, cell: SharedCell<SigmaOutput>) -> Self {
-        self.mirror = Some(cell);
-        self
     }
 
     /// The current `trusted_p`, if assigned yet.
@@ -114,11 +105,17 @@ impl<D: HSigmaSource, X: EListSource> HSigmaToSigmaProcess<D, X> {
             .min_by_key(|m| worst_rank(m))
             .expect("nonempty")
             .clone();
-        if let Some(cell) = &self.mirror {
-            cell.set(SigmaOutput::new(best.clone()));
-        }
         ctx.publish(SigmaOutput::new(best.clone()));
         self.trusted = Some(best);
+    }
+}
+
+/// The process reads an `HΣ` and an `E` detector, and hands both what
+/// it is given.
+impl<O, D: Consumes<O>, X: Consumes<O>> Consumes<O> for HSigmaToSigmaProcess<D, X> {
+    fn consume(&mut self, output: &O) {
+        self.h_sigma.consume(output);
+        self.e_list.consume(output);
     }
 }
 

@@ -18,7 +18,9 @@
 use homonym_core::classes::{EvtHPOutput, HOmegaOutput, HSigmaOutput};
 use homonym_core::identity::Identity;
 use homonym_core::multiset::Multiset;
-use homonym_core::query::{APSource, ASigmaSource, EvtHPSource, HOmegaSource, HSigmaSource};
+use homonym_core::query::{
+    APSource, ASigmaSource, Consumes, EvtHPSource, HOmegaSource, HSigmaSource,
+};
 use homonym_core::time::Time;
 
 /// Observation 1: a detector of class `HΩ` obtained from any detector of
@@ -131,6 +133,21 @@ impl<S: ASigmaSource> HSigmaSource for ASigmaToHSigma<S> {
         out
     }
 }
+
+/// A wrapper reads through its source, so it hands an output it is
+/// given to that source: over a value, it reads the detector stacked
+/// under it.
+macro_rules! impl_consumes_through {
+    ($($wrapper:ident),+ $(,)?) => {
+        $(impl<O, S: Consumes<O>> Consumes<O> for $wrapper<S> {
+            fn consume(&mut self, output: &O) {
+                self.source.consume(output);
+            }
+        })+
+    };
+}
+
+impl_consumes_through!(EvtHPToHOmega, APToEvtHP, ASigmaToHSigma);
 
 #[cfg(test)]
 mod tests {

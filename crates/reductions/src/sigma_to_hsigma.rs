@@ -22,7 +22,7 @@ use std::collections::BTreeSet;
 use homonym_core::classes::{HSigmaOutput, Label};
 use homonym_core::identity::Identity;
 use homonym_core::multiset::Multiset;
-use homonym_core::query::{SharedCell, SigmaSource};
+use homonym_core::query::SigmaSource;
 use homonym_core::time::Span;
 use homonym_sim::process::{ActionSink, Process, TimerTag};
 
@@ -67,7 +67,7 @@ fn labels_containing(universe: &BTreeSet<Identity>, pivot: Identity) -> BTreeSet
 
 /// Figure 1 or Figure 2, selected by whether an initial membership is
 /// supplied.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SigmaToHSigmaProcess<S> {
     sigma: S,
     output: HSigmaOutput,
@@ -75,7 +75,6 @@ pub struct SigmaToHSigmaProcess<S> {
     /// `None` = Figure 2 (learn membership via `IDENT`); `Some` = Figure 1.
     known_membership: bool,
     period: Span,
-    mirror: Option<SharedCell<HSigmaOutput>>,
 }
 
 impl<S: SigmaSource> SigmaToHSigmaProcess<S> {
@@ -89,7 +88,6 @@ impl<S: SigmaSource> SigmaToHSigmaProcess<S> {
             mship: membership,
             known_membership: true,
             period,
-            mirror: None,
         }
     }
 
@@ -102,15 +100,7 @@ impl<S: SigmaSource> SigmaToHSigmaProcess<S> {
             mship: BTreeSet::new(),
             known_membership: false,
             period,
-            mirror: None,
         }
-    }
-
-    /// Mirrors the output into `cell` after every update.
-    #[must_use]
-    pub fn with_mirror(mut self, cell: SharedCell<HSigmaOutput>) -> Self {
-        self.mirror = Some(cell);
-        self
     }
 
     /// Current `(h_quora, h_labels)`.
@@ -129,9 +119,6 @@ impl<S: SigmaSource> SigmaToHSigmaProcess<S> {
         let q: Multiset<Identity> = self.sigma.sigma(ctx.local_now()).trusted;
         let label = Label::IdSet(q.to_set());
         self.output.insert_quorum(label, q);
-        if let Some(cell) = &self.mirror {
-            cell.set(self.output.clone());
-        }
         ctx.publish(self.output.clone());
     }
 }

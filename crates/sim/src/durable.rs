@@ -330,7 +330,6 @@ mod tests {
     use std::sync::Arc;
 
     use homonym_core::failure::FailureSchedule;
-    use homonym_core::fork::ForkSpace;
     use homonym_core::identity::IdentityAssignment;
     use homonym_core::time::Time;
     use homonym_core::wire::{from_bytes, to_bytes};
@@ -339,7 +338,6 @@ mod tests {
     use crate::engine::{Engine, SimConfig};
     use crate::network::NetworkModel;
     use crate::process::ActionSink;
-    use crate::snapshot::{ForkProcess, ForkSyncProcess};
     use crate::sync_engine::{SyncConfig, SyncEngine, SyncSink};
 
     /// Broadcasts one heap-owning payload at start — the kind the
@@ -357,12 +355,6 @@ mod tests {
         }
         fn on_message(&mut self, _msg: Vec<u64>, _ctx: &mut ActionSink<'_, Vec<u64>, ()>) {}
         fn on_timer(&mut self, _timer: TimerTag, _ctx: &mut ActionSink<'_, Vec<u64>, ()>) {}
-    }
-
-    impl ForkProcess for Shout {
-        fn fork_in(&self, _space: &mut ForkSpace) -> Self {
-            self.clone()
-        }
     }
 
     homonym_core::persist_fields!(Shout { me });
@@ -511,6 +503,7 @@ mod tests {
     }
 
     /// Counts what it receives.
+    #[derive(Clone)]
     struct Tally {
         heard: u64,
     }
@@ -524,12 +517,6 @@ mod tests {
         fn receive(&mut self, _step: u64, received: &mut Vec<u64>, sink: &mut SyncSink<u64>) {
             self.heard += received.len() as u64;
             sink.publish(self.heard);
-        }
-    }
-
-    impl ForkSyncProcess for Tally {
-        fn fork_in(&self, _space: &mut ForkSpace) -> Self {
-            Tally { heard: self.heard }
         }
     }
 

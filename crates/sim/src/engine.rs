@@ -40,7 +40,6 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use homonym_core::failure::FailureSchedule;
-use homonym_core::fork::ForkSpace;
 use homonym_core::identity::{Identity, IdentityAssignment};
 use homonym_core::properties::{ConsensusOutcome, History};
 use homonym_core::time::{Span, Time};
@@ -52,7 +51,7 @@ use crate::adversary::{ByzBroadcast, ByzCopy, ByzLedger, ByzantineScript, LinkFa
 use crate::network::NetworkModel;
 use crate::process::{reads, Action, ActionSink, Process, TimerTag};
 use crate::queue::CalendarQueue;
-use crate::snapshot::{EngineSnapshot, ForkProcess};
+use crate::snapshot::EngineSnapshot;
 use crate::trace::{Trace, TraceEvent};
 
 /// Why a run loop returned.
@@ -318,6 +317,7 @@ impl RunStreams {
     }
 }
 
+#[derive(Clone)]
 pub(crate) struct ProcSlot<P: Process> {
     pub(crate) proc: P,
     /// Cached `id(p)` — avoids an assignment-table chase per callback.
@@ -1119,7 +1119,7 @@ impl<P: Process> Engine<P> {
     }
 }
 
-impl<P: ForkProcess> Engine<P> {
+impl<P: Process + Clone> Engine<P> {
     /// Captures the engine's complete deterministic state — queue
     /// contents (including a partially consumed tick batch), process
     /// states, the network/adversary/Byzantine streams, metrics,
@@ -1144,12 +1144,7 @@ impl<P: ForkProcess> Engine<P> {
     /// full queue allocation per fork.
     pub fn snapshot_into(&self, snap: &mut EngineSnapshot<P>) {
         debug_assert!(self.scratch_actions.is_empty());
-        let mut space = ForkSpace::new();
-        snap.procs.clear();
-        snap.procs.extend(self.procs.iter().map(|s| ProcSlot {
-            proc: s.proc.fork_in(&mut space),
-            id: s.id,
-        }));
+        snap.procs.clone_from(&self.procs);
         snap.halted.clear();
         snap.halted
             .extend((0..self.n()).map(|p| self.halted_flag(p)));
@@ -1182,12 +1177,7 @@ impl<P: ForkProcess> Engine<P> {
     /// Panics if the snapshot's system size differs from this engine's.
     pub fn restore_from(&mut self, snap: &EngineSnapshot<P>) {
         assert_eq!(self.n(), snap.procs.len(), "snapshot size mismatch");
-        let mut space = ForkSpace::new();
-        self.procs.clear();
-        self.procs.extend(snap.procs.iter().map(|s| ProcSlot {
-            proc: s.proc.fork_in(&mut space),
-            id: s.id,
-        }));
+        self.procs.clone_from(&snap.procs);
         self.queue.clone_from(&snap.queue);
         self.seq = snap.seq;
         self.now = snap.now;
@@ -1209,7 +1199,7 @@ impl<P: ForkProcess> Engine<P> {
     /// Builds an engine for `config` directly from a snapshot, inside
     /// recycled arena allocations — the restore-per-child step of the
     /// prefix-sharing executor. No process factory runs: the processes
-    /// are forked out of the snapshot. `config` must agree with the
+    /// are cloned out of the snapshot. `config` must agree with the
     /// snapshotted run's configuration on everything consumed up to the
     /// snapshot instant (the planner's divergence computation guarantees
     /// this; same-config resumption trivially qualifies).
@@ -1283,6 +1273,7 @@ mod tests {
 
     /// Echo process: broadcasts a counter at start, re-broadcasts any value
     /// below a cap, and publishes everything it hears.
+    #[derive(Clone)]
     struct Echo {
         cap: u64,
     }
@@ -1306,12 +1297,6 @@ mod tests {
         }
 
         fn on_timer(&mut self, _t: TimerTag, _ctx: &mut ActionSink<'_, Ping, u64>) {}
-    }
-
-    impl ForkProcess for Echo {
-        fn fork_in(&self, _space: &mut ForkSpace) -> Self {
-            Echo { cap: self.cap }
-        }
     }
 
     fn small_config(n: usize) -> SimConfig {

@@ -74,7 +74,7 @@ pub use adversary::{
 pub use engine::{Engine, EngineArena, Metrics, SimConfig, StopReason};
 pub use network::{LatencyDistribution, NetworkModel, PreGstBehavior};
 pub use process::{ActionSink, Message, Process, TimerTag};
-pub use snapshot::{EngineSnapshot, ForkProcess, ForkSyncProcess, SyncSnapshot};
+pub use snapshot::{EngineSnapshot, SyncSnapshot};
 pub use stack::{split_history, Either, Stacked};
 pub use store::{
     decode_container, encode_container, fnv1a, read_verified, write_atomic, SnapshotSpool,
@@ -99,7 +99,7 @@ pub mod prelude {
     pub use crate::engine::{Engine, EngineArena, Metrics, SimConfig, StopReason};
     pub use crate::network::{LatencyDistribution, NetworkModel, PreGstBehavior};
     pub use crate::process::{ActionSink, Message, Process, TimerTag};
-    pub use crate::snapshot::{EngineSnapshot, ForkProcess, ForkSyncProcess, SyncSnapshot};
+    pub use crate::snapshot::{EngineSnapshot, SyncSnapshot};
     pub use crate::stack::{split_history, Either, Stacked};
     pub use crate::sweep::{
         config_divergence, item_divergence, parallel_seed_sweep, parallel_seed_sweep_with,

@@ -127,7 +127,7 @@ pub fn reads<P: Process>(id: Identity, msg: &P::Msg) -> bool {
 /// Public so that engines and wrapping processes (`ReferenceEngine`,
 /// `Stacked`, the replicated log's height envelope) can drain and apply
 /// them; algorithm code never constructs these directly.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum Action<M, O> {
     /// Send `m` to every process, self included.
     Broadcast(M),

@@ -22,29 +22,25 @@
 //! and decision counters are recomputed from the adopting engine's own
 //! configuration on restore to keep that sound.
 //!
-//! # Why forking is not `Clone`
+//! # A fork is a clone
 //!
-//! Process state may contain [`SharedCell`](homonym_core::query::SharedCell)
-//! handles wiring a detector half to a consensus half *within one
-//! simulated process* (see [`crate::stack::Stacked`]). Cells clone by
-//! aliasing, so a plain clone of the process would leave the copy
-//! writing into the original's cell. [`ForkProcess`] threads a
-//! [`ForkSpace`] through the process's state instead: each shared
-//! allocation is duplicated exactly once per fork and every aliasing
-//! handle is re-seated onto the duplicate, while immutable payloads
-//! (precomputed oracle tables, frozen topology) stay `Arc`-shared —
-//! snapshots are cheap because only mutable state is copied.
+//! A snapshot copies every process with `Clone` (`clone_from` when it
+//! refills one), so the engines' snapshot methods ask `P: Process +
+//! Clone`. That is sound because no process holds shared mutable state:
+//! a detector stacked under a consensus half does not share a variable
+//! with it, but hands it every output it publishes (see
+//! [`crate::stack::Stacked`]), and the consensus half keeps the reading
+//! as a plain value. What a clone does share is immutable — `Arc`
+//! payloads such as a `◇HP` bag or an oracle's precomputed tables — so
+//! the copy and the original can never observe each other, and
+//! snapshots stay cheap: only mutable state is copied.
 //!
-//! The wire codec re-seats the same cells through its alias table, so
-//! a fork *could* be an encode and a decode of the processes and
-//! histories, and a process would need [`Persist`] alone. It costs more
-//! than it saves: the decode builds a fresh allocation for every `Arc`
-//! the clone would share (each detector history entry, each `◇HP` bag)
-//! and parses every varint, so an n = 8 stack copies 2–4× slower, and the
+//! A fork is not a decode. The wire codec could copy the processes and
+//! histories too, but it builds a fresh allocation for every `Arc` the
+//! clone would share (each detector history entry, each `◇HP` bag) and
+//! parses every varint, so an n = 8 stack copies 2–4× slower, and the
 //! prefix-sharing sweep, which forks about once a run, ran ≈ 5 % slower
 //! (ROADMAP item 6 has the runs).
-//!
-//! [`Persist`]: homonym_core::wire::Persist
 //!
 //! # Allocation discipline
 //!
@@ -60,7 +56,6 @@
 
 use std::collections::BTreeMap;
 
-use homonym_core::fork::ForkSpace;
 use homonym_core::properties::History;
 use homonym_core::time::Time;
 use rand::rngs::StdRng;
@@ -72,26 +67,6 @@ use crate::engine::Metrics;
 use crate::process::Process;
 use crate::sync_engine::{SyncMetrics, SyncProcess};
 use crate::trace::Trace;
-
-/// A process whose state can be forked into an independent copy with
-/// byte-identical future behaviour (see the module docs).
-///
-/// Implementations must duplicate all mutable state, re-seat internal
-/// [`SharedCell`](homonym_core::query::SharedCell) wiring through the
-/// [`ForkSpace`], and may `Arc`-share immutable payloads. The engine's
-/// snapshot methods are available exactly for processes implementing
-/// this trait.
-pub trait ForkProcess: Process {
-    /// Forks this process inside `space`.
-    fn fork_in(&self, space: &mut ForkSpace) -> Self;
-}
-
-/// The lock-step counterpart of [`ForkProcess`], for
-/// [`SyncEngine`](crate::sync_engine::SyncEngine) snapshots.
-pub trait ForkSyncProcess: SyncProcess {
-    /// Forks this process inside `space`.
-    fn fork_in(&self, space: &mut ForkSpace) -> Self;
-}
 
 /// Captured state of an event-driven [`Engine`](crate::engine::Engine);
 /// see the module docs for the restore contract. Obtain one from

@@ -5,19 +5,30 @@
 //! consensus layer reads at will. [`Stacked`] realizes exactly that: one
 //! simulated process runs a detector half `A` and a consumer half `B`,
 //! multiplexing their messages over the shared broadcast primitive and
-//! recording both halves' published outputs. The detector half exposes its
-//! variables to the consumer half through a
-//! [`SharedCell`](homonym_core::query::SharedCell) wired at construction.
+//! recording both halves' published outputs.
+//!
+//! # Handing the detector's output over
+//!
+//! The detector publishes its variables whenever they change, and the
+//! stack hands each published output to the consumer half through
+//! [`Consumes::consume`] while it relays the detector's actions — so
+//! before the consumer's next callback runs, and during `on_start` before
+//! the consumer's own `on_start`. The consumer keeps the reading as a
+//! plain value (a consensus algorithm over an `HOmegaOutput` rather than
+//! over a handle to the detector), so nothing is shared between the
+//! halves, and a stacked process copies with `Clone`. A consumer that
+//! reads nothing takes the trait's empty default, and a stack is itself a
+//! consumer that passes what it is handed to its upper half — so in
+//! `Stacked<X, Stacked<Y, Z>>` both detectors' outputs reach `Z`.
 
 use core::fmt;
 
-use homonym_core::fork::ForkSpace;
 use homonym_core::identity::Identity;
+use homonym_core::query::Consumes;
 use homonym_core::time::Span;
 use homonym_core::wire::{Loader, Persist, Saver, WireError};
 
 use crate::process::{Action, ActionSink, Process, TimerTag};
-use crate::snapshot::ForkProcess;
 
 /// A tagged union of the two halves' messages (or outputs).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,13 +52,15 @@ impl<L: fmt::Display, R: fmt::Display> fmt::Display for Either<L, R> {
 /// implementation) and `B` (typically consensus).
 ///
 /// Timer tags are remapped (`A` on even tags, `B` on odd) so the halves can
-/// use their tag spaces independently.
+/// use their tag spaces independently. Every output `A` publishes is handed
+/// to `B` (see the module docs).
+#[derive(Clone)]
 pub struct Stacked<A: Process, B: Process> {
     a: A,
     b: B,
     /// Reused buffers for the actions of one callback of either half:
-    /// empty between callbacks, so a fork or a decoded stack starts with
-    /// fresh ones.
+    /// empty between callbacks, so a clone or a decoded stack starts with
+    /// empty ones.
     a_actions: Vec<Action<A::Msg, A::Output>>,
     b_actions: Vec<Action<B::Msg, B::Output>>,
 }
@@ -59,7 +72,7 @@ type StackSink<'a, A, B> = ActionSink<
     Either<<A as Process>::Output, <B as Process>::Output>,
 >;
 
-impl<A: Process, B: Process> Stacked<A, B> {
+impl<A: Process, B: Process + Consumes<A::Output>> Stacked<A, B> {
     /// Stacks `a` under `b`.
     pub fn new(a: A, b: B) -> Self {
         Stacked {
@@ -80,10 +93,14 @@ impl<A: Process, B: Process> Stacked<A, B> {
         &self.b
     }
 
+    /// Runs one callback of a half into `actions`, then applies them to
+    /// the outer sink, calling `hand` on each output before it is
+    /// published.
     fn relay<M0, O0>(
         ctx: &mut StackSink<'_, A, B>,
         actions: &mut Vec<Action<M0, O0>>,
         run: impl FnOnce(&mut ActionSink<'_, M0, O0>),
+        mut hand: impl FnMut(&O0),
         mut lift_msg: impl FnMut(M0) -> Either<A::Msg, B::Msg>,
         mut lift_out: impl FnMut(O0) -> Either<A::Output, B::Output>,
         mut lift_tag: impl FnMut(TimerTag) -> TimerTag,
@@ -102,7 +119,10 @@ impl<A: Process, B: Process> Stacked<A, B> {
             match action {
                 Action::Broadcast(m) => ctx.broadcast(lift_msg(m)),
                 Action::SetTimer(d, tag) => ctx.set_timer(d, lift_tag(tag)),
-                Action::Publish(o) => ctx.publish(lift_out(o)),
+                Action::Publish(o) => {
+                    hand(&o);
+                    ctx.publish(lift_out(o));
+                }
                 Action::Decide(v) => ctx.decide(v),
                 Action::Halt => ctx.halt(),
                 Action::Observe(k) => ctx.observe(|| k),
@@ -116,11 +136,12 @@ impl<A: Process, B: Process> Stacked<A, B> {
         ctx: &mut StackSink<'_, A, B>,
         f: impl FnOnce(&mut A, &mut ActionSink<'_, A::Msg, A::Output>),
     ) {
-        let a = &mut self.a;
+        let (a, b) = (&mut self.a, &mut self.b);
         Self::relay(
             ctx,
             &mut self.a_actions,
             |sub| f(a, sub),
+            |o| b.consume(o),
             Either::L,
             Either::L,
             |tag| TimerTag(tag.0 * 2),
@@ -137,6 +158,7 @@ impl<A: Process, B: Process> Stacked<A, B> {
             ctx,
             &mut self.b_actions,
             |sub| f(b, sub),
+            |_| {},
             Either::R,
             Either::R,
             |tag| TimerTag(tag.0 * 2 + 1),
@@ -144,7 +166,7 @@ impl<A: Process, B: Process> Stacked<A, B> {
     }
 }
 
-impl<A: Process, B: Process> Process for Stacked<A, B> {
+impl<A: Process, B: Process + Consumes<A::Output>> Process for Stacked<A, B> {
     type Msg = Either<A::Msg, B::Msg>;
     type Output = Either<A::Output, B::Output>;
 
@@ -192,14 +214,11 @@ impl<A: Process, B: Process> Process for Stacked<A, B> {
     }
 }
 
-/// Forking a stack forks both halves inside **one** [`ForkSpace`]: a
-/// [`SharedCell`](homonym_core::query::SharedCell) wiring the detector
-/// half to the consumer half is duplicated exactly once, and both forked
-/// halves come out re-seated onto the duplicate — the forked stack keeps
-/// its internal wiring but shares no mutable state with the original.
-impl<A: ForkProcess, B: ForkProcess> ForkProcess for Stacked<A, B> {
-    fn fork_in(&self, space: &mut ForkSpace) -> Self {
-        Stacked::new(self.a.fork_in(space), self.b.fork_in(space))
+/// A stack passes what it is handed to its upper half, the consumer:
+/// the outer lower half of a `Stacked<X, Stacked<Y, Z>>` feeds `Z`.
+impl<O, A: Process, B: Process + Consumes<O>> Consumes<O> for Stacked<A, B> {
+    fn consume(&mut self, output: &O) {
+        self.b.consume(output);
     }
 }
 
@@ -235,11 +254,7 @@ impl Process for Idle {
     fn on_timer(&mut self, _timer: TimerTag, _ctx: &mut ActionSink<'_, (), ()>) {}
 }
 
-impl ForkProcess for Idle {
-    fn fork_in(&self, _space: &mut ForkSpace) -> Self {
-        Idle
-    }
-}
+impl<O> Consumes<O> for Idle {}
 
 /// A process that repeatedly re-arms a tick timer; handy in tests that need
 /// periodic activity from one half.
@@ -263,11 +278,7 @@ impl Ticker {
     }
 }
 
-impl ForkProcess for Ticker {
-    fn fork_in(&self, _space: &mut ForkSpace) -> Self {
-        *self
-    }
-}
+impl<O> Consumes<O> for Ticker {}
 
 impl Process for Ticker {
     type Msg = ();
@@ -311,15 +322,14 @@ impl<L: Persist, R: Persist> Persist for Either<L, R> {
     }
 }
 
-/// Both halves encode through **one** saver, so a
-/// [`SharedCell`](homonym_core::query::SharedCell) wiring the detector
-/// half to the consumer half round-trips as one rebuilt cell with both
-/// decoded halves re-seated onto it — the codec counterpart of
-/// [`Stacked`]'s `fork_in`.
+/// A stack is its two halves, lower first, through one saver (so an `Arc`
+/// both halves hold is written once). The action buffers are empty
+/// between callbacks and decode empty; the consumer's reading of the
+/// detector is part of the consumer.
 impl<A, B> Persist for Stacked<A, B>
 where
     A: Process + Persist,
-    B: Process + Persist,
+    B: Process + Consumes<A::Output> + Persist,
 {
     fn save(&self, s: &mut Saver) {
         self.a.save(s);
@@ -376,6 +386,131 @@ mod tests {
             _ctx: &mut ActionSink<'_, &'static str, &'static str>,
         ) {
         }
+    }
+
+    impl Consumes<&'static str> for Chatter {}
+
+    /// Publishes `1` at start, then two outputs at every timer.
+    #[derive(Debug)]
+    struct Speaker {
+        said: u64,
+    }
+
+    impl Process for Speaker {
+        type Msg = ();
+        type Output = u64;
+
+        fn on_start(&mut self, ctx: &mut ActionSink<'_, (), u64>) {
+            self.said = 1;
+            ctx.publish(self.said);
+            ctx.set_timer(Span::from_ticks(2), TimerTag(0));
+        }
+
+        fn on_message(&mut self, _msg: (), _ctx: &mut ActionSink<'_, (), u64>) {}
+
+        fn on_timer(&mut self, _timer: TimerTag, ctx: &mut ActionSink<'_, (), u64>) {
+            for _ in 0..2 {
+                self.said += 1;
+                ctx.publish(self.said);
+            }
+            ctx.set_timer(Span::from_ticks(2), TimerTag(0));
+        }
+    }
+
+    /// Keeps every output it is handed, and publishes at each of its
+    /// own callbacks how many it has been handed so far.
+    #[derive(Debug, Default)]
+    struct Listener {
+        heard: Vec<u64>,
+    }
+
+    impl Consumes<u64> for Listener {
+        fn consume(&mut self, output: &u64) {
+            self.heard.push(*output);
+        }
+    }
+
+    impl Consumes<()> for Listener {}
+
+    impl Process for Listener {
+        type Msg = ();
+        type Output = usize;
+
+        fn on_start(&mut self, ctx: &mut ActionSink<'_, (), usize>) {
+            ctx.publish(self.heard.len());
+            ctx.set_timer(Span::from_ticks(3), TimerTag(0));
+        }
+
+        fn on_message(&mut self, _msg: (), _ctx: &mut ActionSink<'_, (), usize>) {}
+
+        fn on_timer(&mut self, _timer: TimerTag, ctx: &mut ActionSink<'_, (), usize>) {
+            ctx.publish(self.heard.len());
+            ctx.set_timer(Span::from_ticks(3), TimerTag(0));
+        }
+    }
+
+    /// Checks one run's history of a speaker stacked (however deep) under
+    /// a listener: `said` is what the speaker published and `counts` what
+    /// the listener did, in the order the engine recorded them. At each
+    /// of its callbacks — its `on_start` included — the listener has been
+    /// handed exactly what the speaker published before, in order.
+    fn assert_handed_over_in_order(history: &[Either<u64, usize>], heard: &[u64]) {
+        let said: Vec<u64> = history
+            .iter()
+            .filter_map(|o| match o {
+                Either::L(v) => Some(*v),
+                Either::R(_) => None,
+            })
+            .collect();
+        assert_eq!(heard, &said[..heard.len()], "handed over in order");
+        let mut before = 0;
+        let mut counts = Vec::new();
+        for o in history {
+            match o {
+                Either::L(_) => before += 1,
+                Either::R(count) => {
+                    assert_eq!(*count, before, "stale at a callback");
+                    counts.push(*count);
+                }
+            }
+        }
+        assert_eq!(counts.first(), Some(&1), "on_start sees the lower on_start");
+        assert!(counts.len() >= 5 && said.len() >= 10, "the run did little");
+    }
+
+    fn one_process() -> SimConfig {
+        SimConfig::new(
+            IdentityAssignment::unique(1),
+            FailureSchedule::none(1),
+            NetworkModel::reliable(Span::TICK),
+        )
+    }
+
+    #[test]
+    fn the_upper_half_is_handed_every_output_before_its_next_callback() {
+        let mut e = Engine::new(one_process(), |_, _| {
+            Stacked::new(Speaker { said: 0 }, Listener::default())
+        });
+        e.run_until(Time::from_ticks(20));
+        let history: Vec<_> = e.histories()[0].iter().map(|(_, o)| o.clone()).collect();
+        assert_handed_over_in_order(&history, &e.process(0).upper().heard);
+    }
+
+    #[test]
+    fn a_nested_stack_hands_the_outer_lower_half_to_the_inner_upper() {
+        let mut e = Engine::new(one_process(), |_, _| {
+            Stacked::new(Speaker { said: 0 }, Stacked::new(Idle, Listener::default()))
+        });
+        e.run_until(Time::from_ticks(20));
+        let history: Vec<_> = e.histories()[0]
+            .iter()
+            .filter_map(|(_, o)| match o {
+                Either::L(v) => Some(Either::L(*v)),
+                Either::R(Either::R(count)) => Some(Either::R(*count)),
+                Either::R(Either::L(())) => None,
+            })
+            .collect();
+        assert_handed_over_in_order(&history, &e.process(0).upper().upper().heard);
     }
 
     #[test]

@@ -341,8 +341,10 @@ impl SpillHandle {
 /// published in place of its mirrors-lag flag. 5: the `◇HP` detector
 /// keeps its held replies as a count and change points, not a list. 6: a
 /// process slot carries no random stream, the `◇HP` detector its bag
-/// once, and the queue its ticks and sequence numbers as deltas.
-pub const SPOOL_SCHEMA: u32 = 6;
+/// once, and the queue its ticks and sequence numbers as deltas. 7: the
+/// `◇HP` detector lost its two mirror tags (a stacked consumer is handed
+/// the detector's output instead).
+pub const SPOOL_SCHEMA: u32 = 7;
 
 impl SnapshotSpool {
     /// A spool rooted at `dir` (created if absent) keeping at most

@@ -43,7 +43,7 @@ use crate::adversary::{ByzClause, ByzantineScript, LinkClause, LinkEffect, LinkF
 use crate::engine::{Engine, EngineArena, SimConfig, StopReason};
 use crate::network::NetworkModel;
 use crate::process::Process;
-use crate::snapshot::{EngineSnapshot, ForkProcess};
+use crate::snapshot::EngineSnapshot;
 use crate::store::{SnapshotSpool, SpoolStats};
 
 /// Runs `run(seed)` for seeds `0..seeds` across all cores, preserving
@@ -367,7 +367,7 @@ pub struct ForkStats {
 }
 
 /// A branch-point snapshot on the sweeper's DFS stack.
-struct StackSnap<P: ForkProcess> {
+struct StackSnap<P: Process + Clone> {
     /// Items diverging at or after this tick may restore from here.
     covers_to: u64,
     /// The tick the snapshotted run actually reached — the run's clock
@@ -384,7 +384,7 @@ struct StackSnap<P: ForkProcess> {
 // because `Ram` is big. Boxing `Ram` would add a heap hop to the common
 // (spilling-disabled) path to shrink an enum that lives in one `Vec`.
 #[allow(clippy::large_enum_variant)]
-enum SnapStore<P: ForkProcess> {
+enum SnapStore<P: Process + Clone> {
     /// Resident in RAM. `bytes` is the snapshot's encoded size — the
     /// budget accounting unit — when spilling is enabled, zero
     /// otherwise (never measured, never spilled).
@@ -399,13 +399,13 @@ enum SnapStore<P: ForkProcess> {
 /// the bound exists only on [`PrefixSweeper::enable_spill`], which
 /// captures these two instantiated fn pointers. Stacks without a wire
 /// codec keep using the sweeper exactly as before, all in RAM.
-struct SpillCodec<P: ForkProcess> {
+struct SpillCodec<P: Process + Clone> {
     enc: fn(&EngineSnapshot<P>) -> Vec<u8>,
     dec: fn(&[u8]) -> Result<EngineSnapshot<P>, WireError>,
 }
 
 /// Spill state: the codec, the disk spool and the RAM-residency account.
-struct Spill<P: ForkProcess> {
+struct Spill<P: Process + Clone> {
     codec: SpillCodec<P>,
     spool: SnapshotSpool,
     /// Encoded bytes of all RAM-resident stack snapshots.
@@ -423,7 +423,7 @@ struct Spill<P: ForkProcess> {
 /// ([`Engine::snapshot_into`](crate::engine::Engine::snapshot_into)) and
 /// every engine is rebuilt inside the recycled arena, so steady-state
 /// forking performs no queue/history (re)allocation.
-pub struct PrefixSweeper<P: ForkProcess> {
+pub struct PrefixSweeper<P: Process + Clone> {
     arena: EngineArena<P>,
     stack: Vec<StackSnap<P>>,
     spare: Vec<EngineSnapshot<P>>,
@@ -433,7 +433,7 @@ pub struct PrefixSweeper<P: ForkProcess> {
     pub stats: ForkStats,
 }
 
-impl<P: ForkProcess> PrefixSweeper<P> {
+impl<P: Process + Clone> PrefixSweeper<P> {
     /// A sweeper with cold pools.
     #[must_use]
     pub fn new() -> Self {
@@ -459,13 +459,13 @@ impl<P: ForkProcess> PrefixSweeper<P> {
     where
         EngineSnapshot<P>: Persist,
     {
-        fn enc<P: ForkProcess>(snap: &EngineSnapshot<P>) -> Vec<u8>
+        fn enc<P: Process + Clone>(snap: &EngineSnapshot<P>) -> Vec<u8>
         where
             EngineSnapshot<P>: Persist,
         {
             wire::to_bytes(snap)
         }
-        fn dec<P: ForkProcess>(bytes: &[u8]) -> Result<EngineSnapshot<P>, WireError>
+        fn dec<P: Process + Clone>(bytes: &[u8]) -> Result<EngineSnapshot<P>, WireError>
         where
             EngineSnapshot<P>: Persist,
         {
@@ -692,7 +692,7 @@ impl<P: ForkProcess> PrefixSweeper<P> {
     }
 }
 
-impl<P: ForkProcess> Default for PrefixSweeper<P> {
+impl<P: Process + Clone> Default for PrefixSweeper<P> {
     fn default() -> Self {
         PrefixSweeper::new()
     }
@@ -790,7 +790,7 @@ impl<C: Sync> PrefixTree<C> {
         extract: impl Fn(&mut Engine<P>, &PrefixItem<C>) -> R + Sync,
     ) -> (Vec<R>, ForkStats)
     where
-        P: ForkProcess,
+        P: Process + Clone,
         R: Send,
     {
         let groups = self.groups();
@@ -1060,12 +1060,6 @@ mod tests {
                 homonym_core::time::Span::from_ticks(7),
                 crate::process::TimerTag(0),
             );
-        }
-    }
-
-    impl ForkProcess for Pulse {
-        fn fork_in(&self, _space: &mut homonym_core::fork::ForkSpace) -> Self {
-            *self
         }
     }
 

@@ -28,11 +28,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use homonym_core::fork::ForkSpace;
-
 use crate::adversary::{ByzBroadcast, ByzCopy, ByzLedger, ByzantineScript, LinkFaultScript};
 use crate::process::Message;
-use crate::snapshot::{ForkSyncProcess, SyncSnapshot};
+use crate::snapshot::SyncSnapshot;
 
 /// A program executed in lock-step synchronous rounds.
 pub trait SyncProcess: Send + 'static {
@@ -591,7 +589,7 @@ impl<P: SyncProcess> SyncEngine<P> {
     }
 }
 
-impl<P: ForkSyncProcess> SyncEngine<P> {
+impl<P: SyncProcess + Clone> SyncEngine<P> {
     /// Captures the engine's complete deterministic state between steps
     /// — process states, halt flags, the shuffle and adversary RNG
     /// streams, deferred (partition-held) copies, metrics, histories and
@@ -599,9 +597,8 @@ impl<P: ForkSyncProcess> SyncEngine<P> {
     /// step; see [`crate::snapshot`] for the contract.
     #[must_use]
     pub fn snapshot(&self) -> SyncSnapshot<P> {
-        let mut space = ForkSpace::new();
         SyncSnapshot {
-            procs: self.procs.iter().map(|p| p.fork_in(&mut space)).collect(),
+            procs: self.procs.clone(),
             halted: self.halted.clone(),
             step: self.step,
             rng: self.rng.clone(),
@@ -624,10 +621,7 @@ impl<P: ForkSyncProcess> SyncEngine<P> {
     /// Panics if the snapshot's system size differs from this engine's.
     pub fn restore_from(&mut self, snap: &SyncSnapshot<P>) {
         assert_eq!(self.n(), snap.procs.len(), "snapshot size mismatch");
-        let mut space = ForkSpace::new();
-        self.procs.clear();
-        self.procs
-            .extend(snap.procs.iter().map(|p| p.fork_in(&mut space)));
+        self.procs.clone_from(&snap.procs);
         self.halted.clone_from(&snap.halted);
         self.step = snap.step;
         self.rng = snap.rng.clone();

@@ -37,7 +37,7 @@ fn run_once(gst: u64, seed: u64) -> (Option<Time>, Option<Time>) {
         },
     };
     let proposals: Vec<u64> = (0..n as u64).collect();
-    // The full stack (Figure 6 ◇HP/HΩ mirrored into Figure 8 majority
+    // The full stack (Figure 6 ◇HP/HΩ handing HΩ to Figure 8 majority
     // consensus) is the session API's `fig8` stack.
     let mut session = SessionBuilder::new(n, 3)
         .with_seed(seed)

@@ -28,22 +28,23 @@ use homonym::reductions::{APToEvtHP, APToHSigmaProcess, EvtHPToHOmega};
 
 type Mote = Stacked<
     APToHSigmaProcess<APOracle>,
-    QuorumConsensus<EvtHPToHOmega<APToEvtHP<APOracle>>, SharedCell<HSigmaOutput>>,
+    QuorumConsensus<EvtHPToHOmega<APToEvtHP<APOracle>>, HSigmaOutput>,
 >;
 
 fn mote(world: &OracleWorld, reading: u64) -> Mote {
     // The only primitive detector: AP with a 5-tick staleness lag.
     let ap = world.ap(Span::from_ticks(5));
 
-    // Lemma 3: AP → HΣ, a stateful but communication-free process.
-    let cell: SharedCell<HSigmaOutput> = SharedCell::new(HSigmaOutput::new());
-    let h_sigma = APToHSigmaProcess::new(ap.clone(), Span::from_ticks(2)).with_mirror(cell.clone());
+    // Lemma 3: AP → HΣ, a stateful but communication-free process; the
+    // stack hands each HΣ output it publishes to the consensus half.
+    let h_sigma = APToHSigmaProcess::new(ap.clone(), Span::from_ticks(2));
 
     // Lemma 2 + Observation 1: AP → ◇HP → HΩ, pure wrappers.
     let h_omega = EvtHPToHOmega::new(APToEvtHP::new(ap));
 
     // Figure 9: consensus from (HΩ, HΣ); neither n nor t is known.
-    let consensus = QuorumConsensus::new(reading, h_omega, cell).with_tick(Span::from_ticks(2));
+    let consensus =
+        QuorumConsensus::new(reading, h_omega, HSigmaOutput::new()).with_tick(Span::from_ticks(2));
     Stacked::new(h_sigma, consensus)
 }
 

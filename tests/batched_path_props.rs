@@ -172,6 +172,7 @@ fn run_both<P: Process>(
 }
 
 /// Keeps talking for the whole run: a broadcast every three ticks.
+#[derive(Clone)]
 struct Ticker {
     sent: u64,
 }
@@ -190,12 +191,6 @@ impl Process for Ticker {
         self.sent += 1;
         ctx.broadcast(self.sent);
         ctx.set_timer(Span::from_ticks(3), t);
-    }
-}
-
-impl ForkProcess for Ticker {
-    fn fork_in(&self, _space: &mut ForkSpace) -> Self {
-        Ticker { sent: self.sent }
     }
 }
 

@@ -12,20 +12,15 @@ use homonym::detectors::evt_hp::EvtHpProcess;
 use homonym::detectors::h_sigma_step::HSigmaStepProcess;
 use homonym::prelude::*;
 
-type Node = Stacked<
-    HSigmaStepProcess,
-    Stacked<EvtHpProcess, QuorumConsensus<SharedCell<HOmegaOutput>, SharedCell<HSigmaOutput>>>,
->;
+type Node =
+    Stacked<HSigmaStepProcess, Stacked<EvtHpProcess, QuorumConsensus<HOmegaOutput, HSigmaOutput>>>;
 
 fn node(proposal: u64) -> Node {
-    let sigma_cell: SharedCell<HSigmaOutput> = SharedCell::new(HSigmaOutput::new());
-    let omega_cell: SharedCell<HOmegaOutput> =
-        SharedCell::new(HOmegaOutput::new(Identity::BOTTOM, 1));
-    let h_sigma = HSigmaStepProcess::new(Span::from_ticks(2)).with_mirror(sigma_cell.clone());
-    let h_omega = EvtHpProcess::new().with_h_omega_mirror(omega_cell.clone());
+    let omega = HOmegaOutput::new(Identity::BOTTOM, 1);
     let consensus =
-        QuorumConsensus::new(proposal, omega_cell, sigma_cell).with_tick(Span::from_ticks(2));
-    Stacked::new(h_sigma, Stacked::new(h_omega, consensus))
+        QuorumConsensus::new(proposal, omega, HSigmaOutput::new()).with_tick(Span::from_ticks(2));
+    let h_sigma = HSigmaStepProcess::new(Span::from_ticks(2));
+    Stacked::new(h_sigma, Stacked::new(EvtHpProcess::new(), consensus))
 }
 
 fn run_combined(

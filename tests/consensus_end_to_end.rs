@@ -67,12 +67,10 @@ fn anonymous_ap_pipeline_feeds_fig9_beyond_majority() {
         .with_deadline_ticks(300_000)
         .build(|p, _| {
             let ap = world.ap(Span::from_ticks(5));
-            let cell: SharedCell<HSigmaOutput> = SharedCell::new(HSigmaOutput::new());
-            let h_sigma =
-                APToHSigmaProcess::new(ap.clone(), Span::from_ticks(2)).with_mirror(cell.clone());
+            let h_sigma = APToHSigmaProcess::new(ap.clone(), Span::from_ticks(2));
             let h_omega = EvtHPToHOmega::new(APToEvtHP::new(ap));
-            let consensus =
-                QuorumConsensus::new(props[p], h_omega, cell).with_tick(Span::from_ticks(2));
+            let consensus = QuorumConsensus::new(props[p], h_omega, HSigmaOutput::new())
+                .with_tick(Span::from_ticks(2));
             Stacked::new(h_sigma, consensus)
         });
     session.run();

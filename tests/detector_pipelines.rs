@@ -31,11 +31,10 @@ fn fig3_e_list_feeds_fig4_reduction() {
     .with_seed(5);
     let w = world.clone();
     let mut engine = Engine::new(cfg, move |p, _| {
-        let cell: SharedCell<EListOutput> = SharedCell::new(EListOutput::new());
-        let e_list = EListProcess::new(Span::from_ticks(2)).with_mirror(cell.clone());
+        let e_list = EListProcess::new(Span::from_ticks(2));
         let fig4 = HSigmaToSigmaProcess::new(
             w.h_sigma_for(p, PreStability::Truthful),
-            cell,
+            EListOutput::new(),
             Span::from_ticks(3),
         );
         Stacked::new(e_list, fig4)

@@ -20,6 +20,7 @@ use proptest::prelude::*;
 
 /// Chatty process: broadcasts at start and echoes every value once, so
 /// the queue holds in-flight traffic at any snapshot instant.
+#[derive(Clone)]
 struct Echo {
     cap: u64,
 }
@@ -42,13 +43,8 @@ impl Process for Echo {
     fn on_timer(&mut self, _t: TimerTag, _ctx: &mut ActionSink<'_, u64, u64>) {}
 }
 
-impl ForkProcess for Echo {
-    fn fork_in(&self, _space: &mut ForkSpace) -> Self {
-        Echo { cap: self.cap }
-    }
-}
-
 /// Lock-step counter with private state, so sync forks carry state over.
+#[derive(Clone)]
 struct StepCounter {
     heard: u64,
 }
@@ -66,12 +62,6 @@ impl SyncProcess for StepCounter {
         self.heard += received.len() as u64;
         sink.publish(self.heard);
         received.clear();
-    }
-}
-
-impl ForkSyncProcess for StepCounter {
-    fn fork_in(&self, _space: &mut ForkSpace) -> Self {
-        StepCounter { heard: self.heard }
     }
 }
 
@@ -207,9 +197,9 @@ proptest! {
         prop_assert_eq!(&event_state(&second), &expected);
     }
 
-    /// Event engine, full Figure 6 + Figure 8 stack: forking re-seats
-    /// the detector→consensus shared cell, so the restored stack's
-    /// decisions and traces match the uninterrupted run's — and keep
+    /// Event engine, full Figure 6 + Figure 8 stack: a fork clones the
+    /// consensus half's reading of the detector with it, so the restored
+    /// stack's decisions and traces match the uninterrupted run's — and keep
     /// matching after a second fork taken from the restored run.
     #[test]
     fn snapshot_restore_is_byte_identical_consensus_stack(

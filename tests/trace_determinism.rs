@@ -7,7 +7,7 @@ use homonym::detectors::evt_hp::{EvtHpMsg, EvtHpProcess};
 use homonym::prelude::*;
 use homonym::sim::reference::ReferenceEngine;
 
-type Node = Stacked<EvtHpProcess, MajorityConsensus<HOmegaPolicy<SharedCell<HOmegaOutput>>>>;
+type Node = Stacked<EvtHpProcess, MajorityConsensus<HOmegaPolicy<HOmegaOutput>>>;
 
 fn classify(msg: &Either<EvtHpMsg, Fig8Msg>) -> &'static str {
     match msg {
@@ -36,11 +36,10 @@ fn config(seed: u64, network: NetworkModel) -> SimConfig {
 
 fn node(p: usize, _id: Identity) -> Node {
     let proposals: [u64; 4] = [9, 5, 7, 3];
-    let cell: SharedCell<HOmegaOutput> = SharedCell::new(HOmegaOutput::new(Identity::BOTTOM, 1));
-    let detector = EvtHpProcess::new().with_h_omega_mirror(cell.clone());
-    let consensus = MajorityConsensus::new(proposals[p], 4, 1, HOmegaPolicy(cell))
+    let reading = HOmegaOutput::new(Identity::BOTTOM, 1);
+    let consensus = MajorityConsensus::new(proposals[p], 4, 1, HOmegaPolicy(reading))
         .with_tick(Span::from_ticks(2));
-    Stacked::new(detector, consensus)
+    Stacked::new(EvtHpProcess::new(), consensus)
 }
 
 fn run_on(seed: u64, network: NetworkModel) -> (Trace, Vec<Option<(Time, u64)>>) {

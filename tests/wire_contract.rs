@@ -3,9 +3,9 @@
 //!
 //! * **fixed point** — what a snapshot's bytes decode to encodes to the
 //!   same bytes, for the n = 32 `◇HP` detector the `durable_cycle`
-//!   workload checkpoints, for the Figure 8 stack, whose
-//!   `SharedCell` mirrors and `Arc` payloads number themselves in one
-//!   index space, for the tolerant stack with a grace-deadline timer
+//!   workload checkpoints, for the Figure 8 stack, whose consensus half
+//!   holds the detector's last `HΩ` output as a plain value, for the
+//!   tolerant stack with a grace-deadline timer
 //!   armed, and for the log service over it, cut mid-height;
 //! * **sharing survives** — history entries that shared one `◇HP` bag
 //!   before a round trip share one after it;
@@ -40,17 +40,14 @@ use homonym::consensus::{
 };
 use homonym::core::classes::HOmegaOutput;
 use homonym::core::failure::FailureSchedule;
-use homonym::core::fork::ForkSpace;
 use homonym::core::identity::{Identity, IdentityAssignment};
 use homonym::core::properties::History;
-use homonym::core::query::SharedCell;
 use homonym::core::time::{Span, Time};
 use homonym::core::wire::{self, Loader, Persist, WireError};
 use homonym::detectors::{EvtHpMsg, EvtHpProcess, EvtHpSnapshot};
 use homonym::sim::{
     decode_container, encode_container, read_verified, ActionSink, CommandQueue, Either, Engine,
-    EngineArena, EngineSnapshot, ForkProcess, NetworkModel, Process, SimConfig, TimerTag,
-    WorkloadConfig,
+    EngineArena, EngineSnapshot, NetworkModel, Process, SimConfig, TimerTag, WorkloadConfig,
 };
 use proptest::prelude::*;
 
@@ -103,7 +100,7 @@ fn log_at() -> Engine<RsmNode> {
 /// snapshot.
 fn assert_fixed_point<P>(e: &Engine<P>, what: &str)
 where
-    P: ForkProcess,
+    P: Process + Clone,
     EngineSnapshot<P>: Persist,
 {
     let bytes = wire::to_bytes(&e.snapshot());
@@ -250,12 +247,6 @@ impl Process for Alarms {
     }
     fn on_message(&mut self, _msg: (), _ctx: &mut ActionSink<'_, (), ()>) {}
     fn on_timer(&mut self, _timer: TimerTag, _ctx: &mut ActionSink<'_, (), ()>) {}
-}
-
-impl ForkProcess for Alarms {
-    fn fork_in(&self, _space: &mut ForkSpace) -> Self {
-        self.clone()
-    }
 }
 
 homonym::core::persist_fields!(Alarms { delays });
@@ -779,7 +770,7 @@ proptest! {
         stack in stack_msg(),
         entropy in edgy(),
     ) {
-        type Fig8 = MajorityConsensus<HOmegaPolicy<SharedCell<HOmegaOutput>>>;
+        type Fig8 = MajorityConsensus<HOmegaPolicy<HOmegaOutput>>;
         forgery_is_total::<EvtHpProcess>(&evt_hp, entropy, kept_evt_hp)?;
         forgery_is_total::<Fig8>(&fig8, entropy, kept_fig8)?;
         forgery_is_total::<ByzQuorumConsensus>(&byz, entropy, kept_byz)?;
