@@ -380,15 +380,22 @@ impl<'a> Loader<'a> {
     ///
     /// As [`Loader::len`].
     pub fn seq<T>(&mut self) -> Result<(usize, Vec<T>), WireError> {
+        let n = self.len()?;
+        Ok((n, self.vec_for(n)))
+    }
+
+    /// An empty vector for `n` elements of `T` about to be decoded, its
+    /// reservation capped as [`Loader::seq`]'s is: at the memory the
+    /// remaining input could pay for.
+    #[must_use]
+    pub fn vec_for<T>(&self, n: usize) -> Vec<T> {
         const {
             assert!(
                 std::mem::size_of::<T>() != 0,
                 "a sequence of zero-byte elements has no checkable length"
             );
         }
-        let n = self.len()?;
-        let reserve = n.min(self.left() / std::mem::size_of::<T>());
-        Ok((n, Vec::with_capacity(reserve)))
+        Vec::with_capacity(n.min(self.left() / std::mem::size_of::<T>()))
     }
 
     /// Asserts the whole input was consumed.

@@ -39,30 +39,43 @@
 //!
 //! A round end (lines 12-17) reads one thing from the replies a process
 //! holds: the multiset of sender identifiers whose interval covers
-//! `r_p`. The process keeps exactly that, as a count and where it moves:
+//! `r_p`. The process keeps exactly that, per label, as a frontier:
 //!
-//! * per label with replies covering `r_p`, how many, and how many of
-//!   those end with it (`to = r_p`);
-//! * the change points `(round, label, (starts, ends))` after `r_p`: a
-//!   reply `[from, to]` starts at `from` and ends at `to + 1`.
+//! * how many of the label's held replies cover `r_p`;
+//! * the label's change points after `r_p`, in round order, each a round
+//!   and the signed net by which the count moves there. A reply
+//!   `[from, to]` adds one at `from` — on the count itself when
+//!   `from ≤ r_p` — and takes one away at `to + 1`; a point that nets
+//!   zero goes.
 //!
-//! A reply that already covers `r_p` is one more on the count; one that
-//! starts at `r_p + 1` where a reply of the same label ends with `r_p`
-//! continues it; any other starts at `from`. A start and an end of one
-//! label at one round cancel, so replies in a row from one replier are
-//! one run whichever order they arrive in — Figure 6 lets a *sender*
-//! cover a whole round interval with one `P_REPLY` so that one message
-//! serves every homonymous poller, and this is the receiver-side dual. A
-//! round end reads the bag off the count (rebuilding `h_trusted_p` only
-//! when they differ), drops what ended with the round, applies the
-//! change points of the next one and drains them.
+//! A continuation `[b + 1, c]` of a replier's run cancels the run's end
+//! at `b + 1` and puts one at `c + 1`, so replies in a row from one
+//! replier are one run whichever order they arrive in — Figure 6 lets a
+//! *sender* cover a whole round interval with one `P_REPLY` so that one
+//! message serves every homonymous poller, and this is the receiver-side
+//! dual.
+//!
+//! A label's count and points sit together in one slot of a table, every
+//! slot with room for as many points, a small label's slot at its own
+//! index. What a reply costs: it finds its label's slot without a search,
+//! adds to the count or looks through the slot's points from the back,
+//! and moves at most the points after the one it touches. A reply nearly
+//! always ends at or after every point its label has, so the look stops
+//! at the last point or the one before it. What a round end costs: one
+//! walk over the slots, which reads the bag off the counts (rebuilding
+//! `h_trusted_p` only when they differ) and adds each label's first
+//! point to its count when that point lies at `r_p + 1`. On the n = 32
+//! detector run `durable_cycle` checkpoints, no label ever has more than
+//! two points. When a reply finds its label's slot with fewer than two
+//! free, every slot doubles its room; a label without a small index (`⊥`
+//! among them) has a slot after the indexed ones, found by a scan.
 //!
 //! This is exact. The count a label has at round `r` is the number of
 //! its held intervals covering `r`; a difference array stores that
-//! function, and merging adjacent runs leaves it as it was. Rounds only
-//! grow, so nothing before `r_p` is ever read again. The timeout
-//! adaptation (lines 33-34) is evaluated before the reply is held and is
-//! untouched.
+//! function — the count at `r_p` and the nets after it — and merging
+//! adjacent runs leaves it as it was. Rounds only grow, so nothing
+//! before `r_p` is ever read again. The timeout adaptation (lines 33-34)
+//! is evaluated before the reply is held and is untouched.
 //!
 //! It stays bounded, which a list of replies did not. Two carriers of
 //! one label adapt different `timeout_p` — each counts its *own* late
@@ -274,17 +287,325 @@ impl Consumes<EvtHpSnapshot> for HSigmaOutput {}
 
 const ROUND: TimerTag = TimerTag(0);
 
-/// Identifiers below this use the direct-indexed membership table.
-const MSHIP_DENSE: u64 = 256;
+/// Identifiers below this use direct-indexed tables: the membership's
+/// `latest_r`, and the held replies' slots.
+const DENSE: u64 = 256;
+
+/// Points a slot of the held replies has room for when it is made.
+const STRIDE: u32 = 4;
+
+/// One cell of the held replies. A label's slot is a head — `key` the
+/// label, `net` its count covering `r_p`, `len` how many points follow —
+/// and room for `stride` points, of which the first `len` are used: `key`
+/// a round after `r_p`, `net` what the count moves by there.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Cell {
+    key: u64,
+    net: i32,
+    len: u32,
+}
+
+/// The replies a process holds, as the round end reads them ("What a
+/// process holds"): a slot of `stride + 1` [`Cell`]s per label, in label
+/// order. The first `dense` slots are direct-indexed — a label below
+/// [`DENSE`] at slot `label` — and one slot follows per other label. A
+/// slot, once made, stays, holding nothing when no reply of its label
+/// is held (as the membership keeps every identifier it answered).
+#[derive(Debug)]
+struct Held {
+    cells: Vec<Cell>,
+    dense: u32,
+    /// Points every slot has room for: doubled when a reply finds its
+    /// label's slot with fewer than two free, never shrunk.
+    stride: u32,
+}
+
+impl Held {
+    const fn new() -> Self {
+        Held {
+            cells: Vec::new(),
+            dense: 0,
+            stride: STRIDE,
+        }
+    }
+
+    /// Cells a slot takes.
+    fn width(&self) -> usize {
+        self.stride as usize + 1
+    }
+
+    /// The labels with replies covering `r_p`, in label order, and how
+    /// many each.
+    fn counts(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
+        let heads = self.cells.chunks_exact(self.width()).map(|slot| slot[0]);
+        heads
+            .filter(|head| head.net > 0)
+            .map(|head| (head.key, head.net as usize))
+    }
+
+    /// Runs held: the replies covering `r_p` and the points where more
+    /// start ([`EvtHpProcess::pending_len`]).
+    fn runs(&self) -> usize {
+        let runs = |slot: &[Cell]| {
+            let starts = slot[1..=slot[0].len as usize].iter();
+            slot[0].net as usize + starts.map(|p| p.net.max(0) as usize).sum::<usize>()
+        };
+        self.cells.chunks_exact(self.width()).map(runs).sum()
+    }
+
+    /// Holds a reply `[from, to]` at round `r ≤ to`: one more for
+    /// `sender` over those rounds, on its count now or at a point later,
+    /// and one fewer from `to + 1` on. A malformed interval (`from > to`)
+    /// covers nothing and is not held.
+    fn hold(&mut self, r: u64, from: u64, to: u64, sender: Identity) {
+        if from > to {
+            return;
+        }
+        let at = self.slot(sender.raw());
+        let width = self.width();
+        let (head, points) = self.cells[at..at + width].split_at_mut(1);
+        let head = &mut head[0];
+        if from <= r {
+            head.net += 1;
+        } else {
+            shift(head, points, from, 1);
+        }
+        if let Some(after) = to.checked_add(1) {
+            shift(head, points, after, -1);
+        }
+    }
+
+    /// Where `label`'s slot starts, with room for the two points a reply
+    /// may add.
+    fn slot(&mut self, label: u64) -> usize {
+        if label < u64::from(self.dense) {
+            let at = label as usize * self.width();
+            if self.cells[at].len + 2 <= self.stride {
+                return at;
+            }
+        }
+        self.make_slot(label)
+    }
+
+    /// [`Held::slot`] when `label` has no slot yet or too full a one:
+    /// makes the slot (a direct-indexed label makes every one below it
+    /// too), then widens every slot if need be.
+    #[cold]
+    fn make_slot(&mut self, label: u64) -> usize {
+        let width = self.width();
+        let sparse = self.dense as usize * width;
+        let at = if label < DENSE {
+            if label >= u64::from(self.dense) {
+                self.insert_slots(sparse, u64::from(self.dense)..=label);
+                self.dense = label as u32 + 1;
+            }
+            label as usize * width
+        } else {
+            let slots = self.cells[sparse..].chunks_exact(width);
+            let at = sparse + slots.take_while(|slot| slot[0].key < label).count() * width;
+            if self.cells.get(at).is_none_or(|head| head.key != label) {
+                self.insert_slots(at, label..=label);
+            }
+            at
+        };
+        if self.cells[at].len + 2 <= self.stride {
+            return at;
+        }
+        self.widen();
+        at / width * self.width()
+    }
+
+    /// Makes a slot holding nothing for each label of `labels`, from cell
+    /// `at` on; the slots there move up.
+    fn insert_slots(&mut self, at: usize, labels: std::ops::RangeInclusive<u64>) {
+        let (width, end) = (self.width(), self.cells.len());
+        for label in labels {
+            self.cells.resize(self.cells.len() + width, Cell::default());
+            let head = self.cells.len() - width;
+            self.cells[head].key = label;
+        }
+        self.cells[at..].rotate_left(end - at);
+    }
+
+    /// Doubles the points every slot has room for.
+    fn widen(&mut self) {
+        let (width, more) = (self.width(), self.stride as usize);
+        let mut cells = Vec::with_capacity(self.cells.len() / width * (width + more));
+        for slot in self.cells.chunks_exact(width) {
+            cells.extend_from_slice(slot);
+            cells.extend(std::iter::repeat_n(Cell::default(), more));
+        }
+        self.cells = cells;
+        self.stride *= 2;
+    }
+
+    /// Moves every count from round `r` to `r + 1`: a slot's first point
+    /// is its earliest after `r`, and one at `r + 1` joins the count.
+    fn advance(&mut self, r: u64) {
+        for slot in self.cells.chunks_exact_mut(self.stride as usize + 1) {
+            let (head, points) = slot.split_at_mut(1);
+            let head = &mut head[0];
+            let len = head.len as usize;
+            if len > 0 && points[0].key == r + 1 {
+                head.net += points[0].net;
+                points.copy_within(1..len, 0);
+                head.len -= 1;
+            }
+        }
+    }
+
+    /// Writes the slots that hold something, in label order, for a
+    /// process at round `r`: how many, then per slot the label, its count
+    /// covering `r`, how many points follow, and each as its round's step
+    /// from the one before (from `r` for the first) and its zigzagged
+    /// net. Where a slot sits and how wide it is are not written: they
+    /// follow from the labels and the points.
+    fn save(&self, s: &mut Saver, r: u64) {
+        let slots = self.cells.chunks_exact(self.width());
+        let held = slots.filter(|slot| slot[0].net != 0 || slot[0].len != 0);
+        s.len(held.clone().count());
+        for slot in held {
+            let head = slot[0];
+            s.u64(head.key);
+            s.u32(head.net as u32);
+            s.len(head.len as usize);
+            let mut before = r;
+            for point in &slot[1..=head.len as usize] {
+                s.u64(point.key - before);
+                s.u32(zigzag(point.net));
+                before = point.key;
+            }
+        }
+    }
+
+    /// Reads what [`Held::save`] writes and nothing else — labels in
+    /// order, each holding something, its points after `r` in round
+    /// order, none of zero net, no count below zero — so what it returns
+    /// a run could have reached, and it encodes to the bytes it came
+    /// from.
+    fn load(l: &mut Loader<'_>, r: u64) -> Result<Self, WireError> {
+        let bad = |what| WireError::BadValue { what };
+        let slots = l.len()?;
+        let mut held = Held {
+            cells: l.vec_for(slots.saturating_mul(STRIDE as usize + 1)),
+            ..Held::new()
+        };
+        let mut last = None;
+        for _ in 0..slots {
+            let label = l.u64()?;
+            if last.is_some_and(|last| last >= label) {
+                return Err(bad("held labels out of order"));
+            }
+            last = Some(label);
+            let count = l.u32()?;
+            let len = l.len()?;
+            if count == 0 && len == 0 {
+                return Err(bad("held label holding nothing"));
+            }
+            // The label's count at each of its points: never below zero.
+            let mut running = i32::try_from(count).map_err(|_| bad("held count out of range"))?;
+            // Labels come in order: the slot goes at the end, after an
+            // empty one for each direct-indexed label it skips.
+            let first = if label < DENSE {
+                let skipped = u64::from(held.dense);
+                held.dense = label as u32 + 1;
+                skipped
+            } else {
+                label
+            };
+            held.insert_slots(held.cells.len(), first..=label);
+            let mut at = held.cells.len() - held.width();
+            held.cells[at].net = running;
+            let mut before = r;
+            for i in 0..len {
+                let round = before
+                    .checked_add(l.u64()?)
+                    .ok_or(bad("held round past u64"))?;
+                if round <= r {
+                    return Err(bad("held point at or before r_p"));
+                }
+                if round <= before {
+                    return Err(bad("held rounds not increasing"));
+                }
+                let net = unzigzag(l.u32()?);
+                if net == 0 {
+                    return Err(bad("held point of zero net"));
+                }
+                running = running
+                    .checked_add(net)
+                    .filter(|&count| count >= 0)
+                    .ok_or(bad("held count out of range"))?;
+                if i == held.stride as usize {
+                    let slot = at / held.width();
+                    held.widen();
+                    at = slot * held.width();
+                }
+                held.cells[at + 1 + i] = Cell {
+                    key: round,
+                    net,
+                    len: 0,
+                };
+                held.cells[at].len += 1;
+                before = round;
+            }
+        }
+        Ok(held)
+    }
+}
+
+/// Moves the count of the slot headed by `head` by `net` from `round`
+/// (after `r_p`) on: the point there changes, goes when it nets zero, or
+/// is made in round order. Searched from the back, since a reply nearly
+/// always ends at or after every point its label has; `points` has room
+/// for one more.
+fn shift(head: &mut Cell, points: &mut [Cell], round: u64, net: i32) {
+    let len = head.len as usize;
+    let points = &mut points[..=len];
+    let mut i = len;
+    while i > 0 && points[i - 1].key > round {
+        i -= 1;
+    }
+    if i > 0 && points[i - 1].key == round {
+        points[i - 1].net += net;
+        if points[i - 1].net == 0 {
+            points.copy_within(i..len, i - 1);
+            head.len -= 1;
+        }
+    } else {
+        points.copy_within(i..len, i + 1);
+        points[i] = Cell {
+            key: round,
+            net,
+            len: 0,
+        };
+        head.len += 1;
+    }
+}
+
+/// `clone_from` reuses the target's cells.
+impl Clone for Held {
+    fn clone(&self) -> Self {
+        Held {
+            cells: self.cells.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.cells.clone_from(&source.cells);
+        self.dense = source.dense;
+        self.stride = source.stride;
+    }
+}
 
 /// The Figure 6 process.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct EvtHpProcess {
     h_omega: HOmegaOutput,
     round: u64,
     timeout: u64,
     /// `identifier -> latest_r` for small dense identifiers
-    /// (`raw < MSHIP_DENSE`): a direct-indexed table, since the paper's
+    /// (`raw < DENSE`): a direct-indexed table, since the paper's
     /// homonymy degree ℓ is tiny and identifiers are usually `0..ℓ`.
     /// Entry `0` doubles as "never answered" — exactly the initial
     /// `latest_r` the sparse path would insert.
@@ -293,12 +614,8 @@ pub struct EvtHpProcess {
     /// sorted, binary-searched vector (still cheaper than a tree).
     mship: Vec<(Identity, u64)>,
     /// The held replies as the round end reads them ("What a process
-    /// holds"): per label, in label order, how many held replies cover
-    /// `r_p` (never zero) and how many of those end with it (`to = r_p`).
-    covering: Vec<(Identity, u32, u32)>,
-    /// Where a label's count moves after `r_p`: `(round, label, (starts,
-    /// ends))` in `(round, label)` order, never both counts nonzero.
-    changes: Vec<(u64, Identity, (u32, u32))>,
+    /// holds").
+    held: Held,
     /// The `◇HP` variable `h_trusted_p`, held once: rebuilt only when the
     /// membership actually changes, and shared by every snapshot
     /// published since instead of re-wrapped (or copied) each round.
@@ -323,8 +640,7 @@ impl EvtHpProcess {
             timeout: 1,
             mship_dense: Vec::new(),
             mship: Vec::new(),
-            covering: Vec::new(),
-            changes: Vec::new(),
+            held: Held::new(),
             snapshot: Arc::default(),
             published: None,
             adaptive: true,
@@ -374,77 +690,7 @@ impl EvtHpProcess {
     /// drifted (see "What a process holds" in the module docs).
     #[must_use]
     pub fn pending_len(&self) -> usize {
-        let covering: usize = self
-            .covering
-            .iter()
-            .map(|&(_, count, _)| count as usize)
-            .sum();
-        let starts: usize = self
-            .changes
-            .iter()
-            .map(|&(_, _, (starts, _))| starts as usize)
-            .sum();
-        covering + starts
-    }
-
-    /// Holds a reply `[from, to]` with `to ≥ r_p`: one more for `sender`
-    /// over those rounds, as a count now and change points later. A
-    /// malformed interval (`from > to`) covers nothing and is not held.
-    fn hold(&mut self, from: u64, to: u64, sender: Identity) {
-        if from > to {
-            return;
-        }
-        let r = self.round;
-        let at = self.covering.binary_search_by_key(&sender, |c| c.0);
-        if from <= r {
-            let i = at.unwrap_or_else(|i| {
-                self.covering.insert(i, (sender, 0, 0));
-                i
-            });
-            self.covering[i].1 += 1;
-            if to == r {
-                self.covering[i].2 += 1;
-                return;
-            }
-        } else {
-            match at {
-                // It continues a reply that ends with this round.
-                Ok(i) if from == r + 1 && self.covering[i].2 > 0 => self.covering[i].2 -= 1,
-                _ => self.change(from, sender, true),
-            }
-        }
-        if let Some(end) = to.checked_add(1) {
-            self.change(end, sender, false);
-        }
-    }
-
-    /// One more start (or end) of `label`'s count at `round`, cancelling
-    /// an end (or start) already there.
-    fn change(&mut self, round: u64, label: Identity, start: bool) {
-        match self
-            .changes
-            .binary_search_by(|c| (c.0, c.1).cmp(&(round, label)))
-        {
-            Ok(i) => {
-                let (starts, ends) = &mut self.changes[i].2;
-                let (more, fewer) = if start {
-                    (starts, ends)
-                } else {
-                    (ends, starts)
-                };
-                if *fewer == 0 {
-                    *more += 1;
-                } else if *fewer > 1 {
-                    *fewer -= 1;
-                } else {
-                    self.changes.remove(i);
-                }
-            }
-            Err(i) => {
-                let moves = if start { (1, 0) } else { (0, 1) };
-                self.changes.insert(i, (round, label, moves));
-            }
-        }
+        self.held.runs()
     }
 
     fn poll(&self, ctx: &mut ActionSink<'_, EvtHpMsg, EvtHpSnapshot>) {
@@ -462,15 +708,12 @@ impl EvtHpProcess {
         // common case skips the bag rebuild, the HΩ extraction and the
         // snapshot re-wrap entirely — the round then allocates nothing.
         let r = self.round;
-        let gathered = self
-            .covering
-            .iter()
-            .map(|(label, count, _)| (label, *count as usize));
-        let changed = !self.h_trusted().counted().eq(gathered);
+        let trusted = self.h_trusted().counted().map(|(id, n)| (id.raw(), n));
+        let changed = !trusted.eq(self.held.counts());
         if changed {
             let mut bag = Multiset::new();
-            for &(label, count, _) in &self.covering {
-                bag.insert_n(label, count as usize);
+            for (label, count) in self.held.counts() {
+                bag.insert_n(Identity::new(label), count);
             }
             // Corollary 2: HΩ extraction, no communication.
             if let Some(&leader) = bag.min_elem() {
@@ -504,23 +747,49 @@ impl EvtHpProcess {
             }));
             self.published = said;
         }
-        // Move the count to round r + 1: what ended with r leaves, the
-        // change points at r + 1 apply (none lie earlier: each was placed
-        // after the round it was held in).
-        let due = self.changes.partition_point(|c| c.0 <= r + 1);
-        for &(_, label, (starts, ends)) in &self.changes[..due] {
-            match self.covering.binary_search_by_key(&label, |c| c.0) {
-                Ok(i) => self.covering[i].1 = self.covering[i].1 + starts - ends,
-                Err(i) => self.covering.insert(i, (label, starts, 0)),
-            }
-        }
-        self.changes.drain(..due);
-        self.covering.retain_mut(|c| {
-            c.1 -= std::mem::take(&mut c.2);
-            c.1 > 0
-        });
+        self.held.advance(r);
         self.round += 1;
         self.poll(ctx);
+    }
+}
+
+/// `clone_from` reuses the target's tables, so an engine restoring a
+/// snapshot into itself allocates nothing for a process that holds no
+/// more than it did.
+impl Clone for EvtHpProcess {
+    fn clone(&self) -> Self {
+        EvtHpProcess {
+            mship_dense: self.mship_dense.clone(),
+            mship: self.mship.clone(),
+            held: self.held.clone(),
+            snapshot: Arc::clone(&self.snapshot),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let EvtHpProcess {
+            h_omega,
+            round,
+            timeout,
+            mship_dense,
+            mship,
+            held,
+            snapshot,
+            published,
+            adaptive,
+            started,
+        } = source;
+        self.h_omega = *h_omega;
+        self.round = *round;
+        self.timeout = *timeout;
+        self.mship_dense.clone_from(mship_dense);
+        self.mship.clone_from(mship);
+        self.held.clone_from(held);
+        self.snapshot.clone_from(snapshot);
+        self.published = *published;
+        self.adaptive = *adaptive;
+        self.started = *started;
     }
 }
 
@@ -557,7 +826,7 @@ impl Process for EvtHpProcess {
         match msg {
             // Task T2, lines 22-31.
             EvtHpMsg::Polling { round, id } => {
-                let latest: &mut u64 = if id.raw() < MSHIP_DENSE {
+                let latest: &mut u64 = if id.raw() < DENSE {
                     let idx = id.raw() as usize;
                     if self.mship_dense.len() <= idx {
                         self.mship_dense.resize(idx + 1, 0);
@@ -599,7 +868,7 @@ impl Process for EvtHpProcess {
                     self.timeout += 1;
                 }
                 if to >= self.round {
-                    self.hold(from, to, sender);
+                    self.held.hold(self.round, from, to, sender);
                 }
             }
         }
@@ -673,19 +942,65 @@ impl Persist for EvtHpSnapshot {
     }
 }
 
-homonym_core::persist_fields!(EvtHpProcess {
-    h_omega,
-    round,
-    timeout,
-    mship_dense,
-    mship,
-    covering,
-    changes,
-    snapshot,
-    published,
-    adaptive,
-    started
-});
+/// A process is its fields in declaration order, its held replies per
+/// label holding something: the count covering `r_p`, then each point
+/// as its round's step from the one before and its zigzagged net.
+impl Persist for EvtHpProcess {
+    fn save(&self, s: &mut Saver) {
+        let EvtHpProcess {
+            h_omega,
+            round,
+            timeout,
+            mship_dense,
+            mship,
+            held,
+            snapshot,
+            published,
+            adaptive,
+            started,
+        } = self;
+        h_omega.save(s);
+        round.save(s);
+        timeout.save(s);
+        mship_dense.save(s);
+        mship.save(s);
+        held.save(s, *round);
+        snapshot.save(s);
+        published.save(s);
+        adaptive.save(s);
+        started.save(s);
+    }
+
+    fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
+        let h_omega = Persist::load(l)?;
+        let round = Persist::load(l)?;
+        let timeout = Persist::load(l)?;
+        let mship_dense = Persist::load(l)?;
+        let mship = Persist::load(l)?;
+        let held = Held::load(l, round)?;
+        Ok(EvtHpProcess {
+            h_omega,
+            round,
+            timeout,
+            mship_dense,
+            mship,
+            held,
+            snapshot: Persist::load(l)?,
+            published: Persist::load(l)?,
+            adaptive: Persist::load(l)?,
+            started: Persist::load(l)?,
+        })
+    }
+}
+
+/// A net as a varint that keeps a small one small whatever its sign.
+fn zigzag(net: i32) -> u32 {
+    ((net << 1) ^ (net >> 31)) as u32
+}
+
+fn unzigzag(v: u32) -> i32 {
+    (v >> 1) as i32 ^ -((v & 1) as i32)
+}
 
 #[cfg(test)]
 mod tests {
@@ -862,6 +1177,85 @@ mod tests {
         }
     }
 
+    /// A label's held replies as written: `(label, count, [(step, net)])`.
+    type Written<'a> = (u64, u32, &'a [(u64, i32)]);
+
+    /// The bytes of a process at round 5 whose held replies are `held`,
+    /// laid out as [`Held::save`] lays them out.
+    fn held_bytes(held: &[Written<'_>]) -> Vec<u8> {
+        let proc = EvtHpProcess {
+            round: 5,
+            ..EvtHpProcess::new()
+        };
+        let mut s = Saver::new();
+        proc.h_omega.save(&mut s);
+        proc.round.save(&mut s);
+        proc.timeout.save(&mut s);
+        proc.mship_dense.save(&mut s);
+        proc.mship.save(&mut s);
+        s.len(held.len());
+        for &(label, count, points) in held {
+            s.u64(label);
+            s.u32(count);
+            s.len(points.len());
+            for &(step, net) in points {
+                s.u64(step);
+                s.u32(zigzag(net));
+            }
+        }
+        proc.snapshot.save(&mut s);
+        proc.published.save(&mut s);
+        proc.adaptive.save(&mut s);
+        proc.started.save(&mut s);
+        s.finish()
+    }
+
+    fn decode(bytes: &[u8]) -> Result<EvtHpProcess, WireError> {
+        homonym_core::wire::from_bytes(bytes)
+    }
+
+    fn refused(what: &'static str) -> Option<WireError> {
+        Some(WireError::BadValue { what })
+    }
+
+    /// Held replies in the one form a process holds them decode to a
+    /// process that encodes to the same bytes and gathers what they
+    /// say: label 1 has two replies covering round 5, one ending with it
+    /// and one two rounds later; `⊥`, which has no direct-indexed slot,
+    /// has one starting at round 7.
+    #[test]
+    fn held_replies_decode_to_what_they_say() {
+        let bytes = held_bytes(&[(1, 2, &[(1, -1), (2, -1)]), (u64::MAX, 0, &[(2, 1)])]);
+        let mut proc = decode(&bytes).expect("a process can hold this");
+        assert_eq!(homonym_core::wire::to_bytes(&proc), bytes);
+        assert_eq!(proc.pending_len(), 3);
+        let (me, one) = (Identity::new(7), Identity::new(1));
+        let mut actions = Vec::new();
+        for (ones, bottoms) in [(2, 0), (1, 0), (1, 1), (0, 1)] {
+            proc.on_timer(ROUND, &mut ActionSink::new(me, Time::ZERO, &mut actions));
+            assert_eq!(proc.h_trusted().multiplicity(&one), ones);
+            assert_eq!(proc.h_trusted().multiplicity(&Identity::BOTTOM), bottoms);
+        }
+    }
+
+    #[test]
+    fn a_held_point_of_zero_net_is_refused() {
+        let bytes = held_bytes(&[(1, 2, &[(1, -1), (2, 0)])]);
+        assert_eq!(decode(&bytes).err(), refused("held point of zero net"));
+    }
+
+    #[test]
+    fn held_points_out_of_round_order_are_refused() {
+        let bytes = held_bytes(&[(1, 2, &[(1, -1), (0, -1)])]);
+        assert_eq!(decode(&bytes).err(), refused("held rounds not increasing"));
+    }
+
+    #[test]
+    fn a_held_point_at_r_p_is_refused() {
+        let bytes = held_bytes(&[(1, 2, &[(0, -1), (1, -1)])]);
+        assert_eq!(decode(&bytes).err(), refused("held point at or before r_p"));
+    }
+
     /// What the held replies replace: one entry per reply, as Figure 6
     /// states it, with the same round-end reading.
     struct NaiveReplies {
@@ -899,27 +1293,28 @@ mod tests {
         /// the same interval twice as two homonymous repliers send it,
         /// continuations that arrive after their successor, late
         /// replies, gaps, overlaps, malformed intervals, intervals from
-        /// round 0 and to `u64::MAX` — the process gathers the naive
-        /// list's multiset at every round end and adapts the same
+        /// round 0 and to `u64::MAX`, from small labels and from `⊥`,
+        /// which has no direct-indexed slot — the process gathers the
+        /// naive list's multiset at every round end and adapts the same
         /// timeout.
         #[test]
         fn coalesced_replies_gather_what_the_naive_list_gathers(
-            steps in proptest::collection::vec((0u8..16, 0u64..3, 0u64..6, 0u64..5), 1..120usize),
+            steps in proptest::collection::vec((0u8..16, 0usize..4, 0u64..6, 0u64..5), 1..120usize),
         ) {
             const FILL: u8 = 13;
+            const SENDERS: [Identity; 4] =
+                [Identity::new(0), Identity::new(1), Identity::new(2), Identity::BOTTOM];
             let me = Identity::new(7);
             let mut actions = Vec::new();
             let mut proc = EvtHpProcess::new();
             let mut model = NaiveReplies { held: Vec::new(), round: 1, timeout: 1 };
             // Where each sender's latest well-formed reply ended.
-            let mut last_to = [0u64; 3];
+            let mut last_to = [0u64; 4];
             // The rounds each sender's last skip ahead left out.
-            let mut gap = [None::<(u64, u64)>; 3];
-            let mut last = (1, 1, Identity::new(0));
+            let mut gap = [None::<(u64, u64)>; 4];
+            let mut last = (1, 1, 0);
             for (kind, s, a, b) in steps {
-                let sender = Identity::new(s);
-                let s = s as usize;
-                let (from, to, sender) = match kind {
+                let (from, to, s) = match kind {
                     0..=2 => {
                         let mut sink = ActionSink::new(me, Time::ZERO, &mut actions);
                         proc.on_timer(ROUND, &mut sink);
@@ -932,47 +1327,92 @@ mod tests {
                         continue;
                     }
                     // The sender's run continues.
-                    3..=6 => (last_to[s] + 1, last_to[s] + 1 + b, sender),
+                    3..=6 => (last_to[s] + 1, last_to[s] + 1 + b, s),
                     // Starts where a *different* sender's run ended.
-                    7 => (last_to[(s + 1) % 3] + 1, last_to[(s + 1) % 3] + 1 + b, sender),
+                    7 => (last_to[(s + 1) % 4] + 1, last_to[(s + 1) % 4] + 1 + b, s),
                     // A homonymous replier sends the same interval.
                     8 => last,
                     // Anywhere around the current round: late, overlapping, gapped.
                     9 | 10 => {
                         let from = (model.round + a).saturating_sub(3);
-                        (from, from + b, sender)
+                        (from, from + b, s)
                     }
                     // Malformed, and adjacent to the sender's run.
-                    11 => (last_to[s] + 1, (last_to[s] + 1).saturating_sub(1 + a), sender),
+                    11 => (last_to[s] + 1, (last_to[s] + 1).saturating_sub(1 + a), s),
                     // The sender's run skips ahead, leaving a gap.
                     12 => {
                         let from = last_to[s] + 2 + a;
                         gap[s] = Some((last_to[s] + 1, from - 1));
-                        (from, from + b, sender)
+                        (from, from + b, s)
                     }
                     // The gap's reply arrives after its successor.
                     FILL => match gap[s].take() {
-                        Some((from, to)) => (from, to, sender),
-                        None => (last_to[s] + 1, last_to[s] + 1 + b, sender),
+                        Some((from, to)) => (from, to, s),
+                        None => (last_to[s] + 1, last_to[s] + 1 + b, s),
                     },
                     // From round 0: late unless it also covers this one.
-                    14 => (0, (model.round + b).saturating_sub(2), sender),
+                    14 => (0, (model.round + b).saturating_sub(2), s),
                     // Never ends.
-                    _ => ((model.round + a).saturating_sub(3), u64::MAX, sender),
+                    _ => ((model.round + a).saturating_sub(3), u64::MAX, s),
                 };
                 if from <= to {
                     // A filled gap lies behind its sender's run, and no
                     // reply continues one that never ends.
                     if kind != FILL && to < u64::MAX {
-                        last_to[sender.raw() as usize] = to;
+                        last_to[s] = to;
                     }
-                    last = (from, to, sender);
+                    last = (from, to, s);
                 }
+                let sender = SENDERS[s];
                 let mut sink = ActionSink::new(me, Time::ZERO, &mut actions);
                 proc.on_message(EvtHpMsg::PReply { from, to, target: me, sender }, &mut sink);
                 model.reply(from, to, sender);
                 proptest::prop_assert_eq!(proc.timeout(), model.timeout);
                 proptest::prop_assert!(proc.pending_len() <= model.held.len());
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// What a process holds survives the codec: cut at any step of a
+        /// random reply stream — late, gapped, overlapping, never ending,
+        /// from small labels, a skipped one, and two with no
+        /// direct-indexed slot — it decodes, encodes to the bytes it came
+        /// from, and then goes on as the original does, byte for byte.
+        #[test]
+        fn a_decoded_process_goes_on_as_the_original(
+            steps in proptest::collection::vec((0u8..4, 0usize..4, 0u64..9, 0u64..6), 1..100usize),
+            cut in 0usize..100,
+        ) {
+            const SENDERS: [Identity; 4] =
+                [Identity::new(0), Identity::new(2), Identity::new(DENSE + 1), Identity::BOTTOM];
+            let me = Identity::new(7);
+            let mut actions = Vec::new();
+            let mut proc = EvtHpProcess::new();
+            let mut copy = None;
+            for (step, (kind, s, a, b)) in steps.into_iter().enumerate() {
+                if step == cut {
+                    let bytes = homonym_core::wire::to_bytes(&proc);
+                    let decoded = decode(&bytes);
+                    proptest::prop_assert!(decoded.is_ok(), "{decoded:?}");
+                    copy = decoded.ok();
+                }
+                for p in std::iter::once(&mut proc).chain(copy.as_mut()) {
+                    let mut sink = ActionSink::new(me, Time::ZERO, &mut actions);
+                    if kind == 0 {
+                        p.on_timer(ROUND, &mut sink);
+                    } else {
+                        let from = (p.round() + a).saturating_sub(2);
+                        let to = if kind == 3 { u64::MAX } else { from + b };
+                        let sender = SENDERS[s];
+                        p.on_message(EvtHpMsg::PReply { from, to, target: me, sender }, &mut sink);
+                    }
+                }
+                actions.clear();
+                if let Some(copy) = &copy {
+                    let bytes = homonym_core::wire::to_bytes(copy);
+                    proptest::prop_assert_eq!(bytes, homonym_core::wire::to_bytes(&proc));
+                }
             }
         }
     }

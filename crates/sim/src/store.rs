@@ -343,8 +343,10 @@ impl SpillHandle {
 /// process slot carries no random stream, the `◇HP` detector its bag
 /// once, and the queue its ticks and sequence numbers as deltas. 7: the
 /// `◇HP` detector lost its two mirror tags (a stacked consumer is handed
-/// the detector's output instead).
-pub const SPOOL_SCHEMA: u32 = 7;
+/// the detector's output instead). 8: the `◇HP` detector writes its held
+/// replies per label — the count covering its round, then where that
+/// count moves, each round as a step from the one before.
+pub const SPOOL_SCHEMA: u32 = 8;
 
 impl SnapshotSpool {
     /// A spool rooted at `dir` (created if absent) keeping at most

@@ -205,6 +205,15 @@ fn a_log_stack_message_holds_no_heap() {
     assert_eq!(std::mem::size_of::<Msg>(), 48);
 }
 
+/// What a detector process costs inline: every engine builds n of them
+/// in set-up, so the held replies keep their slots on the heap, in one
+/// table, and not in the process (176 bytes while they were a count per
+/// label and a list of change points).
+#[test]
+fn a_detector_process_stays_small() {
+    assert!(std::mem::size_of::<EvtHpProcess>() <= 176);
+}
+
 /// A million heights under leader churn, and the replicas retain as
 /// much at the end as at height 10³, and agree on the fingerprint of
 /// every height they share. At n = 4 (the churn seed of
