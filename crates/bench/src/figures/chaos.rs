@@ -48,8 +48,6 @@
 //!   directory instead of starting fresh (without it the directory is
 //!   cleared first). A directory written by a different configuration or
 //!   binary fails with a clear error and exit code 2, never a panic;
-//! * `--spill-budget <bytes>` — also spill cold prefix-tree snapshots to
-//!   disk past this RAM budget;
 //! * `--verify-resume` — after the checkpointed sweep, re-run
 //!   uninterrupted in RAM and assert the two reports are identical
 //!   (prints a greppable verdict).
@@ -123,7 +121,6 @@ fn report_row(stack: StackKind, report: &SweepReport) -> Row {
 struct CheckpointArgs {
     dir: Option<PathBuf>,
     resume: bool,
-    spill_budget: Option<u64>,
     verify_resume: bool,
 }
 
@@ -141,13 +138,6 @@ fn parse_args() -> CheckpointArgs {
         match arg.as_str() {
             "--checkpoint-dir" => out.dir = Some(PathBuf::from(value("--checkpoint-dir"))),
             "--resume" => out.resume = true,
-            "--spill-budget" => {
-                let v = value("--spill-budget");
-                out.spill_budget = Some(v.parse().unwrap_or_else(|_| {
-                    eprintln!("--spill-budget needs a byte count, got {v:?}");
-                    std::process::exit(2);
-                }));
-            }
             "--verify-resume" => out.verify_resume = true,
             other => {
                 eprintln!("unknown flag {other:?}");
@@ -191,10 +181,7 @@ pub fn main() {
                     // this directory must not leak into the report.
                     let _ = std::fs::remove_dir_all(&stack_dir);
                 }
-                let mut ck = CheckpointConfig::new(&stack_dir);
-                if let Some(budget) = ck_args.spill_budget {
-                    ck = ck.with_spill_budget(budget);
-                }
+                let ck = CheckpointConfig::new(&stack_dir);
                 match checkpointed_falsification_sweep(&cfg, &ck) {
                     Ok((report, stats)) => {
                         eprintln!(

@@ -22,7 +22,6 @@
 //! ```text
 //! <dir>/manifest.ck      fingerprint + group count  (schema MANIFEST_SCHEMA)
 //! <dir>/seg-000042.ck    Vec<RunOutcome> of group 42 (schema SEGMENT_SCHEMA)
-//! <dir>/spill/w<k>/...   per-worker snapshot spool (when spilling)
 //! ```
 //!
 //! All files go through the [`homonym_sim::store`] container: magic,
@@ -42,7 +41,7 @@
 use std::path::{Path, PathBuf};
 
 use homonym_core::wire;
-use homonym_sim::{read_verified, write_atomic, SpoolStats, StoreError};
+use homonym_sim::{read_verified, write_atomic, StoreError};
 
 use crate::sweep::{aggregate, run_groups, RunOutcome, SweepConfig, SweepReport};
 
@@ -54,32 +53,18 @@ pub const MANIFEST_SCHEMA: u32 = 1;
 /// whenever `RunOutcome`'s wire encoding changes.
 pub const SEGMENT_SCHEMA: u32 = 1;
 
-/// Where and how a sweep checkpoints.
+/// Where a sweep checkpoints.
 #[derive(Debug, Clone)]
 pub struct CheckpointConfig {
     /// Checkpoint directory (created if absent).
     pub dir: PathBuf,
-    /// When set, workers spill cold prefix-tree snapshots to
-    /// `<dir>/spill/` once their RAM-resident snapshot bytes exceed
-    /// this budget. `None` keeps every snapshot in RAM.
-    pub spill_budget: Option<u64>,
 }
 
 impl CheckpointConfig {
-    /// Checkpoints into `dir` with no snapshot spilling.
+    /// Checkpoints into `dir`.
     #[must_use]
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        CheckpointConfig {
-            dir: dir.into(),
-            spill_budget: None,
-        }
-    }
-
-    /// Enables snapshot spilling under `budget_bytes` of RAM.
-    #[must_use]
-    pub fn with_spill_budget(mut self, budget_bytes: u64) -> Self {
-        self.spill_budget = Some(budget_bytes);
-        self
+        CheckpointConfig { dir: dir.into() }
     }
 }
 
@@ -95,8 +80,6 @@ pub struct ResumeStats {
     /// Segment files that existed but failed verification — their
     /// groups were re-executed, counted under `groups_executed` too.
     pub corrupt_segments: u64,
-    /// Spill activity across all workers (zeros when spilling is off).
-    pub spill: SpoolStats,
 }
 
 fn manifest_path(dir: &Path) -> PathBuf {
@@ -237,9 +220,7 @@ pub fn checkpointed_falsification_sweep(
         .filter(|&g| outcomes[g].is_none())
         .collect();
     stats.groups_executed = pending.len() as u64;
-    let spill_dir = ck.dir.join("spill");
-    let spill = ck.spill_budget.map(|budget| (spill_dir.as_path(), budget));
-    let (executed, spill_corrupt) = run_groups(cfg, &pending, spill, |g, seg| {
+    let executed = run_groups(cfg, &pending, |g, seg| {
         write_atomic(
             &segment_path(&ck.dir, g),
             SEGMENT_SCHEMA,
@@ -247,9 +228,6 @@ pub fn checkpointed_falsification_sweep(
         )?;
         Ok::<_, StoreError>((g, seg))
     });
-    // Spool stats live in worker-local state already dropped; the
-    // corruption count observed mid-run is what survives.
-    stats.spill.corrupt = spill_corrupt;
     for result in executed {
         let (g, seg) = result?;
         outcomes[g] = Some(seg);

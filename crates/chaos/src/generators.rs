@@ -560,10 +560,9 @@ pub fn fault_window_variants(base: &Scenario, seed: u64, k: usize) -> Vec<Scenar
                     up: down + redraw_duration(&mut rng, up.ticks() - down.ticks()),
                 },
                 // Crash and Byzantine clauses stay fixed across the
-                // family: varying crashes would change the correct set,
-                // which forfeits sharing for decision-gated runs (see
-                // `item_divergence`), and attack variation has its own
-                // generator ([`byzantine_attack_variants`]).
+                // family: a different crash schedule forfeits sharing
+                // (see `config_divergence`), and attack variation has
+                // its own generator ([`byzantine_attack_variants`]).
                 fixed @ (FaultClause::Crash { .. }
                 | FaultClause::ByzantineEquivocate { .. }
                 | FaultClause::ByzantineCorrupt { .. }

@@ -13,21 +13,24 @@
 //! scenarios, so the thousandth run reuses the first run's queue ring,
 //! history tables and scratch buffers instead of rebuilding a world.
 //!
-//! # Two executors, one verdict set
+//! # One executor, and its flat reference
 //!
-//! * [`falsification_sweep`] — the **flat** executor: every run
-//!   re-executes its full history from tick 0. This is the differential
-//!   baseline.
-//! * [`falsification_sweep_forked`] — the **prefix-sharing** executor:
-//!   when [`SweepConfig::variants`] expands each generated scenario into
-//!   a [`fault_window_variants`] family (same seed, same fault starts,
-//!   different heal times / GST margins), the family's shared prefix is
-//!   run **once**, snapshotted at the computed divergence point, and
-//!   restored per variant ([`PrefixSweeper`]). The verdict sets of the
-//!   two executors are **identical** — `tests/chaos_scenarios.rs`
-//!   asserts report equality on every stack.
+//! * [`falsification_sweep_forked`] — the sweep's executor, which the
+//!   checkpointed driver (`exp chaos --checkpoint-dir`) and the
+//!   benchmark run: when
+//!   [`SweepConfig::variants`] expands each generated scenario into a
+//!   [`fault_window_variants`] family (same seed, same fault starts,
+//!   different heal times / GST margins), each family is one
+//!   [`PrefixSweeper::run_family`] call — its shared prefix runs
+//!   **once**, is snapshotted at the computed divergence point and is
+//!   restored per variant. The families fan out over cores, one sweeper
+//!   per worker.
+//! * [`falsification_sweep`] — its **flat** reference: every run
+//!   re-executes its full history from tick 0. The verdict sets of the
+//!   two are **identical** — `tests/chaos_scenarios.rs` asserts report
+//!   equality on every stack.
 //!
-//! Both executors are generic over one description per [`StackKind`]
+//! Both are generic over one description per [`StackKind`]
 //! (network, goal, node construction, property check, verdict policy):
 //! the sweep's stack is picked once per sweep, where the public entry
 //! point is entered, and the run recipe below that point is written
@@ -50,9 +53,6 @@
 //! and the pre-heal probes double as the demonstration that liveness
 //! *correctly* fails while a partition is up and holds once it heals.
 
-use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use homonym_consensus::{ByzQuorumConsensus, HOmegaPolicy, MajorityConsensus, QuorumConsensus};
 use homonym_core::classes::HOmegaOutput;
 use homonym_core::failure::FailureSchedule;
@@ -68,15 +68,13 @@ use homonym_detectors::oracle::{HOmegaOracle, HSigmaOracle, OracleWorld, PreStab
 use homonym_sim::engine::{Engine, EngineArena, SimConfig};
 use homonym_sim::network::{LatencyDistribution, NetworkModel, PreGstBehavior};
 use homonym_sim::process::Process;
-use homonym_sim::snapshot::EngineSnapshot;
 use homonym_sim::stack::Stacked;
-use homonym_sim::SnapshotSpool;
 
 // The shared sweep plumbing lives in `homonym_sim::sweep`; re-exported
 // here so the chaos crate presents one import surface.
 pub use homonym_sim::sweep::{
     config_divergence, item_divergence, parallel_seed_sweep, parallel_seed_sweep_with, ForkStats,
-    PrefixItem, PrefixSweeper, PrefixTree, RunGoal,
+    PrefixItem, PrefixSweeper, RunGoal,
 };
 
 use crate::generators::{
@@ -442,13 +440,12 @@ impl SweepReport {
 /// states its nodes and where it departs from that.
 ///
 /// A description may enter the **forked** executor only if its nodes
-/// clone (`Node: Clone`; every process does), their snapshots have a
-/// wire codec (the disk spill) and — the part the compiler cannot check
-/// — construction is **prefix-invariant**: [`Stack::world`] must return
-/// the same world for every variant of one family, because a variant
-/// restored from a sibling's snapshot keeps the sibling's processes. The
-/// oracle-backed Figure 9 stack fails the last two (it has no codec, and
-/// its `OracleWorld` stabilizes at the variant's own clean instant), so
+/// clone (`Node: Clone`; every process does) and — the part the compiler
+/// cannot check — construction is **prefix-invariant**: [`Stack::world`]
+/// must return the same world for every variant of one family, because
+/// a variant restored from a sibling's snapshot keeps the sibling's
+/// processes. The oracle-backed Figure 9 stack fails the second (its
+/// `OracleWorld` stabilizes at the variant's own clean instant), so
 /// under the forked entry points it runs flat — the documented worst
 /// case, no shared prefix.
 pub(crate) trait Stack {
@@ -997,66 +994,39 @@ fn flat_groups<S: Stack, R: Send>(
     })
 }
 
-/// Like [`flat_groups`] on the prefix-sharing executor. With `spill =
-/// (dir, budget)` each worker's branch-point snapshots past `budget`
-/// bytes of RAM move to spool files under `dir/w<k>`; a spool that
-/// cannot be created (read-only disk) degrades to all-in-RAM rather
-/// than failing the sweep. Also returns how many spilled snapshots
-/// failed verification on reload (the other spool counters die with
-/// their workers).
+/// Like [`flat_groups`] on the prefix-sharing executor: one
+/// [`ForkedWorker`] per worker, one [`PrefixSweeper::run_family`] per
+/// group.
 fn forked_groups<S: Stack, R: Send>(
     plan: &Plan<'_>,
     pending: &[usize],
-    spill: Option<(&Path, u64)>,
     sink: impl Fn(usize, Vec<RunOutcome>) -> R + Sync,
-) -> (Vec<R>, u64)
+) -> Vec<R>
 where
     S::Node: Clone,
-    EngineSnapshot<S::Node>: Persist,
 {
-    let worker_seq = AtomicU64::new(0);
-    let spill_corrupt = AtomicU64::new(0);
-    let corrupt_so_far =
-        |w: &ForkedWorker<S::Node>| w.sweeper.spool_stats().map_or(0, |stats| stats.corrupt);
-    let out = parallel_seed_sweep_with(
-        pending.len(),
-        || {
-            let mut worker = ForkedWorker::new();
-            if let Some((dir, budget)) = spill {
-                let w = worker_seq.fetch_add(1, Ordering::Relaxed);
-                if let Ok(spool) = SnapshotSpool::new(dir.join(format!("w{w}")), budget) {
-                    worker.sweeper.enable_spill(spool);
-                }
-            }
-            worker
-        },
-        |worker, i| {
-            let g = pending[i as usize];
-            let before = corrupt_so_far(worker);
-            let seg = run_family_forked::<S>(plan.cfg, &plan.assign, worker, plan.group(g));
-            spill_corrupt.fetch_add(corrupt_so_far(worker) - before, Ordering::Relaxed);
-            sink(g, seg)
-        },
-    );
-    (out, spill_corrupt.into_inner())
+    parallel_seed_sweep_with(pending.len(), ForkedWorker::new, |worker, i| {
+        let g = pending[i as usize];
+        let seg = run_family_forked::<S>(plan.cfg, &plan.assign, worker, plan.group(g));
+        sink(g, seg)
+    })
 }
 
 /// Executes the scenario groups `pending` of `cfg`'s sweep the way
 /// [`falsification_sweep_forked`] does — forked, except Figure 9 (see
 /// [`Stack`]) — for it and for the checkpointed driver. Arguments and
-/// results as [`forked_groups`].
+/// results as [`flat_groups`].
 pub(crate) fn run_groups<R: Send>(
     cfg: &SweepConfig,
     pending: &[usize],
-    spill: Option<(&Path, u64)>,
     sink: impl Fn(usize, Vec<RunOutcome>) -> R + Sync,
-) -> (Vec<R>, u64) {
+) -> Vec<R> {
     let plan = Plan::new(cfg);
     match cfg.stack {
-        StackKind::Fig8EvtHp => forked_groups::<Fig8Stack, R>(&plan, pending, spill, sink),
-        StackKind::Fig9OracleQuorum => (flat_groups::<Fig9Stack, R>(&plan, pending, sink), 0),
-        StackKind::EvtHpDetector => forked_groups::<DetectorStack, R>(&plan, pending, spill, sink),
-        StackKind::ByzTolerant => forked_groups::<ByzStack, R>(&plan, pending, spill, sink),
+        StackKind::Fig8EvtHp => forked_groups::<Fig8Stack, R>(&plan, pending, sink),
+        StackKind::Fig9OracleQuorum => flat_groups::<Fig9Stack, R>(&plan, pending, sink),
+        StackKind::EvtHpDetector => forked_groups::<DetectorStack, R>(&plan, pending, sink),
+        StackKind::ByzTolerant => forked_groups::<ByzStack, R>(&plan, pending, sink),
     }
 }
 
@@ -1097,7 +1067,7 @@ pub fn falsification_sweep(cfg: &SweepConfig) -> SweepReport {
 #[must_use]
 pub fn falsification_sweep_forked(cfg: &SweepConfig) -> SweepReport {
     let all: Vec<usize> = (0..cfg.scenarios).collect();
-    let (per_group, _) = run_groups(cfg, &all, None, |_, seg| seg);
+    let per_group = run_groups(cfg, &all, |_, seg| seg);
     aggregate(per_group.into_iter().flatten())
 }
 

@@ -212,30 +212,6 @@ fn a_checkpoint_directory_refuses_a_different_sweep() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Spilling cold prefix snapshots to disk under a zero RAM budget is
-/// invisible to the report, on every stack with a wire codec.
-#[test]
-fn spilling_under_a_zero_budget_leaves_the_report_unchanged() {
-    for stack in [
-        StackKind::Fig8EvtHp,
-        StackKind::EvtHpDetector,
-        StackKind::ByzTolerant,
-    ] {
-        let cfg = SweepConfig::new(stack, 2).with_variants(4);
-        let expected = falsification_sweep_forked(&cfg);
-        let dir = unique_dir(&format!("spill-{}", stack.name()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let (report, stats) = checkpointed_falsification_sweep(
-            &cfg,
-            &CheckpointConfig::new(&dir).with_spill_budget(0),
-        )
-        .expect("spilling sweep");
-        assert_eq!(report, expected, "stack {}", stack.name());
-        assert_eq!(stats.groups_executed, 2, "stack {}", stack.name());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
 /// Drives `mk()`-built engines to `deadline` twice: once straight
 /// through, once interrupted at `cut` by a snapshot → disk → restore
 /// round-trip. Both must land on identical decisions, metrics and

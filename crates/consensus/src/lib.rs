@@ -71,6 +71,6 @@ pub use fig9::{
 };
 pub use flooding::{classify_flood, AnonFloodingConsensus, FloodMsg, PFloodingConsensus};
 pub use rsm::{
-    ByzHeightSeed, Fig8HeightSeed, Fig9HeightSeed, FloodHeightSeed, HeightEngine, LogEntry,
-    ReplicatedLog, RsmMsg, RsmOptions, StatePart,
+    ByzHeightSeed, Fig8HeightSeed, Fig9HeightSeed, HeightEngine, LogEntry, ReplicatedLog, RsmMsg,
+    RsmOptions, StatePart,
 };

@@ -8,8 +8,8 @@
 //! module provides [`ReplicatedLog`], a [`Process`] that
 //!
 //! * runs a fresh per-height engine (any [`HeightEngine`]: the
-//!   Byzantine-tolerant quorum stack by default, Figure 8 / Figure 9 /
-//!   flooding selectable) for each height `h` — spawned for height 0 and
+//!   Byzantine-tolerant quorum stack by default, Figure 8 or Figure 9
+//!   selectable) for each height `h` — spawned for height 0 and
 //!   [re-armed](HeightEngine::respawn) for every height after it,
 //! * wraps the engine's traffic in height-tagged envelopes so instances
 //!   never cross-talk,
@@ -40,7 +40,7 @@
 //! ([`Consumes`]), and the log hands it to the live engine and to the
 //! seed the next height's engine is spawned from, so per-height engines
 //! reading the detector's last output (Figure 8) or an oracle handle
-//! (Figure 9, flooding) see *warm* detector state at every height, which
+//! (Figure 9) see *warm* detector state at every height, which
 //! is what makes post-GST heights decide in a handful of ticks.
 //!
 //! # Catch-up rule
@@ -212,7 +212,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use homonym_core::identity::{Identity, IdentityAssignment};
 use homonym_core::multiset::Multiset;
-use homonym_core::query::{Consumes, HOmegaSource, HSigmaSource, SigmaSource};
+use homonym_core::query::{Consumes, HOmegaSource, HSigmaSource};
 use homonym_core::time::{Span, Time};
 use homonym_core::wire::{Loader, Persist, Saver, WireError};
 use homonym_sim::process::{Action, ActionSink, Process, TimerTag};
@@ -223,7 +223,6 @@ use crate::byz_quorum::ByzQuorumConsensus;
 use crate::conflict::WindowLedger;
 use crate::fig8::{HOmegaPolicy, LeaderPolicy, MajorityConsensus};
 use crate::fig9::QuorumConsensus;
-use crate::flooding::PFloodingConsensus;
 
 /// Timer tags below this value are reserved for the log service itself;
 /// a height-`h` engine's tag `t` travels as `(h + 1) * TAG_STRIDE + t`.
@@ -359,33 +358,6 @@ impl<O, D1: Consumes<O>, D2: Consumes<O>> Consumes<O> for Fig9HeightSeed<D1, D2>
     fn consume(&mut self, output: &O) {
         self.omega.consume(output);
         self.sigma.consume(output);
-    }
-}
-
-/// Seed for the classical flooding baseline over a `Σ`-style complete
-/// detector.
-#[derive(Debug, Clone)]
-pub struct FloodHeightSeed<D> {
-    /// Crash tolerance (decides at the end of round `t + 1`).
-    pub t: usize,
-    /// The detector handle.
-    pub detector: D,
-}
-
-impl<D> HeightEngine for PFloodingConsensus<D>
-where
-    D: SigmaSource + Clone + Send + 'static,
-{
-    type Seed = FloodHeightSeed<D>;
-
-    fn spawn(seed: &Self::Seed, proposal: u64) -> Self {
-        PFloodingConsensus::new(proposal, seed.t, seed.detector.clone())
-    }
-}
-
-impl<O, D: Consumes<O>> Consumes<O> for FloodHeightSeed<D> {
-    fn consume(&mut self, output: &O) {
-        self.detector.consume(output);
     }
 }
 

@@ -1087,9 +1087,10 @@ impl<P: Process> Engine<P> {
     /// Rebuilds the liveness-horizon table from this engine's own
     /// schedule plus a snapshot's halt flags, and recounts the undecided
     /// correct processes from the restored decisions — the two pieces of
-    /// restored state that must follow the *adopting* configuration (its
-    /// post-divergence crash times may differ from the snapshotted
-    /// run's; see [`crate::sweep::config_divergence`]).
+    /// state a snapshot does not store. The adopting configuration has
+    /// the snapshotted run's crash schedule: configurations whose
+    /// schedules differ share no prefix (see
+    /// [`crate::sweep::config_divergence`]).
     fn rebuild_schedule_state(&mut self, halted: &[bool]) {
         let n = self.config.assign.n();
         self.dead_from.clear();

@@ -77,12 +77,12 @@ pub use process::{ActionSink, Message, Process, TimerTag};
 pub use snapshot::{EngineSnapshot, SyncSnapshot};
 pub use stack::{split_history, Either, Stacked};
 pub use store::{
-    decode_container, encode_container, fnv1a, read_verified, write_atomic, SnapshotSpool,
-    SpillHandle, SpoolStats, StoreError, FORMAT_VERSION,
+    decode_container, encode_container, fnv1a, read_verified, write_atomic, StoreError,
+    FORMAT_VERSION,
 };
 pub use sweep::{
     config_divergence, item_divergence, parallel_seed_sweep, parallel_seed_sweep_with, ForkStats,
-    PrefixItem, PrefixSweeper, PrefixTree, RunGoal,
+    PrefixItem, PrefixSweeper, RunGoal,
 };
 pub use sync_engine::{SyncConfig, SyncEngine, SyncMetrics, SyncProcess, SyncSink};
 pub use trace::{Trace, TraceEvent};
@@ -103,7 +103,7 @@ pub mod prelude {
     pub use crate::stack::{split_history, Either, Stacked};
     pub use crate::sweep::{
         config_divergence, item_divergence, parallel_seed_sweep, parallel_seed_sweep_with,
-        ForkStats, PrefixItem, PrefixSweeper, PrefixTree, RunGoal,
+        ForkStats, PrefixItem, PrefixSweeper, RunGoal,
     };
     pub use crate::sync_engine::{SyncConfig, SyncEngine, SyncMetrics, SyncProcess, SyncSink};
     pub use crate::trace::{Trace, TraceEvent};

@@ -17,10 +17,10 @@
 //!
 //! The prefix-sharing executor additionally restores snapshots under a
 //! *different* configuration that provably agrees with the snapshotted
-//! one on everything consumed so far (see
+//! one on everything consumed so far, its crash schedule included (see
 //! [`config_divergence`](crate::sweep::config_divergence)); crash tables
-//! and decision counters are recomputed from the adopting engine's own
-//! configuration on restore to keep that sound.
+//! and decision counters are not stored, but recomputed from the
+//! adopting engine's own configuration on restore.
 //!
 //! # A fork is a clone
 //!
@@ -79,8 +79,7 @@ pub struct EngineSnapshot<P: Process> {
     /// Which processes have *halted themselves* (as opposed to being
     /// crashed by the schedule): restore rebuilds the liveness-horizon
     /// table from the adopting engine's own failure schedule plus these
-    /// flags, so a snapshot can be adopted by a configuration whose
-    /// post-divergence crash times differ.
+    /// flags.
     pub(crate) halted: Vec<bool>,
     pub(crate) queue: crate::queue::CalendarQueue<crate::engine::Event<P::Msg>>,
     pub(crate) seq: u64,

@@ -1,8 +1,7 @@
 //! The durable checkpoint store: atomic, checksummed, versioned files.
 //!
-//! Every checkpoint artifact in the workspace — spilled prefix-tree
-//! snapshots, sweep segments, sweep manifests — goes through this one
-//! container format:
+//! Every checkpoint artifact in the workspace — engine snapshots, sweep
+//! segments, sweep manifests — goes through this one container format:
 //!
 //! ```text
 //! offset  size  field
@@ -27,10 +26,10 @@
 //! Every read path returns `Result<Option<_>>`-shaped outcomes through
 //! [`StoreError`]: a missing file, a bad magic, a failed checksum and a
 //! truncated payload are all *recoverable* conditions the caller
-//! answers by re-executing the covered work from the nearest good
-//! prefix. Only a schema/format version mismatch on a *manifest* is
-//! surfaced to the operator (resuming under a different binary's
-//! layout must fail loudly, not silently re-run).
+//! answers by re-executing the work the file covered. Only a
+//! schema/format version mismatch on a *manifest* is surfaced to the
+//! operator (resuming under a different binary's layout must fail
+//! loudly, not silently re-run).
 
 use std::fmt;
 use std::fs;
@@ -285,145 +284,6 @@ pub fn read_verified(path: &Path, schema: u32) -> Result<Option<Vec<u8>>, StoreE
     Ok(Some(payload.to_vec()))
 }
 
-/// Counters the spill layer exposes (asserted by tests, reported by
-/// benchmarks).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpoolStats {
-    /// Snapshots written to disk.
-    pub spilled: u64,
-    /// Snapshots read back from disk.
-    pub reloaded: u64,
-    /// Spilled snapshots lost to corruption (caller re-executed).
-    pub corrupt: u64,
-    /// Total bytes currently on disk.
-    pub bytes_on_disk: u64,
-}
-
-/// A disk spill area for cold snapshots under a configurable memory
-/// budget.
-///
-/// The spool itself is policy-free storage: callers (the prefix-sharing
-/// sweeper) decide *which* snapshot is cold; the spool provides durable
-/// put/take with corruption detection. Files live in the spool
-/// directory as `spill-<id>.ck` and are deleted on take — a spilled
-/// snapshot is read back at most once, exactly like its in-RAM
-/// counterpart is consumed by the DFS pop.
-pub struct SnapshotSpool {
-    dir: PathBuf,
-    budget_bytes: u64,
-    next_id: u64,
-    /// Observed spill activity.
-    pub stats: SpoolStats,
-}
-
-/// A claim ticket for one spilled snapshot.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpillHandle {
-    id: u64,
-    bytes: u64,
-}
-
-impl SpillHandle {
-    /// Encoded size of the spilled snapshot.
-    #[must_use]
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-}
-
-/// Schema tag for spilled snapshot payloads (independent of the sweep
-/// segment schema: a spool file is never read by a different binary).
-/// Bump whenever a process the sweeps spill changes its persisted
-/// layout; no reader for an older schema is kept. 2: the tolerant
-/// consensus engine lost its polling period and gained its
-/// deadline-timer marker. 3: the engine's `Metrics` gained
-/// `copies_unaddressed`. 4: the `◇HP` detector keeps what it last
-/// published in place of its mirrors-lag flag. 5: the `◇HP` detector
-/// keeps its held replies as a count and change points, not a list. 6: a
-/// process slot carries no random stream, the `◇HP` detector its bag
-/// once, and the queue its ticks and sequence numbers as deltas. 7: the
-/// `◇HP` detector lost its two mirror tags (a stacked consumer is handed
-/// the detector's output instead). 8: the `◇HP` detector writes its held
-/// replies per label — the count covering its round, then where that
-/// count moves, each round as a step from the one before.
-pub const SPOOL_SCHEMA: u32 = 8;
-
-impl SnapshotSpool {
-    /// A spool rooted at `dir` (created if absent) keeping at most
-    /// `budget_bytes` of snapshot state in RAM — the sweeper spills
-    /// past that watermark.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] when the directory cannot be created.
-    pub fn new(dir: impl Into<PathBuf>, budget_bytes: u64) -> Result<Self, StoreError> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir)?;
-        Ok(SnapshotSpool {
-            dir,
-            budget_bytes,
-            next_id: 0,
-            stats: SpoolStats::default(),
-        })
-    }
-
-    /// The configured RAM budget.
-    #[must_use]
-    pub fn budget_bytes(&self) -> u64 {
-        self.budget_bytes
-    }
-
-    fn path(&self, id: u64) -> PathBuf {
-        self.dir.join(format!("spill-{id:08}.ck"))
-    }
-
-    /// Spills encoded snapshot bytes to disk, returning the handle to
-    /// reclaim them.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] when the atomic write fails.
-    pub fn put(&mut self, encoded: &[u8]) -> Result<SpillHandle, StoreError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        write_atomic(&self.path(id), SPOOL_SCHEMA, encoded)?;
-        self.stats.spilled += 1;
-        self.stats.bytes_on_disk += encoded.len() as u64;
-        Ok(SpillHandle {
-            id,
-            bytes: encoded.len() as u64,
-        })
-    }
-
-    /// Takes a spilled snapshot back, deleting its file. `None` when
-    /// the file is missing or fails verification — the caller
-    /// re-executes from the nearest good prefix (the graceful half of
-    /// the corruption contract).
-    pub fn take(&mut self, handle: &SpillHandle) -> Option<Vec<u8>> {
-        let path = self.path(handle.id);
-        let out = match read_verified(&path, SPOOL_SCHEMA) {
-            Ok(Some(bytes)) => {
-                self.stats.reloaded += 1;
-                Some(bytes)
-            }
-            Ok(None) | Err(_) => {
-                self.stats.corrupt += 1;
-                None
-            }
-        };
-        let _ = fs::remove_file(&path);
-        self.stats.bytes_on_disk = self.stats.bytes_on_disk.saturating_sub(handle.bytes);
-        out
-    }
-
-    /// Deletes a spilled snapshot without reading it back — the DFS pop
-    /// of a branch point that no later item can resume from.
-    pub fn discard(&mut self, handle: &SpillHandle) {
-        let _ = fs::remove_file(self.path(handle.id));
-        self.stats.bytes_on_disk = self.stats.bytes_on_disk.saturating_sub(handle.bytes);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -533,37 +393,6 @@ mod tests {
     fn missing_file_is_none_not_error() {
         let dir = tmpdir("missing");
         assert!(read_verified(&dir.join("nope.ck"), 1).unwrap().is_none());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn spool_put_take_roundtrips_and_cleans_up() {
-        let dir = tmpdir("spool");
-        let mut spool = SnapshotSpool::new(&dir, 1 << 20).unwrap();
-        let h1 = spool.put(b"cold snapshot one").unwrap();
-        let h2 = spool.put(b"cold snapshot two").unwrap();
-        assert_eq!(spool.stats.spilled, 2);
-        assert_eq!(spool.take(&h2).unwrap(), b"cold snapshot two");
-        assert_eq!(spool.take(&h1).unwrap(), b"cold snapshot one");
-        assert_eq!(spool.stats.reloaded, 2);
-        assert_eq!(spool.stats.bytes_on_disk, 0);
-        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_spool_entry_returns_none() {
-        let dir = tmpdir("spool-corrupt");
-        let mut spool = SnapshotSpool::new(&dir, 1 << 20).unwrap();
-        let h = spool.put(b"doomed").unwrap();
-        // Flip a payload bit on disk behind the spool's back.
-        let path = fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
-        let mut bytes = fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
-        fs::write(&path, &bytes).unwrap();
-        assert!(spool.take(&h).is_none());
-        assert_eq!(spool.stats.corrupt, 1);
         let _ = fs::remove_dir_all(&dir);
     }
 }

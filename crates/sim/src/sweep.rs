@@ -3,20 +3,24 @@
 //! `homonym_chaos::sweep` re-exports from here rather than growing a
 //! drifting copy.
 //!
-//! Two executors live here:
+//! One executor shares prefixes, and one flat reference checks it:
 //!
 //! * the **flat** executors [`parallel_seed_sweep`] /
-//!   [`parallel_seed_sweep_with`]: every run re-executes its full
-//!   history from tick 0 (cost `O(scenarios × run length)`);
-//! * the **prefix-sharing** executor ([`PrefixTree`] planning +
-//!   [`PrefixSweeper`] execution): sweep families built from a common
-//!   base — same seed and topology, faults injected at different times,
-//!   GST placements, heal times — share long identical prefixes *by
-//!   construction*, so the executor runs each shared prefix **once**,
-//!   snapshots the engine at the branch point
-//!   ([`Engine::snapshot`](crate::engine::Engine::snapshot)) and
-//!   restores per child ([`Engine::resume_in`](crate::engine::Engine::resume_in)),
-//!   turning sweep cost into `O(tree size)`.
+//!   [`parallel_seed_sweep_with`] fan independent runs out across cores;
+//!   every run re-executes its full history from tick 0 (cost
+//!   `O(scenarios × run length)`). They are the reference the
+//!   prefix-sharing executor is checked against, and they also fan out
+//!   its families: one worker-local [`PrefixSweeper`] per core.
+//! * the **prefix-sharing** executor [`PrefixSweeper::run_family`] runs
+//!   one family of items built from a common base — same seed and
+//!   topology, faults injected at different times, GST placements, heal
+//!   times — whose runs share long identical prefixes *by construction*.
+//!   It runs each shared prefix **once**, snapshots the engine at the
+//!   branch point ([`Engine::snapshot`](crate::engine::Engine::snapshot))
+//!   and restores per child
+//!   ([`Engine::resume_in`](crate::engine::Engine::resume_in)). The walk
+//!   is depth-first, so a worker holds only the snapshots of one
+//!   root-to-leaf path: at most `items − 1`, all in RAM.
 //!
 //! Sharing is **computed, never guessed**: [`config_divergence`] derives,
 //! from two [`SimConfig`]s alone, the first tick at which their runs
@@ -30,21 +34,15 @@
 //! no shared prefix (divergence 0) — degrades gracefully to the flat
 //! executor's behaviour, one fresh run per item.
 
-use std::ops::Range;
-
-use homonym_core::failure::FailureSchedule;
 use homonym_core::identity::Identity;
 use homonym_core::time::Time;
 use rayon::prelude::*;
-
-use homonym_core::wire::{self, Persist, WireError};
 
 use crate::adversary::{ByzClause, ByzantineScript, LinkClause, LinkEffect, LinkFaultScript};
 use crate::engine::{Engine, EngineArena, SimConfig, StopReason};
 use crate::network::NetworkModel;
 use crate::process::Process;
 use crate::snapshot::EngineSnapshot;
-use crate::store::{SnapshotSpool, SpoolStats};
 
 /// Runs `run(seed)` for seeds `0..seeds` across all cores, preserving
 /// result order. Each run must be independent (the engines are: a run is
@@ -77,17 +75,21 @@ pub fn parallel_seed_sweep_with<C, R: Send>(
 // ---------------------------------------------------------------------------
 
 /// The first tick at which runs of `a` and `b` could differ — runs of
-/// the two configurations are **byte-identical on every event strictly
-/// before** the returned instant. [`Time::MAX`] means the
+/// the two configurations are **byte-identical, in every event and in
+/// the engine's whole state, strictly before** the returned instant, so
+/// a snapshot taken there can seed either. [`Time::MAX`] means the
 /// configurations can never diverge (they are behaviourally identical);
 /// [`Time::ZERO`] means no prefix is shared.
 ///
-/// The bound is sound, not tight: each ingredient contributes its
-/// earliest possible observable difference —
+/// The bound is sound, not tight: each ingredient contributes the
+/// earliest instant it could make the two engines' *states* differ —
+/// their queues, streams or processes, not just what they output —
 ///
-/// * different seeds, topologies or event valves: zero;
-/// * crash schedules: one tick before the earliest differing crash (the
-///   dying sender's partial-broadcast mask draws interleave there);
+/// * different seeds, topologies, event valves or crash schedules: zero.
+///   A crash schedule shapes the engine's state long before the crash
+///   shows: a copy that would land at or after its destination's crash
+///   is never queued, and a copy can be in flight for as long as a
+///   deferring link clause holds it;
 /// * `HPS` networks differing in GST or `δ`: the earlier GST (pre-GST
 ///   routing is identical; treatment differs from the instant one side
 ///   considers itself stabilized);
@@ -113,6 +115,7 @@ pub fn config_divergence(a: &SimConfig, b: &SimConfig) -> Time {
         byzantine,
     } = a;
     if *assign != b.assign
+        || *sched != b.sched
         || *seed != b.seed
         || *partial_broadcast_on_crash != b.partial_broadcast_on_crash
         || *max_events != b.max_events
@@ -120,7 +123,6 @@ pub fn config_divergence(a: &SimConfig, b: &SimConfig) -> Time {
         return Time::ZERO;
     }
     let d = network_divergence(network, &b.network);
-    let d = d.min(sched_divergence(sched, &b.sched));
     let d = d.min(script_divergence(
         adversary.as_deref(),
         b.adversary.as_deref(),
@@ -155,23 +157,6 @@ fn network_divergence(a: &NetworkModel, b: &NetworkModel) -> Time {
         }
         _ => Time::ZERO,
     }
-}
-
-fn sched_divergence(a: &FailureSchedule, b: &FailureSchedule) -> Time {
-    let mut d = Time::MAX;
-    for p in 0..a.n() {
-        let (ca, cb) = (a.crash_time(p), b.crash_time(p));
-        if ca == cb {
-            continue;
-        }
-        let first = match (ca, cb) {
-            (Some(x), Some(y)) => x.min(y),
-            (Some(x), None) | (None, Some(x)) => x,
-            (None, None) => unreachable!("covered by ca == cb"),
-        };
-        d = d.min(Time::from_ticks(first.ticks().saturating_sub(1)));
-    }
-    d
 }
 
 /// Earliest activation of any clause that draws from the adversary RNG.
@@ -332,23 +317,18 @@ pub struct PrefixItem<C> {
 
 /// The first tick at which runs of two sweep items could differ — the
 /// [`config_divergence`] of their configurations, tightened by the run
-/// goals: items with different goal kinds share nothing, and
-/// decided-gated items share nothing unless their correct sets agree
-/// (the stop condition reads the correct set from tick 0, so a fresh run
-/// of one could stop where the other keeps going).
+/// goals: items with different goal kinds share nothing. (Decided-gated
+/// items read their correct set from tick 0; configurations that share
+/// a prefix have one crash schedule, so they agree on it.)
 #[must_use]
 pub fn item_divergence<C>(a: &PrefixItem<C>, b: &PrefixItem<C>) -> Time {
     match (a.goal, b.goal) {
-        (RunGoal::Until(_), RunGoal::Until(_)) => {}
-        (RunGoal::UntilAllCorrectDecided(_), RunGoal::UntilAllCorrectDecided(_)) => {
-            let (sa, sb) = (&a.config.sched, &b.config.sched);
-            if (0..sa.n()).any(|p| sa.is_correct(p) != sb.is_correct(p)) {
-                return Time::ZERO;
-            }
+        (RunGoal::Until(_), RunGoal::Until(_))
+        | (RunGoal::UntilAllCorrectDecided(_), RunGoal::UntilAllCorrectDecided(_)) => {
+            config_divergence(&a.config, &b.config)
         }
-        _ => return Time::ZERO,
+        _ => Time::ZERO,
     }
-    config_divergence(&a.config, &b.config)
 }
 
 /// Execution counters of a prefix-sharing sweep, for reporting
@@ -376,47 +356,14 @@ struct StackSnap<P: Process + Clone> {
     /// earlier deadline must not restore from it, and restoring saves
     /// exactly this many ticks of re-execution.
     processed_to: u64,
-    store: SnapStore<P>,
-}
-
-/// Where a branch-point snapshot currently lives.
-// The size gap between variants is the point: `Disk` exists precisely
-// because `Ram` is big. Boxing `Ram` would add a heap hop to the common
-// (spilling-disabled) path to shrink an enum that lives in one `Vec`.
-#[allow(clippy::large_enum_variant)]
-enum SnapStore<P: Process + Clone> {
-    /// Resident in RAM. `bytes` is the snapshot's encoded size — the
-    /// budget accounting unit — when spilling is enabled, zero
-    /// otherwise (never measured, never spilled).
-    Ram { snap: EngineSnapshot<P>, bytes: u64 },
-    /// Spilled to the spool; reloaded (and verified) on first use.
-    Disk(crate::store::SpillHandle),
-}
-
-/// The monomorphized snapshot codec captured when spilling is enabled.
-///
-/// `PrefixSweeper` itself never requires `EngineSnapshot<P>: Persist` —
-/// the bound exists only on [`PrefixSweeper::enable_spill`], which
-/// captures these two instantiated fn pointers. Stacks without a wire
-/// codec keep using the sweeper exactly as before, all in RAM.
-struct SpillCodec<P: Process + Clone> {
-    enc: fn(&EngineSnapshot<P>) -> Vec<u8>,
-    dec: fn(&[u8]) -> Result<EngineSnapshot<P>, WireError>,
-}
-
-/// Spill state: the codec, the disk spool and the RAM-residency account.
-struct Spill<P: Process + Clone> {
-    codec: SpillCodec<P>,
-    spool: SnapshotSpool,
-    /// Encoded bytes of all RAM-resident stack snapshots.
-    ram_bytes: u64,
+    snap: EngineSnapshot<P>,
 }
 
 /// The worker-local prefix-sharing executor: a DFS over a family's
 /// implicit prefix tree, carrying a stack of branch-point snapshots and
 /// one recycled [`EngineArena`]. Feed it families through
-/// [`PrefixSweeper::run_family`]; for whole-batch planning plus
-/// parallelism over independent families use [`PrefixTree`].
+/// [`PrefixSweeper::run_family`]; for parallelism over independent
+/// families, give each worker one through [`parallel_seed_sweep_with`].
 ///
 /// Snapshots and engines circulate through the sweeper's pools:
 /// snapshots are refilled in place
@@ -427,8 +374,6 @@ pub struct PrefixSweeper<P: Process + Clone> {
     arena: EngineArena<P>,
     stack: Vec<StackSnap<P>>,
     spare: Vec<EngineSnapshot<P>>,
-    /// Disk spill of cold branch points, when enabled.
-    spill: Option<Spill<P>>,
     /// Counters accumulated across every family this sweeper ran.
     pub stats: ForkStats,
 }
@@ -441,144 +386,15 @@ impl<P: Process + Clone> PrefixSweeper<P> {
             arena: EngineArena::new(),
             stack: Vec::new(),
             spare: Vec::new(),
-            spill: None,
             stats: ForkStats::default(),
         }
     }
 
-    /// Enables the disk spill: branch-point snapshots beyond the
-    /// spool's RAM budget move to disk, coldest (shallowest) first, and
-    /// are reloaded — checksum-verified — when the DFS returns to them.
-    /// A spilled snapshot that fails verification is *dropped*, not
-    /// fatal: the walk falls back to the nearest shallower resident
-    /// prefix (or a fresh run) and re-executes the difference.
-    ///
-    /// Only stacks with a wire codec can spill, hence the bound; the
-    /// sweeper without this call never touches disk.
-    pub fn enable_spill(&mut self, spool: SnapshotSpool)
-    where
-        EngineSnapshot<P>: Persist,
-    {
-        fn enc<P: Process + Clone>(snap: &EngineSnapshot<P>) -> Vec<u8>
-        where
-            EngineSnapshot<P>: Persist,
-        {
-            wire::to_bytes(snap)
-        }
-        fn dec<P: Process + Clone>(bytes: &[u8]) -> Result<EngineSnapshot<P>, WireError>
-        where
-            EngineSnapshot<P>: Persist,
-        {
-            wire::from_bytes(bytes)
-        }
-        self.spill = Some(Spill {
-            codec: SpillCodec {
-                enc: enc::<P>,
-                dec: dec::<P>,
-            },
-            spool,
-            ram_bytes: 0,
-        });
-    }
-
-    /// Spill activity so far, when spilling is enabled.
-    #[must_use]
-    pub fn spool_stats(&self) -> Option<SpoolStats> {
-        self.spill.as_ref().map(|s| s.spool.stats)
-    }
-
-    /// Recycles a popped branch point: RAM snapshots return to the
-    /// spare pool, spilled ones are deleted unread.
-    fn recycle(&mut self, s: StackSnap<P>) {
-        match s.store {
-            SnapStore::Ram { snap, bytes } => {
-                if let Some(spill) = &mut self.spill {
-                    spill.ram_bytes -= bytes;
-                }
-                self.spare.push(snap);
-            }
-            SnapStore::Disk(handle) => {
-                let spill = self.spill.as_mut().expect("disk entries imply spill");
-                spill.spool.discard(&handle);
-            }
-        }
-    }
-
-    /// Ensures the top branch point (the resume seed of the next item)
-    /// is RAM-resident. A spilled top that fails verification on
-    /// reload is dropped and the next shallower entry tried — the
-    /// graceful-degradation half of the corruption contract: the walk
-    /// re-executes from the nearest good prefix instead of aborting.
-    fn materialize_top(&mut self) {
-        loop {
-            match self.stack.last() {
-                None
-                | Some(StackSnap {
-                    store: SnapStore::Ram { .. },
-                    ..
-                }) => return,
-                Some(StackSnap {
-                    store: SnapStore::Disk(_),
-                    ..
-                }) => {
-                    let StackSnap {
-                        covers_to,
-                        processed_to,
-                        store,
-                    } = self.stack.pop().expect("guarded");
-                    let SnapStore::Disk(handle) = store else {
-                        unreachable!("matched above");
-                    };
-                    let spill = self.spill.as_mut().expect("disk entries imply spill");
-                    let decoded = spill.spool.take(&handle).and_then(|bytes| {
-                        let out = (spill.codec.dec)(&bytes).ok();
-                        if out.is_none() {
-                            // Verified container, undecodable payload:
-                            // count it with the checksum failures.
-                            spill.spool.stats.corrupt += 1;
-                        }
-                        out
-                    });
-                    if let Some(snap) = decoded {
-                        spill.ram_bytes += handle.bytes();
-                        self.stack.push(StackSnap {
-                            covers_to,
-                            processed_to,
-                            store: SnapStore::Ram {
-                                snap,
-                                bytes: handle.bytes(),
-                            },
-                        });
-                        return;
-                    }
-                    // Corrupt: fall through to the next shallower entry.
-                }
-            }
-        }
-    }
-
-    /// Spills coldest-first until RAM-resident snapshots fit the
-    /// budget again. The top entry always stays resident — it seeds
-    /// the very next item.
-    fn enforce_budget(&mut self) {
-        let Some(spill) = &mut self.spill else { return };
-        let budget = spill.spool.budget_bytes();
-        let mut i = 0;
-        while spill.ram_bytes > budget && i + 1 < self.stack.len() {
-            if let SnapStore::Ram { snap, bytes } = &self.stack[i].store {
-                let encoded = (spill.codec.enc)(snap);
-                match spill.spool.put(&encoded) {
-                    Ok(handle) => {
-                        spill.ram_bytes -= *bytes;
-                        self.stack[i].store = SnapStore::Disk(handle);
-                    }
-                    // A failed spill write (disk full, permissions) is
-                    // not worth killing the sweep over: the snapshot
-                    // just stays resident, over budget.
-                    Err(_) => break,
-                }
-            }
-            i += 1;
+    /// Pops the top branch point, returning its snapshot to the spare
+    /// pool.
+    fn pop(&mut self) {
+        if let Some(s) = self.stack.pop() {
+            self.spare.push(s.snap);
         }
     }
 
@@ -607,36 +423,32 @@ impl<P: Process + Clone> PrefixSweeper<P> {
         mut extract: impl FnMut(&mut Engine<P>, usize) -> R,
     ) -> Vec<R> {
         // Branch points never carry over between families.
-        while let Some(s) = self.stack.pop() {
-            self.recycle(s);
+        while !self.stack.is_empty() {
+            self.pop();
         }
         let mut out = Vec::with_capacity(items.len());
         for (i, item) in items.iter().enumerate() {
             if i > 0 {
                 let d = item_divergence(&items[i - 1], item).ticks();
                 while self.stack.last().is_some_and(|s| s.covers_to > d) {
-                    let s = self.stack.pop().expect("guarded");
-                    self.recycle(s);
+                    self.pop();
                 }
             }
             // A snapshot that ran past this item's own deadline cannot
             // seed it (the fresh run would have stopped earlier).
             let deadline = item.goal.deadline().ticks();
             while self.stack.last().is_some_and(|s| s.processed_to > deadline) {
-                let s = self.stack.pop().expect("guarded");
-                self.recycle(s);
+                self.pop();
             }
-            // Reload the resume seed if it was spilled (dropping it if
-            // its file went bad — the next shallower entry covers).
-            self.materialize_top();
             let mut engine = match self.stack.last() {
                 Some(top) => {
-                    let SnapStore::Ram { snap, .. } = &top.store else {
-                        unreachable!("materialize_top leaves a RAM top");
-                    };
                     self.stats.forked += 1;
                     self.stats.shared_ticks += top.processed_to;
-                    Engine::resume_in(item.config.clone(), snap, std::mem::take(&mut self.arena))
+                    Engine::resume_in(
+                        item.config.clone(),
+                        &top.snap,
+                        std::mem::take(&mut self.arena),
+                    )
                 }
                 None => Engine::new_in(
                     item.config.clone(),
@@ -660,16 +472,6 @@ impl<P: Process + Clone> PrefixSweeper<P> {
                         None => engine.snapshot(),
                     };
                     self.stats.snapshots += 1;
-                    // Under a spill budget the snapshot's encoded size
-                    // is the accounting unit; without one it is never
-                    // measured (bytes = 0 spills nothing).
-                    let bytes = match &self.spill {
-                        Some(spill) => (spill.codec.enc)(&snap).len() as u64,
-                        None => 0,
-                    };
-                    if let Some(spill) = &mut self.spill {
-                        spill.ram_bytes += bytes;
-                    }
                     self.stack.push(StackSnap {
                         covers_to: d,
                         // The clock the run actually reached, not the
@@ -678,9 +480,8 @@ impl<P: Process + Clone> PrefixSweeper<P> {
                         // and the shared-ticks accounting must see the
                         // real stopping point.
                         processed_to: engine.now().ticks().min(cap),
-                        store: SnapStore::Ram { snap, bytes },
+                        snap,
                     });
-                    self.enforce_budget();
                 }
             }
             item.goal.run(&mut engine, Time::MAX);
@@ -698,140 +499,12 @@ impl<P: Process + Clone> Default for PrefixSweeper<P> {
     }
 }
 
-/// A planned prefix-sharing sweep over a batch of items: divergence
-/// times are computed up front, the batch is split into independent
-/// subtrees (at zero-divergence boundaries), and execution fans the
-/// subtrees out across cores — each on a worker-local [`PrefixSweeper`]
-/// with its own [`EngineArena`], the same per-worker discipline as
-/// [`parallel_seed_sweep_with`].
-pub struct PrefixTree<C> {
-    items: Vec<PrefixItem<C>>,
-    /// `div[i]` = divergence tick between items `i − 1` and `i`
-    /// (`div[0] = 0`).
-    div: Vec<u64>,
-}
-
-impl<C: Sync> PrefixTree<C> {
-    /// Plans a batch: computes every consecutive divergence. Items are
-    /// executed in the given order — keep families contiguous (the
-    /// generators emit them that way).
-    #[must_use]
-    pub fn plan(items: Vec<PrefixItem<C>>) -> Self {
-        let div = std::iter::once(0)
-            .chain(
-                items
-                    .windows(2)
-                    .map(|w| item_divergence(&w[0], &w[1]).ticks()),
-            )
-            .collect();
-        PrefixTree { items, div }
-    }
-
-    /// The planned items, in execution order.
-    #[must_use]
-    pub fn items(&self) -> &[PrefixItem<C>] {
-        &self.items
-    }
-
-    /// Number of planned items.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the plan is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Consecutive divergence ticks (`[0]` is always zero).
-    #[must_use]
-    pub fn divergences(&self) -> &[u64] {
-        &self.div
-    }
-
-    /// The planner's sharing estimate: ticks of shared prefix across
-    /// consecutive items (capped at each item's deadline). Zero means
-    /// the tree degenerates to the flat executor.
-    #[must_use]
-    pub fn planned_shared_ticks(&self) -> u64 {
-        self.items
-            .iter()
-            .zip(&self.div)
-            .map(|(item, &d)| d.saturating_sub(1).min(item.goal.deadline().ticks()))
-            .sum()
-    }
-
-    /// The independent subtrees: maximal runs of consecutive items with
-    /// nonzero divergence between neighbours.
-    #[must_use]
-    pub fn groups(&self) -> Vec<Range<usize>> {
-        let mut groups = Vec::new();
-        let mut start = 0;
-        for i in 1..self.items.len() {
-            if self.div[i] == 0 {
-                groups.push(start..i);
-                start = i;
-            }
-        }
-        if start < self.items.len() {
-            groups.push(start..self.items.len());
-        }
-        groups
-    }
-
-    /// Executes the plan: independent subtrees in parallel, each DFS'd
-    /// on a worker-local [`PrefixSweeper`]. Results come back in item
-    /// order, alongside the accumulated [`ForkStats`].
-    pub fn execute<P, R>(
-        &self,
-        factory: impl Fn(&PrefixItem<C>, usize, Identity) -> P + Sync,
-        extract: impl Fn(&mut Engine<P>, &PrefixItem<C>) -> R + Sync,
-    ) -> (Vec<R>, ForkStats)
-    where
-        P: Process + Clone,
-        R: Send,
-    {
-        let groups = self.groups();
-        let per_group: Vec<(Vec<R>, ForkStats)> = groups.into_par_iter().map_init(
-            PrefixSweeper::new,
-            |sweeper: &mut PrefixSweeper<P>, range: Range<usize>| {
-                let slice = &self.items[range.clone()];
-                let before = sweeper.stats;
-                let results = sweeper.run_family(
-                    slice,
-                    |i, p, id| factory(&slice[i], p, id),
-                    |engine, i| extract(engine, &slice[i]),
-                );
-                let after = sweeper.stats;
-                let delta = ForkStats {
-                    runs: after.runs - before.runs,
-                    forked: after.forked - before.forked,
-                    snapshots: after.snapshots - before.snapshots,
-                    shared_ticks: after.shared_ticks - before.shared_ticks,
-                };
-                (results, delta)
-            },
-        );
-        let mut out = Vec::with_capacity(self.items.len());
-        let mut stats = ForkStats::default();
-        for (results, delta) in per_group {
-            out.extend(results);
-            stats.runs += delta.runs;
-            stats.forked += delta.forked;
-            stats.snapshots += delta.snapshots;
-            stats.shared_ticks += delta.shared_ticks;
-        }
-        (out, stats)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::adversary::ProcSet;
     use crate::network::PreGstBehavior;
+    use homonym_core::failure::FailureSchedule;
     use homonym_core::identity::IdentityAssignment;
     use homonym_core::time::Span;
 
@@ -928,11 +601,11 @@ mod tests {
     }
 
     #[test]
-    fn crash_difference_diverges_one_tick_before_the_earlier_crash() {
+    fn crash_difference_forfeits_sharing() {
         let a = base_config(1);
         let mut b = base_config(1);
         b.sched = FailureSchedule::none(4).with_crash(2, Time::from_ticks(40));
-        assert_eq!(config_divergence(&a, &b), Time::from_ticks(39));
+        assert_eq!(config_divergence(&a, &b), Time::ZERO);
     }
 
     #[test]
@@ -1014,22 +687,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn groups_split_at_zero_divergence() {
-        let item = |seed: u64| PrefixItem {
-            config: base_config(seed),
-            goal: RunGoal::Until(Time::from_ticks(500)),
-            tag: (),
-        };
-        // Two families: seeds {1, 1} then {2, 2}.
-        let tree = PrefixTree::plan(vec![item(1), item(1), item(2), item(2)]);
-        assert_eq!(tree.groups(), vec![0..2, 2..4]);
-        assert_eq!(tree.divergences()[2], 0);
-    }
-
-    /// Persistable chatter for the spill tests: broadcasts a counter on
-    /// a repeating timer and publishes the running sum it hears, so
-    /// engine state keeps evolving for the whole run window.
+    /// Chatter for the family test: broadcasts a counter on a repeating
+    /// timer and publishes the running sum it hears, so engine state
+    /// keeps evolving for the whole run window.
     #[derive(Debug, Clone, Copy)]
     struct Pulse {
         me: u64,
@@ -1063,12 +723,15 @@ mod tests {
         }
     }
 
-    homonym_core::persist_fields!(Pulse { me, heard });
-
-    /// A sweep item diverging from its siblings at `crash_at - 1`.
-    fn pulse_item(crash_at: u64) -> PrefixItem<()> {
-        let mut config = base_config(1);
-        config.sched = FailureSchedule::none(4).with_crash(3, Time::from_ticks(crash_at));
+    /// A sweep item whose links `{0, 1} → {2, 3}` drop every copy from
+    /// tick 20 until `heal`, and which crashes process 3 at `crash`.
+    fn pulse_item(heal: u64, crash: Option<u64>) -> PrefixItem<()> {
+        let mut drop = defer_clause(20, heal);
+        drop.effect = LinkEffect::Drop;
+        let mut config = base_config(1).with_adversary(LinkFaultScript::new(0).with_clause(drop));
+        if let Some(at) = crash {
+            config.sched = FailureSchedule::none(4).with_crash(3, Time::from_ticks(at));
+        }
         PrefixItem {
             config,
             goal: RunGoal::Until(Time::from_ticks(200)),
@@ -1076,16 +739,22 @@ mod tests {
         }
     }
 
-    /// Crash times chosen so the DFS stacks three branch points (39, 79,
-    /// 119), then pops back to the shallowest — under a zero budget that
-    /// spills two snapshots and reloads one from disk.
+    /// Heal times are multiples of 7, the ticks every `Pulse` broadcasts
+    /// at, so a run that went one tick past its branch point differs
+    /// from its siblings. They stack three branch points (41, 83, 125),
+    /// then pop back to the shallowest. The last two items differ only
+    /// in a crash; the first of them runs ahead of the second past where
+    /// the copies in flight to the crashed process were sent. A crash
+    /// schedule forfeits sharing (see [`config_divergence`]).
     fn pulse_family() -> Vec<PrefixItem<()>> {
         vec![
-            pulse_item(40),
-            pulse_item(80),
-            pulse_item(120),
-            pulse_item(160),
-            pulse_item(41),
+            pulse_item(42, None),
+            pulse_item(84, None),
+            pulse_item(126, None),
+            pulse_item(168, None),
+            pulse_item(49, None),
+            pulse_item(168, Some(60)),
+            pulse_item(168, None),
         ]
     }
 
@@ -1096,117 +765,31 @@ mod tests {
         }
     }
 
-    fn unique_dir(tag: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("hsnp-sweep-{}-{}", tag, std::process::id()))
-    }
-
+    /// Every item of a family through one [`PrefixSweeper`] ends where a
+    /// fresh run of it from tick 0 ends: same clock, metrics and
+    /// histories — and the family did share prefixes.
     #[test]
-    fn spilled_sweep_matches_resident_sweep() {
+    fn a_forked_family_matches_fresh_runs() {
         let extract = |e: &mut Engine<Pulse>, _i: usize| {
             (e.now(), e.metrics().clone(), e.histories().to_vec())
         };
         let items = pulse_family();
 
-        let mut plain = PrefixSweeper::new();
-        let baseline = plain.run_family(&items, pulse_factory, extract);
-        assert!(plain.stats.forked >= 2, "family must share prefixes");
+        let mut sweeper = PrefixSweeper::new();
+        let forked = sweeper.run_family(&items, pulse_factory, extract);
 
-        let dir = unique_dir("spill-eq");
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut spilling = PrefixSweeper::new();
-        spilling.enable_spill(SnapshotSpool::new(&dir, 0).expect("spool dir"));
-        let spilled = spilling.run_family(&items, pulse_factory, extract);
+        let fresh: Vec<_> = (items.iter().enumerate())
+            .map(|(i, item)| {
+                let factory = |p, id| pulse_factory(i, p, id);
+                let mut engine = Engine::new_in(item.config.clone(), factory, EngineArena::new());
+                item.goal.run(&mut engine, Time::MAX);
+                extract(&mut engine, i)
+            })
+            .collect();
 
-        assert_eq!(spilled, baseline, "spilling must be invisible to results");
-        assert_eq!(spilling.stats, plain.stats, "…and to the fork accounting");
-        let stats = spilling.spool_stats().expect("spill enabled");
-        assert!(stats.spilled >= 2, "zero budget must spill: {stats:?}");
-        assert!(stats.reloaded >= 1, "the pop-back must reload: {stats:?}");
-        assert_eq!(stats.corrupt, 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Corrupting a spilled snapshot on disk must not abort the walk:
-    /// `materialize_top` drops the bad entry (counting it) and falls
-    /// back to the next shallower resident prefix.
-    #[test]
-    fn corrupt_spilled_snapshot_falls_back_to_shallower_prefix() {
-        let dir = unique_dir("spill-corrupt");
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut sweeper: PrefixSweeper<Pulse> = PrefixSweeper::new();
-        sweeper.enable_spill(SnapshotSpool::new(&dir, 0).expect("spool dir"));
-
-        let mut engine = Engine::new_in(
-            pulse_item(40).config,
-            |p, id| pulse_factory(0, p, id),
-            EngineArena::new(),
-        );
-        engine.run_until(Time::from_ticks(10));
-        let shallow = engine.snapshot();
-        engine.run_until(Time::from_ticks(50));
-        let deep = engine.snapshot();
-
-        sweeper.stack.push(StackSnap {
-            covers_to: 11,
-            processed_to: 10,
-            store: SnapStore::Ram {
-                snap: shallow,
-                bytes: 0,
-            },
-        });
-        let spill = sweeper.spill.as_mut().expect("enabled");
-        let handle = spill
-            .spool
-            .put(&(spill.codec.enc)(&deep))
-            .expect("spill write");
-        // Flip one payload byte of the single spool file on disk.
-        let file = std::fs::read_dir(&dir)
-            .expect("spool dir")
-            .map(|e| e.expect("entry").path())
-            .find(|p| p.extension().is_some_and(|x| x == "ck"))
-            .expect("a spilled file");
-        let mut bytes = std::fs::read(&file).expect("read spill");
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x40;
-        std::fs::write(&file, &bytes).expect("corrupt spill");
-        sweeper.stack.push(StackSnap {
-            covers_to: 51,
-            processed_to: 50,
-            store: SnapStore::Disk(handle),
-        });
-
-        sweeper.materialize_top();
-        assert_eq!(sweeper.stack.len(), 1, "corrupt entry must be dropped");
-        assert!(
-            matches!(
-                sweeper.stack.last(),
-                Some(StackSnap {
-                    store: SnapStore::Ram { .. },
-                    ..
-                })
-            ),
-            "the shallower RAM prefix takes over"
-        );
-        let stats = sweeper.spool_stats().expect("enabled");
-        assert_eq!(stats.corrupt, 1);
-
-        // With nothing shallower left, the fallback is a fresh run: an
-        // all-corrupt stack drains to empty instead of panicking.
-        let spill = sweeper.spill.as_mut().expect("enabled");
-        let handle = spill
-            .spool
-            .put(&[0xAB; 64]) // valid container, undecodable payload
-            .expect("spill write");
-        sweeper.stack.clear();
-        sweeper.stack.push(StackSnap {
-            covers_to: 99,
-            processed_to: 98,
-            store: SnapStore::Disk(handle),
-        });
-        sweeper.materialize_top();
-        assert!(sweeper.stack.is_empty(), "no prefix left means fresh run");
-        let stats = sweeper.spool_stats().expect("enabled");
-        assert_eq!(stats.corrupt, 2);
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(forked, fresh, "a fork must end where a fresh run ends");
+        let stats = sweeper.stats;
+        assert!(stats.forked >= 2, "family must share prefixes: {stats:?}");
+        assert!(stats.shared_ticks > 0, "forks must skip ticks: {stats:?}");
     }
 }

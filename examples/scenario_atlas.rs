@@ -5,11 +5,12 @@
 //! 250 seeded split-brain bases × 20 heal times = 5 000 scenarios of the
 //! full Figure 6 + Figure 8 stack. Every scenario in a base's column
 //! shares the pre-partition prefix (same seed, same groups, same start),
-//! so the prefix tree runs each base's warm-up **once** and forks the
-//! heal variants off a snapshot — the planner computes the divergence
-//! times from the configs, nothing is guessed. The flat executor would
+//! so one [`PrefixSweeper::run_family`] per base runs its warm-up
+//! **once** and forks the heal variants off a snapshot — the divergence
+//! times are computed from the configs, nothing is guessed. The bases
+//! fan out across cores, one sweeper per worker. The flat executor would
 //! re-run every prefix from tick 0; the printed run accounting shows
-//! what the tree saved.
+//! what the forks saved.
 //!
 //! The payoff is rendered with the `homonym-obs` toolkit:
 //!
@@ -36,7 +37,9 @@ use homonym::chaos::{
 };
 use homonym::obs::{percentile_table, Histogram, VerdictMatrix};
 use homonym::prelude::*;
-use homonym::sim::sweep::{PrefixItem, PrefixTree, RunGoal};
+use homonym::sim::sweep::{
+    parallel_seed_sweep_with, ForkStats, PrefixItem, PrefixSweeper, RunGoal,
+};
 use homonym::sim::Engine;
 
 fn env_or(name: &str, default: usize) -> usize {
@@ -63,54 +66,70 @@ fn main() {
 
     // The grid: base b contributes `heals` scenarios sharing everything
     // up to the partition start; column j heals at start + 20 + 10·j.
-    let mut items: Vec<PrefixItem<(usize, Time)>> = Vec::with_capacity(bases * heals);
-    for b in 0..bases as u64 {
+    let family = |b: u64| -> Vec<PrefixItem<(usize, Time)>> {
         let seed = 1_000 + b;
         let start = 40 + seed % 60;
         let groups = split_groups(n, seed);
-        for j in 0..heals as u64 {
-            let scenario = Scenario::new(format!("atlas-split#{seed}"), n)
-                .with_clause(FaultClause::Partition {
-                    groups: groups.clone(),
-                    start: Time::from_ticks(start),
-                    heal_at: Time::from_ticks(start + 20 + 10 * j),
-                    mode: PartitionMode::QueueUntilHeal,
-                })
-                .with_gst(GstPlacement::AfterLastFault {
-                    margin: Span::from_ticks(10),
-                });
-            let sim = SimConfig::new(
-                IdentityAssignment::round_robin(n, 3),
-                FailureSchedule::none(n),
-                hps_base(),
-            )
-            .with_seed(seed);
-            let sim = scenario.install(sim).expect("atlas scenarios validate");
-            let clean = clean_instant(&sim, &scenario);
-            items.push(PrefixItem {
-                config: sim,
-                goal: RunGoal::UntilAllCorrectDecided(clean + Span::from_ticks(20_000)),
-                tag: (j as usize, clean),
-            });
-        }
-    }
+        (0..heals as u64)
+            .map(|j| {
+                let scenario = Scenario::new(format!("atlas-split#{seed}"), n)
+                    .with_clause(FaultClause::Partition {
+                        groups: groups.clone(),
+                        start: Time::from_ticks(start),
+                        heal_at: Time::from_ticks(start + 20 + 10 * j),
+                        mode: PartitionMode::QueueUntilHeal,
+                    })
+                    .with_gst(GstPlacement::AfterLastFault {
+                        margin: Span::from_ticks(10),
+                    });
+                let sim = SimConfig::new(
+                    IdentityAssignment::round_robin(n, 3),
+                    FailureSchedule::none(n),
+                    hps_base(),
+                )
+                .with_seed(seed);
+                let sim = scenario.install(sim).expect("atlas scenarios validate");
+                let clean = clean_instant(&sim, &scenario);
+                PrefixItem {
+                    config: sim,
+                    goal: RunGoal::UntilAllCorrectDecided(clean + Span::from_ticks(20_000)),
+                    tag: (j as usize, clean),
+                }
+            })
+            .collect()
+    };
 
-    let total = items.len();
+    let total = bases * heals;
     println!("## scenario atlas: {bases} split-brain bases × {heals} heal times = {total} runs\n");
 
-    let tree = PrefixTree::plan(items);
-    let planned = tree.planned_shared_ticks();
     let started = std::time::Instant::now();
-    let (results, stats) = tree.execute(
-        |_item, p, _id| -> Fig8Node { fig8_node(proposals[p], n, t) },
-        |engine: &mut Engine<Fig8Node>, item| {
-            let sched = engine.config().sched.clone();
-            let result = check_consensus(&engine.outcome(proposals.clone()), &sched).map(|_| ());
-            let verdict = classify_run(RunCondition::clean_from(item.tag.1), result);
-            (item.tag.0, verdict, engine.now().ticks())
-        },
-    );
+    let per_base = parallel_seed_sweep_with(bases, PrefixSweeper::new, |sweeper, b| {
+        let items = family(b);
+        sweeper.stats = ForkStats::default();
+        let results = sweeper.run_family(
+            &items,
+            |_i, p, _id| -> Fig8Node { fig8_node(proposals[p], n, t) },
+            |engine: &mut Engine<Fig8Node>, i| {
+                let (column, clean) = items[i].tag;
+                let sched = engine.config().sched.clone();
+                let result =
+                    check_consensus(&engine.outcome(proposals.clone()), &sched).map(|_| ());
+                let verdict = classify_run(RunCondition::clean_from(clean), result);
+                (column, verdict, engine.now().ticks())
+            },
+        );
+        (results, sweeper.stats)
+    });
     let elapsed = started.elapsed();
+    let mut stats = ForkStats::default();
+    let mut results = Vec::with_capacity(total);
+    for (base_results, base_stats) in per_base {
+        results.extend(base_results);
+        stats.runs += base_stats.runs;
+        stats.forked += base_stats.forked;
+        stats.snapshots += base_stats.snapshots;
+        stats.shared_ticks += base_stats.shared_ticks;
+    }
 
     // The verdict matrix: one row per heal column, rendered by the obs
     // toolkit; end-of-run tick distributions feed the percentile table.
@@ -156,8 +175,7 @@ fn main() {
     println!("\n## tree vs flat accounting\n");
     println!("flat executor:  {total} full runs, ~{flat_ticks} ticks re-executed from tick 0");
     println!(
-        "prefix tree:    {} leaf runs, {} forked from {} snapshots, {} shared ticks never re-run \
-         (planner estimate {planned})",
+        "prefix tree:    {} leaf runs, {} forked from {} snapshots, {} shared ticks never re-run",
         stats.runs, stats.forked, stats.snapshots, stats.shared_ticks
     );
     println!(
