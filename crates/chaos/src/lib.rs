@@ -14,16 +14,17 @@
 //! * [`Scenario`] — a named, validated composition of reusable
 //!   [`FaultClause`]s: timed **partitions** with heal times (queue-mode
 //!   partitions release all held copies at the heal instant, in the
-//!   engines' deterministic `(time, seq)` order), directional per-link
+//!   engine's deterministic `(time, seq)` order), directional per-link
 //!   **loss/delay overlays**, crash-recovery-style **churn** windows,
 //!   permanent **crashes**, and an adversarial [`GstPlacement`] that pins
 //!   the global stabilization time right after the last fault;
-//! * lowering to the engine hook — [`Scenario::install`] /
-//!   [`Scenario::install_sync`] compile the clauses to a
+//! * lowering to the engine hook — [`Scenario::install`] compiles the
+//!   clauses to a
 //!   [`LinkFaultScript`](homonym_sim::adversary::LinkFaultScript)
-//!   consulted by **both** the event-driven and the lock-step engine at
-//!   copy-routing time, deterministically and without perturbing any
-//!   existing RNG stream;
+//!   consulted by the event-driven engine at copy-routing time,
+//!   deterministically and without perturbing any existing RNG stream
+//!   (the lock-step engine takes no scenario: an adversarial Figure 7 run
+//!   is `HSigmaStepProcess` on `NetworkModel::Synchronous`);
 //! * [`generators`] — seeded random scenario **families** (below);
 //! * [`sweep`] — the [`falsification_sweep`]: thousands of generated
 //!   scenarios against a detector/consensus stack, asserting safety

@@ -19,7 +19,6 @@ use homonym_sim::adversary::{
 };
 use homonym_sim::engine::SimConfig;
 use homonym_sim::network::NetworkModel;
-use homonym_sim::sync_engine::SyncConfig;
 
 /// FNV-1a over a string — the single deterministic name→seed fold used
 /// for scenario RNG salts and generator stream decorrelation (one
@@ -818,30 +817,6 @@ impl Scenario {
             cfg.with_byzantine(byz)
         })
     }
-
-    /// Installs the scenario into a lock-step configuration (times in
-    /// the clauses are interpreted as step numbers; there is no GST to
-    /// place).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ScenarioError`] when validation rejects the scenario.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration disagrees with the scenario on `n`.
-    pub fn install_sync(&self, mut cfg: SyncConfig) -> Result<SyncConfig, ScenarioError> {
-        assert_eq!(cfg.assign.n(), self.n, "config size mismatch");
-        let script = self.compile()?;
-        let byz = self.compile_byzantine()?;
-        cfg.sched = self.apply_crashes(&cfg.sched);
-        let cfg = cfg.with_adversary(script);
-        Ok(if byz.is_empty() {
-            cfg
-        } else {
-            cfg.with_byzantine(byz)
-        })
-    }
 }
 
 impl fmt::Display for Scenario {
@@ -1082,10 +1057,6 @@ mod tests {
         let cfg = s.install(cfg).expect("valid");
         assert_eq!(cfg.sched.crash_time(2), Some(t(7)));
         assert!(cfg.adversary.as_ref().is_some_and(|a| !a.is_empty()));
-        let sync = SyncConfig::new(IdentityAssignment::unique(3), FailureSchedule::none(3));
-        let sync = s.install_sync(sync).expect("valid");
-        assert_eq!(sync.sched.crash_time(2), Some(t(7)));
-        assert!(sync.adversary.is_some());
     }
 
     #[test]
@@ -1209,12 +1180,6 @@ mod tests {
             .byzantine
             .as_ref()
             .is_some_and(|b| !b.is_empty() && b.draws_entropy()));
-        let sync = SyncConfig::new(IdentityAssignment::unique(3), FailureSchedule::none(3));
-        assert!(attacked
-            .install_sync(sync)
-            .expect("valid")
-            .byzantine
-            .is_some());
     }
 
     #[test]

@@ -25,7 +25,9 @@
 //! nodes from the sweep's own stack descriptions (`crate::sweep`), so a
 //! session and a sweep run of one stack cannot drift apart. The same
 //! surface covers the lock-step engine ([`SessionBuilder::sync_hsigma`]
-//! → [`SyncSession`]).
+//! → [`SyncSession`]), which runs Figure 7's synchronous step and takes
+//! no scenario, recorder or trace; for those, build
+//! `HSigmaStepProcess` on [`NetworkModel::Synchronous`].
 //!
 //! ```
 //! use homonym_chaos::session::{Goal, SessionBuilder};
@@ -408,28 +410,36 @@ impl SessionBuilder {
     // ---- terminal constructors: lock-step engine ----------------------
 
     /// Figure 7 `HΣ` over the lock-step engine; the session runs
-    /// `deadline` ticks as lock-step rounds.
+    /// `deadline` ticks as lock-step rounds. It reads the builder's
+    /// size, assignment, seed and schedule (crash times are step
+    /// numbers). A Figure 7 run under faults, observed or traced is
+    /// `HSigmaStepProcess` built with [`SessionBuilder::build`] on
+    /// [`NetworkModel::Synchronous`].
     ///
     /// # Panics
     ///
-    /// Panics if the scenario fails validation against this topology.
+    /// Panics if the builder carries a scenario ([`Self::with_scenario`]),
+    /// a recorder ([`Self::with_recorder`]) or a trace
+    /// ([`Self::with_trace`]): the lock-step engine has none of those
+    /// hooks, and dropping one would run a different experiment than
+    /// the one asked for.
     #[must_use]
     pub fn sync_hsigma(self) -> SyncSession<HSigmaSyncProcess> {
-        let sched = self
-            .schedule
-            .clone()
-            .unwrap_or_else(|| FailureSchedule::none(self.n));
-        let cfg = SyncConfig::new(self.assignment(), sched).with_seed(self.seed);
-        let cfg = match &self.scenario {
-            Some(s) => s.install_sync(cfg).expect("scenario must validate"),
-            None => cfg,
-        };
-        let mut engine = SyncEngine::new(cfg, |_, id| HSigmaSyncProcess::new(id));
-        if let Some(cap) = self.recorder_cap {
-            engine.enable_recorder(cap);
+        for (set, option) in [
+            (self.scenario.is_some(), "with_scenario"),
+            (self.recorder_cap.is_some(), "with_recorder"),
+            (self.trace_cap.is_some(), "with_trace"),
+        ] {
+            assert!(
+                !set,
+                "sync_hsigma: the lock-step engine has no {option} hook; run \
+                 HSigmaStepProcess on NetworkModel::Synchronous instead"
+            );
         }
+        let sched = (self.schedule.clone()).unwrap_or_else(|| FailureSchedule::none(self.n));
+        let cfg = SyncConfig::new(self.assignment(), sched).with_seed(self.seed);
         SyncSession {
-            engine,
+            engine: SyncEngine::new(cfg, |_, id| HSigmaSyncProcess::new(id)),
             steps: self.deadline.ticks(),
         }
     }
@@ -664,17 +674,6 @@ impl<P: SyncProcess> SyncSession<P> {
     pub fn engine(&self) -> &SyncEngine<P> {
         &self.engine
     }
-
-    /// Mutable engine access.
-    pub fn engine_mut(&mut self) -> &mut SyncEngine<P> {
-        &mut self.engine
-    }
-
-    /// Unwraps the session into its engine.
-    #[must_use]
-    pub fn into_engine(self) -> SyncEngine<P> {
-        self.engine
-    }
 }
 
 #[cfg(test)]
@@ -799,5 +798,13 @@ mod tests {
             .sync_hsigma();
         session.run();
         assert_eq!(session.engine().metrics().steps, 30);
+    }
+
+    #[test]
+    #[should_panic(expected = "no with_scenario hook")]
+    fn sync_session_refuses_a_scenario() {
+        let builder = SessionBuilder::new(4, 2);
+        let scenario = crate::sweep::Family::HiddenEquivocator.generate(&builder.assignment(), 1);
+        let _ = builder.with_scenario(scenario).sync_hsigma();
     }
 }

@@ -11,9 +11,9 @@
 //! * a checkpoint directory written by a *different* sweep
 //!   configuration is refused with a clear error;
 //! * the full Figure-8 and Byzantine-quorum stacks survive an on-disk
-//!   snapshot round-trip mid-run (the event-engine half of the durable
-//!   contract; `durable_sync.rs` in `homonym-detectors` covers the
-//!   lock-step engine).
+//!   snapshot round-trip mid-run (`durable_sync.rs` in
+//!   `homonym-detectors` covers Figure 7's `HSigmaStepProcess` on the
+//!   synchronous network).
 
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;

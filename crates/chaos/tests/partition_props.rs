@@ -1,16 +1,15 @@
 //! Property tests for partition semantics: rejection of ill-formed
-//! clauses, and deterministic release of queued copies on **both**
-//! engines when a partition heals.
+//! clauses, and deterministic release of queued copies on the event
+//! engine and the reference interpreter when a partition heals.
 
 use homonym_chaos::{FaultClause, PartitionMode, Scenario, ScenarioError};
 use homonym_core::failure::FailureSchedule;
-use homonym_core::identity::{Identity, IdentityAssignment};
+use homonym_core::identity::IdentityAssignment;
 use homonym_core::time::{Span, Time};
 use homonym_sim::engine::{Engine, SimConfig};
 use homonym_sim::network::NetworkModel;
 use homonym_sim::process::{ActionSink, Process, TimerTag};
 use homonym_sim::reference::ReferenceEngine;
-use homonym_sim::sync_engine::{SyncConfig, SyncEngine, SyncProcess, SyncSink};
 use proptest::prelude::*;
 
 /// Broadcasts its index once at start and publishes every sender index
@@ -29,20 +28,6 @@ impl Process for Beacon {
         ctx.publish(m);
     }
     fn on_timer(&mut self, _t: TimerTag, _ctx: &mut ActionSink<'_, u64, u64>) {}
-}
-
-/// Sends one message per step and publishes how many arrived.
-struct StepCounter;
-
-impl SyncProcess for StepCounter {
-    type Msg = Identity;
-    type Output = usize;
-    fn send(&mut self, _step: u64, out: &mut Vec<Identity>) {
-        out.push(Identity::new(0));
-    }
-    fn receive(&mut self, _step: u64, received: &mut Vec<Identity>, sink: &mut SyncSink<usize>) {
-        sink.publish(received.len());
-    }
 }
 
 fn two_groups(n: usize, k: usize) -> Vec<Vec<usize>> {
@@ -145,65 +130,4 @@ proptest! {
         }
     }
 
-    /// Lock-step engine: a healed queue-mode partition delivers the full
-    /// backlog at the heal step — per-step counts are exact and two runs
-    /// of the same seed agree.
-    #[test]
-    fn healed_partition_releases_backlog_sync_engine(
-        n in 3usize..6,
-        split in 1usize..5,
-        start in 1u64..5,
-        len in 1u64..6,
-        seed in any::<u64>(),
-    ) {
-        let k = split.min(n - 1);
-        let heal = start + len;
-        let scenario = Scenario::new("prop-sync-split", n).with_clause(FaultClause::Partition {
-            groups: two_groups(n, k),
-            start: Time::from_ticks(start),
-            heal_at: Time::from_ticks(heal),
-            mode: PartitionMode::QueueUntilHeal,
-        });
-        let run = || {
-            let cfg = SyncConfig::new(IdentityAssignment::anonymous(n), FailureSchedule::none(n))
-                .with_seed(seed);
-            let cfg = scenario.install_sync(cfg).expect("valid");
-            let mut engine = SyncEngine::new(cfg, |_, _| StepCounter);
-            engine.run_steps(heal + 2);
-            (engine.histories().to_vec(), engine.metrics().clone())
-        };
-        let (histories, metrics) = run();
-        prop_assert_eq!(&histories, &run().0, "same seed, same run");
-
-        // Nothing lost across the whole run.
-        let steps = heal + 2;
-        prop_assert_eq!(metrics.copies_delivered, (n as u64) * (n as u64) * steps);
-        prop_assert_eq!(metrics.copies_blocked, 0);
-
-        for (p, hist) in histories.iter().enumerate() {
-            let my_side_size = if p < k { k } else { n - k };
-            let other_side = n - my_side_size;
-            for (s, (at, count)) in hist.iter().enumerate() {
-                let s = s as u64;
-                prop_assert_eq!(*at, Time::from_ticks(s));
-                let expected = if s < start || s > heal {
-                    n // full mesh
-                } else if s < heal {
-                    my_side_size // partitioned: own side only
-                } else {
-                    // Heal step: this step's n plus the whole backlog.
-                    n + (heal - start) as usize * other_side
-                };
-                prop_assert_eq!(
-                    *count,
-                    expected,
-                    "p{} step {}: got {}, expected {}",
-                    p,
-                    s,
-                    count,
-                    expected
-                );
-            }
-        }
-    }
 }

@@ -11,11 +11,15 @@
 //! process; liveness holds from the first step after the last crash, when
 //! `mset_p = I(Correct)` at every correct process (Theorem 6). Membership
 //! is never known initially — everything is learned from `IDENT` traffic.
+//!
+//! This is the lock-step Figure 7, for `exp fig7`. Its event-engine twin,
+//! [`crate::h_sigma_step::HSigmaStepProcess`], publishes the same
+//! histories on `NetworkModel::Synchronous` and is the one that runs
+//! under faults, forging, the recorder and snapshots.
 
 use homonym_core::classes::{HSigmaOutput, Label};
 use homonym_core::identity::Identity;
 use homonym_core::multiset::Multiset;
-use homonym_core::wire::{Loader, Persist, Saver, WireError};
 use homonym_sim::sync_engine::{SyncProcess, SyncSink};
 
 /// Protocol message of Figure 7: `IDENT(id)`.
@@ -51,52 +55,23 @@ impl SyncProcess for HSigmaSyncProcess {
     type Msg = IdentMsg;
     type Output = HSigmaOutput;
 
-    /// Corruption semantics for the Byzantine payload-mutation hook: a
-    /// corrupt homonym lies about its identifier. Forged identities are
-    /// drawn from a small range so they collide with real ones —
-    /// homonymy is the attack surface, not random garbage.
-    fn mutate_payload(msg: &IdentMsg, entropy: u64) -> Option<IdentMsg> {
-        Some(IdentMsg(Identity::new(
-            (msg.0.raw().wrapping_add(1 + entropy)) % 8,
-        )))
-    }
-
     fn send(&mut self, _step: u64, out: &mut Vec<IdentMsg>) {
         out.push(IdentMsg(self.my_id));
     }
 
     fn receive(
         &mut self,
-        step: u64,
+        _step: u64,
         received: &mut Vec<IdentMsg>,
         sink: &mut SyncSink<HSigmaOutput>,
     ) {
         let mset: Multiset<Identity> = received.drain(..).map(|m| m.0).collect();
-        let trusted = mset.len();
         let label = Label::id_multiset(mset.clone());
-        let before = self.output.h_labels.len();
         self.output.insert_quorum(label.clone(), mset);
         self.output.insert_label(label);
-        let changed = self.output.h_labels.len() != before;
-        sink.observe(|| homonym_sim::ObsKind::DetectorEpoch {
-            round: step,
-            trusted: u32::try_from(trusted).unwrap_or(u32::MAX),
-            changed,
-        });
         sink.publish(self.output.clone());
     }
 }
-
-impl Persist for IdentMsg {
-    fn save(&self, s: &mut Saver) {
-        self.0.save(s);
-    }
-    fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
-        Ok(IdentMsg(Persist::load(l)?))
-    }
-}
-
-homonym_core::persist_fields!(HSigmaSyncProcess { my_id, output });
 
 #[cfg(test)]
 mod tests {

@@ -8,7 +8,10 @@
 //!
 //! ## The zero-cost contract
 //!
-//! Both engines own an `Option<Recorder>`. Algorithms emit events
+//! The event engine and the reference interpreter own an
+//! `Option<Recorder>` (the lock-step engine has none: an observed
+//! Figure 7 run is `HSigmaStepProcess` on the event engine). Algorithms
+//! emit events
 //! through their sink's `observe` hook, which takes a **closure**: when
 //! no recorder is attached the closure is never evaluated and the hook
 //! is a single predictable branch — dispatch, RNG draws, traces and
@@ -17,9 +20,9 @@
 //! Byzantine scripts, and the benchmark's `obs.recorder.overhead_ratio`
 //! ledger row prices the attached case.
 //!
-//! Recorder state snapshots and restores with the engines
-//! (`EngineSnapshot` / `SyncSnapshot`), so a forked prefix-sweep run
-//! carries the spans of its shared prefix.
+//! Recorder state snapshots and restores with the engine
+//! (`EngineSnapshot`), so a forked prefix-sweep run carries the spans of
+//! its shared prefix.
 //!
 //! ## A rendered example
 //!

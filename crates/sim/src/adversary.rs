@@ -1,5 +1,7 @@
-//! Link-level and Byzantine adversaries consulted by both engines at
-//! copy-routing time.
+//! Link-level and Byzantine adversaries consulted at copy-routing time by
+//! the event engine and by the reference interpreter. The lock-step
+//! engine has none: an adversarial Figure 7 run is `HSigmaStepProcess`
+//! on the event engine.
 //!
 //! A [`LinkFaultScript`] is the **lowered, engine-facing** form of an
 //! adversarial scenario: a list of [`LinkClause`]s, each active during a
@@ -17,7 +19,7 @@
 //!
 //! # Determinism contract
 //!
-//! Both adversaries preserve the engines' two standing guarantees:
+//! Both adversaries preserve the engine's two standing guarantees:
 //!
 //! * **`(time, seq)` dispatch order** — clauses never reorder copies;
 //!   they only drop a copy, move its delivery time forward, or rewrite
@@ -44,16 +46,16 @@
 //! interval of send times over which the set stays the same, and
 //! [`LinkFaultScript::fate_among`] is the one loop that applies them.
 //! [`LinkFaultScript::fate`] does both per copy, which is what the
-//! stateless reference interpreter and the lock-step engine call; the
-//! event engine alone keeps the active set between copies and asks for a
+//! stateless reference interpreter calls; the event engine keeps the
+//! active set between copies and asks for a
 //! new one only when its clock leaves the interval — twice per window
 //! instead of a scan of every clause per copy.
 //!
 //! What a matched [`ByzClause`] does to a broadcast — the plan, the
 //! replay cache, and each copy left honest, forged or suppressed, with
 //! its count and its `AttackFired` event — is the crate-private
-//! `ByzBroadcast`, which the event engine and the lock-step engine both
-//! run; the reference interpreter spells the same rule out on its own.
+//! `ByzBroadcast`, which the event engine runs; the reference interpreter
+//! spells the same rule out on its own.
 
 use std::sync::Arc;
 
@@ -597,8 +599,7 @@ impl ByzantineScript {
     }
 }
 
-/// A process's payload-mutation hook — `Process::mutate_payload` or
-/// `SyncProcess::mutate_payload`.
+/// A process's payload-mutation hook, `Process::mutate_payload`.
 pub(crate) type MutateHook<M> = fn(&M, u64) -> Option<M>;
 
 /// Applies a payload-mutation hook, failing loudly when the program under
@@ -614,8 +615,8 @@ pub(crate) fn forge<M>(mutate: MutateHook<M>, original: &M, entropy: u64) -> M {
     })
 }
 
-/// The Byzantine side of one attacked broadcast, as the event engine and
-/// the lock-step engine both run it: the script, the plan it resolved to,
+/// The Byzantine side of one attacked broadcast, as the event engine
+/// runs it: the script, the plan it resolved to,
 /// and the stale payload a replay clause substitutes. Opened once per
 /// broadcast, consulted once per routed copy.
 pub(crate) struct ByzBroadcast<M> {

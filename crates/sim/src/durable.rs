@@ -1,12 +1,13 @@
 //! Durable (on-disk) codecs for engine snapshots.
 //!
-//! [`EngineSnapshot`] and [`SyncSnapshot`] already carry everything a
-//! run's future depends on (see [`crate::snapshot`]); this module makes
-//! them [`Persist`], so the in-memory restore→continue contract extends
-//! across a process boundary: encode, write (through
-//! [`crate::store`]'s atomic container), kill the process, read, decode,
-//! restore — the continued run replays the byte-identical `(time, seq)`
-//! event sequence an uninterrupted run would.
+//! [`EngineSnapshot`] already carries everything a run's future depends
+//! on (see [`crate::snapshot`]); this module makes it [`Persist`], so
+//! the in-memory restore→continue contract extends across a process
+//! boundary: encode, write (through [`crate::store`]'s atomic
+//! container), kill the process, read, decode, restore — the continued
+//! run replays the byte-identical `(time, seq)` event sequence an
+//! uninterrupted run would. The lock-step engine has no snapshot: a
+//! durable Figure 7 run is `HSigmaStepProcess` on this engine.
 //!
 //! # What is state and what is representation
 //!
@@ -38,8 +39,7 @@ use rand::rngs::StdRng;
 use crate::engine::{Event, Metrics, ProcSlot};
 use crate::process::{Process, TimerTag};
 use crate::queue::CalendarQueue;
-use crate::snapshot::{EngineSnapshot, SyncSnapshot};
-use crate::sync_engine::{SyncMetrics, SyncProcess};
+use crate::snapshot::EngineSnapshot;
 
 impl Persist for TimerTag {
     fn save(&self, s: &mut Saver) {
@@ -134,16 +134,6 @@ homonym_core::persist_fields!(Metrics {
     timers_fired,
     events,
     by_class
-});
-
-homonym_core::persist_fields!(SyncMetrics {
-    broadcasts,
-    copies_delivered,
-    copies_blocked,
-    copies_forged,
-    copies_suppressed,
-    copies_discarded,
-    steps
 });
 
 /// Entries in dispatch order, each as `(at − previous at, zigzag(seq −
@@ -267,64 +257,6 @@ where
     }
 }
 
-/// The lock-step engine's full durable state; same contract as the
-/// event-driven impl above.
-impl<P> Persist for SyncSnapshot<P>
-where
-    P: SyncProcess + Persist,
-    P::Msg: Persist,
-    P::Output: Persist,
-{
-    fn save(&self, s: &mut Saver) {
-        self.procs.save(s);
-        self.halted.save(s);
-        self.step.save(s);
-        save_rng(&self.rng, s);
-        save_rng(&self.adv_rng, s);
-        save_rng(&self.byz_rng, s);
-        self.byz_replay.save(s);
-        self.deferred.save(s);
-        self.metrics.save(s);
-        self.histories.save(s);
-        self.decisions.save(s);
-        self.recorder.save(s);
-    }
-
-    /// Rejects per-process tables without one entry per process and
-    /// deferred copies addressed past the last process, as the
-    /// event-driven snapshot does.
-    fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
-        let snap = SyncSnapshot {
-            procs: Persist::load(l)?,
-            halted: Persist::load(l)?,
-            step: Persist::load(l)?,
-            rng: load_rng(l)?,
-            adv_rng: load_rng(l)?,
-            byz_rng: load_rng(l)?,
-            byz_replay: Persist::load(l)?,
-            deferred: Persist::load(l)?,
-            metrics: Persist::load(l)?,
-            histories: Persist::load(l)?,
-            decisions: Persist::load(l)?,
-            recorder: Persist::load(l)?,
-        };
-        let n = snap.procs.len();
-        let tables = [
-            snap.halted.len(),
-            snap.byz_replay.len(),
-            snap.histories.len(),
-            snap.decisions.len(),
-        ];
-        let mut deferred = snap.deferred.values().flatten();
-        if tables != [n; 4] || deferred.any(|&(dst, _)| dst >= n) {
-            return Err(WireError::BadValue {
-                what: "SyncSnapshot",
-            });
-        }
-        Ok(snap)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
@@ -338,7 +270,6 @@ mod tests {
     use crate::engine::{Engine, SimConfig};
     use crate::network::NetworkModel;
     use crate::process::ActionSink;
-    use crate::sync_engine::{SyncConfig, SyncEngine, SyncSink};
 
     /// Broadcasts one heap-owning payload at start — the kind the
     /// engine queues as `Arc`-shared copies rather than inline.
@@ -500,49 +431,5 @@ mod tests {
             s.queue = CalendarQueue::from_persist_entries(entries);
         });
         assert_eq!(queued.err(), Some(BAD_SHAPE));
-    }
-
-    /// Counts what it receives.
-    #[derive(Clone)]
-    struct Tally {
-        heard: u64,
-    }
-
-    impl SyncProcess for Tally {
-        type Msg = u64;
-        type Output = u64;
-        fn send(&mut self, step: u64, out: &mut Vec<u64>) {
-            out.push(step);
-        }
-        fn receive(&mut self, _step: u64, received: &mut Vec<u64>, sink: &mut SyncSink<u64>) {
-            self.heard += received.len() as u64;
-            sink.publish(self.heard);
-        }
-    }
-
-    homonym_core::persist_fields!(Tally { heard });
-
-    #[test]
-    fn a_lock_step_snapshot_of_the_wrong_shape_is_a_bad_value() {
-        let config = SyncConfig::new(IdentityAssignment::anonymous(3), FailureSchedule::none(3));
-        let mut e = SyncEngine::new(config, |_, _| Tally { heard: 0 });
-        e.run_steps(2);
-        let decode = |edit: fn(&mut SyncSnapshot<Tally>)| {
-            let mut snap = e.snapshot();
-            edit(&mut snap);
-            from_bytes::<SyncSnapshot<Tally>>(&to_bytes(&snap)).err()
-        };
-        assert_eq!(decode(|_| {}), None);
-        let bad = Some(WireError::BadValue {
-            what: "SyncSnapshot",
-        });
-        assert_eq!(decode(|s| s.halted.truncate(2)), bad);
-        assert_eq!(decode(|s| s.byz_replay.truncate(2)), bad);
-        assert_eq!(decode(|s| s.histories.truncate(2)), bad);
-        assert_eq!(decode(|s| s.decisions.truncate(2)), bad);
-        let far = |s: &mut SyncSnapshot<Tally>| {
-            s.deferred.insert(5, vec![(3, 7)]);
-        };
-        assert_eq!(decode(far), bad);
     }
 }

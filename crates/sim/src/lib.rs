@@ -11,7 +11,12 @@
 //!   [`Engine`];
 //! * `HPS[∅]` — [`NetworkModel::PartialSync`] (messages sent before an
 //!   unknown GST may be lost or delayed; afterwards delivered within `δ`);
-//! * `HSS[∅]` — the lock-step [`SyncEngine`].
+//! * `HSS[∅]` — the lock-step [`SyncEngine`], which runs the paper's
+//!   synchronous step (send, crash mask, shuffled delivery, receive,
+//!   publish) and nothing more. Adversarial, observed and durable
+//!   Figure 7 runs are `HSigmaStepProcess` (in `homonym-detectors`) on
+//!   [`NetworkModel::Synchronous`], so link faults, Byzantine forging,
+//!   the recorder and snapshots are each written once, on [`Engine`].
 //!
 //! Processes implement [`Process`] (event-driven) or [`SyncProcess`]
 //! (lock-step); the engines inject crashes from a
@@ -74,7 +79,7 @@ pub use adversary::{
 pub use engine::{Engine, EngineArena, Metrics, SimConfig, StopReason};
 pub use network::{LatencyDistribution, NetworkModel, PreGstBehavior};
 pub use process::{ActionSink, Message, Process, TimerTag};
-pub use snapshot::{EngineSnapshot, SyncSnapshot};
+pub use snapshot::EngineSnapshot;
 pub use stack::{split_history, Either, Stacked};
 pub use store::{
     decode_container, encode_container, fnv1a, read_verified, write_atomic, StoreError,
@@ -99,7 +104,7 @@ pub mod prelude {
     pub use crate::engine::{Engine, EngineArena, Metrics, SimConfig, StopReason};
     pub use crate::network::{LatencyDistribution, NetworkModel, PreGstBehavior};
     pub use crate::process::{ActionSink, Message, Process, TimerTag};
-    pub use crate::snapshot::{EngineSnapshot, SyncSnapshot};
+    pub use crate::snapshot::EngineSnapshot;
     pub use crate::stack::{split_history, Either, Stacked};
     pub use crate::sweep::{
         config_divergence, item_divergence, parallel_seed_sweep, parallel_seed_sweep_with,

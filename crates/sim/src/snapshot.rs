@@ -12,7 +12,7 @@
 //! engine with the same configuration therefore produces the
 //! **byte-identical `(time, seq)` event sequence** an uninterrupted run
 //! would from that point — the property `tests/snapshot_restore_props.rs`
-//! asserts across engines, network models and random fault scripts,
+//! asserts across network models and random fault scripts,
 //! including forks of forks.
 //!
 //! The prefix-sharing executor additionally restores snapshots under a
@@ -25,7 +25,7 @@
 //! # A fork is a clone
 //!
 //! A snapshot copies every process with `Clone` (`clone_from` when it
-//! refills one), so the engines' snapshot methods ask `P: Process +
+//! refills one), so the engine's snapshot methods ask `P: Process +
 //! Clone`. That is sound because no process holds shared mutable state:
 //! a detector stacked under a consensus half does not share a variable
 //! with it, but hands it every output it publishes (see
@@ -54,8 +54,6 @@
 //! a branch-heavy sweep forks thousands of times through one warm set of
 //! buffers instead of touching the global allocator per fork.
 
-use std::collections::BTreeMap;
-
 use homonym_core::properties::History;
 use homonym_core::time::Time;
 use rand::rngs::StdRng;
@@ -65,7 +63,6 @@ use homonym_obs::Recorder;
 
 use crate::engine::Metrics;
 use crate::process::Process;
-use crate::sync_engine::{SyncMetrics, SyncProcess};
 use crate::trace::Trace;
 
 /// Captured state of an event-driven [`Engine`](crate::engine::Engine);
@@ -139,43 +136,6 @@ impl<P: Process> EngineSnapshot<P> {
     #[must_use]
     pub fn events(&self) -> u64 {
         self.metrics.events
-    }
-
-    /// Number of processes in the snapshotted system.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.procs.len()
-    }
-}
-
-/// Captured state of a lock-step [`SyncEngine`](crate::sync_engine::SyncEngine).
-///
-/// The restore contract mirrors [`EngineSnapshot`]'s: restoring into an
-/// engine with the same configuration reproduces the uninterrupted run's
-/// behaviour step for step (histories, metrics, decisions, shuffle
-/// order).
-pub struct SyncSnapshot<P: SyncProcess> {
-    pub(crate) procs: Vec<P>,
-    pub(crate) halted: Vec<bool>,
-    pub(crate) step: u64,
-    pub(crate) rng: StdRng,
-    pub(crate) adv_rng: StdRng,
-    pub(crate) byz_rng: StdRng,
-    pub(crate) byz_replay: Vec<Option<P::Msg>>,
-    pub(crate) deferred: BTreeMap<u64, Vec<(usize, P::Msg)>>,
-    pub(crate) metrics: SyncMetrics,
-    pub(crate) histories: Vec<History<P::Output>>,
-    pub(crate) decisions: Vec<Option<(Time, u64)>>,
-    /// The observability recorder round-trips with the snapshot, as in
-    /// the event-driven engine's snapshot.
-    pub(crate) recorder: Option<Recorder>,
-}
-
-impl<P: SyncProcess> SyncSnapshot<P> {
-    /// The step at which the snapshot was taken (the next one to run).
-    #[must_use]
-    pub fn step(&self) -> u64 {
-        self.step
     }
 
     /// Number of processes in the snapshotted system.

@@ -1,4 +1,5 @@
-//! Lock-step executor for the synchronous model `HSS[∅]`.
+//! Lock-step executor for the synchronous model `HSS[∅]` — the paper's
+//! synchronous step and nothing else.
 //!
 //! In a synchronous step every alive process first broadcasts, then
 //! receives **all** messages sent in that same step, then computes
@@ -6,6 +7,17 @@
 //! A process whose crash time equals the step number attempts its
 //! broadcast — each copy is independently delivered or dropped — and then
 //! stops; it neither receives nor computes in that step.
+//!
+//! The engine has no hooks: no link faults, no Byzantine forging, no
+//! recorder and no snapshots. Each of those is written once, on the
+//! event-driven [`Engine`](crate::engine::Engine). A lock-step step is a
+//! schedule over message passing, and
+//! `homonym_detectors::HSigmaStepProcess` runs Figure 7 that way on
+//! [`NetworkModel::Synchronous`](crate::network::NetworkModel): with a
+//! period of two ticks, step `s` publishes at tick `2s + 2` and a crash
+//! at step `c` is a crash at tick `2c + 1`. Adversarial, observed and
+//! durable Figure 7 runs use that process; this engine remains for
+//! `exp fig7` and a benchmark probe.
 //!
 //! The split into [`SyncProcess::send`] (before delivery) and
 //! [`SyncProcess::receive`] (after delivery) makes this two-phase structure
@@ -16,21 +28,16 @@
 //! that the previous one left those buffers clean.
 
 use core::fmt;
-use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use homonym_core::failure::FailureSchedule;
 use homonym_core::identity::{Identity, IdentityAssignment};
-use homonym_core::properties::{ConsensusOutcome, History};
+use homonym_core::properties::History;
 use homonym_core::time::Time;
-use homonym_obs::{ObsKind, Recorder};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use crate::adversary::{ByzBroadcast, ByzCopy, ByzLedger, ByzantineScript, LinkFaultScript};
 use crate::process::Message;
-use crate::snapshot::SyncSnapshot;
 
 /// A program executed in lock-step synchronous rounds.
 pub trait SyncProcess: Send + 'static {
@@ -54,109 +61,18 @@ pub trait SyncProcess: Send + 'static {
         received: &mut Vec<Self::Msg>,
         sink: &mut SyncSink<Self::Output>,
     );
-
-    /// The lock-step counterpart of
-    /// [`Process::mutate_payload`](crate::process::Process::mutate_payload):
-    /// a plausible-but-different variant of `msg` derived from `entropy`,
-    /// delivered to victims by a corrupt sender. `None` (the default)
-    /// makes an active Byzantine clause panic — the attack is meaningless
-    /// without mutation semantics.
-    fn mutate_payload(msg: &Self::Msg, entropy: u64) -> Option<Self::Msg>
-    where
-        Self: Sized,
-    {
-        let _ = (msg, entropy);
-        None
-    }
 }
 
 /// Effects available in the receive phase of a synchronous step.
 #[derive(Debug)]
 pub struct SyncSink<O> {
     outputs: Vec<O>,
-    decision: Option<u64>,
-    halt: bool,
-    /// Structured events staged this step (drained into the engine's
-    /// recorder); only filled while `obs_on`.
-    obs: Vec<ObsKind>,
-    obs_on: bool,
-    /// Admission-window discards reported this step — counted
-    /// **unconditionally** (independent of `obs_on`) so metrics are
-    /// identical with and without a recorder.
-    discards: u64,
 }
 
 impl<O> SyncSink<O> {
-    fn new() -> Self {
-        SyncSink {
-            outputs: Vec::new(),
-            decision: None,
-            halt: false,
-            obs: Vec::new(),
-            obs_on: false,
-            discards: 0,
-        }
-    }
-
-    /// Whether the sink carries nothing over from an earlier use.
-    fn is_reset(&self) -> bool {
-        self.outputs.is_empty()
-            && self.decision.is_none()
-            && !self.halt
-            && self.obs.is_empty()
-            && !self.obs_on
-            && self.discards == 0
-    }
-
-    /// Clears the sink for reuse, keeping the output buffer's capacity.
-    fn reset(&mut self) {
-        self.outputs.clear();
-        self.decision = None;
-        self.halt = false;
-        self.obs.clear();
-        self.obs_on = false;
-        self.discards = 0;
-    }
-
     /// Publishes a detector-output snapshot for this step.
     pub fn publish(&mut self, output: O) {
         self.outputs.push(output);
-    }
-
-    /// Records a consensus decision.
-    pub fn decide(&mut self, value: u64) {
-        if self.decision.is_none() {
-            self.decision = Some(value);
-        }
-    }
-
-    /// Stops the process after this step.
-    pub fn halt(&mut self) {
-        self.halt = true;
-    }
-
-    /// Whether a recorder is attached to the running engine. Exposed so
-    /// processes can skip *computing* expensive event payloads; the
-    /// cheaper route is [`SyncSink::observe`], whose closure is never
-    /// evaluated while observability is off.
-    #[must_use]
-    pub fn observing(&self) -> bool {
-        self.obs_on
-    }
-
-    /// Stages a structured event for the engine's recorder. The closure
-    /// runs only while a recorder is attached, making the hook free in
-    /// uninstrumented runs.
-    pub fn observe(&mut self, f: impl FnOnce() -> ObsKind) {
-        if self.obs_on {
-            self.obs.push(f());
-        }
-    }
-
-    /// Reports one admission-window discard. Always counted (into
-    /// [`SyncMetrics::copies_discarded`]), recorder or not.
-    pub fn note_discard(&mut self) {
-        self.discards += 1;
     }
 }
 
@@ -171,19 +87,6 @@ pub struct SyncConfig {
     pub seed: u64,
     /// Deliver a random subset of a dying process's final-step broadcast.
     pub partial_broadcast_on_crash: bool,
-    /// Adversarial link faults (see [`crate::adversary`]). Times in the
-    /// script are **step numbers**. A copy a clause defers is held and
-    /// injected into its destination's inbox at the deferred step, in
-    /// the order the copies were queued (then shuffled with that step's
-    /// fresh deliveries, as every synchronous delivery is). `None`
-    /// leaves the engine byte-identical to one without the hook.
-    pub adversary: Option<Arc<LinkFaultScript>>,
-    /// Byzantine payload-mutation script (times are **step numbers**),
-    /// consulted once per broadcast and per copy exactly like the
-    /// event engine's hook; see [`SimConfig::byzantine`](crate::engine::SimConfig::byzantine).
-    /// `None` — or an empty/never-matching script — leaves the engine
-    /// byte-identical to one without the hook.
-    pub byzantine: Option<Arc<ByzantineScript>>,
 }
 
 impl SyncConfig {
@@ -200,8 +103,6 @@ impl SyncConfig {
             sched,
             seed: 0,
             partial_broadcast_on_crash: true,
-            adversary: None,
-            byzantine: None,
         }
     }
 
@@ -209,22 +110,6 @@ impl SyncConfig {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Installs an adversarial link-fault script (builder style); see
-    /// [`SyncConfig::adversary`].
-    #[must_use]
-    pub fn with_adversary(mut self, script: LinkFaultScript) -> Self {
-        self.adversary = Some(Arc::new(script));
-        self
-    }
-
-    /// Installs a Byzantine payload-mutation script (builder style); see
-    /// [`SyncConfig::byzantine`].
-    #[must_use]
-    pub fn with_byzantine(mut self, script: ByzantineScript) -> Self {
-        self.byzantine = Some(Arc::new(script));
         self
     }
 }
@@ -235,20 +120,10 @@ pub struct SyncMetrics {
     /// Broadcast invocations across the run.
     pub broadcasts: u64,
     /// Copies delivered to a process that computes in the receiving
-    /// step. Copies addressed to crashed or halted processes are not
-    /// counted (nor materialized): they could never be observed, and the
-    /// send phase skips cloning for them.
+    /// step. Copies addressed to crashed processes are not counted (nor
+    /// materialized): they could never be observed, and the send phase
+    /// skips cloning for them.
     pub copies_delivered: u64,
-    /// Copies dropped by an installed [`LinkFaultScript`]. Zero when no
-    /// adversary is installed.
-    pub copies_blocked: u64,
-    /// Copies whose payload an installed [`ByzantineScript`] rewrote.
-    pub copies_forged: u64,
-    /// Copies an installed [`ByzantineScript`] suppressed.
-    pub copies_suppressed: u64,
-    /// Copies a process's admission window detected as over-cap and
-    /// discarded, reported through [`SyncSink::note_discard`].
-    pub copies_discarded: u64,
     /// Steps executed.
     pub steps: u64,
 }
@@ -257,26 +132,10 @@ pub struct SyncMetrics {
 pub struct SyncEngine<P: SyncProcess> {
     config: SyncConfig,
     procs: Vec<P>,
-    halted: Vec<bool>,
     step: u64,
     rng: StdRng,
-    /// Dedicated stream for adversary draws so installing a script does
-    /// not perturb the shuffle/crash-mask stream.
-    adv_rng: StdRng,
-    /// Dedicated stream for Byzantine draws (one per attacked broadcast).
-    byz_rng: StdRng,
-    /// One-deep replay cache per replay-listed sender (see
-    /// [`ByzantineScript::records_replay`]).
-    byz_replay: Vec<Option<P::Msg>>,
-    /// Copies a clause deferred, keyed by delivery step, in queue order.
-    deferred: BTreeMap<u64, Vec<(usize, P::Msg)>>,
     metrics: SyncMetrics,
     histories: Vec<History<P::Output>>,
-    decisions: Vec<Option<(Time, u64)>>,
-    /// Structured observability recorder (see
-    /// [`SyncEngine::enable_recorder`]); `None` keeps every `observe`
-    /// hook a dead branch.
-    recorder: Option<Recorder>,
     /// Recycled per-destination inboxes.
     inboxes: Vec<Vec<P::Msg>>,
     /// Recycled send-phase outbox.
@@ -292,24 +151,17 @@ impl<P: SyncProcess> SyncEngine<P> {
     pub fn new(config: SyncConfig, mut factory: impl FnMut(usize, Identity) -> P) -> Self {
         let n = config.assign.n();
         let procs = (0..n).map(|p| factory(p, config.assign.id_of(p))).collect();
-        let adv_salt = config.adversary.as_ref().map_or(0, |s| s.salt());
-        let byz_salt = config.byzantine.as_ref().map_or(0, |s| s.salt());
         SyncEngine {
             rng: StdRng::seed_from_u64(config.seed),
-            adv_rng: StdRng::seed_from_u64(config.seed ^ adv_salt ^ 0xD1B5_4A32_D192_ED03_u64),
-            byz_rng: StdRng::seed_from_u64(config.seed ^ byz_salt ^ 0xA076_1D64_78BD_642F_u64),
-            byz_replay: vec![None; n],
-            deferred: BTreeMap::new(),
             procs,
-            halted: vec![false; n],
             step: 0,
             metrics: SyncMetrics::default(),
             histories: vec![Vec::new(); n],
-            decisions: vec![None; n],
-            recorder: None,
             inboxes: Vec::new(),
             outbox: Vec::new(),
-            sink: SyncSink::new(),
+            sink: SyncSink {
+                outputs: Vec::new(),
+            },
             recipients: Vec::new(),
             config,
         }
@@ -339,55 +191,10 @@ impl<P: SyncProcess> SyncEngine<P> {
         &self.histories
     }
 
-    /// Recorded decisions (timestamps are step numbers).
-    #[must_use]
-    pub fn decisions(&self) -> &[Option<(Time, u64)>] {
-        &self.decisions
-    }
-
     /// Read access to a process (for tests and experiments).
     #[must_use]
     pub fn process(&self, p: usize) -> &P {
         &self.procs[p]
-    }
-
-    /// Attaches a structured-observability [`Recorder`] keeping at most
-    /// `capacity` events; see
-    /// [`Engine::enable_recorder`](crate::engine::Engine::enable_recorder)
-    /// for the zero-cost contract (identical here).
-    pub fn enable_recorder(&mut self, capacity: usize) {
-        self.recorder = Some(Recorder::new(capacity));
-    }
-
-    /// The attached recorder, if observability was enabled.
-    #[must_use]
-    pub fn recorder(&self) -> Option<&Recorder> {
-        self.recorder.as_ref()
-    }
-
-    /// Detaches and returns the recorder.
-    #[must_use]
-    pub fn take_recorder(&mut self) -> Option<Recorder> {
-        self.recorder.take()
-    }
-
-    /// Packages decisions into a [`ConsensusOutcome`].
-    #[must_use]
-    pub fn outcome(&self, proposals: Vec<u64>) -> ConsensusOutcome {
-        ConsensusOutcome {
-            proposals,
-            decisions: self.decisions.clone(),
-        }
-    }
-
-    /// Whether every correct process has decided.
-    #[must_use]
-    pub fn all_correct_decided(&self) -> bool {
-        self.config
-            .sched
-            .correct_set()
-            .into_iter()
-            .all(|p| self.decisions[p].is_some())
     }
 
     /// Executes `k` synchronous steps.
@@ -397,45 +204,18 @@ impl<P: SyncProcess> SyncEngine<P> {
         }
     }
 
-    /// Executes steps until `cond(self)` holds or `max_steps` elapse;
-    /// returns whether the condition was met.
-    pub fn run_until(&mut self, max_steps: u64, mut cond: impl FnMut(&Self) -> bool) -> bool {
-        for _ in 0..max_steps {
-            if cond(self) {
-                return true;
-            }
-            self.step_once();
-        }
-        cond(self)
-    }
-
     /// Executes one synchronous step: send phase, delivery, receive phase.
     pub fn step_once(&mut self) {
         let s = self.step;
         let now = Time::from_ticks(s);
         let n = self.n();
 
-        // Buffer hygiene: nothing a previous step (or a restore) left in
-        // the recycled buffers may leak into this one.
+        // Buffer hygiene: nothing a previous step left in the recycled
+        // buffers may leak into this one.
         debug_assert!(self.inboxes.iter().all(Vec::is_empty), "stale inbox");
-        debug_assert!(self.sink.is_reset(), "stale sink");
+        debug_assert!(self.sink.outputs.is_empty(), "stale sink");
         let mut inboxes = std::mem::take(&mut self.inboxes);
         inboxes.resize_with(n, Vec::new);
-
-        // Copies a clause deferred to this step (a healed partition
-        // releasing its queued traffic) are injected first, in the order
-        // they were queued; they join the step's fresh deliveries in the
-        // seeded shuffle like any other synchronous delivery.
-        if let Some(batch) = self.deferred.remove(&s) {
-            for (dst, m) in batch {
-                if self.halted[dst] || !self.config.sched.is_alive(dst, now) {
-                    continue;
-                }
-                self.metrics.copies_delivered += 1;
-                inboxes[dst].push(m);
-            }
-        }
-        let script = self.config.adversary.clone();
 
         // Send phase: alive processes send fully; a process crashing at
         // exactly this step gets a partial final broadcast.
@@ -443,97 +223,30 @@ impl<P: SyncProcess> SyncEngine<P> {
         // Copies are placed only into inboxes that will actually compute
         // this step, and the last recipient receives the original message
         // instead of a clone — one deep clone fewer per broadcast, and
-        // none at all for copies that would land on crashed or halted
-        // processes. The crash-mask RNG draws stay one-per-destination so
-        // seeded runs are unchanged.
+        // none at all for copies that would land on crashed processes.
+        // The crash-mask RNG draws stay one-per-destination so seeded
+        // runs are unchanged.
         let mut outbox = std::mem::take(&mut self.outbox);
         let mut recipients = std::mem::take(&mut self.recipients);
         for p in 0..n {
-            if self.halted[p] {
-                continue;
-            }
-            let crash = self.config.sched.crash_time(p);
-            let alive = self.config.sched.is_alive(p, now);
-            let dying = crash == Some(now);
-            if !alive && !dying {
+            let dying = self.config.sched.crash_time(p) == Some(now);
+            if !dying && !self.config.sched.is_alive(p, now) {
                 continue;
             }
             outbox.clear();
             self.procs[p].send(s, &mut outbox);
             for m in outbox.drain(..) {
                 self.metrics.broadcasts += 1;
-                // One Byzantine plan per broadcast, as in the event
-                // engine's `do_broadcast`.
-                let byz = ByzBroadcast::open(
-                    self.config.byzantine.as_ref(),
-                    now,
-                    p,
-                    &m,
-                    &mut self.byz_rng,
-                    &mut self.byz_replay,
-                );
                 recipients.clear();
                 for dst in 0..n {
                     if dying && self.config.partial_broadcast_on_crash && self.rng.gen_bool(0.5) {
                         continue;
                     }
-                    if self.halted[dst] || !self.config.sched.is_alive(dst, now) {
-                        continue;
+                    if self.config.sched.is_alive(dst, now) {
+                        recipients.push(dst);
                     }
-                    recipients.push(dst);
                 }
-                if script.is_some() || byz.is_some() {
-                    // Adversary path: each copy's fate individually — the
-                    // link script first (a deferred copy is held for the
-                    // step the clause names; times in the scripts are
-                    // step numbers and the base delivery step is the
-                    // sending step itself), then the Byzantine directive
-                    // rewrites or suppresses the surviving copy.
-                    for &dst in &recipients {
-                        let fate = match &script {
-                            Some(s) => s.fate(now, p, dst, now, &mut self.adv_rng),
-                            None => Some(now),
-                        };
-                        let Some(at) = fate else {
-                            self.metrics.copies_blocked += 1;
-                            if let Some(rec) = self.recorder.as_mut() {
-                                rec.record(
-                                    now,
-                                    dst,
-                                    ObsKind::CopyBlocked {
-                                        from: u32::try_from(p).unwrap_or(u32::MAX),
-                                    },
-                                );
-                            }
-                            continue;
-                        };
-                        let payload = match &byz {
-                            None => m.clone(),
-                            Some(byz) => {
-                                let ledger = ByzLedger {
-                                    now,
-                                    forged: &mut self.metrics.copies_forged,
-                                    suppressed: &mut self.metrics.copies_suppressed,
-                                    recorder: self.recorder.as_mut(),
-                                };
-                                match byz.rewrite(dst, &m, P::mutate_payload, ledger) {
-                                    ByzCopy::Honest => m.clone(),
-                                    ByzCopy::Forged(forged) => forged,
-                                    ByzCopy::Suppressed => continue,
-                                }
-                            }
-                        };
-                        if at <= now {
-                            self.metrics.copies_delivered += 1;
-                            inboxes[dst].push(payload);
-                        } else {
-                            self.deferred
-                                .entry(at.ticks())
-                                .or_default()
-                                .push((dst, payload));
-                        }
-                    }
-                } else if let Some((&last, rest)) = recipients.split_last() {
+                if let Some((&last, rest)) = recipients.split_last() {
                     self.metrics.copies_delivered += recipients.len() as u64;
                     for &dst in rest {
                         inboxes[dst].push(m.clone());
@@ -546,99 +259,21 @@ impl<P: SyncProcess> SyncEngine<P> {
         self.recipients = recipients;
 
         // Receive phase: only processes alive at this step compute.
-        let observing = self.recorder.is_some();
         #[allow(clippy::needless_range_loop)] // p indexes several parallel structures
         for p in 0..n {
-            if self.halted[p] || !self.config.sched.is_alive(p, now) {
-                inboxes[p].clear();
-                continue;
+            if self.config.sched.is_alive(p, now) {
+                inboxes[p].shuffle(&mut self.rng);
+                self.procs[p].receive(s, &mut inboxes[p], &mut self.sink);
+                for o in self.sink.outputs.drain(..) {
+                    self.histories[p].push((now, o));
+                }
             }
-            inboxes[p].shuffle(&mut self.rng);
-            let sink = &mut self.sink;
-            sink.obs_on = observing;
-            self.procs[p].receive(s, &mut inboxes[p], sink);
             inboxes[p].clear();
-            // Discards count unconditionally; staged events drain into
-            // the recorder only when one is attached.
-            self.metrics.copies_discarded += sink.discards;
-            if let Some(rec) = self.recorder.as_mut() {
-                for k in sink.obs.drain(..) {
-                    rec.record(now, p, k);
-                }
-            }
-            for o in sink.outputs.drain(..) {
-                self.histories[p].push((now, o));
-            }
-            if let Some(v) = sink.decision {
-                if self.decisions[p].is_none() {
-                    self.decisions[p] = Some((now, v));
-                    if let Some(rec) = self.recorder.as_mut() {
-                        rec.record(now, p, ObsKind::Decided { value: v });
-                    }
-                }
-            }
-            if sink.halt {
-                self.halted[p] = true;
-            }
-            sink.reset();
         }
         self.inboxes = inboxes;
 
         self.metrics.steps += 1;
         self.step += 1;
-    }
-}
-
-impl<P: SyncProcess + Clone> SyncEngine<P> {
-    /// Captures the engine's complete deterministic state between steps
-    /// — process states, halt flags, the shuffle and adversary RNG
-    /// streams, deferred (partition-held) copies, metrics, histories and
-    /// decisions. Restoring it reproduces the uninterrupted run step for
-    /// step; see [`crate::snapshot`] for the contract.
-    #[must_use]
-    pub fn snapshot(&self) -> SyncSnapshot<P> {
-        SyncSnapshot {
-            procs: self.procs.clone(),
-            halted: self.halted.clone(),
-            step: self.step,
-            rng: self.rng.clone(),
-            adv_rng: self.adv_rng.clone(),
-            byz_rng: self.byz_rng.clone(),
-            byz_replay: self.byz_replay.clone(),
-            deferred: self.deferred.clone(),
-            metrics: self.metrics.clone(),
-            histories: self.histories.clone(),
-            decisions: self.decisions.clone(),
-            recorder: self.recorder.clone(),
-        }
-    }
-
-    /// Restores this engine to the snapshotted state, keeping its own
-    /// configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot's system size differs from this engine's.
-    pub fn restore_from(&mut self, snap: &SyncSnapshot<P>) {
-        assert_eq!(self.n(), snap.procs.len(), "snapshot size mismatch");
-        self.procs.clone_from(&snap.procs);
-        self.halted.clone_from(&snap.halted);
-        self.step = snap.step;
-        self.rng = snap.rng.clone();
-        self.adv_rng = snap.adv_rng.clone();
-        self.byz_rng = snap.byz_rng.clone();
-        self.byz_replay.clone_from(&snap.byz_replay);
-        self.deferred.clone_from(&snap.deferred);
-        self.metrics.clone_from(&snap.metrics);
-        self.histories.clone_from(&snap.histories);
-        self.decisions.clone_from(&snap.decisions);
-        self.recorder.clone_from(&snap.recorder);
-        for inbox in &mut self.inboxes {
-            inbox.clear();
-        }
-        self.outbox.clear();
-        self.sink.reset();
-        self.recipients.clear();
     }
 }
 
@@ -720,34 +355,6 @@ mod tests {
             }
         }
         assert!(saw_partial, "partial final broadcast never dropped a copy");
-    }
-
-    #[test]
-    fn decide_and_halt_work() {
-        struct Once;
-        impl SyncProcess for Once {
-            type Msg = ();
-            type Output = ();
-            fn send(&mut self, _s: u64, _out: &mut Vec<()>) {}
-            fn receive(&mut self, s: u64, _r: &mut Vec<()>, sink: &mut SyncSink<()>) {
-                assert_eq!(s, 0, "no callbacks after halt");
-                sink.decide(42);
-                sink.halt();
-            }
-        }
-        let cfg = SyncConfig::new(IdentityAssignment::unique(2), FailureSchedule::none(2));
-        let mut e = SyncEngine::new(cfg, |_, _| Once);
-        e.run_steps(3);
-        assert!(e.all_correct_decided());
-        assert_eq!(e.decisions()[1], Some((Time::ZERO, 42)));
-    }
-
-    #[test]
-    fn run_until_stops_on_condition() {
-        let mut e = counter_engine(FailureSchedule::none(2));
-        let met = e.run_until(100, |e| e.current_step() == 5);
-        assert!(met);
-        assert_eq!(e.current_step(), 5);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //!   that asserts safety universally and liveness on the
 //!   eventually-clean subset;
 //! * [`obs`] — zero-cost structured observability: the typed span/event
-//!   recorder both engines feed (round phases, quorum certificates,
+//!   recorder the event engine feeds (round phases, quorum certificates,
 //!   detector epochs, attack firings), derived metrics (decision-time
 //!   and certificate-size distributions, detector quality curves), and
 //!   ASCII/Mermaid timeline renderers.

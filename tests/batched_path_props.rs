@@ -8,7 +8,7 @@
 //! same final clock, and the same stopping event under a stop condition.
 //! An empty or never-activating `ByzantineScript` must additionally be
 //! byte-identical to a run with **no** script installed at all, on both
-//! engines of the workspace. One fixed long run holds the engine's
+//! interpreters. One fixed long run holds the engine's
 //! cached active-clause set to the same contract: fifty partition
 //! windows, then a snapshot taken inside one and resumed under a script
 //! that differs after it.
@@ -17,7 +17,6 @@ use homonym::chaos::sweep::{byz_tolerant_node, fig8_node};
 use homonym::chaos::{FaultClause, PartitionMode, Scenario};
 use homonym::prelude::*;
 use homonym::sim::reference::ReferenceEngine;
-use homonym::sim::sync_engine::{SyncConfig, SyncEngine, SyncProcess, SyncSink};
 use proptest::prelude::*;
 
 /// Chatty process: broadcasts at start and echoes every value once, so
@@ -42,23 +41,6 @@ impl Process for Echo {
         }
     }
     fn on_timer(&mut self, _t: TimerTag, _ctx: &mut ActionSink<'_, u64, u64>) {}
-}
-
-/// Lock-step counter used for the sync-engine transparency check.
-struct StepCounter;
-
-impl SyncProcess for StepCounter {
-    type Msg = u64;
-    type Output = usize;
-    fn mutate_payload(msg: &u64, entropy: u64) -> Option<u64> {
-        Some(msg.wrapping_add(1 + entropy % 5))
-    }
-    fn send(&mut self, step: u64, out: &mut Vec<u64>) {
-        out.push(step);
-    }
-    fn receive(&mut self, _step: u64, received: &mut Vec<u64>, sink: &mut SyncSink<usize>) {
-        sink.publish(received.len());
-    }
 }
 
 fn model(kind: u8) -> NetworkModel {
@@ -399,8 +381,8 @@ proptest! {
     /// transparent: installing it leaves traces, histories, metrics and
     /// final clocks byte-identical to a run with no script at all — on
     /// the event engine and the reference interpreter, under every
-    /// network model, and on the lock-step engine. This is the
-    /// determinism half of the payload-mutation hook's contract.
+    /// network model. This is the determinism half of the
+    /// payload-mutation hook's contract.
     #[test]
     fn inactive_byzantine_script_is_transparent(
         seed in any::<u64>(),
@@ -432,20 +414,6 @@ proptest! {
         prop_assert_eq!(&base_reference, &base, "reference, no script");
         prop_assert_eq!(run(Some(&empty)), (base.clone(), base.clone()), "empty script");
         prop_assert_eq!(run(Some(&dormant)), (base.clone(), base), "dormant script");
-        // Lock-step engine: same contract.
-        let sync_run = |byz: Option<&ByzantineScript>| {
-            let mut cfg = SyncConfig::new(IdentityAssignment::anonymous(n), FailureSchedule::none(n))
-                .with_seed(seed);
-            if let Some(b) = byz {
-                cfg = cfg.with_byzantine(b.clone());
-            }
-            let mut engine = SyncEngine::new(cfg, |_, _| StepCounter);
-            engine.run_steps(12);
-            (engine.histories().to_vec(), engine.metrics().clone())
-        };
-        let base = sync_run(None);
-        prop_assert_eq!(&sync_run(Some(&empty)), &base);
-        prop_assert_eq!(&sync_run(Some(&dormant)), &base);
     }
 
     /// Event engine under an **active** Byzantine attack (all four clause

@@ -2,10 +2,11 @@
 //! across random seeds, network models, link-fault scripts and active
 //! `ByzantineScript`s, attaching the `homonym-obs` recorder must not
 //! change a single dispatched byte — same traces, same histories, same
-//! metrics, same decisions — on both engines, and the event engine's
-//! recorder contents must equal the reference interpreter's; and the
-//! recorder's own state must round-trip through `EngineSnapshot` /
-//! `SyncSnapshot` at random cut points (a restored run re-records
+//! metrics, same decisions — on the event engine, for the tolerant stack
+//! and for Figure 7 (its step process on the synchronous network), and
+//! the engine's recorder contents must equal the reference
+//! interpreter's; and the recorder's own state must round-trip through
+//! `EngineSnapshot` at random cut points (a restored run re-records
 //! exactly the events the uninterrupted run recorded).
 
 use homonym::chaos::session::{Goal, SessionBuilder};
@@ -13,10 +14,9 @@ use homonym::chaos::sweep::byz_tolerant_node;
 use homonym::chaos::{
     classify_byz_stack, round_of_byz_stack, FaultClause, PartitionMode, Scenario,
 };
-use homonym::detectors::h_sigma_sync::HSigmaSyncProcess;
+use homonym::detectors::HSigmaStepProcess;
 use homonym::prelude::*;
 use homonym::sim::reference::ReferenceEngine;
-use homonym::sim::sync_engine::SyncEngine;
 use proptest::prelude::*;
 
 fn model(kind: u8) -> NetworkModel {
@@ -92,6 +92,18 @@ fn scenario(n: usize, heal: u64, lose: u8, byz_kind: u8, victims: usize) -> Scen
             extra_delay: Span::ZERO,
         })
         .with_clause(byz)
+}
+
+/// Figure 7 as `HSigmaStepProcess` on the synchronous network, traced,
+/// for `steps` lock-step steps (step `s` publishes at tick `2s + 2`).
+fn fig7_builder(n: usize, seed: u64, scenario: Scenario, steps: u64) -> SessionBuilder {
+    SessionBuilder::new(n, 2)
+        .with_seed(seed)
+        .with_network(NetworkModel::Synchronous)
+        .with_scenario(scenario)
+        .with_trace(100_000)
+        .with_goal(Goal::TickHorizon)
+        .with_deadline_ticks(2 * steps + 1)
 }
 
 proptest! {
@@ -172,10 +184,11 @@ proptest! {
         prop_assert_eq!(run_reference(true), (trace_r, decisions_r, metrics_r, recorded));
     }
 
-    /// Lock-step engine, Figure 7 `HΣ` process under an active attack:
-    /// histories and metrics are byte-identical with and without the
-    /// recorder, and the recorder captures the per-step detector-epoch
-    /// events.
+    /// Figure 7 `HΣ` under an active attack, as `HSigmaStepProcess` on
+    /// the synchronous network (step `s` publishes at tick `2s + 2`):
+    /// traces, histories and metrics are byte-identical with and without
+    /// the recorder, and the recorder captures the per-step
+    /// detector-epoch events.
     #[test]
     fn recorder_attached_is_byte_identical_sync_engine(
         seed in any::<u64>(),
@@ -185,30 +198,33 @@ proptest! {
         heal in 2u64..10,
         steps in 6u64..16,
     ) {
-        let scenario = scenario(n, heal, 0, byz_kind, victims);
+        let builder = fig7_builder(n, seed, scenario(n, heal, 0, byz_kind, victims), steps);
         let run = |record: bool| {
-            let mut builder = SessionBuilder::new(n, 2)
-                .with_seed(seed)
-                .with_scenario(scenario.clone())
-                .with_deadline_ticks(steps);
+            let mut builder = builder.clone();
             if record {
                 builder = builder.with_recorder(100_000);
             }
-            let mut session = builder.sync_hsigma();
+            let mut session = builder.build(|_, _| HSigmaStepProcess::new(Span::from_ticks(2)));
             session.run();
             let engine = session.engine_mut();
             let recorded = engine.take_recorder().map(|r| r.events().len());
-            (engine.histories().to_vec(), engine.metrics().clone(), recorded)
+            (
+                engine.trace().expect("enabled").clone(),
+                engine.histories().to_vec(),
+                engine.metrics().clone(),
+                recorded,
+            )
         };
-        let (hist, metrics, none) = run(false);
-        let (hist_r, metrics_r, recorded) = run(true);
+        let (trace, hist, metrics, none) = run(false);
+        let (trace_r, hist_r, metrics_r, recorded) = run(true);
         prop_assert_eq!(none, None);
+        prop_assert_eq!(&trace, &trace_r, "trace diverged with the recorder attached");
         prop_assert_eq!(&hist, &hist_r, "histories diverged with the recorder attached");
         prop_assert_eq!(&metrics, &metrics_r);
         // Every alive process observes one DetectorEpoch per step.
         prop_assert!(
             recorded.expect("recorder was enabled") >= n,
-            "the sync recorder captured too little"
+            "the Figure 7 recorder captured too little"
         );
     }
 
@@ -263,8 +279,8 @@ proptest! {
         prop_assert_eq!(&state(&mut engine), &expected);
     }
 
-    /// Recorder state round-trips through `SyncSnapshot` at a random
-    /// step cut on the lock-step engine.
+    /// Recorder state round-trips through a snapshot of Figure 7's step
+    /// process on the synchronous network, cut at a random step.
     #[test]
     fn recorder_roundtrips_through_sync_snapshot(
         seed in any::<u64>(),
@@ -274,17 +290,16 @@ proptest! {
         cut in 1u64..10,
         steps in 10u64..18,
     ) {
-        let scenario = scenario(n, heal, 0, byz_kind, 2);
+        let builder = fig7_builder(n, seed, scenario(n, heal, 0, byz_kind, 2), steps);
         let mk = || {
-            SessionBuilder::new(n, 2)
-                .with_seed(seed)
-                .with_scenario(scenario.clone())
-                .with_recorder(100_000)
-                .sync_hsigma()
+            (builder.clone().with_recorder(100_000))
+                .build(|_, _| HSigmaStepProcess::new(Span::from_ticks(2)))
                 .into_engine()
         };
-        let state = |e: &mut SyncEngine<HSigmaSyncProcess>| {
+        let horizon = Time::from_ticks(2 * steps + 1);
+        let state = |e: &mut Engine<HSigmaStepProcess>| {
             (
+                e.trace().expect("enabled").clone(),
                 e.histories().to_vec(),
                 e.metrics().clone(),
                 e.take_recorder().expect("enabled").events().to_vec(),
@@ -292,16 +307,16 @@ proptest! {
         };
 
         let mut baseline = mk();
-        baseline.run_steps(steps);
+        baseline.run_until(horizon);
         let expected = state(&mut baseline);
 
         let mut engine = mk();
-        engine.run_steps(cut.min(steps - 1));
+        engine.run_until(Time::from_ticks(2 * cut.min(steps - 1) + 1));
         let snap = engine.snapshot();
-        engine.run_steps(steps - cut.min(steps - 1));
+        engine.run_until(horizon);
         prop_assert_eq!(&state(&mut engine), &expected);
         engine.restore_from(&snap);
-        engine.run_steps(steps - cut.min(steps - 1));
+        engine.run_until(horizon);
         prop_assert_eq!(&state(&mut engine), &expected);
     }
 }

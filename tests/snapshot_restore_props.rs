@@ -1,8 +1,9 @@
 //! Property tests for the snapshot/fork layer: a snapshot taken at a
 //! random instant mid-run, restored and continued, must be
 //! **byte-identical** to the uninterrupted run from that instant — same
-//! traces, same histories, same metrics, same decisions — on both
-//! engines, under all three network models, random crash times and
+//! traces, same histories, same metrics, same decisions — on the event
+//! engine (Figure 7 included, as its step process on the synchronous
+//! network), under all three network models, random crash times and
 //! random fault scripts, **including active Byzantine scripts** (the
 //! scenarios below mount a permanent equivocator and a replay attacker,
 //! so the dedicated Byzantine RNG stream and the one-deep replay cache
@@ -12,9 +13,9 @@
 //! path — and what makes mid-run counterexample replay sound.
 
 use homonym::chaos::sweep::{byz_tolerant_node, fig8_node};
-use homonym::chaos::{FaultClause, PartitionMode, Scenario};
+use homonym::chaos::{FaultClause, PartitionMode, Scenario, SessionBuilder};
+use homonym::detectors::HSigmaStepProcess;
 use homonym::prelude::*;
-use homonym::sim::sync_engine::{SyncConfig, SyncEngine};
 use homonym::sim::Engine;
 use proptest::prelude::*;
 
@@ -41,28 +42,6 @@ impl Process for Echo {
         }
     }
     fn on_timer(&mut self, _t: TimerTag, _ctx: &mut ActionSink<'_, u64, u64>) {}
-}
-
-/// Lock-step counter with private state, so sync forks carry state over.
-#[derive(Clone)]
-struct StepCounter {
-    heard: u64,
-}
-
-impl SyncProcess for StepCounter {
-    type Msg = u64;
-    type Output = u64;
-    fn mutate_payload(msg: &u64, entropy: u64) -> Option<u64> {
-        Some(msg.wrapping_add(1 + entropy % 5))
-    }
-    fn send(&mut self, step: u64, out: &mut Vec<u64>) {
-        out.push(step + self.heard);
-    }
-    fn receive(&mut self, _step: u64, received: &mut Vec<u64>, sink: &mut SyncSink<u64>) {
-        self.heard += received.len() as u64;
-        sink.publish(self.heard);
-        received.clear();
-    }
 }
 
 fn model(kind: u8) -> NetworkModel {
@@ -313,9 +292,11 @@ proptest! {
         prop_assert_eq!(&state(&refork), &expected);
     }
 
-    /// Lock-step engine: snapshot at a random step under scripts and
-    /// crashes, restore, continue — identical histories and metrics,
-    /// including a nested fork.
+    /// Figure 7 on the event engine — `HSigmaStepProcess` on the
+    /// synchronous network, where step `s` publishes at tick `2s + 2`
+    /// and a crash at step `c` is a crash at tick `2c + 1`: snapshot at
+    /// a random step under scripts and crashes, restore, continue —
+    /// identical traces, histories and metrics, including a nested fork.
     #[test]
     fn snapshot_restore_is_byte_identical_sync_engine(
         seed in any::<u64>(),
@@ -327,40 +308,49 @@ proptest! {
         cut in 1u64..10,
     ) {
         let scenario = scenario(n, split, heal, lose);
-        let total = heal + 12;
+        let tick = |step: u64| Time::from_ticks(2 * step + 1);
+        let horizon = tick(heal + 12);
         let mk = || {
             let mut sched = FailureSchedule::none(n);
             if let Some(c) = crash {
-                sched = sched.with_crash(0, Time::from_ticks(c));
+                sched = sched.with_crash(0, tick(c));
             }
-            let cfg = SyncConfig::new(IdentityAssignment::anonymous(n), sched).with_seed(seed);
-            let cfg = scenario.install_sync(cfg).expect("valid scenario");
-            SyncEngine::new(cfg, |_, _| StepCounter { heard: 0 })
+            SessionBuilder::new(n, 2)
+                .with_seed(seed)
+                .with_network(NetworkModel::Synchronous)
+                .with_schedule(sched)
+                .with_scenario(scenario.clone())
+                .with_trace(100_000)
+                .build(|_, _| HSigmaStepProcess::new(Span::from_ticks(2)))
+                .into_engine()
         };
-        let state = |e: &SyncEngine<StepCounter>| {
-            (e.histories().to_vec(), e.metrics().clone(), e.decisions().to_vec())
+        let state = |e: &Engine<HSigmaStepProcess>| {
+            (
+                e.trace().expect("enabled").clone(),
+                e.histories().to_vec(),
+                e.metrics().clone(),
+            )
         };
 
         let mut baseline = mk();
-        baseline.run_steps(total);
+        baseline.run_until(horizon);
         let expected = state(&baseline);
 
         let mut engine = mk();
-        engine.run_steps(cut.min(total));
+        engine.run_until(tick(cut));
         let snap = engine.snapshot();
-        engine.run_steps(total - cut.min(total));
+        engine.run_until(horizon);
         prop_assert_eq!(&state(&engine), &expected);
         engine.restore_from(&snap);
 
         // Nested fork: snapshot the restored run again two steps later.
-        engine.run_steps(2.min(total - cut.min(total)));
+        engine.run_until(tick(cut + 2));
         let deeper = engine.snapshot();
-        engine.run_steps(total - engine.current_step());
+        engine.run_until(horizon);
         prop_assert_eq!(&state(&engine), &expected);
 
-        let mut refork = mk();
-        refork.restore_from(&deeper);
-        refork.run_steps(total - refork.current_step());
+        let mut refork = Engine::resume_in(mk().config().clone(), &deeper, EngineArena::new());
+        refork.run_until(horizon);
         prop_assert_eq!(&state(&refork), &expected);
     }
 }
