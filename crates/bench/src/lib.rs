@@ -21,8 +21,11 @@
 //! `chaos` (the falsification sweep, which alone takes flags) ride along.
 //!
 //! Every runner embeds the class/consensus property checkers, so each data
-//! point doubles as a correctness assertion. `EXPERIMENTS.md` at the
-//! workspace root records the resulting tables next to the paper's claims.
+//! point doubles as a correctness assertion. Every table, as `exp`
+//! prints it, is pinned under `crates/bench/golden/` (one file a table,
+//! e.g. `crates/bench/golden/fig8.md`); `BENCHMARKS.md` at the workspace
+//! root describes the tables, and `benchmark/README.md` the benchmark
+//! package that measures the layers they exercise.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -32,7 +32,7 @@ use crate::scenario::{FaultClause, GstPlacement, PartitionMode, Scenario};
 
 fn rng_for(family: &str, seed: u64) -> StdRng {
     // Decorrelate families sharing a seed.
-    StdRng::seed_from_u64(seed ^ crate::scenario::fnv1a(family))
+    StdRng::seed_from_u64(seed ^ homonym_sim::fnv1a(family.as_bytes()))
 }
 
 fn adversarial_gst(rng: &mut StdRng) -> GstPlacement {

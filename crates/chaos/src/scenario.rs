@@ -20,19 +20,6 @@ use homonym_sim::adversary::{
 use homonym_sim::engine::SimConfig;
 use homonym_sim::network::NetworkModel;
 
-/// FNV-1a over a string — the single deterministic name→seed fold used
-/// for scenario RNG salts and generator stream decorrelation (one
-/// implementation, so replay coordinates can never drift between the
-/// two).
-pub(crate) fn fnv1a(name: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325_u64;
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// What happens to copies that cross an active partition boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PartitionMode {
@@ -618,7 +605,8 @@ impl Scenario {
     /// loss masks under the same run seed).
     #[must_use]
     pub fn salt(&self) -> u64 {
-        fnv1a(&self.name) ^ (self.n as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        homonym_sim::fnv1a(self.name.as_bytes())
+            ^ (self.n as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
 
     /// Lowers the scenario to the engine-facing [`LinkFaultScript`].

@@ -80,12 +80,11 @@ pub enum Goal {
     /// stacks without a log this degrades to [`Goal::FirstDecision`]
     /// (one decision *is* one committed height).
     HeightsCommitted(u64),
-    /// Run to the deadline unconditionally. The only goal whose event
-    /// counts are comparable with a
-    /// [`ReferenceEngine`](homonym_sim::reference::ReferenceEngine) run:
-    /// conditional goals are checked per batch by the engine but per
-    /// event by the interpreter, so they may stop at slightly different
-    /// instants.
+    /// Run to the deadline unconditionally. Like every goal, it stops at
+    /// the event a
+    /// [`ReferenceEngine`](homonym_sim::reference::ReferenceEngine) run
+    /// toward the same condition stops at: both check a condition after
+    /// every dispatched event (see [`Engine::run_with`]).
     TickHorizon,
 }
 
@@ -493,7 +492,7 @@ pub struct Session<P: Process> {
 impl<P: Process> Session<P> {
     /// Runs toward the goal; returns why the engine stopped.
     ///
-    /// Conditional goals are checked after every dispatched batch (see
+    /// Conditional goals are checked after every dispatched event (see
     /// [`Engine::run_with`]); [`Goal::TickHorizon`] runs condition-free.
     pub fn run(&mut self) -> StopReason {
         match self.goal {

@@ -89,9 +89,9 @@ pub struct ByzantineStory {
 /// Replays a Byzantine counterexample as a **story**: the exact
 /// falsified scenario (re-located via
 /// [`locate_counterexample_scenario`]) runs flat on the
-/// [`ByzTolerantNode`] stack with classifier, round extractor and
-/// [`Recorder`] attached, and the recorded events are rendered as an
-/// ASCII and a Mermaid per-process timeline. Network, seed, proposals,
+/// [`ByzTolerantNode`] stack with a [`Recorder`] attached, and the
+/// recorded events are rendered as an ASCII and a Mermaid per-process
+/// timeline. Network, seed, proposals,
 /// deadline, nodes and property check are the sweep's own description of
 /// the stack, so the story shows the same execution the sweep judged.
 ///
@@ -108,9 +108,6 @@ pub fn byzantine_story(cfg: &SweepConfig, cex: &Counterexample) -> ByzantineStor
     let run = installed_run::<ByzStack>(cfg, &assign, &scenario, cex.seed);
     let ctx = RunCtx::<ByzStack>::new(cfg, &run);
     let mut engine = Engine::new(run.config, |p, _| ctx.node(p));
-    engine.set_classifier(classify_byz_stack);
-    engine.set_round_extractor(round_of_byz_stack);
-    engine.enable_trace(1 << 20);
     engine.enable_recorder(1 << 20);
     run.goal.run(&mut engine, Time::MAX);
     let violated = ByzStack::check(&engine, &ctx.proposals, scenario.corrupt_count()).is_err();

@@ -19,7 +19,7 @@
 //!   client has none, one another replica announced (see "Who gets
 //!   proposed"),
 //! * keeps of that log only what a run that never ends can afford: the
-//!   last [`RsmOptions::max_commit_ahead`] values (its *ring*), a
+//!   last [`MAX_COMMIT_AHEAD`] values (its *ring*), a
 //!   fingerprint of everything committed, and the per-proposer table of
 //!   the last command committed — the published history is the record,
 //!   and
@@ -51,7 +51,7 @@
 //! * `h' > h` — buffer (bounded; overflow is counted as a discard) and
 //!   replay once the local log reaches `h'`.
 //! * `h' < h` — the sender lags, and is answered:
-//!   * **inside the ring** (`h' ≥ h − max_commit_ahead`), rate-limited per
+//!   * **inside the ring** (`h' ≥ h − MAX_COMMIT_AHEAD`), rate-limited per
 //!     height, with `Commit { h', log[h'] }` so it can skip its stalled
 //!     instance;
 //!   * **below it**, through one throttle slot shared by every older
@@ -97,11 +97,11 @@
 //! can say: its last commit.
 //!
 //! * **Status.** One log-level timer chain runs per replica, with period
-//!   [`RsmOptions::answer_interval`]. A firing that finds the replica at
+//!   [`ANSWER_INTERVAL`]. A firing that finds the replica at
 //!   the height the previous one found it at — so it has sat there for
 //!   at least one period — repeats `Commit { h − 1, log[h − 1], next }`
 //!   and doubles the gap to the next firing, up to
-//!   `answer_interval × max_commit_ahead`; a firing that finds it moved
+//!   `ANSWER_INTERVAL × MAX_COMMIT_AHEAD`; a firing that finds it moved
 //!   sends nothing and returns to the base period. A healthy service
 //!   whose heights take less than a period never sends one; a whole
 //!   system stalled behind a partition backs off instead of flooding the
@@ -130,9 +130,9 @@
 //! still adopted only on `commit_quorum` matching copies under the label
 //! caps, so a Byzantine sender of stale statuses buys at most one answer
 //! per ring height, and one state (its `count` parts), per
-//! `answer_interval` from each correct replica, and nothing else. The
+//! `ANSWER_INTERVAL` from each correct replica, and nothing else. The
 //! price of asking lazily: after a long stall the
-//! chain's next firing is up to `answer_interval × max_commit_ahead`
+//! chain's next firing is up to `ANSWER_INTERVAL × MAX_COMMIT_AHEAD`
 //! away, and a replica stranded again before it waits that long before
 //! its first status.
 //!
@@ -158,7 +158,7 @@
 //! throttle: the tail of height-`h` copies still in flight when a
 //! replica commits would otherwise each look like a laggard asking, and
 //! earn an n-copy `Commit`. A replica that is genuinely stuck asks past
-//! [`RsmOptions::answer_interval`] and is answered.
+//! [`ANSWER_INTERVAL`] and is answered.
 //! The throttle keeps one instant per ring entry and a single shared
 //! instant for everything older, so it is bounded and a replica far
 //! behind is still answered at most once per interval.
@@ -511,45 +511,34 @@ impl core::fmt::Display for LogEntry {
 
 homonym_core::persist_fields!(LogEntry { height, value });
 
-/// Tuning knobs for the log service's catch-up machinery.
+/// Minimum spacing between repeated answers to laggards asking about the
+/// same past height, and the status timer's base period.
+pub const ANSWER_INTERVAL: Span = Span::from_ticks(8);
+
+/// Total future-height engine messages buffered before overflow counts
+/// as discards.
+pub const MAX_BUFFERED: usize = 1024;
+
+/// How far above the local height a `Commit` may tally; farther claims
+/// are discarded (bounds tally memory against a flooding adversary).
+/// Also how many committed values a replica keeps: its ring, answered
+/// entry by entry, and the tail of a state transfer.
+pub const MAX_COMMIT_AHEAD: u64 = 64;
+
+/// The one option of the log service that differs between fault models.
 #[derive(Debug, Clone)]
 pub struct RsmOptions {
     /// Matching `Commit` copies (under per-label caps) required to adopt
     /// an entry without running the height's engine. `1` is sound in the
     /// crash model; use [`RsmOptions::byzantine`] for `f + 1`.
     pub commit_quorum: usize,
-    /// Minimum spacing between repeated answers to laggards asking about
-    /// the same past height.
-    pub answer_interval: Span,
-    /// Total future-height engine messages buffered before overflow
-    /// counts as discards.
-    pub max_buffered: usize,
-    /// How far above the local height a `Commit` may tally; farther
-    /// claims are discarded (bounds tally memory against a flooding
-    /// adversary). Also how many committed values a replica keeps: its
-    /// ring, answered entry by entry, and the tail of a state transfer.
-    /// At least 1, and small enough that a state — this many words plus
-    /// one for the fingerprint and one per two processes — fits
-    /// `u16::MAX` parts.
-    pub max_commit_ahead: u64,
-}
-
-impl Default for RsmOptions {
-    fn default() -> Self {
-        RsmOptions {
-            commit_quorum: 1,
-            answer_interval: Span::from_ticks(8),
-            max_buffered: 1024,
-            max_commit_ahead: 64,
-        }
-    }
 }
 
 impl RsmOptions {
     /// Crash-model options: a single `Commit` copy certifies.
     #[must_use]
     pub fn crash() -> Self {
-        RsmOptions::default()
+        RsmOptions { commit_quorum: 1 }
     }
 
     /// Byzantine-model options for `assign`: `f + 1` matching copies
@@ -559,20 +548,18 @@ impl RsmOptions {
         let f = (assign.n().saturating_sub(1)) / 3;
         RsmOptions {
             commit_quorum: f + 1,
-            ..RsmOptions::default()
         }
     }
 
     /// What makes these options unfit for a replica of `n` processes, if
-    /// anything: a quorum of none, a ring of none, or a state that does
-    /// not fit `u16::MAX` parts.
+    /// anything: a quorum of none, or a state — [`MAX_COMMIT_AHEAD`]
+    /// words plus one for the fingerprint and one per two processes —
+    /// that does not fit `u16::MAX` parts.
     fn flaw(&self, n: usize) -> Option<&'static str> {
         let head = (STATE_HEAD + table_words(n)) as u64;
         if self.commit_quorum == 0 {
             Some("commit quorum must be positive")
-        } else if self.max_commit_ahead == 0 {
-            Some("the ring holds the last commit")
-        } else if (self.max_commit_ahead - 1).saturating_add(head) > u64::from(u16::MAX) {
+        } else if (MAX_COMMIT_AHEAD - 1).saturating_add(head) > u64::from(u16::MAX) {
             Some("a state fits its parts' count")
         } else {
             None
@@ -580,12 +567,7 @@ impl RsmOptions {
     }
 }
 
-homonym_core::persist_fields!(RsmOptions {
-    commit_quorum,
-    answer_interval,
-    max_buffered,
-    max_commit_ahead
-});
+homonym_core::persist_fields!(RsmOptions { commit_quorum });
 
 /// Per-height `Commit` tallies: value → the copies admitted for it, each
 /// claimed label capped at its multiplicity.
@@ -618,7 +600,7 @@ impl StateTally {
 /// `Output = `[`LogEntry`]: every commit is published, so the engine's
 /// histories carry each process's view of the log in commit order — the
 /// record of the log, which the process itself does not keep: it holds
-/// the last [`RsmOptions::max_commit_ahead`] values and a fingerprint of
+/// the last [`MAX_COMMIT_AHEAD`] values and a fingerprint of
 /// the rest. The *first* commit additionally registers as the process's
 /// decision, so one-shot goals (`run_until_all_correct_decided`) remain
 /// meaningful.
@@ -632,7 +614,7 @@ pub struct ReplicatedLog<C: HeightEngine> {
     caps: Multiset<Identity>,
     inner: C,
     height: u64,
-    /// The last `max_commit_ahead` committed heights, oldest first (the
+    /// The last `MAX_COMMIT_AHEAD` committed heights, oldest first (the
     /// back is height `height − 1`): each one's value and when it was
     /// last answered (its own commit counts, broadcast or not).
     ring: VecDeque<(u64, Time)>,
@@ -658,7 +640,7 @@ pub struct ReplicatedLog<C: HeightEngine> {
     /// The height the last status timer found the replica at.
     status_height: u64,
     /// The delay of the outstanding status timer:
-    /// [`RsmOptions::answer_interval`] while heights commit, doubling
+    /// [`ANSWER_INTERVAL`] while heights commit, doubling
     /// with every status sent from one height.
     status_gap: Span,
     /// Reused buffer for the actions of one engine callback.
@@ -713,7 +695,6 @@ impl<C: HeightEngine> ReplicatedLog<C> {
             panic!("{flaw}");
         }
         let inner = C::spawn(&seed, client.proposal(Time::ZERO));
-        let status_gap = opts.answer_interval;
         ReplicatedLog {
             seed,
             client,
@@ -732,7 +713,7 @@ impl<C: HeightEngine> ReplicatedLog<C> {
             done_seq: vec![0; assign.n()],
             announced: NOOP,
             status_height: 0,
-            status_gap,
+            status_gap: ANSWER_INTERVAL,
             scratch: Vec::new(),
         }
     }
@@ -755,7 +736,7 @@ impl<C: HeightEngine> ReplicatedLog<C> {
     /// What the replica keeps that a run could grow — ring entries,
     /// buffered future-height messages, tallied heights and state
     /// claims — a diagnostic for the boundedness tests: at most
-    /// `2 × max_commit_ahead + max_buffered + n`, however long the log.
+    /// `2 × MAX_COMMIT_AHEAD + MAX_BUFFERED + n`, however long the log.
     #[must_use]
     pub fn retained(&self) -> usize {
         self.ring.len() + self.buffered + self.tallies.len() + self.states.len()
@@ -848,7 +829,7 @@ impl<C: HeightEngine> ReplicatedLog<C> {
     /// height's answer throttle: the tail of its copies still in flight
     /// asks nothing.
     fn record(&mut self, height: u64, value: u64, ctx: &mut Sink<'_, C>) {
-        if self.ring.len() as u64 >= self.opts.max_commit_ahead {
+        if self.ring.len() as u64 >= MAX_COMMIT_AHEAD {
             self.ring.pop_front();
         }
         self.ring.push_back((value, ctx.local_now()));
@@ -986,7 +967,7 @@ impl<C: HeightEngine> ReplicatedLog<C> {
         if height < self.height {
             return; // old news
         }
-        if height - self.height >= self.opts.max_commit_ahead || !self.caps.contains(&id) {
+        if height - self.height >= MAX_COMMIT_AHEAD || !self.caps.contains(&id) {
             ctx.note_discard();
             return;
         }
@@ -1023,7 +1004,7 @@ impl<C: HeightEngine> ReplicatedLog<C> {
         let StatePart { index, count } = part;
         let head = (STATE_HEAD + table_words(self.done_seq.len())) as u64;
         let tail = u64::from(count).checked_sub(head);
-        let fits = tail.is_some_and(|tail| tail < self.opts.max_commit_ahead && tail <= height);
+        let fits = tail.is_some_and(|tail| tail < MAX_COMMIT_AHEAD && tail <= height);
         if index >= count || !fits || height == u64::MAX || !self.caps.contains(&id) {
             ctx.note_discard();
             return;
@@ -1055,14 +1036,14 @@ impl<C: HeightEngine> ReplicatedLog<C> {
     }
 
     /// Answers a laggard's height-`height` traffic, at most once per
-    /// [`RsmOptions::answer_interval`]: inside the ring with the committed
+    /// [`ANSWER_INTERVAL`]: inside the ring with the committed
     /// entry, throttled per height from its commit instant; below it with
     /// a state transfer, through one slot shared by every older height.
     /// `height` must be below the local one (both callers compare first).
     fn answer_past(&mut self, height: u64, ctx: &mut Sink<'_, C>) {
         debug_assert!(height < self.height, "only a committed height is past");
         let now = ctx.local_now();
-        let interval = self.opts.answer_interval;
+        let interval = ANSWER_INTERVAL;
         let oldest = self.height - self.ring.len() as u64;
         match height.checked_sub(oldest) {
             Some(i) => {
@@ -1171,24 +1152,24 @@ impl<C: HeightEngine> ReplicatedLog<C> {
     /// The status timer fired. If the replica left its height since the
     /// last firing, all is well and the chain returns to its base period.
     /// If not, it has sat there for at least
-    /// [`RsmOptions::answer_interval`]: it repeats its last commit as a
+    /// [`ANSWER_INTERVAL`]: it repeats its last commit as a
     /// status — whoever is ahead answers with the entry it is missing,
     /// and whoever is a height behind gets a certificate copy — and backs
-    /// off, doubling the gap up to `answer_interval × max_commit_ahead`.
+    /// off, doubling the gap up to `ANSWER_INTERVAL × MAX_COMMIT_AHEAD`.
     /// At height 0 there is nothing to repeat and so nothing to back off
     /// from: the chain keeps its base period, so that the first commit
     /// finds it ready. A firing that finds the replica where it was also
     /// drops the state transfer claims it holds: they answered an earlier
     /// ask, from peers that have moved on since.
     fn status_tick(&mut self, ctx: &mut Sink<'_, C>) {
-        let base = self.opts.answer_interval;
+        let base = ANSWER_INTERVAL;
         if self.height != self.status_height {
             self.status_height = self.height;
             self.status_gap = base;
         } else {
             self.states.clear();
             if self.repeat_last_commit(ctx) {
-                let cap = base.saturating_mul(self.opts.max_commit_ahead);
+                let cap = base.saturating_mul(MAX_COMMIT_AHEAD);
                 self.status_gap = self.status_gap.saturating_mul(2).min(cap);
             }
         }
@@ -1238,7 +1219,7 @@ impl<C: HeightEngine> ReplicatedLog<C> {
 
     /// Buffers a future-height engine message (bounded).
     fn buffer_future(&mut self, height: u64, msg: C::Msg, ctx: &mut Sink<'_, C>) {
-        if self.buffered >= self.opts.max_buffered {
+        if self.buffered >= MAX_BUFFERED {
             ctx.note_discard();
             return;
         }
@@ -1416,7 +1397,7 @@ where
         if log.opts.flaw(n).is_some()
             || log.wanted.len() != n
             || log.caps.len() != n
-            || ring > log.height.min(log.opts.max_commit_ahead)
+            || ring > log.height.min(MAX_COMMIT_AHEAD)
             || log.buffered != buffered
         {
             return Err(WireError::BadValue {
@@ -1869,7 +1850,7 @@ mod tests {
     }
 
     /// The ring, and with it the answer throttle, stays
-    /// `max_commit_ahead` entries long however many heights commit: a
+    /// `MAX_COMMIT_AHEAD` entries long however many heights commit: a
     /// commit opens its height's throttle whether it was broadcast (the
     /// first here carries the client's head, the rest have no news) or
     /// not, and all older heights share one slot, answered with a state
@@ -1879,8 +1860,8 @@ mod tests {
         let assign = IdentityAssignment::round_robin(4, 2);
         let queues = WorkloadConfig::default().queues(4);
         let mut node = byz_rsm_node(&assign, queues[0].clone());
-        let cap = node.opts.max_commit_ahead;
-        let interval = node.opts.answer_interval.ticks();
+        let cap = MAX_COMMIT_AHEAD;
+        let interval = ANSWER_INTERVAL.ticks();
         for h in 0..3 * cap {
             let sent = commits_sent(&mut node, 100, |n, s| n.commit(h, false, s));
             assert_eq!(sent, usize::from(h == 0), "height {h}");
@@ -1918,16 +1899,16 @@ mod tests {
 
     /// A replica that stays at one height repeats its last commit from
     /// the status timer: first once a whole period has passed at that
-    /// height, then at doubling gaps up to `answer_interval ×
-    /// max_commit_ahead`; a commit takes the chain back to its base
+    /// height, then at doubling gaps up to `ANSWER_INTERVAL ×
+    /// MAX_COMMIT_AHEAD`; a commit takes the chain back to its base
     /// period. At height 0 there is nothing to repeat and the chain does
     /// not back off.
     #[test]
     fn a_stalled_replica_repeats_its_last_commit_on_a_doubling_schedule() {
         let assign = IdentityAssignment::round_robin(4, 2);
         let mut node = byz_rsm_node(&assign, open_queues(4, 0).remove(0));
-        let base = node.opts.answer_interval.ticks();
-        let cap = base * node.opts.max_commit_ahead;
+        let base = ANSWER_INTERVAL.ticks();
+        let cap = base * MAX_COMMIT_AHEAD;
         let started = actions_of(&mut node, 0, |n, s| n.on_start(s));
         assert_eq!(timers_in(&started, STATUS_TAG), [base]);
         // What the status timer sends and the gap it re-arms with.
@@ -1958,13 +1939,13 @@ mod tests {
 
     /// A `Commit` whose sender is two or more heights back asks for the
     /// entry after it and draws exactly one answer per
-    /// `answer_interval`; one from a replica at this height asks nothing,
+    /// `ANSWER_INTERVAL`; one from a replica at this height asks nothing,
     /// and a forged height with no successor panics nobody.
     #[test]
     fn a_commit_from_behind_draws_one_throttled_answer() {
         let assign = IdentityAssignment::round_robin(4, 2);
         let mut node = byz_rsm_node(&assign, open_queues(4, 0).remove(0));
-        let interval = node.opts.answer_interval.ticks();
+        let interval = ANSWER_INTERVAL.ticks();
         for h in 0..4 {
             actions_of(&mut node, 0, |n, s| n.commit(10 + h, false, s));
         }
@@ -2002,7 +1983,7 @@ mod tests {
     fn a_replica_stalled_at_height_0_is_rescued_by_its_peers_statuses() {
         let assign = IdentityAssignment::round_robin(4, 2);
         let idle = || byz_rsm_node(&assign, open_queues(4, 0).remove(0));
-        let base = idle().opts.answer_interval.ticks();
+        let base = ANSWER_INTERVAL.ticks();
         let mut straggler = idle();
         actions_of(&mut straggler, 0, |n, s| n.on_start(s));
         for at in [base, 2 * base] {
@@ -2054,7 +2035,7 @@ mod tests {
         let assign = IdentityAssignment::round_robin(4, 2);
         let client = WorkloadConfig::default().queues(4).remove(2);
         let idle = || byz_rsm_node(&assign, open_queues(4, 0).remove(0));
-        let (cap, base) = (idle().opts.max_commit_ahead, idle().opts.answer_interval);
+        let (cap, base) = (MAX_COMMIT_AHEAD, ANSWER_INTERVAL);
         // Three rings' worth of heights: the laggard's client's commands
         // at every tenth, no-ops between.
         let mut issued = client.clone();
@@ -2237,7 +2218,7 @@ mod tests {
         /// once `commit_quorum` copies of it, or of every part of a state
         /// that holds it, under the label caps were delivered, and it
         /// broadcasts a `Commit` about any one height — and a state
-        /// transfer, all its parts — at most once per `answer_interval`:
+        /// transfer, all its parts — at most once per `ANSWER_INTERVAL`:
         /// the amplification a sender of stale statuses can buy.
         #[test]
         fn hostile_heights_neither_panic_nor_certify_nor_amplify(
@@ -2252,8 +2233,8 @@ mod tests {
             let assign = IdentityAssignment::round_robin(8, 4);
             let pool = engine_openings(&assign);
             let mut node = byz_rsm_node(&assign, open_queues(8, 0).remove(0));
-            let (quorum, ahead) = (node.opts.commit_quorum, node.opts.max_commit_ahead);
-            let interval = node.opts.answer_interval.ticks();
+            let (quorum, ahead) = (node.opts.commit_quorum, MAX_COMMIT_AHEAD);
+            let interval = ANSWER_INTERVAL.ticks();
             actions_of(&mut node, 0, |n, s| n.on_start(s));
             // (height, value) → label → copies delivered, capped.
             let mut delivered: Delivered<(u64, u64)> = BTreeMap::new();
@@ -2338,7 +2319,7 @@ mod tests {
         let mut sink = ActionSink::new(forged, Time::ZERO, &mut actions);
         let kept = node.retained();
         let count = parts_of(4, 1) as u16;
-        for height in 0..node.opts.max_commit_ahead {
+        for height in 0..MAX_COMMIT_AHEAD {
             for value in [13, height, u64::MAX - height] {
                 node.tally_commit(height, value, forged, &mut sink);
                 let part = StatePart {

@@ -9,10 +9,12 @@
 //! ## The zero-cost contract
 //!
 //! The event engine and the reference interpreter own an
-//! `Option<Recorder>` (the lock-step engine has none: an observed
-//! Figure 7 run is `HSigmaStepProcess` on the event engine). Algorithms
-//! emit events
-//! through their sink's `observe` hook, which takes a **closure**: when
+//! `Option<Recorder>` for the protocol's events, and a second one, their
+//! *trace*, for the engine's mechanics (starts, broadcasts, deliveries,
+//! timers, decisions, halts: one [`ObsKind`] vocabulary, two bounded
+//! recorders, so neither crowds the other out). The lock-step engine has
+//! neither: an observed Figure 7 run is `HSigmaStepProcess` on the event
+//! engine. Algorithms emit events through their sink's `observe` hook, which takes a **closure**: when
 //! no recorder is attached the closure is never evaluated and the hook
 //! is a single predictable branch — dispatch, RNG draws, traces and
 //! metrics stay byte-identical with or without instrumentation. The

@@ -140,7 +140,13 @@ impl RunStats {
                             .add(round_high.get(&e.process).copied().unwrap_or(0));
                     }
                 }
-                ObsKind::PhaseExit { .. } | ObsKind::DetectorEpoch { .. } => {}
+                ObsKind::PhaseExit { .. }
+                | ObsKind::DetectorEpoch { .. }
+                | ObsKind::Started
+                | ObsKind::Broadcast { .. }
+                | ObsKind::Delivered { .. }
+                | ObsKind::TimerFired { .. }
+                | ObsKind::Halted => {}
             }
         }
         stats.decided = seen_decided.len();

@@ -1,14 +1,19 @@
-//! The typed span/event recorder: what actually happened inside a run,
-//! at protocol granularity.
+//! The one vocabulary of a run: every recorded instant is an
+//! [`ObsEvent`] — when, at which process, and an [`ObsKind`].
 //!
-//! [`TraceEvent`](https://docs.rs/)-style engine traces record *message
-//! mechanics* (a copy was delivered, a timer fired). An [`ObsEvent`]
-//! records *protocol meaning*: a round's phase was entered, a quorum
+//! The kinds come in two groups. *Mechanics* say what the engine did:
+//! a process started, broadcast or received a message of some class, a
+//! timer fired, a process decided or halted. *Meaning* says what the
+//! protocol made of it: a round's phase was entered, a quorum
 //! certificate formed with these member labels, a ledger shed an
 //! over-cap copy, a detector epoch changed its trusted bag, an attack
-//! clause fired. Algorithms emit them through their engine sink's
-//! `observe` hook, which evaluates nothing when no recorder is attached
-//! — the zero-cost contract the `obs_props` proptests pin down.
+//! clause fired. An engine keeps the two in separate [`Recorder`]s: its
+//! trace holds mechanics, its recorder meaning, and both hold decisions.
+//! A run dispatches far more mechanics than meaning, so one bounded
+//! recorder would let the first crowd out the second. Algorithms emit
+//! meaning through their engine sink's `observe` hook, which evaluates
+//! nothing when no recorder is attached — the zero-cost contract the
+//! `obs_props` proptests pin down.
 
 use homonym_core::identity::Identity;
 use homonym_core::time::Time;
@@ -102,6 +107,31 @@ pub enum ObsKind {
         /// The decided value.
         value: u64,
     },
+    /// The process took its start step.
+    Started,
+    /// The process broadcast a message.
+    Broadcast {
+        /// Message class (the engine's classifier output, `"msg"`
+        /// without one).
+        class: &'static str,
+        /// Originating protocol round (the engine's round-extractor
+        /// output; `None` without one or for round-less traffic).
+        round: Option<u64>,
+    },
+    /// A message copy was delivered to the process.
+    Delivered {
+        /// Message class, as for [`ObsKind::Broadcast`].
+        class: &'static str,
+        /// Originating protocol round, as for [`ObsKind::Broadcast`].
+        round: Option<u64>,
+    },
+    /// A timer the process armed fired.
+    TimerFired {
+        /// The tag the process armed it with.
+        tag: u64,
+    },
+    /// The process halted itself.
+    Halted,
 }
 
 impl ObsKind {
@@ -121,6 +151,11 @@ impl ObsKind {
             ObsKind::AttackFired { .. } => "attack",
             ObsKind::CopyBlocked { .. } => "copy-blocked",
             ObsKind::Decided { .. } => "decided",
+            ObsKind::Started => "started",
+            ObsKind::Broadcast { .. } => "broadcast",
+            ObsKind::Delivered { .. } => "delivered",
+            ObsKind::TimerFired { .. } => "timer",
+            ObsKind::Halted => "halted",
         }
     }
 }
@@ -164,6 +199,17 @@ impl core::fmt::Display for ObsKind {
             ObsKind::AttackFired { kind, victim } => write!(f, "attack {kind} -> p{victim}"),
             ObsKind::CopyBlocked { from } => write!(f, "blocked copy from p{from}"),
             ObsKind::Decided { value } => write!(f, "DECIDED {value}"),
+            ObsKind::Started => write!(f, "start"),
+            ObsKind::Broadcast { class, round } => {
+                write!(f, "bcast {class}")?;
+                round.map_or(Ok(()), |r| write!(f, " r{r}"))
+            }
+            ObsKind::Delivered { class, round } => {
+                write!(f, "recv {class}")?;
+                round.map_or(Ok(()), |r| write!(f, " r{r}"))
+            }
+            ObsKind::TimerFired { tag } => write!(f, "timer#{tag}"),
+            ObsKind::Halted => write!(f, "halt"),
         }
     }
 }
@@ -319,6 +365,22 @@ impl Persist for ObsKind {
                 s.u8(10);
                 value.save(s);
             }
+            ObsKind::Started => s.u8(11),
+            ObsKind::Broadcast { class, round } => {
+                s.u8(12);
+                class.save(s);
+                round.save(s);
+            }
+            ObsKind::Delivered { class, round } => {
+                s.u8(13);
+                class.save(s);
+                round.save(s);
+            }
+            ObsKind::TimerFired { tag } => {
+                s.u8(14);
+                tag.save(s);
+            }
+            ObsKind::Halted => s.u8(15),
         }
     }
 
@@ -369,6 +431,19 @@ impl Persist for ObsKind {
             10 => ObsKind::Decided {
                 value: Persist::load(l)?,
             },
+            11 => ObsKind::Started,
+            12 => ObsKind::Broadcast {
+                class: Persist::load(l)?,
+                round: Persist::load(l)?,
+            },
+            13 => ObsKind::Delivered {
+                class: Persist::load(l)?,
+                round: Persist::load(l)?,
+            },
+            14 => ObsKind::TimerFired {
+                tag: Persist::load(l)?,
+            },
+            15 => ObsKind::Halted,
             tag => {
                 return Err(WireError::BadTag {
                     what: "ObsKind",
@@ -408,6 +483,98 @@ mod tests {
         r.record(Time::ZERO, 0, ObsKind::Decided { value: 7 });
         assert_eq!(r.for_process(0).count(), 2);
         assert_eq!(r.for_process(1).count(), 1);
+    }
+
+    #[test]
+    fn a_recorder_of_every_kind_round_trips_and_rejects_bad_bytes() {
+        use homonym_core::wire::{from_bytes, to_bytes};
+        let kinds = [
+            ObsKind::PhaseEnter {
+                round: 1,
+                phase: "VOTE",
+            },
+            ObsKind::PhaseExit {
+                round: 1,
+                phase: "VOTE",
+            },
+            ObsKind::CertificateFormed {
+                round: 2,
+                phase: "COMMIT",
+                size: 5,
+                labels: vec![(Identity::new(0), 2), (Identity::new(3), 3)],
+            },
+            ObsKind::LockAcquired { round: 2, value: 9 },
+            ObsKind::LockReleased { round: 3 },
+            ObsKind::LedgerDiscard {
+                round: 3,
+                class: "DECIDE",
+            },
+            ObsKind::DetectorEpoch {
+                round: 4,
+                trusted: 6,
+                changed: true,
+            },
+            ObsKind::LeaderFlip {
+                round: 4,
+                leader: Identity::new(1),
+                multiplicity: 2,
+            },
+            ObsKind::AttackFired {
+                kind: "equivocate",
+                victim: 2,
+            },
+            ObsKind::CopyBlocked { from: 1 },
+            ObsKind::Decided { value: 9 },
+            ObsKind::Started,
+            ObsKind::Broadcast {
+                class: "VOTE",
+                round: Some(2),
+            },
+            ObsKind::Delivered {
+                class: "msg",
+                round: None,
+            },
+            ObsKind::TimerFired { tag: 7 },
+            ObsKind::Halted,
+        ];
+        // Capacity below the count, so `dropped` is non-zero too.
+        let mut rec = Recorder::new(kinds.len() - 1);
+        for (i, kind) in kinds.iter().enumerate() {
+            rec.record(Time::from_ticks(i as u64), i % 3, kind.clone());
+        }
+        rec.record(Time::from_ticks(99), 0, ObsKind::Halted);
+        assert_eq!(rec.dropped(), 2);
+        let bytes = to_bytes(&rec);
+        assert_eq!(from_bytes::<Recorder>(&bytes), Ok(rec.clone()));
+        let tags: std::collections::BTreeSet<_> = kinds.iter().map(ObsKind::tag).collect();
+        assert_eq!(tags.len(), kinds.len(), "every kind has its own tag");
+
+        // A kind tag no variant owns is named as such.
+        let mut unknown = to_bytes(&ObsEvent {
+            at: Time::ZERO,
+            process: 0,
+            kind: ObsKind::Halted,
+        });
+        *unknown.last_mut().expect("a kind tag") = 200;
+        assert_eq!(
+            from_bytes::<ObsEvent>(&unknown),
+            Err(WireError::BadTag {
+                what: "ObsKind",
+                tag: 200
+            })
+        );
+        // Every strict prefix of the recorder's bytes is refused, typed:
+        // it runs out, or its event count cannot fit what is left.
+        for cut in 0..bytes.len() {
+            let err = from_bytes::<Recorder>(&bytes[..cut]);
+            assert!(
+                matches!(
+                    err,
+                    Err(WireError::Eof { .. } | WireError::BadValue { what: "length" })
+                ),
+                "cut {cut}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -52,7 +52,6 @@ use crate::network::NetworkModel;
 use crate::process::{reads, Action, ActionSink, Process, TimerTag};
 use crate::queue::CalendarQueue;
 use crate::snapshot::EngineSnapshot;
-use crate::trace::{Trace, TraceEvent};
 
 /// Why a run loop returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,8 +106,9 @@ pub struct Metrics {
     /// `broadcast` invocations per message class, counted **whenever a
     /// classifier is installed** via [`Engine::set_classifier`] — with or
     /// without a trace attached (the classifier alone enables this
-    /// aggregate; the same labels also annotate [`TraceEvent`]s when a
-    /// trace *is* recording). Empty when no classifier is installed.
+    /// aggregate; the same labels also annotate the trace's
+    /// [`ObsKind::Broadcast`]/[`ObsKind::Delivered`] events when a trace
+    /// *is* recording). Empty when no classifier is installed.
     pub by_class: BTreeMap<&'static str, u64>,
 }
 
@@ -421,7 +421,10 @@ pub struct Engine<P: Process> {
     /// Round extractor annotating trace events with the originating
     /// protocol round (see [`Engine::set_round_extractor`]).
     rounder: Option<RoundExtractor<P::Msg>>,
-    trace: Option<Trace>,
+    /// The run's mechanics (see [`Engine::enable_trace`]): a recorder of
+    /// its own, so they never crowd the protocol's events out of
+    /// `recorder`.
+    trace: Option<Recorder>,
     /// Structured observability recorder (see [`Engine::enable_recorder`]);
     /// `None` keeps every `observe` hook a dead branch.
     recorder: Option<Recorder>,
@@ -552,22 +555,25 @@ impl<P: Process> Engine<P> {
         self.classifier = Some(f);
     }
 
-    /// Installs a round extractor used to annotate
-    /// [`TraceEvent::Broadcast`]/[`TraceEvent::Delivered`] with the
+    /// Installs a round extractor used to annotate the trace's
+    /// [`ObsKind::Broadcast`]/[`ObsKind::Delivered`] with the
     /// originating protocol round. Only consulted while a trace is
     /// recording, so the extra call stays off the untraced hot path.
     pub fn set_round_extractor(&mut self, f: RoundExtractor<P::Msg>) {
         self.rounder = Some(f);
     }
 
-    /// Starts recording a [`Trace`] keeping at most `capacity` events.
+    /// Starts recording the run's mechanics — starts, broadcasts,
+    /// deliveries, timers, decisions and halts — into a trace keeping at
+    /// most `capacity` events. The trace is a [`Recorder`] of its own,
+    /// apart from [`Engine::enable_recorder`]'s.
     pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(Trace::with_capacity(capacity));
+        self.trace = Some(Recorder::new(capacity));
     }
 
     /// The recorded trace, if tracing was enabled.
     #[must_use]
-    pub fn trace(&self) -> Option<&Trace> {
+    pub fn trace(&self) -> Option<&Recorder> {
         self.trace.as_ref()
     }
 
@@ -748,7 +754,7 @@ impl<P: Process> Engine<P> {
             Event::Start { dst } => self.step_with(
                 dst,
                 (),
-                |engine, ()| engine.trace_line(|at| TraceEvent::Started { at, process: dst }),
+                |engine, ()| engine.trace_line(dst, || ObsKind::Started),
                 |process, (), sink| process.on_start(sink),
             ),
             Event::Timer { dst, tag } => self.step_with(
@@ -756,11 +762,7 @@ impl<P: Process> Engine<P> {
                 tag,
                 |engine, &tag| {
                     engine.metrics.timers_fired += 1;
-                    engine.trace_line(|at| TraceEvent::TimerFired {
-                        at,
-                        process: dst,
-                        tag,
-                    });
+                    engine.trace_line(dst, || ObsKind::TimerFired { tag: tag.0 });
                 },
                 |process, tag, sink| process.on_timer(tag, sink),
             ),
@@ -825,10 +827,10 @@ impl<P: Process> Engine<P> {
         }
     }
 
-    /// Records `line(now)` while a trace records.
-    fn trace_line(&mut self, line: impl FnOnce(Time) -> TraceEvent) {
+    /// Records `line()` at `process` while a trace records.
+    fn trace_line(&mut self, process: usize, line: impl FnOnce() -> ObsKind) {
         if let Some(trace) = self.trace.as_mut() {
-            trace.record(line(self.now));
+            trace.record(self.now, process, line());
         }
     }
 
@@ -836,21 +838,20 @@ impl<P: Process> Engine<P> {
     /// a trace records; the labels are computed only then.
     fn trace_message(
         &mut self,
+        process: usize,
         msg: &P::Msg,
-        line: impl FnOnce(Time, &'static str, Option<u64>) -> TraceEvent,
+        line: impl FnOnce(&'static str, Option<u64>) -> ObsKind,
     ) {
         if self.trace.is_some() {
             let (class, round) = (self.class_of(msg), self.round_of(msg));
-            self.trace_line(|at| line(at, class, round));
+            self.trace_line(process, || line(class, round));
         }
     }
 
     /// Counts and traces one delivered copy.
     fn delivered(&mut self, process: usize, msg: &P::Msg) {
         self.metrics.copies_delivered += 1;
-        self.trace_message(msg, |at, class, round| TraceEvent::Delivered {
-            at,
-            process,
+        self.trace_message(process, msg, |class, round| ObsKind::Delivered {
             class,
             round,
         });
@@ -872,11 +873,7 @@ impl<P: Process> Engine<P> {
                     if self.config.sched.is_correct(src) {
                         self.undecided_correct -= 1;
                     }
-                    self.trace_line(|at| TraceEvent::Decided {
-                        at,
-                        process: src,
-                        value: v,
-                    });
+                    self.trace_line(src, || ObsKind::Decided { value: v });
                     if let Some(rec) = self.recorder.as_mut() {
                         rec.record(self.now, src, ObsKind::Decided { value: v });
                     }
@@ -884,7 +881,7 @@ impl<P: Process> Engine<P> {
             }
             Action::Halt => {
                 self.dead_from[src] = 0;
-                self.trace_line(|at| TraceEvent::Halted { at, process: src });
+                self.trace_line(src, || ObsKind::Halted);
             }
             Action::Observe(kind) => {
                 if let Some(rec) = self.recorder.as_mut() {
@@ -900,9 +897,7 @@ impl<P: Process> Engine<P> {
         if let Some(f) = self.classifier {
             *self.metrics.by_class.entry(f(&msg)).or_insert(0) += 1;
         }
-        self.trace_message(&msg, |at, class, round| TraceEvent::Broadcast {
-            at,
-            process: src,
+        self.trace_message(src, &msg, |class, round| ObsKind::Broadcast {
             class,
             round,
         });

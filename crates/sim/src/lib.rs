@@ -69,7 +69,6 @@ pub mod stack;
 pub mod store;
 pub mod sweep;
 pub mod sync_engine;
-pub mod trace;
 pub mod workload;
 
 pub use adversary::{
@@ -90,7 +89,6 @@ pub use sweep::{
     PrefixItem, PrefixSweeper, RunGoal,
 };
 pub use sync_engine::{SyncConfig, SyncEngine, SyncMetrics, SyncProcess, SyncSink};
-pub use trace::{Trace, TraceEvent};
 pub use workload::{ArrivalModel, CommandQueue, KeySkew, WorkloadConfig};
 // The observability vocabulary travels with the engines that record it.
 pub use homonym_obs::{ObsEvent, ObsKind, Recorder};
@@ -111,7 +109,6 @@ pub mod prelude {
         ForkStats, PrefixItem, PrefixSweeper, RunGoal,
     };
     pub use crate::sync_engine::{SyncConfig, SyncEngine, SyncMetrics, SyncProcess, SyncSink};
-    pub use crate::trace::{Trace, TraceEvent};
     pub use crate::workload::{ArrivalModel, CommandQueue, KeySkew, WorkloadConfig};
     pub use homonym_obs::{ObsEvent, ObsKind, Recorder};
 }

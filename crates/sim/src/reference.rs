@@ -34,7 +34,6 @@ use rand::Rng;
 use crate::adversary::{forge, ByzDirective};
 use crate::engine::{Metrics, RoundExtractor, RunStreams, SimConfig, StopReason};
 use crate::process::{reads, Action, ActionSink, Process, TimerTag};
-use crate::trace::{Trace, TraceEvent};
 
 type Key = (Time, u64); // dispatch order: time, then insertion sequence
 
@@ -61,7 +60,7 @@ pub struct ReferenceEngine<P: Process> {
     decisions: Vec<Option<(Time, u64)>>,
     classifier: Option<fn(&P::Msg) -> &'static str>,
     rounder: Option<RoundExtractor<P::Msg>>,
-    trace: Option<Trace>,
+    trace: Option<Recorder>,
     recorder: Option<Recorder>,
 }
 
@@ -100,9 +99,9 @@ impl<P: Process> ReferenceEngine<P> {
         self.rounder = Some(f);
     }
 
-    /// Starts recording a [`Trace`] keeping at most `capacity` events.
+    /// See [`Engine::enable_trace`](crate::engine::Engine::enable_trace).
     pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(Trace::with_capacity(capacity));
+        self.trace = Some(Recorder::new(capacity));
     }
 
     /// Attaches a [`Recorder`] keeping at most `capacity` events.
@@ -111,7 +110,7 @@ impl<P: Process> ReferenceEngine<P> {
     }
 
     /// The recorded trace, if tracing was enabled.
-    pub fn trace(&self) -> Option<&Trace> {
+    pub fn trace(&self) -> Option<&Recorder> {
         self.trace.as_ref()
     }
 
@@ -188,9 +187,9 @@ impl<P: Process> ReferenceEngine<P> {
         self.seq += 1;
     }
 
-    fn trace_event(&mut self, ev: TraceEvent) {
+    fn trace_event(&mut self, process: usize, kind: ObsKind) {
         if let Some(trace) = self.trace.as_mut() {
-            trace.record(ev);
+            trace.record(self.now, process, kind);
         }
     }
 
@@ -210,26 +209,21 @@ impl<P: Process> ReferenceEngine<P> {
         if self.halted[dst] || !self.config.sched.is_alive(dst, self.now) {
             return;
         }
-        let (at, process) = (self.now, dst);
+        let at = self.now;
         self.metrics.events += 1;
         let traced = match &ev {
-            Event::Start => TraceEvent::Started { at, process },
+            Event::Start => ObsKind::Started,
             Event::Deliver(msg) => {
                 self.metrics.copies_delivered += 1;
                 let (class, round) = self.labels(msg);
-                TraceEvent::Delivered {
-                    at,
-                    process,
-                    class,
-                    round,
-                }
+                ObsKind::Delivered { class, round }
             }
             &Event::Timer(tag) => {
                 self.metrics.timers_fired += 1;
-                TraceEvent::TimerFired { at, process, tag }
+                ObsKind::TimerFired { tag: tag.0 }
             }
         };
-        self.trace_event(traced);
+        self.trace_event(dst, traced);
         let mut actions = Vec::new();
         let id = self.config.assign.id_of(dst);
         let mut sink =
@@ -243,7 +237,7 @@ impl<P: Process> ReferenceEngine<P> {
     }
 
     fn apply(&mut self, src: usize, action: Action<P::Msg, P::Output>) {
-        let (at, process) = (self.now, src);
+        let at = self.now;
         match action {
             Action::Broadcast(msg) => self.broadcast(src, &msg),
             Action::SetTimer(delay, tag) => {
@@ -253,13 +247,13 @@ impl<P: Process> ReferenceEngine<P> {
             Action::Publish(output) => self.histories[src].push((at, output)),
             Action::Decide(value) if self.decisions[src].is_none() => {
                 self.decisions[src] = Some((at, value));
-                self.trace_event(TraceEvent::Decided { at, process, value });
+                self.trace_event(src, ObsKind::Decided { value });
                 self.observe(src, ObsKind::Decided { value });
             }
             Action::Decide(_) => {} // only the first decision counts
             Action::Halt => {
                 self.halted[src] = true;
-                self.trace_event(TraceEvent::Halted { at, process });
+                self.trace_event(src, ObsKind::Halted);
             }
             Action::Observe(kind) => self.observe(src, kind),
             Action::Discard => self.metrics.copies_discarded += 1,
@@ -274,12 +268,7 @@ impl<P: Process> ReferenceEngine<P> {
             *self.metrics.by_class.entry(f(msg)).or_insert(0) += 1;
         }
         let (class, round) = self.labels(msg);
-        self.trace_event(TraceEvent::Broadcast {
-            at: now,
-            process: src,
-            class,
-            round,
-        });
+        self.trace_event(src, ObsKind::Broadcast { class, round });
         // One Byzantine plan per broadcast; `replace` yields the previous payload.
         let byz = self.config.byzantine.clone().filter(|s| !s.is_empty());
         let plan = byz

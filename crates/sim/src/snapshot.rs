@@ -63,7 +63,6 @@ use homonym_obs::Recorder;
 
 use crate::engine::Metrics;
 use crate::process::Process;
-use crate::trace::Trace;
 
 /// Captured state of an event-driven [`Engine`](crate::engine::Engine);
 /// see the module docs for the restore contract. Obtain one from
@@ -92,7 +91,7 @@ pub struct EngineSnapshot<P: Process> {
     pub(crate) metrics: Metrics,
     pub(crate) histories: Vec<History<P::Output>>,
     pub(crate) decisions: Vec<Option<(Time, u64)>>,
-    pub(crate) trace: Option<Trace>,
+    pub(crate) trace: Option<Recorder>,
     /// The observability recorder round-trips with the snapshot so a
     /// restored run's structured event log continues where it left off.
     pub(crate) recorder: Option<Recorder>,

@@ -33,8 +33,10 @@
 //!   and certificate-size distributions, detector quality curves), and
 //!   ASCII/Mermaid timeline renderers.
 //!
-//! See `README.md` for a tour, `DESIGN.md` for the system inventory and
-//! `EXPERIMENTS.md` for the per-figure reproduction results.
+//! See `docs/log_service.md` for the replicated log service,
+//! `docs/durable_sweeps.md` for crash-safe, resumable sweeps,
+//! `benchmark/README.md` for the benchmark's workloads and metrics, and
+//! `BENCHMARKS.md` for the checkpoint format and the experiment tables.
 //!
 //! # Performance
 //!

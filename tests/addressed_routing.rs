@@ -50,7 +50,7 @@ struct Story<O> {
     /// `copies_unaddressed` (zeroed).
     metrics: Metrics,
     /// The trace without its `Delivered` lines.
-    trace: Vec<TraceEvent>,
+    trace: Vec<ObsEvent>,
 }
 
 const HORIZON: Time = Time::from_ticks(400);
@@ -82,7 +82,7 @@ fn story<P: Process>(
         trace: trace
             .events()
             .iter()
-            .filter(|line| !matches!(line, TraceEvent::Delivered { .. }))
+            .filter(|line| !matches!(line.kind, ObsKind::Delivered { .. }))
             .cloned()
             .collect(),
     };
@@ -150,13 +150,10 @@ fn four_settings<P: Process>(
         let (victim, last_step) = fault_free
             .trace
             .iter()
-            .find_map(|line| match *line {
-                TraceEvent::Broadcast {
-                    at,
-                    process,
-                    class: "P_REPLY",
-                    ..
-                } if at >= Time::from_ticks(100) => Some((process, at)),
+            .find_map(|line| match line.kind {
+                ObsKind::Broadcast {
+                    class: "P_REPLY", ..
+                } if line.at >= Time::from_ticks(100) => Some((line.process, line.at)),
                 _ => None,
             })
             .expect("someone replies after tick 100");

@@ -44,7 +44,7 @@ fn stack_builder(scenario: &Scenario, n: usize, seed: u64, deadline: Time) -> Se
         .with_deadline(deadline)
 }
 
-type StackRun = (Trace, Vec<Option<(Time, u64)>>, Metrics);
+type StackRun = (Recorder, Vec<Option<(Time, u64)>>, Metrics);
 
 fn run_stack(scenario: &Scenario, n: usize, seed: u64, deadline: Time) -> StackRun {
     let mut session = stack_builder(scenario, n, seed, deadline).fig8();

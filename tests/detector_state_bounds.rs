@@ -145,7 +145,7 @@ fn run_to_height(engine: &mut Engine<RsmNode>, heights: u64) {
 
 /// The replica that runs the detector for ever runs the log for ever
 /// too, and what it keeps of the log must not grow with it either: the
-/// last `max_commit_ahead` values (64), a fingerprint of the rest, and
+/// last `MAX_COMMIT_AHEAD` values (64), a fingerprint of the rest, and
 /// the messages and tallies of the heights around its own. On the
 /// closed-loop log service at n = 8, ℓ = 4 (the `log_steady` stack) a
 /// replica retains at most 64 + n entries at every probe of 80 000

@@ -103,7 +103,12 @@ fn scenario(n: usize, split: usize, heal: u64, lose: u8) -> Scenario {
         })
 }
 
-type EventState = (Trace, Vec<History<u64>>, Metrics, Vec<Option<(Time, u64)>>);
+type EventState = (
+    Recorder,
+    Vec<History<u64>>,
+    Metrics,
+    Vec<Option<(Time, u64)>>,
+);
 
 fn event_state(e: &Engine<Echo>) -> EventState {
     (

@@ -16,7 +16,7 @@ fn classify(msg: &Either<EvtHpMsg, Fig8Msg>) -> &'static str {
     }
 }
 
-fn run(seed: u64) -> (Trace, Vec<Option<(Time, u64)>>) {
+fn run(seed: u64) -> (Recorder, Vec<Option<(Time, u64)>>) {
     run_on(
         seed,
         NetworkModel::Asynchronous(LatencyDistribution::Uniform {
@@ -42,7 +42,7 @@ fn node(p: usize, _id: Identity) -> Node {
     Stacked::new(EvtHpProcess::new(), consensus)
 }
 
-fn run_on(seed: u64, network: NetworkModel) -> (Trace, Vec<Option<(Time, u64)>>) {
+fn run_on(seed: u64, network: NetworkModel) -> (Recorder, Vec<Option<(Time, u64)>>) {
     let mut engine: Engine<Node> = Engine::new(config(seed, network), node);
     engine.set_classifier(classify);
     engine.enable_trace(500_000);
@@ -54,7 +54,7 @@ fn run_on(seed: u64, network: NetworkModel) -> (Trace, Vec<Option<(Time, u64)>>)
 }
 
 /// The same run on the naive reference interpreter.
-fn run_reference(seed: u64, network: NetworkModel) -> (Trace, Vec<Option<(Time, u64)>>) {
+fn run_reference(seed: u64, network: NetworkModel) -> (Recorder, Vec<Option<(Time, u64)>>) {
     let mut reference: ReferenceEngine<Node> = ReferenceEngine::new(config(seed, network), node);
     reference.set_classifier(classify);
     reference.enable_trace(500_000);
@@ -157,12 +157,12 @@ fn trace_is_coherent() {
         let Some((at, v)) = d else { continue };
         let mut seen_decide = false;
         for ev in trace.for_process(p) {
-            match ev {
-                TraceEvent::Decided { at: t, value, .. } => {
-                    assert_eq!((t, value), (at, v));
+            match ev.kind {
+                ObsKind::Decided { value } => {
+                    assert_eq!((ev.at, value), (*at, *v));
                     seen_decide = true;
                 }
-                TraceEvent::Broadcast { .. } if seen_decide => {
+                ObsKind::Broadcast { .. } if seen_decide => {
                     panic!("process {p} broadcast after deciding+halting")
                 }
                 _ => {}
@@ -171,6 +171,6 @@ fn trace_is_coherent() {
         assert!(seen_decide, "decision of p{p} missing from trace");
     }
     // Timestamps are monotone in engine order.
-    let times: Vec<Time> = trace.events().iter().map(TraceEvent::at).collect();
+    let times: Vec<Time> = trace.events().iter().map(|e| e.at).collect();
     assert!(times.windows(2).all(|w| w[0] <= w[1]));
 }
