@@ -56,65 +56,15 @@
 //! * `CHAOS_SWEEP_SCENARIOS=<k>` — scenarios **per stack** (default 400,
 //!   so the default run sweeps 1200 scenarios overall; CI smoke uses a
 //!   small value);
-//! * `CHAOS_BYZANTINE=1` — Byzantine mode (see above);
-//! * `HOMONYM_EXP_JSON=<dir>` — additionally dump the rows as JSON.
+//! * `CHAOS_BYZANTINE=1` — Byzantine mode (see above).
 
 use std::path::PathBuf;
 
-use crate::json::{JsonObject, JsonRow};
-use crate::maybe_dump;
 use homonym_chaos::{
     byzantine_story, checkpointed_falsification_sweep, falsification_sweep,
     falsification_sweep_forked, replay_byzantine_counterexample, CheckpointConfig, StackKind,
     SweepConfig, SweepReport,
 };
-
-struct Row {
-    stack: &'static str,
-    scenarios: usize,
-    liveness_held: usize,
-    liveness_excused: usize,
-    safety_violations: usize,
-    liveness_violations: usize,
-    byzantine_demonstrated: usize,
-    byzantine_survived: usize,
-    probes: usize,
-    probe_demonstrations: usize,
-    probe_decided_early: usize,
-}
-
-impl JsonRow for Row {
-    fn write_fields(&self, object: &mut JsonObject) {
-        object
-            .string("stack", self.stack)
-            .raw("scenarios", self.scenarios)
-            .raw("liveness_held", self.liveness_held)
-            .raw("liveness_excused", self.liveness_excused)
-            .raw("safety_violations", self.safety_violations)
-            .raw("liveness_violations", self.liveness_violations)
-            .raw("byzantine_demonstrated", self.byzantine_demonstrated)
-            .raw("byzantine_survived", self.byzantine_survived)
-            .raw("probes", self.probes)
-            .raw("probe_demonstrations", self.probe_demonstrations)
-            .raw("probe_decided_early", self.probe_decided_early);
-    }
-}
-
-fn report_row(stack: StackKind, report: &SweepReport) -> Row {
-    Row {
-        stack: stack.name(),
-        scenarios: report.runs,
-        liveness_held: report.liveness_held,
-        liveness_excused: report.liveness_excused,
-        safety_violations: report.safety_counterexamples.len(),
-        liveness_violations: report.liveness_counterexamples.len(),
-        byzantine_demonstrated: report.byzantine_demonstrated.len(),
-        byzantine_survived: report.byzantine_survived,
-        probes: report.probes,
-        probe_demonstrations: report.probe_demonstrations,
-        probe_decided_early: report.probe_decided_early,
-    }
-}
 
 /// Checkpointing knobs.
 #[derive(Default)]
@@ -145,6 +95,10 @@ fn parse_args() -> CheckpointArgs {
             }
         }
     }
+    if out.dir.is_none() && (out.resume || out.verify_resume) {
+        eprintln!("--resume and --verify-resume need --checkpoint-dir");
+        std::process::exit(2);
+    }
     out
 }
 
@@ -163,7 +117,6 @@ pub fn main() {
     );
     println!("|---|---|---|---|---|---|---|---|---|---|");
 
-    let mut rows = Vec::new();
     let mut falsified = false;
     let mut fig8_report: Option<SweepReport> = None;
     for stack in StackKind::ALL {
@@ -216,19 +169,18 @@ pub fn main() {
                 }
             }
         };
-        let row = report_row(stack, &report);
         println!(
             "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |",
-            row.stack,
-            row.scenarios,
-            row.liveness_held,
-            row.liveness_excused,
-            row.safety_violations,
-            row.liveness_violations,
-            row.byzantine_demonstrated,
-            row.byzantine_survived,
-            row.probes,
-            row.probe_demonstrations,
+            stack.name(),
+            report.runs,
+            report.liveness_held,
+            report.liveness_excused,
+            report.safety_counterexamples.len(),
+            report.liveness_counterexamples.len(),
+            report.byzantine_demonstrated.len(),
+            report.byzantine_survived,
+            report.probes,
+            report.probe_demonstrations,
         );
         if let Some(cex) = report.first_counterexample() {
             falsified = true;
@@ -297,16 +249,7 @@ pub fn main() {
         if stack == StackKind::Fig8EvtHp {
             fig8_report = Some(report);
         }
-        rows.push(row);
     }
-    maybe_dump(
-        if byzantine {
-            "byz_sweep"
-        } else {
-            "chaos_sweep"
-        },
-        &rows,
-    );
 
     assert!(
         !falsified,

@@ -1,38 +1,36 @@
 //! # homonym-bench
 //!
-//! Experiment harness regenerating the behavioural content of **every
+//! The experiment tables regenerating the behavioural content of **every
 //! figure** of *"Failure Detectors in Homonymous Distributed Systems"*:
 //!
-//! | Figure | Runner | Table |
+//! | Figure | Table | Module |
 //! |---|---|---|
-//! | Fig 1-2 (Σ→HΣ)     | [`experiments::fig12_sigma_to_hsigma`] | `exp fig1_fig2` |
-//! | Fig 3 (class E)    | [`experiments::fig3_e_list`]           | `exp fig3` |
-//! | Fig 4 (HΣ→Σ)       | [`experiments::fig4_hsigma_to_sigma`]  | `exp fig4` |
-//! | Fig 5 (relations)  | [`experiments::fig5_relations`]        | `exp fig5` |
-//! | Fig 6 (◇HP/HΩ)     | [`experiments::fig6_evt_hp`]           | `exp fig6` |
-//! | Fig 7 (HΣ in HSS)  | [`experiments::fig7_h_sigma`]          | `exp fig7` |
-//! | Fig 8 (consensus)  | [`experiments::fig8_consensus`]        | `exp fig8` |
-//! | Fig 9 (consensus)  | [`experiments::fig9_consensus`]        | `exp fig9` |
-//! | §1 end-to-end      | [`experiments::e2e_partial_synchrony`] | `exp e2e` |
-//! | §1 price of anon.  | [`experiments::price_of_anonymity`]    | `exp price` |
+//! | Fig 1-2 (Σ→HΣ)     | `exp fig1_fig2` | `figures/fig1_fig2.rs` |
+//! | Fig 3 (class E)    | `exp fig3`      | `figures/fig3.rs` |
+//! | Fig 4 (HΣ→Σ)       | `exp fig4`      | `figures/fig4.rs` |
+//! | Fig 5 (relations)  | `exp fig5`      | `figures/fig5.rs` |
+//! | Fig 6 (◇HP/HΩ)     | `exp fig6`      | `figures/fig6.rs` |
+//! | Fig 7 (HΣ in HSS)  | `exp fig7`      | `figures/fig7.rs` |
+//! | Fig 8 (consensus)  | `exp fig8`      | `figures/fig8.rs` |
+//! | Fig 9 (consensus)  | `exp fig9`      | `figures/fig9.rs` |
+//! | §1 end-to-end      | `exp e2e`       | `figures/e2e.rs` |
+//! | §1 price of anon.  | `exp price`     | `figures/price.rs` |
 //!
 //! One binary, `exp`, prints them all: its first argument names the
 //! table ([`figures::ALL`]; `exp --list`), and `ablation`, `combined` and
 //! `chaos` (the falsification sweep, which alone takes flags) ride along.
 //!
-//! Every runner embeds the class/consensus property checkers, so each data
-//! point doubles as a correctness assertion. Every table, as `exp`
-//! prints it, is pinned under `crates/bench/golden/` (one file a table,
-//! e.g. `crates/bench/golden/fig8.md`); `BENCHMARKS.md` at the workspace
-//! root describes the tables, and `benchmark/README.md` the benchmark
-//! package that measures the layers they exercise.
+//! Each module holds its table's runs, the class or consensus checkers
+//! that judge every run, and the `println!`s, so each data point doubles
+//! as a correctness assertion. Every table, as `exp` prints it, is pinned
+//! under `crates/bench/golden/` (one file a table, e.g.
+//! `crates/bench/golden/fig8.md`). `EXPERIMENTS.md` at the workspace root
+//! states each table's claim, command, checker and pinned output;
+//! `BENCHMARKS.md` describes the checkpoint format, and
+//! `benchmark/README.md` the benchmark package that measures the layers
+//! the tables exercise.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod experiments;
 pub mod figures;
-pub mod json;
-
-pub use experiments::*;
-pub use json::maybe_dump;

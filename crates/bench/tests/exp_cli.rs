@@ -66,3 +66,18 @@ fn a_known_name_prints_its_markdown_table() {
     assert_eq!(rows.len(), 18);
     assert!(rows.iter().all(|r| r.matches('|').count() == 5), "{rows:?}");
 }
+
+#[test]
+fn a_resume_flag_without_a_checkpoint_dir_exits_2_before_sweeping() {
+    for flag in ["--resume", "--verify-resume"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_exp"))
+            .args(["chaos", flag])
+            .env("CHAOS_SWEEP_SCENARIOS", "1")
+            .output()
+            .expect("the exp binary runs");
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        assert!(out.stdout.is_empty(), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--checkpoint-dir"), "{flag}: {stderr}");
+    }
+}

@@ -96,7 +96,7 @@ pub use session::{
     rsm_fig8_node, rsm_node, Goal, RsmFig8Node, RsmNode, Session, SessionBuilder, SessionStats,
     SyncSession,
 };
-pub use story::{byzantine_story, classify_byz_stack, round_of_byz_stack, ByzantineStory};
+pub use story::{byzantine_story, classify_byz_stack, ByzantineStory};
 pub use sweep::{
     byz_tolerant_node, falsification_sweep, falsification_sweep_forked, fig8_node, hps_base,
     locate_counterexample_scenario, replay_byzantine_counterexample, ByzTolerantNode,

@@ -17,10 +17,10 @@
 //! the sweep's uninstrumented runs execute byte-identical schedules
 //! (asserted by the `obs_props` property suite).
 
-use homonym_consensus::{classify_byz, round_of_byz, ByzMsg};
+use homonym_consensus::{classify_byz, ByzMsg};
 use homonym_core::identity::IdentityAssignment;
 use homonym_core::time::Time;
-use homonym_detectors::{classify_evt_hp, round_of_evt_hp, EvtHpMsg};
+use homonym_detectors::{classify_evt_hp, EvtHpMsg};
 use homonym_obs::{render_ascii_timeline, render_mermaid_timeline, Recorder, RunStats};
 use homonym_sim::engine::Engine;
 use homonym_sim::stack::Either;
@@ -45,20 +45,6 @@ pub fn classify_byz_stack(msg: &Either<EvtHpMsg, ByzMsg>) -> &'static str {
     match msg {
         Either::L(m) => classify_evt_hp(m),
         Either::R(m) => classify_byz(m),
-    }
-}
-
-/// Round extractor for the [`ByzTolerantNode`] stack: each layer's
-/// messages report their originating round through that layer's own
-/// extractor ([`round_of_evt_hp`] /
-/// [`round_of_byz`]), so traced
-/// `Broadcast`/`Delivered` events carry the protocol round they belong
-/// to.
-#[must_use]
-pub fn round_of_byz_stack(msg: &Either<EvtHpMsg, ByzMsg>) -> Option<u64> {
-    match msg {
-        Either::L(m) => round_of_evt_hp(m),
-        Either::R(m) => round_of_byz(m),
     }
 }
 

@@ -224,19 +224,6 @@ pub fn classify_byz(msg: &ByzMsg) -> &'static str {
     }
 }
 
-/// Round extractor for trace annotation: the round a coordination,
-/// vote or commit message belongs to (`DECIDE` echoes are round-free
-/// certificates).
-#[must_use]
-pub fn round_of_byz(msg: &ByzMsg) -> Option<u64> {
-    match msg {
-        ByzMsg::Coord { round, .. } | ByzMsg::Vote { round, .. } | ByzMsg::Commit { round, .. } => {
-            Some(*round)
-        }
-        ByzMsg::Decide { .. } => None,
-    }
-}
-
 /// The Byzantine payload mutation of a tolerant-stack message (the
 /// `Process::mutate_payload` hook): the same attack surface the crash
 /// stacks face. Estimates and decision values are shifted by a small

@@ -89,19 +89,6 @@ pub fn classify_fig8(msg: &Fig8Msg) -> &'static str {
     }
 }
 
-/// Round extractor for trace annotation: the round a phase message
-/// belongs to (`DECIDE` relays are round-free).
-#[must_use]
-pub fn round_of_fig8(msg: &Fig8Msg) -> Option<u64> {
-    match msg {
-        Fig8Msg::Coord { round, .. }
-        | Fig8Msg::Ph0 { round, .. }
-        | Fig8Msg::Ph1 { round, .. }
-        | Fig8Msg::Ph2 { round, .. } => Some(*round),
-        Fig8Msg::Decide { .. } => None,
-    }
-}
-
 /// The Byzantine payload mutation of a Figure 8 message (the
 /// `Process::mutate_payload` hook of every Figure 8 process): the
 /// carried **estimate / decision value** is shifted by a small

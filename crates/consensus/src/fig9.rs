@@ -94,17 +94,6 @@ pub fn classify_fig9(msg: &Fig9Msg) -> &'static str {
     }
 }
 
-/// Round extractor for trace annotation: the round a phase message
-/// belongs to (`DECIDE` relays are round-free).
-#[must_use]
-pub fn round_of_fig9(msg: &Fig9Msg) -> Option<u64> {
-    match msg {
-        Fig9Msg::Coord { round, .. } | Fig9Msg::Ph0 { round, .. } => Some(*round),
-        Fig9Msg::Ph1(q) | Fig9Msg::Ph2(q) => Some(q.round),
-        Fig9Msg::Decide { .. } => None,
-    }
-}
-
 /// The Byzantine payload mutation of a Figure 9 message (the
 /// `Process::mutate_payload` hook of every Figure 9 process): estimates
 /// and decision values are shifted by a small entropy-derived delta;

@@ -60,15 +60,13 @@ pub mod flooding;
 mod round_window;
 pub mod rsm;
 
-pub use byz_quorum::{classify_byz, mutate_byz_msg, round_of_byz, ByzMsg, ByzQuorumConsensus};
+pub use byz_quorum::{classify_byz, mutate_byz_msg, ByzMsg, ByzQuorumConsensus};
 pub use conflict::{crash_model_pick, WindowLedger};
 pub use fig8::{
-    classify_fig8, mutate_fig8_msg, round_of_fig8, AOmegaPolicy, Fig8Msg, HOmegaPolicy,
-    LeaderPolicy, MajorityConsensus, OmegaPolicy, UncoordinatedHOmegaPolicy,
+    classify_fig8, mutate_fig8_msg, AOmegaPolicy, Fig8Msg, HOmegaPolicy, LeaderPolicy,
+    MajorityConsensus, OmegaPolicy, UncoordinatedHOmegaPolicy,
 };
-pub use fig9::{
-    classify_fig9, mutate_fig9_msg, round_of_fig9, Fig9Msg, QuorumConsensus, QuorumMsg,
-};
+pub use fig9::{classify_fig9, mutate_fig9_msg, Fig9Msg, QuorumConsensus, QuorumMsg};
 pub use flooding::{classify_flood, AnonFloodingConsensus, FloodMsg, PFloodingConsensus};
 pub use rsm::{
     ByzHeightSeed, Fig8HeightSeed, Fig9HeightSeed, HeightEngine, LogEntry, ReplicatedLog, RsmMsg,

@@ -2,8 +2,8 @@
 //! accessors, and buffer hygiene of the consensus processes.
 
 use homonym_consensus::{
-    classify_byz, classify_fig8, classify_fig9, classify_flood, mutate_byz_msg, round_of_byz,
-    ByzMsg, ByzQuorumConsensus, Fig8Msg, Fig9Msg, FloodMsg, HOmegaPolicy, MajorityConsensus,
+    classify_byz, classify_fig8, classify_fig9, classify_flood, mutate_byz_msg, ByzMsg,
+    ByzQuorumConsensus, Fig8Msg, Fig9Msg, FloodMsg, HOmegaPolicy, MajorityConsensus,
     QuorumConsensus, QuorumMsg,
 };
 use homonym_core::prelude::*;
@@ -290,7 +290,6 @@ fn byz_coord_classifies_round_trips_and_mutates_like_a_vote() {
         locked: true,
     };
     assert_eq!(classify_byz(&msg), "COORD");
-    assert_eq!(round_of_byz(&msg), Some(7));
     let bytes = homonym_core::wire::to_bytes(&msg);
     let back: ByzMsg = homonym_core::wire::from_bytes(&bytes).expect("decodes");
     assert_eq!(back, msg);

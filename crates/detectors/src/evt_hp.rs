@@ -165,16 +165,6 @@ pub fn classify_evt_hp(msg: &EvtHpMsg) -> &'static str {
     }
 }
 
-/// Round extractor for trace annotation: a poll's round, or the last
-/// round a reply covers.
-#[must_use]
-pub fn round_of_evt_hp(msg: &EvtHpMsg) -> Option<u64> {
-    match msg {
-        EvtHpMsg::Polling { round, .. } => Some(*round),
-        EvtHpMsg::PReply { to, .. } => Some(*to),
-    }
-}
-
 /// The Byzantine payload mutation of a Figure 6 message (the
 /// `Process::mutate_payload` hook of every `◇HP`-speaking process): the
 /// carried **identifier** is forged by a small deterministic

@@ -114,16 +114,11 @@ pub enum ObsKind {
         /// Message class (the engine's classifier output, `"msg"`
         /// without one).
         class: &'static str,
-        /// Originating protocol round (the engine's round-extractor
-        /// output; `None` without one or for round-less traffic).
-        round: Option<u64>,
     },
     /// A message copy was delivered to the process.
     Delivered {
         /// Message class, as for [`ObsKind::Broadcast`].
         class: &'static str,
-        /// Originating protocol round, as for [`ObsKind::Broadcast`].
-        round: Option<u64>,
     },
     /// A timer the process armed fired.
     TimerFired {
@@ -200,14 +195,8 @@ impl core::fmt::Display for ObsKind {
             ObsKind::CopyBlocked { from } => write!(f, "blocked copy from p{from}"),
             ObsKind::Decided { value } => write!(f, "DECIDED {value}"),
             ObsKind::Started => write!(f, "start"),
-            ObsKind::Broadcast { class, round } => {
-                write!(f, "bcast {class}")?;
-                round.map_or(Ok(()), |r| write!(f, " r{r}"))
-            }
-            ObsKind::Delivered { class, round } => {
-                write!(f, "recv {class}")?;
-                round.map_or(Ok(()), |r| write!(f, " r{r}"))
-            }
+            ObsKind::Broadcast { class } => write!(f, "bcast {class}"),
+            ObsKind::Delivered { class } => write!(f, "recv {class}"),
             ObsKind::TimerFired { tag } => write!(f, "timer#{tag}"),
             ObsKind::Halted => write!(f, "halt"),
         }
@@ -366,15 +355,13 @@ impl Persist for ObsKind {
                 value.save(s);
             }
             ObsKind::Started => s.u8(11),
-            ObsKind::Broadcast { class, round } => {
+            ObsKind::Broadcast { class } => {
                 s.u8(12);
                 class.save(s);
-                round.save(s);
             }
-            ObsKind::Delivered { class, round } => {
+            ObsKind::Delivered { class } => {
                 s.u8(13);
                 class.save(s);
-                round.save(s);
             }
             ObsKind::TimerFired { tag } => {
                 s.u8(14);
@@ -434,11 +421,9 @@ impl Persist for ObsKind {
             11 => ObsKind::Started,
             12 => ObsKind::Broadcast {
                 class: Persist::load(l)?,
-                round: Persist::load(l)?,
             },
             13 => ObsKind::Delivered {
                 class: Persist::load(l)?,
-                round: Persist::load(l)?,
             },
             14 => ObsKind::TimerFired {
                 tag: Persist::load(l)?,
@@ -526,14 +511,8 @@ mod tests {
             ObsKind::CopyBlocked { from: 1 },
             ObsKind::Decided { value: 9 },
             ObsKind::Started,
-            ObsKind::Broadcast {
-                class: "VOTE",
-                round: Some(2),
-            },
-            ObsKind::Delivered {
-                class: "msg",
-                round: None,
-            },
+            ObsKind::Broadcast { class: "VOTE" },
+            ObsKind::Delivered { class: "msg" },
             ObsKind::TimerFired { tag: 7 },
             ObsKind::Halted,
         ];

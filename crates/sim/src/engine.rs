@@ -372,11 +372,6 @@ impl<P: Process> Default for EngineArena<P> {
 /// computes the active clause set.
 const NO_SPAN: (Time, Time) = (Time::ZERO, Time::ZERO);
 
-/// Fn-pointer round extractor installed with
-/// [`Engine::set_round_extractor`]: maps a protocol message to its
-/// originating round, or `None` for round-less traffic.
-pub type RoundExtractor<M> = fn(&M) -> Option<u64>;
-
 /// The discrete-event engine. See the module docs for semantics.
 pub struct Engine<P: Process> {
     config: SimConfig,
@@ -418,9 +413,6 @@ pub struct Engine<P: Process> {
     histories: Vec<History<P::Output>>,
     decisions: Vec<Option<(Time, u64)>>,
     classifier: Option<fn(&P::Msg) -> &'static str>,
-    /// Round extractor annotating trace events with the originating
-    /// protocol round (see [`Engine::set_round_extractor`]).
-    rounder: Option<RoundExtractor<P::Msg>>,
     /// The run's mechanics (see [`Engine::enable_trace`]): a recorder of
     /// its own, so they never crowd the protocol's events out of
     /// `recorder`.
@@ -513,7 +505,6 @@ impl<P: Process> Engine<P> {
             histories,
             decisions,
             classifier: None,
-            rounder: None,
             trace: None,
             recorder: None,
             scratch_actions,
@@ -555,14 +546,6 @@ impl<P: Process> Engine<P> {
         self.classifier = Some(f);
     }
 
-    /// Installs a round extractor used to annotate the trace's
-    /// [`ObsKind::Broadcast`]/[`ObsKind::Delivered`] with the
-    /// originating protocol round. Only consulted while a trace is
-    /// recording, so the extra call stays off the untraced hot path.
-    pub fn set_round_extractor(&mut self, f: RoundExtractor<P::Msg>) {
-        self.rounder = Some(f);
-    }
-
     /// Starts recording the run's mechanics — starts, broadcasts,
     /// deliveries, timers, decisions and halts — into a trace keeping at
     /// most `capacity` events. The trace is a [`Recorder`] of its own,
@@ -602,10 +585,6 @@ impl<P: Process> Engine<P> {
 
     fn class_of(&self, msg: &P::Msg) -> &'static str {
         self.classifier.map_or("msg", |f| f(msg))
-    }
-
-    fn round_of(&self, msg: &P::Msg) -> Option<u64> {
-        self.rounder.and_then(|f| f(msg))
     }
 
     /// Number of processes.
@@ -834,27 +813,24 @@ impl<P: Process> Engine<P> {
         }
     }
 
-    /// Records the line built from `msg`'s class and round labels while
-    /// a trace records; the labels are computed only then.
+    /// Records the line built from `msg`'s class label while a trace
+    /// records; the label is computed only then.
     fn trace_message(
         &mut self,
         process: usize,
         msg: &P::Msg,
-        line: impl FnOnce(&'static str, Option<u64>) -> ObsKind,
+        line: impl FnOnce(&'static str) -> ObsKind,
     ) {
         if self.trace.is_some() {
-            let (class, round) = (self.class_of(msg), self.round_of(msg));
-            self.trace_line(process, || line(class, round));
+            let class = self.class_of(msg);
+            self.trace_line(process, || line(class));
         }
     }
 
     /// Counts and traces one delivered copy.
     fn delivered(&mut self, process: usize, msg: &P::Msg) {
         self.metrics.copies_delivered += 1;
-        self.trace_message(process, msg, |class, round| ObsKind::Delivered {
-            class,
-            round,
-        });
+        self.trace_message(process, msg, |class| ObsKind::Delivered { class });
     }
 
     fn apply_one(&mut self, src: usize, action: Action<P::Msg, P::Output>) {
@@ -897,10 +873,7 @@ impl<P: Process> Engine<P> {
         if let Some(f) = self.classifier {
             *self.metrics.by_class.entry(f(&msg)).or_insert(0) += 1;
         }
-        self.trace_message(src, &msg, |class, round| ObsKind::Broadcast {
-            class,
-            round,
-        });
+        self.trace_message(src, &msg, |class| ObsKind::Broadcast { class });
         let out = Outbound {
             // One Byzantine plan per broadcast, resolved before routing
             // so every copy sees the same attack.
@@ -1245,7 +1218,6 @@ impl<P: Process + Clone> Engine<P> {
             histories,
             decisions,
             classifier: None,
-            rounder: None,
             trace: None,
             recorder: None,
             scratch_actions,

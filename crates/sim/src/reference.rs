@@ -32,7 +32,7 @@ use homonym_obs::{ObsKind, Recorder};
 use rand::Rng;
 
 use crate::adversary::{forge, ByzDirective};
-use crate::engine::{Metrics, RoundExtractor, RunStreams, SimConfig, StopReason};
+use crate::engine::{Metrics, RunStreams, SimConfig, StopReason};
 use crate::process::{reads, Action, ActionSink, Process, TimerTag};
 
 type Key = (Time, u64); // dispatch order: time, then insertion sequence
@@ -59,7 +59,6 @@ pub struct ReferenceEngine<P: Process> {
     histories: Vec<History<P::Output>>,
     decisions: Vec<Option<(Time, u64)>>,
     classifier: Option<fn(&P::Msg) -> &'static str>,
-    rounder: Option<RoundExtractor<P::Msg>>,
     trace: Option<Recorder>,
     recorder: Option<Recorder>,
 }
@@ -82,7 +81,6 @@ impl<P: Process> ReferenceEngine<P> {
             histories: (0..n).map(|_| Vec::new()).collect(),
             decisions: vec![None; n],
             classifier: None,
-            rounder: None,
             trace: None,
             recorder: None,
             config,
@@ -92,11 +90,6 @@ impl<P: Process> ReferenceEngine<P> {
     /// See [`Engine::set_classifier`](crate::engine::Engine::set_classifier).
     pub fn set_classifier(&mut self, f: fn(&P::Msg) -> &'static str) {
         self.classifier = Some(f);
-    }
-
-    /// See [`Engine::set_round_extractor`](crate::engine::Engine::set_round_extractor).
-    pub fn set_round_extractor(&mut self, f: RoundExtractor<P::Msg>) {
-        self.rounder = Some(f);
     }
 
     /// See [`Engine::enable_trace`](crate::engine::Engine::enable_trace).
@@ -199,9 +192,8 @@ impl<P: Process> ReferenceEngine<P> {
         }
     }
 
-    fn labels(&self, msg: &P::Msg) -> (&'static str, Option<u64>) {
-        let class = self.classifier.map_or("msg", |f| f(msg));
-        (class, self.rounder.and_then(|f| f(msg)))
+    fn class_of(&self, msg: &P::Msg) -> &'static str {
+        self.classifier.map_or("msg", |f| f(msg))
     }
 
     /// One step of `dst`: a crashed or halted process takes none.
@@ -215,8 +207,9 @@ impl<P: Process> ReferenceEngine<P> {
             Event::Start => ObsKind::Started,
             Event::Deliver(msg) => {
                 self.metrics.copies_delivered += 1;
-                let (class, round) = self.labels(msg);
-                ObsKind::Delivered { class, round }
+                ObsKind::Delivered {
+                    class: self.class_of(msg),
+                }
             }
             &Event::Timer(tag) => {
                 self.metrics.timers_fired += 1;
@@ -267,8 +260,8 @@ impl<P: Process> ReferenceEngine<P> {
         if let Some(f) = self.classifier {
             *self.metrics.by_class.entry(f(msg)).or_insert(0) += 1;
         }
-        let (class, round) = self.labels(msg);
-        self.trace_event(src, ObsKind::Broadcast { class, round });
+        let class = self.class_of(msg);
+        self.trace_event(src, ObsKind::Broadcast { class });
         // One Byzantine plan per broadcast; `replace` yields the previous payload.
         let byz = self.config.byzantine.clone().filter(|s| !s.is_empty());
         let plan = byz

@@ -33,10 +33,11 @@
 //!   and certificate-size distributions, detector quality curves), and
 //!   ASCII/Mermaid timeline renderers.
 //!
-//! See `docs/log_service.md` for the replicated log service,
-//! `docs/durable_sweeps.md` for crash-safe, resumable sweeps,
-//! `benchmark/README.md` for the benchmark's workloads and metrics, and
-//! `BENCHMARKS.md` for the checkpoint format and the experiment tables.
+//! See `EXPERIMENTS.md` for what the reproduction found (each figure's
+//! claim, command, checker and pinned table), `docs/log_service.md` for
+//! the replicated log service, `docs/durable_sweeps.md` for crash-safe,
+//! resumable sweeps, `benchmark/README.md` for the benchmark's workloads
+//! and metrics, and `BENCHMARKS.md` for the checkpoint format.
 //!
 //! # Performance
 //!
@@ -55,15 +56,16 @@
 //! * **Zero-copy broadcasts** — a broadcast enqueues one `Arc`-shared
 //!   payload instead of one deep clone per destination; the owned copy a
 //!   process receives is cloned lazily at dispatch (the last copy is
-//!   moved, not cloned). Scalar-only payloads skip the `Arc` and are
-//!   copied inline, which is cheaper than refcounting.
+//!   moved, not cloned). A message type with no drop glue and at most
+//!   64 bytes skips the `Arc` and is copied inline, which is cheaper
+//!   than refcounting.
 //! * **Small-universe multisets** — `homonym_core::Multiset` stores up
 //!   to 16 distinct elements in a sorted inline vector (the common
 //!   `ℓ ≤ 16` homonymy degrees) and spills to a `BTreeMap` beyond,
 //!   behind an unchanged API with content-based equality, ordering and
 //!   hashing.
 //! * **Parallel sweeps** — multi-seed experiment sweeps fan out across
-//!   cores (`homonym_bench::parallel_seed_sweep`), and
+//!   cores (`homonym_sim::sweep::parallel_seed_sweep`), and
 //!   `IdentityAssignment`/`FailureSchedule` clone in O(1) (`Arc`-backed
 //!   tables), so per-run setup no longer scales with `n`.
 //!

@@ -11,9 +11,7 @@
 
 use homonym::chaos::session::{Goal, SessionBuilder};
 use homonym::chaos::sweep::byz_tolerant_node;
-use homonym::chaos::{
-    classify_byz_stack, round_of_byz_stack, FaultClause, PartitionMode, Scenario,
-};
+use homonym::chaos::{classify_byz_stack, FaultClause, PartitionMode, Scenario};
 use homonym::detectors::HSigmaStepProcess;
 use homonym::prelude::*;
 use homonym::sim::reference::ReferenceEngine;
@@ -141,7 +139,6 @@ proptest! {
             }
             let mut session = builder.byz_tolerant();
             session.engine_mut().set_classifier(classify_byz_stack);
-            session.engine_mut().set_round_extractor(round_of_byz_stack);
             session.run();
             let engine = session.engine();
             (
@@ -157,7 +154,6 @@ proptest! {
                 byz_tolerant_node(100 + p as u64, &assign)
             });
             reference.set_classifier(classify_byz_stack);
-            reference.set_round_extractor(round_of_byz_stack);
             reference.enable_trace(500_000);
             if record {
                 reference.enable_recorder(500_000);
@@ -251,7 +247,6 @@ proptest! {
                 .with_recorder(500_000)
                 .byz_tolerant();
             session.engine_mut().set_classifier(classify_byz_stack);
-            session.engine_mut().set_round_extractor(round_of_byz_stack);
             session.into_engine()
         };
         let horizon = Time::from_ticks(400);
