@@ -779,6 +779,63 @@ mod tests {
         }
     }
 
+    /// The recorder names every attack by the kind its `AttackFired`
+    /// carries: four corrupt senders, one attack each, on one run.
+    #[test]
+    fn every_attack_fires_under_its_own_name() {
+        use crate::scenario::FaultClause;
+        use homonym_obs::ObsKind;
+
+        let (start, until, victims) = (Time::from_ticks(5), Time::MAX, || (4..8).collect());
+        let scenario = Scenario::new("four attacks", 8)
+            .with_clause(FaultClause::ByzantineEquivocate {
+                sources: vec![0],
+                victims: victims(),
+                start,
+                until,
+            })
+            .with_clause(FaultClause::ByzantineCorrupt {
+                sources: vec![1],
+                victims: victims(),
+                start,
+                until,
+            })
+            .with_clause(FaultClause::ByzantineReplay {
+                sources: vec![2],
+                victims: victims(),
+                start,
+                until,
+            })
+            .with_clause(FaultClause::ByzantineSelectiveSend {
+                sources: vec![3],
+                victims: victims(),
+                start,
+                until,
+            });
+        let mut session = SessionBuilder::new(8, 4)
+            .with_scenario(scenario)
+            .with_recorder(1 << 20)
+            .with_goal(Goal::TickHorizon)
+            .with_deadline_ticks(200)
+            .byz_tolerant();
+        session.run();
+        let fired: std::collections::BTreeSet<&str> = session
+            .engine()
+            .recorder()
+            .expect("enabled")
+            .events()
+            .iter()
+            .filter_map(|event| match event.kind {
+                ObsKind::AttackFired { kind, .. } => Some(kind),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            fired.into_iter().collect::<Vec<_>>(),
+            ["corrupt", "equivocate", "replay", "suppress"]
+        );
+    }
+
     #[test]
     fn fig9_oracle_session_decides() {
         let mut session = SessionBuilder::new(4, 2)
