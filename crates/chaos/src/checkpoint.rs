@@ -93,11 +93,11 @@ fn segment_path(dir: &Path, group: usize) -> PathBuf {
 /// Verifies (or writes) the manifest: fingerprint + group count.
 ///
 /// A verified-but-mismatched manifest is an operator error — the
-/// checkpoint directory belongs to a different sweep. A corrupt
-/// manifest invalidates every segment (there is no proof they belong
-/// to this configuration), so the directory is treated as fresh and
-/// the manifest rewritten.
-fn check_manifest(cfg: &SweepConfig, dir: &Path) -> Result<bool, StoreError> {
+/// checkpoint directory belongs to a different sweep. A missing or
+/// corrupt manifest invalidates every segment (there is no proof they
+/// belong to this configuration), so the directory is treated as fresh
+/// and the manifest rewritten.
+fn check_manifest(cfg: &SweepConfig, dir: &Path) -> Result<(), StoreError> {
     let fingerprint = cfg.fingerprint();
     let groups = cfg.scenarios as u64;
     let path = manifest_path(dir);
@@ -111,29 +111,19 @@ fn check_manifest(cfg: &SweepConfig, dir: &Path) -> Result<bool, StoreError> {
                     expected: fingerprint,
                 });
             }
-            Ok(true)
+            return Ok(());
         }
-        Ok(None) => {
-            write_atomic(
-                &path,
-                MANIFEST_SCHEMA,
-                &wire::to_bytes(&(fingerprint, groups)),
-            )?;
-            Ok(false)
-        }
-        Err(e) if e.is_corruption() => {
-            for g in 0..cfg.scenarios {
-                let _ = std::fs::remove_file(segment_path(dir, g));
-            }
-            write_atomic(
-                &path,
-                MANIFEST_SCHEMA,
-                &wire::to_bytes(&(fingerprint, groups)),
-            )?;
-            Ok(false)
-        }
-        Err(e) => Err(e),
+        Err(e) if !e.is_corruption() => return Err(e),
+        Ok(None) | Err(_) => {}
     }
+    for g in 0..cfg.scenarios {
+        let _ = std::fs::remove_file(segment_path(dir, g));
+    }
+    write_atomic(
+        &path,
+        MANIFEST_SCHEMA,
+        &wire::to_bytes(&(fingerprint, groups)),
+    )
 }
 
 /// Runs the falsification sweep with durable checkpoints: each scenario

@@ -10,6 +10,8 @@
 //!   and their groups re-executed, never aborting the sweep;
 //! * a checkpoint directory written by a *different* sweep
 //!   configuration is refused with a clear error;
+//! * a directory whose manifest is missing or corrupt starts fresh: its
+//!   segments prove nothing, so none is resumed;
 //! * the full Figure-8 and Byzantine-quorum stacks survive an on-disk
 //!   snapshot round-trip mid-run (`durable_sync.rs` in
 //!   `homonym-detectors` covers Figure 7's `HSigmaStepProcess` on the
@@ -187,6 +189,23 @@ fn a_corrupt_manifest_invalidates_every_segment() {
     assert_eq!(report, golden().0);
     assert_eq!(stats.groups_resumed, 0);
     assert_eq!(stats.groups_executed, GROUPS as u64);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A directory whose manifest is gone proves nothing about its
+/// segments either: resuming another sweep there must not claim them.
+#[test]
+fn a_missing_manifest_resumes_no_other_sweeps_segments() {
+    let dir = unique_dir("no-manifest");
+    restore_golden(&dir);
+    std::fs::remove_file(dir.join("manifest.ck")).expect("manifest exists");
+    let mut other = small_cfg();
+    other.base_seed += 1;
+    let (report, stats) = checkpointed_falsification_sweep(&other, &CheckpointConfig::new(&dir))
+        .expect("a missing manifest means a fresh start, not an error");
+    assert_eq!(stats.groups_resumed, 0);
+    assert_eq!(stats.groups_executed, GROUPS as u64);
+    assert_eq!(report, falsification_sweep_forked(&other));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
