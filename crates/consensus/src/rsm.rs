@@ -1469,6 +1469,62 @@ mod tests {
         }
     }
 
+    /// Figure 9's quorum engine chains heights too, seeded by
+    /// [`Fig9HeightSeed`] with oracle `HΩ`/`HΣ` sources that are truthful
+    /// from the start, under crash-model commits.
+    #[test]
+    fn fig9_engines_chain_many_heights_with_prefix_agreement() {
+        use homonym_detectors::oracle::{HOmegaOracle, HSigmaOracle, OracleWorld, PreStability};
+        use homonym_sim::workload::{is_noop, proposer_of};
+
+        let (n, sched) = (4, FailureSchedule::none(4));
+        let assign = IdentityAssignment::round_robin(n, 2);
+        let world = OracleWorld::new(sched.clone(), assign.clone(), Time::ZERO);
+        let queues = WorkloadConfig::default().queues(n);
+        let cfg = SimConfig::new(assign.clone(), sched, NetworkModel::reliable(Span::TICK));
+        let mut engine = Engine::new(cfg, |p, _| {
+            let seed = Fig9HeightSeed {
+                omega: world.h_omega_for(p, PreStability::Truthful),
+                sigma: world.h_sigma_for(p, PreStability::Truthful),
+                tick: Span::from_ticks(2),
+            };
+            ReplicatedLog::<QuorumConsensus<HOmegaOracle, HSigmaOracle>>::new(
+                seed,
+                queues[p].clone(),
+                &assign,
+                RsmOptions::crash(),
+            )
+        });
+        engine.run_until(Time::from_ticks(4_000));
+        let logs = published_logs(&engine);
+        for (p, log) in logs.iter().enumerate() {
+            assert!(
+                log.len() >= 20,
+                "replica {p} committed {} heights",
+                log.len()
+            );
+        }
+        for pair in logs.windows(2) {
+            let k = pair[0].len().min(pair[1].len());
+            assert_eq!(pair[0][..k], pair[1][..k], "log prefixes diverged");
+        }
+        // Every command is some client's, in its client's issue order,
+        // committed once.
+        let mut clients = queues;
+        let longest = logs.iter().max_by_key(|log| log.len()).expect("n > 0");
+        for &cmd in longest.iter().filter(|&&cmd| !is_noop(cmd)) {
+            let client = &mut clients[proposer_of(cmd)];
+            assert_eq!(
+                client.proposal(Time::MAX),
+                cmd,
+                "not the client's next command"
+            );
+            client.on_commit(cmd);
+        }
+        let served: usize = clients.iter().map(CommandQueue::completed).sum();
+        assert!(served >= 20, "only {served} client commands committed");
+    }
+
     #[test]
     fn state_hash_tracks_log() {
         let assign = IdentityAssignment::round_robin(4, 2);
