@@ -22,11 +22,15 @@
 //!   `f ≥ ⌈n/3⌉` coalition past the tolerance bound, so the boundary is
 //!   exercised from both sides in every sweep.
 
+use std::ops::RangeInclusive;
+
 use homonym_core::identity::IdentityAssignment;
 use homonym_core::time::{Span, Time};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+
+use homonym_sim::adversary::Attack;
 
 use crate::scenario::{FaultClause, GstPlacement, PartitionMode, Scenario};
 
@@ -269,7 +273,8 @@ pub fn hidden_equivocator(assign: &IdentityAssignment, seed: u64) -> Scenario {
     };
     let start = Time::from_ticks(rng.gen_range(10..=40));
     Scenario::new(format!("hidden-equivocator#{seed}"), n)
-        .with_clause(FaultClause::ByzantineEquivocate {
+        .with_clause(FaultClause::Byzantine {
+            attack: Attack::Equivocate,
             sources: vec![equivocator],
             victims,
             start,
@@ -294,54 +299,7 @@ pub fn hidden_equivocator(assign: &IdentityAssignment, seed: u64) -> Scenario {
 pub fn corrupt_minority_homonyms(assign: &IdentityAssignment, seed: u64) -> Scenario {
     let n = assign.n();
     assert!(n >= 4, "a corrupt minority needs n >= 4 (f >= 1, 3f < n)");
-    let mut rng = rng_for("corrupt-minority-homonyms", seed);
-    let f_max = (n - 1) / 3;
-    let f = rng.gen_range(1..=f_max);
-    let mut procs: Vec<usize> = (0..n).collect();
-    procs.shuffle(&mut rng);
-    let corrupt: Vec<usize> = procs[..f].to_vec();
-    let mut scenario = Scenario::new(format!("corrupt-minority-homonyms#{seed}"), n);
-    for &source in &corrupt {
-        let mut others: Vec<usize> = (0..n).filter(|&p| p != source).collect();
-        others.shuffle(&mut rng);
-        let k = rng.gen_range(1..=others.len() - 1);
-        let mut victims = others[..k].to_vec();
-        victims.sort_unstable();
-        let start = Time::from_ticks(rng.gen_range(5..=30));
-        let until = if rng.gen_range(0u8..100) < 70 {
-            Time::MAX
-        } else {
-            start + Span::from_ticks(rng.gen_range(40..=160))
-        };
-        let sources = vec![source];
-        scenario = scenario.with_clause(match rng.gen_range(0u8..4) {
-            0 => FaultClause::ByzantineCorrupt {
-                sources,
-                victims,
-                start,
-                until,
-            },
-            1 => FaultClause::ByzantineReplay {
-                sources,
-                victims,
-                start,
-                until,
-            },
-            2 => FaultClause::ByzantineSelectiveSend {
-                sources,
-                victims,
-                start,
-                until,
-            },
-            _ => FaultClause::ByzantineEquivocate {
-                sources,
-                victims,
-                start,
-                until,
-            },
-        });
-    }
-    scenario.with_gst(adversarial_gst(&mut rng))
+    corrupt_coalition("corrupt-minority-homonyms", n, 1..=(n - 1) / 3, seed)
 }
 
 /// A corrupt coalition **past** the BFT envelope: `f ≥ ⌈n/3⌉` processes
@@ -366,15 +324,22 @@ pub fn corrupt_minority_homonyms(assign: &IdentityAssignment, seed: u64) -> Scen
 pub fn over_threshold_byzantine(assign: &IdentityAssignment, seed: u64) -> Scenario {
     let n = assign.n();
     assert!(n >= 4, "an over-threshold coalition needs n >= 4");
-    let mut rng = rng_for("over-threshold-byzantine", seed);
     let f_min = n.div_ceil(3);
     let f_max = (f_min + 1).min(n - 2).max(f_min);
-    let f = rng.gen_range(f_min..=f_max);
+    corrupt_coalition("over-threshold-byzantine", n, f_min..=f_max, seed)
+}
+
+/// The scenario `family#seed`: a coalition of `f ∈ sizes` processes, the
+/// first `f` of a shuffle, each mounting one randomly drawn attack —
+/// payload corruption, replay, selective sending, or equivocation — on a
+/// random victim subset, mostly permanent, sometimes windowed.
+fn corrupt_coalition(family: &str, n: usize, sizes: RangeInclusive<usize>, seed: u64) -> Scenario {
+    let mut rng = rng_for(family, seed);
+    let f = rng.gen_range(sizes);
     let mut procs: Vec<usize> = (0..n).collect();
     procs.shuffle(&mut rng);
-    let corrupt: Vec<usize> = procs[..f].to_vec();
-    let mut scenario = Scenario::new(format!("over-threshold-byzantine#{seed}"), n);
-    for &source in &corrupt {
+    let mut scenario = Scenario::new(format!("{family}#{seed}"), n);
+    for &source in &procs[..f] {
         let mut others: Vec<usize> = (0..n).filter(|&p| p != source).collect();
         others.shuffle(&mut rng);
         let k = rng.gen_range(1..=others.len() - 1);
@@ -386,32 +351,18 @@ pub fn over_threshold_byzantine(assign: &IdentityAssignment, seed: u64) -> Scena
         } else {
             start + Span::from_ticks(rng.gen_range(40..=160))
         };
-        let sources = vec![source];
-        scenario = scenario.with_clause(match rng.gen_range(0u8..4) {
-            0 => FaultClause::ByzantineCorrupt {
-                sources,
-                victims,
-                start,
-                until,
-            },
-            1 => FaultClause::ByzantineReplay {
-                sources,
-                victims,
-                start,
-                until,
-            },
-            2 => FaultClause::ByzantineSelectiveSend {
-                sources,
-                victims,
-                start,
-                until,
-            },
-            _ => FaultClause::ByzantineEquivocate {
-                sources,
-                victims,
-                start,
-                until,
-            },
+        let attack = match rng.gen_range(0u8..4) {
+            0 => Attack::Corrupt,
+            1 => Attack::Replay,
+            2 => Attack::SelectiveSend,
+            _ => Attack::Equivocate,
+        };
+        scenario = scenario.with_clause(FaultClause::Byzantine {
+            attack,
+            sources: vec![source],
+            victims,
+            start,
+            until,
         });
     }
     scenario.with_gst(adversarial_gst(&mut rng))
@@ -477,17 +428,19 @@ pub fn byzantine_attack_variants(base: &Scenario, seed: u64, k: usize) -> Vec<Sc
         };
         let mut s = Scenario::new(base.name().to_string(), n);
         for clause in base.clauses() {
-            // Kind-agnostic: a future Byzantine clause kind cannot
-            // silently fall through to the keep-as-is arm.
-            s = s.with_clause(match clause.byzantine_parts() {
-                Some((sources, victims, start, until)) => {
-                    let (victims, start, until) = redraw(sources, victims.to_vec(), start, until);
-                    clause
-                        .byzantine_with(victims, start, until)
-                        .expect("byzantine_parts matched")
-                }
-                None => clause.clone(),
-            });
+            let mut clause = clause.clone();
+            if let FaultClause::Byzantine {
+                sources,
+                victims,
+                start,
+                until,
+                ..
+            } = &mut clause
+            {
+                (*victims, *start, *until) =
+                    redraw(sources, std::mem::take(victims), *start, *until);
+            }
+            s = s.with_clause(clause);
         }
         out.push(s.with_gst(base.gst()));
     }
@@ -563,11 +516,7 @@ pub fn fault_window_variants(base: &Scenario, seed: u64, k: usize) -> Vec<Scenar
                 // family: a different crash schedule forfeits sharing
                 // (see `config_divergence`), and attack variation has
                 // its own generator ([`byzantine_attack_variants`]).
-                fixed @ (FaultClause::Crash { .. }
-                | FaultClause::ByzantineEquivocate { .. }
-                | FaultClause::ByzantineCorrupt { .. }
-                | FaultClause::ByzantineReplay { .. }
-                | FaultClause::ByzantineSelectiveSend { .. }) => fixed,
+                fixed @ (FaultClause::Crash { .. } | FaultClause::Byzantine { .. }) => fixed,
             });
         }
         let gst = match base.gst() {
@@ -791,7 +740,8 @@ mod tests {
         let assign = IdentityAssignment::round_robin(9, 3); // every id ×3
         for seed in 0..50 {
             let s = hidden_equivocator(&assign, seed);
-            let FaultClause::ByzantineEquivocate {
+            let FaultClause::Byzantine {
+                attack: Attack::Equivocate,
                 sources,
                 victims,
                 until,
@@ -864,7 +814,12 @@ mod tests {
                     variant.first_byzantine_activation().expect("byzantine") >= base_start,
                     "seed {seed}: a variant attacked earlier than the base"
                 );
-                let FaultClause::ByzantineEquivocate { victims, .. } = &variant.clauses()[0] else {
+                let FaultClause::Byzantine {
+                    attack: Attack::Equivocate,
+                    victims,
+                    ..
+                } = &variant.clauses()[0]
+                else {
                     panic!("clause kinds must not change");
                 };
                 distinct_victims.insert(victims.clone());

@@ -16,11 +16,12 @@
 //!   partitions release all held copies at the heal instant, in the
 //!   engine's deterministic `(time, seq)` order), directional per-link
 //!   **loss/delay overlays**, crash-recovery-style **churn** windows,
-//!   permanent **crashes**, and an adversarial [`GstPlacement`] that pins
-//!   the global stabilization time right after the last fault;
+//!   permanent **crashes**, Byzantine **attacks** (one
+//!   [`Attack`](homonym_sim::adversary::Attack) per clause), and an
+//!   adversarial [`GstPlacement`] that pins the global stabilization
+//!   time right after the last fault;
 //! * lowering to the engine hook — [`Scenario::install`] compiles the
-//!   clauses to a
-//!   [`LinkFaultScript`](homonym_sim::adversary::LinkFaultScript)
+//!   clauses to one [`FaultScript`](homonym_sim::adversary::FaultScript)
 //!   consulted by the event-driven engine at copy-routing time,
 //!   deterministically and without perturbing any existing RNG stream
 //!   (the lock-step engine takes no scenario: an adversarial Figure 7 run

@@ -1,12 +1,12 @@
-//! Declarative adversarial scenarios, lowered to engine-level
-//! [`LinkFaultScript`]s.
+//! Declarative adversarial scenarios, lowered to the engine-level
+//! [`FaultScript`].
 //!
 //! A [`Scenario`] is a named, validated composition of [`FaultClause`]s —
 //! timed partitions with heal times, per-link loss/delay overlays,
-//! crash-recovery-style churn, and crashes — plus an adversarial
-//! [`GstPlacement`]. It is the *replayable* form of an adversarial run:
-//! `Display` prints the full script, and the same scenario installed with
-//! the same seed reproduces the same trace.
+//! crash-recovery-style churn, crashes and Byzantine attacks — plus an
+//! adversarial [`GstPlacement`]. It is the *replayable* form of an
+//! adversarial run: `Display` prints the full script, and the same
+//! scenario installed with the same seed reproduces the same trace.
 
 use core::fmt;
 
@@ -14,9 +14,7 @@ use std::collections::BTreeSet;
 
 use homonym_core::failure::FailureSchedule;
 use homonym_core::time::{Span, Time};
-use homonym_sim::adversary::{
-    ByzClause, ByzEffect, ByzantineScript, LinkClause, LinkEffect, LinkFaultScript, ProcSet,
-};
+use homonym_sim::adversary::{Attack, ByzClause, FaultScript, LinkClause, LinkEffect, ProcSet};
 use homonym_sim::engine::SimConfig;
 use homonym_sim::network::NetworkModel;
 
@@ -88,133 +86,25 @@ pub enum FaultClause {
         /// Crash time.
         at: Time,
     },
-    /// A Byzantine **equivocation** window: every broadcast a process in
-    /// `sources` performs during `[start, until)` delivers one consistent
-    /// alternative payload to `victims` and the original to everyone else
-    /// — the corrupt homonym stays indistinguishable from its honest
-    /// namesakes outside the victim set. Use [`Time::MAX`] for a
-    /// permanently corrupt process (the BFT-model faulty process).
-    ByzantineEquivocate {
+    /// A Byzantine attack window: every broadcast a process in `sources`
+    /// performs during `[start, until)` reaches `victims` attacked —
+    /// equivocated, corrupted, replayed or suppressed, as [`Attack`]
+    /// says — and everyone else honest, so the corrupt homonym stays
+    /// indistinguishable from its honest namesakes outside the victim
+    /// set. Use [`Time::MAX`] for a permanently corrupt process (the
+    /// BFT-model faulty process).
+    Byzantine {
+        /// What the corrupt senders do to their victims' copies.
+        attack: Attack,
         /// The corrupt senders (nonempty).
         sources: Vec<usize>,
-        /// Destinations receiving the alternative payload (nonempty).
+        /// The destinations whose copies are attacked (nonempty).
         victims: Vec<usize>,
         /// First instant the attack is active.
         start: Time,
         /// First instant the attack is over; must be after `start`.
         until: Time,
     },
-    /// Byzantine **payload corruption**: victim copies of every broadcast
-    /// in the window are independently corrupted.
-    ByzantineCorrupt {
-        /// The corrupt senders (nonempty).
-        sources: Vec<usize>,
-        /// Destinations receiving corrupted copies (nonempty).
-        victims: Vec<usize>,
-        /// First instant the attack is active.
-        start: Time,
-        /// First instant the attack is over; must be after `start`.
-        until: Time,
-    },
-    /// Byzantine **replay**: victim copies are replaced by the sender's
-    /// previous broadcast payload (stale state re-injected).
-    ByzantineReplay {
-        /// The corrupt senders (nonempty).
-        sources: Vec<usize>,
-        /// Destinations receiving stale payloads (nonempty).
-        victims: Vec<usize>,
-        /// First instant the attack is active.
-        start: Time,
-        /// First instant the attack is over; must be after `start`.
-        until: Time,
-    },
-    /// Byzantine **selective sending**: victim copies are silently
-    /// suppressed — the corrupt sender "forgets" part of each broadcast.
-    ByzantineSelectiveSend {
-        /// The corrupt senders (nonempty).
-        sources: Vec<usize>,
-        /// Destinations whose copies are suppressed (nonempty).
-        victims: Vec<usize>,
-        /// First instant the attack is active.
-        start: Time,
-        /// First instant the attack is over; must be after `start`.
-        until: Time,
-    },
-}
-
-impl FaultClause {
-    /// The Byzantine fields of a `Byzantine*` clause, `None` otherwise.
-    pub(crate) fn byzantine_parts(&self) -> Option<(&[usize], &[usize], Time, Time)> {
-        match self {
-            FaultClause::ByzantineEquivocate {
-                sources,
-                victims,
-                start,
-                until,
-            }
-            | FaultClause::ByzantineCorrupt {
-                sources,
-                victims,
-                start,
-                until,
-            }
-            | FaultClause::ByzantineReplay {
-                sources,
-                victims,
-                start,
-                until,
-            }
-            | FaultClause::ByzantineSelectiveSend {
-                sources,
-                victims,
-                start,
-                until,
-            } => Some((sources, victims, *start, *until)),
-            _ => None,
-        }
-    }
-
-    /// A clause of the **same Byzantine kind** as `self` (same sources)
-    /// with the given victim set and window; `None` when `self` is not
-    /// Byzantine. Lets variation generators rewrite attacks without a
-    /// per-kind match that a future clause kind could silently fall
-    /// through.
-    pub(crate) fn byzantine_with(
-        &self,
-        victims: Vec<usize>,
-        start: Time,
-        until: Time,
-    ) -> Option<FaultClause> {
-        let (sources, ..) = self.byzantine_parts()?;
-        let sources = sources.to_vec();
-        Some(match self {
-            FaultClause::ByzantineEquivocate { .. } => FaultClause::ByzantineEquivocate {
-                sources,
-                victims,
-                start,
-                until,
-            },
-            FaultClause::ByzantineCorrupt { .. } => FaultClause::ByzantineCorrupt {
-                sources,
-                victims,
-                start,
-                until,
-            },
-            FaultClause::ByzantineReplay { .. } => FaultClause::ByzantineReplay {
-                sources,
-                victims,
-                start,
-                until,
-            },
-            FaultClause::ByzantineSelectiveSend { .. } => FaultClause::ByzantineSelectiveSend {
-                sources,
-                victims,
-                start,
-                until,
-            },
-            _ => unreachable!("byzantine_parts matched"),
-        })
-    }
 }
 
 /// Where the scenario places the global stabilization time of a
@@ -473,15 +363,18 @@ impl Scenario {
                     in_range(*process)?;
                 }
                 FaultClause::Crash { process, .. } => in_range(*process)?,
-                FaultClause::ByzantineEquivocate { .. }
-                | FaultClause::ByzantineCorrupt { .. }
-                | FaultClause::ByzantineReplay { .. }
-                | FaultClause::ByzantineSelectiveSend { .. } => {
-                    let (sources, victims, start, until) = clause
-                        .byzantine_parts()
-                        .expect("matched a Byzantine clause");
-                    if until <= start {
-                        return Err(ScenarioError::WindowEndsBeforeStart { start, end: until });
+                FaultClause::Byzantine {
+                    sources,
+                    victims,
+                    start,
+                    until,
+                    ..
+                } => {
+                    if *until <= *start {
+                        return Err(ScenarioError::WindowEndsBeforeStart {
+                            start: *start,
+                            end: *until,
+                        });
                     }
                     if sources.is_empty() || victims.is_empty() {
                         return Err(ScenarioError::EmptyEndpointSet);
@@ -511,11 +404,7 @@ impl Scenario {
                 FaultClause::Partition { heal_at, .. } => *heal_at,
                 FaultClause::LinkOverlay { end, .. } => *end,
                 FaultClause::Churn { up, .. } => *up,
-                FaultClause::Crash { .. } => Time::ZERO,
-                FaultClause::ByzantineEquivocate { .. }
-                | FaultClause::ByzantineCorrupt { .. }
-                | FaultClause::ByzantineReplay { .. }
-                | FaultClause::ByzantineSelectiveSend { .. } => Time::ZERO,
+                FaultClause::Crash { .. } | FaultClause::Byzantine { .. } => Time::ZERO,
             });
         }
         end
@@ -532,12 +421,11 @@ impl Scenario {
     pub fn last_fault_end(&self) -> Time {
         let mut end = self.network_clean_after();
         for clause in &self.clauses {
-            if let FaultClause::Crash { at, .. } = clause {
-                // A crash at `t` is "over" at the next instant.
+            if let FaultClause::Crash { at, .. } | FaultClause::Byzantine { start: at, .. } = clause
+            {
+                // A crash or an attack onset at `t` is "over" at the
+                // next instant.
                 end = end.max(*at + Span::TICK);
-            }
-            if let Some((_, _, start, _)) = clause.byzantine_parts() {
-                end = end.max(start + Span::TICK);
             }
         }
         end
@@ -555,10 +443,7 @@ impl Scenario {
             FaultClause::LinkOverlay { loss_percent, .. } => *loss_percent > 0,
             FaultClause::Churn { .. } => true,
             FaultClause::Crash { .. } => false,
-            FaultClause::ByzantineSelectiveSend { .. } => true,
-            FaultClause::ByzantineEquivocate { .. }
-            | FaultClause::ByzantineCorrupt { .. }
-            | FaultClause::ByzantineReplay { .. } => false,
+            FaultClause::Byzantine { attack, .. } => *attack == Attack::SelectiveSend,
         })
     }
 
@@ -567,7 +452,7 @@ impl Scenario {
     pub fn corrupt_set(&self) -> BTreeSet<usize> {
         let mut corrupt = BTreeSet::new();
         for clause in &self.clauses {
-            if let Some((sources, _, _, _)) = clause.byzantine_parts() {
+            if let FaultClause::Byzantine { sources, .. } = clause {
                 corrupt.extend(sources.iter().copied());
             }
         }
@@ -585,7 +470,7 @@ impl Scenario {
     /// Whether the scenario mounts any Byzantine attack.
     #[must_use]
     pub fn is_byzantine(&self) -> bool {
-        self.clauses.iter().any(|c| c.byzantine_parts().is_some())
+        self.first_byzantine_activation().is_some()
     }
 
     /// The earliest Byzantine activation — the instant *just before
@@ -596,7 +481,10 @@ impl Scenario {
     pub fn first_byzantine_activation(&self) -> Option<Time> {
         self.clauses
             .iter()
-            .filter_map(|c| c.byzantine_parts().map(|(_, _, start, _)| start))
+            .filter_map(|c| match c {
+                FaultClause::Byzantine { start, .. } => Some(*start),
+                _ => None,
+            })
             .min()
     }
 
@@ -609,16 +497,21 @@ impl Scenario {
             ^ (self.n as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
 
-    /// Lowers the scenario to the engine-facing [`LinkFaultScript`].
+    /// Lowers the scenario to the engine-facing [`FaultScript`]: network
+    /// clauses to link clauses, Byzantine clauses to attacks, in order
+    /// (crashes go to the failure schedule, see [`Scenario::install`]).
     ///
     /// # Errors
     ///
     /// Returns a [`ScenarioError`] when [`Scenario::validate`] rejects
     /// the scenario.
-    pub fn compile(&self) -> Result<LinkFaultScript, ScenarioError> {
+    pub fn compile(&self) -> Result<FaultScript, ScenarioError> {
         self.validate()?;
         let n = self.n;
-        let mut script = LinkFaultScript::new(self.salt());
+        let mut script = FaultScript {
+            salt: self.salt(),
+            ..FaultScript::default()
+        };
         for clause in &self.clauses {
             match clause {
                 FaultClause::Partition {
@@ -640,7 +533,7 @@ impl Scenario {
                             if i == j {
                                 continue;
                             }
-                            script.push_clause(LinkClause {
+                            script.links.push(LinkClause {
                                 from: *start,
                                 until: *heal_at,
                                 src: src.clone(),
@@ -661,7 +554,7 @@ impl Scenario {
                     let src = ProcSet::from_indices(n, from.iter().copied());
                     let dst = ProcSet::from_indices(n, to.iter().copied());
                     if *loss_percent > 0 {
-                        script.push_clause(LinkClause {
+                        script.links.push(LinkClause {
                             from: *start,
                             until: *end,
                             src: src.clone(),
@@ -670,7 +563,7 @@ impl Scenario {
                         });
                     }
                     if extra_delay.ticks() > 0 {
-                        script.push_clause(LinkClause {
+                        script.links.push(LinkClause {
                             from: *start,
                             until: *end,
                             src,
@@ -683,7 +576,7 @@ impl Scenario {
                     let me = ProcSet::from_indices(n, [*process]);
                     let everyone = ProcSet::all(n);
                     for (src, dst) in [(me.clone(), everyone.clone()), (everyone, me)] {
-                        script.push_clause(LinkClause {
+                        script.links.push(LinkClause {
                             from: *down,
                             until: *up,
                             src,
@@ -693,47 +586,20 @@ impl Scenario {
                     }
                 }
                 FaultClause::Crash { .. } => {} // handled by `install`
-                FaultClause::ByzantineEquivocate { .. }
-                | FaultClause::ByzantineCorrupt { .. }
-                | FaultClause::ByzantineReplay { .. }
-                | FaultClause::ByzantineSelectiveSend { .. } => {} // `compile_byzantine`
+                FaultClause::Byzantine {
+                    attack,
+                    sources,
+                    victims,
+                    start,
+                    until,
+                } => script.attacks.push(ByzClause {
+                    from: *start,
+                    until: *until,
+                    src: ProcSet::from_indices(n, sources.iter().copied()),
+                    victims: ProcSet::from_indices(n, victims.iter().copied()),
+                    attack: *attack,
+                }),
             }
-        }
-        Ok(script)
-    }
-
-    /// Lowers the scenario's Byzantine clauses to the engine-facing
-    /// [`ByzantineScript`] (empty when the scenario mounts no attack —
-    /// [`Scenario::install`] then leaves the hook uninstalled, keeping
-    /// the run byte-identical to one on an engine without it).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ScenarioError`] when [`Scenario::validate`] rejects
-    /// the scenario.
-    pub fn compile_byzantine(&self) -> Result<ByzantineScript, ScenarioError> {
-        self.validate()?;
-        let n = self.n;
-        let mut script = ByzantineScript::new(self.salt());
-        for clause in &self.clauses {
-            let Some((sources, victims, start, until)) = clause.byzantine_parts() else {
-                continue;
-            };
-            let src = ProcSet::from_indices(n, sources.iter().copied());
-            let victims = ProcSet::from_indices(n, victims.iter().copied());
-            let effect = match clause {
-                FaultClause::ByzantineEquivocate { .. } => ByzEffect::Equivocate { victims },
-                FaultClause::ByzantineCorrupt { .. } => ByzEffect::CorruptPayload { victims },
-                FaultClause::ByzantineReplay { .. } => ByzEffect::Replay { victims },
-                FaultClause::ByzantineSelectiveSend { .. } => ByzEffect::SelectiveSend { victims },
-                _ => unreachable!("byzantine_parts matched"),
-            };
-            script.push_clause(ByzClause {
-                from: start,
-                until,
-                src,
-                effect,
-            });
         }
         Ok(script)
     }
@@ -783,7 +649,9 @@ impl Scenario {
 
     /// Installs the scenario into an event-engine configuration: lowers
     /// the fault clauses to the adversary hook, merges crashes into the
-    /// failure schedule, and applies the GST placement.
+    /// failure schedule, and applies the GST placement. A scenario that
+    /// mounts no attack installs a script without attacks, which costs a
+    /// broadcast nothing.
     ///
     /// # Errors
     ///
@@ -795,15 +663,9 @@ impl Scenario {
     pub fn install(&self, mut cfg: SimConfig) -> Result<SimConfig, ScenarioError> {
         assert_eq!(cfg.assign.n(), self.n, "config size mismatch");
         let script = self.compile()?;
-        let byz = self.compile_byzantine()?;
         cfg.sched = self.apply_crashes(&cfg.sched);
         cfg.network = self.place_gst(cfg.network);
-        let cfg = cfg.with_adversary(script);
-        Ok(if byz.is_empty() {
-            cfg
-        } else {
-            cfg.with_byzantine(byz)
-        })
+        Ok(cfg.with_adversary(script))
     }
 }
 
@@ -850,21 +712,21 @@ impl fmt::Display for Scenario {
                     write!(f, "churn p{process} {down}..{up}")?;
                 }
                 FaultClause::Crash { process, at } => write!(f, "crash p{process}@{at}")?,
-                FaultClause::ByzantineEquivocate { .. }
-                | FaultClause::ByzantineCorrupt { .. }
-                | FaultClause::ByzantineReplay { .. }
-                | FaultClause::ByzantineSelectiveSend { .. } => {
-                    let kind = match clause {
-                        FaultClause::ByzantineEquivocate { .. } => "equivocate",
-                        FaultClause::ByzantineCorrupt { .. } => "corrupt",
-                        FaultClause::ByzantineReplay { .. } => "replay",
-                        FaultClause::ByzantineSelectiveSend { .. } => "selective-send",
-                        _ => unreachable!(),
+                FaultClause::Byzantine {
+                    attack,
+                    sources,
+                    victims,
+                    start,
+                    until,
+                } => {
+                    let kind = match attack {
+                        Attack::Equivocate => "equivocate",
+                        Attack::Corrupt => "corrupt",
+                        Attack::Replay => "replay",
+                        Attack::SelectiveSend => "selective-send",
                     };
-                    let (sources, victims, start, until) =
-                        clause.byzantine_parts().expect("matched");
                     write!(f, "byz[{kind}] {start}..")?;
-                    if until == Time::MAX {
+                    if *until == Time::MAX {
                         write!(f, "∞")?;
                     } else {
                         write!(f, "{until}")?;
@@ -959,7 +821,7 @@ mod tests {
             mode: PartitionMode::QueueUntilHeal,
         });
         let script = s.compile().expect("valid");
-        assert_eq!(script.clauses().len(), 2); // A->B and B->A
+        assert_eq!(script.links.len(), 2); // A->B and B->A
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
         // Crossing copy sent during the window: deferred to heal.
@@ -1044,7 +906,7 @@ mod tests {
         );
         let cfg = s.install(cfg).expect("valid");
         assert_eq!(cfg.sched.crash_time(2), Some(t(7)));
-        assert!(cfg.adversary.as_ref().is_some_and(|a| !a.is_empty()));
+        assert!(cfg.adversary.as_ref().is_some_and(|a| !a.links.is_empty()));
     }
 
     #[test]
@@ -1066,25 +928,29 @@ mod tests {
     #[test]
     fn byzantine_clauses_validate_and_lower() {
         let s = Scenario::new("byz", 6)
-            .with_clause(FaultClause::ByzantineEquivocate {
+            .with_clause(FaultClause::Byzantine {
+                attack: Attack::Equivocate,
                 sources: vec![2],
                 victims: vec![0, 1],
                 start: t(10),
                 until: Time::MAX,
             })
-            .with_clause(FaultClause::ByzantineSelectiveSend {
+            .with_clause(FaultClause::Byzantine {
+                attack: Attack::SelectiveSend,
                 sources: vec![3],
                 victims: vec![4],
                 start: t(5),
                 until: t(50),
             })
-            .with_clause(FaultClause::ByzantineCorrupt {
+            .with_clause(FaultClause::Byzantine {
+                attack: Attack::Corrupt,
                 sources: vec![2],
                 victims: vec![5],
                 start: t(10),
                 until: t(40),
             })
-            .with_clause(FaultClause::ByzantineReplay {
+            .with_clause(FaultClause::Byzantine {
+                attack: Attack::Replay,
                 sources: vec![3],
                 victims: vec![0, 5],
                 start: t(8),
@@ -1100,13 +966,13 @@ mod tests {
         assert_eq!(s.network_clean_after(), Time::ZERO);
         assert_eq!(s.last_fault_end(), t(11));
         assert!(s.is_lossy(), "selective sending loses copies");
-        let byz = s.compile_byzantine().expect("valid");
-        assert_eq!(byz.clauses().len(), 4);
-        assert_eq!(byz.salt(), s.salt());
-        assert!(!byz.records_replay(2), "p2 mounts no replay");
+        let byz = s.compile().expect("valid");
+        assert_eq!(byz.attacks.len(), 4);
+        assert_eq!(byz.salt, s.salt());
+        assert!(!byz.records_replay_at(Time::ZERO, 2), "p2 mounts no replay");
         assert!(byz.draws_entropy(), "equivocation draws entropy");
-        // Lowered link script ignores the Byzantine clauses entirely.
-        assert!(s.compile().expect("valid").is_empty());
+        // Byzantine clauses lower to attacks, never to link clauses.
+        assert!(byz.links.is_empty());
         // Counterexamples are located by this text: every attack's name
         // is pinned here.
         assert_eq!(
@@ -1119,7 +985,8 @@ mod tests {
 
     #[test]
     fn byzantine_clauses_are_validated() {
-        let empty_window = Scenario::new("b", 4).with_clause(FaultClause::ByzantineCorrupt {
+        let empty_window = Scenario::new("b", 4).with_clause(FaultClause::Byzantine {
+            attack: Attack::Corrupt,
             sources: vec![0],
             victims: vec![1],
             start: t(9),
@@ -1132,14 +999,16 @@ mod tests {
                 end: t(9)
             })
         );
-        let no_victims = Scenario::new("b", 4).with_clause(FaultClause::ByzantineReplay {
+        let no_victims = Scenario::new("b", 4).with_clause(FaultClause::Byzantine {
+            attack: Attack::Replay,
             sources: vec![0],
             victims: vec![],
             start: t(0),
             until: t(9),
         });
         assert_eq!(no_victims.validate(), Err(ScenarioError::EmptyEndpointSet));
-        let out_of_range = Scenario::new("b", 4).with_clause(FaultClause::ByzantineEquivocate {
+        let out_of_range = Scenario::new("b", 4).with_clause(FaultClause::Byzantine {
+            attack: Attack::Equivocate,
             sources: vec![4],
             victims: vec![1],
             start: t(0),
@@ -1166,9 +1035,10 @@ mod tests {
         assert!(clean
             .install(cfg.clone())
             .expect("valid")
-            .byzantine
-            .is_none());
-        let attacked = clean.with_clause(FaultClause::ByzantineCorrupt {
+            .adversary
+            .is_some_and(|s| s.attacks.is_empty()));
+        let attacked = clean.with_clause(FaultClause::Byzantine {
+            attack: Attack::Corrupt,
             sources: vec![0],
             victims: vec![1],
             start: t(3),
@@ -1176,9 +1046,9 @@ mod tests {
         });
         let installed = attacked.install(cfg).expect("valid");
         assert!(installed
-            .byzantine
+            .adversary
             .as_ref()
-            .is_some_and(|b| !b.is_empty() && b.draws_entropy()));
+            .is_some_and(|s| !s.attacks.is_empty() && s.draws_entropy()));
     }
 
     #[test]

@@ -785,33 +785,26 @@ mod tests {
     fn every_attack_fires_under_its_own_name() {
         use crate::scenario::FaultClause;
         use homonym_obs::ObsKind;
+        use homonym_sim::adversary::Attack;
 
-        let (start, until, victims) = (Time::from_ticks(5), Time::MAX, || (4..8).collect());
-        let scenario = Scenario::new("four attacks", 8)
-            .with_clause(FaultClause::ByzantineEquivocate {
-                sources: vec![0],
-                victims: victims(),
-                start,
-                until,
-            })
-            .with_clause(FaultClause::ByzantineCorrupt {
-                sources: vec![1],
-                victims: victims(),
-                start,
-                until,
-            })
-            .with_clause(FaultClause::ByzantineReplay {
-                sources: vec![2],
-                victims: victims(),
-                start,
-                until,
-            })
-            .with_clause(FaultClause::ByzantineSelectiveSend {
-                sources: vec![3],
-                victims: victims(),
-                start,
-                until,
+        let mut scenario = Scenario::new("four attacks", 8);
+        for (p, attack) in [
+            Attack::Equivocate,
+            Attack::Corrupt,
+            Attack::Replay,
+            Attack::SelectiveSend,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            scenario = scenario.with_clause(FaultClause::Byzantine {
+                attack,
+                sources: vec![p],
+                victims: (4..8).collect(),
+                start: Time::from_ticks(5),
+                until: Time::MAX,
             });
+        }
         let mut session = SessionBuilder::new(8, 4)
             .with_scenario(scenario)
             .with_recorder(1 << 20)

@@ -818,11 +818,7 @@ fn first_heal(scenario: &Scenario) -> Option<Time> {
             // Crashes never heal; a Byzantine window's end is process
             // redemption, not a network heal, and the demonstration
             // sweeps have nothing to probe there.
-            FaultClause::Crash { .. }
-            | FaultClause::ByzantineEquivocate { .. }
-            | FaultClause::ByzantineCorrupt { .. }
-            | FaultClause::ByzantineReplay { .. }
-            | FaultClause::ByzantineSelectiveSend { .. } => None,
+            FaultClause::Crash { .. } | FaultClause::Byzantine { .. } => None,
         })
         .min()
         .filter(|t| t.ticks() > 1)

@@ -1043,18 +1043,20 @@ mod tests {
         let n = 8;
         let assign = assign8();
         let a = assign.clone();
-        let mut script = ByzantineScript::new(0xB12);
-        script.push_clause(ByzClause {
-            from: Time::from_ticks(1),
-            until: Time::MAX,
-            src: ProcSet::from_indices(n, [2]),
-            effect: ByzEffect::Equivocate {
+        let script = FaultScript {
+            attacks: vec![ByzClause {
+                from: Time::from_ticks(1),
+                until: Time::MAX,
+                src: ProcSet::from_indices(n, [2]),
                 victims: ProcSet::from_indices(n, [0, 1, 3, 4, 5]),
-            },
-        });
+                attack: Attack::Equivocate,
+            }],
+            salt: 0xB12,
+            ..FaultScript::default()
+        };
         let cfg = SimConfig::new(assign, FailureSchedule::none(n), reliable())
             .with_seed(11)
-            .with_byzantine(script);
+            .with_adversary(script);
         let mut e = Engine::new(cfg, move |p, _| ByzQuorumConsensus::new(100 + p as u64, &a));
         e.run_until(Time::from_ticks(8_000));
         let outcome = e.outcome((0..n).map(|p| 100 + p as u64).collect());
@@ -1076,20 +1078,22 @@ mod tests {
         // tops out at n − 3 = 5 < wait copies, so no phase threshold is
         // ever met — the stack stalls past its bound, it does not decide
         // wrongly.
-        let mut script = ByzantineScript::new(0xB13);
+        let mut script = FaultScript {
+            salt: 0xB13,
+            ..FaultScript::default()
+        };
         for src in [0usize, 1, 2] {
-            script.push_clause(ByzClause {
+            script.attacks.push(ByzClause {
                 from: Time::from_ticks(1),
                 until: Time::MAX,
                 src: ProcSet::from_indices(n, [src]),
-                effect: ByzEffect::SelectiveSend {
-                    victims: ProcSet::from_indices(n, (0..n).filter(|&v| v != src)),
-                },
+                victims: ProcSet::from_indices(n, (0..n).filter(|&v| v != src)),
+                attack: Attack::SelectiveSend,
             });
         }
         let cfg = SimConfig::new(assign, FailureSchedule::none(n), reliable())
             .with_seed(13)
-            .with_byzantine(script);
+            .with_adversary(script);
         let mut e = Engine::new(cfg, move |p, _| ByzQuorumConsensus::new(100 + p as u64, &a));
         e.run_until(Time::from_ticks(8_000));
         let outcome = e.outcome((0..n).map(|p| 100 + p as u64).collect());

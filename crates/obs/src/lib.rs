@@ -19,7 +19,7 @@
 //! is a single predictable branch — dispatch, RNG draws, traces and
 //! metrics stay byte-identical with or without instrumentation. The
 //! `obs_props` proptests in the root crate pin this down under active
-//! Byzantine scripts, and the benchmark's `obs.recorder.overhead_ratio`
+//! Byzantine attacks, and the benchmark's `obs.recorder.overhead_ratio`
 //! ledger row prices the attached case.
 //!
 //! Recorder state snapshots and restores with the engine

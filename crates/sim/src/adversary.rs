@@ -1,35 +1,38 @@
-//! Link-level and Byzantine adversaries consulted at copy-routing time by
-//! the event engine and by the reference interpreter. The lock-step
-//! engine has none: an adversarial Figure 7 run is `HSigmaStepProcess`
-//! on the event engine.
+//! The environment's moves — link faults and Byzantine attacks —
+//! consulted at copy-routing time by the event engine and by the
+//! reference interpreter. The lock-step engine has none: an adversarial
+//! Figure 7 run is `HSigmaStepProcess` on the event engine.
 //!
-//! A [`LinkFaultScript`] is the **lowered, engine-facing** form of an
-//! adversarial scenario: a list of [`LinkClause`]s, each active during a
-//! half-open time window and matching a set of (source, destination)
-//! process pairs, that decide the fate of individual message copies
-//! *after* the [`NetworkModel`](crate::network::NetworkModel) has routed
-//! them. A [`ByzantineScript`] is its **payload-mutation** sibling: a
-//! list of [`ByzClause`]s turning selected *senders* corrupt during a
-//! window — equivocating to chosen victims, corrupting payloads,
-//! replaying stale broadcasts, or selectively suppressing copies. The
-//! declarative layer that composes partitions, overlays, churn and
+//! A [`FaultScript`] is the **lowered, engine-facing** form of an
+//! adversarial scenario, one list per kind of move:
+//!
+//! * [`LinkClause`]s, each active during a half-open time window and
+//!   matching a set of (source, destination) process pairs, decide the
+//!   fate of individual message copies *after* the
+//!   [`NetworkModel`](crate::network::NetworkModel) has routed them;
+//! * [`ByzClause`]s turn selected *senders* corrupt during a window: each
+//!   mounts one [`Attack`] on its copies to chosen victims — equivocating,
+//!   corrupting payloads, replaying stale broadcasts, or suppressing
+//!   copies.
+//!
+//! The declarative layer that composes partitions, overlays, churn and
 //! Byzantine attacks into these clauses lives in the `homonym-chaos`
-//! crate; keeping only the lowered forms here leaves `homonym-sim`
+//! crate; keeping only the lowered form here leaves `homonym-sim`
 //! dependency-free and the hot path branch-predictable.
 //!
 //! # Determinism contract
 //!
-//! Both adversaries preserve the engine's two standing guarantees:
+//! A script preserves the engine's two standing guarantees:
 //!
 //! * **`(time, seq)` dispatch order** — clauses never reorder copies;
 //!   they only drop a copy, move its delivery time forward, or rewrite
 //!   its payload in place, and the rewritten copy re-enters the queue
 //!   with its original insertion sequence, so ties still break by send
 //!   order.
-//! * **Stream isolation** — each script draws from a dedicated RNG
-//!   stream (seeded from the run seed and the script's
-//!   [`salt`](LinkFaultScript::salt)), so installing a script does not
-//!   perturb the network stream (processes draw none). A run with no
+//! * **Stream isolation** — link clauses and attacks draw from two
+//!   dedicated RNG streams, both seeded from the run seed and the
+//!   script's [`salt`](FaultScript::salt), so installing a script does
+//!   not perturb the network stream (processes draw none). A run with no
 //!   script — or an empty / never-activating one — is byte-identical to
 //!   a run of an engine that never had the hook.
 //!
@@ -41,11 +44,11 @@
 //! time** (the model routes each copy when it is broadcast), so a window
 //! `[from, until)` affects copies *sent* inside it.
 //!
-//! A copy's fate is therefore judged against the clauses **active at its
-//! send time** only: [`LinkFaultScript::active_at`] names them, with the
-//! interval of send times over which the set stays the same, and
-//! [`LinkFaultScript::fate_among`] is the one loop that applies them.
-//! [`LinkFaultScript::fate`] does both per copy, which is what the
+//! A copy's fate is therefore judged against the link clauses **active
+//! at its send time** only: [`FaultScript::active_at`] names them, with
+//! the interval of send times over which the set stays the same, and
+//! [`FaultScript::fate_among`] is the one loop that applies them.
+//! [`FaultScript::fate`] does both per copy, which is what the
 //! stateless reference interpreter calls; the event engine keeps the
 //! active set between copies and asks for a
 //! new one only when its clock leaves the interval — twice per window
@@ -171,80 +174,57 @@ impl LinkClause {
     }
 }
 
-/// An ordered list of [`LinkClause`]s plus the salt that decorrelates the
-/// adversary RNG stream from the engine streams.
+/// The environment's moves in one run: the link clauses, the Byzantine
+/// clauses, and the salt that decorrelates their two RNG streams from
+/// the engine's network stream.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LinkFaultScript {
-    clauses: Vec<LinkClause>,
-    salt: u64,
+pub struct FaultScript {
+    /// Link faults, in evaluation order (they compose).
+    pub links: Vec<LinkClause>,
+    /// Byzantine attacks, in evaluation order (the first match wins).
+    pub attacks: Vec<ByzClause>,
+    /// Mixed into the run seed for the link and the Byzantine streams,
+    /// so two scripts with different salts draw decorrelated loss masks
+    /// and forgeries.
+    pub salt: u64,
 }
 
-impl LinkFaultScript {
-    /// An empty script with the given RNG salt (mixed into the run seed
-    /// for the adversary's dedicated stream, so two scripts with
-    /// different salts draw decorrelated loss masks).
-    #[must_use]
-    pub fn new(salt: u64) -> Self {
-        LinkFaultScript {
-            clauses: Vec::new(),
-            salt,
-        }
-    }
-
-    /// Appends a clause (builder style). Clause order is evaluation
-    /// order.
-    #[must_use]
-    pub fn with_clause(mut self, clause: LinkClause) -> Self {
-        self.clauses.push(clause);
-        self
-    }
-
-    /// Appends a clause.
-    pub fn push_clause(&mut self, clause: LinkClause) {
-        self.clauses.push(clause);
-    }
-
-    /// The clauses, in evaluation order.
-    #[must_use]
-    pub fn clauses(&self) -> &[LinkClause] {
-        &self.clauses
-    }
-
-    /// The RNG salt.
-    #[must_use]
-    pub fn salt(&self) -> u64 {
-        self.salt
-    }
-
-    /// Whether the script has no clauses at all.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.clauses.is_empty()
-    }
-
-    /// The first instant from which no clause is active anymore, or
-    /// `None` when some clause never deactivates. An empty script is
-    /// quiescent from [`Time::ZERO`].
+impl FaultScript {
+    /// The first instant from which no clause of either list is active
+    /// anymore, or `None` when some clause never deactivates (a
+    /// permanently corrupt process, say). An empty script is quiescent
+    /// from [`Time::ZERO`].
     #[must_use]
     pub fn quiescent_after(&self) -> Option<Time> {
+        let ends = self.links.iter().map(|c| c.until);
         let mut end = Time::ZERO;
-        for c in &self.clauses {
-            if c.until == Time::MAX {
+        for until in ends.chain(self.attacks.iter().map(|c| c.until)) {
+            if until == Time::MAX {
                 return None;
             }
-            end = end.max(c.until);
+            end = end.max(until);
         }
         Some(end)
     }
 
+    /// Whether any clause can draw from the script's streams: a lossy
+    /// link clause, or an attack that mutates payloads.
+    #[must_use]
+    pub fn draws_entropy(&self) -> bool {
+        self.links
+            .iter()
+            .any(|c| matches!(c.effect, LinkEffect::Lose(_)))
+            || self.attacks.iter().any(|c| c.attack.draws_entropy())
+    }
+
     /// Writes into `active` the indices, in evaluation order, of the
-    /// clauses whose window contains `t`, and returns the half-open
+    /// link clauses whose window contains `t`, and returns the half-open
     /// interval `[from, until)` of send times around `t` over which that
     /// set cannot change (no window opens or closes inside it).
     pub fn active_at(&self, t: Time, active: &mut Vec<u32>) -> (Time, Time) {
         active.clear();
         let (mut from, mut until) = (Time::ZERO, Time::MAX);
-        for (i, clause) in self.clauses.iter().enumerate() {
+        for (i, clause) in self.links.iter().enumerate() {
             if clause.from <= t && t < clause.until {
                 active.push(u32::try_from(i).expect("clause count fits u32"));
                 from = from.max(clause.from);
@@ -260,7 +240,8 @@ impl LinkFaultScript {
 
     /// The fate of one copy sent at `sent_at` from `src` to `dst` that
     /// the network already routed to arrive at `base`: the (possibly
-    /// deferred) delivery time, or `None` when a clause drops the copy.
+    /// deferred) delivery time, or `None` when a link clause drops the
+    /// copy.
     ///
     /// Only [`LinkEffect::Lose`] draws from `rng`, and only for copies
     /// that match its clause and are still live — the draw sequence is a
@@ -278,8 +259,8 @@ impl LinkFaultScript {
         self.fate_among(&active, src, dst, base, rng)
     }
 
-    /// [`LinkFaultScript::fate`] of a copy sent at an instant whose
-    /// active clauses are `active` (from [`LinkFaultScript::active_at`]).
+    /// [`FaultScript::fate`] of a copy sent at an instant whose active
+    /// link clauses are `active` (from [`FaultScript::active_at`]).
     pub fn fate_among(
         &self,
         active: &[u32],
@@ -290,7 +271,7 @@ impl LinkFaultScript {
     ) -> Option<Time> {
         let mut at = base;
         for &i in active {
-            let clause = &self.clauses[i as usize];
+            let clause = &self.links[i as usize];
             if !clause.links(src, dst) {
                 continue;
             }
@@ -307,6 +288,78 @@ impl LinkFaultScript {
         }
         Some(at)
     }
+
+    /// Whether a broadcast by `src` at `sent_at` must be recorded in the
+    /// engine's replay cache: some replay clause names `src` and has not
+    /// yet permanently deactivated. Recording starts at tick 0 (so the
+    /// first in-window broadcast can replay the last pre-window one) and
+    /// continues between windows, but stops after the last window closes
+    /// — the cache can never be read again, and cloning every further
+    /// payload would be pure hot-path waste.
+    #[must_use]
+    pub fn records_replay_at(&self, sent_at: Time, src: usize) -> bool {
+        self.attacks
+            .iter()
+            .any(|c| c.attack == Attack::Replay && c.src.contains(src) && sent_at < c.until)
+    }
+
+    /// The union bitmap of every replay clause's corrupt-sender set, with
+    /// trailing zero words trimmed so masks built over different universe
+    /// sizes compare structurally. The divergence planner forfeits
+    /// sharing between scripts whose masks differ: their engines fill the
+    /// replay cache differently *from tick 0*, so their prefixes are not
+    /// interchangeable.
+    #[must_use]
+    pub fn replay_source_mask(&self) -> Vec<u64> {
+        let mut mask: Vec<u64> = Vec::new();
+        for c in self.attacks.iter().filter(|c| c.attack == Attack::Replay) {
+            if mask.len() < c.src.words.len() {
+                mask.resize(c.src.words.len(), 0);
+            }
+            for (m, w) in mask.iter_mut().zip(&c.src.words) {
+                *m |= w;
+            }
+        }
+        while mask.last() == Some(&0) {
+            mask.pop();
+        }
+        mask
+    }
+
+    /// Plans one broadcast performed by `src` at `sent_at`: the first
+    /// active attack naming `src` as corrupt, with one entropy draw from
+    /// `rng` iff the attack mutates payloads. `None` (the common case)
+    /// means the broadcast is honest and costs nothing.
+    pub fn plan(&self, sent_at: Time, src: usize, rng: &mut StdRng) -> Option<ByzPlan> {
+        let (i, clause) = self
+            .attacks
+            .iter()
+            .enumerate()
+            .find(|(_, c)| c.matches(sent_at, src))?;
+        let tweak = if clause.attack.draws_entropy() {
+            rng.gen::<u64>()
+        } else {
+            0
+        };
+        Some(ByzPlan { clause: i, tweak })
+    }
+
+    /// The directive for the copy routed to `dst` under `plan`
+    /// (draw-free; per-copy corruption entropy is derived from the plan's
+    /// broadcast draw via [`mix64`]).
+    #[must_use]
+    pub fn directive(&self, plan: &ByzPlan, dst: usize) -> ByzDirective {
+        let clause = &self.attacks[plan.clause];
+        if !clause.victims.contains(dst) {
+            return ByzDirective::Original;
+        }
+        match clause.attack {
+            Attack::Equivocate => ByzDirective::Equivocate(plan.tweak),
+            Attack::Corrupt => ByzDirective::Corrupt(mix64(plan.tweak, dst as u64)),
+            Attack::Replay => ByzDirective::Replay,
+            Attack::SelectiveSend => ByzDirective::Suppress,
+        }
+    }
 }
 
 /// SplitMix64-style finalizer used to derive per-copy corruption entropy
@@ -321,71 +374,43 @@ pub fn mix64(a: u64, b: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// The attack a corrupt sender mounts while a [`ByzClause`] is active.
-///
-/// Every variant names a **victim set**: destinations whose copies are
-/// perturbed. Destinations outside it receive the sender's honest copy —
-/// which is exactly what makes equivocation nasty under homonymy: the
-/// corrupt process stays indistinguishable from its honest homonyms to
-/// everyone outside the victim set.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ByzEffect {
+/// The attack a corrupt sender mounts on the copies it sends to the
+/// victims of its [`ByzClause`]. Destinations outside the victim set
+/// receive the sender's honest copy — which is exactly what makes
+/// equivocation nasty under homonymy: the corrupt process stays
+/// indistinguishable from its honest homonyms to everyone else.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Attack {
     /// Victims receive one consistent *alternative* payload per broadcast
     /// (a fresh deterministic variant drawn from the Byzantine stream),
     /// everyone else the original — the classic equivocation attack.
-    Equivocate {
-        /// Destinations receiving the alternative payload.
-        victims: ProcSet,
-    },
+    Equivocate,
     /// Each victim copy is independently corrupted (per-copy entropy
     /// derived from the broadcast's draw via [`mix64`]).
-    CorruptPayload {
-        /// Destinations receiving corrupted copies.
-        victims: ProcSet,
-    },
+    Corrupt,
     /// Victim copies are replaced by the sender's **previous** broadcast
     /// payload (the engine keeps a one-deep replay cache per corrupt
     /// sender). Before the sender has broadcast anything, the replayed
     /// copy degenerates to the original.
-    Replay {
-        /// Destinations receiving stale payloads.
-        victims: ProcSet,
-    },
+    Replay,
     /// Victim copies are silently suppressed — the corrupt sender
     /// "forgets" part of its broadcast.
-    SelectiveSend {
-        /// Destinations whose copies are suppressed.
-        victims: ProcSet,
-    },
+    SelectiveSend,
 }
 
-impl ByzEffect {
-    /// The effect's victim set.
-    #[must_use]
-    pub fn victims(&self) -> &ProcSet {
-        match self {
-            ByzEffect::Equivocate { victims }
-            | ByzEffect::CorruptPayload { victims }
-            | ByzEffect::Replay { victims }
-            | ByzEffect::SelectiveSend { victims } => victims,
-        }
-    }
-
-    /// Whether planning a broadcast under this effect consumes one draw
-    /// from the Byzantine RNG stream (payload-mutating effects do; replay
+impl Attack {
+    /// Whether planning a broadcast under this attack consumes one draw
+    /// from the Byzantine RNG stream (payload-mutating attacks do; replay
     /// and suppression are draw-free).
-    #[must_use]
-    fn draws_entropy(&self) -> bool {
-        matches!(
-            self,
-            ByzEffect::Equivocate { .. } | ByzEffect::CorruptPayload { .. }
-        )
+    fn draws_entropy(self) -> bool {
+        matches!(self, Attack::Equivocate | Attack::Corrupt)
     }
 }
 
-/// One Byzantine clause: processes in `src` run `effect` on every
-/// broadcast they perform during `[from, until)` (use [`Time::MAX`] for a
-/// permanently corrupt process, the BFT-model faulty process).
+/// One Byzantine clause: processes in `src` mount `attack` on their
+/// copies to `victims` of every broadcast they perform during
+/// `[from, until)` (use [`Time::MAX`] for a permanently corrupt process,
+/// the BFT-model faulty process).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ByzClause {
     /// First instant (inclusive) at which the clause is active.
@@ -394,8 +419,10 @@ pub struct ByzClause {
     pub until: Time,
     /// The corrupt senders.
     pub src: ProcSet,
+    /// The destinations whose copies are attacked.
+    pub victims: ProcSet,
     /// The attack they mount.
-    pub effect: ByzEffect,
+    pub attack: Attack,
 }
 
 impl ByzClause {
@@ -406,8 +433,8 @@ impl ByzClause {
 
 /// The resolved attack plan for one broadcast: which clause fired and the
 /// broadcast's entropy draw (zero for draw-free effects). Obtain one from
-/// [`ByzantineScript::plan`] and query per-copy directives through
-/// [`ByzantineScript::directive`].
+/// [`FaultScript::plan`] and query per-copy directives through
+/// [`FaultScript::directive`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ByzPlan {
     clause: usize,
@@ -433,172 +460,6 @@ pub enum ByzDirective {
     Suppress,
 }
 
-/// An ordered list of [`ByzClause`]s plus the salt decorrelating the
-/// Byzantine RNG stream from every other engine stream.
-///
-/// The script is consulted **once per broadcast** ([`ByzantineScript::plan`],
-/// which draws at most one `u64` from the dedicated stream) and then
-/// **per routed copy** ([`ByzantineScript::directive`], draw-free), right
-/// next to the [`LinkFaultScript`] routing-fate consultation. An empty
-/// script — or one whose clauses never match — performs no draws and no
-/// payload work, which is what keeps `(time, seq)` dispatch order
-/// byte-identical to an engine without the hook.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ByzantineScript {
-    clauses: Vec<ByzClause>,
-    salt: u64,
-}
-
-impl ByzantineScript {
-    /// An empty script with the given RNG salt (mixed into the run seed
-    /// for the Byzantine stream's dedicated seed).
-    #[must_use]
-    pub fn new(salt: u64) -> Self {
-        ByzantineScript {
-            clauses: Vec::new(),
-            salt,
-        }
-    }
-
-    /// Appends a clause (builder style). Clause order is evaluation
-    /// order; the first active match wins.
-    #[must_use]
-    pub fn with_clause(mut self, clause: ByzClause) -> Self {
-        self.clauses.push(clause);
-        self
-    }
-
-    /// Appends a clause.
-    pub fn push_clause(&mut self, clause: ByzClause) {
-        self.clauses.push(clause);
-    }
-
-    /// The clauses, in evaluation order.
-    #[must_use]
-    pub fn clauses(&self) -> &[ByzClause] {
-        &self.clauses
-    }
-
-    /// The RNG salt.
-    #[must_use]
-    pub fn salt(&self) -> u64 {
-        self.salt
-    }
-
-    /// Whether the script has no clauses at all.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.clauses.is_empty()
-    }
-
-    /// The first instant from which no clause is active anymore, or
-    /// `None` when some clause never deactivates (a permanently corrupt
-    /// process). An empty script is quiescent from [`Time::ZERO`].
-    #[must_use]
-    pub fn quiescent_after(&self) -> Option<Time> {
-        let mut end = Time::ZERO;
-        for c in &self.clauses {
-            if c.until == Time::MAX {
-                return None;
-            }
-            end = end.max(c.until);
-        }
-        Some(end)
-    }
-
-    /// Whether any clause can draw from the Byzantine RNG stream.
-    #[must_use]
-    pub fn draws_entropy(&self) -> bool {
-        self.clauses.iter().any(|c| c.effect.draws_entropy())
-    }
-
-    /// Whether some [`ByzEffect::Replay`] clause names `src` as corrupt
-    /// (time-independent — the basis of [`ByzantineScript::replay_source_mask`]).
-    #[must_use]
-    pub fn records_replay(&self, src: usize) -> bool {
-        self.clauses
-            .iter()
-            .any(|c| matches!(c.effect, ByzEffect::Replay { .. }) && c.src.contains(src))
-    }
-
-    /// Whether a broadcast by `src` at `sent_at` must be recorded in the
-    /// engine's replay cache: some replay clause names `src` and has not
-    /// yet permanently deactivated. Recording starts at tick 0 (so the
-    /// first in-window broadcast can replay the last pre-window one) and
-    /// continues between windows, but stops after the last window closes
-    /// — the cache can never be read again, and cloning every further
-    /// payload would be pure hot-path waste.
-    #[must_use]
-    pub fn records_replay_at(&self, sent_at: Time, src: usize) -> bool {
-        self.clauses.iter().any(|c| {
-            matches!(c.effect, ByzEffect::Replay { .. }) && c.src.contains(src) && sent_at < c.until
-        })
-    }
-
-    /// The union bitmap of every replay clause's corrupt-sender set —
-    /// exactly the senders [`ByzantineScript::records_replay`] answers
-    /// `true` for, with trailing zero words trimmed so masks built over
-    /// different universe sizes compare structurally. The divergence
-    /// planner forfeits sharing between scripts whose masks differ:
-    /// their engines fill the replay cache differently *from tick 0*,
-    /// so their prefixes are not interchangeable.
-    #[must_use]
-    pub fn replay_source_mask(&self) -> Vec<u64> {
-        let mut mask: Vec<u64> = Vec::new();
-        for c in &self.clauses {
-            if matches!(c.effect, ByzEffect::Replay { .. }) {
-                if mask.len() < c.src.words.len() {
-                    mask.resize(c.src.words.len(), 0);
-                }
-                for (m, w) in mask.iter_mut().zip(&c.src.words) {
-                    *m |= w;
-                }
-            }
-        }
-        while mask.last() == Some(&0) {
-            mask.pop();
-        }
-        mask
-    }
-
-    /// Plans one broadcast performed by `src` at `sent_at`: the first
-    /// active clause naming `src` as corrupt, with one entropy draw from
-    /// `rng` iff the effect mutates payloads. `None` (the common case)
-    /// means the broadcast is honest and costs nothing.
-    pub fn plan(&self, sent_at: Time, src: usize, rng: &mut StdRng) -> Option<ByzPlan> {
-        let (i, clause) = self
-            .clauses
-            .iter()
-            .enumerate()
-            .find(|(_, c)| c.matches(sent_at, src))?;
-        let tweak = if clause.effect.draws_entropy() {
-            rng.gen::<u64>()
-        } else {
-            0
-        };
-        Some(ByzPlan { clause: i, tweak })
-    }
-
-    /// The directive for the copy routed to `dst` under `plan`
-    /// (draw-free; per-copy corruption entropy is derived from the plan's
-    /// broadcast draw via [`mix64`]).
-    #[must_use]
-    pub fn directive(&self, plan: &ByzPlan, dst: usize) -> ByzDirective {
-        let clause = &self.clauses[plan.clause];
-        if !clause.effect.victims().contains(dst) {
-            return ByzDirective::Original;
-        }
-        match clause.effect {
-            ByzEffect::Equivocate { .. } => ByzDirective::Equivocate(plan.tweak),
-            ByzEffect::CorruptPayload { .. } => {
-                ByzDirective::Corrupt(mix64(plan.tweak, dst as u64))
-            }
-            ByzEffect::Replay { .. } => ByzDirective::Replay,
-            ByzEffect::SelectiveSend { .. } => ByzDirective::Suppress,
-        }
-    }
-}
-
 /// A process's payload-mutation hook, `Process::mutate_payload`.
 pub(crate) type MutateHook<M> = fn(&M, u64) -> Option<M>;
 
@@ -620,7 +481,7 @@ pub(crate) fn forge<M>(mutate: MutateHook<M>, original: &M, entropy: u64) -> M {
 /// and the stale payload a replay clause substitutes. Opened once per
 /// broadcast, consulted once per routed copy.
 pub(crate) struct ByzBroadcast<M> {
-    script: Arc<ByzantineScript>,
+    script: Arc<FaultScript>,
     plan: ByzPlan,
     replayed: Option<M>,
 }
@@ -648,22 +509,22 @@ pub(crate) struct ByzLedger<'a> {
 impl<M: Clone> ByzBroadcast<M> {
     /// Consults `script` about the broadcast of `msg` by `src` at `now`:
     /// one plan and at most one draw from `rng`, whatever the number of
-    /// copies. `None` — no script, an empty one, or no clause naming
-    /// `src` now — is an honest broadcast. `replay_cache` holds the last
+    /// copies. `None` — no script, one without attacks, or no attack
+    /// naming `src` now — is an honest broadcast. `replay_cache` holds the last
     /// payload of every replay-listed sender and is updated on each of
     /// their broadcasts until their last window closes, attacked or not:
     /// `replace` hands back the previous payload, which is what an active
     /// replay clause substitutes, so the first in-window broadcast
     /// replays the last honest one.
     pub(crate) fn open(
-        script: Option<&Arc<ByzantineScript>>,
+        script: Option<&Arc<FaultScript>>,
         now: Time,
         src: usize,
         msg: &M,
         rng: &mut StdRng,
         replay_cache: &mut [Option<M>],
     ) -> Option<Self> {
-        let script = script.filter(|s| !s.is_empty())?;
+        let script = script.filter(|s| !s.attacks.is_empty())?;
         let plan = script.plan(now, src, rng);
         let replayed = if script.records_replay_at(now, src) {
             replay_cache[src].replace(msg.clone())
@@ -725,6 +586,13 @@ mod tests {
         StdRng::seed_from_u64(7)
     }
 
+    fn links(clauses: impl IntoIterator<Item = LinkClause>) -> FaultScript {
+        FaultScript {
+            links: clauses.into_iter().collect(),
+            ..FaultScript::default()
+        }
+    }
+
     fn clause(
         from: u64,
         until: u64,
@@ -760,8 +628,8 @@ mod tests {
 
     #[test]
     fn empty_script_is_transparent_and_quiescent() {
-        let s = LinkFaultScript::new(0);
-        assert!(s.is_empty());
+        let s = FaultScript::default();
+        assert!(s.links.is_empty() && s.attacks.is_empty());
         assert_eq!(s.quiescent_after(), Some(Time::ZERO));
         assert_eq!(
             s.fate(Time::from_ticks(3), 0, 1, Time::from_ticks(5), &mut rng()),
@@ -771,7 +639,7 @@ mod tests {
 
     #[test]
     fn window_is_half_open_on_send_time() {
-        let s = LinkFaultScript::new(0).with_clause(clause(10, 20, &[0], &[1], LinkEffect::Drop));
+        let s = links([clause(10, 20, &[0], &[1], LinkEffect::Drop)]);
         let mut r = rng();
         let base = Time::from_ticks(100);
         assert!(s.fate(Time::from_ticks(9), 0, 1, base, &mut r).is_some());
@@ -785,13 +653,13 @@ mod tests {
 
     #[test]
     fn defer_takes_max_of_base_and_heal() {
-        let s = LinkFaultScript::new(0).with_clause(clause(
+        let s = links([clause(
             0,
             50,
             &[0],
             &[1],
             LinkEffect::DeferUntil(Time::from_ticks(50)),
-        ));
+        )]);
         let mut r = rng();
         // Base before heal: pushed to heal.
         assert_eq!(
@@ -807,21 +675,16 @@ mod tests {
 
     #[test]
     fn clauses_compose_in_order() {
-        let s = LinkFaultScript::new(0)
-            .with_clause(clause(
+        let s = links([
+            clause(
                 0,
                 100,
                 &[0],
                 &[1],
                 LinkEffect::DeferUntil(Time::from_ticks(40)),
-            ))
-            .with_clause(clause(
-                0,
-                100,
-                &[0],
-                &[1],
-                LinkEffect::Delay(Span::from_ticks(3)),
-            ));
+            ),
+            clause(0, 100, &[0], &[1], LinkEffect::Delay(Span::from_ticks(3))),
+        ]);
         let mut r = rng();
         assert_eq!(
             s.fate(Time::from_ticks(1), 0, 1, Time::from_ticks(2), &mut r),
@@ -831,10 +694,8 @@ mod tests {
 
     #[test]
     fn lose_percent_boundaries() {
-        let never =
-            LinkFaultScript::new(0).with_clause(clause(0, 100, &[0], &[1], LinkEffect::Lose(0)));
-        let always =
-            LinkFaultScript::new(0).with_clause(clause(0, 100, &[0], &[1], LinkEffect::Lose(100)));
+        let never = links([clause(0, 100, &[0], &[1], LinkEffect::Lose(0))]);
+        let always = links([clause(0, 100, &[0], &[1], LinkEffect::Lose(100))]);
         let mut r = rng();
         for _ in 0..100 {
             assert!(never
@@ -848,14 +709,14 @@ mod tests {
 
     /// The plain rule: every clause in order, judged at `sent_at`.
     fn scan(
-        script: &LinkFaultScript,
+        script: &FaultScript,
         sent_at: Time,
         (src, dst): (usize, usize),
         base: Time,
         rng: &mut StdRng,
     ) -> Option<Time> {
         let mut at = base;
-        for c in script.clauses() {
+        for c in &script.links {
             if !(c.from <= sent_at && sent_at < c.until && c.links(src, dst)) {
                 continue;
             }
@@ -889,13 +750,13 @@ mod tests {
             seed in proptest::any::<u64>(),
         ) {
             let bits = |mask: u8| (0..4).filter(move |b| mask >> b & 1 == 1);
-            let mut script = LinkFaultScript::new(seed);
+            let mut script = FaultScript { salt: seed, ..FaultScript::default() };
             let mut instants = instants;
             for &(from, len, src, dst, kind, arg) in &spec {
                 // `len` 0 is an empty window, 31 one that never ends.
                 let until = if len == 31 { u64::MAX } else { from + len };
                 instants.extend([from.saturating_sub(1), from, until.saturating_sub(1), until]);
-                script.push_clause(LinkClause {
+                script.links.push(LinkClause {
                     from: Time::from_ticks(from),
                     until: Time::from_ticks(until),
                     src: ProcSet::from_indices(4, bits(src)),
@@ -930,35 +791,40 @@ mod tests {
         }
     }
 
-    fn byz_clause(from: u64, until: u64, src: &[usize], effect: ByzEffect) -> ByzClause {
+    fn byz_clause(
+        from: u64,
+        until: u64,
+        src: &[usize],
+        victims: ProcSet,
+        attack: Attack,
+    ) -> ByzClause {
         ByzClause {
             from: Time::from_ticks(from),
             until: Time::from_ticks(until),
             src: ProcSet::from_indices(8, src.iter().copied()),
-            effect,
+            victims,
+            attack,
+        }
+    }
+
+    fn attacks(salt: u64, attacks: impl IntoIterator<Item = ByzClause>) -> FaultScript {
+        FaultScript {
+            attacks: attacks.into_iter().collect(),
+            salt,
+            ..FaultScript::default()
         }
     }
 
     #[test]
     fn byzantine_plan_matches_first_active_clause_only() {
         let victims = |p: &[usize]| ProcSet::from_indices(8, p.iter().copied());
-        let s = ByzantineScript::new(1)
-            .with_clause(byz_clause(
-                10,
-                20,
-                &[0],
-                ByzEffect::SelectiveSend {
-                    victims: victims(&[1, 2]),
-                },
-            ))
-            .with_clause(byz_clause(
-                0,
-                100,
-                &[0],
-                ByzEffect::Equivocate {
-                    victims: victims(&[3]),
-                },
-            ));
+        let s = attacks(
+            1,
+            [
+                byz_clause(10, 20, &[0], victims(&[1, 2]), Attack::SelectiveSend),
+                byz_clause(0, 100, &[0], victims(&[3]), Attack::Equivocate),
+            ],
+        );
         let mut r = rng();
         // Outside every window / wrong sender: no plan, no draw.
         assert!(s.plan(Time::from_ticks(200), 0, &mut r).is_none());
@@ -975,14 +841,10 @@ mod tests {
 
     #[test]
     fn byzantine_corruption_entropy_is_per_copy_but_draws_once() {
-        let s = ByzantineScript::new(0).with_clause(byz_clause(
+        let s = attacks(
             0,
-            10,
-            &[0],
-            ByzEffect::CorruptPayload {
-                victims: ProcSet::all(8),
-            },
-        ));
+            [byz_clause(0, 10, &[0], ProcSet::all(8), Attack::Corrupt)],
+        );
         let mut a = rng();
         let mut b = rng();
         let p1 = s.plan(Time::ZERO, 0, &mut a).expect("active");
@@ -1001,52 +863,46 @@ mod tests {
     #[test]
     fn byzantine_quiescence_and_bookkeeping() {
         let victims = ProcSet::from_indices(8, [1]);
-        let s = ByzantineScript::new(3)
-            .with_clause(byz_clause(
-                5,
-                30,
-                &[2],
-                ByzEffect::Replay {
-                    victims: victims.clone(),
-                },
-            ))
-            .with_clause(byz_clause(
-                0,
-                12,
-                &[4],
-                ByzEffect::SelectiveSend { victims },
-            ));
+        let s = attacks(
+            3,
+            [
+                byz_clause(5, 30, &[2], victims.clone(), Attack::Replay),
+                byz_clause(0, 12, &[4], victims, Attack::SelectiveSend),
+            ],
+        );
         assert_eq!(s.quiescent_after(), Some(Time::from_ticks(30)));
         assert!(!s.draws_entropy(), "replay and suppression are draw-free");
-        assert!(s.records_replay(2));
-        assert!(!s.records_replay(4));
-        let open = s.clone().with_clause(ByzClause {
+        assert!(s.records_replay_at(Time::ZERO, 2));
+        assert!(!s.records_replay_at(Time::ZERO, 4));
+        let mut open = s.clone();
+        open.attacks.push(ByzClause {
             from: Time::ZERO,
             until: Time::MAX,
             src: ProcSet::from_indices(8, [0]),
-            effect: ByzEffect::Equivocate {
-                victims: ProcSet::all(8),
-            },
+            victims: ProcSet::all(8),
+            attack: Attack::Equivocate,
         });
         assert_eq!(open.quiescent_after(), None);
         assert!(open.draws_entropy());
-        assert!(ByzantineScript::new(9).is_empty());
-        assert_eq!(ByzantineScript::new(9).quiescent_after(), Some(Time::ZERO));
+        let empty = attacks(9, []);
+        assert!(empty.attacks.is_empty());
+        assert_eq!(empty.quiescent_after(), Some(Time::ZERO));
     }
 
     #[test]
     fn quiescence_tracks_latest_window() {
-        let s = LinkFaultScript::new(0)
-            .with_clause(clause(0, 10, &[0], &[1], LinkEffect::Drop))
-            .with_clause(clause(5, 30, &[1], &[0], LinkEffect::Delay(Span::TICK)));
+        let mut s = links([
+            clause(0, 10, &[0], &[1], LinkEffect::Drop),
+            clause(5, 30, &[1], &[0], LinkEffect::Delay(Span::TICK)),
+        ]);
         assert_eq!(s.quiescent_after(), Some(Time::from_ticks(30)));
-        let open = s.with_clause(LinkClause {
+        s.links.push(LinkClause {
             from: Time::ZERO,
             until: Time::MAX,
             src: ProcSet::all(2),
             dst: ProcSet::all(2),
             effect: LinkEffect::Lose(1),
         });
-        assert_eq!(open.quiescent_after(), None);
+        assert_eq!(s.quiescent_after(), None);
     }
 }

@@ -15,8 +15,8 @@
 //! count, trace line, callback, then the actions the callback recorded.
 //! The stop condition of [`Engine::run_with`] is evaluated after every
 //! step. **Out:** every copy of every broadcast goes through the one
-//! `send_copy`: lost by the network, judged by the link-fault script,
-//! rewritten by the Byzantine script, dropped if its payload names a label
+//! `send_copy`: lost by the network, judged by the fault script's link
+//! clauses, rewritten by its attacks, dropped if its payload names a label
 //! the destination does not carry ([`Process::addressee`]), queued. A
 //! broadcast samples all its copies' latencies through
 //! [`NetworkModel::route_each`] (the model match, GST comparison and
@@ -47,7 +47,7 @@ use homonym_obs::{ObsKind, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::adversary::{ByzBroadcast, ByzCopy, ByzLedger, ByzantineScript, LinkFaultScript};
+use crate::adversary::{ByzBroadcast, ByzCopy, ByzLedger, FaultScript};
 use crate::network::NetworkModel;
 use crate::process::{reads, Action, ActionSink, Process, TimerTag};
 use crate::queue::CalendarQueue;
@@ -78,14 +78,15 @@ pub struct Metrics {
     pub copies_delivered: u64,
     /// Copies lost by the network (pre-GST in `HPS`).
     pub copies_lost: u64,
-    /// Copies dropped by an installed [`LinkFaultScript`] (partitions,
-    /// adversarial loss). Zero when no adversary is installed.
+    /// Copies dropped by the link clauses of an installed
+    /// [`FaultScript`] (partitions, adversarial loss). Zero when no
+    /// adversary is installed.
     pub copies_blocked: u64,
-    /// Copies whose payload an installed [`ByzantineScript`] rewrote
-    /// (equivocation, corruption, replay). Zero without a script.
+    /// Copies whose payload an installed [`FaultScript`]'s attacks
+    /// rewrote (equivocation, corruption, replay). Zero without a script.
     pub copies_forged: u64,
-    /// Copies an installed [`ByzantineScript`] suppressed (selective
-    /// sending). Zero without a script.
+    /// Copies an installed [`FaultScript`]'s attacks suppressed
+    /// (selective sending). Zero without a script.
     pub copies_suppressed: u64,
     /// Copies not delivered because their payload is addressed (see
     /// [`Process::addressee`]) to a label the destination does not carry.
@@ -131,18 +132,14 @@ pub struct SimConfig {
     /// Safety valve: maximum callbacks before the run stops with
     /// [`StopReason::EventLimit`].
     pub max_events: u64,
-    /// Adversarial link faults consulted per copy after the network
-    /// routes it (see [`crate::adversary`]). `None` leaves every RNG
-    /// stream and the dispatch order byte-identical to an engine without
-    /// the hook.
-    pub adversary: Option<Arc<LinkFaultScript>>,
-    /// Byzantine payload-mutation script consulted per broadcast (one
-    /// plan, at most one RNG draw from its dedicated stream) and per
-    /// routed copy, right next to the link-fault hook. `None` — or an
-    /// empty/never-matching script — leaves every stream and the
+    /// The environment's moves (see [`crate::adversary`]): link faults
+    /// consulted per copy after the network routes it, and Byzantine
+    /// attacks consulted per broadcast (one plan, at most one draw) and
+    /// per routed copy. Mutation semantics come from
+    /// [`Process::mutate_payload`]. `None` — or an empty or
+    /// never-activating script — leaves every RNG stream and the
     /// dispatch order byte-identical to an engine without the hook.
-    /// Mutation semantics come from [`Process::mutate_payload`].
-    pub byzantine: Option<Arc<ByzantineScript>>,
+    pub adversary: Option<Arc<FaultScript>>,
 }
 
 impl SimConfig {
@@ -163,7 +160,6 @@ impl SimConfig {
             partial_broadcast_on_crash: true,
             max_events: 50_000_000,
             adversary: None,
-            byzantine: None,
         }
     }
 
@@ -174,19 +170,11 @@ impl SimConfig {
         self
     }
 
-    /// Installs an adversarial link-fault script (builder style); see
+    /// Installs a fault script (builder style); see
     /// [`SimConfig::adversary`].
     #[must_use]
-    pub fn with_adversary(mut self, script: LinkFaultScript) -> Self {
+    pub fn with_adversary(mut self, script: FaultScript) -> Self {
         self.adversary = Some(Arc::new(script));
-        self
-    }
-
-    /// Installs a Byzantine payload-mutation script (builder style); see
-    /// [`SimConfig::byzantine`].
-    #[must_use]
-    pub fn with_byzantine(mut self, script: ByzantineScript) -> Self {
-        self.byzantine = Some(Arc::new(script));
         self
     }
 }
@@ -307,12 +295,11 @@ pub(crate) struct RunStreams {
 
 impl RunStreams {
     pub(crate) fn new(config: &SimConfig) -> Self {
-        let adv_salt = config.adversary.as_ref().map_or(0, |s| s.salt());
-        let byz_salt = config.byzantine.as_ref().map_or(0, |s| s.salt());
+        let salt = config.adversary.as_ref().map_or(0, |s| s.salt);
         RunStreams {
             net: StdRng::seed_from_u64(config.seed),
-            adv: StdRng::seed_from_u64(config.seed ^ adv_salt ^ 0xD1B5_4A32_D192_ED03_u64),
-            byz: StdRng::seed_from_u64(config.seed ^ byz_salt ^ 0xA076_1D64_78BD_642F_u64),
+            adv: StdRng::seed_from_u64(config.seed ^ salt ^ 0xD1B5_4A32_D192_ED03_u64),
+            byz: StdRng::seed_from_u64(config.seed ^ salt ^ 0xA076_1D64_78BD_642F_u64),
         }
     }
 }
@@ -389,8 +376,8 @@ pub struct Engine<P: Process> {
     /// Dedicated stream for adversary draws so installing a script does
     /// not perturb the network stream.
     adv_rng: StdRng,
-    /// The adversary clauses active at `now`, from
-    /// [`LinkFaultScript::active_at`]: every copy of a broadcast, and of
+    /// The link clauses active at `now`, from
+    /// [`FaultScript::active_at`]: every copy of a broadcast, and of
     /// every broadcast until a window opens or closes, is judged against
     /// these instead of the whole script.
     active_clauses: Vec<u32>,
@@ -405,7 +392,7 @@ pub struct Engine<P: Process> {
     /// decorrelated from every other stream for the same reason.
     byz_rng: StdRng,
     /// One-deep replay cache per process: the last payload each
-    /// [`ByzEffect::Replay`](crate::adversary::ByzEffect)-listed sender
+    /// [`Attack::Replay`](crate::adversary::Attack)-listed sender
     /// broadcast, substituted into victim copies while a replay clause is
     /// active. Only recorded for senders a replay clause names.
     byz_replay: Vec<Option<P::Msg>>,
@@ -878,7 +865,7 @@ impl<P: Process> Engine<P> {
             // One Byzantine plan per broadcast, resolved before routing
             // so every copy sees the same attack.
             byz: ByzBroadcast::open(
-                self.config.byzantine.as_ref(),
+                self.config.adversary.as_ref(),
                 self.now,
                 src,
                 &msg,
@@ -928,7 +915,7 @@ impl<P: Process> Engine<P> {
     /// Five verdicts, in this order:
     ///
     /// 1. **lost** by the network (counted);
-    /// 2. **blocked** or delayed by the link-fault script (one `adv_rng`
+    /// 2. **blocked** or delayed by the script's link clauses (one `adv_rng`
     ///    draw per lossy clause, `CopyBlocked` recorded);
     /// 3. **forged** or **suppressed** by the Byzantine plan of its
     ///    broadcast — accounted here, at routing time: they are the
@@ -1567,7 +1554,7 @@ mod tests {
 
     #[test]
     fn a_forged_copy_is_routed_by_the_address_it_delivers() {
-        use crate::adversary::{ByzClause, ByzEffect, ProcSet};
+        use crate::adversary::{Attack, ByzClause, ProcSet};
 
         /// Whoever reads a note publishes whom it was for; a corrupt
         /// sender readdresses its note to label 1.
@@ -1609,14 +1596,17 @@ mod tests {
         let mut cfg = small_config(5);
         cfg.assign = IdentityAssignment::custom(labels.to_vec());
         cfg.sched = FailureSchedule::none(5).with_crash(4, Time::ZERO);
-        let cfg = cfg.with_byzantine(ByzantineScript::new(7).with_clause(ByzClause {
-            from: Time::ZERO,
-            until: Time::MAX,
-            src: ProcSet::from_indices(5, [0]),
-            effect: ByzEffect::Equivocate {
+        let cfg = cfg.with_adversary(FaultScript {
+            attacks: vec![ByzClause {
+                from: Time::ZERO,
+                until: Time::MAX,
+                src: ProcSet::from_indices(5, [0]),
                 victims: ProcSet::from_indices(5, [2, 3]),
-            },
-        }));
+                attack: Attack::Equivocate,
+            }],
+            salt: 7,
+            ..FaultScript::default()
+        });
         let mut e = Engine::new(cfg.clone(), |p, _| Postbox { posts: p == 0 });
         e.run_until(Time::from_ticks(10));
         let mut r = ReferenceEngine::new(cfg, |p, _| Postbox { posts: p == 0 });

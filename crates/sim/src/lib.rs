@@ -72,8 +72,7 @@ pub mod sync_engine;
 pub mod workload;
 
 pub use adversary::{
-    ByzClause, ByzDirective, ByzEffect, ByzPlan, ByzantineScript, LinkClause, LinkEffect,
-    LinkFaultScript, ProcSet,
+    Attack, ByzClause, ByzDirective, ByzPlan, FaultScript, LinkClause, LinkEffect, ProcSet,
 };
 pub use engine::{Engine, EngineArena, Metrics, SimConfig, StopReason};
 pub use network::{LatencyDistribution, NetworkModel, PreGstBehavior};
@@ -96,8 +95,7 @@ pub use homonym_obs::{ObsEvent, ObsKind, Recorder};
 /// Convenient glob import for downstream crates and examples.
 pub mod prelude {
     pub use crate::adversary::{
-        ByzClause, ByzDirective, ByzEffect, ByzPlan, ByzantineScript, LinkClause, LinkEffect,
-        LinkFaultScript, ProcSet,
+        Attack, ByzClause, ByzDirective, ByzPlan, FaultScript, LinkClause, LinkEffect, ProcSet,
     };
     pub use crate::engine::{Engine, EngineArena, Metrics, SimConfig, StopReason};
     pub use crate::network::{LatencyDistribution, NetworkModel, PreGstBehavior};

@@ -77,7 +77,7 @@ pub trait Process: Send + 'static {
     fn on_timer(&mut self, timer: TimerTag, ctx: &mut ActionSink<'_, Self::Msg, Self::Output>);
 
     /// The **payload-mutation hook** of the Byzantine adversary (see
-    /// [`ByzantineScript`](crate::adversary::ByzantineScript)): a
+    /// [`Attack`](crate::adversary::Attack)): a
     /// plausible-but-different variant of `msg`, deterministically
     /// derived from `entropy` — what a corrupt homonym delivers to its
     /// victims in place of the honest copy.

@@ -10,13 +10,14 @@
 //! **Contract.** Built from the same `(SimConfig, factory)` pair and run
 //! to the same deadline, the two agree **byte for byte** on trace,
 //! recorder contents, [`Metrics`], histories, decisions and final clock,
-//! under every network model, link-fault script and Byzantine script; the
-//! differential proptests in `tests/` assert it. A stop *condition* is
-//! checked after every event by both, so they also stop at the same one.
+//! under every network model and every fault script, link clauses and
+//! Byzantine attacks alike; the differential proptests in `tests/`
+//! assert it. A stop *condition* is checked after every event by both,
+//! so they also stop at the same one.
 //!
 //! **Deliberately naive.** A `BTreeMap<(Time, u64), _>` queue; one
-//! `NetworkModel::route`, one `LinkFaultScript::fate` and one
-//! `ByzantineScript::directive` per copy, in destination order; one
+//! `NetworkModel::route`, one `FaultScript::fate` and one
+//! `FaultScript::directive` per copy, in destination order; one
 //! callback and one fresh action `Vec` per event; every queued copy an
 //! owned clone. No arena, no dead-destination elision, no snapshots. Only
 //! the seed derivation (`RunStreams`) and the loud failure of a missing
@@ -263,7 +264,11 @@ impl<P: Process> ReferenceEngine<P> {
         let class = self.class_of(msg);
         self.trace_event(src, ObsKind::Broadcast { class });
         // One Byzantine plan per broadcast; `replace` yields the previous payload.
-        let byz = self.config.byzantine.clone().filter(|s| !s.is_empty());
+        let byz = self
+            .config
+            .adversary
+            .clone()
+            .filter(|s| !s.attacks.is_empty());
         let plan = byz
             .as_ref()
             .and_then(|s| s.plan(now, src, &mut self.streams.byz));

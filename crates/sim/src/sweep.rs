@@ -38,7 +38,7 @@ use homonym_core::identity::Identity;
 use homonym_core::time::Time;
 use rayon::prelude::*;
 
-use crate::adversary::{ByzClause, ByzantineScript, LinkClause, LinkEffect, LinkFaultScript};
+use crate::adversary::{ByzClause, FaultScript, LinkClause};
 use crate::engine::{Engine, EngineArena, SimConfig, StopReason};
 use crate::network::NetworkModel;
 use crate::process::Process;
@@ -93,11 +93,12 @@ pub fn parallel_seed_sweep_with<C, R: Send>(
 /// * `HPS` networks differing in GST or `δ`: the earlier GST (pre-GST
 ///   routing is identical; treatment differs from the instant one side
 ///   considers itself stabilized);
-/// * adversary scripts: the earliest activation among differing clauses,
+/// * fault scripts: the earliest activation among differing clauses,
 ///   refined to the earlier *deactivation* for clauses identical except
 ///   their window end; differing RNG salts forfeit sharing as soon as
-///   either script contains a probabilistic clause (their draw streams
-///   are decorrelated from the start).
+///   either script contains a lossy link clause or an entropy-drawing
+///   attack (their draw streams are decorrelated from the start), and
+///   differing replay-listed senders forfeit it too.
 #[must_use]
 pub fn config_divergence(a: &SimConfig, b: &SimConfig) -> Time {
     // Exhaustive destructuring: a field added to `SimConfig` fails to
@@ -112,7 +113,6 @@ pub fn config_divergence(a: &SimConfig, b: &SimConfig) -> Time {
         partial_broadcast_on_crash,
         max_events,
         adversary,
-        byzantine,
     } = a;
     if *assign != b.assign
         || *sched != b.sched
@@ -122,14 +122,9 @@ pub fn config_divergence(a: &SimConfig, b: &SimConfig) -> Time {
     {
         return Time::ZERO;
     }
-    let d = network_divergence(network, &b.network);
-    let d = d.min(script_divergence(
+    network_divergence(network, &b.network).min(script_divergence(
         adversary.as_deref(),
         b.adversary.as_deref(),
-    ));
-    d.min(byz_script_divergence(
-        byzantine.as_deref(),
-        b.byzantine.as_deref(),
     ))
 }
 
@@ -159,113 +154,78 @@ fn network_divergence(a: &NetworkModel, b: &NetworkModel) -> Time {
     }
 }
 
-/// Earliest activation of any clause that draws from the adversary RNG.
-fn first_draw(clauses: &[LinkClause]) -> Option<Time> {
-    clauses
-        .iter()
-        .filter(|c| matches!(c.effect, LinkEffect::Lose(_)))
-        .map(|c| c.from)
-        .min()
+/// A clause active over a window of send times, as the planner compares
+/// two scripts' clauses.
+trait Windowed: PartialEq {
+    fn window(&self) -> (Time, Time);
+    /// Whether `self` and `other` differ at most in their window's end.
+    fn same_but_until(&self, other: &Self) -> bool;
 }
 
-fn clause_pair_divergence(x: &LinkClause, y: &LinkClause) -> Time {
-    if x == y {
-        return Time::MAX;
+impl Windowed for LinkClause {
+    fn window(&self) -> (Time, Time) {
+        (self.from, self.until)
     }
-    // Same window start, links and effect: only the deactivation instant
-    // differs, so copies sent before the earlier end are treated
-    // identically — the refinement that lets fault-duration families
-    // share their pre-fault *and* in-fault prefix up to the first heal.
-    if x.from == y.from && x.src == y.src && x.dst == y.dst && x.effect == y.effect {
-        return x.until.min(y.until);
+    fn same_but_until(&self, y: &Self) -> bool {
+        self.from == y.from && self.src == y.src && self.dst == y.dst && self.effect == y.effect
     }
-    x.from.min(y.from)
 }
 
-fn script_divergence(a: Option<&LinkFaultScript>, b: Option<&LinkFaultScript>) -> Time {
-    let ca = a.map_or(&[][..], LinkFaultScript::clauses);
-    let cb = b.map_or(&[][..], LinkFaultScript::clauses);
-    if ca.is_empty() && cb.is_empty() {
-        return Time::MAX;
+impl Windowed for ByzClause {
+    fn window(&self) -> (Time, Time) {
+        (self.from, self.until)
     }
-    // Different salts decorrelate the adversary streams from their very
-    // first draw; with any probabilistic clause in play nothing is
-    // shareable.
-    let (sa, sb) = (
-        a.map_or(0, LinkFaultScript::salt),
-        b.map_or(0, LinkFaultScript::salt),
-    );
-    if sa != sb && (first_draw(ca).is_some() || first_draw(cb).is_some()) {
-        return Time::ZERO;
+    fn same_but_until(&self, y: &Self) -> bool {
+        self.from == y.from
+            && self.src == y.src
+            && self.victims == y.victims
+            && self.attack == y.attack
     }
+}
+
+/// The earliest instant at which two clause lists, compared position by
+/// position, could treat a copy differently: a clause only one list has
+/// counts from its activation, two differing clauses from the earlier
+/// activation — refined to the earlier *deactivation* when they differ
+/// only in their window's end, the refinement that lets fault- and
+/// attack-duration families share their pre-fault *and* in-fault prefix.
+fn clauses_divergence<C: Windowed>(a: &[C], b: &[C]) -> Time {
     let mut d = Time::MAX;
-    for i in 0..ca.len().max(cb.len()) {
-        match (ca.get(i), cb.get(i)) {
-            (Some(x), Some(y)) => d = d.min(clause_pair_divergence(x, y)),
-            (Some(x), None) | (None, Some(x)) => d = d.min(x.from),
+    for i in 0..a.len().max(b.len()) {
+        d = d.min(match (a.get(i), b.get(i)) {
+            (Some(x), Some(y)) if x == y => Time::MAX,
+            (Some(x), Some(y)) if x.same_but_until(y) => x.window().1.min(y.window().1),
+            (Some(x), Some(y)) => x.window().0.min(y.window().0),
+            (Some(x), None) | (None, Some(x)) => x.window().0,
             (None, None) => unreachable!("loop bounded by max length"),
-        }
+        });
     }
     d
 }
 
-fn byz_clause_pair_divergence(x: &ByzClause, y: &ByzClause) -> Time {
-    if x == y {
-        return Time::MAX;
-    }
-    // Same activation, senders and effect: only the deactivation instant
-    // differs, so broadcasts before the earlier end are treated
-    // identically — the refinement that lets attack-duration variants
-    // share their whole pre-attack *and* in-attack prefix.
-    if x.from == y.from && x.src == y.src && x.effect == y.effect {
-        return x.until.min(y.until);
-    }
-    x.from.min(y.from)
-}
-
-/// The Byzantine counterpart of [`script_divergence`]. Replay caches
-/// are recorded from tick 0 for replay-listed senders; recording is
-/// unobservable until a replay clause activates, so two scripts that
-/// **agree on which senders are replay-listed** share soundly up to
-/// their earliest differing clause — but scripts whose replay-listed
-/// sender sets differ fill the cache differently from the very first
-/// broadcast, so one's snapshot carries cache state the other's flat
-/// run would not have, and sharing is forfeited entirely.
-fn byz_script_divergence(a: Option<&ByzantineScript>, b: Option<&ByzantineScript>) -> Time {
-    let ca = a.map_or(&[][..], ByzantineScript::clauses);
-    let cb = b.map_or(&[][..], ByzantineScript::clauses);
-    if ca.is_empty() && cb.is_empty() {
-        return Time::MAX;
-    }
-    // Different salts decorrelate the Byzantine streams from their very
-    // first draw; with any entropy-drawing clause (equivocation or
-    // corruption) in play, nothing is shareable.
-    let (sa, sb) = (
-        a.map_or(0, ByzantineScript::salt),
-        b.map_or(0, ByzantineScript::salt),
-    );
-    if sa != sb
-        && (a.is_some_and(ByzantineScript::draws_entropy)
-            || b.is_some_and(ByzantineScript::draws_entropy))
-    {
+/// The first instant at which two fault scripts could treat a run
+/// differently (a missing script is the empty one):
+///
+/// 1. Different salts decorrelate the link and Byzantine streams from
+///    their very first draw; with a lossy link clause or an
+///    entropy-drawing attack in play, nothing is shareable.
+/// 2. Replay caches are recorded from tick 0 for replay-listed senders;
+///    recording is unobservable until a replay clause activates, but
+///    scripts whose replay-listed sender sets differ fill the cache
+///    differently from the very first broadcast, so one's snapshot
+///    carries cache state the other's flat run would not have.
+/// 3. Otherwise the two clause lists bound it, each compared position
+///    by position.
+fn script_divergence(a: Option<&FaultScript>, b: Option<&FaultScript>) -> Time {
+    let none = FaultScript::default();
+    let (a, b) = (a.unwrap_or(&none), b.unwrap_or(&none));
+    if a.salt != b.salt && (a.draws_entropy() || b.draws_entropy()) {
         return Time::ZERO;
     }
-    // Differing replay-listed sender sets: cache contents diverge from
-    // tick 0 (see above).
-    if a.map_or(Vec::new(), ByzantineScript::replay_source_mask)
-        != b.map_or(Vec::new(), ByzantineScript::replay_source_mask)
-    {
+    if a.replay_source_mask() != b.replay_source_mask() {
         return Time::ZERO;
     }
-    let mut d = Time::MAX;
-    for i in 0..ca.len().max(cb.len()) {
-        match (ca.get(i), cb.get(i)) {
-            (Some(x), Some(y)) => d = d.min(byz_clause_pair_divergence(x, y)),
-            (Some(x), None) | (None, Some(x)) => d = d.min(x.from),
-            (None, None) => unreachable!("loop bounded by max length"),
-        }
-    }
-    d
+    clauses_divergence(&a.links, &b.links).min(clauses_divergence(&a.attacks, &b.attacks))
 }
 
 // ---------------------------------------------------------------------------
@@ -502,7 +462,7 @@ impl<P: Process + Clone> Default for PrefixSweeper<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::ProcSet;
+    use crate::adversary::{LinkEffect, ProcSet};
     use crate::network::PreGstBehavior;
     use homonym_core::failure::FailureSchedule;
     use homonym_core::identity::IdentityAssignment;
@@ -616,25 +576,27 @@ mod tests {
         let mut y = defer_clause(20, 70);
         x.effect = LinkEffect::Drop;
         y.effect = LinkEffect::Drop;
-        assert_eq!(clause_pair_divergence(&x, &y), Time::from_ticks(50));
+        assert_eq!(clauses_divergence(&[x], &[y]), Time::from_ticks(50));
         // DeferUntil embeds the heal instant in the effect, so the
         // queued copies differ from the activation onward.
         assert_eq!(
-            clause_pair_divergence(&defer_clause(20, 50), &defer_clause(20, 70)),
+            clauses_divergence(&[defer_clause(20, 50)], &[defer_clause(20, 70)]),
             Time::from_ticks(20)
         );
     }
 
     #[test]
     fn salted_probabilistic_scripts_do_not_share() {
-        let mk = |salt: u64| {
-            LinkFaultScript::new(salt).with_clause(LinkClause {
+        let mk = |salt: u64| FaultScript {
+            links: vec![LinkClause {
                 from: Time::from_ticks(30),
                 until: Time::from_ticks(60),
                 src: ProcSet::all(4),
                 dst: ProcSet::all(4),
                 effect: LinkEffect::Lose(10),
-            })
+            }],
+            salt,
+            ..FaultScript::default()
         };
         assert_eq!(script_divergence(Some(&mk(1)), Some(&mk(2))), Time::ZERO);
         assert_eq!(script_divergence(Some(&mk(1)), Some(&mk(1))), Time::MAX);
@@ -642,47 +604,37 @@ mod tests {
 
     #[test]
     fn differing_replay_sources_forfeit_sharing() {
-        use crate::adversary::{ByzClause, ByzEffect, ByzantineScript};
-        let replay = |src: usize, from: u64| {
-            ByzantineScript::new(0).with_clause(ByzClause {
+        use crate::adversary::Attack;
+        let attack = |attack: Attack, src: usize, from: u64, until: Time| FaultScript {
+            attacks: vec![ByzClause {
                 from: Time::from_ticks(from),
-                until: Time::MAX,
+                until,
                 src: ProcSet::from_indices(4, [src]),
-                effect: ByzEffect::Replay {
-                    victims: ProcSet::all(4),
-                },
-            })
+                victims: ProcSet::all(4),
+                attack,
+            }],
+            ..FaultScript::default()
         };
+        let replay = |src: usize, from: u64| attack(Attack::Replay, src, from, Time::MAX);
         // Same replay-listed sender, later window: shared to the earlier
         // activation (the engines' caches agree up to there).
         assert_eq!(
-            byz_script_divergence(Some(&replay(1, 30)), Some(&replay(1, 50))),
+            script_divergence(Some(&replay(1, 30)), Some(&replay(1, 50))),
             Time::from_ticks(30)
         );
         // Different replay-listed senders: the caches diverge from the
         // first broadcast — no sharing, regardless of window placement.
         assert_eq!(
-            byz_script_divergence(Some(&replay(1, 30)), Some(&replay(2, 30))),
+            script_divergence(Some(&replay(1, 30)), Some(&replay(2, 30))),
             Time::ZERO
         );
         // A replay script against no script at all: same forfeit.
-        assert_eq!(
-            byz_script_divergence(Some(&replay(1, 30)), None),
-            Time::ZERO
-        );
+        assert_eq!(script_divergence(Some(&replay(1, 30)), None), Time::ZERO);
         // Non-replay scripts keep the clause-window refinement.
-        let equiv = |from: u64, until: u64| {
-            ByzantineScript::new(0).with_clause(ByzClause {
-                from: Time::from_ticks(from),
-                until: Time::from_ticks(until),
-                src: ProcSet::from_indices(4, [1]),
-                effect: ByzEffect::Equivocate {
-                    victims: ProcSet::all(4),
-                },
-            })
-        };
+        let equiv =
+            |from: u64, until: u64| attack(Attack::Equivocate, 1, from, Time::from_ticks(until));
         assert_eq!(
-            byz_script_divergence(Some(&equiv(20, 50)), Some(&equiv(20, 70))),
+            script_divergence(Some(&equiv(20, 50)), Some(&equiv(20, 70))),
             Time::from_ticks(50)
         );
     }
@@ -728,7 +680,10 @@ mod tests {
     fn pulse_item(heal: u64, crash: Option<u64>) -> PrefixItem<()> {
         let mut drop = defer_clause(20, heal);
         drop.effect = LinkEffect::Drop;
-        let mut config = base_config(1).with_adversary(LinkFaultScript::new(0).with_clause(drop));
+        let mut config = base_config(1).with_adversary(FaultScript {
+            links: vec![drop],
+            ..FaultScript::default()
+        });
         if let Some(at) = crash {
             config.sched = FailureSchedule::none(4).with_crash(3, Time::from_ticks(at));
         }

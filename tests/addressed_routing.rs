@@ -189,14 +189,14 @@ fn four_settings<P: Process>(
         // p1 forges the copies it sends to the upper half: detector
         // traffic with a forged identifier, consensus traffic (where the
         // stack has any) with forged contents.
-        let forger = Scenario::new("a forging detector process", n).with_clause(
-            FaultClause::ByzantineCorrupt {
+        let forger =
+            Scenario::new("a forging detector process", n).with_clause(FaultClause::Byzantine {
+                attack: Attack::Corrupt,
                 sources: vec![1],
                 victims: (n / 2..n).collect(),
                 start: Time::from_ticks(20),
                 until: Time::MAX,
-            },
-        );
+            });
         let cfg = forger.install(base).expect("valid scenario");
         let counted = same_story("forged copies", &cfg, node, classify);
         assert!(counted.copies_forged > 0, "nothing was forged");

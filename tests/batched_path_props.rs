@@ -1,12 +1,12 @@
 //! Differential property tests for the event engine: across random
-//! seeds, network models, adversarial link-fault scripts and Byzantine
-//! payload-mutation scripts, `Engine` (tick-drained queue, one `step` per
+//! seeds, network models and fault scripts — adversarial link clauses
+//! and Byzantine payload-mutation attacks — `Engine` (tick-drained queue, one `step` per
 //! event, fused per-broadcast RNG sampling, shared payloads, elided
 //! copies to dead destinations) must be **byte-identical** to the naive
 //! per-event `ReferenceEngine` built from the same configuration and
 //! factory — same traces, same histories, same metrics, same decisions,
 //! same final clock, and the same stopping event under a stop condition.
-//! An empty or never-activating `ByzantineScript` must additionally be
+//! An empty or never-activating `FaultScript` must additionally be
 //! byte-identical to a run with **no** script installed at all, on both
 //! interpreters. One fixed long run holds the engine's
 //! cached active-clause set to the same contract: fifty partition
@@ -89,37 +89,20 @@ fn scenario(n: usize, split: usize, heal: u64, lose: u8) -> Scenario {
 
 /// One Byzantine clause of the selected kind, mounted by process 0
 /// against a victim prefix — combined with `scenario`'s link faults it
-/// exercises both adversary hooks at once.
+/// exercises both lists of the fault script at once.
 fn byz_clause(n: usize, kind: u8, victims: usize) -> FaultClause {
-    let sources = vec![0];
-    let victims: Vec<usize> = (0..n).rev().take(victims.clamp(1, n)).collect();
-    let start = Time::from_ticks(1);
-    let until = Time::MAX;
-    match kind % 4 {
-        0 => FaultClause::ByzantineEquivocate {
-            sources,
-            victims,
-            start,
-            until,
-        },
-        1 => FaultClause::ByzantineCorrupt {
-            sources,
-            victims,
-            start,
-            until,
-        },
-        2 => FaultClause::ByzantineReplay {
-            sources,
-            victims,
-            start,
-            until,
-        },
-        _ => FaultClause::ByzantineSelectiveSend {
-            sources,
-            victims,
-            start,
-            until,
-        },
+    let attack = match kind % 4 {
+        0 => Attack::Equivocate,
+        1 => Attack::Corrupt,
+        2 => Attack::Replay,
+        _ => Attack::SelectiveSend,
+    };
+    FaultClause::Byzantine {
+        attack,
+        sources: vec![0],
+        victims: (0..n).rev().take(victims.clamp(1, n)).collect(),
+        start: Time::from_ticks(1),
+        until: Time::MAX,
     }
 }
 
@@ -348,7 +331,7 @@ proptest! {
     }
 
     /// Event engine, Byzantine-tolerant quorum-certificate stack under
-    /// an **active** Byzantine script (all four clause kinds on top of
+    /// an **active** Byzantine attack (each of the four kinds on top of
     /// the link faults): `Engine` and the reference interpreter agree
     /// byte for byte, decisions included — the tolerant stack's
     /// certificate bookkeeping (admission ledgers, echo certificates,
@@ -377,7 +360,7 @@ proptest! {
         prop_assert_eq!(observed!(engine), observed!(reference));
     }
 
-    /// An **empty or never-activating** `ByzantineScript` is fully
+    /// An **empty or never-activating** `FaultScript` is fully
     /// transparent: installing it leaves traces, histories, metrics and
     /// final clocks byte-identical to a run with no script at all — on
     /// the event engine and the reference interpreter, under every
@@ -391,22 +374,26 @@ proptest! {
         salt in any::<u64>(),
         crash in proptest::option::weighted(0.4, 0u64..20),
     ) {
-        let empty = ByzantineScript::new(salt);
+        let empty = FaultScript { salt, ..FaultScript::default() };
         // Active only long after the horizon: present, never consulted.
-        let dormant = ByzantineScript::new(salt).with_clause(ByzClause {
-            from: Time::from_ticks(1_000_000),
-            until: Time::MAX,
-            src: ProcSet::all(n),
-            effect: ByzEffect::Equivocate { victims: ProcSet::all(n) },
-        });
-        let config = |byz: Option<&ByzantineScript>| {
+        let dormant = FaultScript {
+            attacks: vec![ByzClause {
+                from: Time::from_ticks(1_000_000),
+                until: Time::MAX,
+                src: ProcSet::all(n),
+                victims: ProcSet::all(n),
+                attack: Attack::Equivocate,
+            }],
+            ..empty.clone()
+        };
+        let config = |byz: Option<&FaultScript>| {
             let cfg = echo_config(seed, kind, n, crash);
             match byz {
-                Some(b) => cfg.with_byzantine(b.clone()),
+                Some(b) => cfg.with_adversary(b.clone()),
                 None => cfg,
             }
         };
-        let run = |byz: Option<&ByzantineScript>| {
+        let run = |byz: Option<&FaultScript>| {
             let (engine, reference) = run_both(config(byz), |_, _| Echo { cap: 4 }, 400);
             (observed!(engine), observed!(reference))
         };

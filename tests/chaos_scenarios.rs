@@ -350,13 +350,15 @@ fn single_variant_sweeps_match_on_both_executors() {
 fn byzantine_runs_dispatch_identically_on_both_hot_paths() {
     let n = 8;
     let scenario = Scenario::new("byz-paths", n)
-        .with_clause(FaultClause::ByzantineEquivocate {
+        .with_clause(FaultClause::Byzantine {
+            attack: Attack::Equivocate,
             sources: vec![1],
             victims: vec![0, 3, 5],
             start: Time::from_ticks(8),
             until: Time::MAX,
         })
-        .with_clause(FaultClause::ByzantineSelectiveSend {
+        .with_clause(FaultClause::Byzantine {
+            attack: Attack::SelectiveSend,
             sources: vec![6],
             victims: vec![2],
             start: Time::from_ticks(20),

@@ -1,6 +1,6 @@
 //! Property tests for the observability layer's **zero-cost contract**:
-//! across random seeds, network models, link-fault scripts and active
-//! `ByzantineScript`s, attaching the `homonym-obs` recorder must not
+//! across random seeds, network models and fault scripts with link
+//! clauses and active Byzantine attacks, attaching the `homonym-obs` recorder must not
 //! change a single dispatched byte — same traces, same histories, same
 //! metrics, same decisions — on the event engine, for the tolerant stack
 //! and for Figure 7 (its step process on the synchronous network), and
@@ -44,35 +44,18 @@ fn model(kind: u8) -> NetworkModel {
 /// of the selected kind — link faults and the payload-mutation hook
 /// both live, so the recorder sees attack firings and ledger discards.
 fn scenario(n: usize, heal: u64, lose: u8, byz_kind: u8, victims: usize) -> Scenario {
-    let sources = vec![0];
-    let victims: Vec<usize> = (0..n).rev().take(victims.clamp(1, n)).collect();
-    let start = Time::from_ticks(1);
-    let until = Time::MAX;
-    let byz = match byz_kind % 4 {
-        0 => FaultClause::ByzantineEquivocate {
-            sources,
-            victims,
-            start,
-            until,
-        },
-        1 => FaultClause::ByzantineCorrupt {
-            sources,
-            victims,
-            start,
-            until,
-        },
-        2 => FaultClause::ByzantineReplay {
-            sources,
-            victims,
-            start,
-            until,
-        },
-        _ => FaultClause::ByzantineSelectiveSend {
-            sources,
-            victims,
-            start,
-            until,
-        },
+    let attack = match byz_kind % 4 {
+        0 => Attack::Equivocate,
+        1 => Attack::Corrupt,
+        2 => Attack::Replay,
+        _ => Attack::SelectiveSend,
+    };
+    let byz = FaultClause::Byzantine {
+        attack,
+        sources: vec![0],
+        victims: (0..n).rev().take(victims.clamp(1, n)).collect(),
+        start: Time::from_ticks(1),
+        until: Time::MAX,
     };
     Scenario::new("obs-props", n)
         .with_clause(FaultClause::Partition {

@@ -4,7 +4,7 @@
 //! traces, same histories, same metrics, same decisions — on the event
 //! engine (Figure 7 included, as its step process on the synchronous
 //! network), under all three network models, random crash times and
-//! random fault scripts, **including active Byzantine scripts** (the
+//! random fault scripts, **including active Byzantine attacks** (the
 //! scenarios below mount a permanent equivocator and a replay attacker,
 //! so the dedicated Byzantine RNG stream and the one-deep replay cache
 //! must round-trip through every snapshot). The nested case (a fork of
@@ -89,13 +89,15 @@ fn scenario(n: usize, split: usize, heal: u64, lose: u8) -> Scenario {
             loss_percent: lose.min(60),
             extra_delay: Span::ZERO,
         })
-        .with_clause(FaultClause::ByzantineEquivocate {
+        .with_clause(FaultClause::Byzantine {
+            attack: Attack::Equivocate,
             sources: vec![0],
             victims: vec![n - 1],
             start: Time::from_ticks(3),
             until: Time::MAX,
         })
-        .with_clause(FaultClause::ByzantineReplay {
+        .with_clause(FaultClause::Byzantine {
+            attack: Attack::Replay,
             sources: vec![n - 1],
             victims: vec![0],
             start: Time::from_ticks(5),
