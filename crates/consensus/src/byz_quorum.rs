@@ -83,9 +83,13 @@
 //! Every window admits payloads through the
 //! [`WindowLedger`] half of the crate-wide
 //! conflicting-payload policy: at most `multiplicity(label)` copies per
-//! label per phase, everything beyond the cap detected and discarded. An
-//! equivocating homonym therefore contributes at most its own carrier
-//! slot — it can lie, but it cannot *multiply*.
+//! label per phase, everything beyond the cap detected and discarded. The
+//! cap bounds a *label*, not a sender: a receiver cannot tell a
+//! namesake's copy from a repeat, so one corrupt carrier that sends a
+//! broadcast `multiplicity(label)` times fills every slot of its label.
+//! The simulated adversary never does this — it rewrites or suppresses
+//! the one copy per receiver its source was about to send — so the
+//! sweep checks the stack against that weaker adversary only.
 //!
 //! ## Timed waits: a deadline, not a period
 //!
@@ -157,7 +161,7 @@ use homonym_sim::process::{ActionSink, Process, TimerTag};
 use homonym_sim::ObsKind;
 
 use crate::conflict::WindowLedger;
-use crate::round_window::{RoundRing, ValueCounts, Window};
+use crate::round_window::{RoundRing, Window};
 
 /// The guard deadline timer: armed once per timed wait (see "Timed
 /// waits" in the module docs), never periodically.
@@ -232,8 +236,10 @@ pub fn classify_byz(msg: &ByzMsg) -> &'static str {
 /// is forged into a phantom certificate claim, and the `locked` flag is
 /// re-rolled so forged votes and coordinator proposals can also claim
 /// (or disclaim) locks. The
-/// tolerant stack must shed all of this through its certificates — the
-/// mutation is deliberately *not* weakened to make its job easier.
+/// tolerant stack must shed all of this through its certificates. The
+/// mutation keeps `id` and `round`, and the engine applies it to the one
+/// copy per receiver the sender's honest code broadcasts: it never sends
+/// an extra copy, nor names a round ahead of its sender's.
 #[must_use]
 pub fn mutate_byz_msg(msg: &ByzMsg, entropy: u64) -> ByzMsg {
     let delta = 1 + entropy % 7;
@@ -274,9 +280,9 @@ struct ByzWindow {
     /// Vote-phase admission ledger.
     vote_ledger: WindowLedger,
     /// Admitted vote estimates.
-    votes: ValueCounts,
+    votes: Multiset<u64>,
     /// Admitted vote estimates whose sender claimed a lock.
-    locked_votes: ValueCounts,
+    locked_votes: Multiset<u64>,
     /// Admitted votes carried under this round's coordinator label:
     /// `(est, locked)` in arrival order (read through
     /// [`coordinator_pick`] only).
@@ -284,7 +290,7 @@ struct ByzWindow {
     /// Commit-phase admission ledger.
     commit_ledger: WindowLedger,
     /// Admitted non-⊥ commit candidates.
-    commits: ValueCounts,
+    commits: Multiset<u64>,
     /// Admitted ⊥ commits.
     commit_bottoms: usize,
 }
@@ -308,18 +314,13 @@ impl Window for ByzWindow {
 fn cert_labels(ledger: &WindowLedger) -> Vec<(Identity, u32)> {
     ledger
         .occupancy()
-        .iter()
-        .map(|&(l, k)| (l, u32::try_from(k).unwrap_or(u32::MAX)))
+        .map(|(&l, k)| (l, u32::try_from(k).unwrap_or(u32::MAX)))
         .collect()
 }
 
 /// Admitted copies backing `v` in `counts` (the certificate's size).
-fn count_of(counts: &ValueCounts, v: u64) -> u32 {
-    counts
-        .counted()
-        .iter()
-        .find(|&&(x, _)| x == v)
-        .map_or(0, |&(_, c)| u32::try_from(c).unwrap_or(u32::MAX))
+fn count_of(counts: &Multiset<u64>, v: u64) -> u32 {
+    u32::try_from(counts.multiplicity(&v)).unwrap_or(u32::MAX)
 }
 
 /// What a coordinator label's `(est, locked)` claims tell an unlocked
@@ -372,7 +373,7 @@ pub struct ByzQuorumConsensus {
     rounds: RoundRing<ByzWindow>,
     /// Cumulative `DECIDE` echoes, label-capped across the whole run.
     decide_ledger: WindowLedger,
-    decide_votes: ValueCounts,
+    decide_votes: Multiset<u64>,
     decided: Option<u64>,
     /// Total copies shed by the detect-and-discard policy.
     discarded: u64,
@@ -413,7 +414,7 @@ impl ByzQuorumConsensus {
             phase_entered: Time::ZERO,
             rounds: RoundRing::new(),
             decide_ledger: WindowLedger::default(),
-            decide_votes: ValueCounts::default(),
+            decide_votes: Multiset::new(),
             decided: None,
             discarded: 0,
             phase_grace: Span::from_ticks(10),
@@ -487,26 +488,21 @@ impl ByzQuorumConsensus {
     /// The single value holding a quorum in `counts`, if any (two values
     /// can never both reach `quorum`: admitted copies total ≤ n and
     /// `2·quorum > n`).
-    fn quorum_value(&self, counts: &ValueCounts) -> Option<u64> {
+    fn quorum_value(&self, counts: &Multiset<u64>) -> Option<u64> {
         let q = self.quorum();
-        counts
-            .counted()
-            .iter()
-            .find(|&&(_, c)| c >= q)
-            .map(|&(v, _)| v)
+        counts.counted().find(|&(_, c)| c >= q).map(|(&v, _)| v)
     }
 
     /// The strongest `affirm`-certified value in `counts`: highest count
     /// wins, ties break toward the smaller value, so every honest
     /// process ranks identically on identical windows.
-    fn affirmed_value(&self, counts: &ValueCounts) -> Option<u64> {
+    fn affirmed_value(&self, counts: &Multiset<u64>) -> Option<u64> {
         let a = self.affirm();
         counts
             .counted()
-            .iter()
-            .filter(|&&(_, c)| c >= a)
-            .max_by_key(|&&(v, c)| (c, core::cmp::Reverse(v)))
-            .map(|&(v, _)| v)
+            .filter(|&(_, c)| c >= a)
+            .max_by_key(|&(&v, c)| (c, core::cmp::Reverse(v)))
+            .map(|(&v, _)| v)
     }
 
     /// Enters `self.round`: the coordinator label's carriers announce
@@ -547,7 +543,7 @@ impl ByzQuorumConsensus {
         (self.round + 1..self.round + ahead).rev().find(|&r| {
             self.rounds
                 .get(r)
-                .is_some_and(|w| w.vote_ledger.admitted() >= a || w.commit_ledger.admitted() >= a)
+                .is_some_and(|w| w.vote_ledger.len() >= a || w.commit_ledger.len() >= a)
         })
     }
 
@@ -623,7 +619,7 @@ impl ByzQuorumConsensus {
                 // the coordinators — and only it waits for them.
                 if self.lock.is_none() {
                     let expected = self.caps.multiplicity(&self.coord_label(r));
-                    let heard = self.rounds.get(r).map_or(0, |w| w.coord_ledger.admitted());
+                    let heard = self.rounds.get(r).map_or(0, |w| w.coord_ledger.len());
                     if heard < expected && self.in_grace(now, ctx) {
                         return false;
                     }
@@ -666,7 +662,7 @@ impl ByzQuorumConsensus {
                         size,
                         labels: cert_labels(ledger),
                     });
-                } else if w.votes.total() < self.wait() || self.in_grace(now, ctx) {
+                } else if w.votes.len() < self.wait() || self.in_grace(now, ctx) {
                     return false;
                 }
                 if self.decided.is_none() {
@@ -708,7 +704,7 @@ impl ByzQuorumConsensus {
                         labels: cert_labels(ledger),
                     });
                     self.deliver_decision(v, ctx);
-                } else if w.commits.total() + w.commit_bottoms < self.wait()
+                } else if w.commits.len() + w.commit_bottoms < self.wait()
                     || self.in_grace(now, ctx)
                 {
                     return false;
@@ -826,9 +822,9 @@ impl Process for ByzQuorumConsensus {
                     let coord = self.coord_label(round);
                     let w = self.rounds.get_mut(round);
                     if w.vote_ledger.admit(id, &self.caps) {
-                        w.votes.add(est);
+                        w.votes.insert(est);
                         if locked {
-                            w.locked_votes.add(est);
+                            w.locked_votes.insert(est);
                         }
                         if id == coord {
                             w.coord_votes.push((est, locked));
@@ -843,7 +839,7 @@ impl Process for ByzQuorumConsensus {
                     let w = self.rounds.get_mut(round);
                     if w.commit_ledger.admit(id, &self.caps) {
                         match val {
-                            Some(v) => w.commits.add(v),
+                            Some(v) => w.commits.insert(v),
                             None => w.commit_bottoms += 1,
                         }
                     } else {
@@ -853,7 +849,7 @@ impl Process for ByzQuorumConsensus {
             }
             ByzMsg::Decide { id, value } => {
                 if self.decide_ledger.admit(id, &self.caps) {
-                    self.decide_votes.add(value);
+                    self.decide_votes.insert(value);
                 } else {
                     self.shed(self.round, "DECIDE", ctx);
                 }

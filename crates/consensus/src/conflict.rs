@@ -22,9 +22,10 @@
 //!   all. A window admits at most `multiplicity(label)` payloads per label
 //!   — the number of genuine carriers of that label — and **detects and
 //!   discards** every copy beyond the cap instead of trusting first-value
-//!   (or smallest-value) delivery. An equivocator that re-sends under its
-//!   own label merely displaces its genuine copy; it cannot inflate a
-//!   count past the label's carrier population.
+//!   (or smallest-value) delivery. No label's count can exceed its
+//!   carrier population. The cap bounds a label, not a sender, though:
+//!   an equivocator that sends a broadcast once per namesake fills every
+//!   slot of its label whenever its copies arrive first.
 //!
 //! Keeping both poles in one module is deliberate: the crash algorithms
 //! document *why* they stay exposed, the tolerant algorithm documents
@@ -38,9 +39,10 @@ use homonym_core::multiset::Multiset;
 /// the smallest value wins, deterministically.
 ///
 /// `ascending` must yield the distinct candidate values in ascending
-/// order — both call sites already hold them sorted (`ValueCounts`
-/// aggregates in value order; Figure 9 sorts and dedups its quorum
-/// estimates), so the pick is O(1) and allocation-free.
+/// order — both call sites already hold them sorted (Figure 8 counts its
+/// `PH2` estimates in a [`Multiset`], whose support is in value order;
+/// Figure 9 sorts and dedups its quorum estimates), so the pick is O(1)
+/// and allocation-free.
 ///
 /// Under crash-stop faults the iterator yields at most one value and this
 /// is a plain unwrap-the-singleton. Under Byzantine forgery it is the
@@ -65,9 +67,8 @@ pub fn crash_model_pick<I: IntoIterator<Item = u64>>(ascending: I) -> Option<u64
 /// multiset is immutable per run anyway.
 #[derive(Debug, Default, Clone)]
 pub struct WindowLedger {
-    /// `(label, payloads admitted under it)`, sorted by label. The live
-    /// label set is tiny (≤ distinct labels), so a sorted vec beats a map.
-    used: Vec<(Identity, usize)>,
+    /// The labels of the payloads admitted, each counted once per payload.
+    used: Multiset<Identity>,
     discarded: u64,
 }
 
@@ -76,18 +77,15 @@ impl WindowLedger {
     /// — and counts the copy as detected-and-discarded — if the label is
     /// already at its carrier cap (or is not in the assignment at all).
     pub fn admit(&mut self, label: Identity, caps: &Multiset<Identity>) -> bool {
-        let cap = caps.multiplicity(&label);
-        match self.used.binary_search_by_key(&label, |&(l, _)| l) {
-            Ok(i) if self.used[i].1 < cap => self.used[i].1 += 1,
-            // A label nobody carries is forged and gets no entry: a
-            // Byzantine homonym can invent labels without end.
-            Err(i) if cap > 0 => self.used.insert(i, (label, 1)),
-            _ => {
-                self.discarded += 1;
-                return false;
-            }
+        // A label nobody carries has cap 0, so it is forged and gets no
+        // entry: a Byzantine homonym can invent labels without end.
+        if self.used.multiplicity(&label) < caps.multiplicity(&label) {
+            self.used.insert(label);
+            true
+        } else {
+            self.discarded += 1;
+            false
         }
-        true
     }
 
     /// Copies rejected by the cap so far.
@@ -99,15 +97,20 @@ impl WindowLedger {
     /// Current occupancy: `(label, payloads admitted under it)` pairs,
     /// sorted by label — the membership breakdown of a certificate built
     /// from this window, as observability renders it.
-    #[must_use]
-    pub fn occupancy(&self) -> &[(Identity, usize)] {
-        &self.used
+    pub fn occupancy(&self) -> impl Iterator<Item = (&Identity, usize)> + '_ {
+        self.used.counted()
     }
 
     /// Total payloads admitted across all labels.
     #[must_use]
-    pub fn admitted(&self) -> usize {
-        self.used.iter().map(|&(_, k)| k).sum()
+    pub fn len(&self) -> usize {
+        self.used.len()
+    }
+
+    /// Whether no payload has been admitted.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.used.is_empty()
     }
 
     /// Clears the ledger for reuse, keeping its allocation.
@@ -158,10 +161,23 @@ mod tests {
         for forged in 2..1_002 {
             assert!(!w.admit(id(forged), &caps));
         }
-        assert!(w.occupancy().is_empty());
+        assert_eq!(w.occupancy().next(), None);
         assert_eq!(w.discarded(), 1_000);
         assert!(w.admit(id(1), &caps));
-        assert_eq!(w.occupancy(), &[(id(1), 1)]);
+        assert_eq!(w.occupancy().collect::<Vec<_>>(), [(&id(1), 1)]);
+    }
+
+    #[test]
+    fn a_decoded_ledger_is_sorted_and_totals_its_counts() {
+        use homonym_core::wire::{from_bytes, to_bytes};
+        // Label 2 before label 1, and label 1 twice.
+        let pairs = vec![(id(2), 1usize), (id(1), 2), (id(1), 1)];
+        let w: WindowLedger = from_bytes(&to_bytes(&(pairs, 0u64))).expect("decodes");
+        assert_eq!(
+            w.occupancy().collect::<Vec<_>>(),
+            [(&id(1), 3), (&id(2), 1)]
+        );
+        assert_eq!(w.len(), 4);
     }
 
     #[test]

@@ -28,13 +28,14 @@
 //! queries the respective detector.
 
 use homonym_core::identity::Identity;
+use homonym_core::multiset::Multiset;
 use homonym_core::query::{AOmegaSource, Consumes, HOmegaSource, OmegaSource};
 use homonym_core::time::{Span, Time};
 use homonym_core::wire::{Loader, Persist, Saver, WireError};
 use homonym_sim::process::{ActionSink, Process, TimerTag};
 
 use crate::conflict::crash_model_pick;
-use crate::round_window::{RoundRing, ValueCounts, Window};
+use crate::round_window::{RoundRing, Window};
 
 /// Protocol messages of Figure 8 (and of the derived baselines, which
 /// simply never send `Coord`).
@@ -251,10 +252,10 @@ struct Fig8Window {
     ph0_first: Option<u64>,
     ph0_count: usize,
     /// `PH1` estimates, counted per distinct value.
-    ph1: ValueCounts,
+    ph1: Multiset<u64>,
     /// `PH2` non-`⊥` estimates counted per distinct value, plus how many
     /// `⊥` arrived.
-    ph2: ValueCounts,
+    ph2: Multiset<u64>,
     ph2_bottoms: usize,
 }
 
@@ -342,7 +343,7 @@ impl<L: LeaderPolicy> MajorityConsensus<L> {
     pub fn buffered_messages(&self) -> usize {
         self.rounds
             .iter()
-            .map(|w| w.coord_count + w.ph0_count + w.ph1.total() + w.ph2.total() + w.ph2_bottoms)
+            .map(|w| w.coord_count + w.ph0_count + w.ph1.len() + w.ph2.len() + w.ph2_bottoms)
             .sum()
     }
 
@@ -441,7 +442,7 @@ impl<L: LeaderPolicy> MajorityConsensus<L> {
                 let Some(w) = self.rounds.get(r) else {
                     return false;
                 };
-                if w.ph1.total() < self.wait_threshold() {
+                if w.ph1.len() < self.wait_threshold() {
                     return false;
                 }
                 // Lines 22-26: majority value or ⊥ (counts were
@@ -449,9 +450,8 @@ impl<L: LeaderPolicy> MajorityConsensus<L> {
                 self.est2 = w
                     .ph1
                     .counted()
-                    .iter()
-                    .find(|&&(_, c)| 2 * c > self.n)
-                    .map(|&(v, _)| v);
+                    .find(|&(_, c)| 2 * c > self.n)
+                    .map(|(&v, _)| v);
                 ctx.broadcast(Fig8Msg::Ph2 {
                     round: r,
                     est2: self.est2,
@@ -464,7 +464,7 @@ impl<L: LeaderPolicy> MajorityConsensus<L> {
                 let Some(w) = self.rounds.get(r) else {
                     return false;
                 };
-                if w.ph2.total() + w.ph2_bottoms < self.wait_threshold() {
+                if w.ph2.len() + w.ph2_bottoms < self.wait_threshold() {
                     return false;
                 }
                 // Lines 30-34: the per-value counts aggregated at arrival
@@ -481,7 +481,7 @@ impl<L: LeaderPolicy> MajorityConsensus<L> {
                 // Byzantine sweep). The tolerant stack closes this hole
                 // with the other half of the policy.
                 let saw_bottom = w.ph2_bottoms > 0;
-                let pick = crash_model_pick(w.ph2.counted().iter().map(|&(v, _)| v));
+                let pick = crash_model_pick(w.ph2.support().copied());
                 match (pick, saw_bottom) {
                     (Some(v), false) => {
                         self.decide(v, ctx);
@@ -553,14 +553,14 @@ impl<L: LeaderPolicy> Process for MajorityConsensus<L> {
             }
             Fig8Msg::Ph1 { round, est } => {
                 if round >= self.round {
-                    self.rounds.get_mut(round).ph1.add(est);
+                    self.rounds.get_mut(round).ph1.insert(est);
                 }
             }
             Fig8Msg::Ph2 { round, est2 } => {
                 if round >= self.round {
                     let w = self.rounds.get_mut(round);
                     match est2 {
-                        Some(v) => w.ph2.add(v),
+                        Some(v) => w.ph2.insert(v),
                         None => w.ph2_bottoms += 1,
                     }
                 }

@@ -1,25 +1,22 @@
-//! Reusable per-round message windows for the Figure 8/9 round machines.
+//! Reusable per-round message windows for the Figure 8/9 round machines
+//! and the tolerant stack.
 //!
-//! Both consensus skeletons buffer protocol messages per round: a message
-//! of round `R ≥ r` (the process's current round) must be kept until the
+//! Every round machine buffers protocol messages per round: a message of
+//! round `R ≥ r` (the process's current round) must be kept until the
 //! process reaches `R`, while everything below `r` can never matter
-//! again. The pre-refactor implementation kept one
-//! `BTreeMap<u64, Vec<_>>` per message kind, which allocated a map node
-//! plus a vector per `(kind, round)` and rebuilt them every round — and
-//! in long adversarial runs (a partitioned process catching up on a
-//! thousand-round backlog) the per-round vectors made the resident
-//! footprint grow with the backlog's *message* count even for kinds that
-//! only need an aggregate.
-//!
-//! [`RoundRing`] replaces the maps: a deque of windows covering the
+//! again. [`RoundRing`] holds them: a deque of windows covering the
 //! contiguous round range `[base, base + len)`, indexed by `round - base`
 //! in O(1). Advancing to a new round recycles the expired windows —
 //! *reset*, not dropped — into a spare pool, so a window's interior
-//! allocations (the Figure 9 quorum-message vectors) are reused across
-//! rounds instead of reallocated, and the per-round footprint of the
-//! aggregated Figure 8 windows is a small constant. The regression test
-//! `tests/consensus_round_bounds.rs` pins the bounded-residency claim on
-//! a long adversarial run.
+//! allocations (the Figure 9 quorum-message vectors, the value counts)
+//! are reused across rounds instead of reallocated.
+//!
+//! A kind that needs only an aggregate is counted, not listed: its
+//! window field is a [`Multiset<u64>`](homonym_core::multiset::Multiset)
+//! of the values carried, so a window's footprint is bounded by the
+//! distinct values in flight, not by the messages received. The
+//! regression test `tests/consensus_round_bounds.rs` pins the
+//! bounded-residency claim on a long adversarial run.
 
 use std::collections::VecDeque;
 
@@ -122,41 +119,6 @@ impl<W: Window> RoundRing<W> {
     }
 }
 
-/// A per-value counter over a small value set (the distinct estimates in
-/// flight, bounded by the distinct proposals), kept sorted by value.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct ValueCounts {
-    counts: Vec<(u64, usize)>,
-    total: usize,
-}
-
-impl ValueCounts {
-    pub(crate) fn add(&mut self, v: u64) {
-        match self.counts.binary_search_by_key(&v, |&(x, _)| x) {
-            Ok(i) => self.counts[i].1 += 1,
-            Err(i) => self.counts.insert(i, (v, 1)),
-        }
-        self.total += 1;
-    }
-
-    /// Messages counted so far.
-    pub(crate) fn total(&self) -> usize {
-        self.total
-    }
-
-    /// `(value, count)` pairs in ascending value order.
-    pub(crate) fn counted(&self) -> &[(u64, usize)] {
-        &self.counts
-    }
-
-    pub(crate) fn clear(&mut self) {
-        self.counts.clear();
-        self.total = 0;
-    }
-}
-
-homonym_core::persist_fields!(ValueCounts { counts, total });
-
 /// Rings persist like they clone: only `base` and the live windows are
 /// state; the spare pool is an allocation cache and decodes cold.
 impl<W: Window + Persist> Persist for RoundRing<W> {
@@ -176,6 +138,7 @@ impl<W: Window + Persist> Persist for RoundRing<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use homonym_core::multiset::Multiset;
 
     #[derive(Debug, Default)]
     struct Buf(Vec<u64>);
@@ -250,13 +213,13 @@ mod tests {
 
     #[test]
     fn value_counts_aggregate_in_order() {
-        let mut c = ValueCounts::default();
+        let mut c: Multiset<u64> = Multiset::new();
         for v in [5, 3, 5, 5, 3, 9] {
-            c.add(v);
+            c.insert(v);
         }
-        assert_eq!(c.total(), 6);
-        assert_eq!(c.counted(), &[(3, 2), (5, 3), (9, 1)]);
+        assert_eq!(c.len(), 6);
+        assert_eq!(c.counted().collect::<Vec<_>>(), [(&3, 2), (&5, 3), (&9, 1)]);
         c.clear();
-        assert_eq!(c.total(), 0);
+        assert_eq!(c.len(), 0);
     }
 }

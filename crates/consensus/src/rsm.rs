@@ -27,9 +27,12 @@
 //!   future* are buffered until the local log reaches them, messages
 //!   *from the past* — and the status of a replica that has stopped
 //!   moving — are answered with the committed entry, or with the whole
-//!   state when the entry has left the ring, and answers carry enough
-//!   certification (`f + 1` matching copies under per-label admission
-//!   caps) that even a Byzantine minority cannot forge a catch-up.
+//!   state when the entry has left the ring, and answers are certified
+//!   by `f + 1` matching copies under per-label admission caps. That
+//!   stops a forged catch-up from a corrupt minority that sends one
+//!   copy per broadcast, as the simulated adversary does. It does not
+//!   stop a corrupt carrier of a label with `f + 1` or more carriers:
+//!   its label's cap lets it send every copy of the quorum itself.
 //!
 //! The detector layer is **not** restarted per height. The intended
 //! composition is `Stacked<Detector, ReplicatedLog<C>>` (see
@@ -63,9 +66,12 @@
 //!     oldest first.
 //!
 //! Both tally under the same per-label caps the Byzantine quorum stack
-//! uses: a label carried by `k` processes contributes at most `k` copies,
-//! so `commit_quorum = f + 1` matching copies imply at least one correct
-//! witness. In the crash model a quorum of 1 is sound (correct processes
+//! uses: a label carried by `k` processes contributes at most `k` copies.
+//! When every corrupt process sends at most one copy per broadcast, as
+//! the simulated adversary does, `commit_quorum = f + 1` matching copies
+//! therefore imply at least one correct witness. A cap bounds a *label*,
+//! not a sender, so one corrupt carrier can fill every slot of its label.
+//! In the crash model a quorum of 1 is sound (correct processes
 //! only report decided values). A state's parts tally one word at a time,
 //! per `(height, count, index, word)`, and the state is adopted once
 //! every index `0..count` has a word with that many copies. Correct peers
@@ -387,7 +393,8 @@ pub enum RsmMsg<M> {
         /// `state.index` of the state.
         value: u64,
         /// The **claimed** sender label; tallies cap each label at its
-        /// multiplicity so Byzantine homonyms cannot stuff the count.
+        /// multiplicity. The cap bounds the label, not the sender: one
+        /// corrupt carrier can fill every slot of its label.
         id: Identity,
         /// The sender's own client's head command if it is due, else
         /// [`NOOP`] — what it wants some coordinator to propose.
@@ -588,7 +595,7 @@ impl StateTally {
     /// The state's words, once every index has one with `quorum` copies.
     fn certified(&self, quorum: usize) -> Option<Vec<u64>> {
         let word = |candidates: &Vec<(u64, WindowLedger)>| {
-            let certified = candidates.iter().find(|(_, c)| c.admitted() >= quorum);
+            let certified = candidates.iter().find(|(_, c)| c.len() >= quorum);
             certified.map(|&(word, _)| word)
         };
         self.words.iter().map(word).collect()
@@ -943,7 +950,7 @@ impl<C: HeightEngine> ReplicatedLog<C> {
         loop {
             let entry = self.tallies.get(&self.height).and_then(|per_value| {
                 let mut values = per_value.iter();
-                values.find_map(|(&value, copies)| (copies.admitted() >= quorum).then_some(value))
+                values.find_map(|(&value, copies)| (copies.len() >= quorum).then_some(value))
             });
             if let Some(value) = entry {
                 self.commit(value, true, ctx);

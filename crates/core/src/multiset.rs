@@ -9,36 +9,25 @@
 //!
 //! # Representation
 //!
-//! Detector outputs live on the simulator's hot path and almost always
-//! range over a *small* identifier universe (the paper's homonymy degree
-//! `ℓ` is tiny compared to `n`). The bag therefore keeps up to
-//! [`INLINE_DISTINCT`] distinct elements in a sorted inline vector —
-//! binary-searched, cache-friendly, one allocation — and only spills to a
-//! `BTreeMap` beyond that. The representation is invisible to callers:
-//! equality, ordering and hashing are defined over the *content* (the
-//! ordered `(element, multiplicity)` pairs), so an inline bag and a
-//! spilled bag with the same content compare and hash identically.
+//! A bag is one sorted vector of `(element, multiplicity)` pairs with no
+//! zero multiplicity, plus its total. The bags of this workspace range
+//! over a *small* universe (the paper's homonymy degree `ℓ` is tiny
+//! compared to `n`, and a round window counts a handful of values), so a
+//! binary-searched vector — one allocation, cache-friendly — is the whole
+//! design. Every counted bag of the workspace is a `Multiset`: detector
+//! outputs, the consensus round windows' value counts and the admission
+//! ledgers' per-label occupancy.
 
 use core::cmp::Ordering;
 use core::fmt;
 use core::hash::{Hash, Hasher};
-use std::collections::BTreeMap;
-
-/// Distinct-element capacity of the inline representation; beyond this
-/// the bag spills to a `BTreeMap` (and never converts back, which is
-/// fine because comparisons are content-based).
-pub const INLINE_DISTINCT: usize = 16;
-
-#[derive(Clone)]
-enum Repr<T: Ord> {
-    /// Sorted by element, no zero multiplicities, at most
-    /// [`INLINE_DISTINCT`] entries.
-    Inline(Vec<(T, usize)>),
-    /// Arbitrary distinct count, no zero multiplicities.
-    Spilled(BTreeMap<T, usize>),
-}
 
 /// An ordered multiset with per-element multiplicities.
+///
+/// Multisets are ordered lexicographically over their ordered
+/// `(element, multiplicity)` pairs, which gives a deterministic total
+/// order for use as map keys (e.g. Figure 7 uses the received multiset
+/// itself as a quorum label).
 ///
 /// # Examples
 ///
@@ -50,9 +39,11 @@ enum Repr<T: Ord> {
 /// assert_eq!(m.multiplicity(&'a'), 2);
 /// assert!(m.is_subset(&['a', 'a', 'b', 'c'].into_iter().collect()));
 /// ```
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Multiset<T: Ord> {
-    repr: Repr<T>,
+    /// Sorted by element, no zero multiplicities.
+    pairs: Vec<(T, usize)>,
+    /// The sum of the multiplicities.
     len: usize,
 }
 
@@ -61,7 +52,7 @@ impl<T: Ord> Multiset<T> {
     #[must_use]
     pub fn new() -> Self {
         Multiset {
-            repr: Repr::Inline(Vec::new()),
+            pairs: Vec::new(),
             len: 0,
         }
     }
@@ -81,28 +72,23 @@ impl<T: Ord> Multiset<T> {
     /// Number of *distinct* elements.
     #[must_use]
     pub fn distinct_len(&self) -> usize {
-        match &self.repr {
-            Repr::Inline(v) => v.len(),
-            Repr::Spilled(m) => m.len(),
-        }
+        self.pairs.len()
+    }
+
+    fn find(&self, x: &T) -> Result<usize, usize> {
+        self.pairs.binary_search_by(|(e, _)| e.cmp(x))
     }
 
     /// Multiplicity `mult_I(x)` of an element (0 if absent).
     #[must_use]
     pub fn multiplicity(&self, x: &T) -> usize {
-        match &self.repr {
-            Repr::Inline(v) => v.binary_search_by(|(e, _)| e.cmp(x)).map_or(0, |i| v[i].1),
-            Repr::Spilled(m) => m.get(x).copied().unwrap_or(0),
-        }
+        self.find(x).map_or(0, |i| self.pairs[i].1)
     }
 
     /// Whether the element occurs at least once.
     #[must_use]
     pub fn contains(&self, x: &T) -> bool {
-        match &self.repr {
-            Repr::Inline(v) => v.binary_search_by(|(e, _)| e.cmp(x)).is_ok(),
-            Repr::Spilled(m) => m.contains_key(x),
-        }
+        self.find(x).is_ok()
     }
 
     /// Inserts one occurrence of `x`.
@@ -116,82 +102,42 @@ impl<T: Ord> Multiset<T> {
             return;
         }
         self.len += n;
-        match &mut self.repr {
-            Repr::Inline(v) => match v.binary_search_by(|(e, _)| e.cmp(&x)) {
-                Ok(i) => v[i].1 += n,
-                Err(i) => {
-                    if v.len() < INLINE_DISTINCT {
-                        v.insert(i, (x, n));
-                    } else {
-                        let mut map: BTreeMap<T, usize> = std::mem::take(v).into_iter().collect();
-                        map.insert(x, n);
-                        self.repr = Repr::Spilled(map);
-                    }
-                }
-            },
-            Repr::Spilled(m) => *m.entry(x).or_insert(0) += n,
+        match self.find(&x) {
+            Ok(i) => self.pairs[i].1 += n,
+            Err(i) => self.pairs.insert(i, (x, n)),
         }
     }
 
     /// Removes one occurrence of `x`; returns whether one was present.
     pub fn remove(&mut self, x: &T) -> bool {
-        match &mut self.repr {
-            Repr::Inline(v) => match v.binary_search_by(|(e, _)| e.cmp(x)) {
-                Ok(i) => {
-                    if v[i].1 > 1 {
-                        v[i].1 -= 1;
-                    } else {
-                        v.remove(i);
-                    }
-                    self.len -= 1;
-                    true
-                }
-                Err(_) => false,
-            },
-            Repr::Spilled(m) => match m.get_mut(x) {
-                Some(c) if *c > 1 => {
-                    *c -= 1;
-                    self.len -= 1;
-                    true
-                }
-                Some(_) => {
-                    m.remove(x);
-                    self.len -= 1;
-                    true
-                }
-                None => false,
-            },
+        let Ok(i) = self.find(x) else {
+            return false;
+        };
+        if self.pairs[i].1 > 1 {
+            self.pairs[i].1 -= 1;
+        } else {
+            self.pairs.remove(i);
         }
+        self.len -= 1;
+        true
     }
 
     /// Removes all occurrences of `x`; returns how many were removed.
     pub fn remove_all(&mut self, x: &T) -> usize {
-        let removed = match &mut self.repr {
-            Repr::Inline(v) => match v.binary_search_by(|(e, _)| e.cmp(x)) {
-                Ok(i) => v.remove(i).1,
-                Err(_) => 0,
-            },
-            Repr::Spilled(m) => m.remove(x).unwrap_or(0),
-        };
+        let removed = self.find(x).map_or(0, |i| self.pairs.remove(i).1);
         self.len -= removed;
         removed
     }
 
-    /// Removes every element.
+    /// Removes every element, keeping the allocation.
     pub fn clear(&mut self) {
-        match &mut self.repr {
-            Repr::Inline(v) => v.clear(),
-            Repr::Spilled(m) => m.clear(),
-        }
+        self.pairs.clear();
         self.len = 0;
     }
 
     /// Iterator over `(element, multiplicity)` pairs in element order.
-    pub fn counted(&self) -> Counted<'_, T> {
-        match &self.repr {
-            Repr::Inline(v) => Counted::Inline(v.iter()),
-            Repr::Spilled(m) => Counted::Spilled(m.iter()),
-        }
+    pub fn counted(&self) -> impl Iterator<Item = (&T, usize)> + '_ {
+        self.pairs.iter().map(|(x, c)| (x, *c))
     }
 
     /// Iterator over elements expanded by multiplicity, in element order.
@@ -207,7 +153,7 @@ impl<T: Ord> Multiset<T> {
 
     /// Iterator over the distinct elements (the *support*).
     pub fn support(&self) -> impl Iterator<Item = &T> + '_ {
-        self.counted().map(|(x, _)| x)
+        self.pairs.iter().map(|(x, _)| x)
     }
 
     /// The smallest element, if any (used by `HΩ` extraction).
@@ -216,19 +162,13 @@ impl<T: Ord> Multiset<T> {
     /// resolution would otherwise prefer.
     #[must_use]
     pub fn min_elem(&self) -> Option<&T> {
-        match &self.repr {
-            Repr::Inline(v) => v.first().map(|(x, _)| x),
-            Repr::Spilled(m) => m.keys().next(),
-        }
+        self.pairs.first().map(|(x, _)| x)
     }
 
     /// The largest element, if any.
     #[must_use]
     pub fn max_elem(&self) -> Option<&T> {
-        match &self.repr {
-            Repr::Inline(v) => v.last().map(|(x, _)| x),
-            Repr::Spilled(m) => m.keys().next_back(),
-        }
+        self.pairs.last().map(|(x, _)| x)
     }
 
     /// Sub-multiset test: every multiplicity in `self` is `<=` the one in
@@ -261,18 +201,6 @@ impl<T: Ord> Multiset<T> {
 }
 
 impl<T: Ord + Clone> Multiset<T> {
-    /// Builds a bag from `(element, multiplicity)` pairs already in
-    /// strictly increasing element order with nonzero counts.
-    fn from_sorted_pairs(pairs: Vec<(T, usize)>) -> Multiset<T> {
-        let len = pairs.iter().map(|(_, c)| c).sum();
-        let repr = if pairs.len() <= INLINE_DISTINCT {
-            Repr::Inline(pairs)
-        } else {
-            Repr::Spilled(pairs.into_iter().collect())
-        };
-        Multiset { repr, len }
-    }
-
     /// Merges the ordered counted streams of two bags; `combine` maps the
     /// per-element multiplicity pair to the output multiplicity (zero
     /// drops the element).
@@ -281,7 +209,10 @@ impl<T: Ord + Clone> Multiset<T> {
         other: &Multiset<T>,
         combine: impl Fn(usize, usize) -> usize,
     ) -> Multiset<T> {
-        let mut out = Vec::with_capacity(self.distinct_len() + other.distinct_len());
+        let mut out = Multiset {
+            pairs: Vec::with_capacity(self.distinct_len() + other.distinct_len()),
+            len: 0,
+        };
         let mut a = self.counted().peekable();
         let mut b = other.counted().peekable();
         loop {
@@ -308,10 +239,11 @@ impl<T: Ord + Clone> Multiset<T> {
             };
             let c = combine(ca, cb);
             if c > 0 {
-                out.push((x.clone(), c));
+                out.pairs.push((x.clone(), c));
+                out.len += c;
             }
         }
-        Multiset::from_sorted_pairs(out)
+        out
     }
 
     /// Multiset union: per-element **maximum** of multiplicities.
@@ -343,31 +275,6 @@ impl<T: Ord + Clone> Multiset<T> {
     #[must_use]
     pub fn to_set(&self) -> std::collections::BTreeSet<T> {
         self.support().cloned().collect()
-    }
-}
-
-/// Iterator over `(element, multiplicity)` pairs; see [`Multiset::counted`].
-pub enum Counted<'a, T> {
-    /// Inline representation walk.
-    Inline(core::slice::Iter<'a, (T, usize)>),
-    /// Spilled representation walk.
-    Spilled(std::collections::btree_map::Iter<'a, T, usize>),
-}
-
-impl<'a, T> Iterator for Counted<'a, T> {
-    type Item = (&'a T, usize);
-    fn next(&mut self) -> Option<(&'a T, usize)> {
-        match self {
-            Counted::Inline(it) => it.next().map(|(x, c)| (x, *c)),
-            Counted::Spilled(it) => it.next().map(|(x, &c)| (x, c)),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            Counted::Inline(it) => it.size_hint(),
-            Counted::Spilled(it) => it.size_hint(),
-        }
     }
 }
 
@@ -405,32 +312,12 @@ impl<T: Ord> Extend<T> for Multiset<T> {
     }
 }
 
-/// Owning `(element, multiplicity)` iterator; see [`Multiset::into_iter`].
-pub enum IntoIter<T> {
-    /// Inline representation walk.
-    Inline(std::vec::IntoIter<(T, usize)>),
-    /// Spilled representation walk.
-    Spilled(std::collections::btree_map::IntoIter<T, usize>),
-}
-
-impl<T> Iterator for IntoIter<T> {
-    type Item = (T, usize);
-    fn next(&mut self) -> Option<(T, usize)> {
-        match self {
-            IntoIter::Inline(it) => it.next(),
-            IntoIter::Spilled(it) => it.next(),
-        }
-    }
-}
-
+/// Yields the `(element, multiplicity)` pairs in element order.
 impl<T: Ord> IntoIterator for Multiset<T> {
     type Item = (T, usize);
-    type IntoIter = IntoIter<T>;
-    fn into_iter(self) -> IntoIter<T> {
-        match self.repr {
-            Repr::Inline(v) => IntoIter::Inline(v.into_iter()),
-            Repr::Spilled(m) => IntoIter::Spilled(m.into_iter()),
-        }
+    type IntoIter = std::vec::IntoIter<(T, usize)>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.pairs.into_iter()
     }
 }
 
@@ -446,17 +333,6 @@ impl<T: Ord, const N: usize> From<[T; N]> for Multiset<T> {
     }
 }
 
-// Equality, ordering and hashing are content-based so that an inline bag
-// and a spilled bag holding the same elements are indistinguishable.
-
-impl<T: Ord> PartialEq for Multiset<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.counted().eq(other.counted())
-    }
-}
-
-impl<T: Ord> Eq for Multiset<T> {}
-
 impl<T: Ord + Hash> Hash for Multiset<T> {
     fn hash<H: Hasher>(&self, state: &mut H) {
         state.write_usize(self.distinct_len());
@@ -467,34 +343,16 @@ impl<T: Ord + Hash> Hash for Multiset<T> {
     }
 }
 
-/// Multisets are ordered lexicographically over their ordered
-/// `(element, multiplicity)` pairs, which gives a deterministic total
-/// order for use as map keys (e.g. Figure 7 uses the received multiset
-/// itself as a quorum label).
-impl<T: Ord> PartialOrd for Multiset<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<T: Ord> Ord for Multiset<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.counted().cmp(other.counted())
-    }
-}
-
 impl<T: Ord + fmt::Debug> fmt::Debug for Multiset<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
         let mut first = true;
-        for (x, c) in self.counted() {
-            for _ in 0..c {
-                if !first {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{x:?}")?;
-                first = false;
+        for x in self.iter() {
+            if !first {
+                write!(f, ", ")?;
             }
+            write!(f, "{x:?}")?;
+            first = false;
         }
         write!(f, "}}")
     }
@@ -504,14 +362,12 @@ impl<T: Ord + fmt::Display> fmt::Display for Multiset<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
         let mut first = true;
-        for (x, c) in self.counted() {
-            for _ in 0..c {
-                if !first {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{x}")?;
-                first = false;
+        for x in self.iter() {
+            if !first {
+                write!(f, ", ")?;
             }
+            write!(f, "{x}")?;
+            first = false;
         }
         write!(f, "}}")
     }
@@ -631,24 +487,13 @@ mod tests {
         assert_eq!(s.into_iter().collect::<Vec<_>>(), vec![1, 2]);
     }
 
-    // --- representation-boundary coverage ---
-
-    fn is_spilled(m: &Multiset<u32>) -> bool {
-        matches!(m.repr, Repr::Spilled(_))
-    }
-
     #[test]
-    fn spills_beyond_inline_capacity_and_back_compares_equal() {
-        let mut big: Multiset<u32> = (0..INLINE_DISTINCT as u32 + 4).collect();
-        assert!(is_spilled(&big));
-        // Shrink back under the threshold: stays spilled, but must stay
-        // indistinguishable from a freshly built inline bag.
-        for x in 4..INLINE_DISTINCT as u32 + 4 {
+    fn a_grown_then_shrunk_bag_compares_equal_to_a_fresh_one() {
+        let mut big: Multiset<u32> = (0..20).collect();
+        for x in 4..20 {
             assert_eq!(big.remove_all(&x), 1);
         }
         let small: Multiset<u32> = (0..4).collect();
-        assert!(!is_spilled(&small));
-        assert!(is_spilled(&big));
         assert_eq!(big, small);
         assert_eq!(big.cmp(&small), Ordering::Equal);
         assert_eq!(hash_of(&big), hash_of(&small));
@@ -662,41 +507,28 @@ mod tests {
     }
 
     #[test]
-    fn exactly_at_capacity_stays_inline() {
-        let m: Multiset<u32> = (0..INLINE_DISTINCT as u32).collect();
-        assert!(!is_spilled(&m));
-        let mut over = m.clone();
-        over.insert(INLINE_DISTINCT as u32);
-        assert!(is_spilled(&over));
-        assert_eq!(over.len(), INLINE_DISTINCT + 1);
-    }
-
-    #[test]
-    fn algebra_crosses_the_boundary() {
+    fn algebra_over_a_wide_universe() {
         let a: Multiset<u32> = (0..12).collect();
         let b: Multiset<u32> = (8..24).collect();
         let u = a.union(&b);
         assert_eq!(u.len(), 24);
-        assert!(is_spilled(&u));
         let i = a.intersection(&b);
         assert_eq!(i, (8..12).collect::<Multiset<u32>>());
-        assert!(!is_spilled(&i));
         assert_eq!(u.difference(&b), (0..8).collect::<Multiset<u32>>());
         assert_eq!(a.sum(&b).len(), a.len() + b.len());
     }
 
     #[test]
-    fn mixed_representation_ops_agree() {
-        let mut spilled: Multiset<u32> = (0..20).collect();
+    fn a_shrunk_bag_and_a_fresh_one_agree_under_the_algebra() {
+        let mut shrunk: Multiset<u32> = (0..20).collect();
         for x in 3..20 {
-            spilled.remove_all(&x);
+            shrunk.remove_all(&x);
         }
-        let inline = ms(&[0, 1, 2]);
-        assert!(is_spilled(&spilled) && !is_spilled(&inline));
-        assert!(spilled.is_subset(&inline) && inline.is_subset(&spilled));
-        assert_eq!(spilled.union(&inline), inline);
-        assert_eq!(spilled.intersection(&inline), inline);
-        assert_eq!(spilled.difference(&inline), Multiset::new());
+        let fresh = ms(&[0, 1, 2]);
+        assert!(shrunk.is_subset(&fresh) && fresh.is_subset(&shrunk));
+        assert_eq!(shrunk.union(&fresh), fresh);
+        assert_eq!(shrunk.intersection(&fresh), fresh);
+        assert_eq!(shrunk.difference(&fresh), Multiset::new());
     }
 
     #[test]

@@ -272,7 +272,11 @@ fn require_history<T>(
             format!("{} histories for {} processes", histories.len(), sched.n()),
         ));
     }
-    for p in sched.correct_set() {
+    let correct = sched.correct_set();
+    if correct.is_empty() {
+        return Err(no_correct_process(class, sched));
+    }
+    for p in correct {
         if histories[p].is_empty() {
             return Err(PropertyViolation::new(
                 class,
@@ -282,6 +286,19 @@ fn require_history<T>(
         }
     }
     Ok(())
+}
+
+/// Every class property quantifies over the correct processes, so a run
+/// in which all of them crashed is an input no checker can judge.
+fn no_correct_process(class: &'static str, sched: &FailureSchedule) -> PropertyViolation {
+    PropertyViolation::new(
+        class,
+        "input",
+        format!(
+            "the correct set is empty: all {} processes crash",
+            sched.n()
+        ),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -1054,57 +1071,7 @@ pub fn check_consensus(
     outcome: &ConsensusOutcome,
     sched: &FailureSchedule,
 ) -> Result<ConsensusReport, PropertyViolation> {
-    if outcome.proposals.len() != sched.n() || outcome.decisions.len() != sched.n() {
-        return Err(PropertyViolation::new(
-            "consensus",
-            "input",
-            "proposals/decisions length mismatch".to_string(),
-        ));
-    }
-    let mut value: Option<u64> = None;
-    let mut first = Time::MAX;
-    let mut last = Time::ZERO;
-    for (p, d) in outcome.decisions.iter().enumerate() {
-        if let Some((t, v)) = d {
-            if !outcome.proposals.contains(v) {
-                return Err(PropertyViolation::new(
-                    "consensus",
-                    "validity",
-                    format!("process {p} decided {v}, which no process proposed"),
-                ));
-            }
-            match value {
-                None => value = Some(*v),
-                Some(w) if w == *v => {}
-                Some(w) => {
-                    return Err(PropertyViolation::new(
-                        "consensus",
-                        "agreement",
-                        format!("process {p} decided {v} but another decided {w}"),
-                    ));
-                }
-            }
-            first = first.min(*t);
-            if sched.is_correct(p) {
-                last = last.max(*t);
-            }
-        }
-    }
-    for p in sched.correct_set() {
-        if outcome.decisions[p].is_none() {
-            return Err(PropertyViolation::new(
-                "consensus",
-                "termination",
-                format!("correct process {p} never decided"),
-            ));
-        }
-    }
-    let value = value.expect("at least one correct process exists and decided");
-    Ok(ConsensusReport {
-        value,
-        last_decision: last,
-        first_decision: first,
-    })
+    check_decisions(outcome, sched, true)
 }
 
 /// Checks a consensus run against **BFT validity**: Agreement and
@@ -1138,15 +1105,22 @@ pub fn check_consensus(
 ///
 /// Returns a [`PropertyViolation`] naming the violated consensus
 /// property (`"agreement"`, `"termination"`, or — in corrupt-free runs —
-/// `"validity"`).
+/// `"validity"`), or `"input"` when no process is correct.
 pub fn check_byzantine_consensus(
     outcome: &ConsensusOutcome,
     sched: &FailureSchedule,
     corrupt: usize,
 ) -> Result<ConsensusReport, PropertyViolation> {
-    if corrupt == 0 {
-        return check_consensus(outcome, sched);
-    }
+    check_decisions(outcome, sched, corrupt == 0)
+}
+
+/// Agreement among all deciders, then termination of every correct
+/// process; Validity too when `validity` is set.
+fn check_decisions(
+    outcome: &ConsensusOutcome,
+    sched: &FailureSchedule,
+    validity: bool,
+) -> Result<ConsensusReport, PropertyViolation> {
     if outcome.proposals.len() != sched.n() || outcome.decisions.len() != sched.n() {
         return Err(PropertyViolation::new(
             "consensus",
@@ -1159,6 +1133,13 @@ pub fn check_byzantine_consensus(
     let mut last = Time::ZERO;
     for (p, d) in outcome.decisions.iter().enumerate() {
         if let Some((t, v)) = d {
+            if validity && !outcome.proposals.contains(v) {
+                return Err(PropertyViolation::new(
+                    "consensus",
+                    "validity",
+                    format!("process {p} decided {v}, which no process proposed"),
+                ));
+            }
             match value {
                 None => value = Some(*v),
                 Some(w) if w == *v => {}
@@ -1176,7 +1157,11 @@ pub fn check_byzantine_consensus(
             }
         }
     }
-    for p in sched.correct_set() {
+    let correct = sched.correct_set();
+    if correct.is_empty() {
+        return Err(no_correct_process("consensus", sched));
+    }
+    for p in correct {
         if outcome.decisions[p].is_none() {
             return Err(PropertyViolation::new(
                 "consensus",
@@ -1185,7 +1170,7 @@ pub fn check_byzantine_consensus(
             ));
         }
     }
-    let value = value.expect("at least one correct process exists and decided");
+    let value = value.expect("a correct process exists and decided");
     Ok(ConsensusReport {
         value,
         last_decision: last,
@@ -1580,6 +1565,54 @@ mod tests {
         };
         let err = check_byzantine_consensus(&hung, &sched, 1).unwrap_err();
         assert_eq!(err.property, "termination");
+    }
+
+    #[test]
+    fn a_run_with_no_correct_process_is_an_input_violation() {
+        let sched = FailureSchedule::none(2)
+            .with_crash(0, Time::from_ticks(3))
+            .with_crash(1, Time::from_ticks(4));
+        let assign = IdentityAssignment::unique(2);
+        let is_empty_correct_set = |v: PropertyViolation| {
+            v.property == "input" && v.detail.contains("correct set is empty")
+        };
+        let h = HOmegaOutput::new(Identity::new(0), 1);
+        let h_omega = vec![hist(vec![(0, h)]), hist(vec![(0, h)])];
+        assert!(is_empty_correct_set(
+            check_h_omega(&h_omega, &sched, &assign).unwrap_err()
+        ));
+        let o = OmegaOutput::new(Identity::new(0));
+        let omega = vec![hist(vec![(0, o)]), hist(vec![(0, o)])];
+        assert!(is_empty_correct_set(
+            check_omega(&omega, &sched, &assign).unwrap_err()
+        ));
+        let undecided = ConsensusOutcome {
+            proposals: vec![1, 2],
+            decisions: vec![None, None],
+        };
+        assert!(is_empty_correct_set(
+            check_consensus(&undecided, &sched).unwrap_err()
+        ));
+        for corrupt in [0, 1] {
+            assert!(is_empty_correct_set(
+                check_byzantine_consensus(&undecided, &sched, corrupt).unwrap_err()
+            ));
+        }
+        // The deciders are still held to validity and agreement.
+        let forged = ConsensusOutcome {
+            proposals: vec![1, 2],
+            decisions: vec![Some((Time::ZERO, 9)), None],
+        };
+        assert_eq!(
+            check_consensus(&forged, &sched).unwrap_err().property,
+            "validity"
+        );
+        let split = ConsensusOutcome {
+            proposals: vec![1, 2],
+            decisions: vec![Some((Time::ZERO, 1)), Some((Time::ZERO, 2))],
+        };
+        let err = check_byzantine_consensus(&split, &sched, 1).unwrap_err();
+        assert_eq!(err.property, "agreement");
     }
 
     #[test]

@@ -154,8 +154,8 @@ impl std::error::Error for WireError {}
 ///
 /// `load` must rebuild a value whose *future behaviour* is
 /// byte-identical to the saved one's — what a `clone` gives. Representation may differ (a
-/// [`Multiset`]'s spill threshold, a recycling ring's spare pool) as
-/// long as no observable behaviour can tell.
+/// vector's capacity, a recycling ring's spare pool) as long as no
+/// observable behaviour can tell.
 pub trait Persist: Sized {
     /// Appends this value's encoding to `s`.
     fn save(&self, s: &mut Saver);
@@ -795,9 +795,9 @@ impl Persist for Span {
     }
 }
 
-/// Multisets round-trip representation-independently through their
-/// `(element, multiplicity)` pairs; whether the rebuilt set is inline
-/// or spilled is unobservable.
+/// Multisets round-trip through their `(element, multiplicity)` pairs.
+/// Decoding inserts each pair, so the decoded bag is sorted and its
+/// total is the sum of its counts whatever order the bytes hold.
 impl<T: Persist + Ord> Persist for Multiset<T> {
     fn save(&self, s: &mut Saver) {
         s.len(self.distinct_len());
@@ -964,7 +964,7 @@ mod tests {
     }
 
     #[test]
-    fn multiset_roundtrips_representation_independently() {
+    fn multiset_roundtrips_through_its_pairs() {
         let mut m = Multiset::new();
         for i in 0..40u64 {
             m.insert_n(Identity::new(i % 5), (i as usize % 3) + 1);

@@ -26,14 +26,6 @@ pub enum EListMsg {
     Alive(Identity),
 }
 
-/// Returns a static class name for a message, for metrics classifiers.
-#[must_use]
-pub fn classify_e_list(msg: &EListMsg) -> &'static str {
-    match msg {
-        EListMsg::Alive(_) => "ALIVE",
-    }
-}
-
 const HEARTBEAT: TimerTag = TimerTag(0);
 
 /// The Figure 3 process.

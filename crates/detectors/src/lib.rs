@@ -58,7 +58,7 @@ pub mod h_sigma_sync;
 pub mod oracle;
 
 pub use ap_estimator::{AliveMsg, ApEstimatorProcess};
-pub use e_list::{classify_e_list, EListMsg, EListProcess};
+pub use e_list::{EListMsg, EListProcess};
 pub use evt_hp::{
     classify_evt_hp, mutate_evt_hp_msg, split_snapshots, EvtHpMsg, EvtHpProcess, EvtHpReading,
     EvtHpSnapshot,

@@ -33,14 +33,6 @@ pub enum LabelsMsg {
     Labels(Identity, BTreeSet<Label>),
 }
 
-/// Returns a static class name for a message, for metrics classifiers.
-#[must_use]
-pub fn classify_labels(msg: &LabelsMsg) -> &'static str {
-    match msg {
-        LabelsMsg::Labels(..) => "LABELS",
-    }
-}
-
 const SAMPLE: TimerTag = TimerTag(0);
 
 /// The Figure 4 process, generic over its `HΣ` detector `D` and its class-

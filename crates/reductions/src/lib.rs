@@ -43,6 +43,6 @@ pub mod pure;
 pub mod sigma_to_hsigma;
 
 pub use ap_to_hsigma::APToHSigmaProcess;
-pub use hsigma_to_sigma::{classify_labels, HSigmaToSigmaProcess, LabelsMsg};
+pub use hsigma_to_sigma::{HSigmaToSigmaProcess, LabelsMsg};
 pub use pure::{APToEvtHP, ASigmaToHSigma, EvtHPToHOmega};
 pub use sigma_to_hsigma::{classify_membership, MembershipMsg, SigmaToHSigmaProcess};

@@ -173,12 +173,6 @@ impl<P: SyncProcess> SyncEngine<P> {
         self.config.assign.n()
     }
 
-    /// The next step to execute (also the number executed so far).
-    #[must_use]
-    pub fn current_step(&self) -> u64 {
-        self.step
-    }
-
     /// Message counters.
     #[must_use]
     pub fn metrics(&self) -> &SyncMetrics {
