@@ -619,7 +619,8 @@ pub fn fig8_node(proposal: u64, n: usize, t: usize) -> Fig8Node {
 }
 
 /// The Byzantine-tolerant stack: the Figure 6 `◇HP`/`HΩ` detector
-/// stacked over the `HΣ`-style quorum-certificate consensus — same
+/// stacked over the `HΣ`-style quorum-certificate consensus, whose
+/// `COORD` wait reads the detector's bag for liveness only — same
 /// two-layer shape as [`Fig8Node`], so batched dispatch, the
 /// snapshot/fork layer and the [`PrefixSweeper`] drive it unchanged.
 pub type ByzTolerantNode = Stacked<EvtHpProcess, ByzQuorumConsensus>;

@@ -32,16 +32,17 @@
 //! ## The round: coordinate → vote → commit
 //!
 //! A round opens with a **coordination step**, the paper's Leaders'
-//! Coordination Phase (Figure 8) without its failure detector: the
-//! carriers of the round's *coordinator label* (rotating over the
-//! distinct labels, the homonymous stand-in for a rotating proposer — a
-//! whole label class coordinates, and no detector output is trusted,
-//! which a Byzantine scenario could corrupt) broadcast
+//! Coordination Phase (Figure 8): the carriers of the round's
+//! *coordinator label* (rotating over the distinct labels, the
+//! homonymous stand-in for a rotating proposer — a whole label class
+//! coordinates, and the rotation reads no detector output, which a
+//! Byzantine scenario could corrupt) broadcast
 //! `COORD(id, r, est, locked)`. An unlocked process withholds its vote
-//! until it has admitted as many `COORD` copies as the label has
-//! carriers, or `phase_grace` has passed, and then adopts the smallest
-//! locked estimate among them, else the smallest estimate (its own if it
-//! admitted none). A locked process — every decided one is — votes at
+//! until it has admitted as many `COORD` copies as the label has live
+//! carriers — its multiplicity, less the carriers a stacked `◇HP` has
+//! seen go (see below) — or `phase_grace` has passed, and then adopts
+//! the smallest locked estimate among them, else the smallest estimate
+//! (its own if it admitted none). A locked process — every decided one is — votes at
 //! once: its estimate is not up for adoption. In a clean round every
 //! process therefore votes one value and the round decides in three
 //! message delays.
@@ -62,7 +63,9 @@
 //! rests on locks and on `2·quorum > n + f` (below), and the step
 //! touches neither. **What a faulty coordinator costs.** A crashed or
 //! silent carrier leaves the label one `COORD` short, so unlocked
-//! processes vote one `phase_grace` later, with whatever they admitted.
+//! processes vote one `phase_grace` later, with whatever they admitted —
+//! until `◇HP` sees the carrier go, and from then on no later than the
+//! other carriers' `COORD`s.
 //! An equivocating carrier can split the estimates the unlocked
 //! processes adopt; the round then runs exactly as an uncoordinated one
 //! (no vote quorum, `⊥` commits, next label's turn). Either way the
@@ -91,14 +94,44 @@
 //! the one copy per receiver its source was about to send — so the
 //! sweep checks the stack against that weaker adversary only.
 //!
+//! ## The `COORD` wait reads `◇HP`, for liveness only
+//!
+//! Figure 8 waits for the `HΩ` leader label *and its multiplicity*, the
+//! number of live carriers: that count is why `HΩ` and `◇HP` exist in a
+//! homonymous system. Stacked on a `◇HP` detector, this engine consumes
+//! its bag ([`TrustedCarriers`]) and keeps, per label, the most carriers
+//! the detector ever trusted at once (`seen`, capped at the label's
+//! multiplicity) beside the current count (`trusted`); both survive
+//! [`ByzQuorumConsensus::restart`], so a log's later heights start warm.
+//! An unlocked process then waits for
+//! `max(1, multiplicity − (seen − trusted))` `COORD`s.
+//!
+//! * Only carriers *seen to go* lower the wait. A detector still warming
+//!   up trusts fewer carriers than exist without any having gone, and
+//!   `min(multiplicity, trusted)` would cut the wait short then; on a
+//!   fault-free run `seen − trusted` stays zero and the engine behaves as
+//!   if it read nothing.
+//! * The wait never falls below one `COORD`. A replica cut off for a
+//!   while trusts nobody when the partition heals; voting its own
+//!   estimate without a single `COORD` splits the round it rejoins.
+//! * No label is skipped: the rotation is the same at every process
+//!   whatever its detector says.
+//!
+//! This is Lynch & Sastry's discipline: a detector's output may decide
+//! how long a process waits, never what is safe. Quorums, `wait`,
+//! `affirm`, the ledgers and their admission caps read nothing new, so
+//! a lying detector — a forged `P_REPLY` in the bag, a carrier wrongly
+//! suspected — costs at most a round whose unlocked voters adopted from
+//! fewer `COORD`s, which an uncoordinated round already tolerates.
+//!
 //! ## Timed waits: a deadline, not a period
 //!
 //! Every guard of a round is a function of the admitted copies and of
 //! one clock reading — whether the current phase's `phase_grace` has run
 //! out — and is re-evaluated on every delivery. So the process never
 //! polls. Only two waits can end with no message arriving: an unlocked
-//! process's wait for the coordinator label (fewer `COORD`s than
-//! carriers), and a vote or commit window holding `wait` copies but no
+//! process's wait for the coordinator label (fewer `COORD`s than it
+//! awaits), and a vote or commit window holding `wait` copies but no
 //! quorum. Where a guard is found blocked by nothing but that clock, the
 //! process arms one one-shot timer for the remainder of the grace — at
 //! most once per `(round, phase)` — and the timer's firing is one more
@@ -154,7 +187,7 @@
 
 use homonym_core::identity::{Identity, IdentityAssignment};
 use homonym_core::multiset::Multiset;
-use homonym_core::query::Consumes;
+use homonym_core::query::{Consumes, TrustedCarriers};
 use homonym_core::time::{Span, Time};
 use homonym_core::wire::{Loader, Persist, Saver, WireError};
 use homonym_sim::process::{ActionSink, Process, TimerTag};
@@ -385,6 +418,13 @@ pub struct ByzQuorumConsensus {
     /// The `(round, phase)` whose grace deadline has a timer armed: a
     /// timed wait arms one, however often its guard is re-evaluated.
     armed: Option<(u64, Phase)>,
+    /// Per label of the assignment, the most of its carriers a stacked
+    /// `◇HP` ever trusted at once (capped at the label's multiplicity).
+    /// Read by the `COORD` wait only ("The `COORD` wait reads `◇HP`" in
+    /// the module docs).
+    seen: Multiset<Identity>,
+    /// The `◇HP` bag last handed over.
+    trusted: Multiset<Identity>,
 }
 
 impl ByzQuorumConsensus {
@@ -419,6 +459,8 @@ impl ByzQuorumConsensus {
             discarded: 0,
             phase_grace: Span::from_ticks(10),
             armed: None,
+            seen: Multiset::new(),
+            trusted: Multiset::new(),
         }
     }
 
@@ -426,8 +468,9 @@ impl ByzQuorumConsensus {
     /// from here on it behaves exactly as
     /// [`ByzQuorumConsensus::new`]`(proposal, assign)` with this one's
     /// assignment would, but keeps what does not depend on the
-    /// instance — the admission caps, the label rotation — and the round
-    /// windows' storage, recycled into the ring's spare pool. A deadline
+    /// instance — the admission caps, the label rotation, what `◇HP` has
+    /// said about the carriers — and the round windows' storage, recycled
+    /// into the ring's spare pool. A deadline
     /// timer of the finished instance may still be in flight; the host
     /// must not deliver it to the new one (the log service tags timers
     /// by height).
@@ -483,6 +526,16 @@ impl ByzQuorumConsensus {
 
     fn coord_label(&self, round: u64) -> Identity {
         self.labels[(round % self.labels.len() as u64) as usize]
+    }
+
+    /// The `COORD`s an unlocked process waits for in a round of `label`:
+    /// the label's carriers less those `◇HP` has seen go, never fewer
+    /// than one (see "The `COORD` wait reads `◇HP`" in the module docs).
+    #[must_use]
+    pub fn coords_awaited(&self, label: Identity) -> usize {
+        let gone = self.seen.multiplicity(&label);
+        let gone = gone.saturating_sub(self.trusted.multiplicity(&label));
+        self.caps.multiplicity(&label).saturating_sub(gone).max(1)
     }
 
     /// The single value holding a quorum in `counts`, if any (two values
@@ -618,7 +671,7 @@ impl ByzQuorumConsensus {
                 // so only an unlocked process has anything to learn from
                 // the coordinators — and only it waits for them.
                 if self.lock.is_none() {
-                    let expected = self.caps.multiplicity(&self.coord_label(r));
+                    let expected = self.coords_awaited(self.coord_label(r));
                     let heard = self.rounds.get(r).map_or(0, |w| w.coord_ledger.len());
                     if heard < expected && self.in_grace(now, ctx) {
                         return false;
@@ -777,9 +830,20 @@ impl ByzQuorumConsensus {
     }
 }
 
-/// The tolerant engine reads no detector: it ignores what a stack hands
-/// it.
-impl<O> Consumes<O> for ByzQuorumConsensus {}
+/// The tolerant engine keeps the `◇HP` bag a stack hands it, and the
+/// most carriers of each label it has trusted, for the `COORD` wait.
+impl<O: TrustedCarriers> Consumes<O> for ByzQuorumConsensus {
+    fn consume(&mut self, output: &O) {
+        self.trusted.clone_from(output.h_trusted());
+        for (label, count) in self.trusted.counted() {
+            let count = count.min(self.caps.multiplicity(label));
+            let most = self.seen.multiplicity(label);
+            if count > most {
+                self.seen.insert_n(*label, count - most);
+            }
+        }
+    }
+}
 
 impl Process for ByzQuorumConsensus {
     type Msg = ByzMsg;
@@ -974,7 +1038,9 @@ homonym_core::persist_fields!(ByzQuorumConsensus {
     decided,
     discarded,
     phase_grace,
-    armed
+    armed,
+    seen,
+    trusted
 });
 
 #[cfg(test)]
@@ -1204,6 +1270,97 @@ mod tests {
         );
     }
 
+    /// A `◇HP` bag trusting `carriers[l]` carriers of label `l`.
+    fn bag(carriers: &[usize]) -> EvtHPOutput {
+        let mut h_trusted = Multiset::new();
+        for (label, &k) in carriers.iter().enumerate() {
+            h_trusted.insert_n(Identity::new(label as u64), k);
+        }
+        EvtHPOutput::new(h_trusted)
+    }
+
+    /// A process of `round_robin(8, 4)` — two carriers a label — that
+    /// has seen `◇HP` trust every carrier and then `now`, started at
+    /// tick 0 as a carrier of label 1. Round 0 is label 0's.
+    fn warmed(now: &[usize]) -> ByzQuorumConsensus {
+        let mut c = ByzQuorumConsensus::new(7, &IdentityAssignment::round_robin(8, 4));
+        c.consume(&bag(&[2, 2, 2, 2]));
+        c.consume(&bag(now));
+        c
+    }
+
+    fn coord0(est: u64) -> ByzMsg {
+        ByzMsg::Coord {
+            id: Identity::new(0),
+            round: 0,
+            est,
+            locked: false,
+        }
+    }
+
+    fn voted(actions: &[Action<ByzMsg, u64>]) -> Option<u64> {
+        actions.iter().find_map(|a| match a {
+            Action::Broadcast(ByzMsg::Vote { round: 0, est, .. }) => Some(*est),
+            _ => None,
+        })
+    }
+
+    /// Once `◇HP` has seen one of label 0's two carriers go, the other
+    /// carrier's `COORD` is all the round waits for: the vote goes out
+    /// on it at once, not a `phase_grace` later. The reading survives a
+    /// restart, as it does between a log's heights.
+    #[test]
+    fn a_carrier_hp_saw_go_is_not_waited_for() {
+        let me = Identity::new(1);
+        let mut c = warmed(&[1, 2, 2, 2]);
+        c.restart(7);
+        drive(&mut c, me, vec![]);
+        let actions = drive(&mut c, me, vec![coord0(20)]);
+        assert_eq!(voted(&actions), Some(20), "{actions:?}");
+        assert_eq!(c.phase, Phase::Vote);
+
+        // With every carrier still trusted, one `COORD` is not enough.
+        let mut c = warmed(&[2, 2, 2, 2]);
+        drive(&mut c, me, vec![]);
+        let actions = drive(&mut c, me, vec![coord0(20)]);
+        assert_eq!(voted(&actions), None, "{actions:?}");
+        assert_eq!(c.phase, Phase::Coord);
+    }
+
+    /// A detector that trusts nobody — a replica just out of a partition
+    /// — still leaves one `COORD` to wait for: the round's grace runs
+    /// until it comes.
+    #[test]
+    fn an_empty_bag_still_waits_for_one_coord() {
+        let me = Identity::new(1);
+        let mut c = warmed(&[]);
+        let started = drive(&mut c, me, vec![]);
+        assert_eq!(deadlines_in(&started), [10], "the coordinators' grace");
+        assert_eq!(c.phase, Phase::Coord);
+        let actions = drive(&mut c, me, vec![coord0(20)]);
+        assert_eq!(voted(&actions), Some(20), "{actions:?}");
+    }
+
+    /// The hint shortens the wait and nothing else: a `COORD` past the
+    /// label's multiplicity, or under another label, is still shed.
+    #[test]
+    fn an_over_cap_coord_is_still_discarded() {
+        let me = Identity::new(1);
+        let mut c = warmed(&[1, 2, 2, 2]);
+        drive(&mut c, me, vec![]);
+        let stray = ByzMsg::Coord {
+            id: Identity::new(3),
+            round: 0,
+            est: 1,
+            locked: false,
+        };
+        let actions = drive(&mut c, me, vec![stray, coord0(30), coord0(5), coord0(2)]);
+        assert_eq!(voted(&actions), Some(30), "{actions:?}");
+        assert_eq!(c.discarded(), 2, "the stray and the third label-0 copy");
+        let w = c.rounds.get(0).expect("round 0 is resident");
+        assert_eq!(w.coords, [(30, false), (5, false)]);
+    }
+
     /// Delivers `msgs` at tick `at`; returns the delays of the deadline
     /// timers armed meanwhile.
     fn deadlines_armed(
@@ -1392,12 +1549,14 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// `restart(p)` is `new(p, assign)`: after any past — here always
-        /// one with a deadline timer armed, a certified decision, shed
-        /// copies and windows of rounds ahead, then random traffic on
-        /// top — the restarted engine encodes to the same bytes as a
-        /// fresh one (so the deadline marker is cleared too) and answers
-        /// any future with the same actions.
+        /// `restart(p)` is `new(p, assign)` handed the same `◇HP`
+        /// readings: after any past — here always one with a deadline
+        /// timer armed, a certified decision, shed copies and windows of
+        /// rounds ahead, a carrier of labels 0 and 2 seen to go, then
+        /// random traffic on top — the restarted engine encodes to the
+        /// same bytes as a fresh one that consumed the readings (so the
+        /// deadline marker is cleared too, and the reading kept) and
+        /// answers any future with the same actions.
         #[test]
         fn a_restarted_engine_is_a_fresh_one(
             past in steps(),
@@ -1406,6 +1565,10 @@ mod tests {
         ) {
             let assign = assign8();
             let mut used = ByzQuorumConsensus::new(7, &assign);
+            let readings = [bag(&[3, 3, 2]), bag(&[2, 3, 1])];
+            for reading in &readings {
+                used.consume(reading);
+            }
             let mut now = 0;
             drive(&mut used, Identity::new(0), vec![]);
             let decide = |label| Step::Msg(ByzMsg::Decide { id: Identity::new(label), value: 2 });
@@ -1419,6 +1582,10 @@ mod tests {
 
             used.restart(proposal);
             let mut fresh = ByzQuorumConsensus::new(proposal, &assign);
+            for reading in &readings {
+                fresh.consume(reading);
+            }
+            proptest::prop_assert_eq!(used.coords_awaited(Identity::new(0)), 2);
             proptest::prop_assert_eq!(used.discarded(), 0);
             proptest::prop_assert_eq!(used.decision(), None);
             proptest::prop_assert_eq!(

@@ -213,6 +213,43 @@
 //! coordinator propose a forged command — which a forged `COORD` could
 //! already do. BFT validity is unchanged in kind, and a crash-model run
 //! cannot commit anything no client issued.
+//!
+//! # An idle replica waits
+//!
+//! A no-op height costs what any height costs — a `VOTE` and a `COMMIT`
+//! broadcast from every replica, the coordinators' `COORD`s, the
+//! detector's traffic meanwhile — and serves nobody. Under sparse
+//! open-loop arrivals most heights are no-ops, run back to back. So a
+//! replica that moves up with nothing to propose (its own client has no
+//! command due and it holds no announced one) and did not adopt the
+//! entry it moved up on does not boot the next height's engine yet. It
+//! arms one log timer of [`ANSWER_INTERVAL`], keeps the wait's deadline
+//! (persisted with the rest of its state), and boots at the earliest of
+//!
+//! 1. that timer;
+//! 2. its own client's head command arriving (the arrival timer of "Who
+//!    gets proposed");
+//! 3. a `Commit` whose `next` gives it something to propose;
+//! 4. engine traffic for the height: a peer already runs it. Traffic
+//!    buffered for the height before the replica reached it counts too,
+//!    so such a height boots at once.
+//!
+//! Booting proposes what the replica has at that moment and replays the
+//! traffic it buffered for the height. A replica that adopted its entry
+//! is behind and boots at once; so does height 0, and so does every
+//! replica of a closed loop, whose client always has a command due.
+//!
+//! What it buys: a command that arrives during a wait is proposed at
+//! once, where it used to wait out the no-op height in progress, and an
+//! idle service runs one no-op height per wait, not one per height's
+//! worth of ticks. What it costs: nothing for safety — the wait only
+//! delays an engine's start, every decision is still the engine's or a
+//! certificate's — and at most one [`ANSWER_INTERVAL`] of latency for
+//! the height after the wait's start, which the triggers above cut
+//! short whenever anyone has something to propose. Ticks per height
+//! now count the waits: an idle height is a long one on purpose. A
+//! forged `next` or forged engine traffic can end a wait early, which
+//! costs the no-op height the replica would have run anyway.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -244,6 +281,10 @@ const ARRIVAL_TAG: TimerTag = TimerTag(0);
 /// the module docs. Exactly one is outstanding at any time.
 const STATUS_TAG: TimerTag = TimerTag(1);
 
+/// The end of an idle replica's wait before a no-op height ("An idle
+/// replica waits" in the module docs): one per wait.
+const IDLE_TAG: TimerTag = TimerTag(2);
+
 /// A consensus engine that [`ReplicatedLog`] can instantiate once per
 /// height.
 ///
@@ -268,7 +309,10 @@ pub trait HeightEngine: Process<Output = u64> + Sized {
     /// Turns the engine of a finished height into the next height's,
     /// proposing `proposal`. `self` was spawned from `seed`, and
     /// afterwards must behave exactly as `Self::spawn(seed, proposal)`
-    /// would — which is what the default does. An engine whose
+    /// would — which is what the default does — but for the detector
+    /// readings it consumed itself, which it may keep as a seed keeps
+    /// them (the tolerant engine keeps its `◇HP` reading this way, and
+    /// its seed takes none). An engine whose
     /// construction is worth saving (tables derived from the seed,
     /// buffers sized by the last height) overrides it to reset its
     /// per-height state in place instead: the log spawns height 0's
@@ -298,7 +342,9 @@ impl HeightEngine for ByzQuorumConsensus {
     }
 }
 
-/// The tolerant engine reads no detector.
+/// The tolerant seed reads no detector: the engine keeps its own `◇HP`
+/// reading across [`ByzQuorumConsensus::restart`], and the log spawns
+/// from the seed only at height 0.
 impl<O> Consumes<O> for ByzHeightSeed {}
 
 homonym_core::persist_fields!(ByzHeightSeed { assign });
@@ -650,6 +696,10 @@ pub struct ReplicatedLog<C: HeightEngine> {
     /// [`ANSWER_INTERVAL`] while heights commit, doubling
     /// with every status sent from one height.
     status_gap: Span,
+    /// While the replica waits before booting the current height's
+    /// engine, when the wait ends ("An idle replica waits" in the module
+    /// docs); `None` once the engine runs.
+    idle_until: Option<Time>,
     /// Reused buffer for the actions of one engine callback.
     scratch: Vec<Action<C::Msg, u64>>,
 }
@@ -721,6 +771,7 @@ impl<C: HeightEngine> ReplicatedLog<C> {
             announced: NOOP,
             status_height: 0,
             status_gap: ANSWER_INTERVAL,
+            idle_until: None,
             scratch: Vec::new(),
         }
     }
@@ -747,6 +798,14 @@ impl<C: HeightEngine> ReplicatedLog<C> {
     #[must_use]
     pub fn retained(&self) -> usize {
         self.ring.len() + self.buffered + self.tallies.len() + self.states.len()
+    }
+
+    /// When the replica's idle wait before the current height ends, while
+    /// it waits with the height's engine not yet booted ("An idle replica
+    /// waits" in the module docs).
+    #[must_use]
+    pub fn idle_until(&self) -> Option<Time> {
+        self.idle_until
     }
 
     /// This process's client queue (arrival state, completed count).
@@ -856,8 +915,10 @@ impl<C: HeightEngine> ReplicatedLog<C> {
     /// says so if that carries news or was `adopted` from a certificate,
     /// arms the arrival timer if the client drew a new head (it had
     /// retired `completed` commands before), drops what was kept for the
-    /// heights passed, and boots the next height's engine, draining any
-    /// buffered traffic for it.
+    /// heights passed, and boots the next height's engine — unless the
+    /// replica has nothing to propose, did not adopt the entry and holds
+    /// no traffic for `to`: then it waits first ("An idle replica
+    /// waits" in the module docs).
     fn enter(&mut self, to: u64, adopted: bool, completed: usize, ctx: &mut Sink<'_, C>) {
         if adopted || self.has_news(ctx.local_now()) {
             if let Some(&(value, _)) = self.ring.back() {
@@ -886,6 +947,20 @@ impl<C: HeightEngine> ReplicatedLog<C> {
         }
         self.states.retain(|claim| claim.height >= to);
 
+        let now = ctx.local_now();
+        if !adopted && self.proposal(now) == NOOP && !self.future.contains_key(&to) {
+            self.idle_until = Some(now + ANSWER_INTERVAL);
+            ctx.set_timer(ANSWER_INTERVAL, IDLE_TAG);
+            return;
+        }
+        self.boot(ctx);
+    }
+
+    /// Starts the current height's engine on what there is to propose
+    /// now, and replays the traffic buffered for the height.
+    fn boot(&mut self, ctx: &mut Sink<'_, C>) {
+        self.idle_until = None;
+        let to = self.height;
         let proposal = self.proposal(ctx.local_now());
         self.inner.respawn(&self.seed, proposal);
         self.relay_inner(ctx, |c, sub| c.on_start(sub));
@@ -899,6 +974,14 @@ impl<C: HeightEngine> ReplicatedLog<C> {
                     self.relay_inner(ctx, |c, sub| c.on_message(m, sub));
                 }
             }
+        }
+    }
+
+    /// Ends an idle wait early once there is something to propose: the
+    /// own client's command arrived, or a `Commit` announced one.
+    fn boot_if_wanted(&mut self, ctx: &mut Sink<'_, C>) {
+        if self.idle_until.is_some() && self.proposal(ctx.local_now()) != NOOP {
+            self.boot(ctx);
         }
     }
 
@@ -1279,6 +1362,10 @@ impl<C: HeightEngine> Process for ReplicatedLog<C> {
         match msg {
             RsmMsg::Inner { height, msg } => {
                 if height == self.height {
+                    // A peer runs the height: an idle wait is over.
+                    if self.idle_until.is_some() {
+                        self.boot(ctx);
+                    }
                     self.relay_inner(ctx, |c, sub| c.on_message(msg, sub));
                 } else if height > self.height {
                     self.buffer_future(height, msg, ctx);
@@ -1307,14 +1394,22 @@ impl<C: HeightEngine> Process for ReplicatedLog<C> {
             }
         }
         self.drain_certified(ctx);
+        self.boot_if_wanted(ctx);
     }
 
     fn on_timer(&mut self, timer: TimerTag, ctx: &mut ActionSink<'_, Self::Msg, Self::Output>) {
         if timer.0 < TAG_STRIDE {
             // Reserved for the log itself.
             match timer {
-                ARRIVAL_TAG => self.announce_arrival(ctx),
+                ARRIVAL_TAG => {
+                    self.announce_arrival(ctx);
+                    self.boot_if_wanted(ctx);
+                }
                 STATUS_TAG => self.status_tick(ctx),
+                // An earlier wait's timer may fire into a later one.
+                IDLE_TAG if self.idle_until.is_some_and(|end| ctx.local_now() >= end) => {
+                    self.boot(ctx);
+                }
                 _ => {}
             }
             return;
@@ -1374,6 +1469,7 @@ where
         self.announced.save(s);
         self.status_height.save(s);
         self.status_gap.save(s);
+        self.idle_until.save(s);
     }
 
     fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
@@ -1396,6 +1492,7 @@ where
             announced: Persist::load(l)?,
             status_height: Persist::load(l)?,
             status_gap: Persist::load(l)?,
+            idle_until: Persist::load(l)?,
             scratch: Vec::new(),
         };
         let n = log.done_seq.len();
@@ -1998,6 +2095,113 @@ mod tests {
             fire(&mut node, at + 2 * cap + base),
             (vec![(1, 8, NOOP)], vec![2 * base])
         );
+    }
+
+    /// The heights of the engine messages broadcast in `actions`.
+    fn engine_heights(actions: &[ByzAction]) -> Vec<u64> {
+        let height = |a: &ByzAction| match *a {
+            Action::Broadcast(RsmMsg::Inner { height, .. }) => Some(height),
+            _ => None,
+        };
+        actions.iter().filter_map(height).collect()
+    }
+
+    /// The height whose engine `actions` booted: a carrier of round 0's
+    /// coordinator label opens every height it boots with a broadcast.
+    fn booted_in(actions: &[ByzAction]) -> Option<u64> {
+        engine_heights(actions).first().copied()
+    }
+
+    /// A replica with nothing to propose that did not adopt its last
+    /// entry holds the next height's engine back for one
+    /// `ANSWER_INTERVAL`: a status firing, or a `Commit` with nothing to
+    /// propose, leaves it waiting, and so does an earlier wait's timer;
+    /// its own timer boots the height on a no-op.
+    #[test]
+    fn an_idle_replica_waits_one_answer_interval_then_boots() {
+        let assign = IdentityAssignment::round_robin(4, 2);
+        let mut node = byz_rsm_node(&assign, open_queues(4, 0).remove(0));
+        let wait = ANSWER_INTERVAL.ticks();
+        let entered = actions_of(&mut node, 5, |n, s| n.commit(NOOP, false, s));
+        assert_eq!(timers_in(&entered, IDLE_TAG), [wait]);
+        assert_eq!(engine_heights(&entered), [], "no engine runs yet");
+        assert_eq!(node.idle_until(), Some(Time::from_ticks(5 + wait)));
+        actions_of(&mut node, 6, |n, s| n.on_timer(STATUS_TAG, s));
+        let nothing = commit_carrying(&assign, NOOP);
+        actions_of(&mut node, 7, |n, s| n.on_message(nothing, s));
+        let early = actions_of(&mut node, 4 + wait, |n, s| n.on_timer(IDLE_TAG, s));
+        assert!(early.is_empty(), "{early:?}");
+        assert!(node.idle_until().is_some());
+        let booted = actions_of(&mut node, 5 + wait, |n, s| n.on_timer(IDLE_TAG, s));
+        assert_eq!(booted_in(&booted), Some(1), "{booted:?}");
+        assert_eq!(node.idle_until(), None);
+        // A replica that adopted its entry is behind: it never waits.
+        let adopted = actions_of(&mut node, 20, |n, s| n.commit(NOOP, true, s));
+        assert_eq!(timers_in(&adopted, IDLE_TAG), []);
+        assert_eq!(booted_in(&adopted), Some(2));
+    }
+
+    /// The own client's command arriving ends the wait at once: the
+    /// replica announces it and boots the height, proposing it.
+    #[test]
+    fn an_idle_replica_boots_when_its_client_arrives() {
+        let assign = IdentityAssignment::round_robin(4, 2);
+        let client = open_queues(4, 4).remove(0);
+        let (head, due) = head_of(&client);
+        assert!(due > 0);
+        let mut node = byz_rsm_node(&assign, client);
+        actions_of(&mut node, due - 1, |n, s| n.commit(NOOP, false, s));
+        assert!(node.idle_until().is_some());
+        let arrived = actions_of(&mut node, due, |n, s| n.on_timer(ARRIVAL_TAG, s));
+        assert_eq!(commits_in(&arrived), [(0, NOOP, head)], "announced");
+        assert_eq!(booted_in(&arrived), Some(1), "{arrived:?}");
+        assert_eq!(node.proposal(Time::from_ticks(due)), head);
+        assert_eq!(node.idle_until(), None);
+    }
+
+    /// A `Commit` announcing a command this replica may propose ends the
+    /// wait at once.
+    #[test]
+    fn an_idle_replica_boots_on_an_announced_command() {
+        let assign = IdentityAssignment::round_robin(4, 2);
+        let (head, due) = head_of(&open_queues(4, 4)[1]);
+        let mut node = byz_rsm_node(&assign, open_queues(4, 0).remove(0));
+        actions_of(&mut node, due, |n, s| n.commit(NOOP, false, s));
+        assert!(node.idle_until().is_some());
+        let carrying = commit_carrying(&assign, head);
+        let woke = actions_of(&mut node, due + 1, |n, s| n.on_message(carrying, s));
+        assert_eq!(booted_in(&woke), Some(1), "{woke:?}");
+        assert_eq!(node.proposal(Time::from_ticks(due + 1)), head);
+        assert_eq!(node.idle_until(), None);
+    }
+
+    /// Engine traffic for the height ends the wait: a peer already runs
+    /// it. Traffic buffered before the height opens means the same, so
+    /// such a height boots at once and drains it; traffic for a later
+    /// height is buffered and waits on.
+    #[test]
+    fn an_idle_replica_boots_on_engine_traffic_for_its_height() {
+        let assign = IdentityAssignment::round_robin(4, 2);
+        let mut node = byz_rsm_node(&assign, open_queues(4, 0).remove(0));
+        let opening = engine_openings(&assign)[0];
+        let traffic = |height| RsmMsg::Inner {
+            height,
+            msg: opening,
+        };
+        actions_of(&mut node, 0, |n, s| n.on_message(traffic(1), s));
+        assert_eq!(node.buffered, 1);
+        let entered = actions_of(&mut node, 1, |n, s| n.commit(NOOP, false, s));
+        assert_eq!(timers_in(&entered, IDLE_TAG), []);
+        assert_eq!(booted_in(&entered), Some(1));
+        assert_eq!(node.buffered, 0, "drained at boot");
+
+        actions_of(&mut node, 2, |n, s| n.commit(NOOP, false, s));
+        actions_of(&mut node, 3, |n, s| n.on_message(traffic(3), s));
+        assert!(node.idle_until().is_some(), "a later height's traffic");
+        let woke = actions_of(&mut node, 4, |n, s| n.on_message(traffic(2), s));
+        assert_eq!(booted_in(&woke), Some(2), "{woke:?}");
+        assert_eq!(node.idle_until(), None);
+        assert_eq!(node.buffered, 1, "height 3's traffic waits for height 3");
     }
 
     /// A `Commit` whose sender is two or more heights back asks for the

@@ -39,7 +39,7 @@ use core::hash::{Hash, Hasher};
 /// assert_eq!(m.multiplicity(&'a'), 2);
 /// assert!(m.is_subset(&['a', 'a', 'b', 'c'].into_iter().collect()));
 /// ```
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
 pub struct Multiset<T: Ord> {
     /// Sorted by element, no zero multiplicities.
     pairs: Vec<(T, usize)>,
@@ -197,6 +197,22 @@ impl<T: Ord> Multiset<T> {
             (other, self)
         };
         !small.support().any(|x| large.contains(x))
+    }
+}
+
+/// `clone_from` reuses the target's vector, so a bag refreshed from
+/// another of no more distinct elements allocates nothing.
+impl<T: Ord + Clone> Clone for Multiset<T> {
+    fn clone(&self) -> Self {
+        Multiset {
+            pairs: self.pairs.clone(),
+            len: self.len,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.pairs.clone_from(&source.pairs);
+        self.len = source.len;
     }
 }
 
@@ -414,6 +430,16 @@ mod tests {
         assert!(ms(&[1, 1]).is_subset(&ms(&[1, 1, 2])));
         assert!(!ms(&[1, 1, 1]).is_subset(&ms(&[1, 1, 2])));
         assert!(ms(&[]).is_subset(&ms(&[])));
+    }
+
+    #[test]
+    fn clone_from_keeps_the_vector() {
+        let mut held = ms(&[1, 2, 3, 4]);
+        let buffer = held.pairs.as_ptr();
+        held.clone_from(&ms(&[5, 5, 6]));
+        assert_eq!(held, ms(&[5, 5, 6]));
+        assert_eq!(held.len(), 3);
+        assert_eq!(held.pairs.as_ptr(), buffer, "no new allocation");
     }
 
     #[test]

@@ -31,6 +31,8 @@ use crate::classes::{
     AOmegaOutput, APOutput, ASigmaOutput, EListOutput, EvtHPOutput, HOmegaOutput, HSigmaOutput,
     OmegaOutput, SigmaOutput,
 };
+use crate::identity::Identity;
+use crate::multiset::Multiset;
 use crate::time::Time;
 
 /// Read access to a `◇HP` detector (`h_trusted`).
@@ -85,6 +87,22 @@ pub trait ASigmaSource {
 pub trait EListSource {
     /// Current value of `alive_p`.
     fn e_list(&self, now: Time) -> EListOutput;
+}
+
+/// An output that says how many carriers of each label its detector
+/// trusts: `◇HP`'s `h_trusted_p`. A consumer that counts carriers this
+/// way may read it for liveness only — how long to wait — since a
+/// detector is wrong before it stabilises and a Byzantine homonym can
+/// forge what it gathers.
+pub trait TrustedCarriers {
+    /// The trusted bag, one instance of a label per trusted carrier.
+    fn h_trusted(&self) -> &Multiset<Identity>;
+}
+
+impl TrustedCarriers for EvtHPOutput {
+    fn h_trusted(&self) -> &Multiset<Identity> {
+        &self.h_trusted
+    }
 }
 
 /// What a process half does with an output its stacked lower half

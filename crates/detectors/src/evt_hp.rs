@@ -124,7 +124,7 @@
 use homonym_core::classes::{EvtHPOutput, HOmegaOutput, HSigmaOutput};
 use homonym_core::identity::Identity;
 use homonym_core::multiset::Multiset;
-use homonym_core::query::Consumes;
+use homonym_core::query::{Consumes, TrustedCarriers};
 use homonym_core::time::Span;
 use homonym_core::wire::{Loader, Persist, Saver, WireError};
 use homonym_sim::process::{ActionSink, Process, TimerTag};
@@ -260,6 +260,13 @@ pub fn split_snapshots(
         .collect();
     let omg = hist.iter().map(|(t, s)| (*t, s.h_omega)).collect();
     (evt, omg)
+}
+
+/// A snapshot's trusted carriers are its `◇HP` bag.
+impl TrustedCarriers for EvtHpSnapshot {
+    fn h_trusted(&self) -> &Multiset<Identity> {
+        &self.evt_hp.h_trusted
+    }
 }
 
 /// A consumer stacked on the detector reads `HΩ` from every published

@@ -16,16 +16,19 @@
 //!   command once and in issue order, with or without a dead
 //!   coordinator carrier, and the closed-loop log is pinned to the one
 //!   recorded before forwarding existed;
+//! * an idle service waits — with nothing to propose, no-op heights
+//!   commit at least one `ANSWER_INTERVAL` apart;
 //! * snapshot/fork properties — forks taken mid-height **and exactly at
-//!   a height boundary** continue byte-identically, the resumed log
-//!   matches flat execution, and [`PrefixSweeper`] forks over
-//!   log-service items agree with their flat baselines.
+//!   a height boundary**, under closed- or open-loop clients (so also
+//!   while a replica waits to boot a height), continue byte-identically,
+//!   the resumed log matches flat execution, and [`PrefixSweeper`] forks
+//!   over log-service items agree with their flat baselines.
 
 use homonym::chaos::generators::leader_churn_across_heights;
 use homonym::chaos::session::{rsm_node, Goal, RsmNode, Session, SessionBuilder};
 use homonym::chaos::sweep::hps_base;
 use homonym::chaos::{FaultClause, GstPlacement, PartitionMode, Scenario};
-use homonym::consensus::rsm::{LogEntry, RsmMsg};
+use homonym::consensus::rsm::{LogEntry, RsmMsg, ANSWER_INTERVAL};
 use homonym::consensus::{classify_byz, ByzMsg};
 use homonym::detectors::evt_hp::{classify_evt_hp, EvtHpMsg, EvtHpSnapshot};
 use homonym::prelude::*;
@@ -474,13 +477,29 @@ fn rsm_state(engine: &Engine<RsmNode>) -> RsmState {
     )
 }
 
-fn mk_engine(seed: u64, scenario_seed: u64) -> Engine<RsmNode> {
+/// The clients of the snapshot and fork properties: the closed loop,
+/// or open-loop arrivals sparse enough that most heights find every
+/// replica idle, so a cut often lands while a replica waits to boot.
+fn clients(open: bool) -> WorkloadConfig {
+    if !open {
+        return workload();
+    }
+    WorkloadConfig {
+        commands_per_proc: 64,
+        arrival: ArrivalModel::Open {
+            mean_gap_ticks: 200,
+        },
+        ..workload()
+    }
+}
+
+fn mk_engine(seed: u64, scenario_seed: u64, open: bool) -> Engine<RsmNode> {
     churn_builder(4, 2, seed)
         .with_scenario(leader_churn_across_heights(
             &IdentityAssignment::round_robin(4, 2),
             scenario_seed,
         ))
-        .rsm(&workload())
+        .rsm(&clients(open))
         .into_engine()
 }
 
@@ -488,21 +507,22 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 12, .. ProptestConfig::default() })]
 
     /// A snapshot taken at a random mid-run instant — almost always
-    /// mid-height — restored and continued is byte-identical to the
-    /// uninterrupted run: same logs, same state hashes, same metrics,
-    /// same decisions.
+    /// mid-height, or under open-loop clients often mid-wait — restored
+    /// and continued is byte-identical to the uninterrupted run: same
+    /// logs, same state hashes, same metrics, same decisions.
     #[test]
     fn rsm_snapshot_restore_is_byte_identical(
         seed in any::<u64>(),
         scenario_seed in 0u64..500,
         cut in 20u64..2_000,
+        open in any::<bool>(),
     ) {
         let horizon = Time::from_ticks(4_000);
-        let mut baseline = mk_engine(seed, scenario_seed);
+        let mut baseline = mk_engine(seed, scenario_seed, open);
         baseline.run_until(horizon);
         let expected = rsm_state(&baseline);
 
-        let mut engine = mk_engine(seed, scenario_seed);
+        let mut engine = mk_engine(seed, scenario_seed, open);
         engine.run_until(Time::from_ticks(cut));
         let snap = engine.snapshot();
         engine.run_until(horizon);
@@ -524,19 +544,22 @@ proptest! {
     /// byte-identically. Height turnover (engine
     /// replacement, buffered-future drain, timer-stride bump) is the
     /// riskiest instant for fork soundness, so it gets its own cut
-    /// placement.
+    /// placement. Under open-loop clients the replica that just moved
+    /// up usually has nothing to propose, so the fork lands while it
+    /// waits to boot the height.
     #[test]
     fn rsm_fork_at_height_boundary_is_byte_identical(
         seed in any::<u64>(),
         scenario_seed in 0u64..500,
         k in 1u64..12,
+        open in any::<bool>(),
     ) {
         let horizon = Time::from_ticks(4_000);
-        let mut baseline = mk_engine(seed, scenario_seed);
+        let mut baseline = mk_engine(seed, scenario_seed, open);
         baseline.run_until(horizon);
         let expected = rsm_state(&baseline);
 
-        let mut engine = mk_engine(seed, scenario_seed);
+        let mut engine = mk_engine(seed, scenario_seed, open);
         // Stop at the first instant replica 0's log holds k entries: a
         // height boundary (or the horizon, if k heights never happen).
         engine.run_with(horizon, |e| e.process(0).upper().height() >= k);
@@ -559,10 +582,11 @@ proptest! {
         scenario_seed in 0u64..500,
         first in 200u64..1_500,
         extra in 100u64..2_000,
+        open in any::<bool>(),
     ) {
         let assign = IdentityAssignment::round_robin(4, 2);
         let scenario = leader_churn_across_heights(&assign, scenario_seed);
-        let queues = workload().queues(4);
+        let queues = clients(open).queues(4);
         let cfg = SimConfig::new(assign.clone(), FailureSchedule::none(4), hps_base())
             .with_seed(seed);
         let cfg = scenario.install(cfg).expect("valid scenario");
@@ -622,6 +646,50 @@ fn published_entries_reconstruct_the_log() {
         for (h, (entry, &value)) in published.iter().zip(&log).enumerate() {
             assert_eq!(entry.height, h as u64, "replica {p}");
             assert_eq!(entry.value, value, "replica {p}");
+        }
+    }
+}
+
+/// A service with nothing to do waits: every replica holds each no-op
+/// height back for one `ANSWER_INTERVAL` before its engine runs, so
+/// commits come at least that far apart, where a no-op height used to
+/// take six ticks or so. The wait never stalls the log: the first
+/// replica's timer boots the height and its traffic wakes the rest.
+#[test]
+fn an_idle_service_waits_an_answer_interval_between_noop_heights() {
+    let n = 8;
+    let quiet = WorkloadConfig {
+        commands_per_proc: 0,
+        arrival: ArrivalModel::Open {
+            mean_gap_ticks: 400,
+        },
+        ..workload()
+    };
+    let horizon = 4_000;
+    let mut session = SessionBuilder::new(n, 4)
+        .with_goal(Goal::TickHorizon)
+        .with_deadline_ticks(horizon)
+        .rsm(&quiet);
+    session.run();
+    assert!(session.prefix_violation().is_none());
+    let wait = ANSWER_INTERVAL.ticks();
+    for p in 0..n {
+        let commits: Vec<(u64, u64)> = session.engine().histories()[p]
+            .iter()
+            .filter_map(|(t, out)| match out {
+                Either::R(entry) => Some((t.ticks(), entry.value)),
+                Either::L(_) => None,
+            })
+            .collect();
+        assert!(commits.iter().all(|&(_, v)| is_noop(v)), "replica {p}");
+        assert!(
+            commits.len() as u64 >= horizon / (2 * wait),
+            "replica {p}: {} heights",
+            commits.len()
+        );
+        for pair in commits.windows(2) {
+            let gap = pair[1].0 - pair[0].0;
+            assert!(gap >= wait, "replica {p}: heights {gap} ticks apart");
         }
     }
 }

@@ -6,7 +6,9 @@
 //!   workload checkpoints, for the Figure 8 stack, whose consensus half
 //!   holds the detector's last `HΩ` output as a plain value, for the
 //!   tolerant stack with a grace-deadline timer
-//!   armed, and for the log service over it, cut mid-height;
+//!   armed, and for the log service over it, cut mid-height and while a
+//!   replica waits to boot a height (its deadline and its engine's `◇HP`
+//!   reading decode as they were);
 //! * **sharing survives** — history entries that shared one `◇HP` bag
 //!   before a round trip share one after it;
 //! * **a snapshot costs what the state costs** — a stabilised detector's
@@ -46,8 +48,9 @@ use homonym::core::time::{Span, Time};
 use homonym::core::wire::{self, Loader, Persist, WireError};
 use homonym::detectors::{EvtHpMsg, EvtHpProcess, EvtHpSnapshot};
 use homonym::sim::{
-    decode_container, encode_container, read_verified, ActionSink, CommandQueue, Either, Engine,
-    EngineArena, EngineSnapshot, NetworkModel, Process, SimConfig, TimerTag, WorkloadConfig,
+    decode_container, encode_container, read_verified, ActionSink, ArrivalModel, CommandQueue,
+    Either, Engine, EngineArena, EngineSnapshot, NetworkModel, Process, SimConfig, TimerTag,
+    WorkloadConfig,
 };
 use proptest::prelude::*;
 
@@ -164,6 +167,57 @@ fn a_tolerant_stack_snapshot_with_a_deadline_timer_armed_is_a_fixed_point() {
     }
     // The log service runs this engine once a height, under the detector.
     assert_fixed_point(&log_at(), "the log stack mid-height");
+}
+
+/// The log stack keeps two things a fault-free closed loop never sets:
+/// a replica's idle wait before a no-op height (its deadline) and the
+/// height engine's `◇HP` reading of the carriers gone. Cut at n = 4,
+/// ℓ = 2 with open-loop clients, past process 0's crash, at the first
+/// instant replica 1 waits: the snapshot is a fixed point, the decoded
+/// replica waits for the same deadline and awaits one `COORD` from the
+/// dead carrier's label, and the resumed run ends where the flat one
+/// does.
+#[test]
+fn a_log_snapshot_taken_while_a_replica_waits_round_trips_the_wait_and_the_hint() {
+    let n = 4;
+    let assign = IdentityAssignment::round_robin(n, 2);
+    let clients = WorkloadConfig {
+        commands_per_proc: 32,
+        arrival: ArrivalModel::Open {
+            mean_gap_ticks: 400,
+        },
+        ..WorkloadConfig::default()
+    };
+    let queues = clients.queues(n);
+    let config = SessionBuilder::new(n, 2)
+        .with_schedule(FailureSchedule::none(n).with_crash(0, Time::from_ticks(300)))
+        .sim_config();
+    let node = |p: usize| rsm_node(&assign, queues[p].clone());
+    let horizon = Time::from_ticks(4_000);
+    let mut flat: Engine<RsmNode> = Engine::new(config.clone(), |p, _| node(p));
+    flat.run_until(horizon);
+
+    let mut e: Engine<RsmNode> = Engine::new(config.clone(), |p, _| node(p));
+    let label = assign.id_of(0);
+    e.run_with(horizon, |e| {
+        let replica = e.process(1).upper();
+        replica.idle_until().is_some() && replica.engine().coords_awaited(label) == 1
+    });
+    let waits = e.process(1).upper().idle_until();
+    assert!(waits.is_some() && e.now() < horizon, "the cut is mid-wait");
+    assert_fixed_point(&e, "the log stack mid-wait");
+
+    let decoded: LogSnapshot = wire::from_bytes(&wire::to_bytes(&e.snapshot())).expect("decodes");
+    let mut resumed = Engine::resume_in(config, &decoded, EngineArena::new());
+    let replica = resumed.process(1).upper();
+    assert_eq!(replica.idle_until(), waits);
+    assert_eq!(replica.engine().coords_awaited(label), 1);
+    resumed.run_until(horizon);
+    assert_eq!(resumed.metrics(), flat.metrics());
+    for p in 1..n {
+        let (a, b) = (resumed.process(p).upper(), flat.process(p).upper());
+        assert_eq!((a.height(), a.state_hash()), (b.height(), b.state_hash()));
+    }
 }
 
 /// For every entry of every history, whether it holds the same `◇HP`
