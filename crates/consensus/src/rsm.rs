@@ -83,7 +83,7 @@
 //! peer that moved on sends another state, so a replica holds at most one
 //! claim per process of the system, at most that many candidate words per
 //! index, and drops them all whenever its status chain (next section)
-//! finds it where it was. A part that cannot belong to a replica's state
+//! finds it stalled. A part that cannot belong to a replica's state
 //! — an index past its count, a count that leaves no room for the table
 //! or more tail than a ring holds or than there are heights, a height
 //! with no successor — is discarded.
@@ -102,16 +102,20 @@
 //! replica that may be behind **asks**, with the one truthful thing it
 //! can say: its last commit.
 //!
-//! * **Status.** One log-level timer chain runs per replica, with period
-//!   [`ANSWER_INTERVAL`]. A firing that finds the replica at
-//!   the height the previous one found it at — so it has sat there for
-//!   at least one period — repeats `Commit { h − 1, log[h − 1], next }`
-//!   and doubles the gap to the next firing, up to
-//!   `ANSWER_INTERVAL × MAX_COMMIT_AHEAD`; a firing that finds it moved
-//!   sends nothing and returns to the base period. A healthy service
-//!   whose heights take less than a period never sends one; a whole
-//!   system stalled behind a partition backs off instead of flooding the
-//!   partition's queue.
+//! * **Status.** One log-level timer chain runs per replica, with base
+//!   period [`ANSWER_INTERVAL`]: the replica's one liveness clock, which
+//!   also ends an idle wait (see "An idle replica waits"). A stall counts
+//!   from a height's *boot*, not from its entry. A firing that finds the
+//!   replica has booted no height's engine since the previous firing —
+//!   so it has sat at its height for at least one period past its boot —
+//!   repeats `Commit { h − 1, log[h − 1], next }` and doubles the gap to
+//!   the next firing, up to `ANSWER_INTERVAL × MAX_COMMIT_AHEAD`; a
+//!   firing that finds it booted one sends nothing and returns to the
+//!   base period. The replica keeps the instant its live firing is due;
+//!   a firing at any other instant is one that was superseded, and does
+//!   nothing. A healthy service whose heights take less than a period
+//!   never sends one; a whole system stalled behind a partition backs
+//!   off instead of flooding the partition's queue.
 //! * **Answer.** A replica at height `h` that receives
 //!   `Commit { h', … }` with `h' + 1 < h` (checked: a forged height near
 //!   `u64::MAX` has no successor) treats it as it treats a height-`h' + 1`
@@ -139,8 +143,9 @@
 //! `ANSWER_INTERVAL` from each correct replica, and nothing else. The
 //! price of asking lazily: after a long stall the
 //! chain's next firing is up to `ANSWER_INTERVAL × MAX_COMMIT_AHEAD`
-//! away, and a replica stranded again before it waits that long before
-//! its first status.
+//! away, and a replica that boots its next height at once and is
+//! stranded again before that firing waits that long before its first
+//! status. One that enters an idle wait brings the chain back first.
 //!
 //! # A decided height stops talking
 //!
@@ -223,10 +228,16 @@
 //! replica that moves up with nothing to propose (its own client has no
 //! command due and it holds no announced one) and did not adopt the
 //! entry it moved up on does not boot the next height's engine yet. It
-//! arms one log timer of [`ANSWER_INTERVAL`], keeps the wait's deadline
-//! (persisted with the rest of its state), and boots at the earliest of
+//! keeps the wait's end, [`ANSWER_INTERVAL`] from now (persisted with
+//! the rest of its state), and arms no timer of its own: the status
+//! chain ends the wait. A chain backed off past two periods is brought
+//! back to fire one period from now; a firing inside the wait fires
+//! again exactly at its end; a firing at or after the end boots the
+//! height and returns the chain to its base period. So a wait lasts one
+//! period while the chain runs at its base period, and at most two. The
+//! replica boots at the earliest of
 //!
-//! 1. that timer;
+//! 1. the wait's end, at the chain's next firing;
 //! 2. its own client's head command arriving (the arrival timer of "Who
 //!    gets proposed");
 //! 3. a `Commit` whose `next` gives it something to propose;
@@ -235,18 +246,22 @@
 //!    so such a height boots at once.
 //!
 //! Booting proposes what the replica has at that moment and replays the
-//! traffic it buffered for the height. A replica that adopted its entry
-//! is behind and boots at once; so does height 0, and so does every
-//! replica of a closed loop, whose client always has a command due.
+//! traffic it buffered for the height, and the chain's next firing
+//! counts it as progress: a wait is not a stall, and only a replica
+//! that then sits a whole period at the height asks. A replica that
+//! adopted its entry is behind and boots at once; so does height 0, and
+//! so does every replica of a closed loop, whose client always has a
+//! command due.
 //!
 //! What it buys: a command that arrives during a wait is proposed at
 //! once, where it used to wait out the no-op height in progress, and an
 //! idle service runs one no-op height per wait, not one per height's
 //! worth of ticks. What it costs: nothing for safety — the wait only
 //! delays an engine's start, every decision is still the engine's or a
-//! certificate's — and at most one [`ANSWER_INTERVAL`] of latency for
-//! the height after the wait's start, which the triggers above cut
-//! short whenever anyone has something to propose. Ticks per height
+//! certificate's — and at most two [`ANSWER_INTERVAL`]s of latency
+//! (one while the chain runs at its base period) for the height after
+//! the wait's start, which the triggers above cut short whenever anyone
+//! has something to propose. Ticks per height
 //! now count the waits: an idle height is a long one on purpose. A
 //! forged `next` or forged engine traffic can end a wait early, which
 //! costs the no-op height the replica would have run anyway.
@@ -277,13 +292,11 @@ const TAG_STRIDE: u64 = 16;
 /// head command (see "Who gets proposed" in the module docs).
 const ARRIVAL_TAG: TimerTag = TimerTag(0);
 
-/// The log's other timer: the status chain of "Pull what you missed" in
-/// the module docs. Exactly one is outstanding at any time.
+/// The log's other timer: its one liveness clock, the status chain of
+/// "Pull what you missed" in the module docs, which also ends an idle
+/// wait. One firing is live, the one due at the instant the replica
+/// keeps; one it superseded may still be in flight, and does nothing.
 const STATUS_TAG: TimerTag = TimerTag(1);
-
-/// The end of an idle replica's wait before a no-op height ("An idle
-/// replica waits" in the module docs): one per wait.
-const IDLE_TAG: TimerTag = TimerTag(2);
 
 /// A consensus engine that [`ReplicatedLog`] can instantiate once per
 /// height.
@@ -690,12 +703,15 @@ pub struct ReplicatedLog<C: HeightEngine> {
     done_seq: Vec<u32>,
     /// The last own command sent out as a `Commit`'s `next`.
     announced: u64,
-    /// The height the last status timer found the replica at.
-    status_height: u64,
-    /// The delay of the outstanding status timer:
+    /// Whether the replica booted a height's engine since the last
+    /// status firing: it moved, and is not stalled.
+    moved: bool,
+    /// The delay of the live status timer:
     /// [`ANSWER_INTERVAL`] while heights commit, doubling
     /// with every status sent from one height.
     status_gap: Span,
+    /// When the live status timer fires.
+    status_due: Time,
     /// While the replica waits before booting the current height's
     /// engine, when the wait ends ("An idle replica waits" in the module
     /// docs); `None` once the engine runs.
@@ -769,8 +785,9 @@ impl<C: HeightEngine> ReplicatedLog<C> {
             wanted: vec![NOOP; assign.n()],
             done_seq: vec![0; assign.n()],
             announced: NOOP,
-            status_height: 0,
+            moved: false,
             status_gap: ANSWER_INTERVAL,
+            status_due: Time::ZERO,
             idle_until: None,
             scratch: Vec::new(),
         }
@@ -949,17 +966,24 @@ impl<C: HeightEngine> ReplicatedLog<C> {
 
         let now = ctx.local_now();
         if !adopted && self.proposal(now) == NOOP && !self.future.contains_key(&to) {
-            self.idle_until = Some(now + ANSWER_INTERVAL);
-            ctx.set_timer(ANSWER_INTERVAL, IDLE_TAG);
+            // The status chain ends the wait; a backed-off one is brought
+            // back to fire at the wait's end.
+            let interval = ANSWER_INTERVAL;
+            self.idle_until = Some(now + interval);
+            if self.status_due > now + interval.saturating_mul(2) {
+                self.arm_status(interval, ctx);
+            }
             return;
         }
         self.boot(ctx);
     }
 
     /// Starts the current height's engine on what there is to propose
-    /// now, and replays the traffic buffered for the height.
+    /// now, and replays the traffic buffered for the height. The status
+    /// chain counts it as progress at its next firing.
     fn boot(&mut self, ctx: &mut Sink<'_, C>) {
         self.idle_until = None;
+        self.moved = true;
         let to = self.height;
         let proposal = self.proposal(ctx.local_now());
         self.inner.respawn(&self.seed, proposal);
@@ -1239,31 +1263,55 @@ impl<C: HeightEngine> ReplicatedLog<C> {
         }
     }
 
-    /// The status timer fired. If the replica left its height since the
-    /// last firing, all is well and the chain returns to its base period.
-    /// If not, it has sat there for at least
-    /// [`ANSWER_INTERVAL`]: it repeats its last commit as a
-    /// status — whoever is ahead answers with the entry it is missing,
-    /// and whoever is a height behind gets a certificate copy — and backs
-    /// off, doubling the gap up to `ANSWER_INTERVAL × MAX_COMMIT_AHEAD`.
-    /// At height 0 there is nothing to repeat and so nothing to back off
-    /// from: the chain keeps its base period, so that the first commit
-    /// finds it ready. A firing that finds the replica where it was also
-    /// drops the state transfer claims it holds: they answered an earlier
-    /// ask, from peers that have moved on since.
+    /// Arms the status timer `gap` from now; any other one in flight is
+    /// superseded.
+    fn arm_status(&mut self, gap: Span, ctx: &mut Sink<'_, C>) {
+        self.status_due = ctx.local_now() + gap;
+        ctx.set_timer(gap, STATUS_TAG);
+    }
+
+    /// The status timer fired. A superseded one does nothing. In an idle
+    /// wait, it fires again at the wait's end, and there it boots the
+    /// height. If the replica booted an engine since the last firing, all
+    /// is well and the chain returns to its base period. If not, it has
+    /// sat at its height for at least [`ANSWER_INTERVAL`] past its boot:
+    /// it repeats its last commit as a status — whoever is ahead answers
+    /// with the entry it is missing, and whoever is a height behind gets
+    /// a certificate copy — and backs off, doubling the gap up to
+    /// `ANSWER_INTERVAL × MAX_COMMIT_AHEAD`. At height 0 there is nothing
+    /// to repeat and so nothing to back off from: the chain keeps its
+    /// base period, so that the first commit finds it ready. A firing
+    /// that finds the replica stalled also drops the state transfer
+    /// claims it holds: they answered an earlier ask, from peers that
+    /// have moved on since.
     fn status_tick(&mut self, ctx: &mut Sink<'_, C>) {
+        let now = ctx.local_now();
+        if now != self.status_due {
+            return;
+        }
         let base = ANSWER_INTERVAL;
-        if self.height != self.status_height {
-            self.status_height = self.height;
-            self.status_gap = base;
-        } else {
-            self.states.clear();
-            if self.repeat_last_commit(ctx) {
-                let cap = base.saturating_mul(MAX_COMMIT_AHEAD);
-                self.status_gap = self.status_gap.saturating_mul(2).min(cap);
+        match self.idle_until {
+            Some(end) if now < end => {
+                self.arm_status(end - now, ctx);
+                return;
+            }
+            Some(_) => {
+                self.boot(ctx);
+                self.status_gap = base;
+            }
+            None if self.moved => {
+                self.moved = false;
+                self.status_gap = base;
+            }
+            None => {
+                self.states.clear();
+                if self.repeat_last_commit(ctx) {
+                    let cap = base.saturating_mul(MAX_COMMIT_AHEAD);
+                    self.status_gap = self.status_gap.saturating_mul(2).min(cap);
+                }
             }
         }
-        ctx.set_timer(self.status_gap, STATUS_TAG);
+        self.arm_status(self.status_gap, ctx);
     }
 
     /// What to propose at a new height: the own client's due command,
@@ -1353,7 +1401,7 @@ impl<C: HeightEngine> Process for ReplicatedLog<C> {
 
     fn on_start(&mut self, ctx: &mut ActionSink<'_, Self::Msg, Self::Output>) {
         self.arm_arrival(ctx);
-        ctx.set_timer(self.status_gap, STATUS_TAG);
+        self.arm_status(self.status_gap, ctx);
         self.relay_inner(ctx, |c, sub| c.on_start(sub));
         self.drain_certified(ctx);
     }
@@ -1406,10 +1454,6 @@ impl<C: HeightEngine> Process for ReplicatedLog<C> {
                     self.boot_if_wanted(ctx);
                 }
                 STATUS_TAG => self.status_tick(ctx),
-                // An earlier wait's timer may fire into a later one.
-                IDLE_TAG if self.idle_until.is_some_and(|end| ctx.local_now() >= end) => {
-                    self.boot(ctx);
-                }
                 _ => {}
             }
             return;
@@ -1467,8 +1511,9 @@ where
         self.wanted.save(s);
         self.done_seq.save(s);
         self.announced.save(s);
-        self.status_height.save(s);
+        self.moved.save(s);
         self.status_gap.save(s);
+        self.status_due.save(s);
         self.idle_until.save(s);
     }
 
@@ -1490,8 +1535,9 @@ where
             wanted: Persist::load(l)?,
             done_seq: Persist::load(l)?,
             announced: Persist::load(l)?,
-            status_height: Persist::load(l)?,
+            moved: Persist::load(l)?,
             status_gap: Persist::load(l)?,
+            status_due: Persist::load(l)?,
             idle_until: Persist::load(l)?,
             scratch: Vec::new(),
         };
@@ -2057,44 +2103,170 @@ mod tests {
         assert_eq!(node.ring.len() as u64, cap);
     }
 
+    /// The log's own timers a replica armed, fired as the engine fires
+    /// them when nothing else happens: in due order, ties in the order
+    /// armed.
+    #[derive(Default)]
+    struct Clock(Vec<(u64, TimerTag)>);
+
+    /// A firing of a log timer: its tick and what it emitted.
+    type Firing = (u64, Vec<ByzAction>);
+
+    impl Clock {
+        /// What `step` emits at tick `at`, keeping the log timers it arms.
+        fn at(
+            &mut self,
+            node: &mut ByzLog,
+            at: u64,
+            step: impl FnOnce(&mut ByzLog, &mut Sink<'_, ByzQuorumConsensus>),
+        ) -> Vec<ByzAction> {
+            let actions = actions_of(node, at, step);
+            for action in &actions {
+                if let Action::SetTimer(delay, tag) = *action {
+                    if tag.0 < TAG_STRIDE {
+                        self.0.push((at + delay.ticks(), tag));
+                    }
+                }
+            }
+            actions
+        }
+
+        /// Fires the timers due through tick `until`, in order.
+        fn run(&mut self, node: &mut ByzLog, until: u64) -> Vec<Firing> {
+            let mut fired = Vec::new();
+            while let Some(next) = (0..self.0.len()).min_by_key(|&i| self.0[i].0) {
+                let (at, tag) = self.0[next];
+                if at > until {
+                    break;
+                }
+                self.0.remove(next);
+                fired.push((at, self.at(node, at, |n, s| n.on_timer(tag, s))));
+            }
+            fired
+        }
+    }
+
+    /// What a firing said: its tick, the `(height, value, next)` of the
+    /// `Commit`s it sent and the delays it armed the status timer with.
+    type Said = (u64, Vec<(u64, u64, u64)>, Vec<u64>);
+
+    /// What each of `fired` said.
+    fn said(fired: &[Firing]) -> Vec<Said> {
+        let each =
+            |(at, actions): &Firing| (*at, commits_in(actions), timers_in(actions, STATUS_TAG));
+        fired.iter().map(each).collect()
+    }
+
     /// A replica that stays at one height repeats its last commit from
-    /// the status timer: first once a whole period has passed at that
-    /// height, then at doubling gaps up to `ANSWER_INTERVAL ×
-    /// MAX_COMMIT_AHEAD`; a commit takes the chain back to its base
-    /// period. At height 0 there is nothing to repeat and the chain does
-    /// not back off.
+    /// the status timer: first once a whole period has passed since it
+    /// booted the height's engine, then at doubling gaps up to
+    /// `ANSWER_INTERVAL × MAX_COMMIT_AHEAD`; a commit takes the chain
+    /// back to its base period. At height 0 there is nothing to repeat
+    /// and the chain does not back off.
     #[test]
     fn a_stalled_replica_repeats_its_last_commit_on_a_doubling_schedule() {
         let assign = IdentityAssignment::round_robin(4, 2);
         let mut node = byz_rsm_node(&assign, open_queues(4, 0).remove(0));
         let base = ANSWER_INTERVAL.ticks();
         let cap = base * MAX_COMMIT_AHEAD;
-        let started = actions_of(&mut node, 0, |n, s| n.on_start(s));
+        let mut clock = Clock::default();
+        let started = clock.at(&mut node, 0, |n, s| n.on_start(s));
         assert_eq!(timers_in(&started, STATUS_TAG), [base]);
-        // What the status timer sends and the gap it re-arms with.
-        let fire = |node: &mut ByzLog, at| {
-            let fired = actions_of(node, at, |n, s| n.on_timer(STATUS_TAG, s));
-            (commits_in(&fired), timers_in(&fired, STATUS_TAG))
-        };
-        for at in [base, 2 * base] {
-            assert_eq!(fire(&mut node, at), (vec![], vec![base]), "height 0");
-        }
-        actions_of(&mut node, 2 * base + 1, |n, s| n.commit(7, false, s));
-        let mut at = 3 * base;
-        assert_eq!(fire(&mut node, at), (vec![], vec![base]), "it moved");
-        let mut gap = base;
+        let quiet = |at, gap| (at, vec![], vec![gap]);
+        let height_0 = said(&clock.run(&mut node, 2 * base));
+        assert_eq!(height_0, [quiet(base, base), quiet(2 * base, base)]);
+        // It commits height 0 with nothing to propose and waits: the
+        // firing inside the wait fires again at its end, which boots
+        // height 1, and the next firing counts that as progress.
+        let booted = 3 * base + 1;
+        clock.at(&mut node, booted - base, |n, s| n.commit(7, false, s));
+        let moved = said(&clock.run(&mut node, booted + base));
+        let into_wait = quiet(3 * base, booted - 3 * base);
+        let waited = [into_wait, quiet(booted, base), quiet(booted + base, base)];
+        assert_eq!(moved, waited);
+        let (mut at, mut gap) = (booted + base, base);
         while gap < cap {
             at += gap;
             gap *= 2;
-            assert_eq!(fire(&mut node, at), (vec![(0, 7, NOOP)], vec![gap]));
+            let stalled = said(&clock.run(&mut node, at));
+            assert_eq!(stalled, [(at, vec![(0, 7, NOOP)], vec![gap])]);
         }
-        assert_eq!(fire(&mut node, at + cap), (vec![(0, 7, NOOP)], vec![cap]));
-        actions_of(&mut node, at + cap + 1, |n, s| n.commit(8, false, s));
-        assert_eq!(fire(&mut node, at + 2 * cap), (vec![], vec![base]));
-        assert_eq!(
-            fire(&mut node, at + 2 * cap + base),
-            (vec![(1, 8, NOOP)], vec![2 * base])
+        at += cap;
+        let capped = said(&clock.run(&mut node, at));
+        assert_eq!(capped, [(at, vec![(0, 7, NOOP)], vec![cap])]);
+        // Its next wait brings the backed-off chain back to the wait's
+        // end, and the chain returns to its base period.
+        let booted = at + 1 + base;
+        let entered = clock.at(&mut node, at + 1, |n, s| n.commit(8, false, s));
+        assert_eq!(timers_in(&entered, STATUS_TAG), [base]);
+        let stalled_again = said(&clock.run(&mut node, booted + 2 * base));
+        let again = [
+            quiet(booted, base),
+            quiet(booted + base, base),
+            (booted + 2 * base, vec![(1, 8, NOOP)], vec![2 * base]),
+        ];
+        assert_eq!(stalled_again, again);
+    }
+
+    /// An idle wait is not a stall: the replica sends no status until it
+    /// has sat a whole period past the boot that ends the wait, however
+    /// long it has been at the height.
+    #[test]
+    fn an_idle_wait_is_not_a_stall() {
+        let assign = IdentityAssignment::round_robin(4, 2);
+        let mut node = byz_rsm_node(&assign, open_queues(4, 0).remove(0));
+        let base = ANSWER_INTERVAL.ticks();
+        let mut clock = Clock::default();
+        clock.at(&mut node, 0, |n, s| n.on_start(s));
+        clock.at(&mut node, 1, |n, s| n.commit(7, false, s));
+        let fired = clock.run(&mut node, 4 * base);
+        let boot = fired.iter().find(|(_, a)| booted_in(a) == Some(1));
+        let &(booted, _) = boot.expect("the wait ends");
+        assert_eq!(booted, 1 + base, "a wait of one interval");
+        let status = fired.iter().find(|(_, a)| !commits_in(a).is_empty());
+        let &(asked, ref actions) = status.expect("a stall is still noticed");
+        assert!(
+            asked >= booted + base,
+            "a status {} ticks after the boot",
+            asked - booted
         );
+        assert_eq!(commits_in(actions), [(0, 7, NOOP)]);
+    }
+
+    /// The clock fires only at the instant it keeps: a firing at any
+    /// other instant — one nobody armed, or one a wait superseded when it
+    /// brought a backed-off chain back — emits nothing and changes
+    /// nothing.
+    #[test]
+    fn a_stale_clock_firing_does_nothing() {
+        let assign = IdentityAssignment::round_robin(4, 2);
+        let mut node = byz_rsm_node(&assign, open_queues(4, 0).remove(0));
+        let base = ANSWER_INTERVAL.ticks();
+        let unchanged = |node: &mut ByzLog, at| {
+            let before = homonym_core::wire::to_bytes(node);
+            let fired = actions_of(node, at, |n, s| n.on_timer(STATUS_TAG, s));
+            fired.is_empty() && homonym_core::wire::to_bytes(node) == before
+        };
+        let mut clock = Clock::default();
+        clock.at(&mut node, 0, |n, s| n.on_start(s));
+        assert!(unchanged(&mut node, base - 1), "armed for {base}");
+        // Behind, it adopts height 0, stalls at height 1 and backs off:
+        // statuses at 2 and 4 periods, the next armed for 8.
+        clock.at(&mut node, 1, |n, s| n.commit(7, true, s));
+        let statuses = said(&clock.run(&mut node, 4 * base));
+        assert_eq!(
+            statuses[1..],
+            [
+                (2 * base, vec![(0, 7, NOOP)], vec![2 * base]),
+                (4 * base, vec![(0, 7, NOOP)], vec![4 * base]),
+            ]
+        );
+        // A wait from 5 periods on re-arms the chain; the firing armed
+        // for 8 periods is superseded, and lands after the boot.
+        let entered = clock.at(&mut node, 5 * base + 1, |n, s| n.commit(8, false, s));
+        assert_eq!(timers_in(&entered, STATUS_TAG), [base]);
+        clock.run(&mut node, 8 * base - 1);
+        assert!(unchanged(&mut node, 8 * base));
     }
 
     /// The heights of the engine messages broadcast in `actions`.
@@ -2114,30 +2286,35 @@ mod tests {
 
     /// A replica with nothing to propose that did not adopt its last
     /// entry holds the next height's engine back for one
-    /// `ANSWER_INTERVAL`: a status firing, or a `Commit` with nothing to
-    /// propose, leaves it waiting, and so does an earlier wait's timer;
-    /// its own timer boots the height on a no-op.
+    /// `ANSWER_INTERVAL`, and arms no timer for it: a `Commit` with
+    /// nothing to propose leaves it waiting, a status firing inside the
+    /// wait fires again at its end, and that boots the height on a
+    /// no-op.
     #[test]
     fn an_idle_replica_waits_one_answer_interval_then_boots() {
         let assign = IdentityAssignment::round_robin(4, 2);
         let mut node = byz_rsm_node(&assign, open_queues(4, 0).remove(0));
         let wait = ANSWER_INTERVAL.ticks();
-        let entered = actions_of(&mut node, 5, |n, s| n.commit(NOOP, false, s));
-        assert_eq!(timers_in(&entered, IDLE_TAG), [wait]);
+        let mut clock = Clock::default();
+        clock.at(&mut node, 0, |n, s| n.on_start(s));
+        let entered = clock.at(&mut node, 5, |n, s| n.commit(NOOP, false, s));
+        assert_eq!(timers_in(&entered, STATUS_TAG), []);
         assert_eq!(engine_heights(&entered), [], "no engine runs yet");
         assert_eq!(node.idle_until(), Some(Time::from_ticks(5 + wait)));
-        actions_of(&mut node, 6, |n, s| n.on_timer(STATUS_TAG, s));
         let nothing = commit_carrying(&assign, NOOP);
-        actions_of(&mut node, 7, |n, s| n.on_message(nothing, s));
-        let early = actions_of(&mut node, 4 + wait, |n, s| n.on_timer(IDLE_TAG, s));
-        assert!(early.is_empty(), "{early:?}");
-        assert!(node.idle_until().is_some());
-        let booted = actions_of(&mut node, 5 + wait, |n, s| n.on_timer(IDLE_TAG, s));
-        assert_eq!(booted_in(&booted), Some(1), "{booted:?}");
+        clock.at(&mut node, 7, |n, s| n.on_message(nothing, s));
+        let fired = clock.run(&mut node, 5 + wait);
+        let [(inside, early), (end, booted)] = &fired[..] else {
+            panic!("{fired:?}");
+        };
+        assert_eq!((*inside, timers_in(early, STATUS_TAG)), (wait, vec![5]));
+        assert_eq!(engine_heights(early), [], "still waiting");
+        assert_eq!(*end, 5 + wait);
+        assert_eq!(booted_in(booted), Some(1), "{booted:?}");
         assert_eq!(node.idle_until(), None);
         // A replica that adopted its entry is behind: it never waits.
         let adopted = actions_of(&mut node, 20, |n, s| n.commit(NOOP, true, s));
-        assert_eq!(timers_in(&adopted, IDLE_TAG), []);
+        assert_eq!(node.idle_until(), None);
         assert_eq!(booted_in(&adopted), Some(2));
     }
 
@@ -2191,7 +2368,6 @@ mod tests {
         actions_of(&mut node, 0, |n, s| n.on_message(traffic(1), s));
         assert_eq!(node.buffered, 1);
         let entered = actions_of(&mut node, 1, |n, s| n.commit(NOOP, false, s));
-        assert_eq!(timers_in(&entered, IDLE_TAG), []);
         assert_eq!(booted_in(&entered), Some(1));
         assert_eq!(node.buffered, 0, "drained at boot");
 
@@ -2243,49 +2419,56 @@ mod tests {
     /// A replica stalled at height 0 has no commit to repeat and cannot
     /// ask for itself. What rescues it is its peers' own stall: replicas
     /// that committed height 0 and then sit at height 1 for a status
-    /// period repeat `Commit { 0, … }`, `commit_quorum` of which certify
-    /// height 0 for it — after which it says so at once and, should it
-    /// stall again, has something to repeat.
+    /// period past its boot repeat `Commit { 0, … }`, `commit_quorum` of
+    /// which certify height 0 for it — after which it says so at once
+    /// and, should it stall again, has something to repeat.
     #[test]
     fn a_replica_stalled_at_height_0_is_rescued_by_its_peers_statuses() {
         let assign = IdentityAssignment::round_robin(4, 2);
         let idle = || byz_rsm_node(&assign, open_queues(4, 0).remove(0));
         let base = ANSWER_INTERVAL.ticks();
         let mut straggler = idle();
-        actions_of(&mut straggler, 0, |n, s| n.on_start(s));
-        for at in [base, 2 * base] {
-            let fired = actions_of(&mut straggler, at, |n, s| n.on_timer(STATUS_TAG, s));
-            assert!(commits_in(&fired).is_empty(), "nothing to repeat");
-        }
-        // Two peers commit height 0 silently (no news) and stall.
+        let mut its_clock = Clock::default();
+        its_clock.at(&mut straggler, 0, |n, s| n.on_start(s));
+        let fired = its_clock.run(&mut straggler, 2 * base);
+        let silent = |fired: &[Firing]| fired.iter().all(|(_, a)| commits_in(a).is_empty());
+        assert!(fired.len() == 2 && silent(&fired), "nothing to repeat");
+        // Two peers commit height 0 silently (no news), wait, boot height
+        // 1 and stall there.
         let mut statuses = Vec::new();
         for _ in 0..idle().opts.commit_quorum {
             let mut peer = idle();
-            actions_of(&mut peer, 0, |n, s| n.on_start(s));
-            let committed = actions_of(&mut peer, 3, |n, s| n.commit(7, false, s));
+            let mut clock = Clock::default();
+            clock.at(&mut peer, 0, |n, s| n.on_start(s));
+            let committed = clock.at(&mut peer, 3, |n, s| n.commit(7, false, s));
             assert!(commits_in(&committed).is_empty());
-            let moved = actions_of(&mut peer, base, |n, s| n.on_timer(STATUS_TAG, s));
-            assert!(commits_in(&moved).is_empty(), "it left height 0");
-            statuses.extend(actions_of(&mut peer, 2 * base, |n, s| {
-                n.on_timer(STATUS_TAG, s);
-            }));
+            let moved = clock.run(&mut peer, 3 * base + 2);
+            assert!(silent(&moved), "it left height 0");
+            let [(at, stalled)] = &clock.run(&mut peer, 3 * base + 3)[..] else {
+                panic!("no firing");
+            };
+            assert_eq!(*at, 3 + 3 * base, "a period past the boot's firing");
+            statuses.extend_from_slice(stalled);
         }
         assert_eq!(commits_in(&statuses), [(0, 7, NOOP); 2]);
-        let mut said = Vec::new();
+        let heard = 3 * base + 4;
+        its_clock.run(&mut straggler, heard);
+        let mut adopted = Vec::new();
         for status in statuses {
             if let Action::Broadcast(msg) = status {
-                said.extend(actions_of(&mut straggler, 2 * base + 1, |n, s| {
-                    n.on_message(msg, s);
-                }));
+                adopted.extend(its_clock.at(&mut straggler, heard, |n, s| n.on_message(msg, s)));
             }
         }
         assert_eq!(short_log(&straggler), [7]);
-        assert_eq!(commits_in(&said), [(0, 7, NOOP)], "adopted: it says so");
+        assert_eq!(commits_in(&adopted), [(0, 7, NOOP)], "adopted: it says so");
         // From here on it can ask for itself.
-        let fire =
-            |n: &mut ByzLog, at| commits_in(&actions_of(n, at, |n, s| n.on_timer(STATUS_TAG, s)));
-        assert_eq!(fire(&mut straggler, 3 * base), [], "it moved");
-        assert_eq!(fire(&mut straggler, 4 * base), [(0, 7, NOOP)]);
+        let asked = said(&its_clock.run(&mut straggler, 5 * base));
+        let stalled = (5 * base, vec![(0, 7, NOOP)], vec![2 * base]);
+        assert_eq!(
+            asked,
+            [(4 * base, vec![], vec![base]), stalled],
+            "it moved, then"
+        );
     }
 
     /// A replica that fell further behind than the ring asks as always

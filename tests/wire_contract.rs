@@ -6,9 +6,11 @@
 //!   workload checkpoints, for the Figure 8 stack, whose consensus half
 //!   holds the detector's last `HΩ` output as a plain value, for the
 //!   tolerant stack with a grace-deadline timer
-//!   armed, and for the log service over it, cut mid-height and while a
-//!   replica waits to boot a height (its deadline and its engine's `◇HP`
-//!   reading decode as they were);
+//!   armed, and for the log service over it, cut mid-height, while a
+//!   replica waits to boot a height (its wait's end and its engine's
+//!   `◇HP` reading decode as they were) and while a stalled service
+//!   backs its status chain off (the resumed run fires it at the same
+//!   ticks);
 //! * **sharing survives** — history entries that shared one `◇HP` bag
 //!   before a round trip share one after it;
 //! * **a snapshot costs what the state costs** — a stabilised detector's
@@ -36,6 +38,7 @@ use homonym::chaos::{
     byz_tolerant_node, fig8_node, hps_base, rsm_node, ByzTolerantNode, Fig8Node, RsmNode,
     SessionBuilder,
 };
+use homonym::consensus::rsm::ANSWER_INTERVAL;
 use homonym::consensus::{
     ByzMsg, ByzQuorumConsensus, Fig8Msg, HOmegaPolicy, MajorityConsensus, ReplicatedLog, RsmMsg,
     StatePart,
@@ -49,8 +52,8 @@ use homonym::core::wire::{self, Loader, Persist, WireError};
 use homonym::detectors::{EvtHpMsg, EvtHpProcess, EvtHpSnapshot};
 use homonym::sim::{
     decode_container, encode_container, read_verified, ActionSink, ArrivalModel, CommandQueue,
-    Either, Engine, EngineArena, EngineSnapshot, NetworkModel, Process, SimConfig, TimerTag,
-    WorkloadConfig,
+    Either, Engine, EngineArena, EngineSnapshot, NetworkModel, ObsKind, Process, SimConfig,
+    TimerTag, WorkloadConfig,
 };
 use proptest::prelude::*;
 
@@ -169,14 +172,82 @@ fn a_tolerant_stack_snapshot_with_a_deadline_timer_armed_is_a_fixed_point() {
     assert_fixed_point(&log_at(), "the log stack mid-height");
 }
 
-/// The log stack keeps two things a fault-free closed loop never sets:
-/// a replica's idle wait before a no-op height (its deadline) and the
-/// height engine's `◇HP` reading of the carriers gone. Cut at n = 4,
-/// ℓ = 2 with open-loop clients, past process 0's crash, at the first
-/// instant replica 1 waits: the snapshot is a fixed point, the decoded
-/// replica waits for the same deadline and awaits one `COORD` from the
-/// dead carrier's label, and the resumed run ends where the flat one
-/// does.
+/// Trace events kept of a log stack's run: more than the runs below
+/// record (a resumed run checks that it dropped none).
+const TRACE_CAPACITY: usize = 100_000;
+
+/// Replica `p`'s status firings in `e`'s trace, in ticks: the log's
+/// status timer is its tag 1, which a stack's upper half arms as tag
+/// 2 · 1 + 1.
+fn status_firings(e: &Engine<RsmNode>, p: usize) -> Vec<u64> {
+    let status = ObsKind::TimerFired { tag: 3 };
+    let trace = e.trace().expect("traced");
+    let fired = trace.for_process(p).filter(|ev| ev.kind == status);
+    fired.map(|ev| ev.at.ticks()).collect()
+}
+
+/// A log stack of `n` replicas over `queues` under `config`, traced,
+/// run to `horizon` straight (the first engine returned) and cut where
+/// `cut` first holds (the second). The cut must fall before the horizon
+/// and be a fixed point of the round trip.
+fn log_run_and_cut(
+    config: &SimConfig,
+    queues: &[CommandQueue],
+    horizon: Time,
+    cut: impl FnMut(&Engine<RsmNode>) -> bool,
+) -> (Engine<RsmNode>, Engine<RsmNode>) {
+    let assign = config.assign.clone();
+    let start = || {
+        let mut e: Engine<RsmNode> =
+            Engine::new(config.clone(), |p, _| rsm_node(&assign, queues[p].clone()));
+        e.enable_trace(TRACE_CAPACITY);
+        e
+    };
+    let mut flat = start();
+    flat.run_until(horizon);
+    let mut e = start();
+    e.run_with(horizon, cut);
+    assert!(e.now() < horizon, "the cut falls before the horizon");
+    assert_fixed_point(&e, "the log stack at the cut");
+    (flat, e)
+}
+
+/// `e`'s snapshot, encoded, decoded and resumed.
+fn resumed(e: &Engine<RsmNode>) -> Engine<RsmNode> {
+    let decoded: LogSnapshot = wire::from_bytes(&wire::to_bytes(&e.snapshot())).expect("decodes");
+    Engine::resume_in(e.config().clone(), &decoded, EngineArena::new())
+}
+
+/// The run resumed at the cut `e` replays the straight run `flat` to
+/// `horizon` event for event — replica 1's status firings after the
+/// cut at the same ticks, with the same actions after them.
+fn assert_resumes_the_run(e: &Engine<RsmNode>, flat: &Engine<RsmNode>, horizon: Time) {
+    let mut resumed = resumed(e);
+    resumed.run_until(horizon);
+    assert_eq!(resumed.metrics(), flat.metrics());
+    assert_eq!(resumed.trace().expect("traced").dropped(), 0);
+    assert_eq!(resumed.trace(), flat.trace(), "every event at its tick");
+    let after = status_firings(flat, 1)
+        .into_iter()
+        .filter(|&t| t > e.now().ticks());
+    assert!(after.count() > 0, "the clock fires after the cut");
+    for p in 1..e.n() {
+        let (a, b) = (resumed.process(p).upper(), flat.process(p).upper());
+        assert_eq!((a.height(), a.state_hash()), (b.height(), b.state_hash()));
+    }
+}
+
+/// The log stack keeps what a fault-free closed loop never sets: a
+/// replica's idle wait before a no-op height (its end), the height
+/// engine's `◇HP` reading of the carriers gone, and a backed-off status
+/// chain — the replica's one clock, due far past one period. Cut twice
+/// at n = 4, ℓ = 2 with open-loop clients: past process 0's crash, at
+/// the first instant replica 1 waits, where the decoded replica waits
+/// for the same end and awaits one `COORD` from the dead carrier's
+/// label; and past the crash of both carriers of one label, while the
+/// stalled service backs off. Each cut is a fixed point, and the run
+/// resumed from it replays the uncut one event for event: the clock
+/// fires at the same ticks, with the same actions.
 #[test]
 fn a_log_snapshot_taken_while_a_replica_waits_round_trips_the_wait_and_the_hint() {
     let n = 4;
@@ -189,35 +260,44 @@ fn a_log_snapshot_taken_while_a_replica_waits_round_trips_the_wait_and_the_hint(
         ..WorkloadConfig::default()
     };
     let queues = clients.queues(n);
-    let config = SessionBuilder::new(n, 2)
-        .with_schedule(FailureSchedule::none(n).with_crash(0, Time::from_ticks(300)))
-        .sim_config();
-    let node = |p: usize| rsm_node(&assign, queues[p].clone());
+    let crashing = |crashed: &[usize]| {
+        let at = Time::from_ticks(300);
+        let schedule = (crashed.iter()).fold(FailureSchedule::none(n), |s, &p| s.with_crash(p, at));
+        SessionBuilder::new(n, 2)
+            .with_schedule(schedule)
+            .sim_config()
+    };
     let horizon = Time::from_ticks(4_000);
-    let mut flat: Engine<RsmNode> = Engine::new(config.clone(), |p, _| node(p));
-    flat.run_until(horizon);
 
-    let mut e: Engine<RsmNode> = Engine::new(config.clone(), |p, _| node(p));
     let label = assign.id_of(0);
-    e.run_with(horizon, |e| {
+    let (flat, e) = log_run_and_cut(&crashing(&[0]), &queues, horizon, |e| {
         let replica = e.process(1).upper();
         replica.idle_until().is_some() && replica.engine().coords_awaited(label) == 1
     });
     let waits = e.process(1).upper().idle_until();
-    assert!(waits.is_some() && e.now() < horizon, "the cut is mid-wait");
-    assert_fixed_point(&e, "the log stack mid-wait");
-
-    let decoded: LogSnapshot = wire::from_bytes(&wire::to_bytes(&e.snapshot())).expect("decodes");
-    let mut resumed = Engine::resume_in(config, &decoded, EngineArena::new());
-    let replica = resumed.process(1).upper();
+    assert!(waits.is_some(), "the cut is mid-wait");
+    let at_cut = resumed(&e);
+    let replica = at_cut.process(1).upper();
     assert_eq!(replica.idle_until(), waits);
     assert_eq!(replica.engine().coords_awaited(label), 1);
-    resumed.run_until(horizon);
-    assert_eq!(resumed.metrics(), flat.metrics());
-    for p in 1..n {
-        let (a, b) = (resumed.process(p).upper(), flat.process(p).upper());
-        assert_eq!((a.height(), a.state_hash()), (b.height(), b.state_hash()));
-    }
+    assert_resumes_the_run(&e, &flat, horizon);
+
+    let cut = Time::from_ticks(1_500);
+    let (flat, e) = log_run_and_cut(&crashing(&[0, 2]), &queues, horizon, |e| e.now() >= cut);
+    let fired = status_firings(&flat, 1);
+    let last = fired.iter().rev().find(|&&t| t <= e.now().ticks());
+    let next = fired.iter().find(|&&t| t > e.now().ticks());
+    let gap = next.expect("a firing after the cut") - last.expect("one before it");
+    assert!(
+        gap >= 4 * ANSWER_INTERVAL.ticks(),
+        "the cut is mid-back-off: {fired:?}"
+    );
+    assert_eq!(
+        e.process(1).upper().height(),
+        flat.process(1).upper().height(),
+        "stalled"
+    );
+    assert_resumes_the_run(&e, &flat, horizon);
 }
 
 /// For every entry of every history, whether it holds the same `◇HP`
