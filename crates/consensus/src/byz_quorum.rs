@@ -137,9 +137,15 @@
 //! most once per `(round, phase)` — and the timer's firing is one more
 //! evaluation, nothing else. A clean round arms exactly one (the
 //! coordinators' grace, which their `COORD`s then cut short); a wait
-//! short of `wait` copies arms none, since only a message can end it. A
-//! timer whose wait messages ended early still fires, finds its guard
-//! long passed and does nothing.
+//! short of `wait` copies arms none, since only a message can end it.
+//! Leaving a timed wait cancels its timer, whose instant is the phase's
+//! `phase_entered + phase_grace`, so no timer fires for a wait that
+//! messages ended: in a clean run none fires at all. A wait left in the
+//! tick it was entered hands its timer to the next one instead, which
+//! would time out at the same instant — the firing keeps its place among
+//! the events of its tick. A host that ends the instance without it
+//! leaving its wait (the log service, on a height adopted from a
+//! certificate) [closes](ByzQuorumConsensus::close) it.
 //!
 //! ## Locking and lock release
 //!
@@ -415,8 +421,10 @@ pub struct ByzQuorumConsensus {
     /// racing ahead on the first `wait` arrivals; also how long an
     /// unlocked process waits for the coordinator label before voting.
     phase_grace: Span,
-    /// The `(round, phase)` whose grace deadline has a timer armed: a
-    /// timed wait arms one, however often its guard is re-evaluated.
+    /// The `(round, phase)` whose grace deadline has a timer pending —
+    /// always the current one, since leaving a wait cancels its timer: a
+    /// timed wait arms one, however often its guard is re-evaluated, and
+    /// the marker clears when the timer fires or is cancelled.
     armed: Option<(u64, Phase)>,
     /// Per label of the assignment, the most of its carriers a stacked
     /// `◇HP` ever trusted at once (capped at the label's multiplicity).
@@ -470,10 +478,10 @@ impl ByzQuorumConsensus {
     /// assignment would, but keeps what does not depend on the
     /// instance — the admission caps, the label rotation, what `◇HP` has
     /// said about the carriers — and the round windows' storage, recycled
-    /// into the ring's spare pool. A deadline
-    /// timer of the finished instance may still be in flight; the host
-    /// must not deliver it to the new one (the log service tags timers
-    /// by height).
+    /// into the ring's spare pool. A host that
+    /// [`close`](Self::close)s the finished instance first leaves no
+    /// deadline timer of it in flight; the log service does, and tags
+    /// timers by height besides.
     pub fn restart(&mut self, proposal: u64) {
         self.est = proposal;
         self.lock = None;
@@ -558,12 +566,11 @@ impl ByzQuorumConsensus {
             .map(|(&v, _)| v)
     }
 
-    /// Enters `self.round`: the coordinator label's carriers announce
-    /// their estimates; voting follows from [`Self::eval`]'s `Coord` arm.
-    fn enter_round(&mut self, ctx: &mut ActionSink<'_, ByzMsg, u64>) {
-        self.rounds.advance_to(self.round);
-        self.phase = Phase::Coord;
-        self.phase_entered = ctx.local_now();
+    /// Enters `round`: the coordinator label's carriers announce their
+    /// estimates; voting follows from [`Self::eval`]'s `Coord` arm.
+    fn enter_round(&mut self, round: u64, ctx: &mut ActionSink<'_, ByzMsg, u64>) {
+        self.rounds.advance_to(round);
+        self.move_to(round, Phase::Coord, ctx);
         let r = self.round;
         ctx.observe(|| ObsKind::PhaseEnter {
             round: r,
@@ -578,6 +585,42 @@ impl ByzQuorumConsensus {
                 locked: self.lock.is_some(),
             });
         }
+    }
+
+    /// Leaves the current `(round, phase)` for `(round, phase)`. The
+    /// deadline timer of the wait being left goes with it: it is
+    /// cancelled — unless the wait was entered in this very tick, so that
+    /// the new one would time out at the same instant; then the new wait
+    /// keeps it as its own, and the timer fires where it always did.
+    fn move_to(&mut self, round: u64, phase: Phase, ctx: &mut ActionSink<'_, ByzMsg, u64>) {
+        let now = ctx.local_now();
+        if self.armed.is_some() {
+            if self.phase_entered == now {
+                self.armed = Some((round, phase));
+            } else {
+                self.cancel_deadline(ctx);
+            }
+        }
+        self.round = round;
+        self.phase = phase;
+        self.phase_entered = now;
+    }
+
+    /// Cancels the pending deadline timer, if there is one: `armed` names
+    /// the current wait while its timer is pending, and nothing once it
+    /// fired or was cancelled, so the timer is the one due at the current
+    /// phase's `phase_entered + phase_grace`.
+    fn cancel_deadline(&mut self, ctx: &mut ActionSink<'_, ByzMsg, u64>) {
+        if self.armed.take().is_some() {
+            ctx.cancel_timer(self.phase_entered + self.phase_grace, DEADLINE);
+        }
+    }
+
+    /// Ends the instance for a host that will [`restart`](Self::restart)
+    /// it: the pending deadline timer, if any, is cancelled, so none fires
+    /// after the instance is over.
+    pub fn close(&mut self, ctx: &mut ActionSink<'_, ByzMsg, u64>) {
+        self.cancel_deadline(ctx);
     }
 
     /// Counts one copy shed by the detect-and-discard admission policy.
@@ -660,8 +703,7 @@ impl ByzQuorumConsensus {
             }
         }
         if let Some(later) = self.round_to_skip_to() {
-            self.round = later;
-            self.enter_round(ctx);
+            self.enter_round(later, ctx);
             return true;
         }
         let r = self.round;
@@ -687,8 +729,7 @@ impl ByzQuorumConsensus {
                     round: r,
                     phase: "VOTE",
                 });
-                self.phase = Phase::Vote;
-                self.phase_entered = now;
+                self.move_to(r, Phase::Vote, ctx);
                 ctx.broadcast(ByzMsg::Vote {
                     id: ctx.my_id(),
                     round: r,
@@ -738,8 +779,7 @@ impl ByzQuorumConsensus {
                     round: r,
                     phase: "COMMIT",
                 });
-                self.phase = Phase::Commit;
-                self.phase_entered = now;
+                self.move_to(r, Phase::Commit, ctx);
                 true
             }
             Phase::Commit => {
@@ -769,8 +809,7 @@ impl ByzQuorumConsensus {
                     round: r,
                     phase: "COMMIT",
                 });
-                self.round = r + 1;
-                self.enter_round(ctx);
+                self.enter_round(r + 1, ctx);
                 true
             }
         }
@@ -854,7 +893,7 @@ impl Process for ByzQuorumConsensus {
     }
 
     fn on_start(&mut self, ctx: &mut ActionSink<'_, ByzMsg, u64>) {
-        self.enter_round(ctx);
+        self.enter_round(self.round, ctx);
         self.try_advance(ctx);
     }
 
@@ -922,11 +961,12 @@ impl Process for ByzQuorumConsensus {
         self.try_advance(ctx);
     }
 
-    /// A grace deadline passed — this phase's, or an earlier one's that
-    /// messages have since overtaken: either way the guards are asked
-    /// once more, and nothing is re-armed here.
+    /// The current phase's grace deadline passed (one of a phase left
+    /// earlier was cancelled on leaving): the guards are asked once more,
+    /// and nothing is re-armed here.
     fn on_timer(&mut self, timer: TimerTag, ctx: &mut ActionSink<'_, ByzMsg, u64>) {
         debug_assert_eq!(timer, DEADLINE);
+        self.armed = None;
         self.try_advance(ctx);
     }
 }
@@ -1438,10 +1478,65 @@ mod tests {
         assert_eq!(deadlines_armed(&mut c, me, 3, commits(0, Some(20), q)), []);
         assert_eq!(c.decision(), Some(20));
         assert_eq!((c.round, c.phase), (1, Phase::Vote), "locked: no wait");
-        // The timer of the wait the `COORD`s ended still fires: it finds
-        // nothing to do and arms nothing.
-        let fired = emitted(&mut c, me, 10, |c, sink| c.on_timer(DEADLINE, sink));
-        assert!(fired.is_empty(), "{fired:?}");
+    }
+
+    /// Leaving a timed wait takes its deadline with it: the `COORD`s that
+    /// end the coordinators' grace cancel the timer it armed, so in a
+    /// clean run no deadline ever fires. A wait left in the tick it was
+    /// entered hands its timer on to the next, which would time out at
+    /// the same instant, and a deadline that fired leaves nothing to
+    /// cancel.
+    #[test]
+    fn leaving_a_timed_phase_cancels_its_deadline() {
+        let mut c = ByzQuorumConsensus::new(7, &assign8());
+        let me = Identity::new(2);
+        emitted(&mut c, me, 0, |c, sink| c.on_start(sink));
+        let left = emitted(&mut c, me, 1, |c, sink| {
+            for m in coords(0, 20) {
+                c.on_message(m, sink);
+            }
+        });
+        let cancelled = |a: &&Action<ByzMsg, u64>| matches!(a, Action::CancelTimer(..));
+        let cancels: Vec<_> = left.iter().filter(cancelled).collect();
+        assert!(
+            matches!(cancels[..], [Action::CancelTimer(at, DEADLINE)] if *at == Time::from_ticks(10)),
+            "{left:?}"
+        );
+        assert_eq!(c.armed, None);
+
+        // A split vote arms the vote phase's timer, which fires and opens
+        // the commit phase at tick 11; `wait` bottoms arm its timer, and
+        // round 1's votes make the process skip to round 1 in that same
+        // tick: the commit phase's timer becomes the coordinators' wait's.
+        let vote = |label, est| ByzMsg::Vote {
+            id: Identity::new(label),
+            round: 0,
+            est,
+            locked: false,
+        };
+        let mut split = votes(0, 20, 3);
+        split.extend([vote(1, 21), vote(1, 21), vote(1, 21)]);
+        assert_eq!(deadlines_armed(&mut c, me, 4, split), [7]);
+        let fired = emitted(&mut c, me, 11, |c, sink| c.on_timer(DEADLINE, sink));
+        assert_eq!(c.phase, Phase::Commit);
+        assert!(!fired.iter().any(|a| cancelled(&a)), "it fired: {fired:?}");
+        let w = c.wait();
+        assert_eq!(deadlines_armed(&mut c, me, 11, commits(0, None, w)), [10]);
+        let skipped = emitted(&mut c, me, 11, |c, sink| {
+            for m in votes(1, 20, c.affirm()) {
+                c.on_message(m, sink);
+            }
+        });
+        assert_eq!((c.round, c.phase), (1, Phase::Coord));
+        assert_eq!(c.armed, Some((1, Phase::Coord)));
+        assert_eq!(deadlines_in(&skipped), [], "{skipped:?}");
+        assert!(!skipped.iter().any(|a| cancelled(&a)), "{skipped:?}");
+
+        // In a whole clean run, then, no timer fires at all.
+        let n = 8;
+        let e = run(assign8(), FailureSchedule::none(n), reliable(), 200, 7);
+        assert!(e.decisions().iter().all(Option::is_some));
+        assert_eq!(e.metrics().timers_fired, 0);
     }
 
     /// A vote or commit window holding `wait` copies and no quorum is
@@ -1550,13 +1645,14 @@ mod tests {
 
     proptest::proptest! {
         /// `restart(p)` is `new(p, assign)` handed the same `◇HP`
-        /// readings: after any past — here always one with a deadline
-        /// timer armed, a certified decision, shed copies and windows of
-        /// rounds ahead, a carrier of labels 0 and 2 seen to go, then
-        /// random traffic on top — the restarted engine encodes to the
-        /// same bytes as a fresh one that consumed the readings (so the
-        /// deadline marker is cleared too, and the reading kept) and
-        /// answers any future with the same actions.
+        /// readings: after any past — here always one that armed a
+        /// deadline timer, a certified decision, shed copies and windows
+        /// of rounds ahead, a carrier of labels 0 and 2 seen to go, then
+        /// random traffic on top, which may fire or cancel the timer —
+        /// the restarted engine encodes to the same bytes as a fresh one
+        /// that consumed the readings (so a deadline marker is cleared
+        /// too, and the reading kept) and answers any future with the
+        /// same actions.
         #[test]
         fn a_restarted_engine_is_a_fresh_one(
             past in steps(),
@@ -1572,13 +1668,13 @@ mod tests {
             let mut now = 0;
             drive(&mut used, Identity::new(0), vec![]);
             let decide = |label| Step::Msg(ByzMsg::Decide { id: Identity::new(label), value: 2 });
-            let mut opening = vec![decide(0), decide(0), decide(9), decide(1), step_of((0, 1, 4, 1, true))];
-            opening.extend(past);
+            let opening = [decide(0), decide(0), decide(9), decide(1), step_of((0, 1, 4, 1, true))];
             drive_steps(&mut used, &mut now, &opening);
+            proptest::prop_assert!(used.armed.is_some());
+            drive_steps(&mut used, &mut now, &past);
             proptest::prop_assert_eq!(used.decision(), Some(2));
             proptest::prop_assert!(used.discarded() > 0);
             proptest::prop_assert!(used.rounds.resident() > 0);
-            proptest::prop_assert!(used.armed.is_some());
 
             used.restart(proposal);
             let mut fresh = ByzQuorumConsensus::new(proposal, &assign);

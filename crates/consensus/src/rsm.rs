@@ -65,28 +65,23 @@
 //!     table two `u32`s to a word, and the rest of the ring — the tail —
 //!     oldest first.
 //!
-//! Both tally under the same per-label caps the Byzantine quorum stack
-//! uses: a label carried by `k` processes contributes at most `k` copies.
-//! When every corrupt process sends at most one copy per broadcast, as
-//! the simulated adversary does, `commit_quorum = f + 1` matching copies
-//! therefore imply at least one correct witness. A cap bounds a *label*,
-//! not a sender, so one corrupt carrier can fill every slot of its label.
-//! In the crash model a quorum of 1 is sound (correct processes
-//! only report decided values). A state's parts tally one word at a time,
-//! per `(height, count, index, word)`, and the state is adopted once
-//! every index `0..count` has a word with that many copies. Correct peers
-//! at one height send identical words, so this certifies exactly what
-//! matching whole states would. The laggard then moves to the senders'
-//! height, publishes the heights of the tail it did not have — the heights
-//! below the tail it passes without ever holding their values — and
-//! retires its own client's commands that the table says committed. A
-//! peer that moved on sends another state, so a replica holds at most one
-//! claim per process of the system, at most that many candidate words per
-//! index, and drops them all whenever its status chain (next section)
-//! finds it stalled. A part that cannot belong to a replica's state
-//! — an index past its count, a count that leaves no room for the table
-//! or more tail than a ring holds or than there are heights, a height
-//! with no successor — is discarded.
+//! Both tally under the Byzantine stack's per-label caps: a label carried
+//! by `k` processes contributes at most `k` copies, so when every corrupt
+//! process sends at most one copy per broadcast, as the simulated
+//! adversary does, `commit_quorum = f + 1` matching copies imply a
+//! correct witness (a cap bounds a *label*, not a sender). In the crash
+//! model a quorum of 1 is sound. A state's parts tally one word at a
+//! time, per `(height, count, index, word)`; the state is adopted once
+//! every index has a word with that many copies, which certifies what
+//! matching whole states would. The laggard moves to the senders' height,
+//! publishes the heights of the tail it did not have (it passes the
+//! heights below the tail without their values) and retires its client's
+//! commands the table says committed. It holds at most one claim per
+//! process and that many candidate words per index, and drops them all
+//! whenever its status chain (next section) finds it stalled. A part
+//! that cannot belong to a replica's state — an index past its count, a
+//! count with no room for the table or more tail than a ring or the
+//! heights hold, a height with no successor — is discarded.
 //!
 //! No message of the log holds heap memory, and so neither does a stack
 //! of it over a detector whose messages hold none: the engine copies
@@ -94,108 +89,85 @@
 //!
 //! # Pull what you missed
 //!
-//! The third case above only fires on the laggard's own traffic, and a
-//! laggard whose engine sits in a phase sends none — the engines never
-//! retransmit, because a second copy is indistinguishable from a
-//! namesake's. Nor can it learn from others' commits in passing, since a
-//! commit is only broadcast when it carries news (next section). So a
-//! replica that may be behind **asks**, with the one truthful thing it
-//! can say: its last commit.
+//! The third case above fires only on the laggard's own traffic, and a
+//! laggard whose engine sits in a phase sends none (the engines never
+//! retransmit: a second copy is indistinguishable from a namesake's);
+//! nor does a commit reach it in passing, since one is broadcast only
+//! with news (next section). So a replica that may be behind **asks**,
+//! with the one truthful thing it can say: its last commit.
 //!
-//! * **Status.** One log-level timer chain runs per replica, with base
-//!   period [`ANSWER_INTERVAL`]: the replica's one liveness clock, which
-//!   also ends an idle wait (see "An idle replica waits"). A stall counts
-//!   from a height's *boot*, not from its entry. A firing that finds the
-//!   replica has booted no height's engine since the previous firing —
-//!   so it has sat at its height for at least one period past its boot —
-//!   repeats `Commit { h − 1, log[h − 1], next }` and doubles the gap to
-//!   the next firing, up to `ANSWER_INTERVAL × MAX_COMMIT_AHEAD`; a
-//!   firing that finds it booted one sends nothing and returns to the
-//!   base period. The replica keeps the instant its live firing is due;
-//!   a firing at any other instant is one that was superseded, and does
-//!   nothing. A healthy service whose heights take less than a period
-//!   never sends one; a whole system stalled behind a partition backs
-//!   off instead of flooding the partition's queue.
-//! * **Answer.** A replica at height `h` that receives
-//!   `Commit { h', … }` with `h' + 1 < h` (checked: a forged height near
-//!   `u64::MAX` has no successor) treats it as it treats a height-`h' + 1`
-//!   engine message from the past: `answer_past(h' + 1)`, under the same
-//!   throttle — the entry if `h' + 1` is inside its ring, its state if
-//!   not. `f + 1` such answers certify the entry, or the state, for the
-//!   asker.
-//! * **Chain.** A replica that adopts an entry or a state from a
-//!   certificate broadcasts its `Commit` whether or not it has news — it
-//!   is behind and has just moved, so its peers answer with the next
-//!   entry at once, one round trip per entry inside their rings, without
-//!   waiting for the timer. A replica more than a ring behind pays one
-//!   round trip for the state — `count` broadcasts from each peer, which
-//!   certify together — then one per entry its peers committed in the
-//!   meantime.
+//! * **Status.** The replica's one liveness clock is a log-level timer
+//!   chain with base period [`ANSWER_INTERVAL`], which also ends an idle
+//!   wait ("An idle replica waits"). A stall counts from a height's
+//!   *boot*: a firing that finds no engine booted since the previous
+//!   firing repeats `Commit { h − 1, log[h − 1], next }` and doubles the
+//!   gap, up to `ANSWER_INTERVAL × MAX_COMMIT_AHEAD`. A firing that would
+//!   find a boot would only return the chain to its base period, so it
+//!   is never armed: the boot cancels it and arms the one a period later,
+//!   and the chain's one timer is always a firing that acts. (That timer
+//!   takes the boot's place in its tick, not the skipped firing's.) A
+//!   healthy service never sends a status; a system stalled behind a
+//!   partition backs off instead of flooding the partition's queue.
+//! * **Answer.** A replica at height `h` receiving `Commit { h', … }`
+//!   with `h' + 1 < h` (checked: a forged height near `u64::MAX` has no
+//!   successor) answers as for a height-`h' + 1` engine message from the
+//!   past — the entry or its state, under the same throttle; `f + 1`
+//!   answers certify it for the asker.
+//! * **Chain.** A replica that adopts an entry or a state broadcasts its
+//!   `Commit` with or without news: it is behind and has just moved, so
+//!   its peers answer with the next entry at once — one round trip per
+//!   entry inside their rings; one for a state (`count` broadcasts from
+//!   each peer), then one per entry committed meanwhile.
 //!
-//! A status is a truthful commit like any other copy: it adds to the
-//! tally of whoever is still at `h − 1` (which is also what rescues a
-//! replica stalled at height 0, which has nothing to repeat: its peers,
-//! stalled at height 1 without it or simply slow before GST, repeat
-//! `Commit { 0, … }`, `f + 1` of which certify height 0). Entries are
-//! still adopted only on `commit_quorum` matching copies under the label
-//! caps, so a Byzantine sender of stale statuses buys at most one answer
-//! per ring height, and one state (its `count` parts), per
-//! `ANSWER_INTERVAL` from each correct replica, and nothing else. The
-//! price of asking lazily: after a long stall the
-//! chain's next firing is up to `ANSWER_INTERVAL × MAX_COMMIT_AHEAD`
-//! away, and a replica that boots its next height at once and is
-//! stranded again before that firing waits that long before its first
-//! status. One that enters an idle wait brings the chain back first.
+//! A status is a truthful commit: it adds to the tally of whoever is
+//! still at `h − 1`, which is what rescues a replica stalled at height 0
+//! (its peers, stalled at height 1 or slow before GST, repeat
+//! `Commit { 0, … }`). Entries are adopted only on `commit_quorum`
+//! matching copies under the label caps, so a Byzantine sender of stale
+//! statuses buys at most one answer per ring height, and one state, per
+//! `ANSWER_INTERVAL` from each correct replica. The price of asking
+//! lazily: after a long stall the chain's next firing is up to
+//! `ANSWER_INTERVAL × MAX_COMMIT_AHEAD` away, which a replica stranded
+//! again right after booting waits out (`docs/log_service.md`, "Open");
+//! one entering an idle wait brings the chain back first.
 //!
 //! # A decided height stops talking
 //!
 //! `Commit { h, v }` *is* the decision certificate of height `h`: `f + 1`
-//! matching copies under the label caps, exactly what the Byzantine
-//! engine's own `DECIDE` echo ledger demands. So the moment the height's
-//! engine decides, the log drops whatever else the engine emitted in
-//! that callback after the decision — the echo, the next round's opening
-//! messages, timers, observations of a round nobody will run. The cut is
-//! by position in the action stream; the log never looks inside an
-//! engine message.
+//! matching copies under the label caps, what the Byzantine engine's own
+//! `DECIDE` echo ledger demands. So the moment the height's engine
+//! decides, the log drops whatever else it emitted in that callback — the
+//! echo, the next round's opening messages, timers, observations of a
+//! round nobody will run — by position in the action stream, never
+//! looking inside an engine message. Only its cancels pass: a height that
+//! ends, decided or adopted, leaves no timer pending — the log also has
+//! its engine [close](HeightEngine::close) the wait it was in.
 //!
 //! The `Commit` itself is broadcast **only when it carries news**: a
 //! `next` not announced before (see "Who gets proposed"), or an entry
-//! adopted from a certificate (see above). Every replica decides a clean
-//! height by its own quorum, so a `Commit` that says "same `next` as
-//! last height" tells nobody anything — seven of the eight a height used
-//! to broadcast at n = 8 — and whoever did miss the height asks.
-//!
-//! Broadcast or not, the commit instant opens the height's *answer*
-//! throttle: the tail of height-`h` copies still in flight when a
-//! replica commits would otherwise each look like a laggard asking, and
-//! earn an n-copy `Commit`. A replica that is genuinely stuck asks past
-//! [`ANSWER_INTERVAL`] and is answered.
-//! The throttle keeps one instant per ring entry and a single shared
-//! instant for everything older, so it is bounded and a replica far
-//! behind is still answered at most once per interval.
+//! adopted from a certificate. Every replica decides a clean height by
+//! its own quorum, so "same `next` as last height" tells nobody anything,
+//! and whoever did miss the height asks. Broadcast or not, the commit
+//! opens the height's *answer* throttle: the height-`h` copies still in
+//! flight would otherwise each look like a laggard asking. The throttle
+//! keeps one instant per ring entry and one shared by everything older,
+//! so a replica far behind is answered at most once per interval.
 //!
 //! # Who gets proposed
 //!
 //! The default engine decides the smallest estimate the round's
 //! coordinator label brings in, so a command is served only once a
-//! coordinator carrier proposes it. The log carries it there on traffic
-//! that exists anyway: every `Commit` that is sent has a field `next`, the
-//! sender's own client's head command if it is due, else [`NOOP`] — and a
-//! `Commit` is sent whenever `next` is new, so a due command is announced
-//! by the first commit after it becomes due and not again. Every replica
-//! keeps one slot per proposer index, filled from every `Commit` it
-//! receives, and proposes at each new height
+//! coordinator carrier proposes it. Every `Commit` sent carries `next`,
+//! the sender's own client's due head command or [`NOOP`], and one is
+//! sent whenever `next` is new. Every replica keeps one slot per proposer
+//! index, filled from every `Commit` it receives, and proposes at each
+//! new height, coordinator or not (a failed round hands coordination on),
 //!
-//! 1. its own client's command if one is due — so in a closed loop, where
-//!    the coordinator's client always has one, nothing changes, and
-//!    fairness there is deliberately still 1/k: serving k clients in turn
-//!    multiplies every client's commit latency by k, so closed-loop
-//!    fairness waits for a block per height;
+//! 1. its own client's command if one is due — so a closed loop, where
+//!    the coordinator's client always has one, keeps a fairness of 1/k
+//!    until a height decides a block;
 //! 2. else the held command with the smallest `(seq, cmd)`;
-//! 3. else [`NOOP`]
-//!
-//! — coordinator or not, since a failed round hands coordination to the
-//! next label.
+//! 3. else [`NOOP`].
 //!
 //! **The successor rule.** A slot accepts `next` only if it is that
 //! proposer's *successor* command: `seq_of(next)` equals the highest
@@ -221,48 +193,38 @@
 //!
 //! # An idle replica waits
 //!
-//! A no-op height costs what any height costs — a `VOTE` and a `COMMIT`
-//! broadcast from every replica, the coordinators' `COORD`s, the
-//! detector's traffic meanwhile — and serves nobody. Under sparse
-//! open-loop arrivals most heights are no-ops, run back to back. So a
-//! replica that moves up with nothing to propose (its own client has no
-//! command due and it holds no announced one) and did not adopt the
-//! entry it moved up on does not boot the next height's engine yet. It
-//! keeps the wait's end, [`ANSWER_INTERVAL`] from now (persisted with
-//! the rest of its state), and arms no timer of its own: the status
-//! chain ends the wait. A chain backed off past two periods is brought
-//! back to fire one period from now; a firing inside the wait fires
-//! again exactly at its end; a firing at or after the end boots the
-//! height and returns the chain to its base period. So a wait lasts one
-//! period while the chain runs at its base period, and at most two. The
-//! replica boots at the earliest of
+//! A no-op height costs what any height costs and serves nobody, and
+//! under sparse open-loop arrivals most heights are no-ops. So a replica
+//! that moves up with nothing to propose (no due command of its own, no
+//! announced one held) and did not adopt its entry does not boot the next
+//! height's engine yet. It keeps the wait's end, [`ANSWER_INTERVAL`] from
+//! now (persisted), and arms no timer of its own: the status chain ends
+//! the wait. A chain backed off past two periods is brought back to fire
+//! one period from now; a firing inside the wait fires again exactly at
+//! its end, and one at or after the end boots the height and returns the
+//! chain to its base period — so a wait lasts one period, two at most.
+//! The firing inside the wait only re-arms, but stays: its timer puts
+//! the boot after whatever was sent before it in the end's tick, a
+//! peer's announcement among them, which the boot then proposes (arming
+//! the end at the wait's entry cost `commit_ticks_p50` 12 → 13 at 5 of
+//! 12 seeds of `log_faults_open`). The replica boots at the earliest of
 //!
-//! 1. the wait's end, at the chain's next firing;
-//! 2. its own client's head command arriving (the arrival timer of "Who
-//!    gets proposed");
+//! 1. the wait's end;
+//! 2. its own client's head command arriving;
 //! 3. a `Commit` whose `next` gives it something to propose;
-//! 4. engine traffic for the height: a peer already runs it. Traffic
-//!    buffered for the height before the replica reached it counts too,
-//!    so such a height boots at once.
+//! 4. engine traffic for the height, buffered before it got there
+//!    included: a peer already runs it.
 //!
-//! Booting proposes what the replica has at that moment and replays the
-//! traffic it buffered for the height, and the chain's next firing
-//! counts it as progress: a wait is not a stall, and only a replica
-//! that then sits a whole period at the height asks. A replica that
-//! adopted its entry is behind and boots at once; so does height 0, and
-//! so does every replica of a closed loop, whose client always has a
-//! command due.
+//! Booting proposes what the replica has then, replays the traffic
+//! buffered for the height and counts as progress: a wait is not a
+//! stall. A replica that adopted its entry is behind and boots at once;
+//! so does height 0, and so does every replica of a closed loop.
 //!
-//! What it buys: a command that arrives during a wait is proposed at
-//! once, where it used to wait out the no-op height in progress, and an
-//! idle service runs one no-op height per wait, not one per height's
-//! worth of ticks. What it costs: nothing for safety — the wait only
-//! delays an engine's start, every decision is still the engine's or a
-//! certificate's — and at most two [`ANSWER_INTERVAL`]s of latency
-//! (one while the chain runs at its base period) for the height after
-//! the wait's start, which the triggers above cut short whenever anyone
-//! has something to propose. Ticks per height
-//! now count the waits: an idle height is a long one on purpose. A
+//! A command arriving during a wait is proposed at once, and an idle
+//! service runs one no-op height per wait. Safety is untouched — the
+//! wait only delays an engine's start — and the latency cost is at most
+//! two [`ANSWER_INTERVAL`]s for the height after the wait's start, which
+//! any trigger above cuts short. Ticks per height count the waits. A
 //! forged `next` or forged engine traffic can end a wait early, which
 //! costs the no-op height the replica would have run anyway.
 
@@ -294,8 +256,9 @@ const ARRIVAL_TAG: TimerTag = TimerTag(0);
 
 /// The log's other timer: its one liveness clock, the status chain of
 /// "Pull what you missed" in the module docs, which also ends an idle
-/// wait. One firing is live, the one due at the instant the replica
-/// keeps; one it superseded may still be in flight, and does nothing.
+/// wait. Only a firing that acts is armed, one at a time: a firing that
+/// would only find the replica booted is skipped, and one superseded is
+/// cancelled.
 const STATUS_TAG: TimerTag = TimerTag(1);
 
 /// A consensus engine that [`ReplicatedLog`] can instantiate once per
@@ -320,19 +283,21 @@ pub trait HeightEngine: Process<Output = u64> + Sized {
     fn spawn(seed: &Self::Seed, proposal: u64) -> Self;
 
     /// Turns the engine of a finished height into the next height's,
-    /// proposing `proposal`. `self` was spawned from `seed`, and
-    /// afterwards must behave exactly as `Self::spawn(seed, proposal)`
-    /// would — which is what the default does — but for the detector
-    /// readings it consumed itself, which it may keep as a seed keeps
-    /// them (the tolerant engine keeps its `◇HP` reading this way, and
-    /// its seed takes none). An engine whose
-    /// construction is worth saving (tables derived from the seed,
-    /// buffers sized by the last height) overrides it to reset its
-    /// per-height state in place instead: the log spawns height 0's
-    /// engine and calls this at every height after it.
+    /// proposing `proposal`: afterwards it behaves exactly as
+    /// `Self::spawn(seed, proposal)` would (the default), but for the
+    /// detector readings it consumed itself, which it may keep as a seed
+    /// keeps them (the tolerant engine keeps its `◇HP` reading). An
+    /// engine whose construction is worth saving overrides it to reset
+    /// its per-height state in place; the log calls it at every height
+    /// after height 0.
     fn respawn(&mut self, seed: &Self::Seed, proposal: u64) {
         *self = Self::spawn(seed, proposal);
     }
+
+    /// The height is over, decided or adopted: cancels the timers the
+    /// engine still has pending. The default cancels none, and the log
+    /// drops their firings.
+    fn close(&mut self, _ctx: &mut ActionSink<'_, Self::Msg, u64>) {}
 }
 
 /// Seed for the Byzantine-tolerant default engine
@@ -352,6 +317,10 @@ impl HeightEngine for ByzQuorumConsensus {
 
     fn respawn(&mut self, _seed: &Self::Seed, proposal: u64) {
         self.restart(proposal);
+    }
+
+    fn close(&mut self, ctx: &mut ActionSink<'_, Self::Msg, u64>) {
+        ByzQuorumConsensus::close(self, ctx);
     }
 }
 
@@ -664,12 +633,9 @@ impl StateTally {
 /// The multi-height replicated log process; see the module docs.
 ///
 /// `Output = `[`LogEntry`]: every commit is published, so the engine's
-/// histories carry each process's view of the log in commit order — the
-/// record of the log, which the process itself does not keep: it holds
-/// the last [`MAX_COMMIT_AHEAD`] values and a fingerprint of
-/// the rest. The *first* commit additionally registers as the process's
-/// decision, so one-shot goals (`run_until_all_correct_decided`) remain
-/// meaningful.
+/// histories are the record of the log, which the process keeps only the
+/// last [`MAX_COMMIT_AHEAD`] values and a fingerprint of. The *first*
+/// commit is also the process's decision, for one-shot goals.
 #[derive(Clone)]
 pub struct ReplicatedLog<C: HeightEngine> {
     seed: C::Seed,
@@ -703,14 +669,16 @@ pub struct ReplicatedLog<C: HeightEngine> {
     done_seq: Vec<u32>,
     /// The last own command sent out as a `Commit`'s `next`.
     announced: u64,
-    /// Whether the replica booted a height's engine since the last
-    /// status firing: it moved, and is not stalled.
+    /// Whether the replica booted a height's engine since the status
+    /// chain's last firing, armed or not: it moved, and is not stalled.
     moved: bool,
-    /// The delay of the live status timer:
-    /// [`ANSWER_INTERVAL`] while heights commit, doubling
-    /// with every status sent from one height.
+    /// The chain's period after its next firing: [`ANSWER_INTERVAL`]
+    /// while heights commit, doubling with every status sent from one
+    /// height.
     status_gap: Span,
-    /// When the live status timer fires.
+    /// When the chain's next firing falls — the one its timer is armed
+    /// for, or, while `moved`, the one before it, which would only find
+    /// the boot and is never armed.
     status_due: Time,
     /// While the replica waits before booting the current height's
     /// engine, when the wait ends ("An idle replica waits" in the module
@@ -839,9 +807,8 @@ impl<C: HeightEngine> ReplicatedLog<C> {
 
     /// Runs `f` against the live engine through a sub-sink, lifting its
     /// actions into height-tagged envelopes. An inner `Decide` commits
-    /// and ends the relay (see "A decided height stops talking" in the
-    /// module docs); an inner `Halt` is swallowed — a height finishing is
-    /// not the service stopping.
+    /// and cuts the relay ("A decided height stops talking" in the module
+    /// docs); an inner `Halt` is swallowed.
     fn relay_inner(
         &mut self,
         ctx: &mut Sink<'_, C>,
@@ -855,26 +822,27 @@ impl<C: HeightEngine> ReplicatedLog<C> {
                 .with_observing(observing);
             f(&mut self.inner, &mut sub);
         }
+        let lift = |tag: TimerTag| {
+            debug_assert!(tag.0 < TAG_STRIDE, "inner timer tag exceeds stride");
+            TimerTag((h + 1) * TAG_STRIDE + tag.0)
+        };
         let mut decided = None;
         for action in actions.drain(..) {
             match action {
+                // A cancel only withdraws, so it passes even the cut below.
+                Action::CancelTimer(at, tag) => ctx.cancel_timer(at, lift(tag)),
+                // The height is over: whatever else the callback emitted
+                // after the decision (a decision echo, the next round's
+                // opening messages, a timer re-arm, observations of a
+                // round nobody will run) is shed, by position — the log's
+                // own `Commit` is the certificate laggards get.
+                _ if decided.is_some() => {}
+                Action::Decide(v) => decided = Some(v),
                 Action::Broadcast(m) => ctx.broadcast(RsmMsg::Inner { height: h, msg: m }),
-                Action::SetTimer(d, tag) => {
-                    debug_assert!(tag.0 < TAG_STRIDE, "inner timer tag exceeds stride");
-                    ctx.set_timer(d, TimerTag((h + 1) * TAG_STRIDE + tag.0));
-                }
+                Action::SetTimer(d, tag) => ctx.set_timer(d, lift(tag)),
                 // Inner engines publish round estimates; the log service's
                 // history is the committed log, so those stay internal.
                 Action::Publish(_) => {}
-                // The height is over: whatever the callback emitted
-                // after this (a decision echo, the next round's opening
-                // messages, a timer re-arm, observations of a round
-                // nobody will run) is shed, by position — the log's own
-                // `Commit` is the certificate laggards get.
-                Action::Decide(v) => {
-                    decided = Some(v);
-                    break;
-                }
                 Action::Halt => {}
                 Action::Observe(k) => ctx.observe(|| k),
                 Action::Discard => ctx.note_discard(),
@@ -892,11 +860,8 @@ impl<C: HeightEngine> ReplicatedLog<C> {
         }
     }
 
-    /// Appends `value` at the current height, announces the commit if it
-    /// carries news — a due command of the own client not yet announced,
-    /// or that this replica `adopted` the entry from a certificate and is
-    /// therefore behind — and boots the next height's engine (draining
-    /// any buffered traffic for it).
+    /// Appends `value` at the current height and enters the next one,
+    /// announcing the commit if it carries news or was `adopted`.
     fn commit(&mut self, value: u64, adopted: bool, ctx: &mut Sink<'_, C>) {
         let height = self.height;
         self.state_hash = mix(self.state_hash, height, value);
@@ -929,14 +894,15 @@ impl<C: HeightEngine> ReplicatedLog<C> {
     }
 
     /// Moves to height `to`, whose predecessor is the ring's last entry:
-    /// says so if that carries news or was `adopted` from a certificate,
-    /// arms the arrival timer if the client drew a new head (it had
-    /// retired `completed` commands before), drops what was kept for the
-    /// heights passed, and boots the next height's engine — unless the
-    /// replica has nothing to propose, did not adopt the entry and holds
-    /// no traffic for `to`: then it waits first ("An idle replica
-    /// waits" in the module docs).
+    /// closes the height's engine, says so if the entry carries news or
+    /// was `adopted`, arms the arrival timer if the client drew a new
+    /// head (it had retired `completed` before), drops what was kept for
+    /// the heights passed, and boots the next height's engine — or, with
+    /// nothing to propose, no entry adopted and no traffic for `to`,
+    /// waits first ("An idle replica waits" in the module docs).
     fn enter(&mut self, to: u64, adopted: bool, completed: usize, ctx: &mut Sink<'_, C>) {
+        // The height is over: its engine's timers go with it.
+        self.relay_inner(ctx, |c, sub| c.close(sub));
         if adopted || self.has_news(ctx.local_now()) {
             if let Some(&(value, _)) = self.ring.back() {
                 self.broadcast_commit(to - 1, value, None, ctx);
@@ -968,22 +934,34 @@ impl<C: HeightEngine> ReplicatedLog<C> {
         if !adopted && self.proposal(now) == NOOP && !self.future.contains_key(&to) {
             // The status chain ends the wait; a backed-off one is brought
             // back to fire at the wait's end.
-            let interval = ANSWER_INTERVAL;
-            self.idle_until = Some(now + interval);
-            if self.status_due > now + interval.saturating_mul(2) {
-                self.arm_status(interval, ctx);
-            }
+            let end = now + ANSWER_INTERVAL;
+            self.move_status(ctx, |log| {
+                log.idle_until = Some(end);
+                if log.status_due > end + ANSWER_INTERVAL {
+                    log.status_due = end;
+                }
+            });
             return;
         }
         self.boot(ctx);
     }
 
-    /// Starts the current height's engine on what there is to propose
-    /// now, and replays the traffic buffered for the height. The status
-    /// chain counts it as progress at its next firing.
+    /// Boots the current height's engine: the status chain counts it as
+    /// progress, and skips the firing that would only find that out.
     fn boot(&mut self, ctx: &mut Sink<'_, C>) {
+        self.move_status(ctx, Self::note_boot);
+        self.start_engine(ctx);
+    }
+
+    /// A boot ends any wait and counts as progress.
+    fn note_boot(&mut self) {
         self.idle_until = None;
         self.moved = true;
+    }
+
+    /// Respawns the current height's engine on what there is to propose
+    /// now, and replays the traffic buffered for the height.
+    fn start_engine(&mut self, ctx: &mut Sink<'_, C>) {
         let to = self.height;
         let proposal = self.proposal(ctx.local_now());
         self.inner.respawn(&self.seed, proposal);
@@ -1010,12 +988,10 @@ impl<C: HeightEngine> ReplicatedLog<C> {
     }
 
     /// Moves to `height + 1` on a certified state transfer, `words` laid
-    /// out as [`StatePart`] says and checked by [`Self::tally_part`]:
-    /// publishes the heights of the tail it did not have, takes the
-    /// fingerprint and the per-proposer table as they are, and retires its
-    /// own client's commands the skipped heights committed. Below the tail
-    /// it never holds a value. If that skips height 0, the replica
-    /// registers no decision.
+    /// out as [`StatePart`] says: publishes the heights of the tail it did
+    /// not have, takes the fingerprint and the table as they are, and
+    /// retires its client's commands the skipped heights committed. If
+    /// that skips height 0, the replica registers no decision.
     fn adopt(&mut self, height: u64, words: &[u64], ctx: &mut Sink<'_, C>) {
         let (head, tail) = words.split_at(STATE_HEAD + table_words(self.done_seq.len()));
         let completed = self.client.completed();
@@ -1098,12 +1074,9 @@ impl<C: HeightEngine> ReplicatedLog<C> {
 
     /// Tallies one part of a state transfer, `word` at `part.index` of a
     /// state through `height`, under the per-label caps. A part that
-    /// cannot belong to a replica's state — an index past its count, a
-    /// count that leaves no room for the table or more tail than a ring
-    /// holds or than there are heights, a height with no successor — is
-    /// discarded, and so is one under a label nobody carries. So is a new
-    /// claim once every process of the system could have sent one, and a
-    /// new word for an index once every process could have sent one.
+    /// cannot belong to a replica's state (see the module docs) is
+    /// discarded, as is one under a label nobody carries, and a new claim
+    /// or a new word for an index once every process could have sent one.
     fn tally_part(
         &mut self,
         height: u64,
@@ -1263,45 +1236,67 @@ impl<C: HeightEngine> ReplicatedLog<C> {
         }
     }
 
-    /// Arms the status timer `gap` from now; any other one in flight is
-    /// superseded.
-    fn arm_status(&mut self, gap: Span, ctx: &mut Sink<'_, C>) {
-        self.status_due = ctx.local_now() + gap;
-        ctx.set_timer(gap, STATUS_TAG);
+    /// The chain's first firing from `status_due` on that acts — one that
+    /// would find a boot is skipped — and so the one its timer is armed
+    /// for.
+    fn status_acts_at(&self) -> Time {
+        if self.moved && self.idle_until.is_none() {
+            self.status_due + ANSWER_INTERVAL
+        } else {
+            self.status_due
+        }
     }
 
-    /// The status timer fired. A superseded one does nothing. In an idle
-    /// wait, it fires again at the wait's end, and there it boots the
-    /// height. If the replica booted an engine since the last firing, all
-    /// is well and the chain returns to its base period. If not, it has
-    /// sat at its height for at least [`ANSWER_INTERVAL`] past its boot:
-    /// it repeats its last commit as a status — whoever is ahead answers
-    /// with the entry it is missing, and whoever is a height behind gets
-    /// a certificate copy — and backs off, doubling the gap up to
-    /// `ANSWER_INTERVAL × MAX_COMMIT_AHEAD`. At height 0 there is nothing
-    /// to repeat and so nothing to back off from: the chain keeps its
-    /// base period, so that the first commit finds it ready. A firing
-    /// that finds the replica stalled also drops the state transfer
-    /// claims it holds: they answered an earlier ask, from peers that
-    /// have moved on since.
+    /// Plays the skipped firing at `status_due` once it is due (before
+    /// the event at hand when both fall in one tick): the chain returns
+    /// to its base period.
+    fn play_moved_firing(&mut self, now: Time) {
+        if self.moved && self.idle_until.is_none() && self.status_due <= now {
+            self.moved = false;
+            self.status_gap = ANSWER_INTERVAL;
+            self.status_due += ANSWER_INTERVAL;
+        }
+    }
+
+    /// Applies `change` to the chain, cancelling and re-arming its timer
+    /// if the firing that acts moved.
+    fn move_status(&mut self, ctx: &mut Sink<'_, C>, change: impl FnOnce(&mut Self)) {
+        let now = ctx.local_now();
+        self.play_moved_firing(now);
+        let armed = self.status_acts_at();
+        change(self);
+        if self.status_acts_at() != armed {
+            ctx.cancel_timer(armed, STATUS_TAG);
+            self.arm_status(ctx);
+        }
+    }
+
+    /// Arms the status timer for the firing that acts.
+    fn arm_status(&self, ctx: &mut Sink<'_, C>) {
+        let at = self.status_acts_at();
+        ctx.set_timer(at.saturating_since(ctx.local_now()), STATUS_TAG);
+    }
+
+    /// The status timer fired, at a firing that acts. Inside an idle wait
+    /// it fires again at the wait's end, where it boots the height and
+    /// returns the chain to its base period. Otherwise the replica has
+    /// booted no engine for a period: it drops its state transfer claims
+    /// (answers to an earlier ask), repeats its last commit as a status
+    /// and backs off, doubling the gap up to `ANSWER_INTERVAL ×
+    /// MAX_COMMIT_AHEAD` — at height 0, with nothing to repeat, it keeps
+    /// the base period, so that the first commit finds it ready.
     fn status_tick(&mut self, ctx: &mut Sink<'_, C>) {
         let now = ctx.local_now();
-        if now != self.status_due {
-            return;
-        }
+        self.play_moved_firing(now);
+        debug_assert_eq!(self.status_due, now, "only a firing that acts is armed");
         let base = ANSWER_INTERVAL;
+        let wait_ends = self.idle_until.is_some_and(|end| now >= end);
         match self.idle_until {
-            Some(end) if now < end => {
-                self.arm_status(end - now, ctx);
-                return;
-            }
+            Some(end) if now < end => self.status_due = end,
             Some(_) => {
-                self.boot(ctx);
                 self.status_gap = base;
-            }
-            None if self.moved => {
-                self.moved = false;
-                self.status_gap = base;
+                self.status_due = now + base;
+                self.note_boot();
             }
             None => {
                 self.states.clear();
@@ -1309,9 +1304,13 @@ impl<C: HeightEngine> ReplicatedLog<C> {
                     let cap = base.saturating_mul(MAX_COMMIT_AHEAD);
                     self.status_gap = self.status_gap.saturating_mul(2).min(cap);
                 }
+                self.status_due = now + self.status_gap;
             }
         }
-        self.arm_status(self.status_gap, ctx);
+        self.arm_status(ctx);
+        if wait_ends {
+            self.start_engine(ctx);
+        }
     }
 
     /// What to propose at a new height: the own client's due command,
@@ -1401,7 +1400,8 @@ impl<C: HeightEngine> Process for ReplicatedLog<C> {
 
     fn on_start(&mut self, ctx: &mut ActionSink<'_, Self::Msg, Self::Output>) {
         self.arm_arrival(ctx);
-        self.arm_status(self.status_gap, ctx);
+        self.status_due = ctx.local_now() + self.status_gap;
+        self.arm_status(ctx);
         self.relay_inner(ctx, |c, sub| c.on_start(sub));
         self.drain_certified(ctx);
     }
@@ -2103,9 +2103,9 @@ mod tests {
         assert_eq!(node.ring.len() as u64, cap);
     }
 
-    /// The log's own timers a replica armed, fired as the engine fires
-    /// them when nothing else happens: in due order, ties in the order
-    /// armed.
+    /// The log's own timers a replica armed and did not cancel, fired as
+    /// the engine fires them when nothing else happens: in due order,
+    /// ties in the order armed.
     #[derive(Default)]
     struct Clock(Vec<(u64, TimerTag)>);
 
@@ -2113,7 +2113,8 @@ mod tests {
     type Firing = (u64, Vec<ByzAction>);
 
     impl Clock {
-        /// What `step` emits at tick `at`, keeping the log timers it arms.
+        /// What `step` emits at tick `at`, keeping the log timers it arms
+        /// and dropping those it cancels.
         fn at(
             &mut self,
             node: &mut ByzLog,
@@ -2122,13 +2123,22 @@ mod tests {
         ) -> Vec<ByzAction> {
             let actions = actions_of(node, at, step);
             for action in &actions {
-                if let Action::SetTimer(delay, tag) = *action {
-                    if tag.0 < TAG_STRIDE {
-                        self.0.push((at + delay.ticks(), tag));
+                match *action {
+                    Action::SetTimer(delay, tag) if tag.0 < TAG_STRIDE => {
+                        self.0.push((at + delay.ticks().max(1), tag));
                     }
+                    Action::CancelTimer(due, tag) if tag.0 < TAG_STRIDE => {
+                        self.0.retain(|&armed| armed != (due.ticks(), tag));
+                    }
+                    _ => {}
                 }
             }
             actions
+        }
+
+        /// The log timers pending, in the order armed.
+        fn pending(&self) -> &[(u64, TimerTag)] {
+            &self.0
         }
 
         /// Fires the timers due through tick `until`, in order.
@@ -2177,13 +2187,14 @@ mod tests {
         assert_eq!(height_0, [quiet(base, base), quiet(2 * base, base)]);
         // It commits height 0 with nothing to propose and waits: the
         // firing inside the wait fires again at its end, which boots
-        // height 1, and the next firing counts that as progress.
+        // height 1, and the firing after that, which would only count
+        // the boot as progress, is never armed: the next one is a period
+        // later.
         let booted = 3 * base + 1;
         clock.at(&mut node, booted - base, |n, s| n.commit(7, false, s));
         let moved = said(&clock.run(&mut node, booted + base));
         let into_wait = quiet(3 * base, booted - 3 * base);
-        let waited = [into_wait, quiet(booted, base), quiet(booted + base, base)];
-        assert_eq!(moved, waited);
+        assert_eq!(moved, [into_wait, quiet(booted, 2 * base)]);
         let (mut at, mut gap) = (booted + base, base);
         while gap < cap {
             at += gap;
@@ -2201,8 +2212,7 @@ mod tests {
         assert_eq!(timers_in(&entered, STATUS_TAG), [base]);
         let stalled_again = said(&clock.run(&mut node, booted + 2 * base));
         let again = [
-            quiet(booted, base),
-            quiet(booted + base, base),
+            quiet(booted, 2 * base),
             (booted + 2 * base, vec![(1, 8, NOOP)], vec![2 * base]),
         ];
         assert_eq!(stalled_again, again);
@@ -2233,40 +2243,48 @@ mod tests {
         assert_eq!(commits_in(actions), [(0, 7, NOOP)]);
     }
 
-    /// The clock fires only at the instant it keeps: a firing at any
-    /// other instant — one nobody armed, or one a wait superseded when it
-    /// brought a backed-off chain back — emits nothing and changes
-    /// nothing.
+    /// A status firing that a wait supersedes is cancelled, not left to
+    /// fire: the one timer of the chain is always the firing that acts.
+    /// Here a backed-off chain is brought back by a wait, and the firing
+    /// it had armed never comes.
     #[test]
-    fn a_stale_clock_firing_does_nothing() {
+    fn a_superseded_status_is_cancelled_and_never_fires() {
         let assign = IdentityAssignment::round_robin(4, 2);
         let mut node = byz_rsm_node(&assign, open_queues(4, 0).remove(0));
         let base = ANSWER_INTERVAL.ticks();
-        let unchanged = |node: &mut ByzLog, at| {
-            let before = homonym_core::wire::to_bytes(node);
-            let fired = actions_of(node, at, |n, s| n.on_timer(STATUS_TAG, s));
-            fired.is_empty() && homonym_core::wire::to_bytes(node) == before
-        };
         let mut clock = Clock::default();
         clock.at(&mut node, 0, |n, s| n.on_start(s));
-        assert!(unchanged(&mut node, base - 1), "armed for {base}");
         // Behind, it adopts height 0, stalls at height 1 and backs off:
-        // statuses at 2 and 4 periods, the next armed for 8.
-        clock.at(&mut node, 1, |n, s| n.commit(7, true, s));
+        // statuses at 2 and 4 periods, the next armed for 8. The firing
+        // at 1 period, which would only have found the boot, never
+        // comes.
+        let adopted = clock.at(&mut node, 1, |n, s| n.commit(7, true, s));
+        assert_eq!(timers_in(&adopted, STATUS_TAG), [2 * base - 1]);
         let statuses = said(&clock.run(&mut node, 4 * base));
         assert_eq!(
-            statuses[1..],
+            statuses,
             [
                 (2 * base, vec![(0, 7, NOOP)], vec![2 * base]),
                 (4 * base, vec![(0, 7, NOOP)], vec![4 * base]),
             ]
         );
-        // A wait from 5 periods on re-arms the chain; the firing armed
-        // for 8 periods is superseded, and lands after the boot.
+        assert_eq!(clock.pending(), [(8 * base, STATUS_TAG)]);
+        // A wait from 5 periods on brings the chain back to its end; the
+        // firing armed for 8 periods is cancelled.
         let entered = clock.at(&mut node, 5 * base + 1, |n, s| n.commit(8, false, s));
+        let due = Time::from_ticks(8 * base);
+        let superseded =
+            |a: &ByzAction| matches!(*a, Action::CancelTimer(t, STATUS_TAG) if t == due);
+        assert!(entered.iter().any(superseded), "{entered:?}");
         assert_eq!(timers_in(&entered, STATUS_TAG), [base]);
-        clock.run(&mut node, 8 * base - 1);
-        assert!(unchanged(&mut node, 8 * base));
+        let fired = clock.run(&mut node, 16 * base);
+        assert!(fired.iter().all(|&(at, _)| at != 8 * base), "{fired:?}");
+        let firings: Vec<u64> = fired.iter().map(|&(at, _)| at).collect();
+        assert_eq!(
+            firings[..2],
+            [6 * base + 1, 8 * base + 1],
+            "end, then a stall"
+        );
     }
 
     /// The heights of the engine messages broadcast in `actions`.
@@ -2286,9 +2304,9 @@ mod tests {
 
     /// A replica with nothing to propose that did not adopt its last
     /// entry holds the next height's engine back for one
-    /// `ANSWER_INTERVAL`, and arms no timer for it: a `Commit` with
-    /// nothing to propose leaves it waiting, a status firing inside the
-    /// wait fires again at its end, and that boots the height on a
+    /// `ANSWER_INTERVAL`, and arms no timer of its own for it: a `Commit`
+    /// with nothing to propose leaves it waiting, a status firing inside
+    /// the wait fires again at its end, and that boots the height on a
     /// no-op.
     #[test]
     fn an_idle_replica_waits_one_answer_interval_then_boots() {
@@ -2461,14 +2479,15 @@ mod tests {
         }
         assert_eq!(short_log(&straggler), [7]);
         assert_eq!(commits_in(&adopted), [(0, 7, NOOP)], "adopted: it says so");
-        // From here on it can ask for itself.
+        // From here on it can ask for itself. The firing due at 4 periods
+        // would only find that it moved: it is cancelled, and the next
+        // one asks.
+        let due = Time::from_ticks(4 * base);
+        let moved = |a: &ByzAction| matches!(*a, Action::CancelTimer(t, STATUS_TAG) if t == due);
+        assert!(adopted.iter().any(moved), "{adopted:?}");
         let asked = said(&its_clock.run(&mut straggler, 5 * base));
         let stalled = (5 * base, vec![(0, 7, NOOP)], vec![2 * base]);
-        assert_eq!(
-            asked,
-            [(4 * base, vec![], vec![base]), stalled],
-            "it moved, then"
-        );
+        assert_eq!(asked, [stalled]);
     }
 
     /// A replica that fell further behind than the ring asks as always
@@ -2508,15 +2527,18 @@ mod tests {
         };
 
         // It committed five heights, then heard nothing; its status chain
-        // asks at the second firing.
+        // asks at the second firing, the first being the one that would
+        // only have found those boots.
         let mut laggard = byz_rsm_node(&assign, client);
-        actions_of(&mut laggard, 0, |n, s| n.on_start(s));
+        let mut clock = Clock::default();
+        clock.at(&mut laggard, 0, |n, s| n.on_start(s));
         for &value in &log[..5] {
-            actions_of(&mut laggard, 0, |n, s| n.commit(value, false, s));
+            clock.at(&mut laggard, 0, |n, s| n.commit(value, false, s));
         }
         let t = base.ticks();
-        actions_of(&mut laggard, t, |n, s| n.on_timer(STATUS_TAG, s));
-        let asked = actions_of(&mut laggard, 2 * t, |n, s| n.on_timer(STATUS_TAG, s));
+        let [(_, asked)] = &clock.run(&mut laggard, 2 * t)[..] else {
+            panic!("one firing, the one that asks");
+        };
         let [Action::Broadcast(status)] = &asked[..1] else {
             panic!("no status: {asked:?}");
         };

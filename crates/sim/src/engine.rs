@@ -25,6 +25,14 @@
 //! `(time, seq)` sequence is the one the naive per-event interpreter in
 //! [`crate::reference`] produces, which the differential proptests assert.
 //!
+//! A cancelled timer ([`ActionSink::cancel_timer`]) leaves the queue: the
+//! engine keeps each process's pending timers with their sequence
+//! numbers, and removes the entry from the tick batch (a timer of the
+//! current tick, past the cursor) or from the queue — a binary search of
+//! one tick's bucket, or the overflow heap rebuilt without it. Nothing
+//! downstream ever sees it: no dispatch, count, trace line or snapshot
+//! entry.
+//!
 //! ## Crash semantics
 //!
 //! A process with crash time `ct` takes no step at or after `ct`. Following
@@ -330,6 +338,17 @@ pub struct EngineArena<P: Process> {
     tick_batch: Vec<(u64, Option<Event<P::Msg>>)>,
     scratch_actions: Vec<Action<P::Msg, P::Output>>,
     byz_replay: Vec<Option<P::Msg>>,
+    timers: Vec<Vec<PendingTimer>>,
+}
+
+/// A timer armed and not yet dispatched: the tick it fires at, its tag
+/// and its sequence number — what finds it in the queue when its process
+/// cancels it.
+#[derive(Clone, Copy)]
+struct PendingTimer {
+    at: u64,
+    tag: TimerTag,
+    seq: u64,
 }
 
 impl<P: Process> EngineArena<P> {
@@ -345,6 +364,7 @@ impl<P: Process> EngineArena<P> {
             tick_batch: Vec::new(),
             scratch_actions: Vec::new(),
             byz_replay: Vec::new(),
+            timers: Vec::new(),
         }
     }
 }
@@ -421,6 +441,15 @@ pub struct Engine<P: Process> {
     /// `all_correct_decided` — polled after every event by the consensus
     /// run loops — is O(1) instead of an allocation plus an O(n) scan.
     undecided_correct: usize,
+    /// Per process, its timers armed and not yet dispatched: a cancel
+    /// finds its entry's sequence number here, and the entry itself by a
+    /// binary search of one tick. An index of the queue's content, built
+    /// from it at the first cancel ([`Engine::index_timers`]) and kept
+    /// from then on, so a run that cancels nothing keeps none, and no
+    /// part of a snapshot: a restore drops it.
+    timers: Vec<Vec<PendingTimer>>,
+    /// Whether `timers` is built.
+    timers_indexed: bool,
 }
 
 impl<P: Process> Engine<P> {
@@ -450,6 +479,7 @@ impl<P: Process> Engine<P> {
             mut tick_batch,
             scratch_actions,
             mut byz_replay,
+            timers,
         } = arena;
         let n = config.assign.n();
         procs.clear();
@@ -498,6 +528,8 @@ impl<P: Process> Engine<P> {
             tick_batch,
             tick_pos: 0,
             undecided_correct: config.sched.num_correct(),
+            timers,
+            timers_indexed: false,
             config,
             procs,
             queue,
@@ -523,6 +555,7 @@ impl<P: Process> Engine<P> {
             tick_batch: self.tick_batch,
             scratch_actions: self.scratch_actions,
             byz_replay: self.byz_replay,
+            timers: self.timers,
         }
     }
 
@@ -700,22 +733,22 @@ impl<P: Process> Engine<P> {
                 // Buffered events are at `now <= deadline`: valve trips.
                 return StopReason::EventLimit;
             }
-            let ev = self.tick_batch[self.tick_pos]
-                .1
-                .take()
-                .expect("slot consumed twice");
+            let (seq, slot) = &mut self.tick_batch[self.tick_pos];
+            let (seq, ev) = (*seq, slot.take().expect("slot consumed twice"));
             self.tick_pos += 1;
-            self.step(ev);
+            self.step(seq, ev);
             if cond(self) {
                 return StopReason::ConditionMet;
             }
         }
     }
 
-    /// One step of the process `ev` is addressed to: what differs per
-    /// kind of event — how it is counted and traced, and which callback
-    /// takes it — is stated here; the step itself is [`Engine::step_with`].
-    fn step(&mut self, ev: Event<P::Msg>) {
+    /// One step of the process `ev`, queued under `seq`, is addressed to:
+    /// what differs per kind of event — how it is counted and traced, and
+    /// which callback takes it — is stated here; the step itself is
+    /// [`Engine::step_with`]. A timer leaves its process's pending set
+    /// whether or not the process is still alive to take it.
+    fn step(&mut self, seq: u64, ev: Event<P::Msg>) {
         match ev {
             Event::Start { dst } => self.step_with(
                 dst,
@@ -723,15 +756,23 @@ impl<P: Process> Engine<P> {
                 |engine, ()| engine.trace_line(dst, || ObsKind::Started),
                 |process, (), sink| process.on_start(sink),
             ),
-            Event::Timer { dst, tag } => self.step_with(
-                dst,
-                tag,
-                |engine, &tag| {
-                    engine.metrics.timers_fired += 1;
-                    engine.trace_line(dst, || ObsKind::TimerFired { tag: tag.0 });
-                },
-                |process, tag, sink| process.on_timer(tag, sink),
-            ),
+            Event::Timer { dst, tag } => {
+                if self.timers_indexed {
+                    let pending = &mut self.timers[dst];
+                    if let Some(i) = pending.iter().position(|t| t.seq == seq) {
+                        pending.swap_remove(i);
+                    }
+                }
+                self.step_with(
+                    dst,
+                    tag,
+                    |engine, &tag| {
+                        engine.metrics.timers_fired += 1;
+                        engine.trace_line(dst, || ObsKind::TimerFired { tag: tag.0 });
+                    },
+                    |process, tag, sink| process.on_timer(tag, sink),
+                );
+            }
             Event::Deliver { dst, msg } => self.step_with(
                 dst,
                 msg,
@@ -825,8 +866,17 @@ impl<P: Process> Engine<P> {
             Action::Broadcast(msg) => self.do_broadcast(src, msg),
             Action::SetTimer(delay, tag) => {
                 let at = self.now + Span::from_ticks(delay.ticks().max(1));
+                if self.timers_indexed {
+                    let seq = self.seq;
+                    self.timers[src].push(PendingTimer {
+                        at: at.ticks(),
+                        tag,
+                        seq,
+                    });
+                }
                 self.push(at, Event::Timer { dst: src, tag });
             }
+            Action::CancelTimer(at, tag) => self.cancel_timers(src, at, tag),
             Action::Publish(output) => {
                 self.histories[src].push((self.now, output));
             }
@@ -1025,6 +1075,57 @@ impl<P: Process> Engine<P> {
         self.seq += 1;
     }
 
+    /// Withdraws `src`'s pending timers armed for `at` with `tag`. One of
+    /// the current tick sits in the tick batch past the cursor (what came
+    /// before the cursor has been dispatched, and left the pending set);
+    /// any other is in the queue. Either way the entry is removed, not
+    /// marked: the run loop, the valve and the snapshot codec never see
+    /// it.
+    fn cancel_timers(&mut self, src: usize, at: Time, tag: TimerTag) {
+        if !self.timers_indexed {
+            self.index_timers();
+        }
+        let pending = &mut self.timers[src];
+        while let Some(i) = pending
+            .iter()
+            .position(|t| t.at == at.ticks() && t.tag == tag)
+        {
+            let seq = pending.swap_remove(i).seq;
+            if at == self.now {
+                let unconsumed = &self.tick_batch[self.tick_pos..];
+                let pos = unconsumed.binary_search_by_key(&seq, |&(s, _)| s);
+                let pos = pos.expect("a pending timer of this tick is in its batch");
+                self.tick_batch.remove(self.tick_pos + pos);
+            } else {
+                let found = self.queue.cancel(at, seq);
+                debug_assert!(found, "a pending timer is queued");
+            }
+        }
+    }
+
+    /// Builds the pending-timer index from the queue and the tick batch's
+    /// unconsumed slots.
+    fn index_timers(&mut self) {
+        self.timers_indexed = true;
+        let timers = &mut self.timers;
+        for pending in timers.iter_mut() {
+            pending.clear();
+        }
+        timers.resize_with(self.procs.len(), Vec::new);
+        let mut note = |at: u64, seq: u64, ev: &Event<P::Msg>| {
+            if let Event::Timer { dst, tag } = *ev {
+                timers[dst].push(PendingTimer { at, tag, seq });
+            }
+        };
+        self.queue.for_each(&mut note);
+        // A drained batch keeps its stale cursor until the next refill.
+        for (seq, slot) in self.tick_batch.iter().skip(self.tick_pos) {
+            if let Some(ev) = slot {
+                note(self.now.ticks(), *seq, ev);
+            }
+        }
+    }
+
     /// Whether `p` has halted itself (as opposed to being crashed by the
     /// schedule): `Halt` zeroes the liveness horizon, which a crash at
     /// `t0` also does — but a process crashed at `t0` never takes the
@@ -1150,6 +1251,7 @@ impl<P: Process + Clone> Engine<P> {
         self.tick_pos = snap.tick_pos;
         self.scratch_actions.clear();
         self.rebuild_schedule_state(&snap.halted);
+        self.timers_indexed = false;
     }
 
     /// Builds an engine for `config` directly from a snapshot, inside
@@ -1174,6 +1276,7 @@ impl<P: Process + Clone> Engine<P> {
             mut tick_batch,
             mut scratch_actions,
             mut byz_replay,
+            timers,
         } = arena;
         assert_eq!(
             config.assign.n(),
@@ -1211,6 +1314,8 @@ impl<P: Process + Clone> Engine<P> {
             tick_batch,
             tick_pos: 0,
             undecided_correct: 0,
+            timers,
+            timers_indexed: false,
             config,
             procs,
             queue,

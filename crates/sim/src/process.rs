@@ -73,7 +73,8 @@ pub trait Process: Send + 'static {
     /// The sender and the link are unobservable, per the model.
     fn on_message(&mut self, msg: Self::Msg, ctx: &mut ActionSink<'_, Self::Msg, Self::Output>);
 
-    /// Called when a timer armed through [`ActionSink::set_timer`] fires.
+    /// Called when a timer armed through [`ActionSink::set_timer`] fires
+    /// (never for one withdrawn by [`ActionSink::cancel_timer`]).
     fn on_timer(&mut self, timer: TimerTag, ctx: &mut ActionSink<'_, Self::Msg, Self::Output>);
 
     /// The **payload-mutation hook** of the Byzantine adversary (see
@@ -133,6 +134,9 @@ pub enum Action<M, O> {
     Broadcast(M),
     /// Arm a one-shot timer.
     SetTimer(Span, TimerTag),
+    /// Withdraw the pending timers armed to fire at this instant with
+    /// this tag (see [`ActionSink::cancel_timer`]).
+    CancelTimer(Time, TimerTag),
     /// Record a detector-output snapshot.
     Publish(O),
     /// Record a consensus decision.
@@ -208,9 +212,25 @@ impl<'a, M, O> ActionSink<'a, M, O> {
         self.actions.push(Action::Broadcast(m));
     }
 
-    /// Arms a one-shot timer that fires after `delay` (at least one tick).
+    /// Arms a one-shot timer that fires after `delay` (at least one tick),
+    /// at `local_now() + max(delay, 1)`: the instant that names it to
+    /// [`ActionSink::cancel_timer`]. A timer the process no longer needs
+    /// still fires unless it is cancelled, and its firing is a step like
+    /// any other: counted, traced and dispatched.
     pub fn set_timer(&mut self, delay: Span, tag: TimerTag) {
         self.actions.push(Action::SetTimer(delay, tag));
+    }
+
+    /// Withdraws every timer of this process still pending that was armed
+    /// to fire at `at` with `tag`. A withdrawn timer behaves as if it had
+    /// never been armed — it is never dispatched, counted or traced —
+    /// except that arming it used up its place in the dispatch order. A
+    /// cancel that names nothing pending (a timer that already fired, an
+    /// instant never armed) does nothing; so does one for the current
+    /// instant whose timer has fired earlier in this tick, while one whose
+    /// timer is still to come in this tick withdraws it.
+    pub fn cancel_timer(&mut self, at: Time, tag: TimerTag) {
+        self.actions.push(Action::CancelTimer(at, tag));
     }
 
     /// Appends `output` to this process's history, which is read as the
@@ -278,13 +298,17 @@ mod tests {
         let mut sink = ActionSink::new(Identity::new(0), Time::ZERO, &mut actions);
         sink.broadcast(7);
         sink.set_timer(Span::from_ticks(3), TimerTag(1));
+        sink.cancel_timer(Time::from_ticks(3), TimerTag(1));
         sink.decide(9);
         sink.halt();
-        assert_eq!(actions.len(), 4);
+        assert_eq!(actions.len(), 5);
         assert!(matches!(actions[0], Action::Broadcast(7)));
         assert!(matches!(actions[1], Action::SetTimer(d, TimerTag(1)) if d == Span::from_ticks(3)));
-        assert!(matches!(actions[2], Action::Decide(9)));
-        assert!(matches!(actions[3], Action::Halt));
+        assert!(
+            matches!(actions[2], Action::CancelTimer(t, TimerTag(1)) if t == Time::from_ticks(3))
+        );
+        assert!(matches!(actions[3], Action::Decide(9)));
+        assert!(matches!(actions[4], Action::Halt));
     }
 
     #[test]

@@ -37,6 +37,10 @@
 //! * Events beyond the window go to a `BinaryHeap` keyed by
 //!   `(time, seq)` and migrate into the ring when the window reaches
 //!   them, so cross-structure ordering can never interleave wrongly.
+//! * An event can be taken back by its `(tick, seq)`
+//!   ([`CalendarQueue::cancel`]): removed from its bucket — one it
+//!   empties is released, so no tick is ever taken for nothing — or from
+//!   the overflow heap.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -361,6 +365,62 @@ impl<E> CalendarQueue<E> {
         Some(Time::from_ticks(at))
     }
 
+    /// Removes the event queued at `at` under `seq`, if there is one, and
+    /// says whether there was. In the ring that is a binary search of the
+    /// tick's bucket, which is kept in `seq` order, and a bucket it
+    /// empties is released at once, so the queue holds no trace of the
+    /// event: no tick is ever taken for nothing. The overflow heap is
+    /// rebuilt without it, which costs a pass over the events beyond the
+    /// window — few, and never the ones of the hot path. `at` must lie
+    /// after the last tick taken (a taken tick is the caller's).
+    pub(crate) fn cancel(&mut self, at: Time, seq: u64) -> bool {
+        let at = at.ticks();
+        debug_assert!(at >= self.window, "cancel of a tick already taken");
+        if at - self.window >= WHEEL_TICKS {
+            let before = self.overflow.len();
+            self.overflow.retain(|Reverse(far)| far.seq != seq);
+            return self.overflow.len() != before;
+        }
+        let idx = (at % WHEEL_TICKS) as usize;
+        let bucket = &mut self.buckets[idx];
+        let Ok(pos) = bucket.binary_search_by_key(&seq, |&(s, _)| s) else {
+            return false;
+        };
+        bucket.remove(pos);
+        self.ring_len -= 1;
+        if bucket.is_empty() {
+            Self::release(&mut self.spare, bucket);
+            self.clear_occupied(idx);
+            if self.next_tick == Some(at) {
+                self.next_tick = None;
+            }
+        }
+        true
+    }
+
+    /// Calls `f(tick, seq, event)` for every queued event, in no
+    /// particular order, visiting only the occupied buckets.
+    pub(crate) fn for_each<'a>(&'a self, mut f: impl FnMut(u64, u64, &'a E)) {
+        let base = self.window % WHEEL_TICKS;
+        for (w, &word) in self.occupied.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let idx = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                // A live bucket holds exactly one tick of the current
+                // window: the tick ≡ idx (mod WHEEL_TICKS) in
+                // [window, window + WHEEL_TICKS).
+                let tick = self.window + (idx as u64 + WHEEL_TICKS - base) % WHEEL_TICKS;
+                for (seq, slot) in &self.buckets[idx] {
+                    f(tick, *seq, slot.as_ref().expect("queued slots are live"));
+                }
+            }
+        }
+        for Reverse(far) in &self.overflow {
+            f(far.at, far.seq, &far.event);
+        }
+    }
+
     /// Every queued event as `(tick, seq, event)` in dispatch order —
     /// the queue's representation-independent content, for the durable
     /// snapshot codec. Window position, bucket layout and the
@@ -371,20 +431,7 @@ impl<E> CalendarQueue<E> {
     /// replaying the entries through [`CalendarQueue::push`].
     pub(crate) fn persist_entries(&self) -> Vec<(u64, u64, &E)> {
         let mut out: Vec<(u64, u64, &E)> = Vec::with_capacity(self.len());
-        let base = self.window % WHEEL_TICKS;
-        for (idx, bucket) in self.buckets.iter().enumerate() {
-            // A live bucket holds exactly one tick of the current
-            // window: the tick ≡ idx (mod WHEEL_TICKS) in
-            // [window, window + WHEEL_TICKS).
-            let tick = self.window + (idx as u64 + WHEEL_TICKS - base) % WHEEL_TICKS;
-            for (seq, slot) in bucket {
-                let event = slot.as_ref().expect("queued slots are live");
-                out.push((tick, *seq, event));
-            }
-        }
-        for Reverse(far) in &self.overflow {
-            out.push((far.at, far.seq, &far.event));
-        }
+        self.for_each(|at, seq, event| out.push((at, seq, event)));
         out.sort_by_key(|&(at, seq, _)| (at, seq));
         out
     }
@@ -681,6 +728,67 @@ mod tests {
         );
         assert_eq!(buf, vec![(1, Some("b"))]);
         assert!(q.is_empty());
+    }
+
+    /// Cancels against the `BTreeMap` model: ring and overflow entries,
+    /// buckets emptied by a cancel (whose tick must then never be taken)
+    /// and cancels of what is no longer queued.
+    #[test]
+    fn cancel_matches_reference_model() {
+        for seed in 0..20 {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xCA4C);
+            let mut cal = Drain::new();
+            let mut reference: BTreeMap<(Time, u64), u64> = BTreeMap::new();
+            let mut seq = 0u64;
+            let mut now = 0u64;
+            for op in 0..2_000 {
+                let roll = rng.gen_range(0..10u32);
+                if roll < 5 || reference.is_empty() {
+                    let horizon: u64 = if rng.gen_bool(0.8) {
+                        rng.gen_range(1..16)
+                    } else {
+                        rng.gen_range(1..WHEEL_TICKS * 3)
+                    };
+                    let at = Time::from_ticks(now + horizon);
+                    cal.q.push_in_order(at, seq, seq);
+                    reference.insert((at, seq), seq);
+                    seq += 1;
+                } else if roll < 8 {
+                    // Pick a queued entry (or, at times, a seq that was
+                    // never queued there) beyond the tick in hand.
+                    let queued: Vec<(Time, u64)> = reference
+                        .keys()
+                        .copied()
+                        .filter(|&(t, _)| t.ticks() > now)
+                        .collect();
+                    let Some(&(at, s)) = queued.get(rng.gen_range(0..queued.len().max(1))) else {
+                        continue;
+                    };
+                    let s = if rng.gen_bool(0.1) { s + seq } else { s };
+                    let expected = reference.remove(&(at, s)).is_some();
+                    assert_eq!(cal.q.cancel(at, s), expected, "op {op} of seed {seed}");
+                } else {
+                    if cal.pos < cal.tick.len() {
+                        // Finish the tick in hand before moving on.
+                        while cal.pos < cal.tick.len() {
+                            let (t, s, e) = cal.pop().expect("buffered");
+                            assert_eq!(reference.pop_first(), Some(((t, s), e)));
+                        }
+                        continue;
+                    }
+                    let a = cal.pop();
+                    let b = reference.pop_first().map(|((t, s), e)| (t, s, e));
+                    assert_eq!(a, b, "diverged at op {op} of seed {seed}");
+                    now = a.expect("model was non-empty").0.ticks();
+                }
+                assert_eq!(cal.len(), reference.len());
+            }
+            while let Some(((t, s), e)) = reference.pop_first() {
+                assert_eq!(cal.pop(), Some((t, s, e)));
+            }
+            assert_eq!(cal.pop(), None);
+            assert!(cal.q.is_empty());
+        }
     }
 
     /// Vectors owning an allocation, in buckets and pool together.

@@ -15,6 +15,15 @@
 //! assert it. A stop *condition* is checked after every event by both,
 //! so they also stop at the same one.
 //!
+//! **Cancelled timers.** A timer withdrawn by
+//! [`ActionSink::cancel_timer`] behaves as if it had never been armed: it
+//! is not dispatched, counted or traced, and takes no part in any stop
+//! condition or in the event valve. Arming it still used up its
+//! insertion sequence number, so what was queued after it keeps its
+//! place in the dispatch order. A cancel withdraws every pending timer of
+//! its process armed for that instant with that tag — one still to come
+//! in the tick being dispatched included — and nothing else.
+//!
 //! **Deliberately naive.** A `BTreeMap<(Time, u64), _>` queue; one
 //! `NetworkModel::route`, one `FaultScript::fate` and one
 //! `FaultScript::directive` per copy, in destination order; one
@@ -237,6 +246,18 @@ impl<P: Process> ReferenceEngine<P> {
             Action::SetTimer(delay, tag) => {
                 let fire = at + Span::from_ticks(delay.ticks().max(1));
                 self.push(fire, src, Event::Timer(tag));
+            }
+            Action::CancelTimer(fire, tag) => {
+                let armed = |&(_, (dst, ev)): &(&Key, &(usize, Event<P::Msg>))| {
+                    *dst == src && matches!(ev, Event::Timer(t) if *t == tag)
+                };
+                let keys: Vec<Key> = (self.queue.range((fire, 0)..=(fire, u64::MAX)))
+                    .filter(armed)
+                    .map(|(&key, _)| key)
+                    .collect();
+                for key in keys {
+                    self.queue.remove(&key);
+                }
             }
             Action::Publish(output) => self.histories[src].push((at, output)),
             Action::Decide(value) if self.decisions[src].is_none() => {

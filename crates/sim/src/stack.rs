@@ -119,6 +119,7 @@ impl<A: Process, B: Process + Consumes<A::Output>> Stacked<A, B> {
             match action {
                 Action::Broadcast(m) => ctx.broadcast(lift_msg(m)),
                 Action::SetTimer(d, tag) => ctx.set_timer(d, lift_tag(tag)),
+                Action::CancelTimer(at, tag) => ctx.cancel_timer(at, lift_tag(tag)),
                 Action::Publish(o) => {
                     hand(&o);
                     ctx.publish(lift_out(o));

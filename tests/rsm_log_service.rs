@@ -29,12 +29,15 @@ use homonym::chaos::session::{rsm_node, Goal, RsmNode, Session, SessionBuilder};
 use homonym::chaos::sweep::hps_base;
 use homonym::chaos::{FaultClause, GstPlacement, PartitionMode, Scenario};
 use homonym::consensus::rsm::{LogEntry, RsmMsg, ANSWER_INTERVAL};
-use homonym::consensus::{classify_byz, ByzMsg};
+use homonym::consensus::{
+    classify_byz, ByzHeightSeed, ByzMsg, ByzQuorumConsensus, ReplicatedLog, RsmOptions,
+};
 use homonym::detectors::evt_hp::{classify_evt_hp, EvtHpMsg, EvtHpSnapshot};
 use homonym::prelude::*;
+use homonym::sim::process::Action;
 use homonym::sim::reference::ReferenceEngine;
 use homonym::sim::workload::{
-    is_noop, proposer_of, seq_of, ArrivalModel, CommandQueue, KeySkew, WorkloadConfig,
+    is_noop, proposer_of, seq_of, ArrivalModel, CommandQueue, KeySkew, WorkloadConfig, NOOP,
 };
 use homonym::sim::Engine;
 use proptest::prelude::*;
@@ -383,7 +386,14 @@ fn the_closed_loop_log_is_pinned() {
 /// The Figure 8 log, pinned the same way after 10 000 ticks at n = 4,
 /// ℓ = 2: every height's engine starts from the `HΩ` reading the replica
 /// holds when the height opens, so a height engine spawned from a stale
-/// reading moves the log.
+/// reading moves the log. Re-pinned once (from 1 253 entries,
+/// `0x743c_c358_1a5e_5c6a`) when the status chain stopped arming the
+/// firings that would only find a boot: the firing after one is now
+/// armed at the boot, so its timer takes an earlier place among the
+/// events of its tick. The first event that moved is a stall status sent
+/// ahead of a detector broadcast of the same tick (tick 192); from there
+/// the network's delay draws, and the log, differ. No event was added or
+/// dropped before it.
 #[test]
 fn the_fig8_log_is_pinned() {
     let clients = WorkloadConfig {
@@ -399,7 +409,7 @@ fn the_fig8_log_is_pinned() {
     let fingerprint = log.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &v| {
         (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
     });
-    assert_eq!((log.len(), fingerprint), (1_253, 0x743c_c358_1a5e_5c6a));
+    assert_eq!((log.len(), fingerprint), (1_267, 0xb979_0c81_5feb_36d1));
 }
 
 /// Fixed-horizon runs are the reference-interpreter comparison surface:
@@ -692,4 +702,102 @@ fn an_idle_service_waits_an_answer_interval_between_noop_heights() {
             assert!(gap >= wait, "replica {p}: heights {gap} ticks apart");
         }
     }
+}
+
+/// A height's engine leaves no timer behind when the height ends: one
+/// that decides cancels the deadline its deciding phase had armed (the
+/// log lets a cancel pass the cut at the decision), and one whose height
+/// is adopted from a certificate while it waits out a grace is closed,
+/// which cancels that wait's. So no timer of a decided height is ever
+/// pending. Driven by hand at n = 4, ℓ = 2, for a carrier of label 1 in a
+/// closed loop: every height boots at once and waits for round 0's
+/// coordinators, label 0, with the grace armed. A height-`h` engine's
+/// timers travel under tags `16 · (h + 1)` and up; the log's own are 0
+/// and 1.
+#[test]
+fn a_decided_height_leaves_no_timer_pending() {
+    type Log = ReplicatedLog<ByzQuorumConsensus>;
+    let assign = IdentityAssignment::round_robin(4, 2);
+    let queues = workload().queues(4);
+    let opts = RsmOptions::byzantine(&assign);
+    let seed = ByzHeightSeed {
+        assign: assign.clone(),
+    };
+    let mut node: Log = ReplicatedLog::new(seed, queues[1].clone(), &assign, opts);
+    let me = assign.id_of(1);
+    let mut pending: Vec<(u64, TimerTag)> = Vec::new();
+    let mut step = |node: &mut Log, at: u64, msg: Option<RsmMsg<ByzMsg>>| {
+        let mut actions = Vec::new();
+        let mut sink = ActionSink::new(me, Time::from_ticks(at), &mut actions);
+        match msg {
+            Some(msg) => node.on_message(msg, &mut sink),
+            None => node.on_start(&mut sink),
+        }
+        for action in actions {
+            match action {
+                Action::SetTimer(d, tag) if tag.0 >= 16 => {
+                    pending.push((at + d.ticks().max(1), tag));
+                }
+                Action::CancelTimer(due, tag) if tag.0 >= 16 => {
+                    pending.retain(|&armed| armed != (due.ticks(), tag));
+                }
+                _ => {}
+            }
+        }
+        pending.clone()
+    };
+    let grace = |height: u64, from: u64| (from + 10, TimerTag((height + 1) * 16));
+    assert_eq!(step(&mut node, 0, None), [grace(0, 0)]);
+
+    // Height 0: the coordinators and a vote quorum at tick 1 (which
+    // cancels the coordinators' grace); then `wait` commits without a
+    // quorum, which arm the commit phase's grace; then the commit that
+    // makes the quorum, at tick 3.
+    let est = 5;
+    let id = |p: usize| assign.id_of(p);
+    let engine = |msg| Some(RsmMsg::Inner { height: 0, msg });
+    let coord = ByzMsg::Coord {
+        id: id(0),
+        round: 0,
+        est,
+        locked: false,
+    };
+    let vote = |p| ByzMsg::Vote {
+        id: id(p),
+        round: 0,
+        est,
+        locked: false,
+    };
+    let commit = |p, val| ByzMsg::Commit {
+        id: id(p),
+        round: 0,
+        val,
+    };
+    let mut left = Vec::new();
+    for msg in [coord, coord, vote(0), vote(1), vote(2)] {
+        left = step(&mut node, 1, engine(msg));
+    }
+    assert_eq!(left, [], "the grace the coordinators ended");
+    for msg in [commit(0, Some(est)), commit(1, Some(est)), commit(3, None)] {
+        left = step(&mut node, 2, engine(msg));
+    }
+    assert_eq!(left, [grace(0, 1)], "the commit phase's, from tick 1");
+    let decided = step(&mut node, 3, engine(commit(2, Some(est))));
+    assert_eq!(node.height(), 1);
+    assert_eq!(decided, [grace(1, 3)], "height 1's wait only");
+
+    // Height 1 is adopted from `commit_quorum` peers' commits while its
+    // engine waits for the coordinators.
+    for p in [0, 2] {
+        let certificate = RsmMsg::Commit {
+            height: 1,
+            value: NOOP,
+            id: id(p),
+            next: NOOP,
+            state: None,
+        };
+        left = step(&mut node, 4, Some(certificate));
+    }
+    assert_eq!(node.height(), 2);
+    assert_eq!(left, [grace(2, 4)], "height 2's wait only");
 }

@@ -300,6 +300,46 @@ fn a_log_snapshot_taken_while_a_replica_waits_round_trips_the_wait_and_the_hint(
     assert_resumes_the_run(&e, &flat, horizon);
 }
 
+/// Cancelled timers leave the queue, so a snapshot never holds one and
+/// a resumed run never fires one. In a fault-free closed loop at n = 4,
+/// ℓ = 2 every boot of a height cancels the replica's status firing due
+/// within the next two periods (it would only find the boot) and arms
+/// the one after, and every height's `COORD`s cancel the grace deadline
+/// its engine armed at the boot. Cut right after replica 1 boots height
+/// 20, mid-tick — between the cancel of its status firing and the tick
+/// that firing named — and again once that tick is over: each cut is a
+/// fixed point, and the run resumed from it replays the uncut one event
+/// for event. In the uncut run no engine deadline fires at all, and
+/// replica 1's chain fires nowhere near the cut.
+#[test]
+fn a_log_snapshot_cut_between_a_cancel_and_its_tick_resumes_the_run() {
+    let n = 4;
+    let queues = WorkloadConfig::default().queues(n);
+    let config = SessionBuilder::new(n, 2).sim_config();
+    let horizon = Time::from_ticks(600);
+    let booted = |e: &Engine<RsmNode>| e.process(1).upper().height() == 20;
+    let (flat, mid_tick) = log_run_and_cut(&config, &queues, horizon, booted);
+    let mut tick_end = resumed(&mid_tick);
+    tick_end.run_until(mid_tick.now());
+    assert_fixed_point(&tick_end, "the log stack at the end of the cut's tick");
+    let cut = mid_tick.now().ticks();
+
+    let trace = flat.trace().expect("traced");
+    let engine_deadline =
+        |kind: &ObsKind| matches!(*kind, ObsKind::TimerFired { tag } if tag >= 33);
+    assert!(!trace.events().iter().any(|ev| engine_deadline(&ev.kind)));
+    let near = |t: &u64| (cut..=cut + 2 * ANSWER_INTERVAL.ticks()).contains(t);
+    assert!(!status_firings(&flat, 1).iter().any(near));
+
+    for e in [&mid_tick, &tick_end] {
+        let mut resumed = resumed(e);
+        resumed.run_until(horizon);
+        assert_eq!(resumed.metrics(), flat.metrics());
+        assert_eq!(resumed.trace().expect("traced").dropped(), 0);
+        assert_eq!(resumed.trace(), flat.trace(), "every event at its tick");
+    }
+}
+
 /// For every entry of every history, whether it holds the same `◇HP`
 /// bag allocation as the entry before it.
 fn sharing(histories: &[History<EvtHpSnapshot>]) -> Vec<Vec<bool>> {
