@@ -1,6 +1,8 @@
 //! One engine per height: the live engine and the seed it is re-armed
 //! from, the height, the traffic buffered for heights ahead, the lifting
-//! of the engine's timer tags and the cut at a decision.
+//! of the engine's timer tags and the cut at a decision. Both are applied
+//! as the engine emits: its sink writes through an [`Envelope`] straight
+//! into the log's sink, so the part holds no action buffer.
 //!
 //! # A decided height stops talking
 //!
@@ -28,7 +30,7 @@ use std::collections::BTreeMap;
 
 use homonym_core::query::Consumes;
 use homonym_core::wire::{Loader, Persist, Saver, WireError};
-use homonym_sim::process::{Action, ActionSink, TimerTag};
+use homonym_sim::process::{Action, ActionSink, Emit, TimerTag};
 
 use super::{HeightEngine, RsmMsg, Sink, MAX_BUFFERED};
 
@@ -47,8 +49,6 @@ pub(super) struct Heights<C: HeightEngine> {
     /// Engine messages for heights we have not reached, keyed by height.
     future: BTreeMap<u64, Vec<C::Msg>>,
     buffered: usize,
-    /// Reused buffer for the actions of one engine callback.
-    scratch: Vec<Action<C::Msg, u64>>,
 }
 
 impl<C: HeightEngine> Heights<C> {
@@ -60,7 +60,6 @@ impl<C: HeightEngine> Heights<C> {
             height: 0,
             future: BTreeMap::new(),
             buffered: 0,
-            scratch: Vec::new(),
         }
     }
 
@@ -76,54 +75,27 @@ impl<C: HeightEngine> Heights<C> {
         self.buffered
     }
 
-    /// Runs `f` against the live engine through a sub-sink, lifting its
-    /// actions into height-tagged envelopes, and returns the value it
-    /// decided, if it did: whatever the callback emitted after the
-    /// decision is cut ("A decided height stops talking" above), and an
-    /// inner `Halt` is swallowed.
+    /// Runs `f` against the live engine through a sink whose [`Envelope`]
+    /// lifts each action into the log's sink as it is emitted, and returns
+    /// the value it decided, if it did: whatever the callback emits after
+    /// the decision is cut ("A decided height stops talking" above), and
+    /// an inner `Halt` is swallowed.
     pub(super) fn relay(
         &mut self,
         ctx: &mut Sink<'_, C::Msg>,
         f: impl FnOnce(&mut C, &mut ActionSink<'_, C::Msg, u64>),
     ) -> Option<u64> {
-        let h = self.height;
-        let mut actions = std::mem::take(&mut self.scratch);
-        {
-            let observing = ctx.observing();
-            let mut sub = ActionSink::new(ctx.my_id(), ctx.local_now(), &mut actions)
-                .with_observing(observing);
-            f(&mut self.inner, &mut sub);
-        }
-        let lift = |tag: TimerTag| {
-            debug_assert!(tag.0 < TAG_STRIDE, "inner timer tag exceeds stride");
-            TimerTag((h + 1) * TAG_STRIDE + tag.0)
+        let (id, now, observing) = (ctx.my_id(), ctx.local_now(), ctx.observing());
+        let mut envelope = Envelope {
+            outer: ctx,
+            height: self.height,
+            decided: None,
         };
-        let mut decided = None;
-        for action in actions.drain(..) {
-            match action {
-                // A cancel only withdraws, so it passes even the cut below.
-                Action::CancelTimer(at, tag) => ctx.cancel_timer(at, lift(tag)),
-                // The height is over: whatever else the callback emitted
-                // after the decision (a decision echo, the next round's
-                // opening messages, a timer re-arm, observations of a
-                // round nobody will run) is shed, by position — the log's
-                // own `Commit` is the certificate laggards get.
-                _ if decided.is_some() => {}
-                Action::Decide(v) => decided = Some(v),
-                Action::Broadcast(m) => ctx.broadcast(RsmMsg::Inner { height: h, msg: m }),
-                Action::SetTimer(d, tag) => ctx.set_timer(d, lift(tag)),
-                // Inner engines publish round estimates; the log service's
-                // history is the committed log, so those stay internal.
-                Action::Publish(_) => {}
-                Action::Halt => {}
-                Action::Observe(k) => ctx.observe(|| k),
-                Action::Discard => ctx.note_discard(),
-            }
-        }
-        // The drain took what the `Decide` cut off with it; the buffer is
-        // back in place before a commit of the decision re-enters here.
-        self.scratch = actions;
-        decided
+        f(
+            &mut self.inner,
+            &mut ActionSink::new(id, now, &mut envelope).with_observing(observing),
+        );
+        envelope.decided
     }
 
     /// Relays an engine timer to the live engine and returns the value it
@@ -179,6 +151,43 @@ impl<C: HeightEngine> Heights<C> {
     }
 }
 
+/// The live engine's emitter: lifts each action into the log's sink as the
+/// engine emits it — a broadcast into `RsmMsg::Inner` at the height, a tag
+/// above the stride — and cuts what follows a decision, but for cancels.
+struct Envelope<'s, 'a, M> {
+    outer: &'s mut Sink<'a, M>,
+    height: u64,
+    decided: Option<u64>,
+}
+
+impl<M> Emit<M, u64> for Envelope<'_, '_, M> {
+    fn emit(&mut self, action: Action<M, u64>) {
+        let h = self.height;
+        let lift = |tag: TimerTag| {
+            debug_assert!(tag.0 < TAG_STRIDE, "inner timer tag exceeds stride");
+            TimerTag((h + 1) * TAG_STRIDE + tag.0)
+        };
+        match action {
+            // A cancel only withdraws, so it passes even the cut below.
+            Action::CancelTimer(at, tag) => self.outer.cancel_timer(at, lift(tag)),
+            // The height is over: whatever else the callback emits after
+            // the decision (a decision echo, the next round's opening
+            // messages, a timer re-arm, observations of a round nobody
+            // will run) is shed, by position — the log's own `Commit` is
+            // the certificate laggards get.
+            _ if self.decided.is_some() => {}
+            Action::Decide(v) => self.decided = Some(v),
+            Action::Broadcast(m) => self.outer.broadcast(RsmMsg::Inner { height: h, msg: m }),
+            Action::SetTimer(d, tag) => self.outer.set_timer(d, lift(tag)),
+            // Inner engines publish round estimates; the log service's
+            // history is the committed log, so those stay internal.
+            Action::Publish(_) | Action::Halt => {}
+            Action::Observe(k) => self.outer.observe(|| k),
+            Action::Discard => self.outer.note_discard(),
+        }
+    }
+}
+
 /// What the stack hands the log goes to the live engine and to the seed,
 /// so the next height's engine starts from the same reading.
 impl<O, C> Consumes<O> for Heights<C>
@@ -192,9 +201,8 @@ where
     }
 }
 
-/// The fields in declaration order, but for the action buffer, which is
-/// empty between callbacks and decodes empty; `buffered` must count the
-/// messages buffered.
+/// The fields in declaration order; `buffered` must count the messages
+/// buffered.
 impl<C> Persist for Heights<C>
 where
     C: HeightEngine + Persist,
@@ -216,7 +224,6 @@ where
             height: Persist::load(l)?,
             future: Persist::load(l)?,
             buffered: Persist::load(l)?,
-            scratch: Vec::new(),
         };
         if heights.buffered != heights.future.values().map(Vec::len).sum() {
             return Err(WireError::BadValue {

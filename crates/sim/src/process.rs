@@ -125,9 +125,10 @@ pub fn reads<P: Process>(id: Identity, msg: &P::Msg) -> bool {
 
 /// Effects a process can request during a callback.
 ///
-/// Public so that engines and wrapping processes (`ReferenceEngine`,
-/// `Stacked`, the replicated log's height envelope) can drain and apply
-/// them; algorithm code never constructs these directly.
+/// Public so that engines (`Engine`, `ReferenceEngine`) can apply them and
+/// wrapping processes (`Stacked`, the replicated log's height envelope) can
+/// lift them into their own sink as they are emitted (see [`Emit`]);
+/// algorithm code never constructs these directly.
 #[derive(Debug, Clone)]
 pub enum Action<M, O> {
     /// Send `m` to every process, self included.
@@ -152,6 +153,56 @@ pub enum Action<M, O> {
     Discard,
 }
 
+impl<M, O> Action<M, O> {
+    /// This action in a wrapper's vocabulary: a message through `msg`, an
+    /// output through `out`, the tag of a timer armed or cancelled through
+    /// `tag`; the rest passes as it is.
+    pub fn lift<M2, O2>(
+        self,
+        msg: impl FnOnce(M) -> M2,
+        out: impl FnOnce(O) -> O2,
+        tag: impl FnOnce(TimerTag) -> TimerTag,
+    ) -> Action<M2, O2> {
+        match self {
+            Action::Broadcast(m) => Action::Broadcast(msg(m)),
+            Action::SetTimer(d, t) => Action::SetTimer(d, tag(t)),
+            Action::CancelTimer(at, t) => Action::CancelTimer(at, tag(t)),
+            Action::Publish(o) => Action::Publish(out(o)),
+            Action::Decide(v) => Action::Decide(v),
+            Action::Halt => Action::Halt,
+            Action::Observe(k) => Action::Observe(k),
+            Action::Discard => Action::Discard,
+        }
+    }
+}
+
+/// Where an [`ActionSink`] puts the actions of a callback, one at a time
+/// and in emission order.
+///
+/// An engine's emitter is its buffer, a `Vec` it applies when the callback
+/// returns. A wrapping process hands its inner program a sink whose
+/// emitter is an adapter: it lifts each action into the wrapper's own
+/// sink as it is emitted, so an action crosses one buffer, the engine's,
+/// however deep the wrapping.
+pub trait Emit<M, O> {
+    /// Takes the next action.
+    fn emit(&mut self, action: Action<M, O>);
+}
+
+impl<M, O> Emit<M, O> for Vec<Action<M, O>> {
+    fn emit(&mut self, action: Action<M, O>) {
+        self.push(action);
+    }
+}
+
+/// A sink passes an action on to its emitter as it is: how an adapter
+/// hands what it lifted to its wrapper's sink.
+impl<M, O> Emit<M, O> for ActionSink<'_, M, O> {
+    fn emit(&mut self, action: Action<M, O>) {
+        self.out.emit(action);
+    }
+}
+
 /// The process's handle to the outside world during one callback.
 ///
 /// The sink records requested effects; the engine applies them when the
@@ -162,20 +213,21 @@ pub enum Action<M, O> {
 pub struct ActionSink<'a, M, O> {
     my_id: Identity,
     now: Time,
-    actions: &'a mut Vec<Action<M, O>>,
+    out: &'a mut dyn Emit<M, O>,
     /// Whether an observability recorder is attached to the engine: the
     /// gate of [`ActionSink::observe`].
     obs_on: bool,
 }
 
 impl<'a, M, O> ActionSink<'a, M, O> {
-    /// Creates a sink collecting into `actions`. For engine implementors;
+    /// Creates a sink emitting into `out`: an engine's buffer, or a
+    /// wrapper's lifting adapter. For engine and wrapper implementors;
     /// algorithm code receives sinks from its engine.
-    pub fn new(my_id: Identity, now: Time, actions: &'a mut Vec<Action<M, O>>) -> Self {
+    pub fn new(my_id: Identity, now: Time, out: &'a mut dyn Emit<M, O>) -> Self {
         ActionSink {
             my_id,
             now,
-            actions,
+            out,
             obs_on: false,
         }
     }
@@ -209,7 +261,7 @@ impl<'a, M, O> ActionSink<'a, M, O> {
     /// Sends `m` to **all** processes of the system, itself included
     /// (the paper's `broadcast` primitive).
     pub fn broadcast(&mut self, m: M) {
-        self.actions.push(Action::Broadcast(m));
+        self.out.emit(Action::Broadcast(m));
     }
 
     /// Arms a one-shot timer that fires after `delay` (at least one tick),
@@ -218,7 +270,7 @@ impl<'a, M, O> ActionSink<'a, M, O> {
     /// still fires unless it is cancelled, and its firing is a step like
     /// any other: counted, traced and dispatched.
     pub fn set_timer(&mut self, delay: Span, tag: TimerTag) {
-        self.actions.push(Action::SetTimer(delay, tag));
+        self.out.emit(Action::SetTimer(delay, tag));
     }
 
     /// Withdraws every timer of this process still pending that was armed
@@ -230,30 +282,30 @@ impl<'a, M, O> ActionSink<'a, M, O> {
     /// instant whose timer has fired earlier in this tick, while one whose
     /// timer is still to come in this tick withdraws it.
     pub fn cancel_timer(&mut self, at: Time, tag: TimerTag) {
-        self.actions.push(Action::CancelTimer(at, tag));
+        self.out.emit(Action::CancelTimer(at, tag));
     }
 
     /// Appends `output` to this process's history, which is read as the
     /// step function of its output: publish when the output changes.
     pub fn publish(&mut self, output: O) {
-        self.actions.push(Action::Publish(output));
+        self.out.emit(Action::Publish(output));
     }
 
     /// Records a consensus decision. The process keeps running (the
     /// Figure 8/9 `Task T2` keeps relaying `DECIDE`) unless it also calls
     /// [`ActionSink::halt`].
     pub fn decide(&mut self, value: u64) {
-        self.actions.push(Action::Decide(value));
+        self.out.emit(Action::Decide(value));
     }
 
     /// Stops the process: no further callbacks are delivered.
     pub fn halt(&mut self) {
-        self.actions.push(Action::Halt);
+        self.out.emit(Action::Halt);
     }
 
     /// Whether an observability recorder is attached (the gate of
-    /// [`ActionSink::observe`]); stacking relays propagate this to their
-    /// sub-sinks.
+    /// [`ActionSink::observe`]); a wrapper passes it on to the sink it
+    /// hands its inner program.
     #[must_use]
     pub fn observing(&self) -> bool {
         self.obs_on
@@ -266,7 +318,7 @@ impl<'a, M, O> ActionSink<'a, M, O> {
     /// contract pinned by the `obs_props` proptests).
     pub fn observe(&mut self, f: impl FnOnce() -> ObsKind) {
         if self.obs_on {
-            self.actions.push(Action::Observe(f()));
+            self.out.emit(Action::Observe(f()));
         }
     }
 
@@ -275,7 +327,7 @@ impl<'a, M, O> ActionSink<'a, M, O> {
     /// **unconditional** — the metric counts identically with or without
     /// a recorder attached.
     pub fn note_discard(&mut self) {
-        self.actions.push(Action::Discard);
+        self.out.emit(Action::Discard);
     }
 }
 

@@ -11,9 +11,9 @@
 //!
 //! The detector publishes its variables whenever they change, and the
 //! stack hands each published output to the consumer half through
-//! [`Consumes::consume`] while it relays the detector's actions — so
-//! before the consumer's next callback runs, and during `on_start` before
-//! the consumer's own `on_start`. The consumer keeps the reading as a
+//! [`Consumes::consume`] as it is emitted, before the publish is passed on
+//! — so before the consumer's next callback runs, and during `on_start`
+//! before the consumer's own `on_start`. The consumer keeps the reading as a
 //! plain value (a consensus algorithm over an `HOmegaOutput` rather than
 //! over a handle to the detector), so nothing is shared between the
 //! halves, and a stacked process copies with `Clone`. A consumer that
@@ -25,10 +25,9 @@ use core::fmt;
 
 use homonym_core::identity::Identity;
 use homonym_core::query::Consumes;
-use homonym_core::time::Span;
 use homonym_core::wire::{Loader, Persist, Saver, WireError};
 
-use crate::process::{Action, ActionSink, Process, TimerTag};
+use crate::process::{Action, ActionSink, Emit, Process, TimerTag};
 
 /// A tagged union of the two halves' messages (or outputs).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,16 +52,13 @@ impl<L: fmt::Display, R: fmt::Display> fmt::Display for Either<L, R> {
 ///
 /// Timer tags are remapped (`A` on even tags, `B` on odd) so the halves can
 /// use their tag spaces independently. Every output `A` publishes is handed
-/// to `B` (see the module docs).
+/// to `B` (see the module docs). A half emits into an adapter that lifts
+/// each action straight into the stack's own sink: the stack holds no
+/// buffer, so it copies and persists as its two halves.
 #[derive(Clone)]
 pub struct Stacked<A: Process, B: Process> {
     a: A,
     b: B,
-    /// Reused buffers for the actions of one callback of either half:
-    /// empty between callbacks, so a clone or a decoded stack starts with
-    /// empty ones.
-    a_actions: Vec<Action<A::Msg, A::Output>>,
-    b_actions: Vec<Action<B::Msg, B::Output>>,
 }
 
 /// The action sink a [`Stacked`] process receives from its engine.
@@ -72,15 +68,39 @@ type StackSink<'a, A, B> = ActionSink<
     Either<<A as Process>::Output, <B as Process>::Output>,
 >;
 
+/// The lower half's emitter: lifts each action into the stack's sink on
+/// `L` and even tags, handing a publish to the upper half before it is
+/// forwarded.
+struct Lower<'s, 'a, A: Process, B: Process> {
+    outer: &'s mut StackSink<'a, A, B>,
+    upper: &'s mut B,
+}
+
+impl<A: Process, B: Process + Consumes<A::Output>> Emit<A::Msg, A::Output> for Lower<'_, '_, A, B> {
+    fn emit(&mut self, action: Action<A::Msg, A::Output>) {
+        if let Action::Publish(o) = &action {
+            self.upper.consume(o);
+        }
+        self.outer
+            .emit(action.lift(Either::L, Either::L, |t| TimerTag(t.0 * 2)));
+    }
+}
+
+/// The upper half's emitter: lifts each action into the stack's sink on
+/// `R` and odd tags.
+struct Upper<'s, 'a, A: Process, B: Process>(&'s mut StackSink<'a, A, B>);
+
+impl<A: Process, B: Process> Emit<B::Msg, B::Output> for Upper<'_, '_, A, B> {
+    fn emit(&mut self, action: Action<B::Msg, B::Output>) {
+        self.0
+            .emit(action.lift(Either::R, Either::R, |t| TimerTag(t.0 * 2 + 1)));
+    }
+}
+
 impl<A: Process, B: Process + Consumes<A::Output>> Stacked<A, B> {
     /// Stacks `a` under `b`.
     pub fn new(a: A, b: B) -> Self {
-        Stacked {
-            a,
-            b,
-            a_actions: Vec::new(),
-            b_actions: Vec::new(),
-        }
+        Stacked { a, b }
     }
 
     /// The detector half.
@@ -93,59 +113,22 @@ impl<A: Process, B: Process + Consumes<A::Output>> Stacked<A, B> {
         &self.b
     }
 
-    /// Runs one callback of a half into `actions`, then applies them to
-    /// the outer sink, calling `hand` on each output before it is
-    /// published.
-    fn relay<M0, O0>(
-        ctx: &mut StackSink<'_, A, B>,
-        actions: &mut Vec<Action<M0, O0>>,
-        run: impl FnOnce(&mut ActionSink<'_, M0, O0>),
-        mut hand: impl FnMut(&O0),
-        mut lift_msg: impl FnMut(M0) -> Either<A::Msg, B::Msg>,
-        mut lift_out: impl FnMut(O0) -> Either<A::Output, B::Output>,
-        mut lift_tag: impl FnMut(TimerTag) -> TimerTag,
-    ) {
-        debug_assert!(actions.is_empty());
-        {
-            // The sub-sink inherits the outer sink's observing flag, so a
-            // stacked half's `observe` hooks stay dead branches exactly
-            // when the engine has no recorder attached.
-            let observing = ctx.observing();
-            let mut sub =
-                ActionSink::new(ctx.my_id(), ctx.local_now(), actions).with_observing(observing);
-            run(&mut sub);
-        }
-        for action in actions.drain(..) {
-            match action {
-                Action::Broadcast(m) => ctx.broadcast(lift_msg(m)),
-                Action::SetTimer(d, tag) => ctx.set_timer(d, lift_tag(tag)),
-                Action::CancelTimer(at, tag) => ctx.cancel_timer(at, lift_tag(tag)),
-                Action::Publish(o) => {
-                    hand(&o);
-                    ctx.publish(lift_out(o));
-                }
-                Action::Decide(v) => ctx.decide(v),
-                Action::Halt => ctx.halt(),
-                Action::Observe(k) => ctx.observe(|| k),
-                Action::Discard => ctx.note_discard(),
-            }
-        }
-    }
-
     fn run_a(
         &mut self,
         ctx: &mut StackSink<'_, A, B>,
         f: impl FnOnce(&mut A, &mut ActionSink<'_, A::Msg, A::Output>),
     ) {
-        let (a, b) = (&mut self.a, &mut self.b);
-        Self::relay(
-            ctx,
-            &mut self.a_actions,
-            |sub| f(a, sub),
-            |o| b.consume(o),
-            Either::L,
-            Either::L,
-            |tag| TimerTag(tag.0 * 2),
+        // The sub-sink inherits the outer sink's observing flag, so a
+        // stacked half's `observe` hooks stay dead branches exactly when
+        // the engine has no recorder attached.
+        let (id, now, observing) = (ctx.my_id(), ctx.local_now(), ctx.observing());
+        let mut lower = Lower::<A, B> {
+            outer: ctx,
+            upper: &mut self.b,
+        };
+        f(
+            &mut self.a,
+            &mut ActionSink::new(id, now, &mut lower).with_observing(observing),
         );
     }
 
@@ -154,15 +137,11 @@ impl<A: Process, B: Process + Consumes<A::Output>> Stacked<A, B> {
         ctx: &mut StackSink<'_, A, B>,
         f: impl FnOnce(&mut B, &mut ActionSink<'_, B::Msg, B::Output>),
     ) {
-        let b = &mut self.b;
-        Self::relay(
-            ctx,
-            &mut self.b_actions,
-            |sub| f(b, sub),
-            |_| {},
-            Either::R,
-            Either::R,
-            |tag| TimerTag(tag.0 * 2 + 1),
+        let (id, now, observing) = (ctx.my_id(), ctx.local_now(), ctx.observing());
+        let mut upper = Upper::<A, B>(ctx);
+        f(
+            &mut self.b,
+            &mut ActionSink::new(id, now, &mut upper).with_observing(observing),
         );
     }
 }
@@ -243,61 +222,6 @@ pub fn split_history<OA: Clone, OB: Clone>(
     (left, right)
 }
 
-/// A trivial process that does nothing; useful as a placeholder half.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Idle;
-
-impl Process for Idle {
-    type Msg = ();
-    type Output = ();
-    fn on_start(&mut self, _ctx: &mut ActionSink<'_, (), ()>) {}
-    fn on_message(&mut self, _msg: (), _ctx: &mut ActionSink<'_, (), ()>) {}
-    fn on_timer(&mut self, _timer: TimerTag, _ctx: &mut ActionSink<'_, (), ()>) {}
-}
-
-impl<O> Consumes<O> for Idle {}
-
-/// A process that repeatedly re-arms a tick timer; handy in tests that need
-/// periodic activity from one half.
-#[derive(Debug, Clone, Copy)]
-pub struct Ticker {
-    period: Span,
-    ticks: u64,
-}
-
-impl Ticker {
-    /// A ticker with the given period.
-    #[must_use]
-    pub fn new(period: Span) -> Self {
-        Ticker { period, ticks: 0 }
-    }
-
-    /// Number of ticks so far.
-    #[must_use]
-    pub fn ticks(&self) -> u64 {
-        self.ticks
-    }
-}
-
-impl<O> Consumes<O> for Ticker {}
-
-impl Process for Ticker {
-    type Msg = ();
-    type Output = u64;
-
-    fn on_start(&mut self, ctx: &mut ActionSink<'_, (), u64>) {
-        ctx.set_timer(self.period, TimerTag(0));
-    }
-
-    fn on_message(&mut self, _msg: (), _ctx: &mut ActionSink<'_, (), u64>) {}
-
-    fn on_timer(&mut self, _timer: TimerTag, ctx: &mut ActionSink<'_, (), u64>) {
-        self.ticks += 1;
-        ctx.publish(self.ticks);
-        ctx.set_timer(self.period, TimerTag(0));
-    }
-}
-
 impl<L: Persist, R: Persist> Persist for Either<L, R> {
     fn save(&self, s: &mut Saver) {
         match self {
@@ -324,8 +248,7 @@ impl<L: Persist, R: Persist> Persist for Either<L, R> {
 }
 
 /// A stack is its two halves, lower first, through one saver (so an `Arc`
-/// both halves hold is written once). The action buffers are empty
-/// between callbacks and decode empty; the consumer's reading of the
+/// both halves hold is written once); the consumer's reading of the
 /// detector is part of the consumer.
 impl<A, B> Persist for Stacked<A, B>
 where
@@ -341,21 +264,64 @@ where
     }
 }
 
-impl Persist for Idle {
-    fn save(&self, _s: &mut Saver) {}
-    fn load(_l: &mut Loader<'_>) -> Result<Self, WireError> {
-        Ok(Idle)
-    }
-}
-
-homonym_core::persist_fields!(Ticker { period, ticks });
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{Engine, SimConfig};
     use crate::network::NetworkModel;
-    use homonym_core::{FailureSchedule, IdentityAssignment, Time};
+    use homonym_core::{FailureSchedule, IdentityAssignment, Span, Time};
+    use homonym_obs::ObsKind;
+
+    /// A process that does nothing: a placeholder half.
+    struct Idle;
+
+    impl Process for Idle {
+        type Msg = ();
+        type Output = ();
+        fn on_start(&mut self, _ctx: &mut ActionSink<'_, (), ()>) {}
+        fn on_message(&mut self, _msg: (), _ctx: &mut ActionSink<'_, (), ()>) {}
+        fn on_timer(&mut self, _timer: TimerTag, _ctx: &mut ActionSink<'_, (), ()>) {}
+    }
+
+    impl<O> Consumes<O> for Idle {}
+
+    /// A process that repeatedly re-arms a tick timer: periodic activity
+    /// from one half.
+    struct Ticker {
+        period: Span,
+        ticks: u64,
+    }
+
+    impl Ticker {
+        /// A ticker with the given period.
+        fn new(period: Span) -> Self {
+            Ticker { period, ticks: 0 }
+        }
+
+        /// Number of ticks so far.
+        fn ticks(&self) -> u64 {
+            self.ticks
+        }
+    }
+
+    impl<O> Consumes<O> for Ticker {}
+
+    impl Process for Ticker {
+        type Msg = ();
+        type Output = u64;
+
+        fn on_start(&mut self, ctx: &mut ActionSink<'_, (), u64>) {
+            ctx.set_timer(self.period, TimerTag(0));
+        }
+
+        fn on_message(&mut self, _msg: (), _ctx: &mut ActionSink<'_, (), u64>) {}
+
+        fn on_timer(&mut self, _timer: TimerTag, ctx: &mut ActionSink<'_, (), u64>) {
+            self.ticks += 1;
+            ctx.publish(self.ticks);
+            ctx.set_timer(self.period, TimerTag(0));
+        }
+    }
 
     /// Broadcasts a greeting at start and counts what it hears.
     #[derive(Debug)]
@@ -477,6 +443,122 @@ mod tests {
         }
         assert_eq!(counts.first(), Some(&1), "on_start sees the lower on_start");
         assert!(counts.len() >= 5 && said.len() >= 10, "the run did little");
+    }
+
+    /// What the relay-order test saw, in order: an action the engine
+    /// took (its `Debug` form), or an output the innermost upper half was
+    /// handed.
+    #[derive(Debug, PartialEq)]
+    enum Seen {
+        Took(String),
+        Handed(u64),
+    }
+
+    thread_local! {
+        static SEEN: std::cell::RefCell<Vec<Seen>> = const { std::cell::RefCell::new(Vec::new()) };
+    }
+
+    /// The engine's end of the relay-order test: logs each action it takes.
+    struct Taker;
+
+    impl<M: fmt::Debug, O: fmt::Debug> Emit<M, O> for Taker {
+        fn emit(&mut self, action: Action<M, O>) {
+            SEEN.with_borrow_mut(|seen| seen.push(Seen::Took(format!("{action:?}"))));
+        }
+    }
+
+    /// Emits all eight action kinds, interleaved, at its start, from `v`
+    /// on; logs every output it is handed.
+    struct AllKinds(u64);
+
+    impl Process for AllKinds {
+        type Msg = u64;
+        type Output = u64;
+
+        fn on_start(&mut self, ctx: &mut ActionSink<'_, u64, u64>) {
+            let v = self.0;
+            ctx.broadcast(v);
+            ctx.publish(v + 1);
+            ctx.set_timer(Span::from_ticks(2), TimerTag(1));
+            ctx.observe(|| ObsKind::LockReleased { round: v });
+            ctx.cancel_timer(Time::from_ticks(9), TimerTag(2));
+            ctx.note_discard();
+            ctx.publish(v + 2);
+            ctx.decide(v + 3);
+            ctx.halt();
+        }
+
+        fn on_message(&mut self, _msg: u64, _ctx: &mut ActionSink<'_, u64, u64>) {}
+
+        fn on_timer(&mut self, _timer: TimerTag, _ctx: &mut ActionSink<'_, u64, u64>) {}
+    }
+
+    impl Consumes<u64> for AllKinds {
+        fn consume(&mut self, output: &u64) {
+            SEEN.with_borrow_mut(|seen| seen.push(Seen::Handed(*output)));
+        }
+    }
+
+    /// Every half of a nested stack emits every action kind: the engine
+    /// takes them in emission order, each timer tag lifted at both levels
+    /// (`X`'s `t` on `2t`, `Y`'s on `4t + 1`, `Z`'s on `4t + 3`); `Z` is
+    /// handed each lower output before its publish reaches the engine, so
+    /// before the next action too; and only a recorder lets `Observe`
+    /// through.
+    #[test]
+    fn a_nested_stack_relays_every_action_in_emission_order() {
+        type Out = Either<u64, Either<u64, u64>>;
+        let took = |a: Action<Out, Out>| Seen::Took(format!("{a:?}"));
+        let (l, rl, rr) = (
+            Either::L,
+            |v| Either::R(Either::L(v)),
+            |v| Either::R(Either::R(v)),
+        );
+        let (two, nine) = (Span::from_ticks(2), Time::from_ticks(9));
+        let run = |observing: bool| {
+            let mut stack = Stacked::new(AllKinds(10), Stacked::new(AllKinds(20), AllKinds(30)));
+            let mut taker = Taker;
+            let sink = ActionSink::new(Identity::new(0), Time::ZERO, &mut taker);
+            stack.on_start(&mut sink.with_observing(observing));
+            SEEN.take()
+        };
+        let expected = [
+            took(Action::Broadcast(l(10))),
+            Seen::Handed(11),
+            took(Action::Publish(l(11))),
+            took(Action::SetTimer(two, TimerTag(2))),
+            took(Action::CancelTimer(nine, TimerTag(4))),
+            took(Action::Discard),
+            Seen::Handed(12),
+            took(Action::Publish(l(12))),
+            took(Action::Decide(13)),
+            took(Action::Halt),
+            took(Action::Broadcast(rl(20))),
+            Seen::Handed(21),
+            took(Action::Publish(rl(21))),
+            took(Action::SetTimer(two, TimerTag(5))),
+            took(Action::CancelTimer(nine, TimerTag(9))),
+            took(Action::Discard),
+            Seen::Handed(22),
+            took(Action::Publish(rl(22))),
+            took(Action::Decide(23)),
+            took(Action::Halt),
+            took(Action::Broadcast(rr(30))),
+            took(Action::Publish(rr(31))),
+            took(Action::SetTimer(two, TimerTag(7))),
+            took(Action::CancelTimer(nine, TimerTag(11))),
+            took(Action::Discard),
+            took(Action::Publish(rr(32))),
+            took(Action::Decide(33)),
+            took(Action::Halt),
+        ];
+        assert_eq!(run(false), expected);
+        let observed: Vec<_> = (run(true).into_iter())
+            .filter(|seen| matches!(seen, Seen::Took(a) if a.starts_with("Observe")))
+            .collect();
+        let rounds =
+            [10, 20, 30].map(|round| took(Action::Observe(ObsKind::LockReleased { round })));
+        assert_eq!(observed, rounds);
     }
 
     fn one_process() -> SimConfig {

@@ -214,6 +214,16 @@ fn a_detector_process_stays_small() {
     assert!(std::mem::size_of::<EvtHpProcess>() <= 176);
 }
 
+/// What a log stack process costs inline: every engine builds n of them
+/// in set-up. A stacked half and a height's engine emit straight into the
+/// engine's buffer, so the stack and the log hold no action buffer of
+/// their own (72 bytes more while they did: two in the stack, one in the
+/// log).
+#[test]
+fn a_log_stack_process_is_936_bytes() {
+    assert_eq!(std::mem::size_of::<RsmNode>(), 936);
+}
+
 /// A million heights under leader churn, and the replicas retain as
 /// much at the end as at height 10³, and agree on the fingerprint of
 /// every height they share. At n = 4 (the churn seed of
