@@ -348,15 +348,6 @@ impl Window for ByzWindow {
     }
 }
 
-/// The certificate membership breakdown of a window's admission ledger,
-/// in observability-label form.
-fn cert_labels(ledger: &WindowLedger) -> Vec<(Identity, u32)> {
-    ledger
-        .occupancy()
-        .map(|(&l, k)| (l, u32::try_from(k).unwrap_or(u32::MAX)))
-        .collect()
-}
-
 /// Admitted copies backing `v` in `counts` (the certificate's size).
 fn count_of(counts: &Multiset<u64>, v: u64) -> u32 {
     u32::try_from(counts.multiplicity(&v)).unwrap_or(u32::MAX)
@@ -536,6 +527,13 @@ impl ByzQuorumConsensus {
         self.labels[(round % self.labels.len() as u64) as usize]
     }
 
+    /// Whether a label of `rank` (from [`Multiset::rank`] on the caps)
+    /// is round `round`'s coordinator label: `labels` is the caps'
+    /// support, so a label's rank is its index there.
+    fn is_coord(&self, rank: Option<(usize, usize)>, round: u64) -> bool {
+        rank.is_some_and(|(i, _)| i as u64 == round % self.labels.len() as u64)
+    }
+
     /// The `COORD`s an unlocked process waits for in a round of `label`:
     /// the label's carriers less those `◇HP` has seen go, never fewer
     /// than one (see "The `COORD` wait reads `◇HP`" in the module docs).
@@ -696,7 +694,7 @@ impl ByzQuorumConsensus {
                     round: r,
                     phase: "DECIDE",
                     size,
-                    labels: cert_labels(ledger),
+                    labels: ledger.occupancy(&self.caps),
                 });
                 self.deliver_decision(v, ctx);
                 return true;
@@ -754,7 +752,7 @@ impl ByzQuorumConsensus {
                         round: r,
                         phase: "VOTE",
                         size,
-                        labels: cert_labels(ledger),
+                        labels: ledger.occupancy(&self.caps),
                     });
                 } else if w.votes.len() < self.wait() || self.in_grace(now, ctx) {
                     return false;
@@ -794,7 +792,7 @@ impl ByzQuorumConsensus {
                         round: r,
                         phase: "COMMIT",
                         size,
-                        labels: cert_labels(ledger),
+                        labels: ledger.occupancy(&self.caps),
                     });
                     self.deliver_decision(v, ctx);
                 } else if w.commits.len() + w.commit_bottoms < self.wait()
@@ -897,6 +895,8 @@ impl Process for ByzQuorumConsensus {
         self.try_advance(ctx);
     }
 
+    /// A copy's label is looked up once: its rank admits it and names the
+    /// coordinator label.
     fn on_message(&mut self, msg: ByzMsg, ctx: &mut ActionSink<'_, ByzMsg, u64>) {
         match msg {
             ByzMsg::Coord {
@@ -906,9 +906,10 @@ impl Process for ByzQuorumConsensus {
                 locked,
             } => {
                 if round >= self.round {
-                    let coord = self.coord_label(round);
+                    let rank = self.caps.rank(&id);
+                    let coord = self.is_coord(rank, round);
                     let w = self.rounds.get_mut(round);
-                    if id == coord && w.coord_ledger.admit(id, &self.caps) {
+                    if coord && w.coord_ledger.admit(rank, &self.caps) {
                         w.coords.push((est, locked));
                     } else {
                         self.shed(round, "COORD", ctx);
@@ -922,14 +923,15 @@ impl Process for ByzQuorumConsensus {
                 locked,
             } => {
                 if round >= self.round {
-                    let coord = self.coord_label(round);
+                    let rank = self.caps.rank(&id);
+                    let coord = self.is_coord(rank, round);
                     let w = self.rounds.get_mut(round);
-                    if w.vote_ledger.admit(id, &self.caps) {
+                    if w.vote_ledger.admit(rank, &self.caps) {
                         w.votes.insert(est);
                         if locked {
                             w.locked_votes.insert(est);
                         }
-                        if id == coord {
+                        if coord {
                             w.coord_votes.push((est, locked));
                         }
                     } else {
@@ -939,8 +941,9 @@ impl Process for ByzQuorumConsensus {
             }
             ByzMsg::Commit { id, round, val } => {
                 if round >= self.round {
+                    let rank = self.caps.rank(&id);
                     let w = self.rounds.get_mut(round);
-                    if w.commit_ledger.admit(id, &self.caps) {
+                    if w.commit_ledger.admit(rank, &self.caps) {
                         match val {
                             Some(v) => w.commits.insert(v),
                             None => w.commit_bottoms += 1,
@@ -951,7 +954,7 @@ impl Process for ByzQuorumConsensus {
                 }
             }
             ByzMsg::Decide { id, value } => {
-                if self.decide_ledger.admit(id, &self.caps) {
+                if self.decide_ledger.admit(self.caps.rank(&id), &self.caps) {
                     self.decide_votes.insert(value);
                 } else {
                     self.shed(self.round, "DECIDE", ctx);
@@ -1062,6 +1065,8 @@ homonym_core::persist_fields!(ByzWindow {
     commit_bottoms
 });
 
+// `load` refuses what `new` never builds: the quorum arithmetic needs them,
+// and a copy's rank among the caps names its label in `labels`.
 homonym_core::persist_fields!(ByzQuorumConsensus {
     n,
     f,
@@ -1081,7 +1086,8 @@ homonym_core::persist_fields!(ByzQuorumConsensus {
     armed,
     seen,
     trusted
-});
+} if |c| c.n >= 4 && c.f == (c.n - 1) / 3 && c.caps.len() == c.n
+    && c.labels.iter().eq(c.caps.support()));
 
 #[cfg(test)]
 mod tests {
@@ -1703,17 +1709,49 @@ mod tests {
         }
     }
 
+    /// A snapshot holding what `new` never builds is refused: before the
+    /// check, one with no labels decoded and panicked on its first `VOTE`
+    /// (`round % labels.len()`), and one with its labels out of the caps'
+    /// order would name the wrong coordinator by rank.
+    #[test]
+    fn a_snapshot_new_would_never_build_is_refused() {
+        use homonym_core::wire::{from_bytes, to_bytes};
+        let fresh = ByzQuorumConsensus::new(0, &assign8());
+        let hostile: [fn(&mut ByzQuorumConsensus); 6] = [
+            |c| c.labels.clear(),
+            |c| c.labels.reverse(),
+            |c| c.labels.push(Identity::new(9)),
+            |c| c.n = 3,
+            |c| c.f += 1,
+            |c| c.caps.insert(Identity::new(0)),
+        ];
+        for (i, corrupt) in hostile.iter().enumerate() {
+            let mut c = fresh.clone();
+            corrupt(&mut c);
+            let decoded = from_bytes::<ByzQuorumConsensus>(&to_bytes(&c)).map(|mut c| {
+                let vote = step_of((0, 1, 0, 1, false));
+                drive_steps(&mut c, &mut 0, &[vote]);
+            });
+            assert!(
+                matches!(decoded, Err(WireError::BadValue { .. })),
+                "corruption {i} accepted"
+            );
+        }
+        assert!(from_bytes::<ByzQuorumConsensus>(&to_bytes(&fresh)).is_ok());
+    }
+
     #[test]
     fn window_ledger_sheds_super_cap_copies() {
         let assign = assign8();
         let mut c = ByzQuorumConsensus::new(0, &assign);
         let id = assign.id_of(0);
         let cap = assign.multiplicity(id);
+        let rank = c.caps.rank(&id);
         let w = c.rounds.get_mut(0);
         for _ in 0..cap {
-            assert!(w.vote_ledger.admit(id, &c.caps));
+            assert!(w.vote_ledger.admit(rank, &c.caps));
         }
-        assert!(!w.vote_ledger.admit(id, &c.caps));
+        assert!(!w.vote_ledger.admit(rank, &c.caps));
         assert_eq!(w.vote_ledger.discarded(), 1);
     }
 }

@@ -136,6 +136,10 @@ use crate::conflict::WindowLedger;
 /// fingerprint.
 const STATE_HEAD: usize = 2;
 
+/// A sender label's `Multiset::rank` among the caps, looked up once per
+/// copy.
+type Rank = Option<(usize, usize)>;
+
 /// Per-height `Commit` tallies: value → the copies admitted for it, each
 /// claimed label capped at its multiplicity.
 type CommitTally = BTreeMap<u64, WindowLedger>;
@@ -349,9 +353,9 @@ impl CatchUp {
     }
 
     /// Tallies a `Commit` about `height`, plain or a part of a state, under
-    /// the per-label caps; old news is dropped. A label nobody carries
-    /// leaves no entry behind: a Byzantine homonym can invent labels,
-    /// heights and values without end.
+    /// the per-label caps, and says whether it counted; old news is
+    /// dropped. A label nobody carries leaves no entry behind: a Byzantine
+    /// homonym can invent labels, heights and values without end.
     pub(super) fn tally<M>(
         &mut self,
         height: u64,
@@ -360,32 +364,34 @@ impl CatchUp {
         state: Option<StatePart>,
         at: u64,
         ctx: &mut Sink<'_, M>,
-    ) {
+    ) -> bool {
         if height < at {
-            return; // old news
+            return false; // old news
         }
-        let tallied = self.caps.contains(&id)
+        let rank = self.caps.rank(&id);
+        let tallied = rank.is_some()
             && match state {
-                None => self.tally_commit(height, value, id, at),
-                Some(part) => self.tally_part(height, value, part, id),
+                None => self.tally_commit(height, value, rank, at),
+                Some(part) => self.tally_part(height, value, part, rank),
             };
         if !tallied {
             ctx.note_discard();
         }
+        tallied
     }
 
-    fn tally_commit(&mut self, height: u64, value: u64, id: Identity, at: u64) -> bool {
+    fn tally_commit(&mut self, height: u64, value: u64, rank: Rank, at: u64) -> bool {
         if height - at >= MAX_COMMIT_AHEAD {
             return false;
         }
         let copies = self.tallies.entry(height).or_default();
-        copies.entry(value).or_default().admit(id, &self.caps)
+        copies.entry(value).or_default().admit(rank, &self.caps)
     }
 
     /// Tallies `word` at `part.index` of a state through `height`, unless
     /// no replica's state has that part, or it would be a new claim or a
     /// new word for an index once every process could have sent one.
-    fn tally_part(&mut self, height: u64, word: u64, part: StatePart, id: Identity) -> bool {
+    fn tally_part(&mut self, height: u64, word: u64, part: StatePart, rank: Rank) -> bool {
         let StatePart { index, count } = part;
         let count = usize::from(count);
         if usize::from(index) >= count || !self.fits(height, count) {
@@ -410,7 +416,7 @@ impl CatchUp {
             |&(w, _)| w == word,
             || (word, WindowLedger::default()),
         );
-        copies.is_some_and(|(_, copies)| copies.admit(id, &self.caps))
+        copies.is_some_and(|(_, copies)| copies.admit(rank, &self.caps))
     }
 
     /// What the tallies certify for a replica at `at`: its entry first,
@@ -746,9 +752,9 @@ mod tests {
         let assign = IdentityAssignment::round_robin(4, 2);
         let mut node = byz_rsm_node(&assign, open_queues(4, 0).remove(0));
         actions_of(&mut node, 0, |n, s| n.commit(NOOP, false, s));
-        let mut copies = WindowLedger::default();
+        let (mut copies, caps) = (WindowLedger::default(), assign.multiset());
         for p in 0..2 {
-            assert!(copies.admit(assign.id_of(p), &assign.multiset()));
+            assert!(copies.admit(caps.rank(&assign.id_of(p)), &caps));
         }
         let claim = |height, count| StateTally {
             height,

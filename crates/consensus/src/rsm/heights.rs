@@ -353,6 +353,41 @@ mod tests {
         assert_eq!(heights.buffered(), 1, "height 2's traffic waits");
     }
 
+    /// A replica at height `h` holding a `commit_quorum` tally for `h + 1`
+    /// commits `h + 1` in the callback in which its engine decides `h`:
+    /// no `Commit` came in, but the height moved, and that drains
+    /// certification too.
+    #[test]
+    fn a_decision_drains_a_tally_for_the_next_height() {
+        let assign = IdentityAssignment::round_robin(4, 2);
+        let opts = RsmOptions::byzantine(&assign);
+        let quorum = opts.commit_quorum;
+        let client = open_queues(4, 0).remove(0);
+        let mut node = ReplicatedLog::<Scripted>::new((), client, &assign, opts);
+        let mut actions = Vec::new();
+        let mut sink = ActionSink::new(assign.id_of(0), Time::ZERO, &mut actions);
+        node.on_start(&mut sink);
+        for p in 0..quorum {
+            let (id, next, state) = (assign.id_of(p), NOOP, None);
+            let commit = RsmMsg::Commit {
+                height: 1,
+                value: 7,
+                id,
+                next,
+                state,
+            };
+            node.on_message(commit, &mut sink);
+        }
+        assert_eq!(node.height(), 0, "nothing to commit at height 0 yet");
+        node.on_message(RsmMsg::Inner { height: 0, msg: 11 }, &mut sink);
+        assert_eq!(node.height(), 2, "height 1 was certified already");
+        let entries = actions.iter().filter_map(|a| match a {
+            Action::Publish(entry) => Some(entry.value),
+            _ => None,
+        });
+        assert_eq!(entries.collect::<Vec<_>>(), [11, 7]);
+    }
+
     /// [`ByzQuorumConsensus`] behind a newtype that forwards everything
     /// but keeps [`HeightEngine::respawn`]'s default: rebuilt from its
     /// seed at every height.

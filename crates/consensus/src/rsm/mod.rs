@@ -576,8 +576,12 @@ impl<C: HeightEngine> Process for ReplicatedLog<C> {
         self.drain_certified(ctx);
     }
 
+    /// Certification is drained only after what can certify: a tallied
+    /// `Commit`, or a height moved by the callback (see "When
+    /// certification is drained" in `docs/log_service.md`).
     fn on_message(&mut self, msg: Self::Msg, ctx: &mut ActionSink<'_, Self::Msg, Self::Output>) {
         let at = self.heights.height();
+        let mut tallied = false;
         match msg {
             RsmMsg::Inner { height, msg } if height == at => {
                 // A peer runs the height: an idle wait is over.
@@ -609,11 +613,13 @@ impl<C: HeightEngine> Process for ReplicatedLog<C> {
                         self.catch_up
                             .answer_past(missing, at, &mut self.proposals, ctx);
                     }
-                    _ => self.catch_up.tally(height, value, id, state, at, ctx),
+                    _ => tallied = self.catch_up.tally(height, value, id, state, at, ctx),
                 }
             }
         }
-        self.drain_certified(ctx);
+        if tallied || self.heights.height() != at {
+            self.drain_certified(ctx);
+        }
         self.boot_if_wanted(ctx);
     }
 

@@ -16,7 +16,7 @@
 //! binary-searched vector — one allocation, cache-friendly — is the whole
 //! design. Every counted bag of the workspace is a `Multiset`: detector
 //! outputs, the consensus round windows' value counts and the admission
-//! ledgers' per-label occupancy.
+//! caps, whose [`Multiset::rank`] indexes the ledgers' per-label counts.
 
 use core::cmp::Ordering;
 use core::fmt;
@@ -83,6 +83,13 @@ impl<T: Ord> Multiset<T> {
     #[must_use]
     pub fn multiplicity(&self, x: &T) -> usize {
         self.find(x).map_or(0, |i| self.pairs[i].1)
+    }
+
+    /// The element's rank among the distinct elements, in element order,
+    /// with its multiplicity; `None` if absent. One search answers both.
+    #[must_use]
+    pub fn rank(&self, x: &T) -> Option<(usize, usize)> {
+        self.find(x).ok().map(|i| (i, self.pairs[i].1))
     }
 
     /// Whether the element occurs at least once.
@@ -404,6 +411,15 @@ mod tests {
         assert_eq!(m.distinct_len(), 3);
         assert_eq!(m.multiplicity(&3), 3);
         assert_eq!(m.multiplicity(&9), 0);
+    }
+
+    #[test]
+    fn rank_is_the_index_among_distinct_elements() {
+        let m = ms(&[7, 3, 7, 9]);
+        assert_eq!(m.rank(&3), Some((0, 1)));
+        assert_eq!(m.rank(&7), Some((1, 2)));
+        assert_eq!(m.rank(&9), Some((2, 1)));
+        assert_eq!(m.rank(&8), None);
     }
 
     #[test]

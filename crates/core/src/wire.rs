@@ -469,10 +469,15 @@ pub fn intern(s: &str) -> &'static str {
 
 /// Generates a [`Persist`](crate::wire::Persist) impl for a struct by
 /// encoding its named fields in declaration order. Invoke it in the
-/// module that defines the type so private fields stay private.
+/// module that defines the type so private fields stay private. A
+/// trailing `if check`, a `fn(&Self) -> bool`, makes `load` refuse a
+/// decoded value `check` rejects with [`WireError::BadValue`].
 #[macro_export]
 macro_rules! persist_fields {
     ($ty:ty { $($f:ident),+ $(,)? }) => {
+        $crate::persist_fields!($ty { $($f),+ } if |_| true);
+    };
+    ($ty:ty { $($f:ident),+ $(,)? } if $check:expr) => {
         impl $crate::wire::Persist for $ty {
             fn save(&self, s: &mut $crate::wire::Saver) {
                 $( $crate::wire::Persist::save(&self.$f, s); )+
@@ -480,7 +485,10 @@ macro_rules! persist_fields {
             fn load(
                 l: &mut $crate::wire::Loader<'_>,
             ) -> Result<Self, $crate::wire::WireError> {
-                Ok(Self { $( $f: $crate::wire::Persist::load(l)? ),+ })
+                let check: fn(&Self) -> bool = $check;
+                let value = Self { $( $f: $crate::wire::Persist::load(l)? ),+ };
+                let what = stringify!($ty);
+                check(&value).then_some(value).ok_or($crate::wire::WireError::BadValue { what })
             }
         }
     };
