@@ -88,9 +88,9 @@ pub enum Goal {
     TickHorizon,
 }
 
-/// The multi-height replicated log over the Byzantine-tolerant quorum
-/// engine, stacked on the continuously-running `◇HP`/`HΩ` detector —
-/// the default production stack of ROADMAP item 1.
+/// The multi-height replicated log over the tolerant quorum engine, on
+/// the running `◇HP`/`HΩ` detector: the default stack (`docs/log_service.md`,
+/// "Why the Byzantine-tolerant engine is the churn default").
 pub type RsmNode = Stacked<EvtHpProcess, ReplicatedLog<ByzQuorumConsensus>>;
 
 /// The multi-height replicated log over Figure 8 majority consensus;

@@ -1066,7 +1066,8 @@ homonym_core::persist_fields!(ByzWindow {
 });
 
 // `load` refuses what `new` never builds: the quorum arithmetic needs them,
-// and a copy's rank among the caps names its label in `labels`.
+// a copy's rank among the caps names its label in `labels`, and every
+// round change moves the ring (`advance_to`, `restart`) with the round.
 homonym_core::persist_fields!(ByzQuorumConsensus {
     n,
     f,
@@ -1087,7 +1088,7 @@ homonym_core::persist_fields!(ByzQuorumConsensus {
     seen,
     trusted
 } if |c| c.n >= 4 && c.f == (c.n - 1) / 3 && c.caps.len() == c.n
-    && c.labels.iter().eq(c.caps.support()));
+    && c.labels.iter().eq(c.caps.support()) && c.rounds.base() == c.round);
 
 #[cfg(test)]
 mod tests {
@@ -1712,18 +1713,20 @@ mod tests {
     /// A snapshot holding what `new` never builds is refused: before the
     /// check, one with no labels decoded and panicked on its first `VOTE`
     /// (`round % labels.len()`), and one with its labels out of the caps'
-    /// order would name the wrong coordinator by rank.
+    /// order would name the wrong coordinator by rank. A ring whose base
+    /// is past the round took that `VOTE` as one of an expired round.
     #[test]
     fn a_snapshot_new_would_never_build_is_refused() {
         use homonym_core::wire::{from_bytes, to_bytes};
         let fresh = ByzQuorumConsensus::new(0, &assign8());
-        let hostile: [fn(&mut ByzQuorumConsensus); 6] = [
+        let hostile: [fn(&mut ByzQuorumConsensus); 7] = [
             |c| c.labels.clear(),
             |c| c.labels.reverse(),
             |c| c.labels.push(Identity::new(9)),
             |c| c.n = 3,
             |c| c.f += 1,
             |c| c.caps.insert(Identity::new(0)),
+            |c| c.rounds.advance_to(1),
         ];
         for (i, corrupt) in hostile.iter().enumerate() {
             let mut c = fresh.clone();

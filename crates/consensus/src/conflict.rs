@@ -36,7 +36,6 @@
 
 use homonym_core::identity::Identity;
 use homonym_core::multiset::Multiset;
-use homonym_core::wire::{Loader, Persist, Saver, WireError};
 
 /// Crash-model resolution of a (supposedly singleton) non-⊥ value set:
 /// the smallest value wins, deterministically.
@@ -143,27 +142,12 @@ impl WindowLedger {
     }
 }
 
-/// A ledger travels as its counts and discards; the total is summed on
-/// load, so whatever the bytes hold, a decoded ledger is consistent.
-impl Persist for WindowLedger {
-    fn save(&self, s: &mut Saver) {
-        self.counts.save(s);
-        self.discarded.save(s);
-    }
-    fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
-        let (counts, discarded): (Vec<u32>, u64) = Persist::load(l)?;
-        let len = counts
-            .iter()
-            .try_fold(0usize, |sum, &k| sum.checked_add(k as usize));
-        let what = "WindowLedger";
-        let len = len.ok_or(WireError::BadValue { what })?;
-        Ok(WindowLedger {
-            counts,
-            len,
-            discarded,
-        })
-    }
-}
+// A ledger travels as its counts and discards; the total is summed on
+// load, so whatever the bytes hold, a decoded ledger is consistent.
+homonym_core::persist_fields!(WindowLedger {
+    counts, discarded;
+    len = counts.iter().try_fold(0usize, |sum, &k| sum.checked_add(k as usize))?
+});
 
 #[cfg(test)]
 mod tests {

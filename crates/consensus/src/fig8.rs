@@ -675,34 +675,11 @@ impl<D: Persist> Persist for HOmegaPolicy<D> {
     }
 }
 
-impl<L: Persist> Persist for MajorityConsensus<L> {
-    fn save(&self, s: &mut Saver) {
-        self.policy.save(s);
-        self.n.save(s);
-        self.t.save(s);
-        self.est1.save(s);
-        self.est2.save(s);
-        self.round.save(s);
-        self.phase.save(s);
-        self.rounds.save(s);
-        self.decided.save(s);
-        self.tick.save(s);
-    }
-    fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
-        Ok(MajorityConsensus {
-            policy: L::load(l)?,
-            n: Persist::load(l)?,
-            t: Persist::load(l)?,
-            est1: Persist::load(l)?,
-            est2: Persist::load(l)?,
-            round: Persist::load(l)?,
-            phase: Persist::load(l)?,
-            rounds: Persist::load(l)?,
-            decided: Persist::load(l)?,
-            tick: Persist::load(l)?,
-        })
-    }
-}
+// Every round change goes through the ring (`advance_to`), so a run
+// keeps its base at the current round.
+homonym_core::persist_fields!(impl[L: Persist] MajorityConsensus<L> {
+    policy, n, t, est1, est2, round, phase, rounds, decided, tick
+} if |c| c.rounds.base() == c.round);
 
 #[cfg(test)]
 mod tests {
@@ -742,6 +719,26 @@ mod tests {
             .max()
             .unwrap_or(0);
         (engine.outcome(proposals), sched, max_round)
+    }
+
+    /// A snapshot whose ring starts past its round is refused: the next
+    /// `PH0` of the round would be buffered for an expired round.
+    #[test]
+    fn a_snapshot_whose_ring_left_its_round_is_refused() {
+        use homonym_core::wire::{from_bytes, to_bytes};
+        type Engine8 = MajorityConsensus<HOmegaPolicy<HOmegaOutput>>;
+        let leader = HOmegaOutput::new(Identity::new(0), 1);
+        let fresh: Engine8 = MajorityConsensus::new(5, 3, 1, HOmegaPolicy(leader));
+        let mut ahead = fresh.clone();
+        ahead.rounds.advance_to(1);
+        let decoded = from_bytes::<Engine8>(&to_bytes(&ahead)).map(|mut c| {
+            let mut actions = Vec::new();
+            let mut sink = ActionSink::new(Identity::new(0), Time::ZERO, &mut actions);
+            c.on_message(Fig8Msg::Ph0 { round: 0, est: 5 }, &mut sink);
+        });
+        let what = "MajorityConsensus<L>";
+        assert_eq!(decoded, Err(WireError::BadValue { what }));
+        assert!(from_bytes::<Engine8>(&to_bytes(&fresh)).is_ok());
     }
 
     #[test]

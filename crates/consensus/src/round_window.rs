@@ -20,7 +20,7 @@
 
 use std::collections::VecDeque;
 
-use homonym_core::wire::{Loader, Persist, Saver, WireError};
+use homonym_core::wire::Persist;
 
 /// One round's reusable buffer state.
 pub(crate) trait Window: Default {
@@ -57,6 +57,11 @@ impl<W: Window> RoundRing<W> {
             live: VecDeque::new(),
             spare: Vec::new(),
         }
+    }
+
+    /// The lowest round the ring can hold: every round below it expired.
+    pub(crate) fn base(&self) -> u64 {
+        self.base
     }
 
     /// The window of `round`, if one has been touched and not yet
@@ -119,21 +124,11 @@ impl<W: Window> RoundRing<W> {
     }
 }
 
-/// Rings persist like they clone: only `base` and the live windows are
-/// state; the spare pool is an allocation cache and decodes cold.
-impl<W: Window + Persist> Persist for RoundRing<W> {
-    fn save(&self, s: &mut Saver) {
-        self.base.save(s);
-        self.live.save(s);
-    }
-    fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
-        Ok(RoundRing {
-            base: Persist::load(l)?,
-            live: Persist::load(l)?,
-            spare: Vec::new(),
-        })
-    }
-}
+// Rings persist like they clone: only `base` and the live windows are
+// state; the spare pool is an allocation cache and decodes cold.
+homonym_core::persist_fields!(impl[W: Window + Persist] RoundRing<W> {
+    base, live; spare = Vec::new()
+});
 
 #[cfg(test)]
 mod tests {

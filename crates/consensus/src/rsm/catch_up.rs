@@ -1,124 +1,6 @@
-//! Catching laggards up: the ring, the fingerprint, the `Commit` tallies
-//! and state claims under the label caps, the answer throttle, the layout
-//! of a state transfer — and the replica's one liveness clock.
-//!
-//! # Catch-up rule
-//!
-//! A process at height `h` handles an incoming envelope at height `h'`:
-//!
-//! * `h' = h` — unwrap and deliver to the live engine.
-//! * `h' > h` — buffer (bounded; overflow is counted as a discard) and
-//!   replay once the local log reaches `h'`.
-//! * `h' < h` — the sender lags, and is answered:
-//!   * **inside the ring** (`h' ≥ h − MAX_COMMIT_AHEAD`), rate-limited per
-//!     height, with `Commit { h', log[h'] }` so it can skip its stalled
-//!     instance;
-//!   * **below it**, through one throttle slot shared by every older
-//!     height, with a *state transfer*: its state through `h − 1` as a
-//!     run of `count` commits `Commit { h − 1, word_i }`, each marked
-//!     with its [`StatePart`] `{ index: i, count }`, which states the
-//!     words' layout.
-//!
-//! Both tally under the Byzantine stack's per-label caps: a label carried
-//! by `k` processes contributes at most `k` copies, so when every corrupt
-//! process sends at most one copy per broadcast, as the simulated
-//! adversary does, `commit_quorum = f + 1` matching copies imply a
-//! correct witness. A cap bounds a *label*, not a sender: a corrupt
-//! carrier of a label with `f + 1` or more carriers can send every copy
-//! of the quorum itself. In the crash model a quorum of 1 is sound. A state's parts tally one word at a
-//! time, per `(height, count, index, word)`; the state is adopted once
-//! every index has a word with that many copies, which certifies what
-//! matching whole states would. The laggard moves to the senders' height,
-//! publishes the heights of the tail it did not have (it passes the
-//! heights below the tail without their values) and retires its client's
-//! commands the table says committed. It holds at most one claim per
-//! process and that many candidate words per index, and drops them all
-//! whenever its status chain (next section) finds it stalled. A part
-//! that cannot belong to a replica's state — an index past its count, a
-//! count with no room for the table or more tail than a ring or the
-//! heights hold, a height with no successor — is discarded.
-//!
-//! # Pull what you missed
-//!
-//! The third case above fires only on the laggard's own traffic, and a
-//! laggard whose engine sits in a phase sends none (the engines never
-//! retransmit: a second copy is indistinguishable from a namesake's);
-//! nor does a commit reach it in passing, since one is broadcast only
-//! with news ("A decided height stops talking" in `heights`). So a
-//! replica that may be behind **asks**, with the one truthful thing it
-//! can say: its last commit.
-//!
-//! * **Status.** The replica's one liveness clock is a log-level timer
-//!   chain with base period [`ANSWER_INTERVAL`], which also ends an idle
-//!   wait ("An idle replica waits"). A stall counts from a height's
-//!   *boot*: a firing that finds no engine booted since the previous
-//!   firing repeats `Commit { h − 1, log[h − 1], next }` and doubles the
-//!   gap, up to `ANSWER_INTERVAL × MAX_COMMIT_AHEAD`. A firing that would
-//!   find a boot would only return the chain to its base period, so it
-//!   is never armed: the boot cancels it and arms the one a period later,
-//!   and the chain's one timer is always a firing that acts. (That timer
-//!   takes the boot's place in its tick, not the skipped firing's.) A
-//!   healthy service never sends a status; a system stalled behind a
-//!   partition backs off instead of flooding the partition's queue.
-//! * **Answer.** A replica at height `h` receiving `Commit { h', … }`
-//!   with `h' + 1 < h` (checked: a forged height near `u64::MAX` has no
-//!   successor) answers as for a height-`h' + 1` engine message from the
-//!   past — the entry or its state, under the same throttle; `f + 1`
-//!   answers certify it for the asker.
-//! * **Chain.** A replica that adopts an entry or a state broadcasts its
-//!   `Commit` with or without news: it is behind and has just moved, so
-//!   its peers answer with the next entry at once — one round trip per
-//!   entry inside their rings; one for a state (`count` broadcasts from
-//!   each peer), then one per entry committed meanwhile.
-//!
-//! A status is a truthful commit: it adds to the tally of whoever is
-//! still at `h − 1`, which is what rescues a replica stalled at height 0
-//! (its peers, stalled at height 1 or slow before GST, repeat
-//! `Commit { 0, … }`). Entries are adopted only on `commit_quorum`
-//! matching copies under the label caps, so a Byzantine sender of stale
-//! statuses buys at most one answer per ring height, and one state, per
-//! `ANSWER_INTERVAL` from each correct replica. The price of asking
-//! lazily: after a long stall the chain's next firing is up to
-//! `ANSWER_INTERVAL × MAX_COMMIT_AHEAD` away, which a replica stranded
-//! again right after booting waits out (`docs/log_service.md`, "Open");
-//! one entering an idle wait brings the chain back first.
-//!
-//! # An idle replica waits
-//!
-//! A no-op height costs what any height costs and serves nobody, and
-//! under sparse open-loop arrivals most heights are no-ops. So a replica
-//! that moves up with nothing to propose (no due command of its own, no
-//! announced one held) and did not adopt its entry does not boot the next
-//! height's engine yet. It keeps the wait's end, [`ANSWER_INTERVAL`] from
-//! now (persisted), and arms no timer of its own: the status chain ends
-//! the wait. A chain backed off past two periods is brought back to fire
-//! one period from now; a firing inside the wait fires again exactly at
-//! its end, and one at or after the end boots the height and returns the
-//! chain to its base period — so a wait lasts one period, two at most.
-//! The firing inside the wait only re-arms, but stays: its timer puts
-//! the boot after whatever was sent before it in the end's tick, a
-//! peer's announcement among them, which the boot then proposes (arming
-//! the end at the wait's entry cost `commit_ticks_p50` 12 → 13 at 5 of
-//! 12 seeds of `log_faults_open`). The replica boots at the earliest of
-//!
-//! 1. the wait's end;
-//! 2. its own client's head command arriving;
-//! 3. a `Commit` whose `next` gives it something to propose;
-//! 4. engine traffic for the height, buffered before it got there
-//!    included: a peer already runs it.
-//!
-//! Booting proposes what the replica has then, replays the traffic
-//! buffered for the height and counts as progress: a wait is not a
-//! stall. A replica that adopted its entry is behind and boots at once;
-//! so does height 0, and so does every replica of a closed loop.
-//!
-//! A command arriving during a wait is proposed at once, and an idle
-//! service runs one no-op height per wait. Safety is untouched — the
-//! wait only delays an engine's start — and the latency cost is at most
-//! two [`ANSWER_INTERVAL`]s for the height after the wait's start, which
-//! any trigger above cuts short. Ticks per height count the waits. A
-//! forged `next` or forged engine traffic can end a wait early, which
-//! costs the no-op height the replica would have run anyway.
+//! Catching laggards up — tallies, answers, state transfers — and the
+//! one liveness clock (`docs/log_service.md`, "Catch-up rule" to "An idle
+//! replica waits").
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -297,7 +179,7 @@ impl CatchUp {
     }
 
     /// Whether a state of `count` words through `height` can be a
-    /// replica's (see "Catch-up rule" above).
+    /// replica's (`docs/log_service.md`, "Catch-up rule").
     fn fits(&self, height: u64, count: usize) -> bool {
         let head = STATE_HEAD + table_words(self.caps.len());
         let tail = count.checked_sub(head).map(|tail| tail as u64);
@@ -539,9 +421,9 @@ enum Firing {
     Repeat,
 }
 
-/// The replica's one liveness clock, the status chain of "Pull what you
-/// missed", which also ends an idle wait. Its timer is armed only for a
-/// firing that acts, one at a time.
+/// The replica's one liveness clock, the status chain, which also ends an
+/// idle wait (`docs/log_service.md`, "Pull what you missed"). Its timer
+/// is armed only for a firing that acts, one at a time.
 #[derive(Clone)]
 pub(super) struct Clock {
     /// Whether the replica booted a height's engine since the chain's

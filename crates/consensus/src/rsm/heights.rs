@@ -1,35 +1,10 @@
-//! One engine per height: the live engine and the seed it is re-armed
-//! from, the height, the traffic buffered for heights ahead, the lifting
-//! of the engine's timer tags and the cut at a decision. Both are applied
-//! as the engine emits: its sink writes through an [`Envelope`] straight
-//! into the log's sink, so the part holds no action buffer.
-//!
-//! # A decided height stops talking
-//!
-//! `Commit { h, v }` *is* the decision certificate of height `h`: `f + 1`
-//! matching copies under the label caps, what the Byzantine engine's own
-//! `DECIDE` echo ledger demands. So the moment the height's engine
-//! decides, the log drops whatever else it emitted in that callback — the
-//! echo, the next round's opening messages, timers, observations of a
-//! round nobody will run — by position in the action stream, never
-//! looking inside an engine message. Only its cancels pass: a height that
-//! ends, decided or adopted, leaves no timer pending — the log also has
-//! its engine [close](HeightEngine::close) the wait it was in.
-//!
-//! The `Commit` itself is broadcast **only when it carries news**: a
-//! `next` not announced before (see "Who gets proposed" in `proposals`),
-//! or an entry adopted from a certificate. Every replica decides a clean
-//! height by its own quorum, so "same `next` as last height" tells nobody
-//! anything, and whoever did miss the height asks. Broadcast or not, the
-//! commit opens the height's *answer* throttle: the height-`h` copies
-//! still in flight would otherwise each look like a laggard asking. The
-//! throttle keeps one instant per ring entry and one shared by everything
-//! older, so a replica far behind is answered at most once per interval.
+//! One engine per height, its actions enveloped and cut at its decision as
+//! it emits them (`docs/log_service.md`, "A decided height stops talking").
 
 use std::collections::BTreeMap;
 
 use homonym_core::query::Consumes;
-use homonym_core::wire::{Loader, Persist, Saver, WireError};
+use homonym_core::wire::Persist;
 use homonym_sim::process::{Action, ActionSink, Emit, TimerTag};
 
 use super::{HeightEngine, RsmMsg, Sink, MAX_BUFFERED};
@@ -78,8 +53,8 @@ impl<C: HeightEngine> Heights<C> {
     /// Runs `f` against the live engine through a sink whose [`Envelope`]
     /// lifts each action into the log's sink as it is emitted, and returns
     /// the value it decided, if it did: whatever the callback emits after
-    /// the decision is cut ("A decided height stops talking" above), and
-    /// an inner `Halt` is swallowed.
+    /// the decision is cut (`docs/log_service.md`, "A decided height stops
+    /// talking"), and an inner `Halt` is swallowed.
     pub(super) fn relay(
         &mut self,
         ctx: &mut Sink<'_, C::Msg>,
@@ -201,38 +176,10 @@ where
     }
 }
 
-/// The fields in declaration order; `buffered` must count the messages
-/// buffered.
-impl<C> Persist for Heights<C>
-where
-    C: HeightEngine + Persist,
-    C::Seed: Persist,
-    C::Msg: Persist,
-{
-    fn save(&self, s: &mut Saver) {
-        self.seed.save(s);
-        self.inner.save(s);
-        self.height.save(s);
-        self.future.save(s);
-        self.buffered.save(s);
-    }
-
-    fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
-        let heights = Heights {
-            seed: Persist::load(l)?,
-            inner: Persist::load(l)?,
-            height: Persist::load(l)?,
-            future: Persist::load(l)?,
-            buffered: Persist::load(l)?,
-        };
-        if heights.buffered != heights.future.values().map(Vec::len).sum() {
-            return Err(WireError::BadValue {
-                what: "ReplicatedLog",
-            });
-        }
-        Ok(heights)
-    }
-}
+// `buffered` must count the messages buffered.
+homonym_core::persist_fields!(impl[C: HeightEngine + Persist] Heights<C>
+    where [C::Seed: Persist, C::Msg: Persist] { seed, inner, height, future, buffered }
+    if |h| h.buffered == h.future.values().map(Vec::len).sum::<usize>());
 
 #[cfg(test)]
 mod tests {

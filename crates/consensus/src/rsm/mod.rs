@@ -1,43 +1,6 @@
-//! Multi-height replicated log service: consensus instances chained the
-//! Tendermint way, one per log *height*, over a detector that keeps
-//! running across heights.
-//!
-//! The paper's algorithms each solve **one** consensus instance: the
-//! engine drives a single `HΩ`/`HΣ`-powered decision and stops. A
-//! replicated state machine needs an unbounded sequence of them. This
-//! module provides [`ReplicatedLog`], a [`Process`] that routes each
-//! callback between three private parts, each owning its state and one
-//! decision, whose module docs state their rules:
-//!
-//! * `heights` runs a fresh per-height engine (any [`HeightEngine`]: the
-//!   Byzantine-tolerant quorum stack by default, Figure 8 or Figure 9
-//!   selectable) for each height `h` — spawned for height 0 and
-//!   [re-armed](HeightEngine::respawn) for every height after it — and
-//!   wraps the engine's traffic in height-tagged envelopes so instances
-//!   never cross-talk ("A decided height stops talking");
-//! * `proposals` restarts the round machinery at `h + 1`, once the
-//!   decided command is published as the next entry of an ordered log,
-//!   with the next client command from its [`CommandQueue`] — or, when
-//!   its own client has none, one another replica announced ("Who gets
-//!   proposed");
-//! * `catch_up` keeps of that log only what a run that never ends can
-//!   afford — the last [`MAX_COMMIT_AHEAD`] values (its *ring*) and a
-//!   fingerprint of everything committed; the published history is the
-//!   record — and catches lagging homonyms up on certified answers
-//!   ("Catch-up rule", "Pull what you missed"). It also holds the
-//!   replica's one liveness clock ("An idle replica waits").
-//!
-//! The detector layer is **not** restarted per height. The intended
-//! composition is `Stacked<Detector, ReplicatedLog<C>>` (see
-//! [`Stacked`](homonym_sim::Stacked)): the detector half runs
-//! continuously — as Lynch-style failure-detector executions are defined
-//! over infinite runs — while the consensus half above it is replaced
-//! every height. The stack hands every output of the detector to the log
-//! ([`Consumes`]), and the log hands it to the live engine and to the
-//! seed the next height's engine is spawned from, so per-height engines
-//! reading the detector's last output (Figure 8) or an oracle handle
-//! (Figure 9) see *warm* detector state at every height, which
-//! is what makes post-GST heights decide in a handful of ticks.
+//! The multi-height replicated log: [`ReplicatedLog`] chains one consensus
+//! instance per height over a detector that keeps running, and routes each
+//! callback between three parts (`docs/log_service.md`, "Three parts").
 
 mod catch_up;
 mod heights;
@@ -58,12 +21,12 @@ use heights::Heights;
 use proposals::Proposals;
 
 /// The log's own timer: fires at the arrival instant of the client's
-/// head command (see "Who gets proposed" in `proposals`). The log's tags
-/// lie below the engines' (see `heights`).
+/// head command (`docs/log_service.md`, "Who gets proposed"). The log's
+/// tags lie below the engines' (see `heights`).
 const ARRIVAL_TAG: TimerTag = TimerTag(0);
 
-/// The log's other timer: its one liveness clock, the status chain of
-/// "Pull what you missed" in `catch_up`, which also ends an idle wait.
+/// The log's other timer: its one liveness clock, which also ends an idle
+/// wait (`docs/log_service.md`, "Pull what you missed").
 const STATUS_TAG: TimerTag = TimerTag(1);
 
 /// A consensus engine that [`ReplicatedLog`] can instantiate once per
@@ -384,7 +347,7 @@ impl RsmOptions {
 
 homonym_core::persist_fields!(RsmOptions { commit_quorum });
 
-/// The multi-height replicated log process; see the module docs.
+/// The multi-height replicated log process (`docs/log_service.md`).
 ///
 /// `Output = `[`LogEntry`]: every commit is published, so the engine's
 /// histories are the record of the log, which the process keeps only the
@@ -442,8 +405,8 @@ impl<C: HeightEngine> ReplicatedLog<C> {
     }
 
     /// When the replica's idle wait before the current height ends, while
-    /// it waits with the height's engine not yet booted ("An idle replica
-    /// waits" in `catch_up`).
+    /// it waits with the height's engine not yet booted
+    /// (`docs/log_service.md`, "An idle replica waits").
     #[must_use]
     pub fn idle_until(&self) -> Option<Time> {
         self.catch_up.clock.idle_until()
@@ -486,8 +449,8 @@ impl<C: HeightEngine> ReplicatedLog<C> {
     /// passed, says so if the entry carries news or was `adopted`, arms
     /// the arrival timer if the client `drew` a new head, and boots the
     /// next height's engine — or, with nothing to propose, no entry
-    /// adopted and no traffic for `to`, waits first ("An idle replica
-    /// waits" in `catch_up`).
+    /// adopted and no traffic for `to`, waits first
+    /// (`docs/log_service.md`, "An idle replica waits").
     fn enter(&mut self, to: u64, adopted: bool, drew: bool, ctx: &mut Sink<'_, C::Msg>) {
         // The height is over: its engine's timers go with it.
         self.relay(ctx, |c, sub| c.close(sub));
@@ -664,37 +627,13 @@ where
     }
 }
 
-/// A replica is its three parts in turn, each its fields in declaration
-/// order. `load` rejects what `new` would assert on, and what the
-/// replica's arithmetic relies on: one table slot and one cap per
-/// process, and catch-up state a replica at its height can hold (see
-/// `CatchUp::holds`).
-impl<C> Persist for ReplicatedLog<C>
-where
-    C: HeightEngine + Persist,
-    C::Seed: Persist,
-    C::Msg: Persist,
-{
-    fn save(&self, s: &mut Saver) {
-        self.heights.save(s);
-        self.catch_up.save(s);
-        self.proposals.save(s);
-    }
-
-    fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
-        let log = ReplicatedLog {
-            heights: Heights::load(l)?,
-            catch_up: CatchUp::load(l)?,
-            proposals: Proposals::load(l)?,
-        };
-        match log.proposals.n() {
-            Some(n) if log.catch_up.holds(log.heights.height(), n) => Ok(log),
-            _ => Err(WireError::BadValue {
-                what: "ReplicatedLog",
-            }),
-        }
-    }
-}
+// A replica is its three parts in turn. `load` rejects what `new` would
+// assert on, and what the replica's arithmetic relies on: one table slot
+// and one cap per process, and catch-up state a replica at its height can
+// hold (see `CatchUp::holds`).
+homonym_core::persist_fields!(impl[C: HeightEngine + Persist] ReplicatedLog<C>
+    where [C::Seed: Persist, C::Msg: Persist] { heights, catch_up, proposals }
+    if |log| log.proposals.n().is_some_and(|n| log.catch_up.holds(log.heights.height(), n)));
 
 #[cfg(test)]
 mod tests {

@@ -1,43 +1,5 @@
-//! What a replica proposes: its client, the announcements it holds per
-//! proposer and the successor rule.
-//!
-//! # Who gets proposed
-//!
-//! The default engine decides the smallest estimate the round's
-//! coordinator label brings in, so a command is served only once a
-//! coordinator carrier proposes it. Every `Commit` sent carries `next`,
-//! the sender's own client's due head command or [`NOOP`], and one is
-//! sent whenever `next` is new. Every replica keeps one slot per proposer
-//! index, filled from every `Commit` it receives, and proposes at each
-//! new height, coordinator or not (a failed round hands coordination on),
-//!
-//! 1. its own client's command if one is due — so a closed loop, where
-//!    the coordinator's client always has one, keeps a fairness of 1/k
-//!    until a height decides a block;
-//! 2. else the held command with the smallest `(seq, cmd)`;
-//! 3. else [`NOOP`].
-//!
-//! **The successor rule.** A slot accepts `next` only if it is that
-//! proposer's *successor* command: `seq_of(next)` equals the highest
-//! sequence number committed for the proposer plus one. A client proposes
-//! one command at a time and commits arrive in log order, so every honest
-//! head is exactly that; the slot is cleared when its command commits.
-//! This is the double-commit guard: an announcement that sat in a
-//! partition's queue for 300 ticks names a command that has committed
-//! since, fails the rule and is never proposed again.
-//!
-//! **Mid-height arrivals.** A command that becomes due in the middle of a
-//! height must not wait for its replica's next commit — the coordinators
-//! start the next height in the same ticks and would miss it by a whole
-//! height. The log arms one timer per drawn head for its arrival instant
-//! and, when it fires, repeats its last `Commit { h − 1, log[h − 1] }`
-//! with the new `next`: a truthful catch-up answer to a laggard, old news
-//! to everyone else.
-//!
-//! **Byzantine caveat.** A forged `next` can make an honest idle
-//! coordinator propose a forged command — which a forged `COORD` could
-//! already do. BFT validity is unchanged in kind, and a crash-model run
-//! cannot commit anything no client issued.
+//! What a replica proposes: its client's command, else an announcement
+//! the successor rule admits (`docs/log_service.md`, "Who gets proposed").
 
 use homonym_core::time::Time;
 use homonym_sim::process::ActionSink;
@@ -137,7 +99,7 @@ impl Proposals {
     }
 
     /// Holds `next` for its proposer if it is that proposer's successor
-    /// command (see "Who gets proposed" above).
+    /// command (`docs/log_service.md`, "Who gets proposed").
     pub(super) fn note_wanted(&mut self, next: u64) {
         let p = proposer_of(next);
         let Some(slot) = self.wanted.get_mut(p) else {

@@ -469,28 +469,58 @@ pub fn intern(s: &str) -> &'static str {
 
 /// Generates a [`Persist`](crate::wire::Persist) impl for a struct by
 /// encoding its named fields in declaration order. Invoke it in the
-/// module that defines the type so private fields stay private. A
-/// trailing `if check`, a `fn(&Self) -> bool`, makes `load` refuse a
-/// decoded value `check` rejects with [`WireError::BadValue`].
+/// module that defines the type so private fields stay private.
+///
+/// * `impl[generics] Type<..> where [bounds] { .. }` covers a generic
+///   type; the `where [..]` part is optional.
+/// * Fields after a `;`, each `field = expr`, are not encoded but
+///   rebuilt on decode: `expr` reads the decoded fields by name, as
+///   references, and may apply `?` to an `Option`, whose `None` is
+///   [`WireError::BadValue`]. A derived field's type must be `Default`.
+/// * A trailing `if check`, a `fn(&Self) -> bool`, makes `load` refuse a
+///   decoded value `check` rejects with [`WireError::BadValue`].
 #[macro_export]
 macro_rules! persist_fields {
-    ($ty:ty { $($f:ident),+ $(,)? }) => {
-        $crate::persist_fields!($ty { $($f),+ } if |_| true);
+    (impl [$($g:tt)*] $ty:ty $(where [$($b:tt)*])? { $($body:tt)* } $(if $check:expr)?) => {
+        $crate::persist_fields!(@impl [$($g)*] [$($($b)*)?] $ty { $($body)* } [$($check)?]);
     };
-    ($ty:ty { $($f:ident),+ $(,)? } if $check:expr) => {
-        impl $crate::wire::Persist for $ty {
+    (@impl [$($g:tt)*] [$($b:tt)*] $ty:ty
+        { $($f:ident),+ $(,)? $(; $($d:ident = $e:expr),+ $(,)?)? } [$($check:expr)?]) => {
+        impl<$($g)*> $crate::wire::Persist for $ty where $($b)* {
             fn save(&self, s: &mut $crate::wire::Saver) {
                 $( $crate::wire::Persist::save(&self.$f, s); )+
             }
             fn load(
                 l: &mut $crate::wire::Loader<'_>,
             ) -> Result<Self, $crate::wire::WireError> {
-                let check: fn(&Self) -> bool = $check;
-                let value = Self { $( $f: $crate::wire::Persist::load(l)? ),+ };
-                let what = stringify!($ty);
-                check(&value).then_some(value).ok_or($crate::wire::WireError::BadValue { what })
+                let value = Self {
+                    $( $f: $crate::wire::Persist::load(l)?, )+
+                    $($( $d: Default::default(), )+)?
+                };
+                $crate::persist_fields!(@derive value stringify!($ty), [$($f),+] [$($($d = $e),+)?]);
+                $( let check: fn(&Self) -> bool = $check;
+                   if !check(&value) {
+                       let what = stringify!($ty);
+                       return Err($crate::wire::WireError::BadValue { what });
+                   } )?
+                Ok(value)
             }
         }
+    };
+    (@derive $value:ident $what:expr, [$($f:ident),+] []) => {};
+    // The derived expressions read the fields through a borrow of the
+    // decoded value: plain bindings would leave their types uninferred.
+    (@derive $value:ident $what:expr, [$($f:ident),+] [$($d:ident = $e:expr),+]) => {
+        #[allow(unused_variables, clippy::redundant_closure_call)]
+        let derived = {
+            let Self { $($f,)+ .. } = &$value;
+            (|| Some(($($e,)+)))()
+        };
+        let ($($d,)+) = derived.ok_or($crate::wire::WireError::BadValue { what: $what })?;
+        let $value = Self { $($d,)+ ..$value };
+    };
+    ($ty:ty { $($body:tt)* } $(if $check:expr)?) => {
+        $crate::persist_fields!(@impl [] [] $ty { $($body)* } [$($check)?]);
     };
 }
 
@@ -767,23 +797,10 @@ impl Persist for Identity {
     }
 }
 
-/// An assignment is its identifiers in process order, through the alias
-/// table: the processes of a run share one table, and so do the ones
-/// decoded from it.
-impl Persist for IdentityAssignment {
-    fn save(&self, s: &mut Saver) {
-        self.ids.save(s);
-    }
-    fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
-        let ids: Arc<Vec<Identity>> = Persist::load(l)?;
-        if ids.is_empty() {
-            return Err(WireError::BadValue {
-                what: "IdentityAssignment",
-            });
-        }
-        Ok(IdentityAssignment { ids })
-    }
-}
+// An assignment is its identifiers in process order, through the alias
+// table: the processes of a run share one table, and so do the ones
+// decoded from it.
+crate::persist_fields!(IdentityAssignment { ids } if |a| !a.ids.is_empty());
 
 impl Persist for Time {
     fn save(&self, s: &mut Saver) {
@@ -943,6 +960,42 @@ mod tests {
     fn roundtrip<T: Persist + PartialEq + std::fmt::Debug>(v: &T) -> T {
         let bytes = to_bytes(v);
         from_bytes(&bytes).expect("roundtrip")
+    }
+
+    /// A generic struct with a field rebuilt on decode and a check.
+    #[derive(Debug, PartialEq)]
+    struct Toy<T> {
+        items: Vec<T>,
+        base: u64,
+        top: u64,
+    }
+
+    crate::persist_fields!(impl[T: Persist] Toy<T> {
+        items,
+        base;
+        top = base.checked_add(items.len() as u64)?
+    } if |s| s.top < 1_000);
+
+    #[test]
+    fn a_generic_struct_encodes_its_encoded_fields_and_derives_the_rest() {
+        let value = Toy {
+            items: vec![7u8, 9],
+            base: 40,
+            top: 42,
+        };
+        assert_eq!(to_bytes(&value), to_bytes(&(vec![7u8, 9], 40u64)));
+        assert_eq!(roundtrip(&value), value);
+        let what = "Toy<T>";
+        let overflow = to_bytes(&(vec![1u8], u64::MAX));
+        assert_eq!(
+            from_bytes::<Toy<u8>>(&overflow),
+            Err(WireError::BadValue { what })
+        );
+        let refused = to_bytes(&(vec![1u8], 999u64));
+        assert_eq!(
+            from_bytes::<Toy<u8>>(&refused),
+            Err(WireError::BadValue { what })
+        );
     }
 
     #[test]

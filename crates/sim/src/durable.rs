@@ -108,18 +108,7 @@ impl<M: Persist + 'static> Persist for Event<M> {
     }
 }
 
-impl<P: Process + Persist> Persist for ProcSlot<P> {
-    fn save(&self, s: &mut Saver) {
-        self.proc.save(s);
-        self.id.save(s);
-    }
-    fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
-        Ok(ProcSlot {
-            proc: P::load(l)?,
-            id: Persist::load(l)?,
-        })
-    }
-}
+homonym_core::persist_fields!(impl[P: Process + Persist] ProcSlot<P> { proc, id });
 
 homonym_core::persist_fields!(Metrics {
     broadcasts,

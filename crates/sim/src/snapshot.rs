@@ -40,7 +40,7 @@
 //! clone would share (each detector history entry, each `◇HP` bag) and
 //! parses every varint, so an n = 8 stack copies 2–4× slower, and the
 //! prefix-sharing sweep, which forks about once a run, ran ≈ 5 % slower
-//! (ROADMAP item 6 has the runs).
+//! (CHANGES.md, "One way to copy a run: a fork is a decode", has the runs).
 //!
 //! # Allocation discipline
 //!

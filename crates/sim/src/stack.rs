@@ -247,22 +247,11 @@ impl<L: Persist, R: Persist> Persist for Either<L, R> {
     }
 }
 
-/// A stack is its two halves, lower first, through one saver (so an `Arc`
-/// both halves hold is written once); the consumer's reading of the
-/// detector is part of the consumer.
-impl<A, B> Persist for Stacked<A, B>
-where
-    A: Process + Persist,
-    B: Process + Consumes<A::Output> + Persist,
-{
-    fn save(&self, s: &mut Saver) {
-        self.a.save(s);
-        self.b.save(s);
-    }
-    fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
-        Ok(Stacked::new(A::load(l)?, B::load(l)?))
-    }
-}
+// A stack is its two halves, lower first, through one saver (so an `Arc`
+// both halves hold is written once); the consumer's reading of the
+// detector is part of the consumer.
+homonym_core::persist_fields!(impl[A: Process + Persist, B: Process + Persist] Stacked<A, B>
+    { a, b });
 
 #[cfg(test)]
 mod tests {

@@ -339,7 +339,9 @@ homonym_core::persist_fields!(WorkloadConfig {
 });
 
 /// The generator persists as its state words, so a decoded queue
-/// continues the identical stream.
+/// continues the identical stream. `load` refuses a cursor `draw` never
+/// leaves: a head is command `issued`, one of the stream's, and a queue
+/// without one has drawn them all.
 impl Persist for CommandQueue {
     fn save(&self, s: &mut Saver) {
         self.proc_idx.save(s);
@@ -350,14 +352,20 @@ impl Persist for CommandQueue {
         self.head.save(s);
     }
     fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
-        Ok(CommandQueue {
+        let queue = CommandQueue {
             proc_idx: Persist::load(l)?,
             cfg: Persist::load(l)?,
             rng: StdRng::from_state(Persist::load(l)?),
             clock: Persist::load(l)?,
             issued: Persist::load(l)?,
             head: Persist::load(l)?,
-        })
+        };
+        let drawn = match queue.head {
+            Some(_) => (1..=queue.cfg.commands_per_proc).contains(&queue.issued),
+            None => queue.issued == queue.cfg.commands_per_proc,
+        };
+        let what = "CommandQueue";
+        drawn.then_some(queue).ok_or(WireError::BadValue { what })
     }
 }
 
@@ -380,6 +388,33 @@ mod tests {
     /// Payload bits of a command (everything but proposer and sequence).
     fn payloads(q: &CommandQueue) -> Vec<u64> {
         stream(q).iter().map(|&(c, _)| c & 0xffff_ffff).collect()
+    }
+
+    /// A queue's fields with `issued` and `head` replaced, encoded.
+    fn cursor_bytes(q: &CommandQueue, issued: usize, head: Option<(u64, u64)>) -> Vec<u8> {
+        let fields = ((q.proc_idx, q.cfg, q.rng.state()), (q.clock, issued, head));
+        homonym_core::wire::to_bytes(&fields)
+    }
+
+    #[test]
+    fn a_decoded_queue_has_a_cursor_draw_leaves() {
+        use homonym_core::wire::{from_bytes, to_bytes};
+        let cfg = WorkloadConfig {
+            commands_per_proc: 3,
+            ..WorkloadConfig::default()
+        };
+        let q = cfg.queues(1).remove(0);
+        assert_eq!(to_bytes(&q), cursor_bytes(&q, q.issued, q.head));
+        assert_eq!(from_bytes::<CommandQueue>(&to_bytes(&q)), Ok(q.clone()));
+        let bad = Err(WireError::BadValue {
+            what: "CommandQueue",
+        });
+        for (issued, head) in [(0, q.head), (4, q.head), (2, None), (4, None)] {
+            let decoded = from_bytes::<CommandQueue>(&cursor_bytes(&q, issued, head));
+            assert_eq!(decoded.map(|q| q.completed()), bad, "{issued} {head:?}");
+        }
+        let drained = from_bytes::<CommandQueue>(&cursor_bytes(&q, 3, None));
+        assert_eq!(drained.map(|q| q.completed()), Ok(3));
     }
 
     #[test]
