@@ -302,6 +302,30 @@ mod tests {
             .collect()
     }
 
+    /// The queued event's layout, one vector per variant: a tag, the
+    /// destination, then the payload (a shared one through the alias
+    /// table) or the timer's tag.
+    #[test]
+    fn every_event_variant_encodes_as_pinned() {
+        let hex =
+            |e: Event<u64>| -> String { to_bytes(&e).iter().map(|b| format!("{b:02x}")).collect() };
+        assert_eq!(hex(Event::Start { dst: 3 }), "0003");
+        let msg = u64::MAX;
+        assert_eq!(
+            hex(Event::Deliver { dst: 3, msg }),
+            "0103ffffffffffffffffff01"
+        );
+        assert_eq!(
+            hex(Event::DeliverShared {
+                dst: 300,
+                msg: Arc::new(msg)
+            }),
+            "02ac0200ffffffffffffffffff01"
+        );
+        let tag = TimerTag(1 << 40);
+        assert_eq!(hex(Event::Timer { dst: 3, tag }), "0303808080808020");
+    }
+
     /// Small steps either way are small codes, and every `u64` step —
     /// a wrap-around included — comes back as it went.
     #[test]

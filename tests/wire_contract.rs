@@ -43,17 +43,17 @@ use homonym::consensus::{
     ByzMsg, ByzQuorumConsensus, Fig8Msg, HOmegaPolicy, MajorityConsensus, ReplicatedLog, RsmMsg,
     StatePart,
 };
-use homonym::core::classes::HOmegaOutput;
+use homonym::core::classes::{HOmegaOutput, Label};
 use homonym::core::failure::FailureSchedule;
 use homonym::core::identity::{Identity, IdentityAssignment};
-use homonym::core::properties::History;
+use homonym::core::properties::{History, PropertyViolation, RunVerdict};
 use homonym::core::time::{Span, Time};
 use homonym::core::wire::{self, Loader, Persist, WireError};
 use homonym::detectors::{EvtHpMsg, EvtHpProcess, EvtHpSnapshot};
 use homonym::sim::{
     decode_container, encode_container, read_verified, ActionSink, ArrivalModel, CommandQueue,
-    Either, Engine, EngineArena, EngineSnapshot, NetworkModel, ObsKind, Process, SimConfig,
-    TimerTag, WorkloadConfig,
+    Either, Engine, EngineArena, EngineSnapshot, KeySkew, NetworkModel, ObsKind, Process,
+    SimConfig, TimerTag, WorkloadConfig,
 };
 use proptest::prelude::*;
 
@@ -528,6 +528,95 @@ fn a_corrupt_count_on_a_history_neither_decodes_nor_sizes_an_allocation() {
         wire::from_bytes::<Vec<Entry>>(&inflated),
         Err(WireError::Eof { .. })
     ));
+}
+
+// ---------------------------------------------------------------------
+// Pinned bytes.
+// ---------------------------------------------------------------------
+
+/// A value's encoding in hex.
+fn hex<T: Persist>(value: &T) -> String {
+    wire::to_bytes(value)
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect()
+}
+
+/// `(value, its encoding, the pinned encoding)`.
+macro_rules! pin {
+    ($value:expr => $hex:literal) => {
+        (stringify!($value), hex(&$value), $hex)
+    };
+}
+
+/// One vector per variant of every public tagged enum a snapshot or a
+/// message carries, at `message_cases`' edge values. The fixed-point
+/// tests hold a layout to itself; these hold it to its bytes, so a
+/// renumbered tag or a reordered field fails here.
+#[test]
+fn every_variant_encodes_as_pinned() {
+    let id = Identity::new(3);
+    let (round, est, locked, val) = (70_000, u64::MAX, true, Some(5));
+    let violation = || PropertyViolation {
+        class: "HΣ",
+        property: "safety",
+        detail: "x".into(),
+    };
+    let pinned = [
+        pin!(EvtHpMsg::Polling { round: 300, id } => "00ac0203"),
+        pin!(EvtHpMsg::PReply { from: 7, to: 1_000_000, target: Identity::new(1), sender: Identity::new(2) } => "0107c0843d0102"),
+        pin!(Fig8Msg::Coord { id, round, est } => "0003f0a204ffffffffffffffffff01"),
+        pin!(Fig8Msg::Ph0 { round, est: 0 } => "01f0a20400"),
+        pin!(Fig8Msg::Ph1 { round, est } => "02f0a204ffffffffffffffffff01"),
+        pin!(Fig8Msg::Ph2 { round, est2: val } => "03f0a2040105"),
+        pin!(Fig8Msg::Ph2 { round, est2: None } => "03f0a20400"),
+        pin!(Fig8Msg::Decide { value: 9 } => "0409"),
+        pin!(ByzMsg::Vote { id, round, est, locked } => "0003f0a204ffffffffffffffffff0101"),
+        pin!(ByzMsg::Commit { id, round, val } => "0103f0a2040105"),
+        pin!(ByzMsg::Commit { id, round, val: None } => "0103f0a20400"),
+        pin!(ByzMsg::Decide { id, value: 9 } => "020309"),
+        pin!(ByzMsg::Coord { id, round, est, locked } => "0303f0a204ffffffffffffffffff0101"),
+        pin!(ObsKind::PhaseEnter { round, phase: "VOTE" } => "00f0a20404564f5445"),
+        pin!(ObsKind::PhaseExit { round, phase: "COMMIT" } => "01f0a20406434f4d4d4954"),
+        pin!(ObsKind::CertificateFormed { round, phase: "VOTE", size: 3, labels: vec![(id, 2), (Identity::new(1), 1)] } => "02f0a20404564f5445030203020101"),
+        pin!(ObsKind::LockAcquired { round, value: est } => "03f0a204ffffffffffffffffff01"),
+        pin!(ObsKind::LockReleased { round } => "04f0a204"),
+        pin!(ObsKind::LedgerDiscard { round, class: "DECIDE" } => "05f0a20406444543494445"),
+        pin!(ObsKind::DetectorEpoch { round, trusted: 7, changed: locked } => "06f0a2040701"),
+        pin!(ObsKind::LeaderFlip { round, leader: id, multiplicity: 2 } => "07f0a2040302"),
+        pin!(ObsKind::AttackFired { kind: "equivocate", victim: 1 } => "080a65717569766f6361746501"),
+        pin!(ObsKind::CopyBlocked { from: 300 } => "09ac02"),
+        pin!(ObsKind::Decided { value: est } => "0affffffffffffffffff01"),
+        pin!(ObsKind::Started => "0b"),
+        pin!(ObsKind::Broadcast { class: "POLLING" } => "0c07504f4c4c494e47"),
+        pin!(ObsKind::Delivered { class: "P_REPLY" } => "0d07505f5245504c59"),
+        pin!(ObsKind::TimerFired { tag: 1 << 40 } => "0e808080808020"),
+        pin!(ObsKind::Halted => "0f"),
+        pin!(Either::<u64, Identity>::L(est) => "00ffffffffffffffffff01"),
+        pin!(Either::<u64, Identity>::R(id) => "0103"),
+        pin!(Label::IdSet([id, Identity::new(1)].into()) => "00020103"),
+        pin!(Label::IdMultiset([id, id, Identity::new(1)].into()) => "010201010302"),
+        pin!(Label::Opaque(est) => "02ffffffffffffffffff01"),
+        pin!(Label::Count(300) => "03ac02"),
+        pin!(RunVerdict::<u64>::Pass(9) => "0009"),
+        pin!(RunVerdict::<u64>::SafetyViolated(violation()) => "010348cea3067361666574790178"),
+        pin!(RunVerdict::<u64>::LivenessViolated(violation()) => "020348cea3067361666574790178"),
+        pin!(RunVerdict::<u64>::LivenessExcused(violation()) => "030348cea3067361666574790178"),
+        pin!(RunVerdict::<u64>::ByzantineExpected(violation()) => "040348cea3067361666574790178"),
+        pin!(None::<u64> => "00"),
+        pin!(Some(est) => "01ffffffffffffffffff01"),
+        pin!(ArrivalModel::Closed => "00"),
+        pin!(ArrivalModel::Open { mean_gap_ticks: 300 } => "01ac02"),
+        pin!(KeySkew::Uniform => "00"),
+        pin!(KeySkew::Squared => "01"),
+        pin!(KeySkew::Cubed => "02"),
+    ];
+    let moved: Vec<String> = pinned
+        .iter()
+        .filter(|(_, got, want)| got != want)
+        .map(|(value, got, want)| format!("{value}: {got}, pinned {want}"))
+        .collect();
+    assert!(moved.is_empty(), "{}", moved.join("\n"));
 }
 
 // ---------------------------------------------------------------------
