@@ -195,7 +195,6 @@ use homonym_core::identity::{Identity, IdentityAssignment};
 use homonym_core::multiset::Multiset;
 use homonym_core::query::{Consumes, TrustedCarriers};
 use homonym_core::time::{Span, Time};
-use homonym_core::wire::{Loader, Persist, Saver, WireError};
 use homonym_sim::process::{ActionSink, Process, TimerTag};
 use homonym_sim::ObsKind;
 
@@ -974,80 +973,14 @@ impl Process for ByzQuorumConsensus {
     }
 }
 
-impl Persist for ByzMsg {
-    fn save(&self, s: &mut Saver) {
-        match self {
-            ByzMsg::Vote {
-                id,
-                round,
-                est,
-                locked,
-            } => {
-                s.u8(0);
-                id.save(s);
-                round.save(s);
-                est.save(s);
-                locked.save(s);
-            }
-            ByzMsg::Coord {
-                id,
-                round,
-                est,
-                locked,
-            } => {
-                s.u8(3);
-                id.save(s);
-                round.save(s);
-                est.save(s);
-                locked.save(s);
-            }
-            ByzMsg::Commit { id, round, val } => {
-                s.u8(1);
-                id.save(s);
-                round.save(s);
-                val.save(s);
-            }
-            ByzMsg::Decide { id, value } => {
-                s.u8(2);
-                id.save(s);
-                value.save(s);
-            }
-        }
-    }
-    fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
-        Ok(match l.u8()? {
-            0 => ByzMsg::Vote {
-                id: Persist::load(l)?,
-                round: Persist::load(l)?,
-                est: Persist::load(l)?,
-                locked: Persist::load(l)?,
-            },
-            1 => ByzMsg::Commit {
-                id: Persist::load(l)?,
-                round: Persist::load(l)?,
-                val: Persist::load(l)?,
-            },
-            2 => ByzMsg::Decide {
-                id: Persist::load(l)?,
-                value: Persist::load(l)?,
-            },
-            3 => ByzMsg::Coord {
-                id: Persist::load(l)?,
-                round: Persist::load(l)?,
-                est: Persist::load(l)?,
-                locked: Persist::load(l)?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "ByzMsg",
-                    tag,
-                })
-            }
-        })
-    }
-}
+homonym_core::persist_enum!(ByzMsg {
+    Vote = 0 { id, round, est, locked },
+    Commit = 1 { id, round, val },
+    Decide = 2 { id, value },
+    Coord = 3 { id, round, est, locked },
+});
 
-homonym_core::persist_unit_enum!(Phase {
+homonym_core::persist_enum!(Phase {
     Vote = 0,
     Commit = 1,
     Coord = 2
@@ -1094,6 +1027,7 @@ homonym_core::persist_fields!(ByzQuorumConsensus {
 mod tests {
     use super::*;
     use homonym_core::prelude::*;
+    use homonym_core::wire::WireError;
     use homonym_sim::prelude::*;
     use homonym_sim::process::Action;
 

@@ -584,69 +584,15 @@ impl<L: LeaderPolicy> Process for MajorityConsensus<L> {
     }
 }
 
-impl Persist for Fig8Msg {
-    fn save(&self, s: &mut Saver) {
-        match self {
-            Fig8Msg::Coord { id, round, est } => {
-                s.u8(0);
-                id.save(s);
-                round.save(s);
-                est.save(s);
-            }
-            Fig8Msg::Ph0 { round, est } => {
-                s.u8(1);
-                round.save(s);
-                est.save(s);
-            }
-            Fig8Msg::Ph1 { round, est } => {
-                s.u8(2);
-                round.save(s);
-                est.save(s);
-            }
-            Fig8Msg::Ph2 { round, est2 } => {
-                s.u8(3);
-                round.save(s);
-                est2.save(s);
-            }
-            Fig8Msg::Decide { value } => {
-                s.u8(4);
-                value.save(s);
-            }
-        }
-    }
-    fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
-        Ok(match l.u8()? {
-            0 => Fig8Msg::Coord {
-                id: Persist::load(l)?,
-                round: Persist::load(l)?,
-                est: Persist::load(l)?,
-            },
-            1 => Fig8Msg::Ph0 {
-                round: Persist::load(l)?,
-                est: Persist::load(l)?,
-            },
-            2 => Fig8Msg::Ph1 {
-                round: Persist::load(l)?,
-                est: Persist::load(l)?,
-            },
-            3 => Fig8Msg::Ph2 {
-                round: Persist::load(l)?,
-                est2: Persist::load(l)?,
-            },
-            4 => Fig8Msg::Decide {
-                value: Persist::load(l)?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "Fig8Msg",
-                    tag,
-                })
-            }
-        })
-    }
-}
+homonym_core::persist_enum!(Fig8Msg {
+    Coord = 0 { id, round, est },
+    Ph0 = 1 { round, est },
+    Ph1 = 2 { round, est },
+    Ph2 = 3 { round, est2 },
+    Decide = 4 { value },
+});
 
-homonym_core::persist_unit_enum!(Phase {
+homonym_core::persist_enum!(Phase {
     LeadersCoordination = 0,
     Zero = 1,
     One = 2,

@@ -24,6 +24,13 @@
 //!   bytes: a varint would spend ten on them.
 //! * Tags, `bool`s and `u8`s are one raw byte; strings are a length and
 //!   their UTF-8; `()` is no bytes at all.
+//! * **A struct is its fields, a tagged enum its tag and then its
+//!   variant's fields**, each in a listed order and in its own
+//!   encoding. [`persist_fields!`](crate::persist_fields) and
+//!   [`persist_enum!`](crate::persist_enum) write both from that list,
+//!   so a layout is stated once; a tag no variant names is
+//!   [`WireError::BadTag`]. The log's `RsmMsg` alone writes its enum by
+//!   hand: its tag also says whether a state part follows.
 //! * A container is its element count, then its elements. The decoder
 //!   bounds every count by the bytes that remain before it allocates
 //!   anything ([`Loader::len`], [`Loader::seq`]).
@@ -524,27 +531,54 @@ macro_rules! persist_fields {
     };
 }
 
-/// Generates a [`Persist`](crate::wire::Persist) impl for a fieldless
-/// enum from explicit `variant = tag` pairs.
+/// Generates a [`Persist`](crate::wire::Persist) impl for a tagged enum
+/// from explicit `Variant = tag` entries, each with its fields named in
+/// the order they travel: `Unit = 0`, `Named = 3 { a, b }` or
+/// `Tuple = 1 (x)`. Entries may come in any order, and a tag no entry
+/// names is [`WireError::BadTag`] with the type's bare name. Invoke it
+/// in the module that defines the type.
+///
+/// `impl[generics] Type<..> as Type where [bounds] { .. }` covers a
+/// generic type, with its bare name after `as`; `where [..]` is optional.
 #[macro_export]
-macro_rules! persist_unit_enum {
-    ($ty:ty { $($variant:ident = $tag:literal),+ $(,)? }) => {
-        impl $crate::wire::Persist for $ty {
+macro_rules! persist_enum {
+    (impl [$($g:tt)*] $ty:ty as $name:ident $(where [$($b:tt)*])? { $($body:tt)* }) => {
+        $crate::persist_enum!(@impl [$($g)*] [$($($b)*)?] $ty, $name { $($body)* });
+    };
+    (@impl [$($g:tt)*] [$($b:tt)*] $ty:ty, $name:ident { $(
+        $v:ident = $tag:literal $({ $($f:ident),* $(,)? })? $(($($t:ident),* $(,)?))?
+    ),+ $(,)? }) => {
+        impl<$($g)*> $crate::wire::Persist for $ty where $($b)* {
             fn save(&self, s: &mut $crate::wire::Saver) {
-                s.u8(match self { $( <$ty>::$variant => $tag, )+ });
+                match self { $(
+                    Self::$v $({ $($f),* })? $(($($t),*))? => {
+                        s.u8($tag);
+                        $($( $crate::wire::Persist::save($f, s); )*)?
+                        $($( $crate::wire::Persist::save($t, s); )*)?
+                    }
+                )+ }
             }
             fn load(
                 l: &mut $crate::wire::Loader<'_>,
             ) -> Result<Self, $crate::wire::WireError> {
                 match l.u8()? {
-                    $( $tag => Ok(<$ty>::$variant), )+
+                    $( $tag => {
+                        // Fields decode in the listed order, whatever
+                        // order the literal below names them in.
+                        $($( let $f = $crate::wire::Persist::load(l)?; )*)?
+                        $($( let $t = $crate::wire::Persist::load(l)?; )*)?
+                        Ok(Self::$v $({ $($f),* })? $(($($t),*))?)
+                    } )+
                     tag => Err($crate::wire::WireError::BadTag {
-                        what: stringify!($ty),
+                        what: stringify!($name),
                         tag,
                     }),
                 }
             }
         }
+    };
+    ($name:ident { $($body:tt)* }) => {
+        $crate::persist_enum!(@impl [] [] $name, $name { $($body)* });
     };
 }
 
@@ -658,27 +692,7 @@ impl Persist for &'static str {
     }
 }
 
-impl<T: Persist> Persist for Option<T> {
-    fn save(&self, s: &mut Saver) {
-        match self {
-            None => s.u8(0),
-            Some(v) => {
-                s.u8(1);
-                v.save(s);
-            }
-        }
-    }
-    fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
-        match l.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(T::load(l)?)),
-            tag => Err(WireError::BadTag {
-                what: "Option",
-                tag,
-            }),
-        }
-    }
-}
+crate::persist_enum!(impl[T: Persist] Option<T> as Option { None = 0, Some = 1 (v) });
 
 impl<T: Persist> Persist for Vec<T> {
     fn save(&self, s: &mut Saver) {
@@ -848,37 +862,12 @@ impl<T: Persist + Ord> Persist for Multiset<T> {
     }
 }
 
-impl Persist for Label {
-    fn save(&self, s: &mut Saver) {
-        match self {
-            Label::IdSet(ids) => {
-                s.u8(0);
-                ids.save(s);
-            }
-            Label::IdMultiset(m) => {
-                s.u8(1);
-                m.save(s);
-            }
-            Label::Opaque(token) => {
-                s.u8(2);
-                s.u64(*token);
-            }
-            Label::Count(y) => {
-                s.u8(3);
-                s.len(*y);
-            }
-        }
-    }
-    fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
-        match l.u8()? {
-            0 => Ok(Label::IdSet(Persist::load(l)?)),
-            1 => Ok(Label::IdMultiset(Persist::load(l)?)),
-            2 => Ok(Label::Opaque(l.u64()?)),
-            3 => Ok(Label::Count(usize::load(l)?)),
-            tag => Err(WireError::BadTag { what: "Label", tag }),
-        }
-    }
-}
+crate::persist_enum!(Label {
+    IdSet = 0 (ids),
+    IdMultiset = 1 (ids),
+    Opaque = 2 (token),
+    Count = 3 (y),
+});
 
 crate::persist_fields!(EvtHPOutput { h_trusted });
 crate::persist_fields!(HOmegaOutput {
@@ -892,45 +881,13 @@ crate::persist_fields!(PropertyViolation {
     detail
 });
 
-impl<R: Persist> Persist for RunVerdict<R> {
-    fn save(&self, s: &mut Saver) {
-        match self {
-            RunVerdict::Pass(r) => {
-                s.u8(0);
-                r.save(s);
-            }
-            RunVerdict::SafetyViolated(v) => {
-                s.u8(1);
-                v.save(s);
-            }
-            RunVerdict::LivenessViolated(v) => {
-                s.u8(2);
-                v.save(s);
-            }
-            RunVerdict::LivenessExcused(v) => {
-                s.u8(3);
-                v.save(s);
-            }
-            RunVerdict::ByzantineExpected(v) => {
-                s.u8(4);
-                v.save(s);
-            }
-        }
-    }
-    fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
-        match l.u8()? {
-            0 => Ok(RunVerdict::Pass(R::load(l)?)),
-            1 => Ok(RunVerdict::SafetyViolated(Persist::load(l)?)),
-            2 => Ok(RunVerdict::LivenessViolated(Persist::load(l)?)),
-            3 => Ok(RunVerdict::LivenessExcused(Persist::load(l)?)),
-            4 => Ok(RunVerdict::ByzantineExpected(Persist::load(l)?)),
-            tag => Err(WireError::BadTag {
-                what: "RunVerdict",
-                tag,
-            }),
-        }
-    }
-}
+crate::persist_enum!(impl[R: Persist] RunVerdict<R> as RunVerdict {
+    Pass = 0 (r),
+    SafetyViolated = 1 (v),
+    LivenessViolated = 2 (v),
+    LivenessExcused = 3 (v),
+    ByzantineExpected = 4 (v),
+});
 
 /// Encodes a value into a standalone byte vector.
 #[must_use]
@@ -996,6 +953,51 @@ mod tests {
             from_bytes::<Toy<u8>>(&refused),
             Err(WireError::BadValue { what })
         );
+    }
+
+    /// A generic enum with a variant of each form, its tags out of
+    /// declaration order and one variant's fields listed out of theirs.
+    mod tagged {
+        use super::*;
+
+        #[derive(Debug, PartialEq)]
+        enum Toy<T> {
+            Unit,
+            Named { a: T, b: u64 },
+            Tuple(T, bool),
+        }
+
+        crate::persist_enum!(impl[T: Persist] Toy<T> as Toy {
+            Named = 0 { b, a },
+            Tuple = 1 (x, y),
+            Unit = 5,
+        });
+
+        #[test]
+        fn a_variant_is_its_tag_then_its_fields_in_the_listed_order() {
+            let cases = [
+                (Toy::Unit, vec![5]),
+                (Toy::Named { a: 7u8, b: 300 }, vec![0, 0xac, 0x02, 7]),
+                (Toy::Tuple(9, true), vec![1, 9, 1]),
+            ];
+            for (value, bytes) in cases {
+                assert_eq!(to_bytes(&value), bytes);
+                assert_eq!(roundtrip(&value), value);
+                for cut in 0..bytes.len() {
+                    assert!(
+                        from_bytes::<Toy<u8>>(&bytes[..cut]).is_err(),
+                        "{value:?} cut at {cut}"
+                    );
+                }
+            }
+            for tag in [2, 4, 6, u8::MAX] {
+                let what = "Toy";
+                assert_eq!(
+                    from_bytes::<Toy<u8>>(&[tag]),
+                    Err(WireError::BadTag { what, tag })
+                );
+            }
+        }
     }
 
     #[test]

@@ -877,49 +877,10 @@ impl Process for EvtHpProcess {
     }
 }
 
-impl Persist for EvtHpMsg {
-    fn save(&self, s: &mut Saver) {
-        match self {
-            EvtHpMsg::Polling { round, id } => {
-                s.u8(0);
-                round.save(s);
-                id.save(s);
-            }
-            EvtHpMsg::PReply {
-                from,
-                to,
-                target,
-                sender,
-            } => {
-                s.u8(1);
-                from.save(s);
-                to.save(s);
-                target.save(s);
-                sender.save(s);
-            }
-        }
-    }
-    fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
-        Ok(match l.u8()? {
-            0 => EvtHpMsg::Polling {
-                round: Persist::load(l)?,
-                id: Persist::load(l)?,
-            },
-            1 => EvtHpMsg::PReply {
-                from: Persist::load(l)?,
-                to: Persist::load(l)?,
-                target: Persist::load(l)?,
-                sender: Persist::load(l)?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "EvtHpMsg",
-                    tag,
-                })
-            }
-        })
-    }
-}
+homonym_core::persist_enum!(EvtHpMsg {
+    Polling = 0 { round, id },
+    PReply = 1 { from, to, target, sender },
+});
 
 homonym_core::persist_fields!(EvtHpReading {
     evt_hp,

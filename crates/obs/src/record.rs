@@ -17,7 +17,6 @@
 
 use homonym_core::identity::Identity;
 use homonym_core::time::Time;
-use homonym_core::wire::{Loader, Persist, Saver, WireError};
 
 /// The protocol-level meaning of one recorded instant.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -282,162 +281,24 @@ impl Default for Recorder {
     }
 }
 
-impl Persist for ObsKind {
-    fn save(&self, s: &mut Saver) {
-        match self {
-            ObsKind::PhaseEnter { round, phase } => {
-                s.u8(0);
-                round.save(s);
-                phase.save(s);
-            }
-            ObsKind::PhaseExit { round, phase } => {
-                s.u8(1);
-                round.save(s);
-                phase.save(s);
-            }
-            ObsKind::CertificateFormed {
-                round,
-                phase,
-                size,
-                labels,
-            } => {
-                s.u8(2);
-                round.save(s);
-                phase.save(s);
-                size.save(s);
-                labels.save(s);
-            }
-            ObsKind::LockAcquired { round, value } => {
-                s.u8(3);
-                round.save(s);
-                value.save(s);
-            }
-            ObsKind::LockReleased { round } => {
-                s.u8(4);
-                round.save(s);
-            }
-            ObsKind::LedgerDiscard { round, class } => {
-                s.u8(5);
-                round.save(s);
-                class.save(s);
-            }
-            ObsKind::DetectorEpoch {
-                round,
-                trusted,
-                changed,
-            } => {
-                s.u8(6);
-                round.save(s);
-                trusted.save(s);
-                changed.save(s);
-            }
-            ObsKind::LeaderFlip {
-                round,
-                leader,
-                multiplicity,
-            } => {
-                s.u8(7);
-                round.save(s);
-                leader.save(s);
-                multiplicity.save(s);
-            }
-            ObsKind::AttackFired { kind, victim } => {
-                s.u8(8);
-                kind.save(s);
-                victim.save(s);
-            }
-            ObsKind::CopyBlocked { from } => {
-                s.u8(9);
-                from.save(s);
-            }
-            ObsKind::Decided { value } => {
-                s.u8(10);
-                value.save(s);
-            }
-            ObsKind::Started => s.u8(11),
-            ObsKind::Broadcast { class } => {
-                s.u8(12);
-                class.save(s);
-            }
-            ObsKind::Delivered { class } => {
-                s.u8(13);
-                class.save(s);
-            }
-            ObsKind::TimerFired { tag } => {
-                s.u8(14);
-                tag.save(s);
-            }
-            ObsKind::Halted => s.u8(15),
-        }
-    }
-
-    fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
-        Ok(match l.u8()? {
-            0 => ObsKind::PhaseEnter {
-                round: Persist::load(l)?,
-                phase: Persist::load(l)?,
-            },
-            1 => ObsKind::PhaseExit {
-                round: Persist::load(l)?,
-                phase: Persist::load(l)?,
-            },
-            2 => ObsKind::CertificateFormed {
-                round: Persist::load(l)?,
-                phase: Persist::load(l)?,
-                size: Persist::load(l)?,
-                labels: Persist::load(l)?,
-            },
-            3 => ObsKind::LockAcquired {
-                round: Persist::load(l)?,
-                value: Persist::load(l)?,
-            },
-            4 => ObsKind::LockReleased {
-                round: Persist::load(l)?,
-            },
-            5 => ObsKind::LedgerDiscard {
-                round: Persist::load(l)?,
-                class: Persist::load(l)?,
-            },
-            6 => ObsKind::DetectorEpoch {
-                round: Persist::load(l)?,
-                trusted: Persist::load(l)?,
-                changed: Persist::load(l)?,
-            },
-            7 => ObsKind::LeaderFlip {
-                round: Persist::load(l)?,
-                leader: Persist::load(l)?,
-                multiplicity: Persist::load(l)?,
-            },
-            8 => ObsKind::AttackFired {
-                kind: Persist::load(l)?,
-                victim: Persist::load(l)?,
-            },
-            9 => ObsKind::CopyBlocked {
-                from: Persist::load(l)?,
-            },
-            10 => ObsKind::Decided {
-                value: Persist::load(l)?,
-            },
-            11 => ObsKind::Started,
-            12 => ObsKind::Broadcast {
-                class: Persist::load(l)?,
-            },
-            13 => ObsKind::Delivered {
-                class: Persist::load(l)?,
-            },
-            14 => ObsKind::TimerFired {
-                tag: Persist::load(l)?,
-            },
-            15 => ObsKind::Halted,
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "ObsKind",
-                    tag,
-                })
-            }
-        })
-    }
-}
+homonym_core::persist_enum!(ObsKind {
+    PhaseEnter = 0 { round, phase },
+    PhaseExit = 1 { round, phase },
+    CertificateFormed = 2 { round, phase, size, labels },
+    LockAcquired = 3 { round, value },
+    LockReleased = 4 { round },
+    LedgerDiscard = 5 { round, class },
+    DetectorEpoch = 6 { round, trusted, changed },
+    LeaderFlip = 7 { round, leader, multiplicity },
+    AttackFired = 8 { kind, victim },
+    CopyBlocked = 9 { from },
+    Decided = 10 { value },
+    Started = 11,
+    Broadcast = 12 { class },
+    Delivered = 13 { class },
+    TimerFired = 14 { tag },
+    Halted = 15,
+});
 
 homonym_core::persist_fields!(ObsEvent { at, process, kind });
 homonym_core::persist_fields!(Recorder {
@@ -449,6 +310,7 @@ homonym_core::persist_fields!(Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use homonym_core::wire::WireError;
 
     #[test]
     fn capacity_drops_and_counts() {

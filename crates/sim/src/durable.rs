@@ -62,51 +62,12 @@ fn load_rng(l: &mut Loader<'_>) -> Result<StdRng, WireError> {
     Ok(StdRng::from_state(<[u64; 4]>::load(l)?))
 }
 
-impl<M: Persist + 'static> Persist for Event<M> {
-    fn save(&self, s: &mut Saver) {
-        match self {
-            Event::Start { dst } => {
-                s.u8(0);
-                dst.save(s);
-            }
-            Event::Deliver { dst, msg } => {
-                s.u8(1);
-                dst.save(s);
-                msg.save(s);
-            }
-            Event::DeliverShared { dst, msg } => {
-                s.u8(2);
-                dst.save(s);
-                msg.save(s);
-            }
-            Event::Timer { dst, tag } => {
-                s.u8(3);
-                dst.save(s);
-                tag.save(s);
-            }
-        }
-    }
-    fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
-        Ok(match l.u8()? {
-            0 => Event::Start {
-                dst: Persist::load(l)?,
-            },
-            1 => Event::Deliver {
-                dst: Persist::load(l)?,
-                msg: Persist::load(l)?,
-            },
-            2 => Event::DeliverShared {
-                dst: Persist::load(l)?,
-                msg: Persist::load(l)?,
-            },
-            3 => Event::Timer {
-                dst: Persist::load(l)?,
-                tag: Persist::load(l)?,
-            },
-            tag => return Err(WireError::BadTag { what: "Event", tag }),
-        })
-    }
-}
+homonym_core::persist_enum!(impl[M: Persist + 'static] Event<M> as Event {
+    Start = 0 { dst },
+    Deliver = 1 { dst, msg },
+    DeliverShared = 2 { dst, msg },
+    Timer = 3 { dst, tag },
+});
 
 homonym_core::persist_fields!(impl[P: Process + Persist] ProcSlot<P> { proc, id });
 
@@ -201,7 +162,10 @@ where
     /// tick batch whose consumed slots are not exactly those before the
     /// cursor, or whose cursor lies past it. (A batch the engine drained
     /// is emptied at its next refill and keeps its cursor until then, so
-    /// an empty batch takes any cursor.)
+    /// an empty batch takes any cursor.) It also rejects a queued or
+    /// batched entry numbered at or past the sequence counter: the next
+    /// event pushed would not sort after it, and dispatch would leave
+    /// `(time, seq)` order.
     fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
         let snap = EngineSnapshot {
             procs: Persist::load(l)?,
@@ -228,11 +192,14 @@ where
             snap.histories.len(),
             snap.decisions.len(),
         ];
-        let queued = snap.queue.persist_entries().into_iter().map(|(_, _, e)| e);
-        let batched = snap.tick_batch.iter().filter_map(|(_, e)| e.as_ref());
+        let queued = snap.queue.persist_entries().into_iter();
+        let queued = queued.map(|(_, seq, e)| (seq, Some(e)));
+        let batched = snap.tick_batch.iter().map(|(seq, e)| (*seq, e.as_ref()));
         let consumed = snap.tick_batch.iter().map(|(_, e)| e.is_none());
         if tables != [n; 4]
-            || queued.chain(batched).any(|e| e.dst() >= n)
+            || queued
+                .chain(batched)
+                .any(|(seq, e)| seq >= snap.seq || e.is_some_and(|e| e.dst() >= n))
             || (snap.tick_pos > snap.tick_batch.len() && !snap.tick_batch.is_empty())
             || !consumed
                 .enumerate()
@@ -426,6 +393,19 @@ mod tests {
             let decoded = decode_edited(|s| s.tick_pos = tick_pos);
             assert_eq!(decoded.err(), Some(BAD_SHAPE), "cursor at {tick_pos}");
         }
+    }
+
+    #[test]
+    fn an_entry_numbered_at_or_past_the_sequence_counter_is_a_bad_value() {
+        let snap = mid_tick();
+        let queued = snap.queue.persist_entries().into_iter();
+        let top = queued.map(|(_, seq, _)| seq).max().expect("copies queued");
+        assert!(snap.tick_batch.iter().all(|&(seq, _)| seq < top));
+        assert_eq!(snap.seq, top + 1);
+        assert!(decode_edited(|s| s.seq = top + 1).is_ok());
+        assert_eq!(decode_edited(|s| s.seq = top).err(), Some(BAD_SHAPE));
+        let batched = decode_edited(|s| s.tick_batch[3].0 = s.seq);
+        assert_eq!(batched.err(), Some(BAD_SHAPE));
     }
 
     #[test]

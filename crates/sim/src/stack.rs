@@ -25,7 +25,7 @@ use core::fmt;
 
 use homonym_core::identity::Identity;
 use homonym_core::query::Consumes;
-use homonym_core::wire::{Loader, Persist, Saver, WireError};
+use homonym_core::wire::Persist;
 
 use crate::process::{Action, ActionSink, Emit, Process, TimerTag};
 
@@ -222,30 +222,10 @@ pub fn split_history<OA: Clone, OB: Clone>(
     (left, right)
 }
 
-impl<L: Persist, R: Persist> Persist for Either<L, R> {
-    fn save(&self, s: &mut Saver) {
-        match self {
-            Either::L(v) => {
-                s.u8(0);
-                v.save(s);
-            }
-            Either::R(v) => {
-                s.u8(1);
-                v.save(s);
-            }
-        }
-    }
-    fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
-        match l.u8()? {
-            0 => Ok(Either::L(L::load(l)?)),
-            1 => Ok(Either::R(R::load(l)?)),
-            tag => Err(WireError::BadTag {
-                what: "Either",
-                tag,
-            }),
-        }
-    }
-}
+homonym_core::persist_enum!(impl[L: Persist, R: Persist] Either<L, R> as Either {
+    L = 0 (v),
+    R = 1 (v),
+});
 
 // A stack is its two halves, lower first, through one saver (so an `Arc`
 // both halves hold is written once); the consumer's reading of the

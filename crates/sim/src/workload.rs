@@ -306,28 +306,16 @@ impl CommandQueue {
     }
 }
 
-homonym_core::persist_unit_enum!(KeySkew {
+homonym_core::persist_enum!(KeySkew {
     Uniform = 0,
     Squared = 1,
     Cubed = 2
 });
 
-/// `Closed` is `None`, `Open` its mean gap.
-impl Persist for ArrivalModel {
-    fn save(&self, s: &mut Saver) {
-        match *self {
-            ArrivalModel::Closed => None,
-            ArrivalModel::Open { mean_gap_ticks } => Some(mean_gap_ticks),
-        }
-        .save(s);
-    }
-    fn load(l: &mut Loader<'_>) -> Result<Self, WireError> {
-        Ok(match Persist::load(l)? {
-            None => ArrivalModel::Closed,
-            Some(mean_gap_ticks) => ArrivalModel::Open { mean_gap_ticks },
-        })
-    }
-}
+homonym_core::persist_enum!(ArrivalModel {
+    Closed = 0,
+    Open = 1 { mean_gap_ticks },
+});
 
 homonym_core::persist_fields!(WorkloadConfig {
     commands_per_proc,

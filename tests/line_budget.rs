@@ -1,9 +1,11 @@
-//! The line budget: every crate under `crates/` stays within its row of
-//! `LINES.md`. A crate's non-test lines are the lines of each `src` file
-//! above its first `#[cfg(test)]`; its code lines are those of them that
-//! are neither blank nor a `//` comment. The test prints the measured
-//! table in `LINES.md`'s own layout, so a change that shrinks a crate
-//! can copy its row, and one that grows a crate edits its row.
+//! The line budget: every crate under `crates/` measures exactly its row
+//! of `LINES.md`. A crate's non-test lines are the lines of each `src`
+//! file above its first `#[cfg(test)]`; its code lines are those of them
+//! that are neither blank nor a `//` comment. A crate over its row fails,
+//! and so does one under it: a change that shrinks a crate lowers its row
+//! in the same diff, so the lines it freed are no slack for the next
+//! change to spend. The test prints the measured table in `LINES.md`'s
+//! own layout, so either edit copies its row.
 //!
 //! Run it alone with `cargo test --test line_budget -- --nocapture`.
 
@@ -90,6 +92,9 @@ fn every_crate_is_within_its_line_budget() {
             Some(&(max_lines, max_code)) if lines > max_lines || code > max_code => faults.push(format!(
                 "{name}: {lines} non-test and {code} code lines, over its row ({max_lines}, {max_code})"
             )),
+            Some(&(max_lines, max_code)) if (lines, code) != (max_lines, max_code) => faults.push(format!(
+                "{name}: {lines} non-test and {code} code lines, under its row ({max_lines}, {max_code}): lower the row"
+            )),
             Some(_) => {}
         }
     }
@@ -98,7 +103,7 @@ fn every_crate_is_within_its_line_budget() {
     }
     assert!(
         faults.is_empty(),
-        "line budget exceeded:\n{}",
+        "LINES.md and the measured table disagree:\n{}",
         faults.join("\n")
     );
 }
